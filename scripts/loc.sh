@@ -1,0 +1,45 @@
+#!/usr/bin/env bash
+# Size report: code lines and `pub` items per crate and per source file.
+#
+#   scripts/loc.sh            print the table (what LOC.tsv holds)
+#   scripts/loc.sh --check    exit 1 when LOC.tsv differs from it
+#
+# A code line is a line of `src/**/*.rs` that is neither blank nor a `//`
+# comment (doc comments included) and lies above the file's trailing
+# `#[cfg(test)] mod` block. A `pub` item is a `pub fn|struct|enum|trait|
+# type|const|static|mod|use` declaration above that block; `pub(crate)`
+# and `pub` fields are not counted.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+count() { # file -> "<code lines>\t<pub items>"
+  awk '
+    /^#\[cfg\(test\)\]/ { held = 1; next }
+    held && /^mod / { exit }
+    held { code++; held = 0 }
+    /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+    { code++ }
+    /^[[:space:]]*pub ((async|unsafe|const) )*(fn|struct|enum|trait|type|const|static|mod|use) / { pubs++ }
+    END { printf "%d\t%d", code, pubs }
+  ' "$1"
+}
+
+table() {
+  printf 'path\tcode_lines\tpub_items\n'
+  for dir in src crates/*/src; do
+    files=$(find "$dir" -name '*.rs' | LC_ALL=C sort)
+    rows=$(for f in $files; do printf '%s\t%s\n' "$f" "$(count "$f")"; done)
+    printf '%s\n' "$rows" | awk -F'\t' -v dir="$dir" \
+      '{ c += $2; p += $3 } END { printf "%s\t%d\t%d\n", dir, c, p }'
+    printf '%s\n' "$rows"
+  done
+}
+
+if [ "${1:-}" = "--check" ]; then
+  if ! table | diff -u LOC.tsv - >&2; then
+    echo "LOC.tsv is stale: run scripts/loc.sh > LOC.tsv" >&2
+    exit 1
+  fi
+else
+  table
+fi
