@@ -5,7 +5,7 @@
 #
 # Stages (so `.github/workflows/ci.yml` can run them as parallel jobs):
 #
-#   ./ci.sh lint    # fmt --check, clippy -D warnings, doc gate
+#   ./ci.sh lint    # fmt --check, clippy -D warnings, doc gate, LOC.tsv fresh
 #   ./ci.sh test    # locked build, tests, smoke tests, bench guards
 #   ./ci.sh         # everything, in order (the pre-push gate)
 #
@@ -33,6 +33,9 @@ if [ "$STAGE" != "test" ]; then
 
     echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+    echo "==> scripts/loc.sh --check (LOC.tsv is the tracked size report)"
+    scripts/loc.sh --check
 fi
 if [ "$STAGE" = "lint" ]; then
     echo "lint gate passed."
@@ -263,8 +266,8 @@ grep -q "bloom guard: PASS" "$READ_PATH_OUT" || {
 grep -q "compression guard: PASS" "$READ_PATH_OUT"
 
 echo "==> streaming-scan smoke bench (parity + early-termination guards)"
-# Streaming must return exactly the materializing scan's rows, and a
-# LIMIT 10 consumer must stop block reads early (<20% of the full scan).
+# A full drain must return exactly the ingested rows, and a LIMIT 10
+# consumer must stop block reads early (<20% of the full drain).
 SCAN_STREAM_OUT="$SMOKE_DIR/scan_stream.txt"
 ./target/release/figures scan_stream --scale 0.1 --json "$SMOKE_DIR/bench" \
     | tee "$SCAN_STREAM_OUT"

@@ -1,6 +1,5 @@
 //! Micro-benchmarks for the key-value substrate: point writes (the
-//! "millions of updates per second" HBase property), range scans and
-//! parallel multi-range scans.
+//! "millions of updates per second" HBase property) and range scans.
 
 use just_bench::harness::bench;
 use just_kvstore::{Store, StoreOptions};
@@ -37,16 +36,6 @@ fn main() {
                 black_box(&10_999u32.to_be_bytes()),
             )
             .unwrap()
-    });
-    let ranges: Vec<(Vec<u8>, Vec<u8>)> = (0..16u32)
-        .map(|i| {
-            let s = (i * 6000).to_be_bytes().to_vec();
-            let e = (i * 6000 + 500).to_be_bytes().to_vec();
-            (s, e)
-        })
-        .collect();
-    bench("kvstore/parallel_scan_16_ranges", || {
-        table.scan_ranges_parallel(black_box(&ranges)).unwrap()
     });
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,8 +2,8 @@
 //!
 //! A ≥100k-row in-memory view (so storage decode cost can't dilute the
 //! comparison — this measures the executor, not the kvstore) runs two
-//! query shapes on both executor paths, toggled with
-//! [`just_ql::set_compiled`]:
+//! query shapes on the executor and on the interpreted reference
+//! operators ([`just_ql::reference::run`], the parity suites' oracle):
 //!
 //! - **filter-heavy scan**: a five-conjunct arithmetic predicate over
 //!   every row, counting survivors (~12% pass);
@@ -17,17 +17,19 @@
 //!
 //! Two functional guards (re-checked by `ci.sh`):
 //!
-//! - **speedup**: the compiled path must be at least **3×** faster than
-//!   the interpreted path on both shapes (median of interleaved runs);
-//! - **parity**: both paths must return byte-identical datasets for both
+//! - **speedup**: the executor must be at least **3×** faster than the
+//!   reference on both shapes (median of interleaved runs; the ratios
+//!   are written to the report's `meta` as `filter_speedup` /
+//!   `aggregate_speedup`);
+//! - **parity**: both must return byte-identical datasets for both
 //!   queries (same rows, same order, same float bits — the accumulators
 //!   fold in the same row order).
 
 use crate::config::BenchConfig;
-use crate::harness::{time_once, Report, Table};
+use crate::harness::{reference_query, time_once, Report, Table};
 use just_core::{Dataset, Engine, EngineConfig, SessionManager};
 use just_obs::Rng;
-use just_ql::{set_compiled, Client};
+use just_ql::Client;
 use just_storage::{Row, Value};
 
 /// Timed runs per (query, path); odd so the median is one sample.
@@ -99,12 +101,10 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
         .expect("create view");
     let mut client = Client::new(sessions.session("bench"));
 
-    // Parity first: both paths, both queries, identical datasets.
+    // Parity first: both queries, identical datasets.
     report.phase("parity");
-    set_compiled(false);
-    let filter_interp = run_query(&mut client, FILTER_SQL);
-    let agg_interp = run_query(&mut client, AGG_SQL);
-    set_compiled(true);
+    let filter_interp = reference_query(&client, FILTER_SQL);
+    let agg_interp = reference_query(&client, AGG_SQL);
     let filter_comp = run_query(&mut client, FILTER_SQL);
     let agg_comp = run_query(&mut client, AGG_SQL);
     let parity_ok = filter_interp.columns == filter_comp.columns
@@ -115,18 +115,15 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
     report.phase("measure");
     let mut results = Vec::new();
     for (name, sql) in [("filter scan", FILTER_SQL), ("group aggregate", AGG_SQL)] {
-        // Interleave the two paths so both see the same machine state.
+        // Interleave the two so both see the same machine state.
         let mut interp = Vec::with_capacity(RUNS);
         let mut comp = Vec::with_capacity(RUNS);
         for _ in 0..RUNS {
-            set_compiled(false);
-            interp.push(time_once(|| run_query(&mut client, sql)).1.as_secs_f64());
-            set_compiled(true);
+            interp.push(time_once(|| reference_query(&client, sql)).1.as_secs_f64());
             comp.push(time_once(|| run_query(&mut client, sql)).1.as_secs_f64());
         }
         results.push((name, median(interp), median(comp)));
     }
-    set_compiled(true);
 
     let mut table = Table::new(&["query", "interpreted ms", "compiled ms", "speedup"]);
     for (name, ti, tc) in &results {
@@ -144,10 +141,13 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
     .unwrap();
     writeln!(out, "{}", table.render()).unwrap();
 
-    let min_speedup = results
+    let speedups: Vec<f64> = results
         .iter()
         .map(|(_, ti, tc)| ti / tc.max(f64::MIN_POSITIVE))
-        .fold(f64::INFINITY, f64::min);
+        .collect();
+    report.meta_raw("filter_speedup", format!("{:.2}", speedups[0]));
+    report.meta_raw("aggregate_speedup", format!("{:.2}", speedups[1]));
+    let min_speedup = speedups.iter().copied().fold(f64::INFINITY, f64::min);
     let speedup_ok = min_speedup >= 3.0;
     writeln!(
         out,

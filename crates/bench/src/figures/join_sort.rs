@@ -1,20 +1,22 @@
-//! Vectorized hash join and TOP-K vs their interpreted fallbacks.
+//! Vectorized hash join and TOP-K vs the interpreted reference.
 //!
 //! Two in-memory views (so storage decode can't dilute the comparison —
-//! this measures the executor) drive three query shapes on both
-//! executor paths, toggled with [`just_ql::set_compiled`]:
+//! this measures the executor) drive three query shapes on the executor
+//! and on the interpreted reference operators
+//! ([`just_ql::reference::run`], the parity suites' oracle):
 //!
 //! - **hash join**: an equi-join whose key domain gives ~1 match per
 //!   probe row, aggregated so timing stays on the join itself. The
-//!   interpreted path runs the O(n·m) nested loop; the compiled path
-//!   builds a hash table over the smaller side's encoded keys.
+//!   reference runs the O(n·m) nested loop; the executor builds a hash
+//!   table over the smaller side's encoded keys.
 //! - **full sort**: a two-key `ORDER BY` over a 100k+-row view —
 //!   key-normalized byte sort vs the interpreted comparator
 //!   (informational row, no guard: both are O(n log n)).
 //! - **TOP-K**: the same `ORDER BY` with `LIMIT 10` — a bounded heap
 //!   over normalized keys vs the interpreted full-sort-then-truncate.
 //!
-//! Three functional guards (re-checked by `ci.sh`):
+//! Three functional guards (re-checked by `ci.sh`; the two ratios are
+//! written to the report's `meta` as `join_speedup` / `topk_speedup`):
 //!
 //! - **join speedup**: hash join ≥ **3×** faster than the nested loop;
 //! - **topk speedup**: the bounded heap ≥ **5×** faster than the full
@@ -23,10 +25,10 @@
 //!   same order) for all three shapes.
 
 use crate::config::BenchConfig;
-use crate::harness::{time_once, Report, Table};
+use crate::harness::{reference_query, time_once, Report, Table};
 use just_core::{Dataset, Engine, EngineConfig, SessionManager};
 use just_obs::Rng;
-use just_ql::{set_compiled, Client};
+use just_ql::Client;
 use just_storage::{Row, Value};
 
 /// Timed runs per (query, path); odd so the median is one sample.
@@ -126,13 +128,11 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
     report.meta_raw("join_rows", format!("[{join_n},{join_m}]"));
     report.meta_raw("sort_rows", format!("{sort_n}"));
 
-    // Parity first: both paths, all shapes, byte-identical datasets.
+    // Parity first: all shapes, byte-identical datasets.
     report.phase("parity");
     let mut parity_ok = true;
     for sql in [JOIN_SQL, SORT_SQL, TOPK_SQL] {
-        set_compiled(false);
-        let interp = run_query(&mut client, sql);
-        set_compiled(true);
+        let interp = reference_query(&client, sql);
         let comp = run_query(&mut client, sql);
         parity_ok &= interp.columns == comp.columns && interp.rows == comp.rows;
     }
@@ -144,18 +144,15 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
         ("full sort", SORT_SQL),
         ("top-k (k=10)", TOPK_SQL),
     ] {
-        // Interleave the two paths so both see the same machine state.
+        // Interleave the two so both see the same machine state.
         let mut interp = Vec::with_capacity(RUNS);
         let mut comp = Vec::with_capacity(RUNS);
         for _ in 0..RUNS {
-            set_compiled(false);
-            interp.push(time_once(|| run_query(&mut client, sql)).1.as_secs_f64());
-            set_compiled(true);
+            interp.push(time_once(|| reference_query(&client, sql)).1.as_secs_f64());
             comp.push(time_once(|| run_query(&mut client, sql)).1.as_secs_f64());
         }
         results.push((name, median(interp), median(comp)));
     }
-    set_compiled(true);
 
     let mut table = Table::new(&["query", "interpreted ms", "compiled ms", "speedup"]);
     for (name, ti, tc) in &results {
@@ -183,6 +180,8 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
     };
     let join_speedup = speedup("hash join");
     let topk_speedup = speedup("top-k (k=10)");
+    report.meta_raw("join_speedup", format!("{join_speedup:.2}"));
+    report.meta_raw("topk_speedup", format!("{topk_speedup:.2}"));
     let join_ok = join_speedup >= 3.0;
     let topk_ok = topk_speedup >= 5.0;
     writeln!(

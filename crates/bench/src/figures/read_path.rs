@@ -12,7 +12,7 @@
 //! blocks than v1 on the range-scan workload.
 
 use crate::config::BenchConfig;
-use crate::harness::{median_latency, ms, ObsIoSnapshot, Report, Table};
+use crate::harness::{median_latency, ms, Report, Table};
 use just_compress::Codec;
 use just_kvstore::{BlockFormat, Store, StoreOptions};
 
@@ -100,7 +100,9 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
 
         // Range scans over disjoint slices of the keyspace.
         report.phase(&format!("scan-{label}"));
-        let before = ObsIoSnapshot::capture();
+        // The store's own counters, not the process-wide registry:
+        // other engines in this process must not leak into the guards.
+        let before = store.metrics().snapshot();
         let ranges: Vec<(Vec<u8>, Vec<u8>)> = (0..scans)
             .map(|s| (key(s * span), key((s + 1) * span - 1)))
             .collect();
@@ -108,7 +110,7 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
             let hits = t.scan(lo, hi).expect("scan");
             assert!(!hits.is_empty(), "scan returned no rows");
         });
-        let scan_blocks = ObsIoSnapshot::capture().since(&before).blocks_read;
+        let scan_blocks = store.metrics().snapshot().since(&before).blocks_read;
 
         // Point gets on present keys.
         report.phase(&format!("get-hit-{label}"));
@@ -120,14 +122,14 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
         // Miss-heavy point gets: absent keys *inside* the key fence, so
         // only a bloom filter (or a block read) can answer them.
         report.phase(&format!("get-miss-{label}"));
-        let before = ObsIoSnapshot::capture();
+        let before = store.metrics().snapshot();
         for i in 0..gets {
             assert!(
                 t.get(&miss_key(i * (n / gets))).expect("get").is_none(),
                 "miss key unexpectedly present"
             );
         }
-        let d = ObsIoSnapshot::capture().since(&before);
+        let d = store.metrics().snapshot().since(&before);
         let skip_pct = 100.0 * d.bloom_skips as f64 / gets as f64;
 
         if label == "v1" {

@@ -61,7 +61,7 @@ impl Z2t {
 
     /// Query planning, Section IV-B: find the qualified periods, compute
     /// the *single* set of Z2 ranges for the window, and replicate it per
-    /// period. (The per-period scans then run in parallel, step 3.)
+    /// period. (Step 3 scans the per-period ranges.)
     pub fn ranges(
         &self,
         query: &Rect,

@@ -45,8 +45,8 @@ pub enum AggSpec {
 impl AggSpec {
     /// Maps an aggregate function name (plus whether its argument is
     /// `*`) to a spec. Returns `None` for unknown aggregates or
-    /// unsupported `func(*)` forms — callers fall back to the
-    /// interpreted path so those keep their interpreted error text.
+    /// unsupported `func(*)` forms, which callers report as analysis
+    /// errors.
     pub fn resolve(name: &str, star: bool) -> Option<AggSpec> {
         match (name, star) {
             ("count", true) => Some(AggSpec::CountStar),

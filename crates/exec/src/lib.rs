@@ -31,8 +31,8 @@
 //! row interpreter in `just-ql` delegates to it, so compiled and
 //! interpreted execution agree by construction.
 //!
-//! Observability: `just_exec_programs_compiled` / `just_exec_fallbacks`
-//! counters and the `just_exec_batch_eval_us` histogram (via `just-obs`).
+//! Observability: the `just_exec_programs_compiled` counter and the
+//! `just_exec_batch_eval_us` histogram (via `just-obs`).
 
 pub mod agg;
 pub mod join;

@@ -5,24 +5,25 @@
 //!
 //! 1. **Lexicographically ordered keys with efficient range `SCAN`s** —
 //!    spatio-temporal locality encoded in keys becomes sequential disk
-//!    reads ([`Table::scan`], [`Table::scan_ranges_parallel`]).
+//!    reads ([`Table::scan`], [`Table::scan_ranges_stream`]).
 //! 2. **Cheap point writes with no global index** — a `PUT` only touches
 //!    the owning region's memtable, so new data and historical updates
 //!    never trigger index rebuilds ([`Table::put`]).
 //! 3. **Range-partitioned regions over region servers** — a table's
-//!    keyspace is split across [`Region`]s; scans spanning regions merge,
-//!    scans over disjoint ranges run in parallel.
+//!    keyspace is split across [`Region`]s; a scan spanning regions
+//!    visits them in key order.
 //! 4. **Disk-IO-dominated reads** — data lives in block-structured
 //!    [`SsTable`]s; every block fetch is counted by [`IoMetrics`], which is
 //!    how the benchmarks demonstrate the paper's compression→fewer-IOs
 //!    effect.
 //!
-//! Scans come in two shapes: the materializing [`Table::scan`] family
-//! returns every entry at once, while the streaming [`Table::scan_stream`]
-//! / [`Table::scan_ranges_stream`] family yields bounded batches through a
+//! There is one scan path: [`Table::scan_stream`] /
+//! [`Table::scan_ranges_stream`] yield bounded batches through a
 //! [`ScanStream`], reading blocks lazily so a consumer that stops early
 //! (a `LIMIT`, an `EXISTS` probe, a cancelled request via [`CancelToken`])
-//! also stops the disk IO. See [`MergeStream`] for the merge machinery.
+//! also stops the disk IO. The materializing [`Table::scan`] family is
+//! that stream drained to a `Vec` — same merge, same metrics. See
+//! [`MergeStream`] for the merge machinery.
 //!
 //! Two region-server behaviours ride on top of the partitioning:
 //!

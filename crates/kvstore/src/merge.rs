@@ -1,26 +1,12 @@
-//! K-way merge of sorted entry streams with newest-wins shadowing.
+//! K-way merge of sorted entry sources with newest-wins shadowing, for
+//! compaction. (Reads merge lazily through [`crate::MergeStream`].)
 
 use crate::block::BlockEntry;
-use crate::KvEntry;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Merges sorted sources (index 0 = newest) into live entries: for each
-/// key, only the newest version survives, and tombstones erase the key.
-pub fn merge_live(sources: Vec<Vec<BlockEntry>>) -> Vec<KvEntry> {
-    merge_versions(sources)
-        .into_iter()
-        .filter_map(|e| {
-            e.value.map(|v| KvEntry {
-                key: e.key,
-                value: v,
-            })
-        })
-        .collect()
-}
-
-/// Merges sorted sources keeping the newest version of each key,
-/// *including* tombstones (used by compaction, which must retain them when
+/// Merges sorted sources (index 0 = newest) keeping the newest version of
+/// each key, *including* tombstones (compaction must retain them when
 /// older files still exist — or drop them on a full compaction).
 pub fn merge_versions(sources: Vec<Vec<BlockEntry>>) -> Vec<BlockEntry> {
     struct HeapItem {
@@ -93,56 +79,11 @@ mod tests {
     }
 
     #[test]
-    fn newest_version_wins() {
-        let newest = vec![e("a", Some("new")), e("c", Some("c1"))];
-        let oldest = vec![e("a", Some("old")), e("b", Some("b0"))];
-        let merged = merge_live(vec![newest, oldest]);
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged[0].value, b"new");
-        assert_eq!(merged[1].key, b"b");
-        assert_eq!(merged[2].key, b"c");
-    }
-
-    #[test]
-    fn tombstones_shadow_older_values() {
-        let newest = vec![e("a", None)];
-        let oldest = vec![e("a", Some("old")), e("b", Some("b0"))];
-        let merged = merge_live(vec![newest, oldest]);
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].key, b"b");
-    }
-
-    #[test]
     fn tombstones_kept_by_merge_versions() {
         let newest = vec![e("a", None)];
         let oldest = vec![e("a", Some("old"))];
         let merged = merge_versions(vec![newest, oldest]);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].value, None);
-    }
-
-    #[test]
-    fn three_way_interleave_stays_sorted() {
-        let s0 = vec![e("b", Some("0"))];
-        let s1 = vec![e("a", Some("1")), e("d", Some("1"))];
-        let s2 = vec![e("c", Some("2")), e("e", Some("2"))];
-        let merged = merge_live(vec![s0, s1, s2]);
-        let keys: Vec<_> = merged.iter().map(|x| x.key.clone()).collect();
-        assert_eq!(
-            keys,
-            vec![
-                b"a".to_vec(),
-                b"b".to_vec(),
-                b"c".to_vec(),
-                b"d".to_vec(),
-                b"e".to_vec()
-            ]
-        );
-    }
-
-    #[test]
-    fn empty_sources() {
-        assert!(merge_live(vec![]).is_empty());
-        assert!(merge_live(vec![vec![], vec![]]).is_empty());
     }
 }

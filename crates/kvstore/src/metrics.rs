@@ -45,6 +45,7 @@ pub struct IoMetrics {
     obs_batches_emitted: Counter,
     obs_scan_early_terminations: Counter,
     obs_batch_bytes: just_obs::Histogram,
+    obs_scan_latency: just_obs::Histogram,
 }
 
 impl Default for IoMetrics {
@@ -79,6 +80,7 @@ impl IoMetrics {
             obs_batches_emitted: obs.counter("just_kvstore_batches_emitted"),
             obs_scan_early_terminations: obs.counter("just_kvstore_scan_early_terminations"),
             obs_batch_bytes: obs.histogram("just_kvstore_batch_bytes"),
+            obs_scan_latency: obs.histogram("just_kvstore_scan_latency_us"),
         }
     }
 
@@ -130,6 +132,11 @@ impl IoMetrics {
     pub(crate) fn record_scan_early_termination(&self) {
         self.scan_early_terminations.fetch_add(1, Ordering::Relaxed);
         self.obs_scan_early_terminations.inc();
+    }
+
+    /// One scan finished (ran dry, was cancelled or was dropped).
+    pub(crate) fn record_scan_latency(&self, elapsed: std::time::Duration) {
+        self.obs_scan_latency.record_duration(elapsed);
     }
 
     /// A point-in-time copy of the counters.

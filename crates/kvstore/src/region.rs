@@ -66,7 +66,7 @@ use crate::error::{KvError, Result};
 use crate::ingest::{shard_of, IngestOptions, ShardedWal};
 use crate::maintenance::Kick;
 use crate::memtable::{MemTable, LATEST};
-use crate::merge::{merge_live, merge_versions};
+use crate::merge::merge_versions;
 use crate::metrics::IoMetrics;
 use crate::scan::{MergeStream, ScanSource};
 use crate::sstable::{SsTable, SsTableBuilder, SstOptions};
@@ -145,10 +145,9 @@ pub struct RegionTrafficSnapshot {
     pub bytes_read: u64,
     /// Key+value bytes accepted by writes.
     pub bytes_written: u64,
-    /// Scan calls (materializing and streaming) that touched this
-    /// region.
+    /// Scans that touched this region.
     pub scans: u64,
-    /// SSTable blocks decoded on behalf of streaming scans.
+    /// SSTable blocks decoded on behalf of scans.
     pub scan_blocks: u64,
 }
 
@@ -701,56 +700,32 @@ impl Region {
 
     /// Like [`Region::scan`], but as of snapshot sequence `snap`: the
     /// result equals a serial execution that stopped right before
-    /// commit sequence `snap` was allocated.
+    /// commit sequence `snap` was allocated. This is
+    /// [`Region::scan_stream_at`] drained.
     pub fn scan_at(&self, start: &[u8], end: &[u8], snap: u64) -> Result<Vec<KvEntry>> {
-        if start > end {
-            return Ok(Vec::new());
+        let mut stream = self.scan_stream_at(start, end, snap);
+        let mut live = Vec::new();
+        while let Some(entry) = stream.next_live()? {
+            live.push(entry);
         }
-        self.traffic.record_scan();
-        let inner = self.inner.read();
-        let mut sources: Vec<Vec<BlockEntry>> =
-            Vec::with_capacity(inner.tables.len() + inner.frozen.len() + inner.held.len() + 1);
-        sources.push(self.active_source(start, end, snap));
-        for gen in inner.frozen.iter().rev() {
-            sources.push(Self::frozen_source(gen, start, end, snap));
-        }
-        for gen in inner.held.iter().rev() {
-            if gen.seq_ub > snap {
-                sources.push(Self::frozen_source(gen, start, end, snap));
-            }
-        }
-        for table in inner.tables.iter().rev() {
-            if !table.visible_at(snap) {
-                self.snapshot_skips.inc();
-                continue;
-            }
-            sources.push(table.scan(start, end)?);
-        }
-        let live = merge_live(sources);
-        self.traffic.record_scan_bytes(
-            live.iter()
-                .map(|e| (e.key.len() + e.value.len()) as u64)
-                .sum(),
-        );
         Ok(live)
     }
 
-    /// A streaming variant of [`Region::scan`]: snapshots the memtable
-    /// layers and the SSTable handles under a brief read lock, then
-    /// returns a pull-based merge that reads one block at a time as the
-    /// consumer advances. Tombstone shadowing and newest-wins semantics
-    /// are identical to the materializing scan.
+    /// The region's one scan path: snapshots the memtable layers and the
+    /// SSTable handles under a brief read lock, then returns a
+    /// pull-based merge that reads one block at a time as the consumer
+    /// advances, with newest-wins and tombstone-shadowing semantics.
     pub fn scan_stream(&self, start: &[u8], end: &[u8]) -> MergeStream {
         self.scan_stream_at(start, end, LATEST)
     }
 
-    /// Like [`Region::scan_stream`], but as of snapshot sequence `snap`
-    /// — the streaming twin of [`Region::scan_at`]. The stream stays
-    /// pinned to the layers captured here, so it keeps serving the same
-    /// cut even if the snapshot handle is dropped while streaming.
+    /// Like [`Region::scan_stream`], but as of snapshot sequence `snap`.
+    /// The stream stays pinned to the layers captured here, so it keeps
+    /// serving the same cut even if the snapshot handle is dropped while
+    /// streaming.
     pub fn scan_stream_at(&self, start: &[u8], end: &[u8], snap: u64) -> MergeStream {
         if start > end {
-            return MergeStream::empty();
+            return MergeStream::new(Vec::new(), self.traffic.clone());
         }
         self.traffic.record_scan();
         let inner = self.inner.read();
@@ -782,7 +757,7 @@ impl Region {
             ));
         }
         drop(inner);
-        MergeStream::new(sources)
+        MergeStream::new(sources, self.traffic.clone())
     }
 
     /// Freezes the active shards into a new immutable generation:
@@ -1450,7 +1425,7 @@ impl Snapshot {
         self.region.get_at(key, self.seq)
     }
 
-    /// Materializing range scan at this snapshot (see
+    /// Range scan at this snapshot, drained to a `Vec` (see
     /// [`Region::scan_at`]).
     pub fn scan(&self, start: &[u8], end: &[u8]) -> Result<Vec<KvEntry>> {
         self.region.scan_at(start, end, self.seq)

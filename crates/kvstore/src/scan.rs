@@ -1,19 +1,18 @@
 //! Streaming, batch-at-a-time scans with cooperative cancellation.
 //!
-//! The materializing read path ([`crate::Table::scan_ranges_parallel`])
-//! collects every matching entry before the caller sees the first one —
-//! fine for aggregates, wasteful for `LIMIT k` or kNN probes that are
-//! satisfied after a handful of rows. This module is the pull-based
-//! alternative:
+//! This module is the store's one scan path. The materializing calls
+//! ([`crate::Table::scan`], [`crate::Region::scan`], the snapshot scans)
+//! are this stream drained to a `Vec`, so a `LIMIT k` or kNN consumer
+//! that stops after a handful of rows and an aggregate that reads
+//! everything run the same merge and record the same metrics:
 //!
 //! - [`ScanStream`] walks a list of key ranges region by region and
 //!   yields bounded batches via [`ScanStream::next_batch`]; no more than
 //!   one batch plus one decoded block per source is ever in flight.
 //! - [`MergeStream`] is the per-region k-way merge: a binary heap over
 //!   the memtable snapshot and one lazy block iterator per SSTable,
-//!   reproducing the newest-wins / tombstone-shadowing semantics of
-//!   [`crate::Region::scan`] exactly, but reading each SSTable one block
-//!   at a time.
+//!   with newest-wins / tombstone-shadowing semantics, reading each
+//!   SSTable one block at a time.
 //! - [`CancelToken`] lets a satisfied consumer stop the producer
 //!   mid-range: the stream re-checks the token between entries, so
 //!   cancellation halts disk IO within one block's worth of work.
@@ -21,7 +20,13 @@
 //! Every batch increments `just_kvstore_batches_emitted` and feeds the
 //! `just_kvstore_batch_bytes` histogram; a stream dropped before its
 //! ranges run dry counts one `just_kvstore_scan_early_terminations` —
-//! the observable signature of pushdown actually saving IO.
+//! the observable signature of pushdown actually saving IO. Each scan
+//! that was pulled at all records one `just_kvstore_scan_latency_us`
+//! sample when it runs dry or is dropped — the time spent inside
+//! [`ScanStream::next_batch`], not what the consumer did between pulls —
+//! and each region merge adds the entry bytes it produced to that
+//! region's `bytes_read` traffic. A scan that fails with an IO error
+//! records neither a latency sample nor an early termination.
 //!
 //! ```
 //! use just_kvstore::{ScanOptions, Store, StoreOptions};
@@ -117,8 +122,7 @@ impl SstRangeIter {
         let done = if table.overlaps(start, end) {
             false
         } else {
-            // Pruned by the min/max fence: same accounting as the
-            // materializing scan.
+            // Pruned by the min/max fence.
             table.metrics().record_index_skip();
             true
         };
@@ -192,7 +196,7 @@ impl ScanSource {
         )))
     }
 
-    fn next(&mut self) -> Result<Option<BlockEntry>> {
+    pub(crate) fn next(&mut self) -> Result<Option<BlockEntry>> {
         match &mut self.0 {
             SourceKind::Mem(it) => Ok(it.next()),
             SourceKind::Sst(it) => it.next(),
@@ -231,8 +235,7 @@ impl PartialOrd for HeapItem {
 
 /// A pull-based k-way merge over one region's layers (memtable newest,
 /// then SSTables newest→oldest), yielding live entries in key order with
-/// newest-wins shadowing and tombstone elision — the streaming twin of
-/// the internal `merge::merge_live`.
+/// newest-wins shadowing and tombstone elision.
 pub struct MergeStream {
     sources: Vec<ScanSource>,
     heap: BinaryHeap<HeapItem>,
@@ -241,20 +244,22 @@ pub struct MergeStream {
     /// building a stream does no IO (and a cancelled-before-start
     /// stream never touches disk).
     primed: bool,
+    /// Key+value bytes of the live entries produced so far, added to the
+    /// region's `bytes_read` once, when the stream drops.
+    bytes: u64,
+    traffic: Arc<RegionTraffic>,
 }
 
 impl MergeStream {
-    pub(crate) fn new(sources: Vec<ScanSource>) -> Self {
+    pub(crate) fn new(sources: Vec<ScanSource>, traffic: Arc<RegionTraffic>) -> Self {
         MergeStream {
             sources,
             heap: BinaryHeap::new(),
             last_key: None,
             primed: false,
+            bytes: 0,
+            traffic,
         }
-    }
-
-    pub(crate) fn empty() -> Self {
-        Self::new(Vec::new())
     }
 
     /// The next live entry, or `None` when the region range is drained.
@@ -280,6 +285,7 @@ impl MergeStream {
             }
             self.last_key = Some(top.entry.key.clone());
             if let Some(value) = top.entry.value {
+                self.bytes += (top.entry.key.len() + value.len()) as u64;
                 return Ok(Some(KvEntry {
                     key: top.entry.key,
                     value,
@@ -291,20 +297,27 @@ impl MergeStream {
     }
 }
 
+impl Drop for MergeStream {
+    fn drop(&mut self) {
+        self.traffic.record_scan_bytes(self.bytes);
+    }
+}
+
 /// A queued scan range: (region, start, end, snapshot seq).
 pub(crate) type PendingRange = (Arc<Region>, Vec<u8>, Vec<u8>, u64);
 
 /// A streaming multi-range scan over a [`crate::Table`].
 ///
 /// Ranges are visited in the order given (entries within a range in key
-/// order, matching [`crate::Table::scan_ranges_parallel`]'s output
 /// order); regions within a range are visited low to high, which is key
 /// order because regions partition by leading byte. Construction does no
 /// IO — the first block is read when the first batch is pulled.
 ///
 /// Dropping the stream before it runs dry (or cancelling its token)
 /// counts one early termination; the un-read remainder of the ranges is
-/// never fetched from disk.
+/// never fetched from disk. Either way a stream that was pulled records
+/// one `just_kvstore_scan_latency_us` sample: the time spent inside
+/// [`ScanStream::next_batch`], summed over its pulls.
 pub struct ScanStream {
     /// (region, start, end, snapshot seq) work items, front first. The
     /// seq is [`crate::LATEST`] for plain scans; snapshot scans pin each
@@ -324,6 +337,11 @@ pub struct ScanStream {
     /// Produced at least one pull; a stream that was never used is not
     /// an "early termination" in any meaningful sense.
     pulled: bool,
+    /// A pull returned an error; the scan is over and records nothing.
+    failed: bool,
+    /// Time spent inside `next_batch` so far (store time, not consumer
+    /// time between pulls).
+    busy: std::time::Duration,
 }
 
 impl ScanStream {
@@ -350,6 +368,8 @@ impl ScanStream {
             _pins: pins,
             exhausted: false,
             pulled: false,
+            failed: false,
+            busy: std::time::Duration::ZERO,
         }
     }
 
@@ -362,10 +382,28 @@ impl ScanStream {
     /// ranges are exhausted or the token was cancelled. A final partial
     /// batch may be shorter than `batch_rows`.
     pub fn next_batch(&mut self) -> Result<Option<Vec<KvEntry>>> {
-        if self.exhausted {
+        if self.exhausted || self.failed {
             return Ok(None);
         }
         self.pulled = true;
+        let started = std::time::Instant::now();
+        let batch = self.fill_batch();
+        self.busy += started.elapsed();
+        match batch {
+            Ok(batch) => {
+                if self.exhausted {
+                    self.metrics.record_scan_latency(self.busy);
+                }
+                Ok(batch)
+            }
+            Err(e) => {
+                self.failed = true;
+                Err(e)
+            }
+        }
+    }
+
+    fn fill_batch(&mut self) -> Result<Option<Vec<KvEntry>>> {
         let mut batch = Vec::with_capacity(self.batch_rows);
         let mut bytes = 0u64;
         while batch.len() < self.batch_rows {
@@ -399,12 +437,91 @@ impl ScanStream {
         self.metrics.record_batch_emitted(bytes);
         Ok(Some(batch))
     }
+
+    /// Pulls every remaining batch into one vector — the materializing
+    /// scans are exactly this.
+    pub(crate) fn drain(mut self) -> Result<Vec<KvEntry>> {
+        let mut out = Vec::new();
+        while let Some(batch) = self.next_batch()? {
+            out.extend(batch);
+        }
+        Ok(out)
+    }
 }
 
 impl Drop for ScanStream {
     fn drop(&mut self) {
-        if self.pulled && !self.exhausted {
+        if self.pulled && !self.exhausted && !self.failed {
             self.metrics.record_scan_early_termination();
+            self.metrics.record_scan_latency(self.busy);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn e(key: &str, value: Option<&str>) -> BlockEntry {
+        BlockEntry {
+            key: key.as_bytes().to_vec(),
+            value: value.map(|v| v.as_bytes().to_vec()),
+        }
+    }
+
+    /// Drains a [`MergeStream`] over in-memory sources (index 0 = newest).
+    fn drain(sources: Vec<Vec<BlockEntry>>) -> Vec<KvEntry> {
+        let sources = sources.into_iter().map(ScanSource::mem).collect();
+        let mut stream = MergeStream::new(sources, Arc::new(RegionTraffic::default()));
+        let mut out = Vec::new();
+        while let Some(entry) = stream.next_live().unwrap() {
+            out.push(entry);
+        }
+        out
+    }
+
+    #[test]
+    fn newest_version_wins() {
+        let newest = vec![e("a", Some("new")), e("c", Some("c1"))];
+        let oldest = vec![e("a", Some("old")), e("b", Some("b0"))];
+        let merged = drain(vec![newest, oldest]);
+        assert_eq!(merged.len(), 3);
+        assert_eq!(merged[0].value, b"new");
+        assert_eq!(merged[1].key, b"b");
+        assert_eq!(merged[2].key, b"c");
+    }
+
+    #[test]
+    fn tombstones_shadow_older_values() {
+        let newest = vec![e("a", None)];
+        let oldest = vec![e("a", Some("old")), e("b", Some("b0"))];
+        let merged = drain(vec![newest, oldest]);
+        assert_eq!(merged.len(), 1);
+        assert_eq!(merged[0].key, b"b");
+    }
+
+    #[test]
+    fn three_way_interleave_stays_sorted() {
+        let s0 = vec![e("b", Some("0"))];
+        let s1 = vec![e("a", Some("1")), e("d", Some("1"))];
+        let s2 = vec![e("c", Some("2")), e("e", Some("2"))];
+        let merged = drain(vec![s0, s1, s2]);
+        let keys: Vec<_> = merged.iter().map(|x| x.key.clone()).collect();
+        assert_eq!(
+            keys,
+            vec![
+                b"a".to_vec(),
+                b"b".to_vec(),
+                b"c".to_vec(),
+                b"d".to_vec(),
+                b"e".to_vec()
+            ]
+        );
+    }
+
+    #[test]
+    fn empty_sources() {
+        assert!(drain(vec![]).is_empty());
+        assert!(drain(vec![vec![], vec![]]).is_empty());
     }
 }

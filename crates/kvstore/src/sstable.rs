@@ -709,42 +709,6 @@ impl SsTable {
         n.saturating_sub(1)
     }
 
-    /// Collects all entries with `start <= key <= end` (tombstones
-    /// included, so callers can apply shadowing).
-    pub fn scan(&self, start: &[u8], end: &[u8]) -> Result<Vec<BlockEntry>> {
-        let mut out = Vec::new();
-        if !self.overlaps(start, end) {
-            // Pruned by the min/max key fence: no block touched.
-            self.metrics.record_index_skip();
-            return Ok(out);
-        }
-        let mut idx = self.seek_block(start);
-        let mut first = true;
-        while idx < self.blocks.len() {
-            if self.blocks[idx].first_key.as_slice() > end {
-                break;
-            }
-            let block = self.read_block(idx, first)?;
-            // The first block positions via restart binary search; later
-            // blocks start past `start` by construction, so seek from
-            // their beginning.
-            let entries = if first {
-                block.seek_iter(start)
-            } else {
-                block.iter()
-            };
-            first = false;
-            for entry in entries {
-                if entry.key.as_slice() > end {
-                    return Ok(out);
-                }
-                out.push(entry);
-            }
-            idx += 1;
-        }
-        Ok(out)
-    }
-
     /// Point lookup (tombstones surface as `Some(None)`).
     pub fn get(&self, key: &[u8]) -> Result<Option<Option<Vec<u8>>>> {
         if self.blocks.is_empty() || key < self.min_key.as_slice() || key > self.max_key.as_slice()
@@ -783,13 +747,25 @@ impl SsTable {
 mod tests {
     use super::*;
 
+    /// All entries with `start <= key <= end` (tombstones included),
+    /// pulled through the block iterator the scan path uses.
+    fn scan(t: &Arc<SsTable>, start: &[u8], end: &[u8]) -> Result<Vec<BlockEntry>> {
+        let mut source =
+            crate::scan::ScanSource::sstable(t.clone(), start, end, Default::default());
+        let mut out = Vec::new();
+        while let Some(entry) = source.next()? {
+            out.push(entry);
+        }
+        Ok(out)
+    }
+
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("just-sst-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
-    fn build_opts(dir: &Path, n: u32, opts: SstOptions) -> SsTable {
+    fn build_opts(dir: &Path, n: u32, opts: SstOptions) -> Arc<SsTable> {
         let metrics = Arc::new(IoMetrics::new());
         let mut b = SsTableBuilder::create_opts(
             &dir.join("t.sst"),
@@ -803,10 +779,10 @@ mod tests {
             let val = format!("value-{i}");
             b.add(key.as_bytes(), Some(val.as_bytes())).unwrap();
         }
-        b.finish().unwrap()
+        Arc::new(b.finish().unwrap())
     }
 
-    fn build(dir: &Path, n: u32) -> SsTable {
+    fn build(dir: &Path, n: u32) -> Arc<SsTable> {
         build_opts(
             dir,
             n,
@@ -860,7 +836,7 @@ mod tests {
             let dir = tmpdir(&format!("scan-{label}"));
             let t = build_opts(&dir, 1000, opts);
             assert_eq!(t.entry_count(), 1000, "{label}");
-            let hits = t.scan(b"key-000100", b"key-000199").unwrap();
+            let hits = scan(&t, b"key-000100", b"key-000199").unwrap();
             assert_eq!(hits.len(), 100, "{label}");
             assert_eq!(hits[0].key, b"key-000100");
             assert_eq!(hits[99].key, b"key-000199");
@@ -873,14 +849,14 @@ mod tests {
         let dir = tmpdir("edges");
         let t = build(&dir, 50);
         // Before all keys.
-        assert!(t.scan(b"a", b"b").unwrap().is_empty());
+        assert!(scan(&t, b"a", b"b").unwrap().is_empty());
         // After all keys.
-        assert!(t.scan(b"z", b"zz").unwrap().is_empty());
+        assert!(scan(&t, b"z", b"zz").unwrap().is_empty());
         // Exact single key.
-        let hits = t.scan(b"key-000007", b"key-000007").unwrap();
+        let hits = scan(&t, b"key-000007", b"key-000007").unwrap();
         assert_eq!(hits.len(), 1);
         // Full cover.
-        assert_eq!(t.scan(b"", b"\xff\xff").unwrap().len(), 50);
+        assert_eq!(scan(&t, b"", b"\xff\xff").unwrap().len(), 50);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -951,7 +927,7 @@ mod tests {
     fn compressed_tables_use_fewer_blocks() {
         // Compressible values: the adaptive packer should fit several
         // uncompressed-block-sizes worth of entries per on-disk block.
-        let build_var = |dir: &Path, codec: Codec| -> (SsTable, Arc<IoMetrics>) {
+        let build_var = |dir: &Path, codec: Codec| -> (Arc<SsTable>, Arc<IoMetrics>) {
             let metrics = Arc::new(IoMetrics::new());
             let mut b = SsTableBuilder::create_opts(
                 &dir.join(format!("t-{codec}.sst")),
@@ -973,7 +949,7 @@ mod tests {
                 );
                 b.add(key.as_bytes(), Some(val.as_bytes())).unwrap();
             }
-            (b.finish().unwrap(), metrics)
+            (Arc::new(b.finish().unwrap()), metrics)
         };
         let dir = tmpdir("fewer-blocks");
         let (plain, m_plain) = build_var(&dir, Codec::None);
@@ -981,8 +957,8 @@ mod tests {
         assert!(zipped.file_size() < plain.file_size());
         m_plain.reset();
         m_zip.reset();
-        let a = plain.scan(b"", b"\xff\xff").unwrap();
-        let b = zipped.scan(b"", b"\xff\xff").unwrap();
+        let a = scan(&plain, b"", b"\xff\xff").unwrap();
+        let b = scan(&zipped, b"", b"\xff\xff").unwrap();
         assert_eq!(a, b, "same data back");
         let plain_blocks = m_plain.snapshot().blocks_read;
         let zip_blocks = m_zip.snapshot().blocks_read;
@@ -1024,7 +1000,7 @@ mod tests {
         // Positional reads share no cursor: hammer one table from many
         // threads and check every scan returns the full, correct range.
         let dir = tmpdir("concurrent");
-        let t = Arc::new(build(&dir, 2000));
+        let t = build(&dir, 2000);
         let threads: Vec<_> = (0..8)
             .map(|i| {
                 let t = t.clone();
@@ -1032,7 +1008,7 @@ mod tests {
                     for _ in 0..20 {
                         let lo = format!("key-{:06}", i * 100);
                         let hi = format!("key-{:06}", i * 100 + 99);
-                        let hits = t.scan(lo.as_bytes(), hi.as_bytes()).unwrap();
+                        let hits = scan(&t, lo.as_bytes(), hi.as_bytes()).unwrap();
                         assert_eq!(hits.len(), 100);
                         assert_eq!(hits[0].key, lo.as_bytes());
                         let got = t.get(format!("key-{:06}", i * 7).as_bytes()).unwrap();
@@ -1056,12 +1032,12 @@ mod tests {
             b.add(format!("k{i:05}").as_bytes(), Some(&[0u8; 64]))
                 .unwrap();
         }
-        let t = b.finish().unwrap();
+        let t = Arc::new(b.finish().unwrap());
         let before = metrics.snapshot();
-        t.scan(b"k00000", b"k00010").unwrap();
+        scan(&t, b"k00000", b"k00010").unwrap();
         let narrow = metrics.snapshot().since(&before);
         let before = metrics.snapshot();
-        t.scan(b"k00000", b"k00499").unwrap();
+        scan(&t, b"k00000", b"k00499").unwrap();
         let wide = metrics.snapshot().since(&before);
         assert!(narrow.blocks_read >= 1);
         assert!(
@@ -1083,9 +1059,9 @@ mod tests {
             bytes[10] ^= 0xff;
             std::fs::write(&path, &bytes).unwrap();
             let metrics = Arc::new(IoMetrics::new());
-            let t = SsTable::open(&path, metrics).unwrap();
+            let t = Arc::new(SsTable::open(&path, metrics).unwrap());
             assert!(
-                matches!(t.scan(b"", b"\xff\xff"), Err(KvError::Corrupt(_))),
+                matches!(scan(&t, b"", b"\xff\xff"), Err(KvError::Corrupt(_))),
                 "{label}"
             );
             std::fs::remove_dir_all(dir).ok();
@@ -1097,9 +1073,9 @@ mod tests {
         let dir = tmpdir("empty");
         let metrics = Arc::new(IoMetrics::new());
         let b = SsTableBuilder::create(&dir.join("t.sst"), 256, metrics).unwrap();
-        let t = b.finish().unwrap();
+        let t = Arc::new(b.finish().unwrap());
         assert_eq!(t.entry_count(), 0);
-        assert!(t.scan(b"", b"\xff").unwrap().is_empty());
+        assert!(scan(&t, b"", b"\xff").unwrap().is_empty());
         assert_eq!(t.get(b"x").unwrap(), None);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1123,14 +1099,14 @@ mod tests {
         drop(t);
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[bytes.len() - 8..], MAGIC_V1);
-        let t = SsTable::open(&path, Arc::new(IoMetrics::new())).unwrap();
+        let t = Arc::new(SsTable::open(&path, Arc::new(IoMetrics::new())).unwrap());
         assert_eq!(t.format(), BlockFormat::V1);
         assert!(!t.has_bloom());
         assert_eq!(
             t.get(b"key-000123").unwrap(),
             Some(Some(b"value-123".to_vec()))
         );
-        assert_eq!(t.scan(b"", b"\xff\xff").unwrap().len(), 300);
+        assert_eq!(scan(&t, b"", b"\xff\xff").unwrap().len(), 300);
         std::fs::remove_dir_all(dir).ok();
     }
 

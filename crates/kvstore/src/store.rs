@@ -38,8 +38,6 @@ pub struct StoreOptions {
     /// 0 disables blooms). ~10 bits/key ≈ 1 % false positives — the
     /// HBase `BLOOMFILTER => ROW` equivalent.
     pub bloom_bits_per_key: usize,
-    /// Worker threads for parallel multi-range scans.
-    pub scan_threads: usize,
     /// Store-wide block cache capacity in bytes (0 disables caching —
     /// the paper's experimental setting; the default mirrors HBase's
     /// always-on block cache).
@@ -62,7 +60,6 @@ impl Default for StoreOptions {
             sst_format: BlockFormat::V2,
             codec: Codec::None,
             bloom_bits_per_key: 10,
-            scan_threads: 8,
             block_cache_bytes: 32 << 20,
             durability: DurabilityOptions::default(),
             ingest: IngestOptions::default(),
@@ -161,7 +158,6 @@ impl Store {
             num_regions,
             self.metrics.clone(),
             self.cache.clone(),
-            self.options.scan_threads,
             self.region_opts(),
         )?);
         if let Some(s) = &self.scheduler {

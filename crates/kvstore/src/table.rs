@@ -2,8 +2,7 @@
 //!
 //! Partitioning mirrors how GeoMesa pre-splits salted HBase tables: the
 //! storage layer prepends a shard byte to every key, so records spread
-//! uniformly over regions ("region servers") and disjoint scan ranges
-//! can run in parallel.
+//! uniformly over regions ("region servers").
 //!
 //! ## The region map
 //!
@@ -190,7 +189,6 @@ pub struct Table {
     /// section) by split/merge; every routing decision clones the
     /// `Arc`s it needs under the read lock and drops it.
     map: RwLock<Vec<RegionEntry>>,
-    scan_threads: usize,
     metrics: Arc<IoMetrics>,
     cache: Arc<BlockCache>,
     region_opts: RegionOptions,
@@ -198,7 +196,6 @@ pub struct Table {
     next_region_id: AtomicU64,
     /// Serializes split/merge; routing and scans never take it.
     lifecycle: Mutex<()>,
-    scan_latency: just_obs::Histogram,
     splits: just_obs::Counter,
     merges: just_obs::Counter,
     split_latency: just_obs::Histogram,
@@ -226,7 +223,6 @@ impl Table {
         metrics: Arc<IoMetrics>,
         flush_threshold: usize,
         block_size: usize,
-        scan_threads: usize,
     ) -> Result<Self> {
         Self::open_cached(
             name,
@@ -236,12 +232,10 @@ impl Table {
             Arc::new(BlockCache::new(0)),
             flush_threshold,
             block_size,
-            scan_threads,
         )
     }
 
     /// Like [`Table::open`], sharing a store-wide block cache.
-    #[allow(clippy::too_many_arguments)]
     pub fn open_cached(
         name: String,
         dir: PathBuf,
@@ -250,7 +244,6 @@ impl Table {
         cache: Arc<BlockCache>,
         flush_threshold: usize,
         block_size: usize,
-        scan_threads: usize,
     ) -> Result<Self> {
         Self::open_opts(
             name,
@@ -258,7 +251,6 @@ impl Table {
             num_regions,
             metrics,
             cache,
-            scan_threads,
             RegionOptions::basic(flush_threshold, block_size),
         )
     }
@@ -266,14 +258,12 @@ impl Table {
     /// Full-control constructor used by [`crate::Store`]: every region
     /// gets the same durability / maintenance settings and replays its
     /// WAL on open.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn open_opts(
         name: String,
         dir: PathBuf,
         num_regions: usize,
         metrics: Arc<IoMetrics>,
         cache: Arc<BlockCache>,
-        scan_threads: usize,
         region_opts: RegionOptions,
     ) -> Result<Self> {
         assert!((1..=256).contains(&num_regions));
@@ -350,13 +340,11 @@ impl Table {
             name,
             dir,
             map: RwLock::new(map),
-            scan_threads: scan_threads.max(1),
             metrics,
             cache,
             region_opts,
             next_region_id: AtomicU64::new(next_region_id),
             lifecycle: Mutex::new(()),
-            scan_latency: obs.histogram("just_kvstore_scan_latency_us"),
             splits: obs.counter("just_kvstore_region_splits"),
             merges: obs.counter("just_kvstore_region_merges"),
             split_latency: obs.histogram("just_kvstore_region_split_latency_us"),
@@ -428,23 +416,11 @@ impl Table {
         self.region_for(key).get(key)
     }
 
-    /// All live entries with `start <= key <= end`, in global key order.
-    ///
-    /// Every call records one sample in the process-wide
-    /// `just_kvstore_scan_latency_us` histogram (including range scans
-    /// issued by [`Table::scan_ranges_parallel`]).
+    /// All live entries with `start <= key <= end`, in global key order:
+    /// [`Table::scan_stream`] drained to a `Vec`, so it records the same
+    /// metrics (one `just_kvstore_scan_latency_us` sample per call).
     pub fn scan(&self, start: &[u8], end: &[u8]) -> Result<Vec<KvEntry>> {
-        if start > end {
-            return Ok(Vec::new());
-        }
-        let started = std::time::Instant::now();
-        let regions = self.regions_for_range(start, end);
-        let mut out = Vec::new();
-        for region in regions {
-            out.extend(region.scan(start, end)?);
-        }
-        self.scan_latency.record_duration(started.elapsed());
-        Ok(out)
+        self.scan_stream(start, end, ScanOptions::default()).drain()
     }
 
     /// The regions overlapping `[start, end]`, cloned atomically from
@@ -457,70 +433,23 @@ impl Table {
         map[lo..=hi].iter().map(|e| e.region.clone()).collect()
     }
 
-    /// Executes many scan ranges in parallel — step 3 of the paper's Z2T
-    /// query algorithm ("trigger SCAN operations over the underlying
-    /// key-value data store in parallel using the key ranges").
-    ///
-    /// Results preserve the order of `ranges`; entries within a range are
-    /// in key order.
-    pub fn scan_ranges_parallel(&self, ranges: &[(Vec<u8>, Vec<u8>)]) -> Result<Vec<KvEntry>> {
-        if ranges.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Thread spawn costs dwarf tiny scans; only fan out when the
-        // plan is large enough to amortise the workers.
-        if ranges.len() < 64 || self.scan_threads == 1 {
-            let mut out = Vec::new();
-            for (s, e) in ranges {
-                out.extend(self.scan(s, e)?);
-            }
-            return Ok(out);
-        }
-        let threads = self.scan_threads.min(ranges.len());
-        let chunk_size = ranges.len().div_ceil(threads);
-        let chunk_results = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || -> Result<Vec<Vec<KvEntry>>> {
-                        chunk.iter().map(|(s, e)| self.scan(s, e)).collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker panicked"))
-                .collect::<Vec<_>>()
-        });
-
-        let mut out = Vec::new();
-        for chunk in chunk_results {
-            for entries in chunk? {
-                out.extend(entries);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Streaming variant of [`Table::scan`]: a pull-based scan over one
-    /// key range yielding bounded batches. See
-    /// [`Table::scan_ranges_stream`].
+    /// A pull-based scan over one key range yielding bounded batches.
+    /// See [`Table::scan_ranges_stream`].
     pub fn scan_stream(&self, start: &[u8], end: &[u8], opts: ScanOptions) -> ScanStream {
         self.scan_ranges_stream(vec![(start.to_vec(), end.to_vec())], opts)
     }
 
-    /// Streaming variant of [`Table::scan_ranges_parallel`]: visits the
-    /// ranges in order, merging each region's layers lazily, and yields
-    /// bounded batches via [`ScanStream::next_batch`]. Construction does
-    /// no IO; a consumer that stops pulling (or cancels the token in
-    /// `opts`) leaves the remaining blocks unread — that saved IO is the
-    /// point of the streaming path for `LIMIT`-style consumers.
+    /// The table's scan path: visits the ranges in order, merging each
+    /// region's layers lazily, and yields bounded batches via
+    /// [`ScanStream::next_batch`]. Construction does no IO; a consumer
+    /// that stops pulling (or cancels the token in `opts`) leaves the
+    /// remaining blocks unread — that saved IO is what `LIMIT`-style
+    /// consumers are after.
     ///
-    /// Output order and contents are identical to concatenating
-    /// [`Table::scan`] over `ranges`. The region set per range is
-    /// pinned at construction: a split that commits while the stream is
-    /// being consumed does not retarget it (the sealed parent keeps
-    /// serving reads until the stream drops).
+    /// Entries come out range by range, each in key order. The region
+    /// set per range is pinned at construction: a split that commits
+    /// while the stream is being consumed does not retarget it (the
+    /// sealed parent keeps serving reads until the stream drops).
     pub fn scan_ranges_stream(
         &self,
         ranges: Vec<(Vec<u8>, Vec<u8>)>,
@@ -885,18 +814,9 @@ impl TableSnapshot {
     }
 
     /// All entries with `start <= key <= end` visible at this snapshot,
-    /// in global key order.
+    /// in global key order ([`TableSnapshot::scan_stream`] drained).
     pub fn scan(&self, start: &[u8], end: &[u8]) -> Result<Vec<KvEntry>> {
-        if start > end {
-            return Ok(Vec::new());
-        }
-        let lo = self.index_for(start);
-        let hi = self.index_for(end);
-        let mut out = Vec::new();
-        for (_, snap) in &self.snaps[lo..=hi] {
-            out.extend(snap.scan(start, end)?);
-        }
-        Ok(out)
+        self.scan_stream(start, end, ScanOptions::default()).drain()
     }
 
     /// Streaming scan at this snapshot; same batching/cancellation
@@ -941,7 +861,6 @@ mod tests {
             Arc::new(IoMetrics::new()),
             1 << 16,
             512,
-            4,
         )
         .unwrap();
         (t, dir)
@@ -982,8 +901,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scan_matches_serial() {
-        let (t, dir) = table("parallel", 8);
+    fn multi_range_stream_matches_per_range_scans() {
+        let (t, dir) = table("multirange", 8);
         for i in 0..5000u32 {
             let key = (i.wrapping_mul(0x9E3779B9)).to_be_bytes().to_vec();
             t.put(key, i.to_le_bytes().to_vec()).unwrap();
@@ -996,14 +915,16 @@ mod tests {
                 (s, e)
             })
             .collect();
-        let par = t.scan_ranges_parallel(&ranges).unwrap();
+        let multi = t
+            .scan_ranges_stream(ranges.clone(), ScanOptions::default())
+            .drain()
+            .unwrap();
         let mut serial = Vec::new();
         for (s, e) in &ranges {
             serial.extend(t.scan(s, e).unwrap());
         }
-        assert_eq!(par.len(), serial.len());
-        assert_eq!(par, serial);
-        assert_eq!(par.len(), 5000);
+        assert_eq!(multi, serial);
+        assert_eq!(multi.len(), 5000);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1146,7 +1067,6 @@ mod tests {
             Arc::new(IoMetrics::new()),
             1 << 16,
             512,
-            4,
         )
         .unwrap();
         assert_eq!(t2.num_regions(), 3);

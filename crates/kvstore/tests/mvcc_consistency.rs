@@ -84,7 +84,6 @@ fn snapshot_scans_equal_serial_execution_under_splits() {
             Arc::new(IoMetrics::new()),
             8 << 10,
             512,
-            4,
         )
         .unwrap(),
     );

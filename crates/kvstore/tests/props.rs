@@ -52,7 +52,6 @@ fn store_matches_btreemap_model() {
             StoreOptions {
                 flush_threshold: 512, // tiny: force frequent flushes
                 block_size: 128,
-                scan_threads: 2,
                 block_cache_bytes: 1 << 20,
                 ..StoreOptions::default()
             },
@@ -99,67 +98,25 @@ fn store_matches_btreemap_model() {
             assert_eq!(&g.value, v, "case {case}");
         }
 
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[test]
-fn scan_stream_matches_materializing_scan() {
-    // The streaming merge must be byte-identical to the materializing
-    // scan across arbitrary memtable/SSTable overlaps, shadowed updates
-    // and deletes — same generator as the model test above, but the
-    // subject under test is `scan_stream` with a tiny batch size so
-    // every batch boundary lands mid-merge.
-    for case in 0u64..64 {
-        let mut rng = Rng::seed_from_u64(0x7374_7265 ^ case);
-        let n_ops = rng.gen_range(1usize..120);
-        let ops: Vec<Op> = (0..n_ops).map(|_| gen_op(&mut rng)).collect();
-        let scan_a = gen_key(&mut rng);
-        let scan_b = gen_key(&mut rng);
-
-        let dir = std::env::temp_dir().join(format!("just-kv-sprop-{}-{case}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let store = Store::open(
-            &dir,
-            StoreOptions {
-                flush_threshold: 512,
-                block_size: 128,
-                scan_threads: 2,
-                block_cache_bytes: 1 << 20,
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
-        let table = store.create_table("t", 4).unwrap();
-        for op in &ops {
-            match op {
-                Op::Put(k, v) => table.put(k.clone(), v.clone()).unwrap(),
-                Op::Delete(k) => table.delete(k.clone()).unwrap(),
-                Op::Flush => table.flush().unwrap(),
-                Op::Compact => table.compact().unwrap(),
+        // So does the scan pulled in tiny batches, where every batch
+        // boundary lands mid-merge.
+        for batch_rows in [1, 2, 7] {
+            let mut stream = table.scan_stream(
+                &lo,
+                &hi,
+                ScanOptions {
+                    batch_rows,
+                    ..Default::default()
+                },
+            );
+            let mut streamed = Vec::new();
+            while let Some(batch) = stream.next_batch().unwrap() {
+                assert!(batch.len() <= batch_rows, "case {case}: oversized batch");
+                streamed.extend(batch.into_iter().map(|e| (e.key, e.value)));
             }
+            assert_eq!(streamed, expected, "case {case} batch_rows {batch_rows}");
         }
 
-        let (lo, hi) = if scan_a <= scan_b {
-            (scan_a, scan_b)
-        } else {
-            (scan_b, scan_a)
-        };
-        let expected = table.scan(&lo, &hi).unwrap();
-        let mut stream = table.scan_stream(
-            &lo,
-            &hi,
-            ScanOptions {
-                batch_rows: 7,
-                ..Default::default()
-            },
-        );
-        let mut streamed = Vec::new();
-        while let Some(batch) = stream.next_batch().unwrap() {
-            assert!(batch.len() <= 7, "case {case}: oversized batch");
-            streamed.extend(batch);
-        }
-        assert_eq!(streamed, expected, "case {case}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -193,7 +193,7 @@ impl Client {
             }
             Statement::CreateView { name, query } => {
                 let plan = optimize(LogicalPlan::from_select(&query)?)?;
-                let data = Executor::new(&self.session).run(&plan)?;
+                let data = Executor::new(&self.session).run_collect(&plan, &mut Vec::new())?;
                 let n = data.len();
                 self.session.create_view(&name, data)?;
                 Ok(QueryResult::Message(format!(
@@ -318,7 +318,7 @@ impl Client {
                     trace.render()
                 } else {
                     // Plain EXPLAIN includes each operator's compiled
-                    // bytecode listing (or its fallback note).
+                    // bytecode listing.
                     let plan = optimize(LogicalPlan::from_select(&query)?)?;
                     crate::compile::explain_render(&plan, &self.session)
                 };

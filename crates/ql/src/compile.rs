@@ -9,15 +9,17 @@
 //! statically known to be integers (integer literals, `integer`-typed
 //! schema columns, or results of integer arithmetic).
 //!
-//! Not every expression compiles: `*`, `IN st_KNN(...)`, aggregate /
-//! table / cluster functions and unknown names are plan-level constructs
-//! whose (error) semantics belong to the row interpreter, so [`compile`]
-//! returns `Ok(None)` and the executor falls back to interpreted
-//! `eval()` — the documented fallback path, counted by the
-//! `just_exec_fallbacks` metric.
+//! [`compile`] is total and doubles as the executor's analyzer: every
+//! expression either lowers or is rejected with a typed
+//! [`QlError::Analyze`] — an unknown column or function, `*` outside
+//! `count(*)`, or a plan-level construct (`IN st_KNN(...)`, an aggregate,
+//! table or cluster function) in scalar position. Operators compile
+//! before they read a row, so whether such an error is reported never
+//! depends on the data. Runtime value errors (`1/0`, type mismatches)
+//! still surface from the VM, per row.
 
 use crate::ast::{BinOp, Expr};
-use crate::functions::{self, arith_op, cmp_op, exec_err, resolve_column};
+use crate::functions::{self, arith_op, cmp_op, resolve_column};
 use crate::plan::LogicalPlan;
 use crate::QlError;
 use crate::Result;
@@ -26,18 +28,12 @@ use just_exec::{ExecError, FuncEntry, Program, ProgramBuilder, RegId};
 use just_storage::{FieldType, Value};
 use std::sync::Arc;
 
-/// Why a subtree didn't lower.
-enum Abort {
-    /// A construct the compiler doesn't handle — the caller falls back to
-    /// the interpreter (which may then error with its own message).
-    Unsupported,
-    /// A genuine analysis error (unknown column), identical to what the
-    /// interpreted path's validation reports.
-    Fail(QlError),
-}
+const KNN_PLACEMENT: &str = "st_KNN can only appear as the sole WHERE predicate";
 
-fn build_err(e: ExecError) -> Abort {
-    Abort::Fail(exec_err(e))
+/// Builder errors are size limits (registers, constants, columns,
+/// functions): the expression is too large to be a program.
+fn build_err(e: ExecError) -> QlError {
+    QlError::Analyze(e.0)
 }
 
 struct Lowerer<'a> {
@@ -49,7 +45,7 @@ struct Lowerer<'a> {
 impl Lowerer<'_> {
     /// Lowers `e`, returning its result register and whether the value is
     /// statically known to be an integer.
-    fn lower(&mut self, e: &Expr) -> std::result::Result<(RegId, bool), Abort> {
+    fn lower(&mut self, e: &Expr) -> Result<(RegId, bool)> {
         // Constant non-volatile subtrees fold into the constant pool at
         // compile time. Folding that *errors* (e.g. `1/0`) lowers
         // normally so the runtime error matches the interpreter's.
@@ -65,13 +61,14 @@ impl Lowerer<'_> {
                 Ok((self.b.constant(v.clone()).map_err(build_err)?, is_int))
             }
             Expr::Column(name) => {
-                let idx = resolve_column(name, self.columns).map_err(Abort::Fail)?;
+                let idx = resolve_column(name, self.columns)?;
                 let is_int = self
                     .int_cols
                     .is_some_and(|t| t.get(idx).copied().unwrap_or(false));
                 Ok((self.b.col(idx).map_err(build_err)?, is_int))
             }
-            Expr::Star | Expr::InFunc { .. } => Err(Abort::Unsupported),
+            Expr::Star => Err(QlError::Analyze("'*' outside count(*)".into())),
+            Expr::InFunc { .. } => Err(QlError::Analyze(KNN_PLACEMENT.into())),
             Expr::Unary { not, expr } => {
                 let (a, a_int) = self.lower(expr)?;
                 if *not {
@@ -119,16 +116,23 @@ impl Lowerer<'_> {
                 Ok((self.b.between(v, lo, hi).map_err(build_err)?, false))
             }
             Expr::Func { name, args } => {
-                // Aggregates, table/cluster functions, st_knn and unknown
-                // names are plan-level constructs (or analyze errors): the
-                // interpreter owns their semantics.
-                if functions::is_aggregate(name)
-                    || functions::is_table_function(name)
-                    || functions::is_cluster_function(name)
-                    || name == "st_knn"
-                    || !functions::is_known_function(name)
-                {
-                    return Err(Abort::Unsupported);
+                // Plan-level constructs have no scalar value: the planner
+                // lifts them out of the positions where they are legal.
+                if functions::is_aggregate(name) {
+                    return Err(QlError::Analyze(format!(
+                        "aggregate '{name}' is not allowed here"
+                    )));
+                }
+                if functions::is_table_function(name) || functions::is_cluster_function(name) {
+                    return Err(QlError::Analyze(format!(
+                        "'{name}' can only appear as the sole projection item"
+                    )));
+                }
+                if name == "st_knn" {
+                    return Err(QlError::Analyze(KNN_PLACEMENT.into()));
+                }
+                if !functions::is_known_function(name) {
+                    return Err(QlError::Analyze(format!("unknown function '{name}'")));
                 }
                 let mut regs = Vec::with_capacity(args.len());
                 for a in args {
@@ -166,52 +170,23 @@ fn contains_volatile(e: &Expr) -> bool {
 /// `integer` (from the table schema) to unlock `*.int` opcode
 /// specialization; pass `None` when the input is an untyped dataset.
 ///
-/// Returns `Ok(None)` for expressions the compiler doesn't support (the
-/// caller falls back to the interpreter) and `Err` for analysis errors —
-/// the same errors interpreted validation produces.
-pub fn compile(
-    expr: &Expr,
-    columns: &[String],
-    int_cols: Option<&[bool]>,
-) -> Result<Option<Program>> {
+/// `Err` is always a [`QlError::Analyze`]: the expression is not a valid
+/// scalar expression over `columns` (see the module docs).
+pub fn compile(expr: &Expr, columns: &[String], int_cols: Option<&[bool]>) -> Result<Program> {
     let mut l = Lowerer {
         b: ProgramBuilder::new(columns.to_vec()),
         columns,
         int_cols,
     };
-    match l.lower(expr) {
-        Ok((out, _)) => Ok(Some(l.b.finish(out))),
-        Err(Abort::Unsupported) => Ok(None),
-        Err(Abort::Fail(e)) => Err(e),
-    }
-}
-
-/// [`compile`] for the executor hot path: any reason not to run compiled
-/// — unsupported construct *or* analysis error — yields `None`, counted
-/// in `just_exec_fallbacks`, and the caller's interpreted path then
-/// reproduces the exact validation error (or lack of one: interpreted
-/// aggregates over empty inputs never evaluate their argument, so a
-/// compile-time resolution error must not surface where the interpreter
-/// would stay silent).
-pub(crate) fn try_compile(
-    expr: &Expr,
-    columns: &[String],
-    int_cols: Option<&[bool]>,
-) -> Option<Program> {
-    match compile(expr, columns, int_cols) {
-        Ok(Some(p)) => Some(p),
-        _ => {
-            just_obs::global().counter("just_exec_fallbacks").inc();
-            None
-        }
-    }
+    let (out, _) = l.lower(expr)?;
+    Ok(l.b.finish(out))
 }
 
 /// Renders `plan` like [`LogicalPlan::render`], but each
 /// expression-bearing operator is followed by the bytecode listing of
 /// its compiled programs, one line per opcode — what plain `EXPLAIN`
-/// shows. Expressions the compiler rejects render a one-line
-/// `interpreted fallback` note instead. Input headers are resolved
+/// shows. Expressions the compiler rejects render their analysis error
+/// instead. Input headers are resolved
 /// best-effort against the catalog; operators whose input columns can't
 /// be determined statically (`st_KNN`, table functions) list nothing.
 pub(crate) fn explain_render(plan: &LogicalPlan, session: &Session) -> String {
@@ -238,18 +213,13 @@ fn render_node(plan: &LogicalPlan, session: &Session, out: &mut String, depth: u
                     out,
                     depth,
                     "residual",
-                    &compile_opt(r, &cols, int_cols.as_deref()),
+                    &compile(r, &cols, int_cols.as_deref()),
                 );
             }
         }
         LogicalPlan::Filter { input, predicate } => {
             if let Some(cols) = output_columns(input, session) {
-                push_program(
-                    out,
-                    depth,
-                    "predicate",
-                    &compile_opt(predicate, &cols, None),
-                );
+                push_program(out, depth, "predicate", &compile(predicate, &cols, None));
             }
         }
         LogicalPlan::FilterProject {
@@ -258,24 +228,15 @@ fn render_node(plan: &LogicalPlan, session: &Session, out: &mut String, depth: u
             items,
         } => {
             if let Some(cols) = output_columns(input, session) {
-                push_program(
-                    out,
-                    depth,
-                    "predicate",
-                    &compile_opt(predicate, &cols, None),
-                );
-                for (e, name) in items {
-                    if !matches!(e, Expr::Star) {
-                        push_program(out, depth, name, &compile_opt(e, &cols, None));
-                    }
-                }
+                push_program(out, depth, "predicate", &compile(predicate, &cols, None));
+                push_item_programs(out, depth, items, &cols);
             }
         }
         LogicalPlan::Sort { input, keys } | LogicalPlan::TopK { input, keys, .. } => {
             if let Some(cols) = output_columns(input, session) {
                 for (i, (e, asc)) in keys.iter().enumerate() {
                     let label = format!("key {i} {}", if *asc { "asc" } else { "desc" });
-                    push_program(out, depth, &label, &compile_opt(e, &cols, None));
+                    push_program(out, depth, &label, &compile(e, &cols, None));
                 }
             }
         }
@@ -293,26 +254,22 @@ fn render_node(plan: &LogicalPlan, session: &Session, out: &mut String, depth: u
             for (i, (l, r)) in keys.iter().enumerate() {
                 if let Some(cols) = &lcols {
                     let label = format!("key {i} left");
-                    push_program(out, depth, &label, &compile_opt(l, cols, None));
+                    push_program(out, depth, &label, &compile(l, cols, None));
                 }
                 if let Some(cols) = &rcols {
                     let label = format!("key {i} right");
-                    push_program(out, depth, &label, &compile_opt(r, cols, None));
+                    push_program(out, depth, &label, &compile(r, cols, None));
                 }
             }
             if let (Some(res), Some(lc), Some(rc)) = (residual, &lcols, &rcols) {
                 let mut combined = lc.clone();
                 combined.extend(rc.iter().cloned());
-                push_program(out, depth, "residual", &compile_opt(res, &combined, None));
+                push_program(out, depth, "residual", &compile(res, &combined, None));
             }
         }
         LogicalPlan::Project { input, items } => {
             if let Some(cols) = output_columns(input, session) {
-                for (e, name) in items {
-                    if !matches!(e, Expr::Star) {
-                        push_program(out, depth, name, &compile_opt(e, &cols, None));
-                    }
-                }
+                push_item_programs(out, depth, items, &cols);
             }
         }
         LogicalPlan::Aggregate {
@@ -323,12 +280,12 @@ fn render_node(plan: &LogicalPlan, session: &Session, out: &mut String, depth: u
             if let Some(cols) = output_columns(input, session) {
                 for (e, name) in group_by {
                     let label = format!("key {name}");
-                    push_program(out, depth, &label, &compile_opt(e, &cols, None));
+                    push_program(out, depth, &label, &compile(e, &cols, None));
                 }
                 for (func, e, name) in aggregates {
                     if !matches!(e, Expr::Star) {
                         let label = format!("{func} {name}");
-                        push_program(out, depth, &label, &compile_opt(e, &cols, None));
+                        push_program(out, depth, &label, &compile(e, &cols, None));
                     }
                 }
             }
@@ -340,21 +297,33 @@ fn render_node(plan: &LogicalPlan, session: &Session, out: &mut String, depth: u
     }
 }
 
-fn push_program(out: &mut String, depth: usize, label: &str, prog: &Option<Program>) {
+/// One listing per computed projection item; a sole table / cluster
+/// function item lists its argument programs instead.
+fn push_item_programs(out: &mut String, depth: usize, items: &[(Expr, String)], cols: &[String]) {
+    if let Some((_, args)) = crate::exec::row_function(items) {
+        for (i, a) in args.iter().enumerate() {
+            push_program(out, depth, &format!("arg {i}"), &compile(a, cols, None));
+        }
+        return;
+    }
+    for (e, name) in items {
+        if !matches!(e, Expr::Star) {
+            push_program(out, depth, name, &compile(e, cols, None));
+        }
+    }
+}
+
+fn push_program(out: &mut String, depth: usize, label: &str, prog: &Result<Program>) {
     let pad = "  ".repeat(depth + 1);
     match prog {
-        Some(p) => {
+        Ok(p) => {
             out.push_str(&format!("{pad}program {label}:\n"));
             for line in p.listing() {
                 out.push_str(&format!("{pad}  {line}\n"));
             }
         }
-        None => out.push_str(&format!("{pad}program {label}: interpreted fallback\n")),
+        Err(e) => out.push_str(&format!("{pad}program {label}: {e}\n")),
     }
-}
-
-fn compile_opt(e: &Expr, cols: &[String], int_cols: Option<&[bool]>) -> Option<Program> {
-    compile(e, cols, int_cols).ok().flatten()
 }
 
 /// A stored table's or view's full column list, plus — for stored tables
@@ -436,12 +405,8 @@ fn project_columns(
     items: &[(Expr, String)],
     session: &Session,
 ) -> Option<Vec<String>> {
-    if items.len() == 1 {
-        if let Expr::Func { name, .. } = &items[0].0 {
-            if functions::is_table_function(name) || functions::is_cluster_function(name) {
-                return None;
-            }
-        }
+    if crate::exec::row_function(items).is_some() {
+        return None;
     }
     let mut cols = Vec::new();
     for (e, name) in items {
@@ -471,7 +436,7 @@ mod tests {
     fn columns_resolve_and_constants_intern() {
         let e = predicate_of("SELECT a FROM t WHERE a + 1 > 1 AND b < 1");
         let cols = vec!["a".to_string(), "b".to_string()];
-        let p = compile(&e, &cols, None).unwrap().unwrap();
+        let p = compile(&e, &cols, None).unwrap();
         // `1` appears three times in the source but is interned once; the
         // listing names resolved columns.
         let listing = p.listing().join("\n");
@@ -484,9 +449,9 @@ mod tests {
     fn int_specialization_needs_schema_types() {
         let e = predicate_of("SELECT a FROM t WHERE a + 1 > 2");
         let cols = vec!["a".to_string()];
-        let generic = compile(&e, &cols, None).unwrap().unwrap();
+        let generic = compile(&e, &cols, None).unwrap();
         assert!(!generic.listing().join("\n").contains("arith.int"));
-        let typed = compile(&e, &cols, Some(&[true])).unwrap().unwrap();
+        let typed = compile(&e, &cols, Some(&[true])).unwrap();
         let listing = typed.listing().join("\n");
         assert!(listing.contains("arith.int"), "{listing}");
         assert!(listing.contains("cmp.int"), "{listing}");
@@ -495,7 +460,7 @@ mod tests {
     #[test]
     fn constant_subtrees_fold_at_compile_time() {
         let e = predicate_of("SELECT a FROM t WHERE a > 2 + 3 * 4");
-        let p = compile(&e, &["a".to_string()], None).unwrap().unwrap();
+        let p = compile(&e, &["a".to_string()], None).unwrap();
         let listing = p.listing().join("\n");
         assert!(listing.contains("const Int(14)"), "{listing}");
         assert!(!listing.contains("arith"), "{listing}");
@@ -504,7 +469,7 @@ mod tests {
     #[test]
     fn volatile_calls_never_fold() {
         let e = predicate_of("SELECT a FROM t WHERE sleep_ms(0) = 0");
-        let p = compile(&e, &["a".to_string()], None).unwrap().unwrap();
+        let p = compile(&e, &["a".to_string()], None).unwrap();
         assert!(
             p.listing().join("\n").contains("call sleep_ms"),
             "{:?}",
@@ -513,10 +478,21 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_shapes_fall_back_and_bad_columns_error() {
-        let e = predicate_of("SELECT a FROM t WHERE count(a) > 1");
-        assert!(compile(&e, &["a".to_string()], None).unwrap().is_none());
-        let e = predicate_of("SELECT a FROM t WHERE nope > 1");
-        assert!(compile(&e, &["a".to_string()], None).is_err());
+    fn misplaced_constructs_and_bad_names_are_analyze_errors() {
+        for sql in [
+            "SELECT a FROM t WHERE count(a) > 1",
+            "SELECT a FROM t WHERE nope > 1",
+            "SELECT a FROM t WHERE nofunc(a) > 1",
+            "SELECT a FROM t WHERE st_trajSegmentation(a) > 1",
+            "SELECT a FROM t WHERE a > 1 AND a IN st_KNN(st_makePoint(1, 2), 3)",
+        ] {
+            let e = predicate_of(sql);
+            let err = compile(&e, &["a".to_string()], None).unwrap_err();
+            assert!(matches!(err, QlError::Analyze(_)), "{sql}: {err:?}");
+        }
+        assert!(matches!(
+            compile(&Expr::Star, &["a".to_string()], None),
+            Err(QlError::Analyze(_))
+        ));
     }
 }

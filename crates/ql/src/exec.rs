@@ -2,15 +2,21 @@
 //! served by the storage indexes; relational operators run on the
 //! in-memory DataFrame engine (this repository's Spark SQL).
 //!
-//! Expression-bearing operators (filter, project, aggregate, and the
-//! residual scan predicate) compile their expressions into `just-exec`
-//! bytecode once up front and evaluate batches through the vectorized
-//! VM; expressions the compiler rejects run on the interpreted `eval()`
-//! fallback. `EXPLAIN ANALYZE` marks which path each operator took with
-//! a `compiled=1` / `fallback=1` span attribute.
+//! There is one execution path. Every expression-bearing operator
+//! (filter, project, aggregate, sort / TOP-K keys, join keys and
+//! residuals, and the residual scan predicate) compiles its expressions
+//! into `just-exec` bytecode once, before it reads a row — which is also
+//! where analysis errors surface (see [`crate::compile`]) — and evaluates
+//! batches through the vectorized VM. Three places evaluate row-at-a-time
+//! with `eval()` because they are the only path for their input, each
+//! after the same up-front analysis: the nested-loop join (non-equi `ON`,
+//! unhashable key classes — its coercing comparator is the semantics),
+//! and the arguments of 1-N table functions and `st_DBSCAN`. The
+//! tree-walking operators the VM replaced live on as the test oracle in
+//! [`crate::reference`]; nothing here calls them.
 
 use crate::ast::{BinOp, Expr};
-use crate::compile::try_compile;
+use crate::compile::compile;
 use crate::error::QlError;
 use crate::functions::{self, eval, exec_err, resolve_column, truthy};
 use crate::plan::LogicalPlan;
@@ -18,37 +24,16 @@ use crate::Result;
 use just_analysis::{dbscan, DbscanParams};
 use just_core::{Dataset, Session};
 use just_exec::{
-    encode_key, full_selection, keys_hashable, total_compare, AggSpec, HashAggregator, JoinHash,
-    Program, Vm,
+    encode_key, full_selection, keys_hashable, AggSpec, HashAggregator, JoinHash, Program, Vm,
 };
 use just_geo::{Geometry, Point};
 use just_obs::{SpanId, Trace};
-use just_storage::{CancelToken, FieldType, Row, SpatialPredicate, Value};
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
+use just_storage::{CancelToken, FieldType, QueryStream, Row, SpatialPredicate, Value};
+use std::collections::BinaryHeap;
 
 /// Rows per evaluation batch for in-memory operators (stored-table scans
 /// use the storage stream's own batching).
 const BATCH: usize = 1024;
-
-/// `EXPLAIN ANALYZE` span attribute for operators that ran bytecode.
-const COMPILED: &str = "compiled";
-/// Span attribute for operators that fell back to interpreted `eval()`.
-const FALLBACK: &str = "fallback";
-
-static COMPILED_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enables / disables compiled expression execution (default:
-/// enabled). With it disabled every operator takes the interpreted
-/// fallback — the switch the `exec_compile` bench and the parity tests
-/// use to compare both paths on identical queries.
-pub fn set_compiled(enabled: bool) {
-    COMPILED_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-fn compiled_enabled() -> bool {
-    COMPILED_ENABLED.load(Ordering::Relaxed)
-}
 
 /// One operator's lightweight execution stats, collected on every query
 /// (unlike a [`Trace`], this is a flat vector with no span arena — cheap
@@ -97,20 +82,11 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Runs a plan to a dataset.
-    pub fn run(&self, plan: &LogicalPlan) -> Result<Dataset> {
-        let mut children = Vec::new();
-        for child in plan.children() {
-            children.push(self.run(child)?);
-        }
-        Ok(self.execute_node(plan, children)?.0)
-    }
-
-    /// Runs a plan like [`Executor::run`] while appending one [`OpStat`]
-    /// per operator (children first). This is the always-on path the
-    /// client uses for plain queries: when the query turns out slow, the
-    /// collected stats become the retroactive per-operator breakdown in
-    /// the slow-query log without ever allocating a trace.
+    /// Runs a plan to a dataset, appending one [`OpStat`] per operator
+    /// (children first). This is the always-on path the client uses for
+    /// plain queries: when the query turns out slow, the collected stats
+    /// become the retroactive per-operator breakdown in the slow-query
+    /// log without ever allocating a trace.
     pub fn run_collect(&self, plan: &LogicalPlan, stats: &mut Vec<OpStat>) -> Result<Dataset> {
         self.check_kill()?;
         let started = std::time::Instant::now();
@@ -118,7 +94,7 @@ impl<'a> Executor<'a> {
         for child in plan.children() {
             children.push(self.run_collect(child, stats)?);
         }
-        let result = self.execute_node(plan, children).map(|(d, _)| d);
+        let result = self.execute_node(plan, children);
         stats.push(OpStat {
             label: plan.label(),
             elapsed_us: started.elapsed().as_micros() as u64,
@@ -127,9 +103,9 @@ impl<'a> Executor<'a> {
         result
     }
 
-    /// Runs a plan like [`Executor::run`], recording one span per operator
-    /// under `parent`: the operator label, wall time, output row count,
-    /// and — for the index-serving leaves (`Scan`, `Knn`), the only
+    /// Runs a plan like [`Executor::run_collect`], recording one span per
+    /// operator under `parent`: the operator label, wall time, output row
+    /// count, and — for the index-serving leaves (`Scan`, `Knn`), the only
     /// operators that touch the kvstore — the exact IO delta (blocks
     /// read, cache hits, bytes) plus index-selectivity counters (key
     /// ranges generated, keys scanned) attributed to that operator.
@@ -170,11 +146,7 @@ impl<'a> Executor<'a> {
             )
         });
         let result = self.execute_node(plan, children);
-        if let Ok((data, path)) = &result {
-            // Which execution path the operator's expressions took.
-            if let Some(mark) = path {
-                trace.add_attr(span, mark, 1);
-            }
+        if let Ok(data) = &result {
             trace.set_rows(span, data.len() as u64);
             if let Some((build, probe, falls, pruned)) = exec_before {
                 let obs = just_obs::global();
@@ -245,18 +217,16 @@ impl<'a> Executor<'a> {
             }
         }
         trace.end(span);
-        result.map(|(d, _)| d)
+        result
     }
 
     /// Evaluates one operator given its already-computed child datasets
-    /// (in [`LogicalPlan::children`] order). The second element reports
-    /// which expression-execution path the operator took, if it
-    /// evaluated expressions at all.
-    fn execute_node(
+    /// (in [`LogicalPlan::children`] order).
+    pub(crate) fn execute_node(
         &self,
         plan: &LogicalPlan,
         children: Vec<Dataset>,
-    ) -> Result<(Dataset, Option<&'static str>)> {
+    ) -> Result<Dataset> {
         let mut children = children.into_iter();
         let mut next = || {
             children
@@ -282,31 +252,29 @@ impl<'a> Executor<'a> {
                     }
                     out_rows.push(Row::new(values));
                 }
-                Ok((Dataset::new(columns.clone(), out_rows), None))
+                Ok(Dataset::new(columns.clone(), out_rows))
             }
-            LogicalPlan::Filter { predicate, .. } => {
-                filter(next(), predicate).map(|(d, p)| (d, Some(p)))
-            }
-            LogicalPlan::Project { items, .. } => project(next(), items),
+            LogicalPlan::Filter { predicate, .. } => filter(next(), predicate),
+            LogicalPlan::Project { items, .. } => filter_project(next(), None, items),
             LogicalPlan::Aggregate {
                 group_by,
                 aggregates,
                 ..
-            } => aggregate(next(), group_by, aggregates).map(|(d, p)| (d, Some(p))),
-            LogicalPlan::Sort { keys, .. } => sort_dispatch(next(), keys),
+            } => aggregate(next(), group_by, aggregates),
+            LogicalPlan::Sort { keys, .. } => sort(next(), keys),
             LogicalPlan::TopK { keys, k, .. } => topk(next(), keys, *k),
             LogicalPlan::FilterProject {
                 predicate, items, ..
-            } => filter_project(next(), predicate, items),
+            } => filter_project(next(), Some(predicate), items),
             LogicalPlan::Limit { n, .. } => {
                 let mut data = next();
                 data.rows.truncate(*n);
-                Ok((data, None))
+                Ok(data)
             }
             LogicalPlan::Join { on, .. } => {
                 let l = next();
                 let r = next();
-                Ok((join(l, r, on)?, Some(FALLBACK)))
+                join(l, r, on)
             }
             LogicalPlan::HashJoin { keys, residual, .. } => {
                 let l = next();
@@ -314,7 +282,7 @@ impl<'a> Executor<'a> {
                 hash_join(l, r, keys, residual)
             }
             LogicalPlan::Knn { table, lng, lat, k } => {
-                Ok((self.session.knn(table, Point::new(*lng, *lat), *k)?, None))
+                Ok(self.session.knn(table, Point::new(*lng, *lat), *k)?)
             }
         }
     }
@@ -329,43 +297,19 @@ impl<'a> Executor<'a> {
         time: &Option<(String, i64, i64)>,
         residual: &Option<Expr>,
         limit: &Option<usize>,
-    ) -> Result<(Dataset, Option<&'static str>)> {
+    ) -> Result<Dataset> {
         // Views first (they shadow nothing: names are namespaced apart).
-        let (mut data, path) = if let Ok(view) = self.session.view(table) {
-            // Pushed predicates over a view run in memory, against the
-            // shared dataset *by reference*: only surviving rows (up to
-            // the limit) are ever cloned, so a selective filter never
-            // pays for a full-view deep copy.
-            let mut preds: Vec<Expr> = Vec::new();
-            if let Some((col, rect)) = spatial {
-                preds.push(spatial_expr(col, *rect));
-            }
-            if let Some((col, lo, hi)) = time {
-                preds.push(temporal_expr(col, *lo, *hi));
-            }
-            if let Some(pred) = residual {
-                preds.push(pred.clone());
-            }
-            let (rows, p) = scan_view_rows(&view, &preds, *limit)?;
-            (Dataset::new(view.columns.clone(), rows), p)
+        let data = if let Ok(view) = self.session.view(table) {
+            let preds = view_preds(spatial, time, residual);
+            let rows = scan_view_rows(&view, &preds, *limit)?;
+            Dataset::new(view.columns.clone(), rows)
         } else {
             self.scan_stored(table, projection, spatial, time, residual, limit)?
         };
-
-        if let Some(cols) = projection {
-            data = project_columns(data, cols)?;
-        }
-        if let Some(alias) = alias {
-            data.columns = data
-                .columns
-                .iter()
-                .map(|c| format!("{alias}.{c}"))
-                .collect();
-        }
-        Ok((data, path))
+        finish_scan(data, projection, alias)
     }
 
-    /// Scans a stored table through the streaming read path: batches are
+    /// Scans a stored table through the storage read path: batches are
     /// pulled one at a time, the indexed spatio-temporal predicate and
     /// the column projection run *inside* the storage decode, residual
     /// predicates run in memory per batch, and a pushed-down `LIMIT`
@@ -379,122 +323,27 @@ impl<'a> Executor<'a> {
         time: &Option<(String, i64, i64)>,
         residual: &Option<Expr>,
         limit: &Option<usize>,
-    ) -> Result<(Dataset, Option<&'static str>)> {
-        let def = self.session.describe(table)?;
-        let geom_name = def
-            .schema
-            .geom_index()
-            .map(|i| def.schema.fields()[i].name.clone());
-        let time_name = def
-            .schema
-            .time_index()
-            .map(|i| def.schema.fields()[i].name.clone());
-
-        let matches_name = |col: &str, field: &str| {
-            col.eq_ignore_ascii_case(field)
-                || col
-                    .to_ascii_lowercase()
-                    .ends_with(&format!(".{}", field.to_ascii_lowercase()))
-        };
-        let matches_field = |col: &str, field: &Option<String>| {
-            field
-                .as_ref()
-                .map(|f| matches_name(col, f))
-                .unwrap_or(false)
-        };
-
-        let spatial_ok = spatial
-            .as_ref()
-            .filter(|(col, _)| matches_field(col, &geom_name));
-        let time_ok = time
-            .as_ref()
-            .filter(|(col, _, _)| matches_field(col, &time_name));
-
-        // Resolve the projected column names onto schema field indices so
-        // the storage layer can skip decoding dropped fields. Any name
-        // that fails to resolve (outer-query aliases can leak into
-        // advisory projections) falls back to decoding everything.
-        let proj_indices: Option<Vec<usize>> = projection.as_ref().and_then(|cols| {
-            let mut idx = Vec::with_capacity(cols.len());
-            for c in cols {
-                let i = def
-                    .schema
-                    .fields()
-                    .iter()
-                    .position(|f| matches_name(c, &f.name))?;
-                if !idx.contains(&i) {
-                    idx.push(i);
-                }
-            }
-            Some(idx)
-        });
-
-        let stream_spatial = match (spatial_ok, time_ok) {
-            (Some((_, rect)), _) => Some(rect),
-            // Time-only predicate: the whole world spatially, so the
-            // temporal index still prunes periods.
-            (None, Some(_)) => Some(&just_geo::WORLD),
-            (None, None) => None,
-        };
-        let stream_time = time_ok.map(|(_, lo, hi)| (*lo, *hi));
-        let mut opts = just_storage::ScanOptions::default();
-        if let Some(k) = limit {
-            // Don't overfetch: a satisfiable limit should stop within
-            // roughly one batch instead of paying for a full default one.
-            opts.batch_rows = opts.batch_rows.min((*k).max(1));
-        }
-        let mut stream = self.session.query_stream(
+    ) -> Result<Dataset> {
+        let (mut stream, mem_preds) = open_stored_scan(
+            self.session,
             table,
-            stream_spatial,
-            stream_time,
-            SpatialPredicate::Within,
-            proj_indices.as_deref(),
-            opts,
+            projection,
+            spatial,
+            time,
+            residual,
+            limit,
         )?;
-
-        // Predicates that didn't match the indexed fields run in memory
-        // per batch so results stay correct — and *before* rows count
-        // toward the limit.
-        let mut mem_preds: Vec<Expr> = Vec::new();
-        if spatial_ok.is_none() {
-            if let Some((col, rect)) = spatial {
-                mem_preds.push(spatial_expr(col, *rect));
-            }
-        }
-        if time_ok.is_none() {
-            if let Some((col, lo, hi)) = time {
-                mem_preds.push(temporal_expr(col, *lo, *hi));
-            }
-        }
-        if let Some(pred) = residual {
-            mem_preds.push(pred.clone());
-        }
-
-        let columns: Vec<String> = def.schema.fields().iter().map(|f| f.name.clone()).collect();
+        let fields = stream.schema().fields();
+        let columns: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
 
         // Compile every in-memory predicate once for the whole scan; the
         // schema's statically `integer` fields unlock the int-specialized
-        // opcodes. All-or-nothing: one uncompilable predicate sends the
-        // scan down the interpreted per-batch path.
-        let progs: Option<Vec<Program>> = if compiled_enabled() && !mem_preds.is_empty() {
-            let int_cols: Vec<bool> = def
-                .schema
-                .fields()
-                .iter()
-                .map(|f| f.ty == FieldType::Int)
-                .collect();
-            mem_preds
-                .iter()
-                .map(|p| try_compile(p, &columns, Some(&int_cols)))
-                .collect()
-        } else {
-            None
-        };
-        let path = match (&mem_preds[..], &progs) {
-            ([], _) => None,
-            (_, Some(_)) => Some(COMPILED),
-            (_, None) => Some(FALLBACK),
-        };
+        // opcodes.
+        let int_cols: Vec<bool> = fields.iter().map(|f| f.ty == FieldType::Int).collect();
+        let progs = mem_preds
+            .iter()
+            .map(|p| compile(p, &columns, Some(&int_cols)))
+            .collect::<Result<Vec<Program>>>()?;
 
         let cancel = stream.cancel_token();
         let mut vm = Vm::new();
@@ -508,25 +357,11 @@ impl<'a> Executor<'a> {
                 cancel.cancel();
                 return Err(e);
             }
-            let kept = if let Some(progs) = &progs {
-                // Progressive narrowing: each predicate re-examines only
-                // the rows its predecessors kept.
-                let mut sel = full_selection(batch.len());
-                for prog in progs {
-                    if sel.is_empty() {
-                        break;
-                    }
-                    let mut next = Vec::with_capacity(sel.len());
-                    vm.select(prog, &batch, &sel, &mut next).map_err(exec_err)?;
-                    sel = next;
-                }
-                take_selected(batch, &sel)
+            let kept = if progs.is_empty() {
+                batch
             } else {
-                let mut chunk = Dataset::new(columns.clone(), batch);
-                for pred in &mem_preds {
-                    chunk = filter_interpreted(chunk, pred)?;
-                }
-                chunk.rows
+                let sel = select_rows(&mut vm, &progs, &batch)?;
+                take_selected(batch, &sel)
             };
             for row in kept {
                 rows.push(row);
@@ -539,8 +374,162 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        Ok((Dataset::new(columns, rows), path))
+        Ok(Dataset::new(columns, rows))
     }
+}
+
+/// The pushed-down predicates of a view scan, which all run in memory.
+pub(crate) fn view_preds(
+    spatial: &Option<(String, just_geo::Rect)>,
+    time: &Option<(String, i64, i64)>,
+    residual: &Option<Expr>,
+) -> Vec<Expr> {
+    let mut preds: Vec<Expr> = Vec::new();
+    if let Some((col, rect)) = spatial {
+        preds.push(spatial_expr(col, *rect));
+    }
+    if let Some((col, lo, hi)) = time {
+        preds.push(temporal_expr(col, *lo, *hi));
+    }
+    preds.extend(residual.clone());
+    preds
+}
+
+/// Applies a scan's advisory column projection and alias prefix.
+pub(crate) fn finish_scan(
+    mut data: Dataset,
+    projection: &Option<Vec<String>>,
+    alias: &Option<String>,
+) -> Result<Dataset> {
+    if let Some(cols) = projection {
+        data = project_columns(data, cols)?;
+    }
+    if let Some(alias) = alias {
+        data.columns = data
+            .columns
+            .iter()
+            .map(|c| format!("{alias}.{c}"))
+            .collect();
+    }
+    Ok(data)
+}
+
+/// Opens a stored table's storage stream with everything the index can
+/// serve pushed into it (the spatio-temporal window on the indexed
+/// fields, the column projection, a batch size sized to the limit), and
+/// returns it with the predicates left to run in memory per batch.
+pub(crate) fn open_stored_scan(
+    session: &Session,
+    table: &str,
+    projection: &Option<Vec<String>>,
+    spatial: &Option<(String, just_geo::Rect)>,
+    time: &Option<(String, i64, i64)>,
+    residual: &Option<Expr>,
+    limit: &Option<usize>,
+) -> Result<(QueryStream, Vec<Expr>)> {
+    let def = session.describe(table)?;
+    let geom_name = def
+        .schema
+        .geom_index()
+        .map(|i| def.schema.fields()[i].name.clone());
+    let time_name = def
+        .schema
+        .time_index()
+        .map(|i| def.schema.fields()[i].name.clone());
+
+    let matches_name = |col: &str, field: &str| {
+        col.eq_ignore_ascii_case(field)
+            || col
+                .to_ascii_lowercase()
+                .ends_with(&format!(".{}", field.to_ascii_lowercase()))
+    };
+    let matches_field = |col: &str, field: &Option<String>| {
+        field
+            .as_ref()
+            .map(|f| matches_name(col, f))
+            .unwrap_or(false)
+    };
+
+    let spatial_ok = spatial
+        .as_ref()
+        .filter(|(col, _)| matches_field(col, &geom_name));
+    let time_ok = time
+        .as_ref()
+        .filter(|(col, _, _)| matches_field(col, &time_name));
+
+    // Resolve the projected column names onto schema field indices so
+    // the storage layer can skip decoding dropped fields. Any name
+    // that fails to resolve (outer-query aliases can leak into
+    // advisory projections) falls back to decoding everything.
+    let proj_indices: Option<Vec<usize>> = projection.as_ref().and_then(|cols| {
+        let mut idx = Vec::with_capacity(cols.len());
+        for c in cols {
+            let i = def
+                .schema
+                .fields()
+                .iter()
+                .position(|f| matches_name(c, &f.name))?;
+            if !idx.contains(&i) {
+                idx.push(i);
+            }
+        }
+        Some(idx)
+    });
+
+    let stream_spatial = match (spatial_ok, time_ok) {
+        (Some((_, rect)), _) => Some(rect),
+        // Time-only predicate: the whole world spatially, so the
+        // temporal index still prunes periods.
+        (None, Some(_)) => Some(&just_geo::WORLD),
+        (None, None) => None,
+    };
+    let stream_time = time_ok.map(|(_, lo, hi)| (*lo, *hi));
+    let mut opts = just_storage::ScanOptions::default();
+    if let Some(k) = limit {
+        // Don't overfetch: a satisfiable limit should stop within
+        // roughly one batch instead of paying for a full default one.
+        opts.batch_rows = opts.batch_rows.min((*k).max(1));
+    }
+    let stream = session.query_stream(
+        table,
+        stream_spatial,
+        stream_time,
+        SpatialPredicate::Within,
+        proj_indices.as_deref(),
+        opts,
+    )?;
+
+    // Predicates that didn't match the indexed fields run in memory
+    // per batch so results stay correct — and *before* rows count
+    // toward the limit.
+    let mut mem_preds: Vec<Expr> = Vec::new();
+    if spatial_ok.is_none() {
+        if let Some((col, rect)) = spatial {
+            mem_preds.push(spatial_expr(col, *rect));
+        }
+    }
+    if time_ok.is_none() {
+        if let Some((col, lo, hi)) = time {
+            mem_preds.push(temporal_expr(col, *lo, *hi));
+        }
+    }
+    mem_preds.extend(residual.clone());
+    Ok((stream, mem_preds))
+}
+
+/// The rows of `rows` every program keeps, by progressive narrowing:
+/// each predicate re-examines only the rows its predecessors kept.
+fn select_rows(vm: &mut Vm, progs: &[Program], rows: &[Row]) -> Result<Vec<u32>> {
+    let mut sel = full_selection(rows.len());
+    for prog in progs {
+        if sel.is_empty() {
+            break;
+        }
+        let mut next = Vec::with_capacity(sel.len());
+        vm.select(prog, rows, &sel, &mut next).map_err(exec_err)?;
+        sel = next;
+    }
+    Ok(sel)
 }
 
 /// Moves the rows at the (sorted) selected indices out of `rows` without
@@ -559,67 +548,29 @@ fn take_selected(rows: Vec<Row>, sel: &[u32]) -> Vec<Row> {
 
 /// Filters a view's rows in place: predicates run against the shared
 /// dataset by reference and only surviving rows — capped by the pushed
-/// `LIMIT` — are cloned out. Compiled and interpreted paths keep the
-/// usual evaluation-set parity (a later predicate only ever sees rows
-/// the earlier ones kept).
-fn scan_view_rows(
-    view: &Dataset,
-    preds: &[Expr],
-    limit: Option<usize>,
-) -> Result<(Vec<Row>, Option<&'static str>)> {
-    for pred in preds {
-        validate_columns(pred, &view.columns)?;
-    }
+/// `LIMIT` — are cloned out.
+fn scan_view_rows(view: &Dataset, preds: &[Expr], limit: Option<usize>) -> Result<Vec<Row>> {
     let cap = limit.unwrap_or(usize::MAX);
     if preds.is_empty() {
         let take = view.rows.len().min(cap);
-        return Ok((view.rows[..take].to_vec(), None));
+        return Ok(view.rows[..take].to_vec());
     }
-    let progs: Option<Vec<Program>> = if compiled_enabled() {
-        let int_cols = infer_int_cols(view);
-        preds
-            .iter()
-            .map(|p| try_compile(p, &view.columns, Some(&int_cols)))
-            .collect()
-    } else {
-        None
-    };
+    let int_cols = infer_int_cols(view);
+    let progs = preds
+        .iter()
+        .map(|p| compile(p, &view.columns, Some(&int_cols)))
+        .collect::<Result<Vec<Program>>>()?;
     let mut out: Vec<Row> = Vec::new();
-    if let Some(progs) = &progs {
-        let mut vm = Vm::new();
-        'batches: for batch in view.rows.chunks(BATCH) {
-            // Progressive narrowing, as in the stored-table scan.
-            let mut sel = full_selection(batch.len());
-            for prog in progs {
-                if sel.is_empty() {
-                    break;
-                }
-                let mut next = Vec::with_capacity(sel.len());
-                vm.select(prog, batch, &sel, &mut next).map_err(exec_err)?;
-                sel = next;
-            }
-            for &lane in &sel {
-                out.push(batch[lane as usize].clone());
-                if out.len() >= cap {
-                    break 'batches;
-                }
-            }
-        }
-        Ok((out, Some(COMPILED)))
-    } else {
-        'rows: for row in &view.rows {
-            for pred in preds {
-                if !truthy(&eval(pred, &row.values, &view.columns)?) {
-                    continue 'rows;
-                }
-            }
-            out.push(row.clone());
+    let mut vm = Vm::new();
+    'batches: for batch in view.rows.chunks(BATCH) {
+        for &lane in &select_rows(&mut vm, &progs, batch)? {
+            out.push(batch[lane as usize].clone());
             if out.len() >= cap {
-                break;
+                break 'batches;
             }
         }
-        Ok((out, Some(FALLBACK)))
     }
+    Ok(out)
 }
 
 /// Guesses which view columns hold integers from the first non-NULL
@@ -659,68 +610,32 @@ fn temporal_expr(col: &str, lo: i64, hi: i64) -> Expr {
     }
 }
 
-/// Errors on column references that cannot resolve against the header and
-/// on unknown function names — run before row-wise evaluation so empty
-/// relations still reject bad queries (like any SQL analyzer).
-fn validate_columns(expr: &Expr, columns: &[String]) -> Result<()> {
-    for c in expr.columns() {
-        resolve_column(&c, columns)?;
-    }
-    let mut bad_fn: Option<String> = None;
-    expr.walk(&mut |e| {
-        if let Expr::Func { name, .. } = e {
-            if bad_fn.is_none() && !functions::is_known_function(name) {
-                bad_fn = Some(name.clone());
-            }
-        }
-    });
-    match bad_fn {
-        Some(name) => Err(QlError::Analyze(format!("unknown function '{name}'"))),
-        None => Ok(()),
-    }
+/// Raises `expr`'s analysis errors for the operators that evaluate it
+/// row-at-a-time with `eval()`: [`compile`] is the one analyzer, so
+/// whether a bad name is reported never depends on a row existing. The
+/// discarded program still counts in `just_exec_programs_compiled`.
+fn analyze(expr: &Expr, columns: &[String]) -> Result<()> {
+    compile(expr, columns, None).map(|_| ())
 }
 
-/// Filters `data`, preferring the compiled path: the predicate lowers to
-/// bytecode once, then batches of [`BATCH`] rows run through the
-/// vectorized VM. Anything the compiler rejects falls back to the
-/// interpreted row loop.
-fn filter(data: Dataset, predicate: &Expr) -> Result<(Dataset, &'static str)> {
-    validate_columns(predicate, &data.columns)?;
-    if compiled_enabled() {
-        if let Some(prog) = try_compile(predicate, &data.columns, None) {
-            let mut vm = Vm::new();
-            let mut rows = Vec::with_capacity(data.rows.len());
-            let mut chunk_rows = data.rows;
-            while !chunk_rows.is_empty() {
-                let rest = chunk_rows.split_off(chunk_rows.len().min(BATCH));
-                let mut sel = Vec::with_capacity(chunk_rows.len());
-                vm.select(
-                    &prog,
-                    &chunk_rows,
-                    &full_selection(chunk_rows.len()),
-                    &mut sel,
-                )
-                .map_err(exec_err)?;
-                rows.extend(take_selected(chunk_rows, &sel));
-                chunk_rows = rest;
-            }
-            return Ok((Dataset::new(data.columns, rows), COMPILED));
-        }
-    }
-    Ok((filter_interpreted(data, predicate)?, FALLBACK))
+/// Filters `data`: the predicate lowers to bytecode once, then batches of
+/// [`BATCH`] rows run through the vectorized VM.
+fn filter(data: Dataset, predicate: &Expr) -> Result<Dataset> {
+    let prog = compile(predicate, &data.columns, None)?;
+    Ok(Dataset::new(data.columns, filter_rows(data.rows, &prog)?))
 }
 
-/// The interpreted fallback: row-at-a-time `eval()`.
-fn filter_interpreted(data: Dataset, predicate: &Expr) -> Result<Dataset> {
-    validate_columns(predicate, &data.columns)?;
-    let mut rows = Vec::with_capacity(data.rows.len());
-    for row in data.rows {
-        let keep = truthy(&eval(predicate, &row.values, &data.columns)?);
-        if keep {
-            rows.push(row);
-        }
+fn filter_rows(rows: Vec<Row>, prog: &Program) -> Result<Vec<Row>> {
+    let mut vm = Vm::new();
+    let mut kept = Vec::with_capacity(rows.len());
+    let mut chunk = rows;
+    while !chunk.is_empty() {
+        let rest = chunk.split_off(chunk.len().min(BATCH));
+        let sel = select_rows(&mut vm, std::slice::from_ref(prog), &chunk)?;
+        kept.extend(take_selected(chunk, &sel));
+        chunk = rest;
     }
-    Ok(Dataset::new(data.columns, rows))
+    Ok(kept)
 }
 
 fn project_columns(data: Dataset, cols: &[String]) -> Result<Dataset> {
@@ -746,53 +661,87 @@ fn project_columns(data: Dataset, cols: &[String]) -> Result<Dataset> {
     Ok(Dataset::new(names, rows))
 }
 
-fn project(data: Dataset, items: &[(Expr, String)]) -> Result<(Dataset, Option<&'static str>)> {
-    // 1-N table functions: the sole item expands each row. These are
-    // plan-level constructs the interpreter owns.
-    if items.len() == 1 {
-        if let Expr::Func { name, args } = &items[0].0 {
-            if functions::is_table_function(name) {
-                let mut columns: Option<Vec<String>> = None;
-                let mut rows = Vec::new();
-                for row in &data.rows {
-                    let mut vals = Vec::with_capacity(args.len());
-                    for a in args {
-                        vals.push(eval(a, &row.values, &data.columns)?);
-                    }
-                    if let Some((cols, expanded)) = functions::table_function(name, vals)? {
-                        columns.get_or_insert(cols);
-                        rows.extend(expanded.into_iter().map(Row::new));
-                    }
-                }
-                let columns = columns.unwrap_or_else(|| vec![items[0].1.clone()]);
-                return Ok((Dataset::new(columns, rows), Some(FALLBACK)));
-            }
-            if functions::is_cluster_function(name) {
-                return Ok((run_dbscan(data, args)?, Some(FALLBACK)));
-            }
+/// The sole projection item when it is a 1-N table function or
+/// `st_DBSCAN`, as `(name, args)`: those expand or regroup rows instead
+/// of computing a column.
+pub(crate) fn row_function(items: &[(Expr, String)]) -> Option<(&str, &[Expr])> {
+    match items {
+        [(Expr::Func { name, args }, _)]
+            if functions::is_table_function(name) || functions::is_cluster_function(name) =>
+        {
+            Some((name, args))
+        }
+        _ => None,
+    }
+}
+
+/// Runs a [`row_function`] projection over the rows passing
+/// `predicate`. The predicate is compiled and every argument analyzed
+/// before a row is read; arguments are then evaluated row-at-a-time: one
+/// input row yields a variable number of output rows.
+pub(crate) fn project_rows(
+    data: Dataset,
+    predicate: Option<&Expr>,
+    name: &str,
+    args: &[Expr],
+    out_name: &str,
+) -> Result<Dataset> {
+    let pred_prog = predicate
+        .map(|p| compile(p, &data.columns, None))
+        .transpose()?;
+    for a in args {
+        analyze(a, &data.columns)?;
+    }
+    let data = match pred_prog {
+        Some(prog) => Dataset::new(data.columns, filter_rows(data.rows, &prog)?),
+        None => data,
+    };
+    if functions::is_cluster_function(name) {
+        return run_dbscan(data, args);
+    }
+    let mut columns: Option<Vec<String>> = None;
+    let mut rows = Vec::new();
+    for row in &data.rows {
+        let mut vals = Vec::with_capacity(args.len());
+        for a in args {
+            vals.push(eval(a, &row.values, &data.columns)?);
+        }
+        if let Some((cols, expanded)) = functions::table_function(name, vals)? {
+            columns.get_or_insert(cols);
+            rows.extend(expanded.into_iter().map(Row::new));
         }
     }
+    let columns = columns.unwrap_or_else(|| vec![out_name.to_string()]);
+    Ok(Dataset::new(columns, rows))
+}
 
+/// How one output column of a projection is produced.
+pub(crate) enum ProjectItem {
+    /// Copy of input column `i` (`*` expansion, bare column names): a
+    /// reshuffle, not a computation — no VM, no per-value evaluation.
+    Passthrough(usize),
+    Compute(Expr),
+}
+
+/// Plans a projection list against the input header: output column
+/// names and how each is produced.
+pub(crate) fn plan_items(
+    items: &[(Expr, String)],
+    input: &[String],
+) -> Result<(Vec<String>, Vec<ProjectItem>)> {
     let mut columns = Vec::new();
     let mut plans: Vec<ProjectItem> = Vec::new();
     for (e, name) in items {
-        if !matches!(e, Expr::Star) {
-            validate_columns(e, &data.columns)?;
-        }
         match e {
             Expr::Star => {
-                for (i, c) in data.columns.iter().enumerate() {
+                for (i, c) in input.iter().enumerate() {
                     columns.push(c.clone());
                     plans.push(ProjectItem::Passthrough(i));
                 }
             }
-            // A bare column is a reshuffle, not a computation: skip the
-            // VM (and its per-value materialization) entirely.
-            // `validate_columns` above already produced the resolution
-            // error an eval would have.
             Expr::Column(c) => {
                 columns.push(name.clone());
-                plans.push(ProjectItem::Passthrough(resolve_column(c, &data.columns)?));
+                plans.push(ProjectItem::Passthrough(resolve_column(c, input)?));
             }
             other => {
                 columns.push(name.clone());
@@ -800,101 +749,7 @@ fn project(data: Dataset, items: &[(Expr, String)]) -> Result<(Dataset, Option<&
             }
         }
     }
-
-    // Pure column reshuffles evaluate nothing — no path to report; the
-    // identity reshuffle doesn't even touch the rows.
-    let computes: Vec<(usize, &Expr)> = plans
-        .iter()
-        .enumerate()
-        .filter_map(|(i, p)| match p {
-            ProjectItem::Compute(e) => Some((i, e)),
-            ProjectItem::Passthrough(_) => None,
-        })
-        .collect();
-    if computes.is_empty() {
-        if is_identity(&plans, data.columns.len()) {
-            return Ok((Dataset::new(columns, data.rows), None));
-        }
-        return Ok((project_interpreted(data, columns, &plans)?, None));
-    }
-    if compiled_enabled() {
-        let progs: Option<Vec<(usize, Program)>> = computes
-            .iter()
-            .map(|(i, e)| try_compile(e, &data.columns, None).map(|p| (*i, p)))
-            .collect();
-        if let Some(progs) = progs {
-            return Ok((
-                project_compiled(data, columns, &plans, &progs)?,
-                Some(COMPILED),
-            ));
-        }
-    }
-    Ok((project_interpreted(data, columns, &plans)?, Some(FALLBACK)))
-}
-
-/// Compiled projection: each computed item's program evaluates a whole
-/// batch into a column, then output rows are assembled by moving values
-/// out of the computed columns (passthrough items clone from the input
-/// row).
-fn project_compiled(
-    data: Dataset,
-    columns: Vec<String>,
-    plans: &[ProjectItem],
-    progs: &[(usize, Program)],
-) -> Result<Dataset> {
-    let mut vm = Vm::new();
-    let mut rows = Vec::with_capacity(data.rows.len());
-    let mut chunk = data.rows;
-    while !chunk.is_empty() {
-        let rest = chunk.split_off(chunk.len().min(BATCH));
-        let sel = full_selection(chunk.len());
-        let mut computed: Vec<Option<Vec<Value>>> = vec![None; plans.len()];
-        for (idx, prog) in progs {
-            let mut col = Vec::with_capacity(chunk.len());
-            vm.eval(prog, &chunk, &sel, &mut col).map_err(exec_err)?;
-            computed[*idx] = Some(col);
-        }
-        for (r, row) in chunk.iter().enumerate() {
-            let mut values = Vec::with_capacity(plans.len());
-            for (i, p) in plans.iter().enumerate() {
-                values.push(match p {
-                    ProjectItem::Passthrough(c) => row.values[*c].clone(),
-                    ProjectItem::Compute(_) => std::mem::replace(
-                        &mut computed[i].as_mut().expect("computed column")[r],
-                        Value::Null,
-                    ),
-                });
-            }
-            rows.push(Row::new(values));
-        }
-        chunk = rest;
-    }
-    Ok(Dataset::new(columns, rows))
-}
-
-/// The interpreted fallback: row-at-a-time `eval()` per computed item.
-fn project_interpreted(
-    data: Dataset,
-    columns: Vec<String>,
-    plans: &[ProjectItem],
-) -> Result<Dataset> {
-    let mut rows = Vec::with_capacity(data.rows.len());
-    for row in &data.rows {
-        let mut values = Vec::with_capacity(plans.len());
-        for p in plans {
-            values.push(match p {
-                ProjectItem::Passthrough(i) => row.values[*i].clone(),
-                ProjectItem::Compute(e) => eval(e, &row.values, &data.columns)?,
-            });
-        }
-        rows.push(Row::new(values));
-    }
-    Ok(Dataset::new(columns, rows))
-}
-
-enum ProjectItem {
-    Passthrough(usize),
-    Compute(Expr),
+    Ok((columns, plans))
 }
 
 /// Whether a projection is the identity over its input — every item a
@@ -908,90 +763,39 @@ fn is_identity(plans: &[ProjectItem], width: usize) -> bool {
             .all(|(i, p)| matches!(p, ProjectItem::Passthrough(c) if *c == i))
 }
 
-/// Fused Filter→Project: each batch runs the predicate's selection and
-/// the projection programs in one pass, so the intermediate filtered
-/// relation is never materialized and computed items only evaluate over
-/// surviving rows. Falls back to the two-step filter-then-project when
-/// the predicate or a computed item doesn't compile (or compiled
-/// execution is off); the result is identical either way.
+/// `Project`, and the fused `Filter`→`Project` when `predicate` is given:
+/// each batch runs the predicate's selection and the projection programs
+/// in one pass, so the filtered relation is never materialized and
+/// computed items only evaluate over surviving rows. Output rows are
+/// assembled by moving values out of the computed columns (passthrough
+/// items clone from the input row).
 fn filter_project(
     data: Dataset,
-    predicate: &Expr,
+    predicate: Option<&Expr>,
     items: &[(Expr, String)],
-) -> Result<(Dataset, Option<&'static str>)> {
-    // 1-N table/cluster functions are plan-level constructs the
-    // interpreter owns; let `project()` special-case them.
-    let special = items.len() == 1
-        && matches!(&items[0].0, Expr::Func { name, .. }
-            if functions::is_table_function(name) || functions::is_cluster_function(name));
-    if compiled_enabled() && !special {
-        if let Some(fused) = filter_project_compiled(&data, predicate, items)? {
-            return Ok((fused, Some(COMPILED)));
+) -> Result<Dataset> {
+    if let Some((name, args)) = row_function(items) {
+        return project_rows(data, predicate, name, args, &items[0].1);
+    }
+    let pred_prog = predicate
+        .map(|p| compile(p, &data.columns, None))
+        .transpose()?;
+    let (columns, plans) = plan_items(items, &data.columns)?;
+    let mut progs: Vec<(usize, Program)> = Vec::new();
+    for (i, p) in plans.iter().enumerate() {
+        if let ProjectItem::Compute(e) = p {
+            progs.push((i, compile(e, &data.columns, None)?));
         }
     }
-    let (filtered, fpath) = filter(data, predicate)?;
-    let (projected, ppath) = project(filtered, items)?;
-    let path = if fpath == COMPILED && ppath != Some(FALLBACK) {
-        COMPILED
-    } else {
-        FALLBACK
-    };
-    Ok((projected, Some(path)))
-}
-
-/// Returns `Ok(None)` when any expression fails to lower; the caller
-/// then takes the two-step path (which re-validates, harmlessly).
-fn filter_project_compiled(
-    data: &Dataset,
-    predicate: &Expr,
-    items: &[(Expr, String)],
-) -> Result<Option<Dataset>> {
-    validate_columns(predicate, &data.columns)?;
-    let Some(pred_prog) = try_compile(predicate, &data.columns, None) else {
-        return Ok(None);
-    };
-    let mut columns = Vec::new();
-    let mut plans: Vec<ProjectItem> = Vec::new();
-    for (e, name) in items {
-        if !matches!(e, Expr::Star) {
-            validate_columns(e, &data.columns)?;
-        }
-        match e {
-            Expr::Star => {
-                for (i, c) in data.columns.iter().enumerate() {
-                    columns.push(c.clone());
-                    plans.push(ProjectItem::Passthrough(i));
-                }
-            }
-            Expr::Column(c) => {
-                columns.push(name.clone());
-                plans.push(ProjectItem::Passthrough(resolve_column(c, &data.columns)?));
-            }
-            other => {
-                columns.push(name.clone());
-                plans.push(ProjectItem::Compute(other.clone()));
-            }
-        }
+    // The identity reshuffle doesn't even touch the rows.
+    if pred_prog.is_none() && is_identity(&plans, data.columns.len()) {
+        return Ok(Dataset::new(columns, data.rows));
     }
-    let progs: Option<Vec<(usize, Program)>> = plans
-        .iter()
-        .enumerate()
-        .filter_map(|(i, p)| match p {
-            ProjectItem::Compute(e) => Some((i, e)),
-            ProjectItem::Passthrough(_) => None,
-        })
-        .map(|(i, e)| try_compile(e, &data.columns, None).map(|p| (i, p)))
-        .collect();
-    let Some(progs) = progs else {
-        return Ok(None);
-    };
 
     let mut vm = Vm::new();
     let mut rows = Vec::new();
     for chunk in data.rows.chunks(BATCH) {
-        let mut sel = Vec::with_capacity(chunk.len());
-        vm.select(&pred_prog, chunk, &full_selection(chunk.len()), &mut sel)
-            .map_err(exec_err)?;
+        let sel = select_rows(&mut vm, pred_prog.as_slice(), chunk)?;
         if sel.is_empty() {
             continue;
         }
@@ -1016,7 +820,7 @@ fn filter_project_compiled(
             rows.push(Row::new(values));
         }
     }
-    Ok(Some(Dataset::new(columns, rows)))
+    Ok(Dataset::new(columns, rows))
 }
 
 /// `st_DBSCAN(geom, minPts, radius)` — the N-M operation: clusters every
@@ -1069,58 +873,35 @@ fn run_dbscan(data: Dataset, args: &[Expr]) -> Result<Dataset> {
     Ok(Dataset::new(vec!["geom".into(), "cluster".into()], rows))
 }
 
-fn aggregate(
-    data: Dataset,
-    group_by: &[(Expr, String)],
-    aggregates: &[(String, Expr, String)],
-) -> Result<(Dataset, &'static str)> {
-    if compiled_enabled() {
-        if let Some(d) = aggregate_compiled(&data, group_by, aggregates)? {
-            return Ok((d, COMPILED));
-        }
-    }
-    Ok((aggregate_interpreted(data, group_by, aggregates)?, FALLBACK))
-}
-
 /// Vectorized GROUP BY: keys and aggregate arguments compile to bytecode
 /// and evaluate batch-at-a-time into columns fed to the
 /// [`HashAggregator`], which folds rows into fixed-size accumulators
 /// immediately (O(groups) memory, no per-row key `Vec<Value>` clone).
-///
-/// Returns `Ok(None)` when any expression doesn't compile or an
-/// aggregate has no vectorized spec (unknown names, `func(*)` forms) —
-/// the interpreted path owns those error messages, and compile-time
-/// column errors must not surface where the interpreter (which never
-/// evaluates arguments over zero matching rows) would stay silent.
-fn aggregate_compiled(
-    data: &Dataset,
+fn aggregate(
+    data: Dataset,
     group_by: &[(Expr, String)],
     aggregates: &[(String, Expr, String)],
-) -> Result<Option<Dataset>> {
+) -> Result<Dataset> {
     let mut specs = Vec::with_capacity(aggregates.len());
     let mut arg_progs: Vec<Option<Program>> = Vec::with_capacity(aggregates.len());
     for (func, arg, _) in aggregates {
         let star = matches!(arg, Expr::Star);
-        let Some(spec) = AggSpec::resolve(func, star) else {
-            return Ok(None);
-        };
-        specs.push(spec);
-        if star {
-            arg_progs.push(None);
+        // The planner only builds aggregates from the five known names,
+        // so the one form without a spec is `func(*)` other than `count`.
+        specs.push(
+            AggSpec::resolve(func, star)
+                .ok_or_else(|| QlError::Analyze(format!("{func}(*) is not supported")))?,
+        );
+        arg_progs.push(if star {
+            None
         } else {
-            match try_compile(arg, &data.columns, None) {
-                Some(p) => arg_progs.push(Some(p)),
-                None => return Ok(None),
-            }
-        }
+            Some(compile(arg, &data.columns, None)?)
+        });
     }
-    let mut key_progs = Vec::with_capacity(group_by.len());
-    for (e, _) in group_by {
-        match try_compile(e, &data.columns, None) {
-            Some(p) => key_progs.push(p),
-            None => return Ok(None),
-        }
-    }
+    let key_progs = group_by
+        .iter()
+        .map(|(e, _)| compile(e, &data.columns, None))
+        .collect::<Result<Vec<Program>>>()?;
 
     let mut agg = HashAggregator::new(specs);
     let mut vm = Vm::new();
@@ -1156,174 +937,15 @@ fn aggregate_compiled(
             Row::new(key_vals)
         })
         .collect();
-    Ok(Some(Dataset::new(columns, rows)))
-}
-
-/// The interpreted fallback: groups rows by encoded key (hash-indexed,
-/// with the encode buffer and key scratch reused across rows), then runs
-/// [`eval_aggregate`] per group.
-fn aggregate_interpreted(
-    data: Dataset,
-    group_by: &[(Expr, String)],
-    aggregates: &[(String, Expr, String)],
-) -> Result<Dataset> {
-    let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
-    let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-    let mut key_bytes: Vec<u8> = Vec::new();
-    let mut key_vals: Vec<Value> = Vec::new();
-    for (row_idx, row) in data.rows.iter().enumerate() {
-        key_bytes.clear();
-        key_vals.clear();
-        for (e, _) in group_by {
-            let v = eval(e, &row.values, &data.columns)?;
-            v.encode(&mut key_bytes);
-            key_vals.push(v);
-        }
-        let slot = match index.get(key_bytes.as_slice()) {
-            Some(&slot) => slot,
-            None => {
-                index.insert(key_bytes.clone(), groups.len());
-                groups.push((std::mem::take(&mut key_vals), Vec::new()));
-                groups.len() - 1
-            }
-        };
-        groups[slot].1.push(row_idx);
-    }
-    // A global aggregate over zero rows still yields one row.
-    if groups.is_empty() && group_by.is_empty() {
-        groups.push((Vec::new(), Vec::new()));
-    }
-
-    let mut columns: Vec<String> = group_by.iter().map(|(_, n)| n.clone()).collect();
-    columns.extend(aggregates.iter().map(|(_, _, n)| n.clone()));
-
-    let mut rows = Vec::with_capacity(groups.len());
-    for (key_vals, members) in groups {
-        let mut values = key_vals;
-        for (func, arg, _) in aggregates {
-            values.push(eval_aggregate(func, arg, &members, &data)?);
-        }
-        rows.push(Row::new(values));
-    }
     Ok(Dataset::new(columns, rows))
-}
-
-fn eval_aggregate(func: &str, arg: &Expr, members: &[usize], data: &Dataset) -> Result<Value> {
-    let mut vals: Vec<Value> = Vec::with_capacity(members.len());
-    if matches!(arg, Expr::Star) {
-        if func != "count" {
-            return Err(QlError::Eval(format!("{func}(*) is not supported")));
-        }
-        return Ok(Value::Int(members.len() as i64));
-    }
-    for &i in members {
-        let v = eval(arg, &data.rows[i].values, &data.columns)?;
-        if !v.is_null() {
-            vals.push(v);
-        }
-    }
-    Ok(match func {
-        "count" => Value::Int(vals.len() as i64),
-        "sum" => {
-            if vals.is_empty() {
-                Value::Null
-            } else if vals.iter().all(|v| matches!(v, Value::Int(_))) {
-                Value::Int(vals.iter().map(|v| v.as_int().unwrap()).sum())
-            } else {
-                let mut acc = 0.0;
-                for v in &vals {
-                    acc += v
-                        .as_float()
-                        .ok_or_else(|| QlError::Eval(format!("sum over {v:?}")))?;
-                }
-                Value::Float(acc)
-            }
-        }
-        "avg" => {
-            if vals.is_empty() {
-                Value::Null
-            } else {
-                let mut acc = 0.0;
-                for v in &vals {
-                    acc += v
-                        .as_float()
-                        .ok_or_else(|| QlError::Eval(format!("avg over {v:?}")))?;
-                }
-                Value::Float(acc / vals.len() as f64)
-            }
-        }
-        "min" | "max" => {
-            let mut best: Option<Value> = None;
-            for v in vals {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let ord = functions::compare(&v, &b)?;
-                        let take = if func == "min" {
-                            ord == std::cmp::Ordering::Less
-                        } else {
-                            ord == std::cmp::Ordering::Greater
-                        };
-                        if take {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best.unwrap_or(Value::Null)
-        }
-        other => return Err(QlError::Eval(format!("unknown aggregate '{other}'"))),
-    })
-}
-
-/// Sort entry point: the key-normalized byte sort when compiled
-/// execution is enabled, the interpreted decorate-and-compare sort
-/// otherwise. Both apply the same total order ([`total_compare`] /
-/// [`encode_key`] agree by construction), so the toggle only changes
-/// speed, never row order.
-fn sort_dispatch(data: Dataset, keys: &[(Expr, bool)]) -> Result<(Dataset, Option<&'static str>)> {
-    if compiled_enabled() {
-        Ok((sort_normalized(data, keys)?, Some(COMPILED)))
-    } else {
-        Ok((sort(data, keys)?, Some(FALLBACK)))
-    }
-}
-
-/// The interpreted sort: decorate each row with its evaluated keys, then
-/// stable-sort with [`total_compare`] per key. The total order makes
-/// incomparable pairs (mixed types the coercing comparator would reject)
-/// order deterministically by cross-type rank instead of silently tying.
-fn sort(mut data: Dataset, keys: &[(Expr, bool)]) -> Result<Dataset> {
-    // Precompute sort keys (eval can fail; do it before sorting).
-    let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(data.rows.len());
-    for row in data.rows.drain(..) {
-        let mut k = Vec::with_capacity(keys.len());
-        for (e, _) in keys {
-            k.push(eval(e, &row.values, &data.columns)?);
-        }
-        decorated.push((k, row));
-    }
-    decorated.sort_by(|(ka, _), (kb, _)| {
-        for (i, (_, asc)) in keys.iter().enumerate() {
-            let ord = total_compare(&ka[i], &kb[i]);
-            let ord = if *asc { ord } else { ord.reverse() };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    data.rows = decorated.into_iter().map(|(_, r)| r).collect();
-    Ok(data)
 }
 
 /// The key-normalized sort: every row's keys encode once into one byte
 /// arena (descending keys bitwise-complemented), then a stable indirect
 /// sort compares plain byte slices — no `Value` dispatch, no coercion
-/// logic in the hot comparator.
-fn sort_normalized(mut data: Dataset, keys: &[(Expr, bool)]) -> Result<Dataset> {
+/// logic in the hot comparator. The order is [`just_exec::total_compare`]'s:
+/// NULLs first, then by cross-type rank.
+fn sort(mut data: Dataset, keys: &[(Expr, bool)]) -> Result<Dataset> {
     let exprs: Vec<&Expr> = keys.iter().map(|(e, _)| e).collect();
     let key_cols = key_columns(&data, &exprs)?;
     let n = data.rows.len();
@@ -1355,14 +977,8 @@ fn sort_normalized(mut data: Dataset, keys: &[(Expr, bool)]) -> Result<Dataset> 
 /// The monotone sequence number makes the heap *stable*: a new row whose
 /// key equals the current worst compares greater (its sequence is
 /// larger) and is rejected, so the kept set and its order are exactly
-/// `sort().truncate(k)` of the interpreted baseline — which is what the
-/// operator runs when compiled execution is disabled.
-fn topk(data: Dataset, keys: &[(Expr, bool)], k: usize) -> Result<(Dataset, Option<&'static str>)> {
-    if !compiled_enabled() {
-        let mut d = sort(data, keys)?;
-        d.rows.truncate(k);
-        return Ok((d, Some(FALLBACK)));
-    }
+/// `sort().truncate(k)`.
+fn topk(data: Dataset, keys: &[(Expr, bool)], k: usize) -> Result<Dataset> {
     let obs = just_obs::global();
     obs.counter("just_exec_topk_queries").inc();
 
@@ -1395,7 +1011,7 @@ fn topk(data: Dataset, keys: &[(Expr, bool)], k: usize) -> Result<(Dataset, Opti
     }
     obs.counter("just_exec_topk_rows_pruned")
         .add((n - rows.len()) as u64);
-    Ok((Dataset::new(data.columns, rows), Some(COMPILED)))
+    Ok(Dataset::new(data.columns, rows))
 }
 
 /// A sort/TOP-K key column: either a direct reference into the input
@@ -1416,64 +1032,52 @@ impl KeyCol {
 }
 
 /// Resolves each key expression to a [`KeyCol`]: bare columns borrow,
-/// anything else evaluates through [`eval_key_columns`]. Resolution
-/// errors are exactly the interpreted `eval()` errors.
+/// anything else compiles — every key before any is evaluated.
 fn key_columns(data: &Dataset, exprs: &[&Expr]) -> Result<Vec<KeyCol>> {
-    exprs
-        .iter()
-        .map(|e| match e {
-            Expr::Column(name) => Ok(KeyCol::Col(resolve_column(name, &data.columns)?)),
-            other => Ok(KeyCol::Owned(
-                eval_key_columns(data, &[other])?.pop().expect("one column"),
-            )),
+    enum Plan {
+        Col(usize),
+        Prog(Program),
+    }
+    let mut plans = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        plans.push(match e {
+            Expr::Column(name) => Plan::Col(resolve_column(name, &data.columns)?),
+            other => Plan::Prog(compile(other, &data.columns, None)?),
+        });
+    }
+    let mut vm = Vm::new();
+    plans
+        .into_iter()
+        .map(|plan| match plan {
+            Plan::Col(i) => Ok(KeyCol::Col(i)),
+            Plan::Prog(prog) => Ok(KeyCol::Owned(eval_column(&mut vm, data, &prog)?)),
         })
         .collect()
 }
 
-/// Evaluates one output column per expression over the whole dataset —
-/// compiled batch-at-a-time when the expression lowers to bytecode,
-/// interpreted row-at-a-time otherwise.
-fn eval_key_columns(data: &Dataset, exprs: &[&Expr]) -> Result<Vec<Vec<Value>>> {
-    let mut vm = Vm::new();
-    let mut cols = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        let mut col: Vec<Value> = Vec::with_capacity(data.rows.len());
-        match try_compile(e, &data.columns, None) {
-            Some(prog) => {
-                for chunk in data.rows.chunks(BATCH) {
-                    vm.eval(&prog, chunk, &full_selection(chunk.len()), &mut col)
-                        .map_err(exec_err)?;
-                }
-            }
-            None => {
-                for row in &data.rows {
-                    col.push(eval(e, &row.values, &data.columns)?);
-                }
-            }
-        }
-        cols.push(col);
+/// Evaluates `prog` over the whole dataset, batch-at-a-time, into one
+/// output column.
+fn eval_column(vm: &mut Vm, data: &Dataset, prog: &Program) -> Result<Vec<Value>> {
+    let mut col: Vec<Value> = Vec::with_capacity(data.rows.len());
+    for chunk in data.rows.chunks(BATCH) {
+        vm.eval(prog, chunk, &full_selection(chunk.len()), &mut col)
+            .map_err(exec_err)?;
     }
-    Ok(cols)
+    Ok(col)
 }
 
-/// Nested-loop inner join for non-equi conditions (and the runtime
-/// fallback of [`hash_join`]). One scratch `combined` buffer is reused
+/// Nested-loop inner join: the only path for non-equi conditions and for
+/// equi keys [`hash_join`] finds unhashable, selected from the plan and
+/// the data. The condition is evaluated pair-at-a-time with `eval()`,
+/// whose coercing comparator (`'3' = 3`) *is* the semantics the hash
+/// path must fall back to. One scratch `combined` buffer is reused
 /// across pairs — the left row's values are cloned once per left row,
 /// each right row's values once per pair, and the buffer itself is only
 /// cloned out for pairs that pass the predicate.
-fn join(left: Dataset, right: Dataset, on: &Expr) -> Result<Dataset> {
+pub(crate) fn join(left: Dataset, right: Dataset, on: &Expr) -> Result<Dataset> {
     let mut columns = left.columns.clone();
     columns.extend(right.columns.iter().cloned());
-    let rows = nested_loop_join(&left, &right, on, &columns)?;
-    Ok(Dataset::new(columns, rows))
-}
-
-fn nested_loop_join(
-    left: &Dataset,
-    right: &Dataset,
-    on: &Expr,
-    columns: &[String],
-) -> Result<Vec<Row>> {
+    analyze(on, &columns)?;
     just_obs::global().counter("just_exec_join_fallbacks").inc();
     let left_width = left.columns.len();
     let mut rows = Vec::new();
@@ -1484,12 +1088,12 @@ fn nested_loop_join(
         for r in &right.rows {
             combined.truncate(left_width);
             combined.extend(r.values.iter().cloned());
-            if truthy(&eval(on, &combined, columns)?) {
+            if truthy(&eval(on, &combined, &columns)?) {
                 rows.push(Row::new(combined.clone()));
             }
         }
     }
-    Ok(rows)
+    Ok(Dataset::new(columns, rows))
 }
 
 /// Which input of a join an expression reads from, judged by where its
@@ -1519,8 +1123,8 @@ fn side_of(e: &Expr, columns: &[String], left_width: usize) -> Option<Side> {
 }
 
 /// Rebuilds the `on` conjunction a [`LogicalPlan::HashJoin`] was planned
-/// from, for the nested-loop fallback paths.
-fn reconstruct_on(keys: &[(Expr, Expr)], residual: &Option<Expr>) -> Expr {
+/// from, for the nested loop.
+pub(crate) fn reconstruct_on(keys: &[(Expr, Expr)], residual: &Option<Expr>) -> Expr {
     let mut conjuncts: Vec<Expr> = keys
         .iter()
         .map(|(l, r)| Expr::Binary {
@@ -1547,54 +1151,30 @@ fn combined_row(l: &Row, r: &Row) -> Row {
     Row::new(v)
 }
 
-/// Vectorized equi-join: evaluate each side's key expressions (compiled
-/// when possible), build a [`JoinHash`] over the smaller side's encoded
-/// key bytes, probe with the other side, and run the residual as one
-/// program over the matched combined rows.
+/// Vectorized equi-join: evaluate each side's key expressions, build a
+/// [`JoinHash`] over the smaller side's encoded key bytes, probe with
+/// the other side, and run the residual as one program over the matched
+/// combined rows.
 ///
 /// Output order is exactly the nested loop's (left-major, right rows in
-/// input order), so the interpreted baseline is byte-identical:
-/// build-right probes the left rows in order; build-left accumulates
-/// per-left-row match lists before emitting.
+/// input order): build-right probes the left rows in order; build-left
+/// accumulates per-left-row match lists before emitting.
 ///
-/// Falls back to the nested loop — counted by `just_exec_join_fallbacks`
-/// and marked `fallback` — when a key straddles both inputs, when the
-/// runtime value classes aren't hashable (mixed classes, NaN,
-/// geometries, or a cross-side class mismatch where the interpreted
-/// comparator would coerce or error), or when compiled execution is
-/// disabled. Error caveat: key expressions evaluate column-at-a-time
+/// Runs the nested loop ([`join`], counted by `just_exec_join_fallbacks`)
+/// instead when no key splits across the inputs, or when the runtime
+/// value classes aren't hashable (mixed classes, NaN, geometries, or a
+/// cross-side class mismatch where the coercing comparator would coerce
+/// or error). Error caveat: key expressions evaluate column-at-a-time
 /// here, so *which* row's error surfaces first can differ from the
-/// pair-at-a-time interpreted loop; whether an error surfaces does not.
+/// pair-at-a-time loop; whether an error surfaces does not.
 fn hash_join(
     left: Dataset,
     right: Dataset,
     keys: &[(Expr, Expr)],
     residual: &Option<Expr>,
-) -> Result<(Dataset, Option<&'static str>)> {
+) -> Result<Dataset> {
     let mut columns = left.columns.clone();
     columns.extend(right.columns.iter().cloned());
-
-    if !compiled_enabled() {
-        let on = reconstruct_on(keys, residual);
-        let rows = nested_loop_join(&left, &right, &on, &columns)?;
-        return Ok((Dataset::new(columns, rows), Some(FALLBACK)));
-    }
-
-    // The nested loop never evaluates the condition when either side is
-    // empty (there are no pairs); match that before validating anything.
-    if left.rows.is_empty() || right.rows.is_empty() {
-        return Ok((Dataset::new(columns, Vec::new()), None));
-    }
-
-    // With at least one pair, the interpreted loop would resolve every
-    // column and function of the condition — surface the same errors.
-    for (l, r) in keys {
-        validate_columns(l, &columns)?;
-        validate_columns(r, &columns)?;
-    }
-    if let Some(r) = residual {
-        validate_columns(r, &columns)?;
-    }
 
     // Assign each candidate pair's sides from the headers; pairs that
     // straddle the inputs (or compare an input to itself) demote to the
@@ -1627,26 +1207,36 @@ fn hash_join(
     };
     if pairs.is_empty() {
         // No usable equi key at runtime: every conjunct is in `residual`.
-        let on = residual.expect("join condition is non-empty");
-        let rows = nested_loop_join(&left, &right, &on, &columns)?;
-        return Ok((Dataset::new(columns, rows), Some(FALLBACK)));
+        return join(left, right, &residual.expect("join condition is non-empty"));
     }
 
     // A key expression classified Left resolves identically against the
     // left-only header (exact/suffix/bare precedence is unchanged when
     // every match lives in the left range), so each side's keys compile
-    // and evaluate against its own input.
-    let left_exprs: Vec<&Expr> = pairs.iter().map(|&(l, _)| l).collect();
-    let right_exprs: Vec<&Expr> = pairs.iter().map(|&(_, r)| r).collect();
-    let left_keys = eval_key_columns(&left, &left_exprs)?;
-    let right_keys = eval_key_columns(&right, &right_exprs)?;
+    // and evaluate against its own input. Everything compiles before
+    // anything is evaluated.
+    let mut left_progs = Vec::with_capacity(pairs.len());
+    let mut right_progs = Vec::with_capacity(pairs.len());
+    for &(l, r) in &pairs {
+        left_progs.push(compile(l, &left.columns, None)?);
+        right_progs.push(compile(r, &right.columns, None)?);
+    }
+    let residual_prog = residual
+        .as_ref()
+        .map(|p| compile(p, &columns, None))
+        .transpose()?;
+    let mut vm = Vm::new();
+    let mut left_keys = Vec::with_capacity(pairs.len());
+    let mut right_keys = Vec::with_capacity(pairs.len());
+    for (lp, rp) in left_progs.iter().zip(&right_progs) {
+        left_keys.push(eval_column(&mut vm, &left, lp)?);
+        right_keys.push(eval_column(&mut vm, &right, rp)?);
+    }
 
     if !keys_hashable(&left_keys, &right_keys) {
         let key_exprs: Vec<(Expr, Expr)> =
             pairs.iter().map(|&(l, r)| (l.clone(), r.clone())).collect();
-        let on = reconstruct_on(&key_exprs, &residual);
-        let rows = nested_loop_join(&left, &right, &on, &columns)?;
-        return Ok((Dataset::new(columns, rows), Some(FALLBACK)));
+        return join(left, right, &reconstruct_on(&key_exprs, &residual));
     }
 
     let obs = just_obs::global();
@@ -1686,34 +1276,9 @@ fn hash_join(
         }
     }
 
-    // Residual over matched pairs: one compiled program per batch, or
-    // the interpreted row loop.
-    let rows = match &residual {
+    let rows = match &residual_prog {
         None => candidates,
-        Some(pred) => {
-            if let Some(prog) = try_compile(pred, &columns, None) {
-                let mut vm = Vm::new();
-                let mut rows = Vec::with_capacity(candidates.len());
-                let mut chunk = candidates;
-                while !chunk.is_empty() {
-                    let rest = chunk.split_off(chunk.len().min(BATCH));
-                    let mut sel = Vec::with_capacity(chunk.len());
-                    vm.select(&prog, &chunk, &full_selection(chunk.len()), &mut sel)
-                        .map_err(exec_err)?;
-                    rows.extend(take_selected(chunk, &sel));
-                    chunk = rest;
-                }
-                rows
-            } else {
-                let mut rows = Vec::with_capacity(candidates.len());
-                for row in candidates {
-                    if truthy(&eval(pred, &row.values, &columns)?) {
-                        rows.push(row);
-                    }
-                }
-                rows
-            }
-        }
+        Some(prog) => filter_rows(candidates, prog)?,
     };
-    Ok((Dataset::new(columns, rows), Some(COMPILED)))
+    Ok(Dataset::new(columns, rows))
 }

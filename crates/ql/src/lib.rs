@@ -44,12 +44,14 @@ mod lexer;
 mod optimizer;
 mod parser;
 mod plan;
+#[doc(hidden)]
+pub mod reference;
 pub mod wire;
 
 pub use ast::{Expr, Select, ShowTarget, Statement};
 pub use client::{Client, QueryResult};
 pub use error::QlError;
-pub use exec::{set_compiled, OpStat};
+pub use exec::OpStat;
 pub use json::{Json, JsonError, JsonValue};
 pub use lexer::{tokenize, Token};
 pub use optimizer::optimize;

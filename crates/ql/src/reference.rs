@@ -1,0 +1,360 @@
+//! The tree-walking operators the compiled executor replaced, kept as
+//! the oracle the parity suites (`tests/compiled_parity.rs`,
+//! `tests/join_sort_parity.rs`) and the `exec_compile` / `join_sort`
+//! figures compare [`crate::Client`] against. Nothing in the executor or
+//! the compiler calls into this module.
+//!
+//! [`run`] executes an *optimized* plan with every expression evaluated
+//! by `functions::eval`, one row at a time, and the fused operators
+//! desugared: `TopK` is sort-then-truncate, `HashJoin` the nested loop
+//! over its reconstructed `ON`, `FilterProject` filter-then-project.
+//! Operators that evaluate no expression (`Values`, `Limit`, `Knn`) and
+//! the storage side of a scan are the executor's own. Analysis is the
+//! interpreter's: names are validated per operator before its row loop,
+//! but aggregates over zero rows never look at their argument.
+
+use crate::ast::Expr;
+use crate::error::QlError;
+use crate::exec::{self, Executor, ProjectItem};
+use crate::functions::{self, eval, resolve_column, truthy};
+use crate::plan::LogicalPlan;
+use crate::Result;
+use just_core::{Dataset, Session};
+use just_exec::total_compare;
+use just_storage::{Row, Value};
+use std::collections::HashMap;
+
+/// Runs an optimized plan to a dataset on the interpreted operators.
+pub fn run(session: &Session, plan: &LogicalPlan) -> Result<Dataset> {
+    let mut children = Vec::new();
+    for child in plan.children() {
+        children.push(run(session, child)?);
+    }
+    let child = |children: Vec<Dataset>| children.into_iter().next().expect("one input");
+    match plan {
+        LogicalPlan::Scan {
+            table,
+            alias,
+            projection,
+            spatial,
+            time,
+            residual,
+            limit,
+        } => {
+            let data = if let Ok(view) = session.view(table) {
+                let preds = exec::view_preds(spatial, time, residual);
+                Dataset::new(view.columns.clone(), scan_view_rows(&view, &preds, *limit)?)
+            } else {
+                scan_stored(session, table, projection, spatial, time, residual, limit)?
+            };
+            exec::finish_scan(data, projection, alias)
+        }
+        LogicalPlan::Filter { predicate, .. } => filter_interpreted(child(children), predicate),
+        LogicalPlan::Project { items, .. } => project(child(children), items),
+        LogicalPlan::FilterProject {
+            predicate, items, ..
+        } => project(filter_interpreted(child(children), predicate)?, items),
+        LogicalPlan::Aggregate {
+            group_by,
+            aggregates,
+            ..
+        } => aggregate_interpreted(child(children), group_by, aggregates),
+        LogicalPlan::Sort { keys, .. } => sort(child(children), keys),
+        LogicalPlan::TopK { keys, k, .. } => {
+            let mut d = sort(child(children), keys)?;
+            d.rows.truncate(*k);
+            Ok(d)
+        }
+        LogicalPlan::HashJoin { keys, residual, .. } => {
+            let mut inputs = children.into_iter();
+            let (l, r) = (inputs.next().expect("left"), inputs.next().expect("right"));
+            exec::join(l, r, &exec::reconstruct_on(keys, residual))
+        }
+        LogicalPlan::Values { .. }
+        | LogicalPlan::Limit { .. }
+        | LogicalPlan::Join { .. }
+        | LogicalPlan::Knn { .. } => Executor::new(session).execute_node(plan, children),
+    }
+}
+
+/// The stored-table scan with its in-memory predicates interpreted per
+/// batch; a pushed `LIMIT` still cancels the stream.
+#[allow(clippy::too_many_arguments)]
+fn scan_stored(
+    session: &Session,
+    table: &str,
+    projection: &Option<Vec<String>>,
+    spatial: &Option<(String, just_geo::Rect)>,
+    time: &Option<(String, i64, i64)>,
+    residual: &Option<Expr>,
+    limit: &Option<usize>,
+) -> Result<Dataset> {
+    let (mut stream, mem_preds) =
+        exec::open_stored_scan(session, table, projection, spatial, time, residual, limit)?;
+    let columns: Vec<String> = stream
+        .schema()
+        .fields()
+        .iter()
+        .map(|f| f.name.clone())
+        .collect();
+    let cancel = stream.cancel_token();
+    let mut rows: Vec<Row> = Vec::new();
+    'batches: while let Some(batch) = stream.next_batch().map_err(just_core::CoreError::Storage)? {
+        let mut chunk = Dataset::new(columns.clone(), batch);
+        for pred in &mem_preds {
+            chunk = filter_interpreted(chunk, pred)?;
+        }
+        for row in chunk.rows {
+            rows.push(row);
+            if let Some(k) = limit {
+                if rows.len() >= *k {
+                    cancel.cancel();
+                    break 'batches;
+                }
+            }
+        }
+    }
+    Ok(Dataset::new(columns, rows))
+}
+
+/// The view scan: a later predicate only ever sees rows the earlier
+/// ones kept, and evaluation stops at the pushed `LIMIT`.
+fn scan_view_rows(view: &Dataset, preds: &[Expr], limit: Option<usize>) -> Result<Vec<Row>> {
+    for pred in preds {
+        validate_columns(pred, &view.columns)?;
+    }
+    let cap = limit.unwrap_or(usize::MAX);
+    if preds.is_empty() {
+        let take = view.rows.len().min(cap);
+        return Ok(view.rows[..take].to_vec());
+    }
+    let mut out: Vec<Row> = Vec::new();
+    'rows: for row in &view.rows {
+        for pred in preds {
+            if !truthy(&eval(pred, &row.values, &view.columns)?) {
+                continue 'rows;
+            }
+        }
+        out.push(row.clone());
+        if out.len() >= cap {
+            break;
+        }
+    }
+    Ok(out)
+}
+
+/// Errors on column references that cannot resolve against the header and
+/// on unknown function names — run before row-wise evaluation so empty
+/// relations still reject bad queries (like any SQL analyzer).
+fn validate_columns(expr: &Expr, columns: &[String]) -> Result<()> {
+    for c in expr.columns() {
+        resolve_column(&c, columns)?;
+    }
+    let mut bad_fn: Option<String> = None;
+    expr.walk(&mut |e| {
+        if let Expr::Func { name, .. } = e {
+            if bad_fn.is_none() && !functions::is_known_function(name) {
+                bad_fn = Some(name.clone());
+            }
+        }
+    });
+    match bad_fn {
+        Some(name) => Err(QlError::Analyze(format!("unknown function '{name}'"))),
+        None => Ok(()),
+    }
+}
+
+/// The interpreted fallback: row-at-a-time `eval()`.
+fn filter_interpreted(data: Dataset, predicate: &Expr) -> Result<Dataset> {
+    validate_columns(predicate, &data.columns)?;
+    let mut rows = Vec::with_capacity(data.rows.len());
+    for row in data.rows {
+        let keep = truthy(&eval(predicate, &row.values, &data.columns)?);
+        if keep {
+            rows.push(row);
+        }
+    }
+    Ok(Dataset::new(data.columns, rows))
+}
+
+/// `Project`: 1-N table functions and `st_DBSCAN` are the executor's
+/// row-at-a-time path already; everything else evaluates per row.
+fn project(data: Dataset, items: &[(Expr, String)]) -> Result<Dataset> {
+    if let Some((name, args)) = exec::row_function(items) {
+        return exec::project_rows(data, None, name, args, &items[0].1);
+    }
+    for (e, _) in items {
+        if !matches!(e, Expr::Star) {
+            validate_columns(e, &data.columns)?;
+        }
+    }
+    let (columns, plans) = exec::plan_items(items, &data.columns)?;
+    project_interpreted(data, columns, &plans)
+}
+
+/// The interpreted fallback: row-at-a-time `eval()` per computed item.
+fn project_interpreted(
+    data: Dataset,
+    columns: Vec<String>,
+    plans: &[ProjectItem],
+) -> Result<Dataset> {
+    let mut rows = Vec::with_capacity(data.rows.len());
+    for row in &data.rows {
+        let mut values = Vec::with_capacity(plans.len());
+        for p in plans {
+            values.push(match p {
+                ProjectItem::Passthrough(i) => row.values[*i].clone(),
+                ProjectItem::Compute(e) => eval(e, &row.values, &data.columns)?,
+            });
+        }
+        rows.push(Row::new(values));
+    }
+    Ok(Dataset::new(columns, rows))
+}
+
+/// The interpreted fallback: groups rows by encoded key (hash-indexed,
+/// with the encode buffer and key scratch reused across rows), then runs
+/// [`eval_aggregate`] per group.
+fn aggregate_interpreted(
+    data: Dataset,
+    group_by: &[(Expr, String)],
+    aggregates: &[(String, Expr, String)],
+) -> Result<Dataset> {
+    let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
+    let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
+    let mut key_bytes: Vec<u8> = Vec::new();
+    let mut key_vals: Vec<Value> = Vec::new();
+    for (row_idx, row) in data.rows.iter().enumerate() {
+        key_bytes.clear();
+        key_vals.clear();
+        for (e, _) in group_by {
+            let v = eval(e, &row.values, &data.columns)?;
+            v.encode(&mut key_bytes);
+            key_vals.push(v);
+        }
+        let slot = match index.get(key_bytes.as_slice()) {
+            Some(&slot) => slot,
+            None => {
+                index.insert(key_bytes.clone(), groups.len());
+                groups.push((std::mem::take(&mut key_vals), Vec::new()));
+                groups.len() - 1
+            }
+        };
+        groups[slot].1.push(row_idx);
+    }
+    // A global aggregate over zero rows still yields one row.
+    if groups.is_empty() && group_by.is_empty() {
+        groups.push((Vec::new(), Vec::new()));
+    }
+
+    let mut columns: Vec<String> = group_by.iter().map(|(_, n)| n.clone()).collect();
+    columns.extend(aggregates.iter().map(|(_, _, n)| n.clone()));
+
+    let mut rows = Vec::with_capacity(groups.len());
+    for (key_vals, members) in groups {
+        let mut values = key_vals;
+        for (func, arg, _) in aggregates {
+            values.push(eval_aggregate(func, arg, &members, &data)?);
+        }
+        rows.push(Row::new(values));
+    }
+    Ok(Dataset::new(columns, rows))
+}
+
+fn eval_aggregate(func: &str, arg: &Expr, members: &[usize], data: &Dataset) -> Result<Value> {
+    let mut vals: Vec<Value> = Vec::with_capacity(members.len());
+    if matches!(arg, Expr::Star) {
+        if func != "count" {
+            return Err(QlError::Eval(format!("{func}(*) is not supported")));
+        }
+        return Ok(Value::Int(members.len() as i64));
+    }
+    for &i in members {
+        let v = eval(arg, &data.rows[i].values, &data.columns)?;
+        if !v.is_null() {
+            vals.push(v);
+        }
+    }
+    Ok(match func {
+        "count" => Value::Int(vals.len() as i64),
+        "sum" => {
+            if vals.is_empty() {
+                Value::Null
+            } else if vals.iter().all(|v| matches!(v, Value::Int(_))) {
+                Value::Int(vals.iter().map(|v| v.as_int().unwrap()).sum())
+            } else {
+                let mut acc = 0.0;
+                for v in &vals {
+                    acc += v
+                        .as_float()
+                        .ok_or_else(|| QlError::Eval(format!("sum over {v:?}")))?;
+                }
+                Value::Float(acc)
+            }
+        }
+        "avg" => {
+            if vals.is_empty() {
+                Value::Null
+            } else {
+                let mut acc = 0.0;
+                for v in &vals {
+                    acc += v
+                        .as_float()
+                        .ok_or_else(|| QlError::Eval(format!("avg over {v:?}")))?;
+                }
+                Value::Float(acc / vals.len() as f64)
+            }
+        }
+        "min" | "max" => {
+            let mut best: Option<Value> = None;
+            for v in vals {
+                best = Some(match best {
+                    None => v,
+                    Some(b) => {
+                        let ord = functions::compare(&v, &b)?;
+                        let take = if func == "min" {
+                            ord == std::cmp::Ordering::Less
+                        } else {
+                            ord == std::cmp::Ordering::Greater
+                        };
+                        if take {
+                            v
+                        } else {
+                            b
+                        }
+                    }
+                });
+            }
+            best.unwrap_or(Value::Null)
+        }
+        other => return Err(QlError::Eval(format!("unknown aggregate '{other}'"))),
+    })
+}
+
+/// The interpreted sort: decorate each row with its evaluated keys, then
+/// stable-sort with [`total_compare`] per key. The total order makes
+/// incomparable pairs (mixed types the coercing comparator would reject)
+/// order deterministically by cross-type rank instead of silently tying.
+fn sort(mut data: Dataset, keys: &[(Expr, bool)]) -> Result<Dataset> {
+    // Precompute sort keys (eval can fail; do it before sorting).
+    let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(data.rows.len());
+    for row in data.rows.drain(..) {
+        let mut k = Vec::with_capacity(keys.len());
+        for (e, _) in keys {
+            k.push(eval(e, &row.values, &data.columns)?);
+        }
+        decorated.push((k, row));
+    }
+    decorated.sort_by(|(ka, _), (kb, _)| {
+        for (i, (_, asc)) in keys.iter().enumerate() {
+            let ord = total_compare(&ka[i], &kb[i]);
+            let ord = if *asc { ord } else { ord.reverse() };
+            if ord != std::cmp::Ordering::Equal {
+                return ord;
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    data.rows = decorated.into_iter().map(|(_, r)| r).collect();
+    Ok(data)
+}

@@ -1,5 +1,5 @@
-//! Seeded property test: the compiled, vectorized expression path must
-//! agree with the interpreted `eval()` path on randomly generated
+//! Seeded property test: the compiled, vectorized executor must agree
+//! with the interpreted reference operators on randomly generated
 //! queries — identical datasets on success, and an error on one side
 //! implies an error on the other (NULL propagation, type-mismatch
 //! errors, division by zero included). Error *messages* are not
@@ -7,14 +7,13 @@
 //! evaluates row-major, so when several rows would error, which error
 //! surfaces first may differ.
 //!
-//! Everything is driven through the public SQL surface with
-//! [`just_ql::set_compiled`] toggling the executor's path, so the test
-//! also covers compile-vs-fallback dispatch, the scan residual, and the
-//! vectorized hash aggregator.
+//! The executor side is driven through the public SQL surface; the
+//! oracle is `just_ql::reference::run` on the same optimized plan, so the
+//! test also covers the scan residual and the vectorized hash aggregator.
 
-use just_core::{Engine, EngineConfig, SessionManager};
+use just_core::{Dataset, Engine, EngineConfig, SessionManager};
 use just_obs::Rng;
-use just_ql::{set_compiled, Client};
+use just_ql::{optimize, parse, reference, Client, LogicalPlan, Statement};
 use std::sync::Arc;
 
 const CASES: usize = 96;
@@ -92,15 +91,20 @@ fn gen_expr(rng: &mut Rng, depth: usize) -> String {
     }
 }
 
-/// Runs `sql` on both executor paths and asserts parity.
+/// Runs `sql` on the interpreted reference operators.
+fn interpret(c: &Client, sql: &str) -> just_ql::Result<Dataset> {
+    let Statement::Query(q) = parse(sql)? else {
+        panic!("not a SELECT: {sql}");
+    };
+    reference::run(c.session(), &optimize(LogicalPlan::from_select(&q)?)?)
+}
+
+/// Runs `sql` on the reference and on the executor and asserts parity.
 fn check(c: &mut Client, sql: &str) {
-    set_compiled(false);
-    let interpreted = c.execute(sql).map(|r| r.into_dataset());
-    set_compiled(true);
+    let interpreted = interpret(c, sql);
     let compiled = c.execute(sql).map(|r| r.into_dataset());
     match (interpreted, compiled) {
         (Ok(a), Ok(b)) => {
-            let a = a.expect("query returns data");
             let b = b.expect("query returns data");
             assert_eq!(a.columns, b.columns, "column mismatch for {sql}");
             assert_eq!(a.rows, b.rows, "row mismatch for {sql}");
@@ -192,6 +196,5 @@ fn compiled_and_interpreted_paths_agree() {
         "only {compiled} programs compiled across {CASES} cases"
     );
 
-    set_compiled(true);
     std::fs::remove_dir_all(&dir).ok();
 }

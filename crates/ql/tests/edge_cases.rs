@@ -113,6 +113,67 @@ fn analyze_errors_are_reported_not_panicked() {
 }
 
 #[test]
+fn name_resolution_does_not_depend_on_row_count() {
+    let (mut c, dir) = client("names");
+    c.execute("CREATE TABLE e (fid integer:primary key, v integer)")
+        .unwrap();
+    let statements = [
+        ("SELECT sum(nosuch) FROM e", "unknown column 'nosuch'"),
+        (
+            "SELECT fid FROM e WHERE nosuch > 1",
+            "unknown column 'nosuch'",
+        ),
+        (
+            "SELECT * FROM e a JOIN e b ON a.nosuch = b.fid",
+            "unknown column 'a.nosuch'",
+        ),
+        (
+            "SELECT nofunc(v) FROM e WHERE 1=0",
+            "unknown function 'nofunc'",
+        ),
+        ("SELECT sum(*) FROM e", "sum(*) is not supported"),
+        (
+            "SELECT fid FROM e WHERE v + count(v) > 0",
+            "aggregate 'count' is not allowed here",
+        ),
+        // Row functions analyze their arguments before the fused filter
+        // (kept above the LIMIT) can raise a runtime error.
+        (
+            "SELECT st_trajStayPoint(nosuch) FROM (SELECT * FROM e LIMIT 5) t WHERE v / 0 > 1",
+            "unknown column 'nosuch'",
+        ),
+        (
+            "SELECT st_DBSCAN(nosuch, 2, 0.1) FROM (SELECT * FROM e LIMIT 5) t WHERE v / 0 > 1",
+            "unknown column 'nosuch'",
+        ),
+    ];
+    // Against the empty table, then again once it holds a row: the same
+    // typed error both times.
+    for populated in [false, true] {
+        if populated {
+            c.execute("INSERT INTO e VALUES (1, 10)").unwrap();
+        }
+        for (sql, message) in statements {
+            match c.execute(sql) {
+                Err(e) => {
+                    assert_eq!(e.code(), "ANALYZE", "{sql} (populated={populated}): {e}");
+                    assert_eq!(e.message(), message, "{sql} (populated={populated})");
+                }
+                Ok(r) => panic!("{sql} (populated={populated}) succeeded: {r:?}"),
+            }
+        }
+    }
+    // Runtime value errors stay row-dependent.
+    c.execute("DROP TABLE e").unwrap();
+    c.execute("CREATE TABLE e (fid integer:primary key, v integer)")
+        .unwrap();
+    assert!(c.execute("SELECT v / 0 FROM e").is_ok());
+    c.execute("INSERT INTO e VALUES (1, 10)").unwrap();
+    assert_eq!(c.execute("SELECT v / 0 FROM e").unwrap_err().code(), "EVAL");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn store_view_into_existing_table_appends() {
     let (mut c, dir) = client("storeview");
     c.execute("CREATE TABLE src (fid integer:primary key, geom point)")

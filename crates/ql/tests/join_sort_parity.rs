@@ -1,19 +1,19 @@
 //! Seeded property test for the batch join/order operators: hash join,
 //! key-normalized sort, and TOP-K must produce byte-identical results
-//! to the interpreted nested-loop / comparator paths on randomly
+//! to the interpreted reference's nested loop / comparator on randomly
 //! generated datasets with NULLs, duplicate keys, and mixed-type key
 //! expressions. Row *order* is compared too — the hash join contracts
 //! to emit pairs in nested-loop order (left-major, right-minor) and
 //! both sort paths are stable, so no normalizing ORDER BY is needed.
 //!
-//! Everything runs through the public SQL surface with
-//! [`just_ql::set_compiled`] toggling the executor path, covering the
+//! The executor side runs through the public SQL surface; the oracle is
+//! `just_ql::reference::run` on the same optimized plan, covering the
 //! optimizer rewrites (`Join -> HashJoin`, `Sort+Limit -> TopK`), the
-//! hashability gate's fallback, and the non-equi nested-loop fallback.
+//! hashability gate, and the non-equi nested loop.
 
-use just_core::{Engine, EngineConfig, SessionManager};
+use just_core::{Dataset, Engine, EngineConfig, SessionManager};
 use just_obs::Rng;
-use just_ql::{set_compiled, Client};
+use just_ql::{optimize, parse, reference, Client, LogicalPlan, Statement};
 use std::sync::Arc;
 
 const CASES: usize = 72;
@@ -30,17 +30,38 @@ fn client(name: &str) -> (Client, std::path::PathBuf) {
     (Client::new(sessions.session("joinsort")), dir)
 }
 
-/// Runs `sql` on both executor paths and asserts parity — identical
-/// header and rows (in order) on success, errors on both sides
-/// otherwise.
-fn check(c: &mut Client, sql: &str) {
-    set_compiled(false);
-    let interpreted = c.execute(sql).map(|r| r.into_dataset());
-    set_compiled(true);
+/// Runs `sql` on the interpreted reference operators.
+fn interpret(c: &Client, sql: &str) -> just_ql::Result<Dataset> {
+    let Statement::Query(q) = parse(sql)? else {
+        panic!("not a SELECT: {sql}");
+    };
+    reference::run(c.session(), &optimize(LogicalPlan::from_select(&q)?)?)
+}
+
+/// The executor's join/TOP-K counters: (hash-build rows, TOP-K queries,
+/// nested-loop joins).
+fn exec_counters() -> [u64; 3] {
+    let obs = just_obs::global();
+    [
+        obs.counter("just_exec_join_build_rows").get(),
+        obs.counter("just_exec_topk_queries").get(),
+        obs.counter("just_exec_join_fallbacks").get(),
+    ]
+}
+
+/// Runs `sql` on the reference and on the executor and asserts parity —
+/// identical header and rows (in order) on success, errors on both
+/// sides otherwise. `engaged` accumulates the counter movement of the
+/// executor run alone (the reference's nested loops don't count).
+fn check(c: &mut Client, sql: &str, engaged: &mut [u64; 3]) {
+    let interpreted = interpret(c, sql);
+    let before = exec_counters();
     let compiled = c.execute(sql).map(|r| r.into_dataset());
+    for (total, (after, before)) in engaged.iter_mut().zip(exec_counters().iter().zip(before)) {
+        *total += after - before;
+    }
     match (interpreted, compiled) {
         (Ok(a), Ok(b)) => {
-            let a = a.expect("query returns data");
             let b = b.expect("query returns data");
             assert_eq!(a.columns, b.columns, "column mismatch for {sql}");
             assert_eq!(a.rows, b.rows, "row mismatch for {sql}");
@@ -124,11 +145,7 @@ fn join_sort_topk_agree_with_interpreted_paths() {
             .unwrap();
     }
 
-    let obs = just_obs::global();
-    let built_before = obs.counter("just_exec_join_build_rows").get();
-    let topk_before = obs.counter("just_exec_topk_queries").get();
-    let fallback_before = obs.counter("just_exec_join_fallbacks").get();
-
+    let mut engaged = [0u64; 3];
     let mut rng = Rng::seed_from_u64(0x4A55_5354_2009);
     for case in 0..CASES {
         match case % 8 {
@@ -136,16 +153,19 @@ fn join_sort_topk_agree_with_interpreted_paths() {
             0 => check(
                 &mut c,
                 "SELECT l.a, r.b, l.g, r.y FROM lhs l JOIN rhs r ON l.k = r.k",
+                &mut engaged,
             ),
             // Equi keys plus a non-equi residual.
             1 => check(
                 &mut c,
                 "SELECT l.a, r.b FROM lhs l JOIN rhs r ON l.k = r.k AND l.x < r.y",
+                &mut engaged,
             ),
             // Multi-key equi join (numeric + string key columns).
             2 => check(
                 &mut c,
                 "SELECT l.a, r.b FROM lhs l JOIN rhs r ON l.k = r.k AND l.g = r.tag",
+                &mut engaged,
             ),
             // Non-equi condition: stays a nested-loop join on both paths.
             3 => {
@@ -153,11 +173,16 @@ fn join_sort_topk_agree_with_interpreted_paths() {
                 check(
                     &mut c,
                     &format!("SELECT l.a, r.b FROM lhs l JOIN rhs r ON l.k {op} r.k"),
+                    &mut engaged,
                 )
             }
             // String-vs-int key classes: the hashability gate must fall
             // back so interpreted coercion ('3' = 3) is preserved.
-            4 => check(&mut c, "SELECT l.a, r.b FROM lhs l JOIN rhs r ON l.g = r.k"),
+            4 => check(
+                &mut c,
+                "SELECT l.a, r.b FROM lhs l JOIN rhs r ON l.g = r.k",
+                &mut engaged,
+            ),
             // Key-normalized full sort, random keys and directions.
             5 => check(
                 &mut c,
@@ -165,6 +190,7 @@ fn join_sort_topk_agree_with_interpreted_paths() {
                     "SELECT a, k, g, x FROM lhs ORDER BY {}",
                     gen_sort_keys(&mut rng)
                 ),
+                &mut engaged,
             ),
             // TOP-K: Sort+Limit fused to a bounded heap. k spans empty,
             // tiny, and larger-than-input.
@@ -176,6 +202,7 @@ fn join_sort_topk_agree_with_interpreted_paths() {
                         "SELECT a, k, x FROM lhs ORDER BY {} LIMIT {k}",
                         gen_sort_keys(&mut rng)
                     ),
+                    &mut engaged,
                 )
             }
             // Join feeding TOP-K.
@@ -187,20 +214,21 @@ fn join_sort_topk_agree_with_interpreted_paths() {
                         "SELECT l.a, r.b, r.y FROM lhs l JOIN rhs r ON l.k = r.k \
                          ORDER BY r.y DESC, l.a LIMIT {k}"
                     ),
+                    &mut engaged,
                 )
             }
         }
     }
 
-    // The exercise must actually have engaged the fast paths — and the
-    // fallbacks: vacuous parity would hide a regression in either.
-    let built = obs.counter("just_exec_join_build_rows").get() - built_before;
-    let topk = obs.counter("just_exec_topk_queries").get() - topk_before;
-    let fell_back = obs.counter("just_exec_join_fallbacks").get() - fallback_before;
+    // The executor must actually have engaged the hash join, the heap
+    // and the nested loop: vacuous parity would hide a regression in any.
+    let [built, topk, nested] = engaged;
     assert!(built > 0, "no hash join ever built a table");
     assert!(topk > 0, "no TOP-K query took the heap path");
-    assert!(fell_back > 0, "non-equi / unhashable cases never fell back");
+    assert!(
+        nested > 0,
+        "non-equi / unhashable cases never ran the nested loop"
+    );
 
-    set_compiled(true);
     std::fs::remove_dir_all(&dir).ok();
 }

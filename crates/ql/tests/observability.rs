@@ -106,6 +106,44 @@ fn show_statements_return_structured_datasets() {
 }
 
 #[test]
+fn select_records_scan_latency_and_region_bytes_read() {
+    let (engine, dir) = engine_with("scanmetrics", EngineConfig::default());
+    let mut c = client_for(&engine, "obs");
+    setup_points(&mut c, 50);
+
+    let metric = |c: &mut Client, name: &str| -> i64 {
+        let m = c.execute("SHOW METRICS").unwrap().into_dataset().unwrap();
+        m.rows
+            .iter()
+            .find(|r| r.values[0].as_str() == Some(name))
+            .map_or(0, |r| r.values[2].as_int().unwrap())
+    };
+    let data_bytes_read = |c: &mut Client| -> i64 {
+        let r = c.execute("SHOW REGIONS").unwrap().into_dataset().unwrap();
+        let col = r.columns.iter().position(|c| c == "bytes_read").unwrap();
+        r.rows
+            .iter()
+            .filter(|row| row.values[1].as_str() == Some("data"))
+            .map(|row| row.values[col].as_int().unwrap())
+            .sum()
+    };
+
+    let scans_before = metric(&mut c, "just_kvstore_scan_latency_us_count");
+    let bytes_before = data_bytes_read(&mut c);
+    let n = c.execute("SELECT count(*) FROM pts").unwrap();
+    assert_eq!(n.dataset().unwrap().rows[0].values[0], Value::Int(50));
+    assert!(
+        metric(&mut c, "just_kvstore_scan_latency_us_count") > scans_before,
+        "a SELECT's scan must land in the scan latency histogram"
+    );
+    assert!(
+        data_bytes_read(&mut c) > bytes_before,
+        "the scanned entries must count as region read traffic"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn show_queries_lists_a_live_select_with_io_delta() {
     let (engine, dir) = engine_with("live", EngineConfig::default());
     let mut c = client_for(&engine, "obs");

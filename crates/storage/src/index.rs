@@ -11,8 +11,7 @@
 //!
 //! The shard byte reproduces GeoMesa's salted-key load balancing: records
 //! spread over `shards` buckets (= region servers), and every logical
-//! curve range fans out into one byte range per shard, scanned in
-//! parallel.
+//! curve range fans out into one byte range per shard.
 
 use crate::sttable::RecordMeta;
 use just_curves::xz3::StMbr;

@@ -13,14 +13,14 @@
 //! * [`StTable`] — an indexed table: insert/update/delete records, run
 //!   spatial and spatio-temporal range scans with exact post-filtering.
 //!
-//! Queries come in two shapes. [`StTable::query`] materializes every
-//! matching row. [`StTable::query_stream`] returns a [`QueryStream`] that
-//! yields bounded batches and pushes the work down: the exact
-//! spatial/temporal predicate is checked against a cheap partial decode
-//! (rejected rows are never fully decoded — counted by
+//! There is one read path. [`StTable::query_stream`] returns a
+//! [`QueryStream`] that yields bounded batches and pushes the work down:
+//! the exact spatial/temporal predicate is checked against a cheap
+//! partial decode (rejected rows are never fully decoded — counted by
 //! `just_storage_rows_pruned_pushdown`), a column projection skips
 //! decoding unwanted fields, and dropping or cancelling the stream stops
-//! the underlying block reads mid-scan.
+//! the underlying block reads mid-scan. [`StTable::query`] is that
+//! stream drained to a `Vec`.
 
 #![deny(missing_docs)]
 

@@ -24,9 +24,9 @@ struct IndexObs {
     /// Rows surviving decode + exact spatial/temporal filtering.
     rows_matched: just_obs::Counter,
     /// Rows rejected by the pushed-down exact predicate *before* their
-    /// non-index fields were decoded (streaming path only).
+    /// non-index fields were decoded.
     rows_pruned: just_obs::Counter,
-    /// End-to-end `StTable::query` latency.
+    /// Query latency, stream construction to its last batch.
     query_latency: just_obs::Histogram,
 }
 
@@ -48,7 +48,8 @@ fn index_obs() -> &'static IndexObs {
 /// Table-creation knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct StorageConfig {
-    /// Salt shards (GeoMesa's random key prefix; = parallel scan fan-out).
+    /// Salt shards (GeoMesa's random key prefix; = key ranges per curve
+    /// range).
     pub shards: u8,
     /// Key-value regions ("region servers") per table.
     pub regions: usize,
@@ -459,27 +460,28 @@ impl StTable {
         Some((plan, scan_table))
     }
 
-    /// Plans and scans a query window, returning the raw key-value
-    /// entries without decoding or exact filtering. The k-NN expansion
-    /// uses this to deduplicate candidates by key before paying for row
-    /// decode (and GPS-list decompression).
+    /// [`StTable::query_raw_stream`] drained: every raw key-value entry
+    /// of a query window, without decoding or exact filtering.
     pub fn query_raw(
         &self,
         spatial: Option<&Rect>,
         time: Option<(i64, i64)>,
     ) -> Result<Vec<just_kvstore::KvEntry>> {
-        let Some((plan, scan_table)) = self.plan_scan(spatial, time) else {
-            return Ok(Vec::new());
-        };
-        let entries = scan_table.scan_ranges_parallel(&plan.ranges)?;
-        index_obs().keys_scanned.add(entries.len() as u64);
+        let mut stream = self.query_raw_stream(spatial, time, Default::default());
+        let mut entries = Vec::new();
+        while let Some(batch) = stream.next_batch()? {
+            entries.extend(batch);
+        }
         Ok(entries)
     }
 
-    /// Streaming variant of [`StTable::query_raw`]: the planned ranges
-    /// are scanned lazily, one bounded batch at a time. The k-NN ring
-    /// expansion pulls from this and stops as soon as its candidate heap
-    /// is provably complete, leaving the rest of the ring unread.
+    /// Plans a query window and scans the planned ranges lazily, one
+    /// bounded batch of raw key-value entries at a time, without
+    /// decoding or exact filtering. The k-NN ring expansion pulls from
+    /// this to deduplicate candidates by key before paying for row
+    /// decode (and GPS-list decompression), and stops as soon as its
+    /// candidate heap is provably complete, leaving the rest of the ring
+    /// unread.
     pub fn query_raw_stream(
         &self,
         spatial: Option<&Rect>,
@@ -493,62 +495,33 @@ impl StTable {
         RawQueryStream { inner }
     }
 
-    /// Decodes one raw entry from [`StTable::query_raw`].
+    /// Decodes one raw entry from [`StTable::query_raw_stream`].
     pub fn decode_entry(&self, entry: &just_kvstore::KvEntry) -> Result<Row> {
         Row::decode(&self.schema, &entry.value)
     }
 
-    /// Executes a spatial / spatio-temporal range query: plan key ranges,
-    /// scan them in parallel, decode and post-filter exactly.
+    /// Executes a spatial / spatio-temporal range query and collects
+    /// every matching row: [`StTable::query_stream`] drained.
     pub fn query(
         &self,
         spatial: Option<&Rect>,
         time: Option<(i64, i64)>,
         predicate: SpatialPredicate,
     ) -> Result<Vec<Row>> {
-        // Spatial-only queries use the secondary spatial index when the
-        // primary is temporal (Table III's dual-index setting) — one set
-        // of ranges instead of a fan-out across every time period; open
-        // time windows on the temporal primary clamp to the observed data
-        // bounds. Both live in query_raw.
-        let started = std::time::Instant::now();
-        let entries = self.query_raw(spatial, time)?;
-        // No window, nothing to refine: skip the per-row meta extraction
-        // (fid canonicalisation + geometry reconstruction) entirely.
-        let filtering = spatial.is_some() || time.is_some();
-        let mut rows = Vec::with_capacity(entries.len());
-        for e in entries {
-            let row = Row::decode(&self.schema, &e.value)?;
-            if filtering {
-                let meta = self.meta_of(&row)?;
-                if let Some(rect) = spatial {
-                    let ok = match (&meta.geom, predicate) {
-                        (None, _) => false,
-                        (Some(g), SpatialPredicate::Intersects) => g.intersects_rect(rect),
-                        (Some(g), SpatialPredicate::Within) => g.within_rect(rect),
-                    };
-                    if !ok {
-                        continue;
-                    }
-                }
-                if let Some((t_min, t_max)) = time {
-                    if meta.t_max < t_min || meta.t_min > t_max {
-                        continue;
-                    }
-                }
-            }
-            rows.push(row);
-        }
-        let obs = index_obs();
-        obs.rows_matched.add(rows.len() as u64);
-        obs.query_latency.record_duration(started.elapsed());
-        Ok(rows)
+        self.query_stream(spatial, time, predicate, None, Default::default())
+            .drain()
     }
 
-    /// Streaming variant of [`StTable::query`] with predicate and
-    /// projection pushdown — the refine step of the paper's query
-    /// algorithm, applied per batch instead of after a full
-    /// materialisation.
+    /// A spatial / spatio-temporal range query: plan key ranges, scan
+    /// them, decode and post-filter exactly — the refine step of the
+    /// paper's query algorithm, with predicate and projection pushdown,
+    /// applied per batch.
+    ///
+    /// Spatial-only queries use the secondary spatial index when the
+    /// primary is temporal (Table III's dual-index setting) — one set of
+    /// ranges instead of a fan-out across every time period; open time
+    /// windows on the temporal primary clamp to the observed data
+    /// bounds.
     ///
     /// Per entry the stream decodes only the index-relevant fields
     /// ([`Row::decode_masked`]), applies the exact spatial/temporal
@@ -576,8 +549,8 @@ impl StTable {
         self.build_stream(inner, spatial, time, predicate, projection)
     }
 
-    /// Streaming variant of [`StTable::scan_all`]: every record, decoded
-    /// batch by batch (with optional projection pushdown).
+    /// Every record, decoded batch by batch (with optional projection
+    /// pushdown).
     pub fn scan_all_stream(
         &self,
         projection: Option<&[usize]>,
@@ -649,14 +622,9 @@ impl StTable {
         }
     }
 
-    /// Every record in the table.
+    /// Every record in the table ([`StTable::scan_all_stream`] drained).
     pub fn scan_all(&self) -> Result<Vec<Row>> {
-        // Stop short of the reserved 0xff-prefixed meta keys.
-        let entries = self.data.scan(&[0u8], &[0xfeu8; 80])?;
-        entries
-            .into_iter()
-            .map(|e| Row::decode(&self.schema, &e.value))
-            .collect()
+        self.scan_all_stream(None, Default::default()).drain()
     }
 
     /// Flushes memtables to disk.
@@ -724,7 +692,7 @@ impl RawQueryStream {
     }
 }
 
-/// A streaming [`StTable::query`]: refined rows, one bounded batch at a
+/// A running range query: refined rows, one bounded batch at a
 /// time, with the exact predicate and the column projection pushed into
 /// the per-batch decode. Built by [`StTable::query_stream`] /
 /// [`StTable::scan_all_stream`]; self-contained (owns a schema clone),
@@ -735,9 +703,9 @@ pub struct QueryStream {
     spatial: Option<Rect>,
     time: Option<(i64, i64)>,
     predicate: SpatialPredicate,
-    /// Whether any exact predicate is active (otherwise the meta phase
-    /// is skipped wholesale — the streaming twin of the `query()` fast
-    /// path).
+    /// Whether any exact predicate is active. With no window there is
+    /// nothing to refine, so the per-row meta extraction (fid
+    /// canonicalisation + geometry reconstruction) is skipped wholesale.
     filtering: bool,
     /// Index-relevant fields (id, geometry, time): decoded first.
     meta_mask: Vec<bool>,
@@ -819,6 +787,15 @@ impl QueryStream {
             // empty batch.
         }
     }
+
+    /// Pulls every remaining batch into one vector.
+    fn drain(mut self) -> Result<Vec<Row>> {
+        let mut rows = Vec::new();
+        while let Some(batch) = self.next_batch()? {
+            rows.extend(batch);
+        }
+        Ok(rows)
+    }
 }
 
 #[cfg(test)]
@@ -895,42 +872,6 @@ mod tests {
             })
             .count();
         assert_eq!(hits.len(), brute);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn query_stream_matches_materializing_query() {
-        let (s, dir) = store("stream-eq");
-        let t = StTable::create(&s, "orders", order_schema(), StorageConfig::default()).unwrap();
-        for i in 0..300 {
-            let lng = 116.0 + (i % 20) as f64 * 0.01;
-            let lat = 39.0 + (i / 20) as f64 * 0.01;
-            t.insert(&order_row(i, lng, lat, (i % 48) * HOUR_MS / 2))
-                .unwrap();
-        }
-        t.flush().unwrap();
-        let window = Rect::new(115.995, 38.995, 116.055, 39.095);
-        let time = Some((0, 12 * HOUR_MS));
-        let expected = t
-            .query(Some(&window), time, SpatialPredicate::Within)
-            .unwrap();
-        let mut stream = t.query_stream(
-            Some(&window),
-            time,
-            SpatialPredicate::Within,
-            None,
-            just_kvstore::ScanOptions {
-                batch_rows: 16,
-                ..Default::default()
-            },
-        );
-        let mut streamed = Vec::new();
-        while let Some(batch) = stream.next_batch().unwrap() {
-            assert!(!batch.is_empty(), "returned batches are non-empty");
-            streamed.extend(batch);
-        }
-        assert!(!expected.is_empty());
-        assert_eq!(streamed, expected);
         std::fs::remove_dir_all(dir).ok();
     }
 

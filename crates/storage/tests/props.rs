@@ -66,6 +66,11 @@ fn indexed_query_equals_brute_force() {
             model.insert(fid, (lng, lat, t));
         }
 
+        // Half the cases read from SSTables, half from memtables.
+        if case % 2 == 1 {
+            table.flush().unwrap();
+        }
+
         let qx = rng.gen_range(100.0f64..129.0);
         let qy = rng.gen_range(20.0f64..49.0);
         let qw = rng.gen_range(0.1f64..10.0);
@@ -90,6 +95,25 @@ fn indexed_query_equals_brute_force() {
         expected.sort_unstable();
 
         assert_eq!(got, expected, "case {case}, index kind {kind:?}");
+
+        // Pulled in small batches the same query yields the same rows in
+        // the same order, and never an empty batch.
+        let mut stream = table.query_stream(
+            Some(&window),
+            Some(time),
+            SpatialPredicate::Within,
+            None,
+            just_kvstore::ScanOptions {
+                batch_rows: 16,
+                ..Default::default()
+            },
+        );
+        let mut streamed = Vec::new();
+        while let Some(batch) = stream.next_batch().unwrap() {
+            assert!(!batch.is_empty(), "returned batches are non-empty");
+            streamed.extend(batch);
+        }
+        assert_eq!(streamed, hits, "case {case}, index kind {kind:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

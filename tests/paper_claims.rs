@@ -175,8 +175,8 @@ fn historical_updates_are_visible_without_rebuilds() {
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// The paper's scan parallelism: Z2T plans decompose a query into
-/// multiple disjoint key ranges fanned out over salt shards.
+/// The paper's scan fan-out: Z2T plans decompose a query into
+/// multiple disjoint key ranges, one set per salt shard.
 #[test]
 fn query_plans_fan_out_over_shards_and_ranges() {
     let strategy =
