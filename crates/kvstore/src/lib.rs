@@ -59,7 +59,6 @@ mod error;
 mod ingest;
 mod maintenance;
 mod memtable;
-mod merge;
 mod metrics;
 mod region;
 mod scan;
@@ -92,4 +91,58 @@ pub struct KvEntry {
     pub key: Vec<u8>,
     /// The value bytes.
     pub value: Vec<u8>,
+}
+
+/// The unit tests' one way to build store pieces below [`Store`]:
+/// WAL-less, unmanaged, uncached, 512-byte blocks.
+#[cfg(test)]
+mod fixture {
+    use super::*;
+    use crate::region::RegionOptions;
+    use std::path::{Path, PathBuf};
+    use std::sync::Arc;
+
+    pub(crate) fn region_opts(flush_threshold: usize) -> RegionOptions {
+        RegionOptions {
+            flush_threshold,
+            sst: SstOptions {
+                block_size: 512,
+                ..SstOptions::default()
+            },
+            durability: DurabilityOptions::disabled(),
+            ingest: IngestOptions::default(),
+            stall_bytes: 0,
+            stall_deadline: std::time::Duration::from_secs(30),
+            kick: None,
+            stop: None,
+        }
+    }
+
+    pub(crate) fn region(dir: PathBuf, opts: RegionOptions) -> Region {
+        let metrics = Arc::new(IoMetrics::new());
+        Region::open_opts(dir, metrics, Arc::new(BlockCache::new(0)), opts).unwrap()
+    }
+
+    pub(crate) fn table(name: &str, dir: PathBuf, regions: usize) -> Table {
+        let (metrics, cache) = (Arc::new(IoMetrics::new()), Arc::new(BlockCache::new(0)));
+        let opts = region_opts(1 << 16);
+        Table::open_opts(name.to_string(), dir, regions, metrics, cache, opts).unwrap()
+    }
+
+    pub(crate) fn builder(
+        path: &Path,
+        opts: SstOptions,
+        metrics: Arc<IoMetrics>,
+    ) -> SsTableBuilder {
+        SsTableBuilder::create_opts(path, opts, metrics, Arc::new(BlockCache::new(0))).unwrap()
+    }
+
+    pub(crate) fn sstable(path: &Path) -> SsTable {
+        SsTable::open_cached(
+            path,
+            Arc::new(IoMetrics::new()),
+            Arc::new(BlockCache::new(0)),
+        )
+        .unwrap()
+    }
 }

@@ -38,6 +38,21 @@
 //! shard); rotation fsyncs the outgoing segment before the swap, so a
 //! ticket that straddles the rotation is still covered by a real fsync.
 //!
+//! ## One rewrite path
+//!
+//! Everything that writes an SSTable ends in one routine, `write_table`
+//! (create the builder, stream ascending entries in, stamp `seq_limit`,
+//! fsync, open; unlink on error). Flush feeds it a frozen generation.
+//! Compaction, both phases of a split and the merge drain feed it
+//! `versions(tables, ..)`: the read path's [`MergeStream`] over the
+//! input SSTables, pulled lazily, so a rewrite holds one decoded block
+//! per input table — never a table, let alone the region. The callers
+//! differ only in which tables go in, whether tombstones may be dropped
+//! (only when the inputs are the range's whole history: compaction of
+//! an oldest-first prefix, a split's base phase, a merge drain — a
+//! split's delta phase keeps them, they shadow the base) and where the
+//! output goes (a split switches file at the split key, in one pass).
+//!
 //! ## MVCC snapshot reads
 //!
 //! Every committed write carries the region-wide commit sequence (the
@@ -66,7 +81,6 @@ use crate::error::{KvError, Result};
 use crate::ingest::{shard_of, IngestOptions, ShardedWal};
 use crate::maintenance::Kick;
 use crate::memtable::{MemTable, LATEST};
-use crate::merge::merge_versions;
 use crate::metrics::IoMetrics;
 use crate::scan::{MergeStream, ScanSource};
 use crate::sstable::{SsTable, SsTableBuilder, SstOptions};
@@ -178,26 +192,6 @@ pub(crate) struct RegionOptions {
     pub stop: Option<Arc<std::sync::atomic::AtomicBool>>,
 }
 
-impl RegionOptions {
-    /// Unmanaged, WAL-less settings — the behaviour of the plain
-    /// [`Region::open`]/[`crate::Table::open`] constructors.
-    pub(crate) fn basic(flush_threshold: usize, block_size: usize) -> Self {
-        RegionOptions {
-            flush_threshold,
-            sst: SstOptions {
-                block_size,
-                ..SstOptions::default()
-            },
-            durability: DurabilityOptions::disabled(),
-            ingest: IngestOptions::default(),
-            stall_bytes: 0,
-            stall_deadline: Duration::from_secs(30),
-            kick: None,
-            stop: None,
-        }
-    }
-}
-
 /// An immutable memtable generation: every shard frozen at one point in
 /// time, plus the WAL retirement marks that become actionable once the
 /// generation's SSTable is durable.
@@ -298,40 +292,8 @@ impl std::fmt::Debug for Region {
 }
 
 impl Region {
-    /// Opens (or creates) a region rooted at `dir`, loading any SSTables
-    /// left by a previous run. No WAL, no background maintenance.
-    pub fn open(
-        dir: PathBuf,
-        metrics: Arc<IoMetrics>,
-        flush_threshold: usize,
-        block_size: usize,
-    ) -> Result<Self> {
-        Self::open_cached(
-            dir,
-            metrics,
-            Arc::new(BlockCache::new(0)),
-            flush_threshold,
-            block_size,
-        )
-    }
-
-    /// Like [`Region::open`], sharing a store-wide block cache.
-    pub fn open_cached(
-        dir: PathBuf,
-        metrics: Arc<IoMetrics>,
-        cache: Arc<BlockCache>,
-        flush_threshold: usize,
-        block_size: usize,
-    ) -> Result<Self> {
-        Self::open_opts(
-            dir,
-            metrics,
-            cache,
-            RegionOptions::basic(flush_threshold, block_size),
-        )
-    }
-
-    /// Full-control constructor: loads SSTables, replays every WAL
+    /// Opens (or creates) a region rooted at `dir`: loads the SSTables
+    /// left by a previous run, replays every WAL
     /// stream into the shard memtables (truncating torn tails,
     /// reconciling streams by sequence number), and flushes eagerly if
     /// the recovered memtable already exceeds the threshold.
@@ -813,45 +775,21 @@ impl Region {
             None => return Ok(false),
         };
         let started = Instant::now();
-        let path = {
-            let mut inner = self.inner.write();
-            let id = inner.next_file_id;
-            inner.next_file_id += 1;
-            self.dir.join(format!("sst_{id:010}.sst"))
-        };
         let mut entries: Vec<(&[u8], Option<&[u8]>)> = Vec::new();
         for mem in &gen.shards {
             entries.extend(mem.iter());
         }
         // Shards partition the keyspace: unique keys, plain sort.
         entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let build = (|| {
-            let mut builder = SsTableBuilder::create_opts(
-                &path,
-                self.opts.sst.clone(),
-                self.metrics.clone(),
-                self.cache.clone(),
-            )?;
-            // The footer records the generation's sequence upper bound,
-            // so snapshots older than the newest version in this file
-            // know to skip it (and read the held generation instead).
-            builder.set_seq_limit(gen.seq_ub);
-            for (k, v) in &entries {
-                builder.add(k, *v)?;
-            }
-            // `finish` fsyncs the SSTable, so every logged mutation is
-            // durable before its WAL segments are retired.
-            builder.finish()
-        })();
-        let table = match build {
-            Ok(t) => t,
-            Err(e) => {
-                // Don't leave a torn file for the next open to trip on.
-                std::fs::remove_file(&path).ok();
-                return Err(e);
-            }
-        };
-        let table = Arc::new(table);
+        // The footer records the generation's sequence upper bound, so
+        // snapshots older than the newest version in this file know to
+        // skip it (and read the held generation instead). The table is
+        // fsynced before its WAL segments are retired below.
+        let table = Arc::new(self.write_table(
+            &self.next_table_path(),
+            gen.seq_ub,
+            entries.into_iter().map(Ok),
+        )?);
         let (sstables, held) = {
             let mut inner = self.inner.write();
             inner.tables.push(table.clone());
@@ -943,45 +881,13 @@ impl Region {
             inner.tables[..k].to_vec()
         };
         let started = Instant::now();
-        let mut sources = Vec::with_capacity(tables.len());
-        for table in tables.iter().rev() {
-            sources.push(table.scan_all()?);
-        }
-        let merged = merge_versions(sources);
-        let path = {
-            let mut inner = self.inner.write();
-            let id = inner.next_file_id;
-            inner.next_file_id += 1;
-            self.dir.join(format!("sst_{id:010}.sst"))
-        };
-        let build = (|| {
-            let mut builder = SsTableBuilder::create_opts(
-                &path,
-                self.opts.sst.clone(),
-                self.metrics.clone(),
-                self.cache.clone(),
-            )?;
-            builder.set_seq_limit(tables.iter().map(|t| t.seq_limit()).max().unwrap_or(0));
-            for e in &merged {
-                if let Some(v) = &e.value {
-                    // The prefix starts at the oldest table, so nothing
-                    // older exists: drop tombstones.
-                    builder.add(&e.key, Some(v))?;
-                }
-            }
-            builder.finish()
-        })();
-        let table = match build {
-            Ok(t) => t,
-            Err(e) => {
-                std::fs::remove_file(&path).ok();
-                return Err(e);
-            }
-        };
-        let old: Vec<(u64, PathBuf)> = tables
-            .iter()
-            .map(|t| (t.file_id(), t.path().to_path_buf()))
-            .collect();
+        // The prefix starts at the oldest table, so nothing older
+        // exists: drop tombstones.
+        let table = self.write_table(
+            &self.next_table_path(),
+            seq_limit_of(&tables),
+            versions(&tables, false),
+        )?;
         let (after_bytes, after_entries) = (table.file_size(), table.entry_count());
         {
             // `flush_lock` guarantees no flush registered new tables
@@ -991,9 +897,9 @@ impl Region {
             debug_assert!(inner.tables.len() >= tables.len());
             inner.tables.splice(..tables.len(), [Arc::new(table)]);
         }
-        for (file_id, path) in old.iter() {
-            self.cache.invalidate_file(*file_id);
-            std::fs::remove_file(path).ok();
+        for old in &tables {
+            self.cache.invalidate_file(old.file_id());
+            std::fs::remove_file(old.path()).ok();
         }
         let obs = just_obs::global();
         obs.counter("just_kvstore_compactions").inc();
@@ -1004,7 +910,7 @@ impl Region {
             format!(
                 "region={} inputs={} bytes={} entries={} elapsed_us={}",
                 self.label(),
-                old.len(),
+                tables.len(),
                 after_bytes,
                 after_entries,
                 started.elapsed().as_micros()
@@ -1245,28 +1151,7 @@ impl Region {
             std::fs::remove_dir_all(d).ok();
             std::fs::create_dir_all(d)?;
         }
-        let base_limit = base.iter().map(|t| t.seq_limit()).max().unwrap_or(0);
-        let mut sources = Vec::with_capacity(base.len());
-        for t in base.iter().rev() {
-            sources.push(t.scan_all()?);
-        }
-        let merged = merge_versions(sources);
-        self.write_split_file(
-            left_dir,
-            0,
-            base_limit,
-            merged
-                .iter()
-                .filter(|e| e.key.as_slice() < split_key && e.value.is_some()),
-        )?;
-        self.write_split_file(
-            right_dir,
-            0,
-            base_limit,
-            merged
-                .iter()
-                .filter(|e| e.key.as_slice() >= split_key && e.value.is_some()),
-        )?;
+        self.split_tables(&base, false, 0, left_dir, right_dir, split_key)?;
 
         // Phase 2 — sealed catch-up.
         self.seal();
@@ -1279,27 +1164,29 @@ impl Region {
             .filter(|t| !base_ids.contains(&t.file_id()))
             .cloned()
             .collect();
-        if !delta.is_empty() {
-            let delta_limit = delta.iter().map(|t| t.seq_limit()).max().unwrap_or(0);
-            let mut sources = Vec::with_capacity(delta.len());
-            for t in delta.iter().rev() {
-                sources.push(t.scan_all()?);
-            }
-            let merged = merge_versions(sources);
-            self.write_split_file(
-                left_dir,
-                1,
-                delta_limit,
-                merged.iter().filter(|e| e.key.as_slice() < split_key),
-            )?;
-            self.write_split_file(
-                right_dir,
-                1,
-                delta_limit,
-                merged.iter().filter(|e| e.key.as_slice() >= split_key),
-            )?;
-        }
-        Ok(())
+        self.split_tables(&delta, true, 1, left_dir, right_dir, split_key)
+    }
+
+    /// One pass over the merge of `tables` that writes
+    /// `left_dir/sst_<id>` and switches to `right_dir/sst_<id>` at the
+    /// first key `>= split_key`.
+    fn split_tables(
+        &self,
+        tables: &[Arc<SsTable>],
+        tombstones: bool,
+        id: u64,
+        left_dir: &Path,
+        right_dir: &Path,
+        split_key: &[u8],
+    ) -> Result<()> {
+        let limit = seq_limit_of(tables);
+        let mut rest = versions(tables, tombstones).peekable();
+        // A read error goes to whichever file is open, which returns it.
+        let left = std::iter::from_fn(|| {
+            rest.next_if(|v| !matches!(v, Ok((key, _)) if key.as_slice() >= split_key))
+        });
+        self.write_daughter(left_dir, id, limit, left)?;
+        self.write_daughter(right_dir, id, limit, rest)
     }
 
     /// Rewrites this region's complete contents as `dir/sst_<id>.sst`
@@ -1311,46 +1198,63 @@ impl Region {
         debug_assert!(self.is_sealed());
         self.flush()?;
         let tables: Vec<Arc<SsTable>> = self.inner.read().tables.clone();
-        let limit = tables.iter().map(|t| t.seq_limit()).max().unwrap_or(0);
-        let mut sources = Vec::with_capacity(tables.len());
-        for t in tables.iter().rev() {
-            sources.push(t.scan_all()?);
-        }
-        let merged = merge_versions(sources);
-        self.write_split_file(dir, id, limit, merged.iter().filter(|e| e.value.is_some()))
+        self.write_daughter(dir, id, seq_limit_of(&tables), versions(&tables, false))
     }
 
-    /// Builds one daughter SSTable (skipped when `entries` is empty —
-    /// a daughter region opens fine with gaps in its file numbering).
-    fn write_split_file<'a>(
+    /// Writes one daughter SSTable, skipped when `entries` is empty — a
+    /// daughter region opens fine with gaps in its file numbering.
+    fn write_daughter(
         &self,
         dir: &Path,
         id: u64,
         seq_limit: u64,
-        entries: impl Iterator<Item = &'a BlockEntry>,
+        entries: impl Iterator<Item = Result<Version>>,
     ) -> Result<()> {
         let mut entries = entries.peekable();
         if entries.peek().is_none() {
             return Ok(());
         }
-        let path = dir.join(format!("sst_{id:010}.sst"));
-        let build = (|| {
-            let mut builder = SsTableBuilder::create_opts(
-                &path,
-                self.opts.sst.clone(),
-                self.metrics.clone(),
-                self.cache.clone(),
-            )?;
+        self.write_table(&sst_path(dir, id), seq_limit, entries)
+            .map(drop)
+    }
+
+    /// Allocates the next SSTable file name in the region's directory.
+    fn next_table_path(&self) -> PathBuf {
+        let mut inner = self.inner.write();
+        let id = inner.next_file_id;
+        inner.next_file_id += 1;
+        sst_path(&self.dir, id)
+    }
+
+    /// The region's one SSTable-writing routine — flush, compaction,
+    /// split and merge all end here: streams `entries` (ascending keys)
+    /// into `path` with `seq_limit` in the footer, fsyncs, and opens the
+    /// result. On error nothing is left at `path` for the next open to
+    /// trip on.
+    fn write_table<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        &self,
+        path: &Path,
+        seq_limit: u64,
+        entries: impl Iterator<Item = Result<(K, Option<V>)>>,
+    ) -> Result<SsTable> {
+        let built = SsTableBuilder::create_opts(
+            path,
+            self.opts.sst.clone(),
+            self.metrics.clone(),
+            self.cache.clone(),
+        )
+        .and_then(|mut builder| {
             builder.set_seq_limit(seq_limit);
-            for e in entries {
-                builder.add(&e.key, e.value.as_deref())?;
+            for entry in entries {
+                let (key, value) = entry?;
+                builder.add(key.as_ref(), value.as_ref().map(|v| v.as_ref()))?;
             }
-            builder.finish().map(|_| ())
-        })();
-        if build.is_err() {
-            std::fs::remove_file(&path).ok();
+            builder.finish()
+        });
+        if built.is_err() {
+            std::fs::remove_file(path).ok();
         }
-        build
+        built
     }
 
     /// Replaces one WAL stream's backing file (fault-injection tests
@@ -1391,6 +1295,43 @@ impl Region {
             None => region,
         }
     }
+}
+
+/// One key's newest version: `(key, None)` is a tombstone.
+type Version = (Vec<u8>, Option<Vec<u8>>);
+
+fn sst_path(dir: &Path, id: u64) -> PathBuf {
+    dir.join(format!("sst_{id:010}.sst"))
+}
+
+/// The `seq_limit` a rewrite of `tables` carries: the maximum over its
+/// inputs, so the output is visible to exactly the snapshots that saw
+/// all of them.
+fn seq_limit_of(tables: &[Arc<SsTable>]) -> u64 {
+    tables.iter().map(|t| t.seq_limit()).max().unwrap_or(0)
+}
+
+/// The newest version of every key across `tables` (oldest first, as in
+/// [`RegionInner::tables`]), in key order — the input of every rewrite.
+/// It is the read path's merge pulled lazily, so a rewrite holds one
+/// decoded block per input table, never a table. `tombstones` keeps
+/// deleted keys in the output: only a rewrite that covers the range's
+/// whole history may drop them.
+///
+/// Blocks go through [`SsTable::read_block`] (IO metrics, block cache)
+/// like any read, but are booked to a throwaway traffic counter:
+/// maintenance is not the region's read traffic.
+fn versions(tables: &[Arc<SsTable>], tombstones: bool) -> impl Iterator<Item = Result<Version>> {
+    let unattributed = Arc::new(RegionTraffic::default());
+    let sources = tables
+        .iter()
+        .rev()
+        .map(|t| ScanSource::sstable(t.clone(), b"", t.max_key(), unattributed.clone()))
+        .collect();
+    let mut merge = MergeStream::new(sources, unattributed);
+    std::iter::from_fn(move || merge.next_version().transpose())
+        .map(|v| v.map(|e| (e.key, e.value)))
+        .filter(move |v| tombstones || !matches!(v, Ok((_, None))))
 }
 
 /// A consistent read view over one region, captured by
@@ -1470,6 +1411,7 @@ impl Drop for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture;
     use crate::wal::{FaultyWalFile, SyncPolicy};
 
     fn region(name: &str, flush_threshold: usize) -> (Region, PathBuf) {
@@ -1479,13 +1421,7 @@ mod tests {
             std::thread::current().id()
         ));
         std::fs::remove_dir_all(&dir).ok();
-        let r = Region::open(
-            dir.clone(),
-            Arc::new(IoMetrics::new()),
-            flush_threshold,
-            512,
-        )
-        .unwrap();
+        let r = fixture::region(dir.clone(), fixture::region_opts(flush_threshold));
         (r, dir)
     }
 
@@ -1512,29 +1448,18 @@ mod tests {
         sync: SyncPolicy,
         ingest: IngestOptions,
     ) -> Region {
-        Region::open_opts(
+        fixture::region(
             dir.to_path_buf(),
-            Arc::new(IoMetrics::new()),
-            Arc::new(BlockCache::new(0)),
             RegionOptions {
-                flush_threshold,
-                sst: SstOptions {
-                    block_size: 512,
-                    ..SstOptions::default()
-                },
                 durability: DurabilityOptions {
                     wal: true,
                     sync,
                     buffer_bytes: 64 << 10,
                 },
                 ingest,
-                stall_bytes: 0,
-                stall_deadline: Duration::from_secs(30),
-                kick: None,
-                stop: None,
+                ..fixture::region_opts(flush_threshold)
             },
         )
-        .unwrap()
     }
 
     #[test]
@@ -1617,7 +1542,7 @@ mod tests {
         }
         r.flush().unwrap();
         drop(r);
-        let r2 = Region::open(dir.clone(), Arc::new(IoMetrics::new()), 1 << 20, 512).unwrap();
+        let r2 = fixture::region(dir.clone(), fixture::region_opts(1 << 20));
         assert_eq!(r2.scan(b"", b"\xff").unwrap().len(), 100);
         // New writes continue with fresh file ids.
         r2.put(b"k999".to_vec(), b"new".to_vec()).unwrap();
@@ -1906,25 +1831,15 @@ mod tests {
         // Managed (stall_bytes > 0) but with no scheduler attached:
         // nothing will ever flush, so crossing the cap must stall until
         // an escape hatch fires.
-        let r = Region::open_opts(
+        let r = fixture::region(
             dir.clone(),
-            Arc::new(IoMetrics::new()),
-            Arc::new(BlockCache::new(0)),
             RegionOptions {
-                flush_threshold: 256,
-                sst: SstOptions {
-                    block_size: 512,
-                    ..SstOptions::default()
-                },
-                durability: DurabilityOptions::disabled(),
-                ingest: IngestOptions::default(),
                 stall_bytes: 1024,
                 stall_deadline,
-                kick: None,
                 stop,
+                ..fixture::region_opts(256)
             },
-        )
-        .unwrap();
+        );
         (r, dir)
     }
 
@@ -2092,8 +2007,8 @@ mod tests {
         let right_dir = dir.join("right");
         r.split_into(&left_dir, &right_dir, &split_key).unwrap();
         assert!(r.is_sealed());
-        let left = Region::open(left_dir, Arc::new(IoMetrics::new()), 1 << 20, 512).unwrap();
-        let right = Region::open(right_dir, Arc::new(IoMetrics::new()), 1 << 20, 512).unwrap();
+        let left = fixture::region(left_dir, fixture::region_opts(1 << 20));
+        let right = fixture::region(right_dir, fixture::region_opts(1 << 20));
         let mut union = left.scan(b"", b"\xff").unwrap();
         let right_hits = right.scan(b"", b"\xff").unwrap();
         // Boundary discipline: left strictly below the split key.

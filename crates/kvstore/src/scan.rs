@@ -9,10 +9,13 @@
 //! - [`ScanStream`] walks a list of key ranges region by region and
 //!   yields bounded batches via [`ScanStream::next_batch`]; no more than
 //!   one batch plus one decoded block per source is ever in flight.
-//! - [`MergeStream`] is the per-region k-way merge: a binary heap over
-//!   the memtable snapshot and one lazy block iterator per SSTable,
-//!   with newest-wins / tombstone-shadowing semantics, reading each
-//!   SSTable one block at a time.
+//! - [`MergeStream`] is the per-region k-way merge — the only one in the
+//!   store: a binary heap over the memtable snapshot and one lazy block
+//!   iterator per SSTable, newest version wins, reading each SSTable one
+//!   block at a time. Reads pull live entries from it (tombstones
+//!   elided); compaction, split and merge pull every key's newest
+//!   version, tombstones included, from the same merge over SSTables
+//!   alone and stream it into the region's SSTable writer.
 //! - [`CancelToken`] lets a satisfied consumer stop the producer
 //!   mid-range: the stream re-checks the token between entries, so
 //!   cancellation halts disk IO within one block's worth of work.
@@ -218,8 +221,7 @@ impl Eq for HeapItem {}
 impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse for a min-heap on (key, source): the smallest key wins,
-        // ties broken by newest (lowest) source index — identical to
-        // `crate::merge::merge_versions`.
+        // ties broken by newest (lowest) source index.
         other
             .entry
             .key
@@ -262,8 +264,12 @@ impl MergeStream {
         }
     }
 
-    /// The next live entry, or `None` when the region range is drained.
-    pub fn next_live(&mut self) -> Result<Option<KvEntry>> {
+    /// The newest version of the next key, tombstones included (`value`
+    /// is `None`), or `None` when the range is drained. Reads pull
+    /// through [`MergeStream::next_live`]; flush-side rewrites
+    /// (compaction, split, merge) pull this directly, because whether a
+    /// tombstone may be dropped depends on what the rewrite covers.
+    pub(crate) fn next_version(&mut self) -> Result<Option<BlockEntry>> {
         if !self.primed {
             self.primed = true;
             for i in 0..self.sources.len() {
@@ -280,18 +286,23 @@ impl MergeStream {
                 });
             }
             if self.last_key.as_deref() == Some(top.entry.key.as_slice()) {
-                // A newer source already emitted (or shadowed) this key.
+                // A newer source already produced this key.
                 continue;
             }
             self.last_key = Some(top.entry.key.clone());
-            if let Some(value) = top.entry.value {
-                self.bytes += (top.entry.key.len() + value.len()) as u64;
-                return Ok(Some(KvEntry {
-                    key: top.entry.key,
-                    value,
-                }));
+            return Ok(Some(top.entry));
+        }
+        Ok(None)
+    }
+
+    /// The next live entry, or `None` when the region range is drained:
+    /// the newest version of each key, minus the tombstones.
+    pub fn next_live(&mut self) -> Result<Option<KvEntry>> {
+        while let Some(BlockEntry { key, value }) = self.next_version()? {
+            if let Some(value) = value {
+                self.bytes += (key.len() + value.len()) as u64;
+                return Ok(Some(KvEntry { key, value }));
             }
-            // Tombstone: the key is dead, keep draining.
         }
         Ok(None)
     }
@@ -498,6 +509,17 @@ mod tests {
         let merged = drain(vec![newest, oldest]);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].key, b"b");
+    }
+
+    #[test]
+    fn next_version_keeps_the_newest_tombstone() {
+        let newest = vec![e("a", None)];
+        let oldest = vec![e("a", Some("old")), e("b", Some("b0"))];
+        let sources = vec![ScanSource::mem(newest), ScanSource::mem(oldest)];
+        let mut stream = MergeStream::new(sources, Arc::new(RegionTraffic::default()));
+        assert_eq!(stream.next_version().unwrap(), Some(e("a", None)));
+        assert_eq!(stream.next_version().unwrap(), Some(e("b", Some("b0"))));
+        assert_eq!(stream.next_version().unwrap(), None);
     }
 
     #[test]

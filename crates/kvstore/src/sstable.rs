@@ -37,7 +37,7 @@
 //! [`crate::IoMetrics`]; the [`crate::BlockCache`] stores *decompressed*
 //! block bytes, so a hot block pays decompression exactly once.
 
-use crate::block::{Block, BlockBuilder, BlockEntry, BlockFormat};
+use crate::block::{Block, BlockBuilder, BlockFormat};
 use crate::bloom::{bloom_hash, BloomFilter};
 use crate::cache::{next_file_id, BlockCache};
 use crate::error::{KvError, Result};
@@ -172,7 +172,7 @@ pub struct SsTableBuilder {
     offset: u64,
     entry_count: u64,
     min_key: Option<Vec<u8>>,
-    max_key: Option<Vec<u8>>,
+    /// Keys ascend, so this is also the table's max key.
     last_key: Option<Vec<u8>>,
     /// Key hashes for the bloom filter (v2 with bloom enabled).
     bloom_hashes: Vec<u64>,
@@ -190,39 +190,7 @@ pub struct SsTableBuilder {
 
 impl SsTableBuilder {
     /// Creates a builder writing to `path` (truncating any existing
-    /// file) with default v2 options at the given block size.
-    pub fn create(path: &Path, block_size: usize, metrics: Arc<IoMetrics>) -> Result<Self> {
-        Self::create_opts(
-            path,
-            SstOptions {
-                block_size,
-                ..SstOptions::default()
-            },
-            metrics,
-            Arc::new(BlockCache::new(0)),
-        )
-    }
-
-    /// Like [`SsTableBuilder::create`], wiring a shared block cache into
-    /// the table that `finish` opens.
-    pub fn create_cached(
-        path: &Path,
-        block_size: usize,
-        metrics: Arc<IoMetrics>,
-        cache: Arc<BlockCache>,
-    ) -> Result<Self> {
-        Self::create_opts(
-            path,
-            SstOptions {
-                block_size,
-                ..SstOptions::default()
-            },
-            metrics,
-            cache,
-        )
-    }
-
-    /// Full-control constructor: explicit format, codec and bloom sizing.
+    /// file) with explicit format, codec and bloom sizing.
     pub fn create_opts(
         path: &Path,
         opts: SstOptions,
@@ -243,7 +211,6 @@ impl SsTableBuilder {
             offset: 0,
             entry_count: 0,
             min_key: None,
-            max_key: None,
             last_key: None,
             bloom_hashes: Vec::new(),
             encoded_bytes: 0,
@@ -299,7 +266,6 @@ impl SsTableBuilder {
         if self.min_key.is_none() {
             self.min_key = Some(key.to_vec());
         }
-        self.max_key = Some(key.to_vec());
         if self.opts.format == BlockFormat::V2 && self.opts.bloom_bits_per_key > 0 {
             self.bloom_hashes.push(bloom_hash(key));
         }
@@ -352,7 +318,7 @@ impl SsTableBuilder {
             index.extend_from_slice(&b.crc.to_le_bytes());
         }
         let min_key = self.min_key.unwrap_or_default();
-        let max_key = self.max_key.unwrap_or_default();
+        let max_key = self.last_key.unwrap_or_default();
         index.extend_from_slice(&(min_key.len() as u32).to_le_bytes());
         index.extend_from_slice(&min_key);
         index.extend_from_slice(&(max_key.len() as u32).to_le_bytes());
@@ -429,14 +395,9 @@ impl std::fmt::Debug for SsTable {
 }
 
 impl SsTable {
-    /// Opens an existing table, loading its block index (and bloom
-    /// filter, if present) into memory. The on-disk format is
-    /// auto-detected from the footer magic.
-    pub fn open(path: &Path, metrics: Arc<IoMetrics>) -> Result<Self> {
-        Self::open_cached(path, metrics, Arc::new(BlockCache::new(0)))
-    }
-
-    /// Opens an existing table sharing a block cache.
+    /// Opens an existing table sharing a block cache, loading its block
+    /// index (and bloom filter, if present) into memory. The on-disk
+    /// format is auto-detected from the footer magic.
     pub fn open_cached(
         path: &Path,
         metrics: Arc<IoMetrics>,
@@ -689,6 +650,11 @@ impl SsTable {
         &self.metrics
     }
 
+    /// Largest key in the table (empty for an empty table).
+    pub(crate) fn max_key(&self) -> &[u8] {
+        &self.max_key
+    }
+
     /// Number of data blocks in the table.
     pub(crate) fn block_count(&self) -> usize {
         self.blocks.len()
@@ -731,21 +697,13 @@ impl SsTable {
         }
         Ok(None)
     }
-
-    /// Every entry in the table, in order (used by compaction).
-    pub fn scan_all(&self) -> Result<Vec<BlockEntry>> {
-        let mut out = Vec::with_capacity(self.entry_count as usize);
-        for idx in 0..self.blocks.len() {
-            let block = self.read_block(idx, idx == 0)?;
-            out.extend(block.iter());
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockEntry;
+    use crate::fixture;
 
     /// All entries with `start <= key <= end` (tombstones included),
     /// pulled through the block iterator the scan path uses.
@@ -765,15 +723,15 @@ mod tests {
         dir
     }
 
+    fn small_blocks() -> SstOptions {
+        SstOptions {
+            block_size: 256,
+            ..SstOptions::default()
+        }
+    }
+
     fn build_opts(dir: &Path, n: u32, opts: SstOptions) -> Arc<SsTable> {
-        let metrics = Arc::new(IoMetrics::new());
-        let mut b = SsTableBuilder::create_opts(
-            &dir.join("t.sst"),
-            opts,
-            metrics,
-            Arc::new(BlockCache::new(0)),
-        )
-        .unwrap();
+        let mut b = fixture::builder(&dir.join("t.sst"), opts, Arc::new(IoMetrics::new()));
         for i in 0..n {
             let key = format!("key-{i:06}");
             let val = format!("value-{i}");
@@ -783,14 +741,7 @@ mod tests {
     }
 
     fn build(dir: &Path, n: u32) -> Arc<SsTable> {
-        build_opts(
-            dir,
-            n,
-            SstOptions {
-                block_size: 256,
-                ..SstOptions::default()
-            },
-        )
+        build_opts(dir, n, small_blocks())
     }
 
     fn all_variants() -> Vec<(&'static str, SstOptions)> {
@@ -804,13 +755,7 @@ mod tests {
                     bloom_bits_per_key: 0,
                 },
             ),
-            (
-                "v2",
-                SstOptions {
-                    block_size: 256,
-                    ..SstOptions::default()
-                },
-            ),
+            ("v2", small_blocks()),
             (
                 "v2-zip",
                 SstOptions {
@@ -880,16 +825,7 @@ mod tests {
     fn bloom_skips_misses_without_block_reads() {
         let dir = tmpdir("bloom-skip");
         let metrics = Arc::new(IoMetrics::new());
-        let mut b = SsTableBuilder::create_opts(
-            &dir.join("t.sst"),
-            SstOptions {
-                block_size: 256,
-                ..SstOptions::default()
-            },
-            metrics.clone(),
-            Arc::new(BlockCache::new(0)),
-        )
-        .unwrap();
+        let mut b = fixture::builder(&dir.join("t.sst"), small_blocks(), metrics.clone());
         for i in 0..500u32 {
             b.add(format!("key-{i:06}").as_bytes(), Some(b"v")).unwrap();
         }
@@ -929,7 +865,7 @@ mod tests {
         // uncompressed-block-sizes worth of entries per on-disk block.
         let build_var = |dir: &Path, codec: Codec| -> (Arc<SsTable>, Arc<IoMetrics>) {
             let metrics = Arc::new(IoMetrics::new());
-            let mut b = SsTableBuilder::create_opts(
+            let mut b = fixture::builder(
                 &dir.join(format!("t-{codec}.sst")),
                 SstOptions {
                     block_size: 1024,
@@ -937,9 +873,7 @@ mod tests {
                     ..SstOptions::default()
                 },
                 metrics.clone(),
-                Arc::new(BlockCache::new(0)),
-            )
-            .unwrap();
+            );
             for i in 0..2000u32 {
                 let key = format!("traj/0042/{i:08}");
                 let val = format!(
@@ -973,12 +907,12 @@ mod tests {
     fn tombstones_survive_roundtrip() {
         let dir = tmpdir("tomb");
         let metrics = Arc::new(IoMetrics::new());
-        let mut b = SsTableBuilder::create(&dir.join("t.sst"), 256, metrics).unwrap();
+        let mut b = fixture::builder(&dir.join("t.sst"), small_blocks(), metrics);
         b.add(b"a", Some(b"1")).unwrap();
         b.add(b"b", None).unwrap();
-        let t = b.finish().unwrap();
+        let t = Arc::new(b.finish().unwrap());
         assert_eq!(t.get(b"b").unwrap(), Some(None));
-        let all = t.scan_all().unwrap();
+        let all = scan(&t, b"", b"\xff").unwrap();
         assert_eq!(all.len(), 2);
         assert_eq!(all[1].value, None);
         std::fs::remove_dir_all(dir).ok();
@@ -988,7 +922,7 @@ mod tests {
     fn out_of_order_keys_rejected() {
         let dir = tmpdir("order");
         let metrics = Arc::new(IoMetrics::new());
-        let mut b = SsTableBuilder::create(&dir.join("t.sst"), 256, metrics).unwrap();
+        let mut b = fixture::builder(&dir.join("t.sst"), small_blocks(), metrics);
         b.add(b"b", Some(b"1")).unwrap();
         assert!(b.add(b"a", Some(b"2")).is_err());
         assert!(b.add(b"b", Some(b"2")).is_err());
@@ -1027,7 +961,7 @@ mod tests {
     fn io_metrics_count_block_reads() {
         let dir = tmpdir("metrics");
         let metrics = Arc::new(IoMetrics::new());
-        let mut b = SsTableBuilder::create(&dir.join("t.sst"), 256, metrics.clone()).unwrap();
+        let mut b = fixture::builder(&dir.join("t.sst"), small_blocks(), metrics.clone());
         for i in 0..500u32 {
             b.add(format!("k{i:05}").as_bytes(), Some(&[0u8; 64]))
                 .unwrap();
@@ -1058,8 +992,7 @@ mod tests {
             let mut bytes = std::fs::read(&path).unwrap();
             bytes[10] ^= 0xff;
             std::fs::write(&path, &bytes).unwrap();
-            let metrics = Arc::new(IoMetrics::new());
-            let t = Arc::new(SsTable::open(&path, metrics).unwrap());
+            let t = Arc::new(fixture::sstable(&path));
             assert!(
                 matches!(scan(&t, b"", b"\xff\xff"), Err(KvError::Corrupt(_))),
                 "{label}"
@@ -1072,7 +1005,7 @@ mod tests {
     fn empty_table() {
         let dir = tmpdir("empty");
         let metrics = Arc::new(IoMetrics::new());
-        let b = SsTableBuilder::create(&dir.join("t.sst"), 256, metrics).unwrap();
+        let b = fixture::builder(&dir.join("t.sst"), small_blocks(), metrics);
         let t = Arc::new(b.finish().unwrap());
         assert_eq!(t.entry_count(), 0);
         assert!(scan(&t, b"", b"\xff").unwrap().is_empty());
@@ -1099,7 +1032,7 @@ mod tests {
         drop(t);
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[bytes.len() - 8..], MAGIC_V1);
-        let t = Arc::new(SsTable::open(&path, Arc::new(IoMetrics::new())).unwrap());
+        let t = Arc::new(fixture::sstable(&path));
         assert_eq!(t.format(), BlockFormat::V1);
         assert!(!t.has_bloom());
         assert_eq!(
@@ -1114,7 +1047,7 @@ mod tests {
     fn v3_footer_roundtrips_seq_limit() {
         let dir = tmpdir("v3-seq");
         let metrics = Arc::new(IoMetrics::new());
-        let mut b = SsTableBuilder::create(&dir.join("t.sst"), 256, metrics).unwrap();
+        let mut b = fixture::builder(&dir.join("t.sst"), small_blocks(), metrics);
         b.set_seq_limit(12345);
         for i in 0..50u32 {
             b.add(format!("k{i:04}").as_bytes(), Some(b"v")).unwrap();
@@ -1125,7 +1058,7 @@ mod tests {
         drop(t);
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[bytes.len() - 8..], MAGIC_V3);
-        let t = SsTable::open(&path, Arc::new(IoMetrics::new())).unwrap();
+        let t = fixture::sstable(&path);
         assert_eq!(t.seq_limit(), 12345);
         // Snapshots at or past the bound see the table; earlier ones
         // must skip it.

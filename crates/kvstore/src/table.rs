@@ -23,12 +23,27 @@
 //! two phases: a *pre-copy* of the flushed table set while writes keep
 //! flowing, then a brief *sealed catch-up* that drains only the delta
 //! accumulated meanwhile — the write outage is proportional to the
-//! delta, not the region. The manifest swap is the commit point: a
-//! crash on either side of it replays to a consistent map (the losing
-//! side's directories are removed as unreferenced on the next open).
-//! Sealed-region writes are handed back to the table, which re-routes
-//! them against the fresh map ([`crate::KvError::RegionSealed`] only
-//! surfaces if a split wedges for many seconds). In-flight scans and
+//! delta, not the region. [`Table::merge_regions`] seals two adjacent
+//! regions and drains both into one daughter. The two differ only in
+//! how the daughter directories get filled; everything after that is
+//! one routine (`replace_regions`) with one order:
+//!
+//! 1. **build** the daughter directories (parents sealed on the way) and
+//!    open them — a failure here unseals the parents and removes the
+//!    daughters, the parents' own data being untouched;
+//! 2. **persist** the new region list — the manifest rename is the
+//!    commit point, and it comes *before* the in-memory map changes, so
+//!    no write is ever acknowledged by a daughter the manifest does not
+//!    list (a failed persist rolls back exactly like a failed build);
+//! 3. **swap** the in-memory map — the only step under the map's write
+//!    lock, so routing never waits on the manifest's fsyncs;
+//! 4. **clean up** the parents' directories, count and log the event.
+//!
+//! A crash on either side of the rename replays to a consistent map (the
+//! losing side's directories are removed as unreferenced on the next
+//! open). Sealed-region writes are handed back to the table, which
+//! re-routes them against the fresh map ([`crate::KvError::RegionSealed`]
+//! only surfaces if a split wedges for many seconds). In-flight scans and
 //! open [`crate::Snapshot`]s keep their region handles pinned, so they
 //! finish against the pre-split cut — consistent either way.
 
@@ -90,6 +105,7 @@ pub struct RegionStats {
 
 /// One entry of the region map: `region` serves keys from `start`
 /// (inclusive) up to the next entry's start.
+#[derive(Clone)]
 struct RegionEntry {
     start: Vec<u8>,
     /// Directory name under the table dir (stable across map swaps).
@@ -126,9 +142,10 @@ fn hex_decode(s: &str) -> Result<Vec<u8>> {
         .collect()
 }
 
-/// Atomically replaces the table's `REGIONS` manifest: temp file,
-/// fsync, rename, directory fsync. This is the durability commit point
-/// of every split/merge.
+/// Atomically replaces the table's `REGIONS` manifest: temp file, fsync,
+/// rename. On `Err` the rename did not happen and the previous manifest
+/// is still the one on disk. The caller follows up with [`fsync_dir`]
+/// to make the rename survive power loss.
 fn persist_manifest(dir: &Path, map: &[RegionEntry]) -> Result<()> {
     let mut buf = String::with_capacity(32 + 32 * map.len());
     buf.push_str(MANIFEST_HEADER);
@@ -147,7 +164,6 @@ fn persist_manifest(dir: &Path, map: &[RegionEntry]) -> Result<()> {
         f.sync_all()?;
     }
     std::fs::rename(&tmp, dir.join(REGIONS_MANIFEST))?;
-    fsync_dir(dir)?;
     Ok(())
 }
 
@@ -215,47 +231,7 @@ impl Table {
     /// Opens (or creates) a table under `dir` with `num_regions` range
     /// partitions (`num_regions` is only the *initial* fan-out: a
     /// persisted region map from earlier splits/merges takes
-    /// precedence).
-    pub fn open(
-        name: String,
-        dir: PathBuf,
-        num_regions: usize,
-        metrics: Arc<IoMetrics>,
-        flush_threshold: usize,
-        block_size: usize,
-    ) -> Result<Self> {
-        Self::open_cached(
-            name,
-            dir,
-            num_regions,
-            metrics,
-            Arc::new(BlockCache::new(0)),
-            flush_threshold,
-            block_size,
-        )
-    }
-
-    /// Like [`Table::open`], sharing a store-wide block cache.
-    pub fn open_cached(
-        name: String,
-        dir: PathBuf,
-        num_regions: usize,
-        metrics: Arc<IoMetrics>,
-        cache: Arc<BlockCache>,
-        flush_threshold: usize,
-        block_size: usize,
-    ) -> Result<Self> {
-        Self::open_opts(
-            name,
-            dir,
-            num_regions,
-            metrics,
-            cache,
-            RegionOptions::basic(flush_threshold, block_size),
-        )
-    }
-
-    /// Full-control constructor used by [`crate::Store`]: every region
+    /// precedence). Called by [`crate::Store`]: every region
     /// gets the same durability / maintenance settings and replays its
     /// WAL on open.
     pub(crate) fn open_opts(
@@ -334,6 +310,7 @@ impl Table {
         }
         if !had_manifest {
             persist_manifest(&dir, &map)?;
+            fsync_dir(&dir)?;
         }
         let obs = just_obs::global();
         Ok(Table {
@@ -496,12 +473,12 @@ impl Table {
     pub fn split_region(&self, index: usize) -> Result<Option<Vec<u8>>> {
         let _g = self.lifecycle.lock();
         let started = Instant::now();
-        let (start, old_name, region, map_len) = {
+        let (start, region, map_len) = {
             let map = self.map.read();
             let e = map
                 .get(index)
                 .ok_or_else(|| KvError::NoSuchTable(format!("{}: no region {index}", self.name)))?;
-            (e.start.clone(), e.name.clone(), e.region.clone(), map.len())
+            (e.start.clone(), e.region.clone(), map.len())
         };
         if map_len >= 256 {
             return Ok(None);
@@ -511,65 +488,18 @@ impl Table {
             Some(k) if k.as_slice() > start.as_slice() => k,
             _ => return Ok(None),
         };
-        let left_name = self.next_region_name();
-        let right_name = self.next_region_name();
-        let left_dir = self.dir.join(&left_name);
-        let right_dir = self.dir.join(&right_name);
-        let daughters = (|| -> Result<(Arc<Region>, Arc<Region>)> {
-            region.split_into(&left_dir, &right_dir, &split_key)?;
-            let open = |dir: PathBuf| -> Result<Arc<Region>> {
-                Ok(Arc::new(Region::open_opts(
-                    dir,
-                    self.metrics.clone(),
-                    self.cache.clone(),
-                    self.region_opts.clone(),
-                )?))
-            };
-            Ok((open(left_dir.clone())?, open(right_dir.clone())?))
-        })();
-        let (left, right) = match daughters {
-            Ok(lr) => lr,
-            Err(e) => {
-                // Roll back: the parent's data is untouched, so unseal
-                // it and discard whatever daughter files were written.
-                region.unseal();
-                std::fs::remove_dir_all(&left_dir).ok();
-                std::fs::remove_dir_all(&right_dir).ok();
-                return Err(e);
-            }
-        };
-        {
-            let mut map = self.map.write();
-            map[index] = RegionEntry {
-                start,
-                name: left_name.clone(),
-                region: left,
-            };
-            map.insert(
-                index + 1,
-                RegionEntry {
-                    start: split_key.clone(),
-                    name: right_name.clone(),
-                    region: right,
-                },
-            );
-            persist_manifest(&self.dir, &map)?;
-        }
-        // Committed: the sealed parent is unreferenced now. Open scan
-        // streams / snapshots keep serving from its Arc'd handles; the
-        // unlinked files follow the last descriptor.
-        std::fs::remove_dir_all(self.dir.join(&old_name)).ok();
-        self.splits.inc();
-        self.split_latency.record_duration(started.elapsed());
-        just_obs::events::global().emit(
-            "region.split",
-            format!(
-                "table={} parent={old_name} at={} left={left_name} right={right_name} elapsed_us={}",
-                self.name,
-                hex_encode(&split_key),
-                started.elapsed().as_micros()
-            ),
+        let daughters = vec![
+            (start, self.next_region_name()),
+            (split_key.clone(), self.next_region_name()),
+        ];
+        let (left_dir, right_dir) = (
+            self.dir.join(&daughters[0].1),
+            self.dir.join(&daughters[1].1),
         );
+        self.replace_regions("split", &self.splits, index, 1, daughters, || {
+            region.split_into(&left_dir, &right_dir, &split_key)
+        })?;
+        self.split_latency.record_duration(started.elapsed());
         Ok(Some(split_key))
     }
 
@@ -580,8 +510,7 @@ impl Table {
     /// ranges' writes retry against the merged daughter).
     pub fn merge_regions(&self, index: usize) -> Result<()> {
         let _g = self.lifecycle.lock();
-        let started = Instant::now();
-        let (left_e, right_e) = {
+        let (start, left, right) = {
             let map = self.map.read();
             if index + 1 >= map.len() {
                 return Err(KvError::NoSuchTable(format!(
@@ -590,62 +519,110 @@ impl Table {
                     index + 1
                 )));
             }
-            (
-                (
-                    map[index].start.clone(),
-                    map[index].name.clone(),
-                    map[index].region.clone(),
-                ),
-                (map[index + 1].name.clone(), map[index + 1].region.clone()),
-            )
+            let (l, r) = (&map[index], &map[index + 1]);
+            (l.start.clone(), l.region.clone(), r.region.clone())
         };
-        let (start, left_name, left) = left_e;
-        let (right_name, right) = right_e;
-        left.seal();
-        right.seal();
-        let merged_name = self.next_region_name();
-        let merged_dir = self.dir.join(&merged_name);
-        let daughter = (|| -> Result<Arc<Region>> {
-            std::fs::remove_dir_all(&merged_dir).ok();
-            std::fs::create_dir_all(&merged_dir)?;
-            // The two ranges are key-disjoint, so the daughter can hold
-            // them as two sibling SSTables — no cross-merge needed.
-            left.drain_into(&merged_dir, 0)?;
-            right.drain_into(&merged_dir, 1)?;
-            Ok(Arc::new(Region::open_opts(
-                merged_dir.clone(),
-                self.metrics.clone(),
-                self.cache.clone(),
-                self.region_opts.clone(),
-            )?))
-        })();
-        let merged = match daughter {
-            Ok(m) => m,
-            Err(e) => {
-                left.unseal();
-                right.unseal();
+        let merged = self.next_region_name();
+        let merged_dir = self.dir.join(&merged);
+        self.replace_regions(
+            "merge",
+            &self.merges,
+            index,
+            2,
+            vec![(start, merged)],
+            || {
+                left.seal();
+                right.seal();
                 std::fs::remove_dir_all(&merged_dir).ok();
+                std::fs::create_dir_all(&merged_dir)?;
+                // The two ranges are key-disjoint, so the daughter can hold
+                // them as two sibling SSTables — no cross-merge needed.
+                left.drain_into(&merged_dir, 0)?;
+                right.drain_into(&merged_dir, 1)
+            },
+        )
+    }
+
+    /// The one commit routine of the region lifecycle (steps 1–4 of the
+    /// module docs): replaces the `parents` map entries starting at
+    /// `index` with `daughters` (`(start key, directory name)`, in key
+    /// order), whose directories `build` fills from the parents —
+    /// sealing them on the way, so the daughters hold everything the
+    /// parents acknowledged. The caller holds `lifecycle`, so the map
+    /// cannot change underneath.
+    fn replace_regions(
+        &self,
+        op: &str,
+        committed: &just_obs::Counter,
+        index: usize,
+        parents: usize,
+        daughters: Vec<(Vec<u8>, String)>,
+        build: impl FnOnce() -> Result<()>,
+    ) -> Result<()> {
+        let started = Instant::now();
+        let retired = self.map.read()[index..index + parents].to_vec();
+        let rollback = || {
+            for parent in &retired {
+                parent.region.unseal();
+            }
+            for (_, name) in &daughters {
+                std::fs::remove_dir_all(self.dir.join(name)).ok();
+            }
+        };
+        let opened = build().and_then(|()| {
+            let open = |(start, name): &(Vec<u8>, String)| -> Result<RegionEntry> {
+                Ok(RegionEntry {
+                    start: start.clone(),
+                    name: name.clone(),
+                    region: Arc::new(Region::open_opts(
+                        self.dir.join(name),
+                        self.metrics.clone(),
+                        self.cache.clone(),
+                        self.region_opts.clone(),
+                    )?),
+                })
+            };
+            daughters.iter().map(open).collect::<Result<Vec<_>>>()
+        });
+        let persisted = opened.and_then(|opened| {
+            let mut entries = self.map.read().clone();
+            entries.splice(index..index + parents, opened);
+            persist_manifest(&self.dir, &entries)?;
+            Ok(entries)
+        });
+        let entries = match persisted {
+            Ok(entries) => entries,
+            Err(e) => {
+                rollback();
                 return Err(e);
             }
         };
-        {
-            let mut map = self.map.write();
-            map[index] = RegionEntry {
-                start,
-                name: merged_name.clone(),
-                region: merged,
-            };
-            map.remove(index + 1);
-            persist_manifest(&self.dir, &map)?;
+        // Committed: every reopen from here on reads the new manifest.
+        // Should the directory fsync fail, the swap still has to follow
+        // the rename, but power loss could bring the old manifest back —
+        // so the parents' directories stay for it to find.
+        let synced = fsync_dir(&self.dir);
+        *self.map.write() = entries;
+        synced?;
+        // The sealed parents are unreferenced now. Open scan streams /
+        // snapshots keep serving from their Arc'd handles; the unlinked
+        // files follow the last descriptor.
+        for parent in &retired {
+            std::fs::remove_dir_all(self.dir.join(&parent.name)).ok();
         }
-        std::fs::remove_dir_all(self.dir.join(&left_name)).ok();
-        std::fs::remove_dir_all(self.dir.join(&right_name)).ok();
-        self.merges.inc();
+        committed.inc();
+        let parents: Vec<&str> = retired.iter().map(|p| p.name.as_str()).collect();
+        let daughters: Vec<String> = daughters
+            .iter()
+            .map(|(start, name)| format!("{name}@{}", hex_encode(start)))
+            .collect();
         just_obs::events::global().emit(
-            "region.merge",
+            &format!("region.{op}"),
             format!(
-                "table={} left={left_name} right={right_name} into={merged_name} elapsed_us={}",
+                "table={} parents={} daughters={} elapsed_us={}",
                 self.name,
+                parents.join(","),
+                daughters.join(","),
                 started.elapsed().as_micros()
             ),
         );
@@ -854,16 +831,7 @@ mod tests {
             std::thread::current().id()
         ));
         std::fs::remove_dir_all(&dir).ok();
-        let t = Table::open(
-            name.to_string(),
-            dir.clone(),
-            regions,
-            Arc::new(IoMetrics::new()),
-            1 << 16,
-            512,
-        )
-        .unwrap();
-        (t, dir)
+        (crate::fixture::table(name, dir.clone(), regions), dir)
     }
 
     #[test]
@@ -1060,15 +1028,8 @@ mod tests {
         t.flush().unwrap();
         let before = t.scan(b"", b"\xff").unwrap();
         drop(t);
-        let t2 = Table::open(
-            "map-reopen".to_string(),
-            dir.clone(),
-            2, // ignored: the manifest wins
-            Arc::new(IoMetrics::new()),
-            1 << 16,
-            512,
-        )
-        .unwrap();
+        // The fan-out argument is ignored: the manifest wins.
+        let t2 = crate::fixture::table("map-reopen", dir.clone(), 2);
         assert_eq!(t2.num_regions(), 3);
         assert_eq!(t2.region_stats()[1].start_key, split_key);
         assert_eq!(t2.scan(b"", b"\xff").unwrap(), before);

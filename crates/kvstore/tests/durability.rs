@@ -164,6 +164,56 @@ fn wal_disabled_reproduces_pre_durability_behaviour() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+#[test]
+fn failed_manifest_write_rolls_back_split_and_merge() {
+    // The manifest rename is the commit point of a split/merge, so it
+    // must happen before the in-memory map routes anything to a
+    // daughter: otherwise a failed persist leaves acknowledged writes in
+    // daughter WALs that the next open sweeps away as unreferenced.
+    let dir = tmpdir("manifest-fail");
+    let options = || StoreOptions {
+        flush_threshold: 16 << 10,
+        maintenance: MaintenanceOptions {
+            enabled: false,
+            ..MaintenanceOptions::default()
+        },
+        ..StoreOptions::default()
+    };
+    let store = Store::open(&dir, options()).unwrap();
+    // Two regions: leading bytes below / from 0x80.
+    let t = store.create_table("t", 2).unwrap();
+    for i in 0..2000u32 {
+        t.put(format!("k{i:05}").into_bytes(), vec![7; 48]).unwrap();
+        t.put(format!("\u{e9}{i:05}").into_bytes(), vec![9; 48])
+            .unwrap();
+    }
+    // `File::create` on a directory fails: every manifest write now
+    // errors out before its rename.
+    std::fs::create_dir(dir.join("t").join("REGIONS.tmp")).unwrap();
+    assert!(t.split_region(0).is_err(), "split must surface the error");
+    assert!(t.merge_regions(0).is_err(), "merge must surface the error");
+    assert_eq!(t.num_regions(), 2, "a failed commit must not swap the map");
+    assert!(t.region_stats().iter().all(|r| !r.sealed));
+    // The parents take writes again, and those writes are durable.
+    t.put(b"k-after".to_vec(), b"low".to_vec()).unwrap();
+    t.put("\u{e9}-after".into(), b"high".to_vec()).unwrap();
+    let acknowledged = t.scan(b"", b"\xff").unwrap();
+    assert_eq!(acknowledged.len(), 4002);
+    drop(t);
+    drop(store);
+
+    let reopened = Store::open(&dir, options()).unwrap();
+    let t = reopened.open_table("t", 2).unwrap();
+    assert_eq!(t.num_regions(), 2);
+    let recovered = t.scan(b"", b"\xff").unwrap();
+    assert_eq!(recovered.len(), acknowledged.len(), "reopen lost keys");
+    assert!(
+        recovered == acknowledged,
+        "reopen changed acknowledged values"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
 fn walk(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir).unwrap() {

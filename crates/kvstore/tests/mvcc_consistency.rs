@@ -16,7 +16,7 @@
 //!
 //! Everything is seeded (a per-writer LCG), so a failure replays.
 
-use just_kvstore::{IoMetrics, ScanOptions, Table};
+use just_kvstore::{DurabilityOptions, MaintenanceOptions, ScanOptions, Store, StoreOptions};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,17 +76,24 @@ fn snapshot_scans_equal_serial_execution_under_splits() {
     std::fs::remove_dir_all(&dir).ok();
     // Tiny flush threshold and blocks: plenty of SSTables, so splits
     // find fences and snapshots cross the memtable/SSTable boundary.
-    let table = Arc::new(
-        Table::open(
-            "prop".to_string(),
-            dir.clone(),
-            1,
-            Arc::new(IoMetrics::new()),
-            8 << 10,
-            512,
-        )
-        .unwrap(),
-    );
+    // No WAL and no scheduler: the splitter thread below is the only
+    // maintenance, so the interleaving is the test's own.
+    let store = Store::open(
+        &dir,
+        StoreOptions {
+            flush_threshold: 8 << 10,
+            block_size: 512,
+            block_cache_bytes: 0,
+            durability: DurabilityOptions::disabled(),
+            maintenance: MaintenanceOptions {
+                enabled: false,
+                ..MaintenanceOptions::default()
+            },
+            ..StoreOptions::default()
+        },
+    )
+    .unwrap();
+    let table = store.create_table("prop", 1).unwrap();
 
     let quiesce = Arc::new(RwLock::new(()));
     let stop = Arc::new(AtomicBool::new(false));

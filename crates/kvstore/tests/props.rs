@@ -1,5 +1,7 @@
 //! Randomized model tests: the store behaves exactly like a sorted map
-//! with last-write-wins semantics, across flushes and compactions.
+//! with last-write-wins semantics, across flushes, compactions and
+//! region splits/merges, and a snapshot taken mid-history keeps reading
+//! the map as it was at that point.
 //!
 //! Cases are generated from a seeded [`just_obs::Rng`], so every run
 //! exercises the same deterministic op sequences.
@@ -14,6 +16,10 @@ enum Op {
     Delete(Vec<u8>),
     Flush,
     Compact,
+    /// Split region `i` (modulo the current region count).
+    Split(usize),
+    /// Merge regions `i` and `i + 1` (modulo the current region count).
+    Merge(usize),
 }
 
 fn gen_key(rng: &mut Rng) -> Vec<u8> {
@@ -44,6 +50,24 @@ fn store_matches_btreemap_model() {
         let ops: Vec<Op> = (0..n_ops).map(|_| gen_op(&mut rng)).collect();
         let scan_a = gen_key(&mut rng);
         let scan_b = gen_key(&mut rng);
+        // Lifecycle ops and the snapshot point come from a second
+        // stream, spliced into the first: the put/delete/flush/compact
+        // sequence of every case is what it was before they existed.
+        let mut life = Rng::seed_from_u64(0x6c69_6665 ^ case);
+        let mut ops = ops;
+        for _ in 0..life.gen_range(0usize..5) {
+            let at = life.gen_range(0usize..ops.len() + 1);
+            // Keys lead with a byte below 8: the data sits at the low end
+            // of the map, so that is where lifecycle ops find work.
+            let i = life.gen_range(0usize..2);
+            let op = if life.gen_range(0usize..3) == 0 {
+                Op::Merge(i)
+            } else {
+                Op::Split(i)
+            };
+            ops.insert(at, op);
+        }
+        let snap_at = life.gen_range(0usize..ops.len() + 1);
 
         let dir = std::env::temp_dir().join(format!("just-kv-prop-{}-{case}", std::process::id(),));
         std::fs::remove_dir_all(&dir).ok();
@@ -60,7 +84,11 @@ fn store_matches_btreemap_model() {
         let table = store.create_table("t", 4).unwrap();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
 
-        for op in &ops {
+        let mut snapshot = None;
+        for (at, op) in ops.iter().enumerate() {
+            if at == snap_at {
+                snapshot = Some((table.snapshot(), model.clone()));
+            }
             match op {
                 Op::Put(k, v) => {
                     table.put(k.clone(), v.clone()).unwrap();
@@ -72,8 +100,17 @@ fn store_matches_btreemap_model() {
                 }
                 Op::Flush => table.flush().unwrap(),
                 Op::Compact => table.compact().unwrap(),
+                // `None` (region too small to split) is fine.
+                Op::Split(i) => drop(table.split_region(i % table.num_regions()).unwrap()),
+                Op::Merge(i) => {
+                    let n = table.num_regions();
+                    if n >= 2 {
+                        table.merge_regions(i % (n - 1)).unwrap();
+                    }
+                }
             }
         }
+        let (snapshot, model_then) = snapshot.unwrap_or_else(|| (table.snapshot(), model.clone()));
 
         // Point lookups agree.
         for (k, v) in &model {
@@ -88,10 +125,13 @@ fn store_matches_btreemap_model() {
             (scan_b, scan_a)
         };
         let got = table.scan(&lo, &hi).unwrap();
-        let expected: Vec<(Vec<u8>, Vec<u8>)> = model
-            .range::<Vec<u8>, _>(lo.clone()..=hi.clone())
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
+        let in_range = |model: &BTreeMap<Vec<u8>, Vec<u8>>| -> Vec<(Vec<u8>, Vec<u8>)> {
+            model
+                .range::<Vec<u8>, _>(lo.clone()..=hi.clone())
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect()
+        };
+        let expected = in_range(&model);
         assert_eq!(got.len(), expected.len(), "case {case}");
         for (g, (k, v)) in got.iter().zip(&expected) {
             assert_eq!(&g.key, k, "case {case}");
@@ -116,6 +156,24 @@ fn store_matches_btreemap_model() {
             }
             assert_eq!(streamed, expected, "case {case} batch_rows {batch_rows}");
         }
+
+        // The snapshot still reads the model as it was when it was taken,
+        // whatever was rewritten, split or merged underneath it since.
+        for k in model.keys().chain(model_then.keys()) {
+            let got = snapshot.get(k).unwrap();
+            assert_eq!(
+                got.as_ref(),
+                model_then.get(k),
+                "case {case} snapshot key {k:?}"
+            );
+        }
+        let then: Vec<(Vec<u8>, Vec<u8>)> = snapshot
+            .scan(&lo, &hi)
+            .unwrap()
+            .into_iter()
+            .map(|e| (e.key, e.value))
+            .collect();
+        assert_eq!(then, in_range(&model_then), "case {case} snapshot scan");
 
         std::fs::remove_dir_all(&dir).ok();
     }

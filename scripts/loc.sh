@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Size report: code lines and `pub` items per crate and per source file.
 #
-#   scripts/loc.sh            print the table (what LOC.tsv holds)
-#   scripts/loc.sh --check    exit 1 when LOC.tsv differs from it
+#   scripts/loc.sh               print the table (what LOC.tsv holds)
+#   scripts/loc.sh --check       exit 1 when LOC.tsv differs from it
+#   scripts/loc.sh --diff <ref>  rows that differ from LOC.tsv at git <ref>,
+#                                as "before -> after (delta)" per column
 #
 # A code line is a line of `src/**/*.rs` that is neither blank nor a `//`
 # comment (doc comments included) and lies above the file's trailing
@@ -35,11 +37,29 @@ table() {
   done
 }
 
+diff_table() { # git ref -> changed crates and files, deleted ones included
+  git cat-file -e "$1:LOC.tsv" || { echo "no LOC.tsv at $1" >&2; exit 2; }
+  printf 'path\tcode_lines\tpub_items\n'
+  awk -F'\t' '
+    FNR == 1 { next }
+    NR == FNR { oc[$1] = $2; op[$1] = $3; paths[$1]; next }
+    { nc[$1] = $2; np[$1] = $3; paths[$1] }
+    END {
+      for (p in paths) {
+        a = oc[p] + 0; b = nc[p] + 0; c = op[p] + 0; d = np[p] + 0
+        if (a != b || c != d)
+          printf "%s\t%d -> %d (%+d)\t%d -> %d (%+d)\n", p, a, b, b - a, c, d, d - c
+      }
+    }' <(git show "$1:LOC.tsv") <(table) | LC_ALL=C sort
+}
+
 if [ "${1:-}" = "--check" ]; then
   if ! table | diff -u LOC.tsv - >&2; then
     echo "LOC.tsv is stale: run scripts/loc.sh > LOC.tsv" >&2
     exit 1
   fi
+elif [ "${1:-}" = "--diff" ]; then
+  diff_table "${2:?usage: scripts/loc.sh --diff <git-ref>}"
 else
   table
 fi
