@@ -313,7 +313,8 @@ grep -q "request id" "$SLOW_ERR" || {
 }
 # The kill and the slow-query log are in the event log.
 cli query "SHOW EVENTS LIMIT 50" | grep -q "query.killed"
-cli query "SHOW EVENTS LIMIT 50" | grep -q "query.slow"
+# The slow-log entry carries the scan's IO attrs from the operator spans.
+cli query "SHOW EVENTS LIMIT 50" | grep "query.slow" | grep -q "blocks_read="
 # --watch-metrics renders SHOW METRICS as a table and tolerates a closed
 # stdout (head exits after the first screen).
 ./target/release/just-cli --addr "$ADDR" --user smoke --watch-metrics 1 \

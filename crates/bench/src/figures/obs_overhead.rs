@@ -1,11 +1,15 @@
-//! Observability overhead: the always-on query registry + per-operator
-//! stats collection versus the same engine with tracking disabled.
+//! Observability overhead: the always-on query registry versus the same
+//! engine with tracking disabled.
 //!
 //! Two identical engines are built from the same Order workload — one
 //! with `query_tracking: true` (the default: every SELECT registers in
-//! the live registry, carries a kill token, and collects flat
-//! per-operator stats) and one with `query_tracking: false`. The same
-//! scan query then runs against both as tightly interleaved *pairs*
+//! the live registry and carries a kill token the executor checks
+//! between operators and scan batches) and one with
+//! `query_tracking: false`. Both record one span per operator: there is
+//! one plan walker, so that cost is on both sides of this comparison and
+//! is measured across commits by the repo benchmark instead (`point_hot`
+//! `cpu_ms_per_op`, where per-request fixed cost is the whole request).
+//! The same scan query runs against both as tightly interleaved *pairs*
 //! (A/B, B/A, A/B, ...), and the guard is computed from the median of
 //! the per-pair time differences: adjacent-in-time pairs see the same
 //! machine state, so scheduler spikes and clock drift cancel instead of
@@ -133,7 +137,7 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
     }
     writeln!(
         out,
-        "== Observability overhead: query registry + per-op stats, \
+        "== Observability overhead: query registry + kill token, \
          {PAIRS} interleaved query pairs =="
     )
     .unwrap();

@@ -27,11 +27,6 @@ impl BitWriter {
         }
     }
 
-    /// Number of complete bytes written so far.
-    pub fn byte_len(&self) -> usize {
-        self.out.len()
-    }
-
     /// Flushes any partial byte (zero-padded) and returns the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {

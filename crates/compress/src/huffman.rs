@@ -133,11 +133,6 @@ impl Encoder {
         debug_assert!(len > 0, "encoding symbol {sym} with no code");
         w.write_bits(u64::from(self.codes[sym]), u32::from(len));
     }
-
-    /// Length in bits of the code for `sym` (0 = absent).
-    pub fn code_len(&self, sym: usize) -> u8 {
-        self.lens[sym]
-    }
 }
 
 /// Canonical decoder driven by per-length first-code tables.

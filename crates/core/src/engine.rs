@@ -33,10 +33,11 @@ pub struct EngineConfig {
     /// reaches this lands in the event log (`query.slow`) together with
     /// its per-operator breakdown. `0` disables the slow-query log.
     pub slow_query_ms: u64,
-    /// Whether queries register in the live query registry (`SHOW
-    /// QUERIES`, `KILL QUERY`, slow-query log). On by default; the
+    /// Whether statements that run a SELECT plan register in the live
+    /// query registry (`SHOW QUERIES`, `KILL QUERY`; without it the
+    /// slow-query log reports `query_id=0`). On by default; the
     /// `obs_overhead` benchmark turns it off to measure the cost of the
-    /// always-on instrumentation.
+    /// registry and kill token.
     pub query_tracking: bool,
 }
 

@@ -36,14 +36,6 @@ impl Z2t {
         }
     }
 
-    /// Full control over the spatial resolution.
-    pub fn with_bits(period: TimePeriod, bits: u32) -> Self {
-        Z2t {
-            z2: Z2::new(bits),
-            period,
-        }
-    }
-
     /// The configured time period.
     pub fn period(&self) -> TimePeriod {
         self.period
@@ -98,14 +90,6 @@ impl Xz2t {
     pub fn new(period: TimePeriod) -> Self {
         Xz2t {
             xz2: Xz2::default(),
-            period,
-        }
-    }
-
-    /// Full control over the XZ2 resolution.
-    pub fn with_g(period: TimePeriod, g: u32) -> Self {
-        Xz2t {
-            xz2: Xz2::new(g),
             period,
         }
     }

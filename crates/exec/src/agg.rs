@@ -221,11 +221,6 @@ impl HashAggregator {
         }
     }
 
-    /// Number of groups discovered so far.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Folds `n_rows` rows into the table. `keys[k][r]` is group-key
     /// column `k` at row `r`; `args[s]` is the evaluated argument column
     /// for slot `s` (`None` for `count(*)`). All supplied columns must

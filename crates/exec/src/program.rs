@@ -203,11 +203,6 @@ impl Program {
         self.num_regs
     }
 
-    /// The register holding the expression result.
-    pub fn out_reg(&self) -> RegId {
-        self.out
-    }
-
     /// Number of opcodes.
     pub fn len(&self) -> usize {
         self.ops.len()

@@ -64,12 +64,6 @@ impl Geometry {
         }
     }
 
-    /// Whether this is point data (decides Z2/Z2T vs XZ2/XZ2T indexing, per
-    /// Section IV of the paper).
-    pub fn is_point(&self) -> bool {
-        matches!(self, Geometry::Point(_))
-    }
-
     /// Minimum bounding rectangle.
     pub fn mbr(&self) -> Rect {
         match self {

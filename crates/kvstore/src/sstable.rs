@@ -42,6 +42,7 @@ use crate::bloom::{bloom_hash, BloomFilter};
 use crate::cache::{next_file_id, BlockCache};
 use crate::error::{KvError, Result};
 use crate::metrics::IoMetrics;
+use just_compress::crc32::crc32;
 use just_compress::Codec;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -121,37 +122,6 @@ impl Default for SstOptions {
             bloom_bits_per_key: 10,
         }
     }
-}
-
-/// Table-driven CRC-32 (IEEE polynomial), computed at compile time; kept
-/// local so the store has no dependency on the compression crate. Block
-/// reads checksum every 4 KiB fetched, so this is on the hot read path.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
-    }
-    crc ^ 0xFFFF_FFFF
 }
 
 #[derive(Debug, Clone)]
@@ -704,6 +674,13 @@ mod tests {
     use super::*;
     use crate::block::BlockEntry;
     use crate::fixture;
+
+    /// Block CRCs are on disk: the checksum must stay the standard
+    /// CRC-32 (its check value) or files written earlier stop verifying.
+    #[test]
+    fn block_checksum_is_standard_crc32() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
 
     /// All entries with `start <= key <= end` (tombstones included),
     /// pulled through the block iterator the scan path uses.

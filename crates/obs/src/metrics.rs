@@ -309,14 +309,6 @@ impl Registry {
         }
     }
 
-    /// Looks up an existing histogram without creating one.
-    pub fn get_histogram(&self, name: &str) -> Option<Histogram> {
-        match self.metrics.lock().get(name) {
-            Some(Metric::Histogram(h)) => Some(h.clone()),
-            _ => None,
-        }
-    }
-
     /// A point-in-time reading of every registered metric, sorted by
     /// name. This is the structured accessor behind `SHOW METRICS`;
     /// [`Registry::render_text`] is the scrape-format rendering of the

@@ -9,23 +9,9 @@
 //! bytes — without this crate depending on the kvstore types).
 //!
 //! [`Trace::render`] pretty-prints the tree; `EXPLAIN ANALYZE` output is
-//! produced from it.
+//! produced from it, and the slow-query log reads the same spans.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Count of [`Trace`]s ever allocated in this process.
-static TRACES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-/// Number of [`Trace`]s ever allocated in this process.
-///
-/// Traces are only supposed to exist under `EXPLAIN ANALYZE` (or when a
-/// slow-query handler decides to keep one); the zero-cost tests diff
-/// this counter across a plain query to prove the hot path allocates no
-/// trace.
-pub fn traces_allocated() -> u64 {
-    TRACES_ALLOCATED.load(Ordering::Relaxed)
-}
 
 /// Handle to one span inside a [`Trace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,7 +24,7 @@ struct SpanData {
     started: Instant,
     elapsed: Option<Duration>,
     rows: Option<u64>,
-    attrs: Vec<(String, u64)>,
+    attrs: Vec<(&'static str, u64)>,
 }
 
 /// A tree of timed spans recorded during one traced operation.
@@ -51,7 +37,6 @@ impl Trace {
     /// Starts a new trace whose root span is `name`. The root is span id
     /// returned by [`Trace::root`].
     pub fn new(name: impl Into<String>) -> Self {
-        TRACES_ALLOCATED.fetch_add(1, Ordering::Relaxed);
         let mut t = Trace { spans: Vec::new() };
         t.push(name.into(), None);
         t
@@ -96,12 +81,12 @@ impl Trace {
     }
 
     /// Attaches (or accumulates into) a named `u64` attribute.
-    pub fn add_attr(&mut self, span: SpanId, name: &str, value: u64) {
+    pub fn add_attr(&mut self, span: SpanId, name: &'static str, value: u64) {
         let s = &mut self.spans[span.0];
-        if let Some(a) = s.attrs.iter_mut().find(|(n, _)| n == name) {
+        if let Some(a) = s.attrs.iter_mut().find(|(n, _)| *n == name) {
             a.1 += value;
         } else {
-            s.attrs.push((name.to_string(), value));
+            s.attrs.push((name, value));
         }
     }
 
@@ -128,11 +113,15 @@ impl Trace {
 
     /// Looks up an attribute by name.
     pub fn attr(&self, span: SpanId, name: &str) -> Option<u64> {
-        self.spans[span.0]
-            .attrs
+        self.attrs(span)
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|&(_, v)| v)
+    }
+
+    /// The span's attributes, in the order they were first attached.
+    pub fn attrs(&self, span: SpanId) -> &[(&'static str, u64)] {
+        &self.spans[span.0].attrs
     }
 
     /// Ids of `span`'s direct children, in start order.
@@ -186,7 +175,7 @@ impl Trace {
 
 /// Formats a duration with sensible units (`837ns`, `14.2us`, `3.91ms`,
 /// `2.15s`).
-pub fn fmt_duration(d: Duration) -> String {
+fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
         format!("{ns}ns")

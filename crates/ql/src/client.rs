@@ -4,7 +4,7 @@
 use crate::ast::{ColumnDef, Select, ShowTarget, Statement};
 use crate::csvload::load_csv;
 use crate::error::QlError;
-use crate::exec::{Executor, OpStat};
+use crate::exec::Executor;
 use crate::functions::eval_const;
 use crate::json::Json;
 use crate::optimizer::optimize;
@@ -14,7 +14,7 @@ use crate::Result;
 use just_compress::Codec;
 use just_core::{Dataset, ResultSet, Session};
 use just_curves::TimePeriod;
-use just_obs::Trace;
+use just_obs::{SpanId, Trace};
 use just_storage::{Field, FieldType, IndexKind, Row, Schema, Value};
 
 /// The outcome of executing one statement.
@@ -117,8 +117,7 @@ impl Client {
     /// wall time, output rows and (on scan/knn leaves) kvstore IO deltas.
     pub fn explain_analyze(&mut self, sql: &str) -> Result<(Dataset, Trace)> {
         let mut trace = Trace::new("query");
-        let root = trace.root();
-        let span = trace.start("parse".to_string(), root);
+        let span = trace.start("parse", trace.root());
         let stmt = parse(sql)?;
         trace.end(span);
         let query = match stmt {
@@ -129,26 +128,38 @@ impl Client {
                 ))
             }
         };
-        let data = self.run_analyzed(&query, &mut trace)?;
+        let data = self.select(&query, sql, &mut trace)?;
         Ok((data, trace))
     }
 
-    /// Analyzes, optimizes and trace-executes `query`, growing `trace`
-    /// under its root span.
-    fn run_analyzed(&self, query: &Select, trace: &mut Trace) -> Result<Dataset> {
+    /// The one SELECT pipeline, behind plain queries, `EXPLAIN ANALYZE`
+    /// and `CREATE VIEW ... AS`: analyze → optimize → execute, each a
+    /// span under `trace`'s root. Execution registers in the live query
+    /// registry (unless `query_tracking` is off), so `SHOW QUERIES` lists
+    /// the statement and `KILL QUERY` stops it, and when the wall time
+    /// reaches the engine's `slow_query_ms` a `query.slow` event carries
+    /// the per-operator breakdown read from the same spans.
+    fn select(&self, query: &Select, sql: &str, trace: &mut Trace) -> Result<Dataset> {
         let root = trace.root();
-        let span = trace.start("analyze".to_string(), root);
+        let span = trace.start("analyze", root);
         let analyzed = LogicalPlan::from_select(query)?;
         trace.end(span);
-        let span = trace.start("optimize".to_string(), root);
+        let span = trace.start("optimize", root);
         let plan = optimize(analyzed)?;
         trace.end(span);
 
-        let span = trace.start("execute".to_string(), root);
-        let before = self.session.engine().io_snapshot();
-        let result = Executor::new(&self.session).run_traced(&plan, trace, span);
+        let engine = self.session.engine();
+        let before = engine.io_snapshot();
+        let guard = engine.config().query_tracking.then(|| {
+            engine
+                .queries()
+                .register(self.session.user(), sql, self.request_id, before)
+        });
+        let kill = guard.as_ref().map(|g| g.info().kill_token().clone());
+        let span = trace.start("execute", root);
+        let result = Executor::new(&self.session, kill).run(&plan, trace, span);
         if let Ok(data) = &result {
-            let d = self.session.engine().io_snapshot().since(&before);
+            let d = engine.io_snapshot().since(&before);
             trace.set_rows(span, data.len() as u64);
             trace.add_attr(span, "blocks_read", d.blocks_read);
             trace.add_attr(span, "cache_hits", d.cache_hits);
@@ -164,6 +175,24 @@ impl Client {
         }
         trace.end(span);
         trace.end(root);
+
+        let threshold = engine.config().slow_query_ms;
+        let elapsed_ms = trace.elapsed(span).as_millis() as u64;
+        if threshold > 0 && elapsed_ms >= threshold {
+            let mut ops = Vec::new();
+            push_ops(trace, span, &mut ops);
+            let id = guard.as_ref().map_or(0, |g| g.info().id());
+            just_obs::events::global().emit(
+                "query.slow",
+                format!(
+                    "query_id={id} user={} elapsed_ms={elapsed_ms} ok={} ops=[{}] sql={}",
+                    self.session.user(),
+                    result.is_ok(),
+                    ops.join(","),
+                    sql.split_whitespace().collect::<Vec<_>>().join(" "),
+                ),
+            );
+        }
         result
     }
 
@@ -192,8 +221,7 @@ impl Client {
                 )))
             }
             Statement::CreateView { name, query } => {
-                let plan = optimize(LogicalPlan::from_select(&query)?)?;
-                let data = Executor::new(&self.session).run_collect(&plan, &mut Vec::new())?;
+                let data = self.select(&query, sql, &mut Trace::new("query"))?;
                 let n = data.len();
                 self.session.create_view(&name, data)?;
                 Ok(QueryResult::Message(format!(
@@ -307,14 +335,13 @@ impl Client {
                     "view '{view}' stored to table '{table}' ({n} rows)"
                 )))
             }
-            Statement::Query(q) => {
-                let plan = optimize(LogicalPlan::from_select(&q)?)?;
-                self.run_tracked(&plan, sql).map(QueryResult::Data)
-            }
+            Statement::Query(q) => self
+                .select(&q, sql, &mut Trace::new("query"))
+                .map(QueryResult::Data),
             Statement::Explain { analyze, query } => {
                 let rendered = if analyze {
                     let mut trace = Trace::new("query");
-                    self.run_analyzed(&query, &mut trace)?;
+                    self.select(&query, sql, &mut trace)?;
                     trace.render()
                 } else {
                     // Plain EXPLAIN includes each operator's compiled
@@ -335,52 +362,6 @@ impl Client {
 }
 
 impl Client {
-    /// Executes an optimized plan under the always-on observability
-    /// pipeline: registers in the live query registry (so `SHOW QUERIES`
-    /// lists it and `KILL QUERY` can stop it), collects flat per-operator
-    /// stats, and — only when the query's wall time reaches the engine's
-    /// `slow_query_ms` — emits a `query.slow` event carrying that
-    /// breakdown. No [`Trace`] arena is ever allocated on this path.
-    fn run_tracked(&self, plan: &LogicalPlan, sql: &str) -> Result<Dataset> {
-        let engine = self.session.engine().clone();
-        let guard = engine.config().query_tracking.then(|| {
-            engine.queries().register(
-                self.session.user(),
-                sql,
-                self.request_id,
-                engine.io_snapshot(),
-            )
-        });
-        let kill = guard.as_ref().map(|g| g.info().kill_token().clone());
-        let started = std::time::Instant::now();
-        let mut stats: Vec<OpStat> = Vec::new();
-        let result = Executor::new(&self.session)
-            .with_kill(kill)
-            .run_collect(plan, &mut stats);
-        let threshold = engine.config().slow_query_ms;
-        let elapsed_ms = started.elapsed().as_millis() as u64;
-        if threshold > 0 && elapsed_ms >= threshold {
-            let ops: Vec<String> = stats
-                .iter()
-                .map(|s| format!("{}:{}rows:{}us", s.label, s.rows, s.elapsed_us))
-                .collect();
-            let (id, user) = match &guard {
-                Some(g) => (g.info().id(), g.info().user().to_string()),
-                None => (0, self.session.user().to_string()),
-            };
-            just_obs::events::global().emit(
-                "query.slow",
-                format!(
-                    "query_id={id} user={user} elapsed_ms={elapsed_ms} ok={} ops=[{}] sql={}",
-                    result.is_ok(),
-                    ops.join(","),
-                    sql.split_whitespace().collect::<Vec<_>>().join(" "),
-                ),
-            );
-        }
-        result
-    }
-
     /// Builds the dataset for one `SHOW <target>`.
     fn show(&self, target: ShowTarget) -> Dataset {
         match target {
@@ -403,6 +384,24 @@ impl Client {
             ShowTarget::Regions => show_regions(&self.session),
             ShowTarget::Events { limit } => show_events(limit.unwrap_or(100)),
         }
+    }
+}
+
+/// Appends the slow-log rendering of the operators under `span`, inputs
+/// first: `label:<n>rows:<t>us`, then `:name=value` per span attribute.
+fn push_ops(trace: &Trace, span: SpanId, out: &mut Vec<String>) {
+    for op in trace.children(span) {
+        push_ops(trace, op, out);
+        let mut text = format!(
+            "{}:{}rows:{}us",
+            trace.name(op),
+            trace.rows(op).unwrap_or(0),
+            trace.elapsed(op).as_micros()
+        );
+        for (name, value) in trace.attrs(op) {
+            text.push_str(&format!(":{name}={value}"));
+        }
+        out.push(text);
     }
 }
 

@@ -343,9 +343,9 @@ fn scan_input_columns(table: &str, session: &Session) -> Option<(Vec<String>, Op
     Some((cols, Some(ints)))
 }
 
-/// The operator's statically-known output header, mirroring how the
-/// executor builds each operator's columns. `None` when the header is
-/// data-dependent (table functions, clustering, k-NN).
+/// The operator's statically-known output header (a scan's comes from
+/// the executor's own [`crate::exec::scan_header`]). `None` when the
+/// header is data-dependent (table functions, clustering, k-NN).
 fn output_columns(plan: &LogicalPlan, session: &Session) -> Option<Vec<String>> {
     match plan {
         LogicalPlan::Scan {
@@ -354,23 +354,8 @@ fn output_columns(plan: &LogicalPlan, session: &Session) -> Option<Vec<String>> 
             projection,
             ..
         } => {
-            let (mut cols, _) = scan_input_columns(table, session)?;
-            if let Some(proj) = projection {
-                // Advisory projection: names that fail to resolve are
-                // skipped; all-unresolved keeps the full header (the
-                // executor's `project_columns` rule).
-                let kept: Vec<String> = proj
-                    .iter()
-                    .filter_map(|c| resolve_column(c, &cols).ok().map(|i| cols[i].clone()))
-                    .collect();
-                if !kept.is_empty() {
-                    cols = kept;
-                }
-            }
-            if let Some(a) = alias {
-                cols = cols.iter().map(|c| format!("{a}.{c}")).collect();
-            }
-            Some(cols)
+            let (cols, _) = scan_input_columns(table, session)?;
+            Some(crate::exec::scan_header(&cols, projection, alias).1)
         }
         LogicalPlan::Values { columns, .. } => Some(columns.clone()),
         LogicalPlan::Filter { input, .. }

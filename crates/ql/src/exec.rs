@@ -27,26 +27,43 @@ use just_exec::{
     encode_key, full_selection, keys_hashable, AggSpec, HashAggregator, JoinHash, Program, Vm,
 };
 use just_geo::{Geometry, Point};
-use just_obs::{SpanId, Trace};
+use just_obs::{Counter, SpanId, Trace};
 use just_storage::{CancelToken, FieldType, QueryStream, Row, SpatialPredicate, Value};
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 /// Rows per evaluation batch for in-memory operators (stored-table scans
 /// use the storage stream's own batching).
 const BATCH: usize = 1024;
 
-/// One operator's lightweight execution stats, collected on every query
-/// (unlike a [`Trace`], this is a flat vector with no span arena — cheap
-/// enough to gather always, persisted only when the query turns out to
-/// be slow).
-#[derive(Debug, Clone)]
-pub struct OpStat {
-    /// Operator label (same vocabulary as the trace/plan renderings).
-    pub label: String,
-    /// Wall time of the operator including its children, microseconds.
-    pub elapsed_us: u64,
-    /// Rows the operator emitted (0 when it failed).
-    pub rows: u64,
+/// Handles to the process-wide counters the operators bump and the plan
+/// walker diffs around an operator, resolved once.
+struct ExecObs {
+    key_ranges: Counter,
+    keys_scanned: Counter,
+    rows_pruned_pushdown: Counter,
+    join_build_rows: Counter,
+    join_probe_rows: Counter,
+    join_fallbacks: Counter,
+    topk_queries: Counter,
+    topk_rows_pruned: Counter,
+}
+
+fn exec_obs() -> &'static ExecObs {
+    static OBS: OnceLock<ExecObs> = OnceLock::new();
+    OBS.get_or_init(|| {
+        let obs = just_obs::global();
+        ExecObs {
+            key_ranges: obs.counter("just_index_ranges_generated"),
+            keys_scanned: obs.counter("just_index_keys_scanned"),
+            rows_pruned_pushdown: obs.counter("just_storage_rows_pruned_pushdown"),
+            join_build_rows: obs.counter("just_exec_join_build_rows"),
+            join_probe_rows: obs.counter("just_exec_join_probe_rows"),
+            join_fallbacks: obs.counter("just_exec_join_fallbacks"),
+            topk_queries: obs.counter("just_exec_topk_queries"),
+            topk_rows_pruned: obs.counter("just_exec_topk_rows_pruned"),
+        }
+    })
 }
 
 /// Executes logical plans against one session.
@@ -56,23 +73,15 @@ pub struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor for the session.
-    pub fn new(session: &'a Session) -> Self {
-        Executor {
-            session,
-            kill: None,
-        }
-    }
-
-    /// Attaches a query-level kill token (from the live query registry).
-    /// The executor checks it between operators and between scan batches;
+    /// Creates an executor for the session, with the query-level kill
+    /// token (from the live query registry) when the query has one. The
+    /// executor checks it between operators and between scan batches;
     /// once cancelled, execution stops with [`QlError::Cancelled`] and
     /// any in-flight scan stream is cancelled so its disk IO stops too.
     /// This token is distinct from the per-stream LIMIT cancel token: a
     /// satisfied LIMIT must not poison the query's other scans.
-    pub fn with_kill(mut self, token: Option<CancelToken>) -> Self {
-        self.kill = token;
-        self
+    pub fn new(session: &'a Session, kill: Option<CancelToken>) -> Self {
+        Executor { session, kill }
     }
 
     fn check_kill(&self) -> Result<()> {
@@ -82,138 +91,87 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Runs a plan to a dataset, appending one [`OpStat`] per operator
-    /// (children first). This is the always-on path the client uses for
-    /// plain queries: when the query turns out slow, the collected stats
-    /// become the retroactive per-operator breakdown in the slow-query
-    /// log without ever allocating a trace.
-    pub fn run_collect(&self, plan: &LogicalPlan, stats: &mut Vec<OpStat>) -> Result<Dataset> {
+    /// Runs a plan to a dataset — the only plan walker. Every operator
+    /// gets one span under `parent` carrying its label, wall time
+    /// (children included) and output row count. The index-serving leaves
+    /// (`Scan`, `Knn`), the only operators that touch the kvstore, also
+    /// carry their exact IO delta (blocks read, cache hits, bytes) and
+    /// index selectivity (key ranges generated, keys scanned); joins and
+    /// TOP-K carry their build/probe/pruned row counts. The deltas are of
+    /// process-wide counters, so concurrent sessions pollute them.
+    ///
+    /// When an input fails (or the query is killed) the spans above it
+    /// stay open and report their running time; the failed operator's
+    /// own span is closed and carries its deltas, without a row count.
+    pub fn run(&self, plan: &LogicalPlan, trace: &mut Trace, parent: SpanId) -> Result<Dataset> {
         self.check_kill()?;
-        let started = std::time::Instant::now();
-        let mut children = Vec::new();
-        for child in plan.children() {
-            children.push(self.run_collect(child, stats)?);
-        }
-        let result = self.execute_node(plan, children);
-        stats.push(OpStat {
-            label: plan.label(),
-            elapsed_us: started.elapsed().as_micros() as u64,
-            rows: result.as_ref().map(|d| d.len() as u64).unwrap_or(0),
-        });
-        result
-    }
-
-    /// Runs a plan like [`Executor::run_collect`], recording one span per
-    /// operator under `parent`: the operator label, wall time, output row
-    /// count, and — for the index-serving leaves (`Scan`, `Knn`), the only
-    /// operators that touch the kvstore — the exact IO delta (blocks
-    /// read, cache hits, bytes) plus index-selectivity counters (key
-    /// ranges generated, keys scanned) attributed to that operator.
-    pub fn run_traced(
-        &self,
-        plan: &LogicalPlan,
-        trace: &mut Trace,
-        parent: SpanId,
-    ) -> Result<Dataset> {
         let span = trace.start(plan.label(), parent);
-        let is_io_leaf = matches!(plan, LogicalPlan::Scan { .. } | LogicalPlan::Knn { .. });
-        let before = is_io_leaf.then(|| {
-            let obs = just_obs::global();
-            (
-                self.session.engine().io_snapshot(),
-                obs.counter("just_index_ranges_generated").get(),
-                obs.counter("just_index_keys_scanned").get(),
-                obs.counter("just_storage_rows_pruned_pushdown").get(),
-            )
-        });
         let mut children = Vec::new();
         for child in plan.children() {
-            children.push(self.run_traced(child, trace, span)?);
+            children.push(self.run(child, trace, span)?);
         }
-        // Join/TopK counters snapshot *after* the children ran, so nested
-        // joins don't pollute this operator's delta.
-        let exec_before = matches!(
-            plan,
-            LogicalPlan::HashJoin { .. } | LogicalPlan::TopK { .. } | LogicalPlan::Join { .. }
-        )
-        .then(|| {
-            let obs = just_obs::global();
-            (
-                obs.counter("just_exec_join_build_rows").get(),
-                obs.counter("just_exec_join_probe_rows").get(),
-                obs.counter("just_exec_join_fallbacks").get(),
-                obs.counter("just_exec_topk_rows_pruned").get(),
-            )
-        });
+        // Everything is read *after* the children ran, so a nested
+        // operator's counts stay out of this operator's delta.
+        let obs = exec_obs();
+        let engine = self.session.engine();
+        let scan_was =
+            matches!(plan, LogicalPlan::Scan { .. } | LogicalPlan::Knn { .. }).then(|| {
+                (
+                    engine.io_snapshot(),
+                    obs.key_ranges.get(),
+                    obs.keys_scanned.get(),
+                    obs.rows_pruned_pushdown.get(),
+                )
+            });
+        let (build, probe, falls, topk) = (
+            obs.join_build_rows.get(),
+            obs.join_probe_rows.get(),
+            obs.join_fallbacks.get(),
+            obs.topk_rows_pruned.get(),
+        );
         let result = self.execute_node(plan, children);
+        // A failed (or killed) operator still reports what it cost.
         if let Ok(data) = &result {
             trace.set_rows(span, data.len() as u64);
-            if let Some((build, probe, falls, pruned)) = exec_before {
-                let obs = just_obs::global();
-                match plan {
-                    LogicalPlan::HashJoin { .. } => {
-                        trace.add_attr(
-                            span,
-                            "build_rows",
-                            obs.counter("just_exec_join_build_rows").get() - build,
-                        );
-                        trace.add_attr(
-                            span,
-                            "probe_rows",
-                            obs.counter("just_exec_join_probe_rows").get() - probe,
-                        );
-                        let falls = obs.counter("just_exec_join_fallbacks").get() - falls;
-                        if falls > 0 {
-                            trace.add_attr(span, "nested_loop", falls);
-                        }
-                    }
-                    LogicalPlan::TopK { .. } => {
-                        trace.add_attr(
-                            span,
-                            "rows_pruned",
-                            obs.counter("just_exec_topk_rows_pruned").get() - pruned,
-                        );
-                    }
-                    _ => {}
-                }
+        }
+        let mut attr = |name, value: u64, always: bool| {
+            if always || value > 0 {
+                trace.add_attr(span, name, value);
             }
-            if let Some((io, ranges, keys, pruned)) = before {
-                let obs = just_obs::global();
-                let d = self.session.engine().io_snapshot().since(&io);
-                trace.add_attr(span, "blocks_read", d.blocks_read);
-                trace.add_attr(span, "cache_hits", d.cache_hits);
-                trace.add_attr(span, "bytes_read", d.bytes_read);
-                if d.batches_emitted > 0 {
-                    trace.add_attr(span, "batches_emitted", d.batches_emitted);
-                }
-                if d.scan_early_terminations > 0 {
-                    trace.add_attr(span, "scan_early_terminations", d.scan_early_terminations);
-                }
-                let pruned = obs.counter("just_storage_rows_pruned_pushdown").get() - pruned;
-                if pruned > 0 {
-                    trace.add_attr(span, "rows_pruned_pushdown", pruned);
-                }
-                // Of all block lookups this operator issued, the share the
-                // block cache absorbed (integer percent).
-                let lookups = d.blocks_read + d.cache_hits;
-                if let Some(pct) = (d.cache_hits * 100).checked_div(lookups) {
-                    trace.add_attr(span, "cache_hit_pct", pct);
-                }
-                if d.bloom_skips > 0 {
-                    trace.add_attr(span, "bloom_skips", d.bloom_skips);
-                }
-                if d.index_skips > 0 {
-                    trace.add_attr(span, "index_skips", d.index_skips);
-                }
-                if d.memtable_hits > 0 {
-                    trace.add_attr(span, "memtable_hits", d.memtable_hits);
-                }
-                let ranges = obs.counter("just_index_ranges_generated").get() - ranges;
-                let keys = obs.counter("just_index_keys_scanned").get() - keys;
-                if ranges > 0 {
-                    trace.add_attr(span, "key_ranges", ranges);
-                    trace.add_attr(span, "keys_scanned", keys);
-                }
+        };
+        match plan {
+            LogicalPlan::HashJoin { .. } => {
+                attr("build_rows", obs.join_build_rows.get() - build, true);
+                attr("probe_rows", obs.join_probe_rows.get() - probe, true);
+                attr("nested_loop", obs.join_fallbacks.get() - falls, false);
+            }
+            LogicalPlan::TopK { .. } => {
+                attr("rows_pruned", obs.topk_rows_pruned.get() - topk, true)
+            }
+            _ => {}
+        }
+        if let Some((io, ranges, keys, pruned)) = scan_was {
+            let d = engine.io_snapshot().since(&io);
+            attr("blocks_read", d.blocks_read, true);
+            attr("cache_hits", d.cache_hits, true);
+            attr("bytes_read", d.bytes_read, true);
+            attr("batches_emitted", d.batches_emitted, false);
+            attr("scan_early_terminations", d.scan_early_terminations, false);
+            let pruned = obs.rows_pruned_pushdown.get() - pruned;
+            attr("rows_pruned_pushdown", pruned, false);
+            // Of all block lookups this operator issued, the share the
+            // block cache absorbed (integer percent).
+            let lookups = d.blocks_read + d.cache_hits;
+            if let Some(pct) = (d.cache_hits * 100).checked_div(lookups) {
+                attr("cache_hit_pct", pct, true);
+            }
+            attr("bloom_skips", d.bloom_skips, false);
+            attr("index_skips", d.index_skips, false);
+            attr("memtable_hits", d.memtable_hits, false);
+            let ranges = obs.key_ranges.get() - ranges;
+            if ranges > 0 {
+                attr("key_ranges", ranges, true);
+                attr("keys_scanned", obs.keys_scanned.get() - keys, true);
             }
         }
         trace.end(span);
@@ -242,7 +200,17 @@ impl<'a> Executor<'a> {
                 time,
                 residual,
                 limit,
-            } => self.scan(table, alias, projection, spatial, time, residual, limit),
+            } => {
+                // Views first (they shadow nothing: names are namespaced apart).
+                let data = if let Ok(view) = self.session.view(table) {
+                    let preds = view_preds(spatial, time, residual);
+                    let rows = scan_view_rows(&view, &preds, *limit)?;
+                    Dataset::new(view.columns.clone(), rows)
+                } else {
+                    self.scan_stored(table, projection, spatial, time, residual, limit)?
+                };
+                Ok(finish_scan(data, projection, alias))
+            }
             LogicalPlan::Values { columns, rows } => {
                 let mut out_rows = Vec::with_capacity(rows.len());
                 for exprs in rows {
@@ -285,28 +253,6 @@ impl<'a> Executor<'a> {
                 Ok(self.session.knn(table, Point::new(*lng, *lat), *k)?)
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn scan(
-        &self,
-        table: &str,
-        alias: &Option<String>,
-        projection: &Option<Vec<String>>,
-        spatial: &Option<(String, just_geo::Rect)>,
-        time: &Option<(String, i64, i64)>,
-        residual: &Option<Expr>,
-        limit: &Option<usize>,
-    ) -> Result<Dataset> {
-        // Views first (they shadow nothing: names are namespaced apart).
-        let data = if let Ok(view) = self.session.view(table) {
-            let preds = view_preds(spatial, time, residual);
-            let rows = scan_view_rows(&view, &preds, *limit)?;
-            Dataset::new(view.columns.clone(), rows)
-        } else {
-            self.scan_stored(table, projection, spatial, time, residual, limit)?
-        };
-        finish_scan(data, projection, alias)
     }
 
     /// Scans a stored table through the storage read path: batches are
@@ -395,23 +341,54 @@ pub(crate) fn view_preds(
     preds
 }
 
-/// Applies a scan's advisory column projection and alias prefix.
-pub(crate) fn finish_scan(
-    mut data: Dataset,
+/// The header a scan emits over the input header `input` — the one rule
+/// the executor and `EXPLAIN`'s static header derivation share. The
+/// column projection is advisory: names the relation doesn't have are
+/// skipped (they can be outer-query names when a subquery renamed
+/// things), and when none resolves every column is kept; the alias then
+/// prefixes each name. Returns the input indices to keep (`None` = all)
+/// and the header.
+pub(crate) fn scan_header(
+    input: &[String],
     projection: &Option<Vec<String>>,
     alias: &Option<String>,
-) -> Result<Dataset> {
-    if let Some(cols) = projection {
-        data = project_columns(data, cols)?;
-    }
-    if let Some(alias) = alias {
-        data.columns = data
-            .columns
-            .iter()
-            .map(|c| format!("{alias}.{c}"))
-            .collect();
-    }
-    Ok(data)
+) -> (Option<Vec<usize>>, Vec<String>) {
+    let keep: Vec<usize> = projection
+        .iter()
+        .flatten()
+        .filter_map(|c| resolve_column(c, input).ok())
+        .collect();
+    let keep = (!keep.is_empty()).then_some(keep);
+    let kept: Vec<&String> = match &keep {
+        Some(keep) => keep.iter().map(|&i| &input[i]).collect(),
+        None => input.iter().collect(),
+    };
+    let header = kept
+        .into_iter()
+        .map(|c| match alias {
+            Some(alias) => format!("{alias}.{c}"),
+            None => c.clone(),
+        })
+        .collect();
+    (keep, header)
+}
+
+/// Applies a scan's advisory column projection and alias prefix.
+pub(crate) fn finish_scan(
+    data: Dataset,
+    projection: &Option<Vec<String>>,
+    alias: &Option<String>,
+) -> Dataset {
+    let (keep, header) = scan_header(&data.columns, projection, alias);
+    let rows = match keep {
+        Some(keep) => data
+            .rows
+            .into_iter()
+            .map(|r| Row::new(keep.iter().map(|&i| r.values[i].clone()).collect()))
+            .collect(),
+        None => data.rows,
+    };
+    Dataset::new(header, rows)
 }
 
 /// Opens a stored table's storage stream with everything the index can
@@ -636,29 +613,6 @@ fn filter_rows(rows: Vec<Row>, prog: &Program) -> Result<Vec<Row>> {
         chunk = rest;
     }
     Ok(kept)
-}
-
-fn project_columns(data: Dataset, cols: &[String]) -> Result<Dataset> {
-    let mut indices = Vec::with_capacity(cols.len());
-    let mut names = Vec::with_capacity(cols.len());
-    for c in cols {
-        // Skip projection columns the relation doesn't have (they can be
-        // outer-query names when a subquery renamed things); correctness
-        // is preserved because projection pruning is advisory.
-        if let Ok(i) = resolve_column(c, &data.columns) {
-            indices.push(i);
-            names.push(data.columns[i].clone());
-        }
-    }
-    if indices.is_empty() {
-        return Ok(data);
-    }
-    let rows = data
-        .rows
-        .into_iter()
-        .map(|r| Row::new(indices.iter().map(|&i| r.values[i].clone()).collect()))
-        .collect();
-    Ok(Dataset::new(names, rows))
 }
 
 /// The sole projection item when it is a 1-N table function or
@@ -979,8 +933,8 @@ fn sort(mut data: Dataset, keys: &[(Expr, bool)]) -> Result<Dataset> {
 /// larger) and is rejected, so the kept set and its order are exactly
 /// `sort().truncate(k)`.
 fn topk(data: Dataset, keys: &[(Expr, bool)], k: usize) -> Result<Dataset> {
-    let obs = just_obs::global();
-    obs.counter("just_exec_topk_queries").inc();
+    let obs = exec_obs();
+    obs.topk_queries.inc();
 
     // Keys are evaluated for every row even when k = 0 — the sort they
     // replace would have, and errors must not depend on k.
@@ -1009,8 +963,7 @@ fn topk(data: Dataset, keys: &[(Expr, bool)], k: usize) -> Result<Dataset> {
     for (_, r) in picked {
         rows.push(std::mem::replace(&mut rows_in[r], Row::new(Vec::new())));
     }
-    obs.counter("just_exec_topk_rows_pruned")
-        .add((n - rows.len()) as u64);
+    obs.topk_rows_pruned.add((n - rows.len()) as u64);
     Ok(Dataset::new(data.columns, rows))
 }
 
@@ -1078,7 +1031,7 @@ pub(crate) fn join(left: Dataset, right: Dataset, on: &Expr) -> Result<Dataset> 
     let mut columns = left.columns.clone();
     columns.extend(right.columns.iter().cloned());
     analyze(on, &columns)?;
-    just_obs::global().counter("just_exec_join_fallbacks").inc();
+    exec_obs().join_fallbacks.inc();
     let left_width = left.columns.len();
     let mut rows = Vec::new();
     let mut combined: Vec<Value> = Vec::with_capacity(columns.len());
@@ -1239,15 +1192,13 @@ fn hash_join(
         return join(left, right, &reconstruct_on(&key_exprs, &residual));
     }
 
-    let obs = just_obs::global();
+    let obs = exec_obs();
     let build_left = left.rows.len() <= right.rows.len();
     let mut candidates: Vec<Row> = Vec::new();
     if build_left {
         let mut table = JoinHash::build(left.rows.len(), &left_keys);
-        obs.counter("just_exec_join_build_rows")
-            .add(table.rows_built());
-        obs.counter("just_exec_join_probe_rows")
-            .add(right.rows.len() as u64);
+        obs.join_build_rows.add(table.rows_built());
+        obs.join_probe_rows.add(right.rows.len() as u64);
         let mut matches: Vec<Vec<u32>> = vec![Vec::new(); left.rows.len()];
         for r in 0..right.rows.len() {
             if let Some(bucket) = table.probe(&right_keys, r) {
@@ -1263,10 +1214,8 @@ fn hash_join(
         }
     } else {
         let mut table = JoinHash::build(right.rows.len(), &right_keys);
-        obs.counter("just_exec_join_build_rows")
-            .add(table.rows_built());
-        obs.counter("just_exec_join_probe_rows")
-            .add(left.rows.len() as u64);
+        obs.join_build_rows.add(table.rows_built());
+        obs.join_probe_rows.add(left.rows.len() as u64);
         for l in 0..left.rows.len() {
             if let Some(bucket) = table.probe(&left_keys, l) {
                 for &r in bucket {

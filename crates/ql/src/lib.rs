@@ -51,7 +51,6 @@ pub mod wire;
 pub use ast::{Expr, Select, ShowTarget, Statement};
 pub use client::{Client, QueryResult};
 pub use error::QlError;
-pub use exec::OpStat;
 pub use json::{Json, JsonError, JsonValue};
 pub use lexer::{tokenize, Token};
 pub use optimizer::optimize;

@@ -31,7 +31,7 @@ use just_storage::Value;
 pub fn optimize(plan: LogicalPlan) -> Result<LogicalPlan> {
     let plan = fold_constants(plan)?;
     let plan = eliminate_trivial_filters(plan);
-    let plan = push_down_filters(plan)?;
+    let plan = push_down_filters(plan);
     let plan = push_down_projections(plan);
     let plan = push_down_limits(plan);
     let plan = fuse_topk(plan);
@@ -46,7 +46,7 @@ pub fn optimize(plan: LogicalPlan) -> Result<LogicalPlan> {
 
 /// Folds constant sub-expressions throughout the plan.
 fn fold_constants(plan: LogicalPlan) -> Result<LogicalPlan> {
-    map_exprs(plan, &mut fold_expr)
+    plan.map_exprs(&mut fold_expr)
 }
 
 fn fold_expr(e: Expr) -> Result<Expr> {
@@ -96,88 +96,6 @@ fn contains_volatile(e: &Expr) -> bool {
     volatile
 }
 
-fn map_exprs(plan: LogicalPlan, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(map_exprs(*input, f)?),
-            predicate: f(predicate)?,
-        },
-        LogicalPlan::Project { input, items } => LogicalPlan::Project {
-            input: Box::new(map_exprs(*input, f)?),
-            items: items
-                .into_iter()
-                .map(|(e, n)| Ok((f(e)?, n)))
-                .collect::<Result<_>>()?,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(map_exprs(*input, f)?),
-            group_by: group_by
-                .into_iter()
-                .map(|(e, n)| Ok((f(e)?, n)))
-                .collect::<Result<_>>()?,
-            aggregates: aggregates
-                .into_iter()
-                .map(|(fun, e, n)| Ok((fun, f(e)?, n)))
-                .collect::<Result<_>>()?,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(map_exprs(*input, f)?),
-            keys: keys
-                .into_iter()
-                .map(|(e, asc)| Ok((f(e)?, asc)))
-                .collect::<Result<_>>()?,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(map_exprs(*input, f)?),
-            n,
-        },
-        LogicalPlan::Join { left, right, on } => LogicalPlan::Join {
-            left: Box::new(map_exprs(*left, f)?),
-            right: Box::new(map_exprs(*right, f)?),
-            on: f(on)?,
-        },
-        LogicalPlan::HashJoin {
-            left,
-            right,
-            keys,
-            residual,
-        } => LogicalPlan::HashJoin {
-            left: Box::new(map_exprs(*left, f)?),
-            right: Box::new(map_exprs(*right, f)?),
-            keys: keys
-                .into_iter()
-                .map(|(l, r)| Ok((f(l)?, f(r)?)))
-                .collect::<Result<_>>()?,
-            residual: residual.map(&mut *f).transpose()?,
-        },
-        LogicalPlan::TopK { input, keys, k } => LogicalPlan::TopK {
-            input: Box::new(map_exprs(*input, f)?),
-            keys: keys
-                .into_iter()
-                .map(|(e, asc)| Ok((f(e)?, asc)))
-                .collect::<Result<_>>()?,
-            k,
-        },
-        LogicalPlan::FilterProject {
-            input,
-            predicate,
-            items,
-        } => LogicalPlan::FilterProject {
-            input: Box::new(map_exprs(*input, f)?),
-            predicate: f(predicate)?,
-            items: items
-                .into_iter()
-                .map(|(e, n)| Ok((f(e)?, n)))
-                .collect::<Result<_>>()?,
-        },
-        leaf => leaf,
-    })
-}
-
 // ----------------------------------------------------------------------
 // Rule 1b: trivial-filter elimination
 // ----------------------------------------------------------------------
@@ -193,7 +111,7 @@ fn map_exprs(plan: LogicalPlan, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Res
 /// conjunct may error). Runs right after constant folding, which is what
 /// produces the literal predicates this rule consumes.
 fn eliminate_trivial_filters(plan: LogicalPlan) -> LogicalPlan {
-    map_plan(plan, &mut |node| match node {
+    plan.map_plan(&mut |node| match node {
         LogicalPlan::Filter { input, predicate } => {
             let mut kept: Vec<Expr> = Vec::new();
             for c in split_conjuncts(predicate) {
@@ -214,165 +132,71 @@ fn eliminate_trivial_filters(plan: LogicalPlan) -> LogicalPlan {
     })
 }
 
-/// Rebuilds the plan bottom-up, applying `f` to every node after its
-/// inputs have been rewritten.
-fn map_plan(plan: LogicalPlan, f: &mut impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    let plan = match plan {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(map_plan(*input, f)),
-            predicate,
-        },
-        LogicalPlan::Project { input, items } => LogicalPlan::Project {
-            input: Box::new(map_plan(*input, f)),
-            items,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(map_plan(*input, f)),
-            group_by,
-            aggregates,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(map_plan(*input, f)),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(map_plan(*input, f)),
-            n,
-        },
-        LogicalPlan::Join { left, right, on } => LogicalPlan::Join {
-            left: Box::new(map_plan(*left, f)),
-            right: Box::new(map_plan(*right, f)),
-            on,
-        },
-        LogicalPlan::HashJoin {
-            left,
-            right,
-            keys,
-            residual,
-        } => LogicalPlan::HashJoin {
-            left: Box::new(map_plan(*left, f)),
-            right: Box::new(map_plan(*right, f)),
-            keys,
-            residual,
-        },
-        LogicalPlan::TopK { input, keys, k } => LogicalPlan::TopK {
-            input: Box::new(map_plan(*input, f)),
-            keys,
-            k,
-        },
-        LogicalPlan::FilterProject {
-            input,
-            predicate,
-            items,
-        } => LogicalPlan::FilterProject {
-            input: Box::new(map_plan(*input, f)),
-            predicate,
-            items,
-        },
-        leaf => leaf,
-    };
-    f(plan)
-}
-
 // ----------------------------------------------------------------------
 // Rule 2: selection pushdown
 // ----------------------------------------------------------------------
 
-fn push_down_filters(plan: LogicalPlan) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            let input = push_down_filters(*input)?;
-            push_filter_into(input, predicate)?
+fn push_down_filters(plan: LogicalPlan) -> LogicalPlan {
+    plan.map_plan(&mut |node| match node {
+        LogicalPlan::Filter {
+            mut input,
+            predicate,
+        } => {
+            sink_filter(&mut input, predicate);
+            *input
         }
-        LogicalPlan::Project { input, items } => LogicalPlan::Project {
-            input: Box::new(push_down_filters(*input)?),
-            items,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(push_down_filters(*input)?),
-            group_by,
-            aggregates,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(push_down_filters(*input)?),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(push_down_filters(*input)?),
-            n,
-        },
-        LogicalPlan::Join { left, right, on } => LogicalPlan::Join {
-            left: Box::new(push_down_filters(*left)?),
-            right: Box::new(push_down_filters(*right)?),
-            on,
-        },
-        leaf => leaf,
+        other => other,
     })
 }
 
-fn push_filter_into(input: LogicalPlan, predicate: Expr) -> Result<LogicalPlan> {
-    match input {
-        // Through a pure-column projection (like the paper's example where
-        // the filter sinks through `SELECT * FROM t`).
-        LogicalPlan::Project { input, items }
-            if items.iter().all(|(e, n)| {
-                matches!(e, Expr::Column(c) if c == n) || matches!(e, Expr::Star)
-            }) =>
-        {
-            let pushed = push_filter_into(*input, predicate)?;
-            Ok(LogicalPlan::Project {
-                input: Box::new(pushed),
-                items,
-            })
+/// Whether a projection only passes columns through under their own
+/// names (or `*`): it neither adds nor drops rows and renames nothing,
+/// so filters, limits and TOP-K fusion sink through it (like the paper's
+/// example where the filter sinks through `SELECT * FROM t`).
+fn is_pure_columns(items: &[(Expr, String)]) -> bool {
+    items
+        .iter()
+        .all(|(e, name)| matches!(e, Expr::Column(c) if c == name) || matches!(e, Expr::Star))
+}
+
+/// Sinks `predicate` to the scan under `plan`, where the spatial and
+/// temporal conjuncts become the index window and the rest the residual;
+/// where no scan is reachable it becomes a `Filter` at that point.
+fn sink_filter(plan: &mut LogicalPlan, predicate: Expr) {
+    match plan {
+        LogicalPlan::Project { input, items } if is_pure_columns(items) => {
+            sink_filter(input, predicate)
         }
         LogicalPlan::Scan {
-            table,
-            alias,
-            projection,
-            mut spatial,
-            mut time,
+            spatial,
+            time,
             residual,
-            limit,
+            ..
         } => {
             let mut leftovers: Vec<Expr> = Vec::new();
             for conjunct in split_conjuncts(predicate) {
                 if spatial.is_none() {
                     if let Some(hit) = match_spatial(&conjunct) {
-                        spatial = Some(hit);
+                        *spatial = Some(hit);
                         continue;
                     }
                 }
                 if time.is_none() {
                     if let Some(hit) = match_temporal(&conjunct) {
-                        time = Some(hit);
+                        *time = Some(hit);
                         continue;
                     }
                 }
                 leftovers.push(conjunct);
             }
-            let residual = merge_residual(residual, leftovers);
-            Ok(LogicalPlan::Scan {
-                table,
-                alias,
-                projection,
-                spatial,
-                time,
-                residual,
-                limit,
-            })
+            *residual = merge_residual(residual.take(), leftovers);
         }
-        other => Ok(LogicalPlan::Filter {
-            input: Box::new(other),
-            predicate,
-        }),
+        other => {
+            *other = LogicalPlan::Filter {
+                input: Box::new(other.take()),
+                predicate,
+            }
+        }
     }
 }
 
@@ -576,42 +400,12 @@ fn prune(plan: LogicalPlan, required: Option<Vec<String>>) -> LogicalPlan {
 // ----------------------------------------------------------------------
 
 fn push_down_limits(plan: LogicalPlan) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Limit { input, n } => {
-            let input = push_down_limits(*input);
-            LogicalPlan::Limit {
-                input: Box::new(sink_limit(input, n)),
-                n,
-            }
+    plan.map_plan(&mut |mut node| {
+        if let LogicalPlan::Limit { input, n } = &mut node {
+            sink_limit(input, *n);
         }
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(push_down_limits(*input)),
-            predicate,
-        },
-        LogicalPlan::Project { input, items } => LogicalPlan::Project {
-            input: Box::new(push_down_limits(*input)),
-            items,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(push_down_limits(*input)),
-            group_by,
-            aggregates,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(push_down_limits(*input)),
-            keys,
-        },
-        LogicalPlan::Join { left, right, on } => LogicalPlan::Join {
-            left: Box::new(push_down_limits(*left)),
-            right: Box::new(push_down_limits(*right)),
-            on,
-        },
-        leaf => leaf,
-    }
+        node
+    })
 }
 
 /// Annotates the scan under `LIMIT n`, if it is reachable through
@@ -621,40 +415,12 @@ fn push_down_limits(plan: LogicalPlan) -> LogicalPlan {
 /// projections (table functions like `st_traj2points` may *expand* rows)
 /// all block it. The scan's own pushed-down predicates don't block the
 /// sink: the streaming executor counts rows *after* its refine step.
-fn sink_limit(plan: LogicalPlan, n: usize) -> LogicalPlan {
+fn sink_limit(plan: &mut LogicalPlan, n: usize) {
     match plan {
-        LogicalPlan::Project { input, items }
-            if items.iter().all(|(e, name)| {
-                matches!(e, Expr::Column(c) if c == name) || matches!(e, Expr::Star)
-            }) =>
-        {
-            LogicalPlan::Project {
-                input: Box::new(sink_limit(*input, n)),
-                items,
-            }
-        }
-        LogicalPlan::Limit { input, n: inner } => LogicalPlan::Limit {
-            input: Box::new(sink_limit(*input, inner.min(n))),
-            n: inner,
-        },
-        LogicalPlan::Scan {
-            table,
-            alias,
-            projection,
-            spatial,
-            time,
-            residual,
-            limit,
-        } => LogicalPlan::Scan {
-            table,
-            alias,
-            projection,
-            spatial,
-            time,
-            residual,
-            limit: Some(limit.map_or(n, |l| l.min(n))),
-        },
-        other => other,
+        LogicalPlan::Project { input, items } if is_pure_columns(items) => sink_limit(input, n),
+        LogicalPlan::Limit { input, n: inner } => sink_limit(input, n.min(*inner)),
+        LogicalPlan::Scan { limit, .. } => *limit = Some(limit.map_or(n, |l| l.min(n))),
+        _ => {}
     }
 }
 
@@ -668,7 +434,7 @@ fn sink_limit(plan: LogicalPlan, n: usize) -> LogicalPlan {
 /// sorting and then truncating. The `Limit` node is kept as the
 /// authoritative truncation, exactly like scan limit pushdown.
 fn fuse_topk(plan: LogicalPlan) -> LogicalPlan {
-    map_plan(plan, &mut |node| match node {
+    plan.map_plan(&mut |node| match node {
         LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
             input: Box::new(sink_topk(*input, n)),
             n,
@@ -685,16 +451,10 @@ fn fuse_topk(plan: LogicalPlan) -> LogicalPlan {
 fn sink_topk(plan: LogicalPlan, k: usize) -> LogicalPlan {
     match plan {
         LogicalPlan::Sort { input, keys } => LogicalPlan::TopK { input, keys, k },
-        LogicalPlan::Project { input, items }
-            if items.iter().all(|(e, name)| {
-                matches!(e, Expr::Column(c) if c == name) || matches!(e, Expr::Star)
-            }) =>
-        {
-            LogicalPlan::Project {
-                input: Box::new(sink_topk(*input, k)),
-                items,
-            }
-        }
+        LogicalPlan::Project { input, items } if is_pure_columns(&items) => LogicalPlan::Project {
+            input: Box::new(sink_topk(*input, k)),
+            items,
+        },
         other => other,
     }
 }
@@ -712,7 +472,7 @@ fn sink_topk(plan: LogicalPlan, k: usize) -> LogicalPlan {
 /// fallback there. A join with no equi candidate (cross join, pure
 /// inequality) keeps the nested loop.
 fn plan_hash_joins(plan: LogicalPlan) -> LogicalPlan {
-    map_plan(plan, &mut |node| match node {
+    plan.map_plan(&mut |node| match node {
         LogicalPlan::Join { left, right, on } => {
             let mut keys = Vec::new();
             let mut rest = Vec::new();
@@ -756,7 +516,7 @@ fn plan_hash_joins(plan: LogicalPlan) -> LogicalPlan {
 /// aggregates and joins — exactly the spots where an extra
 /// materialization hurts.
 fn fuse_filter_project(plan: LogicalPlan) -> LogicalPlan {
-    map_plan(plan, &mut |node| match node {
+    plan.map_plan(&mut |node| match node {
         LogicalPlan::Project { input, items } => match *input {
             LogicalPlan::Filter { input, predicate } => LogicalPlan::FilterProject {
                 input,

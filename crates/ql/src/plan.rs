@@ -462,6 +462,95 @@ impl LogicalPlan {
         }
     }
 
+    /// Moves the plan out, leaving an empty `Values` behind.
+    pub(crate) fn take(&mut self) -> LogicalPlan {
+        std::mem::replace(
+            self,
+            LogicalPlan::Values {
+                columns: Vec::new(),
+                rows: Vec::new(),
+            },
+        )
+    }
+
+    /// Rebuilds the plan bottom-up, applying `f` to every node after its
+    /// inputs have been rewritten.
+    pub(crate) fn map_plan(
+        mut self,
+        f: &mut impl FnMut(LogicalPlan) -> LogicalPlan,
+    ) -> LogicalPlan {
+        for child in self.children_mut() {
+            *child = child.take().map_plan(f);
+        }
+        f(self)
+    }
+
+    /// Rewrites every operator's expressions with `f`, inputs first.
+    /// Leaves are left alone: a scan's pushed-down predicates are built
+    /// by the optimizer itself and `Values` rows are evaluated as
+    /// written.
+    pub(crate) fn map_exprs(
+        mut self,
+        f: &mut impl FnMut(Expr) -> Result<Expr>,
+    ) -> Result<LogicalPlan> {
+        for child in self.children_mut() {
+            *child = child.take().map_exprs(f)?;
+        }
+        let exprs: Vec<&mut Expr> = match &mut self {
+            LogicalPlan::Scan { .. }
+            | LogicalPlan::Values { .. }
+            | LogicalPlan::Knn { .. }
+            | LogicalPlan::Limit { .. } => Vec::new(),
+            LogicalPlan::Filter { predicate, .. } => vec![predicate],
+            LogicalPlan::Project { items, .. } => items.iter_mut().map(|(e, _)| e).collect(),
+            LogicalPlan::Aggregate {
+                group_by,
+                aggregates,
+                ..
+            } => {
+                let keys = group_by.iter_mut().map(|(e, _)| e);
+                keys.chain(aggregates.iter_mut().map(|(_, e, _)| e))
+                    .collect()
+            }
+            LogicalPlan::Sort { keys, .. } | LogicalPlan::TopK { keys, .. } => {
+                keys.iter_mut().map(|(e, _)| e).collect()
+            }
+            LogicalPlan::Join { on, .. } => vec![on],
+            LogicalPlan::HashJoin { keys, residual, .. } => {
+                let keys = keys.iter_mut().flat_map(|(l, r)| [l, r]);
+                keys.chain(residual.iter_mut()).collect()
+            }
+            LogicalPlan::FilterProject {
+                predicate, items, ..
+            } => {
+                let items = items.iter_mut().map(|(e, _)| e);
+                std::iter::once(predicate).chain(items).collect()
+            }
+        };
+        for e in exprs {
+            *e = f(std::mem::replace(e, Expr::Star))?;
+        }
+        Ok(self)
+    }
+
+    fn children_mut(&mut self) -> Vec<&mut LogicalPlan> {
+        match self {
+            LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } | LogicalPlan::Knn { .. } => {
+                Vec::new()
+            }
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::TopK { input, .. }
+            | LogicalPlan::FilterProject { input, .. }
+            | LogicalPlan::Limit { input, .. } => vec![input],
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::HashJoin { left, right, .. } => {
+                vec![left, right]
+            }
+        }
+    }
+
     /// The operator's direct inputs, left to right.
     pub fn children(&self) -> Vec<&LogicalPlan> {
         match self {

@@ -47,7 +47,7 @@ pub fn run(session: &Session, plan: &LogicalPlan) -> Result<Dataset> {
             } else {
                 scan_stored(session, table, projection, spatial, time, residual, limit)?
             };
-            exec::finish_scan(data, projection, alias)
+            Ok(exec::finish_scan(data, projection, alias))
         }
         LogicalPlan::Filter { predicate, .. } => filter_interpreted(child(children), predicate),
         LogicalPlan::Project { items, .. } => project(child(children), items),
@@ -73,7 +73,7 @@ pub fn run(session: &Session, plan: &LogicalPlan) -> Result<Dataset> {
         LogicalPlan::Values { .. }
         | LogicalPlan::Limit { .. }
         | LogicalPlan::Join { .. }
-        | LogicalPlan::Knn { .. } => Executor::new(session).execute_node(plan, children),
+        | LogicalPlan::Knn { .. } => Executor::new(session, None).execute_node(plan, children),
     }
 }
 

@@ -515,3 +515,72 @@ fn explain_analyze_shows_join_and_topk_operators() {
 
     std::fs::remove_dir_all(dir).ok();
 }
+
+#[test]
+fn explain_and_executor_agree_on_aliased_scan_headers() {
+    use just_ql::{optimize, parse, LogicalPlan, Statement};
+    let (mut c, dir) = client("scan-header");
+    setup_orders(&mut c);
+
+    // (query, the header of its aliased scan). A scan's projection is the
+    // sorted list of names the operators above it mention; it is advisory.
+    let cases: [(&str, &[&str]); 3] = [
+        // Every name resolves: the header follows the projection, not the
+        // schema (`geom` is the table's last field).
+        (
+            "SELECT st_x(o.geom) AS x, o.time + 0 AS t FROM orders o",
+            &["o.geom", "o.time"],
+        ),
+        // `nope` does not resolve and is skipped.
+        (
+            "SELECT st_x(o.geom) AS x, nope + 0 AS n FROM orders o",
+            &["o.geom"],
+        ),
+        // Nothing resolves: the scan keeps every column.
+        (
+            "SELECT nope + 0 AS n FROM orders o",
+            &["o.fid", "o.name", "o.time", "o.geom"],
+        ),
+    ];
+    for (sql, want) in cases {
+        // The header the executed scan carries.
+        let Statement::Query(q) = parse(sql).unwrap() else {
+            panic!("{sql}")
+        };
+        let plan = optimize(LogicalPlan::from_select(&q).unwrap()).unwrap();
+        let scan = plan.children()[0];
+        assert!(
+            matches!(
+                scan,
+                LogicalPlan::Scan {
+                    projection: Some(_),
+                    alias: Some(_),
+                    ..
+                }
+            ),
+            "{plan}"
+        );
+        let executed = just_ql::reference::run(c.session(), scan).unwrap();
+        assert_eq!(executed.columns, want, "{sql}");
+
+        // The header EXPLAIN compiled the projection's programs against:
+        // every column operand is listed as `$<index> (<name>)`.
+        let listing = c.execute(&format!("EXPLAIN {sql}")).unwrap();
+        let mut operands = 0;
+        for row in &listing.dataset().unwrap().rows {
+            let line = row.values[0].as_str().unwrap();
+            if let Some((_, operand)) = line.split_once('$') {
+                let (index, name) = operand.split_once(" (").unwrap();
+                let index: usize = index.parse().unwrap();
+                assert_eq!(name.trim_end_matches(')'), executed.columns[index], "{sql}");
+                operands += 1;
+            } else if line.contains("program n:") {
+                assert!(line.contains("unknown column 'nope'"), "{line}");
+            }
+        }
+        // One operand per `o.<column>` the query mentions: nothing that
+        // resolves was skipped.
+        assert_eq!(operands, sql.matches("o.").count(), "{sql}");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}

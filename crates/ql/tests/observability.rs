@@ -1,9 +1,9 @@
 //! Observability e2e tests: the `SHOW`/`KILL` surface, the live query
-//! registry, the slow-query log, and the zero-cost guarantee for plain
-//! queries.
+//! registry and the slow-query log — for every statement kind that runs
+//! a SELECT plan (plain queries, `EXPLAIN ANALYZE`, `CREATE VIEW ... AS`).
 
 use just_core::{Engine, EngineConfig, SessionManager};
-use just_ql::Client;
+use just_ql::{Client, QlError};
 use just_storage::Value;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -211,6 +211,11 @@ fn kill_query_cancels_a_scan_mid_stream() {
         std::thread::sleep(Duration::from_millis(5));
     }
     let id = id.expect("query never registered");
+    // Let the scan pull its first batch, so the kill lands mid-stream and
+    // not between registration and the scan's start.
+    while Instant::now() < deadline && engine.io_snapshot().since(&before).batches_emitted == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let msg = c.execute(&format!("KILL QUERY {id}")).unwrap();
     assert!(msg.message().unwrap().contains(&id.to_string()));
 
@@ -238,25 +243,37 @@ fn kill_query_cancels_a_scan_mid_stream() {
 }
 
 #[test]
-fn plain_queries_allocate_no_trace() {
-    let (engine, dir) = engine_with("zerocost", EngineConfig::default());
+fn explain_analyze_is_listed_and_killable() {
+    let (engine, dir) = engine_with("killexplain", EngineConfig::default());
     let mut c = client_for(&engine, "obs");
-    setup_points(&mut c, 100);
+    setup_points(&mut c, 2100);
 
-    let before = just_obs::traces_allocated();
-    for _ in 0..5 {
-        c.execute("SELECT fid FROM pts WHERE fid < 50").unwrap();
-        c.execute("SHOW QUERIES").unwrap();
+    let worker_engine = engine.clone();
+    let worker = std::thread::spawn(move || {
+        let mut wc = client_for(&worker_engine, "obs");
+        wc.execute("EXPLAIN ANALYZE SELECT fid FROM pts WHERE sleep_ms(1) >= 0")
+    });
+
+    // A second client sees the statement live, as typed.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut seen = None;
+    while Instant::now() < deadline && seen.is_none() {
+        let q = c.execute("SHOW QUERIES").unwrap().into_dataset().unwrap();
+        seen = q
+            .rows
+            .first()
+            .map(|row| (row.values[0].as_int().unwrap(), row.values[8].clone()));
+        std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(
-        just_obs::traces_allocated(),
-        before,
-        "plain queries must never allocate a Trace arena"
+    let (id, sql) = seen.expect("EXPLAIN ANALYZE never appeared in SHOW QUERIES");
+    assert!(
+        sql.as_str().unwrap().starts_with("EXPLAIN ANALYZE"),
+        "{sql:?}"
     );
 
-    // EXPLAIN ANALYZE is the opt-in path that does allocate one.
-    c.execute("EXPLAIN ANALYZE SELECT fid FROM pts").unwrap();
-    assert!(just_obs::traces_allocated() > before);
+    c.execute(&format!("KILL QUERY {id}")).unwrap();
+    let err = worker.join().unwrap().expect_err("query must be killed");
+    assert!(matches!(err, QlError::Cancelled(_)), "{err:?}");
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -270,8 +287,12 @@ fn slow_queries_emit_a_breakdown_event() {
     let mut c = client_for(&engine, "obs");
     setup_points(&mut c, 20);
 
-    c.execute("SELECT fid FROM pts WHERE sleep_ms(2) >= 0")
-        .unwrap();
+    // The window goes to the index, so the scan has key ranges to report.
+    c.execute(
+        "SELECT fid FROM pts WHERE geom WITHIN st_makeMBR(115, 38, 117, 40) \
+         AND sleep_ms(2) >= 0",
+    )
+    .unwrap();
 
     let events = engine.events().recent(50);
     let slow = events
@@ -280,8 +301,13 @@ fn slow_queries_emit_a_breakdown_event() {
         .expect("slow query must be logged");
     assert!(slow.detail.contains("user=obs"), "{}", slow.detail);
     assert!(slow.detail.contains("ok=true"), "{}", slow.detail);
-    assert!(slow.detail.contains("ops=["), "{}", slow.detail);
     assert!(slow.detail.contains("sleep_ms"), "{}", slow.detail);
+    // One entry per operator, `label:rows:us`, the stored-table scan's
+    // followed by its IO and index-selectivity attrs.
+    assert!(slow.detail.contains("ops=[Scan [pts]"), "{}", slow.detail);
+    assert!(slow.detail.contains(":20rows:"), "{}", slow.detail);
+    assert!(slow.detail.contains("us:blocks_read="), "{}", slow.detail);
+    assert!(slow.detail.contains(":keys_scanned="), "{}", slow.detail);
 
     // Fast queries below the threshold stay out of the log.
     let before = engine
@@ -298,6 +324,19 @@ fn slow_queries_emit_a_breakdown_event() {
         .filter(|e| e.kind == "query.slow")
         .count();
     assert_eq!(before, after, "fast query must not hit the slow log");
+
+    // Every statement kind that runs a SELECT plan is slow-logged.
+    for sql in [
+        "EXPLAIN ANALYZE SELECT fid FROM pts WHERE sleep_ms(2) >= 0",
+        "CREATE VIEW slowv AS SELECT fid FROM pts WHERE sleep_ms(2) >= 0",
+    ] {
+        c.execute(sql).unwrap();
+        let events = engine.events().recent(50);
+        let logged = events
+            .iter()
+            .any(|e| e.kind == "query.slow" && e.detail.ends_with(&format!("sql={sql}")));
+        assert!(logged, "no query.slow for {sql}: {events:?}");
+    }
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -320,5 +359,13 @@ fn query_tracking_can_be_disabled() {
     std::thread::sleep(Duration::from_millis(50));
     assert!(engine.queries().list().is_empty());
     worker.join().unwrap().unwrap();
+
+    // The other statement kinds that run a SELECT plan work untracked too.
+    let plan = c.execute("EXPLAIN ANALYZE SELECT fid FROM pts LIMIT 5");
+    let plan = plan.unwrap().into_dataset().unwrap();
+    let has_scan = |r: &just_storage::Row| r.values[0].as_str().unwrap().contains("Scan [pts]");
+    assert!(plan.rows.iter().any(has_scan), "{plan:?}");
+    let msg = c.execute("CREATE VIEW v AS SELECT fid FROM pts LIMIT 5");
+    assert!(msg.unwrap().message().unwrap().contains("5 rows cached"));
     std::fs::remove_dir_all(dir).ok();
 }

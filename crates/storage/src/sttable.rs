@@ -60,8 +60,6 @@ pub struct StorageConfig {
     pub period: TimePeriod,
     /// Query decomposition budget.
     pub range_options: RangeOptions,
-    /// Maintain the record-id side table enabling updates/deletes by id.
-    pub track_ids: bool,
 }
 
 impl Default for StorageConfig {
@@ -72,7 +70,6 @@ impl Default for StorageConfig {
             index: None,
             period: TimePeriod::Day,
             range_options: RangeOptions::default(),
-            track_ids: true,
         }
     }
 }
@@ -111,7 +108,7 @@ pub struct StTable {
     /// is temporal; spatial-only queries (and k-NN expansion) use it so
     /// they never fan out across time periods.
     spatial: Option<(IndexStrategy, Arc<KvTable>)>,
-    ids: Option<Arc<KvTable>>,
+    ids: Arc<KvTable>,
     /// Observed `[min t_min, max t_max]` over all inserts, persisted under
     /// a reserved key so open-time-window queries on temporal indexes only
     /// plan the periods that can hold data (instead of ±50 years).
@@ -219,11 +216,7 @@ impl StTable {
         config: StorageConfig,
     ) -> Result<StTable> {
         let data = store.create_table(&format!("{name}__data"), config.regions)?;
-        let ids = if config.track_ids {
-            Some(store.create_table(&format!("{name}__ids"), config.regions)?)
-        } else {
-            None
-        };
+        let ids = store.create_table(&format!("{name}__ids"), config.regions)?;
         let sdata = if Self::decide_kind(&schema, &config).is_temporal() {
             Some(store.create_table(&format!("{name}__sdata"), config.regions)?)
         } else {
@@ -240,11 +233,7 @@ impl StTable {
         config: StorageConfig,
     ) -> Result<StTable> {
         let data = store.open_table(&format!("{name}__data"), config.regions)?;
-        let ids = if config.track_ids {
-            Some(store.open_table(&format!("{name}__ids"), config.regions)?)
-        } else {
-            None
-        };
+        let ids = store.open_table(&format!("{name}__ids"), config.regions)?;
         let sdata = if Self::decide_kind(&schema, &config).is_temporal() {
             Some(store.open_table(&format!("{name}__sdata"), config.regions)?)
         } else {
@@ -278,7 +267,7 @@ impl StTable {
         config: StorageConfig,
         data: Arc<KvTable>,
         sdata: Option<Arc<KvTable>>,
-        ids: Option<Arc<KvTable>>,
+        ids: Arc<KvTable>,
     ) -> StTable {
         let point_data = schema
             .geom_index()
@@ -365,22 +354,20 @@ impl StTable {
         self.widen_time_bounds(meta.t_min, meta.t_max)?;
         let key = self.strategy.key(&meta);
         let skey = self.spatial.as_ref().map(|(st, _)| st.key(&meta));
-        if let Some(ids) = &self.ids {
-            if let Some(old_key) = ids.get(&meta.fid)? {
-                if old_key != key {
-                    // Remove the superseded version from both indexes.
-                    if let (Some((sst, stable)), Some(bytes)) =
-                        (&self.spatial, self.data.get(&old_key)?)
-                    {
-                        let old_row = Row::decode(&self.schema, &bytes)?;
-                        let old_meta = self.meta_of(&old_row)?;
-                        stable.delete(sst.key(&old_meta))?;
-                    }
-                    self.data.delete(old_key)?;
+        if let Some(old_key) = self.ids.get(&meta.fid)? {
+            if old_key != key {
+                // Remove the superseded version from both indexes.
+                if let (Some((sst, stable)), Some(bytes)) =
+                    (&self.spatial, self.data.get(&old_key)?)
+                {
+                    let old_row = Row::decode(&self.schema, &bytes)?;
+                    let old_meta = self.meta_of(&old_row)?;
+                    stable.delete(sst.key(&old_meta))?;
                 }
+                self.data.delete(old_key)?;
             }
-            ids.put(meta.fid.clone(), key.clone())?;
         }
+        self.ids.put(meta.fid.clone(), key.clone())?;
         let value = row.encode(&self.schema)?;
         if let (Some((_, stable)), Some(skey)) = (&self.spatial, skey) {
             stable.put(skey, value.clone())?;
@@ -389,14 +376,10 @@ impl StTable {
         Ok(())
     }
 
-    /// Deletes a record by id. Returns whether it existed. Requires
-    /// `track_ids`.
+    /// Deletes a record by id. Returns whether it existed.
     pub fn delete(&self, fid: &Value) -> Result<bool> {
-        let ids = self.ids.as_ref().ok_or_else(|| {
-            StorageError::SchemaMismatch("delete-by-id requires track_ids".into())
-        })?;
         let fid = fid_bytes(fid)?;
-        match ids.get(&fid)? {
+        match self.ids.get(&fid)? {
             Some(key) => {
                 if let Some((sst, stable)) = &self.spatial {
                     if let Some(bytes) = self.data.get(&key)? {
@@ -406,21 +389,17 @@ impl StTable {
                     }
                 }
                 self.data.delete(key)?;
-                ids.delete(fid)?;
+                self.ids.delete(fid)?;
                 Ok(true)
             }
             None => Ok(false),
         }
     }
 
-    /// Point lookup by id. Requires `track_ids`.
+    /// Point lookup by id.
     pub fn get(&self, fid: &Value) -> Result<Option<Row>> {
-        let ids = self
-            .ids
-            .as_ref()
-            .ok_or_else(|| StorageError::SchemaMismatch("get-by-id requires track_ids".into()))?;
         let fid = fid_bytes(fid)?;
-        let Some(key) = ids.get(&fid)? else {
+        let Some(key) = self.ids.get(&fid)? else {
             return Ok(None);
         };
         let Some(bytes) = self.data.get(&key)? else {
@@ -458,21 +437,6 @@ impl StTable {
         obs.ranges_generated.add(plan.ranges.len() as u64);
         obs.curve_ranges.add(plan.curve_ranges as u64);
         Some((plan, scan_table))
-    }
-
-    /// [`StTable::query_raw_stream`] drained: every raw key-value entry
-    /// of a query window, without decoding or exact filtering.
-    pub fn query_raw(
-        &self,
-        spatial: Option<&Rect>,
-        time: Option<(i64, i64)>,
-    ) -> Result<Vec<just_kvstore::KvEntry>> {
-        let mut stream = self.query_raw_stream(spatial, time, Default::default());
-        let mut entries = Vec::new();
-        while let Some(batch) = stream.next_batch()? {
-            entries.extend(batch);
-        }
-        Ok(entries)
     }
 
     /// Plans a query window and scans the planned ranges lazily, one
@@ -633,9 +597,7 @@ impl StTable {
         if let Some((_, stable)) = &self.spatial {
             stable.flush()?;
         }
-        if let Some(ids) = &self.ids {
-            ids.flush()?;
-        }
+        self.ids.flush()?;
         Ok(())
     }
 
@@ -645,9 +607,7 @@ impl StTable {
         if let Some((_, stable)) = &self.spatial {
             stable.compact()?;
         }
-        if let Some(ids) = &self.ids {
-            ids.compact()?;
-        }
+        self.ids.compact()?;
         Ok(())
     }
 
@@ -659,7 +619,7 @@ impl StTable {
                 .as_ref()
                 .map(|(_, t)| t.disk_size())
                 .unwrap_or(0)
-            + self.ids.as_ref().map(|t| t.disk_size()).unwrap_or(0)
+            + self.ids.disk_size()
     }
 
     /// Approximate record count.

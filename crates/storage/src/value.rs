@@ -145,14 +145,6 @@ impl Value {
         }
     }
 
-    /// The value as a geometry.
-    pub fn as_geom(&self) -> Option<&Geometry> {
-        match self {
-            Value::Geom(g) => Some(g),
-            _ => None,
-        }
-    }
-
     /// The value as a GPS list.
     pub fn as_gps_list(&self) -> Option<&[GpsSample]> {
         match self {
