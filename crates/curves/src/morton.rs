@@ -1,8 +1,11 @@
-//! Morton (Z-order) bit interleaving.
+//! Morton (Z-order) bit interleaving, and the cell tree a Morton curve
+//! numbers.
 //!
 //! Figure 3 of the paper: coordinates are binary-searched into bit strings
 //! and interleaved crosswise into a single code. The magic-number spread
 //! implementations below are the branch-free equivalent.
+
+use crate::range::{CellTree, KeyRange, Relation};
 
 /// Spreads the low 32 bits of `v` so bit `i` lands at position `2i`.
 #[inline]
@@ -74,6 +77,75 @@ pub fn interleave3(x: u64, y: u64, z: u64) -> u64 {
 #[inline]
 pub fn deinterleave3(m: u64) -> (u64, u64, u64) {
     (squash3(m), squash3(m >> 1), squash3(m >> 2))
+}
+
+/// The quadtree (`D` = 2) or octree (`D` = 3) under a Morton curve of
+/// `bits` per dimension, with the query window as inclusive bounds in
+/// discrete cell space (which sidesteps floating-point edge cases).
+pub(crate) struct ZCells<const D: usize> {
+    pub bits: u32,
+    pub lo: [u64; D],
+    pub hi: [u64; D],
+}
+
+/// A node of [`ZCells`]: the cells whose codes start with `prefix`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ZCell<const D: usize> {
+    prefix: u64,
+    level: u32,
+    origin: [u64; D],
+}
+
+impl<const D: usize> CellTree for ZCells<D> {
+    type Cell = ZCell<D>;
+
+    fn root(&self) -> ZCell<D> {
+        ZCell {
+            prefix: 0,
+            level: 0,
+            origin: [0; D],
+        }
+    }
+
+    fn relation(&self, cell: &ZCell<D>) -> Relation {
+        let side = 1u64 << (self.bits - cell.level);
+        // Full-resolution cells of this node inside the window.
+        let mut inside = 1u64;
+        for d in 0..D {
+            let lo = cell.origin[d].max(self.lo[d]);
+            let hi = (cell.origin[d] + side - 1).min(self.hi[d]);
+            if lo > hi {
+                return Relation::Disjoint;
+            }
+            inside *= hi - lo + 1;
+        }
+        match self.range(cell).len() - inside {
+            0 => Relation::Contained,
+            excess => Relation::Overlaps(excess),
+        }
+    }
+
+    fn range(&self, cell: &ZCell<D>) -> KeyRange {
+        let shift = D as u32 * (self.bits - cell.level);
+        let lo = cell.prefix << shift;
+        KeyRange::new(lo, lo + ((1u64 << shift) - 1))
+    }
+
+    fn children(&self, cell: &ZCell<D>) -> impl Iterator<Item = ZCell<D>> {
+        let cell = *cell;
+        let half = 1u64 << (self.bits - cell.level - 1);
+        (0..1u64 << D).map(move |i| {
+            let mut origin = cell.origin;
+            for (d, o) in origin.iter_mut().enumerate() {
+                *o += ((i >> d) & 1) * half;
+            }
+            ZCell {
+                prefix: (cell.prefix << D) | i,
+                level: cell.level + 1,
+                origin,
+            }
+        })
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! code so that every subtree occupies a contiguous code interval, which
 //! makes "everything under this cell" a single key range.
 
-use crate::range::{merge_ranges, KeyRange, RangeOptions};
+use crate::range::{decompose, CellTree, KeyRange, RangeOptions, Relation};
 use crate::{norm_lat, norm_lng};
 use just_geo::Rect;
 
@@ -41,7 +41,7 @@ impl Xz2 {
     /// Total number of sequence codes (exclusive upper bound): the size of
     /// the subtree rooted at the whole space.
     pub fn code_space(&self) -> u64 {
-        subtree_size(self.g, 0)
+        subtree_size::<2>(self.g, 0)
     }
 
     /// Encodes an MBR (in degrees) into its XZ2 sequence code.
@@ -86,127 +86,124 @@ impl Xz2 {
             let qx = if x >= cx + w { 1u64 } else { 0 };
             let qy = if y >= cy + w { 1u64 } else { 0 };
             let quadrant = qx | (qy << 1);
-            code += 1 + quadrant * subtree_size(self.g, i);
+            code += 1 + quadrant * subtree_size::<2>(self.g, i);
             cx += qx as f64 * w;
             cy += qy as f64 * w;
         }
         code
     }
 
-    /// Decomposes a query window into merged code ranges.
-    ///
-    /// A node's *enlarged* cell bounds every object stored at it, so:
-    /// window ⊇ enlarged cell ⟹ whole subtree matches (one range);
-    /// window ∩ enlarged cell ≠ ∅ ⟹ this cell may hold matches (single
-    /// code) and children are explored; otherwise the subtree is pruned.
+    /// Decomposes a query window into merged code ranges: a node whose
+    /// enlarged cell the window contains contributes its whole subtree;
+    /// nodes it only intersects are split, worst first, while the range
+    /// budget lasts, each contributing its own code.
     pub fn ranges(&self, query: &Rect, opts: &RangeOptions) -> Vec<KeyRange> {
-        let query = match query.intersection(&just_geo::WORLD) {
-            Some(q) => q,
-            None => return Vec::new(),
-        };
-        let q = NormRect {
-            x_min: norm_lng(query.min_x),
-            y_min: norm_lat(query.min_y),
-            x_max: norm_lng(query.max_x),
-            y_max: norm_lat(query.max_y),
-        };
-        let mut out = Vec::new();
-        let max_level = opts.max_recursion.min(self.g);
-        self.descend(
-            &q,
-            0.0,
-            0.0,
-            1.0,
-            0,
-            0,
-            max_level,
-            opts.max_ranges,
-            &mut out,
-        );
-        merge_ranges(out)
+        match norm_window(query) {
+            Some((lo, hi)) => decompose(&XzCells { g: self.g, lo, hi }, opts.target_ranges),
+            None => Vec::new(),
+        }
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn descend(
-        &self,
-        q: &NormRect,
-        cx: f64,
-        cy: f64,
-        w: f64,
-        level: u32,
-        code: u64,
-        max_level: u32,
-        max_ranges: usize,
-        out: &mut Vec<KeyRange>,
-    ) {
-        // Enlarged cell: doubled width and height.
-        let ext = NormRect {
-            x_min: cx,
-            y_min: cy,
-            x_max: cx + 2.0 * w,
-            y_max: cy + 2.0 * w,
-        };
-        if !q.intersects(&ext) {
-            return;
-        }
-        let subtree = subtree_size(self.g, level);
-        if q.contains(&ext) || level == max_level || out.len() >= max_ranges {
-            // Everything stored at this cell or below is a candidate. When
-            // the window fully contains the enlarged cell this is exact;
-            // at the recursion/budget limit it is a sound over-approximation.
-            out.push(KeyRange::new(code, code + subtree - 1));
-            return;
-        }
-        // The element stored at this cell itself may match.
-        out.push(KeyRange::point(code));
-        let half = w / 2.0;
-        let child_subtree = subtree_size(self.g, level + 1);
-        for quadrant in 0..4u64 {
-            let (dx, dy) = ((quadrant & 1) as f64, (quadrant >> 1) as f64);
-            self.descend(
-                q,
-                cx + dx * half,
-                cy + dy * half,
-                half,
-                level + 1,
-                code + 1 + quadrant * child_subtree,
-                max_level,
-                max_ranges,
-                out,
-            );
-        }
-    }
+/// The part of `query` inside the world as normalised `[lng, lat]` bounds.
+pub(crate) fn norm_window(query: &Rect) -> Option<([f64; 2], [f64; 2])> {
+    let q = query.intersection(&just_geo::WORLD)?;
+    Some((
+        [norm_lng(q.min_x), norm_lat(q.min_y)],
+        [norm_lng(q.max_x), norm_lat(q.max_y)],
+    ))
 }
 
 /// Number of sequence codes in a subtree rooted at a level-`level` cell
-/// (the cell itself plus all descendants down to level `g`):
-/// `(4^(g-level+1) - 1) / 3`.
-fn subtree_size(g: u32, level: u32) -> u64 {
-    let d = g - level + 1;
-    ((1u64 << (2 * d)) - 1) / 3
+/// of a `2^D`-ary tree of depth `g` (the cell itself plus all
+/// descendants): `((2^D)^(g-level+1) - 1) / (2^D - 1)`.
+pub(crate) fn subtree_size<const D: usize>(g: u32, level: u32) -> u64 {
+    ((1u64 << (D as u32 * (g - level + 1))) - 1) / ((1u64 << D) - 1)
 }
 
+/// The quadtree (`D` = 2) or octree (`D` = 3) an XZ curve of depth `g`
+/// numbers, with the query window in normalised coordinates.
+///
+/// A node's *enlarged* cell (doubled in every dimension) bounds every
+/// object stored at or below it, so: window ⊇ enlarged cell ⟹ the whole
+/// subtree matches; window ∩ enlarged cell ≠ ∅ ⟹ the objects stored at
+/// the node itself may match (its own code) and so may its children;
+/// otherwise the subtree is pruned.
+pub(crate) struct XzCells<const D: usize> {
+    pub g: u32,
+    pub lo: [f64; D],
+    pub hi: [f64; D],
+}
+
+/// A node of [`XzCells`].
 #[derive(Debug, Clone, Copy)]
-struct NormRect {
-    x_min: f64,
-    y_min: f64,
-    x_max: f64,
-    y_max: f64,
+pub(crate) struct XzCell<const D: usize> {
+    code: u64,
+    level: u32,
+    origin: [f64; D],
+    w: f64,
 }
 
-impl NormRect {
-    fn intersects(&self, other: &NormRect) -> bool {
-        self.x_min <= other.x_max
-            && self.x_max >= other.x_min
-            && self.y_min <= other.y_max
-            && self.y_max >= other.y_min
+impl<const D: usize> CellTree for XzCells<D> {
+    type Cell = XzCell<D>;
+
+    fn root(&self) -> XzCell<D> {
+        XzCell {
+            code: 0,
+            level: 0,
+            origin: [0.0; D],
+            w: 1.0,
+        }
     }
 
-    fn contains(&self, other: &NormRect) -> bool {
-        other.x_min >= self.x_min
-            && other.x_max <= self.x_max
-            && other.y_min >= self.y_min
-            && other.y_max <= self.y_max
+    fn relation(&self, cell: &XzCell<D>) -> Relation {
+        let ext = 2.0 * cell.w;
+        // Share of the enlarged cell's volume inside the window.
+        let mut share = 1.0;
+        let mut contained = true;
+        for d in 0..D {
+            let lo = self.lo[d].max(cell.origin[d]);
+            let hi = self.hi[d].min(cell.origin[d] + ext);
+            if lo > hi {
+                return Relation::Disjoint;
+            }
+            contained &= self.lo[d] <= cell.origin[d] && self.hi[d] >= cell.origin[d] + ext;
+            share *= (hi - lo) / ext;
+        }
+        if contained || cell.level == self.g {
+            return Relation::Contained;
+        }
+        let codes = subtree_size::<D>(self.g, cell.level);
+        Relation::Overlaps(codes.saturating_sub((codes as f64 * share) as u64))
+    }
+
+    fn range(&self, cell: &XzCell<D>) -> KeyRange {
+        KeyRange::new(
+            cell.code,
+            cell.code + subtree_size::<D>(self.g, cell.level) - 1,
+        )
+    }
+
+    fn own_code(&self, cell: &XzCell<D>) -> Option<u64> {
+        Some(cell.code)
+    }
+
+    fn children(&self, cell: &XzCell<D>) -> impl Iterator<Item = XzCell<D>> {
+        let cell = *cell;
+        let half = cell.w / 2.0;
+        let codes = subtree_size::<D>(self.g, cell.level + 1);
+        (0..1u64 << D).map(move |i| {
+            let mut origin = cell.origin;
+            for (d, o) in origin.iter_mut().enumerate() {
+                *o += ((i >> d) & 1) as f64 * half;
+            }
+            XzCell {
+                code: cell.code + 1 + i * codes,
+                level: cell.level + 1,
+                origin,
+                w: half,
+            }
+        })
     }
 }
 
@@ -217,11 +214,11 @@ mod tests {
     #[test]
     fn subtree_sizes() {
         // g = 2: leaf subtree = 1 cell... level 2 cell has d = 1 -> 1 code.
-        assert_eq!(subtree_size(2, 2), 1);
+        assert_eq!(subtree_size::<2>(2, 2), 1);
         // level-1 cell: itself + 4 leaves = 5.
-        assert_eq!(subtree_size(2, 1), 5);
+        assert_eq!(subtree_size::<2>(2, 1), 5);
         // root: itself + 4 * 5 = 21.
-        assert_eq!(subtree_size(2, 0), 21);
+        assert_eq!(subtree_size::<2>(2, 0), 21);
     }
 
     #[test]

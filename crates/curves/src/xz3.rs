@@ -8,7 +8,8 @@
 //! assign very shallow octree cells and destroys spatial selectivity
 //! (Section IV-C and Figure 5a).
 
-use crate::range::{merge_ranges, KeyRange, PeriodRange, RangeOptions};
+use crate::range::{decompose, PeriodRange, RangeOptions, XZ_PERIOD_FLOOR};
+use crate::xz2::{norm_window, subtree_size, XzCells};
 use crate::{norm_lat, norm_lng, TimePeriod};
 use just_geo::Rect;
 
@@ -117,7 +118,7 @@ impl Xz3 {
             let qy = if y >= cy + w { 1u64 } else { 0 };
             let qt = if t >= ct + w { 1u64 } else { 0 };
             let octant = qx | (qy << 1) | (qt << 2);
-            code += 1 + octant * subtree_size(self.g, i);
+            code += 1 + octant * subtree_size::<3>(self.g, i);
             cx += qx as f64 * w;
             cy += qy as f64 * w;
             ct += qt as f64 * w;
@@ -125,7 +126,9 @@ impl Xz3 {
         code
     }
 
-    /// Decomposes a spatio-temporal window into per-period code ranges.
+    /// Decomposes a spatio-temporal window into per-period code ranges;
+    /// the periods it scans share the range budget equally, down to
+    /// 64 ranges each (what an XZ curve needs to select at all).
     pub fn ranges(
         &self,
         query: &Rect,
@@ -133,110 +136,45 @@ impl Xz3 {
         t_max: i64,
         opts: &RangeOptions,
     ) -> Vec<PeriodRange> {
-        let query = match query.intersection(&just_geo::WORLD) {
-            Some(q) => q,
-            None => return Vec::new(),
+        let Some((lo, hi)) = norm_window(query) else {
+            return Vec::new();
         };
         if t_min > t_max {
             return Vec::new();
         }
-        let qx = (norm_lng(query.min_x), norm_lng(query.max_x));
-        let qy = (norm_lat(query.min_y), norm_lat(query.max_y));
-        let mut out = Vec::new();
         // Objects are stored in the period of their t_min, but an object
         // starting in an earlier period can extend into the query window;
         // scanning one extra period backwards bounds the miss to objects
         // longer than a whole period (the same trade-off the paper's
         // day-period configuration makes for multi-day trajectories).
-        let first = self.period.period_of(t_min) - 1;
-        let last = self.period.period_of(t_max);
-        for period in first..=last {
+        let periods = self.period.period_of(t_min) - 1..=self.period.period_of(t_max);
+        let budget = opts.per_period(periods.clone().count(), XZ_PERIOD_FLOOR);
+        let p_len = self.period.len_ms() as f64;
+        let mut out = Vec::new();
+        for period in periods {
             let p_start = self.period.start_of(period);
-            let p_len = self.period.len_ms() as f64;
-            // Query time window normalised to this period; values may
-            // exceed [0,1] when the window extends past the period — the
-            // extended-cell intersection logic handles that naturally.
-            let qt_lo = ((t_min - p_start) as f64 / p_len).max(0.0);
-            let qt_hi = ((t_max - p_start) as f64 / p_len).min(2.0);
-            if qt_lo >= 2.0 || qt_hi <= 0.0 {
-                continue;
-            }
-            let mut ranges = Vec::new();
-            let max_level = opts.max_recursion.min(self.g);
-            self.descend(
-                (qx.0, qx.1, qy.0, qy.1, qt_lo, qt_hi),
-                (0.0, 0.0, 0.0, 1.0),
-                0,
-                0,
-                max_level,
-                opts.max_ranges,
-                &mut ranges,
+            // Query time window normalised to this period. It may extend
+            // past the period's end, which the enlarged-cell intersection
+            // handles naturally; but an object's extent is indexed clamped
+            // to its period, so a window that *starts* past the end must
+            // still reach every object touching the end.
+            let cells = XzCells {
+                g: self.g,
+                lo: [
+                    lo[0],
+                    lo[1],
+                    ((t_min - p_start) as f64 / p_len).clamp(0.0, 1.0),
+                ],
+                hi: [hi[0], hi[1], ((t_max - p_start) as f64 / p_len).min(2.0)],
+            };
+            out.extend(
+                decompose(&cells, budget)
+                    .into_iter()
+                    .map(|range| PeriodRange { period, range }),
             );
-            for r in merge_ranges(ranges) {
-                out.push(PeriodRange { period, range: r });
-            }
         }
         out
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn descend(
-        &self,
-        q: (f64, f64, f64, f64, f64, f64),
-        cell: (f64, f64, f64, f64), // (cx, cy, ct, w)
-        level: u32,
-        code: u64,
-        max_level: u32,
-        max_ranges: usize,
-        out: &mut Vec<KeyRange>,
-    ) {
-        let (qx_lo, qx_hi, qy_lo, qy_hi, qt_lo, qt_hi) = q;
-        let (cx, cy, ct, w) = cell;
-        // Enlarged cell: doubled in every dimension.
-        let intersects = qx_lo <= cx + 2.0 * w
-            && qx_hi >= cx
-            && qy_lo <= cy + 2.0 * w
-            && qy_hi >= cy
-            && qt_lo <= ct + 2.0 * w
-            && qt_hi >= ct;
-        if !intersects {
-            return;
-        }
-        let subtree = subtree_size(self.g, level);
-        let contained = qx_lo <= cx
-            && qx_hi >= cx + 2.0 * w
-            && qy_lo <= cy
-            && qy_hi >= cy + 2.0 * w
-            && qt_lo <= ct
-            && qt_hi >= ct + 2.0 * w;
-        if contained || level == max_level || out.len() >= max_ranges {
-            out.push(KeyRange::new(code, code + subtree - 1));
-            return;
-        }
-        out.push(KeyRange::point(code));
-        let half = w / 2.0;
-        let child_subtree = subtree_size(self.g, level + 1);
-        for octant in 0..8u64 {
-            let dx = (octant & 1) as f64;
-            let dy = ((octant >> 1) & 1) as f64;
-            let dt = (octant >> 2) as f64;
-            self.descend(
-                q,
-                (cx + dx * half, cy + dy * half, ct + dt * half, half),
-                level + 1,
-                code + 1 + octant * child_subtree,
-                max_level,
-                max_ranges,
-                out,
-            );
-        }
-    }
-}
-
-/// `(8^(g-level+1) - 1) / 7`: codes in a subtree rooted at `level`.
-fn subtree_size(g: u32, level: u32) -> u64 {
-    let d = g - level + 1;
-    ((1u64 << (3 * d)) - 1) / 7
 }
 
 #[cfg(test)]
@@ -255,8 +193,8 @@ mod tests {
 
     #[test]
     fn subtree_sizes() {
-        assert_eq!(subtree_size(1, 1), 1);
-        assert_eq!(subtree_size(1, 0), 9); // root + 8 children
+        assert_eq!(subtree_size::<3>(1, 1), 1);
+        assert_eq!(subtree_size::<3>(1, 0), 9); // root + 8 children
     }
 
     #[test]
@@ -345,6 +283,6 @@ mod tests {
         );
         let (_, code) = xz3.index(&m);
         // Level <= 1 codes are tiny (at most 1 + 3*subtree(1)).
-        assert!(code <= 1 + 7 * subtree_size(12, 1), "code {code}");
+        assert!(code <= 1 + 7 * subtree_size::<3>(12, 1), "code {code}");
     }
 }

@@ -1,7 +1,7 @@
 //! The Z2 index: Morton order over (longitude, latitude) for point data.
 
-use crate::morton::{deinterleave2, interleave2};
-use crate::range::{merge_ranges, KeyRange, RangeOptions};
+use crate::morton::{deinterleave2, interleave2, ZCells};
+use crate::range::{decompose, KeyRange, RangeOptions};
 use crate::{discretize, norm_lat, norm_lng};
 use just_geo::Rect;
 
@@ -49,88 +49,40 @@ impl Z2 {
         Rect::new(min_x, min_y, min_x + w, min_y + h)
     }
 
-    /// Decomposes a query window into merged inclusive code ranges by
-    /// recursive quadrant splitting (the GeoMesa approach): a quadrant
-    /// wholly inside the window contributes its whole code subtree; a
-    /// partially-covered quadrant is split until the recursion budget is
-    /// exhausted, at which point its covering range is emitted.
+    /// Decomposes a query window into merged inclusive code ranges (the
+    /// GeoMesa approach): a quadrant wholly inside the
+    /// window contributes its whole code subtree; partially-covered
+    /// quadrants are split, worst first, while the range budget lasts,
+    /// and then contribute their covering range.
     pub fn ranges(&self, query: &Rect, opts: &RangeOptions) -> Vec<KeyRange> {
-        let query = match query.intersection(&just_geo::WORLD) {
-            Some(q) => q,
-            None => return Vec::new(),
-        };
-        // Work in discrete cell space to avoid floating-point edge cases.
-        let qx_lo = discretize(norm_lng(query.min_x), self.bits);
-        let qx_hi = discretize(norm_lng(query.max_x), self.bits);
-        let qy_lo = discretize(norm_lat(query.min_y), self.bits);
-        let qy_hi = discretize(norm_lat(query.max_y), self.bits);
-        let mut out = Vec::new();
-        let max_level = opts.max_recursion.min(self.bits);
-        decompose2(
-            self.bits,
-            0,
-            0,
-            0,
-            max_level,
-            opts.max_ranges,
-            (qx_lo, qx_hi, qy_lo, qy_hi),
-            &mut out,
-        );
-        merge_ranges(out)
+        match cell_window(query, self.bits) {
+            Some((lo, hi)) => decompose(
+                &ZCells {
+                    bits: self.bits,
+                    lo,
+                    hi,
+                },
+                opts.target_ranges,
+            ),
+            None => Vec::new(),
+        }
     }
 }
 
-/// Recursive quadrant decomposition in cell space.
-///
-/// `prefix` holds the Morton code of the current quadrant shifted to its
-/// level; the quadrant at `level` spans `side = 2^(bits-level)` cells per
-/// dimension starting at `(x0, y0)`.
-#[allow(clippy::too_many_arguments)]
-fn decompose2(
-    bits: u32,
-    prefix: u64,
-    level: u32,
-    origin: u64, // packed (x0, y0) as morton of the cell origin
-    max_level: u32,
-    max_ranges: usize,
-    q: (u64, u64, u64, u64),
-    out: &mut Vec<KeyRange>,
-) {
-    let (qx_lo, qx_hi, qy_lo, qy_hi) = q;
-    let shift = bits - level;
-    let (x0, y0) = deinterleave2(origin);
-    let side = 1u64 << shift;
-    let (cx_lo, cx_hi) = (x0, x0 + side - 1);
-    let (cy_lo, cy_hi) = (y0, y0 + side - 1);
-    // Disjoint?
-    if cx_hi < qx_lo || cx_lo > qx_hi || cy_hi < qy_lo || cy_lo > qy_hi {
-        return;
-    }
-    let code_lo = prefix << (2 * shift);
-    let code_hi = code_lo + ((1u64 << (2 * shift)) - 1);
-    // Fully contained, at max depth, or out of range budget: emit covering
-    // range.
-    let contained = cx_lo >= qx_lo && cx_hi <= qx_hi && cy_lo >= qy_lo && cy_hi <= qy_hi;
-    if contained || level == max_level || out.len() >= max_ranges {
-        out.push(KeyRange::new(code_lo, code_hi));
-        return;
-    }
-    // Recurse into the four children in Morton order.
-    let half = side >> 1;
-    for quadrant in 0..4u64 {
-        let (dx, dy) = (quadrant & 1, quadrant >> 1);
-        let child_origin = interleave2(x0 + dx * half, y0 + dy * half);
-        decompose2(
-            bits,
-            (prefix << 2) | quadrant,
-            level + 1,
-            child_origin,
-            max_level,
-            max_ranges,
-            q,
-            out,
-        );
-    }
+/// The part of `query` inside the world as inclusive `[lng, lat]` bounds
+/// in the discrete cell space of `bits` per dimension.
+pub(crate) fn cell_window(query: &Rect, bits: u32) -> Option<([u64; 2], [u64; 2])> {
+    let q = query.intersection(&just_geo::WORLD)?;
+    Some((
+        [
+            discretize(norm_lng(q.min_x), bits),
+            discretize(norm_lat(q.min_y), bits),
+        ],
+        [
+            discretize(norm_lng(q.max_x), bits),
+            discretize(norm_lat(q.max_y), bits),
+        ],
+    ))
 }
 
 #[cfg(test)]
@@ -208,7 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn deeper_recursion_tightens_selectivity() {
+    fn larger_budget_tightens_selectivity() {
         let z2 = Z2::default();
         let window = Rect::new(116.0, 39.0, 116.2, 39.2);
         let span = |opts: &RangeOptions| -> u128 {
@@ -217,15 +169,42 @@ mod tests {
                 .map(|r| r.len() as u128)
                 .sum()
         };
-        let coarse = span(&RangeOptions {
-            max_recursion: 4,
-            max_ranges: 4096,
-        });
-        let fine = span(&RangeOptions {
-            max_recursion: 12,
-            max_ranges: 4096,
-        });
+        let coarse = span(&RangeOptions { target_ranges: 4 });
+        let fine = span(&RangeOptions { target_ranges: 64 });
         assert!(fine < coarse, "fine {fine} !< coarse {coarse}");
+    }
+
+    #[test]
+    fn budget_is_spent_evenly_around_a_quadrant_corner() {
+        // A window straddling the world's centre — the corner of the four
+        // top-level quadrants — off-centre, and its three mirror images.
+        // A depth-first walk spends its whole range budget inside the
+        // first quadrant in Morton order and emits the other three whole
+        // (3/4 of the key space, whichever placement); best-first
+        // refinement must hug all four placements alike.
+        let z2 = Z2::default();
+        let (near, far) = (0.3, 1.1);
+        let ratios: Vec<f64> = [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)]
+            .iter()
+            .map(|&(sx, sy)| {
+                let (x0, x1) = if sx > 0.0 { (-near, far) } else { (-far, near) };
+                let (y0, y1) = if sy > 0.0 { (-near, far) } else { (-far, near) };
+                let window = Rect::new(x0, y0, x1, y1);
+                let (lo, hi) = cell_window(&window, z2.bits()).unwrap();
+                let query = ((hi[0] - lo[0] + 1) as u128 * (hi[1] - lo[1] + 1) as u128) as f64;
+                let ranges = z2.ranges(&window, &RangeOptions::default());
+                let covered: u128 = ranges.iter().map(|r| r.len() as u128).sum();
+                covered as f64 / query
+            })
+            .collect();
+        let (min, max) = ratios
+            .iter()
+            .fold((f64::MAX, 0.0f64), |(lo, hi), &r| (lo.min(r), hi.max(r)));
+        assert!(
+            min >= 1.0 && max < 2.0,
+            "covered/query per placement: {ratios:?}"
+        );
+        assert!(max <= 2.0 * min, "placement bias: {ratios:?}");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! whose time window is a large fraction of the period degrades the
 //! spatial filtering (Section IV-B's motivation).
 
-use crate::morton::{deinterleave3, interleave3};
-use crate::range::{merge_ranges, KeyRange, PeriodRange, RangeOptions};
+use crate::morton::{deinterleave3, interleave3, ZCells};
+use crate::range::{decompose, z_period_floor, PeriodRange, RangeOptions};
+use crate::z2::cell_window;
 use crate::{discretize, norm_lat, norm_lng, TimePeriod};
 use just_geo::Rect;
 
@@ -65,8 +66,9 @@ impl Z3 {
         )
     }
 
-    /// Decomposes a spatio-temporal window into per-period code ranges by
-    /// recursive octant splitting.
+    /// Decomposes a spatio-temporal window into per-period code ranges;
+    /// the periods it touches share the range budget equally, down to
+    /// eight ranges each (the cells that meet at a corner of the octree).
     pub fn ranges(
         &self,
         query: &Rect,
@@ -74,97 +76,39 @@ impl Z3 {
         t_max: i64,
         opts: &RangeOptions,
     ) -> Vec<PeriodRange> {
-        let query = match query.intersection(&just_geo::WORLD) {
-            Some(q) => q,
-            None => return Vec::new(),
+        let Some((lo, hi)) = cell_window(query, self.bits) else {
+            return Vec::new();
         };
         if t_min > t_max {
             return Vec::new();
         }
-        let qx_lo = discretize(norm_lng(query.min_x), self.bits);
-        let qx_hi = discretize(norm_lng(query.max_x), self.bits);
-        let qy_lo = discretize(norm_lat(query.min_y), self.bits);
-        let qy_hi = discretize(norm_lat(query.max_y), self.bits);
-
+        let periods = self.period.periods_covering(t_min, t_max);
+        let budget = opts.per_period(periods.clone().count(), z_period_floor(3));
         let mut out = Vec::new();
-        for period in self.period.periods_covering(t_min, t_max) {
+        for period in periods {
             // Clamp the time window to this period and normalise.
-            let p_start = self.period.start_of(period);
-            let p_end = self.period.end_of(period);
-            let lo_ms = t_min.max(p_start);
-            let hi_ms = t_max.min(p_end - 1);
-            let qt_lo = discretize(self.period.fraction(lo_ms), self.bits);
-            let qt_hi = discretize(self.period.fraction(hi_ms), self.bits);
-
-            let mut ranges = Vec::new();
-            let max_level = opts.max_recursion.min(self.bits);
-            decompose3(
-                self.bits,
-                0,
-                0,
-                (0, 0, 0),
-                max_level,
-                opts.max_ranges,
-                (qx_lo, qx_hi, qy_lo, qy_hi, qt_lo, qt_hi),
-                &mut ranges,
+            let lo_ms = t_min.max(self.period.start_of(period));
+            let hi_ms = t_max.min(self.period.end_of(period) - 1);
+            let cells = ZCells {
+                bits: self.bits,
+                lo: [
+                    lo[0],
+                    lo[1],
+                    discretize(self.period.fraction(lo_ms), self.bits),
+                ],
+                hi: [
+                    hi[0],
+                    hi[1],
+                    discretize(self.period.fraction(hi_ms), self.bits),
+                ],
+            };
+            out.extend(
+                decompose(&cells, budget)
+                    .into_iter()
+                    .map(|range| PeriodRange { period, range }),
             );
-            for r in merge_ranges(ranges) {
-                out.push(PeriodRange { period, range: r });
-            }
         }
         out
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn decompose3(
-    bits: u32,
-    prefix: u64,
-    level: u32,
-    origin: (u64, u64, u64),
-    max_level: u32,
-    max_ranges: usize,
-    q: (u64, u64, u64, u64, u64, u64),
-    out: &mut Vec<KeyRange>,
-) {
-    let (qx_lo, qx_hi, qy_lo, qy_hi, qt_lo, qt_hi) = q;
-    let shift = bits - level;
-    let (x0, y0, t0) = origin;
-    let side = 1u64 << shift;
-    if x0 + side - 1 < qx_lo
-        || x0 > qx_hi
-        || y0 + side - 1 < qy_lo
-        || y0 > qy_hi
-        || t0 + side - 1 < qt_lo
-        || t0 > qt_hi
-    {
-        return;
-    }
-    let code_lo = prefix << (3 * shift);
-    let code_hi = code_lo + ((1u64 << (3 * shift)) - 1);
-    let contained = x0 >= qx_lo
-        && x0 + side - 1 <= qx_hi
-        && y0 >= qy_lo
-        && y0 + side - 1 <= qy_hi
-        && t0 >= qt_lo
-        && t0 + side - 1 <= qt_hi;
-    if contained || level == max_level || out.len() >= max_ranges {
-        out.push(KeyRange::new(code_lo, code_hi));
-        return;
-    }
-    let half = side >> 1;
-    for octant in 0..8u64 {
-        let (dx, dy, dt) = (octant & 1, (octant >> 1) & 1, octant >> 2);
-        decompose3(
-            bits,
-            (prefix << 3) | octant,
-            level + 1,
-            (x0 + dx * half, y0 + dy * half, t0 + dt * half),
-            max_level,
-            max_ranges,
-            q,
-            out,
-        );
     }
 }
 
@@ -225,10 +169,7 @@ mod tests {
         // wide time dimension, so its covered code fraction stays enormous;
         // Z2 (what Z2T uses inside a period) nails the window in a handful
         // of ranges.
-        let opts = RangeOptions {
-            max_recursion: 16,
-            max_ranges: 32,
-        };
+        let opts = RangeOptions { target_ranges: 32 };
         let z3 = Z3::new(16, TimePeriod::Day);
         let tiny = Rect::window_km(just_geo::Point::new(116.4, 39.9), 1.0);
         let ranges = z3.ranges(&tiny, 3_600_000, 13 * 3_600_000, &opts);
@@ -241,7 +182,7 @@ mod tests {
         let z2_covered: u128 = z2_ranges.iter().map(|r| r.len() as u128).sum();
         let z2_selectivity = z2_covered as f64 / (1u128 << (2 * z2.bits())) as f64;
 
-        // Measured: z3 ≈ 1.4e-1 of the period space vs z2 ≈ 3.7e-9.
+        // Measured: z3 ≈ 1.5e-4 of the period space vs z2 ≈ 3.7e-9.
         assert!(
             z3_selectivity > 1e4 * z2_selectivity,
             "z3 {z3_selectivity:e} vs z2 {z2_selectivity:e}"

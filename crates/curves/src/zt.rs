@@ -14,10 +14,11 @@
 //! and the spatial code keeps full selectivity — fixing the scale-mismatch
 //! problem that makes Z3/XZ3 degenerate for typical urban queries.
 
-use crate::range::{PeriodRange, RangeOptions};
+use crate::range::{z_period_floor, KeyRange, PeriodRange, RangeOptions, XZ_PERIOD_FLOOR};
 use crate::xz3::StMbr;
 use crate::{TimePeriod, Xz2, Z2};
 use just_geo::Rect;
+use std::ops::RangeInclusive;
 
 /// The Z2T strategy for point data.
 #[derive(Debug, Clone, Copy)]
@@ -64,18 +65,24 @@ impl Z2t {
         if t_min > t_max {
             return Vec::new();
         }
-        let spatial = self.z2.ranges(query, opts);
-        let mut out = Vec::with_capacity(spatial.len());
-        for period in self.period.periods_covering(t_min, t_max) {
-            for range in &spatial {
-                out.push(PeriodRange {
-                    period,
-                    range: *range,
-                });
-            }
-        }
-        out
+        let periods = self.period.periods_covering(t_min, t_max);
+        let target_ranges = opts.per_period(periods.clone().count(), z_period_floor(2));
+        replicate(
+            periods,
+            self.z2.ranges(query, &RangeOptions { target_ranges }),
+        )
     }
+}
+
+/// Replicates the one set of spatial ranges under every period.
+fn replicate(periods: RangeInclusive<i32>, spatial: Vec<KeyRange>) -> Vec<PeriodRange> {
+    periods
+        .flat_map(|period| {
+            spatial
+                .iter()
+                .map(move |&range| PeriodRange { period, range })
+        })
+        .collect()
 }
 
 /// The XZ2T strategy for non-point data.
@@ -124,19 +131,12 @@ impl Xz2t {
         if t_min > t_max {
             return Vec::new();
         }
-        let spatial = self.xz2.ranges(query, opts);
-        let first = self.period.period_of(t_min) - 1;
-        let last = self.period.period_of(t_max);
-        let mut out = Vec::with_capacity(spatial.len());
-        for period in first..=last {
-            for range in &spatial {
-                out.push(PeriodRange {
-                    period,
-                    range: *range,
-                });
-            }
-        }
-        out
+        let periods = self.period.period_of(t_min) - 1..=self.period.period_of(t_max);
+        let target_ranges = opts.per_period(periods.clone().count(), XZ_PERIOD_FLOOR);
+        replicate(
+            periods,
+            self.xz2.ranges(query, &RangeOptions { target_ranges }),
+        )
     }
 }
 
@@ -160,11 +160,15 @@ mod tests {
     fn z2t_ranges_replicate_spatial_ranges_per_period() {
         let z2t = Z2t::new(TimePeriod::Day);
         let window = Rect::new(116.0, 39.0, 116.2, 39.2);
-        let opts = RangeOptions::default();
-        let spatial = z2t.z2().ranges(&window, &opts);
+        let opts = RangeOptions { target_ranges: 60 };
+        let spatial = z2t
+            .z2()
+            .ranges(&window, &RangeOptions { target_ranges: 20 });
         let ranges = z2t.ranges(&window, HOUR_MS, 2 * DAY_MS + HOUR_MS, &opts);
-        // Three periods (0, 1, 2), each carrying the full spatial set.
+        // Three periods (0, 1, 2), each carrying the spatial set a third
+        // of the budget buys.
         assert_eq!(ranges.len(), 3 * spatial.len());
+        assert!(ranges.len() <= 60);
     }
 
     #[test]

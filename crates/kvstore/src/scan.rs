@@ -161,11 +161,22 @@ impl SstRangeIter {
             }
             let block = self.table.read_block(self.next_block, self.first)?;
             self.traffic.record_scan_block();
-            let entries: Vec<BlockEntry> = if self.first {
-                block.seek_iter(&self.start).collect()
+            let iter = if self.first {
+                block.seek_iter(&self.start)
             } else {
-                block.iter().collect()
+                block.iter()
             };
+            // Decode up to the first entry past `end` (which ends the
+            // range above), not to the end of the block: a narrow range
+            // pays for the entries it yields, not for a block's worth.
+            let mut entries = Vec::new();
+            for entry in iter {
+                let past = entry.key.as_slice() > self.end.as_slice();
+                entries.push(entry);
+                if past {
+                    break;
+                }
+            }
             self.first = false;
             self.next_block += 1;
             self.buffered = entries.into_iter();

@@ -66,6 +66,14 @@ fn exec_obs() -> &'static ExecObs {
     })
 }
 
+/// Fails with [`QlError::Cancelled`] once the query's kill token is set.
+fn check_kill(kill: Option<&CancelToken>) -> Result<()> {
+    match kill {
+        Some(k) if k.is_cancelled() => Err(QlError::Cancelled("killed via KILL QUERY".into())),
+        _ => Ok(()),
+    }
+}
+
 /// Executes logical plans against one session.
 pub struct Executor<'a> {
     session: &'a Session,
@@ -85,10 +93,7 @@ impl<'a> Executor<'a> {
     }
 
     fn check_kill(&self) -> Result<()> {
-        match &self.kill {
-            Some(k) if k.is_cancelled() => Err(QlError::Cancelled("killed via KILL QUERY".into())),
-            _ => Ok(()),
-        }
+        check_kill(self.kill.as_ref())
     }
 
     /// Runs a plan to a dataset — the only plan walker. Every operator
@@ -100,16 +105,70 @@ impl<'a> Executor<'a> {
     /// TOP-K carry their build/probe/pruned row counts. The deltas are of
     /// process-wide counters, so concurrent sessions pollute them.
     ///
+    /// An `Aggregate` directly over a stored-table `Scan` does not wait
+    /// for the scan's dataset: it folds the scan's batches as they arrive
+    /// (under the scan's span, so the scan's time includes the folding),
+    /// and the table is never held as rows.
+    ///
     /// When an input fails (or the query is killed) the spans above it
     /// stay open and report their running time; the failed operator's
     /// own span is closed and carries its deltas, without a row count.
     pub fn run(&self, plan: &LogicalPlan, trace: &mut Trace, parent: SpanId) -> Result<Dataset> {
         self.check_kill()?;
         let span = trace.start(plan.label(), parent);
+        if let LogicalPlan::Aggregate {
+            input,
+            group_by,
+            aggregates,
+        } = plan
+        {
+            if self.scans_stored(input) {
+                // Fold the scan's batches as they arrive, under the
+                // scan's own span, instead of holding the table as rows.
+                self.check_kill()?;
+                let scan_span = trace.start(input.label(), span);
+                let agg = self.observed(input, trace, scan_span, || {
+                    let mut scan = self.open_scan(input)?;
+                    // The aggregate compiles over the open scan's header;
+                    // an error there is the aggregate's, not the scan's.
+                    let mut agg = match Aggregation::new(&scan.columns, group_by, aggregates) {
+                        Ok(agg) => agg,
+                        Err(e) => return Ok((Err(e), 0)),
+                    };
+                    let mut scanned = 0;
+                    while let Some(batch) = scan.next_batch()? {
+                        scanned += batch.len();
+                        agg.push(&batch)?;
+                    }
+                    Ok((Ok(agg), scanned))
+                })?;
+                return self.observed(plan, trace, span, || {
+                    let data = agg?.finish();
+                    let groups = data.len();
+                    Ok((data, groups))
+                });
+            }
+        }
         let mut children = Vec::new();
         for child in plan.children() {
             children.push(self.run(child, trace, span)?);
         }
+        self.observed(plan, trace, span, || {
+            let data = self.execute_node(plan, children)?;
+            let rows = data.len();
+            Ok((data, rows))
+        })
+    }
+
+    /// Runs `plan`'s own work `op` (its inputs already ran) and closes
+    /// `span` with its output row count and counter deltas.
+    fn observed<T>(
+        &self,
+        plan: &LogicalPlan,
+        trace: &mut Trace,
+        span: SpanId,
+        op: impl FnOnce() -> Result<(T, usize)>,
+    ) -> Result<T> {
         // Everything is read *after* the children ran, so a nested
         // operator's counts stay out of this operator's delta.
         let obs = exec_obs();
@@ -129,10 +188,10 @@ impl<'a> Executor<'a> {
             obs.join_fallbacks.get(),
             obs.topk_rows_pruned.get(),
         );
-        let result = self.execute_node(plan, children);
+        let result = op();
         // A failed (or killed) operator still reports what it cost.
-        if let Ok(data) = &result {
-            trace.set_rows(span, data.len() as u64);
+        if let Ok((_, rows)) = &result {
+            trace.set_rows(span, *rows as u64);
         }
         let mut attr = |name, value: u64, always: bool| {
             if always || value > 0 {
@@ -175,7 +234,7 @@ impl<'a> Executor<'a> {
             }
         }
         trace.end(span);
-        result
+        result.map(|(out, _)| out)
     }
 
     /// Evaluates one operator given its already-computed child datasets
@@ -201,14 +260,18 @@ impl<'a> Executor<'a> {
                 residual,
                 limit,
             } => {
-                // Views first (they shadow nothing: names are namespaced apart).
-                let data = if let Ok(view) = self.session.view(table) {
-                    let preds = view_preds(spatial, time, residual);
-                    let rows = scan_view_rows(&view, &preds, *limit)?;
-                    Dataset::new(view.columns.clone(), rows)
-                } else {
-                    self.scan_stored(table, projection, spatial, time, residual, limit)?
-                };
+                if self.scans_stored(plan) {
+                    let mut scan = self.open_scan(plan)?;
+                    let mut rows = Vec::new();
+                    while let Some(batch) = scan.next_batch()? {
+                        rows.extend(batch);
+                    }
+                    return Ok(Dataset::new(scan.columns, rows));
+                }
+                let view = self.session.view(table)?;
+                let preds = view_preds(spatial, time, residual);
+                let rows = scan_view_rows(&view, &preds, *limit)?;
+                let data = Dataset::new(view.columns.clone(), rows);
                 Ok(finish_scan(data, projection, alias))
             }
             LogicalPlan::Values { columns, rows } => {
@@ -255,22 +318,27 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Scans a stored table through the storage read path: batches are
-    /// pulled one at a time, the indexed spatio-temporal predicate and
-    /// the column projection run *inside* the storage decode, residual
-    /// predicates run in memory per batch, and a pushed-down `LIMIT`
-    /// cancels the stream — stopping block reads — as soon as enough
-    /// matching rows have surfaced.
-    fn scan_stored(
-        &self,
-        table: &str,
-        projection: &Option<Vec<String>>,
-        spatial: &Option<(String, just_geo::Rect)>,
-        time: &Option<(String, i64, i64)>,
-        residual: &Option<Expr>,
-        limit: &Option<usize>,
-    ) -> Result<Dataset> {
-        let (mut stream, mem_preds) = open_stored_scan(
+    /// Whether `plan` scans a stored table rather than a view (views are
+    /// looked up first; they shadow nothing: names are namespaced apart).
+    fn scans_stored(&self, plan: &LogicalPlan) -> bool {
+        matches!(plan, LogicalPlan::Scan { table, .. } if self.session.view(table).is_err())
+    }
+
+    /// Opens the stored-table scan `plan`.
+    fn open_scan(&self, plan: &LogicalPlan) -> Result<StoredScan<'_>> {
+        let LogicalPlan::Scan {
+            table,
+            alias,
+            projection,
+            spatial,
+            time,
+            residual,
+            limit,
+        } = plan
+        else {
+            unreachable!("open_scan is given a Scan");
+        };
+        let (stream, mem_preds) = open_stored_scan(
             self.session,
             table,
             projection,
@@ -280,7 +348,7 @@ impl<'a> Executor<'a> {
             limit,
         )?;
         let fields = stream.schema().fields();
-        let columns: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
+        let input: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
 
         // Compile every in-memory predicate once for the whole scan; the
         // schema's statically `integer` fields unlock the int-specialized
@@ -288,39 +356,75 @@ impl<'a> Executor<'a> {
         let int_cols: Vec<bool> = fields.iter().map(|f| f.ty == FieldType::Int).collect();
         let progs = mem_preds
             .iter()
-            .map(|p| compile(p, &columns, Some(&int_cols)))
+            .map(|p| compile(p, &input, Some(&int_cols)))
             .collect::<Result<Vec<Program>>>()?;
+        let (keep, columns) = scan_header(&input, projection, alias);
+        Ok(StoredScan {
+            kill: self.kill.as_ref(),
+            stream,
+            progs,
+            vm: Vm::new(),
+            wanted: *limit,
+            keep,
+            columns,
+        })
+    }
+}
 
-        let cancel = stream.cancel_token();
-        let mut vm = Vm::new();
-        let mut rows: Vec<Row> = Vec::new();
-        'batches: while let Some(batch) =
-            stream.next_batch().map_err(just_core::CoreError::Storage)?
-        {
+/// A stored table's scan through the storage read path, pulled one batch
+/// at a time: the indexed spatio-temporal predicate and the column
+/// projection run *inside* the storage decode, residual predicates run
+/// in memory per batch, and a pushed-down `LIMIT` cancels the stream —
+/// stopping block reads — as soon as enough matching rows have surfaced.
+struct StoredScan<'a> {
+    kill: Option<&'a CancelToken>,
+    stream: QueryStream,
+    progs: Vec<Program>,
+    vm: Vm,
+    /// Rows still to emit under a pushed-down `LIMIT`.
+    wanted: Option<usize>,
+    /// Stream columns the advisory projection keeps (`None` = all).
+    keep: Option<Vec<usize>>,
+    /// The output header.
+    columns: Vec<String>,
+}
+
+impl StoredScan<'_> {
+    /// The next non-empty batch of output rows.
+    fn next_batch(&mut self) -> Result<Option<Vec<Row>>> {
+        while self.wanted != Some(0) {
+            let Some(batch) = self
+                .stream
+                .next_batch()
+                .map_err(just_core::CoreError::Storage)?
+            else {
+                break;
+            };
             // Query-level kill: cancel the stream first so the drop is
             // counted as an early termination and block reads stop here.
-            if let Err(e) = self.check_kill() {
-                cancel.cancel();
+            if let Err(e) = check_kill(self.kill) {
+                self.stream.cancel_token().cancel();
                 return Err(e);
             }
-            let kept = if progs.is_empty() {
+            let mut kept = if self.progs.is_empty() {
                 batch
             } else {
-                let sel = select_rows(&mut vm, &progs, &batch)?;
+                let sel = select_rows(&mut self.vm, &self.progs, &batch)?;
                 take_selected(batch, &sel)
             };
-            for row in kept {
-                rows.push(row);
-                if let Some(k) = limit {
-                    if rows.len() >= *k {
-                        // Satisfied: stop the disk IO mid-range.
-                        cancel.cancel();
-                        break 'batches;
-                    }
+            if let Some(wanted) = &mut self.wanted {
+                kept.truncate(*wanted);
+                *wanted -= kept.len();
+                if *wanted == 0 {
+                    // Satisfied: stop the disk IO mid-range.
+                    self.stream.cancel_token().cancel();
                 }
             }
+            if !kept.is_empty() {
+                return Ok(Some(keep_columns(kept, &self.keep)));
+            }
         }
-        Ok(Dataset::new(columns, rows))
+        Ok(None)
     }
 }
 
@@ -380,15 +484,18 @@ pub(crate) fn finish_scan(
     alias: &Option<String>,
 ) -> Dataset {
     let (keep, header) = scan_header(&data.columns, projection, alias);
-    let rows = match keep {
-        Some(keep) => data
-            .rows
+    Dataset::new(header, keep_columns(data.rows, &keep))
+}
+
+/// The rows cut down to the columns `keep` names (`None` = all).
+fn keep_columns(rows: Vec<Row>, keep: &Option<Vec<usize>>) -> Vec<Row> {
+    match keep {
+        Some(keep) => rows
             .into_iter()
             .map(|r| Row::new(keep.iter().map(|&i| r.values[i].clone()).collect()))
             .collect(),
-        None => data.rows,
-    };
-    Dataset::new(header, rows)
+        None => rows,
+    }
 }
 
 /// Opens a stored table's storage stream with everything the index can
@@ -831,67 +938,104 @@ fn run_dbscan(data: Dataset, args: &[Expr]) -> Result<Dataset> {
 /// and evaluate batch-at-a-time into columns fed to the
 /// [`HashAggregator`], which folds rows into fixed-size accumulators
 /// immediately (O(groups) memory, no per-row key `Vec<Value>` clone).
-fn aggregate(
-    data: Dataset,
-    group_by: &[(Expr, String)],
-    aggregates: &[(String, Expr, String)],
-) -> Result<Dataset> {
-    let mut specs = Vec::with_capacity(aggregates.len());
-    let mut arg_progs: Vec<Option<Program>> = Vec::with_capacity(aggregates.len());
-    for (func, arg, _) in aggregates {
-        let star = matches!(arg, Expr::Star);
-        // The planner only builds aggregates from the five known names,
-        // so the one form without a spec is `func(*)` other than `count`.
-        specs.push(
-            AggSpec::resolve(func, star)
-                .ok_or_else(|| QlError::Analyze(format!("{func}(*) is not supported")))?,
-        );
-        arg_progs.push(if star {
-            None
-        } else {
-            Some(compile(arg, &data.columns, None)?)
-        });
-    }
-    let key_progs = group_by
-        .iter()
-        .map(|(e, _)| compile(e, &data.columns, None))
-        .collect::<Result<Vec<Program>>>()?;
+struct Aggregation {
+    agg: HashAggregator,
+    key_progs: Vec<Program>,
+    arg_progs: Vec<Option<Program>>,
+    vm: Vm,
+    /// Output header: group keys, then aggregates.
+    columns: Vec<String>,
+    global: bool,
+}
 
-    let mut agg = HashAggregator::new(specs);
-    let mut vm = Vm::new();
-    for chunk in data.rows.chunks(BATCH) {
+impl Aggregation {
+    /// Compiles the keys and aggregate arguments over the input header.
+    fn new(
+        input: &[String],
+        group_by: &[(Expr, String)],
+        aggregates: &[(String, Expr, String)],
+    ) -> Result<Self> {
+        let mut specs = Vec::with_capacity(aggregates.len());
+        let mut arg_progs: Vec<Option<Program>> = Vec::with_capacity(aggregates.len());
+        for (func, arg, _) in aggregates {
+            let star = matches!(arg, Expr::Star);
+            // The planner only builds aggregates from the five known names,
+            // so the one form without a spec is `func(*)` other than `count`.
+            specs.push(
+                AggSpec::resolve(func, star)
+                    .ok_or_else(|| QlError::Analyze(format!("{func}(*) is not supported")))?,
+            );
+            arg_progs.push(if star {
+                None
+            } else {
+                Some(compile(arg, input, None)?)
+            });
+        }
+        let key_progs = group_by
+            .iter()
+            .map(|(e, _)| compile(e, input, None))
+            .collect::<Result<Vec<Program>>>()?;
+        let mut columns: Vec<String> = group_by.iter().map(|(_, n)| n.clone()).collect();
+        columns.extend(aggregates.iter().map(|(_, _, n)| n.clone()));
+        Ok(Aggregation {
+            agg: HashAggregator::new(specs),
+            key_progs,
+            arg_progs,
+            vm: Vm::new(),
+            columns,
+            global: group_by.is_empty(),
+        })
+    }
+
+    /// Folds one batch of input rows into the accumulators.
+    fn push(&mut self, chunk: &[Row]) -> Result<()> {
         let sel = full_selection(chunk.len());
-        let mut keys: Vec<Vec<Value>> = Vec::with_capacity(key_progs.len());
-        for p in &key_progs {
+        let mut keys: Vec<Vec<Value>> = Vec::with_capacity(self.key_progs.len());
+        for p in &self.key_progs {
             let mut col = Vec::with_capacity(chunk.len());
-            vm.eval(p, chunk, &sel, &mut col).map_err(exec_err)?;
+            self.vm.eval(p, chunk, &sel, &mut col).map_err(exec_err)?;
             keys.push(col);
         }
-        let mut args: Vec<Option<Vec<Value>>> = Vec::with_capacity(arg_progs.len());
-        for p in &arg_progs {
+        let mut args: Vec<Option<Vec<Value>>> = Vec::with_capacity(self.arg_progs.len());
+        for p in &self.arg_progs {
             args.push(match p {
                 Some(p) => {
                     let mut col = Vec::with_capacity(chunk.len());
-                    vm.eval(p, chunk, &sel, &mut col).map_err(exec_err)?;
+                    self.vm.eval(p, chunk, &sel, &mut col).map_err(exec_err)?;
                     Some(col)
                 }
                 None => None,
             });
         }
-        agg.push(chunk.len(), &keys, &args).map_err(exec_err)?;
+        self.agg.push(chunk.len(), &keys, &args).map_err(exec_err)
     }
 
-    let mut columns: Vec<String> = group_by.iter().map(|(_, n)| n.clone()).collect();
-    columns.extend(aggregates.iter().map(|(_, _, n)| n.clone()));
-    let rows = agg
-        .finish(group_by.is_empty())
-        .into_iter()
-        .map(|(mut key_vals, agg_vals)| {
-            key_vals.extend(agg_vals);
-            Row::new(key_vals)
-        })
-        .collect();
-    Ok(Dataset::new(columns, rows))
+    /// One output row per group (one row in all for a global aggregate).
+    fn finish(self) -> Dataset {
+        let rows = self
+            .agg
+            .finish(self.global)
+            .into_iter()
+            .map(|(mut key_vals, agg_vals)| {
+                key_vals.extend(agg_vals);
+                Row::new(key_vals)
+            })
+            .collect();
+        Dataset::new(self.columns, rows)
+    }
+}
+
+/// Aggregates a materialized input, [`BATCH`] rows at a time.
+fn aggregate(
+    data: Dataset,
+    group_by: &[(Expr, String)],
+    aggregates: &[(String, Expr, String)],
+) -> Result<Dataset> {
+    let mut agg = Aggregation::new(&data.columns, group_by, aggregates)?;
+    for chunk in data.rows.chunks(BATCH) {
+        agg.push(chunk)?;
+    }
+    Ok(agg.finish())
 }
 
 /// The key-normalized sort: every row's keys encode once into one byte
@@ -1230,4 +1374,42 @@ fn hash_join(
         Some(prog) => filter_rows(candidates, prog)?,
     };
     Ok(Dataset::new(columns, rows))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{optimize, parse, Client, Statement};
+    use just_core::{Engine, EngineConfig, SessionManager};
+    use std::sync::Arc;
+
+    /// An aggregate that does not compile over the folded scan's header
+    /// fails under its own span: the scan opened, read nothing and closed.
+    #[test]
+    fn folded_aggregate_compile_error_is_the_aggregates() {
+        let dir = std::env::temp_dir().join(format!("just-ql-exec-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let engine = Arc::new(Engine::open(&dir, EngineConfig::default()).unwrap());
+        let mut client = Client::new(SessionManager::new(engine).session("t"));
+        client
+            .execute("CREATE TABLE fa (k integer:primary key, g integer)")
+            .unwrap();
+        client.execute("INSERT INTO fa VALUES (1, 1)").unwrap();
+        let Statement::Query(query) = parse("SELECT sum(nope) AS s FROM fa").unwrap() else {
+            panic!("a query");
+        };
+        let plan = optimize(LogicalPlan::from_select(&query).unwrap()).unwrap();
+        let mut trace = Trace::new("query");
+        let root = trace.root();
+        Executor::new(client.session(), None)
+            .run(&plan, &mut trace, root)
+            .unwrap_err();
+        let mut aggregate = trace.children(root)[0];
+        while !trace.name(aggregate).starts_with("Aggregate") {
+            aggregate = trace.children(aggregate)[0];
+        }
+        assert_eq!(trace.rows(aggregate), None);
+        assert_eq!(trace.rows(trace.children(aggregate)[0]), Some(0));
+        std::fs::remove_dir_all(dir).ok();
+    }
 }

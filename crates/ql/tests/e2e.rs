@@ -2,7 +2,7 @@
 //! against a real engine instance.
 
 use just_core::{Engine, EngineConfig, SessionManager};
-use just_ql::Client;
+use just_ql::{optimize, parse, reference, Client, LogicalPlan, Statement};
 use just_storage::Value;
 use std::sync::Arc;
 
@@ -513,6 +513,46 @@ fn explain_analyze_shows_join_and_topk_operators() {
     assert!(plan.contains("Join ["), "{plan}");
     assert!(!plan.contains("hash_join"), "{plan}");
 
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn aggregate_folding_a_stored_scan_keeps_both_spans() {
+    let (mut c, dir) = client("explain-agg");
+    c.execute("CREATE TABLE fa (k integer:primary key, g integer)")
+        .unwrap();
+    let tuples: Vec<String> = (0..2500).map(|k| format!("({k}, {})", k % 7)).collect();
+    c.execute(&format!("INSERT INTO fa VALUES {}", tuples.join(", ")))
+        .unwrap();
+    // More than two scan batches fold into seven groups: the scan's span
+    // still reports the rows it read and its IO, the aggregate's its
+    // groups, and the answer is the reference operators' answer.
+    let sql = "SELECT g, count(*) AS n FROM fa WHERE k >= 100 GROUP BY g";
+    let (data, trace) = c.explain_analyze(sql).unwrap();
+    let execute = trace
+        .children(trace.root())
+        .into_iter()
+        .find(|&s| trace.name(s) == "execute")
+        .unwrap();
+    let mut aggregate = trace.children(execute)[0];
+    while !trace.name(aggregate).starts_with("Aggregate") {
+        aggregate = trace.children(aggregate)[0];
+    }
+    assert_eq!(trace.rows(aggregate), Some(7));
+    let scan = trace.children(aggregate)[0];
+    assert!(trace.name(scan).starts_with("Scan [fa]"));
+    assert_eq!(trace.rows(scan), Some(2400));
+    assert!(trace.attr(scan, "blocks_read").is_some());
+
+    let Statement::Query(query) = parse(sql).unwrap() else {
+        panic!("a query");
+    };
+    let plan = optimize(LogicalPlan::from_select(&query).unwrap()).unwrap();
+    let mut want = reference::run(c.session(), &plan).unwrap().rows;
+    let mut got = data.rows;
+    want.sort_by_key(|r| r.values[0].as_int());
+    got.sort_by_key(|r| r.values[0].as_int());
+    assert_eq!(got, want);
     std::fs::remove_dir_all(dir).ok();
 }
 

@@ -109,7 +109,6 @@ pub struct IndexStrategy {
     kind: IndexKind,
     period: TimePeriod,
     shards: u8,
-    opts: RangeOptions,
 }
 
 /// Maximum record-id length embeddable in keys; bounded so range end keys
@@ -124,14 +123,7 @@ impl IndexStrategy {
             kind,
             period,
             shards: shards.max(1),
-            opts: RangeOptions::default(),
         }
-    }
-
-    /// Overrides the query-decomposition options.
-    pub fn with_options(mut self, opts: RangeOptions) -> Self {
-        self.opts = opts;
-        self
     }
 
     /// The index kind.
@@ -236,35 +228,38 @@ impl IndexStrategy {
                 curve_ranges: 1,
             };
         }
+        // One range budget per query; every curve range then fans out
+        // into one byte range per shard.
+        let opts = RangeOptions::default();
         let mut curve: Vec<(Option<i32>, u64, u64)> = Vec::new();
         match self.kind {
             IndexKind::Z2 => {
-                for r in Z2::default().ranges(rect, &self.opts) {
+                for r in Z2::default().ranges(rect, &opts) {
                     curve.push((None, r.lo, r.hi));
                 }
             }
             IndexKind::Xz2 => {
-                for r in Xz2::default().ranges(rect, &self.opts) {
+                for r in Xz2::default().ranges(rect, &opts) {
                     curve.push((None, r.lo, r.hi));
                 }
             }
             IndexKind::Z3 => {
-                for pr in Z3::with_period(self.period).ranges(rect, t_min, t_max, &self.opts) {
+                for pr in Z3::with_period(self.period).ranges(rect, t_min, t_max, &opts) {
                     curve.push((Some(pr.period), pr.range.lo, pr.range.hi));
                 }
             }
             IndexKind::Xz3 => {
-                for pr in Xz3::with_period(self.period).ranges(rect, t_min, t_max, &self.opts) {
+                for pr in Xz3::with_period(self.period).ranges(rect, t_min, t_max, &opts) {
                     curve.push((Some(pr.period), pr.range.lo, pr.range.hi));
                 }
             }
             IndexKind::Z2t => {
-                for pr in Z2t::new(self.period).ranges(rect, t_min, t_max, &self.opts) {
+                for pr in Z2t::new(self.period).ranges(rect, t_min, t_max, &opts) {
                     curve.push((Some(pr.period), pr.range.lo, pr.range.hi));
                 }
             }
             IndexKind::Xz2t => {
-                for pr in Xz2t::new(self.period).ranges(rect, t_min, t_max, &self.opts) {
+                for pr in Xz2t::new(self.period).ranges(rect, t_min, t_max, &opts) {
                     curve.push((Some(pr.period), pr.range.lo, pr.range.hi));
                 }
             }

@@ -6,7 +6,7 @@ use crate::row::Row;
 use crate::schema::{FieldType, Schema};
 use crate::value::Value;
 use crate::{Result, StorageError};
-use just_curves::{RangeOptions, TimePeriod};
+use just_curves::TimePeriod;
 use just_geo::{Geometry, LineString, Point, Rect};
 use just_kvstore::{Store, Table as KvTable};
 use std::sync::Arc;
@@ -58,8 +58,6 @@ pub struct StorageConfig {
     pub index: Option<IndexKind>,
     /// Time-period length for temporal indexes (paper default: a day).
     pub period: TimePeriod,
-    /// Query decomposition budget.
-    pub range_options: RangeOptions,
 }
 
 impl Default for StorageConfig {
@@ -69,7 +67,6 @@ impl Default for StorageConfig {
             regions: 4,
             index: None,
             period: TimePeriod::Day,
-            range_options: RangeOptions::default(),
         }
     }
 }
@@ -274,8 +271,7 @@ impl StTable {
             .map(|i| schema.fields()[i].ty == FieldType::Point)
             .unwrap_or(true);
         let kind = Self::decide_kind(&schema, &config);
-        let strategy = IndexStrategy::new(kind, config.period, config.shards)
-            .with_options(config.range_options);
+        let strategy = IndexStrategy::new(kind, config.period, config.shards);
         let spatial = sdata.map(|table| {
             let skind = if point_data {
                 IndexKind::Z2
@@ -283,8 +279,7 @@ impl StTable {
                 IndexKind::Xz2
             };
             (
-                IndexStrategy::new(skind, config.period, config.shards)
-                    .with_options(config.range_options),
+                IndexStrategy::new(skind, config.period, config.shards),
                 table,
             )
         });
@@ -864,18 +859,17 @@ mod tests {
     fn query_stream_counts_pruned_rows() {
         let (s, dir) = store("stream-prune");
         let t = StTable::create(&s, "orders", order_schema(), StorageConfig::default()).unwrap();
-        // All rows share one curve cell neighbourhood, but only one is
-        // inside the exact window — the rest are false positives the
-        // refine step must prune (and count).
+        // All rows share one place and one day — one Z2T key prefix — but
+        // only one falls inside the exact time window: the rest are false
+        // positives the refine step must prune (and count).
         for i in 0..20 {
-            t.insert(&order_row(i, 116.0 + i as f64 * 0.0001, 39.0, 0))
-                .unwrap();
+            t.insert(&order_row(i, 116.0, 39.0, i * HOUR_MS)).unwrap();
         }
-        let tight = Rect::new(115.99995, 38.9999, 116.00005, 39.0001);
+        let tight = Rect::new(115.9999, 38.9999, 116.0001, 39.0001);
         let before = index_obs().rows_pruned.get();
         let mut stream = t.query_stream(
             Some(&tight),
-            None,
+            Some((0, HOUR_MS / 2)),
             SpatialPredicate::Within,
             None,
             just_kvstore::ScanOptions::default(),

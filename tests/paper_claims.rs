@@ -37,7 +37,18 @@ fn order_schema() -> Schema {
 /// window, hours-long time window), Z2T reads far fewer bytes from disk
 /// than Z3 with a century period, because the century-period Z3 key
 /// ranges lose all spatial selectivity.
+///
+/// **Not reproduced since PR 16, and kept as written.** The century
+/// index lost its selectivity to the depth-9 recursion cut-off, not to its
+/// period: 12 hours of a century and 1 km of the planet are both ~2^-15 of
+/// their axis, so the window is near-cubic in Z3/century's key space and a
+/// range budget hugs it as tightly as Z2T's (both plans: ~50 seeks, one
+/// block each, no rows on this table; on a table dense enough to scan
+/// rows, 100-330 keys against Z2T's 185). Figure 12's JUST-before-JUSTc
+/// order is open on ROADMAP item 2; the same-period comparison below is
+/// what Section IV-B argues and does hold.
 #[test]
+#[ignore = "Z3/century is as selective as Z2T under a range budget; ROADMAP item 2"]
 fn z2t_reads_less_than_century_z3_for_st_queries() {
     let (engine, dir) = fresh("z2t-vs-z3c");
     let data = OrderDataset::generate(4000, 7);
@@ -80,6 +91,63 @@ fn z2t_reads_less_than_century_z3_for_st_queries() {
         "Z2T read {} bytes, Z3-century read {}",
         z2t_io.bytes_read,
         z3c_io.bytes_read
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Section IV-B's own comparison, like for like: with the *same* day
+/// period, Z3 interleaves a time dimension the 12-hour window fills half
+/// of into its code, so at an equal range budget its key ranges keep no
+/// spatial selectivity and the scan reads the whole city's half day, while
+/// Z2T's ranges hug the window inside the one period the prefix selects.
+/// Asserted on the keys the index scans read — a count that repeats
+/// exactly.
+#[test]
+fn z2t_scans_fewer_keys_than_same_period_z3_for_st_queries() {
+    let (engine, dir) = fresh("z2t-vs-z3d");
+    let data = OrderDataset::generate(4000, 7);
+    let rows = order_rows(&data.orders);
+    engine
+        .create_table("z2t", order_schema(), None, None) // default: Z2T/day
+        .unwrap();
+    engine
+        .create_table(
+            "z3d",
+            order_schema(),
+            Some(IndexKind::Z3),
+            Some(just::curves::TimePeriod::Day),
+        )
+        .unwrap();
+    engine.insert("z2t", &rows).unwrap();
+    engine.insert("z3d", &rows).unwrap();
+    engine.flush_all().unwrap();
+
+    // The Section IV-B query: 1x1 km, 01:00-13:00 of one day.
+    let window = Rect::window_km(Point::new(116.4, 40.0), 1.0);
+    let (t0, t1) = (HOUR_MS, 13 * HOUR_MS);
+    let keys_scanned = |table: &str| {
+        let table = engine.table(table).unwrap();
+        let mut stream = table.query_raw_stream(Some(&window), Some((t0, t1)), Default::default());
+        let mut keys = 0;
+        while let Some(batch) = stream.next_batch().unwrap() {
+            keys += batch.len();
+        }
+        keys
+    };
+    let (z2t_keys, z3d_keys) = (keys_scanned("z2t"), keys_scanned("z3d"));
+
+    let a = engine
+        .st_range("z2t", &window, t0, t1, SpatialPredicate::Within)
+        .unwrap();
+    let b = engine
+        .st_range("z3d", &window, t0, t1, SpatialPredicate::Within)
+        .unwrap();
+    // Same answers...
+    assert_eq!(a.len(), b.len(), "both indexes must return the same rows");
+    // ...but Z2T's ranges hug the window.
+    assert!(
+        z2t_keys * 2 < z3d_keys,
+        "Z2T scanned {z2t_keys} keys, Z3/day scanned {z3d_keys}"
     );
     std::fs::remove_dir_all(dir).ok();
 }
@@ -183,7 +251,12 @@ fn query_plans_fan_out_over_shards_and_ranges() {
         just::storage::IndexStrategy::new(IndexKind::Z2t, just::curves::TimePeriod::Day, 4);
     let window = Rect::window_km(Point::new(116.4, 40.0), 3.0);
     let plan = strategy.plan(Some(&window), Some((HOUR_MS, 13 * HOUR_MS)));
-    assert!(plan.curve_ranges >= 1);
+    // One day period, the whole 64-range budget: the ranges hug the window.
+    assert!(
+        (3..=64).contains(&plan.curve_ranges),
+        "{} curve ranges",
+        plan.curve_ranges
+    );
     assert_eq!(plan.ranges.len(), plan.curve_ranges * 4, "4-shard fan-out");
     // Ranges are well-formed byte intervals.
     for (s, e) in &plan.ranges {
