@@ -54,13 +54,7 @@ fn main() {
             "fig12".into(),
             "fig13".into(),
             "fig14".into(),
-            "serve".into(),
-            "durability".into(),
-            "read_path".into(),
-            "scan_stream".into(),
             "obs_overhead".into(),
-            "exec_compile".into(),
-            "join_sort".into(),
             "ingest_concurrency".into(),
             "mvcc_split".into(),
         ];
@@ -87,30 +81,8 @@ fn main() {
             "fig12" => figures::fig12::run(&cfg, &mut out, &mut report),
             "fig13" => figures::fig13::run(&cfg, &mut out, &mut report),
             "fig14" => figures::fig14::run(&cfg, &mut out, &mut report),
-            "serve" => figures::serve::run(&cfg, &mut out, &mut report),
-            "durability" => figures::durability::run(&cfg, &mut out, &mut report),
-            "read_path" => {
-                if !figures::read_path::run(&cfg, &mut out, &mut report) {
-                    failed = true;
-                }
-            }
-            "scan_stream" => {
-                if !figures::scan_stream::run(&cfg, &mut out, &mut report) {
-                    failed = true;
-                }
-            }
             "obs_overhead" => {
                 if !figures::obs_overhead::run(&cfg, &mut out, &mut report) {
-                    failed = true;
-                }
-            }
-            "exec_compile" => {
-                if !figures::exec_compile::run(&cfg, &mut out, &mut report) {
-                    failed = true;
-                }
-            }
-            "join_sort" => {
-                if !figures::join_sort::run(&cfg, &mut out, &mut report) {
                     failed = true;
                 }
             }
@@ -143,10 +115,8 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: figures [all|table1|table2|fig8|fig10|fig11|fig12|fig13|fig14|serve|durability|\
-         read_path|scan_stream|obs_overhead|exec_compile|join_sort|ingest_concurrency|\
-         mvcc_split]... \
-         [--scale X] [--json DIR]"
+        "usage: figures [all|table1|table2|fig8|fig10|fig11|fig12|fig13|fig14|obs_overhead|\
+         ingest_concurrency|mvcc_split]... [--scale X] [--json DIR]"
     );
     std::process::exit(2);
 }

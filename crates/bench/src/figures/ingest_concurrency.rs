@@ -214,13 +214,7 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
     // and with fewer samples it is decided by a couple of outliers.
     let rows_per_writer =
         (ROWS_PER_WRITER_FULL_SCALE as f64 * cfg.orders as f64 / 20_000.0).max(400.0) as usize;
-    report.meta_raw(
-        "host_cpus",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .to_string(),
-    );
+    report.meta_raw("host_cpus", crate::harness::host_cpus().to_string());
     report.meta_raw(
         "writer_sweep",
         format!(

@@ -2,8 +2,6 @@
 //! writes a text rendition of the figure's data series to the given
 //! writer.
 
-pub mod durability;
-pub mod exec_compile;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
@@ -11,12 +9,8 @@ pub mod fig13;
 pub mod fig14;
 pub mod fig8;
 pub mod ingest_concurrency;
-pub mod join_sort;
 pub mod mvcc_split;
 pub mod obs_overhead;
-pub mod read_path;
-pub mod scan_stream;
-pub mod serve;
 pub mod tables;
 
 use crate::workload::{order_rows, traj_rows, Order, TrajRecord};

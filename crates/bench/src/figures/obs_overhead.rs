@@ -148,6 +148,14 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
     // each pair and the median discards the spiky tail.
     let overhead_pct = 100.0 * med_diff / med_off.max(f64::MIN_POSITIVE);
     let ok = overhead_pct <= 5.0;
+    report.meta_raw("host_cpus", crate::harness::host_cpus().to_string());
+    report.meta_raw("pairs", PAIRS.to_string());
+    report.meta_raw("untracked_median_us", format!("{:.1}", med_off * 1e6));
+    report.meta_raw(
+        "median_paired_slowdown_us",
+        format!("{:.1}", med_diff * 1e6),
+    );
+    report.meta_raw("median_paired_slowdown_pct", format!("{overhead_pct:.2}"));
     writeln!(
         out,
         "overhead guard: {} (median paired slowdown {:+.1}us on a {:.1}us query: \

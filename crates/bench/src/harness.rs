@@ -10,18 +10,6 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, t0.elapsed())
 }
 
-/// Runs a SELECT on the interpreted reference operators — parse,
-/// optimize, [`just_ql::reference::run`] — the baseline the executor
-/// figures measure against.
-pub fn reference_query(client: &just_ql::Client, sql: &str) -> just_core::Dataset {
-    let just_ql::Statement::Query(query) = just_ql::parse(sql).expect("parse") else {
-        panic!("not a SELECT: {sql}");
-    };
-    let plan = just_ql::LogicalPlan::from_select(&query).expect("analyze");
-    let plan = just_ql::optimize(plan).expect("optimize");
-    just_ql::reference::run(client.session(), &plan).expect("reference query")
-}
-
 /// Runs `f` over each query input, returning the median latency — the
 /// paper's methodology ("perform each query only once, and take the
 /// median response time").
@@ -36,6 +24,14 @@ pub fn median_latency<Q>(queries: &[Q], mut f: impl FnMut(&Q)) -> Duration {
         .collect();
     samples.sort();
     samples.get(samples.len() / 2).copied().unwrap_or_default()
+}
+
+/// Cores available to this process — stamped into every report whose
+/// numbers depend on them.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Pretty milliseconds.

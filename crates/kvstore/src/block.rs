@@ -4,16 +4,16 @@
 //! of checksum protection. Entries carry a tombstone flag so deletes
 //! shadow older SSTables until compaction.
 //!
-//! Two formats coexist:
+//! Two formats are readable; only V2 is written.
 //!
-//! **V1** (legacy, still readable): length-prefixed full keys, linear
-//! scan only.
+//! **V1** (legacy, read-only): length-prefixed full keys, linear scan
+//! only.
 //!
 //! ```text
 //! entry := klen(varint) key vflag(varint) [value]
 //! ```
 //!
-//! **V2** (written by every current writer): key prefix compression with
+//! **V2** (what [`BlockBuilder`] emits): key prefix compression with
 //! restart points. Each entry stores only the suffix that differs from
 //! the previous key; every `RESTART_INTERVAL` entries a *restart point*
 //! stores the full key, and a trailer lists the restart offsets so a
@@ -35,13 +35,13 @@ pub const DEFAULT_BLOCK_SIZE: usize = 4096;
 /// decode at most `RESTART_INTERVAL - 1` entries after the binary search.
 pub const RESTART_INTERVAL: usize = 16;
 
-/// Which on-disk encoding a block (or a whole SSTable) uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Which on-disk encoding a block (or a whole SSTable) was read in —
+/// detected from the SSTable footer, never chosen by a writer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockFormat {
-    /// Length-prefixed full keys, linear scans.
+    /// Length-prefixed full keys, linear scans (legacy files only).
     V1,
     /// Prefix-compressed keys with restart-point binary search.
-    #[default]
     V2,
 }
 
@@ -92,10 +92,9 @@ pub struct BlockEntry {
     pub value: Option<Vec<u8>>,
 }
 
-/// Accumulates entries into an encoded block.
-#[derive(Debug)]
+/// Accumulates entries into an encoded V2 block.
+#[derive(Debug, Default)]
 pub struct BlockBuilder {
-    format: BlockFormat,
     buf: Vec<u8>,
     first_key: Option<Vec<u8>>,
     last_key: Vec<u8>,
@@ -104,24 +103,10 @@ pub struct BlockBuilder {
     count: usize,
 }
 
-impl Default for BlockBuilder {
-    fn default() -> Self {
-        Self::new(BlockFormat::V2)
-    }
-}
-
 impl BlockBuilder {
-    /// Empty builder emitting the given format.
-    pub fn new(format: BlockFormat) -> Self {
-        BlockBuilder {
-            format,
-            buf: Vec::new(),
-            first_key: None,
-            last_key: Vec::new(),
-            restarts: Vec::new(),
-            since_restart: 0,
-            count: 0,
-        }
+    /// Empty builder.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Appends an entry. Keys must arrive in ascending order (enforced by
@@ -130,51 +115,33 @@ impl BlockBuilder {
         if self.first_key.is_none() {
             self.first_key = Some(key.to_vec());
         }
-        match self.format {
-            BlockFormat::V1 => {
-                write_varint(&mut self.buf, key.len() as u64);
-                self.buf.extend_from_slice(key);
-                match value {
-                    None => write_varint(&mut self.buf, 0),
-                    Some(v) => {
-                        write_varint(&mut self.buf, v.len() as u64 + 1);
-                        self.buf.extend_from_slice(v);
-                    }
-                }
-            }
-            BlockFormat::V2 => {
-                let shared = if self.since_restart == 0 || self.since_restart >= RESTART_INTERVAL {
-                    self.restarts.push(self.buf.len() as u32);
-                    self.since_restart = 0;
-                    0
-                } else {
-                    shared_prefix_len(&self.last_key, key)
-                };
-                self.since_restart += 1;
-                write_varint(&mut self.buf, shared as u64);
-                write_varint(&mut self.buf, (key.len() - shared) as u64);
-                match value {
-                    None => write_varint(&mut self.buf, 0),
-                    Some(v) => write_varint(&mut self.buf, v.len() as u64 + 1),
-                }
-                self.buf.extend_from_slice(&key[shared..]);
-                if let Some(v) = value {
-                    self.buf.extend_from_slice(v);
-                }
-            }
+        let shared = if self.since_restart == 0 || self.since_restart >= RESTART_INTERVAL {
+            self.restarts.push(self.buf.len() as u32);
+            self.since_restart = 0;
+            0
+        } else {
+            shared_prefix_len(&self.last_key, key)
+        };
+        self.since_restart += 1;
+        write_varint(&mut self.buf, shared as u64);
+        write_varint(&mut self.buf, (key.len() - shared) as u64);
+        match value {
+            None => write_varint(&mut self.buf, 0),
+            Some(v) => write_varint(&mut self.buf, v.len() as u64 + 1),
+        }
+        self.buf.extend_from_slice(&key[shared..]);
+        if let Some(v) = value {
+            self.buf.extend_from_slice(v);
         }
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
         self.count += 1;
     }
 
-    /// Current encoded size (V2: entry bytes plus the trailer the block
-    /// will carry when finished).
+    /// Current encoded size: entry bytes plus the trailer the block will
+    /// carry when finished.
     pub fn size(&self) -> usize {
-        match self.format {
-            BlockFormat::V1 => self.buf.len(),
-            BlockFormat::V2 => self.buf.len() + 4 * self.restarts.len() + 4,
-        }
+        self.buf.len() + 4 * self.restarts.len() + 4
     }
 
     /// Number of entries added.
@@ -194,13 +161,11 @@ impl BlockBuilder {
 
     /// Consumes the builder, returning the encoded bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        if let BlockFormat::V2 = self.format {
-            for r in &self.restarts {
-                self.buf.extend_from_slice(&r.to_le_bytes());
-            }
-            self.buf
-                .extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
+        for r in &self.restarts {
+            self.buf.extend_from_slice(&r.to_le_bytes());
         }
+        self.buf
+            .extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
         self.buf
     }
 }
@@ -455,16 +420,44 @@ impl<'a> Iterator for BlockIter<'a> {
     }
 }
 
+/// The legacy V1 encoding. No product code writes it any more; tests of
+/// the V1 *reader* build their input with this.
+#[cfg(test)]
+pub(crate) fn encode_v1<K: AsRef<[u8]>, V: AsRef<[u8]>>(entries: &[(K, Option<V>)]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for (key, value) in entries {
+        write_varint(&mut buf, key.as_ref().len() as u64);
+        buf.extend_from_slice(key.as_ref());
+        match value {
+            None => write_varint(&mut buf, 0),
+            Some(v) => {
+                write_varint(&mut buf, v.as_ref().len() as u64 + 1);
+                buf.extend_from_slice(v.as_ref());
+            }
+        }
+    }
+    buf
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(format: BlockFormat, entries: &[(&[u8], Option<&[u8]>)]) -> Block {
-        let mut b = BlockBuilder::new(format);
-        for (k, v) in entries {
-            b.add(k, *v);
+    fn encode(format: BlockFormat, entries: &[(&[u8], Option<&[u8]>)]) -> Vec<u8> {
+        match format {
+            BlockFormat::V1 => encode_v1(entries),
+            BlockFormat::V2 => {
+                let mut b = BlockBuilder::new();
+                for (k, v) in entries {
+                    b.add(k, *v);
+                }
+                b.finish()
+            }
         }
-        Block::new(b.finish(), format)
+    }
+
+    fn roundtrip(format: BlockFormat, entries: &[(&[u8], Option<&[u8]>)]) -> Block {
+        Block::new(encode(format, entries), format)
     }
 
     #[test]
@@ -486,10 +479,10 @@ mod tests {
     #[test]
     fn corrupt_block_fails_validation() {
         for format in [BlockFormat::V1, BlockFormat::V2] {
-            let mut b = BlockBuilder::new(format);
-            b.add(b"key-aaaa", Some(b"value"));
-            b.add(b"key-bbbb", Some(b"value"));
-            let mut bytes = b.finish();
+            let mut bytes = encode(
+                format,
+                &[(b"key-aaaa", Some(b"value")), (b"key-bbbb", Some(b"value"))],
+            );
             bytes.truncate(bytes.len() - 2);
             assert!(!Block::new(bytes, format).validate(), "{format:?}");
         }
@@ -497,7 +490,7 @@ mod tests {
 
     #[test]
     fn size_tracks_content() {
-        let mut b = BlockBuilder::new(BlockFormat::V1);
+        let mut b = BlockBuilder::new();
         assert!(b.is_empty());
         b.add(b"0123456789", Some(&[0u8; 100]));
         assert!(b.size() > 110);
@@ -508,13 +501,12 @@ mod tests {
         let keys: Vec<String> = (0..200)
             .map(|i| format!("traj/0001/point/{i:06}"))
             .collect();
-        let mut v1 = BlockBuilder::new(BlockFormat::V1);
-        let mut v2 = BlockBuilder::new(BlockFormat::V2);
+        let mut v2 = BlockBuilder::new();
         for k in &keys {
-            v1.add(k.as_bytes(), Some(b"v"));
             v2.add(k.as_bytes(), Some(b"v"));
         }
-        let (s1, s2) = (v1.size(), v2.size());
+        let v1: Vec<_> = keys.iter().map(|k| (k, Some(b"v"))).collect();
+        let (s1, s2) = (encode_v1(&v1).len(), v2.size());
         assert!(
             s2 * 10 < s1 * 7,
             "prefix compression should save >30%: v1={s1} v2={s2}"
@@ -531,7 +523,7 @@ mod tests {
 
     #[test]
     fn v2_empty_block() {
-        let b = BlockBuilder::new(BlockFormat::V2);
+        let b = BlockBuilder::new();
         assert!(b.is_empty());
         let block = Block::new(b.finish(), BlockFormat::V2);
         assert_eq!(block.iter().count(), 0);
@@ -587,7 +579,7 @@ mod tests {
         let keys: Vec<Vec<u8>> = (0..100u32)
             .map(|i| format!("key-{:06}", i * 3).into_bytes())
             .collect();
-        let mut b = BlockBuilder::new(BlockFormat::V2);
+        let mut b = BlockBuilder::new();
         for k in &keys {
             b.add(k, Some(b"v"));
         }
@@ -626,7 +618,7 @@ mod tests {
 
     #[test]
     fn v2_corrupt_restart_trailer_fails_validation() {
-        let mut b = BlockBuilder::new(BlockFormat::V2);
+        let mut b = BlockBuilder::new();
         for i in 0..40u32 {
             b.add(format!("k{i:04}").as_bytes(), Some(b"v"));
         }

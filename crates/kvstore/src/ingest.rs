@@ -63,7 +63,8 @@ impl Default for IngestOptions {
 impl IngestOptions {
     /// Single-shard, single-stream: byte-for-byte the pre-sharding
     /// behaviour and on-disk layout.
-    pub fn serial() -> Self {
+    #[cfg(test)]
+    pub(crate) fn serial() -> Self {
         IngestOptions {
             mem_shards: 1,
             wal_streams: 1,
@@ -181,7 +182,7 @@ impl ShardedWal {
         for i in 0..count {
             let sdir = stream_dir(dir, i);
             std::fs::create_dir_all(&sdir)?;
-            let (wal, records) = Wal::open_seq(&sdir, durability.sync, durability.buffer_bytes)?;
+            let (wal, records) = Wal::open_seq(&sdir, durability.sync)?;
             for r in records {
                 match r.seq {
                     None => legacy.push(r),
@@ -481,11 +482,7 @@ mod tests {
     }
 
     fn opts(sync: SyncPolicy) -> DurabilityOptions {
-        DurabilityOptions {
-            wal: true,
-            sync,
-            buffer_bytes: 64 << 10,
-        }
+        DurabilityOptions { wal: true, sync }
     }
 
     #[test]

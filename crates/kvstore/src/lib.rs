@@ -112,7 +112,7 @@ mod fixture {
             durability: DurabilityOptions::disabled(),
             ingest: IngestOptions::default(),
             stall_bytes: 0,
-            stall_deadline: std::time::Duration::from_secs(30),
+            stall_deadline: crate::region::STALL_DEADLINE,
             kick: None,
             stop: None,
         }

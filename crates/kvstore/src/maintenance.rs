@@ -28,27 +28,18 @@ pub struct MaintenanceOptions {
     pub enabled: bool,
     /// Worker threads (regions are partitioned across them).
     pub workers: usize,
-    /// Sweep interval: how often idle regions are checked for flush /
-    /// compaction work and batched WAL syncs are issued.
-    pub tick: Duration,
     /// Compact a region once it holds at least this many SSTables
     /// (0 disables background compaction).
     pub compact_trigger: usize,
     /// Hard per-region memtable cap in bytes: writers stall (block)
     /// above it until a flush catches up.
     pub stall_bytes: usize,
-    /// How long a stalled writer waits for background flushes before
-    /// giving up with [`crate::KvError::Stalled`] — the escape hatch
-    /// when flushes fail persistently (e.g. a full disk).
-    pub stall_deadline: Duration,
     /// Auto-split a region once its footprint (disk + memtable)
     /// crosses this many bytes; 0 disables maintenance-driven splits.
     /// The analogue of HBase's region split policy, driven by the same
-    /// sweep that flushes and compacts.
+    /// sweep that flushes and compacts. Auto-splits stop at 64 regions
+    /// per table.
     pub split_bytes: usize,
-    /// Cap on regions per table for auto-splits (manual `SPLIT REGION`
-    /// is only bounded by the hard 256-region limit).
-    pub max_regions: usize,
 }
 
 impl Default for MaintenanceOptions {
@@ -56,15 +47,16 @@ impl Default for MaintenanceOptions {
         MaintenanceOptions {
             enabled: true,
             workers: 2,
-            tick: Duration::from_millis(10),
             compact_trigger: 8,
             stall_bytes: 32 << 20,
-            stall_deadline: Duration::from_secs(30),
             split_bytes: 256 << 20,
-            max_regions: 64,
         }
     }
 }
+
+/// Sweep interval: how often idle regions are checked for flush /
+/// compaction work and batched WAL syncs are issued.
+const TICK: Duration = Duration::from_millis(10);
 
 /// A wake-up latch: writers kick it when a region needs attention so the
 /// scheduler reacts immediately instead of waiting out its tick.
@@ -199,7 +191,7 @@ fn worker_loop(shared: &Shared, worker: usize, workers: usize) {
     loop {
         let stopping = shared.stop.load(Ordering::SeqCst);
         if !stopping {
-            shared.kick.wait(&mut seen_kick, shared.opts.tick);
+            shared.kick.wait(&mut seen_kick, TICK);
         }
         let tables: Vec<Arc<Table>> = {
             let mut list = shared.tables.lock();
@@ -216,12 +208,7 @@ fn worker_loop(shared: &Shared, worker: usize, workers: usize) {
             }
             // One worker doubles as the split balancer so lifecycle
             // operations never race each other from within the pool.
-            if worker == 0
-                && !stopping
-                && table
-                    .maybe_split(shared.opts.split_bytes, shared.opts.max_regions)
-                    .is_err()
-            {
+            if worker == 0 && !stopping && table.maybe_split(shared.opts.split_bytes).is_err() {
                 shared.errors.inc();
             }
         }

@@ -165,13 +165,18 @@ pub struct RegionTrafficSnapshot {
     pub scan_blocks: u64,
 }
 
+/// How long a stalled writer waits for background flushes before giving
+/// up with [`KvError::Stalled`] — the escape hatch when flushes fail
+/// persistently (e.g. a full disk).
+pub(crate) const STALL_DEADLINE: Duration = Duration::from_secs(30);
+
 /// Per-region construction settings (assembled by [`crate::Table`] from
 /// the store options).
 #[derive(Debug, Clone)]
 pub(crate) struct RegionOptions {
     /// Memtable flush threshold in bytes (summed across shards).
     pub flush_threshold: usize,
-    /// SSTable write settings (block size, format, codec, bloom sizing).
+    /// SSTable write settings (block size, codec).
     pub sst: SstOptions,
     /// Write-ahead-log settings.
     pub durability: DurabilityOptions,
@@ -182,8 +187,9 @@ pub(crate) struct RegionOptions {
     /// unmanaged — writers flush inline at the threshold and never
     /// stall.
     pub stall_bytes: usize,
-    /// How long a stalled writer waits before erroring out (guards
-    /// against persistently failing background flushes).
+    /// How long a stalled writer waits before erroring out:
+    /// [`STALL_DEADLINE`] in every store (a field so a test of the
+    /// escape hatch need not wait it out).
     pub stall_deadline: Duration,
     /// Latch to wake the maintenance scheduler (managed regions only).
     pub kick: Option<Arc<Kick>>,
@@ -1451,11 +1457,7 @@ mod tests {
         fixture::region(
             dir.to_path_buf(),
             RegionOptions {
-                durability: DurabilityOptions {
-                    wal: true,
-                    sync,
-                    buffer_bytes: 64 << 10,
-                },
+                durability: DurabilityOptions { wal: true, sync },
                 ingest,
                 ..fixture::region_opts(flush_threshold)
             },

@@ -1,21 +1,22 @@
 //! Immutable on-disk sorted string tables.
 //!
-//! Three on-disk formats coexist. **v1** (magic `JSSTBL01`) is the
-//! legacy layout: uncompressed linear-scan blocks, no bloom filter.
-//! **v2** (magic `JSSTBL02`) added prefix-compressed blocks with
+//! One format is written, three are read. **v3** (magic `JSSTBL03`) is
+//! what [`SsTableBuilder`] emits: prefix-compressed blocks with
 //! restart-point binary search ([`crate::block`]), an optional
-//! per-table block compression codec, and a blocked bloom filter
-//! serialized between the index and the footer. **v3** (magic
-//! `JSSTBL03`) is what every v2-format writer now emits: the same block
-//! layout plus a `seq_limit` in the footer — one past the highest MVCC
-//! commit sequence any entry in the file carries (see
-//! `Region::snapshot`). Snapshot readers skip tables whose `seq_limit`
-//! exceeds their read sequence, and region open recovers the
-//! commit-sequence counter from the maximum `seq_limit` on disk even
-//! when every WAL segment has been retired. Readers auto-detect the
-//! format from the footer magic, so stores written before either
-//! upgrade keep serving (v1/v2 files read as `seq_limit` 0: visible to
-//! every snapshot).
+//! per-table block compression codec, a blocked bloom filter serialized
+//! between the index and the footer, and a `seq_limit` in the footer —
+//! one past the highest MVCC commit sequence any entry in the file
+//! carries (see `Region::snapshot`). Snapshot readers skip tables whose
+//! `seq_limit` exceeds their read sequence, and region open recovers
+//! the commit-sequence counter from the maximum `seq_limit` on disk
+//! even when every WAL segment has been retired. **v2** (magic
+//! `JSSTBL02`) is v3 without `seq_limit`; **v1** (magic `JSSTBL01`) is
+//! the original layout: uncompressed linear-scan blocks, no bloom
+//! filter. Nothing writes v1 or v2 any more, but files on disk are
+//! supported input: [`SsTable::open_cached`] detects the format from
+//! the footer magic, so stores written before either upgrade keep
+//! serving (v1/v2 files read as `seq_limit` 0: visible to every
+//! snapshot) until compaction rewrites them as v3.
 //!
 //! ```text
 //! v1 file := data-block* index footer24
@@ -81,12 +82,54 @@ fn read_exact_at(_file: &File, path: &Path, buf: &mut [u8], offset: u64) -> std:
     f.read_exact(buf)
 }
 
-const MAGIC_V1: &[u8; 8] = b"JSSTBL01";
-const MAGIC_V2: &[u8; 8] = b"JSSTBL02";
-const MAGIC_V3: &[u8; 8] = b"JSSTBL03";
-const FOOTER_V1: usize = 24;
-const FOOTER_V2: usize = 33;
-const FOOTER_V3: usize = 41;
+const MAGIC_LEN: usize = 8;
+
+/// What precedes the magic in one footer generation. Every footer starts
+/// `index_offset(u64) index_len(u64)`; later generations appended fields.
+#[derive(Debug)]
+struct FooterLayout {
+    magic: &'static [u8; MAGIC_LEN],
+    /// Total footer length in bytes, magic included.
+    len: usize,
+    format: BlockFormat,
+    /// `bloom_len(u64)` after the index fields and `codec(u8)` before
+    /// the magic.
+    bloom_and_codec: bool,
+    /// `seq_limit(u64)` after `bloom_len`.
+    seq_limit: bool,
+}
+
+const FOOTER_V1: FooterLayout = FooterLayout {
+    magic: b"JSSTBL01",
+    len: 24,
+    format: BlockFormat::V1,
+    bloom_and_codec: false,
+    seq_limit: false,
+};
+const FOOTER_V2: FooterLayout = FooterLayout {
+    magic: b"JSSTBL02",
+    len: 33,
+    format: BlockFormat::V2,
+    bloom_and_codec: true,
+    seq_limit: false,
+};
+/// The one layout [`SsTableBuilder::finish`] writes.
+const FOOTER_V3: FooterLayout = FooterLayout {
+    magic: b"JSSTBL03",
+    len: 41,
+    format: BlockFormat::V2,
+    bloom_and_codec: true,
+    seq_limit: true,
+};
+
+/// Smallest encoding of one block in the index: an empty first key plus
+/// `klen(u32) offset(u64) len(u32) crc(u32)`. Bounds the block count a
+/// hostile index can claim.
+const MIN_INDEX_ENTRY: usize = 20;
+
+/// Bloom filter bits per key: ≈1 % false positives, the HBase
+/// `BLOOMFILTER => ROW` equivalent.
+const BLOOM_BITS_PER_KEY: usize = 10;
 
 /// A block is flushed no later than this multiple of the target block
 /// size, bounding builder memory and worst-case decompression work even
@@ -99,27 +142,19 @@ const MAX_BLOCK_INFLATE: usize = 8;
 pub struct SstOptions {
     /// Target on-disk block size in bytes.
     pub block_size: usize,
-    /// On-disk format to emit. Readers always auto-detect; `V1` exists
-    /// for compatibility tests and format-comparison benchmarks.
-    pub format: BlockFormat,
-    /// Per-block compression codec (v2 only; `Codec::None` stores blocks
-    /// raw). With a real codec the builder packs entries until the
-    /// *estimated on-disk* size reaches `block_size`, so compression
-    /// turns into fewer blocks fetched per scan — the paper's
-    /// compression→fewer-IOs effect — rather than just smaller ones.
+    /// Per-block compression codec (`Codec::None` stores blocks raw).
+    /// With a real codec the builder packs entries until the *estimated
+    /// on-disk* size reaches `block_size`, so compression turns into
+    /// fewer blocks fetched per scan — the paper's compression→fewer-IOs
+    /// effect — rather than just smaller ones.
     pub codec: Codec,
-    /// Bloom filter bits per key (v2 only; 0 disables the filter).
-    /// ~10 bits/key yields a ≈1 % false-positive rate.
-    pub bloom_bits_per_key: usize,
 }
 
 impl Default for SstOptions {
     fn default() -> Self {
         SstOptions {
             block_size: crate::block::DEFAULT_BLOCK_SIZE,
-            format: BlockFormat::V2,
             codec: Codec::None,
-            bloom_bits_per_key: 10,
         }
     }
 }
@@ -130,6 +165,25 @@ struct BlockMeta {
     offset: u64,
     len: u32,
     crc: u32,
+}
+
+/// Serializes the `index` section (the same in every format).
+fn encode_index(blocks: &[BlockMeta], min_key: &[u8], max_key: &[u8], entry_count: u64) -> Vec<u8> {
+    let mut index = Vec::new();
+    index.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
+    for b in blocks {
+        index.extend_from_slice(&(b.first_key.len() as u32).to_le_bytes());
+        index.extend_from_slice(&b.first_key);
+        index.extend_from_slice(&b.offset.to_le_bytes());
+        index.extend_from_slice(&b.len.to_le_bytes());
+        index.extend_from_slice(&b.crc.to_le_bytes());
+    }
+    for key in [min_key, max_key] {
+        index.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        index.extend_from_slice(key);
+    }
+    index.extend_from_slice(&entry_count.to_le_bytes());
+    index
 }
 
 /// Streams ascending key/value pairs into an SSTable file.
@@ -144,14 +198,14 @@ pub struct SsTableBuilder {
     min_key: Option<Vec<u8>>,
     /// Keys ascend, so this is also the table's max key.
     last_key: Option<Vec<u8>>,
-    /// Key hashes for the bloom filter (v2 with bloom enabled).
+    /// Key hashes for the bloom filter.
     bloom_hashes: Vec<u64>,
     /// Cumulative encoded vs on-disk bytes, driving the adaptive packing
     /// estimate when a compression codec is active.
     encoded_bytes: u64,
     disk_bytes: u64,
     /// One past the highest MVCC commit sequence of any entry, recorded
-    /// in the v3 footer; 0 means "unknown / pre-MVCC" and reads as
+    /// in the footer; 0 means "unknown / pre-MVCC" and reads as
     /// visible to every snapshot.
     seq_limit: u64,
     metrics: Arc<IoMetrics>,
@@ -160,7 +214,7 @@ pub struct SsTableBuilder {
 
 impl SsTableBuilder {
     /// Creates a builder writing to `path` (truncating any existing
-    /// file) with explicit format, codec and bloom sizing.
+    /// file).
     pub fn create_opts(
         path: &Path,
         opts: SstOptions,
@@ -175,7 +229,7 @@ impl SsTableBuilder {
         Ok(SsTableBuilder {
             path: path.to_path_buf(),
             file,
-            current: BlockBuilder::new(opts.format),
+            current: BlockBuilder::new(),
             opts,
             blocks: Vec::new(),
             offset: 0,
@@ -194,14 +248,13 @@ impl SsTableBuilder {
     /// Records the exclusive upper bound of MVCC commit sequences the
     /// file will contain (one past the highest; 0 = unknown). Flushes
     /// pass the frozen generation's bound, compactions and region
-    /// splits the maximum over their inputs. Persisted only by the v2
-    /// block format (as a v3 footer); ignored for v1 files.
+    /// splits the maximum over their inputs.
     pub fn set_seq_limit(&mut self, seq_limit: u64) {
         self.seq_limit = seq_limit;
     }
 
     fn compressed(&self) -> bool {
-        self.opts.format == BlockFormat::V2 && self.opts.codec != Codec::None
+        self.opts.codec != Codec::None
     }
 
     /// Whether the current block is full. With a codec active the cut is
@@ -236,9 +289,7 @@ impl SsTableBuilder {
         if self.min_key.is_none() {
             self.min_key = Some(key.to_vec());
         }
-        if self.opts.format == BlockFormat::V2 && self.opts.bloom_bits_per_key > 0 {
-            self.bloom_hashes.push(bloom_hash(key));
-        }
+        self.bloom_hashes.push(bloom_hash(key));
         self.current.add(key, value);
         self.entry_count += 1;
         if self.block_full() {
@@ -251,7 +302,7 @@ impl SsTableBuilder {
         if self.current.is_empty() {
             return Ok(());
         }
-        let builder = std::mem::replace(&mut self.current, BlockBuilder::new(self.opts.format));
+        let builder = std::mem::take(&mut self.current);
         let first_key = builder.first_key().expect("non-empty block").to_vec();
         let encoded = builder.finish();
         let data = if self.compressed() {
@@ -278,48 +329,26 @@ impl SsTableBuilder {
     pub fn finish(mut self) -> Result<SsTable> {
         self.flush_block()?;
         let index_offset = self.offset;
-        let mut index = Vec::new();
-        index.extend_from_slice(&(self.blocks.len() as u64).to_le_bytes());
-        for b in &self.blocks {
-            index.extend_from_slice(&(b.first_key.len() as u32).to_le_bytes());
-            index.extend_from_slice(&b.first_key);
-            index.extend_from_slice(&b.offset.to_le_bytes());
-            index.extend_from_slice(&b.len.to_le_bytes());
-            index.extend_from_slice(&b.crc.to_le_bytes());
-        }
-        let min_key = self.min_key.unwrap_or_default();
-        let max_key = self.last_key.unwrap_or_default();
-        index.extend_from_slice(&(min_key.len() as u32).to_le_bytes());
-        index.extend_from_slice(&min_key);
-        index.extend_from_slice(&(max_key.len() as u32).to_le_bytes());
-        index.extend_from_slice(&max_key);
-        index.extend_from_slice(&self.entry_count.to_le_bytes());
+        let index = encode_index(
+            &self.blocks,
+            &self.min_key.unwrap_or_default(),
+            &self.last_key.unwrap_or_default(),
+            self.entry_count,
+        );
         self.file.write_all(&index)?;
-        match self.opts.format {
-            BlockFormat::V1 => {
-                let mut footer = Vec::with_capacity(FOOTER_V1);
-                footer.extend_from_slice(&index_offset.to_le_bytes());
-                footer.extend_from_slice(&(index.len() as u64).to_le_bytes());
-                footer.extend_from_slice(MAGIC_V1);
-                self.file.write_all(&footer)?;
-            }
-            BlockFormat::V2 => {
-                let mut bloom = Vec::new();
-                if self.opts.bloom_bits_per_key > 0 && !self.bloom_hashes.is_empty() {
-                    BloomFilter::build(&self.bloom_hashes, self.opts.bloom_bits_per_key)
-                        .serialize_into(&mut bloom);
-                }
-                self.file.write_all(&bloom)?;
-                let mut footer = Vec::with_capacity(FOOTER_V3);
-                footer.extend_from_slice(&index_offset.to_le_bytes());
-                footer.extend_from_slice(&(index.len() as u64).to_le_bytes());
-                footer.extend_from_slice(&(bloom.len() as u64).to_le_bytes());
-                footer.extend_from_slice(&self.seq_limit.to_le_bytes());
-                footer.push(self.opts.codec.code());
-                footer.extend_from_slice(MAGIC_V3);
-                self.file.write_all(&footer)?;
-            }
+        let mut bloom = Vec::new();
+        if !self.bloom_hashes.is_empty() {
+            BloomFilter::build(&self.bloom_hashes, BLOOM_BITS_PER_KEY).serialize_into(&mut bloom);
         }
+        self.file.write_all(&bloom)?;
+        let mut footer = Vec::with_capacity(FOOTER_V3.len);
+        footer.extend_from_slice(&index_offset.to_le_bytes());
+        footer.extend_from_slice(&(index.len() as u64).to_le_bytes());
+        footer.extend_from_slice(&(bloom.len() as u64).to_le_bytes());
+        footer.extend_from_slice(&self.seq_limit.to_le_bytes());
+        footer.push(self.opts.codec.code());
+        footer.extend_from_slice(FOOTER_V3.magic);
+        self.file.write_all(&footer)?;
         self.file.sync_all()?;
         drop(self.file);
         // `sync_all` covers the file contents; the directory entry that
@@ -375,102 +404,64 @@ impl SsTable {
     ) -> Result<Self> {
         let mut file = File::open(path)?;
         let file_size = file.metadata()?.len();
-        if file_size < FOOTER_V1 as u64 {
-            return Err(KvError::Corrupt(format!("{}: too small", path.display())));
-        }
-        file.seek(SeekFrom::End(-8))?;
-        let mut magic = [0u8; 8];
-        file.read_exact(&mut magic)?;
-        let (format, index_offset, index_len, bloom_len, codec, seq_limit) = match &magic {
-            m if m == MAGIC_V1 => {
-                file.seek(SeekFrom::End(-(FOOTER_V1 as i64)))?;
-                let mut footer = [0u8; FOOTER_V1];
-                file.read_exact(&mut footer)?;
-                let index_offset = u64::from_le_bytes(footer[0..8].try_into().unwrap());
-                let index_len = u64::from_le_bytes(footer[8..16].try_into().unwrap());
-                if index_offset + index_len + FOOTER_V1 as u64 != file_size {
-                    return Err(KvError::Corrupt(format!("{}: bad footer", path.display())));
-                }
-                (
-                    BlockFormat::V1,
-                    index_offset,
-                    index_len,
-                    0u64,
-                    Codec::None,
-                    0u64,
-                )
-            }
-            m if m == MAGIC_V2 => {
-                if file_size < FOOTER_V2 as u64 {
-                    return Err(KvError::Corrupt(format!("{}: too small", path.display())));
-                }
-                file.seek(SeekFrom::End(-(FOOTER_V2 as i64)))?;
-                let mut footer = [0u8; FOOTER_V2];
-                file.read_exact(&mut footer)?;
-                let index_offset = u64::from_le_bytes(footer[0..8].try_into().unwrap());
-                let index_len = u64::from_le_bytes(footer[8..16].try_into().unwrap());
-                let bloom_len = u64::from_le_bytes(footer[16..24].try_into().unwrap());
-                let codec = Codec::from_code(footer[24]).ok_or_else(|| {
-                    KvError::Corrupt(format!("{}: unknown codec {}", path.display(), footer[24]))
-                })?;
-                if index_offset + index_len + bloom_len + FOOTER_V2 as u64 != file_size {
-                    return Err(KvError::Corrupt(format!("{}: bad footer", path.display())));
-                }
-                (
-                    BlockFormat::V2,
-                    index_offset,
-                    index_len,
-                    bloom_len,
-                    codec,
-                    0,
-                )
-            }
-            m if m == MAGIC_V3 => {
-                if file_size < FOOTER_V3 as u64 {
-                    return Err(KvError::Corrupt(format!("{}: too small", path.display())));
-                }
-                file.seek(SeekFrom::End(-(FOOTER_V3 as i64)))?;
-                let mut footer = [0u8; FOOTER_V3];
-                file.read_exact(&mut footer)?;
-                let index_offset = u64::from_le_bytes(footer[0..8].try_into().unwrap());
-                let index_len = u64::from_le_bytes(footer[8..16].try_into().unwrap());
-                let bloom_len = u64::from_le_bytes(footer[16..24].try_into().unwrap());
-                let seq_limit = u64::from_le_bytes(footer[24..32].try_into().unwrap());
-                let codec = Codec::from_code(footer[32]).ok_or_else(|| {
-                    KvError::Corrupt(format!("{}: unknown codec {}", path.display(), footer[32]))
-                })?;
-                if index_offset + index_len + bloom_len + FOOTER_V3 as u64 != file_size {
-                    return Err(KvError::Corrupt(format!("{}: bad footer", path.display())));
-                }
-                (
-                    BlockFormat::V2,
-                    index_offset,
-                    index_len,
-                    bloom_len,
-                    codec,
-                    seq_limit,
-                )
-            }
-            _ => {
-                return Err(KvError::Corrupt(format!("{}: bad magic", path.display())));
-            }
+        let corrupt = |what: &str| KvError::Corrupt(format!("{}: {what}", path.display()));
+
+        // The longest footer, or the whole file when it is shorter.
+        let mut tail = vec![0u8; file_size.min(FOOTER_V3.len as u64) as usize];
+        file.seek(SeekFrom::End(-(tail.len() as i64)))?;
+        file.read_exact(&mut tail)?;
+        let layout = [&FOOTER_V1, &FOOTER_V2, &FOOTER_V3]
+            .into_iter()
+            .find(|l| tail.ends_with(l.magic))
+            .ok_or_else(|| corrupt("bad magic"))?;
+        let footer = tail
+            .len()
+            .checked_sub(layout.len)
+            .map(|skip| &tail[skip..])
+            .ok_or_else(|| corrupt("too small"))?;
+        let mut words = footer
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        let mut word = || words.next().expect("every layout holds its fixed fields");
+        let (index_offset, index_len) = (word(), word());
+        let bloom_len = if layout.bloom_and_codec { word() } else { 0 };
+        let seq_limit = if layout.seq_limit { word() } else { 0 };
+        let codec = if layout.bloom_and_codec {
+            let code = footer[layout.len - MAGIC_LEN - 1];
+            Codec::from_code(code).ok_or_else(|| corrupt(&format!("unknown codec {code}")))?
+        } else {
+            Codec::None
         };
+        // Index, bloom and footer must tile the rest of the file exactly.
+        // The adds are checked so a sum that wraps round to `file_size`
+        // cannot pass, and an exact tiling bounds every length by the
+        // file's before anything is allocated for it.
+        let tiled = index_offset
+            .checked_add(index_len)
+            .and_then(|end| end.checked_add(bloom_len))
+            .and_then(|end| end.checked_add(layout.len as u64));
+        if tiled != Some(file_size) {
+            return Err(corrupt("bad footer"));
+        }
+
         file.seek(SeekFrom::Start(index_offset))?;
         let mut index = vec![0u8; index_len as usize];
         file.read_exact(&mut index)?;
 
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            let end = *pos + n;
-            if end > index.len() {
-                return Err(KvError::Corrupt("index truncated".into()));
-            }
-            let s = &index[*pos..end];
-            *pos = end;
+            let s = pos
+                .checked_add(n)
+                .and_then(|end| index.get(*pos..end))
+                .ok_or_else(|| corrupt("index truncated"))?;
+            *pos += n;
             Ok(s)
         };
-        let count = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-        let mut blocks = Vec::with_capacity(count);
+        let count = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
+        if count > (index.len() / MIN_INDEX_ENTRY) as u64 {
+            return Err(corrupt("index claims more blocks than it can hold"));
+        }
+        let mut blocks = Vec::with_capacity(count as usize);
         for _ in 0..count {
             let klen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
             let first_key = take(&mut pos, klen)?.to_vec();
@@ -494,9 +485,7 @@ impl SsTable {
             file.seek(SeekFrom::Start(index_offset + index_len))?;
             let mut buf = vec![0u8; bloom_len as usize];
             file.read_exact(&mut buf)?;
-            Some(BloomFilter::deserialize(&buf).ok_or_else(|| {
-                KvError::Corrupt(format!("{}: bloom filter malformed", path.display()))
-            })?)
+            Some(BloomFilter::deserialize(&buf).ok_or_else(|| corrupt("bloom filter malformed"))?)
         } else {
             None
         };
@@ -505,7 +494,7 @@ impl SsTable {
             path: path.to_path_buf(),
             file_id: next_file_id(),
             file,
-            format,
+            format: layout.format,
             codec,
             bloom,
             blocks,
@@ -721,42 +710,81 @@ mod tests {
         build_opts(dir, n, small_blocks())
     }
 
-    fn all_variants() -> Vec<(&'static str, SstOptions)> {
+    /// Re-encodes an uncompressed table in place as the v1 layout
+    /// (`data-block* index footer24`, one v1 block per source block) —
+    /// the file a pre-upgrade store left on disk — and reopens it.
+    fn rewrite_as_v1(t: &SsTable) -> Arc<SsTable> {
+        assert_eq!(t.codec(), Codec::None, "v1 has no block compression");
+        let mut file = Vec::new();
+        let mut blocks = Vec::new();
+        for (idx, meta) in t.blocks.iter().enumerate() {
+            let entries: Vec<_> = t
+                .read_block(idx, false)
+                .unwrap()
+                .iter()
+                .map(|e| (e.key, e.value))
+                .collect();
+            let data = crate::block::encode_v1(&entries);
+            blocks.push(BlockMeta {
+                first_key: meta.first_key.clone(),
+                offset: file.len() as u64,
+                len: data.len() as u32,
+                crc: crc32(&data),
+            });
+            file.extend_from_slice(&data);
+        }
+        let index = encode_index(&blocks, &t.min_key, &t.max_key, t.entry_count);
+        let index_offset = file.len() as u64;
+        file.extend_from_slice(&index);
+        file.extend_from_slice(&index_offset.to_le_bytes());
+        file.extend_from_slice(&(index.len() as u64).to_le_bytes());
+        file.extend_from_slice(FOOTER_V1.magic);
+        std::fs::write(t.path(), file).unwrap();
+        Arc::new(fixture::sstable(t.path()))
+    }
+
+    /// Rewrites a v3 file's footer in place as `footer33`: drops
+    /// `seq_limit`, swaps the magic.
+    fn rewrite_footer_as_v2(path: &Path) {
+        let mut bytes = std::fs::read(path).unwrap();
+        assert!(bytes.ends_with(FOOTER_V3.magic));
+        let footer = bytes.len() - FOOTER_V3.len;
+        bytes.drain(footer + 24..footer + 32);
+        let magic = bytes.len() - MAGIC_LEN;
+        bytes[magic..].copy_from_slice(FOOTER_V2.magic);
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    /// `n` rows in every layout the reader supports, each in its own
+    /// directory: what the builder writes under each codec, plus the two
+    /// legacy layouts nothing writes any more.
+    fn all_variants(name: &str, n: u32) -> Vec<(&'static str, PathBuf, Arc<SsTable>)> {
+        let build = |label: &'static str, codec: Codec| {
+            let dir = tmpdir(&format!("{name}-{label}"));
+            let opts = SstOptions {
+                block_size: 256,
+                codec,
+            };
+            let t = build_opts(&dir, n, opts);
+            (label, dir, t)
+        };
+        let (_, v1_dir, plain) = build("v1", Codec::None);
+        let v1 = rewrite_as_v1(&plain);
+        let (_, v2_dir, built) = build("v2-footer", Codec::None);
+        rewrite_footer_as_v2(built.path());
+        let v2 = Arc::new(fixture::sstable(built.path()));
         vec![
-            (
-                "v1",
-                SstOptions {
-                    block_size: 256,
-                    format: BlockFormat::V1,
-                    codec: Codec::None,
-                    bloom_bits_per_key: 0,
-                },
-            ),
-            ("v2", small_blocks()),
-            (
-                "v2-zip",
-                SstOptions {
-                    block_size: 256,
-                    codec: Codec::Zip,
-                    ..SstOptions::default()
-                },
-            ),
-            (
-                "v2-gzip",
-                SstOptions {
-                    block_size: 256,
-                    codec: Codec::Gzip,
-                    ..SstOptions::default()
-                },
-            ),
+            ("v1", v1_dir, v1),
+            ("v2-footer", v2_dir, v2),
+            build("v3", Codec::None),
+            build("v3-zip", Codec::Zip),
+            build("v3-gzip", Codec::Gzip),
         ]
     }
 
     #[test]
     fn build_and_scan() {
-        for (label, opts) in all_variants() {
-            let dir = tmpdir(&format!("scan-{label}"));
-            let t = build_opts(&dir, 1000, opts);
+        for (label, dir, t) in all_variants("scan", 1000) {
             assert_eq!(t.entry_count(), 1000, "{label}");
             let hits = scan(&t, b"key-000100", b"key-000199").unwrap();
             assert_eq!(hits.len(), 100, "{label}");
@@ -784,9 +812,7 @@ mod tests {
 
     #[test]
     fn get_hits_and_misses() {
-        for (label, opts) in all_variants() {
-            let dir = tmpdir(&format!("get-{label}"));
-            let t = build_opts(&dir, 100, opts);
+        for (label, dir, t) in all_variants("get", 100) {
             assert_eq!(
                 t.get(b"key-000042").unwrap(),
                 Some(Some(b"value-42".to_vec())),
@@ -847,7 +873,6 @@ mod tests {
                 SstOptions {
                     block_size: 1024,
                     codec,
-                    ..SstOptions::default()
                 },
                 metrics.clone(),
             );
@@ -960,9 +985,7 @@ mod tests {
 
     #[test]
     fn corruption_detected_on_read() {
-        for (label, opts) in all_variants() {
-            let dir = tmpdir(&format!("corrupt-{label}"));
-            let t = build_opts(&dir, 200, opts);
+        for (label, dir, t) in all_variants("corrupt", 200) {
             let path = t.path().to_path_buf();
             drop(t);
             // Flip a byte in the first data block.
@@ -992,31 +1015,133 @@ mod tests {
 
     #[test]
     fn v1_file_reopens_and_serves_under_v2_reader() {
-        // Write the legacy format, reopen through the auto-detecting
-        // reader, and check reads plus the absence of v2-only machinery.
+        // A file in the legacy layout, reopened through the
+        // auto-detecting reader: reads work, v2-only machinery is absent.
         let dir = tmpdir("v1-reopen");
-        let t = build_opts(
-            &dir,
-            300,
-            SstOptions {
-                block_size: 256,
-                format: BlockFormat::V1,
-                codec: Codec::None,
-                bloom_bits_per_key: 10, // ignored for v1
-            },
-        );
-        let path = t.path().to_path_buf();
-        drop(t);
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[bytes.len() - 8..], MAGIC_V1);
-        let t = Arc::new(fixture::sstable(&path));
+        let t = rewrite_as_v1(&build(&dir, 300));
+        let bytes = std::fs::read(t.path()).unwrap();
+        assert!(bytes.ends_with(FOOTER_V1.magic));
         assert_eq!(t.format(), BlockFormat::V1);
         assert!(!t.has_bloom());
+        assert_eq!(t.seq_limit(), 0);
         assert_eq!(
             t.get(b"key-000123").unwrap(),
             Some(Some(b"value-123".to_vec()))
         );
         assert_eq!(scan(&t, b"", b"\xff\xff").unwrap().len(), 300);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn v2_footer_file_opens_visible_to_every_snapshot() {
+        // No code writes `JSSTBL02` any more; a pre-MVCC store left such
+        // files behind. Same sections as v3, no `seq_limit`.
+        let dir = tmpdir("v2-footer");
+        let mut b = fixture::builder(
+            &dir.join("t.sst"),
+            small_blocks(),
+            Arc::new(IoMetrics::new()),
+        );
+        b.set_seq_limit(77);
+        for i in 0..300u32 {
+            b.add(format!("key-{i:06}").as_bytes(), Some(b"v")).unwrap();
+        }
+        let path = b.finish().unwrap().path().to_path_buf();
+        rewrite_footer_as_v2(&path);
+        let t = Arc::new(fixture::sstable(&path));
+        assert_eq!(t.format(), BlockFormat::V2);
+        assert!(t.has_bloom());
+        assert_eq!(t.seq_limit(), 0);
+        assert!(t.visible_at(0), "pre-MVCC file must serve every snapshot");
+        assert_eq!(t.get(b"key-000123").unwrap(), Some(Some(b"v".to_vec())));
+        assert_eq!(t.get(b"key-000123x").unwrap(), None);
+        assert_eq!(scan(&t, b"key-000100", b"key-000199").unwrap().len(), 100);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A file of `body` followed by a `layout` footer carrying the given
+    /// section fields (seq_limit 0, codec none).
+    fn file_with_footer(
+        path: &Path,
+        body: &[u8],
+        layout: &FooterLayout,
+        index_offset: u64,
+        index_len: u64,
+        bloom_len: u64,
+    ) {
+        let mut bytes = body.to_vec();
+        bytes.extend_from_slice(&index_offset.to_le_bytes());
+        bytes.extend_from_slice(&index_len.to_le_bytes());
+        if layout.bloom_and_codec {
+            bytes.extend_from_slice(&bloom_len.to_le_bytes());
+        }
+        if layout.seq_limit {
+            bytes.extend_from_slice(&0u64.to_le_bytes());
+        }
+        if layout.bloom_and_codec {
+            bytes.push(Codec::None.code());
+        }
+        bytes.extend_from_slice(layout.magic);
+        assert_eq!(bytes.len(), body.len() + layout.len);
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    fn open_err(path: &Path) -> KvError {
+        let (metrics, cache) = (Arc::new(IoMetrics::new()), Arc::new(BlockCache::new(0)));
+        SsTable::open_cached(path, metrics, cache).expect_err("hostile file must not open")
+    }
+
+    #[test]
+    fn hostile_footers_are_corrupt_not_allocated() {
+        // Section lengths come from bytes we did not write. Every case
+        // here must be a typed error before anything is allocated: a
+        // 2^62-byte `vec!` aborts the test process, an unchecked add
+        // panics it.
+        let dir = tmpdir("hostile-footer");
+        let path = dir.join("t.sst");
+        let body = [0u8; 64];
+        for layout in [&FOOTER_V1, &FOOTER_V2, &FOOTER_V3] {
+            let file_size = (body.len() + layout.len) as u64;
+            // `x` such that x + len + footer wraps round to file_size.
+            let wrapping = |len: u64| (body.len() as u64).wrapping_sub(len);
+            // A small index_offset (seekable) with an index_len past
+            // isize::MAX.
+            let len = u64::MAX - 10;
+            file_with_footer(&path, &body, layout, wrapping(len), len, 0);
+            assert!(
+                matches!(open_err(&path), KvError::Corrupt(_)),
+                "{layout:?}: wrapping index_offset + index_len"
+            );
+            if layout.bloom_and_codec {
+                // Offset 0 and an allocatable-looking 4 EiB index, with
+                // bloom_len making up the wrap.
+                let len = 1u64 << 62;
+                file_with_footer(&path, &body, layout, 0, len, wrapping(len));
+                assert!(
+                    matches!(open_err(&path), KvError::Corrupt(_)),
+                    "{layout:?}: wrapping index_len + bloom_len"
+                );
+            }
+            // No wrap, just longer than the file.
+            file_with_footer(&path, &body, layout, 0, file_size * 4, 0);
+            assert!(
+                matches!(open_err(&path), KvError::Corrupt(_)),
+                "{layout:?}: oversized index_len"
+            );
+            // A well-tiled file whose index claims 2^64-1 blocks.
+            let mut index = [0xffu8; 64];
+            index[8..].fill(0);
+            file_with_footer(&path, &index, layout, 0, index.len() as u64, 0);
+            assert!(
+                matches!(open_err(&path), KvError::Corrupt(_)),
+                "{layout:?}: hostile block count"
+            );
+        }
+        // Too short for the footer its magic announces.
+        std::fs::write(&path, FOOTER_V3.magic).unwrap();
+        assert!(matches!(open_err(&path), KvError::Corrupt(_)));
+        std::fs::write(&path, b"").unwrap();
+        assert!(matches!(open_err(&path), KvError::Corrupt(_)));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1034,7 +1159,7 @@ mod tests {
         let path = t.path().to_path_buf();
         drop(t);
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[bytes.len() - 8..], MAGIC_V3);
+        assert!(bytes.ends_with(FOOTER_V3.magic));
         let t = fixture::sstable(&path);
         assert_eq!(t.seq_limit(), 12345);
         // Snapshots at or past the bound see the table; earlier ones

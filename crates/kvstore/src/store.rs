@@ -1,6 +1,5 @@
 //! The store root: a directory of tables sharing IO metrics and tuning.
 
-use crate::block::BlockFormat;
 use crate::cache::BlockCache;
 use crate::error::{KvError, Result};
 use crate::ingest::IngestOptions;
@@ -16,7 +15,12 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Tuning knobs, shared by every table of a store.
+/// Tuning knobs, shared by every table of a store: 13 settable values
+/// (4 here, 2 in [`DurabilityOptions`], 2 in [`IngestOptions`], 5 in
+/// [`MaintenanceOptions`]). Everything else — the SSTable format written
+/// (v3 footer, 10 bloom bits per key), the WAL's user-space buffer, the
+/// maintenance tick, the stall deadline, the auto-split region cap — is
+/// a constant next to the code that uses it.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// Memtable flush threshold in bytes per region.
@@ -24,20 +28,10 @@ pub struct StoreOptions {
     /// Target SSTable block size in bytes (HBase default: 64 KiB; we use a
     /// smaller default so laptop-scale datasets still span many blocks).
     pub block_size: usize,
-    /// On-disk SSTable format for new writes. Defaults to
-    /// [`BlockFormat::V2`] (prefix compression + restart-point binary
-    /// search); readers auto-detect either format, so existing v1 data
-    /// keeps serving. `V1` exists for upgrade tests and format-comparison
-    /// benchmarks.
-    pub sst_format: BlockFormat,
-    /// Per-block compression codec for newly written SSTables (v2 only).
-    /// Mirrors HBase's per-column-family `COMPRESSION` setting; the block
-    /// cache stores decompressed bytes, so hot blocks decompress once.
+    /// Per-block compression codec for newly written SSTables. Mirrors
+    /// HBase's per-column-family `COMPRESSION` setting; the block cache
+    /// stores decompressed bytes, so hot blocks decompress once.
     pub codec: Codec,
-    /// Bloom filter bits per key for newly written SSTables (v2 only;
-    /// 0 disables blooms). ~10 bits/key ≈ 1 % false positives — the
-    /// HBase `BLOOMFILTER => ROW` equivalent.
-    pub bloom_bits_per_key: usize,
     /// Store-wide block cache capacity in bytes (0 disables caching —
     /// the paper's experimental setting; the default mirrors HBase's
     /// always-on block cache).
@@ -57,9 +51,7 @@ impl Default for StoreOptions {
         StoreOptions {
             flush_threshold: 4 << 20,
             block_size: 4096,
-            sst_format: BlockFormat::V2,
             codec: Codec::None,
-            bloom_bits_per_key: 10,
             block_cache_bytes: 32 << 20,
             durability: DurabilityOptions::default(),
             ingest: IngestOptions::default(),
@@ -134,9 +126,7 @@ impl Store {
             flush_threshold: self.options.flush_threshold,
             sst: SstOptions {
                 block_size: self.options.block_size,
-                format: self.options.sst_format,
                 codec: self.options.codec,
-                bloom_bits_per_key: self.options.bloom_bits_per_key,
             },
             durability: self.options.durability.clone(),
             ingest: self.options.ingest.clone(),
@@ -145,7 +135,7 @@ impl Store {
             } else {
                 0
             },
-            stall_deadline: self.options.maintenance.stall_deadline,
+            stall_deadline: crate::region::STALL_DEADLINE,
             kick: self.scheduler.as_ref().map(|s| s.kick_handle()),
             stop: self.scheduler.as_ref().map(|s| s.stop_handle()),
         }

@@ -71,6 +71,10 @@ const MANIFEST_HEADER: &str = "just-regions v1";
 /// so the error only surfaces when a lifecycle operation is wedged.
 const SEAL_RETRY_DEADLINE: Duration = Duration::from_secs(10);
 
+/// Auto-splits stop once a table has this many regions (manual `SPLIT
+/// REGION` is only bounded by the hard 256-region limit).
+const MAX_AUTO_SPLIT_REGIONS: usize = 64;
+
 /// One region's point-in-time size and traffic numbers — the row shape
 /// behind `SHOW REGIONS` and the input the split/balance heuristic
 /// consumes.
@@ -639,15 +643,15 @@ impl Table {
     /// One background lifecycle sweep: splits the largest region whose
     /// footprint (disk + memtable) crosses `split_bytes`, at most one
     /// split per call. `split_bytes == 0` disables auto-splitting;
-    /// `max_regions` caps the fan-out. Called by the maintenance
-    /// scheduler.
-    pub(crate) fn maybe_split(&self, split_bytes: usize, max_regions: usize) -> Result<()> {
+    /// [`MAX_AUTO_SPLIT_REGIONS`] caps the fan-out. Called by the
+    /// maintenance scheduler.
+    pub(crate) fn maybe_split(&self, split_bytes: usize) -> Result<()> {
         if split_bytes == 0 {
             return Ok(());
         }
         let candidate = {
             let map = self.map.read();
-            if map.len() >= max_regions.clamp(1, 256) {
+            if map.len() >= MAX_AUTO_SPLIT_REGIONS {
                 return Ok(());
             }
             map.iter()

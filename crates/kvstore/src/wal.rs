@@ -103,9 +103,6 @@ pub struct DurabilityOptions {
     pub wal: bool,
     /// How eagerly WAL appends are synced.
     pub sync: SyncPolicy,
-    /// User-space buffer size for [`SyncPolicy::None`] (bytes buffered
-    /// before a `write(2)`).
-    pub buffer_bytes: usize,
 }
 
 impl Default for DurabilityOptions {
@@ -113,7 +110,6 @@ impl Default for DurabilityOptions {
         DurabilityOptions {
             wal: true,
             sync: SyncPolicy::Batched,
-            buffer_bytes: 64 << 10,
         }
     }
 }
@@ -458,12 +454,14 @@ impl WalMetrics {
     }
 }
 
+/// Bytes [`SyncPolicy::None`] buffers in user space before a `write(2)`.
+const BUFFER_BYTES: usize = 64 << 10;
+
 /// The write-ahead log of one region: an active segment plus the not-yet
 /// obsolete ones before it.
 pub struct Wal {
     dir: PathBuf,
     policy: SyncPolicy,
-    buffer_bytes: usize,
     active_id: u64,
     /// Shared so [`Wal::begin_concurrent_sync`] can hand the group-commit
     /// leader a handle to fsync outside the WAL lock.
@@ -511,12 +509,8 @@ impl Wal {
     /// legacy single-stream shape is kept to pin the pre-sharding format
     /// and durability semantics in tests.
     #[cfg(test)]
-    pub fn open(
-        dir: &Path,
-        policy: SyncPolicy,
-        buffer_bytes: usize,
-    ) -> Result<(Wal, Vec<WalRecord>)> {
-        let (wal, records) = Self::open_seq(dir, policy, buffer_bytes)?;
+    pub fn open(dir: &Path, policy: SyncPolicy) -> Result<(Wal, Vec<WalRecord>)> {
+        let (wal, records) = Self::open_seq(dir, policy)?;
         Ok((
             wal,
             records
@@ -532,11 +526,7 @@ impl Wal {
     /// Sequence-aware open used by the sharded multi-stream WAL: replay
     /// order *within* this stream is file order, but records keep their
     /// commit sequence numbers so streams can be reconciled globally.
-    pub(crate) fn open_seq(
-        dir: &Path,
-        policy: SyncPolicy,
-        buffer_bytes: usize,
-    ) -> Result<(Wal, Vec<SeqWalRecord>)> {
+    pub(crate) fn open_seq(dir: &Path, policy: SyncPolicy) -> Result<(Wal, Vec<SeqWalRecord>)> {
         let metrics = WalMetrics::new();
         let mut segments: Vec<u64> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
@@ -579,7 +569,6 @@ impl Wal {
             Wal {
                 dir: dir.to_path_buf(),
                 policy,
-                buffer_bytes: buffer_bytes.max(1),
                 active_id,
                 file,
                 pending: Vec::new(),
@@ -641,7 +630,7 @@ impl Wal {
         self.metrics.bytes.add((self.pending.len() - before) as u64);
         match self.policy {
             SyncPolicy::None => {
-                if self.pending.len() >= self.buffer_bytes {
+                if self.pending.len() >= BUFFER_BYTES {
                     self.flush_os()?;
                 }
             }
@@ -896,13 +885,13 @@ mod tests {
     fn roundtrip_puts_and_deletes() {
         let dir = tmpdir("roundtrip");
         {
-            let (mut wal, recovered) = Wal::open(&dir, SyncPolicy::PerWrite, 64 << 10).unwrap();
+            let (mut wal, recovered) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
             assert!(recovered.is_empty());
             wal.append(b"a", Some(b"1")).unwrap();
             wal.append(b"b", Some(b"2")).unwrap();
             wal.append(b"a", None).unwrap();
         }
-        let (_, recovered) = Wal::open(&dir, SyncPolicy::PerWrite, 64 << 10).unwrap();
+        let (_, recovered) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
         assert_eq!(
             recovered,
             vec![
@@ -921,7 +910,7 @@ mod tests {
     fn torn_tail_truncates_to_last_good_record() {
         let dir = tmpdir("torn");
         {
-            let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite, 64 << 10).unwrap();
+            let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
             wal.append(b"good-1", Some(b"v1")).unwrap();
             wal.append(b"good-2", Some(b"v2")).unwrap();
         }
@@ -935,7 +924,7 @@ mod tests {
         bytes.extend_from_slice(b"partial");
         std::fs::write(&seg, &bytes).unwrap();
 
-        let (_, recovered) = Wal::open(&dir, SyncPolicy::PerWrite, 64 << 10).unwrap();
+        let (_, recovered) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
         assert_eq!(
             recovered,
             vec![put(b"good-1", b"v1"), put(b"good-2", b"v2")]
@@ -949,7 +938,7 @@ mod tests {
     fn corrupt_crc_stops_replay_at_last_good_record() {
         let dir = tmpdir("crc");
         {
-            let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite, 64 << 10).unwrap();
+            let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
             wal.append(b"keep00", Some(b"v")).unwrap();
             wal.append(b"victim", Some(b"v")).unwrap();
             wal.append(b"after0", Some(b"v")).unwrap();
@@ -961,7 +950,7 @@ mod tests {
         bytes[record_len + HEADER + 3] ^= 0xff;
         std::fs::write(&seg, &bytes).unwrap();
 
-        let (_, recovered) = Wal::open(&dir, SyncPolicy::PerWrite, 64 << 10).unwrap();
+        let (_, recovered) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
         // Recovery point is the last record before the corruption; the
         // intact record *after* it is unreachable by design.
         assert_eq!(recovered, vec![put(b"keep00", b"v")]);
@@ -972,12 +961,12 @@ mod tests {
     #[test]
     fn rotation_deletes_obsolete_segments() {
         let dir = tmpdir("rotate");
-        let (mut wal, _) = Wal::open(&dir, SyncPolicy::Batched, 64 << 10).unwrap();
+        let (mut wal, _) = Wal::open(&dir, SyncPolicy::Batched).unwrap();
         wal.append(b"a", Some(b"1")).unwrap();
         wal.rotate().unwrap();
         wal.append(b"b", Some(b"2")).unwrap();
         drop(wal);
-        let (_, recovered) = Wal::open(&dir, SyncPolicy::Batched, 64 << 10).unwrap();
+        let (_, recovered) = Wal::open(&dir, SyncPolicy::Batched).unwrap();
         // Only the post-rotation record survives; segment 0 is gone.
         assert_eq!(recovered, vec![put(b"b", b"2")]);
         assert!(!segment_path(&dir, 0).exists());
@@ -987,13 +976,13 @@ mod tests {
     #[test]
     fn sync_none_buffers_in_user_space() {
         let dir = tmpdir("buffered");
-        let (mut wal, _) = Wal::open(&dir, SyncPolicy::None, 1 << 20).unwrap();
+        let (mut wal, _) = Wal::open(&dir, SyncPolicy::None).unwrap();
         wal.append(b"k", Some(b"v")).unwrap();
         assert!(wal.pending_bytes() > 0, "should be buffered");
         assert_eq!(std::fs::metadata(segment_path(&dir, 0)).unwrap().len(), 0);
         // A crash here (drop without flush) loses the buffered record.
         drop(wal);
-        let (_, recovered) = Wal::open(&dir, SyncPolicy::None, 1 << 20).unwrap();
+        let (_, recovered) = Wal::open(&dir, SyncPolicy::None).unwrap();
         assert!(recovered.is_empty());
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1001,7 +990,7 @@ mod tests {
     #[test]
     fn fault_injected_short_write_recovers_to_acknowledged_prefix() {
         let dir = tmpdir("fault-short");
-        let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite, 64 << 10).unwrap();
+        let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
         let (file, state) = FaultyWalFile::new();
         // Two full records fit; the third is torn 5 bytes in.
         let mut probe = Vec::new();
@@ -1020,7 +1009,7 @@ mod tests {
         // the two acknowledged records.
         let crash_dir = tmpdir("fault-short-crash");
         std::fs::write(segment_path(&crash_dir, 0), &state.lock().os).unwrap();
-        let (_, recovered) = Wal::open(&crash_dir, SyncPolicy::PerWrite, 64 << 10).unwrap();
+        let (_, recovered) = Wal::open(&crash_dir, SyncPolicy::PerWrite).unwrap();
         assert_eq!(
             recovered,
             vec![put(b"key-1", b"value-1"), put(b"key-2", b"value-2")]
@@ -1032,7 +1021,7 @@ mod tests {
     #[test]
     fn failed_append_poisons_wal_until_rotation() {
         let dir = tmpdir("poison");
-        let (mut wal, _) = Wal::open(&dir, SyncPolicy::Batched, 64 << 10).unwrap();
+        let (mut wal, _) = Wal::open(&dir, SyncPolicy::Batched).unwrap();
         let (file, state) = FaultyWalFile::new();
         state.lock().write_budget = Some(3); // torn 3 bytes into the first record
         wal.set_file_for_test(Box::new(file));
@@ -1058,7 +1047,7 @@ mod tests {
         wal.append(b"fresh", Some(b"v")).unwrap();
         assert_eq!(state.lock().os.len(), os_len_before);
         drop(wal);
-        let (_, recovered) = Wal::open(&dir, SyncPolicy::Batched, 64 << 10).unwrap();
+        let (_, recovered) = Wal::open(&dir, SyncPolicy::Batched).unwrap();
         assert_eq!(recovered, vec![put(b"fresh", b"v")]);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1066,7 +1055,7 @@ mod tests {
     #[test]
     fn fault_injected_fsync_failure_fails_per_write_append() {
         let dir = tmpdir("fault-sync");
-        let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite, 64 << 10).unwrap();
+        let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
         let (file, state) = FaultyWalFile::new();
         state.lock().sync_budget = Some(1);
         wal.set_file_for_test(Box::new(file));
@@ -1084,7 +1073,7 @@ mod tests {
             s.os[..s.synced_len].to_vec()
         };
         std::fs::write(segment_path(&crash_dir, 0), surviving).unwrap();
-        let (_, recovered) = Wal::open(&crash_dir, SyncPolicy::PerWrite, 64 << 10).unwrap();
+        let (_, recovered) = Wal::open(&crash_dir, SyncPolicy::PerWrite).unwrap();
         assert_eq!(recovered, vec![put(b"a", b"1")]);
         std::fs::remove_dir_all(dir).ok();
         std::fs::remove_dir_all(crash_dir).ok();
@@ -1093,7 +1082,7 @@ mod tests {
     #[test]
     fn corrupt_middle_segment_orphans_later_segments() {
         let dir = tmpdir("orphan");
-        let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite, 64 << 10).unwrap();
+        let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
         wal.append(b"seg0", Some(b"v")).unwrap();
         // Manual rotation that *keeps* segment 0 (simulating a crash
         // between SSTable write and segment deletion is not what we
@@ -1102,13 +1091,13 @@ mod tests {
         drop(wal);
         // Reopen: segment 0 is replayed and retained, segment 1 becomes
         // active.
-        let (mut wal, recovered) = Wal::open(&dir, SyncPolicy::PerWrite, 64 << 10).unwrap();
+        let (mut wal, recovered) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
         assert_eq!(recovered.len(), 1);
         wal.append(b"seg1", Some(b"v")).unwrap();
         drop(wal);
         // Corrupt segment 0 entirely.
         std::fs::write(segment_path(&dir, 0), b"garbage-that-is-not-a-record").unwrap();
-        let (_, recovered) = Wal::open(&dir, SyncPolicy::PerWrite, 64 << 10).unwrap();
+        let (_, recovered) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
         // Nothing from segment 0, and segment 1 must not leapfrog the
         // corruption.
         assert!(recovered.is_empty(), "got {recovered:?}");
