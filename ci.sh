@@ -6,7 +6,7 @@
 # Stages (so `.github/workflows/ci.yml` can run them as parallel jobs):
 #
 #   ./ci.sh lint    # fmt --check, clippy -D warnings, doc gate, LOC.tsv fresh
-#   ./ci.sh test    # locked build, tests, smoke tests, bench guards
+#   ./ci.sh test    # locked build, tests, smoke tests, bench guards, benchmark/check.sh
 #   ./ci.sh         # everything, in order (the pre-push gate)
 #
 # SMOKE_DIR can be pre-set (CI does, so the data dir survives as an
@@ -322,6 +322,11 @@ MVCC_BENCH_OUT="$SMOKE_DIR/mvcc_split.txt"
 grep -q "parity guard: PASS" "$MVCC_BENCH_OUT"
 grep -q "split guard: PASS" "$MVCC_BENCH_OUT"
 grep -q "replay guard: PASS" "$MVCC_BENCH_OUT"
+
+echo "==> benchmark/check.sh (the standalone benchmark package still builds against the workspace)"
+# benchmark/ is its own package outside the workspace, so nothing above
+# compiles it: an API change in a crate it calls would go unnoticed.
+bash benchmark/check.sh
 
 echo "==> EXPLAIN bytecode listing smoke (just-cli renders programs)"
 start_justd "$SMOKE_DIR/exec-data" "$SMOKE_DIR/exec-port"

@@ -27,6 +27,9 @@ pub enum KvError {
     /// freshly-swapped region map; direct [`crate::Region`] users should
     /// re-resolve their region handle and retry.
     RegionSealed,
+    /// A key and value of this many bytes together exceed what one
+    /// memtable shard can address (2 GiB); nothing was written.
+    EntryTooLarge(usize),
 }
 
 impl fmt::Display for KvError {
@@ -45,6 +48,9 @@ impl fmt::Display for KvError {
             KvError::Stalled(why) => write!(f, "write stalled: {why}"),
             KvError::RegionSealed => {
                 write!(f, "region sealed for split/merge; re-route and retry")
+            }
+            KvError::EntryTooLarge(bytes) => {
+                write!(f, "entry of {bytes} bytes exceeds the memtable's 2 GiB")
             }
         }
     }

@@ -73,7 +73,7 @@ pub use cache::BlockCache;
 pub use error::KvError;
 pub use ingest::IngestOptions;
 pub use maintenance::MaintenanceOptions;
-pub use memtable::{MemTable, LATEST};
+pub use memtable::LATEST;
 pub use metrics::{IoMetrics, IoSnapshot};
 pub use region::{Region, RegionTraffic, RegionTrafficSnapshot, Snapshot};
 pub use scan::{CancelToken, MergeStream, ScanOptions, ScanSource, ScanStream};
@@ -113,6 +113,7 @@ mod fixture {
             ingest: IngestOptions::default(),
             stall_bytes: 0,
             stall_deadline: crate::region::STALL_DEADLINE,
+            shard_cap: crate::memtable::SHARD_CAP,
             kick: None,
             stop: None,
         }

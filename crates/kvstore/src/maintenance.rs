@@ -31,8 +31,9 @@ pub struct MaintenanceOptions {
     /// Compact a region once it holds at least this many SSTables
     /// (0 disables background compaction).
     pub compact_trigger: usize,
-    /// Hard per-region memtable cap in bytes: writers stall (block)
-    /// above it until a flush catches up.
+    /// Hard per-region memtable cap in reserved bytes — the heap held by
+    /// the active memtable plus every frozen generation awaiting flush:
+    /// writers stall (block) above it until a flush catches up.
     pub stall_bytes: usize,
     /// Auto-split a region once its footprint (disk + memtable)
     /// crosses this many bytes; 0 disables maintenance-driven splits.

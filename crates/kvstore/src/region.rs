@@ -17,14 +17,19 @@
 //! ```
 //!
 //! * the **memtable** is split into [`IngestOptions::mem_shards`]
-//!   finely-locked maps, salted by key hash;
+//!   finely-locked arena skip lists ([`crate::memtable`]), salted by key
+//!   hash; the bytes a region meters against `flush_threshold` and
+//!   `stall_bytes` are the heap those arenas reserve;
 //! * the **WAL** is split into [`IngestOptions::wal_streams`] streams
 //!   with cross-shard group commit (one fsync acknowledges many writers;
 //!   see [`crate::ingest`](self));
 //! * **flushes are pipelined**: a freeze moves every shard into an
 //!   immutable [`FrozenGen`] and writes continue into fresh shards, so a
 //!   flush never stalls acknowledgements — backpressure engages only at
-//!   `stall_bytes` across active + frozen generations.
+//!   `stall_bytes` across active + frozen generations. A shard whose
+//!   32-bit offsets cannot address one more entry drains the generation
+//!   inline before the write lands (only reachable with thresholds in
+//!   the gigabytes).
 //!
 //! Freeze ordering is load-bearing: streams rotate *before* shards swap,
 //! all under the region write lock. A writer holds its shard lock across
@@ -191,6 +196,10 @@ pub(crate) struct RegionOptions {
     /// [`STALL_DEADLINE`] in every store (a field so a test of the
     /// escape hatch need not wait it out).
     pub stall_deadline: Duration,
+    /// Bytes one memtable shard addresses before it reports full and
+    /// the generation is drained: [`crate::memtable::SHARD_CAP`] in
+    /// every store (a field so a test can fill a shard).
+    pub shard_cap: usize,
     /// Latch to wake the maintenance scheduler (managed regions only).
     pub kick: Option<Arc<Kick>>,
     /// Scheduler shutdown flag: stalled writers abort when it is set,
@@ -204,7 +213,7 @@ pub(crate) struct RegionOptions {
 struct FrozenGen {
     /// Same indexing as the region's active shards.
     shards: Vec<MemTable>,
-    /// Approximate heap bytes at freeze time (drives backpressure).
+    /// Heap bytes the shards reserve (drives backpressure).
     bytes: usize,
     /// Per-stream WAL segment marks from the freeze-time rotation.
     marks: Vec<(usize, u64)>,
@@ -212,6 +221,20 @@ struct FrozenGen {
     /// `seq_limit` of its flushed SSTable, and the release gate for the
     /// held-generation copy serving older snapshots.
     seq_ub: u64,
+}
+
+impl FrozenGen {
+    /// Moves every shard's contents into a new generation, leaving the
+    /// shards empty.
+    fn take(shards: &[Mutex<MemTable>], marks: Vec<(usize, u64)>) -> FrozenGen {
+        let shards: Vec<MemTable> = shards.iter().map(|s| s.lock().take()).collect();
+        FrozenGen {
+            bytes: shards.iter().map(MemTable::reserved_bytes).sum(),
+            seq_ub: shards.iter().map(MemTable::seq_ub).max().unwrap_or(0),
+            shards,
+            marks,
+        }
+    }
 }
 
 struct RegionInner {
@@ -242,9 +265,9 @@ pub struct Region {
     /// Region-wide commit sequence, drawn under the shard lock so WAL
     /// replay can reconcile streams into acknowledgement order.
     next_seq: AtomicU64,
-    /// Approximate bytes across active shards / frozen generations.
-    /// Maintained exactly under the shard locks, so freeze accounting
-    /// never drifts.
+    /// Heap bytes reserved by the active shards / the frozen
+    /// generations. Maintained exactly under the shard locks, so freeze
+    /// accounting never drifts.
     active_bytes: AtomicUsize,
     frozen_bytes: AtomicUsize,
     inner: RwLock<RegionInner>,
@@ -352,13 +375,14 @@ impl Region {
         }
         let (shard_count, stream_count) = opts.ingest.normalized();
         let shards: Vec<Mutex<MemTable>> = (0..shard_count)
-            .map(|_| Mutex::new(MemTable::new()))
+            .map(|_| Mutex::new(MemTable::new(opts.shard_cap)))
             .collect();
         // Seed the sequence past every flushed table's `seq_limit`, so
         // a region reconstructed from SSTables alone (e.g. a freshly
         // split daughter, or a WAL-less reopen) keeps its commit
         // sequence monotonic and new snapshots see all recovered data.
         let mut next_seq = tables.iter().map(|t| t.seq_limit()).max().unwrap_or(0);
+        let mut frozen = VecDeque::new();
         let wal = if opts.durability.wal {
             let (wal, records) = ShardedWal::open(&dir, &opts.durability, stream_count)?;
             // Replay is idempotent against the SSTables: a record whose
@@ -371,27 +395,41 @@ impl Region {
             for r in records {
                 let seq = r.seq.unwrap_or(next_seq);
                 next_seq = next_seq.max(seq + 1);
-                let mut mem = shards[shard_of(&r.key, shard_count)].lock();
-                match r.value {
-                    Some(v) => mem.put(r.key, seq, v),
-                    None => mem.delete(r.key, seq),
+                let shard = &shards[shard_of(&r.key, shard_count)];
+                let value_len = r.value.as_ref().map_or(0, |v| v.len());
+                if MemTable::entry_bytes(r.key.len(), value_len) > opts.shard_cap {
+                    return Err(KvError::EntryTooLarge(r.key.len() + value_len));
+                }
+                if !shard.lock().has_room(r.key.len(), value_len) {
+                    // A shard that cannot address the record: start a
+                    // new generation. It carries no WAL marks; the next
+                    // freeze's marks retire the replayed segments, and
+                    // generations flush in order, so only after this one
+                    // is durable.
+                    frozen.push_back(Arc::new(FrozenGen::take(&shards, Vec::new())));
+                }
+                let mut mem = shard.lock();
+                match &r.value {
+                    Some(v) => mem.put(&r.key, seq, v),
+                    None => mem.delete(&r.key, seq),
                 }
             }
             Some(wal)
         } else {
             None
         };
-        let active_bytes: usize = shards.iter().map(|s| s.lock().approx_bytes()).sum();
+        let active_bytes: usize = shards.iter().map(|s| s.lock().reserved_bytes()).sum();
+        let frozen_bytes: usize = frozen.iter().map(|g| g.bytes).sum();
         let obs = just_obs::global();
         let region = Region {
             dir,
             shards,
             next_seq: AtomicU64::new(next_seq),
             active_bytes: AtomicUsize::new(active_bytes),
-            frozen_bytes: AtomicUsize::new(0),
+            frozen_bytes: AtomicUsize::new(frozen_bytes),
             inner: RwLock::new(RegionInner {
                 tables,
-                frozen: VecDeque::new(),
+                frozen,
                 held: Vec::new(),
                 next_file_id,
             }),
@@ -414,7 +452,7 @@ impl Region {
             sealed_rejects: obs.counter("just_kvstore_region_sealed_rejects"),
             snapshot_skips: obs.counter("just_kvstore_mvcc_snapshot_skipped_sstables"),
         };
-        if region.active_bytes.load(Ordering::Relaxed) >= region.opts.flush_threshold {
+        if region.ingest_bytes() >= region.opts.flush_threshold {
             region.flush()?;
         }
         Ok(region)
@@ -471,10 +509,13 @@ impl Region {
         key: Vec<u8>,
         value: Option<Vec<u8>>,
     ) -> Result<Option<RejectedWrite>> {
-        let bytes = (key.len() + value.as_ref().map_or(0, |v| v.len())) as u64;
+        let value_len = value.as_ref().map_or(0, |v| v.len());
+        if MemTable::entry_bytes(key.len(), value_len) > self.opts.shard_cap {
+            return Err(KvError::EntryTooLarge(key.len() + value_len));
+        }
         let shard = shard_of(&key, self.shards.len());
         let mut pending_commit = None;
-        let active = {
+        let active = loop {
             let mut mem = self.shards[shard].lock();
             // Checked under the shard lock: the sealing thread's final
             // freeze also takes this lock, so every writer either lands
@@ -483,7 +524,14 @@ impl Region {
                 self.sealed_rejects.inc();
                 return Ok(Some((key, value)));
             }
-            self.traffic.record_write(bytes);
+            if !mem.has_room(key.len(), value_len) {
+                // The shard cannot address one more entry: drain the
+                // generation and retry in a fresh one.
+                drop(mem);
+                self.flush()?;
+                continue;
+            }
+            self.traffic.record_write((key.len() + value_len) as u64);
             // Always allocated (WAL or not): the commit sequence is what
             // snapshots and SSTable `seq_limit`s are cut against.
             let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
@@ -492,23 +540,16 @@ impl Region {
                 let ticket = wal.append_nowait(stream, seq, &key, value.as_deref())?;
                 pending_commit = Some((stream, ticket));
             }
-            let before = mem.approx_bytes();
-            match value {
-                Some(v) => mem.put(key, seq, v),
-                None => mem.delete(key, seq),
+            let before = mem.reserved_bytes();
+            match &value {
+                Some(v) => mem.put(&key, seq, v),
+                None => mem.delete(&key, seq),
             }
-            let after = mem.approx_bytes();
-            // Updated under the shard lock, so the freeze's transfer of
-            // these bytes to the frozen counter is exact.
-            if after >= before {
-                self.active_bytes
-                    .fetch_add(after - before, Ordering::Relaxed)
-                    + (after - before)
-            } else {
-                self.active_bytes
-                    .fetch_sub(before - after, Ordering::Relaxed)
-                    .saturating_sub(before - after)
-            }
+            // Buffers only grow between freezes. Updated under the shard
+            // lock, so the freeze's transfer of these bytes to the
+            // frozen counter is exact.
+            let grown = mem.reserved_bytes() - before;
+            break self.active_bytes.fetch_add(grown, Ordering::Relaxed) + grown;
         };
         if let (Some(wal), Some((stream, ticket))) = (&self.wal, pending_commit) {
             wal.commit(stream, ticket)?;
@@ -744,23 +785,10 @@ impl Region {
             Some(w) => w.rotate_keep_all()?,
             None => Vec::new(),
         };
-        let mut gen_shards = Vec::with_capacity(self.shards.len());
-        let mut bytes = 0usize;
-        let mut seq_ub = 0u64;
-        for s in &self.shards {
-            let mut mem = s.lock();
-            bytes += mem.approx_bytes();
-            seq_ub = seq_ub.max(mem.seq_ub());
-            gen_shards.push(std::mem::take(&mut *mem));
-        }
-        self.active_bytes.fetch_sub(bytes, Ordering::Relaxed);
-        self.frozen_bytes.fetch_add(bytes, Ordering::Relaxed);
-        inner.frozen.push_back(Arc::new(FrozenGen {
-            shards: gen_shards,
-            bytes,
-            marks,
-            seq_ub,
-        }));
+        let gen = FrozenGen::take(&self.shards, marks);
+        self.active_bytes.fetch_sub(gen.bytes, Ordering::Relaxed);
+        self.frozen_bytes.fetch_add(gen.bytes, Ordering::Relaxed);
+        inner.frozen.push_back(Arc::new(gen));
         just_obs::global()
             .counter("just_kvstore_memtable_freezes")
             .inc();
@@ -781,7 +809,8 @@ impl Region {
             None => return Ok(false),
         };
         let started = Instant::now();
-        let mut entries: Vec<(&[u8], Option<&[u8]>)> = Vec::new();
+        let keys = gen.shards.iter().map(MemTable::len).sum();
+        let mut entries: Vec<(&[u8], Option<&[u8]>)> = Vec::with_capacity(keys);
         for mem in &gen.shards {
             entries.extend(mem.iter());
         }
@@ -794,6 +823,7 @@ impl Region {
         let table = Arc::new(self.write_table(
             &self.next_table_path(),
             gen.seq_ub,
+            (keys, gen.bytes / self.opts.sst.block_size.max(1)),
             entries.into_iter().map(Ok),
         )?);
         let (sstables, held) = {
@@ -892,6 +922,7 @@ impl Region {
         let table = self.write_table(
             &self.next_table_path(),
             seq_limit_of(&tables),
+            size_of(&tables),
             versions(&tables, false),
         )?;
         let (after_bytes, after_entries) = (table.file_size(), table.entry_count());
@@ -998,8 +1029,8 @@ impl Region {
         self.inner.read().tables.len()
     }
 
-    /// Current in-memory write footprint in bytes (active shards plus
-    /// frozen generations awaiting flush).
+    /// Heap bytes reserved by the in-memory write path (active shards
+    /// plus frozen generations awaiting flush).
     pub fn memtable_bytes(&self) -> usize {
         self.ingest_bytes()
     }
@@ -1185,14 +1216,14 @@ impl Region {
         right_dir: &Path,
         split_key: &[u8],
     ) -> Result<()> {
-        let limit = seq_limit_of(tables);
+        let (limit, size) = (seq_limit_of(tables), size_of(tables));
         let mut rest = versions(tables, tombstones).peekable();
         // A read error goes to whichever file is open, which returns it.
         let left = std::iter::from_fn(|| {
             rest.next_if(|v| !matches!(v, Ok((key, _)) if key.as_slice() >= split_key))
         });
-        self.write_daughter(left_dir, id, limit, left)?;
-        self.write_daughter(right_dir, id, limit, rest)
+        self.write_daughter(left_dir, id, limit, size, left)?;
+        self.write_daughter(right_dir, id, limit, size, rest)
     }
 
     /// Rewrites this region's complete contents as `dir/sst_<id>.sst`
@@ -1204,7 +1235,13 @@ impl Region {
         debug_assert!(self.is_sealed());
         self.flush()?;
         let tables: Vec<Arc<SsTable>> = self.inner.read().tables.clone();
-        self.write_daughter(dir, id, seq_limit_of(&tables), versions(&tables, false))
+        self.write_daughter(
+            dir,
+            id,
+            seq_limit_of(&tables),
+            size_of(&tables),
+            versions(&tables, false),
+        )
     }
 
     /// Writes one daughter SSTable, skipped when `entries` is empty — a
@@ -1214,13 +1251,14 @@ impl Region {
         dir: &Path,
         id: u64,
         seq_limit: u64,
+        size: (usize, usize),
         entries: impl Iterator<Item = Result<Version>>,
     ) -> Result<()> {
         let mut entries = entries.peekable();
         if entries.peek().is_none() {
             return Ok(());
         }
-        self.write_table(&sst_path(dir, id), seq_limit, entries)
+        self.write_table(&sst_path(dir, id), seq_limit, size, entries)
             .map(drop)
     }
 
@@ -1235,12 +1273,14 @@ impl Region {
     /// The region's one SSTable-writing routine — flush, compaction,
     /// split and merge all end here: streams `entries` (ascending keys)
     /// into `path` with `seq_limit` in the footer, fsyncs, and opens the
-    /// result. On error nothing is left at `path` for the next open to
-    /// trip on.
+    /// result. `size` is the caller's upper estimate of (entries, blocks)
+    /// and pre-sizes the builder. On error nothing is left at `path` for
+    /// the next open to trip on.
     fn write_table<K: AsRef<[u8]>, V: AsRef<[u8]>>(
         &self,
         path: &Path,
         seq_limit: u64,
+        size: (usize, usize),
         entries: impl Iterator<Item = Result<(K, Option<V>)>>,
     ) -> Result<SsTable> {
         let built = SsTableBuilder::create_opts(
@@ -1251,6 +1291,7 @@ impl Region {
         )
         .and_then(|mut builder| {
             builder.set_seq_limit(seq_limit);
+            builder.reserve(size.0, size.1);
             for entry in entries {
                 let (key, value) = entry?;
                 builder.add(key.as_ref(), value.as_ref().map(|v| v.as_ref()))?;
@@ -1315,6 +1356,19 @@ fn sst_path(dir: &Path, id: u64) -> PathBuf {
 /// all of them.
 fn seq_limit_of(tables: &[Arc<SsTable>]) -> u64 {
     tables.iter().map(|t| t.seq_limit()).max().unwrap_or(0)
+}
+
+/// Entries and blocks summed over `tables`: what a rewrite of them holds
+/// at most. The entry count is a number read from each file, so it is
+/// clamped to the file's bytes — a corrupt index cannot size an
+/// allocation beyond that.
+fn size_of(tables: &[Arc<SsTable>]) -> (usize, usize) {
+    let entries: u64 = tables
+        .iter()
+        .map(|t| t.entry_count().min(t.file_size()))
+        .sum();
+    let blocks = tables.iter().map(|t| t.block_count()).sum();
+    (entries as usize, blocks)
 }
 
 /// The newest version of every key across `tables` (oldest first, as in
@@ -1647,6 +1701,110 @@ mod tests {
         let r2 = open_wal_region(&dir, 1 << 10, SyncPolicy::PerWrite);
         assert!(r2.sstable_count() >= 1, "recovered memtable must flush");
         assert_eq!(r2.scan(b"", b"\xff").unwrap().len(), 100);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_full_shard_drains_its_generation_and_an_oversized_entry_is_an_error() {
+        let dir = std::env::temp_dir().join(format!(
+            "just-region-shard-cap-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        // The threshold never fires: only the 4 KiB shards filling up
+        // can flush.
+        let r = fixture::region(
+            dir.clone(),
+            RegionOptions {
+                shard_cap: 4096,
+                ..fixture::region_opts(64 << 20)
+            },
+        );
+        for i in 0..1000u32 {
+            r.put(format!("k{i:04}").into_bytes(), vec![i as u8; 100])
+                .unwrap();
+        }
+        assert!(r.sstable_count() >= 2, "{} sstables", r.sstable_count());
+        r.delete(b"k0007".to_vec()).unwrap();
+        for i in 0..1000u32 {
+            let want = (i != 7).then(|| vec![i as u8; 100]);
+            assert_eq!(r.get(format!("k{i:04}").as_bytes()).unwrap(), want);
+        }
+        assert_eq!(r.scan(b"", b"\xff").unwrap().len(), 999);
+        // Larger than an empty shard: refused, and nothing changes.
+        let before = (r.next_seq(), r.memtable_bytes());
+        let err = r.put(b"big".to_vec(), vec![0; 4096]).unwrap_err();
+        assert!(matches!(err, KvError::EntryTooLarge(4099)), "{err}");
+        assert_eq!((r.next_seq(), r.memtable_bytes()), before);
+        assert_eq!(r.get(b"big").unwrap(), None);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn replay_that_fills_a_shard_starts_a_new_generation() {
+        let (r, dir) = wal_region("wal-shard-cap", 64 << 20, SyncPolicy::PerWrite);
+        for i in 0..300u32 {
+            r.put(format!("k{i:04}").into_bytes(), vec![i as u8; 100])
+                .unwrap();
+        }
+        r.delete(b"k0007".to_vec()).unwrap();
+        drop(r);
+        let reopen = |shard_cap| {
+            fixture::region(
+                dir.clone(),
+                RegionOptions {
+                    durability: DurabilityOptions {
+                        wal: true,
+                        sync: SyncPolicy::PerWrite,
+                    },
+                    ingest: IngestOptions::serial(),
+                    shard_cap,
+                    ..fixture::region_opts(64 << 20)
+                },
+            )
+        };
+        let check = |r: &Region| {
+            for i in 0..300u32 {
+                let want = (i != 7).then(|| vec![i as u8; 100]);
+                assert_eq!(r.get(format!("k{i:04}").as_bytes()).unwrap(), want);
+            }
+            assert_eq!(r.scan(b"", b"\xff").unwrap().len(), 299);
+        };
+        // ~33 KiB of records against 4 KiB shards: the replay has to cut
+        // generations, and below the flush threshold they stay frozen.
+        let r = reopen(4096);
+        assert!(r.frozen_generations() >= 7, "{}", r.frozen_generations());
+        assert_eq!(r.sstable_count(), 0);
+        check(&r);
+        // Killed before any flush, the same WAL replays again.
+        drop(r);
+        let r = reopen(4096);
+        check(&r);
+        // Flushed, the WAL is retired and the tables carry the data.
+        r.flush().unwrap();
+        assert_eq!(r.frozen_generations(), 0);
+        assert_eq!(r.memtable_bytes(), 0);
+        drop(r);
+        let r = reopen(4096);
+        assert_eq!(r.memtable_bytes(), 0);
+        check(&r);
+        // A record that no shard of this size could hold is an error.
+        r.put(b"wide".to_vec(), vec![1; 2000]).unwrap();
+        drop(r);
+        let opts = RegionOptions {
+            durability: DurabilityOptions {
+                wal: true,
+                sync: SyncPolicy::PerWrite,
+            },
+            ingest: IngestOptions::serial(),
+            shard_cap: 1024,
+            ..fixture::region_opts(64 << 20)
+        };
+        let metrics = Arc::new(IoMetrics::new());
+        let err = Region::open_opts(dir.clone(), metrics, Arc::new(BlockCache::new(0)), opts)
+            .unwrap_err();
+        assert!(matches!(err, KvError::EntryTooLarge(2004)), "{err}");
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -245,6 +245,14 @@ impl SsTableBuilder {
         })
     }
 
+    /// Pre-sizes the per-entry and per-block bookkeeping from counts the
+    /// caller already has (upper estimates are fine), instead of doubling
+    /// it up from empty while a large table streams through.
+    pub fn reserve(&mut self, entries: usize, blocks: usize) {
+        self.bloom_hashes.reserve(entries);
+        self.blocks.reserve(blocks);
+    }
+
     /// Records the exclusive upper bound of MVCC commit sequences the
     /// file will contain (one past the highest; 0 = unknown). Flushes
     /// pass the frozen generation's bound, compactions and region

@@ -23,7 +23,11 @@ use std::sync::Arc;
 /// a constant next to the code that uses it.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
-    /// Memtable flush threshold in bytes per region.
+    /// Memtable flush threshold per region, in reserved bytes: the heap
+    /// the active memtable's buffers hold (their capacity, index and
+    /// version records included), not an estimate from key and value
+    /// lengths. A region freezes its memtable for flushing once it
+    /// reserves this much.
     pub flush_threshold: usize,
     /// Target SSTable block size in bytes (HBase default: 64 KiB; we use a
     /// smaller default so laptop-scale datasets still span many blocks).
@@ -136,6 +140,7 @@ impl Store {
                 0
             },
             stall_deadline: crate::region::STALL_DEADLINE,
+            shard_cap: crate::memtable::SHARD_CAP,
             kick: self.scheduler.as_ref().map(|s| s.kick_handle()),
             stop: self.scheduler.as_ref().map(|s| s.stop_handle()),
         }

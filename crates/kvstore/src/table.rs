@@ -88,7 +88,9 @@ pub struct RegionStats {
     pub entries: u64,
     /// Bytes on disk across the region's SSTables.
     pub disk_bytes: u64,
-    /// Current memtable footprint in bytes.
+    /// Heap bytes reserved by the region's memtables: the active one
+    /// plus the frozen generations awaiting flush (what `flush_threshold`
+    /// and `stall_bytes` meter).
     pub memtable_bytes: usize,
     /// Number of SSTable files.
     pub sstables: usize,

@@ -1,18 +1,29 @@
-//! Maintenance memory is O(input tables × one block), not O(region):
-//! compaction, split and merge pull the read path's lazy merge straight
-//! into an SSTable builder, so rewriting a region never holds the region.
+//! Two heap budgets, measured with a counting global allocator:
 //!
-//! The measurement is a counting global allocator, which is why this file
-//! has exactly one `#[test]` (a second test thread would allocate into
-//! the same counters) and opens the store without background maintenance.
+//! * the write buffer is what the configuration says it is — a put
+//!   allocates nothing in the steady state, the bytes a region reports
+//!   are the bytes its memtable holds, a flush gives them back, and ten
+//!   times the rows need no more heap than the flush threshold allows;
+//! * maintenance memory is O(input tables × one block), not O(region):
+//!   compaction, split and merge pull the read path's lazy merge straight
+//!   into an SSTable builder, so rewriting a region never holds the
+//!   region.
+//!
+//! The counting allocator is why this file has exactly one `#[test]` (a
+//! second test thread would allocate into the same counters) and opens
+//! its stores without background maintenance, so flushes run inline and
+//! every count repeats exactly.
 
 use just_kvstore::{DurabilityOptions, MaintenanceOptions, Store, StoreOptions, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-/// Live heap bytes, and their high-water mark since the last reset.
+/// Live heap bytes, their high-water mark since the last reset, and
+/// the number of allocations made.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
@@ -24,6 +35,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller's obligations for `alloc` are `System`'s.
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
+            ALLOCS.fetch_add(1, Relaxed);
             let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
             PEAK.fetch_max(live, Relaxed);
         }
@@ -68,15 +80,12 @@ fn load_generation(table: &Table, generation: u32) {
     table.flush().unwrap();
 }
 
-#[test]
-fn compaction_and_split_hold_blocks_not_the_region() {
-    let dir = std::env::temp_dir().join(format!("just-kv-maint-mem-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let store = Store::open(
-        &dir,
+/// A WAL-less, uncached store whose flushes run inline on the writer.
+fn open_store(dir: &Path, flush_threshold: usize) -> Store {
+    Store::open(
+        dir,
         StoreOptions {
-            // Flushes are explicit, one per generation.
-            flush_threshold: 64 << 20,
+            flush_threshold,
             block_cache_bytes: 0,
             durability: DurabilityOptions::disabled(),
             maintenance: MaintenanceOptions {
@@ -86,7 +95,87 @@ fn compaction_and_split_hold_blocks_not_the_region() {
             ..StoreOptions::default()
         },
     )
-    .unwrap();
+    .unwrap()
+}
+
+const ROW_KEY_BYTES: usize = 24;
+const ROW_VALUE_BYTES: usize = 60;
+
+/// Puts `rows` rows of the benchmark's `ingest` shape — 24-byte keys in
+/// scattered order, 60-byte values, every tenth put an overwrite — with
+/// exactly two allocations of the caller's own per put.
+fn put_rows(table: &Table, rows: u64) {
+    for i in 0..rows {
+        let id = if i % 10 == 9 { i - 4 } else { i };
+        let mut key = vec![b'k'; ROW_KEY_BYTES];
+        key[16..].copy_from_slice(&id.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_be_bytes());
+        table.put(key, vec![i as u8; ROW_VALUE_BYTES]).unwrap();
+    }
+}
+
+/// A table in its own store, after one put and one flush: what a store
+/// sets up lazily on first use is outside the measurements.
+fn warmed_table(dir: &Path, flush_threshold: usize) -> (Store, std::sync::Arc<Table>) {
+    let store = open_store(dir, flush_threshold);
+    let table = store.create_table("t", 1).unwrap();
+    table.put(b"warm-up".to_vec(), vec![0; 8]).unwrap();
+    table.flush().unwrap();
+    (store, table)
+}
+
+fn write_buffer_is_an_arena_sized_by_configuration(dir: &Path) {
+    const ROWS: u64 = 20_000;
+    let payload = ROWS as usize * (ROW_KEY_BYTES + ROW_VALUE_BYTES);
+    // Below the flush threshold: everything stays in the memtable.
+    let (_store, table) = warmed_table(&dir.join("1x"), 64 << 20);
+    let (live, allocs) = (LIVE.load(Relaxed), ALLOCS.load(Relaxed));
+    let mut grew = 0;
+    let peak = peak_growth(|| {
+        put_rows(&table, ROWS);
+        grew = LIVE.load(Relaxed) - live;
+    });
+    let allocs = ALLOCS.load(Relaxed) - allocs - 2 * ROWS as usize;
+    let reported = table.region_stats()[0].memtable_bytes;
+    println!(
+        "{ROWS} puts, {payload} payload bytes: {allocs} allocations, heap +{grew} \
+         (peak +{peak}), region reports {reported}"
+    );
+    assert!(allocs <= 500, "{ROWS} puts made {allocs} allocations");
+    assert!(
+        grew <= payload * 5 / 2,
+        "{payload} payload bytes took {grew} bytes of heap"
+    );
+    assert!(
+        reported.abs_diff(grew) <= grew / 10,
+        "region reports {reported} memtable bytes, the heap grew by {grew}"
+    );
+    table.flush().unwrap();
+    let after = LIVE.load(Relaxed);
+    assert!(
+        after.abs_diff(live) <= 1 << 20,
+        "live heap {live} before the puts, {after} after the flush"
+    );
+
+    // Ten times the rows through a 1 MiB flush threshold: the heap is
+    // set by the threshold, not by the volume.
+    let (_store, table) = warmed_table(&dir.join("10x"), 1 << 20);
+    let peak_10x = peak_growth(|| put_rows(&table, 10 * ROWS));
+    println!("{} puts at 1 MiB: peak +{peak_10x}", 10 * ROWS);
+    assert!(table.region_stats()[0].sstables >= 10);
+    assert!(
+        peak_10x < peak * 5 / 4,
+        "{ROWS} rows peaked at {peak} bytes, ten times as many at {peak_10x}"
+    );
+}
+
+#[test]
+fn heap_is_bounded_by_configuration_not_by_volume() {
+    let dir = std::env::temp_dir().join(format!("just-kv-maint-mem-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    write_buffer_is_an_arena_sized_by_configuration(&dir);
+
+    // Flushes are explicit, one per generation.
+    let store = open_store(&dir.join("rewrite"), 64 << 20);
     let table = store.create_table("t", 1).unwrap();
     for generation in 0..5 {
         load_generation(&table, generation);
