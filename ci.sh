@@ -338,6 +338,16 @@ echo "$EXPLAIN_OUT" | grep -q "cmp.int"
 JOIN_EXPLAIN_OUT=$(cli query "EXPLAIN SELECT l.fid, r.fid FROM expts l JOIN expts r ON l.fid = r.fid ORDER BY l.fid LIMIT 3")
 echo "$JOIN_EXPLAIN_OUT" | grep -q "hash_join"
 echo "$JOIN_EXPLAIN_OUT" | grep -q "topk"
+# A WHERE conjunct over one join input becomes that input's index window:
+# the first scan line (`l`) carries it, the second does not, and nothing
+# is left to filter above the hash join.
+SINK_EXPLAIN_OUT=$(cli query "EXPLAIN SELECT l.fid, r.fid FROM expts l JOIN expts r ON l.fid = r.fid WHERE l.geom WITHIN st_makeMBR(116, 39, 117, 40)")
+echo "$SINK_EXPLAIN_OUT" | grep "Scan \[expts\]" | head -1 | grep -q "spatial=(l.geom within"
+echo "$SINK_EXPLAIN_OUT" | grep "Scan \[expts\]" | tail -1 | grep -qv "spatial="
+echo "$SINK_EXPLAIN_OUT" | grep -q "hash_join"
+if echo "$SINK_EXPLAIN_OUT" | grep -q "Filter"; then
+    echo "a filter stayed above the join:"; echo "$SINK_EXPLAIN_OUT"; exit 1
+fi
 ./target/release/just-cli --addr "$ADDR" shutdown
 wait "$JUSTD_PID"
 JUSTD_PID=""

@@ -5,11 +5,20 @@
 //! 1. **Calculate constant expressions** — `fid = 52*9` becomes
 //!    `fid = 468`, `st_makeMBR(...)` becomes a rectangle literal.
 //! 2. **Push down selections** — spatio-temporal predicates
-//!    (`geom WITHIN <rect>`, `time BETWEEN a AND b`) and residual
-//!    predicates move through projections into the `Scan`, where the
-//!    storage layer turns them into index key ranges.
+//!    (`geom WITHIN <rect>`, `time BETWEEN a AND b`, `time >= a AND
+//!    time <= b`) and residual predicates move through projections and
+//!    through inner joins, by alias, into the `Scan`, where the storage
+//!    layer turns them into index key ranges.
 //! 3. **Push down projections** — only the columns needed by filters,
-//!    sorts and outputs are retained at the scan.
+//!    sorts and outputs are retained at the scan, through projections
+//!    and through inner joins, by alias.
+//!
+//! No catalog enters the optimizer, so a join routes a name to an input
+//! by its qualifier alone ([`side_by_alias`]): `o.geom` belongs to the
+//! input holding the one `Scan` aliased `o`. A qualified name its own
+//! table doesn't have therefore fails at that scan as an unknown column,
+//! where the unoptimized plan's suffix-matching resolver could still
+//! have found a bare column of the same name in the other input.
 //!
 //! Plus one rule beyond the paper's list, enabled by the streaming read
 //! path:
@@ -145,8 +154,99 @@ fn push_down_filters(plan: LogicalPlan) -> LogicalPlan {
             sink_filter(&mut input, predicate);
             *input
         }
+        // All joins are inner, so an `ON` conjunct over one input is a
+        // filter on that input; what is left is the cross-side part
+        // `plan_hash_joins` looks for its keys in (`true` when nothing
+        // is left: a cross join of the filtered inputs).
+        LogicalPlan::Join {
+            mut left,
+            mut right,
+            on,
+        } => {
+            let on = sink_into_join(&mut left, &mut right, on)
+                .unwrap_or(Expr::Literal(Value::Bool(true)));
+            LogicalPlan::Join { left, right, on }
+        }
         other => other,
     })
+}
+
+/// A join input.
+#[derive(Clone, Copy, PartialEq)]
+enum Side {
+    Left,
+    Right,
+}
+
+/// How many scans under `plan` carry `alias`.
+fn scans_aliased(plan: &LogicalPlan, alias: &str) -> usize {
+    let own =
+        matches!(plan, LogicalPlan::Scan { alias: Some(a), .. } if a.eq_ignore_ascii_case(alias));
+    let below: usize = plan
+        .children()
+        .into_iter()
+        .map(|c| scans_aliased(c, alias))
+        .sum();
+    own as usize + below
+}
+
+/// The one input of a join all of `columns` belong to — the routing both
+/// pushdown rules share. A name belongs to an input when it is qualified
+/// by an alias that exactly one `Scan` in the whole join subtree carries
+/// and that scan is in the input, so nested joins route to the side
+/// holding the scan and a self-join's two aliases each go their own way.
+/// `None` when there is no such input: a bare name, a subquery's alias
+/// (no scan carries it), an alias a subquery side re-uses (two scans
+/// do), names of both inputs, or no name at all.
+fn side_by_alias<'a>(
+    columns: impl IntoIterator<Item = &'a String>,
+    left: &LogicalPlan,
+    right: &LogicalPlan,
+) -> Option<Side> {
+    let mut side = None;
+    for name in columns {
+        let (alias, _) = name.split_once('.')?;
+        let s = match (scans_aliased(left, alias), scans_aliased(right, alias)) {
+            (1, 0) => Side::Left,
+            (0, 1) => Side::Right,
+            _ => return None,
+        };
+        if side.is_some_and(|p| p != s) {
+            return None;
+        }
+        side = Some(s);
+    }
+    side
+}
+
+/// Sinks the conjuncts of `predicate` that [`side_by_alias`] routes to
+/// one input of a join into that input, and returns the rest: what
+/// names both inputs, a bare name, or calls a volatile function
+/// (filtering earlier would change how often it runs).
+fn sink_into_join(
+    left: &mut LogicalPlan,
+    right: &mut LogicalPlan,
+    predicate: Expr,
+) -> Option<Expr> {
+    let (mut to_left, mut to_right, mut rest) = (Vec::new(), Vec::new(), Vec::new());
+    for conjunct in split_conjuncts(predicate) {
+        let side = if contains_volatile(&conjunct) {
+            None
+        } else {
+            side_by_alias(&conjunct.columns(), left, right)
+        };
+        match side {
+            Some(Side::Left) => to_left.push(conjunct),
+            Some(Side::Right) => to_right.push(conjunct),
+            None => rest.push(conjunct),
+        }
+    }
+    for (input, conjuncts) in [(left, to_left), (right, to_right)] {
+        if let Some(p) = merge_residual(None, conjuncts) {
+            sink_filter(input, p);
+        }
+    }
+    merge_residual(None, rest)
 }
 
 /// Whether a projection only passes columns through under their own
@@ -161,11 +261,20 @@ fn is_pure_columns(items: &[(Expr, String)]) -> bool {
 
 /// Sinks `predicate` to the scan under `plan`, where the spatial and
 /// temporal conjuncts become the index window and the rest the residual;
-/// where no scan is reachable it becomes a `Filter` at that point.
+/// a join passes each single-input conjunct on to that input; where no
+/// scan is reachable the predicate becomes a `Filter` at that point.
 fn sink_filter(plan: &mut LogicalPlan, predicate: Expr) {
     match plan {
         LogicalPlan::Project { input, items } if is_pure_columns(items) => {
             sink_filter(input, predicate)
+        }
+        LogicalPlan::Join { left, right, .. } => {
+            if let Some(predicate) = sink_into_join(left, right, predicate) {
+                *plan = LogicalPlan::Filter {
+                    input: Box::new(plan.take()),
+                    predicate,
+                };
+            }
         }
         LogicalPlan::Scan {
             spatial,
@@ -188,6 +297,9 @@ fn sink_filter(plan: &mut LogicalPlan, predicate: Expr) {
                     }
                 }
                 leftovers.push(conjunct);
+            }
+            if time.is_none() {
+                *time = pair_time_bounds(&mut leftovers);
             }
             *residual = merge_residual(residual.take(), leftovers);
         }
@@ -248,7 +360,8 @@ fn match_spatial(e: &Expr) -> Option<(String, just_geo::Rect)> {
     None
 }
 
-/// `time BETWEEN <a> AND <b>` or `(time >= a AND time <= b)` halves.
+/// `time BETWEEN <a> AND <b>` (after constant folding);
+/// [`pair_time_bounds`] recognizes the `time >= a AND time <= b` spelling.
 fn match_temporal(e: &Expr) -> Option<(String, i64, i64)> {
     if let Expr::Between { expr, lo, hi } = e {
         if let (Expr::Column(col), Expr::Literal(a), Expr::Literal(b)) =
@@ -260,6 +373,72 @@ fn match_temporal(e: &Expr) -> Option<(String, i64, i64)> {
         }
     }
     None
+}
+
+/// One half of a time window: `column >= at` when `lower`, else
+/// `column <= at`. A `strict` half (`>`, `<`) excludes `at` itself.
+#[derive(Clone, Copy)]
+struct TimeBound<'a> {
+    column: &'a str,
+    lower: bool,
+    at: i64,
+    strict: bool,
+}
+
+/// A comparison of a column with a date-able literal, either way round
+/// (`time >= a`, `a <= time`).
+fn match_time_bound(e: &Expr) -> Option<TimeBound<'_>> {
+    let Expr::Binary { op, lhs, rhs } = e else {
+        return None;
+    };
+    let (lower, strict) = match op {
+        BinOp::Ge => (true, false),
+        BinOp::Gt => (true, true),
+        BinOp::Le => (false, false),
+        BinOp::Lt => (false, true),
+        _ => return None,
+    };
+    let (column, literal, lower) = match (lhs.as_ref(), rhs.as_ref()) {
+        (Expr::Column(c), Expr::Literal(v)) => (c, v, lower),
+        // `a <= time` bounds `time` from below.
+        (Expr::Literal(v), Expr::Column(c)) => (c, v, !lower),
+        _ => return None,
+    };
+    Some(TimeBound {
+        column,
+        lower,
+        at: literal.as_date()?,
+        strict,
+    })
+}
+
+/// Pairs the first lower-bound conjunct with the first upper-bound
+/// conjunct on the same column into an inclusive time window, removing
+/// them from `conjuncts` — except a strict bound, which the inclusive
+/// window over-approximates and which therefore also stays. An empty
+/// range (`lo > hi`) is left to the residual.
+fn pair_time_bounds(conjuncts: &mut Vec<Expr>) -> Option<(String, i64, i64)> {
+    let bounds: Vec<(usize, TimeBound)> = conjuncts
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| Some((i, match_time_bound(c)?)))
+        .collect();
+    let (lo, hi) = bounds.iter().filter(|(_, b)| b.lower).find_map(|lo| {
+        let closes = |hi: &TimeBound| {
+            !hi.lower && hi.column.eq_ignore_ascii_case(lo.1.column) && lo.1.at <= hi.at
+        };
+        Some((*lo, *bounds.iter().find(|(_, hi)| closes(hi))?))
+    })?;
+    let window = (lo.1.column.to_string(), lo.1.at, hi.1.at);
+    // Higher index first, so that the other stays valid.
+    let mut covered = [(lo.0, lo.1.strict), (hi.0, hi.1.strict)];
+    covered.sort_unstable_by_key(|(i, _)| std::cmp::Reverse(*i));
+    for (i, strict) in covered {
+        if !strict {
+            conjuncts.remove(i);
+        }
+    }
+    Some(window)
 }
 
 // ----------------------------------------------------------------------
@@ -382,12 +561,25 @@ fn prune(plan: LogicalPlan, required: Option<Vec<String>>) -> LogicalPlan {
             }
         }
         LogicalPlan::Join { left, right, on } => {
-            // Joins keep full inputs (qualified-name bookkeeping across
-            // pruned joins isn't worth the complexity at this scale).
-            let _ = &on;
+            // Each input keeps what the operators above and the `ON`
+            // condition read of it; one name that `side_by_alias` cannot
+            // route (bare, ambiguous) and both inputs stay whole.
+            let (l, r) = required
+                .and_then(|mut names| {
+                    names.extend(on.columns());
+                    let (mut l, mut r) = (Vec::new(), Vec::new());
+                    for name in names {
+                        match side_by_alias([&name], &left, &right)? {
+                            Side::Left => l.push(name),
+                            Side::Right => r.push(name),
+                        }
+                    }
+                    Some((l, r))
+                })
+                .unzip();
             LogicalPlan::Join {
-                left: Box::new(prune(*left, None)),
-                right: Box::new(prune(*right, None)),
+                left: Box::new(prune(*left, l)),
+                right: Box::new(prune(*right, r)),
                 on,
             }
         }
@@ -694,6 +886,206 @@ mod tests {
         let rendered = plan.render();
         assert!(rendered.contains("FilterProject"), "{rendered}");
         assert!(rendered.contains("hash_join"), "{rendered}");
+    }
+
+    const JOIN_AGG: &str = "SELECT d.name, count(*) AS n, sum(o.amount) AS total FROM orders o \
+         JOIN districts d ON o.district = d.fid WHERE o.geom WITHIN st_makeMBR(1,2,3,4) \
+         GROUP BY d.name";
+
+    /// The rendered line of the scan of `table`.
+    fn scan_line<'a>(rendered: &'a str, table: &str) -> &'a str {
+        let scan = format!("Scan [{table}]");
+        rendered
+            .lines()
+            .find(|l| l.contains(&scan))
+            .unwrap_or_else(|| panic!("no {scan} in {rendered}"))
+    }
+
+    #[test]
+    fn single_side_conjuncts_sink_through_a_join() {
+        // The benchmark's `join_agg` shape: the window reaches `o`'s scan
+        // and nothing is left to filter above the join.
+        let rendered = optimized(JOIN_AGG).render();
+        assert!(
+            scan_line(&rendered, "orders").contains("spatial=(o.geom within"),
+            "{rendered}"
+        );
+        assert!(!rendered.contains("Filter"), "{rendered}");
+        assert!(rendered.contains("hash_join [1 keys]\n"), "{rendered}");
+
+        // One conjunct per side, and a cross-side one that stays above.
+        let rendered = optimized(
+            "SELECT a.x FROM ta a JOIN tb b ON a.k = b.k \
+             WHERE a.x > 1 AND b.y < 2 AND a.x > b.y",
+        )
+        .render();
+        assert!(
+            scan_line(&rendered, "ta").contains("+residual"),
+            "{rendered}"
+        );
+        assert!(
+            scan_line(&rendered, "tb").contains("+residual"),
+            "{rendered}"
+        );
+        assert!(
+            rendered.starts_with(
+                "FilterProject [Binary { op: Gt, lhs: Column(\"a.x\"), rhs: Column(\"b.y\") }]"
+            ),
+            "{rendered}"
+        );
+    }
+
+    #[test]
+    fn unroutable_conjuncts_stay_above_the_join() {
+        for predicate in [
+            // A bare name (even one only one input has: no catalog here).
+            "x > 1",
+            // A subquery's alias: no scan carries it.
+            "s.x > 1",
+            // A volatile call runs once per joined row.
+            "a.x > sleep_ms(0)",
+        ] {
+            let rendered = optimized(&format!(
+                "SELECT a.x FROM ta a JOIN tb b ON a.k = b.k WHERE {predicate}"
+            ))
+            .render();
+            assert!(rendered.starts_with("FilterProject"), "{rendered}");
+            assert!(!rendered.contains("+residual"), "{rendered}");
+        }
+        // A subquery side re-using the alias: `a.x` could be either's.
+        let rendered = optimized(
+            "SELECT a.x FROM ta a JOIN (SELECT a.k, a.y FROM tb a) s ON a.k = y WHERE a.x > 1",
+        )
+        .render();
+        assert!(rendered.starts_with("FilterProject"), "{rendered}");
+        assert!(!rendered.contains("+residual"), "{rendered}");
+    }
+
+    #[test]
+    fn nested_and_self_joins_route_by_alias() {
+        // Through the pure projection of a subquery side into the inner
+        // join, and there to the one scan aliased `b`.
+        let rendered = optimized(
+            "SELECT a.x, c.z FROM (SELECT a.x, a.k, b.y FROM ta a JOIN tb b ON a.k = b.k) s \
+             JOIN tc c ON a.k = c.k WHERE b.y > 1 AND c.z > 2",
+        )
+        .render();
+        assert!(
+            scan_line(&rendered, "tb").contains("+residual"),
+            "{rendered}"
+        );
+        assert!(
+            scan_line(&rendered, "tc").contains("+residual"),
+            "{rendered}"
+        );
+        assert!(
+            !scan_line(&rendered, "ta").contains("+residual"),
+            "{rendered}"
+        );
+        assert!(!rendered.contains("Filter"), "{rendered}");
+
+        // Two aliases of one table: each window goes to its own scan.
+        let rendered = optimized(
+            "SELECT l.fid, r.fid FROM t l JOIN t r ON l.k = r.k \
+             WHERE l.geom WITHIN st_makeMBR(1,2,3,4) AND r.time BETWEEN 5 AND 6",
+        )
+        .render();
+        let scans: Vec<&str> = rendered
+            .lines()
+            .filter(|l| l.contains("Scan [t]"))
+            .collect();
+        assert!(
+            scans[0].contains("spatial=(l.geom") && !scans[0].contains("time="),
+            "{rendered}"
+        );
+        assert!(
+            scans[1].contains("time=(r.time in [5,6])") && !scans[1].contains("spatial="),
+            "{rendered}"
+        );
+    }
+
+    #[test]
+    fn single_side_on_conjuncts_sink() {
+        let rendered = optimized(
+            "SELECT a.x FROM ta a JOIN tb b ON a.x > 1 AND a.k = b.k AND b.y < 2 AND a.x < b.y",
+        )
+        .render();
+        assert!(
+            scan_line(&rendered, "ta").contains("+residual"),
+            "{rendered}"
+        );
+        assert!(
+            scan_line(&rendered, "tb").contains("+residual"),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains("hash_join [1 keys] +residual"),
+            "{rendered}"
+        );
+
+        // Nothing cross-side left: a cross join of the filtered inputs.
+        let rendered = optimized("SELECT a.x FROM ta a JOIN tb b ON b.y = 2").render();
+        assert!(
+            rendered.contains("Join [Literal(Bool(true))]"),
+            "{rendered}"
+        );
+        assert!(
+            scan_line(&rendered, "tb").contains("+residual"),
+            "{rendered}"
+        );
+    }
+
+    #[test]
+    fn join_inputs_keep_only_routed_columns() {
+        let rendered = optimized(JOIN_AGG).render();
+        assert!(
+            scan_line(&rendered, "orders")
+                .contains(r#"project=["o.amount", "o.district", "o.geom"]"#),
+            "{rendered}"
+        );
+        assert!(
+            scan_line(&rendered, "districts").contains(r#"project=["d.fid", "d.name"]"#),
+            "{rendered}"
+        );
+
+        // One bare (or otherwise unroutable) name above the join and both
+        // inputs stay whole; so they do under `*`.
+        for sql in [
+            "SELECT a.x, y FROM ta a JOIN tb b ON a.k = b.k",
+            "SELECT a.x FROM ta a JOIN tb b ON a.k = k2",
+            "SELECT * FROM ta a JOIN tb b ON a.k = b.k",
+        ] {
+            let rendered = optimized(sql).render();
+            assert!(!rendered.contains("project="), "{rendered}");
+        }
+    }
+
+    #[test]
+    fn comparison_halves_pair_into_a_time_window() {
+        let rendered = optimized(
+            "SELECT fid FROM t WHERE geom WITHIN st_makeMBR(1,2,3,4) \
+             AND time >= 100 AND time <= 200",
+        )
+        .render();
+        assert!(rendered.contains("time=(time in [100,200])"), "{rendered}");
+        assert!(!rendered.contains("+residual"), "{rendered}");
+
+        // Reversed operands; a strict bound widens to the inclusive
+        // window and stays in the residual.
+        let rendered = optimized("SELECT fid FROM t WHERE 100 <= time AND 200 > time").render();
+        assert!(rendered.contains("time=(time in [100,200])"), "{rendered}");
+        assert!(rendered.contains("+residual"), "{rendered}");
+
+        // No window from one half, two columns, or an empty range.
+        for predicate in [
+            "time >= 100",
+            "time >= 100 AND fid <= 200",
+            "time >= 200 AND time <= 100",
+        ] {
+            let rendered = optimized(&format!("SELECT fid FROM t WHERE {predicate}")).render();
+            assert!(!rendered.contains("time="), "{rendered}");
+            assert!(rendered.contains("+residual"), "{rendered}");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Memory bound of aggregates over a stored table: `count(*)` and a
 //! `GROUP BY` fold the scan's batches as they arrive, so the bytes live
 //! at the peak of the query stay a few batches' worth whatever the table
-//! holds. Its own test binary because the counting allocator is
-//! process-wide.
+//! holds; a join under the aggregate holds the rows inside its input's
+//! pushed-down window, not the table. Its own test binary because the
+//! counting allocator is process-wide.
 
 use just_core::{Engine, EngineConfig, SessionManager};
 use just_ql::{Client, QueryResult};
@@ -53,15 +54,26 @@ fn peak_of(client: &mut Client, sql: &str) -> (Vec<Vec<Value>>, usize) {
     (data.rows.into_iter().map(|r| r.values).collect(), peak)
 }
 
+/// Where order `fid` lies: the first 50 k in a 0.8 x 0.6 degree box, the
+/// rest in the same box one degree east — outside [`WINDOW`].
+fn position(fid: i64) -> (f64, f64) {
+    let east = if fid < 50_000 { 0.0 } else { 1.0 };
+    (
+        116.0 + east + (fid % 800) as f64 / 1000.0,
+        39.6 + (fid % 600) as f64 / 1000.0,
+    )
+}
+
+/// A window inside the first 50 k orders' box, as `(min x, min y, max x,
+/// max y)`.
+const WINDOW: (f64, f64, f64, f64) = (115.9995, 39.5995, 116.1995, 39.7195);
+
 fn insert(client: &mut Client, fids: std::ops::Range<i64>) {
     for chunk in fids.collect::<Vec<_>>().chunks(1_000) {
         let tuples: Vec<String> = chunk
             .iter()
             .map(|fid| {
-                let (x, y) = (
-                    116.0 + (fid % 800) as f64 / 1000.0,
-                    39.6 + (fid % 600) as f64 / 1000.0,
-                );
+                let (x, y) = position(*fid);
                 format!(
                     "({fid}, {}, st_makePoint({x}, {y}), {}.5, {})",
                     fid * 1000,
@@ -94,10 +106,34 @@ fn aggregates_over_a_stored_table_do_not_hold_it() {
         )
         .unwrap();
 
+    client
+        .execute("CREATE TABLE districts (fid integer:primary key, name string)")
+        .unwrap();
+    let districts: Vec<String> = (0..16).map(|d| format!("({d}, 'district-{d}')")).collect();
+    client
+        .execute(&format!(
+            "INSERT INTO districts VALUES {}",
+            districts.join(", ")
+        ))
+        .unwrap();
+
     let count = "SELECT count(*) FROM orders";
     let grouped =
         "SELECT district, count(*) AS n, sum(amount) AS total FROM orders GROUP BY district";
+    // The benchmark's `join_agg` shape.
+    let (x0, y0, x1, y1) = WINDOW;
+    let joined = format!(
+        "SELECT d.name, count(*) AS n, sum(o.amount) AS total FROM orders o \
+         JOIN districts d ON o.district = d.fid \
+         WHERE o.geom WITHIN st_makeMBR({x0}, {y0}, {x1}, {y1}) GROUP BY d.name"
+    );
+    let in_window = (0..50_000)
+        .map(position)
+        .filter(|(x, y)| (x0..x1).contains(x) && (y0..y1).contains(y))
+        .count() as i64;
+    assert!((2_000..3_000).contains(&in_window), "{in_window}");
     let mut peaks = Vec::new();
+    let mut join_peaks = Vec::new();
     for rows in [50_000i64, 200_000] {
         insert(&mut client, peaks.len() as i64 * 50_000..rows);
         // A scan copies the memtable range it reads; read from SSTables
@@ -110,6 +146,11 @@ fn aggregates_over_a_stored_table_do_not_hold_it() {
         let n: i64 = groups.iter().map(|g| g[1].as_int().unwrap()).sum();
         assert_eq!(n, rows);
         peaks.push((count_peak, group_peak));
+        let (groups, join_peak) = peak_of(&mut client, &joined);
+        assert_eq!(groups.len(), 16);
+        let n: i64 = groups.iter().map(|g| g[1].as_int().unwrap()).sum();
+        assert_eq!(n, in_window);
+        join_peaks.push(join_peak);
     }
     std::fs::remove_dir_all(&dir).ok();
 
@@ -123,5 +164,16 @@ fn aggregates_over_a_stored_table_do_not_hold_it() {
     assert!(
         count_200k < 2 * count_50k && group_200k < 2 * group_50k,
         "peak grows with the table: {peaks:?}"
+    );
+
+    // The join's probe side is the window's ~2 500 rows at either size:
+    // 1.08 MiB. With the filter above the join the table was held as
+    // rows twice, scan output and combined rows: 28.3 MiB at 50 k rows
+    // and 113.2 MiB at 200 k.
+    let (join_50k, join_200k) = (join_peaks[0], join_peaks[1]);
+    println!("join_agg peak live bytes: {join_50k} at 50 k rows, {join_200k} at 200 k");
+    assert!(
+        join_200k < 2 * MIB && join_200k < join_50k + join_50k / 4,
+        "join peak follows the table, not the window: {join_peaks:?}"
     );
 }

@@ -109,6 +109,34 @@ fn st_range_query_via_sql() {
     assert_eq!(all.len(), 100);
     assert!(windowed.len() < all.len());
     assert_eq!(windowed.len(), 21, "t in [0, 10h] at 30min spacing");
+
+    // The comparison spelling of the same range, operands either way
+    // round, plans the same time window and answers alike.
+    for halves in [
+        format!("time >= 0 AND time <= {}", 10 * HOUR_MS),
+        format!("0 <= time AND {} >= time", 10 * HOUR_MS),
+    ] {
+        let sql = format!(
+            "SELECT fid FROM orders WHERE geom WITHIN \
+             st_makeMBR(115.9, 38.9, 116.2, 39.2) AND {halves}"
+        );
+        let (rows, trace) = c.explain_analyze(&sql).unwrap();
+        assert_eq!(rows.rows, windowed.rows, "{sql}");
+        let plan = trace.render();
+        assert!(plan.contains("time=(time in [0,36000000])"), "{plan}");
+        assert!(!plan.contains("+residual"), "{plan}");
+    }
+    // A strict bound drops the row on it.
+    let strict = c
+        .execute(&format!(
+            "SELECT fid FROM orders WHERE geom WITHIN \
+             st_makeMBR(115.9, 38.9, 116.2, 39.2) AND time > 0 AND time < {}",
+            10 * HOUR_MS
+        ))
+        .unwrap()
+        .into_dataset()
+        .unwrap();
+    assert_eq!(strict.len(), 19);
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -622,5 +650,160 @@ fn explain_and_executor_agree_on_aliased_scan_headers() {
         // resolves was skipped.
         assert_eq!(operands, sql.matches("o.").count(), "{sql}");
     }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+const JOIN_AGG: &str = "SELECT d.name, count(*) AS n, sum(o.amount) AS total FROM jorders o \
+     JOIN districts d ON o.district = d.fid \
+     WHERE o.geom WITHIN st_makeMBR(115.995, 38.995, 116.045, 39.095) GROUP BY d.name";
+
+/// 100 orders on the 10x10 grid of [`setup_orders`] with an amount and
+/// one of 4 districts each, and the 4 districts.
+fn setup_join_agg(c: &mut Client) {
+    c.execute(
+        "CREATE TABLE jorders (fid integer:primary key, time date, geom point:srid=4326, \
+         amount float, district integer)",
+    )
+    .unwrap();
+    c.execute("CREATE TABLE districts (fid integer:primary key, name string, geom point)")
+        .unwrap();
+    let orders: Vec<String> = (0..100i64)
+        .map(|i| {
+            let (lng, lat) = (
+                116.0 + (i % 10) as f64 * 0.01,
+                39.0 + (i / 10) as f64 * 0.01,
+            );
+            format!(
+                "({i}, {}, st_makePoint({lng}, {lat}), {i}.5, {})",
+                i * HOUR_MS,
+                i % 4
+            )
+        })
+        .collect();
+    c.execute(&format!("INSERT INTO jorders VALUES {}", orders.join(", ")))
+        .unwrap();
+    c.execute(
+        "INSERT INTO districts VALUES (0, 'north', st_makePoint(116, 39)), \
+         (1, 'east', st_makePoint(116, 39)), (2, 'south', st_makePoint(116, 39)), \
+         (3, 'west', st_makePoint(116, 39))",
+    )
+    .unwrap();
+}
+
+#[test]
+fn join_agg_filters_and_prunes_below_the_join() {
+    let (mut c, dir) = client("join-agg");
+    setup_join_agg(&mut c);
+    let (data, trace) = c.explain_analyze(JOIN_AGG).unwrap();
+
+    // The window holds columns 0..=4 of the grid: 50 orders, and district
+    // `i % 4` of order `i` with amount `i + 0.5`.
+    let inside = |i: &i64| i % 10 <= 4;
+    let mut want: Vec<(String, i64, f64)> = ["north", "east", "south", "west"]
+        .iter()
+        .enumerate()
+        .map(|(d, name)| {
+            let of_d = |i: &i64| inside(i) && i % 4 == d as i64;
+            let n = (0..100).filter(of_d).count() as i64;
+            let total: f64 = (0..100).filter(of_d).map(|i| i as f64 + 0.5).sum();
+            (name.to_string(), n, total)
+        })
+        .collect();
+    let mut got: Vec<(String, i64, f64)> = data
+        .rows
+        .iter()
+        .map(|r| {
+            let v = &r.values;
+            (
+                v[0].as_str().unwrap().to_string(),
+                v[1].as_int().unwrap(),
+                v[2].as_float().unwrap(),
+            )
+        })
+        .collect();
+    want.sort_by(|a, b| a.0.cmp(&b.0));
+    got.sort_by(|a, b| a.0.cmp(&b.0));
+    assert_eq!(got, want);
+
+    // No filter is left above the join: the spans from `execute` down are
+    // Project, Aggregate, hash_join.
+    let execute = trace
+        .children(trace.root())
+        .into_iter()
+        .find(|&s| trace.name(s) == "execute")
+        .unwrap();
+    let mut join = trace.children(execute)[0];
+    while !trace.name(join).starts_with("hash_join") {
+        assert!(
+            !trace.name(join).starts_with("Filter"),
+            "{}",
+            trace.name(join)
+        );
+        join = trace.children(join)[0];
+    }
+    // The probe side is the window's rows, not the table's.
+    assert_eq!(trace.attr(join, "build_rows"), Some(4));
+    assert_eq!(trace.attr(join, "probe_rows"), Some(50));
+    assert_eq!(trace.attr(join, "nested_loop"), None);
+
+    // `o`'s scan carries the window as index key ranges and decodes the
+    // three columns the join, the aggregate and the window read.
+    let scans = trace.children(join);
+    let orders = trace.name(scans[0]);
+    assert!(orders.starts_with("Scan [jorders]"), "{orders}");
+    assert!(orders.contains("spatial=(o.geom within"), "{orders}");
+    assert!(
+        orders.contains(r#"project=["o.amount", "o.district", "o.geom"]"#),
+        "{orders}"
+    );
+    assert_eq!(trace.rows(scans[0]), Some(50));
+    assert!(trace.attr(scans[0], "key_ranges") > Some(0));
+    let districts = trace.name(scans[1]);
+    assert!(
+        districts.starts_with(r#"Scan [districts] project=["d.fid", "d.name"]"#),
+        "{districts}"
+    );
+
+    // EXPLAIN's static headers agree with the headers the pruned inputs
+    // execute with: each `$<index> (<name>)` operand of the join's key
+    // programs indexes its own input, the aggregate's the two combined.
+    let Statement::Query(q) = parse(JOIN_AGG).unwrap() else {
+        panic!("a query")
+    };
+    let plan = optimize(LogicalPlan::from_select(&q).unwrap()).unwrap();
+    let mut node = &plan;
+    while !matches!(node, LogicalPlan::HashJoin { .. }) {
+        node = node.children()[0];
+    }
+    let inputs: Vec<Vec<String>> = node
+        .children()
+        .into_iter()
+        .map(|scan| reference::run(c.session(), scan).unwrap().columns)
+        .collect();
+    assert_eq!(inputs[0], ["o.amount", "o.district", "o.geom"]);
+    assert_eq!(inputs[1], ["d.fid", "d.name"]);
+    let combined = inputs.concat();
+    let listing = c.execute(&format!("EXPLAIN {JOIN_AGG}")).unwrap();
+    let listing = listing.dataset().unwrap();
+    let lines = listing.rows.iter().map(|r| r.values[0].as_str().unwrap());
+    let (mut header, mut operands) = (&combined, 0);
+    // The projection on top reads the aggregate's output; skip it.
+    for line in lines.skip_while(|l| !l.contains("Aggregate")) {
+        if line.contains("program key 0 left:") {
+            header = &inputs[0];
+        } else if line.contains("program key 0 right:") {
+            header = &inputs[1];
+        } else if line.contains("program ") {
+            header = &combined;
+        }
+        if let Some((_, operand)) = line.split_once('$') {
+            let (index, name) = operand.split_once(" (").unwrap();
+            let index: usize = index.parse().unwrap();
+            assert_eq!(name.trim_end_matches(')'), header[index], "{line}");
+            operands += 1;
+        }
+    }
+    // d.name, o.amount, o.district, d.fid.
+    assert_eq!(operands, 4);
     std::fs::remove_dir_all(dir).ok();
 }
