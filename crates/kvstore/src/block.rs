@@ -4,46 +4,26 @@
 //! of checksum protection. Entries carry a tombstone flag so deletes
 //! shadow older SSTables until compaction.
 //!
-//! Two formats are readable; only V2 is written.
-//!
-//! **V1** (legacy, read-only): length-prefixed full keys, linear scan
-//! only.
-//!
-//! ```text
-//! entry := klen(varint) key vflag(varint) [value]
-//! ```
-//!
-//! **V2** (what [`BlockBuilder`] emits): key prefix compression with
-//! restart points. Each entry stores only the suffix that differs from
-//! the previous key; every `RESTART_INTERVAL` entries a *restart point*
-//! stores the full key, and a trailer lists the restart offsets so a
-//! seek binary-searches the restarts and decodes at most one interval.
+//! There is one encoding: key prefix compression with restart points.
+//! Each entry stores only the suffix that differs from the previous key;
+//! every `RESTART_INTERVAL` entries a *restart point* stores the full
+//! key, and a trailer lists the restart offsets so a seek
+//! binary-searches the restarts and decodes at most one interval.
 //!
 //! ```text
 //! entry   := shared(varint) unshared(varint) vflag(varint) key_suffix [value]
 //! trailer := restart_offset(u32 LE)* restart_count(u32 LE)
 //! ```
 //!
-//! In both formats `vflag = 0` marks a tombstone and
-//! `vflag = len(value)+1` a live value.
+//! `vflag = 0` marks a tombstone and `vflag = len(value)+1` a live value.
 
 /// Target on-disk block size in bytes (entries never split: a block can
 /// exceed this by one oversized entry).
-pub const DEFAULT_BLOCK_SIZE: usize = 4096;
+pub(crate) const DEFAULT_BLOCK_SIZE: usize = 4096;
 
-/// V2 restart-point spacing: one full key every this many entries. Seeks
+/// Restart-point spacing: one full key every this many entries. Seeks
 /// decode at most `RESTART_INTERVAL - 1` entries after the binary search.
-pub const RESTART_INTERVAL: usize = 16;
-
-/// Which on-disk encoding a block (or a whole SSTable) was read in —
-/// detected from the SSTable footer, never chosen by a writer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockFormat {
-    /// Length-prefixed full keys, linear scans (legacy files only).
-    V1,
-    /// Prefix-compressed keys with restart-point binary search.
-    V2,
-}
+pub(crate) const RESTART_INTERVAL: usize = 16;
 
 fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -92,9 +72,9 @@ pub struct BlockEntry {
     pub value: Option<Vec<u8>>,
 }
 
-/// Accumulates entries into an encoded V2 block.
+/// Accumulates entries into an encoded block.
 #[derive(Debug, Default)]
-pub struct BlockBuilder {
+pub(crate) struct BlockBuilder {
     buf: Vec<u8>,
     first_key: Option<Vec<u8>>,
     last_key: Vec<u8>,
@@ -105,13 +85,13 @@ pub struct BlockBuilder {
 
 impl BlockBuilder {
     /// Empty builder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends an entry. Keys must arrive in ascending order (enforced by
     /// the SSTable builder).
-    pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) {
+    pub(crate) fn add(&mut self, key: &[u8], value: Option<&[u8]>) {
         if self.first_key.is_none() {
             self.first_key = Some(key.to_vec());
         }
@@ -140,27 +120,22 @@ impl BlockBuilder {
 
     /// Current encoded size: entry bytes plus the trailer the block will
     /// carry when finished.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.buf.len() + 4 * self.restarts.len() + 4
     }
 
-    /// Number of entries added.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// Whether nothing has been added.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
     /// First key in the block (insertion order = ascending).
-    pub fn first_key(&self) -> Option<&[u8]> {
+    pub(crate) fn first_key(&self) -> Option<&[u8]> {
         self.first_key.as_deref()
     }
 
     /// Consumes the builder, returning the encoded bytes.
-    pub fn finish(mut self) -> Vec<u8> {
+    pub(crate) fn finish(mut self) -> Vec<u8> {
         for r in &self.restarts {
             self.buf.extend_from_slice(&r.to_le_bytes());
         }
@@ -172,28 +147,22 @@ impl BlockBuilder {
 
 /// A decoded (or decodable) block.
 #[derive(Debug)]
-pub struct Block {
+pub(crate) struct Block {
     data: Vec<u8>,
-    format: BlockFormat,
-    /// V2: byte offset where entry data ends and the restart array
-    /// begins; V1: `data.len()`.
+    /// Byte offset where entry data ends and the restart array begins
+    /// (`usize::MAX` for a malformed trailer).
     entries_end: usize,
-    /// V2 restart count (0 for V1).
     restart_count: usize,
 }
 
 impl Block {
-    /// Wraps raw block bytes of the given format. For V2 the restart
-    /// trailer is parsed (and bounds-checked) up front; malformed
-    /// trailers yield a block that fails [`Block::validate`].
-    pub fn new(data: Vec<u8>, format: BlockFormat) -> Self {
-        let (entries_end, restart_count) = match format {
-            BlockFormat::V1 => (data.len(), 0),
-            BlockFormat::V2 => parse_trailer(&data).unwrap_or((usize::MAX, 0)),
-        };
+    /// Wraps raw block bytes. The restart trailer is parsed (and
+    /// bounds-checked) up front; a malformed trailer yields a block that
+    /// fails [`Block::validate`].
+    pub(crate) fn new(data: Vec<u8>) -> Self {
+        let (entries_end, restart_count) = parse_trailer(&data).unwrap_or((usize::MAX, 0));
         Block {
             data,
-            format,
             entries_end,
             restart_count,
         }
@@ -201,7 +170,7 @@ impl Block {
 
     /// Iterates entries in key order. Corrupt framing ends iteration with
     /// a `None` from the iterator and is surfaced by [`Block::validate`].
-    pub fn iter(&self) -> BlockIter<'_> {
+    pub(crate) fn iter(&self) -> BlockIter<'_> {
         BlockIter {
             buf: &self.data,
             pos: if self.entries_end == usize::MAX { 1 } else { 0 },
@@ -210,46 +179,41 @@ impl Block {
             } else {
                 self.entries_end
             },
-            format: self.format,
             key: Vec::new(),
             pending: None,
         }
     }
 
-    /// An iterator positioned at the first entry with `key >= target`.
-    ///
-    /// V2 blocks binary-search the restart array (full keys live at
-    /// restart points) and decode at most one restart interval; V1 blocks
-    /// fall back to a linear scan.
-    pub fn seek_iter(&self, target: &[u8]) -> BlockIter<'_> {
+    /// An iterator positioned at the first entry with `key >= target`:
+    /// binary-searches the restart array (full keys live at restart
+    /// points) and decodes at most one restart interval.
+    pub(crate) fn seek_iter(&self, target: &[u8]) -> BlockIter<'_> {
         let mut it = self.iter();
-        if self.format == BlockFormat::V2 && self.restart_count > 0 {
-            // Largest restart whose key <= target (binary search); start
-            // decoding there. If even restart 0 is > target the block
-            // start is already the answer.
-            let (mut lo, mut hi) = (0usize, self.restart_count);
-            // Invariant: restart keys before `lo` are <= target (or lo==0),
-            // restart keys at/after `hi` are > target.
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                match self.restart_key(mid) {
-                    Some(k) if k.as_slice() <= target => lo = mid + 1,
-                    Some(_) => hi = mid,
-                    None => {
-                        // Corrupt restart offset: poison and bail.
-                        it.pos = it.end + 1;
-                        return it;
-                    }
-                }
-            }
-            if lo > 0 {
-                if let Some(off) = self.restart_offset(lo - 1) {
-                    it.pos = off;
-                    it.key.clear();
+        // Largest restart whose key <= target (binary search); start
+        // decoding there. If even restart 0 is > target the block start
+        // is already the answer.
+        let (mut lo, mut hi) = (0usize, self.restart_count);
+        // Invariant: restart keys before `lo` are <= target (or lo==0),
+        // restart keys at/after `hi` are > target.
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match self.restart_key(mid) {
+                Some(k) if k.as_slice() <= target => lo = mid + 1,
+                Some(_) => hi = mid,
+                None => {
+                    // Corrupt restart offset: poison and bail.
+                    it.pos = it.end + 1;
+                    return it;
                 }
             }
         }
-        // Linear within the interval (V2) or from the start (V1).
+        if lo > 0 {
+            if let Some(off) = self.restart_offset(lo - 1) {
+                it.pos = off;
+                it.key.clear();
+            }
+        }
+        // Linear within the interval.
         while let Some(e) = it.next() {
             if e.key.as_slice() >= target {
                 it.pending = Some(e);
@@ -281,8 +245,8 @@ impl Block {
     }
 
     /// Checks that the whole block parses.
-    pub fn validate(&self) -> bool {
-        if self.format == BlockFormat::V2 && self.entries_end == usize::MAX {
+    pub(crate) fn validate(&self) -> bool {
+        if self.entries_end == usize::MAX {
             return false;
         }
         let mut it = self.iter();
@@ -293,28 +257,16 @@ impl Block {
         if it.pos != it.end {
             return false;
         }
-        if self.format == BlockFormat::V2 {
-            // Every restart offset must point at a decodable full key and
-            // the restart count must cover the entries present.
-            if n > 0 && self.restart_count == 0 {
-                return false;
-            }
-            for i in 0..self.restart_count {
-                if self.restart_key(i).is_none() {
-                    return false;
-                }
-            }
+        // Every restart offset must point at a decodable full key and the
+        // restart count must cover the entries present.
+        if n > 0 && self.restart_count == 0 {
+            return false;
         }
-        true
-    }
-
-    /// Raw size in bytes.
-    pub fn size(&self) -> usize {
-        self.data.len()
+        (0..self.restart_count).all(|i| self.restart_key(i).is_some())
     }
 }
 
-/// Parses the V2 trailer, returning `(entries_end, restart_count)`.
+/// Parses the trailer, returning `(entries_end, restart_count)`.
 fn parse_trailer(data: &[u8]) -> Option<(usize, usize)> {
     if data.len() < 4 {
         return None;
@@ -329,12 +281,11 @@ fn parse_trailer(data: &[u8]) -> Option<(usize, usize)> {
 
 /// Streaming decoder over a block's entries.
 #[derive(Debug)]
-pub struct BlockIter<'a> {
+pub(crate) struct BlockIter<'a> {
     buf: &'a [u8],
     pos: usize,
     end: usize,
-    format: BlockFormat,
-    /// V2 prefix state: the previous entry's full key.
+    /// Prefix state: the previous entry's full key.
     key: Vec<u8>,
     /// An entry decoded ahead by [`Block::seek_iter`].
     pending: Option<BlockEntry>,
@@ -345,49 +296,7 @@ impl<'a> BlockIter<'a> {
         self.pos = self.end + 1; // validate() fails
     }
 
-    fn next_v1(&mut self) -> Option<BlockEntry> {
-        let klen = read_varint(self.buf, &mut self.pos)? as usize;
-        let kend = self.pos.checked_add(klen)?;
-        if kend > self.end {
-            self.poison();
-            return None;
-        }
-        let key = self.buf[self.pos..kend].to_vec();
-        self.pos = kend;
-        let value = self.read_value()?;
-        Some(BlockEntry { key, value })
-    }
-
-    fn next_v2(&mut self) -> Option<BlockEntry> {
-        let entries = &self.buf[..self.end];
-        let shared = read_varint(entries, &mut self.pos)? as usize;
-        let unshared = read_varint(entries, &mut self.pos)? as usize;
-        let vflag = read_varint(entries, &mut self.pos)?;
-        if shared > self.key.len() {
-            self.poison();
-            return None;
-        }
-        let kend = self.pos.checked_add(unshared)?;
-        if kend > self.end {
-            self.poison();
-            return None;
-        }
-        self.key.truncate(shared);
-        self.key.extend_from_slice(&entries[self.pos..kend]);
-        self.pos = kend;
-        let value = self.read_value_flag(vflag)?;
-        Some(BlockEntry {
-            key: self.key.clone(),
-            value,
-        })
-    }
-
-    fn read_value(&mut self) -> Option<Option<Vec<u8>>> {
-        let vflag = read_varint(self.buf, &mut self.pos)?;
-        self.read_value_flag(vflag)
-    }
-
-    fn read_value_flag(&mut self, vflag: u64) -> Option<Option<Vec<u8>>> {
+    fn read_value(&mut self, vflag: u64) -> Option<Option<Vec<u8>>> {
         if vflag == 0 {
             return Some(None);
         }
@@ -413,79 +322,61 @@ impl<'a> Iterator for BlockIter<'a> {
         if self.pos >= self.end {
             return None;
         }
-        match self.format {
-            BlockFormat::V1 => self.next_v1(),
-            BlockFormat::V2 => self.next_v2(),
+        let entries = &self.buf[..self.end];
+        let shared = read_varint(entries, &mut self.pos)? as usize;
+        let unshared = read_varint(entries, &mut self.pos)? as usize;
+        let vflag = read_varint(entries, &mut self.pos)?;
+        if shared > self.key.len() {
+            self.poison();
+            return None;
         }
-    }
-}
-
-/// The legacy V1 encoding. No product code writes it any more; tests of
-/// the V1 *reader* build their input with this.
-#[cfg(test)]
-pub(crate) fn encode_v1<K: AsRef<[u8]>, V: AsRef<[u8]>>(entries: &[(K, Option<V>)]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    for (key, value) in entries {
-        write_varint(&mut buf, key.as_ref().len() as u64);
-        buf.extend_from_slice(key.as_ref());
-        match value {
-            None => write_varint(&mut buf, 0),
-            Some(v) => {
-                write_varint(&mut buf, v.as_ref().len() as u64 + 1);
-                buf.extend_from_slice(v.as_ref());
-            }
+        let kend = self.pos.checked_add(unshared)?;
+        if kend > self.end {
+            self.poison();
+            return None;
         }
+        self.key.truncate(shared);
+        self.key.extend_from_slice(&entries[self.pos..kend]);
+        self.pos = kend;
+        let value = self.read_value(vflag)?;
+        Some(BlockEntry {
+            key: self.key.clone(),
+            value,
+        })
     }
-    buf
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn encode(format: BlockFormat, entries: &[(&[u8], Option<&[u8]>)]) -> Vec<u8> {
-        match format {
-            BlockFormat::V1 => encode_v1(entries),
-            BlockFormat::V2 => {
-                let mut b = BlockBuilder::new();
-                for (k, v) in entries {
-                    b.add(k, *v);
-                }
-                b.finish()
-            }
+    fn roundtrip(entries: &[(&[u8], Option<&[u8]>)]) -> Block {
+        let mut b = BlockBuilder::new();
+        for (k, v) in entries {
+            b.add(k, *v);
         }
-    }
-
-    fn roundtrip(format: BlockFormat, entries: &[(&[u8], Option<&[u8]>)]) -> Block {
-        Block::new(encode(format, entries), format)
+        Block::new(b.finish())
     }
 
     #[test]
     fn roundtrip_entries_with_tombstones() {
-        for format in [BlockFormat::V1, BlockFormat::V2] {
-            let block = roundtrip(
-                format,
-                &[(b"a", Some(b"1")), (b"b", None), (b"c", Some(b""))],
-            );
-            let entries: Vec<_> = block.iter().collect();
-            assert_eq!(entries.len(), 3, "{format:?}");
-            assert_eq!(entries[0].value.as_deref(), Some(&b"1"[..]));
-            assert_eq!(entries[1].value, None);
-            assert_eq!(entries[2].value.as_deref(), Some(&b""[..]));
-            assert!(block.validate(), "{format:?}");
-        }
+        let block = roundtrip(&[(b"a", Some(b"1")), (b"b", None), (b"c", Some(b""))]);
+        let entries: Vec<_> = block.iter().collect();
+        assert_eq!(entries.len(), 3);
+        assert_eq!(entries[0].value.as_deref(), Some(&b"1"[..]));
+        assert_eq!(entries[1].value, None);
+        assert_eq!(entries[2].value.as_deref(), Some(&b""[..]));
+        assert!(block.validate());
     }
 
     #[test]
     fn corrupt_block_fails_validation() {
-        for format in [BlockFormat::V1, BlockFormat::V2] {
-            let mut bytes = encode(
-                format,
-                &[(b"key-aaaa", Some(b"value")), (b"key-bbbb", Some(b"value"))],
-            );
-            bytes.truncate(bytes.len() - 2);
-            assert!(!Block::new(bytes, format).validate(), "{format:?}");
-        }
+        let mut b = BlockBuilder::new();
+        b.add(b"key-aaaa", Some(b"value"));
+        b.add(b"key-bbbb", Some(b"value"));
+        let mut bytes = b.finish();
+        bytes.truncate(bytes.len() - 2);
+        assert!(!Block::new(bytes).validate());
     }
 
     #[test]
@@ -505,14 +396,15 @@ mod tests {
         for k in &keys {
             v2.add(k.as_bytes(), Some(b"v"));
         }
-        let v1: Vec<_> = keys.iter().map(|k| (k, Some(b"v"))).collect();
-        let (s1, s2) = (encode_v1(&v1).len(), v2.size());
+        // Against the raw key and value bytes alone, before any framing.
+        let raw: usize = keys.iter().map(|k| k.len() + 1).sum();
+        let encoded = v2.size();
         assert!(
-            s2 * 10 < s1 * 7,
-            "prefix compression should save >30%: v1={s1} v2={s2}"
+            encoded * 10 < raw * 7,
+            "prefix compression should save >30%: raw={raw} encoded={encoded}"
         );
         // And the compressed form still decodes identically.
-        let block = Block::new(v2.finish(), BlockFormat::V2);
+        let block = Block::new(v2.finish());
         let decoded: Vec<_> = block.iter().map(|e| e.key).collect();
         assert_eq!(decoded.len(), keys.len());
         for (d, k) in decoded.iter().zip(&keys) {
@@ -525,7 +417,7 @@ mod tests {
     fn v2_empty_block() {
         let b = BlockBuilder::new();
         assert!(b.is_empty());
-        let block = Block::new(b.finish(), BlockFormat::V2);
+        let block = Block::new(b.finish());
         assert_eq!(block.iter().count(), 0);
         assert!(block.validate());
         assert!(block.seek_iter(b"anything").next().is_none());
@@ -533,7 +425,7 @@ mod tests {
 
     #[test]
     fn v2_single_entry_block() {
-        let block = roundtrip(BlockFormat::V2, &[(b"only", Some(b"v"))]);
+        let block = roundtrip(&[(b"only", Some(b"v"))]);
         assert!(block.validate());
         assert_eq!(block.iter().count(), 1);
         assert_eq!(block.seek_iter(b"a").next().unwrap().key, b"only");
@@ -545,16 +437,13 @@ mod tests {
     fn v2_duplicate_prefix_entries() {
         // Keys where one is a strict prefix of the next (shared == full
         // shorter key) must round-trip: the suffix can be empty-adjacent.
-        let block = roundtrip(
-            BlockFormat::V2,
-            &[
-                (b"a", Some(b"1")),
-                (b"aa", Some(b"2")),
-                (b"aaa", None),
-                (b"aaab", Some(b"3")),
-                (b"ab", Some(b"4")),
-            ],
-        );
+        let block = roundtrip(&[
+            (b"a", Some(b"1")),
+            (b"aa", Some(b"2")),
+            (b"aaa", None),
+            (b"aaab", Some(b"3")),
+            (b"ab", Some(b"4")),
+        ]);
         assert!(block.validate());
         let keys: Vec<_> = block.iter().map(|e| e.key).collect();
         assert_eq!(
@@ -583,7 +472,7 @@ mod tests {
         for k in &keys {
             b.add(k, Some(b"v"));
         }
-        let block = Block::new(b.finish(), BlockFormat::V2);
+        let block = Block::new(b.finish());
         assert!(block.validate());
         for (i, k) in keys.iter().enumerate() {
             // Exact hit.
@@ -606,17 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_seek_iter_linear_fallback() {
-        let block = roundtrip(
-            BlockFormat::V1,
-            &[(b"a", Some(b"1")), (b"c", Some(b"2")), (b"e", Some(b"3"))],
-        );
-        assert_eq!(block.seek_iter(b"b").next().unwrap().key, b"c");
-        assert_eq!(block.seek_iter(b"c").next().unwrap().key, b"c");
-        assert!(block.seek_iter(b"f").next().is_none());
-    }
-
-    #[test]
     fn v2_corrupt_restart_trailer_fails_validation() {
         let mut b = BlockBuilder::new();
         for i in 0..40u32 {
@@ -626,6 +504,6 @@ mod tests {
         // Claim more restarts than the block holds.
         let n = bytes.len();
         bytes[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(!Block::new(bytes, BlockFormat::V2).validate());
+        assert!(!Block::new(bytes).validate());
     }
 }

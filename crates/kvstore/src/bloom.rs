@@ -4,7 +4,7 @@
 //! can be answered "definitely not here" without touching a data block
 //! costs nothing but a few cache lines. HBase attaches a bloom filter to
 //! every HFile for exactly this reason; this module is the zero-dependency
-//! equivalent, serialized into the v2 SSTable footer.
+//! equivalent, serialized between an SSTable's index and its footer.
 //!
 //! The layout is *blocked*: the bit array is split into 512-bit (64-byte,
 //! one cache line) blocks and all `k` probe bits of a key land in one
@@ -23,7 +23,7 @@ const BLOCK_WORDS: usize = 8;
 /// Hashes a key for bloom probing: FNV-1a over the bytes, then a
 /// SplitMix64-style finalizer so short, similar keys (the common case for
 /// ordered spatio-temporal keys) still spread over blocks uniformly.
-pub fn bloom_hash(key: &[u8]) -> u64 {
+pub(crate) fn bloom_hash(key: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in key {
         h ^= u64::from(b);
@@ -37,7 +37,7 @@ pub fn bloom_hash(key: &[u8]) -> u64 {
 
 /// An immutable blocked bloom filter over a set of key hashes.
 #[derive(Debug, Clone)]
-pub struct BloomFilter {
+pub(crate) struct BloomFilter {
     /// Probes per key.
     k: u32,
     /// `num_blocks * BLOCK_WORDS` little-endian words.
@@ -48,7 +48,7 @@ impl BloomFilter {
     /// Builds a filter sized for `hashes.len()` keys at `bits_per_key`
     /// (values below 1 are clamped up; ~10 gives a ≈1 % false-positive
     /// rate).
-    pub fn build(hashes: &[u64], bits_per_key: usize) -> BloomFilter {
+    pub(crate) fn build(hashes: &[u64], bits_per_key: usize) -> BloomFilter {
         let bits_per_key = bits_per_key.max(1) as u64;
         let total_bits = (hashes.len() as u64).saturating_mul(bits_per_key);
         let num_blocks = total_bits.div_ceil(BLOCK_BITS).max(1) as usize;
@@ -88,7 +88,7 @@ impl BloomFilter {
 
     /// Whether the key behind `h` may be present (false positives allowed,
     /// false negatives never).
-    pub fn may_contain_hash(&self, h: u64) -> bool {
+    pub(crate) fn may_contain_hash(&self, h: u64) -> bool {
         let (base, mut probe, step) = self.locate(h);
         for _ in 0..self.k {
             let bit = (probe % BLOCK_BITS) as usize;
@@ -101,17 +101,12 @@ impl BloomFilter {
     }
 
     /// Whether `key` may be present.
-    pub fn may_contain(&self, key: &[u8]) -> bool {
+    pub(crate) fn may_contain(&self, key: &[u8]) -> bool {
         self.may_contain_hash(bloom_hash(key))
     }
 
-    /// Serialized size in bytes.
-    pub fn serialized_len(&self) -> usize {
-        8 + self.words.len() * 8
-    }
-
     /// Appends the serialized filter to `out`.
-    pub fn serialize_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn serialize_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.k.to_le_bytes());
         out.extend_from_slice(&((self.words.len() / BLOCK_WORDS) as u32).to_le_bytes());
         for w in &self.words {
@@ -121,7 +116,7 @@ impl BloomFilter {
 
     /// Inverse of [`BloomFilter::serialize_into`]; `None` on malformed
     /// input.
-    pub fn deserialize(buf: &[u8]) -> Option<BloomFilter> {
+    pub(crate) fn deserialize(buf: &[u8]) -> Option<BloomFilter> {
         if buf.len() < 8 {
             return None;
         }
@@ -181,7 +176,7 @@ mod tests {
         let f = BloomFilter::build(&hashes, 12);
         let mut buf = Vec::new();
         f.serialize_into(&mut buf);
-        assert_eq!(buf.len(), f.serialized_len());
+        assert_eq!(buf.len(), 8 + f.words.len() * 8);
         let g = BloomFilter::deserialize(&buf).unwrap();
         for k in &keys {
             assert!(g.may_contain(k));

@@ -11,6 +11,15 @@ pub enum KvError {
     /// An on-disk structure failed validation (bad magic, checksum, or
     /// framing).
     Corrupt(String),
+    /// Well-formed on-disk data in a format this build does not read: a
+    /// store of another format epoch, or an SSTable of another footer
+    /// generation. Nothing on disk was changed.
+    Format {
+        /// What is on disk.
+        found: String,
+        /// What this build reads.
+        expected: String,
+    },
     /// A table was created twice or opened before creation.
     TableExists(String),
     /// The named table does not exist.
@@ -37,6 +46,12 @@ impl fmt::Display for KvError {
         match self {
             KvError::Io(e) => write!(f, "io error: {e}"),
             KvError::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
+            KvError::Format { found, expected } => {
+                write!(
+                    f,
+                    "unsupported on-disk format: found {found}, expected {expected}"
+                )
+            }
             KvError::TableExists(name) => write!(f, "table already exists: {name}"),
             KvError::NoSuchTable(name) => write!(f, "no such table: {name}"),
             KvError::WalPoisoned => {

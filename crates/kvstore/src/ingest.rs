@@ -11,19 +11,18 @@
 //!
 //! ## Layout
 //!
-//! Stream 0 lives in the region root (exactly the legacy single-stream
-//! layout, so pre-sharding stores replay unchanged); streams 1..N live in
-//! `wal_sNN/` subdirectories. On open, *every* existing stream directory
-//! is replayed regardless of the configured count, so lowering
-//! `wal_streams` across restarts can't strand acknowledged records.
+//! Stream 0 lives in the region root and streams 1..N in `wal_sNN/`
+//! subdirectories, so a one-stream region keeps its whole WAL in its
+//! root. On open, *every* existing stream directory is replayed
+//! regardless of the configured count, so lowering `wal_streams` across
+//! restarts can't strand acknowledged records.
 //!
 //! ## Replay reconciliation
 //!
 //! Each record carries the region-wide commit sequence number assigned
-//! under its shard lock ([`crate::wal::SeqWalRecord`]). Replay merges all
+//! under its shard lock ([`crate::wal::WalRecord`]). Replay merges all
 //! streams by that sequence, so a key rewritten through two different
-//! shards/streams still resolves newest-wins. Legacy records (no
-//! sequence) can only predate the multi-stream layout and sort first.
+//! shards/streams still resolves newest-wins.
 //!
 //! ## Poison scope
 //!
@@ -33,7 +32,7 @@
 //! rotating to a fresh segment ([`crate::wal::Wal::rotate_keep`]).
 
 use crate::error::{KvError, Result};
-use crate::wal::{DurabilityOptions, SeqWalRecord, SyncPolicy, Wal};
+use crate::wal::{DurabilityOptions, SyncPolicy, Wal, WalRecord};
 use just_obs::sync::{Condvar, Mutex};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -43,11 +42,10 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct IngestOptions {
     /// Memtable shards per region (each a finely-locked map, salted by
-    /// key hash). `1` reproduces the pre-sharding single-memtable layout.
+    /// key hash).
     pub mem_shards: usize,
     /// WAL streams per region. Clamped to `1..=mem_shards` (a stream
-    /// with no shard mapped to it would never receive records). `1`
-    /// keeps the legacy single-stream on-disk layout.
+    /// with no shard mapped to it would never receive records).
     pub wal_streams: usize,
 }
 
@@ -61,8 +59,8 @@ impl Default for IngestOptions {
 }
 
 impl IngestOptions {
-    /// Single-shard, single-stream: byte-for-byte the pre-sharding
-    /// behaviour and on-disk layout.
+    /// Single-shard, single-stream: one memtable, one WAL stream in the
+    /// region root.
     #[cfg(test)]
     pub(crate) fn serial() -> Self {
         IngestOptions {
@@ -156,7 +154,7 @@ impl ShardedWal {
         dir: &Path,
         durability: &DurabilityOptions,
         streams: usize,
-    ) -> Result<(ShardedWal, Vec<SeqWalRecord>)> {
+    ) -> Result<(ShardedWal, Vec<WalRecord>)> {
         // Streams a previous run created must keep replaying (and
         // rotating, so their segments eventually retire) even if the
         // configured count shrank — orphaned segments would otherwise
@@ -176,31 +174,22 @@ impl ShardedWal {
                 count = count.max(i + 1);
             }
         }
-        let mut legacy = Vec::new();
-        let mut sequenced = Vec::new();
+        let mut records = Vec::new();
         let mut walls = Vec::with_capacity(count);
         for i in 0..count {
             let sdir = stream_dir(dir, i);
             std::fs::create_dir_all(&sdir)?;
-            let (wal, records) = Wal::open_seq(&sdir, durability.sync)?;
-            for r in records {
-                match r.seq {
-                    None => legacy.push(r),
-                    Some(_) => sequenced.push(r),
-                }
-            }
+            let (wal, recs) = Wal::open_seq(&sdir, durability.sync)?;
+            records.extend(recs);
             walls.push(Stream {
                 wal: Mutex::new(wal),
                 state: Mutex::new(SyncState::default()),
                 cv: Condvar::new(),
             });
         }
-        // Global commit order: legacy records (pre-sharding, stream 0
-        // only) in file order, then sequenced records by commit number.
-        // The sort is stable, but sequence numbers are unique anyway —
-        // each is drawn from the region counter under a shard lock.
-        sequenced.sort_by_key(|r| r.seq);
-        legacy.extend(sequenced);
+        // Global commit order. Sequence numbers are unique — each is
+        // drawn from the region counter under a shard lock.
+        records.sort_by_key(|r| r.seq);
         let obs = just_obs::global();
         Ok((
             ShardedWal {
@@ -209,7 +198,7 @@ impl ShardedWal {
                 group_commits: obs.counter("just_kvstore_wal_group_commits"),
                 group_commit_records: obs.histogram("just_kvstore_wal_group_commit_records"),
             },
-            legacy,
+            records,
         ))
     }
 
@@ -230,7 +219,13 @@ impl ShardedWal {
     /// acknowledged). Convenience for tests; the real write path calls
     /// the two halves separately around releasing the shard lock.
     #[cfg(test)]
-    fn append(&self, stream: usize, seq: u64, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+    pub(crate) fn append(
+        &self,
+        stream: usize,
+        seq: u64,
+        key: &[u8],
+        value: Option<&[u8]>,
+    ) -> Result<()> {
         let ticket = self.append_nowait(stream, seq, key, value)?;
         self.commit(stream, ticket)
     }
@@ -467,7 +462,7 @@ impl ShardedWal {
 mod tests {
     use super::*;
     use crate::error::KvError;
-    use crate::wal::{decode_seq_records, FaultyWalFile};
+    use crate::wal::{decode_records, FaultyWalFile};
     use std::sync::Arc;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -500,7 +495,7 @@ mod tests {
             wal.sync_all().unwrap();
         }
         let (_, recovered) = ShardedWal::open(&dir, &opts(SyncPolicy::Batched), 3).unwrap();
-        let seqs: Vec<u64> = recovered.iter().map(|r| r.seq.unwrap()).collect();
+        let seqs: Vec<u64> = recovered.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
         assert_eq!(recovered[2].value.as_deref(), Some(&b"v2"[..]));
         std::fs::remove_dir_all(dir).ok();
@@ -544,7 +539,7 @@ mod tests {
             let s = state.lock();
             assert_eq!(s.syncs, 1, "one group commit for all {k} records");
             assert_eq!(s.synced_len, s.os.len(), "fsync covered every byte");
-            let (records, _) = decode_seq_records(&s.os);
+            let (records, _) = decode_records(&s.os);
             assert_eq!(records.len(), k as usize);
         }
         // Nothing left to sync: the next tick is a no-op.
@@ -582,7 +577,7 @@ mod tests {
         let total = per_writer * writers as u64;
         let s = state.lock();
         assert_eq!(s.synced_len, s.os.len(), "every acked record durable");
-        assert_eq!(decode_seq_records(&s.os).0.len(), total as usize);
+        assert_eq!(decode_records(&s.os).0.len(), total as usize);
         assert!(
             (s.syncs as u64) < total,
             "group commit must batch: {} fsyncs for {total} acked records",

@@ -67,8 +67,6 @@ mod store;
 mod table;
 mod wal;
 
-pub use block::{Block, BlockBuilder, BlockFormat, DEFAULT_BLOCK_SIZE, RESTART_INTERVAL};
-pub use bloom::{bloom_hash, BloomFilter};
 pub use cache::BlockCache;
 pub use error::KvError;
 pub use ingest::IngestOptions;
@@ -77,12 +75,10 @@ pub use memtable::LATEST;
 pub use metrics::{IoMetrics, IoSnapshot};
 pub use region::{Region, RegionTraffic, RegionTrafficSnapshot, Snapshot};
 pub use scan::{CancelToken, MergeStream, ScanOptions, ScanSource, ScanStream};
-pub use sstable::{SsTable, SsTableBuilder, SstOptions};
+pub use sstable::SsTable;
 pub use store::{Store, StoreOptions};
 pub use table::{RegionStats, Table, TableSnapshot};
-pub use wal::{
-    DurabilityOptions, FaultyWalFile, FaultyWalState, SeqWalRecord, SyncPolicy, WalFile, WalRecord,
-};
+pub use wal::{DurabilityOptions, SyncPolicy};
 
 /// A key-value pair returned by scans.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,6 +95,7 @@ pub struct KvEntry {
 mod fixture {
     use super::*;
     use crate::region::RegionOptions;
+    use crate::sstable::{SsTableBuilder, SstOptions};
     use std::path::{Path, PathBuf};
     use std::sync::Arc;
 

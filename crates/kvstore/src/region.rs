@@ -352,7 +352,7 @@ impl Region {
         for (i, (_, path)) in files.iter().enumerate() {
             match SsTable::open_cached(path, metrics.clone(), cache.clone()) {
                 Ok(t) => tables.push(Arc::new(t)),
-                Err(e) if i == last => {
+                Err(e @ KvError::Corrupt(_)) if i == last => {
                     // A crash mid-flush (or mid-compaction) can leave a
                     // torn, never-registered SSTable as the highest-
                     // numbered file. Its records are still covered —
@@ -360,7 +360,9 @@ impl Region {
                     // tables for a compaction (retirement/deletion only
                     // happen after a durable finish) — so dropping it
                     // is safe. Corruption anywhere else is real damage
-                    // and must surface.
+                    // and must surface, and so must an IO error or a
+                    // refused format on the newest file: that file may
+                    // be whole, its WAL segments already retired.
                     just_obs::global()
                         .counter("just_kvstore_torn_sstables_dropped")
                         .inc();
@@ -390,10 +392,8 @@ impl Region {
             // shadows the identical on-disk version. Records arrive in
             // global commit order; routing uses the *current* shard
             // count, so resizing `mem_shards` between runs is safe.
-            // Pre-sequence (legacy) records are assigned synthetic,
-            // monotonically increasing sequences in replay order.
             for r in records {
-                let seq = r.seq.unwrap_or(next_seq);
+                let seq = r.seq;
                 next_seq = next_seq.max(seq + 1);
                 let shard = &shards[shard_of(&r.key, shard_count)];
                 let value_len = r.value.as_ref().map_or(0, |v| v.len());
@@ -1496,8 +1496,7 @@ mod tests {
         (r, dir)
     }
 
-    /// Single-shard, single-stream: pins that the pre-sharding on-disk
-    /// layout and durability semantics are preserved bit-for-bit.
+    /// Single-shard, single-stream: the whole WAL in the region root.
     fn open_wal_region(dir: &std::path::Path, flush_threshold: usize, sync: SyncPolicy) -> Region {
         open_wal_region_opts(dir, flush_threshold, sync, IngestOptions::serial())
     }
@@ -1604,6 +1603,85 @@ mod tests {
         r2.put(b"k999".to_vec(), b"new".to_vec()).unwrap();
         r2.flush().unwrap();
         assert_eq!(r2.get(b"k999").unwrap(), Some(b"new".to_vec()));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A region with two flushed tables, closed; returns its directory
+    /// and the newest table's path.
+    fn two_flushed_tables(name: &str) -> (PathBuf, PathBuf) {
+        let (r, dir) = region(name, 1 << 20);
+        for round in 0..2u32 {
+            for i in 0..50u32 {
+                r.put(format!("k{round}-{i:03}").into_bytes(), b"v".to_vec())
+                    .unwrap();
+            }
+            r.flush().unwrap();
+        }
+        drop(r);
+        (dir.clone(), sst_path(&dir, 1))
+    }
+
+    fn reopen(dir: &Path) -> Result<Region> {
+        let metrics = Arc::new(IoMetrics::new());
+        let cache = Arc::new(BlockCache::new(0));
+        Region::open_opts(
+            dir.to_path_buf(),
+            metrics,
+            cache,
+            fixture::region_opts(1 << 20),
+        )
+    }
+
+    #[test]
+    fn torn_newest_table_is_dropped_on_open() {
+        // A crash mid-flush: the newest file has no footer. Its records
+        // are still covered elsewhere, so open drops it.
+        let (dir, newest) = two_flushed_tables("torn-newest");
+        let len = std::fs::metadata(&newest).unwrap().len();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&newest)
+            .unwrap();
+        file.set_len(len / 2).unwrap();
+        drop(file);
+        let r = reopen(&dir).unwrap();
+        assert!(!newest.exists(), "torn table kept");
+        assert_eq!(r.sstable_count(), 1);
+        assert_eq!(r.scan(b"k0", b"k1").unwrap().len(), 50);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn newest_table_in_another_format_is_refused_not_dropped() {
+        // A whole file of another SSTable generation is not a torn
+        // flush: its WAL segments may be retired, so deleting it would
+        // lose acknowledged writes.
+        let (dir, newest) = two_flushed_tables("format-newest");
+        let mut bytes = std::fs::read(&newest).unwrap();
+        // The generation is the magic's last two digits: `…03` → `…02`.
+        *bytes.last_mut().unwrap() = b'2';
+        std::fs::write(&newest, &bytes).unwrap();
+        let err = reopen(&dir).unwrap_err();
+        assert!(matches!(err, KvError::Format { .. }), "{err}");
+        assert_eq!(
+            std::fs::read(&newest).unwrap(),
+            bytes,
+            "refused file changed"
+        );
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn io_error_on_newest_table_is_an_error_not_a_drop() {
+        // An `sst_*.sst` that cannot be read (here: a directory, EISDIR)
+        // says nothing about a torn flush; open must fail, not count it
+        // torn and carry on without it.
+        let (dir, _) = two_flushed_tables("io-newest");
+        let newest = sst_path(&dir, 2);
+        std::fs::create_dir(&newest).unwrap();
+        let err = reopen(&dir).unwrap_err();
+        assert!(matches!(err, KvError::Io(_)), "{err}");
+        assert!(newest.is_dir());
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -1,35 +1,28 @@
 //! Immutable on-disk sorted string tables.
 //!
-//! One format is written, three are read. **v3** (magic `JSSTBL03`) is
-//! what [`SsTableBuilder`] emits: prefix-compressed blocks with
-//! restart-point binary search ([`crate::block`]), an optional
-//! per-table block compression codec, a blocked bloom filter serialized
-//! between the index and the footer, and a `seq_limit` in the footer —
-//! one past the highest MVCC commit sequence any entry in the file
-//! carries (see `Region::snapshot`). Snapshot readers skip tables whose
-//! `seq_limit` exceeds their read sequence, and region open recovers
-//! the commit-sequence counter from the maximum `seq_limit` on disk
-//! even when every WAL segment has been retired. **v2** (magic
-//! `JSSTBL02`) is v3 without `seq_limit`; **v1** (magic `JSSTBL01`) is
-//! the original layout: uncompressed linear-scan blocks, no bloom
-//! filter. Nothing writes v1 or v2 any more, but files on disk are
-//! supported input: [`SsTable::open_cached`] detects the format from
-//! the footer magic, so stores written before either upgrade keep
-//! serving (v1/v2 files read as `seq_limit` 0: visible to every
-//! snapshot) until compaction rewrites them as v3.
+//! There is one format, and the reader does not auto-detect anything: a
+//! file either ends in the footer below or is refused. A file holds
+//! prefix-compressed blocks with restart-point binary search
+//! ([`crate::block`]), an optional per-table block compression codec, a
+//! blocked bloom filter serialized between the index and the footer,
+//! and a `seq_limit` in the footer — one past the highest MVCC commit
+//! sequence any entry in the file carries (see `Region::snapshot`).
+//! Snapshot readers skip tables whose `seq_limit` exceeds their read
+//! sequence, and region open recovers the commit-sequence counter from
+//! the maximum `seq_limit` on disk even when every WAL segment has been
+//! retired.
 //!
 //! ```text
-//! v1 file := data-block* index footer24
-//! v2 file := data-block* index bloom footer33
-//! v3 file := data-block* index bloom footer41
-//! index   := count(u64) { klen(u32) first_key offset(u64) len(u32) crc(u32) }*
-//!            minlen(u32) min_key maxlen(u32) max_key entry_count(u64)
-//! footer24 := index_offset(u64) index_len(u64) magic(b"JSSTBL01")
-//! footer33 := index_offset(u64) index_len(u64) bloom_len(u64) codec(u8)
-//!             magic(b"JSSTBL02")
-//! footer41 := index_offset(u64) index_len(u64) bloom_len(u64)
-//!             seq_limit(u64) codec(u8) magic(b"JSSTBL03")
+//! file   := data-block* index bloom footer
+//! index  := count(u64) { klen(u32) first_key offset(u64) len(u32) crc(u32) }*
+//!           minlen(u32) min_key maxlen(u32) max_key entry_count(u64)
+//! footer := index_offset(u64) index_len(u64) bloom_len(u64)
+//!           seq_limit(u64) codec(u8) magic(b"JSSTBL03")
 //! ```
+//!
+//! A file whose magic names another `JSSTBL` generation is
+//! [`KvError::Format`], not corruption: it is well-formed data this
+//! build does not read (see the store's format epoch in `store.rs`).
 //!
 //! All integers little-endian. Every data block is CRC-32 protected over
 //! its *on-disk* bytes (post-compression); compressed blocks carry a
@@ -38,7 +31,7 @@
 //! [`crate::IoMetrics`]; the [`crate::BlockCache`] stores *decompressed*
 //! block bytes, so a hot block pays decompression exactly once.
 
-use crate::block::{Block, BlockBuilder, BlockFormat};
+use crate::block::{Block, BlockBuilder};
 use crate::bloom::{bloom_hash, BloomFilter};
 use crate::cache::{next_file_id, BlockCache};
 use crate::error::{KvError, Result};
@@ -82,45 +75,15 @@ fn read_exact_at(_file: &File, path: &Path, buf: &mut [u8], offset: u64) -> std:
     f.read_exact(buf)
 }
 
-const MAGIC_LEN: usize = 8;
-
-/// What precedes the magic in one footer generation. Every footer starts
-/// `index_offset(u64) index_len(u64)`; later generations appended fields.
-#[derive(Debug)]
-struct FooterLayout {
-    magic: &'static [u8; MAGIC_LEN],
-    /// Total footer length in bytes, magic included.
-    len: usize,
-    format: BlockFormat,
-    /// `bloom_len(u64)` after the index fields and `codec(u8)` before
-    /// the magic.
-    bloom_and_codec: bool,
-    /// `seq_limit(u64)` after `bloom_len`.
-    seq_limit: bool,
-}
-
-const FOOTER_V1: FooterLayout = FooterLayout {
-    magic: b"JSSTBL01",
-    len: 24,
-    format: BlockFormat::V1,
-    bloom_and_codec: false,
-    seq_limit: false,
-};
-const FOOTER_V2: FooterLayout = FooterLayout {
-    magic: b"JSSTBL02",
-    len: 33,
-    format: BlockFormat::V2,
-    bloom_and_codec: true,
-    seq_limit: false,
-};
-/// The one layout [`SsTableBuilder::finish`] writes.
-const FOOTER_V3: FooterLayout = FooterLayout {
-    magic: b"JSSTBL03",
-    len: 41,
-    format: BlockFormat::V2,
-    bloom_and_codec: true,
-    seq_limit: true,
-};
+/// The footer magic [`SsTableBuilder::finish`] writes and the reader
+/// accepts.
+const MAGIC: &[u8; 8] = b"JSSTBL03";
+/// What every SSTable generation's magic starts with; the last two bytes
+/// number the generation.
+const MAGIC_FAMILY: &[u8] = b"JSSTBL";
+/// `index_offset index_len bloom_len seq_limit` (u64 each), `codec`
+/// (u8), magic.
+const FOOTER_LEN: usize = 4 * 8 + 1 + MAGIC.len();
 
 /// Smallest encoding of one block in the index: an empty first key plus
 /// `klen(u32) offset(u64) len(u32) crc(u32)`. Bounds the block count a
@@ -139,15 +102,15 @@ const MAX_BLOCK_INFLATE: usize = 8;
 /// Write-side tuning for one SSTable (assembled by the store from
 /// [`crate::StoreOptions`]).
 #[derive(Debug, Clone)]
-pub struct SstOptions {
+pub(crate) struct SstOptions {
     /// Target on-disk block size in bytes.
-    pub block_size: usize,
+    pub(crate) block_size: usize,
     /// Per-block compression codec (`Codec::None` stores blocks raw).
     /// With a real codec the builder packs entries until the *estimated
     /// on-disk* size reaches `block_size`, so compression turns into
     /// fewer blocks fetched per scan — the paper's compression→fewer-IOs
     /// effect — rather than just smaller ones.
-    pub codec: Codec,
+    pub(crate) codec: Codec,
 }
 
 impl Default for SstOptions {
@@ -167,7 +130,7 @@ struct BlockMeta {
     crc: u32,
 }
 
-/// Serializes the `index` section (the same in every format).
+/// Serializes the `index` section.
 fn encode_index(blocks: &[BlockMeta], min_key: &[u8], max_key: &[u8], entry_count: u64) -> Vec<u8> {
     let mut index = Vec::new();
     index.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
@@ -187,7 +150,7 @@ fn encode_index(blocks: &[BlockMeta], min_key: &[u8], max_key: &[u8], entry_coun
 }
 
 /// Streams ascending key/value pairs into an SSTable file.
-pub struct SsTableBuilder {
+pub(crate) struct SsTableBuilder {
     path: PathBuf,
     file: File,
     opts: SstOptions,
@@ -205,7 +168,7 @@ pub struct SsTableBuilder {
     encoded_bytes: u64,
     disk_bytes: u64,
     /// One past the highest MVCC commit sequence of any entry, recorded
-    /// in the footer; 0 means "unknown / pre-MVCC" and reads as
+    /// in the footer; 0 means "unknown" and reads as
     /// visible to every snapshot.
     seq_limit: u64,
     metrics: Arc<IoMetrics>,
@@ -215,7 +178,7 @@ pub struct SsTableBuilder {
 impl SsTableBuilder {
     /// Creates a builder writing to `path` (truncating any existing
     /// file).
-    pub fn create_opts(
+    pub(crate) fn create_opts(
         path: &Path,
         opts: SstOptions,
         metrics: Arc<IoMetrics>,
@@ -248,7 +211,7 @@ impl SsTableBuilder {
     /// Pre-sizes the per-entry and per-block bookkeeping from counts the
     /// caller already has (upper estimates are fine), instead of doubling
     /// it up from empty while a large table streams through.
-    pub fn reserve(&mut self, entries: usize, blocks: usize) {
+    pub(crate) fn reserve(&mut self, entries: usize, blocks: usize) {
         self.bloom_hashes.reserve(entries);
         self.blocks.reserve(blocks);
     }
@@ -257,7 +220,7 @@ impl SsTableBuilder {
     /// file will contain (one past the highest; 0 = unknown). Flushes
     /// pass the frozen generation's bound, compactions and region
     /// splits the maximum over their inputs.
-    pub fn set_seq_limit(&mut self, seq_limit: u64) {
+    pub(crate) fn set_seq_limit(&mut self, seq_limit: u64) {
         self.seq_limit = seq_limit;
     }
 
@@ -284,7 +247,7 @@ impl SsTableBuilder {
     }
 
     /// Appends an entry; keys must be strictly ascending.
-    pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+    pub(crate) fn add(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
         if let Some(last) = &self.last_key {
             if key <= last.as_slice() {
                 return Err(KvError::Corrupt(format!(
@@ -334,7 +297,7 @@ impl SsTableBuilder {
     }
 
     /// Finishes the file and opens it for reading.
-    pub fn finish(mut self) -> Result<SsTable> {
+    pub(crate) fn finish(mut self) -> Result<SsTable> {
         self.flush_block()?;
         let index_offset = self.offset;
         let index = encode_index(
@@ -349,13 +312,13 @@ impl SsTableBuilder {
             BloomFilter::build(&self.bloom_hashes, BLOOM_BITS_PER_KEY).serialize_into(&mut bloom);
         }
         self.file.write_all(&bloom)?;
-        let mut footer = Vec::with_capacity(FOOTER_V3.len);
+        let mut footer = Vec::with_capacity(FOOTER_LEN);
         footer.extend_from_slice(&index_offset.to_le_bytes());
         footer.extend_from_slice(&(index.len() as u64).to_le_bytes());
         footer.extend_from_slice(&(bloom.len() as u64).to_le_bytes());
         footer.extend_from_slice(&self.seq_limit.to_le_bytes());
         footer.push(self.opts.codec.code());
-        footer.extend_from_slice(FOOTER_V3.magic);
+        footer.extend_from_slice(MAGIC);
         self.file.write_all(&footer)?;
         self.file.sync_all()?;
         drop(self.file);
@@ -375,7 +338,6 @@ pub struct SsTable {
     /// Unique instance id for block-cache keying.
     file_id: u64,
     file: File,
-    format: BlockFormat,
     codec: Codec,
     bloom: Option<BloomFilter>,
     blocks: Vec<BlockMeta>,
@@ -392,7 +354,6 @@ impl std::fmt::Debug for SsTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SsTable")
             .field("path", &self.path)
-            .field("format", &self.format)
             .field("codec", &self.codec)
             .field("bloom", &self.bloom.is_some())
             .field("blocks", &self.blocks.len())
@@ -403,8 +364,9 @@ impl std::fmt::Debug for SsTable {
 
 impl SsTable {
     /// Opens an existing table sharing a block cache, loading its block
-    /// index (and bloom filter, if present) into memory. The on-disk
-    /// format is auto-detected from the footer magic.
+    /// index (and bloom filter, if present) into memory. A file whose
+    /// magic names another SSTable generation is [`KvError::Format`];
+    /// any other bad tail (a torn write) is [`KvError::Corrupt`].
     pub fn open_cached(
         path: &Path,
         metrics: Arc<IoMetrics>,
@@ -414,32 +376,33 @@ impl SsTable {
         let file_size = file.metadata()?.len();
         let corrupt = |what: &str| KvError::Corrupt(format!("{}: {what}", path.display()));
 
-        // The longest footer, or the whole file when it is shorter.
-        let mut tail = vec![0u8; file_size.min(FOOTER_V3.len as u64) as usize];
+        // The footer, or the whole file when it is shorter.
+        let mut tail = vec![0u8; file_size.min(FOOTER_LEN as u64) as usize];
         file.seek(SeekFrom::End(-(tail.len() as i64)))?;
         file.read_exact(&mut tail)?;
-        let layout = [&FOOTER_V1, &FOOTER_V2, &FOOTER_V3]
-            .into_iter()
-            .find(|l| tail.ends_with(l.magic))
-            .ok_or_else(|| corrupt("bad magic"))?;
-        let footer = tail
-            .len()
-            .checked_sub(layout.len)
-            .map(|skip| &tail[skip..])
-            .ok_or_else(|| corrupt("too small"))?;
-        let mut words = footer
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        let mut word = || words.next().expect("every layout holds its fixed fields");
-        let (index_offset, index_len) = (word(), word());
-        let bloom_len = if layout.bloom_and_codec { word() } else { 0 };
-        let seq_limit = if layout.seq_limit { word() } else { 0 };
-        let codec = if layout.bloom_and_codec {
-            let code = footer[layout.len - MAGIC_LEN - 1];
-            Codec::from_code(code).ok_or_else(|| corrupt(&format!("unknown codec {code}")))?
-        } else {
-            Codec::None
-        };
+        if !tail.ends_with(MAGIC) {
+            let magic = &tail[tail.len().saturating_sub(MAGIC.len())..];
+            if magic.len() == MAGIC.len() && magic.starts_with(MAGIC_FAMILY) {
+                return Err(KvError::Format {
+                    found: format!(
+                        "SSTable footer {} in {}",
+                        String::from_utf8_lossy(magic),
+                        path.display()
+                    ),
+                    expected: format!("SSTable footer {}", String::from_utf8_lossy(MAGIC)),
+                });
+            }
+            return Err(corrupt("bad magic"));
+        }
+        if tail.len() < FOOTER_LEN {
+            return Err(corrupt("too small"));
+        }
+        let word =
+            |i: usize| u64::from_le_bytes(tail[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        let (index_offset, index_len, bloom_len, seq_limit) = (word(0), word(1), word(2), word(3));
+        let code = tail[4 * 8];
+        let codec =
+            Codec::from_code(code).ok_or_else(|| corrupt(&format!("unknown codec {code}")))?;
         // Index, bloom and footer must tile the rest of the file exactly.
         // The adds are checked so a sum that wraps round to `file_size`
         // cannot pass, and an exact tiling bounds every length by the
@@ -447,7 +410,7 @@ impl SsTable {
         let tiled = index_offset
             .checked_add(index_len)
             .and_then(|end| end.checked_add(bloom_len))
-            .and_then(|end| end.checked_add(layout.len as u64));
+            .and_then(|end| end.checked_add(FOOTER_LEN as u64));
         if tiled != Some(file_size) {
             return Err(corrupt("bad footer"));
         }
@@ -502,7 +465,6 @@ impl SsTable {
             path: path.to_path_buf(),
             file_id: next_file_id(),
             file,
-            format: layout.format,
             codec,
             bloom,
             blocks,
@@ -536,11 +498,6 @@ impl SsTable {
         &self.path
     }
 
-    /// The on-disk block format (auto-detected at open).
-    pub fn format(&self) -> BlockFormat {
-        self.format
-    }
-
     /// The per-block compression codec recorded in the footer.
     pub fn codec(&self) -> Codec {
         self.codec
@@ -552,8 +509,8 @@ impl SsTable {
     }
 
     /// One past the highest MVCC commit sequence any entry in this file
-    /// carries, from the v3 footer. 0 for pre-MVCC (v1/v2) files, which
-    /// are visible to every snapshot. A snapshot at read sequence `S`
+    /// carries, from the footer (0 when unknown: visible to every
+    /// snapshot). A snapshot at read sequence `S`
     /// must skip tables with `seq_limit > S` and read the held memtable
     /// generation instead (see `Region::snapshot`).
     pub fn seq_limit(&self) -> u64 {
@@ -579,7 +536,7 @@ impl SsTable {
         // count as block reads.
         if let Some(cached) = self.cache.get(self.file_id, idx) {
             self.metrics.record_cache_hit();
-            return Ok(Block::new(cached.as_ref().clone(), self.format));
+            return Ok(Block::new(cached.as_ref().clone()));
         }
         let meta = &self.blocks[idx];
         let mut buf = vec![0u8; meta.len as usize];
@@ -601,7 +558,7 @@ impl SsTable {
         } else {
             buf
         };
-        let block = Block::new(data.clone(), self.format);
+        let block = Block::new(data.clone());
         if !block.validate() {
             return Err(KvError::Corrupt(format!(
                 "{}: block {idx} framing invalid",
@@ -718,56 +675,16 @@ mod tests {
         build_opts(dir, n, small_blocks())
     }
 
-    /// Re-encodes an uncompressed table in place as the v1 layout
-    /// (`data-block* index footer24`, one v1 block per source block) —
-    /// the file a pre-upgrade store left on disk — and reopens it.
-    fn rewrite_as_v1(t: &SsTable) -> Arc<SsTable> {
-        assert_eq!(t.codec(), Codec::None, "v1 has no block compression");
-        let mut file = Vec::new();
-        let mut blocks = Vec::new();
-        for (idx, meta) in t.blocks.iter().enumerate() {
-            let entries: Vec<_> = t
-                .read_block(idx, false)
-                .unwrap()
-                .iter()
-                .map(|e| (e.key, e.value))
-                .collect();
-            let data = crate::block::encode_v1(&entries);
-            blocks.push(BlockMeta {
-                first_key: meta.first_key.clone(),
-                offset: file.len() as u64,
-                len: data.len() as u32,
-                crc: crc32(&data),
-            });
-            file.extend_from_slice(&data);
-        }
-        let index = encode_index(&blocks, &t.min_key, &t.max_key, t.entry_count);
-        let index_offset = file.len() as u64;
-        file.extend_from_slice(&index);
-        file.extend_from_slice(&index_offset.to_le_bytes());
-        file.extend_from_slice(&(index.len() as u64).to_le_bytes());
-        file.extend_from_slice(FOOTER_V1.magic);
-        std::fs::write(t.path(), file).unwrap();
-        Arc::new(fixture::sstable(t.path()))
-    }
-
-    /// Rewrites a v3 file's footer in place as `footer33`: drops
-    /// `seq_limit`, swaps the magic.
-    fn rewrite_footer_as_v2(path: &Path) {
-        let mut bytes = std::fs::read(path).unwrap();
-        assert!(bytes.ends_with(FOOTER_V3.magic));
-        let footer = bytes.len() - FOOTER_V3.len;
-        bytes.drain(footer + 24..footer + 32);
-        let magic = bytes.len() - MAGIC_LEN;
-        bytes[magic..].copy_from_slice(FOOTER_V2.magic);
-        std::fs::write(path, bytes).unwrap();
-    }
-
-    /// `n` rows in every layout the reader supports, each in its own
-    /// directory: what the builder writes under each codec, plus the two
-    /// legacy layouts nothing writes any more.
+    /// `n` rows under every codec the builder writes, each in its own
+    /// directory.
     fn all_variants(name: &str, n: u32) -> Vec<(&'static str, PathBuf, Arc<SsTable>)> {
-        let build = |label: &'static str, codec: Codec| {
+        [
+            ("none", Codec::None),
+            ("zip", Codec::Zip),
+            ("gzip", Codec::Gzip),
+        ]
+        .into_iter()
+        .map(|(label, codec)| {
             let dir = tmpdir(&format!("{name}-{label}"));
             let opts = SstOptions {
                 block_size: 256,
@@ -775,19 +692,8 @@ mod tests {
             };
             let t = build_opts(&dir, n, opts);
             (label, dir, t)
-        };
-        let (_, v1_dir, plain) = build("v1", Codec::None);
-        let v1 = rewrite_as_v1(&plain);
-        let (_, v2_dir, built) = build("v2-footer", Codec::None);
-        rewrite_footer_as_v2(built.path());
-        let v2 = Arc::new(fixture::sstable(built.path()));
-        vec![
-            ("v1", v1_dir, v1),
-            ("v2-footer", v2_dir, v2),
-            build("v3", Codec::None),
-            build("v3-zip", Codec::Zip),
-            build("v3-gzip", Codec::Gzip),
-        ]
+        })
+        .collect()
     }
 
     #[test]
@@ -1021,76 +927,23 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
-    #[test]
-    fn v1_file_reopens_and_serves_under_v2_reader() {
-        // A file in the legacy layout, reopened through the
-        // auto-detecting reader: reads work, v2-only machinery is absent.
-        let dir = tmpdir("v1-reopen");
-        let t = rewrite_as_v1(&build(&dir, 300));
-        let bytes = std::fs::read(t.path()).unwrap();
-        assert!(bytes.ends_with(FOOTER_V1.magic));
-        assert_eq!(t.format(), BlockFormat::V1);
-        assert!(!t.has_bloom());
-        assert_eq!(t.seq_limit(), 0);
-        assert_eq!(
-            t.get(b"key-000123").unwrap(),
-            Some(Some(b"value-123".to_vec()))
-        );
-        assert_eq!(scan(&t, b"", b"\xff\xff").unwrap().len(), 300);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn v2_footer_file_opens_visible_to_every_snapshot() {
-        // No code writes `JSSTBL02` any more; a pre-MVCC store left such
-        // files behind. Same sections as v3, no `seq_limit`.
-        let dir = tmpdir("v2-footer");
-        let mut b = fixture::builder(
-            &dir.join("t.sst"),
-            small_blocks(),
-            Arc::new(IoMetrics::new()),
-        );
-        b.set_seq_limit(77);
-        for i in 0..300u32 {
-            b.add(format!("key-{i:06}").as_bytes(), Some(b"v")).unwrap();
-        }
-        let path = b.finish().unwrap().path().to_path_buf();
-        rewrite_footer_as_v2(&path);
-        let t = Arc::new(fixture::sstable(&path));
-        assert_eq!(t.format(), BlockFormat::V2);
-        assert!(t.has_bloom());
-        assert_eq!(t.seq_limit(), 0);
-        assert!(t.visible_at(0), "pre-MVCC file must serve every snapshot");
-        assert_eq!(t.get(b"key-000123").unwrap(), Some(Some(b"v".to_vec())));
-        assert_eq!(t.get(b"key-000123x").unwrap(), None);
-        assert_eq!(scan(&t, b"key-000100", b"key-000199").unwrap().len(), 100);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    /// A file of `body` followed by a `layout` footer carrying the given
-    /// section fields (seq_limit 0, codec none).
+    /// A file of `body` followed by a footer carrying the given section
+    /// fields (seq_limit 0, codec none) and `magic`.
     fn file_with_footer(
         path: &Path,
         body: &[u8],
-        layout: &FooterLayout,
+        magic: &[u8; 8],
         index_offset: u64,
         index_len: u64,
         bloom_len: u64,
     ) {
         let mut bytes = body.to_vec();
-        bytes.extend_from_slice(&index_offset.to_le_bytes());
-        bytes.extend_from_slice(&index_len.to_le_bytes());
-        if layout.bloom_and_codec {
-            bytes.extend_from_slice(&bloom_len.to_le_bytes());
+        for word in [index_offset, index_len, bloom_len, 0] {
+            bytes.extend_from_slice(&word.to_le_bytes());
         }
-        if layout.seq_limit {
-            bytes.extend_from_slice(&0u64.to_le_bytes());
-        }
-        if layout.bloom_and_codec {
-            bytes.push(Codec::None.code());
-        }
-        bytes.extend_from_slice(layout.magic);
-        assert_eq!(bytes.len(), body.len() + layout.len);
+        bytes.push(Codec::None.code());
+        bytes.extend_from_slice(magic);
+        assert_eq!(bytes.len(), body.len() + FOOTER_LEN);
         std::fs::write(path, bytes).unwrap();
     }
 
@@ -1108,48 +961,47 @@ mod tests {
         let dir = tmpdir("hostile-footer");
         let path = dir.join("t.sst");
         let body = [0u8; 64];
-        for layout in [&FOOTER_V1, &FOOTER_V2, &FOOTER_V3] {
-            let file_size = (body.len() + layout.len) as u64;
-            // `x` such that x + len + footer wraps round to file_size.
-            let wrapping = |len: u64| (body.len() as u64).wrapping_sub(len);
-            // A small index_offset (seekable) with an index_len past
-            // isize::MAX.
-            let len = u64::MAX - 10;
-            file_with_footer(&path, &body, layout, wrapping(len), len, 0);
-            assert!(
-                matches!(open_err(&path), KvError::Corrupt(_)),
-                "{layout:?}: wrapping index_offset + index_len"
-            );
-            if layout.bloom_and_codec {
-                // Offset 0 and an allocatable-looking 4 EiB index, with
-                // bloom_len making up the wrap.
-                let len = 1u64 << 62;
-                file_with_footer(&path, &body, layout, 0, len, wrapping(len));
-                assert!(
-                    matches!(open_err(&path), KvError::Corrupt(_)),
-                    "{layout:?}: wrapping index_len + bloom_len"
-                );
-            }
-            // No wrap, just longer than the file.
-            file_with_footer(&path, &body, layout, 0, file_size * 4, 0);
-            assert!(
-                matches!(open_err(&path), KvError::Corrupt(_)),
-                "{layout:?}: oversized index_len"
-            );
-            // A well-tiled file whose index claims 2^64-1 blocks.
-            let mut index = [0xffu8; 64];
-            index[8..].fill(0);
-            file_with_footer(&path, &index, layout, 0, index.len() as u64, 0);
-            assert!(
-                matches!(open_err(&path), KvError::Corrupt(_)),
-                "{layout:?}: hostile block count"
-            );
-        }
+        let file_size = (body.len() + FOOTER_LEN) as u64;
+        let corrupt = |what: &str| {
+            assert!(matches!(open_err(&path), KvError::Corrupt(_)), "{what}");
+        };
+        // `x` such that x + len + footer wraps round to file_size.
+        let wrapping = |len: u64| (body.len() as u64).wrapping_sub(len);
+        // A small index_offset (seekable) with an index_len past
+        // isize::MAX.
+        let len = u64::MAX - 10;
+        file_with_footer(&path, &body, MAGIC, wrapping(len), len, 0);
+        corrupt("wrapping index_offset + index_len");
+        // Offset 0 and an allocatable-looking 4 EiB index, with bloom_len
+        // making up the wrap.
+        let len = 1u64 << 62;
+        file_with_footer(&path, &body, MAGIC, 0, len, wrapping(len));
+        corrupt("wrapping index_len + bloom_len");
+        // No wrap, just longer than the file.
+        file_with_footer(&path, &body, MAGIC, 0, file_size * 4, 0);
+        corrupt("oversized index_len");
+        // A well-tiled file whose index claims 2^64-1 blocks.
+        let mut index = [0xffu8; 64];
+        index[8..].fill(0);
+        file_with_footer(&path, &index, MAGIC, 0, index.len() as u64, 0);
+        corrupt("hostile block count");
         // Too short for the footer its magic announces.
-        std::fs::write(&path, FOOTER_V3.magic).unwrap();
-        assert!(matches!(open_err(&path), KvError::Corrupt(_)));
+        std::fs::write(&path, MAGIC).unwrap();
+        corrupt("magic alone");
         std::fs::write(&path, b"").unwrap();
-        assert!(matches!(open_err(&path), KvError::Corrupt(_)));
+        corrupt("empty file");
+        // Another generation's magic on an otherwise well-tiled file is
+        // a refused format, not a torn write.
+        for magic in [b"JSSTBL01", b"JSSTBL02", b"JSSTBL09"] {
+            file_with_footer(&path, &index, magic, 0, index.len() as u64, 0);
+            match open_err(&path) {
+                KvError::Format { found, expected } => {
+                    assert!(found.contains(std::str::from_utf8(magic).unwrap()));
+                    assert!(expected.contains("JSSTBL03"));
+                }
+                e => panic!("{magic:?}: want Format, got {e:?}"),
+            }
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1167,7 +1019,7 @@ mod tests {
         let path = t.path().to_path_buf();
         drop(t);
         let bytes = std::fs::read(&path).unwrap();
-        assert!(bytes.ends_with(FOOTER_V3.magic));
+        assert!(bytes.ends_with(MAGIC));
         let t = fixture::sstable(&path);
         assert_eq!(t.seq_limit(), 12345);
         // Snapshots at or past the bound see the table; earlier ones

@@ -1,4 +1,6 @@
-//! The store root: a directory of tables sharing IO metrics and tuning.
+//! The store root: a directory of tables sharing IO metrics and tuning,
+//! and the one `FORMAT` file that says how every byte under it is laid
+//! out.
 
 use crate::cache::BlockCache;
 use crate::error::{KvError, Result};
@@ -8,17 +10,91 @@ use crate::metrics::IoMetrics;
 use crate::region::RegionOptions;
 use crate::sstable::SstOptions;
 use crate::table::Table;
-use crate::wal::DurabilityOptions;
+use crate::wal::{fsync_dir, DurabilityOptions};
 use just_compress::Codec;
 use just_obs::sync::RwLock;
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+/// The on-disk format epoch this build writes and the only one it
+/// opens, recorded in the store root's `FORMAT` file as
+/// `just-kvstore format <epoch>`. Epoch 1 is: SSTables ending in the
+/// 41-byte `JSSTBL03` footer (bloom filter, codec, `seq_limit`) over
+/// prefix-compressed, restart-indexed blocks; WAL records that all
+/// carry a commit sequence (ops 3/4); per-table `REGIONS` manifests
+/// headed `just-regions v1`. Changing any of them bumps this constant;
+/// a store of another epoch is refused, never migrated in place.
+const FORMAT_EPOCH: u32 = 1;
+/// The epoch file's name in the store root.
+const FORMAT_FILE: &str = "FORMAT";
+/// What the file's one line says before the epoch number.
+const FORMAT_PREFIX: &str = "just-kvstore format ";
+/// Longer than any `FORMAT` line; a larger file is refused unread.
+const FORMAT_MAX_BYTES: u64 = 64;
+
+/// Checks the store root's `FORMAT` file, writing it first when the
+/// directory holds no table yet. Refusal reads and changes nothing
+/// beyond the file itself.
+fn check_format(base: &Path) -> Result<()> {
+    let refuse = |found: String| KvError::Format {
+        found: format!("{found} in {}", base.display()),
+        expected: format!("epoch {FORMAT_EPOCH}"),
+    };
+    let file = match File::open(base.join(FORMAT_FILE)) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            // Tables are the root's subdirectories; one without a
+            // `FORMAT` beside it predates epochs.
+            for entry in std::fs::read_dir(base)? {
+                if entry?.file_type()?.is_dir() {
+                    return Err(refuse("a table but no FORMAT file".into()));
+                }
+            }
+            return write_format(base);
+        }
+        Err(e) => return Err(e.into()),
+    };
+    let mut text = Vec::new();
+    file.take(FORMAT_MAX_BYTES + 1).read_to_end(&mut text)?;
+    if text.len() as u64 > FORMAT_MAX_BYTES {
+        return Err(refuse("an oversized FORMAT file".into()));
+    }
+    let epoch = std::str::from_utf8(&text).ok().and_then(|t| {
+        t.strip_prefix(FORMAT_PREFIX)?
+            .strip_suffix('\n')?
+            .parse::<u32>()
+            .ok()
+    });
+    match epoch {
+        Some(FORMAT_EPOCH) => Ok(()),
+        Some(epoch) => Err(refuse(format!("epoch {epoch}"))),
+        None => Err(refuse(format!(
+            "a malformed FORMAT file {:?}",
+            String::from_utf8_lossy(&text)
+        ))),
+    }
+}
+
+/// Writes `FORMAT` atomically: temp file, fsync, rename, directory
+/// fsync. A crash before the rename leaves only `FORMAT.tmp`, which the
+/// next open overwrites.
+fn write_format(base: &Path) -> Result<()> {
+    let tmp = base.join("FORMAT.tmp");
+    let mut f = File::create(&tmp)?;
+    f.write_all(format!("{FORMAT_PREFIX}{FORMAT_EPOCH}\n").as_bytes())?;
+    f.sync_all()?;
+    std::fs::rename(&tmp, base.join(FORMAT_FILE))?;
+    fsync_dir(base)?;
+    Ok(())
+}
+
 /// Tuning knobs, shared by every table of a store: 13 settable values
 /// (4 here, 2 in [`DurabilityOptions`], 2 in [`IngestOptions`], 5 in
-/// [`MaintenanceOptions`]). Everything else — the SSTable format written
-/// (v3 footer, 10 bloom bits per key), the WAL's user-space buffer, the
+/// [`MaintenanceOptions`]). Everything else — the on-disk format (one
+/// epoch, 10 bloom bits per key), the WAL's user-space buffer, the
 /// maintenance tick, the stall deadline, the auto-split region cap — is
 /// a constant next to the code that uses it.
 #[derive(Debug, Clone)]
@@ -86,9 +162,14 @@ impl std::fmt::Debug for Store {
 }
 
 impl Store {
-    /// Opens (or creates) a store rooted at `base`.
+    /// Opens (or creates) a store rooted at `base` — the only way into
+    /// on-disk data. A new store gets a `FORMAT` file before any table
+    /// exists; an existing one must carry this build's format epoch, or
+    /// the open fails with [`KvError::Format`] before any region is
+    /// touched.
     pub fn open(base: &Path, options: StoreOptions) -> Result<Self> {
         std::fs::create_dir_all(base)?;
+        check_format(base)?;
         let cache = Arc::new(BlockCache::new(options.block_cache_bytes));
         let scheduler = if options.maintenance.enabled {
             Some(Scheduler::start(options.maintenance.clone()))

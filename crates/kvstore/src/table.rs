@@ -12,10 +12,9 @@
 //! rewrites at runtime. The map is persisted in a `REGIONS` manifest in
 //! the table directory (`just-regions v1` header, then one
 //! `<dir>\t<hex start key>` line per region in key order), swapped
-//! atomically via write-temp + rename + directory fsync. A table opened
-//! without a manifest derives the legacy leading-byte layout (region `i`
-//! of `n` starts at byte `ceil(256·i/n)`) and writes one, so pre-split
-//! data keeps serving unchanged.
+//! atomically via write-temp + rename + directory fsync. A new table
+//! starts with the leading-byte layout (region `i` of `n` starts at byte
+//! `ceil(256·i/n)`) and writes its first manifest before it serves.
 //!
 //! ## Online split / merge
 //!
@@ -255,9 +254,9 @@ impl Table {
         let specs: Vec<(String, Vec<u8>)> = if had_manifest {
             parse_manifest(&manifest)?
         } else {
-            // Legacy leading-byte layout: region i of n starts at byte
-            // ceil(256*i/n); region 0 starts at the empty key so even
-            // the empty key routes somewhere.
+            // A new table's initial layout: region i of n starts at
+            // byte ceil(256*i/n); region 0 starts at the empty key so
+            // even the empty key routes somewhere.
             (0..num_regions)
                 .map(|i| {
                     let start = if i == 0 {
@@ -1023,7 +1022,7 @@ mod tests {
         let (t, dir) = table("map-reopen", 2);
         for i in 0..2000u32 {
             // Leading byte 0 → everything in region 0, so the split is
-            // lopsided relative to the legacy layout — exactly what the
+            // lopsided relative to the initial layout — exactly what the
             // manifest must preserve.
             let mut key = vec![0u8];
             key.extend_from_slice(format!("k{i:05}").as_bytes());

@@ -17,14 +17,12 @@
 //!
 //! ```text
 //! record  := len(u32 LE) crc(u32 LE) payload
-//! payload := op(u8: 1=put 2=delete) klen(u32 LE) key value-bytes*
-//!          | op(u8: 3=put 4=delete) seq(u64 LE) klen(u32 LE) key value-bytes*
+//! payload := op(u8: 3=put 4=delete) seq(u64 LE) klen(u32 LE) key value-bytes*
 //! ```
 //!
-//! Ops 3/4 carry the region-wide commit sequence number used by the
-//! sharded multi-stream WAL (`ingest.rs`) to reconcile replay order
-//! across streams; ops 1/2 are the legacy single-stream format and sort
-//! before every sequenced record on replay.
+//! One op pair: every record carries the region-wide commit sequence
+//! number the sharded multi-stream WAL (`ingest.rs`) reconciles replay
+//! order by. Any other op byte is a malformed payload.
 //!
 //! `crc` is the CRC-32 (from `just-compress`) of `payload`; `len` is the
 //! payload length. A record whose length runs past end-of-file, whose CRC
@@ -130,14 +128,14 @@ impl DurabilityOptions {
 /// reach the file — a torn tail); `sync` is `fsync`.
 ///
 /// Production code uses `StdWalFile`; tests inject
-/// [`FaultyWalFile`] to simulate short writes, fsync failures and crash
+/// `FaultyWalFile` to simulate short writes, fsync failures and crash
 /// survival deterministically.
 ///
 /// Methods take `&self` so a group-commit leader can `fsync` a shared
 /// handle *outside* the stream lock — concurrent writers keep appending
 /// (serialized by the `Wal`'s own lock) while the fsync is in flight,
 /// which is what lets one fsync acknowledge many queued records.
-pub trait WalFile: Send + Sync {
+pub(crate) trait WalFile: Send + Sync {
     /// Appends `buf` at the end of the file (write-through to the OS).
     fn append(&self, buf: &[u8]) -> std::io::Result<()>;
     /// Forces appended bytes to stable storage.
@@ -150,13 +148,13 @@ pub trait WalFile: Send + Sync {
 
 /// The real-file [`WalFile`].
 #[derive(Debug)]
-pub struct StdWalFile {
+pub(crate) struct StdWalFile {
     file: File,
 }
 
 impl StdWalFile {
     /// Opens (creating or appending to) the segment at `path`.
-    pub fn open(path: &Path) -> std::io::Result<Self> {
+    pub(crate) fn open(path: &Path) -> std::io::Result<Self> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(StdWalFile { file })
     }
@@ -182,22 +180,23 @@ impl WalFile for StdWalFile {
 /// simulation. `os` holds every byte accepted by `append` (what survives
 /// a process kill); `synced_len` is the prefix covered by a successful
 /// `sync` (what survives power loss).
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct FaultyWalState {
+pub(crate) struct FaultyWalState {
     /// Bytes the OS accepted (page cache): survive `kill -9`.
-    pub os: Vec<u8>,
+    pub(crate) os: Vec<u8>,
     /// Prefix length made durable by `sync`: survives power loss.
-    pub synced_len: usize,
+    pub(crate) synced_len: usize,
     /// Accept only this many more bytes, then fail with a short write.
-    pub write_budget: Option<usize>,
+    pub(crate) write_budget: Option<usize>,
     /// Fail every `sync` once this many succeeded.
-    pub sync_budget: Option<usize>,
+    pub(crate) sync_budget: Option<usize>,
     /// Number of successful syncs.
-    pub syncs: usize,
+    pub(crate) syncs: usize,
     /// Artificial latency per successful `sync`, in microseconds. Lets
     /// group-commit tests widen the window in which concurrent appends
     /// queue behind an in-flight fsync.
-    pub sync_delay_us: u64,
+    pub(crate) sync_delay_us: u64,
 }
 
 /// A deterministic fault-injecting [`WalFile`] over an in-memory buffer.
@@ -207,14 +206,16 @@ pub struct FaultyWalState {
 /// surviving bytes (`os` for `kill -9`, `os[..synced_len]` for power
 /// loss) to a real `wal_*.log` file and reopen the region: replay must
 /// recover exactly the acknowledged records.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct FaultyWalFile {
+pub(crate) struct FaultyWalFile {
     state: std::sync::Arc<just_obs::sync::Mutex<FaultyWalState>>,
 }
 
+#[cfg(test)]
 impl FaultyWalFile {
     /// A fresh file with no faults armed.
-    pub fn new() -> (Self, std::sync::Arc<just_obs::sync::Mutex<FaultyWalState>>) {
+    pub(crate) fn new() -> (Self, std::sync::Arc<just_obs::sync::Mutex<FaultyWalState>>) {
         let state = std::sync::Arc::new(just_obs::sync::Mutex::new(FaultyWalState::default()));
         (
             FaultyWalFile {
@@ -225,6 +226,7 @@ impl FaultyWalFile {
     }
 }
 
+#[cfg(test)]
 impl WalFile for FaultyWalFile {
     fn append(&self, buf: &[u8]) -> std::io::Result<()> {
         let mut s = self.state.lock();
@@ -269,54 +271,40 @@ impl WalFile for FaultyWalFile {
     }
 }
 
-/// One logical mutation recovered from (or headed to) the log.
+/// One logged mutation and the commit sequence number it was logged
+/// with.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalRecord {
+pub(crate) struct WalRecord {
+    /// Region-wide commit sequence number.
+    pub(crate) seq: u64,
     /// The key.
-    pub key: Vec<u8>,
+    pub(crate) key: Vec<u8>,
     /// `Some` for a put, `None` for a delete tombstone.
-    pub value: Option<Vec<u8>>,
+    pub(crate) value: Option<Vec<u8>>,
 }
 
-/// One replayed mutation together with the commit sequence number it was
-/// logged with. Records written by the legacy single-stream format carry
-/// no sequence (`None`) and sort before every sequenced record on replay
-/// (they can only predate the multi-stream layout).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeqWalRecord {
-    /// Region-wide commit sequence number, `None` for legacy records.
-    pub seq: Option<u64>,
-    /// The key.
-    pub key: Vec<u8>,
-    /// `Some` for a put, `None` for a delete tombstone.
-    pub value: Option<Vec<u8>>,
-}
-
-const OP_PUT: u8 = 1;
-const OP_DELETE: u8 = 2;
 const OP_PUT_SEQ: u8 = 3;
 const OP_DELETE_SEQ: u8 = 4;
 const HEADER: usize = 8; // len + crc
+/// `op(u8) seq(u64) klen(u32)`: the payload bytes before the key.
+const PAYLOAD_HEAD: usize = 1 + 8 + 4;
 /// Cap on a single record's payload during replay, guarding against a
 /// corrupt length field committing gigabytes of allocation.
 const MAX_RECORD: u32 = 256 << 20;
 
-fn encode_record(out: &mut Vec<u8>, seq: Option<u64>, key: &[u8], value: Option<&[u8]>) {
-    let plen = 1 + seq.map_or(0, |_| 8) + 4 + key.len() + value.map_or(0, |v| v.len());
+fn encode_record(out: &mut Vec<u8>, seq: u64, key: &[u8], value: Option<&[u8]>) {
+    let plen = PAYLOAD_HEAD + key.len() + value.map_or(0, |v| v.len());
     out.reserve(HEADER + plen);
     out.extend_from_slice(&(plen as u32).to_le_bytes());
     let crc_at = out.len();
     out.extend_from_slice(&[0; 4]); // patched below
     let payload_at = out.len();
-    out.push(match (seq.is_some(), value.is_some()) {
-        (false, true) => OP_PUT,
-        (false, false) => OP_DELETE,
-        (true, true) => OP_PUT_SEQ,
-        (true, false) => OP_DELETE_SEQ,
+    out.push(if value.is_some() {
+        OP_PUT_SEQ
+    } else {
+        OP_DELETE_SEQ
     });
-    if let Some(s) = seq {
-        out.extend_from_slice(&s.to_le_bytes());
-    }
+    out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&(key.len() as u32).to_le_bytes());
     out.extend_from_slice(key);
     if let Some(v) = value {
@@ -328,26 +316,8 @@ fn encode_record(out: &mut Vec<u8>, seq: Option<u64>, key: &[u8], value: Option<
 
 /// Parses `bytes`, returning the decoded records and the length of the
 /// valid prefix. Parsing stops (without error) at the first torn or
-/// corrupt record — the crash-recovery contract. Sequence numbers are
-/// dropped; see [`decode_seq_records`] for the sequence-aware variant.
-#[cfg(test)]
-pub fn decode_records(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
-    let (records, valid) = decode_seq_records(bytes);
-    (
-        records
-            .into_iter()
-            .map(|r| WalRecord {
-                key: r.key,
-                value: r.value,
-            })
-            .collect(),
-        valid,
-    )
-}
-
-/// Sequence-aware decode: like [`decode_records`] but preserves each
-/// record's commit sequence number (`None` for legacy records).
-pub fn decode_seq_records(bytes: &[u8]) -> (Vec<SeqWalRecord>, usize) {
+/// corrupt record — the crash-recovery contract.
+pub(crate) fn decode_records(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while bytes.len() - pos >= HEADER {
@@ -377,38 +347,18 @@ pub fn decode_seq_records(bytes: &[u8]) -> (Vec<SeqWalRecord>, usize) {
     (records, pos)
 }
 
-fn decode_payload(payload: &[u8]) -> Option<SeqWalRecord> {
-    let op = *payload.first()?;
-    let (seq, rest) = match op {
-        OP_PUT | OP_DELETE => (None, &payload[1..]),
-        OP_PUT_SEQ | OP_DELETE_SEQ if payload.len() >= 9 => (
-            Some(u64::from_le_bytes(payload[1..9].try_into().unwrap())),
-            &payload[9..],
-        ),
+fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
+    let head = payload.get(..PAYLOAD_HEAD)?;
+    let seq = u64::from_le_bytes(head[1..9].try_into().expect("8 bytes"));
+    let klen = u32::from_le_bytes(head[9..].try_into().expect("4 bytes")) as usize;
+    let rest = &payload[PAYLOAD_HEAD..];
+    let key = rest.get(..klen)?.to_vec();
+    let value = match head[0] {
+        OP_PUT_SEQ => Some(rest[klen..].to_vec()),
+        OP_DELETE_SEQ if klen == rest.len() => None,
         _ => return None,
     };
-    if rest.len() < 4 {
-        return None;
-    }
-    let klen = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-    let key_end = 4usize.checked_add(klen)?;
-    if key_end > rest.len() {
-        return None;
-    }
-    let key = rest[4..key_end].to_vec();
-    match op {
-        OP_PUT | OP_PUT_SEQ => Some(SeqWalRecord {
-            seq,
-            key,
-            value: Some(rest[key_end..].to_vec()),
-        }),
-        OP_DELETE | OP_DELETE_SEQ if key_end == rest.len() => Some(SeqWalRecord {
-            seq,
-            key,
-            value: None,
-        }),
-        _ => None,
-    }
+    Some(WalRecord { seq, key, value })
 }
 
 /// Fsyncs a directory so entry creations and deletions inside it survive
@@ -474,7 +424,7 @@ pub struct Wal {
     /// torn prefix (or unsynced pages the kernel is allowed to drop), so
     /// appending more records would put acknowledged history *after* a
     /// replay-stopping tear. Poisoned WALs reject writes until
-    /// [`Wal::rotate`] opens a fresh segment.
+    /// [`Wal::rotate_keep`] opens a fresh segment.
     poisoned: bool,
     /// Bytes of the active segment known to be whole records (every
     /// `write(2)` that returned success). The poison-repair path of
@@ -501,32 +451,12 @@ impl Wal {
     /// Opens the WAL under `dir`, replaying every surviving segment.
     ///
     /// Returns the log (with a fresh active segment) and the recovered
-    /// records, oldest first. Replay truncates the first torn/corrupt
-    /// record and ignores everything after it; replayed segments are
-    /// retained until the next flush-rotation proves them obsolete.
-    ///
-    /// Production code goes through the sharded [`Wal::open_seq`]; this
-    /// legacy single-stream shape is kept to pin the pre-sharding format
-    /// and durability semantics in tests.
-    #[cfg(test)]
-    pub fn open(dir: &Path, policy: SyncPolicy) -> Result<(Wal, Vec<WalRecord>)> {
-        let (wal, records) = Self::open_seq(dir, policy)?;
-        Ok((
-            wal,
-            records
-                .into_iter()
-                .map(|r| WalRecord {
-                    key: r.key,
-                    value: r.value,
-                })
-                .collect(),
-        ))
-    }
-
-    /// Sequence-aware open used by the sharded multi-stream WAL: replay
-    /// order *within* this stream is file order, but records keep their
-    /// commit sequence numbers so streams can be reconciled globally.
-    pub(crate) fn open_seq(dir: &Path, policy: SyncPolicy) -> Result<(Wal, Vec<SeqWalRecord>)> {
+    /// records in file order; records keep their commit sequence numbers
+    /// so the sharded WAL can reconcile its streams globally. Replay
+    /// truncates the first torn/corrupt record and ignores everything
+    /// after it; replayed segments are retained until the next
+    /// flush-rotation proves them obsolete.
+    pub(crate) fn open_seq(dir: &Path, policy: SyncPolicy) -> Result<(Wal, Vec<WalRecord>)> {
         let metrics = WalMetrics::new();
         let mut segments: Vec<u64> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
@@ -549,7 +479,7 @@ impl Wal {
             }
             let path = segment_path(dir, id);
             let bytes = std::fs::read(&path)?;
-            let (recs, valid_len) = decode_seq_records(&bytes);
+            let (recs, valid_len) = decode_records(&bytes);
             if valid_len < bytes.len() {
                 clean = false;
                 metrics.truncations.inc();
@@ -589,38 +519,17 @@ impl Wal {
         self.file = Arc::from(file);
     }
 
-    /// Appends one mutation, honouring the sync policy before returning
-    /// (i.e. before the write can be acknowledged).
-    ///
-    /// After an IO failure the WAL is poisoned: the segment may end in a
-    /// torn prefix of the rejected record, so further appends are
-    /// refused (nothing acknowledged may land after a replay-stopping
-    /// tear) until a flush makes the memtable durable and [`Wal::rotate`]
-    /// swaps in a fresh segment.
-    ///
-    /// Like [`Wal::open`], test-only: production appends carry sequence
-    /// numbers via [`Wal::append_seq`].
-    #[cfg(test)]
-    pub fn append(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
-        self.push_record(None, key, value)?;
-        if self.policy == SyncPolicy::PerWrite {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Sequence-carrying append for the sharded multi-stream WAL. The
+    /// Appends one mutation for the sharded multi-stream WAL. The
     /// record reaches the OS according to the sync policy's `write(2)`
     /// discipline, but fsync is left to the caller's group commit: the
     /// returned ticket is durable once a [`Wal::sync`] issued at ticket
     /// count ≥ it succeeds (see [`Wal::ticket`]).
+    ///
+    /// After an IO failure the WAL is poisoned: the segment may end in a
+    /// torn prefix of the rejected record, so further appends are
+    /// refused (nothing acknowledged may land after a replay-stopping
+    /// tear) until [`Wal::rotate_keep`] swaps in a fresh segment.
     pub(crate) fn append_seq(&mut self, seq: u64, key: &[u8], value: Option<&[u8]>) -> Result<u64> {
-        self.push_record(Some(seq), key, value)?;
-        Ok(self.appended)
-    }
-
-    /// Encode + policy-aware `write(2)`, shared by both append shapes.
-    fn push_record(&mut self, seq: Option<u64>, key: &[u8], value: Option<&[u8]>) -> Result<()> {
         if self.poisoned {
             return Err(KvError::WalPoisoned);
         }
@@ -639,7 +548,7 @@ impl Wal {
             }
         }
         self.appended += 1;
-        Ok(())
+        Ok(self.appended)
     }
 
     /// Records handed to the write path so far — the group-commit ticket
@@ -651,7 +560,7 @@ impl Wal {
 
     /// Pushes buffered bytes to the OS (`write(2)`), without fsync.
     ///
-    /// On error the WAL is poisoned (see [`Wal::append`]): a torn prefix
+    /// On error the WAL is poisoned (see [`Wal::append_seq`]): a torn prefix
     /// of the buffer may already be in the segment, so the rejected
     /// bytes are dropped — never retried against the same file, where a
     /// later success would strand them behind the tear and resurrect an
@@ -753,46 +662,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Rotates to a fresh segment and deletes all older ones. This is
-    /// also the repair path for a poisoned WAL: the torn segment is
-    /// deleted with the rest, so appends are accepted again.
-    ///
-    /// Call only once every logged mutation is durable elsewhere (i.e.
-    /// right after a memtable flush fsynced its SSTable).
-    ///
-    /// Like [`Wal::open`], test-only: the pipelined flush rotates via
-    /// [`Wal::rotate_keep`] + [`Wal::retire_through`] instead.
-    #[cfg(test)]
-    pub fn rotate(&mut self) -> Result<()> {
-        // The region holds its write lock across flush + rotate, so any
-        // still-buffered bytes describe records the flush just made
-        // durable — drop them with the old segments.
-        self.pending.clear();
-        let old_last = self.active_id;
-        self.active_id += 1;
-        self.file = Arc::new(StdWalFile::open(&segment_path(&self.dir, self.active_id))?);
-        // The new segment's directory entry must be durable before we
-        // acknowledge writes into it (or delete its predecessors).
-        fsync_dir(&self.dir)?;
-        self.unsynced = false;
-        self.poisoned = false;
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            if let Some(id) = segment_id(&entry.file_name().to_string_lossy()) {
-                if id <= old_last {
-                    std::fs::remove_file(entry.path()).map_err(KvError::Io)?;
-                }
-            }
-        }
-        // Persist the deletions too; a resurrected old segment would be
-        // replayed (harmlessly, the SSTable shadows it) and re-deleted,
-        // but only if it survives *as a whole* — half-persisted deletes
-        // could leave a gap that orphans a surviving later segment.
-        fsync_dir(&self.dir)?;
-        self.good_len = 0;
-        Ok(())
-    }
-
     /// Rotates to a fresh segment *without* deleting the old ones, and
     /// returns the last old segment's id as a retirement mark. This is
     /// the pipelined-flush shape: the frozen memtable generation keeps
@@ -803,8 +672,7 @@ impl Wal {
     /// Doubles as the poison-repair path: a poisoned segment's torn
     /// (unacknowledged) suffix is truncated back to the last successful
     /// `write(2)`, so the acknowledged records before the tear stay
-    /// replayable — unlike [`Wal::rotate`], which may only run once the
-    /// whole memtable is durable elsewhere.
+    /// replayable.
     pub(crate) fn rotate_keep(&mut self) -> Result<u64> {
         if !self.poisoned {
             // Push buffered (None-policy) bytes into the old segment so
@@ -851,12 +719,6 @@ impl Wal {
         fsync_dir(&self.dir)?;
         Ok(())
     }
-
-    /// Bytes currently buffered in user space (tests/diagnostics).
-    #[cfg(test)]
-    pub fn pending_bytes(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -874,33 +736,45 @@ mod tests {
         dir
     }
 
-    fn put(k: &[u8], v: &[u8]) -> WalRecord {
+    fn open(dir: &Path, policy: SyncPolicy) -> (Wal, Vec<WalRecord>) {
+        Wal::open_seq(dir, policy).unwrap()
+    }
+
+    fn rec(seq: u64, k: &[u8], v: Option<&[u8]>) -> WalRecord {
         WalRecord {
+            seq,
             key: k.to_vec(),
-            value: Some(v.to_vec()),
+            value: v.map(<[u8]>::to_vec),
         }
+    }
+
+    /// One CRC-valid record around `payload`.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
     }
 
     #[test]
     fn roundtrip_puts_and_deletes() {
         let dir = tmpdir("roundtrip");
         {
-            let (mut wal, recovered) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
+            let (mut wal, recovered) = open(&dir, SyncPolicy::PerWrite);
             assert!(recovered.is_empty());
-            wal.append(b"a", Some(b"1")).unwrap();
-            wal.append(b"b", Some(b"2")).unwrap();
-            wal.append(b"a", None).unwrap();
+            wal.append_seq(0, b"a", Some(b"1")).unwrap();
+            wal.append_seq(1, b"b", Some(b"2")).unwrap();
+            wal.append_seq(2, b"a", None).unwrap();
+            wal.sync().unwrap();
         }
-        let (_, recovered) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
+        let (_, recovered) = open(&dir, SyncPolicy::PerWrite);
         assert_eq!(
             recovered,
             vec![
-                put(b"a", b"1"),
-                put(b"b", b"2"),
-                WalRecord {
-                    key: b"a".to_vec(),
-                    value: None
-                },
+                rec(0, b"a", Some(b"1")),
+                rec(1, b"b", Some(b"2")),
+                rec(2, b"a", None)
             ]
         );
         std::fs::remove_dir_all(dir).ok();
@@ -910,9 +784,10 @@ mod tests {
     fn torn_tail_truncates_to_last_good_record() {
         let dir = tmpdir("torn");
         {
-            let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
-            wal.append(b"good-1", Some(b"v1")).unwrap();
-            wal.append(b"good-2", Some(b"v2")).unwrap();
+            let (mut wal, _) = open(&dir, SyncPolicy::PerWrite);
+            wal.append_seq(0, b"good-1", Some(b"v1")).unwrap();
+            wal.append_seq(1, b"good-2", Some(b"v2")).unwrap();
+            wal.sync().unwrap();
         }
         // Append half a record by hand: a length header promising more
         // bytes than exist.
@@ -924,10 +799,13 @@ mod tests {
         bytes.extend_from_slice(b"partial");
         std::fs::write(&seg, &bytes).unwrap();
 
-        let (_, recovered) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
+        let (_, recovered) = open(&dir, SyncPolicy::PerWrite);
         assert_eq!(
             recovered,
-            vec![put(b"good-1", b"v1"), put(b"good-2", b"v2")]
+            vec![
+                rec(0, b"good-1", Some(b"v1")),
+                rec(1, b"good-2", Some(b"v2"))
+            ]
         );
         // The torn tail was physically truncated.
         assert_eq!(std::fs::metadata(&seg).unwrap().len() as usize, full_len);
@@ -938,10 +816,11 @@ mod tests {
     fn corrupt_crc_stops_replay_at_last_good_record() {
         let dir = tmpdir("crc");
         {
-            let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
-            wal.append(b"keep00", Some(b"v")).unwrap();
-            wal.append(b"victim", Some(b"v")).unwrap();
-            wal.append(b"after0", Some(b"v")).unwrap();
+            let (mut wal, _) = open(&dir, SyncPolicy::PerWrite);
+            wal.append_seq(0, b"keep00", Some(b"v")).unwrap();
+            wal.append_seq(1, b"victim", Some(b"v")).unwrap();
+            wal.append_seq(2, b"after0", Some(b"v")).unwrap();
+            wal.sync().unwrap();
         }
         let seg = segment_path(&dir, 0);
         let mut bytes = std::fs::read(&seg).unwrap();
@@ -950,25 +829,29 @@ mod tests {
         bytes[record_len + HEADER + 3] ^= 0xff;
         std::fs::write(&seg, &bytes).unwrap();
 
-        let (_, recovered) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
+        let (_, recovered) = open(&dir, SyncPolicy::PerWrite);
         // Recovery point is the last record before the corruption; the
         // intact record *after* it is unreachable by design.
-        assert_eq!(recovered, vec![put(b"keep00", b"v")]);
+        assert_eq!(recovered, vec![rec(0, b"keep00", Some(b"v"))]);
         assert_eq!(std::fs::metadata(&seg).unwrap().len() as usize, record_len);
         std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn rotation_deletes_obsolete_segments() {
+        // The flush shape: rotate, keep writing into the fresh segment,
+        // retire the old one once its SSTable would be durable.
         let dir = tmpdir("rotate");
-        let (mut wal, _) = Wal::open(&dir, SyncPolicy::Batched).unwrap();
-        wal.append(b"a", Some(b"1")).unwrap();
-        wal.rotate().unwrap();
-        wal.append(b"b", Some(b"2")).unwrap();
+        let (mut wal, _) = open(&dir, SyncPolicy::Batched);
+        wal.append_seq(0, b"a", Some(b"1")).unwrap();
+        let mark = wal.rotate_keep().unwrap();
+        wal.append_seq(1, b"b", Some(b"2")).unwrap();
+        assert!(segment_path(&dir, 0).exists(), "kept until retired");
+        wal.retire_through(mark).unwrap();
         drop(wal);
-        let (_, recovered) = Wal::open(&dir, SyncPolicy::Batched).unwrap();
+        let (_, recovered) = open(&dir, SyncPolicy::Batched);
         // Only the post-rotation record survives; segment 0 is gone.
-        assert_eq!(recovered, vec![put(b"b", b"2")]);
+        assert_eq!(recovered, vec![rec(1, b"b", Some(b"2"))]);
         assert!(!segment_path(&dir, 0).exists());
         std::fs::remove_dir_all(dir).ok();
     }
@@ -976,13 +859,13 @@ mod tests {
     #[test]
     fn sync_none_buffers_in_user_space() {
         let dir = tmpdir("buffered");
-        let (mut wal, _) = Wal::open(&dir, SyncPolicy::None).unwrap();
-        wal.append(b"k", Some(b"v")).unwrap();
-        assert!(wal.pending_bytes() > 0, "should be buffered");
+        let (mut wal, _) = open(&dir, SyncPolicy::None);
+        wal.append_seq(0, b"k", Some(b"v")).unwrap();
+        assert!(!wal.pending.is_empty(), "should be buffered");
         assert_eq!(std::fs::metadata(segment_path(&dir, 0)).unwrap().len(), 0);
         // A crash here (drop without flush) loses the buffered record.
         drop(wal);
-        let (_, recovered) = Wal::open(&dir, SyncPolicy::None).unwrap();
+        let (_, recovered) = open(&dir, SyncPolicy::None);
         assert!(recovered.is_empty());
         std::fs::remove_dir_all(dir).ok();
     }
@@ -990,18 +873,18 @@ mod tests {
     #[test]
     fn fault_injected_short_write_recovers_to_acknowledged_prefix() {
         let dir = tmpdir("fault-short");
-        let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
+        let (mut wal, _) = open(&dir, SyncPolicy::PerWrite);
         let (file, state) = FaultyWalFile::new();
         // Two full records fit; the third is torn 5 bytes in.
         let mut probe = Vec::new();
-        encode_record(&mut probe, None, b"key-1", Some(b"value-1"));
+        encode_record(&mut probe, 0, b"key-1", Some(b"value-1"));
         let record_len = probe.len();
         state.lock().write_budget = Some(2 * record_len + 5);
         wal.set_file_for_test(Box::new(file));
 
-        assert!(wal.append(b"key-1", Some(b"value-1")).is_ok());
-        assert!(wal.append(b"key-2", Some(b"value-2")).is_ok());
-        let torn = wal.append(b"key-3", Some(b"value-3"));
+        assert!(wal.append_seq(0, b"key-1", Some(b"value-1")).is_ok());
+        assert!(wal.append_seq(1, b"key-2", Some(b"value-2")).is_ok());
+        let torn = wal.append_seq(2, b"key-3", Some(b"value-3"));
         assert!(torn.is_err(), "short write must fail the append");
 
         // Simulate kill -9: the OS kept everything write(2) accepted,
@@ -1009,10 +892,13 @@ mod tests {
         // the two acknowledged records.
         let crash_dir = tmpdir("fault-short-crash");
         std::fs::write(segment_path(&crash_dir, 0), &state.lock().os).unwrap();
-        let (_, recovered) = Wal::open(&crash_dir, SyncPolicy::PerWrite).unwrap();
+        let (_, recovered) = open(&crash_dir, SyncPolicy::PerWrite);
         assert_eq!(
             recovered,
-            vec![put(b"key-1", b"value-1"), put(b"key-2", b"value-2")]
+            vec![
+                rec(0, b"key-1", Some(b"value-1")),
+                rec(1, b"key-2", Some(b"value-2"))
+            ]
         );
         std::fs::remove_dir_all(dir).ok();
         std::fs::remove_dir_all(crash_dir).ok();
@@ -1021,48 +907,56 @@ mod tests {
     #[test]
     fn failed_append_poisons_wal_until_rotation() {
         let dir = tmpdir("poison");
-        let (mut wal, _) = Wal::open(&dir, SyncPolicy::Batched).unwrap();
+        let (mut wal, _) = open(&dir, SyncPolicy::Batched);
         let (file, state) = FaultyWalFile::new();
         state.lock().write_budget = Some(3); // torn 3 bytes into the first record
         wal.set_file_for_test(Box::new(file));
 
         assert!(matches!(
-            wal.append(b"torn", Some(b"v")),
+            wal.append_seq(0, b"torn", Some(b"v")),
             Err(KvError::Io(_))
         ));
         // The rejected record must not linger for a later retry: a
         // torn prefix of it is already in the segment, and appending
         // behind that tear would strand acknowledged history.
-        assert_eq!(wal.pending_bytes(), 0);
+        assert!(wal.pending.is_empty());
         assert!(matches!(
-            wal.append(b"after", Some(b"v")),
+            wal.append_seq(1, b"after", Some(b"v")),
             Err(KvError::WalPoisoned)
         ));
         assert!(!wal.needs_sync(), "poisoned wal must not invite syncs");
-        let os_len_before = state.lock().os.len();
 
-        // Rotation (post-flush) repairs the log: fresh segment, appends
-        // accepted again, and nothing more ever reached the torn file.
-        wal.rotate().unwrap();
-        wal.append(b"fresh", Some(b"v")).unwrap();
-        assert_eq!(state.lock().os.len(), os_len_before);
+        // Rotation repairs the log: the torn suffix is cut back to the
+        // last whole record, a fresh segment takes appends again, and
+        // nothing more ever reaches the torn file.
+        let mark = wal.rotate_keep().unwrap();
+        assert!(state.lock().os.is_empty(), "torn tail truncated");
+        wal.append_seq(2, b"fresh", Some(b"v")).unwrap();
+        wal.retire_through(mark).unwrap();
+        assert!(state.lock().os.is_empty());
         drop(wal);
-        let (_, recovered) = Wal::open(&dir, SyncPolicy::Batched).unwrap();
-        assert_eq!(recovered, vec![put(b"fresh", b"v")]);
+        let (_, recovered) = open(&dir, SyncPolicy::Batched);
+        assert_eq!(recovered, vec![rec(2, b"fresh", Some(b"v"))]);
         std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn fault_injected_fsync_failure_fails_per_write_append() {
+        // Through the write path itself: append, then the per-write
+        // group commit's fsync gates the acknowledgement.
         let dir = tmpdir("fault-sync");
-        let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
+        let durability = DurabilityOptions {
+            wal: true,
+            sync: SyncPolicy::PerWrite,
+        };
+        let (wal, _) = crate::ingest::ShardedWal::open(&dir, &durability, 1).unwrap();
         let (file, state) = FaultyWalFile::new();
         state.lock().sync_budget = Some(1);
-        wal.set_file_for_test(Box::new(file));
+        wal.set_stream_file_for_test(0, Box::new(file));
 
-        assert!(wal.append(b"a", Some(b"1")).is_ok());
+        assert!(wal.append(0, 0, b"a", Some(b"1")).is_ok());
         assert!(
-            wal.append(b"b", Some(b"2")).is_err(),
+            wal.append(0, 1, b"b", Some(b"2")).is_err(),
             "fsync failure must refuse the acknowledgement"
         );
         // Power-loss view: only the synced prefix survives — exactly
@@ -1073,8 +967,8 @@ mod tests {
             s.os[..s.synced_len].to_vec()
         };
         std::fs::write(segment_path(&crash_dir, 0), surviving).unwrap();
-        let (_, recovered) = Wal::open(&crash_dir, SyncPolicy::PerWrite).unwrap();
-        assert_eq!(recovered, vec![put(b"a", b"1")]);
+        let (_, recovered) = open(&crash_dir, SyncPolicy::PerWrite);
+        assert_eq!(recovered, vec![rec(0, b"a", Some(b"1"))]);
         std::fs::remove_dir_all(dir).ok();
         std::fs::remove_dir_all(crash_dir).ok();
     }
@@ -1082,22 +976,18 @@ mod tests {
     #[test]
     fn corrupt_middle_segment_orphans_later_segments() {
         let dir = tmpdir("orphan");
-        let (mut wal, _) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
-        wal.append(b"seg0", Some(b"v")).unwrap();
-        // Manual rotation that *keeps* segment 0 (simulating a crash
-        // between SSTable write and segment deletion is not what we
-        // want here — we want two live segments, which happens after a
-        // replayed open).
+        let (mut wal, _) = open(&dir, SyncPolicy::PerWrite);
+        wal.append_seq(0, b"seg0", Some(b"v")).unwrap();
         drop(wal);
         // Reopen: segment 0 is replayed and retained, segment 1 becomes
-        // active.
-        let (mut wal, recovered) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
+        // active — two live segments.
+        let (mut wal, recovered) = open(&dir, SyncPolicy::PerWrite);
         assert_eq!(recovered.len(), 1);
-        wal.append(b"seg1", Some(b"v")).unwrap();
+        wal.append_seq(1, b"seg1", Some(b"v")).unwrap();
         drop(wal);
         // Corrupt segment 0 entirely.
         std::fs::write(segment_path(&dir, 0), b"garbage-that-is-not-a-record").unwrap();
-        let (_, recovered) = Wal::open(&dir, SyncPolicy::PerWrite).unwrap();
+        let (_, recovered) = open(&dir, SyncPolicy::PerWrite);
         // Nothing from segment 0, and segment 1 must not leapfrog the
         // corruption.
         assert!(recovered.is_empty(), "got {recovered:?}");
@@ -1107,31 +997,46 @@ mod tests {
 
     #[test]
     fn decode_rejects_malformed_payloads() {
+        let mut head = vec![OP_PUT_SEQ];
+        head.extend_from_slice(&7u64.to_le_bytes());
         // Oversized klen inside a CRC-valid payload.
-        let mut bytes = Vec::new();
-        let payload = {
-            let mut p = vec![OP_PUT];
-            p.extend_from_slice(&1000u32.to_le_bytes());
-            p.extend_from_slice(b"short");
-            p
-        };
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let (records, valid) = decode_records(&bytes);
-        assert!(records.is_empty());
-        assert_eq!(valid, 0);
+        let mut payload = head.clone();
+        payload.extend_from_slice(&1000u32.to_le_bytes());
+        payload.extend_from_slice(b"short");
         // Unknown op code.
-        let mut bytes = Vec::new();
-        let payload = {
-            let mut p = vec![7u8];
+        let mut unknown = head.clone();
+        unknown[0] = 7;
+        unknown.extend_from_slice(&1u32.to_le_bytes());
+        unknown.push(b'k');
+        // Ops 1 (put) and 2 (delete): the unsequenced shape no build
+        // writes, which must not replay as a record.
+        let unsequenced = |op: u8, value: &[u8]| {
+            let mut p = vec![op];
             p.extend_from_slice(&1u32.to_le_bytes());
             p.push(b'k');
+            p.extend_from_slice(value);
             p
         };
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        assert!(decode_records(&bytes).0.is_empty());
+        // Too short for the sequenced header.
+        let short = head[..5].to_vec();
+        for bad in [
+            payload,
+            unknown,
+            unsequenced(1, b"v"),
+            unsequenced(2, b""),
+            short,
+        ] {
+            let (records, valid) = decode_records(&framed(&bad));
+            assert!(records.is_empty(), "{bad:?}");
+            assert_eq!(valid, 0, "{bad:?}");
+        }
+        // A delete must not carry value bytes.
+        let mut delete = vec![OP_DELETE_SEQ];
+        delete.extend_from_slice(&7u64.to_le_bytes());
+        delete.extend_from_slice(&1u32.to_le_bytes());
+        delete.extend_from_slice(b"kv");
+        assert!(decode_records(&framed(&delete)).0.is_empty());
+        delete.pop();
+        assert_eq!(decode_records(&framed(&delete)).0, vec![rec(7, b"k", None)]);
     }
 }

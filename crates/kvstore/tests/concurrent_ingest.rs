@@ -18,10 +18,12 @@
 //! exercises the same writer counts, shard/stream geometries and flush
 //! pressure.
 
+mod common;
+
 use just_kvstore::{IngestOptions, ScanOptions, Store, StoreOptions, SyncPolicy};
 use just_obs::Rng;
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Barrier, Mutex};
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -32,19 +34,6 @@ fn tmpdir(name: &str) -> PathBuf {
     ));
     std::fs::remove_dir_all(&dir).ok();
     dir
-}
-
-fn copy_dir(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        let to = dst.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_dir(&entry.path(), &to);
-        } else {
-            std::fs::copy(entry.path(), &to).unwrap();
-        }
-    }
 }
 
 fn value_for(key: &[u8]) -> Vec<u8> {
@@ -159,7 +148,7 @@ fn concurrent_writers_streaming_scans_and_crash_recovery() {
             if crash.is_none() && (round >= 1 || done) {
                 let acked_before_copy = acked.lock().unwrap().clone();
                 let copy = tmpdir(&format!("case{case}-crash"));
-                copy_dir(&dir, &copy);
+                common::copy_live_dir(&dir, &copy);
                 crash = Some((copy, acked_before_copy));
             }
             if done {

@@ -2,6 +2,8 @@
 //! maintenance scheduler working together, including a simulated
 //! `kill -9` (snapshot the live data directory, reopen the copy).
 
+mod common;
+
 use just_kvstore::{MaintenanceOptions, Store, StoreOptions, SyncPolicy};
 use std::path::{Path, PathBuf};
 
@@ -13,19 +15,6 @@ fn tmpdir(name: &str) -> PathBuf {
     ));
     std::fs::remove_dir_all(&dir).ok();
     dir
-}
-
-fn copy_dir(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        let to = dst.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_dir(&entry.path(), &to);
-        } else {
-            std::fs::copy(entry.path(), &to).unwrap();
-        }
-    }
 }
 
 #[test]
@@ -44,7 +33,7 @@ fn crash_copy_recovers_every_acknowledged_write() {
         .unwrap();
     }
     let crash = tmpdir("crash-copy");
-    copy_dir(&dir, &crash);
+    common::copy_live_dir(&dir, &crash);
 
     let recovered = Store::open(&crash, StoreOptions::default()).unwrap();
     let t2 = recovered.open_table("t", 4).unwrap();
