@@ -382,6 +382,17 @@ echo "$SINK_EXPLAIN_OUT" | grep -q "hash_join"
 if echo "$SINK_EXPLAIN_OUT" | grep -q "Filter"; then
     echo "a filter stayed above the join:"; echo "$SINK_EXPLAIN_OUT"; exit 1
 fi
+# TOP-K over a stored scan gates it: once the heap holds k rows, rows that
+# cannot beat its worst key are refused before refine and decode, and the
+# scan line under `topk` says how many (`rows_gated=`).
+cli query "CREATE TABLE gtop (fid integer:primary key, geom point, amount integer)"
+GTOP_ROWS=$(seq 0 2999 | awk '{ printf "%s(%d, st_makePoint(%.3f, 39.9), %d)", \
+    (NR > 1 ? ", " : ""), $1, 116 + ($1 % 100) / 1000, ($1 * 7919) % 1000 }')
+cli query "INSERT INTO gtop VALUES $GTOP_ROWS" >/dev/null
+TOPK_OUT=$(cli query "EXPLAIN ANALYZE SELECT fid, amount FROM gtop WHERE geom WITHIN st_makeMBR(115, 39, 117, 40) ORDER BY amount DESC LIMIT 10")
+echo "$TOPK_OUT" | sed -n '/topk/,$p' | grep "Scan \[gtop\]" | grep -q "rows_gated=" || {
+    echo "the scan under topk was not gated:"; echo "$TOPK_OUT"; exit 1
+}
 ./target/release/just-cli --addr "$ADDR" shutdown
 wait "$JUSTD_PID"
 JUSTD_PID=""

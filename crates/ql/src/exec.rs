@@ -19,37 +19,37 @@ use crate::ast::{BinOp, Expr};
 use crate::compile::compile;
 use crate::error::QlError;
 use crate::functions::{self, eval, exec_err, resolve_column, truthy};
+use crate::optimizer::is_pure_columns;
 use crate::plan::LogicalPlan;
+use crate::sink::{sink_for, sort, Sink};
 use crate::Result;
 use just_analysis::{dbscan, DbscanParams};
 use just_core::{Dataset, Session};
-use just_exec::{
-    encode_key, full_selection, keys_hashable, AggSpec, HashAggregator, JoinHash, Program, Vm,
-};
+use just_exec::{full_selection, keys_hashable, JoinHash, Program, Vm};
 use just_geo::{Geometry, Point};
 use just_obs::{Counter, SpanId, Trace};
-use just_storage::{CancelToken, FieldType, QueryStream, Row, SpatialPredicate, Value};
-use std::collections::BinaryHeap;
+use just_storage::{CancelToken, FieldType, QueryStream, Row, RowGate, SpatialPredicate, Value};
 use std::sync::OnceLock;
 
 /// Rows per evaluation batch for in-memory operators (stored-table scans
 /// use the storage stream's own batching).
-const BATCH: usize = 1024;
+pub(crate) const BATCH: usize = 1024;
 
 /// Handles to the process-wide counters the operators bump and the plan
 /// walker diffs around an operator, resolved once.
-struct ExecObs {
+pub(crate) struct ExecObs {
     key_ranges: Counter,
     keys_scanned: Counter,
     rows_pruned_pushdown: Counter,
+    rows_gated: Counter,
     join_build_rows: Counter,
     join_probe_rows: Counter,
     join_fallbacks: Counter,
-    topk_queries: Counter,
-    topk_rows_pruned: Counter,
+    pub(crate) topk_queries: Counter,
+    pub(crate) topk_rows_pruned: Counter,
 }
 
-fn exec_obs() -> &'static ExecObs {
+pub(crate) fn exec_obs() -> &'static ExecObs {
     static OBS: OnceLock<ExecObs> = OnceLock::new();
     OBS.get_or_init(|| {
         let obs = just_obs::global();
@@ -57,6 +57,7 @@ fn exec_obs() -> &'static ExecObs {
             key_ranges: obs.counter("just_index_ranges_generated"),
             keys_scanned: obs.counter("just_index_keys_scanned"),
             rows_pruned_pushdown: obs.counter("just_storage_rows_pruned_pushdown"),
+            rows_gated: obs.counter("just_storage_rows_gated"),
             join_build_rows: obs.counter("just_exec_join_build_rows"),
             join_probe_rows: obs.counter("just_exec_join_probe_rows"),
             join_fallbacks: obs.counter("just_exec_join_fallbacks"),
@@ -105,10 +106,10 @@ impl<'a> Executor<'a> {
     /// TOP-K carry their build/probe/pruned row counts. The deltas are of
     /// process-wide counters, so concurrent sessions pollute them.
     ///
-    /// An `Aggregate` directly over a stored-table `Scan` does not wait
-    /// for the scan's dataset: it folds the scan's batches as they arrive
-    /// (under the scan's span, so the scan's time includes the folding),
-    /// and the table is never held as rows.
+    /// A [`Sink`] (`Aggregate`, `TopK`) over a stored-table `Scan`,
+    /// directly or through pure-column `Project`s, does not wait for its
+    /// input's dataset: [`Executor::run_sink`] pushes it the scan's
+    /// batches as they arrive.
     ///
     /// When an input fails (or the query is killed) the spans above it
     /// stay open and report their running time; the failed operator's
@@ -116,38 +117,8 @@ impl<'a> Executor<'a> {
     pub fn run(&self, plan: &LogicalPlan, trace: &mut Trace, parent: SpanId) -> Result<Dataset> {
         self.check_kill()?;
         let span = trace.start(plan.label(), parent);
-        if let LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } = plan
-        {
-            if self.scans_stored(input) {
-                // Fold the scan's batches as they arrive, under the
-                // scan's own span, instead of holding the table as rows.
-                self.check_kill()?;
-                let scan_span = trace.start(input.label(), span);
-                let agg = self.observed(input, trace, scan_span, || {
-                    let mut scan = self.open_scan(input)?;
-                    // The aggregate compiles over the open scan's header;
-                    // an error there is the aggregate's, not the scan's.
-                    let mut agg = match Aggregation::new(&scan.columns, group_by, aggregates) {
-                        Ok(agg) => agg,
-                        Err(e) => return Ok((Err(e), 0)),
-                    };
-                    let mut scanned = 0;
-                    while let Some(batch) = scan.next_batch()? {
-                        scanned += batch.len();
-                        agg.push(&batch)?;
-                    }
-                    Ok((Ok(agg), scanned))
-                })?;
-                return self.observed(plan, trace, span, || {
-                    let data = agg?.finish();
-                    let groups = data.len();
-                    Ok((data, groups))
-                });
-            }
+        if let Some(inputs) = self.sink_inputs(plan) {
+            return self.run_sink(inputs, trace, span);
         }
         let mut children = Vec::new();
         for child in plan.children() {
@@ -180,6 +151,7 @@ impl<'a> Executor<'a> {
                     obs.key_ranges.get(),
                     obs.keys_scanned.get(),
                     obs.rows_pruned_pushdown.get(),
+                    obs.rows_gated.get(),
                 )
             });
         let (build, probe, falls, topk) = (
@@ -209,7 +181,7 @@ impl<'a> Executor<'a> {
             }
             _ => {}
         }
-        if let Some((io, ranges, keys, pruned)) = scan_was {
+        if let Some((io, ranges, keys, pruned, gated)) = scan_was {
             let d = engine.io_snapshot().since(&io);
             attr("blocks_read", d.blocks_read, true);
             attr("cache_hits", d.cache_hits, true);
@@ -218,6 +190,7 @@ impl<'a> Executor<'a> {
             attr("scan_early_terminations", d.scan_early_terminations, false);
             let pruned = obs.rows_pruned_pushdown.get() - pruned;
             attr("rows_pruned_pushdown", pruned, false);
+            attr("rows_gated", obs.rows_gated.get() - gated, false);
             // Of all block lookups this operator issued, the share the
             // block cache absorbed (integer percent).
             let lookups = d.blocks_read + d.cache_hits;
@@ -263,7 +236,7 @@ impl<'a> Executor<'a> {
                 if self.scans_stored(plan) {
                     let mut scan = self.open_scan(plan)?;
                     let mut rows = Vec::new();
-                    while let Some(batch) = scan.next_batch()? {
+                    while let Some(batch) = scan.next_batch(None)? {
                         rows.extend(batch);
                     }
                     return Ok(Dataset::new(scan.columns, rows));
@@ -287,13 +260,19 @@ impl<'a> Executor<'a> {
             }
             LogicalPlan::Filter { predicate, .. } => filter(next(), predicate),
             LogicalPlan::Project { items, .. } => filter_project(next(), None, items),
-            LogicalPlan::Aggregate {
-                group_by,
-                aggregates,
-                ..
-            } => aggregate(next(), group_by, aggregates),
+            LogicalPlan::Aggregate { .. } | LogicalPlan::TopK { .. } => {
+                let data = next();
+                let mut sink = sink_for(plan, &data.columns, |_| None)?;
+                let mut rows = data.rows.into_iter();
+                loop {
+                    let chunk: Vec<Row> = rows.by_ref().take(BATCH).collect();
+                    if chunk.is_empty() {
+                        return Ok(sink.finish());
+                    }
+                    sink.push(chunk)?;
+                }
+            }
             LogicalPlan::Sort { keys, .. } => sort(next(), keys),
-            LogicalPlan::TopK { keys, k, .. } => topk(next(), keys, *k),
             LogicalPlan::FilterProject {
                 predicate, items, ..
             } => filter_project(next(), Some(predicate), items),
@@ -322,6 +301,76 @@ impl<'a> Executor<'a> {
     /// looked up first; they shadow nothing: names are namespaced apart).
     fn scans_stored(&self, plan: &LogicalPlan) -> bool {
         matches!(plan, LogicalPlan::Scan { table, .. } if self.session.view(table).is_err())
+    }
+
+    /// `[sink, pure-column Project…, Scan]`, top-down, when `plan` is a
+    /// [`Sink`] whose input is a stored-table scan under nothing but
+    /// pure-column projects.
+    fn sink_inputs<'p>(&self, plan: &'p LogicalPlan) -> Option<Vec<&'p LogicalPlan>> {
+        if !matches!(
+            plan,
+            LogicalPlan::Aggregate { .. } | LogicalPlan::TopK { .. }
+        ) {
+            return None;
+        }
+        let mut chain = vec![plan];
+        let mut node = plan.children()[0];
+        while let LogicalPlan::Project { input, items } = node {
+            if !is_pure_columns(items) {
+                return None;
+            }
+            chain.push(node);
+            node = input;
+        }
+        chain.push(node);
+        self.scans_stored(node).then_some(chain)
+    }
+
+    /// Runs the sink `chain[0]` straight off the stored scan that ends
+    /// the chain: the projects between them fold into the scan's column
+    /// selection, and every batch the stream yields is pushed into the
+    /// sink as it arrives — before each pull the sink may gate the
+    /// stream. Each operator keeps its span: the scan's covers the
+    /// pushing, a project's the rows that passed through it.
+    fn run_sink(
+        &self,
+        chain: Vec<&LogicalPlan>,
+        trace: &mut Trace,
+        span: SpanId,
+    ) -> Result<Dataset> {
+        let mut spans = vec![span];
+        for node in &chain[1..] {
+            self.check_kill()?;
+            spans.push(trace.start(node.label(), spans[spans.len() - 1]));
+        }
+        let last = chain.len() - 1;
+        // The fed sink and the rows read, or the error of the operator
+        // `chain[i]` that failed to set up over the scan's header.
+        let mut fed = self.observed(chain[last], trace, spans[last], || {
+            let mut scan = self.open_scan(chain[last])?;
+            let mut sink = match scan.sink(&chain) {
+                Ok(sink) => sink,
+                Err(failed) => return Ok((Err(failed), 0)),
+            };
+            let mut rows = 0;
+            while let Some(batch) = scan.next_batch(sink.gate())? {
+                rows += batch.len();
+                sink.push(batch)?;
+            }
+            Ok((Ok((sink, rows)), rows))
+        })?;
+        for i in (1..last).rev() {
+            fed = self.observed(chain[i], trace, spans[i], || match fed {
+                Err((at, e)) if at == i => Err(e),
+                Err(failed) => Ok((Err(failed), 0)),
+                Ok((sink, rows)) => Ok((Ok((sink, rows)), rows)),
+            })?;
+        }
+        self.observed(chain[0], trace, span, || {
+            let data = fed.map_err(|(_, e)| e)?.0.finish();
+            let rows = data.len();
+            Ok((data, rows))
+        })
     }
 
     /// Opens the stored-table scan `plan`.
@@ -390,12 +439,12 @@ struct StoredScan<'a> {
 }
 
 impl StoredScan<'_> {
-    /// The next non-empty batch of output rows.
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>> {
+    /// The next non-empty batch of output rows, of those `gate` passes.
+    fn next_batch(&mut self, mut gate: Option<&mut dyn RowGate>) -> Result<Option<Vec<Row>>> {
         while self.wanted != Some(0) {
             let Some(batch) = self
                 .stream
-                .next_batch()
+                .next_batch_gated(gate.as_deref_mut())
                 .map_err(just_core::CoreError::Storage)?
             else {
                 break;
@@ -425,6 +474,33 @@ impl StoredScan<'_> {
             }
         }
         Ok(None)
+    }
+
+    /// Folds the projects of a sink chain (see
+    /// [`Executor::sink_inputs`]) into the scan's column selection,
+    /// bottom-up, and builds the sink over the result; an error comes
+    /// with the chain index of the operator that raised it. Only a scan
+    /// that emits its stored values unfiltered and uncut may be gated.
+    fn sink(
+        &mut self,
+        chain: &[&LogicalPlan],
+    ) -> std::result::Result<Box<dyn Sink>, (usize, QlError)> {
+        for i in (1..chain.len() - 1).rev() {
+            let LogicalPlan::Project { items, .. } = chain[i] else {
+                unreachable!("a sink chain's middle is projects");
+            };
+            let (columns, plans) = plan_items(items, &self.columns).map_err(|e| (i, e))?;
+            let keep = plans.iter().map(|p| match p {
+                ProjectItem::Passthrough(c) => self.keep.as_ref().map_or(*c, |keep| keep[*c]),
+                ProjectItem::Compute(_) => unreachable!("a pure-column project"),
+            });
+            self.keep = Some(keep.collect());
+            self.columns = columns;
+        }
+        let gateable = self.progs.is_empty() && self.wanted.is_none();
+        let keep = &self.keep;
+        let stored = |c: usize| gateable.then(|| keep.as_ref().map_or(c, |keep| keep[c]));
+        sink_for(chain[0], &self.columns, stored).map_err(|e| (0, e))
     }
 }
 
@@ -934,229 +1010,10 @@ fn run_dbscan(data: Dataset, args: &[Expr]) -> Result<Dataset> {
     Ok(Dataset::new(vec!["geom".into(), "cluster".into()], rows))
 }
 
-/// Vectorized GROUP BY: keys and aggregate arguments compile to bytecode
-/// and evaluate batch-at-a-time into columns fed to the
-/// [`HashAggregator`], which folds rows into fixed-size accumulators
-/// immediately (O(groups) memory, no per-row key `Vec<Value>` clone).
-struct Aggregation {
-    agg: HashAggregator,
-    key_progs: Vec<Program>,
-    arg_progs: Vec<Option<Program>>,
-    vm: Vm,
-    /// Output header: group keys, then aggregates.
-    columns: Vec<String>,
-    global: bool,
-}
-
-impl Aggregation {
-    /// Compiles the keys and aggregate arguments over the input header.
-    fn new(
-        input: &[String],
-        group_by: &[(Expr, String)],
-        aggregates: &[(String, Expr, String)],
-    ) -> Result<Self> {
-        let mut specs = Vec::with_capacity(aggregates.len());
-        let mut arg_progs: Vec<Option<Program>> = Vec::with_capacity(aggregates.len());
-        for (func, arg, _) in aggregates {
-            let star = matches!(arg, Expr::Star);
-            // The planner only builds aggregates from the five known names,
-            // so the one form without a spec is `func(*)` other than `count`.
-            specs.push(
-                AggSpec::resolve(func, star)
-                    .ok_or_else(|| QlError::Analyze(format!("{func}(*) is not supported")))?,
-            );
-            arg_progs.push(if star {
-                None
-            } else {
-                Some(compile(arg, input, None)?)
-            });
-        }
-        let key_progs = group_by
-            .iter()
-            .map(|(e, _)| compile(e, input, None))
-            .collect::<Result<Vec<Program>>>()?;
-        let mut columns: Vec<String> = group_by.iter().map(|(_, n)| n.clone()).collect();
-        columns.extend(aggregates.iter().map(|(_, _, n)| n.clone()));
-        Ok(Aggregation {
-            agg: HashAggregator::new(specs),
-            key_progs,
-            arg_progs,
-            vm: Vm::new(),
-            columns,
-            global: group_by.is_empty(),
-        })
-    }
-
-    /// Folds one batch of input rows into the accumulators.
-    fn push(&mut self, chunk: &[Row]) -> Result<()> {
-        let sel = full_selection(chunk.len());
-        let mut keys: Vec<Vec<Value>> = Vec::with_capacity(self.key_progs.len());
-        for p in &self.key_progs {
-            let mut col = Vec::with_capacity(chunk.len());
-            self.vm.eval(p, chunk, &sel, &mut col).map_err(exec_err)?;
-            keys.push(col);
-        }
-        let mut args: Vec<Option<Vec<Value>>> = Vec::with_capacity(self.arg_progs.len());
-        for p in &self.arg_progs {
-            args.push(match p {
-                Some(p) => {
-                    let mut col = Vec::with_capacity(chunk.len());
-                    self.vm.eval(p, chunk, &sel, &mut col).map_err(exec_err)?;
-                    Some(col)
-                }
-                None => None,
-            });
-        }
-        self.agg.push(chunk.len(), &keys, &args).map_err(exec_err)
-    }
-
-    /// One output row per group (one row in all for a global aggregate).
-    fn finish(self) -> Dataset {
-        let rows = self
-            .agg
-            .finish(self.global)
-            .into_iter()
-            .map(|(mut key_vals, agg_vals)| {
-                key_vals.extend(agg_vals);
-                Row::new(key_vals)
-            })
-            .collect();
-        Dataset::new(self.columns, rows)
-    }
-}
-
-/// Aggregates a materialized input, [`BATCH`] rows at a time.
-fn aggregate(
-    data: Dataset,
-    group_by: &[(Expr, String)],
-    aggregates: &[(String, Expr, String)],
-) -> Result<Dataset> {
-    let mut agg = Aggregation::new(&data.columns, group_by, aggregates)?;
-    for chunk in data.rows.chunks(BATCH) {
-        agg.push(chunk)?;
-    }
-    Ok(agg.finish())
-}
-
-/// The key-normalized sort: every row's keys encode once into one byte
-/// arena (descending keys bitwise-complemented), then a stable indirect
-/// sort compares plain byte slices — no `Value` dispatch, no coercion
-/// logic in the hot comparator. The order is [`just_exec::total_compare`]'s:
-/// NULLs first, then by cross-type rank.
-fn sort(mut data: Dataset, keys: &[(Expr, bool)]) -> Result<Dataset> {
-    let exprs: Vec<&Expr> = keys.iter().map(|(e, _)| e).collect();
-    let key_cols = key_columns(&data, &exprs)?;
-    let n = data.rows.len();
-    let mut arena: Vec<u8> = Vec::new();
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(n);
-    for r in 0..n {
-        let start = arena.len();
-        for (i, (_, asc)) in keys.iter().enumerate() {
-            encode_key(key_cols[i].at(&data, r), !asc, &mut arena);
-        }
-        spans.push((start, arena.len()));
-    }
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| {
-        let (sa, ea) = spans[a as usize];
-        let (sb, eb) = spans[b as usize];
-        arena[sa..ea].cmp(&arena[sb..eb])
-    });
-    let mut rows_in = std::mem::take(&mut data.rows);
-    data.rows = order
-        .into_iter()
-        .map(|r| std::mem::replace(&mut rows_in[r as usize], Row::new(Vec::new())))
-        .collect();
-    Ok(data)
-}
-
-/// TOP-K: keep the k first rows of the sorted order without sorting the
-/// input, via a bounded max-heap of `(normalized key bytes, sequence)`.
-/// The monotone sequence number makes the heap *stable*: a new row whose
-/// key equals the current worst compares greater (its sequence is
-/// larger) and is rejected, so the kept set and its order are exactly
-/// `sort().truncate(k)`.
-fn topk(data: Dataset, keys: &[(Expr, bool)], k: usize) -> Result<Dataset> {
-    let obs = exec_obs();
-    obs.topk_queries.inc();
-
-    // Keys are evaluated for every row even when k = 0 — the sort they
-    // replace would have, and errors must not depend on k.
-    let exprs: Vec<&Expr> = keys.iter().map(|(e, _)| e).collect();
-    let key_cols = key_columns(&data, &exprs)?;
-    let n = data.rows.len();
-    let mut heap: BinaryHeap<(Vec<u8>, usize)> = BinaryHeap::with_capacity(k.min(n) + 1);
-    let mut enc: Vec<u8> = Vec::new();
-    for r in 0..n {
-        enc.clear();
-        for (i, (_, asc)) in keys.iter().enumerate() {
-            encode_key(key_cols[i].at(&data, r), !asc, &mut enc);
-        }
-        if heap.len() < k {
-            heap.push((enc.clone(), r));
-        } else if let Some(worst) = heap.peek() {
-            if enc.as_slice() < worst.0.as_slice() {
-                heap.pop();
-                heap.push((enc.clone(), r));
-            }
-        }
-    }
-    let mut rows_in = data.rows;
-    let picked = heap.into_sorted_vec();
-    let mut rows = Vec::with_capacity(picked.len());
-    for (_, r) in picked {
-        rows.push(std::mem::replace(&mut rows_in[r], Row::new(Vec::new())));
-    }
-    obs.topk_rows_pruned.add((n - rows.len()) as u64);
-    Ok(Dataset::new(data.columns, rows))
-}
-
-/// A sort/TOP-K key column: either a direct reference into the input
-/// rows (bare-column keys encode straight from the stored values — no
-/// clone, no VM) or a materialized column of computed key values.
-enum KeyCol {
-    Col(usize),
-    Owned(Vec<Value>),
-}
-
-impl KeyCol {
-    fn at<'a>(&'a self, data: &'a Dataset, r: usize) -> &'a Value {
-        match self {
-            KeyCol::Col(i) => &data.rows[r].values[*i],
-            KeyCol::Owned(vals) => &vals[r],
-        }
-    }
-}
-
-/// Resolves each key expression to a [`KeyCol`]: bare columns borrow,
-/// anything else compiles — every key before any is evaluated.
-fn key_columns(data: &Dataset, exprs: &[&Expr]) -> Result<Vec<KeyCol>> {
-    enum Plan {
-        Col(usize),
-        Prog(Program),
-    }
-    let mut plans = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        plans.push(match e {
-            Expr::Column(name) => Plan::Col(resolve_column(name, &data.columns)?),
-            other => Plan::Prog(compile(other, &data.columns, None)?),
-        });
-    }
-    let mut vm = Vm::new();
-    plans
-        .into_iter()
-        .map(|plan| match plan {
-            Plan::Col(i) => Ok(KeyCol::Col(i)),
-            Plan::Prog(prog) => Ok(KeyCol::Owned(eval_column(&mut vm, data, &prog)?)),
-        })
-        .collect()
-}
-
-/// Evaluates `prog` over the whole dataset, batch-at-a-time, into one
-/// output column.
-fn eval_column(vm: &mut Vm, data: &Dataset, prog: &Program) -> Result<Vec<Value>> {
-    let mut col: Vec<Value> = Vec::with_capacity(data.rows.len());
-    for chunk in data.rows.chunks(BATCH) {
+/// Evaluates `prog` over `rows`, batch-at-a-time, into one output column.
+pub(crate) fn eval_column(vm: &mut Vm, rows: &[Row], prog: &Program) -> Result<Vec<Value>> {
+    let mut col: Vec<Value> = Vec::with_capacity(rows.len());
+    for chunk in rows.chunks(BATCH) {
         vm.eval(prog, chunk, &full_selection(chunk.len()), &mut col)
             .map_err(exec_err)?;
     }
@@ -1326,8 +1183,8 @@ fn hash_join(
     let mut left_keys = Vec::with_capacity(pairs.len());
     let mut right_keys = Vec::with_capacity(pairs.len());
     for (lp, rp) in left_progs.iter().zip(&right_progs) {
-        left_keys.push(eval_column(&mut vm, &left, lp)?);
-        right_keys.push(eval_column(&mut vm, &right, rp)?);
+        left_keys.push(eval_column(&mut vm, &left.rows, lp)?);
+        right_keys.push(eval_column(&mut vm, &right.rows, rp)?);
     }
 
     if !keys_hashable(&left_keys, &right_keys) {

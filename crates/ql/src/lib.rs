@@ -46,6 +46,7 @@ mod parser;
 mod plan;
 #[doc(hidden)]
 pub mod reference;
+mod sink;
 pub mod wire;
 
 pub use ast::{Expr, Select, ShowTarget, Statement};

@@ -253,7 +253,7 @@ fn sink_into_join(
 /// names (or `*`): it neither adds nor drops rows and renames nothing,
 /// so filters, limits and TOP-K fusion sink through it (like the paper's
 /// example where the filter sinks through `SELECT * FROM t`).
-fn is_pure_columns(items: &[(Expr, String)]) -> bool {
+pub(crate) fn is_pure_columns(items: &[(Expr, String)]) -> bool {
     items
         .iter()
         .all(|(e, name)| matches!(e, Expr::Column(c) if c == name) || matches!(e, Expr::Star))

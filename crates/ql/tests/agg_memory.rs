@@ -1,9 +1,9 @@
-//! Memory bound of aggregates over a stored table: `count(*)` and a
-//! `GROUP BY` fold the scan's batches as they arrive, so the bytes live
-//! at the peak of the query stay a few batches' worth whatever the table
-//! holds; a join under the aggregate holds the rows inside its input's
-//! pushed-down window, not the table. Its own test binary because the
-//! counting allocator is process-wide.
+//! Memory bound of aggregates and TOP-K over a stored table: `count(*)`,
+//! a `GROUP BY` and an `ORDER BY … LIMIT` take the scan's batches as they
+//! arrive, so the bytes live at the peak of the query stay a few batches'
+//! worth whatever the table holds; a join under the aggregate holds the
+//! rows inside its input's pushed-down window, not the table. Its own
+//! test binary because the counting allocator is process-wide.
 
 use just_core::{Engine, EngineConfig, SessionManager};
 use just_ql::{Client, QueryResult};
@@ -120,6 +120,8 @@ fn aggregates_over_a_stored_table_do_not_hold_it() {
     let count = "SELECT count(*) FROM orders";
     let grouped =
         "SELECT district, count(*) AS n, sum(amount) AS total FROM orders GROUP BY district";
+    // The benchmark's `topk` shape, over the whole table.
+    let top = "SELECT fid, amount FROM orders ORDER BY amount DESC LIMIT 10";
     // The benchmark's `join_agg` shape.
     let (x0, y0, x1, y1) = WINDOW;
     let joined = format!(
@@ -145,7 +147,10 @@ fn aggregates_over_a_stored_table_do_not_hold_it() {
         assert_eq!(groups.len(), 16);
         let n: i64 = groups.iter().map(|g| g[1].as_int().unwrap()).sum();
         assert_eq!(n, rows);
-        peaks.push((count_peak, group_peak));
+        let (kept, top_peak) = peak_of(&mut client, top);
+        assert_eq!(kept.len(), 10);
+        assert!(kept.iter().all(|r| r[1] == Value::Float(96.5)), "{kept:?}");
+        peaks.push((count_peak, group_peak, top_peak));
         let (groups, join_peak) = peak_of(&mut client, &joined);
         assert_eq!(groups.len(), 16);
         let n: i64 = groups.iter().map(|g| g[1].as_int().unwrap()).sum();
@@ -154,15 +159,18 @@ fn aggregates_over_a_stored_table_do_not_hold_it() {
     }
     std::fs::remove_dir_all(&dir).ok();
 
-    // 200 k rows held as `Vec<Row>` are over 50 MiB; folded batch by
-    // batch both queries peak near 0.4 MiB at either size.
-    let ((count_50k, group_50k), (count_200k, group_200k)) = (peaks[0], peaks[1]);
+    // 200 k rows held as `Vec<Row>` are over 50 MiB; taken batch by
+    // batch the three queries peak near 0.4 MiB at either size.
+    let ((count_50k, group_50k, top_50k), (count_200k, group_200k, top_200k)) =
+        (peaks[0], peaks[1]);
+    println!("peak live bytes (count, GROUP BY, TOP-K): {peaks:?}");
     assert!(
-        count_200k < 2 * MIB && group_200k < 2 * MIB,
-        "peak live bytes at 200 k rows: count(*) {count_200k}, GROUP BY {group_200k}"
+        count_200k < 2 * MIB && group_200k < 2 * MIB && top_200k < 2 * MIB,
+        "peak live bytes at 200 k rows: count(*) {count_200k}, GROUP BY {group_200k}, \
+         TOP-K {top_200k}"
     );
     assert!(
-        count_200k < 2 * count_50k && group_200k < 2 * group_50k,
+        count_200k < 2 * count_50k && group_200k < 2 * group_50k && top_200k < 2 * top_50k,
         "peak grows with the table: {peaks:?}"
     );
 

@@ -585,6 +585,75 @@ fn aggregate_folding_a_stored_scan_keeps_both_spans() {
 }
 
 #[test]
+fn benchmark_topk_gates_its_scan_and_keeps_k_rows() {
+    let (mut c, dir) = client("topk-gate");
+    // The benchmark's `orders` and its `topk` statement, over a window
+    // holding three scan batches' worth of rows.
+    c.execute(
+        "CREATE TABLE orders (fid integer:primary key, time date, geom point:srid=4326, \
+         amount float, district integer)",
+    )
+    .unwrap();
+    let tuples: Vec<String> = (0..3_000i64)
+        .map(|i| {
+            let (lng, lat) = (
+                116.0 + (i % 60) as f64 * 0.005,
+                39.0 + (i / 60) as f64 * 0.005,
+            );
+            let amount = (i * 7919) % 1000;
+            format!(
+                "({i}, {}, st_makePoint({lng}, {lat}), {amount}.5, {})",
+                i * HOUR_MS,
+                i % 16
+            )
+        })
+        .collect();
+    c.execute(&format!("INSERT INTO orders VALUES {}", tuples.join(", ")))
+        .unwrap();
+    let sql = "SELECT fid, amount FROM orders WHERE geom WITHIN \
+               st_makeMBR(115.99, 38.99, 116.31, 39.26) ORDER BY amount DESC LIMIT 10";
+    let (data, trace) = c.explain_analyze(sql).unwrap();
+
+    // Limit → topk → Project → Scan, as `EXPLAIN ANALYZE` shows it.
+    let execute = trace
+        .children(trace.root())
+        .into_iter()
+        .find(|&s| trace.name(s) == "execute")
+        .unwrap();
+    let limit = trace.children(execute)[0];
+    let topk = trace.children(limit)[0];
+    let project = trace.children(topk)[0];
+    let scan = trace.children(project)[0];
+    let names = [limit, topk, project, scan].map(|s| trace.name(s).to_string());
+    assert!(
+        names[0].starts_with("Limit") && names[1].starts_with("topk"),
+        "{names:?}"
+    );
+    assert!(
+        names[2].starts_with("Project") && names[3].starts_with("Scan [orders]"),
+        "{names:?}"
+    );
+    assert_eq!(trace.rows(topk), Some(10));
+    let (gated, keys) = (
+        trace.attr(scan, "rows_gated"),
+        trace.attr(scan, "keys_scanned"),
+    );
+    assert!(
+        gated > Some(0),
+        "the heap's threshold gated nothing: {gated:?} of {keys:?}"
+    );
+    // Only gate survivors reach TOP-K.
+    assert!(trace.rows(scan) < Some(3_000), "{:?}", trace.rows(scan));
+
+    let Statement::Query(q) = parse(sql).unwrap() else {
+        panic!("a query")
+    };
+    let plan = optimize(LogicalPlan::from_select(&q).unwrap()).unwrap();
+    assert_eq!(data, reference::run(c.session(), &plan).unwrap());
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn explain_and_executor_agree_on_aliased_scan_headers() {
     use just_ql::{optimize, parse, LogicalPlan, Statement};
     let (mut c, dir) = client("scan-header");

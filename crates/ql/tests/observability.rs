@@ -243,6 +243,44 @@ fn kill_query_cancels_a_scan_mid_stream() {
 }
 
 #[test]
+fn kill_query_cancels_a_sink_fed_by_a_stored_scan() {
+    let (engine, dir) = engine_with("killsink", EngineConfig::default());
+    let mut c = client_for(&engine, "obs");
+    setup_points(&mut c, 2100);
+    // A TOP-K and a GROUP BY straight off the scan, their volatile key or
+    // argument sleeping per row inside the sink: a computed key keeps
+    // TOP-K's gate off, but the batches still go through the sink driver.
+    for sql in [
+        "SELECT fid FROM pts ORDER BY sleep_ms(1) + fid LIMIT 3",
+        "SELECT count(*) AS n, sum(sleep_ms(1)) AS s FROM pts GROUP BY time",
+    ] {
+        let before = engine.io_snapshot();
+        let worker_engine = engine.clone();
+        let worker = std::thread::spawn(move || client_for(&worker_engine, "obs").execute(sql));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut id = None;
+        while id.is_none() && Instant::now() < deadline {
+            id = engine.queries().list().first().map(|q| q.id());
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let id = id.expect("query never registered");
+        while Instant::now() < deadline && engine.io_snapshot().since(&before).batches_emitted == 0
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        c.execute(&format!("KILL QUERY {id}")).unwrap();
+        let err = worker.join().unwrap().expect_err("query must be killed");
+        assert_eq!(err.code(), "CANCELLED", "{sql}");
+        let after = engine.io_snapshot().since(&before);
+        assert!(after.scan_early_terminations >= 1, "{sql}: {after:?}");
+        while Instant::now() < deadline && !engine.queries().list().is_empty() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn explain_analyze_is_listed_and_killable() {
     let (engine, dir) = engine_with("killexplain", EngineConfig::default());
     let mut c = client_for(&engine, "obs");

@@ -18,9 +18,10 @@
 //! the exact spatial/temporal predicate is checked against a cheap
 //! partial decode (rejected rows are never fully decoded — counted by
 //! `just_storage_rows_pruned_pushdown`), a column projection skips
-//! decoding unwanted fields, and dropping or cancelling the stream stops
-//! the underlying block reads mid-scan. [`StTable::query`] is that
-//! stream drained to a `Vec`.
+//! decoding unwanted fields, a consumer's [`RowGate`] can refuse rows
+//! from a few fields of its own before any of that, and dropping or
+//! cancelling the stream stops the underlying block reads mid-scan.
+//! [`StTable::query`] is that stream drained to a `Vec`.
 
 #![deny(missing_docs)]
 
@@ -34,7 +35,7 @@ pub use index::{IndexKind, IndexStrategy, ShardedPlan};
 pub use row::Row;
 pub use schema::{Field, FieldType, Schema};
 pub use sttable::{
-    QueryStream, RawQueryStream, RecordMeta, SpatialPredicate, StTable, StorageConfig,
+    QueryStream, RawQueryStream, RecordMeta, RowGate, SpatialPredicate, StTable, StorageConfig,
 };
 pub use value::Value;
 

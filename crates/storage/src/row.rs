@@ -19,7 +19,7 @@ use crate::{Result, StorageError};
 use just_compress::{varint, Codec};
 
 /// One record: values aligned with a [`Schema`]'s fields.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Row {
     /// The cell values, in field order.
     pub values: Vec<Value>,

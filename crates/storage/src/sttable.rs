@@ -9,6 +9,7 @@ use crate::{Result, StorageError};
 use just_curves::TimePeriod;
 use just_geo::{Geometry, LineString, Point, Rect};
 use just_kvstore::{Store, Table as KvTable};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
@@ -26,7 +27,9 @@ struct IndexObs {
     /// Rows rejected by the pushed-down exact predicate *before* their
     /// non-index fields were decoded.
     rows_pruned: just_obs::Counter,
-    /// Query latency, stream construction to its last batch.
+    /// Rows a consumer's [`RowGate`] refused before refine and decode.
+    rows_gated: just_obs::Counter,
+    /// Query latency, stream construction to exhaustion or drop.
     query_latency: just_obs::Histogram,
 }
 
@@ -40,6 +43,7 @@ fn index_obs() -> &'static IndexObs {
             keys_scanned: obs.counter("just_index_keys_scanned"),
             rows_matched: obs.counter("just_index_rows_matched"),
             rows_pruned: obs.counter("just_storage_rows_pruned_pushdown"),
+            rows_gated: obs.counter("just_storage_rows_gated"),
             query_latency: obs.histogram("just_storage_query_latency_us"),
         }
     })
@@ -148,14 +152,27 @@ pub(crate) fn fid_bytes(v: &Value) -> Result<Vec<u8>> {
 }
 
 /// Schema-level [`StTable::meta_of`]: extracts id bytes, geometry and the
-/// temporal extent. Only reads the index-relevant fields, so it works on
-/// rows partially decoded by [`Row::decode_masked`] with the meta mask.
-pub(crate) fn row_meta(schema: &Schema, row: &Row) -> Result<RecordMeta> {
+/// temporal extent.
+fn row_meta(schema: &Schema, row: &Row) -> Result<RecordMeta> {
     let fid_value = row
         .get(schema.fid_index())
         .ok_or_else(|| StorageError::SchemaMismatch("row missing id field".into()))?;
     let fid = fid_bytes(fid_value)?;
+    let (geom, t_min, t_max) = row_extent(schema, row)?;
+    Ok(RecordMeta {
+        fid,
+        geom: geom.map(Cow::into_owned),
+        t_min,
+        t_max,
+    })
+}
 
+/// A row's indexed geometry and temporal extent (explicit `time` /
+/// `time_end` fields, else the GPS list's span), read in place: only a
+/// GPS list's line has to be built. Reads the geometry and time fields
+/// alone, so it works on rows [`Row::decode_masked`] left the rest of
+/// `Null`.
+fn row_extent<'r>(schema: &Schema, row: &'r Row) -> Result<(Option<Cow<'r, Geometry>>, i64, i64)> {
     let (geom, gps_span) = match schema.geom_index() {
         None => (None, None),
         Some(geom_idx) => {
@@ -163,7 +180,7 @@ pub(crate) fn row_meta(schema: &Schema, row: &Row) -> Result<RecordMeta> {
                 .get(geom_idx)
                 .ok_or_else(|| StorageError::SchemaMismatch("row missing geometry".into()))?;
             match geom_value {
-                Value::Geom(g) => (Some(g.clone()), None),
+                Value::Geom(g) => (Some(Cow::Borrowed(g)), None),
                 Value::GpsList(samples) if !samples.is_empty() => {
                     let pts: Vec<Point> =
                         samples.iter().map(|s| Point::new(s.lng, s.lat)).collect();
@@ -171,7 +188,8 @@ pub(crate) fn row_meta(schema: &Schema, row: &Row) -> Result<RecordMeta> {
                         samples.iter().map(|s| s.time_ms).min().unwrap(),
                         samples.iter().map(|s| s.time_ms).max().unwrap(),
                     );
-                    (Some(Geometry::LineString(LineString::new(pts))), Some(span))
+                    let line = Geometry::LineString(LineString::new(pts));
+                    (Some(Cow::Owned(line)), Some(span))
                 }
                 other => {
                     return Err(StorageError::SchemaMismatch(format!(
@@ -196,12 +214,7 @@ pub(crate) fn row_meta(schema: &Schema, row: &Row) -> Result<RecordMeta> {
         (None, _, Some((a, b))) => (a, b),
         (None, _, None) => (0, 0),
     };
-    Ok(RecordMeta {
-        fid,
-        geom,
-        t_min,
-        t_max,
-    })
+    Ok((geom, t_min, t_max))
 }
 
 impl StTable {
@@ -482,14 +495,17 @@ impl StTable {
     /// windows on the temporal primary clamp to the observed data
     /// bounds.
     ///
-    /// Per entry the stream decodes only the index-relevant fields
+    /// Per entry the stream decodes only the geometry and time fields
     /// ([`Row::decode_masked`]), applies the exact spatial/temporal
-    /// predicate, and pays full field decode (including GPS-list
-    /// decompression) only for survivors; rejected rows count toward
-    /// `just_storage_rows_pruned_pushdown`. `projection` limits which
-    /// field indices of surviving rows are decoded at all — undecoded
-    /// slots surface as [`Value::Null`] at full schema arity. Pass
-    /// `None` to decode every field.
+    /// predicate to them in place, and pays full field decode (including
+    /// GPS-list decompression) only for survivors; rejected rows count
+    /// toward `just_storage_rows_pruned_pushdown`. A consumer that can
+    /// rule rows out from a few fields of its own has
+    /// [`QueryStream::next_batch_gated`] check those first.
+    ///
+    /// `projection` limits which field indices of surviving rows are
+    /// decoded at all — undecoded slots surface as [`Value::Null`] at
+    /// full schema arity. Pass `None` to decode every field.
     ///
     /// Cancellation (via `opts.cancel` or simply dropping the stream)
     /// stops the underlying block reads mid-range.
@@ -532,16 +548,16 @@ impl StTable {
     ) -> QueryStream {
         let len = self.schema.len();
         let filtering = spatial.is_some() || time.is_some();
-        let mut meta_mask = vec![false; len];
-        meta_mask[self.schema.fid_index()] = true;
-        if let Some(i) = self.schema.geom_index() {
-            meta_mask[i] = true;
-        }
-        if let Some(i) = self.schema.time_index() {
-            meta_mask[i] = true;
-        }
-        if let Some(i) = self.schema.time_end_index() {
-            meta_mask[i] = true;
+        let mut refine_mask = vec![false; len];
+        for i in [
+            self.schema.geom_index(),
+            self.schema.time_index(),
+            self.schema.time_end_index(),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            refine_mask[i] = true;
         }
         let fill_mask = projection.map(|idxs| {
             let mut m = vec![false; len];
@@ -552,15 +568,15 @@ impl StTable {
             }
             m
         });
-        // What survivors still need after the meta-phase decode.
+        // What survivors still need after the refine-phase decode.
         let post_mask = if filtering {
             let m: Vec<bool> = match &fill_mask {
                 Some(fm) => fm
                     .iter()
-                    .zip(&meta_mask)
-                    .map(|(f, mm)| *f && !*mm)
+                    .zip(&refine_mask)
+                    .map(|(f, rm)| *f && !*rm)
                     .collect(),
-                None => meta_mask.iter().map(|mm| !*mm).collect(),
+                None => refine_mask.iter().map(|rm| !*rm).collect(),
             };
             m.iter().any(|&b| b).then_some(m)
         } else {
@@ -573,7 +589,7 @@ impl StTable {
             time,
             predicate,
             filtering,
-            meta_mask,
+            refine_mask,
             fill_mask,
             post_mask,
             started: std::time::Instant::now(),
@@ -659,18 +675,30 @@ pub struct QueryStream {
     time: Option<(i64, i64)>,
     predicate: SpatialPredicate,
     /// Whether any exact predicate is active. With no window there is
-    /// nothing to refine, so the per-row meta extraction (fid
-    /// canonicalisation + geometry reconstruction) is skipped wholesale.
+    /// nothing to refine, so the refine decode is skipped wholesale.
     filtering: bool,
-    /// Index-relevant fields (id, geometry, time): decoded first.
-    meta_mask: Vec<bool>,
+    /// The fields refine reads (geometry, time): decoded first.
+    refine_mask: Vec<bool>,
     /// Projected fields (`None` = all). Undecoded slots stay `Null`.
     fill_mask: Option<Vec<bool>>,
-    /// Fields survivors still need after the meta phase (`None` = the
-    /// meta phase already decoded everything the projection wants).
+    /// Fields survivors still need after the refine phase (`None` = the
+    /// refine phase already decoded everything the projection wants).
     post_mask: Option<Vec<bool>>,
     started: std::time::Instant,
+    /// The latency sample is recorded: at exhaustion, or on drop.
     done: bool,
+}
+
+/// A check a consumer hands [`QueryStream::next_batch_gated`]: the stream
+/// decodes only [`RowGate::fields`] of each entry and asks the gate
+/// before refine and before any other decode. A gate may only refuse
+/// rows its consumer would drop whatever their other fields hold.
+pub trait RowGate {
+    /// Schema field indices [`RowGate::pass`] reads.
+    fn fields(&self) -> &[usize];
+    /// Whether a row with only [`RowGate::fields`] decoded (every other
+    /// slot `Null`) goes on to refine and decode.
+    fn pass(&mut self, row: &Row) -> bool;
 }
 
 impl QueryStream {
@@ -688,58 +716,96 @@ impl QueryStream {
     /// are drained (or the stream was cancelled). Batches where every
     /// row was pruned are skipped, so a returned batch is non-empty.
     pub fn next_batch(&mut self) -> Result<Option<Vec<Row>>> {
+        self.next_batch_gated(None)
+    }
+
+    /// [`QueryStream::next_batch`] behind `gate`: each entry decodes the
+    /// gate's fields alone and is asked first, and only the rows it
+    /// passes are refined and decoded further. Entries it refuses count
+    /// toward `just_storage_rows_gated`, not the pushdown prune count.
+    pub fn next_batch_gated(
+        &mut self,
+        mut gate: Option<&mut (dyn RowGate + '_)>,
+    ) -> Result<Option<Vec<Row>>> {
         if self.done {
             return Ok(None);
         }
         let obs = index_obs();
+        // The gate's fields decode into one row reused across entries.
+        let len = self.schema.len();
+        let mut probe = gate.as_ref().map(|g| {
+            let mut mask = vec![false; len];
+            for &i in g.fields().iter().filter(|&&i| i < len) {
+                mask[i] = true;
+            }
+            (mask, Row::new(vec![Value::Null; len]))
+        });
         loop {
             let Some(entries) = self.inner.next_batch()? else {
-                self.done = true;
-                obs.query_latency.record_duration(self.started.elapsed());
+                self.finish();
                 return Ok(None);
             };
             obs.keys_scanned.add(entries.len() as u64);
             let mut rows = Vec::with_capacity(entries.len());
+            let mut gated = 0;
             for e in &entries {
-                if !self.filtering {
-                    rows.push(match &self.fill_mask {
-                        Some(mask) => Row::decode_masked(&self.schema, &e.value, mask)?,
-                        None => Row::decode(&self.schema, &e.value)?,
-                    });
-                    continue;
-                }
-                // Phase 1: decode only the index digest and filter.
-                let mut row = Row::decode_masked(&self.schema, &e.value, &self.meta_mask)?;
-                let meta = row_meta(&self.schema, &row)?;
-                if let Some(rect) = &self.spatial {
-                    let ok = match (&meta.geom, self.predicate) {
-                        (None, _) => false,
-                        (Some(g), SpatialPredicate::Intersects) => g.intersects_rect(rect),
-                        (Some(g), SpatialPredicate::Within) => g.within_rect(rect),
-                    };
-                    if !ok {
-                        obs.rows_pruned.inc();
+                if let (Some(gate), Some((mask, probe))) = (gate.as_deref_mut(), &mut probe) {
+                    probe.fill_masked(&self.schema, &e.value, mask)?;
+                    if !gate.pass(probe) {
+                        gated += 1;
                         continue;
                     }
                 }
-                if let Some((t_min, t_max)) = self.time {
-                    if meta.t_max < t_min || meta.t_min > t_max {
-                        obs.rows_pruned.inc();
-                        continue;
-                    }
-                }
-                // Phase 2: survivors pay for the rest of their fields.
-                if let Some(mask) = &self.post_mask {
-                    row.fill_masked(&self.schema, &e.value, mask)?;
-                }
-                rows.push(row);
+                rows.extend(self.refine_decode(&e.value)?);
             }
+            obs.rows_gated.add(gated);
             obs.rows_matched.add(rows.len() as u64);
             if !rows.is_empty() {
                 return Ok(Some(rows));
             }
-            // Every entry pruned: keep pulling rather than yield an
-            // empty batch.
+            // Every entry gated or pruned: keep pulling rather than yield
+            // an empty batch.
+        }
+    }
+
+    /// One entry through refine and projection: `None` when the exact
+    /// predicate prunes it (counted), else its projected fields decoded.
+    fn refine_decode(&self, value: &[u8]) -> Result<Option<Row>> {
+        if !self.filtering {
+            return Ok(Some(match &self.fill_mask {
+                Some(mask) => Row::decode_masked(&self.schema, value, mask)?,
+                None => Row::decode(&self.schema, value)?,
+            }));
+        }
+        // Phase 1: decode only what refine reads, and check it in place.
+        let mut row = Row::decode_masked(&self.schema, value, &self.refine_mask)?;
+        let (geom, t_min, t_max) = row_extent(&self.schema, &row)?;
+        let inside = match (&self.spatial, geom) {
+            (None, _) => true,
+            (Some(_), None) => false,
+            (Some(rect), Some(g)) => match self.predicate {
+                SpatialPredicate::Intersects => g.intersects_rect(rect),
+                SpatialPredicate::Within => g.within_rect(rect),
+            },
+        };
+        let overlaps = self.time.is_none_or(|(lo, hi)| t_max >= lo && t_min <= hi);
+        if !(inside && overlaps) {
+            index_obs().rows_pruned.inc();
+            return Ok(None);
+        }
+        // Phase 2: survivors pay for the rest of their fields.
+        if let Some(mask) = &self.post_mask {
+            row.fill_masked(&self.schema, value, mask)?;
+        }
+        Ok(Some(row))
+    }
+
+    /// Records the stream's one latency sample, if it has not yet.
+    fn finish(&mut self) {
+        if !std::mem::replace(&mut self.done, true) {
+            index_obs()
+                .query_latency
+                .record_duration(self.started.elapsed());
         }
     }
 
@@ -750,6 +816,14 @@ impl QueryStream {
             rows.extend(batch);
         }
         Ok(rows)
+    }
+}
+
+/// A stream a satisfied `LIMIT`, a kill or an error stopped early still
+/// records its latency, once.
+impl Drop for QueryStream {
+    fn drop(&mut self) {
+        self.finish();
     }
 }
 
@@ -883,6 +957,57 @@ mod tests {
             index_obs().rows_pruned.get() > before,
             "pushdown pruning must be counted"
         );
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Refuses every row, remembering what it was shown.
+    struct RefuseAll {
+        fields: Vec<usize>,
+        asked: usize,
+        saw_other_field: bool,
+    }
+
+    impl RowGate for RefuseAll {
+        fn fields(&self) -> &[usize] {
+            &self.fields
+        }
+
+        fn pass(&mut self, row: &Row) -> bool {
+            self.asked += 1;
+            let other = |(i, v): (usize, &Value)| !self.fields.contains(&i) && !v.is_null();
+            self.saw_other_field |= row.values.iter().enumerate().any(other);
+            false
+        }
+    }
+
+    #[test]
+    fn a_gate_refusing_everything_yields_nothing_and_decodes_only_its_fields() {
+        let (s, dir) = store("gate");
+        let t = StTable::create(&s, "orders", order_schema(), StorageConfig::default()).unwrap();
+        for i in 0..300 {
+            t.insert(&order_row(i, 116.0 + i as f64 * 0.001, 39.0, i * HOUR_MS))
+                .unwrap();
+        }
+        let window = Rect::new(115.9, 38.9, 116.5, 39.1);
+        let opts = just_kvstore::ScanOptions {
+            batch_rows: 64,
+            ..Default::default()
+        };
+        let mut stream = t.query_stream(Some(&window), None, SpatialPredicate::Within, None, opts);
+        // The gate reads `time` (field 1) alone.
+        let mut gate = RefuseAll {
+            fields: vec![1],
+            asked: 0,
+            saw_other_field: false,
+        };
+        let gated = index_obs().rows_gated.get();
+        assert!(stream.next_batch_gated(Some(&mut gate)).unwrap().is_none());
+        assert_eq!(
+            gate.asked, 300,
+            "every entry is asked, over several batches"
+        );
+        assert!(!gate.saw_other_field, "only the gate's field is decoded");
+        assert!(index_obs().rows_gated.get() >= gated + 300);
         std::fs::remove_dir_all(dir).ok();
     }
 
