@@ -134,15 +134,16 @@ pub fn knn(table: &StTable, q: Point, k: usize, config: &KnnConfig) -> Result<Ve
         let mut hits =
             table.query_raw_stream(Some(&area.rect), None, just_storage::ScanOptions::default());
         while let Some(batch) = hits.next_batch()? {
-            for entry in batch {
+            for (key, value) in batch.iter() {
                 // Overlapping scan ranges and quadrant boundaries surface
                 // the same record repeatedly; dedupe on the storage key
                 // *before* paying for row decode (which may decompress a
-                // GPS list).
-                if !seen.insert(entry.key.clone()) {
+                // GPS list), and copy a key only the first time.
+                if seen.contains(key) {
                     continue;
                 }
-                let row = table.decode_entry(&entry)?;
+                seen.insert(key.to_vec());
+                let row = table.decode_entry(value)?;
                 let meta = table.meta_of(&row)?;
                 let Some(geom) = &meta.geom else { continue };
                 let dist = geom.distance_to_point(&q);
@@ -157,12 +158,6 @@ pub fn knn(table: &StTable, q: Point, k: usize, config: &KnnConfig) -> Result<Ve
         }
     }
 
-    if std::env::var_os("JUST_KNN_DEBUG").is_some() {
-        eprintln!(
-            "knn: {range_queries} range queries, {} candidates",
-            seen.len()
-        );
-    }
     let mut results: Vec<(Row, f64)> = cq.into_iter().map(|c| (c.row, c.dist)).collect();
     results.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal));
     Ok(results)

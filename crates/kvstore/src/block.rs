@@ -16,6 +16,17 @@
 //! ```
 //!
 //! `vflag = 0` marks a tombstone and `vflag = len(value)+1` a live value.
+//!
+//! A [`Block`] shares its bytes with the block cache (an `Arc`, never a
+//! copy), and every read walks it with a [`BlockCursor`]: the cursor sits
+//! on one entry at a time and lends its key and value as slices — the
+//! key out of one buffer that prefix decoding rewrites in place, the
+//! value straight out of the block. [`BlockCursor::seek`] compares the
+//! restart keys where they lie in the block; nothing is allocated per
+//! entry. [`Block::validate`] walks the same framing with key lengths
+//! alone, and the SSTable reader serves no block it has not validated.
+
+use std::sync::Arc;
 
 /// Target on-disk block size in bytes (entries never split: a block can
 /// exceed this by one oversized entry).
@@ -37,7 +48,7 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
+fn read_varint(buf: &[u8], pos: &mut usize) -> Option<usize> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -45,7 +56,7 @@ fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
         *pos += 1;
         v |= u64::from(b & 0x7f) << shift;
         if b & 0x80 == 0 {
-            return Some(v);
+            return usize::try_from(v).ok();
         }
         shift += 7;
         if shift >= 64 {
@@ -61,15 +72,6 @@ fn shared_prefix_len(a: &[u8], b: &[u8]) -> usize {
         i += 1;
     }
     i
-}
-
-/// One decoded entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockEntry {
-    /// The key bytes.
-    pub key: Vec<u8>,
-    /// `None` marks a tombstone (deleted key).
-    pub value: Option<Vec<u8>>,
 }
 
 /// Accumulates entries into an encoded block.
@@ -145,10 +147,41 @@ impl BlockBuilder {
     }
 }
 
-/// A decoded (or decodable) block.
+/// One entry's framing: where its key suffix and its value (`None` for a
+/// tombstone) lie, and where the entry ends.
+struct Framing {
+    shared: usize,
+    suffix: (usize, usize),
+    value: Option<(usize, usize)>,
+    end: usize,
+}
+
+/// Decodes the framing of the entry at `pos`; `None` when it does not
+/// fit in `entries`.
+fn frame(entries: &[u8], mut pos: usize) -> Option<Framing> {
+    let shared = read_varint(entries, &mut pos)?;
+    let unshared = read_varint(entries, &mut pos)?;
+    let vflag = read_varint(entries, &mut pos)?;
+    let kend = pos.checked_add(unshared).filter(|&e| e <= entries.len())?;
+    let value = match vflag {
+        0 => None,
+        n => Some((
+            kend,
+            kend.checked_add(n - 1).filter(|&e| e <= entries.len())?,
+        )),
+    };
+    Some(Framing {
+        shared,
+        suffix: (pos, kend),
+        value,
+        end: value.map_or(kend, |(_, vend)| vend),
+    })
+}
+
+/// An encoded block: its bytes, shared with the block cache.
 #[derive(Debug)]
 pub(crate) struct Block {
-    data: Vec<u8>,
+    data: Arc<Vec<u8>>,
     /// Byte offset where entry data ends and the restart array begins
     /// (`usize::MAX` for a malformed trailer).
     entries_end: usize,
@@ -158,8 +191,8 @@ pub(crate) struct Block {
 impl Block {
     /// Wraps raw block bytes. The restart trailer is parsed (and
     /// bounds-checked) up front; a malformed trailer yields a block that
-    /// fails [`Block::validate`].
-    pub(crate) fn new(data: Vec<u8>) -> Self {
+    /// fails [`Block::validate`] and has no entries.
+    pub(crate) fn new(data: Arc<Vec<u8>>) -> Self {
         let (entries_end, restart_count) = parse_trailer(&data).unwrap_or((usize::MAX, 0));
         Block {
             data,
@@ -168,59 +201,9 @@ impl Block {
         }
     }
 
-    /// Iterates entries in key order. Corrupt framing ends iteration with
-    /// a `None` from the iterator and is surfaced by [`Block::validate`].
-    pub(crate) fn iter(&self) -> BlockIter<'_> {
-        BlockIter {
-            buf: &self.data,
-            pos: if self.entries_end == usize::MAX { 1 } else { 0 },
-            end: if self.entries_end == usize::MAX {
-                0
-            } else {
-                self.entries_end
-            },
-            key: Vec::new(),
-            pending: None,
-        }
-    }
-
-    /// An iterator positioned at the first entry with `key >= target`:
-    /// binary-searches the restart array (full keys live at restart
-    /// points) and decodes at most one restart interval.
-    pub(crate) fn seek_iter(&self, target: &[u8]) -> BlockIter<'_> {
-        let mut it = self.iter();
-        // Largest restart whose key <= target (binary search); start
-        // decoding there. If even restart 0 is > target the block start
-        // is already the answer.
-        let (mut lo, mut hi) = (0usize, self.restart_count);
-        // Invariant: restart keys before `lo` are <= target (or lo==0),
-        // restart keys at/after `hi` are > target.
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match self.restart_key(mid) {
-                Some(k) if k.as_slice() <= target => lo = mid + 1,
-                Some(_) => hi = mid,
-                None => {
-                    // Corrupt restart offset: poison and bail.
-                    it.pos = it.end + 1;
-                    return it;
-                }
-            }
-        }
-        if lo > 0 {
-            if let Some(off) = self.restart_offset(lo - 1) {
-                it.pos = off;
-                it.key.clear();
-            }
-        }
-        // Linear within the interval.
-        while let Some(e) = it.next() {
-            if e.key.as_slice() >= target {
-                it.pending = Some(e);
-                break;
-            }
-        }
-        it
+    /// The entry bytes, before the restart array.
+    fn entries(&self) -> &[u8] {
+        self.data.get(..self.entries_end).unwrap_or_default()
     }
 
     fn restart_offset(&self, i: usize) -> Option<usize> {
@@ -230,39 +213,35 @@ impl Block {
         (off < self.entries_end).then_some(off)
     }
 
-    /// Decodes the full key stored at restart point `i` (restart entries
-    /// always have `shared == 0`).
-    fn restart_key(&self, i: usize) -> Option<Vec<u8>> {
-        let mut pos = self.restart_offset(i)?;
-        let buf = &self.data[..self.entries_end];
-        let shared = read_varint(buf, &mut pos)?;
-        if shared != 0 {
-            return None;
-        }
-        let unshared = read_varint(buf, &mut pos)? as usize;
-        read_varint(buf, &mut pos)?; // vflag, skipped
-        buf.get(pos..pos.checked_add(unshared)?).map(|s| s.to_vec())
+    /// The full key stored at restart point `i`, where it lies in the
+    /// block (restart entries always have `shared == 0`).
+    fn restart_key(&self, i: usize) -> Option<&[u8]> {
+        let entries = self.entries();
+        let f = frame(entries, self.restart_offset(i)?)?;
+        (f.shared == 0).then(|| &entries[f.suffix.0..f.suffix.1])
     }
 
-    /// Checks that the whole block parses.
+    /// Checks that the whole block parses: every entry's framing fits and
+    /// shares no more than the previous key holds, the entries end exactly
+    /// where the restart array begins, and every restart point holds a
+    /// full key.
     pub(crate) fn validate(&self) -> bool {
         if self.entries_end == usize::MAX {
             return false;
         }
-        let mut it = self.iter();
-        let mut n = 0usize;
-        for _ in it.by_ref() {
-            n += 1;
+        let entries = self.entries();
+        let (mut pos, mut key_len) = (0, 0);
+        while pos < entries.len() {
+            match frame(entries, pos) {
+                Some(f) if f.shared <= key_len => {
+                    key_len = f.shared + (f.suffix.1 - f.suffix.0);
+                    pos = f.end;
+                }
+                _ => return false,
+            }
         }
-        if it.pos != it.end {
-            return false;
-        }
-        // Every restart offset must point at a decodable full key and the
-        // restart count must cover the entries present.
-        if n > 0 && self.restart_count == 0 {
-            return false;
-        }
-        (0..self.restart_count).all(|i| self.restart_key(i).is_some())
+        (entries.is_empty() || self.restart_count > 0)
+            && (0..self.restart_count).all(|i| self.restart_key(i).is_some())
     }
 }
 
@@ -279,94 +258,145 @@ fn parse_trailer(data: &[u8]) -> Option<(usize, usize)> {
     Some((data.len() - trailer, count))
 }
 
-/// Streaming decoder over a block's entries.
+/// A position in one block. A new cursor sits before the first entry;
+/// [`BlockCursor::next`] and [`BlockCursor::seek`] move it onto an entry,
+/// whose key and value it then lends. Malformed framing ends the walk as
+/// the end of the block does (served blocks are validated first).
 #[derive(Debug)]
-pub(crate) struct BlockIter<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    end: usize,
-    /// Prefix state: the previous entry's full key.
+pub(crate) struct BlockCursor {
+    block: Block,
+    /// Offset of the entry after the current one.
+    next: usize,
+    /// The current entry's full key, rebuilt in place entry by entry.
     key: Vec<u8>,
-    /// An entry decoded ahead by [`Block::seek_iter`].
-    pending: Option<BlockEntry>,
+    /// The current entry's value bytes; `None` for a tombstone.
+    value: Option<(usize, usize)>,
 }
 
-impl<'a> BlockIter<'a> {
-    fn poison(&mut self) {
-        self.pos = self.end + 1; // validate() fails
+impl BlockCursor {
+    pub(crate) fn new(block: Block) -> Self {
+        BlockCursor {
+            block,
+            next: 0,
+            key: Vec::new(),
+            value: None,
+        }
     }
 
-    fn read_value(&mut self, vflag: u64) -> Option<Option<Vec<u8>>> {
-        if vflag == 0 {
-            return Some(None);
-        }
-        let vlen = (vflag - 1) as usize;
-        let vend = self.pos.checked_add(vlen)?;
-        if vend > self.end {
-            self.poison();
-            return None;
-        }
-        let v = self.buf[self.pos..vend].to_vec();
-        self.pos = vend;
-        Some(Some(v))
+    /// Moves to a fresh block, keeping the key buffer.
+    pub(crate) fn reset(&mut self, block: Block) {
+        self.block = block;
+        self.next = 0;
+        self.key.clear();
     }
-}
 
-impl<'a> Iterator for BlockIter<'a> {
-    type Item = BlockEntry;
+    /// Moves onto the next entry; `false` past the last one.
+    pub(crate) fn next(&mut self) -> bool {
+        let entries = self.block.entries();
+        match frame(entries, self.next) {
+            Some(f) if f.shared <= self.key.len() => {
+                self.key.truncate(f.shared);
+                self.key.extend_from_slice(&entries[f.suffix.0..f.suffix.1]);
+                self.value = f.value;
+                self.next = f.end;
+                true
+            }
+            _ => {
+                self.next = usize::MAX;
+                false
+            }
+        }
+    }
 
-    fn next(&mut self) -> Option<BlockEntry> {
-        if let Some(e) = self.pending.take() {
-            return Some(e);
+    /// Moves onto the first entry with `key >= target`; `false` when the
+    /// block holds none. Binary-searches the restart keys, then decodes
+    /// at most one restart interval.
+    pub(crate) fn seek(&mut self, target: &[u8]) -> bool {
+        // Restart keys before `lo` are <= target, those at or after `hi`
+        // are > target.
+        let (mut lo, mut hi) = (0, self.block.restart_count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.block.restart_key(mid) {
+                Some(k) if k <= target => lo = mid + 1,
+                Some(_) => hi = mid,
+                None => {
+                    self.next = usize::MAX;
+                    return false;
+                }
+            }
         }
-        if self.pos >= self.end {
-            return None;
+        self.next = match lo {
+            0 => 0,
+            _ => self.block.restart_offset(lo - 1).unwrap_or(usize::MAX),
+        };
+        self.key.clear();
+        while self.next() {
+            if self.key.as_slice() >= target {
+                return true;
+            }
         }
-        let entries = &self.buf[..self.end];
-        let shared = read_varint(entries, &mut self.pos)? as usize;
-        let unshared = read_varint(entries, &mut self.pos)? as usize;
-        let vflag = read_varint(entries, &mut self.pos)?;
-        if shared > self.key.len() {
-            self.poison();
-            return None;
-        }
-        let kend = self.pos.checked_add(unshared)?;
-        if kend > self.end {
-            self.poison();
-            return None;
-        }
-        self.key.truncate(shared);
-        self.key.extend_from_slice(&entries[self.pos..kend]);
-        self.pos = kend;
-        let value = self.read_value(vflag)?;
-        Some(BlockEntry {
-            key: self.key.clone(),
-            value,
-        })
+        false
+    }
+
+    /// The current entry's key.
+    pub(crate) fn key(&self) -> &[u8] {
+        &self.key
+    }
+
+    /// The current entry's value; `None` for a tombstone.
+    pub(crate) fn value(&self) -> Option<&[u8]> {
+        self.value.map(|(start, end)| &self.block.data[start..end])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use just_obs::Rng;
+
+    type Entry = (Vec<u8>, Option<Vec<u8>>);
+
+    fn block(bytes: Vec<u8>) -> Block {
+        Block::new(Arc::new(bytes))
+    }
 
     fn roundtrip(entries: &[(&[u8], Option<&[u8]>)]) -> Block {
         let mut b = BlockBuilder::new();
         for (k, v) in entries {
             b.add(k, *v);
         }
-        Block::new(b.finish())
+        block(b.finish())
+    }
+
+    /// Every entry from the cursor's position on, owned.
+    fn rest(c: &mut BlockCursor) -> Vec<Entry> {
+        let mut out = Vec::new();
+        while c.next() {
+            out.push((c.key().to_vec(), c.value().map(<[u8]>::to_vec)));
+        }
+        out
+    }
+
+    fn all(block: Block) -> Vec<Entry> {
+        rest(&mut BlockCursor::new(block))
+    }
+
+    /// The key a fresh cursor seeks to, if any.
+    fn seek(block: &Block, target: &[u8]) -> Option<Vec<u8>> {
+        let mut c = BlockCursor::new(Block::new(block.data.clone()));
+        c.seek(target).then(|| c.key().to_vec())
     }
 
     #[test]
     fn roundtrip_entries_with_tombstones() {
         let block = roundtrip(&[(b"a", Some(b"1")), (b"b", None), (b"c", Some(b""))]);
-        let entries: Vec<_> = block.iter().collect();
-        assert_eq!(entries.len(), 3);
-        assert_eq!(entries[0].value.as_deref(), Some(&b"1"[..]));
-        assert_eq!(entries[1].value, None);
-        assert_eq!(entries[2].value.as_deref(), Some(&b""[..]));
         assert!(block.validate());
+        let entries = all(block);
+        assert_eq!(entries.len(), 3);
+        assert_eq!(entries[0].1.as_deref(), Some(&b"1"[..]));
+        assert_eq!(entries[1].1, None);
+        assert_eq!(entries[2].1.as_deref(), Some(&b""[..]));
     }
 
     #[test]
@@ -376,7 +406,7 @@ mod tests {
         b.add(b"key-bbbb", Some(b"value"));
         let mut bytes = b.finish();
         bytes.truncate(bytes.len() - 2);
-        assert!(!Block::new(bytes).validate());
+        assert!(!block(bytes).validate());
     }
 
     #[test]
@@ -404,33 +434,33 @@ mod tests {
             "prefix compression should save >30%: raw={raw} encoded={encoded}"
         );
         // And the compressed form still decodes identically.
-        let block = Block::new(v2.finish());
-        let decoded: Vec<_> = block.iter().map(|e| e.key).collect();
+        let block = block(v2.finish());
+        assert!(block.validate());
+        let decoded: Vec<_> = all(block).into_iter().map(|e| e.0).collect();
         assert_eq!(decoded.len(), keys.len());
         for (d, k) in decoded.iter().zip(&keys) {
             assert_eq!(d, k.as_bytes());
         }
-        assert!(block.validate());
     }
 
     #[test]
     fn v2_empty_block() {
         let b = BlockBuilder::new();
         assert!(b.is_empty());
-        let block = Block::new(b.finish());
-        assert_eq!(block.iter().count(), 0);
+        let block = block(b.finish());
         assert!(block.validate());
-        assert!(block.seek_iter(b"anything").next().is_none());
+        assert_eq!(seek(&block, b"anything"), None);
+        assert!(all(block).is_empty());
     }
 
     #[test]
     fn v2_single_entry_block() {
         let block = roundtrip(&[(b"only", Some(b"v"))]);
         assert!(block.validate());
-        assert_eq!(block.iter().count(), 1);
-        assert_eq!(block.seek_iter(b"a").next().unwrap().key, b"only");
-        assert_eq!(block.seek_iter(b"only").next().unwrap().key, b"only");
-        assert!(block.seek_iter(b"z").next().is_none());
+        assert_eq!(seek(&block, b"a").unwrap(), b"only");
+        assert_eq!(seek(&block, b"only").unwrap(), b"only");
+        assert_eq!(seek(&block, b"z"), None);
+        assert_eq!(all(block).len(), 1);
     }
 
     #[test]
@@ -445,7 +475,9 @@ mod tests {
             (b"ab", Some(b"4")),
         ]);
         assert!(block.validate());
-        let keys: Vec<_> = block.iter().map(|e| e.key).collect();
+        assert_eq!(seek(&block, b"aaa").unwrap(), b"aaa");
+        assert_eq!(seek(&block, b"aab").unwrap(), b"ab");
+        let keys: Vec<_> = all(block).into_iter().map(|e| e.0).collect();
         assert_eq!(
             keys,
             vec![
@@ -456,8 +488,6 @@ mod tests {
                 b"ab".to_vec()
             ]
         );
-        assert_eq!(block.seek_iter(b"aaa").next().unwrap().key, b"aaa");
-        assert_eq!(block.seek_iter(b"aab").next().unwrap().key, b"ab");
     }
 
     #[test]
@@ -472,26 +502,28 @@ mod tests {
         for k in &keys {
             b.add(k, Some(b"v"));
         }
-        let block = Block::new(b.finish());
+        let block = block(b.finish());
         assert!(block.validate());
         for (i, k) in keys.iter().enumerate() {
             // Exact hit.
-            assert_eq!(&block.seek_iter(k).next().unwrap().key, k, "exact {i}");
+            assert_eq!(seek(&block, k).as_ref(), Some(k), "exact {i}");
             // Between keys: key-{3i+1} seeks to the next entry.
             let between = format!("key-{:06}", i as u32 * 3 + 1).into_bytes();
-            let next = block.seek_iter(&between).next();
-            match keys.get(i + 1) {
-                Some(nk) => assert_eq!(&next.unwrap().key, nk, "between {i}"),
-                None => assert!(next.is_none(), "past end"),
-            }
+            assert_eq!(
+                seek(&block, &between).as_ref(),
+                keys.get(i + 1),
+                "between {i}"
+            );
         }
         // Before the first key.
-        assert_eq!(block.seek_iter(b"").next().unwrap().key, keys[0]);
-        // Iterating from a seek yields the ordered tail.
-        let tail: Vec<_> = block.seek_iter(&keys[50]).map(|e| e.key).collect();
-        assert_eq!(tail.len(), 50);
-        assert_eq!(tail[0], keys[50]);
-        assert_eq!(tail[49], keys[99]);
+        assert_eq!(seek(&block, b"").unwrap(), keys[0]);
+        // Walking on from a seek yields the ordered tail.
+        let mut c = BlockCursor::new(block);
+        assert!(c.seek(&keys[50]));
+        let tail = rest(&mut c);
+        assert_eq!(tail.len(), 49);
+        assert_eq!(tail[0].0, keys[51]);
+        assert_eq!(tail[48].0, keys[99]);
     }
 
     #[test]
@@ -504,6 +536,83 @@ mod tests {
         // Claim more restarts than the block holds.
         let n = bytes.len();
         bytes[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(!Block::new(bytes).validate());
+        assert!(!block(bytes).validate());
+    }
+
+    /// A real block of `n` entries: shared prefixes, a few tombstones,
+    /// values of assorted lengths.
+    fn sample_block(rng: &mut Rng, n: u32) -> Vec<u8> {
+        let mut b = BlockBuilder::new();
+        for i in 0..n {
+            let key = format!("traj/{:04}/{:06}", i / 7, i * 3);
+            let value = vec![i as u8; rng.gen_range(0usize..40)];
+            b.add(key.as_bytes(), (i % 11 != 5).then_some(&value[..]));
+        }
+        b.finish()
+    }
+
+    /// One seeded mutation of an encoded block: a bit flip, a truncation,
+    /// a rewritten restart offset or count, or an over-long varint spliced
+    /// over an entry header.
+    fn mutate(rng: &mut Rng, bytes: &mut Vec<u8>) {
+        let n = bytes.len();
+        match rng.gen_range(0u32..5) {
+            0 => bytes[rng.gen_range(0..n)] ^= 1 << rng.gen_range(0u32..8),
+            1 => bytes.truncate(rng.gen_range(0..n)),
+            2 => {
+                // Sample blocks hold at least one entry, so one restart.
+                let count = u32::from_le_bytes(bytes[n - 4..].try_into().unwrap()) as usize;
+                let slot = n - 4 - 4 * count + 4 * rng.gen_range(0..count);
+                let off = rng.gen_range(0u32..n as u32 + 8);
+                bytes[slot..slot + 4].copy_from_slice(&off.to_le_bytes());
+            }
+            3 => {
+                let count = rng.gen_range(0u32..(n as u32 / 4 + 4));
+                bytes[n - 4..].copy_from_slice(&count.to_le_bytes());
+            }
+            _ => {
+                let at = rng.gen_range(0..n);
+                let run = rng.gen_range(1usize..14).min(n - at);
+                bytes[at..at + run].fill(0xff);
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_mutations_never_panic_and_validated_blocks_walk_their_entries() {
+        let mut rng = Rng::seed_from_u64(0x0062_6c6f_636b);
+        let (mut accepted, mut rejected) = (0u32, 0u32);
+        for round in 0..5000u32 {
+            let mut bytes = sample_block(&mut rng, 1 + round % 90);
+            mutate(&mut rng, &mut bytes);
+            let block = block(bytes);
+            let valid = block.validate();
+            // A full walk: on a block `validate` accepts it ends exactly
+            // at the restart array, having decoded every entry.
+            let mut c = BlockCursor::new(Block::new(block.data.clone()));
+            let mut last = 0;
+            while c.next() {
+                last = c.next;
+                c.value();
+            }
+            if valid {
+                assert_eq!(last, block.entries().len(), "round {round}");
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+            // Seeks to random targets: never out of bounds, and what a
+            // seek lands on is at or past its target.
+            for _ in 0..4 {
+                let target = format!("traj/{:04}/", rng.gen_range(0u32..16)).into_bytes();
+                let mut c = BlockCursor::new(Block::new(block.data.clone()));
+                if c.seek(&target) {
+                    assert!(c.key() >= target.as_slice());
+                    c.value();
+                    while c.next() {}
+                }
+            }
+        }
+        assert!(accepted > 200 && rejected > 2000, "{accepted} / {rejected}");
     }
 }

@@ -21,9 +21,11 @@
 //! [`Table::scan_ranges_stream`] yield bounded batches through a
 //! [`ScanStream`], reading blocks lazily so a consumer that stops early
 //! (a `LIMIT`, an `EXISTS` probe, a cancelled request via [`CancelToken`])
-//! also stops the disk IO. The materializing [`Table::scan`] family is
-//! that stream drained to a `Vec` — same merge, same metrics. See
-//! [`MergeStream`] for the merge machinery.
+//! also stops the disk IO. Each batch is a [`KvBatch`] the stream lends
+//! and refills: entries are borrowed from the cached blocks through the
+//! merge and copied once, into the batch. The materializing
+//! [`Table::scan`] family is that stream drained to a `Vec` — same merge,
+//! same metrics.
 //!
 //! Two region-server behaviours ride on top of the partitioning:
 //!
@@ -74,13 +76,14 @@ pub use maintenance::MaintenanceOptions;
 pub use memtable::LATEST;
 pub use metrics::{IoMetrics, IoSnapshot};
 pub use region::{Region, RegionTraffic, RegionTrafficSnapshot, Snapshot};
-pub use scan::{CancelToken, MergeStream, ScanOptions, ScanSource, ScanStream};
+pub use scan::{CancelToken, KvBatch, ScanOptions, ScanStream};
 pub use sstable::SsTable;
 pub use store::{Store, StoreOptions};
 pub use table::{RegionStats, Table, TableSnapshot};
 pub use wal::{DurabilityOptions, SyncPolicy};
 
-/// A key-value pair returned by scans.
+/// An owned key-value pair: what the materializing scans return, each
+/// copied out of a [`KvBatch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KvEntry {
     /// The full key.

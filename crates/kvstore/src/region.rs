@@ -49,9 +49,10 @@
 //! (create the builder, stream ascending entries in, stamp `seq_limit`,
 //! fsync, open; unlink on error). Flush feeds it a frozen generation.
 //! Compaction, both phases of a split and the merge drain feed it
-//! `versions(tables, ..)`: the read path's [`MergeStream`] over the
-//! input SSTables, pulled lazily, so a rewrite holds one decoded block
-//! per input table — never a table, let alone the region. The callers
+//! `Versions`: the read path's [`MergeStream`] over the input SSTables,
+//! stepped lazily, so a rewrite holds one cached block per input table —
+//! never a table, let alone the region — and copies each version from
+//! its block into the builder and nowhere else. The callers
 //! differ only in which tables go in, whether tombstones may be dropped
 //! (only when the inputs are the range's whole history: compaction of
 //! an oldest-first prefix, a split's base phase, a merge drain — a
@@ -80,14 +81,13 @@
 //!   open snapshot can already see, so merging (which keeps only the
 //!   newest version per key) never erases a version a snapshot needs.
 
-use crate::block::BlockEntry;
 use crate::cache::BlockCache;
 use crate::error::{KvError, Result};
 use crate::ingest::{shard_of, IngestOptions, ShardedWal};
 use crate::maintenance::Kick;
 use crate::memtable::{MemTable, LATEST};
 use crate::metrics::IoMetrics;
-use crate::scan::{MergeStream, ScanSource};
+use crate::scan::{owned, KvBatch, MergeStream, ScanSource, SstRangeIter};
 use crate::sstable::{SsTable, SsTableBuilder, SstOptions};
 use crate::wal::DurabilityOptions;
 use crate::KvEntry;
@@ -668,38 +668,37 @@ impl Region {
         Ok(None)
     }
 
-    /// Materializes the active shards' entries in `start..=end` as one
-    /// sorted source. All shard locks are held together so the snapshot
-    /// is atomic across shards: a scan can never see a writer's later
-    /// write without its earlier one. (Writers hold exactly one shard
-    /// lock each, so this cannot deadlock against them.)
-    fn active_source(&self, start: &[u8], end: &[u8], snap: u64) -> Vec<BlockEntry> {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        let mut out = Vec::new();
-        for g in &guards {
-            out.extend(g.scan(start, end, snap).map(|(k, v)| BlockEntry {
-                key: k.to_vec(),
-                value: v.map(|v| v.to_vec()),
-            }));
+    /// One memtable layer's entries in `start..=end`, copied into one
+    /// arena.
+    fn mem_source(shards: &[MemTable], start: &[u8], end: &[u8], snap: u64) -> ScanSource {
+        let mut batch = KvBatch::default();
+        for (key, value) in shards.iter().flat_map(|mem| mem.scan(start, end, snap)) {
+            batch.push(key, value);
         }
-        drop(guards);
-        // Shards partition the keyspace, so entries are unique; a plain
-        // sort restores global key order.
-        out.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-        out
+        ScanSource::mem(batch)
     }
 
-    /// One frozen generation's entries in `start..=end`, sorted.
-    fn frozen_source(gen: &FrozenGen, start: &[u8], end: &[u8], snap: u64) -> Vec<BlockEntry> {
-        let mut out = Vec::new();
-        for mem in &gen.shards {
-            out.extend(mem.scan(start, end, snap).map(|(k, v)| BlockEntry {
-                key: k.to_vec(),
-                value: v.map(|v| v.to_vec()),
-            }));
+    /// Copies the active shards' entries in `start..=end` into `batch`,
+    /// locking the shards in order and holding each until the rest are
+    /// locked and copied: all are locked when the first copy starts, so
+    /// the copy is one cut across shards — a scan can never see a
+    /// writer's later write without its earlier one. (Writers hold
+    /// exactly one shard lock each, so this cannot deadlock against
+    /// them.)
+    fn copy_locked(
+        shards: &[Mutex<MemTable>],
+        start: &[u8],
+        end: &[u8],
+        snap: u64,
+        batch: &mut KvBatch,
+    ) {
+        if let Some((shard, rest)) = shards.split_first() {
+            let mem = shard.lock();
+            Self::copy_locked(rest, start, end, snap, batch);
+            for (key, value) in mem.scan(start, end, snap) {
+                batch.push(key, value);
+            }
         }
-        out.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-        out
     }
 
     /// All live entries with `start <= key <= end`, in key order.
@@ -709,32 +708,27 @@ impl Region {
 
     /// Like [`Region::scan`], but as of snapshot sequence `snap`: the
     /// result equals a serial execution that stopped right before
-    /// commit sequence `snap` was allocated. This is
-    /// [`Region::scan_stream_at`] drained.
+    /// commit sequence `snap` was allocated. This is the region's merge
+    /// drained, each entry copied out.
     pub fn scan_at(&self, start: &[u8], end: &[u8], snap: u64) -> Result<Vec<KvEntry>> {
-        let mut stream = self.scan_stream_at(start, end, snap);
+        let mut stream = self.scan_stream_at(start.to_vec(), end.to_vec(), snap);
         let mut live = Vec::new();
         while let Some(entry) = stream.next_live()? {
-            live.push(entry);
+            live.push(owned(entry));
         }
         Ok(live)
     }
 
-    /// The region's one scan path: snapshots the memtable layers and the
-    /// SSTable handles under a brief read lock, then returns a
-    /// pull-based merge that reads one block at a time as the consumer
-    /// advances, with newest-wins and tombstone-shadowing semantics.
-    pub fn scan_stream(&self, start: &[u8], end: &[u8]) -> MergeStream {
-        self.scan_stream_at(start, end, LATEST)
-    }
-
-    /// Like [`Region::scan_stream`], but as of snapshot sequence `snap`.
-    /// The stream stays pinned to the layers captured here, so it keeps
-    /// serving the same cut even if the snapshot handle is dropped while
-    /// streaming.
-    pub fn scan_stream_at(&self, start: &[u8], end: &[u8], snap: u64) -> MergeStream {
+    /// The region's one scan path, as of snapshot sequence `snap`:
+    /// snapshots the memtable layers and the SSTable handles under a
+    /// brief read lock, then returns a pull-based merge that reads one
+    /// block at a time as the consumer advances, with newest-wins and
+    /// tombstone-shadowing semantics. The stream stays pinned to the
+    /// layers captured here, so it keeps serving the same cut even if
+    /// the snapshot handle is dropped while streaming.
+    pub(crate) fn scan_stream_at(&self, start: Vec<u8>, end: Vec<u8>, snap: u64) -> MergeStream {
         if start > end {
-            return MergeStream::new(Vec::new(), self.traffic.clone());
+            return MergeStream::new(Vec::new(), start, end, self.traffic.clone());
         }
         self.traffic.record_scan();
         let inner = self.inner.read();
@@ -742,15 +736,17 @@ impl Region {
             Vec::with_capacity(inner.tables.len() + inner.frozen.len() + inner.held.len() + 1);
         // Source 0 is the active memtable: the newest layer, so it wins
         // merge ties; frozen generations follow newest-first. The ranges
-        // are materialized (bounded by the flush threshold) because the
+        // are copied out (bounded by the flush threshold) because the
         // stream outlives the locks.
-        sources.push(ScanSource::mem(self.active_source(start, end, snap)));
+        let mut active = KvBatch::default();
+        Self::copy_locked(&self.shards, &start, &end, snap, &mut active);
+        sources.push(ScanSource::mem(active));
         for gen in inner.frozen.iter().rev() {
-            sources.push(ScanSource::mem(Self::frozen_source(gen, start, end, snap)));
+            sources.push(Self::mem_source(&gen.shards, &start, &end, snap));
         }
         for gen in inner.held.iter().rev() {
             if gen.seq_ub > snap {
-                sources.push(ScanSource::mem(Self::frozen_source(gen, start, end, snap)));
+                sources.push(Self::mem_source(&gen.shards, &start, &end, snap));
             }
         }
         for table in inner.tables.iter().rev() {
@@ -758,15 +754,12 @@ impl Region {
                 self.snapshot_skips.inc();
                 continue;
             }
-            sources.push(ScanSource::sstable(
-                table.clone(),
-                start,
-                end,
-                self.traffic.clone(),
-            ));
+            let traffic = self.traffic.clone();
+            let walk = SstRangeIter::new(table.clone(), &start, &end, traffic);
+            sources.push(ScanSource::Sst(walk));
         }
         drop(inner);
-        MergeStream::new(sources, self.traffic.clone())
+        MergeStream::new(sources, start, end, self.traffic.clone())
     }
 
     /// Freezes the active shards into a new immutable generation:
@@ -824,7 +817,7 @@ impl Region {
             &self.next_table_path(),
             gen.seq_ub,
             (keys, gen.bytes / self.opts.sst.block_size.max(1)),
-            entries.into_iter().map(Ok),
+            |builder| entries.iter().try_for_each(|&(k, v)| builder.add(k, v)),
         )?);
         let (sstables, held) = {
             let mut inner = self.inner.write();
@@ -919,11 +912,12 @@ impl Region {
         let started = Instant::now();
         // The prefix starts at the oldest table, so nothing older
         // exists: drop tombstones.
+        let mut versions = Versions::new(&tables, false)?;
         let table = self.write_table(
             &self.next_table_path(),
             seq_limit_of(&tables),
             size_of(&tables),
-            versions(&tables, false),
+            |builder| versions.copy_until(None, builder),
         )?;
         let (after_bytes, after_entries) = (table.file_size(), table.entry_count());
         {
@@ -1217,13 +1211,9 @@ impl Region {
         split_key: &[u8],
     ) -> Result<()> {
         let (limit, size) = (seq_limit_of(tables), size_of(tables));
-        let mut rest = versions(tables, tombstones).peekable();
-        // A read error goes to whichever file is open, which returns it.
-        let left = std::iter::from_fn(|| {
-            rest.next_if(|v| !matches!(v, Ok((key, _)) if key.as_slice() >= split_key))
-        });
-        self.write_daughter(left_dir, id, limit, size, left)?;
-        self.write_daughter(right_dir, id, limit, size, rest)
+        let mut versions = Versions::new(tables, tombstones)?;
+        self.write_daughter(left_dir, id, limit, size, &mut versions, Some(split_key))?;
+        self.write_daughter(right_dir, id, limit, size, &mut versions, None)
     }
 
     /// Rewrites this region's complete contents as `dir/sst_<id>.sst`
@@ -1240,26 +1230,31 @@ impl Region {
             id,
             seq_limit_of(&tables),
             size_of(&tables),
-            versions(&tables, false),
+            &mut Versions::new(&tables, false)?,
+            None,
         )
     }
 
-    /// Writes one daughter SSTable, skipped when `entries` is empty — a
-    /// daughter region opens fine with gaps in its file numbering.
+    /// Writes the versions below `until` (all when `None`) as one
+    /// daughter SSTable, skipped when there are none — a daughter region
+    /// opens fine with gaps in its file numbering.
     fn write_daughter(
         &self,
         dir: &Path,
         id: u64,
         seq_limit: u64,
         size: (usize, usize),
-        entries: impl Iterator<Item = Result<Version>>,
+        versions: &mut Versions,
+        until: Option<&[u8]>,
     ) -> Result<()> {
-        let mut entries = entries.peekable();
-        if entries.peek().is_none() {
-            return Ok(());
+        match versions.merge.current() {
+            Some((key, _)) if until.is_none_or(|until| key < until) => self
+                .write_table(&sst_path(dir, id), seq_limit, size, |builder| {
+                    versions.copy_until(until, builder)
+                })
+                .map(drop),
+            _ => Ok(()),
         }
-        self.write_table(&sst_path(dir, id), seq_limit, size, entries)
-            .map(drop)
     }
 
     /// Allocates the next SSTable file name in the region's directory.
@@ -1271,17 +1266,17 @@ impl Region {
     }
 
     /// The region's one SSTable-writing routine — flush, compaction,
-    /// split and merge all end here: streams `entries` (ascending keys)
-    /// into `path` with `seq_limit` in the footer, fsyncs, and opens the
-    /// result. `size` is the caller's upper estimate of (entries, blocks)
-    /// and pre-sizes the builder. On error nothing is left at `path` for
-    /// the next open to trip on.
-    fn write_table<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+    /// split and merge all end here: `fill` adds the entries (ascending
+    /// keys) to a builder writing `path` with `seq_limit` in the footer,
+    /// then the file is fsynced and opened. `size` is the caller's upper
+    /// estimate of (entries, blocks) and pre-sizes the builder. On error
+    /// nothing is left at `path` for the next open to trip on.
+    fn write_table(
         &self,
         path: &Path,
         seq_limit: u64,
         size: (usize, usize),
-        entries: impl Iterator<Item = Result<(K, Option<V>)>>,
+        fill: impl FnOnce(&mut SsTableBuilder) -> Result<()>,
     ) -> Result<SsTable> {
         let built = SsTableBuilder::create_opts(
             path,
@@ -1292,10 +1287,7 @@ impl Region {
         .and_then(|mut builder| {
             builder.set_seq_limit(seq_limit);
             builder.reserve(size.0, size.1);
-            for entry in entries {
-                let (key, value) = entry?;
-                builder.add(key.as_ref(), value.as_ref().map(|v| v.as_ref()))?;
-            }
+            fill(&mut builder)?;
             builder.finish()
         });
         if built.is_err() {
@@ -1344,9 +1336,6 @@ impl Region {
     }
 }
 
-/// One key's newest version: `(key, None)` is a tombstone.
-type Version = (Vec<u8>, Option<Vec<u8>>);
-
 fn sst_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("sst_{id:010}.sst"))
 }
@@ -1373,25 +1362,59 @@ fn size_of(tables: &[Arc<SsTable>]) -> (usize, usize) {
 
 /// The newest version of every key across `tables` (oldest first, as in
 /// [`RegionInner::tables`]), in key order — the input of every rewrite.
-/// It is the read path's merge pulled lazily, so a rewrite holds one
-/// decoded block per input table, never a table. `tombstones` keeps
-/// deleted keys in the output: only a rewrite that covers the range's
-/// whole history may drop them.
+/// It is the read path's merge, stepped lazily, so a rewrite holds one
+/// cached block per input table, never a table, and adds each version to
+/// the builder straight from the block it lies in. `tombstones` keeps
+/// deleted keys: only a rewrite that covers the range's whole history may
+/// drop them.
 ///
 /// Blocks go through [`SsTable::read_block`] (IO metrics, block cache)
 /// like any read, but are booked to a throwaway traffic counter:
 /// maintenance is not the region's read traffic.
-fn versions(tables: &[Arc<SsTable>], tombstones: bool) -> impl Iterator<Item = Result<Version>> {
-    let unattributed = Arc::new(RegionTraffic::default());
-    let sources = tables
-        .iter()
-        .rev()
-        .map(|t| ScanSource::sstable(t.clone(), b"", t.max_key(), unattributed.clone()))
-        .collect();
-    let mut merge = MergeStream::new(sources, unattributed);
-    std::iter::from_fn(move || merge.next_version().transpose())
-        .map(|v| v.map(|e| (e.key, e.value)))
-        .filter(move |v| tombstones || !matches!(v, Ok((_, None))))
+struct Versions {
+    merge: MergeStream,
+    tombstones: bool,
+}
+
+impl Versions {
+    /// Positioned on the first version kept.
+    fn new(tables: &[Arc<SsTable>], tombstones: bool) -> Result<Self> {
+        let unattributed = Arc::new(RegionTraffic::default());
+        let sources = tables
+            .iter()
+            .rev()
+            .map(|t| SstRangeIter::new(t.clone(), b"", t.max_key(), unattributed.clone()))
+            .map(ScanSource::Sst)
+            .collect();
+        let end = tables.iter().map(|t| t.max_key()).max().unwrap_or_default();
+        let merge = MergeStream::new(sources, Vec::new(), end.to_vec(), unattributed);
+        let mut versions = Versions { merge, tombstones };
+        versions.next()?;
+        Ok(versions)
+    }
+
+    /// Steps to the next version kept.
+    fn next(&mut self) -> Result<()> {
+        while self.merge.step()? {
+            if self.tombstones || matches!(self.merge.current(), Some((_, Some(_)))) {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Adds the versions with keys below `until` (all when `None`) to
+    /// `builder`, leaving the first at or past it current.
+    fn copy_until(&mut self, until: Option<&[u8]>, builder: &mut SsTableBuilder) -> Result<()> {
+        while let Some((key, value)) = self.merge.current() {
+            if until.is_some_and(|until| key >= until) {
+                break;
+            }
+            builder.add(key, value)?;
+            self.next()?;
+        }
+        Ok(())
+    }
 }
 
 /// A consistent read view over one region, captured by
@@ -1430,12 +1453,6 @@ impl Snapshot {
     /// [`Region::scan_at`]).
     pub fn scan(&self, start: &[u8], end: &[u8]) -> Result<Vec<KvEntry>> {
         self.region.scan_at(start, end, self.seq)
-    }
-
-    /// Streaming range scan at this snapshot (see
-    /// [`Region::scan_stream_at`]).
-    pub fn scan_stream(&self, start: &[u8], end: &[u8]) -> MergeStream {
-        self.region.scan_stream_at(start, end, self.seq)
     }
 }
 

@@ -7,15 +7,20 @@
 //! everything run the same merge and record the same metrics:
 //!
 //! - [`ScanStream`] walks a list of key ranges region by region and
-//!   yields bounded batches via [`ScanStream::next_batch`]; no more than
-//!   one batch plus one decoded block per source is ever in flight.
+//!   refills one [`KvBatch`] per pull — one byte buffer plus offsets,
+//!   reused for the life of the stream — which
+//!   [`ScanStream::next_batch`] lends to the consumer. In flight are
+//!   that one arena batch plus one shared cached block per source.
 //! - [`MergeStream`] is the per-region k-way merge — the only one in the
-//!   store: a binary heap over the memtable snapshot and one lazy block
-//!   iterator per SSTable, newest version wins, reading each SSTable one
-//!   block at a time. Reads pull live entries from it (tombstones
-//!   elided); compaction, split and merge pull every key's newest
-//!   version, tombstones included, from the same merge over SSTables
-//!   alone and stream it into the region's SSTable writer.
+//!   store: a binary heap of source indices, ordered by the keys the
+//!   sources currently lend, over the memtable layers' snapshots (each
+//!   one arena) and one block cursor per SSTable, newest version wins.
+//!   No entry is copied or allocated inside the merge; the batch copies
+//!   each live entry once. Reads pull live entries from it (tombstones
+//!   elided); compaction, split and merge step through every key's
+//!   newest version, tombstones included, of the same merge over
+//!   SSTables alone and add each straight to the region's SSTable
+//!   writer.
 //! - [`CancelToken`] lets a satisfied consumer stop the producer
 //!   mid-range: the stream re-checks the token between entries, so
 //!   cancellation halts disk IO within one block's worth of work.
@@ -41,20 +46,19 @@
 //! }
 //! let mut stream = table.scan_stream(b"k0000", b"k9999", ScanOptions::default());
 //! let first_batch = stream.next_batch().unwrap().unwrap();
-//! assert_eq!(first_batch[0].key, b"k0000");
+//! assert_eq!(first_batch.iter().next(), Some((&b"k0000"[..], &b"v"[..])));
 //! drop(stream); // remaining ranges are never read
 //! store.drop_table("demo").unwrap();
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use crate::block::BlockEntry;
+use crate::block::BlockCursor;
 use crate::error::Result;
 use crate::metrics::IoMetrics;
 use crate::region::{Region, RegionTraffic, Snapshot};
 use crate::sstable::SsTable;
 use crate::KvEntry;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -103,156 +107,221 @@ impl Default for ScanOptions {
     }
 }
 
-/// Lazy in-order iterator over one SSTable's entries in `[start, end]`,
-/// decoding one block per refill instead of the whole range.
-struct SstRangeIter {
+/// Entries packed into one byte buffer: what [`ScanStream::next_batch`]
+/// lends, refilled in place on every pull, and what a memtable layer
+/// snapshots a scan range into.
+///
+/// [`KvBatch::iter`] borrows the entries. Iterating `&KvBatch` itself
+/// copies each one out as an owned [`KvEntry`], which is what the
+/// materializing scans do.
+#[derive(Debug, Default)]
+pub struct KvBatch {
+    bytes: Vec<u8>,
+    /// Per entry: where its key starts, where the key ends and the value
+    /// starts, and where the value ends (`None` for a tombstone, which
+    /// only memtable snapshots hold).
+    spans: Vec<(usize, usize, Option<usize>)>,
+}
+
+impl KvBatch {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether the batch holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The `(key, value)` pairs, in order, borrowed from the batch.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[u8], &[u8])> + '_ {
+        (0..self.len()).map(|i| {
+            let (key, value) = self.entry(i);
+            (key, value.unwrap_or_default())
+        })
+    }
+
+    /// Entry `i`; a `None` value marks a tombstone.
+    fn entry(&self, i: usize) -> (&[u8], Option<&[u8]>) {
+        let (key, value, end) = self.spans[i];
+        let bytes = &self.bytes;
+        (&bytes[key..value], end.map(|end| &bytes[value..end]))
+    }
+
+    /// Appends an entry; a `None` value is a tombstone.
+    pub(crate) fn push(&mut self, key: &[u8], value: Option<&[u8]>) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(key);
+        let value_start = self.bytes.len();
+        let end = value.map(|v| {
+            self.bytes.extend_from_slice(v);
+            self.bytes.len()
+        });
+        self.spans.push((start, value_start, end));
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.spans.clear();
+    }
+}
+
+/// An entry copied out of a batch or a merge.
+pub(crate) fn owned((key, value): (&[u8], &[u8])) -> KvEntry {
+    KvEntry {
+        key: key.to_vec(),
+        value: value.to_vec(),
+    }
+}
+
+impl IntoIterator for &KvBatch {
+    type Item = KvEntry;
+    type IntoIter = std::vec::IntoIter<KvEntry>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter().map(owned).collect::<Vec<_>>().into_iter()
+    }
+}
+
+/// Lazy in-order walk of one SSTable's entries in a key range: a cursor
+/// over one cached block at a time, fetching the next block only when the
+/// range runs past the current one.
+pub(crate) struct SstRangeIter {
     table: Arc<SsTable>,
-    start: Vec<u8>,
-    end: Vec<u8>,
     /// Next block index to fetch.
     next_block: usize,
-    /// The first fetched block seeks to `start`; later blocks begin past
-    /// it by construction. Also marks the fetch as a disk seek.
-    first: bool,
-    buffered: std::vec::IntoIter<BlockEntry>,
+    /// The current block; `None` until the first fetch, which seeks to
+    /// the range's start (later blocks begin past it by construction).
+    cursor: Option<BlockCursor>,
     done: bool,
-    /// Per-region attribution for every block this iterator decodes.
+    /// Per-region attribution for every block this iterator reads.
     traffic: Arc<RegionTraffic>,
 }
 
 impl SstRangeIter {
-    fn new(table: Arc<SsTable>, start: &[u8], end: &[u8], traffic: Arc<RegionTraffic>) -> Self {
-        let done = if table.overlaps(start, end) {
-            false
-        } else {
-            // Pruned by the min/max fence.
-            table.metrics().record_index_skip();
-            true
-        };
-        let next_block = if done { 0 } else { table.seek_block(start) };
-        SstRangeIter {
-            table,
-            start: start.to_vec(),
-            end: end.to_vec(),
-            next_block,
-            first: true,
-            buffered: Vec::new().into_iter(),
-            done,
-            traffic,
-        }
-    }
-
-    fn next(&mut self) -> Result<Option<BlockEntry>> {
-        loop {
-            if let Some(entry) = self.buffered.next() {
-                if entry.key.as_slice() > self.end.as_slice() {
-                    self.done = true;
-                    self.buffered = Vec::new().into_iter();
-                    return Ok(None);
-                }
-                return Ok(Some(entry));
-            }
-            if self.done
-                || self.next_block >= self.table.block_count()
-                || self.table.block_first_key(self.next_block) > self.end.as_slice()
-            {
-                self.done = true;
-                return Ok(None);
-            }
-            let block = self.table.read_block(self.next_block, self.first)?;
-            self.traffic.record_scan_block();
-            let iter = if self.first {
-                block.seek_iter(&self.start)
-            } else {
-                block.iter()
-            };
-            // Decode up to the first entry past `end` (which ends the
-            // range above), not to the end of the block: a narrow range
-            // pays for the entries it yields, not for a block's worth.
-            let mut entries = Vec::new();
-            for entry in iter {
-                let past = entry.key.as_slice() > self.end.as_slice();
-                entries.push(entry);
-                if past {
-                    break;
-                }
-            }
-            self.first = false;
-            self.next_block += 1;
-            self.buffered = entries.into_iter();
-        }
-    }
-}
-
-enum SourceKind {
-    /// Owned memtable snapshot (already range-restricted and sorted).
-    Mem(std::vec::IntoIter<BlockEntry>),
-    Sst(SstRangeIter),
-}
-
-/// One sorted input of a [`MergeStream`] — a memtable snapshot or a lazy
-/// SSTable range iterator. Constructed by [`Region::scan_stream`].
-pub struct ScanSource(SourceKind);
-
-impl ScanSource {
-    pub(crate) fn mem(entries: Vec<BlockEntry>) -> Self {
-        ScanSource(SourceKind::Mem(entries.into_iter()))
-    }
-
-    pub(crate) fn sstable(
+    pub(crate) fn new(
         table: Arc<SsTable>,
         start: &[u8],
         end: &[u8],
         traffic: Arc<RegionTraffic>,
     ) -> Self {
-        ScanSource(SourceKind::Sst(SstRangeIter::new(
-            table, start, end, traffic,
-        )))
-    }
-
-    pub(crate) fn next(&mut self) -> Result<Option<BlockEntry>> {
-        match &mut self.0 {
-            SourceKind::Mem(it) => Ok(it.next()),
-            SourceKind::Sst(it) => it.next(),
+        let done = !table.overlaps(start, end);
+        if done {
+            // Pruned by the min/max fence.
+            table.metrics().record_index_skip();
+        }
+        let next_block = if done { 0 } else { table.seek_block(start) };
+        SstRangeIter {
+            table,
+            next_block,
+            cursor: None,
+            done,
+            traffic,
         }
     }
-}
 
-struct HeapItem {
-    entry: BlockEntry,
-    source: usize,
-}
+    /// Moves onto the next entry of `[start, end]`; `false` once the range
+    /// is past. Decodes up to the first entry past `end`, not to the end
+    /// of its block: a narrow range pays for the entries it yields.
+    fn advance(&mut self, start: &[u8], end: &[u8]) -> Result<bool> {
+        while !self.done {
+            if self.cursor.as_mut().is_some_and(BlockCursor::next) {
+                return Ok(self.within(end));
+            }
+            if self.next_block >= self.table.block_count()
+                || self.table.block_first_key(self.next_block) > end
+            {
+                self.done = true;
+                break;
+            }
+            let block = self
+                .table
+                .read_block(self.next_block, self.cursor.is_none())?;
+            self.traffic.record_scan_block();
+            self.next_block += 1;
+            match &mut self.cursor {
+                Some(cursor) => cursor.reset(block),
+                None => {
+                    if self.cursor.insert(BlockCursor::new(block)).seek(start) {
+                        return Ok(self.within(end));
+                    }
+                }
+            }
+        }
+        Ok(false)
+    }
 
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.entry.key == other.entry.key && self.source == other.source
+    /// Whether the entry just reached is still in the range (ends the
+    /// walk when not).
+    fn within(&mut self, end: &[u8]) -> bool {
+        self.done = self.cursor().key() > end;
+        !self.done
+    }
+
+    fn cursor(&self) -> &BlockCursor {
+        self.cursor.as_ref().expect("positioned on an entry")
     }
 }
-impl Eq for HeapItem {}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for a min-heap on (key, source): the smallest key wins,
-        // ties broken by newest (lowest) source index.
-        other
-            .entry
-            .key
-            .cmp(&self.entry.key)
-            .then(other.source.cmp(&self.source))
-    }
+
+/// One sorted input of a [`MergeStream`]: a memtable layer's snapshot of
+/// the range, or a lazy SSTable range walk.
+pub(crate) enum ScanSource {
+    /// The snapshot, and the index of the entry after the current one.
+    Mem(KvBatch, usize),
+    Sst(SstRangeIter),
 }
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+impl ScanSource {
+    /// A memtable layer's entries, put in key order here (its shards
+    /// partition the keyspace, so keys are unique).
+    pub(crate) fn mem(mut entries: KvBatch) -> Self {
+        let bytes = &entries.bytes;
+        entries
+            .spans
+            .sort_unstable_by(|a, b| bytes[a.0..a.1].cmp(&bytes[b.0..b.1]));
+        ScanSource::Mem(entries, 0)
+    }
+
+    /// Moves onto the next entry of `[start, end]`; `false` when drained.
+    fn advance(&mut self, start: &[u8], end: &[u8]) -> Result<bool> {
+        match self {
+            ScanSource::Mem(entries, next) => {
+                *next += 1;
+                Ok(*next <= entries.len())
+            }
+            ScanSource::Sst(it) => it.advance(start, end),
+        }
+    }
+
+    /// The current entry; a `None` value marks a tombstone.
+    fn entry(&self) -> (&[u8], Option<&[u8]>) {
+        match self {
+            ScanSource::Mem(entries, next) => entries.entry(*next - 1),
+            ScanSource::Sst(it) => (it.cursor().key(), it.cursor().value()),
+        }
     }
 }
 
 /// A pull-based k-way merge over one region's layers (memtable newest,
 /// then SSTables newest→oldest), yielding live entries in key order with
-/// newest-wins shadowing and tombstone elision.
-pub struct MergeStream {
+/// newest-wins shadowing and tombstone elision. Entries are lent, not
+/// copied: each is borrowed from its source until the next pull.
+pub(crate) struct MergeStream {
     sources: Vec<ScanSource>,
-    heap: BinaryHeap<HeapItem>,
-    last_key: Option<Vec<u8>>,
+    /// The sources positioned on an entry, as a binary min-heap on
+    /// (current key, source index): the smallest key on top, the newest
+    /// source first among equal keys. The top is the version last
+    /// stepped onto.
+    heap: Vec<usize>,
+    /// The merged range: SSTable sources seek to `start` and stop past
+    /// `end`.
+    start: Vec<u8>,
+    end: Vec<u8>,
+    /// The key last stepped onto, whose older versions the next step
+    /// skips; one buffer, reused, and written only while another source
+    /// is left to hold such versions.
+    last_key: Vec<u8>,
     /// The heap is primed on first pull, not at construction, so
     /// building a stream does no IO (and a cancelled-before-start
     /// stream never touches disk).
@@ -264,58 +333,109 @@ pub struct MergeStream {
 }
 
 impl MergeStream {
-    pub(crate) fn new(sources: Vec<ScanSource>, traffic: Arc<RegionTraffic>) -> Self {
+    pub(crate) fn new(
+        sources: Vec<ScanSource>,
+        start: Vec<u8>,
+        end: Vec<u8>,
+        traffic: Arc<RegionTraffic>,
+    ) -> Self {
         MergeStream {
+            heap: Vec::with_capacity(sources.len()),
             sources,
-            heap: BinaryHeap::new(),
-            last_key: None,
+            start,
+            end,
+            last_key: Vec::new(),
             primed: false,
             bytes: 0,
             traffic,
         }
     }
 
-    /// The newest version of the next key, tombstones included (`value`
-    /// is `None`), or `None` when the range is drained. Reads pull
-    /// through [`MergeStream::next_live`]; flush-side rewrites
-    /// (compaction, split, merge) pull this directly, because whether a
-    /// tombstone may be dropped depends on what the rewrite covers.
-    pub(crate) fn next_version(&mut self) -> Result<Option<BlockEntry>> {
+    fn less(&self, a: usize, b: usize) -> bool {
+        (self.sources[a].entry().0, a) < (self.sources[b].entry().0, b)
+    }
+
+    fn sift_down(&mut self, mut at: usize) {
+        loop {
+            let mut min = at;
+            for child in [2 * at + 1, 2 * at + 2] {
+                if child < self.heap.len() && self.less(self.heap[child], self.heap[min]) {
+                    min = child;
+                }
+            }
+            if min == at {
+                return;
+            }
+            self.heap.swap(at, min);
+            at = min;
+        }
+    }
+
+    /// Advances the top source and restores the heap, dropping the
+    /// source once it is drained.
+    fn advance_top(&mut self) -> Result<()> {
+        if !self.sources[self.heap[0]].advance(&self.start, &self.end)? {
+            self.heap.swap_remove(0);
+        }
+        self.sift_down(0);
+        Ok(())
+    }
+
+    /// Moves onto the newest version of the next key, tombstones
+    /// included; `false` when the range is drained. Reads pull through
+    /// [`MergeStream::next_live`]; flush-side rewrites (compaction,
+    /// split, merge) step directly and read [`MergeStream::current`],
+    /// because whether a tombstone may be dropped depends on what the
+    /// rewrite covers.
+    pub(crate) fn step(&mut self) -> Result<bool> {
         if !self.primed {
             self.primed = true;
             for i in 0..self.sources.len() {
-                if let Some(entry) = self.sources[i].next()? {
-                    self.heap.push(HeapItem { entry, source: i });
+                if self.sources[i].advance(&self.start, &self.end)? {
+                    self.heap.push(i);
                 }
             }
-        }
-        while let Some(top) = self.heap.pop() {
-            if let Some(entry) = self.sources[top.source].next()? {
-                self.heap.push(HeapItem {
-                    entry,
-                    source: top.source,
-                });
+            for at in (0..self.heap.len() / 2).rev() {
+                self.sift_down(at);
             }
-            if self.last_key.as_deref() == Some(top.entry.key.as_slice()) {
-                // A newer source already produced this key.
-                continue;
+        } else if !self.heap.is_empty() {
+            // Past the version last stepped onto, and past every older
+            // version of its key — which only another source can hold.
+            let shadowed = self.heap.len() > 1;
+            self.advance_top()?;
+            while shadowed && self.current().is_some_and(|(key, _)| key == self.last_key) {
+                self.advance_top()?;
             }
-            self.last_key = Some(top.entry.key.clone());
-            return Ok(Some(top.entry));
         }
-        Ok(None)
+        let Some(&top) = self.heap.first() else {
+            return Ok(false);
+        };
+        if self.heap.len() > 1 {
+            self.last_key.clear();
+            self.last_key.extend_from_slice(self.sources[top].entry().0);
+        }
+        Ok(true)
+    }
+
+    /// The version [`MergeStream::step`] moved onto — a `None` value is a
+    /// tombstone — or `None` when the range is drained.
+    pub(crate) fn current(&self) -> Option<(&[u8], Option<&[u8]>)> {
+        self.heap.first().map(|&top| self.sources[top].entry())
     }
 
     /// The next live entry, or `None` when the region range is drained:
     /// the newest version of each key, minus the tombstones.
-    pub fn next_live(&mut self) -> Result<Option<KvEntry>> {
-        while let Some(BlockEntry { key, value }) = self.next_version()? {
-            if let Some(value) = value {
-                self.bytes += (key.len() + value.len()) as u64;
-                return Ok(Some(KvEntry { key, value }));
+    pub(crate) fn next_live(&mut self) -> Result<Option<(&[u8], &[u8])>> {
+        let bytes = loop {
+            if !self.step()? {
+                return Ok(None);
             }
-        }
-        Ok(None)
+            if let Some((key, Some(value))) = self.current() {
+                break key.len() + value.len();
+            }
+        };
+        self.bytes += bytes as u64;
+        Ok(self.current().and_then(|(key, value)| Some((key, value?))))
     }
 }
 
@@ -364,6 +484,8 @@ pub struct ScanStream {
     /// Time spent inside `next_batch` so far (store time, not consumer
     /// time between pulls).
     busy: std::time::Duration,
+    /// The batch `next_batch` lends, refilled in place on every pull.
+    batch: KvBatch,
 }
 
 impl ScanStream {
@@ -392,6 +514,7 @@ impl ScanStream {
             pulled: false,
             failed: false,
             busy: std::time::Duration::ZERO,
+            batch: KvBatch::default(),
         }
     }
 
@@ -400,23 +523,23 @@ impl ScanStream {
         self.cancel.clone()
     }
 
-    /// Pulls the next bounded batch of live entries; `Ok(None)` when the
-    /// ranges are exhausted or the token was cancelled. A final partial
-    /// batch may be shorter than `batch_rows`.
-    pub fn next_batch(&mut self) -> Result<Option<Vec<KvEntry>>> {
+    /// Refills the stream's batch with the next live entries and lends it;
+    /// `Ok(None)` when the ranges are exhausted or the token was
+    /// cancelled. A final partial batch may be shorter than `batch_rows`.
+    pub fn next_batch(&mut self) -> Result<Option<&KvBatch>> {
         if self.exhausted || self.failed {
             return Ok(None);
         }
         self.pulled = true;
         let started = std::time::Instant::now();
-        let batch = self.fill_batch();
+        let filled = self.fill_batch();
         self.busy += started.elapsed();
-        match batch {
-            Ok(batch) => {
+        match filled {
+            Ok(()) => {
                 if self.exhausted {
                     self.metrics.record_scan_latency(self.busy);
                 }
-                Ok(batch)
+                Ok((!self.batch.is_empty()).then_some(&self.batch))
             }
             Err(e) => {
                 self.failed = true;
@@ -425,10 +548,9 @@ impl ScanStream {
         }
     }
 
-    fn fill_batch(&mut self) -> Result<Option<Vec<KvEntry>>> {
-        let mut batch = Vec::with_capacity(self.batch_rows);
-        let mut bytes = 0u64;
-        while batch.len() < self.batch_rows {
+    fn fill_batch(&mut self) -> Result<()> {
+        self.batch.clear();
+        while self.batch.len() < self.batch_rows {
             if self.cancel.is_cancelled() {
                 break;
             }
@@ -436,8 +558,7 @@ impl ScanStream {
                 Some(s) => s,
                 None => match self.pending.pop_front() {
                     Some((region, start, end, snap)) => {
-                        self.current = Some(region.scan_stream_at(&start, &end, snap));
-                        self.current.as_mut().expect("just set")
+                        self.current.insert(region.scan_stream_at(start, end, snap))
                     }
                     None => {
                         self.exhausted = true;
@@ -446,22 +567,19 @@ impl ScanStream {
                 },
             };
             match stream.next_live()? {
-                Some(entry) => {
-                    bytes += (entry.key.len() + entry.value.len()) as u64;
-                    batch.push(entry);
-                }
+                Some((key, value)) => self.batch.push(key, Some(value)),
                 None => self.current = None,
             }
         }
-        if batch.is_empty() {
-            return Ok(None);
+        if !self.batch.is_empty() {
+            self.metrics
+                .record_batch_emitted(self.batch.bytes.len() as u64);
         }
-        self.metrics.record_batch_emitted(bytes);
-        Ok(Some(batch))
+        Ok(())
     }
 
     /// Pulls every remaining batch into one vector — the materializing
-    /// scans are exactly this.
+    /// scans are exactly this, copying each entry out of the batch.
     pub(crate) fn drain(mut self) -> Result<Vec<KvEntry>> {
         let mut out = Vec::new();
         while let Some(batch) = self.next_batch()? {
@@ -484,77 +602,120 @@ impl Drop for ScanStream {
 mod tests {
     use super::*;
 
-    fn e(key: &str, value: Option<&str>) -> BlockEntry {
-        BlockEntry {
-            key: key.as_bytes().to_vec(),
-            value: value.map(|v| v.as_bytes().to_vec()),
+    /// One memtable-layer source (`None` values are tombstones).
+    fn mem(entries: &[(&str, Option<&str>)]) -> ScanSource {
+        let mut batch = KvBatch::default();
+        for (key, value) in entries {
+            batch.push(key.as_bytes(), value.map(str::as_bytes));
         }
+        ScanSource::mem(batch)
+    }
+
+    fn merge(sources: Vec<ScanSource>) -> MergeStream {
+        MergeStream::new(sources, Vec::new(), Vec::new(), Default::default())
     }
 
     /// Drains a [`MergeStream`] over in-memory sources (index 0 = newest).
-    fn drain(sources: Vec<Vec<BlockEntry>>) -> Vec<KvEntry> {
-        let sources = sources.into_iter().map(ScanSource::mem).collect();
-        let mut stream = MergeStream::new(sources, Arc::new(RegionTraffic::default()));
+    fn drain(sources: Vec<ScanSource>) -> Vec<(String, String)> {
+        let mut stream = merge(sources);
         let mut out = Vec::new();
-        while let Some(entry) = stream.next_live().unwrap() {
-            out.push(entry);
+        while let Some((key, value)) = stream.next_live().unwrap() {
+            let text = |b: &[u8]| String::from_utf8(b.to_vec()).unwrap();
+            out.push((text(key), text(value)));
         }
         out
     }
 
+    fn pairs(entries: &[(&str, &str)]) -> Vec<(String, String)> {
+        entries
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
     #[test]
     fn newest_version_wins() {
-        let newest = vec![e("a", Some("new")), e("c", Some("c1"))];
-        let oldest = vec![e("a", Some("old")), e("b", Some("b0"))];
-        let merged = drain(vec![newest, oldest]);
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged[0].value, b"new");
-        assert_eq!(merged[1].key, b"b");
-        assert_eq!(merged[2].key, b"c");
+        let newest = mem(&[("a", Some("new")), ("c", Some("c1"))]);
+        let oldest = mem(&[("a", Some("old")), ("b", Some("b0"))]);
+        assert_eq!(
+            drain(vec![newest, oldest]),
+            pairs(&[("a", "new"), ("b", "b0"), ("c", "c1")])
+        );
     }
 
     #[test]
     fn tombstones_shadow_older_values() {
-        let newest = vec![e("a", None)];
-        let oldest = vec![e("a", Some("old")), e("b", Some("b0"))];
-        let merged = drain(vec![newest, oldest]);
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].key, b"b");
+        let newest = mem(&[("a", None)]);
+        let oldest = mem(&[("a", Some("old")), ("b", Some("b0"))]);
+        assert_eq!(drain(vec![newest, oldest]), pairs(&[("b", "b0")]));
     }
 
     #[test]
     fn next_version_keeps_the_newest_tombstone() {
-        let newest = vec![e("a", None)];
-        let oldest = vec![e("a", Some("old")), e("b", Some("b0"))];
-        let sources = vec![ScanSource::mem(newest), ScanSource::mem(oldest)];
-        let mut stream = MergeStream::new(sources, Arc::new(RegionTraffic::default()));
-        assert_eq!(stream.next_version().unwrap(), Some(e("a", None)));
-        assert_eq!(stream.next_version().unwrap(), Some(e("b", Some("b0"))));
-        assert_eq!(stream.next_version().unwrap(), None);
+        let newest = mem(&[("a", None)]);
+        let oldest = mem(&[("a", Some("old")), ("b", Some("b0"))]);
+        let mut stream = merge(vec![newest, oldest]);
+        assert_eq!(stream.current(), None, "nothing before the first step");
+        assert!(stream.step().unwrap());
+        assert_eq!(stream.current(), Some((&b"a"[..], None)));
+        assert!(stream.step().unwrap());
+        assert_eq!(stream.current(), Some((&b"b"[..], Some(&b"b0"[..]))));
+        assert!(!stream.step().unwrap());
+        assert_eq!(stream.current(), None);
     }
 
     #[test]
     fn three_way_interleave_stays_sorted() {
-        let s0 = vec![e("b", Some("0"))];
-        let s1 = vec![e("a", Some("1")), e("d", Some("1"))];
-        let s2 = vec![e("c", Some("2")), e("e", Some("2"))];
-        let merged = drain(vec![s0, s1, s2]);
-        let keys: Vec<_> = merged.iter().map(|x| x.key.clone()).collect();
-        assert_eq!(
-            keys,
-            vec![
-                b"a".to_vec(),
-                b"b".to_vec(),
-                b"c".to_vec(),
-                b"d".to_vec(),
-                b"e".to_vec()
-            ]
-        );
+        let s0 = mem(&[("b", Some("0"))]);
+        let s1 = mem(&[("a", Some("1")), ("d", Some("1"))]);
+        let s2 = mem(&[("c", Some("2")), ("e", Some("2"))]);
+        let keys: Vec<_> = drain(vec![s0, s1, s2]).into_iter().map(|e| e.0).collect();
+        assert_eq!(keys, ["a", "b", "c", "d", "e"]);
+    }
+
+    #[test]
+    fn many_way_interleave_stays_sorted_and_deduplicated() {
+        // Seven sources, each holding every key it shares with a newer
+        // source too, so every key is shadowed up to six times.
+        let sources = (0..7)
+            .map(|s| {
+                let mut batch = KvBatch::default();
+                for k in (0..100).filter(|k| k % (s + 1) == 0) {
+                    batch.push(
+                        format!("k{k:03}").as_bytes(),
+                        Some(format!("{s}").as_bytes()),
+                    );
+                }
+                ScanSource::mem(batch)
+            })
+            .collect();
+        let merged = drain(sources);
+        assert_eq!(merged.len(), 100);
+        for (k, (key, source)) in merged.iter().enumerate() {
+            assert_eq!(key, &format!("k{k:03}"));
+            // The newest source holding the key is source 0, which holds
+            // them all.
+            assert_eq!(source, "0");
+        }
     }
 
     #[test]
     fn empty_sources() {
         assert!(drain(vec![]).is_empty());
-        assert!(drain(vec![vec![], vec![]]).is_empty());
+        assert!(drain(vec![mem(&[]), mem(&[])]).is_empty());
+    }
+
+    #[test]
+    fn a_batch_lends_and_copies_out_the_same_entries() {
+        let mut batch = KvBatch::default();
+        batch.push(b"k1", Some(b"v1"));
+        batch.push(b"k2", Some(b""));
+        assert_eq!(batch.len(), 2);
+        let lent: Vec<_> = batch.iter().collect();
+        assert_eq!(lent, vec![(&b"k1"[..], &b"v1"[..]), (&b"k2"[..], &b""[..])]);
+        let copied: Vec<KvEntry> = (&batch).into_iter().collect();
+        assert_eq!(copied, lent.into_iter().map(owned).collect::<Vec<_>>());
+        batch.clear();
+        assert!(batch.is_empty() && batch.iter().next().is_none());
     }
 }

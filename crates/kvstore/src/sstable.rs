@@ -31,7 +31,7 @@
 //! [`crate::IoMetrics`]; the [`crate::BlockCache`] stores *decompressed*
 //! block bytes, so a hot block pays decompression exactly once.
 
-use crate::block::{Block, BlockBuilder};
+use crate::block::{Block, BlockBuilder, BlockCursor};
 use crate::bloom::{bloom_hash, BloomFilter};
 use crate::cache::{next_file_id, BlockCache};
 use crate::error::{KvError, Result};
@@ -531,12 +531,12 @@ impl SsTable {
     }
 
     pub(crate) fn read_block(&self, idx: usize, seeked: bool) -> Result<Block> {
-        // Cache hits skip the disk, the checksum and the decompression
-        // (all verified/performed at fill time); only real disk fetches
-        // count as block reads.
+        // Cache hits skip the disk, the checksum, the decompression and
+        // the framing check (all done at fill time) and share the cached
+        // bytes; only real disk fetches count as block reads.
         if let Some(cached) = self.cache.get(self.file_id, idx) {
             self.metrics.record_cache_hit();
-            return Ok(Block::new(cached.as_ref().clone()));
+            return Ok(Block::new(cached));
         }
         let meta = &self.blocks[idx];
         let mut buf = vec![0u8; meta.len as usize];
@@ -558,6 +558,7 @@ impl SsTable {
         } else {
             buf
         };
+        let data = Arc::new(data);
         let block = Block::new(data.clone());
         if !block.validate() {
             return Err(KvError::Corrupt(format!(
@@ -565,7 +566,7 @@ impl SsTable {
                 self.path.display()
             )));
         }
-        self.cache.put(self.file_id, idx, Arc::new(data));
+        self.cache.put(self.file_id, idx, data);
         Ok(block)
     }
 
@@ -613,11 +614,9 @@ impl SsTable {
                 return Ok(None);
             }
         }
-        let block = self.read_block(self.seek_block(key), true)?;
-        if let Some(entry) = block.seek_iter(key).next() {
-            if entry.key.as_slice() == key {
-                return Ok(Some(entry.value));
-            }
+        let mut cursor = BlockCursor::new(self.read_block(self.seek_block(key), true)?);
+        if cursor.seek(key) && cursor.key() == key {
+            return Ok(Some(cursor.value().map(<[u8]>::to_vec)));
         }
         Ok(None)
     }
@@ -626,8 +625,11 @@ impl SsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockEntry;
     use crate::fixture;
+    use crate::scan::{MergeStream, ScanSource, SstRangeIter};
+
+    /// A key and its value (`None` for a tombstone).
+    type Entry = (Vec<u8>, Option<Vec<u8>>);
 
     /// Block CRCs are on disk: the checksum must stay the standard
     /// CRC-32 (its check value) or files written earlier stop verifying.
@@ -637,13 +639,15 @@ mod tests {
     }
 
     /// All entries with `start <= key <= end` (tombstones included),
-    /// pulled through the block iterator the scan path uses.
-    fn scan(t: &Arc<SsTable>, start: &[u8], end: &[u8]) -> Result<Vec<BlockEntry>> {
-        let mut source =
-            crate::scan::ScanSource::sstable(t.clone(), start, end, Default::default());
+    /// stepped through the merge and block cursor the scan path uses.
+    fn scan(t: &Arc<SsTable>, start: &[u8], end: &[u8]) -> Result<Vec<Entry>> {
+        let source = ScanSource::Sst(SstRangeIter::new(t.clone(), start, end, Default::default()));
+        let (start, end) = (start.to_vec(), end.to_vec());
+        let mut merge = MergeStream::new(vec![source], start, end, Default::default());
         let mut out = Vec::new();
-        while let Some(entry) = source.next()? {
-            out.push(entry);
+        while merge.step()? {
+            let (key, value) = merge.current().expect("stepped");
+            out.push((key.to_vec(), value.map(<[u8]>::to_vec)));
         }
         Ok(out)
     }
@@ -702,8 +706,8 @@ mod tests {
             assert_eq!(t.entry_count(), 1000, "{label}");
             let hits = scan(&t, b"key-000100", b"key-000199").unwrap();
             assert_eq!(hits.len(), 100, "{label}");
-            assert_eq!(hits[0].key, b"key-000100");
-            assert_eq!(hits[99].key, b"key-000199");
+            assert_eq!(hits[0].0, b"key-000100");
+            assert_eq!(hits[99].0, b"key-000199");
             std::fs::remove_dir_all(dir).ok();
         }
     }
@@ -830,7 +834,7 @@ mod tests {
         assert_eq!(t.get(b"b").unwrap(), Some(None));
         let all = scan(&t, b"", b"\xff").unwrap();
         assert_eq!(all.len(), 2);
-        assert_eq!(all[1].value, None);
+        assert_eq!(all[1].1, None);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -860,7 +864,7 @@ mod tests {
                         let hi = format!("key-{:06}", i * 100 + 99);
                         let hits = scan(&t, lo.as_bytes(), hi.as_bytes()).unwrap();
                         assert_eq!(hits.len(), 100);
-                        assert_eq!(hits[0].key, lo.as_bytes());
+                        assert_eq!(hits[0].0, lo.as_bytes());
                         let got = t.get(format!("key-{:06}", i * 7).as_bytes()).unwrap();
                         assert_eq!(got, Some(Some(format!("value-{}", i * 7).into_bytes())));
                     }
@@ -893,6 +897,70 @@ mod tests {
         assert!(
             wide.blocks_read > 4 * narrow.blocks_read,
             "wide {wide:?} vs narrow {narrow:?}"
+        );
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Rewrites block 0 of the table at `path` in place through `mutate`
+    /// (same length) and stamps the mutated bytes' checksum into the
+    /// index, so only the framing check stands between them and a reader.
+    /// Returns the mutated block bytes.
+    fn restamp_first_block(path: &Path, mutate: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let mut bytes = std::fs::read(path).unwrap();
+        let word = |at: usize, n: usize| {
+            let mut le = [0u8; 8];
+            le[..n].copy_from_slice(&bytes[at..at + n]);
+            u64::from_le_bytes(le) as usize
+        };
+        // index := count(u64) klen(u32) first_key offset(u64) len(u32) crc(u32) ...
+        let entry = word(bytes.len() - FOOTER_LEN, 8) + 8;
+        let at = entry + 4 + word(entry, 4);
+        let (offset, len) = (word(at, 8), word(at + 8, 4));
+        mutate(&mut bytes[offset..offset + len]);
+        let block = bytes[offset..offset + len].to_vec();
+        bytes[at + 12..at + 16].copy_from_slice(&crc32(&block).to_le_bytes());
+        std::fs::write(path, bytes).unwrap();
+        block
+    }
+
+    #[test]
+    fn a_block_failing_its_framing_check_is_corrupt_to_get_and_scan() {
+        let dir = tmpdir("mutated-block");
+        let mut rng = just_obs::Rng::seed_from_u64(0x5eed);
+        let mut caught = 0;
+        for round in 0..300 {
+            let t = build(&dir, 100);
+            let path = t.path().to_path_buf();
+            drop(t);
+            // A bit flip, an over-long varint run, or a rewritten restart
+            // offset, none of which changes the block's length.
+            let block = restamp_first_block(&path, |b| {
+                let n = b.len();
+                match round % 3 {
+                    0 => b[rng.gen_range(0..n)] ^= 1 << rng.gen_range(0u32..8),
+                    1 => {
+                        let at = rng.gen_range(0..n - 12);
+                        b[at..at + 11].fill(0xff);
+                    }
+                    _ => b[n - 8..n - 4].copy_from_slice(&rng.gen_range(1u32..4096).to_le_bytes()),
+                }
+            });
+            if Block::new(Arc::new(block)).validate() {
+                continue;
+            }
+            caught += 1;
+            let t = Arc::new(fixture::sstable(&path));
+            let get = t.get(b"key-000000");
+            assert!(
+                matches!(get, Err(KvError::Corrupt(_))),
+                "round {round}: {get:?}"
+            );
+            let scanned = scan(&t, b"", b"\xff");
+            assert!(matches!(scanned, Err(KvError::Corrupt(_))), "round {round}");
+        }
+        assert!(
+            caught >= 100,
+            "only {caught} of 300 mutations broke the framing"
         );
         std::fs::remove_dir_all(dir).ok();
     }

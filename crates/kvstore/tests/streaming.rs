@@ -54,7 +54,7 @@ fn early_drop_stops_block_reads() {
     );
     let batch = stream.next_batch().unwrap().unwrap();
     assert_eq!(batch.len(), 10);
-    assert_eq!(batch[0].key, b"key-000000");
+    assert_eq!(batch.iter().next().unwrap().0, b"key-000000");
     drop(stream);
     let partial = store.metrics().snapshot().since(&before);
 

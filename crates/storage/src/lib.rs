@@ -42,7 +42,7 @@ pub use value::Value;
 // The streaming query API ([`StTable::query_stream`]) hands out kvstore
 // scan types directly; re-export them so downstream crates (ql, core)
 // need not depend on just-kvstore for plumbing alone.
-pub use just_kvstore::{CancelToken, KvEntry, ScanOptions};
+pub use just_kvstore::{CancelToken, KvBatch, ScanOptions};
 
 use std::fmt;
 

@@ -467,9 +467,10 @@ impl StTable {
         RawQueryStream { inner }
     }
 
-    /// Decodes one raw entry from [`StTable::query_raw_stream`].
-    pub fn decode_entry(&self, entry: &just_kvstore::KvEntry) -> Result<Row> {
-        Row::decode(&self.schema, &entry.value)
+    /// Decodes the value of one raw entry from
+    /// [`StTable::query_raw_stream`].
+    pub fn decode_entry(&self, value: &[u8]) -> Result<Row> {
+        Row::decode(&self.schema, value)
     }
 
     /// Executes a spatial / spatio-temporal range query and collects
@@ -583,15 +584,17 @@ impl StTable {
             None
         };
         QueryStream {
-            schema: self.schema.clone(),
             inner,
-            spatial: spatial.cloned(),
-            time,
-            predicate,
-            filtering,
-            refine_mask,
-            fill_mask,
-            post_mask,
+            refine: Refine {
+                schema: self.schema.clone(),
+                spatial: spatial.cloned(),
+                time,
+                predicate,
+                filtering,
+                refine_mask,
+                fill_mask,
+                post_mask,
+            },
             started: std::time::Instant::now(),
             done: false,
         }
@@ -647,10 +650,11 @@ pub struct RawQueryStream {
 }
 
 impl RawQueryStream {
-    /// The next bounded batch of raw entries, or `None` when drained.
-    pub fn next_batch(&mut self) -> Result<Option<Vec<just_kvstore::KvEntry>>> {
+    /// The next bounded batch of raw entries, lent until the next pull,
+    /// or `None` when drained.
+    pub fn next_batch(&mut self) -> Result<Option<&just_kvstore::KvBatch>> {
         let batch = self.inner.next_batch()?;
-        if let Some(entries) = &batch {
+        if let Some(entries) = batch {
             index_obs().keys_scanned.add(entries.len() as u64);
         }
         Ok(batch)
@@ -669,8 +673,16 @@ impl RawQueryStream {
 /// [`StTable::scan_all_stream`]; self-contained (owns a schema clone),
 /// so it can be threaded through sessions without borrowing the table.
 pub struct QueryStream {
-    schema: Schema,
     inner: just_kvstore::ScanStream,
+    refine: Refine,
+    started: std::time::Instant,
+    /// The latency sample is recorded: at exhaustion, or on drop.
+    done: bool,
+}
+
+/// What a [`QueryStream`] checks and decodes each entry's value against.
+struct Refine {
+    schema: Schema,
     spatial: Option<Rect>,
     time: Option<(i64, i64)>,
     predicate: SpatialPredicate,
@@ -684,9 +696,6 @@ pub struct QueryStream {
     /// Fields survivors still need after the refine phase (`None` = the
     /// refine phase already decoded everything the projection wants).
     post_mask: Option<Vec<bool>>,
-    started: std::time::Instant,
-    /// The latency sample is recorded: at exhaustion, or on drop.
-    done: bool,
 }
 
 /// A check a consumer hands [`QueryStream::next_batch_gated`]: the stream
@@ -704,7 +713,7 @@ pub trait RowGate {
 impl QueryStream {
     /// The schema rows of this stream conform to.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.refine.schema
     }
 
     /// Token to stop the scan early (cloneable into the consumer).
@@ -732,7 +741,7 @@ impl QueryStream {
         }
         let obs = index_obs();
         // The gate's fields decode into one row reused across entries.
-        let len = self.schema.len();
+        let len = self.refine.schema.len();
         let mut probe = gate.as_ref().map(|g| {
             let mut mask = vec![false; len];
             for &i in g.fields().iter().filter(|&&i| i < len) {
@@ -748,15 +757,15 @@ impl QueryStream {
             obs.keys_scanned.add(entries.len() as u64);
             let mut rows = Vec::with_capacity(entries.len());
             let mut gated = 0;
-            for e in &entries {
+            for (_, value) in entries.iter() {
                 if let (Some(gate), Some((mask, probe))) = (gate.as_deref_mut(), &mut probe) {
-                    probe.fill_masked(&self.schema, &e.value, mask)?;
+                    probe.fill_masked(&self.refine.schema, value, mask)?;
                     if !gate.pass(probe) {
                         gated += 1;
                         continue;
                     }
                 }
-                rows.extend(self.refine_decode(&e.value)?);
+                rows.extend(self.refine.decode(value)?);
             }
             obs.rows_gated.add(gated);
             obs.rows_matched.add(rows.len() as u64);
@@ -768,9 +777,29 @@ impl QueryStream {
         }
     }
 
+    /// Records the stream's one latency sample, if it has not yet.
+    fn finish(&mut self) {
+        if !std::mem::replace(&mut self.done, true) {
+            index_obs()
+                .query_latency
+                .record_duration(self.started.elapsed());
+        }
+    }
+
+    /// Pulls every remaining batch into one vector.
+    fn drain(mut self) -> Result<Vec<Row>> {
+        let mut rows = Vec::new();
+        while let Some(batch) = self.next_batch()? {
+            rows.extend(batch);
+        }
+        Ok(rows)
+    }
+}
+
+impl Refine {
     /// One entry through refine and projection: `None` when the exact
     /// predicate prunes it (counted), else its projected fields decoded.
-    fn refine_decode(&self, value: &[u8]) -> Result<Option<Row>> {
+    fn decode(&self, value: &[u8]) -> Result<Option<Row>> {
         if !self.filtering {
             return Ok(Some(match &self.fill_mask {
                 Some(mask) => Row::decode_masked(&self.schema, value, mask)?,
@@ -798,24 +827,6 @@ impl QueryStream {
             row.fill_masked(&self.schema, value, mask)?;
         }
         Ok(Some(row))
-    }
-
-    /// Records the stream's one latency sample, if it has not yet.
-    fn finish(&mut self) {
-        if !std::mem::replace(&mut self.done, true) {
-            index_obs()
-                .query_latency
-                .record_duration(self.started.elapsed());
-        }
-    }
-
-    /// Pulls every remaining batch into one vector.
-    fn drain(mut self) -> Result<Vec<Row>> {
-        let mut rows = Vec::new();
-        while let Some(batch) = self.next_batch()? {
-            rows.extend(batch);
-        }
-        Ok(rows)
     }
 }
 
