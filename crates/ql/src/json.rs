@@ -1,19 +1,25 @@
 //! JSON support for the SQL layer and the wire protocol.
 //!
-//! Two levels live here:
+//! Three pieces live here:
 //!
 //! * [`Json`] — the tiny flat subset used by `USERDATA { ... }` and
 //!   `CONFIG { ... }` hints: string-keyed objects with string/number
 //!   values (exactly what the paper's examples use), parsed from the SQL
 //!   token stream.
+//! * [`JsonReader`] — the one JSON lexer: a pull reader over a
+//!   document's bytes. Strings without escapes come back borrowed from
+//!   the document, and every value it reads or skips counts its nesting
+//!   against `MAX_DEPTH`. [`crate::wire`] decodes query results with it
+//!   straight into rows, and `just-server` reads response envelopes.
 //! * [`JsonValue`] — a full JSON document model (null/bool/int/float/
-//!   string/array/object) with a hand-rolled parser and writer. The
-//!   `just-server` wire protocol frames requests and responses as
-//!   `JsonValue` documents, and [`crate::wire`] encodes query results
-//!   through it.
+//!   string/array/object), parsed by [`JsonReader`] and rendered with
+//!   [`write_json_str`], the string escaper the wire writer shares.
+//!   Wire requests are `JsonValue` documents; results never become one.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::Write as _;
 
 /// A parsed hint object.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -117,13 +123,9 @@ impl JsonValue {
 
     /// Parses one JSON document (rejecting trailing garbage).
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(JsonError::at(pos, "trailing characters"));
-        }
+        let mut reader = JsonReader::new(text.as_bytes());
+        let value = reader.value()?;
+        reader.end()?;
         Ok(value)
     }
 
@@ -131,47 +133,34 @@ impl JsonValue {
     /// has no NaN/Infinity); the wire protocol avoids this by encoding
     /// SQL floats as tagged strings (see [`crate::wire`]).
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out);
-        out
+        String::from_utf8(out).expect("the writer emits UTF-8")
     }
 
-    fn write(&self, out: &mut String) {
+    fn write(&self, out: &mut Vec<u8>) {
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Int(i) => out.push_str(&i.to_string()),
+            JsonValue::Null => out.extend_from_slice(b"null"),
+            JsonValue::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+            JsonValue::Int(i) => write!(out, "{i}").expect(VEC_WRITE),
             JsonValue::Float(f) if f.is_finite() => {
-                let s = f.to_string();
-                out.push_str(&s);
+                let start = out.len();
+                write!(out, "{f}").expect(VEC_WRITE);
                 // Keep the float/int distinction through a round-trip.
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
+                if !out[start..].iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+                    out.extend_from_slice(b".0");
                 }
             }
-            JsonValue::Float(_) => out.push_str("null"),
-            JsonValue::Str(s) => write_json_string(s, out),
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
+            JsonValue::Float(_) => out.extend_from_slice(b"null"),
+            JsonValue::Str(s) => write_json_str(out, s),
+            JsonValue::Array(items) => write_seq(out, b'[', items, |out, v| v.write(out), b']'),
             JsonValue::Object(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_string(k, out);
-                    out.push(':');
+                let member = |out: &mut Vec<u8>, (k, v): (&String, &JsonValue)| {
+                    write_json_str(out, k);
+                    out.push(b':');
                     v.write(out);
-                }
-                out.push('}');
+                };
+                write_seq(out, b'{', map, member, b'}');
             }
         }
     }
@@ -209,32 +198,63 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Why `write!` into a `Vec<u8>` is expected to succeed.
+pub(crate) const VEC_WRITE: &str = "writing to a Vec cannot fail";
+
+/// Lower-case hex digits, by value.
+pub(crate) const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends `s` as a JSON string literal: `"`, `\` and control
+/// characters escaped (`\n`, `\r`, `\t` by name, the rest as `\u00xx`),
+/// everything else copied as it is.
+pub fn write_json_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.extend_from_slice(&bytes[run..i]);
+        run = i + 1;
+        match b {
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b'"' | b'\\' => out.extend_from_slice(&[b'\\', b]),
+            _ => {
+                let hex = |nibble: u8| HEX[usize::from(nibble)];
+                out.extend_from_slice(&[b'\\', b'u', b'0', b'0', hex(b >> 4), hex(b & 15)]);
             }
-            c => out.push(c),
         }
     }
-    out.push('"');
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while let Some(b) = bytes.get(*pos) {
-        if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        } else {
-            break;
+/// Appends `items` between `open` and `close`, comma-separated.
+pub(crate) fn write_seq<T>(
+    out: &mut Vec<u8>,
+    open: u8,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut Vec<u8>, T),
+    close: u8,
+) {
+    out.push(open);
+    for (i, it) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
         }
+        item(out, it);
     }
+    out.push(close);
+}
+
+/// The value of a run of hex digits; unlike `from_str_radix`, no sign.
+pub(crate) fn hex_value(digits: &[u8]) -> Option<u32> {
+    digits
+        .iter()
+        .try_fold(0, |acc, &d| Some(acc << 4 | (d as char).to_digit(16)?))
 }
 
 /// Nesting cap for the recursive-descent parser. The wire protocol
@@ -243,196 +263,285 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 /// thread stack (process abort) instead of returning an error.
 const MAX_DEPTH: usize = 128;
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
-    if depth > MAX_DEPTH {
-        return Err(JsonError::at(
-            *pos,
-            format!("nesting deeper than {MAX_DEPTH} levels"),
-        ));
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(JsonError::at(*pos, "unexpected end of input")),
-        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Array(items));
-                    }
-                    _ => return Err(JsonError::at(*pos, "expected ',' or ']'")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JsonValue::Object(map));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(JsonError::at(*pos, "expected ':'"));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                map.insert(key, value);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Object(map));
-                    }
-                    _ => return Err(JsonError::at(*pos, "expected ',' or '}'")),
-                }
-            }
-        }
-        Some(_) => parse_number(bytes, pos),
-    }
+/// A pull reader over the bytes of one JSON document. Strings without
+/// escapes come back borrowed from the document, and every value read
+/// or skipped counts its nesting against `MAX_DEPTH`.
+pub struct JsonReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Containers open at `pos`.
+    depth: usize,
 }
 
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: JsonValue,
-) -> Result<JsonValue, JsonError> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
+impl<'a> JsonReader<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        JsonReader {
+            bytes,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Reads a document that is one object: `member` gets each key with
+    /// the reader at that member's value, which it must consume.
+    /// Trailing characters are an error.
+    pub fn read_object<E: From<JsonError>>(
+        bytes: &'a [u8],
+        member: impl FnMut(&mut Self, &str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut reader = JsonReader::new(bytes);
+        reader.object(member)?;
+        Ok(reader.end()?)
+    }
+
+    /// Reads the next value as a document tree.
+    pub fn value(&mut self) -> Result<JsonValue, JsonError> {
+        self.check_depth()?;
+        Ok(match self.peek() {
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.object(|r, key| -> Result<(), JsonError> {
+                    map.insert(key.to_string(), r.value()?);
+                    Ok(())
+                })?;
+                JsonValue::Object(map)
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| -> Result<(), JsonError> {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                JsonValue::Array(items)
+            }
+            Some(b'"') => JsonValue::Str(self.str()?.into_owned()),
+            _ => self.scalar()?,
+        })
+    }
+
+    /// Consumes the next value without building it.
+    pub(crate) fn skip(&mut self) -> Result<(), JsonError> {
+        self.check_depth()?;
+        match self.peek() {
+            Some(b'{') => self.object(|r, _| r.skip()),
+            Some(b'[') => self.array(Self::skip),
+            Some(b'"') => self.str().map(drop),
+            _ => self.scalar().map(drop),
+        }
+    }
+
+    /// Walks an object: `member` gets each key with the reader at its
+    /// value.
+    pub(crate) fn object<E: From<JsonError>>(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.seq(b'{', b'}', |r| {
+            let key = r.str()?;
+            r.expect(b':')?;
+            member(r, &key)
+        })
+    }
+
+    /// Walks an array: `item` gets the reader at each element.
+    pub(crate) fn array<E: From<JsonError>>(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.seq(b'[', b']', item)
+    }
+
+    fn seq<E: From<JsonError>>(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.expect(open)?;
+        self.depth += 1;
+        if !self.eat(close) {
+            loop {
+                item(self)?;
+                if self.eat(close) {
+                    break;
+                }
+                if !self.eat(b',') {
+                    let msg = format!("expected ',' or '{}'", close as char);
+                    return Err(self.error(msg).into());
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// A string, borrowed from the document when it holds no escape.
+    pub(crate) fn str(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.expect(b'"')?;
+        let bytes = self.bytes;
+        let start = self.pos;
+        // `out` holds the text decoded so far once an escape is met;
+        // `run` is where the unescaped stretch after it begins.
+        let (mut out, mut run) = (Vec::new(), start);
+        loop {
+            let stop = bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\');
+            let Some(n) = stop else {
+                return Err(JsonError::at(bytes.len(), "unterminated string"));
+            };
+            self.pos += n + 1;
+            if bytes[self.pos - 1] == b'"' {
+                break;
+            }
+            out.extend_from_slice(&bytes[run..self.pos - 1]);
+            self.escape(&mut out)?;
+            run = self.pos;
+        }
+        let tail = &bytes[run..self.pos - 1];
+        let text = if run == start {
+            std::str::from_utf8(tail).map(Cow::Borrowed).ok()
+        } else {
+            out.extend_from_slice(tail);
+            String::from_utf8(out).map(Cow::Owned).ok()
+        };
+        text.ok_or_else(|| self.error("invalid UTF-8"))
+    }
+
+    /// Decodes the escape after a backslash onto `out`.
+    fn escape(&mut self, out: &mut Vec<u8>) -> Result<(), JsonError> {
+        let Some(&esc) = self.bytes.get(self.pos) else {
+            return Err(self.error("unterminated escape"));
+        };
+        self.pos += 1;
+        let byte = match esc {
+            b'"' | b'\\' | b'/' => esc,
+            b'n' => b'\n',
+            b'r' => b'\r',
+            b't' => b'\t',
+            b'b' => 0x08,
+            b'f' => 0x0c,
+            b'u' => {
+                let c = self.unicode_escape()?;
+                out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                return Ok(());
+            }
+            other => return Err(self.error(format!("bad escape '\\{}'", other as char))),
+        };
+        out.push(byte);
+        Ok(())
+    }
+
+    /// The character of a `\uXXXX` escape; a high surrogate takes the
+    /// low-surrogate escape that must follow it.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let first = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&first) {
+            if !self.bytes[self.pos..].starts_with(b"\\u") {
+                return Err(self.error("lone high surrogate"));
+            }
+            self.pos += 2;
+            let second = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&second) {
+                return Err(self.error("invalid low surrogate"));
+            }
+            0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
+        } else {
+            first
+        };
+        char::from_u32(code).ok_or_else(|| self.error("invalid \\u escape"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let digits = self.bytes.get(self.pos..self.pos + 4).and_then(hex_value);
+        let v = digits.ok_or_else(|| self.error("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(v)
+    }
+
+    /// `null`, `true`, `false` or a number.
+    fn scalar(&mut self) -> Result<JsonValue, JsonError> {
+        let (word, value) = match self.peek() {
+            None => return Err(self.error("unexpected end of input")),
+            Some(b'n') => ("null", JsonValue::Null),
+            Some(b't') => ("true", JsonValue::Bool(true)),
+            Some(b'f') => ("false", JsonValue::Bool(false)),
+            Some(_) => return self.number(),
+        };
+        if !self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            return Err(self.error(format!("expected '{word}'")));
+        }
+        self.pos += word.len();
         Ok(value)
-    } else {
-        Err(JsonError::at(*pos, format!("expected '{word}'")))
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
+    fn number(&mut self) -> Result<JsonValue, JsonError> {
+        let start = self.pos;
+        if self.bytes.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
         }
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| JsonError::at(start, "invalid number"))?;
-    if text.is_empty() || text == "-" {
-        return Err(JsonError::at(start, "expected a value"));
-    }
-    if !is_float {
-        if let Ok(i) = text.parse::<i64>() {
-            return Ok(JsonValue::Int(i));
+        let mut is_float = false;
+        while let Some(&b) = self.bytes.get(self.pos) {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
+                _ => break,
+            }
+            self.pos += 1;
         }
-    }
-    text.parse::<f64>()
-        .map(JsonValue::Float)
-        .map_err(|_| JsonError::at(start, format!("bad number '{text}'")))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(JsonError::at(*pos, "expected '\"'"));
-    }
-    *pos += 1;
-    let mut out = Vec::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(JsonError::at(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return String::from_utf8(out).map_err(|_| JsonError::at(*pos, "invalid UTF-8"));
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = bytes
-                    .get(*pos)
-                    .ok_or_else(|| JsonError::at(*pos, "unterminated escape"))?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'n' => out.push(b'\n'),
-                    b'r' => out.push(b'\r'),
-                    b't' => out.push(b'\t'),
-                    b'b' => out.push(0x08),
-                    b'f' => out.push(0x0c),
-                    b'u' => {
-                        let first = parse_hex4(bytes, pos)?;
-                        let c = if (0xD800..0xDC00).contains(&first) {
-                            // High surrogate: a \uXXXX pair must follow.
-                            if bytes.get(*pos) == Some(&b'\\') && bytes.get(*pos + 1) == Some(&b'u')
-                            {
-                                *pos += 2;
-                                let second = parse_hex4(bytes, pos)?;
-                                let combined = 0x10000
-                                    + ((first - 0xD800) << 10)
-                                    + second.checked_sub(0xDC00).ok_or_else(|| {
-                                        JsonError::at(*pos, "invalid low surrogate")
-                                    })?;
-                                char::from_u32(combined)
-                                    .ok_or_else(|| JsonError::at(*pos, "invalid surrogate pair"))?
-                            } else {
-                                return Err(JsonError::at(*pos, "lone high surrogate"));
-                            }
-                        } else {
-                            char::from_u32(first)
-                                .ok_or_else(|| JsonError::at(*pos, "invalid \\u escape"))?
-                        };
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                    }
-                    other => {
-                        return Err(JsonError::at(
-                            *pos,
-                            format!("bad escape '\\{}'", *other as char),
-                        ))
-                    }
-                }
-            }
-            Some(&b) => {
-                out.push(b);
-                *pos += 1;
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        if text.is_empty() || text == "-" {
+            return Err(JsonError::at(start, "expected a value"));
+        }
+        if !is_float {
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(JsonValue::Int(i));
             }
         }
+        text.parse::<f64>()
+            .map(JsonValue::Float)
+            .map_err(|_| JsonError::at(start, format!("bad number '{text}'")))
     }
-}
 
-fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
-    let hex = bytes
-        .get(*pos..*pos + 4)
-        .ok_or_else(|| JsonError::at(*pos, "truncated \\u escape"))?;
-    let text = std::str::from_utf8(hex).map_err(|_| JsonError::at(*pos, "bad \\u escape"))?;
-    let v = u32::from_str_radix(text, 16).map_err(|_| JsonError::at(*pos, "bad \\u escape"))?;
-    *pos += 4;
-    Ok(v)
+    fn check_depth(&self) -> Result<(), JsonError> {
+        if self.depth > MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
+    /// The next byte past whitespace, not consumed.
+    pub(crate) fn peek(&mut self) -> Option<u8> {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+            self.pos += 1;
+        }
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.peek() == Some(byte);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
+        if self.eat(byte) {
+            return Ok(());
+        }
+        Err(self.error(format!("expected '{}'", byte as char)))
+    }
+
+    /// Checks that only whitespace is left.
+    pub(crate) fn end(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.error("trailing characters")),
+        }
+    }
+
+    fn error(&self, message: impl Into<String>) -> JsonError {
+        JsonError::at(self.pos, message)
+    }
 }
 
 #[cfg(test)]

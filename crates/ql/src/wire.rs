@@ -5,6 +5,8 @@
 //! a remote client reconstructs results **byte-identical** to embedded
 //! execution:
 //!
+//! * A result is `{"columns":[...],"kind":"data","rows":[[...],...]}` or
+//!   `{"kind":"message","text":"..."}`.
 //! * `NULL` → `null`, booleans → `true`/`false`.
 //! * Integers → `{"i": n}`, dates → `{"d": ms}` (tags keep the SQL type
 //!   distinction that bare JSON numbers would erase).
@@ -13,163 +15,189 @@
 //! * Strings → `{"s": "..."}`.
 //! * Geometries and GPS lists → `{"b": "<hex>"}` of the storage layer's
 //!   binary [`Value`] encoding, which is exact by construction.
+//!
+//! Neither direction builds a document tree. [`write_result`] appends
+//! the text to the frame buffer as it walks the rows, and
+//! [`read_result`] pulls it through a [`JsonReader`] straight into
+//! [`Row`]s, one `Vec<Value>` per row. The reader takes members in any
+//! order and skips unknown ones; a cell with no tag or two, or a hex
+//! payload that is not bare hex digits, is a `MALFORMED` error.
 
 use crate::client::QueryResult;
 use crate::error::QlError;
-use crate::json::JsonValue;
+use crate::json::{
+    hex_value, write_json_str, write_seq, JsonError, JsonReader, JsonValue, HEX, VEC_WRITE,
+};
 use crate::Result;
 use just_core::Dataset;
 use just_storage::{Row, Value};
+use std::io::Write as _;
 
-/// Encodes one cell value.
-pub fn value_to_json(v: &Value) -> JsonValue {
-    match v {
-        Value::Null => JsonValue::Null,
-        Value::Bool(b) => JsonValue::Bool(*b),
-        Value::Int(i) => JsonValue::object().with("i", JsonValue::Int(*i)),
-        Value::Float(f) => JsonValue::object().with("f", JsonValue::Str(f.to_string())),
-        Value::Str(s) => JsonValue::object().with("s", JsonValue::Str(s.clone())),
-        Value::Date(d) => JsonValue::object().with("d", JsonValue::Int(*d)),
-        Value::Geom(_) | Value::GpsList(_) => {
-            let mut buf = Vec::new();
-            v.encode(&mut buf);
-            JsonValue::object().with("b", JsonValue::Str(hex_encode(&buf)))
-        }
-    }
-}
-
-/// Decodes one cell value.
-pub fn value_from_json(j: &JsonValue) -> Result<Value> {
-    match j {
-        JsonValue::Null => Ok(Value::Null),
-        JsonValue::Bool(b) => Ok(Value::Bool(*b)),
-        JsonValue::Object(_) => {
-            if let Some(i) = j.get("i") {
-                return i
-                    .as_int()
-                    .map(Value::Int)
-                    .ok_or_else(|| bad("i not an int"));
-            }
-            if let Some(d) = j.get("d") {
-                return d
-                    .as_int()
-                    .map(Value::Date)
-                    .ok_or_else(|| bad("d not an int"));
-            }
-            if let Some(f) = j.get("f") {
-                let text = f.as_str().ok_or_else(|| bad("f not a string"))?;
-                return text
-                    .parse::<f64>()
-                    .map(Value::Float)
-                    .map_err(|_| bad(&format!("bad float '{text}'")));
-            }
-            if let Some(s) = j.get("s") {
-                return s
-                    .as_str()
-                    .map(|s| Value::Str(s.to_string()))
-                    .ok_or_else(|| bad("s not a string"));
-            }
-            if let Some(b) = j.get("b") {
-                let hex = b.as_str().ok_or_else(|| bad("b not a string"))?;
-                let bytes = hex_decode(hex).ok_or_else(|| bad("bad hex payload"))?;
-                let mut pos = 0;
-                let v = Value::decode(&bytes, &mut pos).ok_or_else(|| bad("bad binary value"))?;
-                if pos != bytes.len() {
-                    return Err(bad("trailing bytes in binary value"));
-                }
-                return Ok(v);
-            }
-            Err(bad("unknown value tag"))
-        }
-        other => Err(bad(&format!("unexpected value shape {other:?}"))),
-    }
-}
-
-/// Encodes a dataset as `{"columns": [...], "rows": [[...], ...]}`.
-pub fn dataset_to_json(d: &Dataset) -> JsonValue {
-    JsonValue::object()
-        .with(
-            "columns",
-            JsonValue::Array(
-                d.columns
-                    .iter()
-                    .map(|c| JsonValue::Str(c.clone()))
-                    .collect(),
-            ),
-        )
-        .with(
-            "rows",
-            JsonValue::Array(
-                d.rows
-                    .iter()
-                    .map(|r| JsonValue::Array(r.values.iter().map(value_to_json).collect()))
-                    .collect(),
-            ),
-        )
-}
-
-/// Decodes a dataset, checking row arity against the header.
-pub fn dataset_from_json(j: &JsonValue) -> Result<Dataset> {
-    let columns: Vec<String> = j
-        .get("columns")
-        .and_then(|c| c.as_array())
-        .ok_or_else(|| bad("missing columns"))?
-        .iter()
-        .map(|c| {
-            c.as_str()
-                .map(|s| s.to_string())
-                .ok_or_else(|| bad("bad column name"))
-        })
-        .collect::<Result<_>>()?;
-    let rows_json = j
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .ok_or_else(|| bad("missing rows"))?;
-    let mut rows = Vec::with_capacity(rows_json.len());
-    for row in rows_json {
-        let cells = row.as_array().ok_or_else(|| bad("row not an array"))?;
-        if cells.len() != columns.len() {
-            return Err(bad("row arity mismatch"));
-        }
-        let values = cells
-            .iter()
-            .map(value_from_json)
-            .collect::<Result<Vec<_>>>()?;
-        rows.push(Row::new(values));
-    }
-    Ok(Dataset::new(columns, rows))
-}
-
-/// Encodes a query result (`{"kind":"data",...}` or
-/// `{"kind":"message","text":...}`).
-pub fn result_to_json(r: &QueryResult) -> JsonValue {
+/// Appends a query result's JSON to `out`.
+pub fn write_result(out: &mut Vec<u8>, r: &QueryResult) {
     match r {
-        QueryResult::Data(d) => dataset_to_json(d).with("kind", JsonValue::Str("data".into())),
-        QueryResult::Message(m) => JsonValue::object()
-            .with("kind", JsonValue::Str("message".into()))
-            .with("text", JsonValue::Str(m.clone())),
+        QueryResult::Data(d) => write_data(out, d),
+        QueryResult::Message(m) => {
+            out.extend_from_slice(br#"{"kind":"message","text":"#);
+            write_json_str(out, m);
+            out.push(b'}');
+        }
     }
 }
 
-/// Decodes a query result.
-pub fn result_from_json(j: &JsonValue) -> Result<QueryResult> {
-    match j.get("kind").and_then(|k| k.as_str()) {
-        Some("data") => Ok(QueryResult::Data(dataset_from_json(j)?)),
-        Some("message") => Ok(QueryResult::Message(
-            j.get("text")
-                .and_then(|t| t.as_str())
-                .ok_or_else(|| bad("missing message text"))?
-                .to_string(),
-        )),
+/// Appends the JSON of a data result holding `d` to `out`.
+pub fn write_data(out: &mut Vec<u8>, d: &Dataset) {
+    out.extend_from_slice(br#"{"columns":"#);
+    write_seq(out, b'[', &d.columns, |out, c| write_json_str(out, c), b']');
+    out.extend_from_slice(br#","kind":"data","rows":"#);
+    let row = |out: &mut Vec<u8>, r: &Row| write_seq(out, b'[', &r.values, write_value, b']');
+    write_seq(out, b'[', &d.rows, row, b']');
+    out.push(b'}');
+}
+
+fn write_value(out: &mut Vec<u8>, v: &Value) {
+    match v {
+        Value::Null => out.extend_from_slice(b"null"),
+        Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+        Value::Int(i) => write!(out, r#"{{"i":{i}}}"#).expect(VEC_WRITE),
+        Value::Date(d) => write!(out, r#"{{"d":{d}}}"#).expect(VEC_WRITE),
+        // A float's shortest decimal holds nothing JSON escapes.
+        Value::Float(f) => write!(out, r#"{{"f":"{f}"}}"#).expect(VEC_WRITE),
+        Value::Str(s) => {
+            out.extend_from_slice(br#"{"s":"#);
+            write_json_str(out, s);
+            out.push(b'}');
+        }
+        Value::Geom(_) | Value::GpsList(_) => {
+            out.extend_from_slice(br#"{"b":""#);
+            // Encode in place, then spread the bytes into hex digits
+            // from the back, so no scratch buffer is needed.
+            let start = out.len();
+            v.encode(out);
+            let n = out.len() - start;
+            out.resize(start + 2 * n, 0);
+            for i in (0..n).rev() {
+                let b = out[start + i];
+                out[start + 2 * i] = HEX[usize::from(b >> 4)];
+                out[start + 2 * i + 1] = HEX[usize::from(b & 15)];
+            }
+            out.extend_from_slice(br#""}"#);
+        }
+    }
+}
+
+/// Reads the result object at `r`, decoding its rows straight into
+/// [`Row`]s. Every error is a `MALFORMED` [`QlError::Remote`].
+pub fn read_result(r: &mut JsonReader) -> Result<QueryResult> {
+    let (mut columns, mut kind, mut rows, mut text) = (None, None, None, None);
+    r.object(|r, key| -> Result<()> {
+        match key {
+            "columns" => {
+                let mut names = Vec::new();
+                r.array(|r| -> Result<()> {
+                    names.push(r.str()?.into_owned());
+                    Ok(())
+                })?;
+                columns = Some(names);
+            }
+            "kind" => kind = Some(r.str()?),
+            "rows" => rows = Some(read_rows(r, columns.as_ref().map_or(0, Vec::len))?),
+            "text" => text = Some(r.str()?.into_owned()),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    match kind.as_deref() {
+        Some("data") => {
+            let columns = columns.ok_or_else(|| bad("missing columns"))?;
+            let rows = rows.ok_or_else(|| bad("missing rows"))?;
+            if rows.iter().any(|row| row.values.len() != columns.len()) {
+                return Err(bad("row arity mismatch"));
+            }
+            Ok(QueryResult::Data(Dataset::new(columns, rows)))
+        }
+        Some("message") => text
+            .map(QueryResult::Message)
+            .ok_or_else(|| bad("missing message text")),
         _ => Err(bad("missing result kind")),
     }
 }
 
-/// Encodes a [`QlError`] as `{"code": ..., "message": ...}`.
-pub fn error_to_json(e: &QlError) -> JsonValue {
-    JsonValue::object()
-        .with("code", JsonValue::Str(e.code().to_string()))
-        .with("message", JsonValue::Str(e.to_string()))
+/// The rows array; `width` is the expected cells per row, a capacity
+/// hint only.
+fn read_rows(r: &mut JsonReader, width: usize) -> Result<Vec<Row>> {
+    let mut rows = Vec::new();
+    r.array(|r| -> Result<()> {
+        let mut values = Vec::with_capacity(width);
+        r.array(|r| -> Result<()> {
+            values.push(read_value(r)?);
+            Ok(())
+        })?;
+        rows.push(Row::new(values));
+        Ok(())
+    })?;
+    Ok(rows)
+}
+
+/// One cell: `null`, a bool, or an object with exactly one value tag.
+fn read_value(r: &mut JsonReader) -> Result<Value> {
+    if r.peek() != Some(b'{') {
+        return match r.value()? {
+            JsonValue::Null => Ok(Value::Null),
+            JsonValue::Bool(b) => Ok(Value::Bool(b)),
+            other => Err(bad(&format!("unexpected value shape {other:?}"))),
+        };
+    }
+    let mut value = None;
+    r.object(|r, tag| -> Result<()> {
+        let v = match tag {
+            "i" => Value::Int(read_int(r)?),
+            "d" => Value::Date(read_int(r)?),
+            "f" => {
+                let text = r.str()?;
+                let f = text.parse::<f64>();
+                Value::Float(f.map_err(|_| bad(&format!("bad float '{text}'")))?)
+            }
+            "s" => Value::Str(r.str()?.into_owned()),
+            "b" => read_binary(&r.str()?)?,
+            _ => return Ok(r.skip()?),
+        };
+        match value.replace(v) {
+            Some(_) => Err(bad("more than one value tag")),
+            None => Ok(()),
+        }
+    })?;
+    value.ok_or_else(|| bad("unknown value tag"))
+}
+
+fn read_int(r: &mut JsonReader) -> Result<i64> {
+    match r.value()? {
+        JsonValue::Int(i) => Ok(i),
+        other => Err(bad(&format!("not an int: {other:?}"))),
+    }
+}
+
+fn read_binary(hex: &str) -> Result<Value> {
+    let pairs = hex.as_bytes().chunks_exact(2);
+    let bytes: Option<Vec<u8>> = match pairs.remainder() {
+        [] => pairs.map(|p| hex_value(p).map(|v| v as u8)).collect(),
+        _ => None,
+    };
+    let bytes = bytes.ok_or_else(|| bad("bad hex payload"))?;
+    let mut pos = 0;
+    let v = Value::decode(&bytes, &mut pos).ok_or_else(|| bad("bad binary value"))?;
+    if pos != bytes.len() {
+        return Err(bad("trailing bytes in binary value"));
+    }
+    Ok(v)
+}
+
+/// A document that does not lex is as malformed as one that does not
+/// decode.
+impl From<JsonError> for QlError {
+    fn from(e: JsonError) -> QlError {
+        bad(&e.to_string())
+    }
 }
 
 fn bad(msg: &str) -> QlError {
@@ -179,35 +207,38 @@ fn bad(msg: &str) -> QlError {
     }
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(s.get(i..i + 2)?, 16).ok())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use just_compress::gps::GpsSample;
     use just_geo::{Geometry, LineString, Point};
 
+    fn encode(r: &QueryResult) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_result(&mut out, r);
+        out
+    }
+
+    fn decode(bytes: &[u8]) -> Result<QueryResult> {
+        let mut reader = JsonReader::new(bytes);
+        let r = read_result(&mut reader)?;
+        reader.end()?;
+        Ok(r)
+    }
+
+    fn one_cell(v: Value) -> QueryResult {
+        QueryResult::Data(Dataset::new(vec!["v".into()], vec![Row::new(vec![v])]))
+    }
+
     fn roundtrip_value(v: Value) {
-        let j = value_to_json(&v);
-        let rendered = j.render();
-        let parsed = JsonValue::parse(&rendered).unwrap();
-        assert_eq!(value_from_json(&parsed).unwrap(), v, "{rendered}");
+        let bytes = encode(&one_cell(v.clone()));
+        let back = decode(&bytes).unwrap().into_dataset().unwrap();
+        assert_eq!(
+            back.rows[0].values[0],
+            v,
+            "{}",
+            String::from_utf8_lossy(&bytes)
+        );
     }
 
     #[test]
@@ -229,9 +260,9 @@ mod tests {
 
     #[test]
     fn nan_floats_survive_the_string_encoding() {
-        let j = value_to_json(&Value::Float(f64::NAN));
-        let back = value_from_json(&JsonValue::parse(&j.render()).unwrap()).unwrap();
-        match back {
+        let bytes = encode(&one_cell(Value::Float(f64::NAN)));
+        let back = decode(&bytes).unwrap().into_dataset().unwrap();
+        match &back.rows[0].values[0] {
             Value::Float(f) => assert!(f.is_nan()),
             other => panic!("wrong variant {other:?}"),
         }
@@ -264,15 +295,13 @@ mod tests {
                 Row::new(vec![Value::Int(2), Value::Null]),
             ],
         );
-        let j = result_to_json(&QueryResult::Data(d.clone()));
-        let parsed = JsonValue::parse(&j.render()).unwrap();
-        match result_from_json(&parsed).unwrap() {
+        match decode(&encode(&QueryResult::Data(d.clone()))).unwrap() {
             QueryResult::Data(back) => assert_eq!(back, d),
             other => panic!("wrong kind {other:?}"),
         }
 
-        let j = result_to_json(&QueryResult::Message("3 rows inserted".into()));
-        match result_from_json(&JsonValue::parse(&j.render()).unwrap()).unwrap() {
+        let m = QueryResult::Message("3 rows inserted".into());
+        match decode(&encode(&m)).unwrap() {
             QueryResult::Message(m) => assert_eq!(m, "3 rows inserted"),
             other => panic!("wrong kind {other:?}"),
         }
@@ -287,22 +316,12 @@ mod tests {
             r#"{"kind":"data","columns":["a"],"rows":[[{"x":1}]]}"#,
             r#"{"kind":"data","columns":["a"],"rows":[[{"b":"zz"}]]}"#,
             r#"{"kind":"data","columns":["a"],"rows":[[{"f":"abc"}]]}"#,
+            // `from_str_radix` would take "+0" as the byte 0, i.e. NULL.
+            r#"{"kind":"data","columns":["a"],"rows":[[{"b":"+0"}]]}"#,
+            r#"{"kind":"data","columns":["a"],"rows":[[{"i":1,"s":"x"}]]}"#,
         ] {
-            let parsed = JsonValue::parse(bad).unwrap();
-            assert!(result_from_json(&parsed).is_err(), "{bad}");
+            let err = decode(bad.as_bytes()).unwrap_err();
+            assert_eq!(err.code(), "MALFORMED", "{bad}");
         }
-    }
-
-    #[test]
-    fn error_json_carries_the_structured_code() {
-        let e = QlError::Parse("unexpected token".into());
-        let j = error_to_json(&e);
-        assert_eq!(j.get("code").unwrap().as_str(), Some("PARSE"));
-        assert!(j
-            .get("message")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("unexpected token"));
     }
 }

@@ -10,7 +10,7 @@
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::protocol::{codes, Request, Response};
 use just_core::Dataset;
-use just_ql::{JsonValue, QlError, QueryResult};
+use just_ql::{QlError, QueryResult};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -100,11 +100,7 @@ impl RemoteClient {
         write_frame(&mut self.stream, req.to_json().render().as_bytes()).map_err(io_err)?;
         let payload =
             read_frame(&mut self.stream, CLIENT_MAX_FRAME, &mut || true).map_err(frame_err)?;
-        let text = std::str::from_utf8(&payload)
-            .map_err(|_| QlError::from_wire(codes::MALFORMED, "response is not UTF-8"))?;
-        let json = JsonValue::parse(text)
-            .map_err(|e| QlError::from_wire(codes::MALFORMED, e.to_string()))?;
-        match Response::from_json(&json)? {
+        match Response::from_bytes(&payload)? {
             Response::Error {
                 code,
                 message,

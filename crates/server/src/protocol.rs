@@ -18,9 +18,16 @@
 //! -> {"op":"execute","sql":"SELEKT"}
 //! <- {"ok":false,"code":"PARSE","message":"parse error: ..."}
 //! ```
+//!
+//! Requests travel as [`JsonValue`] documents. Responses never become
+//! one: [`Response::to_bytes`] writes the frame payload straight from the
+//! rows (keys in sorted order, the order a document tree renders), and
+//! [`Response::from_bytes`] reads it back into rows with a
+//! [`JsonReader`].
 
 use just_core::Dataset;
-use just_ql::{wire, JsonValue, QlError, QueryResult};
+use just_ql::{wire, write_json_str, JsonReader, JsonValue, QlError, QueryResult};
+use std::io::Write as _;
 
 /// Server-layer error codes (SQL-layer codes come from
 /// [`QlError::code`]).
@@ -181,83 +188,91 @@ impl Response {
         }
     }
 
-    /// Encodes as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
+    /// Renders to frame-payload bytes, writing a result straight from
+    /// its rows. Keys come in sorted order, as a document tree renders
+    /// them.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
         match self {
-            Response::Result(r) => JsonValue::object()
-                .with("ok", JsonValue::Bool(true))
-                .with("result", wire::result_to_json(r)),
-            Response::Traced { data, trace } => JsonValue::object()
-                .with("ok", JsonValue::Bool(true))
-                .with(
-                    "result",
-                    wire::dataset_to_json(data).with("kind", JsonValue::Str("data".into())),
-                )
-                .with("trace", JsonValue::Str(trace.clone())),
-            Response::Text(t) => JsonValue::object()
-                .with("ok", JsonValue::Bool(true))
-                .with("text", JsonValue::Str(t.clone())),
+            Response::Result(r) => {
+                out.extend_from_slice(br#"{"ok":true,"result":"#);
+                wire::write_result(&mut out, r);
+            }
+            Response::Traced { data, trace } => {
+                out.extend_from_slice(br#"{"ok":true,"result":"#);
+                wire::write_data(&mut out, data);
+                out.extend_from_slice(br#","trace":"#);
+                write_json_str(&mut out, trace);
+            }
+            Response::Text(t) => {
+                out.extend_from_slice(br#"{"ok":true,"text":"#);
+                write_json_str(&mut out, t);
+            }
             Response::Error {
                 code,
                 message,
                 request_id,
             } => {
-                let mut j = JsonValue::object()
-                    .with("ok", JsonValue::Bool(false))
-                    .with("code", JsonValue::Str(code.clone()))
-                    .with("message", JsonValue::Str(message.clone()));
+                out.extend_from_slice(br#"{"code":"#);
+                write_json_str(&mut out, code);
+                out.extend_from_slice(br#","message":"#);
+                write_json_str(&mut out, message);
+                out.extend_from_slice(br#","ok":false"#);
                 if let Some(id) = request_id {
-                    j = j.with("request_id", JsonValue::Int(*id as i64));
+                    write!(out, r#","request_id":{}"#, *id as i64)
+                        .expect("writing to a Vec cannot fail");
                 }
-                j
             }
         }
+        out.push(b'}');
+        out
     }
 
-    /// Decodes a response.
-    pub fn from_json(j: &JsonValue) -> Result<Response, QlError> {
-        match j.get("ok").and_then(|o| o.as_bool()) {
-            Some(true) => {
-                if let Some(result) = j.get("result") {
-                    if let Some(trace) = j.get("trace").and_then(|t| t.as_str()) {
-                        return Ok(Response::Traced {
-                            data: wire::dataset_from_json(result)?,
-                            trace: trace.to_string(),
-                        });
-                    }
-                    return Ok(Response::Result(wire::result_from_json(result)?));
-                }
-                if let Some(text) = j.get("text").and_then(|t| t.as_str()) {
-                    return Ok(Response::Text(text.to_string()));
-                }
-                Err(QlError::from_wire(
-                    codes::MALFORMED,
-                    "ok response without result or text",
-                ))
+    /// Decodes frame-payload bytes, reading a result straight into rows.
+    /// Members may come in any order and unknown ones are skipped; every
+    /// failure is a `MALFORMED` error.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Response, QlError> {
+        let (mut ok, mut result, mut trace, mut text) = (None, None, None, None);
+        let (mut code, mut message, mut request_id) = (None, None, None);
+        JsonReader::read_object(bytes, |r, key| -> Result<(), QlError> {
+            if key == "result" {
+                result = Some(wire::read_result(r)?);
+                return Ok(());
             }
-            Some(false) => Ok(Response::Error {
-                code: j
-                    .get("code")
-                    .and_then(|c| c.as_str())
-                    .unwrap_or(codes::MALFORMED)
-                    .to_string(),
-                message: j
-                    .get("message")
-                    .and_then(|m| m.as_str())
-                    .unwrap_or("")
-                    .to_string(),
-                request_id: j
-                    .get("request_id")
-                    .and_then(|r| r.as_int())
-                    .map(|r| r as u64),
+            // A scalar member of another type is as good as absent.
+            match (key, r.value()?) {
+                ("ok", JsonValue::Bool(b)) => ok = Some(b),
+                ("trace", JsonValue::Str(s)) => trace = Some(s),
+                ("text", JsonValue::Str(s)) => text = Some(s),
+                ("code", JsonValue::Str(s)) => code = Some(s),
+                ("message", JsonValue::Str(s)) => message = Some(s),
+                ("request_id", JsonValue::Int(i)) => request_id = Some(i as u64),
+                _ => {}
+            }
+            Ok(())
+        })?;
+        let malformed = |why: &str| QlError::from_wire(codes::MALFORMED, why);
+        match (ok, result, trace, text) {
+            (Some(true), Some(result), Some(trace), _) => match result {
+                QueryResult::Data(data) => Ok(Response::Traced { data, trace }),
+                QueryResult::Message(_) => Err(malformed("traced response without rows")),
+            },
+            (Some(true), Some(result), None, _) => Ok(Response::Result(result)),
+            (Some(true), None, _, Some(text)) => Ok(Response::Text(text)),
+            (Some(true), None, _, None) => Err(malformed("ok response without result or text")),
+            (Some(false), ..) => Ok(Response::Error {
+                code: code.unwrap_or_else(|| codes::MALFORMED.to_string()),
+                message: message.unwrap_or_default(),
+                request_id,
             }),
-            None => Err(QlError::from_wire(codes::MALFORMED, "missing 'ok'")),
+            (None, ..) => Err(malformed("missing 'ok'")),
         }
     }
 
-    /// Renders to frame-payload bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_json().render().into_bytes()
+    /// Decodes a response document: [`Response::from_bytes`] of its
+    /// rendering.
+    pub fn from_json(j: &JsonValue) -> Result<Response, QlError> {
+        Response::from_bytes(j.render().as_bytes())
     }
 }
 
@@ -313,8 +328,7 @@ mod tests {
             data: data.clone(),
             trace: "query 1ms\n  scan 1ms".into(),
         };
-        let j = JsonValue::parse(&r.to_json().render()).unwrap();
-        match Response::from_json(&j).unwrap() {
+        match Response::from_bytes(&r.to_bytes()).unwrap() {
             Response::Traced { data: d, trace } => {
                 assert_eq!(d, data);
                 assert!(trace.contains("scan"));
@@ -323,8 +337,7 @@ mod tests {
         }
 
         let r = Response::error(codes::BUSY, "at capacity (64 sessions)");
-        let j = JsonValue::parse(&r.to_json().render()).unwrap();
-        match Response::from_json(&j).unwrap() {
+        match Response::from_bytes(&r.to_bytes()).unwrap() {
             Response::Error {
                 code,
                 message,
@@ -341,8 +354,7 @@ mod tests {
     #[test]
     fn error_request_ids_ride_the_wire() {
         let r = Response::from_ql_error(&QlError::Parse("oops".into())).tag_request(42);
-        let j = JsonValue::parse(&r.to_json().render()).unwrap();
-        match Response::from_json(&j).unwrap() {
+        match Response::from_bytes(&r.to_bytes()).unwrap() {
             Response::Error {
                 code, request_id, ..
             } => {
@@ -356,5 +368,18 @@ mod tests {
             Response::Text(t) => assert_eq!(t, "pong"),
             other => panic!("wrong shape {other:?}"),
         }
+    }
+
+    #[test]
+    fn error_frames_carry_the_structured_code() {
+        let r = Response::from_ql_error(&QlError::Parse("unexpected token".into()));
+        let j = JsonValue::parse(std::str::from_utf8(&r.to_bytes()).unwrap()).unwrap();
+        assert_eq!(j.get("code").unwrap().as_str(), Some("PARSE"));
+        assert!(j
+            .get("message")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("unexpected token"));
     }
 }
