@@ -156,11 +156,13 @@ echo "format epoch OK: epoch 0 refused with the store untouched, $GOT/$ROWS rows
 
 echo "==> concurrent-ingest crash smoke (8 writers, kill -9 mid-ingest)"
 # Eight writers insert concurrently against the sharded write path
-# (multiple memtable shards + WAL streams, per-write sync). Each writer
-# logs a row id to its own file only *after* the INSERT's response came
-# back — the log is exactly the set of acknowledged writes. justd is
-# killed -9 while all eight are mid-flight, restarted on the same data
-# dir, and every logged id must survive replay.
+# (multiple memtable shards + WAL streams, per-write sync): writers 0-3
+# one row per INSERT, writers 4-7 eight rows per INSERT (one write batch
+# per kv table). Each writer logs its row ids to its own file only
+# *after* the INSERT's response came back — the log is exactly the set
+# of acknowledged writes. justd is killed -9 while all eight are
+# mid-flight, restarted on the same data dir, and every logged id must
+# survive replay, once.
 ING_DATA="$SMOKE_DIR/ingest-data"
 ING_LOG="$SMOKE_DIR/ingest-acked"
 mkdir -p "$ING_LOG"
@@ -170,11 +172,13 @@ cli query "CREATE TABLE ingpts (fid integer:primary key, geom point)"
 WRITER_PIDS=()
 for w in $(seq 0 7); do
     (
+        per=1
+        [ "$w" -ge 4 ] && per=8
         for i in $(seq 1 1000); do
-            fid=$((w * 100000 + i))
-            cli query "INSERT INTO ingpts VALUES ($fid, st_makePoint(116.4, 39.9))" \
-                >/dev/null 2>&1 || break
-            echo "$fid" >>"$ING_LOG/w$w"
+            fids=$(seq $((w * 100000 + (i - 1) * per + 1)) $((w * 100000 + i * per)))
+            values=$(for fid in $fids; do printf '(%s, st_makePoint(116.4, 39.9)),' "$fid"; done)
+            cli query "INSERT INTO ingpts VALUES ${values%,}" >/dev/null 2>&1 || break
+            echo "$fids" >>"$ING_LOG/w$w"
         done
     ) &
     WRITER_PIDS+=("$!")

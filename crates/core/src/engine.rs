@@ -342,12 +342,11 @@ impl Engine {
     // Manipulation operations (Section V-B)
     // ------------------------------------------------------------------
 
-    /// `INSERT INTO`: appends (or updates, by primary key) rows.
+    /// `INSERT INTO`: appends (or updates, by primary key) rows, as one
+    /// [`StTable::insert_batch`] — one write per backing kv table. A row
+    /// the table refuses fails the statement with nothing written.
     pub fn insert(&self, table: &str, rows: &[Row]) -> Result<usize> {
-        let t = self.table(table)?;
-        for row in rows {
-            t.insert(row)?;
-        }
+        self.table(table)?.insert_batch(rows)?;
         Ok(rows.len())
     }
 

@@ -17,12 +17,19 @@
 //! regardless of the configured count, so lowering `wal_streams` across
 //! restarts can't strand acknowledged records.
 //!
+//! A region write batch logs all its records to **one** stream: the one
+//! [`ShardedWal::stream_of`] maps the batch's first memtable shard to
+//! (for a single put, its own shard's). A statement therefore dirties
+//! one stream per region, and the next group commit is one fsync there,
+//! not one per stream its keys hash to.
+//!
 //! ## Replay reconciliation
 //!
 //! Each record carries the region-wide commit sequence number assigned
 //! under its shard lock ([`crate::wal::WalRecord`]). Replay merges all
-//! streams by that sequence, so a key rewritten through two different
-//! shards/streams still resolves newest-wins.
+//! streams by that sequence and routes each record by its key, so it
+//! never matters which stream a record was logged to, and a key
+//! rewritten through two different streams still resolves newest-wins.
 //!
 //! ## Poison scope
 //!
@@ -226,25 +233,26 @@ impl ShardedWal {
         key: &[u8],
         value: Option<&[u8]>,
     ) -> Result<()> {
-        let ticket = self.append_nowait(stream, seq, key, value)?;
+        let ticket = self.append_nowait(stream, seq, [(key, value)])?;
         self.commit(stream, ticket)
     }
 
-    /// The append half of the write path: the record reaches the OS per
-    /// the sync policy's `write(2)` discipline and the returned ticket
-    /// names it for a later [`ShardedWal::commit`]. Split so a
-    /// writer can append under its shard lock but wait for the group
-    /// commit *outside* it — a writer parked on an fsync must not hold a
-    /// shard hostage, or unrelated writers hashing to that shard chain
-    /// behind its wait (a convoy that compounds with writer count).
-    pub(crate) fn append_nowait(
+    /// The append half of the write path: a run of records with
+    /// sequences `seq..` reaches the OS per the sync policy's `write(2)`
+    /// discipline (one `write(2)` for the run, see
+    /// [`Wal::append_seq`]) and the returned ticket names its last record
+    /// for a later [`ShardedWal::commit`]. Split so a writer can append
+    /// under its shard lock but wait for the group commit *outside* it —
+    /// a writer parked on an fsync must not hold a shard hostage, or
+    /// unrelated writers hashing to that shard chain behind its wait (a
+    /// convoy that compounds with writer count).
+    pub(crate) fn append_nowait<'a>(
         &self,
         stream: usize,
         seq: u64,
-        key: &[u8],
-        value: Option<&[u8]>,
+        records: impl IntoIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
     ) -> Result<u64> {
-        self.streams[stream].wal.lock().append_seq(seq, key, value)
+        self.streams[stream].wal.lock().append_seq(seq, records)
     }
 
     /// The durability half of the write path: blocks until `ticket` is
@@ -345,16 +353,26 @@ impl ShardedWal {
 
     /// Fsyncs `stream` if it has unsynced bytes, crediting the covered
     /// records to the group-commit metrics (this *is* the group commit
-    /// under `Batched`: the maintenance tick issues it).
+    /// under `Batched`: the maintenance tick issues it). The fsync runs
+    /// outside the stream lock, as a `per-write` leader's does, so a
+    /// writer appending meanwhile is not held up behind the device; its
+    /// record lands after the snapshotted ticket and the next tick
+    /// covers it.
     fn sync_stream(&self, i: usize) -> Result<()> {
         let s = &self.streams[i];
-        let (target, res) = {
+        let started = Instant::now();
+        let (target, file) = {
             let mut w = s.wal.lock();
             if !w.needs_sync() {
                 return Ok(());
             }
-            (w.ticket(), w.sync())
+            match w.begin_concurrent_sync()? {
+                (target, Some(file)) => (target, file),
+                (_, None) => return Ok(()),
+            }
         };
+        let res = file.sync();
+        s.wal.lock().finish_concurrent_sync(started, &res);
         let mut st = s.state.lock();
         if res.is_ok() && target > st.synced {
             self.group_commits.inc();
@@ -364,7 +382,7 @@ impl ShardedWal {
         }
         drop(st);
         s.cv.notify_all();
-        res
+        res.map_err(KvError::Io)
     }
 
     /// Policy-aware periodic work (the maintenance tick): pushes
@@ -545,6 +563,50 @@ mod tests {
         // Nothing left to sync: the next tick is a no-op.
         wal.tick().unwrap();
         assert_eq!(state.lock().syncs, 1);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn batched_tick_fsyncs_outside_the_stream_lock() {
+        let dir = tmpdir("tick-unlocked");
+        let (wal, _) = ShardedWal::open(&dir, &opts(SyncPolicy::Batched), 1).unwrap();
+        let (file, state) = FaultyWalFile::new();
+        wal.set_stream_file_for_test(0, Box::new(file));
+        wal.append(0, 0, b"first", Some(b"v")).unwrap();
+        let first_len = state.lock().os.len();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        state.lock().park_sync = Some((started_tx, release_rx));
+        let wal = &wal;
+        let appended = std::thread::scope(|scope| {
+            let ticker = scope.spawn(move || wal.tick());
+            started_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the tick's fsync started");
+            // The tick's fsync is parked: an append must land anyway.
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            scope.spawn(move || done_tx.send(wal.append(0, 1, b"second", Some(b"v"))));
+            let appended = done_rx.recv_timeout(Duration::from_secs(2));
+            release_tx.send(()).unwrap();
+            ticker.join().unwrap().unwrap();
+            appended
+        });
+        appended
+            .expect("the append waited behind the tick's fsync")
+            .unwrap();
+        // The parked fsync covered the ticket it snapshotted, not the
+        // record that landed while it was in flight.
+        {
+            let s = state.lock();
+            assert_eq!((s.syncs, s.synced_len), (1, first_len));
+            assert_eq!(decode_records(&s.os).0.len(), 2);
+        }
+        assert_eq!(wal.streams[0].state.lock().synced, 1);
+        // The next tick syncs the new record.
+        wal.tick().unwrap();
+        let s = state.lock();
+        assert_eq!((s.syncs, s.synced_len), (2, s.os.len()));
+        assert_eq!(wal.streams[0].state.lock().synced, 2);
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -8,7 +8,9 @@
 //!    reads ([`Table::scan`], [`Table::scan_ranges_stream`]).
 //! 2. **Cheap point writes with no global index** — a `PUT` only touches
 //!    the owning region's memtable, so new data and historical updates
-//!    never trigger index rebuilds ([`Table::put`]).
+//!    never trigger index rebuilds ([`Table::put`]). A client batch goes
+//!    to each region as one mini-batch, as HBase's region write path
+//!    takes it ([`Table::write_batch`]; a put is a batch of one).
 //! 3. **Range-partitioned regions over region servers** — a table's
 //!    keyspace is split across [`Region`]s; a scan spanning regions
 //!    visits them in key order.
@@ -75,7 +77,7 @@ pub use ingest::IngestOptions;
 pub use maintenance::MaintenanceOptions;
 pub use memtable::LATEST;
 pub use metrics::{IoMetrics, IoSnapshot};
-pub use region::{Region, RegionTraffic, RegionTrafficSnapshot, Snapshot};
+pub use region::{Region, RegionTraffic, RegionTrafficSnapshot, Snapshot, WriteOp};
 pub use scan::{CancelToken, KvBatch, ScanOptions, ScanStream};
 pub use sstable::SsTable;
 pub use store::{Store, StoreOptions};

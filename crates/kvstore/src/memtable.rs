@@ -112,14 +112,14 @@ impl MemTable {
         key_len + value_len + 2 * MAX_LEN_PREFIX
     }
 
-    /// Whether one more version of a key of `key_len` bytes with a value
-    /// of `value_len` bytes stays addressable. An empty table has room
-    /// for any entry of at most its cap.
-    pub(crate) fn has_room(&self, key_len: usize, value_len: usize) -> bool {
-        // The head, a node of full height and a version.
-        let slots = self.slots.len() + 2 * (TOWER + MAX_HEIGHT) + VERSION_SLOTS;
-        self.bytes.len() + Self::entry_bytes(key_len, value_len) <= self.cap
-            && slots <= u32::MAX as usize
+    /// Whether `entries` more versions whose [`MemTable::entry_bytes`]
+    /// sum to `bytes` stay addressable. An empty table has room for any
+    /// one entry of at most its cap.
+    pub(crate) fn has_room(&self, entries: usize, bytes: usize) -> bool {
+        // The head, then a node of full height and a version per entry.
+        let slots =
+            self.slots.len() + TOWER + MAX_HEIGHT + entries * (TOWER + MAX_HEIGHT + VERSION_SLOTS);
+        self.bytes.len() + bytes <= self.cap && slots <= u32::MAX as usize
     }
 
     /// Inserts or overwrites a key at commit sequence `seq`. The caller
@@ -137,7 +137,10 @@ impl MemTable {
     fn insert(&mut self, key: &[u8], seq: u64, value: Option<&[u8]>) {
         // Past the cap an offset would wrap and corrupt the table.
         assert!(
-            self.has_room(key.len(), value.map_or(0, <[u8]>::len)),
+            self.has_room(
+                1,
+                Self::entry_bytes(key.len(), value.map_or(0, <[u8]>::len))
+            ),
             "memtable insert without has_room"
         );
         if self.slots.is_empty() {
@@ -444,10 +447,16 @@ mod tests {
     #[test]
     fn a_table_at_its_cap_reports_full_before_any_offset_wraps() {
         let mut m = MemTable::new(4096);
+        let (big, small) = (
+            MemTable::entry_bytes(96, 4001),
+            MemTable::entry_bytes(8, 100),
+        );
         // Larger than the whole table: full while still empty.
-        assert!(!m.has_room(96, 4001));
+        assert!(!m.has_room(1, big));
+        // A run is checked at the most each entry could take.
+        assert!(m.has_room(34, 34 * small) && !m.has_room(35, 35 * small));
         let mut stored = 0u64;
-        while m.has_room(8, 100) {
+        while m.has_room(1, small) {
             m.put(&stored.to_be_bytes(), stored, &[stored as u8; 100]);
             stored += 1;
         }
@@ -463,7 +472,7 @@ mod tests {
         // The emptied table keeps the cap.
         let taken = m.take();
         assert_eq!(taken.len() as u64, stored);
-        assert!(m.has_room(8, 100) && !m.has_room(96, 4001));
+        assert!(m.has_room(1, small) && !m.has_room(1, big));
     }
 
     #[test]

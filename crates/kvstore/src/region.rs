@@ -10,11 +10,18 @@
 //! serialize on one lock:
 //!
 //! ```text
-//!   writer ──► shard lock { WAL stream append ──► memtable shard }
-//!                  └─► unlock ──► group-commit wait (PerWrite ack)
+//!   batch  ──► group ops by shard (stable)
+//!              per group: shard lock { seq run, one WAL append, memtable inserts }
+//!                         (every group appends to the first group's stream)
+//!          ──► all locks released ──► one group-commit wait (PerWrite ack)
 //!   freeze ──► rotate all WAL streams, swap every shard ──► frozen generation
 //!   flush  ──► oldest generation → SSTable ──► retire its WAL segments
 //! ```
+//!
+//! A write is a batch ([`Region::try_write_batch`]; a put is a batch of
+//! one), the shape of HBase's region mini-batch: one statement's ops on
+//! this region cost one `write(2)` per shard group and leave one WAL
+//! stream to sync.
 //!
 //! * the **memtable** is split into [`IngestOptions::mem_shards`]
 //!   finely-locked arena skip lists ([`crate::memtable`]), salted by key
@@ -32,9 +39,10 @@
 //!   the gigabytes).
 //!
 //! Freeze ordering is load-bearing: streams rotate *before* shards swap,
-//! all under the region write lock. A writer holds its shard lock across
-//! (WAL append, memtable insert), so a record can never land in a
-//! pre-rotation segment while its insert goes to a post-swap shard — the
+//! all under the region write lock. A writer holds a group's shard lock
+//! across (WAL append, memtable insert), whichever stream the append goes
+//! to, so a record can never land in a pre-rotation segment while its
+//! insert goes to a post-swap shard — the
 //! combination that would let segment retirement strand an acknowledged
 //! write. The harmless converse (record in the fresh segment, insert in
 //! the frozen shard) merely replays an idempotent duplicate, reconciled
@@ -98,10 +106,25 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A write handed back untouched by [`Region::try_write`] because the
-/// region was sealed for a split/merge: `(key, Some(value))` for a put,
+/// One mutation of a write batch: `(key, Some(value))` for a put,
 /// `(key, None)` for a delete.
-pub(crate) type RejectedWrite = (Vec<u8>, Option<Vec<u8>>);
+pub type WriteOp = (Vec<u8>, Option<Vec<u8>>);
+
+/// The most memtable arena bytes `op` can take.
+fn op_bytes((key, value): &WriteOp) -> usize {
+    MemTable::entry_bytes(key.len(), value.as_ref().map_or(0, Vec::len))
+}
+
+/// Refuses a batch holding an op no memtable shard of `shard_cap` bytes
+/// could store, before any of the batch is written.
+pub(crate) fn check_entry_sizes(ops: &[WriteOp], shard_cap: usize) -> Result<()> {
+    match ops.iter().find(|op| op_bytes(op) > shard_cap) {
+        Some((key, value)) => Err(KvError::EntryTooLarge(
+            key.len() + value.as_ref().map_or(0, Vec::len),
+        )),
+        None => Ok(()),
+    }
+}
 
 /// Always-on per-region traffic counters (relaxed atomics; same
 /// recording discipline as [`IoMetrics`], but scoped to one region so
@@ -122,8 +145,8 @@ impl RegionTraffic {
         self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    fn record_write(&self, bytes: u64) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
+    fn record_writes(&self, writes: u64, bytes: u64) {
+        self.writes.fetch_add(writes, Ordering::Relaxed);
         self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
     }
 
@@ -259,7 +282,7 @@ struct RegionInner {
 pub struct Region {
     dir: PathBuf,
     /// The active memtable, salted across finely-locked shards. Writers
-    /// hold exactly one shard lock across (WAL append, insert); scans
+    /// hold one shard lock at a time, across (WAL append, insert); scans
     /// briefly hold all of them for an atomic cross-shard snapshot.
     shards: Vec<Mutex<MemTable>>,
     /// Region-wide commit sequence, drawn under the shard lock so WAL
@@ -375,6 +398,12 @@ impl Region {
                 Err(e) => return Err(e),
             }
         }
+        // Recency is commit order, not file order: a compaction under an
+        // open snapshot merges an oldest-first prefix into a file whose id
+        // is above the newer tables it leaves in place. `seq_limit` says
+        // how new a table's versions are; the sort is stable, so ties keep
+        // file order.
+        tables.sort_by_key(|t| t.seq_limit());
         let (shard_count, stream_count) = opts.ingest.normalized();
         let shards: Vec<Mutex<MemTable>> = (0..shard_count)
             .map(|_| Mutex::new(MemTable::new(opts.shard_cap)))
@@ -462,100 +491,130 @@ impl Region {
         self.opts.stall_bytes > 0
     }
 
-    /// Inserts or overwrites a key.
+    /// Inserts or overwrites a key: a batch of one.
     ///
     /// Fails with [`KvError::RegionSealed`] while an online split or
     /// merge drains the region; route through [`crate::Table`] to have
     /// the write transparently retried against the daughter region.
     pub fn put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<()> {
-        match self.try_write(key, Some(value))? {
-            None => Ok(()),
-            Some(_) => Err(KvError::RegionSealed),
-        }
+        self.write_one((key, Some(value)))
     }
 
     /// Deletes a key (writes a tombstone). Same sealing behaviour as
     /// [`Region::put`].
     pub fn delete(&self, key: Vec<u8>) -> Result<()> {
-        match self.try_write(key, None)? {
-            None => Ok(()),
-            Some(_) => Err(KvError::RegionSealed),
+        self.write_one((key, None))
+    }
+
+    fn write_one(&self, op: WriteOp) -> Result<()> {
+        match self.try_write_batch(&mut [op])?.is_empty() {
+            true => Ok(()),
+            false => Err(KvError::RegionSealed),
         }
     }
 
-    /// The shared write path: sequence allocation, WAL stream append and
-    /// memtable insert all happen under one shard lock, so replay
-    /// reconstructs acknowledgement order per key. The durability wait
-    /// (the `per-write` group commit) happens *after* the shard lock is
-    /// released: a writer parked on an fsync must not hold its shard
-    /// hostage, or unrelated writers hashing to the same shard would
-    /// chain behind its wait. The write is thus visible to readers
-    /// slightly before it is acknowledged — an unacknowledged write may
-    /// or may not survive a crash either way, so no durability promise
-    /// weakens.
+    /// The region's one write path. Returns the ops it did not write
+    /// because the region was sealed for a split/merge — ownership
+    /// handed back, so [`crate::Table`] can re-route them against the
+    /// freshly-swapped region map without cloning payloads — and an
+    /// empty vector when every op landed.
+    ///
+    /// The ops are grouped by memtable shard, stably, so the ops on one
+    /// key keep their order. Each group works under its shard lock:
+    /// seal check, one `fetch_add` for a contiguous run of commit
+    /// sequences (ascending in op order), one WAL append (one `write(2)`
+    /// under `batched`/`per-write`), then the memtable inserts. Appending
+    /// and inserting under one shard lock is what lets replay rebuild
+    /// acknowledgement order per key, and what keeps a freeze from
+    /// parting a record from its insert (module docs). A group that
+    /// stops fitting its shard writes the prefix that fits, drains the
+    /// generation and goes on with the rest.
+    ///
+    /// Every group logs to one stream, the first group's, so a batch
+    /// leaves one stream to sync. The durability wait (the `per-write`
+    /// group commit) happens once, *after* the last shard lock is
+    /// released: a writer parked on an fsync must not hold a shard
+    /// hostage, or unrelated writers hashing to it would chain behind its
+    /// wait. The ops are thus visible to readers slightly before they
+    /// are acknowledged — an unacknowledged write may or may not survive
+    /// a crash either way, so no durability promise weakens. A batch is
+    /// not atomic: a reader may see the groups that have landed and not
+    /// the rest, and an error leaves the earlier groups written.
     ///
     /// Unmanaged regions flush inline at the threshold (HBase blocks
     /// writers the same way under `hbase.hstore.blockingStoreFiles`);
     /// managed regions hand the flush to the maintenance scheduler and
-    /// only stall at the hard `stall_bytes` cap across generations.
-    ///
-    /// Rejected-write aware variant of the write path: returns
-    /// `Ok(Some((key, value)))` — ownership handed back — when the
-    /// region is sealed for a split/merge, so [`crate::Table`] can
-    /// re-route against the freshly-swapped region map without cloning
-    /// every payload on the hot path.
-    pub(crate) fn try_write(
-        &self,
-        key: Vec<u8>,
-        value: Option<Vec<u8>>,
-    ) -> Result<Option<RejectedWrite>> {
-        let value_len = value.as_ref().map_or(0, |v| v.len());
-        if MemTable::entry_bytes(key.len(), value_len) > self.opts.shard_cap {
-            return Err(KvError::EntryTooLarge(key.len() + value_len));
-        }
-        let shard = shard_of(&key, self.shards.len());
-        let mut pending_commit = None;
-        let active = loop {
+    /// only stall at the hard `stall_bytes` cap across generations. The
+    /// check runs once per batch.
+    pub(crate) fn try_write_batch(&self, ops: &mut [WriteOp]) -> Result<Vec<WriteOp>> {
+        check_entry_sizes(ops, self.opts.shard_cap)?;
+        let shard_of_op = |op: &WriteOp| shard_of(&op.0, self.shards.len());
+        ops.sort_by_cached_key(shard_of_op);
+        let stream =
+            (self.wal.as_ref().zip(ops.first())).map(|(wal, op)| wal.stream_of(shard_of_op(op)));
+        let mut ticket = None;
+        let mut at = 0;
+        while at < ops.len() {
+            let shard = shard_of_op(&ops[at]);
             let mut mem = self.shards[shard].lock();
             // Checked under the shard lock: the sealing thread's final
-            // freeze also takes this lock, so every writer either lands
+            // freeze also takes this lock, so every group either lands
             // before the drain or observes the seal — never neither.
             if self.sealed.load(Ordering::SeqCst) {
-                self.sealed_rejects.inc();
-                return Ok(Some((key, value)));
+                self.sealed_rejects.add((ops.len() - at) as u64);
+                break;
             }
-            if !mem.has_room(key.len(), value_len) {
-                // The shard cannot address one more entry: drain the
-                // generation and retry in a fresh one.
+            // The longest prefix of the group the shard can address.
+            let (mut end, mut bytes) = (at, 0);
+            while let Some(op) = ops.get(end).filter(|op| shard_of_op(op) == shard) {
+                bytes += op_bytes(op);
+                if !mem.has_room(end - at + 1, bytes) {
+                    break;
+                }
+                end += 1;
+            }
+            if end == at {
+                // Not even one more entry: drain the generation and
+                // retry in a fresh one.
                 drop(mem);
                 self.flush()?;
                 continue;
             }
-            self.traffic.record_write((key.len() + value_len) as u64);
+            let run = &ops[at..end];
             // Always allocated (WAL or not): the commit sequence is what
             // snapshots and SSTable `seq_limit`s are cut against.
-            let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-            if let Some(wal) = &self.wal {
-                let stream = wal.stream_of(shard);
-                let ticket = wal.append_nowait(stream, seq, &key, value.as_deref())?;
-                pending_commit = Some((stream, ticket));
+            let seq = self.next_seq.fetch_add(run.len() as u64, Ordering::Relaxed);
+            if let (Some(wal), Some(stream)) = (&self.wal, stream) {
+                let records = run.iter().map(|(k, v)| (&k[..], v.as_deref()));
+                ticket = Some(wal.append_nowait(stream, seq, records)?);
             }
             let before = mem.reserved_bytes();
-            match &value {
-                Some(v) => mem.put(&key, seq, v),
-                None => mem.delete(&key, seq),
+            let mut written = 0;
+            for ((key, value), seq) in run.iter().zip(seq..) {
+                written += key.len() + value.as_ref().map_or(0, Vec::len);
+                match value {
+                    Some(v) => mem.put(key, seq, v),
+                    None => mem.delete(key, seq),
+                }
             }
+            self.traffic.record_writes(run.len() as u64, written as u64);
             // Buffers only grow between freezes. Updated under the shard
             // lock, so the freeze's transfer of these bytes to the
             // frozen counter is exact.
             let grown = mem.reserved_bytes() - before;
-            break self.active_bytes.fetch_add(grown, Ordering::Relaxed) + grown;
-        };
-        if let (Some(wal), Some((stream, ticket))) = (&self.wal, pending_commit) {
+            self.active_bytes.fetch_add(grown, Ordering::Relaxed);
+            at = end;
+        }
+        let rejected = ops[at..].iter_mut().map(std::mem::take).collect();
+        if at == 0 {
+            return Ok(rejected);
+        }
+        if let (Some(wal), Some(stream), Some(ticket)) = (&self.wal, stream, ticket) {
             wal.commit(stream, ticket)?;
         }
+        let active = self.active_bytes.load(Ordering::Relaxed);
         if active < self.opts.flush_threshold {
-            return Ok(None);
+            return Ok(rejected);
         }
         if self.managed() {
             if let Some(kick) = &self.opts.kick {
@@ -567,7 +626,7 @@ impl Region {
         } else {
             self.flush()?;
         }
-        Ok(None)
+        Ok(rejected)
     }
 
     /// Bytes pending flush across active shards and frozen generations —
@@ -683,7 +742,7 @@ impl Region {
     /// locked and copied: all are locked when the first copy starts, so
     /// the copy is one cut across shards — a scan can never see a
     /// writer's later write without its earlier one. (Writers hold
-    /// exactly one shard lock each, so this cannot deadlock against
+    /// one shard lock at a time, so this cannot deadlock against
     /// them.)
     fn copy_locked(
         shards: &[Mutex<MemTable>],
@@ -1113,7 +1172,7 @@ impl Region {
     }
 
     /// Seals the region: every subsequent write is rejected with its
-    /// payload handed back (see [`Region::try_write`]). The caller's
+    /// payload handed back (see [`Region::try_write_batch`]). The caller's
     /// next [`Region::flush`] then drains a final, complete state —
     /// the seal is checked under the shard lock, so no write can land
     /// after that flush.
@@ -2202,6 +2261,30 @@ mod tests {
     }
 
     #[test]
+    fn a_prefix_compacted_under_a_snapshot_stays_older_after_reopen() {
+        let (r, dir) = region("mvcc-compact-reopen", 1 << 20);
+        let r = Arc::new(r);
+        for v in [b"v1", b"v2"] {
+            r.put(b"a".to_vec(), v.to_vec()).unwrap();
+            r.flush().unwrap();
+        }
+        let snap = r.snapshot();
+        r.delete(b"a".to_vec()).unwrap();
+        r.flush().unwrap();
+        // Merges the two tables the snapshot sees into the highest file
+        // id; the newer tombstone table keeps its lower one.
+        r.compact().unwrap();
+        assert_eq!(r.sstable_count(), 2);
+        drop(snap);
+        assert_eq!(r.get(b"a").unwrap(), None);
+        drop(r);
+        let r = reopen(&dir).unwrap();
+        assert_eq!(r.get(b"a").unwrap(), None, "a deleted key came back");
+        assert!(r.scan(b"", b"\xff").unwrap().is_empty());
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn wal_replay_preserves_snapshot_sequences() {
         let (r, dir) = wal_region("mvcc-replay", 1 << 20, SyncPolicy::PerWrite);
         for i in 0..50u32 {
@@ -2229,8 +2312,9 @@ mod tests {
         r.put(b"a".to_vec(), b"1".to_vec()).unwrap();
         r.seal();
         assert!(r.is_sealed());
-        let rejected = r.try_write(b"b".to_vec(), Some(b"2".to_vec())).unwrap();
-        assert_eq!(rejected, Some((b"b".to_vec(), Some(b"2".to_vec()))));
+        // Handed back whole, and in order.
+        let batch = vec![(b"b".to_vec(), Some(b"2".to_vec())), (b"b".to_vec(), None)];
+        assert_eq!(r.try_write_batch(&mut batch.clone()).unwrap(), batch);
         assert!(matches!(
             r.put(b"c".to_vec(), b"3".to_vec()),
             Err(KvError::RegionSealed)

@@ -50,7 +50,9 @@ use crate::cache::BlockCache;
 use crate::error::{KvError, Result};
 use crate::memtable::LATEST;
 use crate::metrics::IoMetrics;
-use crate::region::{Region, RegionOptions, RegionTrafficSnapshot, Snapshot};
+use crate::region::{
+    check_entry_sizes, Region, RegionOptions, RegionTrafficSnapshot, Snapshot, WriteOp,
+};
 use crate::scan::{ScanOptions, ScanStream};
 use crate::wal::fsync_dir;
 use crate::KvEntry;
@@ -208,8 +210,9 @@ pub struct Table {
     dir: PathBuf,
     /// The region map, in key order. Swapped wholesale (short write
     /// section) by split/merge; every routing decision clones the
-    /// `Arc`s it needs under the read lock and drops it.
-    map: RwLock<Vec<RegionEntry>>,
+    /// `Arc`s it needs under the read lock and drops it — a write batch
+    /// the whole map's, so all its ops route against one map.
+    map: RwLock<Arc<Vec<RegionEntry>>>,
     metrics: Arc<IoMetrics>,
     cache: Arc<BlockCache>,
     region_opts: RegionOptions,
@@ -321,7 +324,7 @@ impl Table {
         Ok(Table {
             name,
             dir,
-            map: RwLock::new(map),
+            map: RwLock::new(Arc::new(map)),
             metrics,
             cache,
             region_opts,
@@ -355,42 +358,70 @@ impl Table {
         map[index_for(&map, key)].region.clone()
     }
 
-    /// Inserts or overwrites a key.
+    /// Inserts or overwrites a key: a batch of one.
     pub fn put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<()> {
-        self.write(key, Some(value))
+        self.write(&mut [(key, Some(value))])
     }
 
-    /// Deletes a key.
+    /// Deletes a key: a batch of one.
     pub fn delete(&self, key: Vec<u8>) -> Result<()> {
-        self.write(key, None)
+        self.write(&mut [(key, None)])
     }
 
-    /// Routes a write, transparently retrying when it lands on a region
-    /// sealed by an online split/merge: the rejected payload is handed
-    /// back by the region, the map is re-read (the lifecycle operation
-    /// swaps it within its sealed window) and the write re-routes to
-    /// the daughter. Only a wedged lifecycle operation surfaces
-    /// [`KvError::RegionSealed`] to callers.
-    fn write(&self, key: Vec<u8>, value: Option<Vec<u8>>) -> Result<()> {
-        let (mut key, mut value) = (key, value);
+    /// Writes a batch of puts and deletes, in order per key: each region
+    /// takes its share as one batch (one WAL append per memtable shard,
+    /// one WAL stream to sync — see [`Region`]). An op larger than a
+    /// memtable shard refuses the whole batch before any region writes.
+    ///
+    /// A batch is not atomic: readers may see part of it while it is
+    /// written, and an error can leave part of it written.
+    pub fn write_batch(&self, mut ops: Vec<WriteOp>) -> Result<()> {
+        self.write(&mut ops)
+    }
+
+    /// The table's one write path. Ops refused by a region sealed for an
+    /// online split/merge are handed back by the region and re-routed,
+    /// as a batch, against the re-read map (the lifecycle operation
+    /// swaps it within its sealed window). Only a wedged lifecycle
+    /// operation surfaces [`KvError::RegionSealed`] to callers.
+    fn write(&self, ops: &mut [WriteOp]) -> Result<()> {
+        check_entry_sizes(ops, self.region_opts.shard_cap)?;
+        let mut rejected = self.write_routed(ops)?;
         let mut deadline: Option<Instant> = None;
-        loop {
-            match self.region_for(&key).try_write(key, value)? {
-                None => return Ok(()),
-                Some((k, v)) => {
-                    key = k;
-                    value = v;
-                    let now = Instant::now();
-                    match deadline {
-                        None => deadline = Some(now + SEAL_RETRY_DEADLINE),
-                        Some(d) if now >= d => return Err(KvError::RegionSealed),
-                        Some(_) => {}
-                    }
-                    self.sealed_retries.inc();
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+        while !rejected.is_empty() {
+            let now = Instant::now();
+            match deadline {
+                None => deadline = Some(now + SEAL_RETRY_DEADLINE),
+                Some(d) if now >= d => return Err(KvError::RegionSealed),
+                Some(_) => {}
             }
+            self.sealed_retries.inc();
+            std::thread::sleep(Duration::from_millis(1));
+            rejected = self.write_routed(&mut rejected)?;
         }
+        Ok(())
+    }
+
+    /// Routes `ops` with one read of the region map and hands each
+    /// region its run (the order within a region kept); returns what
+    /// sealed regions refused.
+    fn write_routed(&self, ops: &mut [WriteOp]) -> Result<Vec<WriteOp>> {
+        let map = self.map.read().clone();
+        ops.sort_by_cached_key(|op| index_for(&map, &op.0));
+        let mut rejected = Vec::new();
+        let mut rest = ops;
+        while let Some((key, _)) = rest.first() {
+            // Sorted by region, so region `i`'s run is the prefix of keys
+            // below the next region's start.
+            let i = index_for(&map, key);
+            let end = (map.get(i + 1)).map_or(rest.len(), |next| {
+                rest.partition_point(|(k, _)| *k < next.start)
+            });
+            let (run, tail) = rest.split_at_mut(end);
+            rejected.extend(map[i].region.try_write_batch(run)?);
+            rest = tail;
+        }
+        Ok(rejected)
     }
 
     /// Point lookup.
@@ -590,7 +621,7 @@ impl Table {
             daughters.iter().map(open).collect::<Result<Vec<_>>>()
         });
         let persisted = opened.and_then(|opened| {
-            let mut entries = self.map.read().clone();
+            let mut entries = self.map.read().to_vec();
             entries.splice(index..index + parents, opened);
             persist_manifest(&self.dir, &entries)?;
             Ok(entries)
@@ -607,7 +638,7 @@ impl Table {
         // the rename, but power loss could bring the old manifest back —
         // so the parents' directories stay for it to find.
         let synced = fsync_dir(&self.dir);
-        *self.map.write() = entries;
+        *self.map.write() = Arc::new(entries);
         synced?;
         // The sealed parents are unreferenced now. Open scan streams /
         // snapshots keep serving from their Arc'd handles; the unlinked

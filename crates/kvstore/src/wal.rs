@@ -41,6 +41,11 @@
 //!   by the maintenance scheduler (group commit): acknowledged writes
 //!   survive process crashes (`kill -9`); power loss may lose the last
 //!   un-synced batch.
+//!
+//! The unit of a `write(2)` is an *append*: [`Wal::append_seq`] takes a
+//! run of records (one batch's worth on one memtable shard — a single put
+//! is a run of one), frames each as above, and hands the run to the OS
+//! at once. Replay cannot tell a run from separate appends.
 //! * `None` — records are buffered in user space and pushed to the OS
 //!   opportunistically: a crash may lose the buffered tail.
 //!
@@ -62,11 +67,14 @@ pub enum SyncPolicy {
     /// Buffer in user space; flush to the OS opportunistically. Crashes
     /// can lose the buffered tail.
     None,
-    /// `write(2)` per record (survives `kill -9`), `fsync` batched by the
-    /// maintenance scheduler (bounded power-loss window). The default.
+    /// `write(2)` per append — a run of records, one memtable shard's
+    /// share of a write batch — before acknowledging (survives
+    /// `kill -9`), `fsync` batched by the maintenance scheduler (bounded
+    /// power-loss window). The default.
     #[default]
     Batched,
-    /// `write(2)` + `fsync` per record: survives power loss.
+    /// `write(2)` per append + a group-commit `fsync` before
+    /// acknowledging: survives power loss.
     PerWrite,
 }
 
@@ -191,12 +199,19 @@ pub(crate) struct FaultyWalState {
     pub(crate) write_budget: Option<usize>,
     /// Fail every `sync` once this many succeeded.
     pub(crate) sync_budget: Option<usize>,
+    /// Number of `append` calls (one per `write(2)`).
+    pub(crate) writes: usize,
     /// Number of successful syncs.
     pub(crate) syncs: usize,
     /// Artificial latency per successful `sync`, in microseconds. Lets
     /// group-commit tests widen the window in which concurrent appends
     /// queue behind an in-flight fsync.
     pub(crate) sync_delay_us: u64,
+    /// When armed, the next `sync` covers the bytes already accepted,
+    /// reports on the first channel that it started, and parks until the
+    /// second one receives — a fsync held in flight for as long as a test
+    /// needs. Disarms itself.
+    pub(crate) park_sync: Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>,
 }
 
 /// A deterministic fault-injecting [`WalFile`] over an in-memory buffer.
@@ -230,6 +245,7 @@ impl FaultyWalFile {
 impl WalFile for FaultyWalFile {
     fn append(&self, buf: &[u8]) -> std::io::Result<()> {
         let mut s = self.state.lock();
+        s.writes += 1;
         if let Some(budget) = s.write_budget {
             if buf.len() > budget {
                 // Short write: the accepted prefix still lands in the
@@ -246,7 +262,7 @@ impl WalFile for FaultyWalFile {
     }
 
     fn sync(&self) -> std::io::Result<()> {
-        let delay = {
+        let (delay, park) = {
             let mut s = self.state.lock();
             if let Some(budget) = s.sync_budget {
                 if s.syncs >= budget {
@@ -255,8 +271,12 @@ impl WalFile for FaultyWalFile {
             }
             s.syncs += 1;
             s.synced_len = s.os.len();
-            s.sync_delay_us
+            (s.sync_delay_us, s.park_sync.take())
         };
+        if let Some((started, release)) = park {
+            started.send(()).ok();
+            release.recv().ok();
+        }
         if delay > 0 {
             std::thread::sleep(std::time::Duration::from_micros(delay));
         }
@@ -384,6 +404,7 @@ fn segment_id(name: &str) -> Option<u64> {
 struct WalMetrics {
     appends: just_obs::Counter,
     bytes: just_obs::Counter,
+    writes: just_obs::Counter,
     syncs: just_obs::Counter,
     sync_latency: just_obs::Histogram,
     replayed: just_obs::Counter,
@@ -396,6 +417,7 @@ impl WalMetrics {
         WalMetrics {
             appends: obs.counter("just_kvstore_wal_appends"),
             bytes: obs.counter("just_kvstore_wal_bytes"),
+            writes: obs.counter("just_kvstore_wal_writes"),
             syncs: obs.counter("just_kvstore_wal_syncs"),
             sync_latency: obs.histogram("just_kvstore_wal_sync_latency_us"),
             replayed: obs.counter("just_kvstore_wal_replayed_records"),
@@ -519,23 +541,33 @@ impl Wal {
         self.file = Arc::from(file);
     }
 
-    /// Appends one mutation for the sharded multi-stream WAL. The
-    /// record reaches the OS according to the sync policy's `write(2)`
-    /// discipline, but fsync is left to the caller's group commit: the
-    /// returned ticket is durable once a [`Wal::sync`] issued at ticket
-    /// count ≥ it succeeds (see [`Wal::ticket`]).
+    /// Appends a run of mutations for the sharded multi-stream WAL: the
+    /// `i`-th `(key, value)` is framed as its own record with sequence
+    /// `seq + i`, and the run reaches the OS as one `write(2)` under the
+    /// `batched` and `per-write` policies. Fsync is left to the caller's
+    /// group commit: the returned ticket (the run's last record) is
+    /// durable once a [`Wal::sync`] issued at ticket count ≥ it succeeds
+    /// (see [`Wal::ticket`]).
     ///
     /// After an IO failure the WAL is poisoned: the segment may end in a
-    /// torn prefix of the rejected record, so further appends are
-    /// refused (nothing acknowledged may land after a replay-stopping
-    /// tear) until [`Wal::rotate_keep`] swaps in a fresh segment.
-    pub(crate) fn append_seq(&mut self, seq: u64, key: &[u8], value: Option<&[u8]>) -> Result<u64> {
+    /// torn prefix of the rejected run, so further appends are refused
+    /// (nothing acknowledged may land after a replay-stopping tear)
+    /// until [`Wal::rotate_keep`] swaps in a fresh segment.
+    pub(crate) fn append_seq<'a>(
+        &mut self,
+        seq: u64,
+        records: impl IntoIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
+    ) -> Result<u64> {
         if self.poisoned {
             return Err(KvError::WalPoisoned);
         }
         let before = self.pending.len();
-        encode_record(&mut self.pending, seq, key, value);
-        self.metrics.appends.inc();
+        let mut n = 0;
+        for (key, value) in records {
+            encode_record(&mut self.pending, seq + n, key, value);
+            n += 1;
+        }
+        self.metrics.appends.add(n);
         self.metrics.bytes.add((self.pending.len() - before) as u64);
         match self.policy {
             SyncPolicy::None => {
@@ -547,7 +579,7 @@ impl Wal {
                 self.flush_os()?;
             }
         }
-        self.appended += 1;
+        self.appended += n;
         Ok(self.appended)
     }
 
@@ -570,6 +602,7 @@ impl Wal {
             return Err(KvError::WalPoisoned);
         }
         if !self.pending.is_empty() {
+            self.metrics.writes.inc();
             if let Err(e) = self.file.append(&self.pending) {
                 self.pending.clear();
                 self.poisoned = true;
@@ -748,6 +781,11 @@ mod tests {
         }
     }
 
+    /// Appends one record as a run of one.
+    fn append1(wal: &mut Wal, seq: u64, key: &[u8], value: Option<&[u8]>) -> Result<u64> {
+        wal.append_seq(seq, [(key, value)])
+    }
+
     /// One CRC-valid record around `payload`.
     fn framed(payload: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::new();
@@ -763,9 +801,9 @@ mod tests {
         {
             let (mut wal, recovered) = open(&dir, SyncPolicy::PerWrite);
             assert!(recovered.is_empty());
-            wal.append_seq(0, b"a", Some(b"1")).unwrap();
-            wal.append_seq(1, b"b", Some(b"2")).unwrap();
-            wal.append_seq(2, b"a", None).unwrap();
+            append1(&mut wal, 0, b"a", Some(b"1")).unwrap();
+            append1(&mut wal, 1, b"b", Some(b"2")).unwrap();
+            append1(&mut wal, 2, b"a", None).unwrap();
             wal.sync().unwrap();
         }
         let (_, recovered) = open(&dir, SyncPolicy::PerWrite);
@@ -781,12 +819,43 @@ mod tests {
     }
 
     #[test]
+    fn a_run_is_one_write_of_consecutive_records() {
+        let dir = tmpdir("run");
+        let (mut wal, _) = open(&dir, SyncPolicy::Batched);
+        let (file, state) = FaultyWalFile::new();
+        wal.set_file_for_test(Box::new(file));
+        let run: [(&[u8], Option<&[u8]>); 3] =
+            [(b"a", Some(b"1")), (b"b", None), (b"a", Some(b"2"))];
+        assert_eq!(
+            wal.append_seq(7, run).unwrap(),
+            3,
+            "ticket of the last record"
+        );
+        assert_eq!(state.lock().writes, 1);
+        let mut framed = Vec::new();
+        for (i, (k, v)) in run.iter().enumerate() {
+            encode_record(&mut framed, 7 + i as u64, k, *v);
+        }
+        // Byte-identical to three appends of one, handed over at once.
+        assert_eq!(state.lock().os, framed);
+        assert_eq!(
+            decode_records(&framed).0,
+            vec![
+                rec(7, b"a", Some(b"1")),
+                rec(8, b"b", None),
+                rec(9, b"a", Some(b"2"))
+            ]
+        );
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn torn_tail_truncates_to_last_good_record() {
         let dir = tmpdir("torn");
         {
             let (mut wal, _) = open(&dir, SyncPolicy::PerWrite);
-            wal.append_seq(0, b"good-1", Some(b"v1")).unwrap();
-            wal.append_seq(1, b"good-2", Some(b"v2")).unwrap();
+            append1(&mut wal, 0, b"good-1", Some(b"v1")).unwrap();
+            append1(&mut wal, 1, b"good-2", Some(b"v2")).unwrap();
             wal.sync().unwrap();
         }
         // Append half a record by hand: a length header promising more
@@ -817,9 +886,9 @@ mod tests {
         let dir = tmpdir("crc");
         {
             let (mut wal, _) = open(&dir, SyncPolicy::PerWrite);
-            wal.append_seq(0, b"keep00", Some(b"v")).unwrap();
-            wal.append_seq(1, b"victim", Some(b"v")).unwrap();
-            wal.append_seq(2, b"after0", Some(b"v")).unwrap();
+            append1(&mut wal, 0, b"keep00", Some(b"v")).unwrap();
+            append1(&mut wal, 1, b"victim", Some(b"v")).unwrap();
+            append1(&mut wal, 2, b"after0", Some(b"v")).unwrap();
             wal.sync().unwrap();
         }
         let seg = segment_path(&dir, 0);
@@ -843,9 +912,9 @@ mod tests {
         // retire the old one once its SSTable would be durable.
         let dir = tmpdir("rotate");
         let (mut wal, _) = open(&dir, SyncPolicy::Batched);
-        wal.append_seq(0, b"a", Some(b"1")).unwrap();
+        append1(&mut wal, 0, b"a", Some(b"1")).unwrap();
         let mark = wal.rotate_keep().unwrap();
-        wal.append_seq(1, b"b", Some(b"2")).unwrap();
+        append1(&mut wal, 1, b"b", Some(b"2")).unwrap();
         assert!(segment_path(&dir, 0).exists(), "kept until retired");
         wal.retire_through(mark).unwrap();
         drop(wal);
@@ -860,7 +929,7 @@ mod tests {
     fn sync_none_buffers_in_user_space() {
         let dir = tmpdir("buffered");
         let (mut wal, _) = open(&dir, SyncPolicy::None);
-        wal.append_seq(0, b"k", Some(b"v")).unwrap();
+        append1(&mut wal, 0, b"k", Some(b"v")).unwrap();
         assert!(!wal.pending.is_empty(), "should be buffered");
         assert_eq!(std::fs::metadata(segment_path(&dir, 0)).unwrap().len(), 0);
         // A crash here (drop without flush) loses the buffered record.
@@ -882,9 +951,9 @@ mod tests {
         state.lock().write_budget = Some(2 * record_len + 5);
         wal.set_file_for_test(Box::new(file));
 
-        assert!(wal.append_seq(0, b"key-1", Some(b"value-1")).is_ok());
-        assert!(wal.append_seq(1, b"key-2", Some(b"value-2")).is_ok());
-        let torn = wal.append_seq(2, b"key-3", Some(b"value-3"));
+        assert!(append1(&mut wal, 0, b"key-1", Some(b"value-1")).is_ok());
+        assert!(append1(&mut wal, 1, b"key-2", Some(b"value-2")).is_ok());
+        let torn = append1(&mut wal, 2, b"key-3", Some(b"value-3"));
         assert!(torn.is_err(), "short write must fail the append");
 
         // Simulate kill -9: the OS kept everything write(2) accepted,
@@ -913,7 +982,7 @@ mod tests {
         wal.set_file_for_test(Box::new(file));
 
         assert!(matches!(
-            wal.append_seq(0, b"torn", Some(b"v")),
+            append1(&mut wal, 0, b"torn", Some(b"v")),
             Err(KvError::Io(_))
         ));
         // The rejected record must not linger for a later retry: a
@@ -921,7 +990,7 @@ mod tests {
         // behind that tear would strand acknowledged history.
         assert!(wal.pending.is_empty());
         assert!(matches!(
-            wal.append_seq(1, b"after", Some(b"v")),
+            append1(&mut wal, 1, b"after", Some(b"v")),
             Err(KvError::WalPoisoned)
         ));
         assert!(!wal.needs_sync(), "poisoned wal must not invite syncs");
@@ -931,7 +1000,7 @@ mod tests {
         // nothing more ever reaches the torn file.
         let mark = wal.rotate_keep().unwrap();
         assert!(state.lock().os.is_empty(), "torn tail truncated");
-        wal.append_seq(2, b"fresh", Some(b"v")).unwrap();
+        append1(&mut wal, 2, b"fresh", Some(b"v")).unwrap();
         wal.retire_through(mark).unwrap();
         assert!(state.lock().os.is_empty());
         drop(wal);
@@ -977,13 +1046,13 @@ mod tests {
     fn corrupt_middle_segment_orphans_later_segments() {
         let dir = tmpdir("orphan");
         let (mut wal, _) = open(&dir, SyncPolicy::PerWrite);
-        wal.append_seq(0, b"seg0", Some(b"v")).unwrap();
+        append1(&mut wal, 0, b"seg0", Some(b"v")).unwrap();
         drop(wal);
         // Reopen: segment 0 is replayed and retained, segment 1 becomes
         // active — two live segments.
         let (mut wal, recovered) = open(&dir, SyncPolicy::PerWrite);
         assert_eq!(recovered.len(), 1);
-        wal.append_seq(1, b"seg1", Some(b"v")).unwrap();
+        append1(&mut wal, 1, b"seg1", Some(b"v")).unwrap();
         drop(wal);
         // Corrupt segment 0 entirely.
         std::fs::write(segment_path(&dir, 0), b"garbage-that-is-not-a-record").unwrap();

@@ -12,7 +12,9 @@
 //! releases the lock and verifies at leisure while writers, the flusher
 //! and the splitter keep running. Each writer owns a disjoint key space,
 //! so per-writer log order is per-key commit order and replaying the logs
-//! into a `BTreeMap` is a faithful serial execution.
+//! into a `BTreeMap` is a faithful serial execution. Half the writers
+//! send their operations as [`just_kvstore::Table::write_batch`]es of
+//! one to eight, applied and logged under one read guard.
 //!
 //! Everything is seeded (a per-writer LCG), so a failure replays.
 
@@ -114,24 +116,38 @@ fn snapshot_scans_equal_serial_execution_under_splits() {
                 // table flushes inline, so unbounded writers would bury
                 // the region in SSTables and turn the test into an IO
                 // benchmark.
+                let batched = w % 2 == 1;
                 while !stop.load(Ordering::Relaxed) && n < 12_000 {
-                    let slot = rng.next() % KEYS_PER_WRITER;
-                    let key = key_of(w, slot);
+                    let len = if batched { 1 + rng.next() % 8 } else { 1 };
+                    let ops: Vec<Op> = (0..len)
+                        .map(|i| {
+                            let key = key_of(w, rng.next() % KEYS_PER_WRITER);
+                            if rng.next().is_multiple_of(4) {
+                                Op::Delete(key)
+                            } else {
+                                Op::Put(key, format!("w{w}-v{}", n + i).into_bytes())
+                            }
+                        })
+                        .collect();
                     // Apply and log under one read guard: the checker's
                     // write lock can only be held when no operation is
                     // applied-but-unlogged (or logged-but-unapplied).
                     let guard = quiesce.read().unwrap();
-                    let op = if rng.next().is_multiple_of(4) {
-                        table.delete(key.clone()).unwrap();
-                        Op::Delete(key)
+                    if batched {
+                        let batch = ops.iter().map(|op| match op {
+                            Op::Put(k, v) => (k.clone(), Some(v.clone())),
+                            Op::Delete(k) => (k.clone(), None),
+                        });
+                        table.write_batch(batch.collect()).unwrap();
                     } else {
-                        let value = format!("w{w}-v{n}").into_bytes();
-                        table.put(key.clone(), value.clone()).unwrap();
-                        Op::Put(key, value)
-                    };
-                    log.lock().unwrap().push(op);
+                        match &ops[0] {
+                            Op::Put(k, v) => table.put(k.clone(), v.clone()).unwrap(),
+                            Op::Delete(k) => table.delete(k.clone()).unwrap(),
+                        }
+                    }
+                    log.lock().unwrap().extend(ops);
                     drop(guard);
-                    n += 1;
+                    n += len;
                 }
             })
         })

@@ -1,7 +1,8 @@
 //! Randomized model tests: the store behaves exactly like a sorted map
-//! with last-write-wins semantics, across flushes, compactions and
-//! region splits/merges, and a snapshot taken mid-history keeps reading
-//! the map as it was at that point.
+//! with last-write-wins semantics, across write batches, flushes,
+//! compactions, region splits/merges and a reopen that replays the WAL,
+//! and a snapshot taken mid-history keeps reading the map as it was at
+//! that point.
 //!
 //! Cases are generated from a seeded [`just_obs::Rng`], so every run
 //! exercises the same deterministic op sequences.
@@ -20,6 +21,9 @@ enum Op {
     Split(usize),
     /// Merge regions `i` and `i + 1` (modulo the current region count).
     Merge(usize),
+    /// One [`just_kvstore::Table::write_batch`] of puts (`Some`) and
+    /// deletes (`None`), keys repeating inside it.
+    Batch(Vec<(Vec<u8>, Option<Vec<u8>>)>),
 }
 
 fn gen_key(rng: &mut Rng) -> Vec<u8> {
@@ -27,18 +31,44 @@ fn gen_key(rng: &mut Rng) -> Vec<u8> {
     (0..len).map(|_| rng.gen_range(0u8..8)).collect()
 }
 
+fn gen_value(rng: &mut Rng) -> Vec<u8> {
+    let vlen = rng.gen_range(0usize..20);
+    (0..vlen).map(|_| rng.next_u64() as u8).collect()
+}
+
+fn gen_batch(rng: &mut Rng) -> Op {
+    let mut ops: Vec<(Vec<u8>, Option<Vec<u8>>)> = Vec::new();
+    for _ in 0..rng.gen_range(1usize..12) {
+        // A third of the ops rewrite a key the batch already holds.
+        let key = match ops.len() {
+            n if n > 0 && rng.gen_range(0usize..3) == 0 => ops[rng.gen_range(0..n)].0.clone(),
+            _ => gen_key(rng),
+        };
+        let value = (rng.gen_range(0usize..4) != 0).then(|| gen_value(rng));
+        ops.push((key, value));
+    }
+    Op::Batch(ops)
+}
+
 fn gen_op(rng: &mut Rng) -> Op {
     // Weights 6:2:1:1 matching the original strategy.
     match rng.gen_range(0usize..10) {
         0..=5 => {
             let k = gen_key(rng);
-            let vlen = rng.gen_range(0usize..20);
-            let v = (0..vlen).map(|_| rng.next_u64() as u8).collect();
-            Op::Put(k, v)
+            Op::Put(k, gen_value(rng))
         }
         6 | 7 => Op::Delete(gen_key(rng)),
         8 => Op::Flush,
         _ => Op::Compact,
+    }
+}
+
+fn options() -> StoreOptions {
+    StoreOptions {
+        flush_threshold: 512, // tiny: force frequent flushes
+        block_size: 128,
+        block_cache_bytes: 1 << 20,
+        ..StoreOptions::default()
     }
 }
 
@@ -67,20 +97,21 @@ fn store_matches_btreemap_model() {
             };
             ops.insert(at, op);
         }
-        let snap_at = life.gen_range(0usize..ops.len() + 1);
+        let mut snap_at = life.gen_range(0usize..ops.len() + 1);
+        // Write batches come from a third stream, spliced in last; the
+        // snapshot stays right before the op it preceded.
+        let mut batches = Rng::seed_from_u64(0x6261_7463 ^ case);
+        for _ in 0..batches.gen_range(0usize..5) {
+            let at = batches.gen_range(0usize..ops.len() + 1);
+            ops.insert(at, gen_batch(&mut batches));
+            if at <= snap_at {
+                snap_at += 1;
+            }
+        }
 
         let dir = std::env::temp_dir().join(format!("just-kv-prop-{}-{case}", std::process::id(),));
         std::fs::remove_dir_all(&dir).ok();
-        let store = Store::open(
-            &dir,
-            StoreOptions {
-                flush_threshold: 512, // tiny: force frequent flushes
-                block_size: 128,
-                block_cache_bytes: 1 << 20,
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
+        let store = Store::open(&dir, options()).unwrap();
         let table = store.create_table("t", 4).unwrap();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
 
@@ -97,6 +128,15 @@ fn store_matches_btreemap_model() {
                 Op::Delete(k) => {
                     table.delete(k.clone()).unwrap();
                     model.remove(k);
+                }
+                Op::Batch(batch) => {
+                    table.write_batch(batch.clone()).unwrap();
+                    for (k, v) in batch {
+                        match v {
+                            Some(v) => model.insert(k.clone(), v.clone()),
+                            None => model.remove(k),
+                        };
+                    }
                 }
                 Op::Flush => table.flush().unwrap(),
                 Op::Compact => table.compact().unwrap(),
@@ -175,6 +215,16 @@ fn store_matches_btreemap_model() {
             .collect();
         assert_eq!(then, in_range(&model_then), "case {case} snapshot scan");
 
+        // Reopened, the store replays its WAL to the same map.
+        drop((snapshot, table, store));
+        let store = Store::open(&dir, options()).unwrap();
+        let table = store.open_table("t", 4).unwrap();
+        let all: Vec<(Vec<u8>, Vec<u8>)> = (table.scan(b"", &[0xff; 8]).unwrap().into_iter())
+            .map(|e| (e.key, e.value))
+            .collect();
+        let want: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+        assert_eq!(all, want, "case {case} after reopen");
+        drop((table, store));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

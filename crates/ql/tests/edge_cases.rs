@@ -91,6 +91,30 @@ fn not_and_comparison_operators() {
 }
 
 #[test]
+fn a_multi_row_insert_with_a_rejected_row_writes_nothing() {
+    let (mut c, dir) = client("insert-all-or-nothing");
+    c.execute("CREATE TABLE t (fid string:primary key, geom point)")
+        .unwrap();
+    c.execute("INSERT INTO t VALUES ('a', st_makePoint(1, 2))")
+        .unwrap();
+    let count = |c: &mut Client| {
+        let r = c.execute("SELECT count(*) AS n FROM t").unwrap();
+        r.into_dataset().unwrap().rows[0].values[0].clone()
+    };
+    // Storage refuses an empty id and one past 48 bytes, after the
+    // statement's first rows were accepted.
+    for bad in [String::new(), "x".repeat(49)] {
+        let sql = format!(
+            "INSERT INTO t VALUES ('b', st_makePoint(1, 2)), \
+             ('c', st_makePoint(3, 4)), ('{bad}', st_makePoint(5, 6))"
+        );
+        assert!(c.execute(&sql).is_err(), "{sql}");
+        assert_eq!(count(&mut c), Value::Int(1), "{sql}");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn analyze_errors_are_reported_not_panicked() {
     let (mut c, dir) = client("errors");
     c.execute("CREATE TABLE t (fid integer:primary key, geom point)")

@@ -10,6 +10,7 @@ use just_curves::TimePeriod;
 use just_geo::{Geometry, LineString, Point, Rect};
 use just_kvstore::{Store, Table as KvTable};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
@@ -356,31 +357,97 @@ impl StTable {
 
     /// Inserts a record; re-inserting an id replaces the old record even
     /// when its location or time changed (the paper's "historical data
-    /// updates without index reconstruction").
+    /// updates without index reconstruction"). A batch of one.
     pub fn insert(&self, row: &Row) -> Result<()> {
-        let meta = self.meta_of(row)?;
-        self.widen_time_bounds(meta.t_min, meta.t_max)?;
-        let key = self.strategy.key(&meta);
-        let skey = self.spatial.as_ref().map(|(st, _)| st.key(&meta));
-        if let Some(old_key) = self.ids.get(&meta.fid)? {
-            if old_key != key {
-                // Remove the superseded version from both indexes.
-                if let (Some((sst, stable)), Some(bytes)) =
-                    (&self.spatial, self.data.get(&old_key)?)
-                {
-                    let old_row = Row::decode(&self.schema, &bytes)?;
-                    let old_meta = self.meta_of(&old_row)?;
-                    stable.delete(sst.key(&old_meta))?;
-                }
-                self.data.delete(old_key)?;
+        self.insert_batch(std::slice::from_ref(row))
+    }
+
+    /// Inserts `rows` with the effect of inserting them one by one, in
+    /// order — a repeated id supersedes its earlier row in the batch as a
+    /// later [`StTable::insert`] would — as one write per backing table.
+    ///
+    /// Every row's id, keys and encoding are computed before anything is
+    /// written, so a row the table refuses fails the whole batch with
+    /// nothing written. Then the time bounds widen once, and the id map,
+    /// the secondary spatial index and the data table each take one
+    /// [`just_kvstore::Table::write_batch`], in that order (the per-row
+    /// order of a single insert). A crash between those writes can leave
+    /// id entries whose data never landed: reads treat such an id as
+    /// absent, and re-running the statement heals it.
+    pub fn insert_batch(&self, rows: &[Row]) -> Result<()> {
+        struct Staged {
+            fid: Vec<u8>,
+            key: Vec<u8>,
+            skey: Option<Vec<u8>>,
+            value: Vec<u8>,
+        }
+        let mut staged = Vec::with_capacity(rows.len());
+        let (mut t_min, mut t_max) = (i64::MAX, i64::MIN);
+        for row in rows {
+            let meta = self.meta_of(row)?;
+            (t_min, t_max) = (t_min.min(meta.t_min), t_max.max(meta.t_max));
+            staged.push(Staged {
+                key: self.strategy.key(&meta),
+                skey: self.spatial.as_ref().map(|(st, _)| st.key(&meta)),
+                value: row.encode(&self.schema)?,
+                fid: meta.fid,
+            });
+        }
+        if staged.is_empty() {
+            return Ok(());
+        }
+        self.widen_time_bounds(t_min, t_max)?;
+        // Per row, the version it supersedes when that sits under other
+        // keys: the batch's earlier row with its id, else the stored one.
+        let mut superseded = Vec::with_capacity(staged.len());
+        let mut latest: HashMap<&[u8], &Staged> = HashMap::with_capacity(staged.len());
+        for row in &staged {
+            let earlier = latest.insert(&row.fid, row);
+            let old_key = match earlier {
+                Some(e) => Some(e.key.clone()),
+                None => self.ids.get(&row.fid)?,
+            };
+            let Some(old_key) = old_key.filter(|k| *k != row.key) else {
+                superseded.push(None);
+                continue;
+            };
+            let old_skey = match (&self.spatial, earlier) {
+                (None, _) => None,
+                (Some(_), Some(e)) => e.skey.clone(),
+                (Some((sst, _)), None) => match self.data.get(&old_key)? {
+                    Some(bytes) => {
+                        let old_row = Row::decode(&self.schema, &bytes)?;
+                        Some(sst.key(&self.meta_of(&old_row)?))
+                    }
+                    None => None,
+                },
+            };
+            superseded.push(Some((old_key, old_skey)));
+        }
+        drop(latest);
+        let n = staged.len();
+        let (mut ids, mut sdata, mut data) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(if self.spatial.is_some() { n } else { 0 }),
+            Vec::with_capacity(n),
+        );
+        for (row, old) in staged.into_iter().zip(superseded) {
+            // Remove the superseded version from both indexes.
+            if let Some((old_key, old_skey)) = old {
+                sdata.extend(old_skey.map(|k| (k, None)));
+                data.push((old_key, None));
             }
+            ids.push((row.fid, Some(row.key.clone())));
+            if let Some(skey) = row.skey {
+                sdata.push((skey, Some(row.value.clone())));
+            }
+            data.push((row.key, Some(row.value)));
         }
-        self.ids.put(meta.fid.clone(), key.clone())?;
-        let value = row.encode(&self.schema)?;
-        if let (Some((_, stable)), Some(skey)) = (&self.spatial, skey) {
-            stable.put(skey, value.clone())?;
+        self.ids.write_batch(ids)?;
+        if let Some((_, stable)) = &self.spatial {
+            stable.write_batch(sdata)?;
         }
-        self.data.put(key, value)?;
+        self.data.write_batch(data)?;
         Ok(())
     }
 
@@ -1044,6 +1111,41 @@ mod tests {
             t.get(&Value::Int(1)).unwrap().unwrap().values[0],
             Value::Int(1)
         );
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_rerun_statement_heals_id_entries_whose_data_never_landed() {
+        let (s, dir) = store("heal");
+        let t = StTable::create(&s, "o", order_schema(), StorageConfig::default()).unwrap();
+        let rows: Vec<Row> = (0..30)
+            .map(|i| order_row(i, 116.0 + i as f64 * 0.01, 39.0, i * HOUR_MS))
+            .collect();
+        // A crash between a batch's writes: the id map's batch landed,
+        // the spatial index's and the data table's did not.
+        let ids = rows.iter().map(|row| {
+            let meta = t.meta_of(row).unwrap();
+            let key = t.strategy.key(&meta);
+            (meta.fid, Some(key))
+        });
+        t.ids.write_batch(ids.collect()).unwrap();
+        assert_eq!(
+            t.get(&Value::Int(3)).unwrap(),
+            None,
+            "dangling id reads as absent"
+        );
+        assert!(t.scan_all().unwrap().is_empty());
+        // Running the statement again lands everything, once.
+        t.insert_batch(&rows).unwrap();
+        for row in &rows {
+            assert_eq!(t.get(&row.values[0]).unwrap().as_ref(), Some(row));
+        }
+        assert_eq!(t.scan_all().unwrap().len(), rows.len());
+        let window = Rect::new(115.9, 38.9, 116.5, 39.1);
+        for time in [None, Some((0, 2 * DAY_MS))] {
+            let hits = t.query(Some(&window), time, SpatialPredicate::Within);
+            assert_eq!(hits.unwrap().len(), rows.len(), "time {time:?}");
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 
