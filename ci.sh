@@ -156,7 +156,7 @@ echo "format epoch OK: epoch 0 refused with the store untouched, $GOT/$ROWS rows
 
 echo "==> concurrent-ingest crash smoke (8 writers, kill -9 mid-ingest)"
 # Eight writers insert concurrently against the sharded write path
-# (multiple memtable shards + WAL streams, per-write sync): writers 0-3
+# (eight memtable shards per region, one WAL, per-write sync): writers 0-3
 # one row per INSERT, writers 4-7 eight rows per INSERT (one write batch
 # per kv table). Each writer logs its row ids to its own file only
 # *after* the INSERT's response came back — the log is exactly the set
@@ -167,7 +167,7 @@ ING_DATA="$SMOKE_DIR/ingest-data"
 ING_LOG="$SMOKE_DIR/ingest-acked"
 mkdir -p "$ING_LOG"
 start_justd "$ING_DATA" "$SMOKE_DIR/ingest-port" \
-    --wal-sync per-write --mem-shards 8 --wal-streams 4
+    --wal-sync per-write --mem-shards 8
 cli query "CREATE TABLE ingpts (fid integer:primary key, geom point)"
 WRITER_PIDS=()
 for w in $(seq 0 7); do
@@ -194,7 +194,7 @@ sort "$ING_LOG"/w* >"$ING_LOG/want"
 [ -s "$ING_LOG/want" ] || { echo "no writes were acknowledged before the kill"; exit 1; }
 
 start_justd "$ING_DATA" "$SMOKE_DIR/ingest-port" \
-    --wal-sync per-write --mem-shards 8 --wal-streams 4
+    --wal-sync per-write --mem-shards 8
 # --max-rows: the verification must see every surviving row, not the
 # default 100-row display window.
 ./target/release/just-cli --addr "$ADDR" --user smoke --max-rows 100000 \

@@ -2,20 +2,19 @@
 //! payoff (`ISSUE 8`, ROADMAP item 1).
 //!
 //! One table, one region — the worst case for the old serialized write
-//! path, where every writer contended on a single memtable mutex and a
-//! single WAL stream. Each point of the sweep opens a fresh store with
-//! the concurrent ingest pipeline (16 memtable shards, one WAL stream)
-//! under the `per-write` sync policy — the policy where the old path's
-//! cost was starkest: one fsync per acknowledged row. With cross-shard
-//! group commit, one fsync covers every writer queued on the stream, so
-//! throughput scales with writers even on a single-core box (the win is
-//! fsync amortization, not CPU parallelism). One stream, deliberately:
-//! with random key salting, batching comes from writers *colliding* on
-//! a stream while its fsync is in flight, and spreading 16 writers over
-//! more streams dilutes collisions back toward one fsync per record
-//! (measured here: one stream sustains ~8 rows/fsync at 16 writers,
-//! eight streams decay to ~1). Multi-stream remains the right default
-//! for multi-region stores, where each region brings its own streams.
+//! path, where every writer contended on a single memtable mutex and
+//! fsynced its own record. Each point of the sweep opens a fresh store
+//! with the concurrent ingest pipeline (16 memtable shards in front of
+//! the region's one WAL) under the `per-write` sync policy — the policy
+//! where the old path's cost was starkest: one fsync per acknowledged
+//! row. With cross-shard group commit, one fsync covers every writer
+//! queued on the log, so throughput scales with writers even on a
+//! single-core box (the win is fsync amortization, not CPU
+//! parallelism). Batching comes from writers *colliding* on the log
+//! while its fsync is in flight; spreading 16 writers over several logs
+//! per region dilutes collisions back toward one fsync per record
+//! (measured on that earlier layout: one log sustained ~8 rows/fsync at
+//! 16 writers, eight decayed to ~1).
 //!
 //! Writer-side ack latencies are collected exactly (a `Vec` per writer)
 //! rather than through the log-scale histograms — the p99 guard
@@ -61,7 +60,7 @@
 
 use crate::config::BenchConfig;
 use crate::harness::{Report, Table};
-use just_kvstore::{IngestOptions, Store, StoreOptions, SyncPolicy};
+use just_kvstore::{Store, StoreOptions, SyncPolicy};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
@@ -111,10 +110,7 @@ fn measure(tag: &str, writers: usize, rows_per_writer: usize) -> Point {
         // Large threshold: the sweep measures the ingest pipeline, not
         // flush throughput.
         flush_threshold: 256 << 20,
-        ingest: IngestOptions {
-            mem_shards: 16,
-            wal_streams: 1,
-        },
+        mem_shards: 16,
         ..StoreOptions::default()
     };
     opts.durability.sync = SyncPolicy::PerWrite;
@@ -230,7 +226,6 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
     report.meta_raw("reps", REPS.to_string());
     report.meta_str("wal_sync", "per-write");
     report.meta_raw("mem_shards", "16");
-    report.meta_raw("wal_streams", "1");
 
     let mut points = Vec::with_capacity(WRITERS.len());
     for &w in &WRITERS {

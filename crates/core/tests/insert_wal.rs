@@ -1,8 +1,7 @@
 //! What one INSERT costs the WAL, counted: a 200-row statement into a
-//! default temporal point table reaches the log as a few `write(2)`s on a
-//! few streams — one batch per backing kv table, one append per memtable
-//! shard group, every group of a batch on one stream — not one `write(2)`
-//! per kv put on every stream its keys hash to.
+//! default temporal point table reaches the logs as a few `write(2)`s —
+//! one batch per backing kv table, one append per memtable shard group to
+//! the region's one log — not one `write(2)` per kv put.
 //!
 //! Its own test binary with one `#[test]`: the WAL counters are
 //! process-wide, and the maintenance scheduler is off, so no tick, flush
@@ -17,19 +16,18 @@ use std::path::{Path, PathBuf};
 
 const ROWS: i64 = 200;
 
-/// WAL bytes under `dir`, per stream: every stream keeps its segments in
-/// a directory of its own (stream 0 in the region's root).
+/// WAL bytes under `dir`, per directory holding WAL segments.
 fn wal_bytes(dir: &Path, out: &mut BTreeMap<PathBuf, u64>) {
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
         if path.is_dir() {
+            assert!(
+                !name.starts_with("wal_s"),
+                "a WAL stream directory: {path:?}"
+            );
             wal_bytes(&path, out);
-        } else if path
-            .file_name()
-            .unwrap()
-            .to_string_lossy()
-            .starts_with("wal_")
-        {
+        } else if name.starts_with("wal_") {
             let len = std::fs::metadata(&path).unwrap().len();
             *out.entry(dir.to_path_buf()).or_default() += len;
         }
@@ -37,7 +35,7 @@ fn wal_bytes(dir: &Path, out: &mut BTreeMap<PathBuf, u64>) {
 }
 
 #[test]
-fn a_200_row_insert_is_a_few_wal_writes_on_a_few_streams() {
+fn a_200_row_insert_is_a_few_wal_writes_in_one_log_per_region() {
     let dir = std::env::temp_dir().join(format!("just-insert-wal-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut config = EngineConfig::default();
@@ -80,11 +78,11 @@ fn a_200_row_insert_is_a_few_wal_writes_on_a_few_streams() {
     let mut after = BTreeMap::new();
     wal_bytes(&dir, &mut after);
     let touched: Vec<&PathBuf> = (after.iter())
-        .filter(|(stream, len)| before.get(*stream).copied().unwrap_or(0) < **len)
-        .map(|(stream, _)| stream)
+        .filter(|(log, len)| before.get(*log).copied().unwrap_or(0) < **len)
+        .map(|(log, _)| log)
         .collect();
     println!(
-        "{ROWS} rows: {records} WAL records, {made} WAL writes, {} streams written",
+        "{ROWS} rows: {records} WAL records, {made} WAL writes, {} logs written",
         touched.len()
     );
     // Three records per row (id map, spatial index, data) and one for the
@@ -94,6 +92,15 @@ fn a_200_row_insert_is_a_few_wal_writes_on_a_few_streams() {
     // Three batches of at most eight shard groups each, plus the time
     // bounds' put.
     assert!(made <= 25, "{made} WAL writes for one statement");
-    assert!(touched.len() <= 4, "streams written: {touched:?}");
+    // Each region written keeps its one log in its own directory.
+    assert!(!touched.is_empty());
+    for log in &touched {
+        let name = log.file_name().unwrap().to_string_lossy();
+        assert!(
+            name.starts_with("region_"),
+            "a WAL outside a region root: {log:?}"
+        );
+    }
+    assert!(touched.len() <= 4, "logs written: {touched:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -25,16 +25,17 @@ pub enum KvError {
     /// The named table does not exist.
     NoSuchTable(String),
     /// The active WAL segment diverged from acknowledged history after
-    /// an IO failure (a torn append or failed fsync). Writes are
-    /// rejected until the next memtable flush rotates the segment away.
+    /// an IO failure (a torn append or failed fsync). The region's
+    /// writes are rejected until the next maintenance tick or memtable
+    /// freeze rotates the segment away.
     WalPoisoned,
     /// A backpressure-stalled writer gave up waiting for background
     /// flushes (store shutdown, or the stall deadline elapsed).
     Stalled(String),
     /// The write targeted a region that was sealed for an online split
-    /// or merge. Routing through [`crate::Table`] retries against the
-    /// freshly-swapped region map; direct [`crate::Region`] users should
-    /// re-resolve their region handle and retry.
+    /// or merge. [`crate::Table`] retries against the freshly-swapped
+    /// region map, so this surfaces only when a split or merge is
+    /// wedged.
     RegionSealed,
     /// A key and value of this many bytes together exceed what one
     /// memtable shard can address (2 GiB); nothing was written.

@@ -10,12 +10,13 @@
 //!    the owning region's memtable, so new data and historical updates
 //!    never trigger index rebuilds ([`Table::put`]). A client batch goes
 //!    to each region as one mini-batch, as HBase's region write path
-//!    takes it ([`Table::write_batch`]; a put is a batch of one).
+//!    takes it ([`Table::write_batch`]; a put is a batch of one), and
+//!    each region logs it to its one write-ahead log.
 //! 3. **Range-partitioned regions over region servers** — a table's
-//!    keyspace is split across [`Region`]s; a scan spanning regions
-//!    visits them in key order.
+//!    keyspace is split across regions ([`Table::region_stats`] lists
+//!    them); a scan spanning regions visits them in key order.
 //! 4. **Disk-IO-dominated reads** — data lives in block-structured
-//!    [`SsTable`]s; every block fetch is counted by [`IoMetrics`], which is
+//!    SSTables; every block fetch is counted by [`IoMetrics`], which is
 //!    how the benchmarks demonstrate the paper's compression→fewer-IOs
 //!    effect.
 //!
@@ -32,10 +33,9 @@
 //! Two region-server behaviours ride on top of the partitioning:
 //!
 //! - **MVCC snapshot reads** — every committed write carries a
-//!   per-region commit sequence; [`Region::snapshot`] /
-//!   [`Table::snapshot`] pin a read sequence and serve a consistent cut
-//!   without blocking writers, flushes or compactions (see
-//!   [`Snapshot`] and [`TableSnapshot`]).
+//!   per-region commit sequence; [`Table::snapshot`] pins one read
+//!   sequence per region and serves a consistent cut without blocking
+//!   writers, flushes or compactions (see [`TableSnapshot`]).
 //! - **Online region split/merge** — [`Table::split_region`] /
 //!   [`Table::merge_regions`] rewrite the region map at runtime
 //!   (HBase's auto-split + balancer, driven here by the maintenance
@@ -73,13 +73,10 @@ mod wal;
 
 pub use cache::BlockCache;
 pub use error::KvError;
-pub use ingest::IngestOptions;
 pub use maintenance::MaintenanceOptions;
-pub use memtable::LATEST;
 pub use metrics::{IoMetrics, IoSnapshot};
-pub use region::{Region, RegionTraffic, RegionTrafficSnapshot, Snapshot, WriteOp};
+pub use region::{RegionTrafficSnapshot, WriteOp};
 pub use scan::{CancelToken, KvBatch, ScanOptions, ScanStream};
-pub use sstable::SsTable;
 pub use store::{Store, StoreOptions};
 pub use table::{RegionStats, Table, TableSnapshot};
 pub use wal::{DurabilityOptions, SyncPolicy};
@@ -99,8 +96,9 @@ pub struct KvEntry {
 #[cfg(test)]
 mod fixture {
     use super::*;
-    use crate::region::RegionOptions;
-    use crate::sstable::{SsTableBuilder, SstOptions};
+    use crate::region::{Region, RegionOptions};
+    use crate::sstable::{SsTable, SsTableBuilder, SstOptions};
+    use crate::wal::Wal;
     use std::path::{Path, PathBuf};
     use std::sync::Arc;
 
@@ -112,7 +110,7 @@ mod fixture {
                 ..SstOptions::default()
             },
             durability: DurabilityOptions::disabled(),
-            ingest: IngestOptions::default(),
+            mem_shards: StoreOptions::default().mem_shards,
             stall_bytes: 0,
             stall_deadline: crate::region::STALL_DEADLINE,
             shard_cap: crate::memtable::SHARD_CAP,
@@ -138,6 +136,22 @@ mod fixture {
         metrics: Arc<IoMetrics>,
     ) -> SsTableBuilder {
         SsTableBuilder::create_opts(path, opts, metrics, Arc::new(BlockCache::new(0))).unwrap()
+    }
+
+    /// One WAL record: `(seq, key, value)`, `None` for a delete.
+    pub(crate) type Record<'a> = (u64, &'a [u8], Option<&'a [u8]>);
+
+    /// Writes `records` as a log segment in `dir/sub` (`""` for `dir`
+    /// itself) — how a region of the old layout kept its root log and
+    /// its `wal_sNN/` streams.
+    pub(crate) fn wal_log(dir: &Path, sub: &str, records: &[Record]) {
+        let dir = dir.join(sub);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (mut wal, _) = Wal::open_seq(&dir, SyncPolicy::Batched).unwrap();
+        for &(seq, key, value) in records {
+            wal.append_seq(seq, [(key, value)]).unwrap();
+        }
+        wal.sync().unwrap();
     }
 
     pub(crate) fn sstable(path: &Path) -> SsTable {

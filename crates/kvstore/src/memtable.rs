@@ -31,7 +31,7 @@ use just_compress::varint;
 
 /// Snapshot sequence that sees every committed version (a plain,
 /// non-snapshot read).
-pub const LATEST: u64 = u64::MAX;
+pub(crate) const LATEST: u64 = u64::MAX;
 
 /// Tallest skip-list tower: 4^12 keys before the top level crowds.
 const MAX_HEIGHT: usize = 12;

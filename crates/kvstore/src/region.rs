@@ -12,24 +12,22 @@
 //! ```text
 //!   batch  ──► group ops by shard (stable)
 //!              per group: shard lock { seq run, one WAL append, memtable inserts }
-//!                         (every group appends to the first group's stream)
 //!          ──► all locks released ──► one group-commit wait (PerWrite ack)
-//!   freeze ──► rotate all WAL streams, swap every shard ──► frozen generation
+//!   freeze ──► rotate the WAL, swap every shard ──► frozen generation
 //!   flush  ──► oldest generation → SSTable ──► retire its WAL segments
 //! ```
 //!
-//! A write is a batch ([`Region::try_write_batch`]; a put is a batch of
-//! one), the shape of HBase's region mini-batch: one statement's ops on
-//! this region cost one `write(2)` per shard group and leave one WAL
-//! stream to sync.
+//! A write is a batch ([`Region::try_write_batch`]), the shape of HBase's
+//! region mini-batch: one statement's ops on this region cost one
+//! `write(2)` per shard group to the region's one log.
 //!
-//! * the **memtable** is split into [`IngestOptions::mem_shards`]
+//! * the **memtable** is split into [`crate::StoreOptions::mem_shards`]
 //!   finely-locked arena skip lists ([`crate::memtable`]), salted by key
 //!   hash; the bytes a region meters against `flush_threshold` and
 //!   `stall_bytes` are the heap those arenas reserve;
-//! * the **WAL** is split into [`IngestOptions::wal_streams`] streams
-//!   with cross-shard group commit (one fsync acknowledges many writers;
-//!   see [`crate::ingest`](self));
+//! * the **WAL** is one log per region that every shard appends to under
+//!   a short lock, with group commit (one fsync acknowledges many
+//!   writers; see [`crate::ingest`](self));
 //! * **flushes are pipelined**: a freeze moves every shard into an
 //!   immutable [`FrozenGen`] and writes continue into fresh shards, so a
 //!   flush never stalls acknowledgements — backpressure engages only at
@@ -38,11 +36,10 @@
 //!   inline before the write lands (only reachable with thresholds in
 //!   the gigabytes).
 //!
-//! Freeze ordering is load-bearing: streams rotate *before* shards swap,
+//! Freeze ordering is load-bearing: the log rotates *before* shards swap,
 //! all under the region write lock. A writer holds a group's shard lock
-//! across (WAL append, memtable insert), whichever stream the append goes
-//! to, so a record can never land in a pre-rotation segment while its
-//! insert goes to a post-swap shard — the
+//! across (WAL append, memtable insert), so a record can never land in a
+//! pre-rotation segment while its insert goes to a post-swap shard — the
 //! combination that would let segment retirement strand an acknowledged
 //! write. The harmless converse (record in the fresh segment, insert in
 //! the frozen shard) merely replays an idempotent duplicate, reconciled
@@ -91,14 +88,13 @@
 
 use crate::cache::BlockCache;
 use crate::error::{KvError, Result};
-use crate::ingest::{shard_of, IngestOptions, ShardedWal};
+use crate::ingest::{shard_of, RegionWal};
 use crate::maintenance::Kick;
-use crate::memtable::{MemTable, LATEST};
+use crate::memtable::MemTable;
 use crate::metrics::IoMetrics;
-use crate::scan::{owned, KvBatch, MergeStream, ScanSource, SstRangeIter};
+use crate::scan::{KvBatch, MergeStream, ScanSource, SstRangeIter};
 use crate::sstable::{SsTable, SsTableBuilder, SstOptions};
 use crate::wal::DurabilityOptions;
-use crate::KvEntry;
 use just_obs::sync::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
@@ -130,7 +126,7 @@ pub(crate) fn check_entry_sizes(ops: &[WriteOp], shard_cap: usize) -> Result<()>
 /// recording discipline as [`IoMetrics`], but scoped to one region so
 /// the split/balance heuristic can tell a hot region from a cold one).
 #[derive(Debug, Default)]
-pub struct RegionTraffic {
+pub(crate) struct RegionTraffic {
     reads: AtomicU64,
     writes: AtomicU64,
     bytes_read: AtomicU64,
@@ -163,7 +159,7 @@ impl RegionTraffic {
     }
 
     /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> RegionTrafficSnapshot {
+    pub(crate) fn snapshot(&self) -> RegionTrafficSnapshot {
         RegionTrafficSnapshot {
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
@@ -208,8 +204,8 @@ pub(crate) struct RegionOptions {
     pub sst: SstOptions,
     /// Write-ahead-log settings.
     pub durability: DurabilityOptions,
-    /// Memtable/WAL sharding of the concurrent ingest pipeline.
-    pub ingest: IngestOptions,
+    /// Memtable shards (finely-locked arenas, salted by key hash).
+    pub mem_shards: usize,
     /// Hard ingest cap (active + frozen generations): writers stall
     /// above it until a background flush catches up. `0` means
     /// unmanaged — writers flush inline at the threshold and never
@@ -231,15 +227,16 @@ pub(crate) struct RegionOptions {
 }
 
 /// An immutable memtable generation: every shard frozen at one point in
-/// time, plus the WAL retirement marks that become actionable once the
+/// time, plus the WAL retirement mark that becomes actionable once the
 /// generation's SSTable is durable.
 struct FrozenGen {
     /// Same indexing as the region's active shards.
     shards: Vec<MemTable>,
     /// Heap bytes the shards reserve (drives backpressure).
     bytes: usize,
-    /// Per-stream WAL segment marks from the freeze-time rotation.
-    marks: Vec<(usize, u64)>,
+    /// The WAL segment mark from the freeze-time rotation (`None` without
+    /// a WAL, or for a generation replay cut).
+    mark: Option<u64>,
     /// One past the highest commit sequence in the generation — the
     /// `seq_limit` of its flushed SSTable, and the release gate for the
     /// held-generation copy serving older snapshots.
@@ -249,13 +246,13 @@ struct FrozenGen {
 impl FrozenGen {
     /// Moves every shard's contents into a new generation, leaving the
     /// shards empty.
-    fn take(shards: &[Mutex<MemTable>], marks: Vec<(usize, u64)>) -> FrozenGen {
+    fn take(shards: &[Mutex<MemTable>], mark: Option<u64>) -> FrozenGen {
         let shards: Vec<MemTable> = shards.iter().map(|s| s.lock().take()).collect();
         FrozenGen {
             bytes: shards.iter().map(MemTable::reserved_bytes).sum(),
             seq_ub: shards.iter().map(MemTable::seq_ub).max().unwrap_or(0),
             shards,
-            marks,
+            mark,
         }
     }
 }
@@ -279,14 +276,14 @@ struct RegionInner {
 }
 
 /// One range partition of a table.
-pub struct Region {
+pub(crate) struct Region {
     dir: PathBuf,
     /// The active memtable, salted across finely-locked shards. Writers
     /// hold one shard lock at a time, across (WAL append, insert); scans
     /// briefly hold all of them for an atomic cross-shard snapshot.
     shards: Vec<Mutex<MemTable>>,
     /// Region-wide commit sequence, drawn under the shard lock so WAL
-    /// replay can reconcile streams into acknowledgement order.
+    /// replay can restore acknowledgement order.
     next_seq: AtomicU64,
     /// Heap bytes reserved by the active shards / the frozen
     /// generations. Maintained exactly under the shard locks, so freeze
@@ -294,10 +291,10 @@ pub struct Region {
     active_bytes: AtomicUsize,
     frozen_bytes: AtomicUsize,
     inner: RwLock<RegionInner>,
-    /// The multi-stream WAL. Stream locks nest *inside* shard locks
-    /// (writer path) and inside `inner` (freeze path); never the other
-    /// way around.
-    wal: Option<ShardedWal>,
+    /// The region's log. Its lock nests *inside* shard locks (writer
+    /// path) and inside `inner` (freeze path); never the other way
+    /// around.
+    wal: Option<RegionWal>,
     /// Serializes freeze/flush/compact so generations retire in FIFO
     /// order (their WAL marks assume it). Writers never take it.
     flush_lock: Mutex<()>,
@@ -345,9 +342,8 @@ impl std::fmt::Debug for Region {
 
 impl Region {
     /// Opens (or creates) a region rooted at `dir`: loads the SSTables
-    /// left by a previous run, replays every WAL
-    /// stream into the shard memtables (truncating torn tails,
-    /// reconciling streams by sequence number), and flushes eagerly if
+    /// left by a previous run, replays the WAL into the shard memtables
+    /// in sequence order (truncating torn tails), and flushes eagerly if
     /// the recovered memtable already exceeds the threshold.
     pub(crate) fn open_opts(
         dir: PathBuf,
@@ -404,7 +400,7 @@ impl Region {
         // how new a table's versions are; the sort is stable, so ties keep
         // file order.
         tables.sort_by_key(|t| t.seq_limit());
-        let (shard_count, stream_count) = opts.ingest.normalized();
+        let shard_count = opts.mem_shards.max(1);
         let shards: Vec<Mutex<MemTable>> = (0..shard_count)
             .map(|_| Mutex::new(MemTable::new(opts.shard_cap)))
             .collect();
@@ -415,7 +411,7 @@ impl Region {
         let mut next_seq = tables.iter().map(|t| t.seq_limit()).max().unwrap_or(0);
         let mut frozen = VecDeque::new();
         let wal = if opts.durability.wal {
-            let (wal, records) = ShardedWal::open(&dir, &opts.durability, stream_count)?;
+            let (wal, records) = RegionWal::open(&dir, opts.durability.sync)?;
             // Replay is idempotent against the SSTables: a record whose
             // covering flush completed but whose segment survived just
             // shadows the identical on-disk version. Records arrive in
@@ -431,11 +427,11 @@ impl Region {
                 }
                 if !shard.lock().has_room(r.key.len(), value_len) {
                     // A shard that cannot address the record: start a
-                    // new generation. It carries no WAL marks; the next
-                    // freeze's marks retire the replayed segments, and
+                    // new generation. It carries no WAL mark; the next
+                    // freeze's mark retires the replayed segments, and
                     // generations flush in order, so only after this one
                     // is durable.
-                    frozen.push_back(Arc::new(FrozenGen::take(&shards, Vec::new())));
+                    frozen.push_back(Arc::new(FrozenGen::take(&shards, None)));
                 }
                 let mut mem = shard.lock();
                 match &r.value {
@@ -491,28 +487,6 @@ impl Region {
         self.opts.stall_bytes > 0
     }
 
-    /// Inserts or overwrites a key: a batch of one.
-    ///
-    /// Fails with [`KvError::RegionSealed`] while an online split or
-    /// merge drains the region; route through [`crate::Table`] to have
-    /// the write transparently retried against the daughter region.
-    pub fn put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<()> {
-        self.write_one((key, Some(value)))
-    }
-
-    /// Deletes a key (writes a tombstone). Same sealing behaviour as
-    /// [`Region::put`].
-    pub fn delete(&self, key: Vec<u8>) -> Result<()> {
-        self.write_one((key, None))
-    }
-
-    fn write_one(&self, op: WriteOp) -> Result<()> {
-        match self.try_write_batch(&mut [op])?.is_empty() {
-            true => Ok(()),
-            false => Err(KvError::RegionSealed),
-        }
-    }
-
     /// The region's one write path. Returns the ops it did not write
     /// because the region was sealed for a split/merge — ownership
     /// handed back, so [`crate::Table`] can re-route them against the
@@ -530,12 +504,10 @@ impl Region {
     /// stops fitting its shard writes the prefix that fits, drains the
     /// generation and goes on with the rest.
     ///
-    /// Every group logs to one stream, the first group's, so a batch
-    /// leaves one stream to sync. The durability wait (the `per-write`
-    /// group commit) happens once, *after* the last shard lock is
-    /// released: a writer parked on an fsync must not hold a shard
-    /// hostage, or unrelated writers hashing to it would chain behind its
-    /// wait. The ops are thus visible to readers slightly before they
+    /// The durability wait (the `per-write` group commit) happens once,
+    /// *after* the last shard lock is released: a writer parked on an
+    /// fsync must not hold a shard hostage, or unrelated writers hashing
+    /// to it would chain behind its wait. The ops are thus visible to readers slightly before they
     /// are acknowledged — an unacknowledged write may or may not survive
     /// a crash either way, so no durability promise weakens. A batch is
     /// not atomic: a reader may see the groups that have landed and not
@@ -550,8 +522,6 @@ impl Region {
         check_entry_sizes(ops, self.opts.shard_cap)?;
         let shard_of_op = |op: &WriteOp| shard_of(&op.0, self.shards.len());
         ops.sort_by_cached_key(shard_of_op);
-        let stream =
-            (self.wal.as_ref().zip(ops.first())).map(|(wal, op)| wal.stream_of(shard_of_op(op)));
         let mut ticket = None;
         let mut at = 0;
         while at < ops.len() {
@@ -584,9 +554,9 @@ impl Region {
             // Always allocated (WAL or not): the commit sequence is what
             // snapshots and SSTable `seq_limit`s are cut against.
             let seq = self.next_seq.fetch_add(run.len() as u64, Ordering::Relaxed);
-            if let (Some(wal), Some(stream)) = (&self.wal, stream) {
+            if let Some(wal) = &self.wal {
                 let records = run.iter().map(|(k, v)| (&k[..], v.as_deref()));
-                ticket = Some(wal.append_nowait(stream, seq, records)?);
+                ticket = Some(wal.append_nowait(seq, records)?);
             }
             let before = mem.reserved_bytes();
             let mut written = 0;
@@ -609,8 +579,8 @@ impl Region {
         if at == 0 {
             return Ok(rejected);
         }
-        if let (Some(wal), Some(stream), Some(ticket)) = (&self.wal, stream, ticket) {
-            wal.commit(stream, ticket)?;
+        if let (Some(wal), Some(ticket)) = (&self.wal, ticket) {
+            wal.commit(ticket)?;
         }
         let active = self.active_bytes.load(Ordering::Relaxed);
         if active < self.opts.flush_threshold {
@@ -676,14 +646,9 @@ impl Region {
         Ok(())
     }
 
-    /// Point lookup of the newest committed version.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.get_at(key, LATEST)
-    }
-
-    /// Point lookup as of snapshot sequence `snap` ([`crate::LATEST`]
-    /// for a plain read): sees exactly the writes with `seq < snap`.
-    pub fn get_at(&self, key: &[u8], snap: u64) -> Result<Option<Vec<u8>>> {
+    /// Point lookup as of snapshot sequence `snap` (`LATEST` for a plain
+    /// read): sees exactly the writes with `seq < snap`.
+    pub(crate) fn get_at(&self, key: &[u8], snap: u64) -> Result<Option<Vec<u8>>> {
         let hit = self.get_inner(key, snap)?;
         self.traffic
             .record_read(hit.as_ref().map_or(0, |v| v.len() as u64));
@@ -760,31 +725,15 @@ impl Region {
         }
     }
 
-    /// All live entries with `start <= key <= end`, in key order.
-    pub fn scan(&self, start: &[u8], end: &[u8]) -> Result<Vec<KvEntry>> {
-        self.scan_at(start, end, LATEST)
-    }
-
-    /// Like [`Region::scan`], but as of snapshot sequence `snap`: the
-    /// result equals a serial execution that stopped right before
-    /// commit sequence `snap` was allocated. This is the region's merge
-    /// drained, each entry copied out.
-    pub fn scan_at(&self, start: &[u8], end: &[u8], snap: u64) -> Result<Vec<KvEntry>> {
-        let mut stream = self.scan_stream_at(start.to_vec(), end.to_vec(), snap);
-        let mut live = Vec::new();
-        while let Some(entry) = stream.next_live()? {
-            live.push(owned(entry));
-        }
-        Ok(live)
-    }
-
-    /// The region's one scan path, as of snapshot sequence `snap`:
-    /// snapshots the memtable layers and the SSTable handles under a
-    /// brief read lock, then returns a pull-based merge that reads one
-    /// block at a time as the consumer advances, with newest-wins and
-    /// tombstone-shadowing semantics. The stream stays pinned to the
-    /// layers captured here, so it keeps serving the same cut even if
-    /// the snapshot handle is dropped while streaming.
+    /// The region's one scan path, as of snapshot sequence `snap`: the
+    /// result equals a serial execution that stopped right before commit
+    /// sequence `snap` was allocated. It snapshots the memtable layers
+    /// and the SSTable handles under a brief read lock, then returns a
+    /// pull-based merge that reads one block at a time as the consumer
+    /// advances, with newest-wins and tombstone-shadowing semantics. The
+    /// stream stays pinned to the layers captured here, so it keeps
+    /// serving the same cut even if the snapshot handle is dropped while
+    /// streaming.
     pub(crate) fn scan_stream_at(&self, start: Vec<u8>, end: Vec<u8>, snap: u64) -> MergeStream {
         if start > end {
             return MergeStream::new(Vec::new(), start, end, self.traffic.clone());
@@ -822,10 +771,10 @@ impl Region {
     }
 
     /// Freezes the active shards into a new immutable generation:
-    /// rotates every WAL stream (collecting retirement marks), then
-    /// swaps every shard for a fresh memtable — in that order, under the
-    /// region write lock (see the module docs for why the order
-    /// matters). Returns `false` when there was nothing to freeze.
+    /// rotates the WAL (taking its retirement mark), then swaps every
+    /// shard for a fresh memtable — in that order, under the region
+    /// write lock (see the module docs for why the order matters).
+    /// Returns `false` when there was nothing to freeze.
     ///
     /// Caller must hold `flush_lock`.
     fn freeze(&self) -> Result<bool> {
@@ -833,11 +782,8 @@ impl Region {
         if self.shards.iter().all(|s| s.lock().is_empty()) {
             return Ok(false);
         }
-        let marks = match &self.wal {
-            Some(w) => w.rotate_keep_all()?,
-            None => Vec::new(),
-        };
-        let gen = FrozenGen::take(&self.shards, marks);
+        let mark = self.wal.as_ref().map(RegionWal::rotate_keep).transpose()?;
+        let gen = FrozenGen::take(&self.shards, mark);
         self.active_bytes.fetch_sub(gen.bytes, Ordering::Relaxed);
         self.frozen_bytes.fetch_add(gen.bytes, Ordering::Relaxed);
         inner.frozen.push_back(Arc::new(gen));
@@ -900,8 +846,8 @@ impl Region {
             self.held_bytes_gauge.add(gen.bytes as u64);
         }
         self.frozen_bytes.fetch_sub(gen.bytes, Ordering::Relaxed);
-        if let Some(w) = &self.wal {
-            w.retire(&gen.marks)?;
+        if let (Some(w), Some(mark)) = (&self.wal, gen.mark) {
+            w.retire(mark)?;
         }
         let obs = just_obs::global();
         obs.counter("just_kvstore_memtable_flushes").inc();
@@ -928,7 +874,7 @@ impl Region {
 
     /// Forces everything in memory to disk: freezes the active shards
     /// and drains every pending generation.
-    pub fn flush(&self) -> Result<()> {
+    pub(crate) fn flush(&self) -> Result<()> {
         let _g = self.flush_lock.lock();
         self.freeze()?;
         while self.flush_oldest_gen()? {}
@@ -947,7 +893,7 @@ impl Region {
     /// open snapshot loses a version it could previously read. Tables
     /// newer than the watermark are compacted on a later pass, once the
     /// straddling snapshots drop.
-    pub fn compact(&self) -> Result<()> {
+    pub(crate) fn compact(&self) -> Result<()> {
         let _g = self.flush_lock.lock();
         self.freeze()?;
         while self.flush_oldest_gen()? {}
@@ -1010,8 +956,9 @@ impl Region {
     }
 
     /// One background sweep: freeze past the threshold, drain pending
-    /// generations, compact past the trigger, batch-sync the WAL
-    /// streams. Called by the maintenance scheduler.
+    /// generations, compact past the trigger, then the WAL's tick
+    /// (repair a poisoned log, push or batch-sync its bytes). Called by
+    /// the maintenance scheduler.
     pub(crate) fn maintain(&self, compact_trigger: usize) -> Result<()> {
         if self.sealed.load(Ordering::SeqCst) {
             // A split/merge is draining the region; its own final flush
@@ -1033,39 +980,24 @@ impl Region {
             self.compact()?;
             obs.counter("just_kvstore_bg_compactions").inc();
         }
-        self.wal_tick()?;
-        Ok(())
+        self.wal.as_ref().map_or(Ok(()), RegionWal::tick)
     }
 
-    /// Policy-aware periodic WAL work: pushes buffered bytes to the OS
-    /// (`SyncPolicy::None`) or issues the batched group-commit fsync per
-    /// stream (`SyncPolicy::Batched`). Per-write streams group-commit
-    /// inline.
-    pub(crate) fn wal_tick(&self) -> Result<()> {
-        if let Some(wal) = &self.wal {
-            wal.tick()?;
-        }
-        Ok(())
-    }
-
-    /// Unconditionally fsyncs every WAL stream (clean shutdown: make
-    /// every acknowledged write durable regardless of policy).
+    /// Unconditionally fsyncs the WAL (clean shutdown: make every
+    /// acknowledged write durable regardless of policy).
     pub(crate) fn wal_sync(&self) -> Result<()> {
-        if let Some(wal) = &self.wal {
-            wal.sync_all()?;
-        }
-        Ok(())
+        self.wal.as_ref().map_or(Ok(()), RegionWal::sync)
     }
 
     /// Bytes on disk across all SSTables.
-    pub fn disk_size(&self) -> u64 {
+    pub(crate) fn disk_size(&self) -> u64 {
         self.inner.read().tables.iter().map(|t| t.file_size()).sum()
     }
 
     /// Live-ish entry count (memtable shards + frozen generations +
     /// SSTables; shadowed versions double-count until compaction, as in
     /// HBase's `requestCount` style metrics).
-    pub fn approx_entries(&self) -> u64 {
+    pub(crate) fn approx_entries(&self) -> u64 {
         let inner = self.inner.read();
         let active: u64 = self.shards.iter().map(|s| s.lock().len() as u64).sum();
         let frozen: u64 = inner
@@ -1078,24 +1010,24 @@ impl Region {
     }
 
     /// Number of SSTable files.
-    pub fn sstable_count(&self) -> usize {
+    pub(crate) fn sstable_count(&self) -> usize {
         self.inner.read().tables.len()
     }
 
     /// Heap bytes reserved by the in-memory write path (active shards
     /// plus frozen generations awaiting flush).
-    pub fn memtable_bytes(&self) -> usize {
+    pub(crate) fn memtable_bytes(&self) -> usize {
         self.ingest_bytes()
     }
 
     /// Frozen memtable generations currently awaiting flush — the depth
     /// of the ingest pipeline (0 when flushes keep up).
-    pub fn frozen_generations(&self) -> usize {
+    pub(crate) fn frozen_generations(&self) -> usize {
         self.inner.read().frozen.len()
     }
 
     /// A point-in-time copy of the region's traffic counters.
-    pub fn traffic(&self) -> RegionTrafficSnapshot {
+    pub(crate) fn traffic(&self) -> RegionTrafficSnapshot {
         self.traffic.snapshot()
     }
 
@@ -1107,7 +1039,7 @@ impl Region {
     /// Writers are never blocked; the cost is that flushed memtable
     /// generations overlapping an open snapshot are retained in memory
     /// ("held generations") until the snapshot drops.
-    pub fn snapshot(self: &Arc<Self>) -> Snapshot {
+    pub(crate) fn snapshot(self: &Arc<Self>) -> Snapshot {
         let seq = {
             let mut snaps = self.snapshots.lock();
             let seq = self.next_seq.load(Ordering::SeqCst);
@@ -1152,22 +1084,22 @@ impl Region {
     }
 
     /// Current commit sequence (one past the highest allocated).
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq.load(Ordering::SeqCst)
     }
 
     /// Number of open snapshot handles on this region.
-    pub fn open_snapshots(&self) -> usize {
+    pub(crate) fn open_snapshots(&self) -> usize {
         self.snapshots.lock().values().sum()
     }
 
     /// Flushed memtable generations retained for open snapshots.
-    pub fn held_generations(&self) -> usize {
+    pub(crate) fn held_generations(&self) -> usize {
         self.inner.read().held.len()
     }
 
     /// Whether the region is sealed (draining for a split/merge).
-    pub fn is_sealed(&self) -> bool {
+    pub(crate) fn is_sealed(&self) -> bool {
         self.sealed.load(Ordering::SeqCst)
     }
 
@@ -1355,30 +1287,6 @@ impl Region {
         built
     }
 
-    /// Replaces one WAL stream's backing file (fault-injection tests
-    /// only).
-    #[cfg(test)]
-    pub(crate) fn poison_wal_stream_for_test(
-        &self,
-        stream: usize,
-        file: Box<dyn crate::wal::WalFile>,
-    ) {
-        self.wal
-            .as_ref()
-            .expect("region has no WAL")
-            .set_stream_file_for_test(stream, file);
-    }
-
-    /// The WAL stream a key's records are routed to (tests).
-    #[cfg(test)]
-    pub(crate) fn wal_stream_of_key(&self, key: &[u8]) -> usize {
-        let shard = shard_of(key, self.shards.len());
-        self.wal
-            .as_ref()
-            .expect("region has no WAL")
-            .stream_of(shard)
-    }
-
     /// `table/region_NNN` label derived from the directory layout; used
     /// to attribute flush/compaction events without threading names
     /// through every constructor.
@@ -1486,7 +1394,7 @@ impl Versions {
 /// low-watermark, releasing any memtable generations held on its
 /// behalf; for multi-region (table-wide) snapshots see
 /// `Table::snapshot`.
-pub struct Snapshot {
+pub(crate) struct Snapshot {
     region: Arc<Region>,
     seq: u64,
 }
@@ -1494,24 +1402,18 @@ pub struct Snapshot {
 impl Snapshot {
     /// The commit sequence this snapshot reads at: exactly the writes
     /// with `seq < self.seq()` are visible.
-    pub fn seq(&self) -> u64 {
+    pub(crate) fn seq(&self) -> u64 {
         self.seq
     }
 
     /// The region this snapshot pins.
-    pub fn region(&self) -> &Arc<Region> {
+    pub(crate) fn region(&self) -> &Arc<Region> {
         &self.region
     }
 
     /// Point lookup at this snapshot.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+    pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         self.region.get_at(key, self.seq)
-    }
-
-    /// Range scan at this snapshot, drained to a `Vec` (see
-    /// [`Region::scan_at`]).
-    pub fn scan(&self, start: &[u8], end: &[u8]) -> Result<Vec<KvEntry>> {
-        self.region.scan_at(start, end, self.seq)
     }
 }
 
@@ -1548,64 +1450,97 @@ impl Drop for Snapshot {
 mod tests {
     use super::*;
     use crate::fixture;
+    use crate::memtable::LATEST;
+    use crate::scan::owned;
     use crate::wal::{FaultyWalFile, SyncPolicy};
+    use crate::KvEntry;
 
-    fn region(name: &str, flush_threshold: usize) -> (Region, PathBuf) {
+    fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "just-region-{name}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    fn region(name: &str, flush_threshold: usize) -> (Region, PathBuf) {
+        let dir = tmpdir(name);
         let r = fixture::region(dir.clone(), fixture::region_opts(flush_threshold));
         (r, dir)
     }
 
     fn wal_region(name: &str, flush_threshold: usize, sync: SyncPolicy) -> (Region, PathBuf) {
-        let dir = std::env::temp_dir().join(format!(
-            "just-region-{name}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = tmpdir(name);
         let r = open_wal_region(&dir, flush_threshold, sync);
         (r, dir)
     }
 
-    /// Single-shard, single-stream: the whole WAL in the region root.
+    /// Single-shard: one memtable in front of the region's log.
     fn open_wal_region(dir: &std::path::Path, flush_threshold: usize, sync: SyncPolicy) -> Region {
-        open_wal_region_opts(dir, flush_threshold, sync, IngestOptions::serial())
+        open_wal_region_opts(dir, flush_threshold, sync, 1)
     }
 
     fn open_wal_region_opts(
         dir: &std::path::Path,
         flush_threshold: usize,
         sync: SyncPolicy,
-        ingest: IngestOptions,
+        mem_shards: usize,
     ) -> Region {
         fixture::region(
             dir.to_path_buf(),
             RegionOptions {
                 durability: DurabilityOptions { wal: true, sync },
-                ingest,
+                mem_shards,
                 ..fixture::region_opts(flush_threshold)
             },
         )
+    }
+
+    /// A one-op batch, the way `Table::put`/`Table::delete` send it.
+    fn write(r: &Region, op: WriteOp) -> Result<()> {
+        match r.try_write_batch(&mut [op])?.is_empty() {
+            true => Ok(()),
+            false => Err(KvError::RegionSealed),
+        }
+    }
+
+    fn put(r: &Region, key: Vec<u8>, value: Vec<u8>) -> Result<()> {
+        write(r, (key, Some(value)))
+    }
+
+    fn delete(r: &Region, key: Vec<u8>) -> Result<()> {
+        write(r, (key, None))
+    }
+
+    /// The region's merge as of `snap`, drained and copied out.
+    fn scan_at(r: &Region, start: &[u8], end: &[u8], snap: u64) -> Result<Vec<KvEntry>> {
+        let mut stream = r.scan_stream_at(start.to_vec(), end.to_vec(), snap);
+        let mut live = Vec::new();
+        while let Some(entry) = stream.next_live()? {
+            live.push(owned(entry));
+        }
+        Ok(live)
     }
 
     #[test]
     fn put_get_scan_across_flushes() {
         let (r, dir) = region("basic", 1 << 14);
         for i in 0..2000u32 {
-            r.put(
+            put(
+                &r,
                 format!("k{i:06}").into_bytes(),
                 format!("v{i}").into_bytes(),
             )
             .unwrap();
         }
         assert!(r.sstable_count() >= 1, "flush threshold should trigger");
-        assert_eq!(r.get(b"k000123").unwrap(), Some(b"v123".to_vec()));
-        let hits = r.scan(b"k000100", b"k000199").unwrap();
+        assert_eq!(
+            r.get_at(b"k000123", LATEST).unwrap(),
+            Some(b"v123".to_vec())
+        );
+        let hits = scan_at(&r, b"k000100", b"k000199", LATEST).unwrap();
         assert_eq!(hits.len(), 100);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1613,11 +1548,11 @@ mod tests {
     #[test]
     fn updates_shadow_older_versions() {
         let (r, dir) = region("update", 256);
-        r.put(b"k".to_vec(), b"v1".to_vec()).unwrap();
+        put(&r, b"k".to_vec(), b"v1".to_vec()).unwrap();
         r.flush().unwrap();
-        r.put(b"k".to_vec(), b"v2".to_vec()).unwrap();
-        assert_eq!(r.get(b"k").unwrap(), Some(b"v2".to_vec()));
-        let hits = r.scan(b"k", b"k").unwrap();
+        put(&r, b"k".to_vec(), b"v2".to_vec()).unwrap();
+        assert_eq!(r.get_at(b"k", LATEST).unwrap(), Some(b"v2".to_vec()));
+        let hits = scan_at(&r, b"k", b"k", LATEST).unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].value, b"v2");
         std::fs::remove_dir_all(dir).ok();
@@ -1626,12 +1561,12 @@ mod tests {
     #[test]
     fn deletes_shadow_flushed_data() {
         let (r, dir) = region("delete", 1 << 20);
-        r.put(b"a".to_vec(), b"1".to_vec()).unwrap();
-        r.put(b"b".to_vec(), b"2".to_vec()).unwrap();
+        put(&r, b"a".to_vec(), b"1".to_vec()).unwrap();
+        put(&r, b"b".to_vec(), b"2".to_vec()).unwrap();
         r.flush().unwrap();
-        r.delete(b"a".to_vec()).unwrap();
-        assert_eq!(r.get(b"a").unwrap(), None);
-        let hits = r.scan(b"a", b"z").unwrap();
+        delete(&r, b"a".to_vec()).unwrap();
+        assert_eq!(r.get_at(b"a", LATEST).unwrap(), None);
+        let hits = scan_at(&r, b"a", b"z", LATEST).unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].key, b"b");
         std::fs::remove_dir_all(dir).ok();
@@ -1642,7 +1577,8 @@ mod tests {
         let (r, dir) = region("compact", 1 << 12);
         for round in 0..5 {
             for i in 0..500u32 {
-                r.put(
+                put(
+                    &r,
                     format!("k{i:05}").into_bytes(),
                     format!("v{round}-{i}").into_bytes(),
                 )
@@ -1650,7 +1586,7 @@ mod tests {
             }
             r.flush().unwrap();
         }
-        r.delete(b"k00000".to_vec()).unwrap();
+        delete(&r, b"k00000".to_vec()).unwrap();
         let before_files = r.sstable_count();
         let before_size = r.disk_size();
         r.compact().unwrap();
@@ -1658,9 +1594,9 @@ mod tests {
         assert!(before_files > 1);
         assert!(r.disk_size() < before_size);
         // Data reflects the last round, minus the delete.
-        assert_eq!(r.get(b"k00000").unwrap(), None);
-        assert_eq!(r.get(b"k00001").unwrap(), Some(b"v4-1".to_vec()));
-        assert_eq!(r.scan(b"", b"\xff").unwrap().len(), 499);
+        assert_eq!(r.get_at(b"k00000", LATEST).unwrap(), None);
+        assert_eq!(r.get_at(b"k00001", LATEST).unwrap(), Some(b"v4-1".to_vec()));
+        assert_eq!(scan_at(&r, b"", b"\xff", LATEST).unwrap().len(), 499);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1668,17 +1604,16 @@ mod tests {
     fn reopen_recovers_flushed_data() {
         let (r, dir) = region("reopen", 1 << 20);
         for i in 0..100u32 {
-            r.put(format!("k{i:03}").into_bytes(), b"v".to_vec())
-                .unwrap();
+            put(&r, format!("k{i:03}").into_bytes(), b"v".to_vec()).unwrap();
         }
         r.flush().unwrap();
         drop(r);
         let r2 = fixture::region(dir.clone(), fixture::region_opts(1 << 20));
-        assert_eq!(r2.scan(b"", b"\xff").unwrap().len(), 100);
+        assert_eq!(scan_at(&r2, b"", b"\xff", LATEST).unwrap().len(), 100);
         // New writes continue with fresh file ids.
-        r2.put(b"k999".to_vec(), b"new".to_vec()).unwrap();
+        put(&r2, b"k999".to_vec(), b"new".to_vec()).unwrap();
         r2.flush().unwrap();
-        assert_eq!(r2.get(b"k999").unwrap(), Some(b"new".to_vec()));
+        assert_eq!(r2.get_at(b"k999", LATEST).unwrap(), Some(b"new".to_vec()));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1688,8 +1623,7 @@ mod tests {
         let (r, dir) = region(name, 1 << 20);
         for round in 0..2u32 {
             for i in 0..50u32 {
-                r.put(format!("k{round}-{i:03}").into_bytes(), b"v".to_vec())
-                    .unwrap();
+                put(&r, format!("k{round}-{i:03}").into_bytes(), b"v".to_vec()).unwrap();
             }
             r.flush().unwrap();
         }
@@ -1723,7 +1657,7 @@ mod tests {
         let r = reopen(&dir).unwrap();
         assert!(!newest.exists(), "torn table kept");
         assert_eq!(r.sstable_count(), 1);
-        assert_eq!(r.scan(b"k0", b"k1").unwrap().len(), 50);
+        assert_eq!(scan_at(&r, b"k0", b"k1", LATEST).unwrap().len(), 50);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1764,8 +1698,8 @@ mod tests {
     #[test]
     fn inverted_scan_range_is_empty() {
         let (r, dir) = region("inverted", 1 << 20);
-        r.put(b"k".to_vec(), b"v".to_vec()).unwrap();
-        assert!(r.scan(b"z", b"a").unwrap().is_empty());
+        put(&r, b"k".to_vec(), b"v".to_vec()).unwrap();
+        assert!(scan_at(&r, b"z", b"a", LATEST).unwrap().is_empty());
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1773,19 +1707,20 @@ mod tests {
     fn wal_recovers_unflushed_writes() {
         let (r, dir) = wal_region("wal-recover", 1 << 20, SyncPolicy::PerWrite);
         for i in 0..50u32 {
-            r.put(
+            put(
+                &r,
                 format!("k{i:03}").into_bytes(),
                 format!("v{i}").into_bytes(),
             )
             .unwrap();
         }
-        r.delete(b"k007".to_vec()).unwrap();
+        delete(&r, b"k007".to_vec()).unwrap();
         assert_eq!(r.sstable_count(), 0, "nothing flushed yet");
         drop(r); // no flush: only the WAL survives
         let r2 = open_wal_region(&dir, 1 << 20, SyncPolicy::PerWrite);
-        assert_eq!(r2.scan(b"", b"\xff").unwrap().len(), 49);
-        assert_eq!(r2.get(b"k007").unwrap(), None);
-        assert_eq!(r2.get(b"k042").unwrap(), Some(b"v42".to_vec()));
+        assert_eq!(scan_at(&r2, b"", b"\xff", LATEST).unwrap().len(), 49);
+        assert_eq!(r2.get_at(b"k007", LATEST).unwrap(), None);
+        assert_eq!(r2.get_at(b"k042", LATEST).unwrap(), Some(b"v42".to_vec()));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1793,18 +1728,18 @@ mod tests {
     fn wal_replay_is_idempotent_over_flushed_data() {
         // Crash window: SSTable durable but WAL segment not yet deleted.
         let (r, dir) = wal_region("wal-idem", 1 << 20, SyncPolicy::PerWrite);
-        r.put(b"a".to_vec(), b"1".to_vec()).unwrap();
-        r.put(b"b".to_vec(), b"2".to_vec()).unwrap();
+        put(&r, b"a".to_vec(), b"1".to_vec()).unwrap();
+        put(&r, b"b".to_vec(), b"2".to_vec()).unwrap();
         r.flush().unwrap();
-        r.put(b"c".to_vec(), b"3".to_vec()).unwrap();
+        put(&r, b"c".to_vec(), b"3".to_vec()).unwrap();
         drop(r);
         // Simulate the un-deleted segment by pretending rotation never
         // happened: copy current WAL state aside and restore... instead,
         // simply verify recovery after a clean flush+append sequence.
         let r2 = open_wal_region(&dir, 1 << 20, SyncPolicy::PerWrite);
-        let hits = r2.scan(b"", b"\xff").unwrap();
+        let hits = scan_at(&r2, b"", b"\xff", LATEST).unwrap();
         assert_eq!(hits.len(), 3);
-        assert_eq!(r2.get(b"c").unwrap(), Some(b"3".to_vec()));
+        assert_eq!(r2.get_at(b"c", LATEST).unwrap(), Some(b"3".to_vec()));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1812,7 +1747,7 @@ mod tests {
     fn wal_segments_deleted_after_flush() {
         let (r, dir) = wal_region("wal-rotate", 1 << 20, SyncPolicy::PerWrite);
         for i in 0..20u32 {
-            r.put(format!("k{i}").into_bytes(), vec![0; 100]).unwrap();
+            put(&r, format!("k{i}").into_bytes(), vec![0; 100]).unwrap();
         }
         let wal_files = |dir: &PathBuf| {
             std::fs::read_dir(dir)
@@ -1847,25 +1782,19 @@ mod tests {
     fn recovered_memtable_over_threshold_flushes_on_open() {
         let (r, dir) = wal_region("wal-eager", 1 << 20, SyncPolicy::PerWrite);
         for i in 0..100u32 {
-            r.put(format!("k{i:03}").into_bytes(), vec![7; 256])
-                .unwrap();
+            put(&r, format!("k{i:03}").into_bytes(), vec![7; 256]).unwrap();
         }
         drop(r);
         // Reopen with a tiny threshold: replay exceeds it immediately.
         let r2 = open_wal_region(&dir, 1 << 10, SyncPolicy::PerWrite);
         assert!(r2.sstable_count() >= 1, "recovered memtable must flush");
-        assert_eq!(r2.scan(b"", b"\xff").unwrap().len(), 100);
+        assert_eq!(scan_at(&r2, b"", b"\xff", LATEST).unwrap().len(), 100);
         std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn a_full_shard_drains_its_generation_and_an_oversized_entry_is_an_error() {
-        let dir = std::env::temp_dir().join(format!(
-            "just-region-shard-cap-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = tmpdir("shard-cap");
         // The threshold never fires: only the 4 KiB shards filling up
         // can flush.
         let r = fixture::region(
@@ -1876,22 +1805,24 @@ mod tests {
             },
         );
         for i in 0..1000u32 {
-            r.put(format!("k{i:04}").into_bytes(), vec![i as u8; 100])
-                .unwrap();
+            put(&r, format!("k{i:04}").into_bytes(), vec![i as u8; 100]).unwrap();
         }
         assert!(r.sstable_count() >= 2, "{} sstables", r.sstable_count());
-        r.delete(b"k0007".to_vec()).unwrap();
+        delete(&r, b"k0007".to_vec()).unwrap();
         for i in 0..1000u32 {
             let want = (i != 7).then(|| vec![i as u8; 100]);
-            assert_eq!(r.get(format!("k{i:04}").as_bytes()).unwrap(), want);
+            assert_eq!(
+                r.get_at(format!("k{i:04}").as_bytes(), LATEST).unwrap(),
+                want
+            );
         }
-        assert_eq!(r.scan(b"", b"\xff").unwrap().len(), 999);
+        assert_eq!(scan_at(&r, b"", b"\xff", LATEST).unwrap().len(), 999);
         // Larger than an empty shard: refused, and nothing changes.
         let before = (r.next_seq(), r.memtable_bytes());
-        let err = r.put(b"big".to_vec(), vec![0; 4096]).unwrap_err();
+        let err = put(&r, b"big".to_vec(), vec![0; 4096]).unwrap_err();
         assert!(matches!(err, KvError::EntryTooLarge(4099)), "{err}");
         assert_eq!((r.next_seq(), r.memtable_bytes()), before);
-        assert_eq!(r.get(b"big").unwrap(), None);
+        assert_eq!(r.get_at(b"big", LATEST).unwrap(), None);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1899,10 +1830,9 @@ mod tests {
     fn replay_that_fills_a_shard_starts_a_new_generation() {
         let (r, dir) = wal_region("wal-shard-cap", 64 << 20, SyncPolicy::PerWrite);
         for i in 0..300u32 {
-            r.put(format!("k{i:04}").into_bytes(), vec![i as u8; 100])
-                .unwrap();
+            put(&r, format!("k{i:04}").into_bytes(), vec![i as u8; 100]).unwrap();
         }
-        r.delete(b"k0007".to_vec()).unwrap();
+        delete(&r, b"k0007".to_vec()).unwrap();
         drop(r);
         let reopen = |shard_cap| {
             fixture::region(
@@ -1912,7 +1842,7 @@ mod tests {
                         wal: true,
                         sync: SyncPolicy::PerWrite,
                     },
-                    ingest: IngestOptions::serial(),
+                    mem_shards: 1,
                     shard_cap,
                     ..fixture::region_opts(64 << 20)
                 },
@@ -1921,9 +1851,12 @@ mod tests {
         let check = |r: &Region| {
             for i in 0..300u32 {
                 let want = (i != 7).then(|| vec![i as u8; 100]);
-                assert_eq!(r.get(format!("k{i:04}").as_bytes()).unwrap(), want);
+                assert_eq!(
+                    r.get_at(format!("k{i:04}").as_bytes(), LATEST).unwrap(),
+                    want
+                );
             }
-            assert_eq!(r.scan(b"", b"\xff").unwrap().len(), 299);
+            assert_eq!(scan_at(r, b"", b"\xff", LATEST).unwrap().len(), 299);
         };
         // ~33 KiB of records against 4 KiB shards: the replay has to cut
         // generations, and below the flush threshold they stay frozen.
@@ -1944,14 +1877,14 @@ mod tests {
         assert_eq!(r.memtable_bytes(), 0);
         check(&r);
         // A record that no shard of this size could hold is an error.
-        r.put(b"wide".to_vec(), vec![1; 2000]).unwrap();
+        put(&r, b"wide".to_vec(), vec![1; 2000]).unwrap();
         drop(r);
         let opts = RegionOptions {
             durability: DurabilityOptions {
                 wal: true,
                 sync: SyncPolicy::PerWrite,
             },
-            ingest: IngestOptions::serial(),
+            mem_shards: 1,
             shard_cap: 1024,
             ..fixture::region_opts(64 << 20)
         };
@@ -1964,144 +1897,123 @@ mod tests {
 
     #[test]
     fn sharded_region_recovers_across_streams() {
-        // The multi-stream layout end to end: writes spread over 4
-        // shards / 2 WAL streams, interleaved with deletes and a flush,
-        // must replay to the same state.
-        let dir = std::env::temp_dir().join(format!(
-            "just-region-sharded-recover-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let ingest = IngestOptions {
-            mem_shards: 4,
-            wal_streams: 2,
+        // A region of the old layout, built by hand: its log spread over
+        // the root and the `wal_s01/`, `wal_s03/` streams, one key
+        // rewritten across all three at interleaved sequences, another
+        // deleted.
+        let dir = tmpdir("legacy-layout");
+        let streams = || {
+            let s01: &[fixture::Record] = &[
+                (1, b"k", Some(b"v1")),
+                (2, b"gone", Some(b"x")),
+                (6, b"a", Some(b"a")),
+            ];
+            fixture::wal_log(&dir, "wal_s01", s01);
+            fixture::wal_log(
+                &dir,
+                "wal_s03",
+                &[(4, b"k", Some(b"v4")), (7, b"b", Some(b"b"))],
+            );
         };
-        let r = open_wal_region_opts(&dir, 1 << 20, SyncPolicy::Batched, ingest.clone());
-        for i in 0..200u32 {
-            r.put(
-                format!("k{i:04}").into_bytes(),
-                format!("v{i}").into_bytes(),
-            )
-            .unwrap();
-        }
-        r.flush().unwrap();
-        for i in 200..300u32 {
-            r.put(
-                format!("k{i:04}").into_bytes(),
-                format!("v{i}").into_bytes(),
-            )
-            .unwrap();
-        }
-        // Rewrites + deletes after the flush: replay must order them
-        // after the flushed versions (by sequence, across streams).
-        r.put(b"k0005".to_vec(), b"rewritten".to_vec()).unwrap();
-        for i in 0..50u32 {
-            r.delete(format!("k{i:04}").into_bytes()).unwrap();
-        }
-        r.wal_sync().unwrap();
-        drop(r);
-        let r2 = open_wal_region_opts(&dir, 1 << 20, SyncPolicy::Batched, ingest);
-        assert_eq!(r2.scan(b"", b"\xff").unwrap().len(), 250);
-        assert_eq!(r2.get(b"k0005").unwrap(), None, "delete shadows rewrite");
-        assert_eq!(r2.get(b"k0123").unwrap(), Some(b"v123".to_vec()));
-        assert_eq!(r2.get(b"k0250").unwrap(), Some(b"v250".to_vec()));
+        let root: &[fixture::Record] = &[
+            (0, b"k", Some(b"v0")),
+            (3, b"k", Some(b"v3")),
+            (5, b"gone", None),
+        ];
+        fixture::wal_log(&dir, "", root);
+        streams();
+        let reopen = || {
+            let r = open_wal_region_opts(&dir, 1 << 20, SyncPolicy::Batched, 4);
+            assert_eq!(r.get_at(b"k", LATEST).unwrap(), Some(b"v4".to_vec()));
+            assert_eq!(r.get_at(b"gone", LATEST).unwrap(), None);
+            let keys: Vec<Vec<u8>> = (scan_at(&r, b"", b"\xff", LATEST).unwrap())
+                .into_iter()
+                .map(|e| e.key)
+                .collect();
+            assert_eq!(keys, [&b"a"[..], b"b", b"k"]);
+            assert!(r.next_seq() > 7, "next_seq {}", r.next_seq());
+            let names = std::fs::read_dir(&dir).unwrap();
+            let names: Vec<String> = (names.map(|e| e.unwrap().file_name()))
+                .map(|n| n.to_string_lossy().into_owned())
+                .collect();
+            assert!(!names.iter().any(|n| n.starts_with("wal_s")), "{names:?}");
+        };
+        // The first open folds the streams into the root log; the second
+        // replays that log alone.
+        reopen();
+        reopen();
+        // A crash after the root log took the copy but before the stream
+        // directories went: both hold every record, and each replays once.
+        streams();
+        reopen();
         std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn resharding_between_runs_preserves_data() {
-        let dir = std::env::temp_dir().join(format!(
-            "just-region-reshard-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let r = open_wal_region_opts(
-            &dir,
-            1 << 20,
-            SyncPolicy::Batched,
-            IngestOptions {
-                mem_shards: 8,
-                wal_streams: 4,
-            },
-        );
-        for i in 0..100u32 {
-            r.put(format!("k{i:03}").into_bytes(), b"v".to_vec())
-                .unwrap();
+        // Writes spread over 4 shards into the one log, interleaved with
+        // deletes and a flush, replay to the same state into 1 shard.
+        let dir = tmpdir("reshard");
+        let r = open_wal_region_opts(&dir, 1 << 20, SyncPolicy::Batched, 4);
+        for i in 0..300u32 {
+            put(
+                &r,
+                format!("k{i:04}").into_bytes(),
+                format!("v{i}").into_bytes(),
+            )
+            .unwrap();
+            if i == 199 {
+                r.flush().unwrap();
+            }
+        }
+        // Rewrites + deletes after the flush: replay must order them
+        // after the flushed versions (by sequence, across shards).
+        put(&r, b"k0005".to_vec(), b"rewritten".to_vec()).unwrap();
+        for i in 0..50u32 {
+            delete(&r, format!("k{i:04}").into_bytes()).unwrap();
         }
         r.wal_sync().unwrap();
         drop(r);
-        // Reopen with fewer shards/streams than the data was written
-        // with: discovery must replay all four streams.
-        let r2 = open_wal_region_opts(&dir, 1 << 20, SyncPolicy::Batched, IngestOptions::serial());
-        assert_eq!(r2.scan(b"", b"\xff").unwrap().len(), 100);
+        let r2 = open_wal_region(&dir, 1 << 20, SyncPolicy::Batched);
+        assert_eq!(scan_at(&r2, b"", b"\xff", LATEST).unwrap().len(), 250);
+        assert_eq!(
+            r2.get_at(b"k0005", LATEST).unwrap(),
+            None,
+            "delete shadows rewrite"
+        );
+        assert_eq!(r2.get_at(b"k0123", LATEST).unwrap(), Some(b"v123".to_vec()));
+        assert_eq!(r2.get_at(b"k0250", LATEST).unwrap(), Some(b"v250".to_vec()));
         std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
-    fn poisoned_stream_keeps_sibling_shards_acking() {
-        // The PR 3 review fix, at region level: one stream's device
-        // failure must not take down the whole region's write path.
-        let dir = std::env::temp_dir().join(format!(
-            "just-region-poison-scope-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let r = open_wal_region_opts(
-            &dir,
-            1 << 20,
-            SyncPolicy::Batched,
-            IngestOptions {
-                mem_shards: 4,
-                wal_streams: 2,
-            },
-        );
-        // Find keys routed to each stream.
-        let mut to0 = None;
-        let mut to1 = None;
-        for i in 0..100u32 {
-            let key = format!("probe{i:03}").into_bytes();
-            match r.wal_stream_of_key(&key) {
-                0 if to0.is_none() => to0 = Some(key),
-                1 if to1.is_none() => to1 = Some(key),
-                _ => {}
-            }
-        }
-        let (k0, k1) = (to0.unwrap(), to1.unwrap());
+    fn a_poisoned_log_heals_on_the_next_maintenance_tick() {
+        // Every shard shares the log, so a torn append stops all of the
+        // region's writes until the log is repaired; the maintenance
+        // tick repairs it, however far the memtable is from a flush.
+        let dir = tmpdir("poison-heal");
+        let r = open_wal_region_opts(&dir, 1 << 20, SyncPolicy::Batched, 4);
+        put(&r, b"before".to_vec(), b"v".to_vec()).unwrap();
         let (file, state) = FaultyWalFile::new();
         state.lock().write_budget = Some(3); // torn 3 bytes into the first record
-        r.poison_wal_stream_for_test(0, Box::new(file));
-
-        assert!(matches!(
-            r.put(k0.clone(), b"v".to_vec()),
-            Err(KvError::Io(_))
-        ));
-        assert!(matches!(
-            r.put(k0.clone(), b"v".to_vec()),
-            Err(KvError::WalPoisoned)
-        ));
-        // Sibling stream (and its shards) keep acknowledging.
-        r.put(k1.clone(), b"sibling".to_vec()).unwrap();
-        assert_eq!(r.get(&k1).unwrap(), Some(b"sibling".to_vec()));
-        // A flush repairs the poisoned stream; the full write path is
-        // healthy again.
-        r.flush().unwrap();
-        r.put(k0.clone(), b"healed".to_vec()).unwrap();
-        assert_eq!(r.get(&k0).unwrap(), Some(b"healed".to_vec()));
+        r.wal.as_ref().unwrap().set_file_for_test(Box::new(file));
+        let torn = put(&r, b"torn".to_vec(), b"v".to_vec());
+        assert!(matches!(torn, Err(KvError::Io(_))), "{torn:?}");
+        let refused = put(&r, b"refused".to_vec(), b"v".to_vec());
+        assert!(matches!(refused, Err(KvError::WalPoisoned)), "{refused:?}");
+        r.maintain(0).unwrap();
+        assert!(r.memtable_bytes() < r.opts.flush_threshold / 16);
+        assert_eq!((r.sstable_count(), r.frozen_generations()), (0, 0));
+        assert!(state.lock().os.is_empty(), "torn tail truncated");
+        put(&r, b"after".to_vec(), b"v".to_vec()).unwrap();
+        r.wal_sync().unwrap();
         drop(r);
-        let r2 = open_wal_region_opts(
-            &dir,
-            1 << 20,
-            SyncPolicy::Batched,
-            IngestOptions {
-                mem_shards: 4,
-                wal_streams: 2,
-            },
-        );
-        assert_eq!(r2.get(&k0).unwrap(), Some(b"healed".to_vec()));
-        assert_eq!(r2.get(&k1).unwrap(), Some(b"sibling".to_vec()));
+        let r = open_wal_region_opts(&dir, 1 << 20, SyncPolicy::Batched, 4);
+        let keys: Vec<Vec<u8>> = (scan_at(&r, b"", b"\xff", LATEST).unwrap())
+            .into_iter()
+            .map(|e| e.key)
+            .collect();
+        assert_eq!(keys, [&b"after"[..], b"before"]);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -2111,8 +2023,7 @@ mod tests {
         // writes land in fresh shards; draining flushes preserves all.
         let (r, dir) = wal_region("wal-pipeline", 1 << 20, SyncPolicy::Batched);
         for i in 0..100u32 {
-            r.put(format!("a{i:03}").into_bytes(), b"old".to_vec())
-                .unwrap();
+            put(&r, format!("a{i:03}").into_bytes(), b"old".to_vec()).unwrap();
         }
         {
             let _g = r.flush_lock.lock();
@@ -2120,14 +2031,14 @@ mod tests {
         }
         assert_eq!(r.frozen_generations(), 1);
         // Reads see the frozen layer; writes go to the fresh shards.
-        assert_eq!(r.get(b"a050").unwrap(), Some(b"old".to_vec()));
-        r.put(b"a050".to_vec(), b"new".to_vec()).unwrap();
-        assert_eq!(r.get(b"a050").unwrap(), Some(b"new".to_vec()));
-        assert_eq!(r.scan(b"", b"\xff").unwrap().len(), 100);
+        assert_eq!(r.get_at(b"a050", LATEST).unwrap(), Some(b"old".to_vec()));
+        put(&r, b"a050".to_vec(), b"new".to_vec()).unwrap();
+        assert_eq!(r.get_at(b"a050", LATEST).unwrap(), Some(b"new".to_vec()));
+        assert_eq!(scan_at(&r, b"", b"\xff", LATEST).unwrap().len(), 100);
         r.flush().unwrap();
         assert_eq!(r.frozen_generations(), 0);
-        assert_eq!(r.get(b"a050").unwrap(), Some(b"new".to_vec()));
-        assert_eq!(r.scan(b"", b"\xff").unwrap().len(), 100);
+        assert_eq!(r.get_at(b"a050", LATEST).unwrap(), Some(b"new".to_vec()));
+        assert_eq!(scan_at(&r, b"", b"\xff", LATEST).unwrap().len(), 100);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -2136,12 +2047,7 @@ mod tests {
         stall_deadline: Duration,
         stop: Option<Arc<std::sync::atomic::AtomicBool>>,
     ) -> (Region, PathBuf) {
-        let dir = std::env::temp_dir().join(format!(
-            "just-region-{name}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = tmpdir(name);
         // Managed (stall_bytes > 0) but with no scheduler attached:
         // nothing will ever flush, so crossing the cap must stall until
         // an escape hatch fires.
@@ -2159,7 +2065,7 @@ mod tests {
 
     fn write_past_stall_cap(r: &Region) -> Result<()> {
         for i in 0..64u32 {
-            r.put(format!("k{i:03}").into_bytes(), vec![0; 64])?;
+            put(r, format!("k{i:03}").into_bytes(), vec![0; 64])?;
         }
         Ok(())
     }
@@ -2191,19 +2097,17 @@ mod tests {
         let (r, dir) = region("mvcc-basic", 1 << 20);
         let r = Arc::new(r);
         for i in 0..200u32 {
-            r.put(format!("k{i:04}").into_bytes(), b"v1".to_vec())
-                .unwrap();
+            put(&r, format!("k{i:04}").into_bytes(), b"v1".to_vec()).unwrap();
         }
         let snap = r.snapshot();
         // Overwrite everything, delete half, then flush + compact so the
         // new versions reach disk and the old ones only survive via the
         // held generation.
         for i in 0..200u32 {
-            r.put(format!("k{i:04}").into_bytes(), b"v2".to_vec())
-                .unwrap();
+            put(&r, format!("k{i:04}").into_bytes(), b"v2".to_vec()).unwrap();
         }
         for i in 0..100u32 {
-            r.delete(format!("k{i:04}").into_bytes()).unwrap();
+            delete(&r, format!("k{i:04}").into_bytes()).unwrap();
         }
         r.flush().unwrap();
         assert!(
@@ -2213,7 +2117,7 @@ mod tests {
         r.flush().unwrap();
         r.compact().unwrap();
         // The snapshot still reads the full original cut.
-        let hits = snap.scan(b"", b"\xff").unwrap();
+        let hits = scan_at(&r, b"", b"\xff", snap.seq()).unwrap();
         assert_eq!(hits.len(), 200, "snapshot lost rows");
         assert!(
             hits.iter().all(|e| e.value == b"v1"),
@@ -2221,9 +2125,9 @@ mod tests {
         );
         assert_eq!(snap.get(b"k0007").unwrap(), Some(b"v1".to_vec()));
         // Latest reads see the new state.
-        assert_eq!(r.get(b"k0007").unwrap(), None);
-        assert_eq!(r.get(b"k0150").unwrap(), Some(b"v2".to_vec()));
-        assert_eq!(r.scan(b"", b"\xff").unwrap().len(), 100);
+        assert_eq!(r.get_at(b"k0007", LATEST).unwrap(), None);
+        assert_eq!(r.get_at(b"k0150", LATEST).unwrap(), Some(b"v2".to_vec()));
+        assert_eq!(scan_at(&r, b"", b"\xff", LATEST).unwrap().len(), 100);
         // Dropping the snapshot releases the held generations.
         drop(snap);
         assert_eq!(r.held_generations(), 0);
@@ -2231,7 +2135,7 @@ mod tests {
         // With the watermark gone, compaction can now merge everything.
         r.compact().unwrap();
         assert_eq!(r.sstable_count(), 1);
-        assert_eq!(r.scan(b"", b"\xff").unwrap().len(), 100);
+        assert_eq!(scan_at(&r, b"", b"\xff", LATEST).unwrap().len(), 100);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -2239,12 +2143,12 @@ mod tests {
     fn compaction_spares_tables_newer_than_open_snapshots() {
         let (r, dir) = region("mvcc-compact-gate", 1 << 20);
         let r = Arc::new(r);
-        r.put(b"a".to_vec(), b"old".to_vec()).unwrap();
+        put(&r, b"a".to_vec(), b"old".to_vec()).unwrap();
         r.flush().unwrap();
         let snap = r.snapshot();
-        r.put(b"a".to_vec(), b"new".to_vec()).unwrap();
+        put(&r, b"a".to_vec(), b"new".to_vec()).unwrap();
         r.flush().unwrap();
-        r.put(b"b".to_vec(), b"x".to_vec()).unwrap();
+        put(&r, b"b".to_vec(), b"x".to_vec()).unwrap();
         r.flush().unwrap();
         assert_eq!(r.sstable_count(), 3);
         // The two post-snapshot tables are past the watermark: compaction
@@ -2256,7 +2160,7 @@ mod tests {
         drop(snap);
         r.compact().unwrap();
         assert_eq!(r.sstable_count(), 1);
-        assert_eq!(r.get(b"a").unwrap(), Some(b"new".to_vec()));
+        assert_eq!(r.get_at(b"a", LATEST).unwrap(), Some(b"new".to_vec()));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -2265,22 +2169,26 @@ mod tests {
         let (r, dir) = region("mvcc-compact-reopen", 1 << 20);
         let r = Arc::new(r);
         for v in [b"v1", b"v2"] {
-            r.put(b"a".to_vec(), v.to_vec()).unwrap();
+            put(&r, b"a".to_vec(), v.to_vec()).unwrap();
             r.flush().unwrap();
         }
         let snap = r.snapshot();
-        r.delete(b"a".to_vec()).unwrap();
+        delete(&r, b"a".to_vec()).unwrap();
         r.flush().unwrap();
         // Merges the two tables the snapshot sees into the highest file
         // id; the newer tombstone table keeps its lower one.
         r.compact().unwrap();
         assert_eq!(r.sstable_count(), 2);
         drop(snap);
-        assert_eq!(r.get(b"a").unwrap(), None);
+        assert_eq!(r.get_at(b"a", LATEST).unwrap(), None);
         drop(r);
         let r = reopen(&dir).unwrap();
-        assert_eq!(r.get(b"a").unwrap(), None, "a deleted key came back");
-        assert!(r.scan(b"", b"\xff").unwrap().is_empty());
+        assert_eq!(
+            r.get_at(b"a", LATEST).unwrap(),
+            None,
+            "a deleted key came back"
+        );
+        assert!(scan_at(&r, b"", b"\xff", LATEST).unwrap().is_empty());
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -2288,8 +2196,7 @@ mod tests {
     fn wal_replay_preserves_snapshot_sequences() {
         let (r, dir) = wal_region("mvcc-replay", 1 << 20, SyncPolicy::PerWrite);
         for i in 0..50u32 {
-            r.put(format!("k{i:03}").into_bytes(), b"v".to_vec())
-                .unwrap();
+            put(&r, format!("k{i:03}").into_bytes(), b"v".to_vec()).unwrap();
         }
         let seq_before = r.next_seq();
         drop(r);
@@ -2301,7 +2208,7 @@ mod tests {
         );
         let r2 = Arc::new(r2);
         let snap = r2.snapshot();
-        r2.put(b"k000".to_vec(), b"post".to_vec()).unwrap();
+        put(&r2, b"k000".to_vec(), b"post".to_vec()).unwrap();
         assert_eq!(snap.get(b"k000").unwrap(), Some(b"v".to_vec()));
         std::fs::remove_dir_all(dir).ok();
     }
@@ -2309,18 +2216,18 @@ mod tests {
     #[test]
     fn sealed_region_rejects_writes_with_ownership() {
         let (r, dir) = region("sealed", 1 << 20);
-        r.put(b"a".to_vec(), b"1".to_vec()).unwrap();
+        put(&r, b"a".to_vec(), b"1".to_vec()).unwrap();
         r.seal();
         assert!(r.is_sealed());
         // Handed back whole, and in order.
         let batch = vec![(b"b".to_vec(), Some(b"2".to_vec())), (b"b".to_vec(), None)];
         assert_eq!(r.try_write_batch(&mut batch.clone()).unwrap(), batch);
         assert!(matches!(
-            r.put(b"c".to_vec(), b"3".to_vec()),
+            put(&r, b"c".to_vec(), b"3".to_vec()),
             Err(KvError::RegionSealed)
         ));
         // Reads still serve.
-        assert_eq!(r.get(b"a").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(r.get_at(b"a", LATEST).unwrap(), Some(b"1".to_vec()));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -2328,7 +2235,8 @@ mod tests {
     fn split_into_partitions_base_and_delta() {
         let (r, dir) = region("split", 1 << 20);
         for i in 0..400u32 {
-            r.put(
+            put(
+                &r,
                 format!("k{i:04}").into_bytes(),
                 format!("v{i}").into_bytes(),
             )
@@ -2337,8 +2245,8 @@ mod tests {
         r.flush().unwrap();
         // Post-flush writes land in the delta: an overwrite, a delete
         // and a brand-new key on each side of the split point.
-        r.put(b"k0001".to_vec(), b"rewritten".to_vec()).unwrap();
-        r.delete(b"k0350".to_vec()).unwrap();
+        put(&r, b"k0001".to_vec(), b"rewritten".to_vec()).unwrap();
+        delete(&r, b"k0350".to_vec()).unwrap();
         let split_key = r.approx_split_key().expect("enough data to split");
         assert!(split_key.as_slice() > b"k0000".as_slice());
         assert!(split_key.as_slice() <= b"k0399".as_slice());
@@ -2348,8 +2256,8 @@ mod tests {
         assert!(r.is_sealed());
         let left = fixture::region(left_dir, fixture::region_opts(1 << 20));
         let right = fixture::region(right_dir, fixture::region_opts(1 << 20));
-        let mut union = left.scan(b"", b"\xff").unwrap();
-        let right_hits = right.scan(b"", b"\xff").unwrap();
+        let mut union = scan_at(&left, b"", b"\xff", LATEST).unwrap();
+        let right_hits = scan_at(&right, b"", b"\xff", LATEST).unwrap();
         // Boundary discipline: left strictly below the split key.
         assert!(union
             .iter()
@@ -2379,7 +2287,8 @@ mod tests {
         let (r, dir) = region("compact-race", 1 << 12);
         for round in 0..4 {
             for i in 0..400u32 {
-                r.put(
+                put(
+                    &r,
                     format!("k{i:05}").into_bytes(),
                     format!("v{round}-{i}").into_bytes(),
                 )
@@ -2396,10 +2305,10 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut rounds = 0u32;
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        let hits = r.scan(b"", b"\xff").unwrap();
+                        let hits = scan_at(&r, b"", b"\xff", LATEST).unwrap();
                         assert_eq!(hits.len(), 400, "inconsistent scan during compaction");
                         assert_eq!(hits[17].value, b"v3-17".to_vec());
-                        let got = r.get(b"k00399").unwrap();
+                        let got = r.get_at(b"k00399", LATEST).unwrap();
                         assert_eq!(got, Some(b"v3-399".to_vec()));
                         rounds += 1;
                     }
@@ -2411,7 +2320,8 @@ mod tests {
             r.compact().unwrap();
             // Re-fragment so the next compaction has real work.
             for i in 0..400u32 {
-                r.put(
+                put(
+                    &r,
                     format!("k{i:05}").into_bytes(),
                     format!("v3-{i}").into_bytes(),
                 )

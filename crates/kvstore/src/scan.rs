@@ -1,7 +1,7 @@
 //! Streaming, batch-at-a-time scans with cooperative cancellation.
 //!
 //! This module is the store's one scan path. The materializing calls
-//! ([`crate::Table::scan`], [`crate::Region::scan`], the snapshot scans)
+//! ([`crate::Table::scan`], [`crate::TableSnapshot::scan`])
 //! are this stream drained to a `Vec`, so a `LIMIT k` or kNN consumer
 //! that stops after a handful of rows and an aggregate that reads
 //! everything run the same merge and record the same metrics:
@@ -462,7 +462,7 @@ pub(crate) type PendingRange = (Arc<Region>, Vec<u8>, Vec<u8>, u64);
 /// [`ScanStream::next_batch`], summed over its pulls.
 pub struct ScanStream {
     /// (region, start, end, snapshot seq) work items, front first. The
-    /// seq is [`crate::LATEST`] for plain scans; snapshot scans pin each
+    /// seq is `LATEST` for plain scans; snapshot scans pin each
     /// region's read sequence at construction, so a range entered after
     /// an online split still reads the pre-split cut through `pins`.
     pending: VecDeque<PendingRange>,

@@ -333,7 +333,7 @@ impl SsTableBuilder {
 }
 
 /// A readable, immutable SSTable.
-pub struct SsTable {
+pub(crate) struct SsTable {
     path: PathBuf,
     /// Unique instance id for block-cache keying.
     file_id: u64,
@@ -367,7 +367,7 @@ impl SsTable {
     /// index (and bloom filter, if present) into memory. A file whose
     /// magic names another SSTable generation is [`KvError::Format`];
     /// any other bad tail (a torn write) is [`KvError::Corrupt`].
-    pub fn open_cached(
+    pub(crate) fn open_cached(
         path: &Path,
         metrics: Arc<IoMetrics>,
         cache: Arc<BlockCache>,
@@ -479,33 +479,23 @@ impl SsTable {
     }
 
     /// Unique cache-keying id of this table instance.
-    pub fn file_id(&self) -> u64 {
+    pub(crate) fn file_id(&self) -> u64 {
         self.file_id
     }
 
     /// Total entries (tombstones included).
-    pub fn entry_count(&self) -> u64 {
+    pub(crate) fn entry_count(&self) -> u64 {
         self.entry_count
     }
 
     /// On-disk size in bytes.
-    pub fn file_size(&self) -> u64 {
+    pub(crate) fn file_size(&self) -> u64 {
         self.file_size
     }
 
     /// Path of the backing file.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The per-block compression codec recorded in the footer.
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
-    /// Whether a bloom filter is attached.
-    pub fn has_bloom(&self) -> bool {
-        self.bloom.is_some()
     }
 
     /// One past the highest MVCC commit sequence any entry in this file
@@ -513,18 +503,18 @@ impl SsTable {
     /// snapshot). A snapshot at read sequence `S`
     /// must skip tables with `seq_limit > S` and read the held memtable
     /// generation instead (see `Region::snapshot`).
-    pub fn seq_limit(&self) -> u64 {
+    pub(crate) fn seq_limit(&self) -> u64 {
         self.seq_limit
     }
 
     /// Whether every entry in this table is visible at snapshot `snap`
     /// (i.e. committed strictly before the snapshot's read sequence).
-    pub fn visible_at(&self, snap: u64) -> bool {
+    pub(crate) fn visible_at(&self, snap: u64) -> bool {
         self.seq_limit <= snap
     }
 
     /// Whether the key range `[start, end]` could overlap this table.
-    pub fn overlaps(&self, start: &[u8], end: &[u8]) -> bool {
+    pub(crate) fn overlaps(&self, start: &[u8], end: &[u8]) -> bool {
         !self.blocks.is_empty()
             && start <= self.max_key.as_slice()
             && end >= self.min_key.as_slice()
@@ -601,7 +591,7 @@ impl SsTable {
     }
 
     /// Point lookup (tombstones surface as `Some(None)`).
-    pub fn get(&self, key: &[u8]) -> Result<Option<Option<Vec<u8>>>> {
+    pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Option<Vec<u8>>>> {
         if self.blocks.is_empty() || key < self.min_key.as_slice() || key > self.max_key.as_slice()
         {
             self.metrics.record_index_skip();
@@ -751,7 +741,7 @@ mod tests {
             b.add(format!("key-{i:06}").as_bytes(), Some(b"v")).unwrap();
         }
         let t = b.finish().unwrap();
-        assert!(t.has_bloom());
+        assert!(t.bloom.is_some());
         metrics.reset();
         // Misses *inside* the key fence (the fence would catch outside).
         let mut skips = 0u32;

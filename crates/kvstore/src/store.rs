@@ -4,7 +4,6 @@
 
 use crate::cache::BlockCache;
 use crate::error::{KvError, Result};
-use crate::ingest::IngestOptions;
 use crate::maintenance::{MaintenanceOptions, Scheduler};
 use crate::metrics::IoMetrics;
 use crate::region::RegionOptions;
@@ -91,12 +90,12 @@ fn write_format(base: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Tuning knobs, shared by every table of a store: 13 settable values
-/// (4 here, 2 in [`DurabilityOptions`], 2 in [`IngestOptions`], 5 in
-/// [`MaintenanceOptions`]). Everything else — the on-disk format (one
-/// epoch, 10 bloom bits per key), the WAL's user-space buffer, the
-/// maintenance tick, the stall deadline, the auto-split region cap — is
-/// a constant next to the code that uses it.
+/// Tuning knobs, shared by every table of a store: 12 settable values
+/// (5 here, 2 in [`DurabilityOptions`], 5 in [`MaintenanceOptions`]).
+/// Everything else — the on-disk format (one epoch, 10 bloom bits per
+/// key), the WAL's user-space buffer, the maintenance tick, the stall
+/// deadline, the auto-split region cap — is a constant next to the code
+/// that uses it.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// Memtable flush threshold per region, in reserved bytes: the heap
@@ -119,9 +118,10 @@ pub struct StoreOptions {
     /// Write-ahead-log configuration (HBase's WAL: acknowledged writes
     /// survive a crash).
     pub durability: DurabilityOptions,
-    /// Concurrent ingest pipeline shape: memtable shards and WAL streams
-    /// per region.
-    pub ingest: IngestOptions,
+    /// Memtable shards per region: finely-locked arenas, salted by key
+    /// hash, that concurrent writers fill in parallel. Every shard of a
+    /// region appends to the region's one WAL.
+    pub mem_shards: usize,
     /// Background flush / compaction scheduler configuration.
     pub maintenance: MaintenanceOptions,
 }
@@ -134,7 +134,7 @@ impl Default for StoreOptions {
             codec: Codec::None,
             block_cache_bytes: 32 << 20,
             durability: DurabilityOptions::default(),
-            ingest: IngestOptions::default(),
+            mem_shards: 8,
             maintenance: MaintenanceOptions::default(),
         }
     }
@@ -214,7 +214,7 @@ impl Store {
                 codec: self.options.codec,
             },
             durability: self.options.durability.clone(),
-            ingest: self.options.ingest.clone(),
+            mem_shards: self.options.mem_shards,
             stall_bytes: if self.scheduler.is_some() {
                 self.options.maintenance.stall_bytes
             } else {

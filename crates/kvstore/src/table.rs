@@ -43,7 +43,7 @@
 //! open). Sealed-region writes are handed back to the table, which
 //! re-routes them against the fresh map ([`crate::KvError::RegionSealed`]
 //! only surfaces if a split wedges for many seconds). In-flight scans and
-//! open [`crate::Snapshot`]s keep their region handles pinned, so they
+//! open [`TableSnapshot`]s keep their region handles pinned, so they
 //! finish against the pre-split cut — consistent either way.
 
 use crate::cache::BlockCache;
@@ -203,7 +203,7 @@ fn parse_manifest(path: &Path) -> Result<Vec<(String, Vec<u8>)>> {
     Ok(out)
 }
 
-/// An ordered key-value table partitioned over [`Region`]s via a
+/// An ordered key-value table partitioned over regions via a
 /// runtime-swappable region map (see the module docs).
 pub struct Table {
     name: String,
@@ -369,8 +369,8 @@ impl Table {
     }
 
     /// Writes a batch of puts and deletes, in order per key: each region
-    /// takes its share as one batch (one WAL append per memtable shard,
-    /// one WAL stream to sync — see [`Region`]). An op larger than a
+    /// takes its share as one batch (one append to the region's WAL per
+    /// memtable shard, one log to sync). An op larger than a
     /// memtable shard refuses the whole batch before any region writes.
     ///
     /// A batch is not atomic: readers may see part of it while it is
@@ -426,7 +426,7 @@ impl Table {
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.region_for(key).get(key)
+        self.region_for(key).get_at(key, LATEST)
     }
 
     /// All live entries with `start <= key <= end`, in global key order:
@@ -480,7 +480,7 @@ impl Table {
         ScanStream::new(pending, opts, self.metrics.clone())
     }
 
-    /// Captures a table-wide MVCC snapshot: one [`Snapshot`] per region,
+    /// Captures a table-wide MVCC snapshot: one pinned cut per region,
     /// all taken from a single atomic read of the region map. Reads
     /// through the returned [`TableSnapshot`] see, per region, exactly
     /// the writes committed before this call — unaffected by concurrent
@@ -782,7 +782,7 @@ impl Table {
     }
 }
 
-/// A consistent, table-wide read view: one pinned [`Snapshot`] per
+/// A consistent, table-wide read view: one pinned region snapshot per
 /// region, captured atomically against the region map by
 /// [`Table::snapshot`].
 ///

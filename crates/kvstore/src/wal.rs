@@ -21,8 +21,9 @@
 //! ```
 //!
 //! One op pair: every record carries the region-wide commit sequence
-//! number the sharded multi-stream WAL (`ingest.rs`) reconciles replay
-//! order by. Any other op byte is a malformed payload.
+//! number replay orders records by (`ingest.rs`): appends from different
+//! memtable shards can reach the file out of sequence order. Any other op
+//! byte is a malformed payload.
 //!
 //! `crc` is the CRC-32 (from `just-compress`) of `payload`; `len` is the
 //! payload length. A record whose length runs past end-of-file, whose CRC
@@ -140,7 +141,7 @@ impl DurabilityOptions {
 /// survival deterministically.
 ///
 /// Methods take `&self` so a group-commit leader can `fsync` a shared
-/// handle *outside* the stream lock — concurrent writers keep appending
+/// handle *outside* the log lock — concurrent writers keep appending
 /// (serialized by the `Wal`'s own lock) while the fsync is in flight,
 /// which is what lets one fsync acknowledge many queued records.
 pub(crate) trait WalFile: Send + Sync {
@@ -431,7 +432,7 @@ const BUFFER_BYTES: usize = 64 << 10;
 
 /// The write-ahead log of one region: an active segment plus the not-yet
 /// obsolete ones before it.
-pub struct Wal {
+pub(crate) struct Wal {
     dir: PathBuf,
     policy: SyncPolicy,
     active_id: u64,
@@ -473,11 +474,11 @@ impl Wal {
     /// Opens the WAL under `dir`, replaying every surviving segment.
     ///
     /// Returns the log (with a fresh active segment) and the recovered
-    /// records in file order; records keep their commit sequence numbers
-    /// so the sharded WAL can reconcile its streams globally. Replay
-    /// truncates the first torn/corrupt record and ignores everything
-    /// after it; replayed segments are retained until the next
-    /// flush-rotation proves them obsolete.
+    /// records in file order; records keep their commit sequence numbers,
+    /// which the caller sorts them by. Replay truncates the first
+    /// torn/corrupt record and ignores everything after it; replayed
+    /// segments are retained until the next flush-rotation proves them
+    /// obsolete.
     pub(crate) fn open_seq(dir: &Path, policy: SyncPolicy) -> Result<(Wal, Vec<WalRecord>)> {
         let metrics = WalMetrics::new();
         let mut segments: Vec<u64> = Vec::new();
@@ -534,20 +535,21 @@ impl Wal {
         ))
     }
 
-    /// Replaces the active segment's backing file (fault-injection tests
-    /// only — the file no longer matches what is on disk).
+    /// Replaces the active segment's backing file with an empty one
+    /// (fault-injection tests only — the file no longer matches what is
+    /// on disk).
     #[cfg(test)]
     pub(crate) fn set_file_for_test(&mut self, file: Box<dyn WalFile>) {
         self.file = Arc::from(file);
+        self.good_len = 0;
     }
 
-    /// Appends a run of mutations for the sharded multi-stream WAL: the
-    /// `i`-th `(key, value)` is framed as its own record with sequence
-    /// `seq + i`, and the run reaches the OS as one `write(2)` under the
-    /// `batched` and `per-write` policies. Fsync is left to the caller's
-    /// group commit: the returned ticket (the run's last record) is
-    /// durable once a [`Wal::sync`] issued at ticket count ≥ it succeeds
-    /// (see [`Wal::ticket`]).
+    /// Appends a run of mutations: the `i`-th `(key, value)` is framed as
+    /// its own record with sequence `seq + i`, and the run reaches the OS
+    /// as one `write(2)` under the `batched` and `per-write` policies.
+    /// Fsync is left to the caller's group commit: the returned ticket
+    /// (the run's last record) is durable once a [`Wal::sync`] issued at
+    /// ticket count ≥ it succeeds (see [`Wal::ticket`]).
     ///
     /// After an IO failure the WAL is poisoned: the segment may end in a
     /// torn prefix of the rejected run, so further appends are refused
@@ -597,7 +599,7 @@ impl Wal {
     /// bytes are dropped — never retried against the same file, where a
     /// later success would strand them behind the tear and resurrect an
     /// unacknowledged record on restart.
-    pub fn flush_os(&mut self) -> Result<()> {
+    pub(crate) fn flush_os(&mut self) -> Result<()> {
         if self.poisoned {
             return Err(KvError::WalPoisoned);
         }
@@ -618,7 +620,7 @@ impl Wal {
     /// Whether a [`Wal::sync`] would do work (unbuffered or unsynced
     /// bytes exist). Lets the maintenance tick skip idle regions — and
     /// poisoned WALs, which only a rotation can repair.
-    pub fn needs_sync(&self) -> bool {
+    pub(crate) fn needs_sync(&self) -> bool {
         !self.poisoned && (self.unsynced || !self.pending.is_empty())
     }
 
@@ -628,7 +630,7 @@ impl Wal {
     /// the dirty pages (fsyncgate semantics), so a later fsync success
     /// on the same file proves nothing about the bytes this one failed
     /// to cover.
-    pub fn sync(&mut self) -> Result<()> {
+    pub(crate) fn sync(&mut self) -> Result<()> {
         self.flush_os()?;
         if !self.unsynced {
             return Ok(());
@@ -667,7 +669,7 @@ impl Wal {
     /// outcome back under the WAL lock. A failure poisons the WAL even
     /// if a rotation swapped the active segment meanwhile — conservative
     /// (the new segment may be fine) but a failed fsync means the device
-    /// is in trouble; the next rotation repairs the stream.
+    /// is in trouble; the next rotation repairs the log.
     pub(crate) fn finish_concurrent_sync(&mut self, started: Instant, res: &std::io::Result<()>) {
         match res {
             Ok(()) => {
@@ -733,6 +735,17 @@ impl Wal {
         self.poisoned = false;
         self.good_len = 0;
         Ok(old_last)
+    }
+
+    /// Repairs a poisoned log by rotating it ([`Wal::rotate_keep`]); a
+    /// healthy one is left alone. The mark is not needed: the segments
+    /// rotated out hold records of the active memtable, so the next
+    /// freeze's mark covers them.
+    pub(crate) fn heal(&mut self) -> Result<()> {
+        if self.poisoned {
+            self.rotate_keep()?;
+        }
+        Ok(())
     }
 
     /// Deletes every segment with id ≤ `upto` (the mark returned by the
@@ -1014,18 +1027,14 @@ mod tests {
         // Through the write path itself: append, then the per-write
         // group commit's fsync gates the acknowledgement.
         let dir = tmpdir("fault-sync");
-        let durability = DurabilityOptions {
-            wal: true,
-            sync: SyncPolicy::PerWrite,
-        };
-        let (wal, _) = crate::ingest::ShardedWal::open(&dir, &durability, 1).unwrap();
+        let (wal, _) = crate::ingest::RegionWal::open(&dir, SyncPolicy::PerWrite).unwrap();
         let (file, state) = FaultyWalFile::new();
         state.lock().sync_budget = Some(1);
-        wal.set_stream_file_for_test(0, Box::new(file));
+        wal.set_file_for_test(Box::new(file));
 
-        assert!(wal.append(0, 0, b"a", Some(b"1")).is_ok());
+        assert!(wal.append(0, b"a", Some(b"1")).is_ok());
         assert!(
-            wal.append(0, 1, b"b", Some(b"2")).is_err(),
+            wal.append(1, b"b", Some(b"2")).is_err(),
             "fsync failure must refuse the acknowledgement"
         );
         // Power-loss view: only the synced prefix survives — exactly

@@ -1,6 +1,6 @@
 //! Seeded end-to-end property test for the concurrent ingest pipeline:
 //! several writers hammer one table through the sharded write path
-//! (memtable shards + WAL streams + group commit) while streaming scans
+//! (memtable shards + one WAL per region + group commit) while streaming scans
 //! run against the live store, and a mid-run directory snapshot
 //! simulates `kill -9` (the `durability.rs` idiom).
 //!
@@ -10,17 +10,17 @@
 //!   starts appears in that scan; every key acknowledged before the
 //!   crash snapshot begins is recovered from the copy;
 //! - **no duplicates**: scans and recovery yield strictly ascending
-//!   keys (a key replayed from two WAL streams would violate this);
+//!   keys (a key replayed twice would violate this);
 //! - **consistent values**: every row carries the value derived from
 //!   its key, so a scan never observes a torn or foreign write.
 //!
 //! Cases are generated from a seeded [`just_obs::Rng`], so every run
-//! exercises the same writer counts, shard/stream geometries and flush
+//! exercises the same writer counts, shard counts and flush
 //! pressure.
 
 mod common;
 
-use just_kvstore::{IngestOptions, ScanOptions, Store, StoreOptions, SyncPolicy};
+use just_kvstore::{ScanOptions, Store, StoreOptions, SyncPolicy};
 use just_obs::Rng;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -88,7 +88,6 @@ fn concurrent_writers_streaming_scans_and_crash_recovery() {
         let writers = rng.gen_range(2usize..6);
         let rows_per_writer = rng.gen_range(80usize..160);
         let mem_shards = [1usize, 4, 16][rng.gen_range(0usize..3)];
-        let wal_streams = [1usize, 2, mem_shards][rng.gen_range(0usize..3)];
         // Half the cases flush mid-run, so scans and recovery cross the
         // memtable/SSTable boundary while writers are still appending.
         let flush_threshold = if rng.gen_range(0usize..2) == 0 {
@@ -100,10 +99,7 @@ fn concurrent_writers_streaming_scans_and_crash_recovery() {
         let dir = tmpdir(&format!("case{case}"));
         let mut opts = StoreOptions {
             flush_threshold,
-            ingest: IngestOptions {
-                mem_shards,
-                wal_streams,
-            },
+            mem_shards,
             ..StoreOptions::default()
         };
         opts.durability.sync = SyncPolicy::PerWrite;
@@ -160,8 +156,8 @@ fn concurrent_writers_streaming_scans_and_crash_recovery() {
             h.join().unwrap();
         }
 
-        // Clean reopen: WAL replay across all streams restores every
-        // acknowledged write exactly once.
+        // Clean reopen: WAL replay restores every acknowledged write
+        // exactly once.
         let every_key = acked.lock().unwrap().clone();
         assert_eq!(every_key.len(), writers * rows_per_writer);
         drop(table);

@@ -4,7 +4,7 @@
 //! justd --data DIR [--addr HOST:PORT] [--max-sessions N]
 //!       [--users a,b,c] [--port-file PATH]
 //!       [--wal-sync none|batched|per-write] [--no-wal]
-//!       [--mem-shards N] [--wal-streams N]
+//!       [--mem-shards N]
 //!       [--slow-query-ms N] [--region-split-bytes N]
 //! ```
 //!
@@ -21,10 +21,9 @@
 //! record; `--no-wal` disables logging entirely (fastest, volatile).
 //!
 //! Ingest concurrency: each region's memtable is salted across
-//! `--mem-shards` finely-locked shards and its WAL across
-//! `--wal-streams` group-committed streams (defaults suit a small
-//! host; `--mem-shards 1 --wal-streams 1` reproduces the serial
-//! pre-sharding write path).
+//! `--mem-shards` finely-locked shards (default 8; `--mem-shards 1`
+//! reproduces the serial pre-sharding write path), all appending to the
+//! region's one group-committed WAL.
 //!
 //! Region lifecycle: the maintenance scheduler auto-splits any region
 //! whose footprint crosses `--region-split-bytes` (default 256 MiB;
@@ -79,16 +78,9 @@ fn main() -> ExitCode {
                 }
             },
             "--mem-shards" => match value.parse::<usize>() {
-                Ok(n) if n >= 1 => engine_cfg.store.ingest.mem_shards = n,
+                Ok(n) if n >= 1 => engine_cfg.store.mem_shards = n,
                 _ => {
                     eprintln!("justd: bad --mem-shards '{value}' (>= 1)\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--wal-streams" => match value.parse::<usize>() {
-                Ok(n) if n >= 1 => engine_cfg.store.ingest.wal_streams = n,
-                _ => {
-                    eprintln!("justd: bad --wal-streams '{value}' (>= 1)\n{USAGE}");
                     return ExitCode::from(2);
                 }
             },
@@ -149,4 +141,4 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage: justd --data DIR [--addr HOST:PORT] [--max-sessions N] \
 [--users a,b,c] [--port-file PATH] [--wal-sync none|batched|per-write] [--no-wal] \
-[--mem-shards N] [--wal-streams N] [--slow-query-ms N] [--region-split-bytes N]";
+[--mem-shards N] [--slow-query-ms N] [--region-split-bytes N]";
