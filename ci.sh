@@ -121,28 +121,29 @@ JUSTD_PID=""
 echo "crash recovery OK: $GOT/$ROWS acknowledged rows survived kill -9"
 
 echo "==> format-epoch smoke (a store of another epoch is refused untouched)"
-# The recovered store, relabelled epoch 0: justd must refuse to start,
-# name both epochs, and leave every byte under the data dir as it was.
+# The recovered store, relabelled epoch 1 (three kv tables per JustQL
+# table, as an older build wrote them): justd must refuse to start, name
+# both epochs, and leave every byte under the data dir as it was.
 # Restoring the label brings back the same rows.
 CRASH_FORMAT="$CRASH_DATA/data/FORMAT"
-cp "$CRASH_FORMAT" "$SMOKE_DIR/FORMAT.epoch1"
-printf 'just-kvstore format 0\n' >"$CRASH_FORMAT"
+cp "$CRASH_FORMAT" "$SMOKE_DIR/FORMAT.epoch2"
+printf 'just-kvstore format 1\n' >"$CRASH_FORMAT"
 crash_md5() { (cd "$CRASH_DATA" && find . -type f -print0 | LC_ALL=C sort -z | xargs -0 md5sum); }
 crash_md5 >"$SMOKE_DIR/format-before.md5"
 STATUS=0
 timeout 30 ./target/release/justd --data "$CRASH_DATA" --addr 127.0.0.1:0 \
     2>"$SMOKE_DIR/format.err" || STATUS=$?
 if [ "$STATUS" -eq 0 ] || [ "$STATUS" -eq 124 ]; then
-    echo "justd served a store of format epoch 0 (exit $STATUS)"
+    echo "justd served a store of format epoch 1 (exit $STATUS)"
     exit 1
 fi
-grep -q "epoch 0" "$SMOKE_DIR/format.err" && grep -q "epoch 1" "$SMOKE_DIR/format.err" || {
+grep -q "epoch 1" "$SMOKE_DIR/format.err" && grep -q "epoch 2" "$SMOKE_DIR/format.err" || {
     echo "refusal does not name both epochs:"; cat "$SMOKE_DIR/format.err"; exit 1
 }
 crash_md5 | diff "$SMOKE_DIR/format-before.md5" - || {
     echo "a refused open changed the store"; exit 1
 }
-cp "$SMOKE_DIR/FORMAT.epoch1" "$CRASH_FORMAT"
+cp "$SMOKE_DIR/FORMAT.epoch2" "$CRASH_FORMAT"
 start_justd "$CRASH_DATA" "$SMOKE_DIR/crash-port" --wal-sync per-write
 GOT=$(cli query "SELECT fid FROM crashpts" | grep -c '^[0-9][0-9]*$')
 if [ "$GOT" -ne "$ROWS" ]; then
@@ -152,7 +153,7 @@ fi
 ./target/release/just-cli --addr "$ADDR" shutdown
 wait "$JUSTD_PID"
 JUSTD_PID=""
-echo "format epoch OK: epoch 0 refused with the store untouched, $GOT/$ROWS rows after restore"
+echo "format epoch OK: epoch 1 refused with the store untouched, $GOT/$ROWS rows after restore"
 
 echo "==> concurrent-ingest crash smoke (8 writers, kill -9 mid-ingest)"
 # Eight writers insert concurrently against the sharded write path
@@ -238,7 +239,7 @@ for w in $(seq 0 7); do
 done
 for rp in "${REG_PIDS[@]}"; do wait "$rp"; done
 REG_ROWS=1200
-REG_BEFORE=$(cli query "SHOW REGIONS" | grep -c "regpts | data")
+REG_BEFORE=$(cli query "SHOW REGIONS" | grep -c "^regpts | ")
 # The mid-scan victim: ~2ms/row keeps it streaming for ~2.4s.
 REG_SCAN_OUT="$SMOKE_DIR/region-scan.out"
 ./target/release/just-cli --addr "$ADDR" --user smoke --max-rows 100000 \
@@ -247,9 +248,9 @@ REG_SCAN_PID=$!
 sleep 0.4
 cli query "SPLIT REGION regpts 0" | grep -q "split at key" \
     || { echo "SPLIT REGION did not split"; exit 1; }
-DAUGHTERS=$(cli query "SHOW REGIONS" | grep -c "regpts | data") || true
+DAUGHTERS=$(cli query "SHOW REGIONS" | grep -c "^regpts | ") || true
 if [ "$DAUGHTERS" -ne $((REG_BEFORE + 1)) ]; then
-    echo "SHOW REGIONS lists $DAUGHTERS regpts data regions after the split," \
+    echo "SHOW REGIONS lists $DAUGHTERS regpts regions after the split," \
         "want $((REG_BEFORE + 1))"
     exit 1
 fi
@@ -265,8 +266,8 @@ for i in $(seq 1 8); do
 done
 # region index + start_key identify the map; counters churn, so compare
 # only those columns across the restart.
-cli query "SHOW REGIONS" | grep "regpts | data" \
-    | awk -F'|' '{print $3 $4}' >"$SMOKE_DIR/region-map-want"
+cli query "SHOW REGIONS" | grep "^regpts | " \
+    | awk -F'|' '{print $2 $3}' >"$SMOKE_DIR/region-map-want"
 kill -9 "$JUSTD_PID"
 wait "$JUSTD_PID" 2>/dev/null || true
 JUSTD_PID=""
@@ -279,8 +280,8 @@ if [ "$GOT" -ne $((REG_ROWS + 8)) ]; then
     echo "daughters lost rows across kill -9: $GOT/$((REG_ROWS + 8)) survive"
     exit 1
 fi
-cli query "SHOW REGIONS" | grep "regpts | data" \
-    | awk -F'|' '{print $3 $4}' >"$SMOKE_DIR/region-map-got"
+cli query "SHOW REGIONS" | grep "^regpts | " \
+    | awk -F'|' '{print $2 $3}' >"$SMOKE_DIR/region-map-got"
 diff "$SMOKE_DIR/region-map-want" "$SMOKE_DIR/region-map-got" || {
     echo "kill -9 restart replayed a different region map"
     exit 1
@@ -313,7 +314,7 @@ done
 [ -n "$QID" ] || { echo "runaway query never appeared in SHOW QUERIES"; exit 1; }
 cli query "SHOW QUERIES" | grep -q "sleep_ms"
 # Region traffic stats are visible and namespaced to this user.
-cli query "SHOW REGIONS" | grep -q "obspts | data"
+cli query "SHOW REGIONS" | grep -q "^obspts | "
 # KILL QUERY actually stops it: the client gets a typed CANCELLED error
 # (carrying the server's request id), well before the scan would finish.
 cli query "KILL QUERY $QID" | grep -q "kill requested for query $QID"

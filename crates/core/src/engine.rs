@@ -178,30 +178,27 @@ impl Engine {
         just_obs::events::global()
     }
 
-    /// `SPLIT REGION`: online split of region `region` of `name`'s row
-    /// store (the `__data` kv table). Returns the split key, or `None`
-    /// when the region is too small to split. Writes and scans keep
-    /// flowing throughout; see `just_kvstore::Table::split_region`.
+    /// `SPLIT REGION`: online split of region `region` of `name`'s kv
+    /// table (its one keyspace: rows, spatial index, id map). Returns the
+    /// split key, or `None` when the region is too small to split. Writes
+    /// and scans keep flowing throughout; see
+    /// `just_kvstore::Table::split_region`.
     pub fn split_region(&self, name: &str, region: usize) -> Result<Option<Vec<u8>>> {
-        self.table(name)?; // ensure the kv tables are open
-        let data = format!("{name}__data");
-        let t = self
-            .store
-            .get_table(&data)
-            .ok_or_else(|| CoreError::Catalog(format!("no such table '{name}'")))?;
-        Ok(t.split_region(region)?)
+        Ok(self.kv_table(name)?.split_region(region)?)
     }
 
     /// `MERGE REGIONS`: merges regions `first` and `first + 1` of
-    /// `name`'s row store back into one.
+    /// `name`'s kv table back into one.
     pub fn merge_regions(&self, name: &str, first: usize) -> Result<()> {
+        Ok(self.kv_table(name)?.merge_regions(first)?)
+    }
+
+    /// The kv table behind `name`, opening the table if it is not yet.
+    fn kv_table(&self, name: &str) -> Result<Arc<just_kvstore::Table>> {
         self.table(name)?;
-        let data = format!("{name}__data");
-        let t = self
-            .store
-            .get_table(&data)
-            .ok_or_else(|| CoreError::Catalog(format!("no such table '{name}'")))?;
-        Ok(t.merge_regions(first)?)
+        self.store
+            .get_table(name)
+            .ok_or_else(|| CoreError::Catalog(format!("no such table '{name}'")))
     }
 
     // ------------------------------------------------------------------
@@ -282,13 +279,9 @@ impl Engine {
 
     /// `DROP TABLE`.
     pub fn drop_table(&self, name: &str) -> Result<()> {
-        let def = self.catalog.write().unregister(name)?;
+        self.catalog.write().unregister(name)?;
         self.tables.write().remove(name);
-        self.store.drop_table(&format!("{name}__data"))?;
-        // Side tables exist depending on configuration; remove if present.
-        self.store.drop_table(&format!("{name}__sdata")).ok();
-        self.store.drop_table(&format!("{name}__ids")).ok();
-        let _ = def;
+        self.store.drop_table(name)?;
         Ok(())
     }
 
@@ -343,8 +336,8 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// `INSERT INTO`: appends (or updates, by primary key) rows, as one
-    /// [`StTable::insert_batch`] — one write per backing kv table. A row
-    /// the table refuses fails the statement with nothing written.
+    /// [`StTable::insert_batch`] — one write to the table's kv table. A
+    /// row the table refuses fails the statement with nothing written.
     pub fn insert(&self, table: &str, rows: &[Row]) -> Result<usize> {
         self.table(table)?.insert_batch(rows)?;
         Ok(rows.len())
@@ -735,6 +728,54 @@ mod tests {
                 std::fs::copy(entry.path(), &to).unwrap();
             }
         }
+    }
+
+    /// Every file under `dir` with its bytes.
+    fn files(dir: &Path, out: &mut std::collections::BTreeMap<PathBuf, Vec<u8>>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                files(&path, out);
+            } else {
+                out.insert(path.clone(), std::fs::read(&path).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn one_kv_table_per_table_and_an_epoch_1_data_dir_is_refused_untouched() {
+        let (e, dir) = engine("epoch");
+        e.create_table("orders", order_schema(), None, None)
+            .unwrap();
+        e.create_plugin_table("traj", "trajectory", None, None)
+            .unwrap();
+        e.insert("orders", &[order_row(1, 116.0, 39.0, 0)]).unwrap();
+        e.flush_all().unwrap();
+        drop(e);
+        let data = dir.join("data");
+        let mut kv_tables: Vec<String> = std::fs::read_dir(&data)
+            .unwrap()
+            .map(|entry| entry.unwrap())
+            .filter(|entry| entry.file_type().unwrap().is_dir())
+            .map(|entry| entry.file_name().to_string_lossy().into_owned())
+            .collect();
+        kv_tables.sort();
+        assert_eq!(kv_tables, ["orders", "traj"]);
+
+        // Epoch 1 kept three kv tables per table: refused, not migrated.
+        std::fs::write(data.join("FORMAT"), "just-kvstore format 1\n").unwrap();
+        let (mut before, mut after) = Default::default();
+        files(&dir, &mut before);
+        match Engine::open(&dir, EngineConfig::default()) {
+            Err(CoreError::Kv(just_kvstore::KvError::Format { found, expected })) => {
+                assert!(found.contains("epoch 1"), "{found}");
+                assert_eq!(expected, "epoch 2");
+            }
+            other => panic!("want KvError::Format, got {other:?}"),
+        }
+        files(&dir, &mut after);
+        assert!(before == after, "a refused open changed the data dir");
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -149,28 +149,19 @@ impl Session {
     }
 
     /// `SHOW REGIONS`: per-region size and traffic stats for this user's
-    /// tables only, as `(table, store, stats)` — `table` is the logical
-    /// name (namespace prefix stripped, other users filtered out) and
-    /// `store` is the kv sub-table the region belongs to (`data` for row
-    /// payloads, `ids` for the multi-index id map).
-    pub fn region_stats(&self) -> Vec<(String, String, just_kvstore::RegionStats)> {
+    /// tables only, as `(table, stats)` — `table` is the logical name
+    /// (namespace prefix stripped, other users filtered out).
+    pub fn region_stats(&self) -> Vec<(String, just_kvstore::RegionStats)> {
         self.engine
             .region_stats()
             .into_iter()
-            .filter_map(|(physical, stats)| {
-                let logical = self.logical(&physical)?;
-                let (table, store) = logical
-                    .rsplit_once("__")
-                    .map(|(t, s)| (t.to_string(), s.to_string()))
-                    .unwrap_or((logical, String::new()));
-                Some((table, store, stats))
-            })
+            .filter_map(|(physical, stats)| Some((self.logical(&physical)?, stats)))
             .collect()
     }
 
     /// `SPLIT REGION <table> <region>`: online split of one region of
-    /// this user's table (row store). Returns the chosen split key, or
-    /// `None` when the region is too small.
+    /// this user's table. Returns the chosen split key, or `None` when
+    /// the region is too small.
     pub fn split_region(&self, table: &str, region: usize) -> Result<Option<Vec<u8>>> {
         self.engine.split_region(&self.physical(table), region)
     }

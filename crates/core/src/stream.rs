@@ -5,7 +5,7 @@
 //! A [`StreamIngestor`] is the consumer side of such a pipeline: records
 //! arrive one at a time (from a socket, a message queue, a GPS gateway),
 //! are micro-batched, and each micro-batch lands in an indexed table as
-//! one [`Engine::insert`] — one write batch per backing kv table, no
+//! one [`Engine::insert`] — one write batch to the table's kv table, no
 //! index rebuild, which is exactly why JUST can absorb streams.
 
 use crate::engine::Engine;

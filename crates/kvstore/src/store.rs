@@ -24,9 +24,13 @@ use std::sync::Arc;
 /// 41-byte `JSSTBL03` footer (bloom filter, codec, `seq_limit`) over
 /// prefix-compressed, restart-indexed blocks; WAL records that all
 /// carry a commit sequence (ops 3/4); per-table `REGIONS` manifests
-/// headed `just-regions v1`. Changing any of them bumps this constant;
-/// a store of another epoch is refused, never migrated in place.
-const FORMAT_EPOCH: u32 = 1;
+/// headed `just-regions v1`. Epoch 2 keeps all of that and also fixes
+/// the key layout the storage layer writes: one kv table per JustQL
+/// table, every key `[salt][family][rest]` with families data, spatial,
+/// ids and meta, where epoch 1 kept three kv tables per JustQL table.
+/// Changing any of them bumps this constant; a store of another epoch
+/// is refused, never migrated in place.
+const FORMAT_EPOCH: u32 = 2;
 /// The epoch file's name in the store root.
 const FORMAT_FILE: &str = "FORMAT";
 /// What the file's one line says before the epoch number.

@@ -747,11 +747,6 @@ impl Table {
         self.regions().iter().map(|r| r.disk_size()).sum()
     }
 
-    /// Approximate entry count across regions.
-    pub fn approx_entries(&self) -> u64 {
-        self.regions().iter().map(|r| r.approx_entries()).sum()
-    }
-
     /// Point-in-time size and traffic stats for every region, in map
     /// (= key) order.
     pub fn region_stats(&self) -> Vec<RegionStats> {

@@ -8,7 +8,7 @@ use just_kvstore::{KvError, Store, StoreOptions};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-const EPOCH_1: &str = "just-kvstore format 1\n";
+const EPOCH_2: &str = "just-kvstore format 2\n";
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -68,7 +68,7 @@ fn fresh_store_writes_format_and_reopens() {
     let dir = store_with_table("fresh");
     assert_eq!(
         std::fs::read_to_string(dir.join("FORMAT")).unwrap(),
-        EPOCH_1
+        EPOCH_2
     );
     let store = Store::open(&dir, StoreOptions::default()).unwrap();
     let t = store.open_table("t", 1).unwrap();
@@ -77,7 +77,7 @@ fn fresh_store_writes_format_and_reopens() {
     drop(store);
     assert_eq!(
         std::fs::read_to_string(dir.join("FORMAT")).unwrap(),
-        EPOCH_1
+        EPOCH_2
     );
     std::fs::remove_dir_all(dir).ok();
 }
@@ -94,7 +94,7 @@ fn leftover_format_tmp_from_a_crash_opens() {
     drop(store);
     assert_eq!(
         std::fs::read_to_string(dir.join("FORMAT")).unwrap(),
-        EPOCH_1
+        EPOCH_2
     );
     assert!(!dir.join("FORMAT.tmp").exists());
     Store::open(&dir, StoreOptions::default()).unwrap();
@@ -113,9 +113,9 @@ fn other_epochs_and_missing_or_hostile_format_are_refused() {
             "epoch 0",
         ),
         (
-            "epoch 2",
-            Some(b"just-kvstore format 2\n".to_vec()),
-            "epoch 2",
+            "epoch 3",
+            Some(b"just-kvstore format 3\n".to_vec()),
+            "epoch 3",
         ),
         (
             "garbage",
@@ -131,10 +131,25 @@ fn other_epochs_and_missing_or_hostile_format_are_refused() {
         }
         let (found, expected) = refused(&dir);
         assert!(found.contains(named), "{what}: found {found:?}");
-        assert_eq!(expected, "epoch 1", "{what}");
+        assert_eq!(expected, "epoch 2", "{what}");
     }
-    std::fs::write(&format, EPOCH_1).unwrap();
+    std::fs::write(&format, EPOCH_2).unwrap();
     Store::open(&dir, StoreOptions::default()).unwrap();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_closed_store_stamped_epoch_1_is_refused_on_reopen() {
+    // Epoch 1 differs from epoch 2 only in the storage layer's key
+    // layout, which no kvstore byte records: the stamp is all that
+    // tells the two apart, so the stamp alone must refuse it.
+    let dir = store_with_table("epoch-1");
+    std::fs::write(dir.join("FORMAT"), b"just-kvstore format 1\n").unwrap();
+    let before = tree(&dir);
+    let (found, expected) = refused(&dir);
+    assert!(found.contains("epoch 1"), "{found}");
+    assert_eq!(expected, "epoch 2");
+    assert!(tree(&dir) == before, "a refused reopen changed the store");
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -170,12 +185,12 @@ fn refusal_touches_nothing() {
 
     let before = tree(&dir);
     let (found, expected) = refused(&dir);
-    assert!(found.contains("epoch 0") && expected == "epoch 1");
+    assert!(found.contains("epoch 0") && expected == "epoch 2");
     assert!(tree(&dir) == before, "a refused open changed the store");
 
     // With the epoch restored the store opens, and the region holding
     // the `JSSTBL02` file refuses it in turn, still touching nothing.
-    std::fs::write(dir.join("FORMAT"), EPOCH_1).unwrap();
+    std::fs::write(dir.join("FORMAT"), EPOCH_2).unwrap();
     let before = tree(&dir);
     let store = Store::open(&dir, StoreOptions::default()).unwrap();
     match store.open_table("t", 1) {

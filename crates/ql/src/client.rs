@@ -487,7 +487,6 @@ fn show_queries(session: &Session) -> Dataset {
 fn show_regions(session: &Session) -> Dataset {
     let columns = vec![
         "table".into(),
-        "store".into(),
         "region".into(),
         "start_key".into(),
         "entries".into(),
@@ -509,11 +508,10 @@ fn show_regions(session: &Session) -> Dataset {
     let rows = session
         .region_stats()
         .into_iter()
-        .map(|(table, store, s)| {
+        .map(|(table, s)| {
             let start_key: String = s.start_key.iter().map(|b| format!("{b:02x}")).collect();
             Row::new(vec![
                 Value::Str(table),
-                Value::Str(store),
                 Value::Int(s.index as i64),
                 Value::Str(start_key),
                 Value::Int(s.entries as i64),

@@ -436,9 +436,16 @@ fn show_queries_and_kill_work_over_the_wire() {
     let err = scanner.join().unwrap().expect_err("scan must die");
     assert_eq!(err.code(), "CANCELLED");
 
-    // SHOW REGIONS works remotely and stays namespaced.
+    // SHOW REGIONS works remotely and stays namespaced: `pts`'s regions,
+    // keyed by table and region alone.
     let r = ops.execute("SHOW REGIONS").unwrap();
-    assert!(!r.dataset().unwrap().rows.is_empty());
+    let r = r.dataset().unwrap();
+    assert_eq!(r.columns[..2], ["table", "region"]);
+    assert!(!r.rows.is_empty());
+    assert!(r
+        .rows
+        .iter()
+        .all(|row| row.values[0].as_str() == Some("pts")));
 
     handle.join();
     std::fs::remove_dir_all(dir).ok();

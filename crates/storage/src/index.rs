@@ -1,22 +1,43 @@
 //! Index strategies: from records to byte keys, and from query windows to
-//! byte-key scan ranges.
+//! byte-key scan ranges. This is the one module that knows how a table's
+//! keyspace is laid out.
 //!
-//! Key layouts (all integers big-endian so byte order = numeric order):
+//! A table is one kv table. Every key in it is `[salt u8][family u8]
+//! [rest]`, and each index of the table is one family (all integers
+//! big-endian so byte order = numeric order):
 //!
 //! ```text
-//! Z2 / XZ2    : [shard u8][code u64][fid bytes]
-//! Z3 / XZ3   /
-//! Z2T / XZ2T  : [shard u8][period u32 (sign-flipped)][code u64][fid bytes]
+//! family     index         key                                         value
+//! 0 data     Z2 / XZ2      [salt][0][code u64][fid]                    row
+//!            Z3 / XZ3 /
+//!            Z2T / XZ2T    [salt][0][period u32 (sign-flipped)][code u64][fid]
+//!                                                                      row
+//!            Id            [salt][0][fid]                              row
+//! 1 spatial  Z2 / XZ2      [salt][1][code u64][fid]                    row
+//! 2 ids                    [salt][2][fid]                              data key
+//! 3 meta     time bounds   [0][3]"tb"                                  t_min, t_max
 //! ```
 //!
-//! The shard byte reproduces GeoMesa's salted-key load balancing: records
-//! spread over `shards` buckets (= region servers), and every logical
-//! curve range fans out into one byte range per shard.
+//! The salt reproduces GeoMesa's salted-key load balancing: it is FNV-1a
+//! of the record id modulo `shards`, so records spread over `shards`
+//! buckets (= region servers), every logical curve range fans out into
+//! one byte range per salt, and a row's data, spatial and id entries
+//! share a salt — under the default region map, one region.
 
 use crate::sttable::RecordMeta;
 use just_curves::xz3::StMbr;
 use just_curves::{RangeOptions, TimePeriod, Xz2, Xz2t, Xz3, Z2t, Z2, Z3};
 use just_geo::Rect;
+
+/// Family bytes: which of the table's indexes a key belongs to.
+const DATA: u8 = 0;
+const SPATIAL: u8 = 1;
+const IDS: u8 = 2;
+const META: u8 = 3;
+
+/// The key of the table's persisted `[min t_min, max t_max]` (two
+/// little-endian `i64`s).
+pub(crate) const TIME_BOUNDS_KEY: &[u8] = &[0, META, b't', b'b'];
 
 /// Which index to build — the `geomesa.indices.enabled` hint of the
 /// paper's `USERDATA` example.
@@ -36,7 +57,7 @@ pub enum IndexKind {
     Xz2t,
     /// Record-id (attribute) index for non-spatial tables — the
     /// "Attribute Indexing" box of the paper's Figure 1. Keys carry only
-    /// the shard and the record id; queries scan.
+    /// the salt, the family and the record id; queries scan.
     Id,
 }
 
@@ -103,12 +124,14 @@ pub struct ShardedPlan {
     pub curve_ranges: usize,
 }
 
-/// A fully configured index: kind + period + resolution + sharding.
+/// A fully configured index: kind + period + resolution + sharding, and
+/// the key family it writes and plans.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexStrategy {
     kind: IndexKind,
     period: TimePeriod,
     shards: u8,
+    family: u8,
 }
 
 /// Maximum record-id length embeddable in keys; bounded so range end keys
@@ -117,12 +140,22 @@ pub(crate) const MAX_FID_BYTES: usize = 48;
 const END_PAD: [u8; 64] = [0xff; 64];
 
 impl IndexStrategy {
-    /// Creates a strategy. `shards` must be at least 1.
+    /// Creates a table's primary index, over the data family. `shards`
+    /// must be at least 1.
     pub fn new(kind: IndexKind, period: TimePeriod, shards: u8) -> Self {
         IndexStrategy {
             kind,
             period,
             shards: shards.max(1),
+            family: DATA,
+        }
+    }
+
+    /// Creates a table's secondary index, over the spatial family.
+    pub(crate) fn secondary(kind: IndexKind, period: TimePeriod, shards: u8) -> Self {
+        IndexStrategy {
+            family: SPATIAL,
+            ..Self::new(kind, period, shards)
         }
     }
 
@@ -159,19 +192,48 @@ impl IndexStrategy {
     /// Builds the storage key for a record. Spatial kinds require the
     /// record to carry a geometry.
     pub fn key(&self, meta: &RecordMeta) -> Vec<u8> {
-        if self.kind == IndexKind::Id {
-            let mut key = Vec::with_capacity(1 + meta.fid.len());
-            key.push(self.shard_of(&meta.fid));
-            key.extend_from_slice(&meta.fid);
-            return key;
+        let mut key = Vec::with_capacity(14 + meta.fid.len());
+        key.extend_from_slice(&[self.shard_of(&meta.fid), self.family]);
+        if self.kind != IndexKind::Id {
+            let (period, code) = self.cell(meta);
+            if let Some(p) = period {
+                key.extend_from_slice(&Self::period_bytes(p));
+            }
+            key.extend_from_slice(&code.to_be_bytes());
         }
+        key.extend_from_slice(&meta.fid);
+        key
+    }
+
+    /// The id-family key mapping a record id to its data key.
+    pub(crate) fn id_key(&self, fid: &[u8]) -> Vec<u8> {
+        let mut key = Vec::with_capacity(2 + fid.len());
+        key.extend_from_slice(&[self.shard_of(fid), IDS]);
+        key.extend_from_slice(fid);
+        key
+    }
+
+    /// One range per salt over this strategy's whole family.
+    pub(crate) fn family_ranges(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+        (0..self.shards)
+            .map(|salt| {
+                let start = vec![salt, self.family];
+                let mut end = start.clone();
+                end.extend_from_slice(&END_PAD);
+                (start, end)
+            })
+            .collect()
+    }
+
+    /// The record's time period (temporal kinds) and curve code.
+    fn cell(&self, meta: &RecordMeta) -> (Option<i32>, u64) {
         let geom = meta
             .geom
             .as_ref()
             .expect("spatial index over a record without geometry");
         let mbr = geom.mbr();
         let rep = geom.representative_point();
-        let (period, code): (Option<i32>, u64) = match self.kind {
+        match self.kind {
             IndexKind::Z2 => (None, Z2::default().index(rep.x, rep.y)),
             IndexKind::Xz2 => (None, Xz2::default().index(&mbr)),
             IndexKind::Z3 => {
@@ -191,16 +253,8 @@ impl IndexStrategy {
                 let (p, c) = Xz2t::new(self.period).index(&StMbr::new(mbr, meta.t_min, meta.t_max));
                 (Some(p), c)
             }
-            IndexKind::Id => unreachable!("handled above"),
-        };
-        let mut key = Vec::with_capacity(13 + meta.fid.len());
-        key.push(self.shard_of(&meta.fid));
-        if let Some(p) = period {
-            key.extend_from_slice(&Self::period_bytes(p));
+            IndexKind::Id => unreachable!("id keys carry no curve code"),
         }
-        key.extend_from_slice(&code.to_be_bytes());
-        key.extend_from_slice(&meta.fid);
-        key
     }
 
     /// Plans the byte-key scan ranges for a query window. `spatial` =
@@ -215,21 +269,14 @@ impl IndexStrategy {
         let (t_min, t_max) = time.unwrap_or((-FIFTY_YEARS_MS, FIFTY_YEARS_MS));
 
         if self.kind == IndexKind::Id {
-            // One full-shard scan per shard; filtering happens on decode.
-            let mut ranges = Vec::with_capacity(self.shards as usize);
-            for shard in 0..self.shards {
-                let start = vec![shard];
-                let mut end = vec![shard];
-                end.extend_from_slice(&END_PAD);
-                ranges.push((start, end));
-            }
+            // The whole family, salt by salt; filtering happens on decode.
             return ShardedPlan {
-                ranges,
+                ranges: self.family_ranges(),
                 curve_ranges: 1,
             };
         }
         // One range budget per query; every curve range then fans out
-        // into one byte range per shard.
+        // into one byte range per salt.
         let opts = RangeOptions::default();
         let mut curve: Vec<(Option<i32>, u64, u64)> = Vec::new();
         match self.kind {
@@ -267,12 +314,12 @@ impl IndexStrategy {
         }
 
         let mut ranges = Vec::with_capacity(curve.len() * self.shards as usize);
-        for shard in 0..self.shards {
+        for salt in 0..self.shards {
             for (period, lo, hi) in &curve {
-                let mut start = Vec::with_capacity(13);
-                let mut end = Vec::with_capacity(13 + END_PAD.len());
-                start.push(shard);
-                end.push(shard);
+                let mut start = Vec::with_capacity(14);
+                let mut end = Vec::with_capacity(14 + END_PAD.len());
+                start.extend_from_slice(&[salt, self.family]);
+                end.extend_from_slice(&[salt, self.family]);
                 if let Some(p) = period {
                     let pb = Self::period_bytes(*p);
                     start.extend_from_slice(&pb);
@@ -389,6 +436,32 @@ mod tests {
             assert_eq!(idx.key(&m)[0], key[0]);
         }
         assert!(seen.len() >= 4, "poor shard spread: {seen:?}");
+    }
+
+    #[test]
+    fn a_records_families_share_its_salt_and_plans_stay_in_their_family() {
+        let primary = IndexStrategy::new(IndexKind::Z2t, TimePeriod::Day, 4);
+        let secondary = IndexStrategy::secondary(IndexKind::Z2, TimePeriod::Day, 4);
+        let m = meta("traj-7", 116.4, 39.9, 5 * HOUR_MS);
+        let (data, spatial, id) = (primary.key(&m), secondary.key(&m), primary.id_key(&m.fid));
+        assert!(spatial[0] == data[0] && id[0] == data[0], "one salt");
+        assert_eq!((data[1], spatial[1], id[1]), (DATA, SPATIAL, IDS));
+        let window = Rect::new(116.3, 39.8, 116.5, 40.0);
+        let plans = [
+            (primary.plan(Some(&window), Some((0, DAY_MS))), &data),
+            (secondary.plan(Some(&window), None), &spatial),
+        ];
+        for (plan, own) in plans {
+            assert!(covered(&plan, own));
+            for other in [&data, &spatial, &id, &TIME_BOUNDS_KEY.to_vec()] {
+                assert_eq!(covered(&plan, other), other == own, "{other:?}");
+            }
+        }
+        let all = ShardedPlan {
+            ranges: primary.family_ranges(),
+            curve_ranges: 1,
+        };
+        assert!(covered(&all, &data) && !covered(&all, &spatial) && !covered(&all, &id));
     }
 
     #[test]

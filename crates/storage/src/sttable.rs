@@ -1,7 +1,7 @@
 //! Indexed spatio-temporal tables: the write and read paths that tie
 //! schemas, curves and the key-value store together.
 
-use crate::index::{IndexKind, IndexStrategy, MAX_FID_BYTES};
+use crate::index::{IndexKind, IndexStrategy, MAX_FID_BYTES, TIME_BOUNDS_KEY};
 use crate::row::Row;
 use crate::schema::{FieldType, Schema};
 use crate::value::Value;
@@ -104,22 +104,19 @@ pub struct StTable {
     name: String,
     schema: Schema,
     strategy: IndexStrategy,
-    data: Arc<KvTable>,
     /// Secondary spatial-only index (Table III: Traj stores "XZ2 on MBR"
     /// *and* "XZ2T on MBR and Timestart"). Present when the primary index
     /// is temporal; spatial-only queries (and k-NN expansion) use it so
     /// they never fan out across time periods.
-    spatial: Option<(IndexStrategy, Arc<KvTable>)>,
-    ids: Arc<KvTable>,
+    spatial: Option<IndexStrategy>,
+    /// The table's one kv table: data, secondary index, id map and time
+    /// bounds are key families in it (layout in the `index` module).
+    kv: Arc<KvTable>,
     /// Observed `[min t_min, max t_max]` over all inserts, persisted under
-    /// a reserved key so open-time-window queries on temporal indexes only
-    /// plan the periods that can hold data (instead of ±50 years).
+    /// the meta family so open-time-window queries on temporal indexes
+    /// only plan the periods that can hold data (instead of ±50 years).
     time_bounds: just_obs::sync::Mutex<Option<(i64, i64)>>,
 }
-
-/// Reserved key for the persisted time bounds. Shard bytes are always
-/// `< shards <= 255`, so the `0xff` prefix never collides with data.
-const TIME_BOUNDS_KEY: &[u8] = &[0xff, b't', b'b'];
 
 impl std::fmt::Debug for StTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -219,21 +216,16 @@ fn row_extent<'r>(schema: &Schema, row: &'r Row) -> Result<(Option<Cow<'r, Geome
 }
 
 impl StTable {
-    /// Creates the backing key-value tables and the index binding.
+    /// Creates the backing key-value table, named `name`, and the index
+    /// binding.
     pub fn create(
         store: &Store,
         name: &str,
         schema: Schema,
         config: StorageConfig,
     ) -> Result<StTable> {
-        let data = store.create_table(&format!("{name}__data"), config.regions)?;
-        let ids = store.create_table(&format!("{name}__ids"), config.regions)?;
-        let sdata = if Self::decide_kind(&schema, &config).is_temporal() {
-            Some(store.create_table(&format!("{name}__sdata"), config.regions)?)
-        } else {
-            None
-        };
-        Ok(Self::bind(name, schema, config, data, sdata, ids))
+        let kv = store.create_table(name, config.regions)?;
+        Ok(Self::bind(name, schema, config, kv))
     }
 
     /// Reopens a previously created table.
@@ -243,14 +235,8 @@ impl StTable {
         schema: Schema,
         config: StorageConfig,
     ) -> Result<StTable> {
-        let data = store.open_table(&format!("{name}__data"), config.regions)?;
-        let ids = store.open_table(&format!("{name}__ids"), config.regions)?;
-        let sdata = if Self::decide_kind(&schema, &config).is_temporal() {
-            Some(store.open_table(&format!("{name}__sdata"), config.regions)?)
-        } else {
-            None
-        };
-        Ok(Self::bind(name, schema, config, data, sdata, ids))
+        let kv = store.open_table(name, config.regions)?;
+        Ok(Self::bind(name, schema, config, kv))
     }
 
     /// The index kind a schema+config resolves to.
@@ -272,32 +258,22 @@ impl StTable {
             .unwrap_or_else(|| IndexKind::default_for(point_data, temporal))
     }
 
-    fn bind(
-        name: &str,
-        schema: Schema,
-        config: StorageConfig,
-        data: Arc<KvTable>,
-        sdata: Option<Arc<KvTable>>,
-        ids: Arc<KvTable>,
-    ) -> StTable {
+    fn bind(name: &str, schema: Schema, config: StorageConfig, kv: Arc<KvTable>) -> StTable {
         let point_data = schema
             .geom_index()
             .map(|i| schema.fields()[i].ty == FieldType::Point)
             .unwrap_or(true);
         let kind = Self::decide_kind(&schema, &config);
         let strategy = IndexStrategy::new(kind, config.period, config.shards);
-        let spatial = sdata.map(|table| {
+        let spatial = kind.is_temporal().then(|| {
             let skind = if point_data {
                 IndexKind::Z2
             } else {
                 IndexKind::Xz2
             };
-            (
-                IndexStrategy::new(skind, config.period, config.shards),
-                table,
-            )
+            IndexStrategy::secondary(skind, config.period, config.shards)
         });
-        let time_bounds = data.get(TIME_BOUNDS_KEY).ok().flatten().and_then(|v| {
+        let time_bounds = kv.get(TIME_BOUNDS_KEY).ok().flatten().and_then(|v| {
             let lo = i64::from_le_bytes(v.get(0..8)?.try_into().ok()?);
             let hi = i64::from_le_bytes(v.get(8..16)?.try_into().ok()?);
             Some((lo, hi))
@@ -306,9 +282,8 @@ impl StTable {
             name: name.to_string(),
             schema,
             strategy,
-            data,
             spatial,
-            ids,
+            kv,
             time_bounds: just_obs::sync::Mutex::new(time_bounds),
         }
     }
@@ -329,7 +304,7 @@ impl StTable {
         let mut value = Vec::with_capacity(16);
         value.extend_from_slice(&widened.0.to_le_bytes());
         value.extend_from_slice(&widened.1.to_le_bytes());
-        self.data.put(TIME_BOUNDS_KEY.to_vec(), value)?;
+        self.kv.put(TIME_BOUNDS_KEY.to_vec(), value)?;
         Ok(())
     }
 
@@ -364,19 +339,21 @@ impl StTable {
 
     /// Inserts `rows` with the effect of inserting them one by one, in
     /// order — a repeated id supersedes its earlier row in the batch as a
-    /// later [`StTable::insert`] would — as one write per backing table.
+    /// later [`StTable::insert`] would — as one write.
     ///
     /// Every row's id, keys and encoding are computed before anything is
     /// written, so a row the table refuses fails the whole batch with
-    /// nothing written. Then the time bounds widen once, and the id map,
-    /// the secondary spatial index and the data table each take one
-    /// [`just_kvstore::Table::write_batch`], in that order (the per-row
-    /// order of a single insert). A crash between those writes can leave
-    /// id entries whose data never landed: reads treat such an id as
-    /// absent, and re-running the statement heals it.
+    /// nothing written. Then the time bounds widen once, and every row's
+    /// id, spatial and data entries, with the deletes of the versions
+    /// they supersede, go to the table's one kv table as one
+    /// [`just_kvstore::Table::write_batch`]: one batch per region the
+    /// rows' salts route to, one region under the default map. The
+    /// batch is not atomic: a crash part-way can leave part of it
+    /// written. An id entry whose data never landed reads as absent, and
+    /// re-running the statement completes it.
     pub fn insert_batch(&self, rows: &[Row]) -> Result<()> {
         struct Staged {
-            fid: Vec<u8>,
+            id: Vec<u8>,
             key: Vec<u8>,
             skey: Option<Vec<u8>>,
             value: Vec<u8>,
@@ -387,131 +364,126 @@ impl StTable {
             let meta = self.meta_of(row)?;
             (t_min, t_max) = (t_min.min(meta.t_min), t_max.max(meta.t_max));
             staged.push(Staged {
+                id: self.strategy.id_key(&meta.fid),
                 key: self.strategy.key(&meta),
-                skey: self.spatial.as_ref().map(|(st, _)| st.key(&meta)),
+                skey: self.spatial.map(|st| st.key(&meta)),
                 value: row.encode(&self.schema)?,
-                fid: meta.fid,
             });
         }
         if staged.is_empty() {
             return Ok(());
         }
+        // Not part of the batch: two racing statements could then persist
+        // a narrower bound than the one memory holds.
         self.widen_time_bounds(t_min, t_max)?;
         // Per row, the version it supersedes when that sits under other
         // keys: the batch's earlier row with its id, else the stored one.
         let mut superseded = Vec::with_capacity(staged.len());
         let mut latest: HashMap<&[u8], &Staged> = HashMap::with_capacity(staged.len());
         for row in &staged {
-            let earlier = latest.insert(&row.fid, row);
+            let earlier = latest.insert(&row.id, row);
             let old_key = match earlier {
                 Some(e) => Some(e.key.clone()),
-                None => self.ids.get(&row.fid)?,
+                None => self.kv.get(&row.id)?,
             };
             let Some(old_key) = old_key.filter(|k| *k != row.key) else {
                 superseded.push(None);
                 continue;
             };
-            let old_skey = match (&self.spatial, earlier) {
-                (None, _) => None,
-                (Some(_), Some(e)) => e.skey.clone(),
-                (Some((sst, _)), None) => match self.data.get(&old_key)? {
-                    Some(bytes) => {
-                        let old_row = Row::decode(&self.schema, &bytes)?;
-                        Some(sst.key(&self.meta_of(&old_row)?))
-                    }
-                    None => None,
-                },
+            let old_skey = match earlier {
+                Some(e) => e.skey.clone(),
+                None => self.stored_spatial_key(&old_key)?,
             };
             superseded.push(Some((old_key, old_skey)));
         }
         drop(latest);
-        let n = staged.len();
-        let (mut ids, mut sdata, mut data) = (
-            Vec::with_capacity(n),
-            Vec::with_capacity(if self.spatial.is_some() { n } else { 0 }),
-            Vec::with_capacity(n),
-        );
+        let per_row = if self.spatial.is_some() { 3 } else { 2 };
+        let mut ops = Vec::with_capacity(per_row * staged.len());
         for (row, old) in staged.into_iter().zip(superseded) {
             // Remove the superseded version from both indexes.
             if let Some((old_key, old_skey)) = old {
-                sdata.extend(old_skey.map(|k| (k, None)));
-                data.push((old_key, None));
+                ops.extend(old_skey.map(|k| (k, None)));
+                ops.push((old_key, None));
             }
-            ids.push((row.fid, Some(row.key.clone())));
+            ops.push((row.id, Some(row.key.clone())));
             if let Some(skey) = row.skey {
-                sdata.push((skey, Some(row.value.clone())));
+                ops.push((skey, Some(row.value.clone())));
             }
-            data.push((row.key, Some(row.value)));
+            ops.push((row.key, Some(row.value)));
         }
-        self.ids.write_batch(ids)?;
-        if let Some((_, stable)) = &self.spatial {
-            stable.write_batch(sdata)?;
-        }
-        self.data.write_batch(data)?;
+        self.kv.write_batch(ops)?;
         Ok(())
     }
 
-    /// Deletes a record by id. Returns whether it existed.
+    /// The secondary-index key of the row stored under data key `key`:
+    /// `None` without a secondary index or without the row.
+    fn stored_spatial_key(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        let Some(sst) = &self.spatial else {
+            return Ok(None);
+        };
+        let Some(bytes) = self.kv.get(key)? else {
+            return Ok(None);
+        };
+        let row = Row::decode(&self.schema, &bytes)?;
+        Ok(Some(sst.key(&self.meta_of(&row)?)))
+    }
+
+    /// Deletes a record by id, its entries in every family as one write.
+    /// Returns whether it existed.
     pub fn delete(&self, fid: &Value) -> Result<bool> {
-        let fid = fid_bytes(fid)?;
-        match self.ids.get(&fid)? {
-            Some(key) => {
-                if let Some((sst, stable)) = &self.spatial {
-                    if let Some(bytes) = self.data.get(&key)? {
-                        let old_row = Row::decode(&self.schema, &bytes)?;
-                        let old_meta = self.meta_of(&old_row)?;
-                        stable.delete(sst.key(&old_meta))?;
-                    }
-                }
-                self.data.delete(key)?;
-                self.ids.delete(fid)?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        let id = self.strategy.id_key(&fid_bytes(fid)?);
+        let Some(key) = self.kv.get(&id)? else {
+            return Ok(false);
+        };
+        let mut ops = Vec::with_capacity(3);
+        ops.extend(self.stored_spatial_key(&key)?.map(|k| (k, None)));
+        ops.push((key, None));
+        ops.push((id, None));
+        self.kv.write_batch(ops)?;
+        Ok(true)
     }
 
     /// Point lookup by id.
     pub fn get(&self, fid: &Value) -> Result<Option<Row>> {
-        let fid = fid_bytes(fid)?;
-        let Some(key) = self.ids.get(&fid)? else {
+        let id = self.strategy.id_key(&fid_bytes(fid)?);
+        let Some(key) = self.kv.get(&id)? else {
             return Ok(None);
         };
-        let Some(bytes) = self.data.get(&key)? else {
+        let Some(bytes) = self.kv.get(&key)? else {
             return Ok(None);
         };
         Ok(Some(Row::decode(&self.schema, &bytes)?))
     }
 
-    /// Chooses the physical table and key ranges for a query window:
-    /// spatial-only queries on a temporal primary go to the secondary
-    /// spatial index (Table III's dual-index setting), open time windows
-    /// on a temporal primary clamp to the observed data bounds. Records
-    /// planning metrics. `None` means the table provably holds no data
-    /// for the window (no time bounds persisted yet).
+    /// Chooses the index and key ranges for a query window: spatial-only
+    /// queries on a temporal primary go to the secondary spatial index
+    /// (Table III's dual-index setting), open time windows on a temporal
+    /// primary clamp to the observed data bounds. Records planning
+    /// metrics. No ranges when the table provably holds no data for the
+    /// window (no time bounds persisted yet).
     fn plan_scan(
         &self,
         spatial: Option<&Rect>,
         time: Option<(i64, i64)>,
-    ) -> Option<(crate::index::ShardedPlan, &Arc<KvTable>)> {
-        let (plan, scan_table) = match (time, &self.spatial) {
-            (None, Some((sst, stable))) => (sst.plan(spatial, None), stable),
+    ) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let plan = match (time, &self.spatial) {
+            (None, Some(sst)) => sst.plan(spatial, None),
             _ => {
                 let plan_time = match time {
                     Some(t) => Some(t),
                     None if self.strategy.kind().is_temporal() => match *self.time_bounds.lock() {
                         Some(bounds) => Some(bounds),
-                        None => return None,
+                        None => return Vec::new(),
                     },
                     None => None,
                 };
-                (self.strategy.plan(spatial, plan_time), &self.data)
+                self.strategy.plan(spatial, plan_time)
             }
         };
         let obs = index_obs();
         obs.ranges_generated.add(plan.ranges.len() as u64);
         obs.curve_ranges.add(plan.curve_ranges as u64);
-        Some((plan, scan_table))
+        plan.ranges
     }
 
     /// Plans a query window and scans the planned ranges lazily, one
@@ -527,11 +499,10 @@ impl StTable {
         time: Option<(i64, i64)>,
         opts: just_kvstore::ScanOptions,
     ) -> RawQueryStream {
-        let inner = match self.plan_scan(spatial, time) {
-            Some((plan, scan_table)) => scan_table.scan_ranges_stream(plan.ranges, opts),
-            None => self.data.scan_ranges_stream(Vec::new(), opts),
-        };
-        RawQueryStream { inner }
+        let ranges = self.plan_scan(spatial, time);
+        RawQueryStream {
+            inner: self.kv.scan_ranges_stream(ranges, opts),
+        }
     }
 
     /// Decodes the value of one raw entry from
@@ -585,24 +556,22 @@ impl StTable {
         projection: Option<&[usize]>,
         opts: just_kvstore::ScanOptions,
     ) -> QueryStream {
-        let inner = match self.plan_scan(spatial, time) {
-            Some((plan, scan_table)) => scan_table.scan_ranges_stream(plan.ranges, opts),
-            None => self.data.scan_ranges_stream(Vec::new(), opts),
-        };
+        let inner = self
+            .kv
+            .scan_ranges_stream(self.plan_scan(spatial, time), opts);
         self.build_stream(inner, spatial, time, predicate, projection)
     }
 
     /// Every record, decoded batch by batch (with optional projection
-    /// pushdown).
+    /// pushdown): the data family, salt by salt.
     pub fn scan_all_stream(
         &self,
         projection: Option<&[usize]>,
         opts: just_kvstore::ScanOptions,
     ) -> QueryStream {
-        // Stop short of the reserved 0xff-prefixed meta keys.
         let inner = self
-            .data
-            .scan_ranges_stream(vec![(vec![0u8], vec![0xfeu8; 80])], opts);
+            .kv
+            .scan_ranges_stream(self.strategy.family_ranges(), opts);
         self.build_stream(inner, None, None, SpatialPredicate::Intersects, projection)
     }
 
@@ -674,38 +643,17 @@ impl StTable {
 
     /// Flushes memtables to disk.
     pub fn flush(&self) -> Result<()> {
-        self.data.flush()?;
-        if let Some((_, stable)) = &self.spatial {
-            stable.flush()?;
-        }
-        self.ids.flush()?;
-        Ok(())
+        Ok(self.kv.flush()?)
     }
 
     /// Compacts the backing store.
     pub fn compact(&self) -> Result<()> {
-        self.data.compact()?;
-        if let Some((_, stable)) = &self.spatial {
-            stable.compact()?;
-        }
-        self.ids.compact()?;
-        Ok(())
+        Ok(self.kv.compact()?)
     }
 
-    /// Bytes on disk (data + id index).
+    /// Bytes on disk, every family included.
     pub fn disk_size(&self) -> u64 {
-        self.data.disk_size()
-            + self
-                .spatial
-                .as_ref()
-                .map(|(_, t)| t.disk_size())
-                .unwrap_or(0)
-            + self.ids.disk_size()
-    }
-
-    /// Approximate record count.
-    pub fn approx_entries(&self) -> u64 {
-        self.data.approx_entries()
+        self.kv.disk_size()
     }
 }
 
@@ -1121,14 +1069,13 @@ mod tests {
         let rows: Vec<Row> = (0..30)
             .map(|i| order_row(i, 116.0 + i as f64 * 0.01, 39.0, i * HOUR_MS))
             .collect();
-        // A crash between a batch's writes: the id map's batch landed,
-        // the spatial index's and the data table's did not.
+        // A crash part-way through a statement's batch: the id entries
+        // landed, the spatial and data entries did not.
         let ids = rows.iter().map(|row| {
             let meta = t.meta_of(row).unwrap();
-            let key = t.strategy.key(&meta);
-            (meta.fid, Some(key))
+            (t.strategy.id_key(&meta.fid), Some(t.strategy.key(&meta)))
         });
-        t.ids.write_batch(ids.collect()).unwrap();
+        t.kv.write_batch(ids.collect()).unwrap();
         assert_eq!(
             t.get(&Value::Int(3)).unwrap(),
             None,
