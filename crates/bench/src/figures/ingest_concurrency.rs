@@ -114,7 +114,7 @@ fn measure(tag: &str, writers: usize, rows_per_writer: usize) -> Point {
         ..StoreOptions::default()
     };
     opts.durability.sync = SyncPolicy::PerWrite;
-    opts.maintenance.enabled = false;
+    opts.maintenance.workers = 0;
     let store = Store::open(&dir, opts).expect("store");
     let table = store.create_table("ingest", 1).expect("table");
 

@@ -42,7 +42,7 @@ fn a_200_row_insert_is_one_batch_in_one_region_log() {
     let mut config = EngineConfig::default();
     let mem_shards = config.store.mem_shards as u64;
     config.store.maintenance = MaintenanceOptions {
-        enabled: false,
+        workers: 0,
         ..MaintenanceOptions::default()
     };
     let engine = Engine::open(&dir, config).unwrap();

@@ -29,9 +29,6 @@ pub enum KvError {
     /// writes are rejected until the next maintenance tick or memtable
     /// freeze rotates the segment away.
     WalPoisoned,
-    /// A backpressure-stalled writer gave up waiting for background
-    /// flushes (store shutdown, or the stall deadline elapsed).
-    Stalled(String),
     /// The write targeted a region that was sealed for an online split
     /// or merge. [`crate::Table`] retries against the freshly-swapped
     /// region map, so this surfaces only when a split or merge is
@@ -61,7 +58,6 @@ impl fmt::Display for KvError {
                     "wal poisoned by an earlier io failure; awaiting rotation"
                 )
             }
-            KvError::Stalled(why) => write!(f, "write stalled: {why}"),
             KvError::RegionSealed => {
                 write!(f, "region sealed for split/merge; re-route and retry")
             }

@@ -92,7 +92,8 @@ pub struct KvEntry {
 }
 
 /// The unit tests' one way to build store pieces below [`Store`]:
-/// WAL-less, unmanaged, uncached, 512-byte blocks.
+/// WAL-less, scheduler-less (the cap is the threshold), uncached,
+/// 512-byte blocks.
 #[cfg(test)]
 mod fixture {
     use super::*;
@@ -111,11 +112,9 @@ mod fixture {
             },
             durability: DurabilityOptions::disabled(),
             mem_shards: StoreOptions::default().mem_shards,
-            stall_bytes: 0,
-            stall_deadline: crate::region::STALL_DEADLINE,
+            stall_bytes: flush_threshold,
             shard_cap: crate::memtable::SHARD_CAP,
-            kick: None,
-            stop: None,
+            kick: Default::default(),
         }
     }
 

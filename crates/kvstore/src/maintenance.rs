@@ -3,13 +3,14 @@
 //! write path — HBase's MemStore flusher + compaction threads, scaled to
 //! one process.
 //!
-//! Writers never flush inline under a scheduler; they signal it (a
-//! [`Kick`]) when a region crosses its flush threshold and only stall
-//! when the memtable reaches the hard `stall_bytes` cap (write
-//! backpressure, like HBase's `hbase.hregion.memstore.block.multiplier`).
-//! Shutdown is cooperative: workers drain the sweep they are in, then
-//! exit; the store then force-syncs every WAL so a clean exit is durable
-//! under every sync policy.
+//! Writers signal the workers (a [`Kick`]) when a region crosses its
+//! flush threshold. A writer that finds the region at the hard
+//! `stall_bytes` cap flushes it itself before it returns (write
+//! backpressure, like HBase's `hbase.hregion.memstore.block.multiplier`,
+//! except that the parked writer runs the flush instead of waiting for
+//! a flusher). Shutdown is cooperative: workers drain the sweep they are
+//! in, then exit; the store then force-syncs every WAL so a clean exit
+//! is durable under every sync policy.
 
 use crate::table::Table;
 use just_obs::sync::{Condvar, Mutex};
@@ -21,19 +22,20 @@ use std::time::Duration;
 /// Background-maintenance tuning, shared by every table of a store.
 #[derive(Debug, Clone)]
 pub struct MaintenanceOptions {
-    /// Whether the scheduler runs at all. With `false`, writers flush
-    /// inline at the threshold (the pre-scheduler behaviour) and nothing
-    /// batches WAL syncs — [`crate::SyncPolicy::Batched`] then only
-    /// syncs on rotation and shutdown.
-    pub enabled: bool,
-    /// Worker threads (regions are partitioned across them).
+    /// Worker threads (regions are partitioned across them). With 0
+    /// there are no background threads: nothing flushes before the
+    /// threshold, which then serves as the cap a writer flushes at;
+    /// nothing compacts, splits or batch-syncs unless called, and
+    /// [`crate::SyncPolicy::Batched`] syncs only on rotation and
+    /// shutdown.
     pub workers: usize,
     /// Compact a region once it holds at least this many SSTables
     /// (0 disables background compaction).
     pub compact_trigger: usize,
     /// Hard per-region memtable cap in reserved bytes — the heap held by
     /// the active memtable plus every frozen generation awaiting flush:
-    /// writers stall (block) above it until a flush catches up.
+    /// a writer that reaches it flushes the region before it returns.
+    /// Unused with `workers: 0`, where the cap is the flush threshold.
     pub stall_bytes: usize,
     /// Auto-split a region once its footprint (disk + memtable)
     /// crosses this many bytes; 0 disables maintenance-driven splits.
@@ -46,7 +48,6 @@ pub struct MaintenanceOptions {
 impl Default for MaintenanceOptions {
     fn default() -> Self {
         MaintenanceOptions {
-            enabled: true,
             workers: 2,
             compact_trigger: 8,
             stall_bytes: 32 << 20,
@@ -97,9 +98,9 @@ struct Shared {
     /// without any registration step.
     tables: Mutex<Vec<Weak<Table>>>,
     kick: Arc<Kick>,
-    /// Shared with stalled writers (via [`crate::region::RegionOptions`])
-    /// so backpressure aborts instead of spinning once shutdown begins.
-    stop: Arc<AtomicBool>,
+    /// Set by [`Scheduler::shutdown`]: workers finish their sweep and
+    /// exit.
+    stop: AtomicBool,
     opts: MaintenanceOptions,
     errors: just_obs::Counter,
 }
@@ -119,16 +120,16 @@ impl std::fmt::Debug for Scheduler {
 }
 
 impl Scheduler {
-    /// Spawns the worker pool.
+    /// Spawns the worker pool: `workers` threads, possibly none.
     pub(crate) fn start(opts: MaintenanceOptions) -> Scheduler {
         let shared = Arc::new(Shared {
             tables: Mutex::new(Vec::new()),
             kick: Arc::new(Kick::default()),
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: AtomicBool::new(false),
             errors: just_obs::global().counter("just_kvstore_maintenance_errors"),
             opts,
         });
-        let n = shared.opts.workers.max(1);
+        let n = shared.opts.workers;
         let workers = (0..n)
             .map(|w| {
                 let shared = shared.clone();
@@ -147,13 +148,6 @@ impl Scheduler {
     /// The latch writers use to wake the pool.
     pub(crate) fn kick_handle(&self) -> Arc<Kick> {
         self.shared.kick.clone()
-    }
-
-    /// The shutdown flag, set (permanently) by [`Scheduler::shutdown`].
-    /// Stalled writers poll it so backpressure never outlives the pool
-    /// that would have relieved it.
-    pub(crate) fn stop_handle(&self) -> Arc<AtomicBool> {
-        self.shared.stop.clone()
     }
 
     /// Adds a table to the sweep set (dead entries are pruned lazily).
@@ -200,12 +194,14 @@ fn worker_loop(shared: &Shared, worker: usize, workers: usize) {
             list.iter().filter_map(Weak::upgrade).collect()
         };
         for table in &tables {
-            if let Err(e) = table.maintain_partition(shared.opts.compact_trigger, worker, workers) {
+            // A region whose table was dropped mid-sweep errors on its
+            // vanished directory; anything else is still not worth
+            // killing the worker over — surface via counter.
+            if table
+                .maintain_partition(shared.opts.compact_trigger, worker, workers)
+                .is_err()
+            {
                 shared.errors.inc();
-                // A region whose table was dropped mid-sweep errors on
-                // its vanished directory; anything else is still not
-                // worth killing the worker over — surface via counter.
-                let _ = e;
             }
             // One worker doubles as the split balancer so lifecycle
             // operations never race each other from within the pool.

@@ -30,11 +30,13 @@
 //!   writers; see [`crate::ingest`](self));
 //! * **flushes are pipelined**: a freeze moves every shard into an
 //!   immutable [`FrozenGen`] and writes continue into fresh shards, so a
-//!   flush never stalls acknowledgements — backpressure engages only at
-//!   `stall_bytes` across active + frozen generations. A shard whose
-//!   32-bit offsets cannot address one more entry drains the generation
-//!   inline before the write lands (only reachable with thresholds in
-//!   the gigabytes).
+//!   background flush never stalls acknowledgements. Past
+//!   `flush_threshold` a writer kicks the scheduler; at `stall_bytes`
+//!   across active + frozen generations it flushes the region itself
+//!   (backpressure), and with no scheduler the cap is the threshold. A
+//!   shard whose 32-bit offsets cannot address one more entry drains
+//!   the generation inline before the write lands (only reachable with
+//!   thresholds in the gigabytes).
 //!
 //! Freeze ordering is load-bearing: the log rotates *before* shards swap,
 //! all under the region write lock. A writer holds a group's shard lock
@@ -95,12 +97,12 @@ use crate::metrics::IoMetrics;
 use crate::scan::{KvBatch, MergeStream, ScanSource, SstRangeIter};
 use crate::sstable::{SsTable, SsTableBuilder, SstOptions};
 use crate::wal::DurabilityOptions;
-use just_obs::sync::{Condvar, Mutex, RwLock};
+use just_obs::sync::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One mutation of a write batch: `(key, Some(value))` for a put,
 /// `(key, None)` for a delete.
@@ -189,11 +191,6 @@ pub struct RegionTrafficSnapshot {
     pub scan_blocks: u64,
 }
 
-/// How long a stalled writer waits for background flushes before giving
-/// up with [`KvError::Stalled`] — the escape hatch when flushes fail
-/// persistently (e.g. a full disk).
-pub(crate) const STALL_DEADLINE: Duration = Duration::from_secs(30);
-
 /// Per-region construction settings (assembled by [`crate::Table`] from
 /// the store options).
 #[derive(Debug, Clone)]
@@ -206,24 +203,15 @@ pub(crate) struct RegionOptions {
     pub durability: DurabilityOptions,
     /// Memtable shards (finely-locked arenas, salted by key hash).
     pub mem_shards: usize,
-    /// Hard ingest cap (active + frozen generations): writers stall
-    /// above it until a background flush catches up. `0` means
-    /// unmanaged — writers flush inline at the threshold and never
-    /// stall.
+    /// Hard ingest cap (active + frozen generations): a writer that
+    /// reaches it flushes the region before it returns.
     pub stall_bytes: usize,
-    /// How long a stalled writer waits before erroring out:
-    /// [`STALL_DEADLINE`] in every store (a field so a test of the
-    /// escape hatch need not wait it out).
-    pub stall_deadline: Duration,
     /// Bytes one memtable shard addresses before it reports full and
     /// the generation is drained: [`crate::memtable::SHARD_CAP`] in
     /// every store (a field so a test can fill a shard).
     pub shard_cap: usize,
-    /// Latch to wake the maintenance scheduler (managed regions only).
-    pub kick: Option<Arc<Kick>>,
-    /// Scheduler shutdown flag: stalled writers abort when it is set,
-    /// since no flush is coming to relieve them.
-    pub stop: Option<Arc<std::sync::atomic::AtomicBool>>,
+    /// Latch to wake the maintenance scheduler.
+    pub kick: Arc<Kick>,
 }
 
 /// An immutable memtable generation: every shard frozen at one point in
@@ -296,16 +284,13 @@ pub(crate) struct Region {
     /// around.
     wal: Option<RegionWal>,
     /// Serializes freeze/flush/compact so generations retire in FIFO
-    /// order (their WAL marks assume it). Writers never take it.
+    /// order (their WAL marks assume it). Writers take it only at the
+    /// `stall_bytes` cap.
     flush_lock: Mutex<()>,
     metrics: Arc<IoMetrics>,
     cache: Arc<BlockCache>,
     opts: RegionOptions,
-    /// Signalled after every generation flush so stalled writers
-    /// re-check.
-    flush_signal: (Mutex<()>, Condvar),
     stalls: just_obs::Counter,
-    shard_stalls: just_obs::Counter,
     stall_wait: just_obs::Histogram,
     /// Always-on traffic counters, shared with streaming scan sources.
     traffic: Arc<RegionTraffic>,
@@ -463,9 +448,7 @@ impl Region {
             metrics,
             cache,
             opts,
-            flush_signal: (Mutex::new(()), Condvar::new()),
             stalls: obs.counter("just_kvstore_backpressure_stalls"),
-            shard_stalls: obs.counter("just_kvstore_shard_stalls"),
             stall_wait: obs.histogram("just_kvstore_backpressure_wait_us"),
             traffic: Arc::new(RegionTraffic::default()),
             sealed: AtomicBool::new(false),
@@ -481,10 +464,6 @@ impl Region {
             region.flush()?;
         }
         Ok(region)
-    }
-
-    fn managed(&self) -> bool {
-        self.opts.stall_bytes > 0
     }
 
     /// The region's one write path. Returns the ops it did not write
@@ -513,11 +492,10 @@ impl Region {
     /// not atomic: a reader may see the groups that have landed and not
     /// the rest, and an error leaves the earlier groups written.
     ///
-    /// Unmanaged regions flush inline at the threshold (HBase blocks
-    /// writers the same way under `hbase.hstore.blockingStoreFiles`);
-    /// managed regions hand the flush to the maintenance scheduler and
-    /// only stall at the hard `stall_bytes` cap across generations. The
-    /// check runs once per batch.
+    /// Past `flush_threshold` the writer kicks the maintenance
+    /// scheduler; at the hard `stall_bytes` cap across generations it
+    /// relieves the region itself ([`Region::relieve`]). The checks run
+    /// once per batch.
     pub(crate) fn try_write_batch(&self, ops: &mut [WriteOp]) -> Result<Vec<WriteOp>> {
         check_entry_sizes(ops, self.opts.shard_cap)?;
         let shard_of_op = |op: &WriteOp| shard_of(&op.0, self.shards.len());
@@ -582,19 +560,11 @@ impl Region {
         if let (Some(wal), Some(ticket)) = (&self.wal, ticket) {
             wal.commit(ticket)?;
         }
-        let active = self.active_bytes.load(Ordering::Relaxed);
-        if active < self.opts.flush_threshold {
-            return Ok(rejected);
+        if self.active_bytes.load(Ordering::Relaxed) >= self.opts.flush_threshold {
+            self.opts.kick.kick();
         }
-        if self.managed() {
-            if let Some(kick) = &self.opts.kick {
-                kick.kick();
-            }
-            if active + self.frozen_bytes.load(Ordering::Relaxed) >= self.opts.stall_bytes {
-                self.stall()?;
-            }
-        } else {
-            self.flush()?;
+        if self.ingest_bytes() >= self.opts.stall_bytes {
+            self.relieve()?;
         }
         Ok(rejected)
     }
@@ -605,42 +575,20 @@ impl Region {
         self.active_bytes.load(Ordering::Relaxed) + self.frozen_bytes.load(Ordering::Relaxed)
     }
 
-    /// Write backpressure: blocks until flushed generations bring the
-    /// pipeline back under the hard cap. Never holds any region lock
-    /// while waiting, so background flushes (and readers) proceed.
-    ///
-    /// Two escape hatches keep this from spinning forever: scheduler
-    /// shutdown (no flush is coming) and the stall deadline (flushes
-    /// failing persistently, e.g. a full disk). Both surface as
-    /// [`KvError::Stalled`] so the caller sees the rejection instead of
-    /// a hang.
-    fn stall(&self) -> Result<()> {
+    /// Write backpressure: flushes the region on the writer's thread
+    /// until it is back under the hard cap — oldest frozen generation
+    /// first, then the active shards. A writer that finds a flush in
+    /// progress (the scheduler's or another writer's) waits for it on
+    /// `flush_lock` and re-checks, so it flushes only what is still over
+    /// the cap. A failed flush is this writer's error.
+    fn relieve(&self) -> Result<()> {
         self.stalls.inc();
-        self.shard_stalls.inc();
         let started = Instant::now();
-        loop {
-            if self.ingest_bytes() < self.opts.stall_bytes {
+        let _g = self.flush_lock.lock();
+        while self.ingest_bytes() >= self.opts.stall_bytes {
+            if !self.flush_oldest_gen()? && !self.freeze()? {
                 break;
             }
-            if let Some(stop) = &self.opts.stop {
-                if stop.load(std::sync::atomic::Ordering::SeqCst) {
-                    return Err(KvError::Stalled("store is shutting down".into()));
-                }
-            }
-            if started.elapsed() >= self.opts.stall_deadline {
-                return Err(KvError::Stalled(format!(
-                    "background flush did not relieve backpressure within {:?}",
-                    self.opts.stall_deadline
-                )));
-            }
-            if let Some(kick) = &self.opts.kick {
-                kick.kick();
-            }
-            let (lock, cv) = &self.flush_signal;
-            // Timeout bounds the lost-wakeup window between the size
-            // check above and this wait.
-            let (guard, _) = cv.wait_timeout(lock.lock(), Duration::from_millis(5));
-            drop(guard);
         }
         self.stall_wait.record_duration(started.elapsed());
         Ok(())
@@ -851,7 +799,6 @@ impl Region {
         }
         let obs = just_obs::global();
         obs.counter("just_kvstore_memtable_flushes").inc();
-        obs.counter("just_kvstore_generations_flushed").inc();
         obs.histogram("just_kvstore_flush_latency_us")
             .record_duration(started.elapsed());
         just_obs::events::global().emit(
@@ -865,10 +812,6 @@ impl Region {
                 started.elapsed().as_micros()
             ),
         );
-        // Wake stalled writers.
-        let (lock, cv) = &self.flush_signal;
-        drop(lock.lock());
-        cv.notify_all();
         Ok(true)
     }
 
@@ -2042,54 +1985,42 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
-    fn stalled_region(
-        name: &str,
-        stall_deadline: Duration,
-        stop: Option<Arc<std::sync::atomic::AtomicBool>>,
-    ) -> (Region, PathBuf) {
+    /// No scheduler, a 256 B threshold and a 1 KiB cap: only the
+    /// writers themselves can flush.
+    fn capped_region(name: &str) -> (Region, PathBuf) {
         let dir = tmpdir(name);
-        // Managed (stall_bytes > 0) but with no scheduler attached:
-        // nothing will ever flush, so crossing the cap must stall until
-        // an escape hatch fires.
-        let r = fixture::region(
-            dir.clone(),
-            RegionOptions {
-                stall_bytes: 1024,
-                stall_deadline,
-                stop,
-                ..fixture::region_opts(256)
-            },
-        );
-        (r, dir)
+        let opts = RegionOptions {
+            stall_bytes: 1024,
+            ..fixture::region_opts(256)
+        };
+        (fixture::region(dir.clone(), opts), dir)
     }
 
-    fn write_past_stall_cap(r: &Region) -> Result<()> {
+    #[test]
+    fn a_writer_at_the_cap_flushes_the_region_itself() {
+        let (r, dir) = capped_region("cap-relieve");
         for i in 0..64u32 {
-            put(r, format!("k{i:03}").into_bytes(), vec![0; 64])?;
+            put(&r, format!("k{i:03}").into_bytes(), vec![i as u8; 64]).unwrap();
         }
-        Ok(())
-    }
-
-    #[test]
-    fn stall_errors_at_deadline_when_no_flush_comes() {
-        let (r, dir) = stalled_region("stall-deadline", Duration::from_millis(50), None);
-        let err = write_past_stall_cap(&r).unwrap_err();
-        assert!(matches!(err, crate::error::KvError::Stalled(_)), "{err}");
+        for i in 0..64u32 {
+            let got = r.get_at(format!("k{i:03}").as_bytes(), LATEST).unwrap();
+            assert_eq!(got, Some(vec![i as u8; 64]));
+        }
+        assert!(r.sstable_count() >= 1);
+        assert!(r.memtable_bytes() < 1024, "{}", r.memtable_bytes());
         std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
-    fn stall_aborts_immediately_on_shutdown_flag() {
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let (r, dir) = stalled_region("stall-stop", Duration::from_secs(60), Some(stop));
+    fn a_failed_flush_at_the_cap_is_the_writers_error() {
+        let (r, dir) = capped_region("cap-fail");
+        std::fs::remove_dir_all(&dir).unwrap();
         let started = Instant::now();
-        let err = write_past_stall_cap(&r).unwrap_err();
-        assert!(matches!(err, crate::error::KvError::Stalled(_)), "{err}");
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "stop flag must abort the stall, not wait out the deadline"
-        );
-        std::fs::remove_dir_all(dir).ok();
+        let err = (0..64u32)
+            .try_for_each(|i| put(&r, format!("k{i:03}").into_bytes(), vec![0; 64]))
+            .unwrap_err();
+        assert!(matches!(err, KvError::Io(_)), "{err}");
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
     }
 
     #[test]

@@ -94,12 +94,11 @@ fn write_format(base: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Tuning knobs, shared by every table of a store: 12 settable values
-/// (5 here, 2 in [`DurabilityOptions`], 5 in [`MaintenanceOptions`]).
+/// Tuning knobs, shared by every table of a store: 11 settable values
+/// (5 here, 2 in [`DurabilityOptions`], 4 in [`MaintenanceOptions`]).
 /// Everything else — the on-disk format (one epoch, 10 bloom bits per
-/// key), the WAL's user-space buffer, the maintenance tick, the stall
-/// deadline, the auto-split region cap — is a constant next to the code
-/// that uses it.
+/// key), the WAL's user-space buffer, the maintenance tick, the
+/// auto-split region cap — is a constant next to the code that uses it.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// Memtable flush threshold per region, in reserved bytes: the heap
@@ -151,9 +150,9 @@ pub struct Store {
     metrics: Arc<IoMetrics>,
     cache: Arc<BlockCache>,
     tables: RwLock<HashMap<String, Arc<Table>>>,
-    /// Background flush/compaction worker pool; `None` when maintenance
-    /// is disabled (writers then flush inline).
-    scheduler: Option<Scheduler>,
+    /// Background flush/compaction worker pool (no threads at
+    /// `workers: 0`).
+    scheduler: Scheduler,
 }
 
 impl std::fmt::Debug for Store {
@@ -175,11 +174,7 @@ impl Store {
         std::fs::create_dir_all(base)?;
         check_format(base)?;
         let cache = Arc::new(BlockCache::new(options.block_cache_bytes));
-        let scheduler = if options.maintenance.enabled {
-            Some(Scheduler::start(options.maintenance.clone()))
-        } else {
-            None
-        };
+        let scheduler = Scheduler::start(options.maintenance.clone());
         Ok(Store {
             base: base.to_path_buf(),
             options,
@@ -209,8 +204,10 @@ impl Store {
         self.base.join(name)
     }
 
-    /// The per-region settings every table of this store uses.
+    /// The per-region settings every table of this store uses. With no
+    /// workers nobody else flushes, so the cap is the threshold.
     fn region_opts(&self) -> RegionOptions {
+        let maintenance = &self.options.maintenance;
         RegionOptions {
             flush_threshold: self.options.flush_threshold,
             sst: SstOptions {
@@ -219,15 +216,12 @@ impl Store {
             },
             durability: self.options.durability.clone(),
             mem_shards: self.options.mem_shards,
-            stall_bytes: if self.scheduler.is_some() {
-                self.options.maintenance.stall_bytes
-            } else {
-                0
+            stall_bytes: match maintenance.workers {
+                0 => self.options.flush_threshold,
+                _ => maintenance.stall_bytes,
             },
-            stall_deadline: crate::region::STALL_DEADLINE,
             shard_cap: crate::memtable::SHARD_CAP,
-            kick: self.scheduler.as_ref().map(|s| s.kick_handle()),
-            stop: self.scheduler.as_ref().map(|s| s.stop_handle()),
+            kick: self.scheduler.kick_handle(),
         }
     }
 
@@ -240,9 +234,7 @@ impl Store {
             self.cache.clone(),
             self.region_opts(),
         )?);
-        if let Some(s) = &self.scheduler {
-            s.register(&table);
-        }
+        self.scheduler.register(&table);
         Ok(table)
     }
 
@@ -322,9 +314,7 @@ impl Store {
     /// recovers them from the WAL, keeping the recovery path exercised.
     /// Idempotent; also run by `Drop`.
     pub fn shutdown(&self) {
-        if let Some(s) = &self.scheduler {
-            s.shutdown();
-        }
+        self.scheduler.shutdown();
         for table in self.tables.read().values() {
             for region in table.regions() {
                 // Sync failures at shutdown have no caller to return to;

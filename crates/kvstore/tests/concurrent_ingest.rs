@@ -15,8 +15,8 @@
 //!   its key, so a scan never observes a torn or foreign write.
 //!
 //! Cases are generated from a seeded [`just_obs::Rng`], so every run
-//! exercises the same writer counts, shard counts and flush
-//! pressure.
+//! exercises the same writer counts, shard counts, flush pressure and
+//! memtable caps.
 
 mod common;
 
@@ -83,7 +83,7 @@ fn assert_superset(seen: &BTreeSet<Vec<u8>>, acked: &BTreeSet<Vec<u8>>, what: &s
 
 #[test]
 fn concurrent_writers_streaming_scans_and_crash_recovery() {
-    for case in 0u64..4 {
+    for case in 0u64..8 {
         let mut rng = Rng::seed_from_u64(0x494e_4745_5354 ^ case);
         let writers = rng.gen_range(2usize..6);
         let rows_per_writer = rng.gen_range(80usize..160);
@@ -95,6 +95,9 @@ fn concurrent_writers_streaming_scans_and_crash_recovery() {
         } else {
             256 << 20
         };
+        // Half of those cap the memtable at 16 KiB, so writers relieve
+        // regions themselves while the scheduler also flushes them.
+        let writers_flush = flush_threshold == 8 << 10 && rng.gen_range(0usize..2) == 0;
 
         let dir = tmpdir(&format!("case{case}"));
         let mut opts = StoreOptions {
@@ -103,8 +106,13 @@ fn concurrent_writers_streaming_scans_and_crash_recovery() {
             ..StoreOptions::default()
         };
         opts.durability.sync = SyncPolicy::PerWrite;
+        if writers_flush {
+            opts.maintenance.stall_bytes = 16 << 10;
+        }
         let store = Store::open(&dir, opts.clone()).unwrap();
         let table = store.create_table("t", 1).unwrap();
+        let stalls = just_obs::global().counter("just_kvstore_backpressure_stalls");
+        let stalls_before = stalls.get();
 
         // Shared ack log: a key is inserted *after* `put` returns, so
         // the set only ever contains acknowledged (fsync-covered,
@@ -154,6 +162,9 @@ fn concurrent_writers_streaming_scans_and_crash_recovery() {
         }
         for h in handles {
             h.join().unwrap();
+        }
+        if writers_flush {
+            assert!(stalls.get() > stalls_before, "no writer reached the cap");
         }
 
         // Clean reopen: WAL replay restores every acknowledged write

@@ -48,7 +48,8 @@ fn crash_copy_recovers_every_acknowledged_write() {
 fn scheduler_flushes_and_compacts_in_background() {
     // Tiny thresholds: the scheduler must keep up with sustained ingest,
     // flushing past the memtable threshold and compacting past the
-    // file-count trigger — the writer never flushes inline.
+    // file-count trigger. A writer that finds a region at the 64 KiB cap
+    // flushes it itself; the scheduler does the rest.
     let dir = tmpdir("sched");
     let store = Store::open(
         &dir,
@@ -163,7 +164,7 @@ fn failed_manifest_write_rolls_back_split_and_merge() {
     let options = || StoreOptions {
         flush_threshold: 16 << 10,
         maintenance: MaintenanceOptions {
-            enabled: false,
+            workers: 0,
             ..MaintenanceOptions::default()
         },
         ..StoreOptions::default()

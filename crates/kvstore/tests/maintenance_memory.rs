@@ -89,7 +89,7 @@ fn open_store(dir: &Path, flush_threshold: usize) -> Store {
             block_cache_bytes: 0,
             durability: DurabilityOptions::disabled(),
             maintenance: MaintenanceOptions {
-                enabled: false,
+                workers: 0,
                 ..MaintenanceOptions::default()
             },
             ..StoreOptions::default()

@@ -88,7 +88,7 @@ fn snapshot_scans_equal_serial_execution_under_splits() {
             block_cache_bytes: 0,
             durability: DurabilityOptions::disabled(),
             maintenance: MaintenanceOptions {
-                enabled: false,
+                workers: 0,
                 ..MaintenanceOptions::default()
             },
             ..StoreOptions::default()

@@ -52,7 +52,7 @@ fn a_cached_scan_allocates_per_range_not_per_key() {
             block_cache_bytes: 64 << 20,
             durability: DurabilityOptions::disabled(),
             maintenance: MaintenanceOptions {
-                enabled: false,
+                workers: 0,
                 ..MaintenanceOptions::default()
             },
             ..StoreOptions::default()

@@ -74,7 +74,7 @@ fn refused_rows_allocate_nothing() {
             block_cache_bytes: 64 << 20,
             durability: DurabilityOptions::disabled(),
             maintenance: MaintenanceOptions {
-                enabled: false,
+                workers: 0,
                 ..MaintenanceOptions::default()
             },
             ..StoreOptions::default()
