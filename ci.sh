@@ -328,6 +328,16 @@ grep -q "cancelled" "$SLOW_ERR" || {
 grep -q "request id" "$SLOW_ERR" || {
     echo "error did not quote the server request id:"; cat "$SLOW_ERR"; exit 1
 }
+# The killed scan released its snapshot pins: every region reports 0 open
+# snapshots (a leaked pin holds flushed generations and blocks compaction).
+cli query "SHOW REGIONS" | awk -F' [|] ' '
+    $1 == "table" { for (i = 1; i <= NF; i++) if ($i == "snapshots") col = i }
+    $1 == "obspts" { rows++; if (!col || $col != 0) bad = 1 }
+    END { exit (bad || !rows) }' || {
+    echo "a region still holds a snapshot after KILL QUERY:"
+    cli query "SHOW REGIONS"
+    exit 1
+}
 # The kill and the slow-query log are in the event log.
 cli query "SHOW EVENTS LIMIT 50" | grep -q "query.killed"
 # The slow-log entry carries the scan's IO attrs from the operator spans.

@@ -26,11 +26,16 @@ fn main() {
             .put(i.to_be_bytes().to_vec(), vec![0u8; 64])
             .unwrap()
     });
+    // Every read opens the snapshot it reads at, as the storage layer does.
     bench("kvstore/get_hit", || {
-        table.get(black_box(&5000u32.to_be_bytes())).unwrap()
+        table
+            .snapshot()
+            .get(black_box(&5000u32.to_be_bytes()))
+            .unwrap()
     });
     bench("kvstore/scan_1k_of_100k", || {
         table
+            .snapshot()
             .scan(
                 black_box(&10_000u32.to_be_bytes()),
                 black_box(&10_999u32.to_be_bytes()),

@@ -185,7 +185,7 @@ fn scan_phase(table: &Arc<just_kvstore::Table>, scans: usize, churn: bool) -> Op
         let lo = key_of(w, 0);
         let hi = key_of(w, 9_999_999);
         let t0 = Instant::now();
-        match table.scan(&lo, &hi) {
+        match table.snapshot().scan(&lo, &hi) {
             Ok(hits) => {
                 if hits.is_empty() {
                     failed = true; // the load phase put rows in every writer range
@@ -255,7 +255,10 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
     table.flush().expect("flush");
 
     // A stream opened before the split must complete across it.
-    let mut pre_split_stream = table.scan_stream(b"", b"\xff", ScanOptions::default());
+    let whole = vec![(b"".to_vec(), b"\xff".to_vec())];
+    let mut pre_split_stream = table
+        .snapshot()
+        .scan_ranges_stream(whole, ScanOptions::default());
     let first = pre_split_stream
         .next_batch()
         .expect("pre-split batch")
@@ -347,8 +350,9 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
     let store2 = Store::open(&crash_dir, store_options()).expect("reopen");
     let table2 = store2.open_table("crash", 1).expect("reopen table");
     let regions_after = table2.num_regions();
-    let rows_after = table2.scan(b"", b"\xff").expect("post-replay scan").len();
-    let post_ok = table2
+    let replayed = table2.snapshot();
+    let rows_after = replayed.scan(b"", b"\xff").expect("post-replay scan").len();
+    let post_ok = replayed
         .get(&key_of(0, rows_per_writer + 7))
         .expect("post-replay get")
         .as_deref()
@@ -366,8 +370,7 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
         if post_ok { "intact" } else { "LOST" }
     )
     .unwrap();
-    drop(table2);
-    drop(store2);
+    drop((replayed, table2, store2));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&crash_dir).ok();
 

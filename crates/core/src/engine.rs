@@ -13,6 +13,7 @@ use just_obs::sync::RwLock;
 use just_storage::{IndexKind, Row, Schema, SpatialPredicate, StTable, StorageConfig, Value};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Engine-wide configuration.
@@ -85,6 +86,9 @@ pub struct Engine {
     tables: RwLock<HashMap<String, Arc<StTable>>>,
     views: RwLock<HashMap<String, Arc<Dataset>>>,
     queries: Arc<crate::registry::QueryRegistry>,
+    /// Names each spilled result set's directory, so result sets alive
+    /// at once never share chunk files.
+    next_spill: AtomicU64,
 }
 
 impl std::fmt::Debug for Engine {
@@ -109,6 +113,7 @@ impl Engine {
             tables: RwLock::new(HashMap::new()),
             views: RwLock::new(HashMap::new()),
             queries: Arc::new(crate::registry::QueryRegistry::new()),
+            next_spill: AtomicU64::new(0),
         })
     }
 
@@ -403,6 +408,13 @@ impl Engine {
     /// holds its own table handles — and its
     /// [`just_storage::QueryStream::cancel_token`] lets a satisfied
     /// consumer (`LIMIT k`) stop the underlying block reads mid-range.
+    ///
+    /// The stream reads one MVCC snapshot of the table, taken here, and
+    /// holds it while it lives: every row comes from that one cut. A
+    /// flush that lands meanwhile keeps its memtable generation in
+    /// memory until the stream has entered that region's last range or
+    /// is dropped, so drop a stream you are done with rather than park
+    /// it.
     pub fn query_stream(
         &self,
         table: &str,
@@ -483,7 +495,7 @@ impl Engine {
         let spill = self.base_dir.join("spill").join(format!(
             "rs-{}-{}",
             std::process::id(),
-            self.views.read().len() // cheap unique-ish suffix
+            self.next_spill.fetch_add(1, Ordering::Relaxed)
         ));
         ResultSet::new(
             data,
@@ -654,6 +666,38 @@ mod tests {
         assert_eq!(e.scan_all("orders2").unwrap().len(), 1);
         e.drop_view("v").unwrap();
         assert!(e.view("v").is_err());
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn spilled_result_sets_alive_at_once_keep_their_own_chunks() {
+        let dir = std::env::temp_dir().join(format!("just-engine-spill-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = EngineConfig {
+            spill_threshold: 64,
+            spill_chunk_rows: 4,
+            ..EngineConfig::default()
+        };
+        let e = Engine::open(&dir, config).unwrap();
+        let data = |n: i64, t: i64| {
+            let rows = (0..n).map(|i| order_row(i, 116.0, 39.0, t)).collect();
+            Dataset::new(vec!["fid".into(), "time".into(), "geom".into()], rows)
+        };
+        let mut a = e.result_set(data(10, 1)).unwrap();
+        let mut b = e.result_set(data(30, 2)).unwrap();
+        assert!(a.is_spilled() && b.is_spilled());
+        let times = |rows: Vec<Row>| -> Vec<Value> {
+            rows.into_iter().map(|r| r.values[1].clone()).collect()
+        };
+        assert_eq!(
+            times(a.collect_remaining().unwrap()),
+            vec![Value::Date(1); 10]
+        );
+        drop(a);
+        assert_eq!(
+            times(b.collect_remaining().unwrap()),
+            vec![Value::Date(2); 30]
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 

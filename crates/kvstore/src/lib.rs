@@ -5,7 +5,7 @@
 //!
 //! 1. **Lexicographically ordered keys with efficient range `SCAN`s** —
 //!    spatio-temporal locality encoded in keys becomes sequential disk
-//!    reads ([`Table::scan`], [`Table::scan_ranges_stream`]).
+//!    reads ([`TableSnapshot::scan`], [`TableSnapshot::scan_ranges_stream`]).
 //! 2. **Cheap point writes with no global index** — a `PUT` only touches
 //!    the owning region's memtable, so new data and historical updates
 //!    never trigger index rebuilds ([`Table::put`]). A client batch goes
@@ -20,22 +20,27 @@
 //!    how the benchmarks demonstrate the paper's compression→fewer-IOs
 //!    effect.
 //!
-//! There is one scan path: [`Table::scan_stream`] /
-//! [`Table::scan_ranges_stream`] yield bounded batches through a
-//! [`ScanStream`], reading blocks lazily so a consumer that stops early
+//! There is one read path, and it reads at a snapshot, as every HBase
+//! Get and Scan reads at the MVCC read point taken when it opens: a
+//! [`Table`] takes writes, and [`Table::snapshot`] returns the
+//! [`TableSnapshot`] every read goes through. Every committed write
+//! carries a per-region commit sequence; the snapshot pins one read
+//! sequence per region and serves that consistent cut without blocking
+//! writers, flushes or compactions. Its one scan path,
+//! [`TableSnapshot::scan_ranges_stream`], yields bounded batches through
+//! a [`ScanStream`], reading blocks lazily so a consumer that stops early
 //! (a `LIMIT`, an `EXISTS` probe, a cancelled request via [`CancelToken`])
 //! also stops the disk IO. Each batch is a [`KvBatch`] the stream lends
 //! and refills: entries are borrowed from the cached blocks through the
 //! merge and copied once, into the batch. The materializing
-//! [`Table::scan`] family is that stream drained to a `Vec` — same merge,
-//! same metrics.
+//! [`TableSnapshot::scan`] is that stream drained to a `Vec` — same
+//! merge, same metrics.
 //!
 //! Two region-server behaviours ride on top of the partitioning:
 //!
-//! - **MVCC snapshot reads** — every committed write carries a
-//!   per-region commit sequence; [`Table::snapshot`] pins one read
-//!   sequence per region and serves a consistent cut without blocking
-//!   writers, flushes or compactions (see [`TableSnapshot`]).
+//! - **MVCC snapshot reads** — the cut above: a stream keeps reading it
+//!   however long it runs, across writes, flushes, compactions and
+//!   splits (see [`TableSnapshot`]).
 //! - **Online region split/merge** — [`Table::split_region`] /
 //!   [`Table::merge_regions`] rewrite the region map at runtime
 //!   (HBase's auto-split + balancer, driven here by the maintenance
@@ -48,7 +53,7 @@
 //! let store = Store::open(&dir, StoreOptions::default()).unwrap();
 //! let table = store.create_table("demo", 4).unwrap();
 //! table.put(b"key-1".to_vec(), b"value-1".to_vec()).unwrap();
-//! let hits = table.scan(b"key-0", b"key-9").unwrap();
+//! let hits = table.snapshot().scan(b"key-0", b"key-9").unwrap();
 //! assert_eq!(hits.len(), 1);
 //! store.drop_table("demo").unwrap();
 //! # std::fs::remove_dir_all(&dir).ok();

@@ -20,17 +20,19 @@
 //! Every mutation carries the region-wide commit sequence allocated by
 //! [`crate::Region`] under the owning shard's lock, so a key's chain,
 //! walked newest → older, has descending sequences. Readers pass a
-//! snapshot sequence and see the newest version *older than* it
-//! ([`LATEST`] reads the newest version outright). Chains are kept until
-//! the whole memtable generation is flushed; a flushed generation is then
+//! snapshot sequence and see the newest version *older than* it. Chains
+//! are kept until the whole memtable generation is flushed; a flushed
+//! generation is then
 //! retained as a "held generation" by the region for as long as the
 //! low-watermark of open snapshots still needs any of its versions (see
 //! `Region::snapshot`).
 
 use just_compress::varint;
 
-/// Snapshot sequence that sees every committed version (a plain,
-/// non-snapshot read).
+/// Snapshot sequence that sees every committed version. No store read
+/// uses it — every read goes through a region snapshot — so it is what
+/// the unit tests below the snapshot layer read at.
+#[cfg(test)]
 pub(crate) const LATEST: u64 = u64::MAX;
 
 /// Tallest skip-list tower: 4^12 keys before the top level crowds.
@@ -260,7 +262,7 @@ impl MemTable {
         None
     }
 
-    /// Looks a key up at snapshot `snap` ([`LATEST`] for a plain read).
+    /// Looks a key up at snapshot `snap`.
     /// `Some(None)` means "deleted here"; `None` means "not present at
     /// this snapshot, consult older data".
     pub(crate) fn get(&self, key: &[u8], snap: u64) -> Option<Option<&[u8]>> {

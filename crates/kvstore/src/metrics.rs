@@ -198,7 +198,7 @@ pub struct IoSnapshot {
     /// reading any block.
     pub bloom_skips: u64,
     /// Bounded batches emitted by streaming scans
-    /// ([`crate::Table::scan_stream`]).
+    /// ([`crate::TableSnapshot::scan_ranges_stream`]).
     pub batches_emitted: u64,
     /// Streaming scans dropped or cancelled before exhausting their key
     /// ranges (a satisfied `LIMIT`/kNN consumer skipping residual IO).

@@ -73,7 +73,9 @@
 //! [`Region::snapshot`] captures the current sequence `S` and every read
 //! through the returned [`Snapshot`] sees exactly the writes with
 //! `seq < S` — a consistent cut that never blocks writers, flushes or
-//! compactions:
+//! compactions. There is no plain read beside it: every get and scan of
+//! the store goes through a snapshot, so what follows is the read path,
+//! not an option of it:
 //!
 //! * memtable shards keep **per-key version chains** (see
 //!   [`crate::memtable`]), so a point-in-time value stays readable after
@@ -594,8 +596,8 @@ impl Region {
         Ok(())
     }
 
-    /// Point lookup as of snapshot sequence `snap` (`LATEST` for a plain
-    /// read): sees exactly the writes with `seq < snap`.
+    /// Point lookup as of snapshot sequence `snap`: sees exactly the
+    /// writes with `seq < snap`. Reads reach it through [`Snapshot::get`].
     pub(crate) fn get_at(&self, key: &[u8], snap: u64) -> Result<Option<Vec<u8>>> {
         let hit = self.get_inner(key, snap)?;
         self.traffic
@@ -616,9 +618,9 @@ impl Region {
                 return Ok(hit.map(|v| v.to_vec()));
             }
         }
-        // Held generations straddle the snapshot (`seq_ub > snap`, never
-        // true for LATEST): their twin SSTables are invisible below, so
-        // the version chains here are authoritative for this cut.
+        // Held generations straddle the snapshot (`seq_ub > snap`): their
+        // twin SSTables are invisible below, so the version chains here
+        // are authoritative for this cut.
         for gen in inner.held.iter().rev() {
             if gen.seq_ub <= snap {
                 continue;
@@ -680,8 +682,8 @@ impl Region {
     /// pull-based merge that reads one block at a time as the consumer
     /// advances, with newest-wins and tombstone-shadowing semantics. The
     /// stream stays pinned to the layers captured here, so it keeps
-    /// serving the same cut even if the snapshot handle is dropped while
-    /// streaming.
+    /// serving the same cut once the snapshot handle drops — which a
+    /// [`crate::ScanStream`] does as soon as this returns.
     pub(crate) fn scan_stream_at(&self, start: Vec<u8>, end: Vec<u8>, snap: u64) -> MergeStream {
         if start > end {
             return MergeStream::new(Vec::new(), start, end, self.traffic.clone());
@@ -1335,8 +1337,8 @@ impl Versions {
 /// survives concurrent writes, flushes, compactions and splits without
 /// ever blocking them. Dropping the snapshot advances the region's
 /// low-watermark, releasing any memtable generations held on its
-/// behalf; for multi-region (table-wide) snapshots see
-/// `Table::snapshot`.
+/// behalf. Every store read runs through one: a table read holds one per
+/// region, captured together by `Table::snapshot`.
 pub(crate) struct Snapshot {
     region: Arc<Region>,
     seq: u64,

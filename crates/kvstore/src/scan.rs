@@ -1,13 +1,15 @@
 //! Streaming, batch-at-a-time scans with cooperative cancellation.
 //!
-//! This module is the store's one scan path. The materializing calls
-//! ([`crate::Table::scan`], [`crate::TableSnapshot::scan`])
-//! are this stream drained to a `Vec`, so a `LIMIT k` or kNN consumer
-//! that stops after a handful of rows and an aggregate that reads
-//! everything run the same merge and record the same metrics:
+//! This module is the store's one scan path, and every scan reads at a
+//! snapshot: [`crate::TableSnapshot::scan_ranges_stream`] opens it, and
+//! the materializing [`crate::TableSnapshot::scan`] is this stream
+//! drained to a `Vec`, so a `LIMIT k` or kNN consumer that stops after a
+//! handful of rows and an aggregate that reads everything run the same
+//! merge and record the same metrics:
 //!
-//! - [`ScanStream`] walks a list of key ranges region by region and
-//!   refills one [`KvBatch`] per pull — one byte buffer plus offsets,
+//! - [`ScanStream`] walks a list of key ranges region by region, each
+//!   range at its region's snapshot sequence, and refills one
+//!   [`KvBatch`] per pull — one byte buffer plus offsets,
 //!   reused for the life of the stream — which
 //!   [`ScanStream::next_batch`] lends to the consumer. In flight are
 //!   that one arena batch plus one shared cached block per source.
@@ -44,7 +46,8 @@
 //! for i in 0..100u32 {
 //!     table.put(format!("k{i:04}").into_bytes(), b"v".to_vec()).unwrap();
 //! }
-//! let mut stream = table.scan_stream(b"k0000", b"k9999", ScanOptions::default());
+//! let range = vec![(b"k0000".to_vec(), b"k9999".to_vec())];
+//! let mut stream = table.snapshot().scan_ranges_stream(range, ScanOptions::default());
 //! let first_batch = stream.next_batch().unwrap().unwrap();
 //! assert_eq!(first_batch.iter().next(), Some((&b"k0000"[..], &b"v"[..])));
 //! drop(stream); // remaining ranges are never read
@@ -55,7 +58,7 @@
 use crate::block::BlockCursor;
 use crate::error::Result;
 use crate::metrics::IoMetrics;
-use crate::region::{Region, RegionTraffic, Snapshot};
+use crate::region::{RegionTraffic, Snapshot};
 use crate::sstable::SsTable;
 use crate::KvEntry;
 use std::collections::VecDeque;
@@ -445,15 +448,18 @@ impl Drop for MergeStream {
     }
 }
 
-/// A queued scan range: (region, start, end, snapshot seq).
-pub(crate) type PendingRange = (Arc<Region>, Vec<u8>, Vec<u8>, u64);
+/// A queued scan range: the snapshot of the region it reads, start, end.
+pub(crate) type PendingRange = (Arc<Snapshot>, Vec<u8>, Vec<u8>);
 
-/// A streaming multi-range scan over a [`crate::Table`].
+/// A streaming multi-range scan at a [`crate::TableSnapshot`].
 ///
 /// Ranges are visited in the order given (entries within a range in key
 /// order); regions within a range are visited low to high, which is key
-/// order because regions partition by leading byte. Construction does no
-/// IO — the first block is read when the first batch is pulled.
+/// order because regions partition the keyspace in order. Each queued
+/// range holds its region's snapshot until the stream reaches it and
+/// captures that region's layers, so every range reads the one cut the
+/// stream was opened at. Construction does no IO — the first block is
+/// read when the first batch is pulled.
 ///
 /// Dropping the stream before it runs dry (or cancelling its token)
 /// counts one early termination; the un-read remainder of the ranges is
@@ -461,19 +467,15 @@ pub(crate) type PendingRange = (Arc<Region>, Vec<u8>, Vec<u8>, u64);
 /// one `just_kvstore_scan_latency_us` sample: the time spent inside
 /// [`ScanStream::next_batch`], summed over its pulls.
 pub struct ScanStream {
-    /// (region, start, end, snapshot seq) work items, front first. The
-    /// seq is `LATEST` for plain scans; snapshot scans pin each
-    /// region's read sequence at construction, so a range entered after
-    /// an online split still reads the pre-split cut through `pins`.
+    /// Work items, front first. Each pins its region's snapshot — the
+    /// region's held generations, and the region itself, so a range
+    /// entered after an online split still reads the pre-split cut —
+    /// until the range is entered.
     pending: VecDeque<PendingRange>,
     current: Option<MergeStream>,
     batch_rows: usize,
     cancel: CancelToken,
     metrics: Arc<IoMetrics>,
-    /// Snapshot registrations kept alive for the stream's lifetime —
-    /// they hold the regions' held generations (and the region `Arc`s
-    /// themselves) until every pending range has been served.
-    _pins: Vec<Arc<Snapshot>>,
     /// Ran dry naturally — distinguishes exhaustion from early drop.
     exhausted: bool,
     /// Produced at least one pull; a stream that was never used is not
@@ -494,22 +496,12 @@ impl ScanStream {
         opts: ScanOptions,
         metrics: Arc<IoMetrics>,
     ) -> Self {
-        Self::pinned(pending, opts, metrics, Vec::new())
-    }
-
-    pub(crate) fn pinned(
-        pending: VecDeque<PendingRange>,
-        opts: ScanOptions,
-        metrics: Arc<IoMetrics>,
-        pins: Vec<Arc<Snapshot>>,
-    ) -> Self {
         ScanStream {
             pending,
             current: None,
             batch_rows: opts.batch_rows.max(1),
             cancel: opts.cancel,
             metrics,
-            _pins: pins,
             exhausted: false,
             pulled: false,
             failed: false,
@@ -556,9 +548,11 @@ impl ScanStream {
             }
             let stream = match &mut self.current {
                 Some(s) => s,
+                // The range's pin drops here: the merge holds the layers.
                 None => match self.pending.pop_front() {
-                    Some((region, start, end, snap)) => {
-                        self.current.insert(region.scan_stream_at(start, end, snap))
+                    Some((snap, start, end)) => {
+                        let merge = snap.region().scan_stream_at(start, end, snap.seq());
+                        self.current.insert(merge)
                     }
                     None => {
                         self.exhausted = true;

@@ -381,7 +381,7 @@ mod tests {
         let s2 = Store::open(&dir, StoreOptions::default()).unwrap();
         assert!(s2.get_table("t").is_none(), "not auto-opened");
         let t = s2.open_table("t", 2).unwrap();
-        assert_eq!(t.scan(b"", b"\xff").unwrap().len(), 100);
+        assert_eq!(t.snapshot().scan(b"", b"\xff").unwrap().len(), 100);
         assert!(matches!(
             s2.open_table("ghost", 2),
             Err(KvError::NoSuchTable(_))
@@ -401,9 +401,9 @@ mod tests {
         a.flush().unwrap();
         b.flush().unwrap();
         s.metrics().reset();
-        a.scan(b"", b"\xff").unwrap();
+        a.snapshot().scan(b"", b"\xff").unwrap();
         let after_a = s.metrics().snapshot();
-        b.scan(b"", b"\xff").unwrap();
+        b.snapshot().scan(b"", b"\xff").unwrap();
         let after_b = s.metrics().snapshot();
         assert!(after_a.blocks_read > 0);
         assert!(after_b.blocks_read > after_a.blocks_read);

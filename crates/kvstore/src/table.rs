@@ -42,13 +42,14 @@
 //! losing side's directories are removed as unreferenced on the next
 //! open). Sealed-region writes are handed back to the table, which
 //! re-routes them against the fresh map ([`crate::KvError::RegionSealed`]
-//! only surfaces if a split wedges for many seconds). In-flight scans and
-//! open [`TableSnapshot`]s keep their region handles pinned, so they
-//! finish against the pre-split cut — consistent either way.
+//! only surfaces if a split wedges for many seconds). Every read goes
+//! through a [`TableSnapshot`] ([`Table::snapshot`]; `Table` itself only
+//! writes), and open snapshots and the scans they started keep their
+//! region handles pinned, so they finish against the pre-split cut —
+//! consistent either way.
 
 use crate::cache::BlockCache;
 use crate::error::{KvError, Result};
-use crate::memtable::LATEST;
 use crate::metrics::IoMetrics;
 use crate::region::{
     check_entry_sizes, Region, RegionOptions, RegionTrafficSnapshot, Snapshot, WriteOp,
@@ -204,7 +205,8 @@ fn parse_manifest(path: &Path) -> Result<Vec<(String, Vec<u8>)>> {
 }
 
 /// An ordered key-value table partitioned over regions via a
-/// runtime-swappable region map (see the module docs).
+/// runtime-swappable region map (see the module docs). It takes writes;
+/// reads go through a [`Table::snapshot`].
 pub struct Table {
     name: String,
     dir: PathBuf,
@@ -352,12 +354,6 @@ impl Table {
         self.map.read().len()
     }
 
-    /// The region currently owning `key`.
-    fn region_for(&self, key: &[u8]) -> Arc<Region> {
-        let map = self.map.read();
-        map[index_for(&map, key)].region.clone()
-    }
-
     /// Inserts or overwrites a key: a batch of one.
     pub fn put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<()> {
         self.write(&mut [(key, Some(value))])
@@ -424,67 +420,12 @@ impl Table {
         Ok(rejected)
     }
 
-    /// Point lookup.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.region_for(key).get_at(key, LATEST)
-    }
-
-    /// All live entries with `start <= key <= end`, in global key order:
-    /// [`Table::scan_stream`] drained to a `Vec`, so it records the same
-    /// metrics (one `just_kvstore_scan_latency_us` sample per call).
-    pub fn scan(&self, start: &[u8], end: &[u8]) -> Result<Vec<KvEntry>> {
-        self.scan_stream(start, end, ScanOptions::default()).drain()
-    }
-
-    /// The regions overlapping `[start, end]`, cloned atomically from
-    /// the current map (key order), so a concurrent map swap cannot
-    /// yield a torn set.
-    fn regions_for_range(&self, start: &[u8], end: &[u8]) -> Vec<Arc<Region>> {
-        let map = self.map.read();
-        let lo = index_for(&map, start);
-        let hi = index_for(&map, end);
-        map[lo..=hi].iter().map(|e| e.region.clone()).collect()
-    }
-
-    /// A pull-based scan over one key range yielding bounded batches.
-    /// See [`Table::scan_ranges_stream`].
-    pub fn scan_stream(&self, start: &[u8], end: &[u8], opts: ScanOptions) -> ScanStream {
-        self.scan_ranges_stream(vec![(start.to_vec(), end.to_vec())], opts)
-    }
-
-    /// The table's scan path: visits the ranges in order, merging each
-    /// region's layers lazily, and yields bounded batches via
-    /// [`ScanStream::next_batch`]. Construction does no IO; a consumer
-    /// that stops pulling (or cancels the token in `opts`) leaves the
-    /// remaining blocks unread — that saved IO is what `LIMIT`-style
-    /// consumers are after.
-    ///
-    /// Entries come out range by range, each in key order. The region
-    /// set per range is pinned at construction: a split that commits
-    /// while the stream is being consumed does not retarget it (the
-    /// sealed parent keeps serving reads until the stream drops).
-    pub fn scan_ranges_stream(
-        &self,
-        ranges: Vec<(Vec<u8>, Vec<u8>)>,
-        opts: ScanOptions,
-    ) -> ScanStream {
-        let mut pending = VecDeque::new();
-        for (start, end) in ranges {
-            if start > end {
-                continue;
-            }
-            for region in self.regions_for_range(&start, &end) {
-                pending.push_back((region, start.clone(), end.clone(), LATEST));
-            }
-        }
-        ScanStream::new(pending, opts, self.metrics.clone())
-    }
-
-    /// Captures a table-wide MVCC snapshot: one pinned cut per region,
-    /// all taken from a single atomic read of the region map. Reads
-    /// through the returned [`TableSnapshot`] see, per region, exactly
-    /// the writes committed before this call — unaffected by concurrent
-    /// writes, flushes, compactions and splits/merges.
+    /// Captures a table-wide MVCC snapshot — the table's one way to be
+    /// read: one pinned cut per region, all taken from a single atomic
+    /// read of the region map. Reads through the returned
+    /// [`TableSnapshot`] see, per region, exactly the writes committed
+    /// before this call — unaffected by concurrent writes, flushes,
+    /// compactions and splits/merges.
     pub fn snapshot(&self) -> TableSnapshot {
         let map = self.map.read();
         TableSnapshot {
@@ -783,8 +724,8 @@ impl Table {
 ///
 /// Each region's cut is exact (`seq <` that region's snapshot
 /// sequence); across regions the cuts are taken at one instant under
-/// the map's read lock. Dropping the view releases every region's held
-/// generations.
+/// the map's read lock. Dropping the view, and the streams it opened,
+/// releases every region's held generations.
 pub struct TableSnapshot {
     /// (start key, snapshot) in key order — the pinned region map.
     snaps: Vec<(Vec<u8>, Arc<Snapshot>)>,
@@ -822,32 +763,44 @@ impl TableSnapshot {
     }
 
     /// All entries with `start <= key <= end` visible at this snapshot,
-    /// in global key order ([`TableSnapshot::scan_stream`] drained).
+    /// in global key order: [`TableSnapshot::scan_ranges_stream`] over
+    /// the one range, drained, so it records the same metrics (one
+    /// `just_kvstore_scan_latency_us` sample per call).
     pub fn scan(&self, start: &[u8], end: &[u8]) -> Result<Vec<KvEntry>> {
-        self.scan_stream(start, end, ScanOptions::default()).drain()
+        let range = vec![(start.to_vec(), end.to_vec())];
+        self.scan_ranges_stream(range, ScanOptions::default())
+            .drain()
     }
 
-    /// Streaming scan at this snapshot; same batching/cancellation
-    /// contract as [`Table::scan_stream`]. The stream holds its own
-    /// snapshot pins, so it may outlive this view.
-    pub fn scan_stream(&self, start: &[u8], end: &[u8], opts: ScanOptions) -> ScanStream {
-        if start > end {
-            return ScanStream::new(VecDeque::new(), opts, self.metrics.clone());
-        }
-        let lo = self.index_for(start);
-        let hi = self.index_for(end);
+    /// The table's scan path: visits the ranges in order (entries within
+    /// a range in key order, empty ranges skipped), merging each
+    /// region's layers lazily at this snapshot, and yields bounded
+    /// batches via [`ScanStream::next_batch`]. Construction does no IO;
+    /// a consumer that stops pulling (or cancels the token in `opts`)
+    /// leaves the remaining blocks unread — that saved IO is what
+    /// `LIMIT`-style consumers are after.
+    ///
+    /// Every range reads this view's cut, however long the stream runs.
+    /// The stream holds its own pin on each region a range still has to
+    /// visit, so it may outlive this view; a pin drops once its range
+    /// has captured the region's layers. A split that commits meanwhile
+    /// does not retarget the stream: the sealed parent keeps serving the
+    /// ranges still pending.
+    pub fn scan_ranges_stream(
+        &self,
+        ranges: Vec<(Vec<u8>, Vec<u8>)>,
+        opts: ScanOptions,
+    ) -> ScanStream {
         let mut pending = VecDeque::new();
-        let mut pins = Vec::new();
-        for (_, snap) in &self.snaps[lo..=hi] {
-            pending.push_back((
-                snap.region().clone(),
-                start.to_vec(),
-                end.to_vec(),
-                snap.seq(),
-            ));
-            pins.push(snap.clone());
+        for (start, end) in ranges {
+            if start > end {
+                continue;
+            }
+            for (_, snap) in &self.snaps[self.index_for(&start)..=self.index_for(&end)] {
+                pending.push_back((snap.clone(), start.clone(), end.clone()));
+            }
         }
-        ScanStream::pinned(pending, opts, self.metrics.clone(), pins)
+        ScanStream::new(pending, opts, self.metrics.clone())
     }
 }
 
@@ -889,7 +842,7 @@ mod tests {
         for k in &keys {
             t.put(k.clone(), b"v".to_vec()).unwrap();
         }
-        let hits = t.scan(&[0x00], &[0xff; 5]).unwrap();
+        let hits = t.snapshot().scan(&[0x00], &[0xff; 5]).unwrap();
         keys.sort();
         keys.dedup();
         assert_eq!(hits.len(), keys.len());
@@ -915,12 +868,13 @@ mod tests {
             })
             .collect();
         let multi = t
+            .snapshot()
             .scan_ranges_stream(ranges.clone(), ScanOptions::default())
             .drain()
             .unwrap();
         let mut serial = Vec::new();
         for (s, e) in &ranges {
-            serial.extend(t.scan(s, e).unwrap());
+            serial.extend(t.snapshot().scan(s, e).unwrap());
         }
         assert_eq!(multi, serial);
         assert_eq!(multi.len(), 5000);
@@ -931,9 +885,9 @@ mod tests {
     fn get_and_delete_route_correctly() {
         let (t, dir) = table("getdel", 16);
         t.put(vec![200, 1], b"hi".to_vec()).unwrap();
-        assert_eq!(t.get(&[200, 1]).unwrap(), Some(b"hi".to_vec()));
+        assert_eq!(t.snapshot().get(&[200, 1]).unwrap(), Some(b"hi".to_vec()));
         t.delete(vec![200, 1]).unwrap();
-        assert_eq!(t.get(&[200, 1]).unwrap(), None);
+        assert_eq!(t.snapshot().get(&[200, 1]).unwrap(), None);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -948,14 +902,20 @@ mod tests {
         }
         let events_before = just_obs::events::global().next_seq();
         t.flush().unwrap();
-        t.get(&{
-            let mut k = vec![0u8];
-            k.extend_from_slice(&5u32.to_be_bytes());
-            k
-        })
-        .unwrap();
-        t.scan(&[0x00], &[0x00, 0xff, 0xff, 0xff, 0xff]).unwrap();
-        let mut stream = t.scan_stream(&[0x00], &[0x01], crate::ScanOptions::default());
+        t.snapshot()
+            .get(&{
+                let mut k = vec![0u8];
+                k.extend_from_slice(&5u32.to_be_bytes());
+                k
+            })
+            .unwrap();
+        t.snapshot()
+            .scan(&[0x00], &[0x00, 0xff, 0xff, 0xff, 0xff])
+            .unwrap();
+        let range = vec![(vec![0x00], vec![0x01])];
+        let mut stream = t
+            .snapshot()
+            .scan_ranges_stream(range, ScanOptions::default());
         while stream.next_batch().unwrap().is_some() {}
 
         let stats = t.region_stats();
@@ -992,7 +952,7 @@ mod tests {
     fn empty_key_routes_to_region_zero() {
         let (t, dir) = table("empty", 4);
         t.put(vec![], b"root".to_vec()).unwrap();
-        assert_eq!(t.get(&[]).unwrap(), Some(b"root".to_vec()));
+        assert_eq!(t.snapshot().get(&[]).unwrap(), Some(b"root".to_vec()));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1006,20 +966,26 @@ mod tests {
             )
             .unwrap();
         }
-        let before = t.scan(b"", b"\xff").unwrap();
+        let before = t.snapshot().scan(b"", b"\xff").unwrap();
         let split_key = t.split_region(0).unwrap().expect("region large enough");
         assert_eq!(t.num_regions(), 2);
         let stats = t.region_stats();
         assert!(stats[0].start_key.is_empty());
         assert_eq!(stats[1].start_key, split_key);
         // Same data, same order, through the new map.
-        assert_eq!(t.scan(b"", b"\xff").unwrap(), before);
+        assert_eq!(t.snapshot().scan(b"", b"\xff").unwrap(), before);
         // Point reads and new writes route to the daughters.
-        assert_eq!(t.get(b"k00042").unwrap(), Some(b"v42".to_vec()));
+        assert_eq!(t.snapshot().get(b"k00042").unwrap(), Some(b"v42".to_vec()));
         t.put(b"k00042".to_vec(), b"post-split".to_vec()).unwrap();
         t.put(b"k01999".to_vec(), b"post-split".to_vec()).unwrap();
-        assert_eq!(t.get(b"k00042").unwrap(), Some(b"post-split".to_vec()));
-        assert_eq!(t.get(b"k01999").unwrap(), Some(b"post-split".to_vec()));
+        assert_eq!(
+            t.snapshot().get(b"k00042").unwrap(),
+            Some(b"post-split".to_vec())
+        );
+        assert_eq!(
+            t.snapshot().get(b"k01999").unwrap(),
+            Some(b"post-split".to_vec())
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1034,12 +1000,15 @@ mod tests {
             .unwrap();
         }
         t.split_region(0).unwrap().expect("split");
-        let before = t.scan(b"", b"\xff").unwrap();
+        let before = t.snapshot().scan(b"", b"\xff").unwrap();
         t.merge_regions(0).unwrap();
         assert_eq!(t.num_regions(), 1);
-        assert_eq!(t.scan(b"", b"\xff").unwrap(), before);
+        assert_eq!(t.snapshot().scan(b"", b"\xff").unwrap(), before);
         t.put(b"k00001".to_vec(), b"post-merge".to_vec()).unwrap();
-        assert_eq!(t.get(b"k00001").unwrap(), Some(b"post-merge".to_vec()));
+        assert_eq!(
+            t.snapshot().get(b"k00001").unwrap(),
+            Some(b"post-merge".to_vec())
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1057,13 +1026,13 @@ mod tests {
         let split_key = t.split_region(0).unwrap().expect("split");
         assert_eq!(t.num_regions(), 3);
         t.flush().unwrap();
-        let before = t.scan(b"", b"\xff").unwrap();
+        let before = t.snapshot().scan(b"", b"\xff").unwrap();
         drop(t);
         // The fan-out argument is ignored: the manifest wins.
         let t2 = crate::fixture::table("map-reopen", dir.clone(), 2);
         assert_eq!(t2.num_regions(), 3);
         assert_eq!(t2.region_stats()[1].start_key, split_key);
-        assert_eq!(t2.scan(b"", b"\xff").unwrap(), before);
+        assert_eq!(t2.snapshot().scan(b"", b"\xff").unwrap(), before);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1087,7 +1056,8 @@ mod tests {
         assert_eq!(snap.get(b"k00007").unwrap(), Some(b"v1".to_vec()));
         // Streaming reads give the same cut, even pulled after the view
         // would naturally advance.
-        let mut stream = snap.scan_stream(b"", b"\xff", ScanOptions::default());
+        let range = vec![(b"".to_vec(), b"\xff".to_vec())];
+        let mut stream = snap.scan_ranges_stream(range, ScanOptions::default());
         let mut streamed = Vec::new();
         while let Some(batch) = stream.next_batch().unwrap() {
             streamed.extend(batch);
@@ -1095,6 +1065,7 @@ mod tests {
         assert_eq!(streamed, hits);
         drop(snap);
         assert!(t
+            .snapshot()
             .scan(b"", b"\xff")
             .unwrap()
             .iter()
@@ -1133,7 +1104,7 @@ mod tests {
         for (w, n) in counts.iter().enumerate() {
             let mut hi = format!("w{w}-").into_bytes();
             hi.push(0xff);
-            let hits = t.scan(format!("w{w}-").as_bytes(), &hi).unwrap();
+            let hits = t.snapshot().scan(format!("w{w}-").as_bytes(), &hi).unwrap();
             assert_eq!(hits.len(), *n as usize, "writer {w} lost writes");
         }
         std::fs::remove_dir_all(dir).ok();

@@ -20,6 +20,7 @@ fn repeated_scans_hit_the_cache() {
 
     store.metrics().reset();
     let first = table
+        .snapshot()
         .scan(&100u32.to_be_bytes(), &900u32.to_be_bytes())
         .unwrap();
     let cold = store.metrics().snapshot();
@@ -27,6 +28,7 @@ fn repeated_scans_hit_the_cache() {
 
     store.metrics().reset();
     let second = table
+        .snapshot()
         .scan(&100u32.to_be_bytes(), &900u32.to_be_bytes())
         .unwrap();
     let warm = store.metrics().snapshot();
@@ -64,11 +66,13 @@ fn disabled_cache_always_reads_disk() {
 
     store.metrics().reset();
     table
+        .snapshot()
         .scan(&0u32.to_be_bytes(), &1999u32.to_be_bytes())
         .unwrap();
     let first = store.metrics().snapshot();
     store.metrics().reset();
     table
+        .snapshot()
         .scan(&0u32.to_be_bytes(), &1999u32.to_be_bytes())
         .unwrap();
     let second = store.metrics().snapshot();
@@ -97,11 +101,13 @@ fn compaction_invalidates_cached_blocks() {
     }
     // Warm the cache, then compact (which rewrites files).
     table
+        .snapshot()
         .scan(&0u32.to_be_bytes(), &499u32.to_be_bytes())
         .unwrap();
     table.compact().unwrap();
     // Post-compaction scans see the latest data.
     let after = table
+        .snapshot()
         .scan(&0u32.to_be_bytes(), &499u32.to_be_bytes())
         .unwrap();
     assert_eq!(after.len(), 500);

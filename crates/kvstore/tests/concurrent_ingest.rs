@@ -45,7 +45,10 @@ fn value_for(key: &[u8]) -> Vec<u8> {
 /// Collects a full streaming scan and checks the order / value
 /// invariants; returns the scanned key set.
 fn checked_scan(table: &just_kvstore::Table) -> BTreeSet<Vec<u8>> {
-    let mut stream = table.scan_stream(b"", b"\xff", ScanOptions::default());
+    let range = vec![(b"".to_vec(), b"\xff".to_vec())];
+    let mut stream = table
+        .snapshot()
+        .scan_ranges_stream(range, ScanOptions::default());
     let mut seen = BTreeSet::new();
     let mut last: Option<Vec<u8>> = None;
     while let Some(batch) = stream.next_batch().unwrap() {

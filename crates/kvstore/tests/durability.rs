@@ -37,8 +37,11 @@ fn crash_copy_recovers_every_acknowledged_write() {
 
     let recovered = Store::open(&crash, StoreOptions::default()).unwrap();
     let t2 = recovered.open_table("t", 4).unwrap();
-    assert_eq!(t2.scan(b"", b"\xff").unwrap().len(), 1000);
-    assert_eq!(t2.get(b"k000999").unwrap(), Some(b"v999".to_vec()));
+    assert_eq!(t2.snapshot().scan(b"", b"\xff").unwrap().len(), 1000);
+    assert_eq!(
+        t2.snapshot().get(b"k000999").unwrap(),
+        Some(b"v999".to_vec())
+    );
     drop(store);
     std::fs::remove_dir_all(dir).ok();
     std::fs::remove_dir_all(crash).ok();
@@ -72,7 +75,7 @@ fn scheduler_flushes_and_compacts_in_background() {
     // Wait for maintenance to drain the memtables.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
-        let hits = t.scan(b"", b"\xff").unwrap();
+        let hits = t.snapshot().scan(b"", b"\xff").unwrap();
         assert_eq!(hits.len(), 4000, "scan must always see every row");
         if t.disk_size() > 0 {
             break;
@@ -89,7 +92,7 @@ fn scheduler_flushes_and_compacts_in_background() {
     // Reopen: everything (flushed + WAL tail) recovers.
     let s2 = Store::open(&dir, StoreOptions::default()).unwrap();
     let t2 = s2.open_table("t", 2).unwrap();
-    assert_eq!(t2.scan(b"", b"\xff").unwrap().len(), 4000);
+    assert_eq!(t2.snapshot().scan(b"", b"\xff").unwrap().len(), 4000);
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -119,7 +122,7 @@ fn sync_none_survives_clean_shutdown_but_not_necessarily_crash() {
     }
     let s2 = Store::open(&dir, StoreOptions::default()).unwrap();
     let t2 = s2.open_table("t", 2).unwrap();
-    assert_eq!(t2.scan(b"", b"\xff").unwrap().len(), 100);
+    assert_eq!(t2.snapshot().scan(b"", b"\xff").unwrap().len(), 100);
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -187,7 +190,7 @@ fn failed_manifest_write_rolls_back_split_and_merge() {
     // The parents take writes again, and those writes are durable.
     t.put(b"k-after".to_vec(), b"low".to_vec()).unwrap();
     t.put("\u{e9}-after".into(), b"high".to_vec()).unwrap();
-    let acknowledged = t.scan(b"", b"\xff").unwrap();
+    let acknowledged = t.snapshot().scan(b"", b"\xff").unwrap();
     assert_eq!(acknowledged.len(), 4002);
     drop(t);
     drop(store);
@@ -195,7 +198,7 @@ fn failed_manifest_write_rolls_back_split_and_merge() {
     let reopened = Store::open(&dir, options()).unwrap();
     let t = reopened.open_table("t", 2).unwrap();
     assert_eq!(t.num_regions(), 2);
-    let recovered = t.scan(b"", b"\xff").unwrap();
+    let recovered = t.snapshot().scan(b"", b"\xff").unwrap();
     assert_eq!(recovered.len(), acknowledged.len(), "reopen lost keys");
     assert!(
         recovered == acknowledged,

@@ -72,7 +72,7 @@ fn fresh_store_writes_format_and_reopens() {
     );
     let store = Store::open(&dir, StoreOptions::default()).unwrap();
     let t = store.open_table("t", 1).unwrap();
-    assert_eq!(t.scan(b"", b"\xff").unwrap().len(), 101);
+    assert_eq!(t.snapshot().scan(b"", b"\xff").unwrap().len(), 101);
     drop(t);
     drop(store);
     assert_eq!(

@@ -183,7 +183,7 @@ fn heap_is_bounded_by_configuration_not_by_volume() {
     let region = &table.region_stats()[0];
     let disk = region.disk_bytes as usize;
     assert!(region.sstables >= 4 && disk >= 16 << 20, "{region:?}");
-    let rows = table.scan(b"", b"\xff").unwrap().len();
+    let rows = table.snapshot().scan(b"", b"\xff").unwrap().len();
 
     let grew = peak_growth(|| table.compact().unwrap());
     assert_eq!(table.region_stats()[0].sstables, 1);
@@ -207,6 +207,6 @@ fn heap_is_bounded_by_configuration_not_by_volume() {
         grew <= disk / 4,
         "split_region() grew the heap by {grew} bytes over a {disk}-byte region"
     );
-    assert_eq!(table.scan(b"", b"\xff").unwrap().len(), rows);
+    assert_eq!(table.snapshot().scan(b"", b"\xff").unwrap().len(), rows);
     std::fs::remove_dir_all(&dir).ok();
 }

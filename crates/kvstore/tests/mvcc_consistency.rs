@@ -211,7 +211,8 @@ fn snapshot_scans_equal_serial_execution_under_splits() {
             snap.region_seqs()
         );
         // Streaming scan: identical cut, batch by batch.
-        let mut stream = snap.scan_stream(b"", b"\xff", ScanOptions::default());
+        let range = vec![(b"".to_vec(), b"\xff".to_vec())];
+        let mut stream = snap.scan_ranges_stream(range, ScanOptions::default());
         let mut streamed = Vec::new();
         while let Some(batch) = stream.next_batch().unwrap() {
             streamed.extend(batch.into_iter().map(|e| (e.key, e.value)));
@@ -240,6 +241,7 @@ fn snapshot_scans_equal_serial_execution_under_splits() {
             .collect::<Vec<_>>(),
     );
     let got: Vec<(Vec<u8>, Vec<u8>)> = table
+        .snapshot()
         .scan(b"", b"\xff")
         .unwrap()
         .into_iter()

@@ -7,7 +7,7 @@
 //! Cases are generated from a seeded [`just_obs::Rng`], so every run
 //! exercises the same deterministic op sequences.
 
-use just_kvstore::{ScanOptions, Store, StoreOptions};
+use just_kvstore::{ScanOptions, Store, StoreOptions, TableSnapshot};
 use just_obs::Rng;
 use std::collections::BTreeMap;
 
@@ -61,6 +61,26 @@ fn gen_op(rng: &mut Rng) -> Op {
         8 => Op::Flush,
         _ => Op::Compact,
     }
+}
+
+/// Streams `ranges` at `snapshot` in batches of `batch_rows`, so every
+/// batch boundary lands mid-merge.
+fn drain(
+    snapshot: &TableSnapshot,
+    ranges: Vec<(Vec<u8>, Vec<u8>)>,
+    batch_rows: usize,
+) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let opts = ScanOptions {
+        batch_rows,
+        ..Default::default()
+    };
+    let mut stream = snapshot.scan_ranges_stream(ranges, opts);
+    let mut streamed = Vec::new();
+    while let Some(batch) = stream.next_batch().unwrap() {
+        assert!(batch.len() <= batch_rows, "oversized batch");
+        streamed.extend(batch.into_iter().map(|e| (e.key, e.value)));
+    }
+    streamed
 }
 
 fn options() -> StoreOptions {
@@ -151,10 +171,11 @@ fn store_matches_btreemap_model() {
             }
         }
         let (snapshot, model_then) = snapshot.unwrap_or_else(|| (table.snapshot(), model.clone()));
+        let now = table.snapshot();
 
         // Point lookups agree.
         for (k, v) in &model {
-            let got = table.get(k).unwrap();
+            let got = now.get(k).unwrap();
             assert_eq!(got.as_ref(), Some(v), "case {case} key {k:?}");
         }
 
@@ -164,7 +185,7 @@ fn store_matches_btreemap_model() {
         } else {
             (scan_b, scan_a)
         };
-        let got = table.scan(&lo, &hi).unwrap();
+        let got = now.scan(&lo, &hi).unwrap();
         let in_range = |model: &BTreeMap<Vec<u8>, Vec<u8>>| -> Vec<(Vec<u8>, Vec<u8>)> {
             model
                 .range::<Vec<u8>, _>(lo.clone()..=hi.clone())
@@ -181,19 +202,7 @@ fn store_matches_btreemap_model() {
         // So does the scan pulled in tiny batches, where every batch
         // boundary lands mid-merge.
         for batch_rows in [1, 2, 7] {
-            let mut stream = table.scan_stream(
-                &lo,
-                &hi,
-                ScanOptions {
-                    batch_rows,
-                    ..Default::default()
-                },
-            );
-            let mut streamed = Vec::new();
-            while let Some(batch) = stream.next_batch().unwrap() {
-                assert!(batch.len() <= batch_rows, "case {case}: oversized batch");
-                streamed.extend(batch.into_iter().map(|e| (e.key, e.value)));
-            }
+            let streamed = drain(&now, vec![(lo.clone(), hi.clone())], batch_rows);
             assert_eq!(streamed, expected, "case {case} batch_rows {batch_rows}");
         }
 
@@ -214,14 +223,28 @@ fn store_matches_btreemap_model() {
             .map(|e| (e.key, e.value))
             .collect();
         assert_eq!(then, in_range(&model_then), "case {case} snapshot scan");
+        // And through three ranges streamed row by row, which between
+        // them cover every key the cases generate.
+        let thirds = vec![
+            (vec![], vec![2, 0xff]),
+            (vec![3], vec![4, 0xff]),
+            (vec![5], vec![0xff]),
+        ];
+        let mut want = Vec::new();
+        for (lo, hi) in &thirds {
+            let range = model_then.range::<Vec<u8>, _>(lo.clone()..=hi.clone());
+            want.extend(range.map(|(k, v)| (k.clone(), v.clone())));
+        }
+        assert_eq!(want.len(), model_then.len(), "case {case}");
+        let streamed = drain(&snapshot, thirds, 1);
+        assert_eq!(streamed, want, "case {case} snapshot 3-range stream");
 
         // Reopened, the store replays its WAL to the same map.
-        drop((snapshot, table, store));
+        drop((now, snapshot, table, store));
         let store = Store::open(&dir, options()).unwrap();
         let table = store.open_table("t", 4).unwrap();
-        let all: Vec<(Vec<u8>, Vec<u8>)> = (table.scan(b"", &[0xff; 8]).unwrap().into_iter())
-            .map(|e| (e.key, e.value))
-            .collect();
+        let all = table.snapshot().scan(b"", &[0xff; 8]).unwrap().into_iter();
+        let all: Vec<(Vec<u8>, Vec<u8>)> = all.map(|e| (e.key, e.value)).collect();
         let want: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
         assert_eq!(all, want, "case {case} after reopen");
         drop((table, store));

@@ -67,7 +67,10 @@ fn bloom_filter_answers_in_fence_misses_without_block_reads() {
     let gets = 500;
     let before = store.metrics().snapshot();
     for i in 0..gets {
-        assert_eq!(t.get(&miss_key(i * (ROWS / gets))).unwrap(), None);
+        assert_eq!(
+            t.snapshot().get(&miss_key(i * (ROWS / gets))).unwrap(),
+            None
+        );
     }
     let d = store.metrics().snapshot().since(&before);
     assert!(
@@ -93,7 +96,10 @@ fn compressed_blocks_mean_fewer_block_reads_for_the_same_scans() {
         let (store, t, dir) = loaded(name, codec);
         let before = store.metrics().snapshot();
         for s in 0..scans {
-            let hits = t.scan(&key(s * span), &key((s + 1) * span - 1)).unwrap();
+            let hits = t
+                .snapshot()
+                .scan(&key(s * span), &key((s + 1) * span - 1))
+                .unwrap();
             assert_eq!(hits.len(), span);
         }
         let blocks = store.metrics().snapshot().since(&before).blocks_read;

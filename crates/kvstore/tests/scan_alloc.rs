@@ -71,7 +71,9 @@ fn a_cached_scan_allocates_per_range_not_per_key() {
         .collect();
     // The first drain fills the block cache; the second is measured.
     let drain = |ranges: Vec<(Vec<u8>, Vec<u8>)>| {
-        let mut stream = table.scan_ranges_stream(ranges, ScanOptions::default());
+        let mut stream = table
+            .snapshot()
+            .scan_ranges_stream(ranges, ScanOptions::default());
         let before = ALLOCS.load(Relaxed);
         let mut keys = 0;
         while let Some(batch) = stream.next_batch().unwrap() {

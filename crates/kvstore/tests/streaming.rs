@@ -37,16 +37,15 @@ fn early_drop_stops_block_reads() {
 
     // Baseline: the materializing scan reads the whole range.
     let before = store.metrics().snapshot();
-    let all = table.scan(b"key-", b"key-999999").unwrap();
+    let all = table.snapshot().scan(b"key-", b"key-999999").unwrap();
     assert_eq!(all.len(), 5000);
     let full = store.metrics().snapshot().since(&before);
     assert!(full.blocks_read > 20, "expected many blocks: {full:?}");
 
     // Streaming consumer satisfied by one small batch.
     let before = store.metrics().snapshot();
-    let mut stream = table.scan_stream(
-        b"key-",
-        b"key-999999",
+    let mut stream = table.snapshot().scan_ranges_stream(
+        vec![(b"key-".to_vec(), b"key-999999".to_vec())],
         ScanOptions {
             batch_rows: 10,
             ..Default::default()
@@ -84,7 +83,10 @@ fn cancelled_stream_reads_nothing_more() {
     }
     table.flush().unwrap();
 
-    let mut stream = table.scan_stream(b"k", b"kz", ScanOptions::default());
+    let range = vec![(b"k".to_vec(), b"kz".to_vec())];
+    let mut stream = table
+        .snapshot()
+        .scan_ranges_stream(range, ScanOptions::default());
     // Cancelling before the first pull: the stream never touches disk.
     let before = store.metrics().snapshot();
     stream.cancel_token().cancel();
@@ -109,7 +111,10 @@ fn stream_sees_unflushed_and_flushed_layers_merged() {
     table.put(b"a".to_vec(), b"new".to_vec()).unwrap();
     table.delete(b"c".to_vec()).unwrap();
 
-    let mut stream = table.scan_stream(b"a", b"z", ScanOptions::default());
+    let range = vec![(b"a".to_vec(), b"z".to_vec())];
+    let mut stream = table
+        .snapshot()
+        .scan_ranges_stream(range, ScanOptions::default());
     let batch = stream.next_batch().unwrap().unwrap();
     let got: Vec<(Vec<u8>, Vec<u8>)> = batch.into_iter().map(|e| (e.key, e.value)).collect();
     assert_eq!(

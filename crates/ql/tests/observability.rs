@@ -234,6 +234,21 @@ fn kill_query_cancels_a_scan_mid_stream() {
     }
     assert!(engine.queries().list().is_empty());
 
+    // The killed scan released its snapshot: a leaked pin would keep
+    // every flushed generation of the region in memory and block its
+    // compaction.
+    let regions = SessionManager::new(engine.clone())
+        .session("obs")
+        .region_stats();
+    assert!(!regions.is_empty());
+    for (table, stats) in &regions {
+        assert_eq!(
+            stats.open_snapshots, 0,
+            "{table} region {} still pinned after the kill",
+            stats.index
+        );
+    }
+
     // Killing a finished query is a client-visible error.
     assert!(c.execute(&format!("KILL QUERY {id}")).is_err());
     std::fs::remove_dir_all(dir).ok();

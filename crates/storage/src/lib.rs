@@ -64,7 +64,7 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::Kv(e) => write!(f, "kv error: {e}"),
             StorageError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
-            StorageError::Corrupt(m) => write!(f, "corrupt row: {m}"),
+            StorageError::Corrupt(m) => write!(f, "corrupt data: {m}"),
             StorageError::Compress(e) => write!(f, "compression error: {e}"),
         }
     }

@@ -8,7 +8,7 @@ use crate::value::Value;
 use crate::{Result, StorageError};
 use just_curves::TimePeriod;
 use just_geo::{Geometry, LineString, Point, Rect};
-use just_kvstore::{Store, Table as KvTable};
+use just_kvstore::{Store, Table as KvTable, TableSnapshot};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -225,10 +225,12 @@ impl StTable {
         config: StorageConfig,
     ) -> Result<StTable> {
         let kv = store.create_table(name, config.regions)?;
-        Ok(Self::bind(name, schema, config, kv))
+        Self::bind(name, schema, config, kv)
     }
 
-    /// Reopens a previously created table.
+    /// Reopens a previously created table. Fails with
+    /// [`StorageError::Corrupt`] when its persisted time bounds are not
+    /// two timestamps.
     pub fn open(
         store: &Store,
         name: &str,
@@ -236,7 +238,7 @@ impl StTable {
         config: StorageConfig,
     ) -> Result<StTable> {
         let kv = store.open_table(name, config.regions)?;
-        Ok(Self::bind(name, schema, config, kv))
+        Self::bind(name, schema, config, kv)
     }
 
     /// The index kind a schema+config resolves to.
@@ -258,7 +260,12 @@ impl StTable {
             .unwrap_or_else(|| IndexKind::default_for(point_data, temporal))
     }
 
-    fn bind(name: &str, schema: Schema, config: StorageConfig, kv: Arc<KvTable>) -> StTable {
+    fn bind(
+        name: &str,
+        schema: Schema,
+        config: StorageConfig,
+        kv: Arc<KvTable>,
+    ) -> Result<StTable> {
         let point_data = schema
             .geom_index()
             .map(|i| schema.fields()[i].ty == FieldType::Point)
@@ -273,19 +280,29 @@ impl StTable {
             };
             IndexStrategy::secondary(skind, config.period, config.shards)
         });
-        let time_bounds = kv.get(TIME_BOUNDS_KEY).ok().flatten().and_then(|v| {
-            let lo = i64::from_le_bytes(v.get(0..8)?.try_into().ok()?);
-            let hi = i64::from_le_bytes(v.get(8..16)?.try_into().ok()?);
-            Some((lo, hi))
-        });
-        StTable {
+        // An entry that cannot be read must not read as "no data yet":
+        // open-window queries would then plan no ranges at all.
+        let time_bounds = match kv.snapshot().get(TIME_BOUNDS_KEY)? {
+            None => None,
+            Some(v) if v.len() == 16 => {
+                let at = |i: usize| i64::from_le_bytes(v[i..i + 8].try_into().expect("8 bytes"));
+                Some((at(0), at(8)))
+            }
+            Some(v) => {
+                return Err(StorageError::Corrupt(format!(
+                    "time bounds of table {name} hold {} bytes, not 16",
+                    v.len()
+                )))
+            }
+        };
+        Ok(StTable {
             name: name.to_string(),
             schema,
             strategy,
             spatial,
             kv,
             time_bounds: just_obs::sync::Mutex::new(time_bounds),
-        }
+        })
     }
 
     /// Widens the persisted time bounds to include `[t_min, t_max]`.
@@ -377,14 +394,16 @@ impl StTable {
         // a narrower bound than the one memory holds.
         self.widen_time_bounds(t_min, t_max)?;
         // Per row, the version it supersedes when that sits under other
-        // keys: the batch's earlier row with its id, else the stored one.
+        // keys: the batch's earlier row with its id, else the stored one,
+        // read at one snapshot that is released before the write.
         let mut superseded = Vec::with_capacity(staged.len());
         let mut latest: HashMap<&[u8], &Staged> = HashMap::with_capacity(staged.len());
+        let snap = self.kv.snapshot();
         for row in &staged {
             let earlier = latest.insert(&row.id, row);
             let old_key = match earlier {
                 Some(e) => Some(e.key.clone()),
-                None => self.kv.get(&row.id)?,
+                None => snap.get(&row.id)?,
             };
             let Some(old_key) = old_key.filter(|k| *k != row.key) else {
                 superseded.push(None);
@@ -392,11 +411,11 @@ impl StTable {
             };
             let old_skey = match earlier {
                 Some(e) => e.skey.clone(),
-                None => self.stored_spatial_key(&old_key)?,
+                None => self.stored_spatial_key(&snap, &old_key)?,
             };
             superseded.push(Some((old_key, old_skey)));
         }
-        drop(latest);
+        drop((latest, snap));
         let per_row = if self.spatial.is_some() { 3 } else { 2 };
         let mut ops = Vec::with_capacity(per_row * staged.len());
         for (row, old) in staged.into_iter().zip(superseded) {
@@ -415,13 +434,13 @@ impl StTable {
         Ok(())
     }
 
-    /// The secondary-index key of the row stored under data key `key`:
-    /// `None` without a secondary index or without the row.
-    fn stored_spatial_key(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+    /// The secondary-index key of the row stored under data key `key` at
+    /// `snap`: `None` without a secondary index or without the row.
+    fn stored_spatial_key(&self, snap: &TableSnapshot, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let Some(sst) = &self.spatial else {
             return Ok(None);
         };
-        let Some(bytes) = self.kv.get(key)? else {
+        let Some(bytes) = snap.get(key)? else {
             return Ok(None);
         };
         let row = Row::decode(&self.schema, &bytes)?;
@@ -432,24 +451,28 @@ impl StTable {
     /// Returns whether it existed.
     pub fn delete(&self, fid: &Value) -> Result<bool> {
         let id = self.strategy.id_key(&fid_bytes(fid)?);
-        let Some(key) = self.kv.get(&id)? else {
+        let snap = self.kv.snapshot();
+        let Some(key) = snap.get(&id)? else {
             return Ok(false);
         };
         let mut ops = Vec::with_capacity(3);
-        ops.extend(self.stored_spatial_key(&key)?.map(|k| (k, None)));
+        ops.extend(self.stored_spatial_key(&snap, &key)?.map(|k| (k, None)));
+        drop(snap);
         ops.push((key, None));
         ops.push((id, None));
         self.kv.write_batch(ops)?;
         Ok(true)
     }
 
-    /// Point lookup by id.
+    /// Point lookup by id: the id entry and the row it points at, read
+    /// at one snapshot.
     pub fn get(&self, fid: &Value) -> Result<Option<Row>> {
         let id = self.strategy.id_key(&fid_bytes(fid)?);
-        let Some(key) = self.kv.get(&id)? else {
+        let snap = self.kv.snapshot();
+        let Some(key) = snap.get(&id)? else {
             return Ok(None);
         };
-        let Some(bytes) = self.kv.get(&key)? else {
+        let Some(bytes) = snap.get(&key)? else {
             return Ok(None);
         };
         Ok(Some(Row::decode(&self.schema, &bytes)?))
@@ -492,7 +515,7 @@ impl StTable {
     /// this to deduplicate candidates by key before paying for row
     /// decode (and GPS-list decompression), and stops as soon as its
     /// candidate heap is provably complete, leaving the rest of the ring
-    /// unread.
+    /// unread. It reads one snapshot, as [`StTable::query_stream`] does.
     pub fn query_raw_stream(
         &self,
         spatial: Option<&Rect>,
@@ -501,7 +524,7 @@ impl StTable {
     ) -> RawQueryStream {
         let ranges = self.plan_scan(spatial, time);
         RawQueryStream {
-            inner: self.kv.scan_ranges_stream(ranges, opts),
+            inner: self.kv.snapshot().scan_ranges_stream(ranges, opts),
         }
     }
 
@@ -548,6 +571,12 @@ impl StTable {
     ///
     /// Cancellation (via `opts.cancel` or simply dropping the stream)
     /// stops the underlying block reads mid-range.
+    ///
+    /// The stream reads one snapshot of the table, taken here, across
+    /// all its ranges and regions however long it runs: a row moved from
+    /// a range not yet reached into one already passed still comes back
+    /// once, as it was. It owns the snapshot's pins and releases each
+    /// region's as it enters that region's last range.
     pub fn query_stream(
         &self,
         spatial: Option<&Rect>,
@@ -556,22 +585,21 @@ impl StTable {
         projection: Option<&[usize]>,
         opts: just_kvstore::ScanOptions,
     ) -> QueryStream {
-        let inner = self
-            .kv
-            .scan_ranges_stream(self.plan_scan(spatial, time), opts);
+        let ranges = self.plan_scan(spatial, time);
+        let inner = self.kv.snapshot().scan_ranges_stream(ranges, opts);
         self.build_stream(inner, spatial, time, predicate, projection)
     }
 
     /// Every record, decoded batch by batch (with optional projection
-    /// pushdown): the data family, salt by salt.
+    /// pushdown): the data family, salt by salt, at one snapshot as
+    /// [`StTable::query_stream`] reads.
     pub fn scan_all_stream(
         &self,
         projection: Option<&[usize]>,
         opts: just_kvstore::ScanOptions,
     ) -> QueryStream {
-        let inner = self
-            .kv
-            .scan_ranges_stream(self.strategy.family_ranges(), opts);
+        let ranges = self.strategy.family_ranges();
+        let inner = self.kv.snapshot().scan_ranges_stream(ranges, opts);
         self.build_stream(inner, None, None, SpatialPredicate::Intersects, projection)
     }
 
@@ -1092,6 +1120,65 @@ mod tests {
         for time in [None, Some((0, 2 * DAY_MS))] {
             let hits = t.query(Some(&window), time, SpatialPredicate::Within);
             assert_eq!(hits.unwrap().len(), rows.len(), "time {time:?}");
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_query_stream_reads_one_cut_across_its_ranges() {
+        let (s, dir) = store("cut");
+        // One salt: the plan's ranges are the window's two days in order.
+        let config = StorageConfig {
+            shards: 1,
+            ..StorageConfig::default()
+        };
+        let t = StTable::create(&s, "o", order_schema(), config).unwrap();
+        let moved_from = order_row(2, 116.4, 39.9, DAY_MS + HOUR_MS);
+        t.insert(&order_row(1, 116.4, 39.9, HOUR_MS)).unwrap();
+        t.insert(&moved_from).unwrap();
+        let window = Rect::new(116.0, 39.0, 117.0, 40.0);
+        let time = Some((0, 2 * DAY_MS - 1));
+        assert!(t.strategy().plan(Some(&window), time).ranges.len() >= 2);
+        let opts = just_kvstore::ScanOptions {
+            batch_rows: 1,
+            ..Default::default()
+        };
+        let mut stream = t.query_stream(Some(&window), time, SpatialPredicate::Within, None, opts);
+        // Row 1 comes out of day 0's range, whose layers the stream has
+        // now captured: it is past everything that range can show.
+        let first = stream.next_batch().unwrap().unwrap();
+        assert_eq!(first, vec![order_row(1, 116.4, 39.9, HOUR_MS)]);
+        // Row 2 moves from day 1, not yet reached, into that range, and
+        // row 3 appears on day 1.
+        t.insert(&order_row(2, 116.4, 39.9, HOUR_MS)).unwrap();
+        t.insert(&order_row(3, 116.4, 39.9, DAY_MS + HOUR_MS))
+            .unwrap();
+        let mut rest = Vec::new();
+        while let Some(batch) = stream.next_batch().unwrap() {
+            rest.extend(batch);
+        }
+        // The cut the stream opened at: row 2 once, where it was then,
+        // and no row 3.
+        assert_eq!(rest, vec![moved_from]);
+        drop(stream);
+        let now = t.query(Some(&window), time, SpatialPredicate::Within);
+        assert_eq!(now.unwrap().len(), 3, "a new query reads the new cut");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn open_refuses_unreadable_time_bounds() {
+        let (s, dir) = store("bounds");
+        let t = StTable::create(&s, "o", order_schema(), StorageConfig::default()).unwrap();
+        t.insert(&order_row(1, 116.4, 39.9, HOUR_MS)).unwrap();
+        t.kv.put(TIME_BOUNDS_KEY.to_vec(), vec![1, 2, 3]).unwrap();
+        drop(t);
+        // Read as "no bounds", the entry would have every open-window
+        // query on the table plan no ranges and return nothing.
+        let opened = StTable::open(&s, "o", order_schema(), StorageConfig::default());
+        match opened {
+            Err(StorageError::Corrupt(m)) => assert!(m.contains("3 bytes"), "{m}"),
+            other => panic!("open must refuse a 3-byte bounds entry: {other:?}"),
         }
         std::fs::remove_dir_all(dir).ok();
     }
