@@ -156,8 +156,8 @@ JUSTD_PID=""
 echo "format epoch OK: epoch 1 refused with the store untouched, $GOT/$ROWS rows after restore"
 
 echo "==> concurrent-ingest crash smoke (8 writers, kill -9 mid-ingest)"
-# Eight writers insert concurrently against the sharded write path
-# (eight memtable shards per region, one WAL, per-write sync): writers 0-3
+# Eight writers insert concurrently against the write path (one
+# memtable and one WAL per region, per-write sync): writers 0-3
 # one row per INSERT, writers 4-7 eight rows per INSERT (one write batch
 # per kv table). Each writer logs its row ids to its own file only
 # *after* the INSERT's response came back — the log is exactly the set
@@ -168,7 +168,7 @@ ING_DATA="$SMOKE_DIR/ingest-data"
 ING_LOG="$SMOKE_DIR/ingest-acked"
 mkdir -p "$ING_LOG"
 start_justd "$ING_DATA" "$SMOKE_DIR/ingest-port" \
-    --wal-sync per-write --mem-shards 8
+    --wal-sync per-write
 cli query "CREATE TABLE ingpts (fid integer:primary key, geom point)"
 WRITER_PIDS=()
 for w in $(seq 0 7); do
@@ -195,7 +195,7 @@ sort "$ING_LOG"/w* >"$ING_LOG/want"
 [ -s "$ING_LOG/want" ] || { echo "no writes were acknowledged before the kill"; exit 1; }
 
 start_justd "$ING_DATA" "$SMOKE_DIR/ingest-port" \
-    --wal-sync per-write --mem-shards 8
+    --wal-sync per-write
 # --max-rows: the verification must see every surviving row, not the
 # default 100-row display window.
 ./target/release/just-cli --addr "$ADDR" --user smoke --max-rows 100000 \
@@ -224,7 +224,7 @@ echo "==> region-lifecycle smoke (SPLIT REGION mid-scan, kill -9 map replay)"
 # the pre-split region), SHOW REGIONS must list both daughters, and a
 # kill -9 restart must replay the WAL into the *same* region map.
 REG_DATA="$SMOKE_DIR/region-data"
-start_justd "$REG_DATA" "$SMOKE_DIR/region-port" --wal-sync per-write --mem-shards 8
+start_justd "$REG_DATA" "$SMOKE_DIR/region-port" --wal-sync per-write
 cli query "CREATE TABLE regpts (fid integer:primary key, geom point)"
 REG_PIDS=()
 for w in $(seq 0 7); do
@@ -271,7 +271,7 @@ cli query "SHOW REGIONS" | grep "^regpts | " \
 kill -9 "$JUSTD_PID"
 wait "$JUSTD_PID" 2>/dev/null || true
 JUSTD_PID=""
-start_justd "$REG_DATA" "$SMOKE_DIR/region-port" --wal-sync per-write --mem-shards 8
+start_justd "$REG_DATA" "$SMOKE_DIR/region-port" --wal-sync per-write
 # The SELECT must come first: it opens the table's kv stores (they are
 # opened lazily), which is what replays the WALs into the daughters.
 GOT=$(./target/release/just-cli --addr "$ADDR" --user smoke --max-rows 100000 \

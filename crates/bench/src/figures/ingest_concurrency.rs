@@ -1,15 +1,14 @@
-//! Ingest throughput vs concurrent writer count: the sharded write path
-//! payoff (`ISSUE 8`, ROADMAP item 1).
+//! Ingest throughput vs concurrent writer count: group commit on one
+//! memtable.
 //!
-//! One table, one region — the worst case for the old serialized write
-//! path, where every writer contended on a single memtable mutex and
-//! fsynced its own record. Each point of the sweep opens a fresh store
-//! with the concurrent ingest pipeline (16 memtable shards in front of
-//! the region's one WAL) under the `per-write` sync policy — the policy
-//! where the old path's cost was starkest: one fsync per acknowledged
-//! row. With cross-shard group commit, one fsync covers every writer
-//! queued on the log, so throughput scales with writers even on a
-//! single-core box (the win is fsync amortization, not CPU
+//! One table, one region, so every writer shares the region's one
+//! memtable lock and its one WAL. Each point of the sweep opens a fresh
+//! store under the `per-write` sync policy — the policy where a write
+//! path without group commit pays most: one fsync per acknowledged row.
+//! A writer appends and inserts under the memtable lock, then waits for
+//! its fsync outside it, so one fsync covers every writer queued on the
+//! log while it was in flight and throughput scales with writers even on
+//! a single-core box (the win is fsync amortization, not CPU
 //! parallelism). Batching comes from writers *colliding* on the log
 //! while its fsync is in flight; spreading 16 writers over several logs
 //! per region dilutes collisions back toward one fsync per record
@@ -43,8 +42,9 @@
 //!   single-writer p99, or failing that within **5×** the 16-writer
 //!   point's own p50. The guard exists to catch queueing that grows
 //!   with writer count: a fully serialized ack path pushes the
-//!   16-writer p99 to 6-10× its p50, and the shard-lock convoy this
-//!   guard was built against measured 15-78ms tails (40-100×), while
+//!   16-writer p99 to 6-10× its p50, and the lock convoy this guard was
+//!   built against (writers parked on an fsync while holding the
+//!   memtable lock) measured 15-78ms tails (40-100×), while
 //!   healthy group commit sits at 2-4× (full-scale windows are long
 //!   enough that each writer's p99 swallows a couple of real device
 //!   stalls). The cross-point ratio alone is structurally ~2.0
@@ -110,7 +110,6 @@ fn measure(tag: &str, writers: usize, rows_per_writer: usize) -> Point {
         // Large threshold: the sweep measures the ingest pipeline, not
         // flush throughput.
         flush_threshold: 256 << 20,
-        mem_shards: 16,
         ..StoreOptions::default()
     };
     opts.durability.sync = SyncPolicy::PerWrite;
@@ -225,7 +224,6 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
     report.meta_raw("rows_per_writer", rows_per_writer.to_string());
     report.meta_raw("reps", REPS.to_string());
     report.meta_str("wal_sync", "per-write");
-    report.meta_raw("mem_shards", "16");
 
     let mut points = Vec::with_capacity(WRITERS.len());
     for &w in &WRITERS {

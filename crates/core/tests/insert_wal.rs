@@ -1,8 +1,9 @@
 //! What one INSERT costs the WAL, counted: a 200-row statement into a
-//! default temporal point table reaches the logs as a few `write(2)`s —
-//! one batch to the table's one kv table, whose salted key families all
-//! route to one region under the default map, one append per memtable
-//! shard group to that region's log — not one `write(2)` per kv put.
+//! default temporal point table reaches the log as two `write(2)`s — one
+//! batch to the table's one kv table, whose salted key families all
+//! route to one region under the default map, appended to that region's
+//! log at once, then the time bounds' put — not one `write(2)` per kv
+//! put.
 //!
 //! Its own test binary with one `#[test]`: the WAL counters are
 //! process-wide, and the maintenance scheduler is off, so no tick, flush
@@ -40,7 +41,6 @@ fn a_200_row_insert_is_one_batch_in_one_region_log() {
     let dir = std::env::temp_dir().join(format!("just-insert-wal-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut config = EngineConfig::default();
-    let mem_shards = config.store.mem_shards as u64;
     config.store.maintenance = MaintenanceOptions {
         workers: 0,
         ..MaintenanceOptions::default()
@@ -91,12 +91,8 @@ fn a_200_row_insert_is_one_batch_in_one_region_log() {
     // time bounds, widened once per statement (row by row, every row with
     // a later time widened them again).
     assert_eq!(records, 3 * ROWS as u64 + 1);
-    // One batch of at most one group per memtable shard, plus the time
-    // bounds' put.
-    assert!(
-        made <= mem_shards + 1,
-        "{made} WAL writes for one statement"
-    );
+    // One append for the region's batch, one for the time bounds' put.
+    assert_eq!(made, 2, "{made} WAL writes for one statement");
     // One region's log, in the region's own directory.
     assert_eq!(touched.len(), 1, "logs written: {touched:?}");
     let name = touched[0].file_name().unwrap().to_string_lossy();

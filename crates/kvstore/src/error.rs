@@ -34,8 +34,8 @@ pub enum KvError {
     /// region map, so this surfaces only when a split or merge is
     /// wedged.
     RegionSealed,
-    /// A key and value of this many bytes together exceed what one
-    /// memtable shard can address (2 GiB); nothing was written.
+    /// A key and value of this many bytes together exceed what a
+    /// memtable can address (2 GiB); nothing was written.
     EntryTooLarge(usize),
 }
 

@@ -1,19 +1,19 @@
 //! The concurrent ingest pipeline's write-ahead log: one log per region,
-//! shared by every memtable shard, with group commit.
+//! behind the region's one memtable, with group commit.
 //!
 //! HBase gives every RegionServer one WAL that all its regions' writers
 //! funnel through, batching their syncs ("group commit") so one `hsync`
 //! acknowledges many writers. A region here keeps one log the same way:
-//! every shard appends to it under one short lock, a single fsync covers
-//! every record appended since the last one, and writers block only until
-//! a sync at-or-past their ticket completes.
+//! a writer appends its batch under the memtable lock, a single fsync
+//! covers every record appended since the last one, and writers block
+//! only until a sync at-or-past their ticket completes.
 //!
 //! ## Replay
 //!
 //! Each record carries the region-wide commit sequence number assigned
-//! under its shard lock ([`crate::wal::WalRecord`]). Appends from
-//! different shards can reach the file out of sequence order, so replay
-//! sorts by it and routes each record by its key.
+//! under the memtable lock ([`crate::wal::WalRecord`]). A log need not
+//! hold its records in that order — one written by an earlier build
+//! interleaves concurrent writers' runs — so replay sorts by it.
 //!
 //! ## Repair
 //!
@@ -21,36 +21,12 @@
 //! the region. The next freeze or maintenance tick repairs it: the torn
 //! (unacknowledged) suffix is truncated and the log rotates to a fresh
 //! segment ([`crate::wal::Wal::rotate_keep`]).
-//!
-//! ## Regions written with several logs
-//!
-//! Earlier builds spread a region's log over streams kept in `wal_sNN/`
-//! subdirectories. Open replays their segments with the root's, copies
-//! the merged history into the root log, fsyncs it, and only then
-//! removes the directories. A crash at any step leaves one log that holds
-//! every record; a record found twice (the copy and the original) has one
-//! sequence number and replays once.
 
 use crate::error::{KvError, Result};
-use crate::wal::{fsync_dir, SyncPolicy, Wal, WalRecord};
+use crate::wal::{SyncPolicy, Wal, WalRecord};
 use just_obs::sync::{Condvar, Mutex};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
-
-/// FNV-1a over the key, reduced to a shard index. Stable across restarts
-/// only within a run's configuration — replay re-routes by the current
-/// shard count, so changing `mem_shards` between runs is safe.
-pub(crate) fn shard_of(key: &[u8], shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % shards as u64) as usize
-}
 
 /// Group-commit fsyncs allowed in flight. The bookkeeping supports
 /// overlapping fsyncs (`sync_begun` tracks what in-flight snapshots
@@ -93,46 +69,13 @@ impl std::fmt::Debug for RegionWal {
     }
 }
 
-/// The `wal_sNN/` stream directories an earlier build left in `dir`.
-fn legacy_stream_dirs(dir: &Path) -> Result<Vec<PathBuf>> {
-    let mut dirs = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let numbered = (name.to_string_lossy().strip_prefix("wal_s"))
-            .is_some_and(|n| n.parse::<usize>().is_ok());
-        if numbered && entry.file_type()?.is_dir() {
-            dirs.push(entry.path());
-        }
-    }
-    Ok(dirs)
-}
-
 impl RegionWal {
     /// Opens the log in the region directory `dir`, returning it with
-    /// the surviving records in commit order. Stream directories of an
-    /// earlier layout are folded into it first (module docs).
+    /// the surviving records in commit order.
     pub(crate) fn open(dir: &Path, policy: SyncPolicy) -> Result<(RegionWal, Vec<WalRecord>)> {
-        let (mut wal, mut records) = Wal::open_seq(dir, policy)?;
-        let legacy = legacy_stream_dirs(dir)?;
-        for stream in &legacy {
-            records.extend(Wal::open_seq(stream, policy)?.1);
-        }
-        // Sequence numbers are unique — each is drawn from the region
-        // counter under a shard lock — so equal ones are one record.
+        let (wal, mut records) = Wal::open_seq(dir, policy)?;
+        // Commit order is sequence order, not file order (module docs).
         records.sort_by_key(|r| r.seq);
-        records.dedup_by_key(|r| r.seq);
-        if !legacy.is_empty() {
-            for run in records.chunk_by(|a, b| b.seq == a.seq + 1) {
-                let ops = run.iter().map(|r| (&r.key[..], r.value.as_deref()));
-                wal.append_seq(run[0].seq, ops)?;
-            }
-            wal.sync_always()?;
-            for stream in legacy {
-                std::fs::remove_dir_all(stream)?;
-            }
-            fsync_dir(dir)?;
-        }
         let obs = just_obs::global();
         Ok((
             RegionWal {
@@ -150,7 +93,7 @@ impl RegionWal {
     /// Appends one sequenced mutation, honouring the sync policy before
     /// returning (i.e. before the write may be acknowledged). Convenience
     /// for tests; the real write path calls the two halves separately
-    /// around releasing the shard lock.
+    /// around releasing the memtable lock.
     #[cfg(test)]
     pub(crate) fn append(&self, seq: u64, key: &[u8], value: Option<&[u8]>) -> Result<()> {
         let ticket = self.append_nowait(seq, [(key, value)])?;
@@ -161,11 +104,11 @@ impl RegionWal {
     /// sequences `seq..` reaches the OS per the sync policy's `write(2)`
     /// discipline (one `write(2)` for the run, see [`Wal::append_seq`])
     /// and the returned ticket names its last record for a later
-    /// [`RegionWal::commit`]. Split so a writer can append under its
-    /// shard lock but wait for the group commit *outside* it — a writer
-    /// parked on an fsync must not hold a shard hostage, or unrelated
-    /// writers hashing to that shard chain behind its wait (a convoy that
-    /// compounds with writer count).
+    /// [`RegionWal::commit`]. Split so a writer can append under the
+    /// memtable lock but wait for the group commit *outside* it — a
+    /// writer parked on an fsync must not hold the memtable hostage, or
+    /// every other writer of the region chains behind its wait (a convoy
+    /// that compounds with writer count).
     pub(crate) fn append_nowait<'a>(
         &self,
         seq: u64,
@@ -362,8 +305,8 @@ impl RegionWal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixture;
     use crate::wal::{decode_records, FaultyWalFile};
+    use std::path::PathBuf;
     use std::sync::Arc;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -378,25 +321,19 @@ mod tests {
     }
 
     #[test]
-    fn replay_merges_streams_by_sequence() {
-        // One key's rewrites interleaved across an old layout's streams
-        // out of stream order: the *sequence* must win on replay.
-        let dir = tmpdir("merge");
-        fixture::wal_log(&dir, "", &[(1, b"k", Some(b"v1"))]);
-        fixture::wal_log(
-            &dir,
-            "wal_s02",
-            &[(0, b"k", Some(b"v0")), (2, b"k", Some(b"v2"))],
-        );
-        fixture::wal_log(&dir, "wal_s01", &[(3, b"other", Some(b"x"))]);
-        for reopen in 0..2 {
-            let (_, recovered) = RegionWal::open(&dir, SyncPolicy::Batched).unwrap();
-            let seqs: Vec<u64> = recovered.iter().map(|r| r.seq).collect();
-            assert_eq!(seqs, vec![0, 1, 2, 3], "reopen {reopen}");
-            assert_eq!(recovered[2].value.as_deref(), Some(&b"v2"[..]));
-            // The stream directories are folded into the root log.
-            assert!(legacy_stream_dirs(&dir).unwrap().is_empty());
+    fn replay_returns_records_in_sequence_order() {
+        // A log holds records out of sequence order when concurrent
+        // writers' runs interleave in it: the sequence must win.
+        let dir = tmpdir("order");
+        let (wal, _) = RegionWal::open(&dir, SyncPolicy::Batched).unwrap();
+        for (seq, value) in [(1, b"v1"), (0, b"v0"), (3, b"v3"), (2, b"v2")] {
+            wal.append(seq, b"k", Some(value)).unwrap();
         }
+        drop(wal);
+        let (_, recovered) = RegionWal::open(&dir, SyncPolicy::Batched).unwrap();
+        let seqs: Vec<u64> = recovered.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [0, 1, 2, 3]);
+        assert_eq!(recovered[3].value.as_deref(), Some(&b"v3"[..]));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -508,19 +445,5 @@ mod tests {
             s.syncs
         );
         std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn shard_routing_is_stable_and_covers_all_shards() {
-        let shards = 8;
-        let mut seen = vec![false; shards];
-        for i in 0..1000u32 {
-            let key = format!("key-{i}");
-            let s = shard_of(key.as_bytes(), shards);
-            assert_eq!(s, shard_of(key.as_bytes(), shards));
-            seen[s] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "1000 keys must hit all 8 shards");
-        assert_eq!(shard_of(b"anything", 1), 0);
     }
 }

@@ -104,7 +104,6 @@ mod fixture {
     use super::*;
     use crate::region::{Region, RegionOptions};
     use crate::sstable::{SsTable, SsTableBuilder, SstOptions};
-    use crate::wal::Wal;
     use std::path::{Path, PathBuf};
     use std::sync::Arc;
 
@@ -116,9 +115,8 @@ mod fixture {
                 ..SstOptions::default()
             },
             durability: DurabilityOptions::disabled(),
-            mem_shards: StoreOptions::default().mem_shards,
             stall_bytes: flush_threshold,
-            shard_cap: crate::memtable::SHARD_CAP,
+            mem_cap: crate::memtable::MEM_CAP,
             kick: Default::default(),
         }
     }
@@ -140,22 +138,6 @@ mod fixture {
         metrics: Arc<IoMetrics>,
     ) -> SsTableBuilder {
         SsTableBuilder::create_opts(path, opts, metrics, Arc::new(BlockCache::new(0))).unwrap()
-    }
-
-    /// One WAL record: `(seq, key, value)`, `None` for a delete.
-    pub(crate) type Record<'a> = (u64, &'a [u8], Option<&'a [u8]>);
-
-    /// Writes `records` as a log segment in `dir/sub` (`""` for `dir`
-    /// itself) — how a region of the old layout kept its root log and
-    /// its `wal_sNN/` streams.
-    pub(crate) fn wal_log(dir: &Path, sub: &str, records: &[Record]) {
-        let dir = dir.join(sub);
-        std::fs::create_dir_all(&dir).unwrap();
-        let (mut wal, _) = Wal::open_seq(&dir, SyncPolicy::Batched).unwrap();
-        for &(seq, key, value) in records {
-            wal.append_seq(seq, [(key, value)]).unwrap();
-        }
-        wal.sync().unwrap();
     }
 
     pub(crate) fn sstable(path: &Path) -> SsTable {

@@ -1,10 +1,10 @@
 //! The in-memory write buffer of a region: an arena skip list with
 //! per-key MVCC version chains.
 //!
-//! One shard's keys, values, index nodes and version records live in two
+//! A region's keys, values, index nodes and version records live in two
 //! growable buffers addressed by 32-bit offsets, so a put allocates
 //! nothing in the steady state and freezing, flushing or holding a
-//! generation moves or drops two allocations per shard:
+//! generation moves or drops two allocations:
 //!
 //! ```text
 //! bytes: keys and values, each behind its LEB128 length, appended, never moved
@@ -18,7 +18,7 @@
 //! "no version" in every link.
 //!
 //! Every mutation carries the region-wide commit sequence allocated by
-//! [`crate::Region`] under the owning shard's lock, so a key's chain,
+//! [`crate::Region`] under the memtable's lock, so a key's chain,
 //! walked newest → older, has descending sequences. Readers pass a
 //! snapshot sequence and see the newest version *older than* it. Chains
 //! are kept until the whole memtable generation is flushed; a flushed
@@ -53,8 +53,8 @@ const VERSION_SLOTS: usize = 4;
 const TOMBSTONE: u32 = u32::MAX;
 /// Most key and value bytes one table addresses. Half the offset range,
 /// so no offset can reach [`TOMBSTONE`].
-pub(crate) const SHARD_CAP: usize = i32::MAX as usize;
-/// Longest LEB128 length prefix of a key or value below [`SHARD_CAP`].
+pub(crate) const MEM_CAP: usize = i32::MAX as usize;
+/// Longest LEB128 length prefix of a key or value below [`MEM_CAP`].
 const MAX_LEN_PREFIX: usize = 5;
 /// Smallest growth of either buffer, in bytes. A full buffer grows by an
 /// eighth (`Vec`'s doubling would let the flush threshold fire at half
@@ -71,7 +71,7 @@ fn reserve<T>(buf: &mut Vec<T>, additional: usize) {
     }
 }
 
-/// A sorted in-memory map of one shard's most recent writes. Each key
+/// A sorted in-memory map of one region's most recent writes. Each key
 /// holds its committed version chain; tombstones shadow older on-disk
 /// data.
 pub(crate) struct MemTable {
@@ -88,10 +88,10 @@ pub(crate) struct MemTable {
 }
 
 impl MemTable {
-    /// Empty memtable that reports full at `cap` bytes ([`SHARD_CAP`] in
+    /// Empty memtable that reports full at `cap` bytes ([`MEM_CAP`] in
     /// every store); allocates nothing until the first insert.
     pub(crate) fn new(cap: usize) -> Self {
-        assert!(cap <= SHARD_CAP, "offsets are 32-bit");
+        assert!(cap <= MEM_CAP, "offsets are 32-bit");
         MemTable {
             bytes: Vec::new(),
             slots: Vec::new(),
@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn put_get_delete() {
-        let mut m = MemTable::new(SHARD_CAP);
+        let mut m = MemTable::new(MEM_CAP);
         m.put(b"k", 1, b"v1");
         assert_eq!(m.get(b"k", LATEST), Some(Some(&b"v1"[..])));
         m.put(b"k", 2, b"v2");
@@ -372,7 +372,7 @@ mod tests {
 
     #[test]
     fn snapshot_reads_pick_the_right_version() {
-        let mut m = MemTable::new(SHARD_CAP);
+        let mut m = MemTable::new(MEM_CAP);
         m.put(b"k", 5, b"old");
         m.put(b"k", 9, b"new");
         // A snapshot taken before the first write sees nothing here.
@@ -387,7 +387,7 @@ mod tests {
 
     #[test]
     fn scan_is_inclusive_ordered_and_snapshot_filtered() {
-        let mut m = MemTable::new(SHARD_CAP);
+        let mut m = MemTable::new(MEM_CAP);
         for (seq, k) in [b"a", b"c", b"e"].into_iter().enumerate() {
             m.put(k, seq as u64, b"x");
         }
@@ -404,7 +404,7 @@ mod tests {
 
     #[test]
     fn empty_table_allocates_nothing_and_reads_nothing() {
-        let m = MemTable::new(SHARD_CAP);
+        let m = MemTable::new(MEM_CAP);
         assert_eq!(m.reserved_bytes(), 0);
         assert!(m.is_empty());
         assert_eq!(m.seq_ub(), 0);
@@ -415,7 +415,7 @@ mod tests {
 
     #[test]
     fn reserved_bytes_are_the_buffers_and_take_moves_them() {
-        let mut m = MemTable::new(SHARD_CAP);
+        let mut m = MemTable::new(MEM_CAP);
         m.put(&[0; 100], 1, &[0; 1000]);
         let reserved = m.reserved_bytes();
         assert!((1100..=4096).contains(&reserved), "{reserved}");
@@ -436,7 +436,7 @@ mod tests {
 
     #[test]
     fn iter_returns_newest_versions_only() {
-        let mut m = MemTable::new(SHARD_CAP);
+        let mut m = MemTable::new(MEM_CAP);
         m.put(b"a", 1, b"v1");
         m.put(b"a", 2, b"v2");
         m.delete(b"b", 3);
@@ -571,12 +571,12 @@ mod tests {
     /// against the oracle after every batch.
     fn differential(seed: u64, key_space: u32, steps: u64) {
         let mut rng = Rng::seed_from_u64(seed);
-        let (mut arena, mut oracle) = (MemTable::new(SHARD_CAP), Oracle::default());
+        let (mut arena, mut oracle) = (MemTable::new(MEM_CAP), Oracle::default());
         assert_same(&arena, &oracle, &mut rng, key_space, 0);
         let mut seq = 0u64;
         for step in 1..=steps {
-            // Ascending, with gaps: other shards draw from the same
-            // counter.
+            // Ascending, with gaps: a failed WAL append burns the
+            // sequences it drew.
             seq += rng.gen_range(1u64..4);
             let key = format!("k{:05}", rng.gen_range(0..key_space)).into_bytes();
             if rng.gen_range(0u32..5) == 0 {

@@ -276,13 +276,9 @@ pub(crate) enum ScanSource {
 }
 
 impl ScanSource {
-    /// A memtable layer's entries, put in key order here (its shards
-    /// partition the keyspace, so keys are unique).
-    pub(crate) fn mem(mut entries: KvBatch) -> Self {
-        let bytes = &entries.bytes;
-        entries
-            .spans
-            .sort_unstable_by(|a, b| bytes[a.0..a.1].cmp(&bytes[b.0..b.1]));
+    /// A memtable layer's entries, in key order (a memtable scan yields
+    /// them so, one version per key).
+    pub(crate) fn mem(entries: KvBatch) -> Self {
         ScanSource::Mem(entries, 0)
     }
 

@@ -94,8 +94,8 @@ fn write_format(base: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Tuning knobs, shared by every table of a store: 11 settable values
-/// (5 here, 2 in [`DurabilityOptions`], 4 in [`MaintenanceOptions`]).
+/// Tuning knobs, shared by every table of a store: 10 settable values
+/// (4 here, 2 in [`DurabilityOptions`], 4 in [`MaintenanceOptions`]).
 /// Everything else — the on-disk format (one epoch, 10 bloom bits per
 /// key), the WAL's user-space buffer, the maintenance tick, the
 /// auto-split region cap — is a constant next to the code that uses it.
@@ -121,10 +121,6 @@ pub struct StoreOptions {
     /// Write-ahead-log configuration (HBase's WAL: acknowledged writes
     /// survive a crash).
     pub durability: DurabilityOptions,
-    /// Memtable shards per region: finely-locked arenas, salted by key
-    /// hash, that concurrent writers fill in parallel. Every shard of a
-    /// region appends to the region's one WAL.
-    pub mem_shards: usize,
     /// Background flush / compaction scheduler configuration.
     pub maintenance: MaintenanceOptions,
 }
@@ -137,7 +133,6 @@ impl Default for StoreOptions {
             codec: Codec::None,
             block_cache_bytes: 32 << 20,
             durability: DurabilityOptions::default(),
-            mem_shards: 8,
             maintenance: MaintenanceOptions::default(),
         }
     }
@@ -215,12 +210,11 @@ impl Store {
                 codec: self.options.codec,
             },
             durability: self.options.durability.clone(),
-            mem_shards: self.options.mem_shards,
             stall_bytes: match maintenance.workers {
                 0 => self.options.flush_threshold,
                 _ => maintenance.stall_bytes,
             },
-            shard_cap: crate::memtable::SHARD_CAP,
+            mem_cap: crate::memtable::MEM_CAP,
             kick: self.scheduler.kick_handle(),
         }
     }

@@ -365,9 +365,9 @@ impl Table {
     }
 
     /// Writes a batch of puts and deletes, in order per key: each region
-    /// takes its share as one batch (one append to the region's WAL per
-    /// memtable shard, one log to sync). An op larger than a
-    /// memtable shard refuses the whole batch before any region writes.
+    /// takes its share as one batch (one append to the region's WAL, one
+    /// log to sync). An op larger than a memtable can address refuses
+    /// the whole batch before any region writes.
     ///
     /// A batch is not atomic: readers may see part of it while it is
     /// written, and an error can leave part of it written.
@@ -381,7 +381,7 @@ impl Table {
     /// swaps it within its sealed window). Only a wedged lifecycle
     /// operation surfaces [`KvError::RegionSealed`] to callers.
     fn write(&self, ops: &mut [WriteOp]) -> Result<()> {
-        check_entry_sizes(ops, self.region_opts.shard_cap)?;
+        check_entry_sizes(ops, self.region_opts.mem_cap)?;
         let mut rejected = self.write_routed(ops)?;
         let mut deadline: Option<Instant> = None;
         while !rejected.is_empty() {

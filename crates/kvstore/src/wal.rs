@@ -21,9 +21,8 @@
 //! ```
 //!
 //! One op pair: every record carries the region-wide commit sequence
-//! number replay orders records by (`ingest.rs`): appends from different
-//! memtable shards can reach the file out of sequence order. Any other op
-//! byte is a malformed payload.
+//! number replay orders records by (`ingest.rs`). Any other op byte is a
+//! malformed payload.
 //!
 //! `crc` is the CRC-32 (from `just-compress`) of `payload`; `len` is the
 //! payload length. A record whose length runs past end-of-file, whose CRC
@@ -44,8 +43,8 @@
 //!   un-synced batch.
 //!
 //! The unit of a `write(2)` is an *append*: [`Wal::append_seq`] takes a
-//! run of records (one batch's worth on one memtable shard — a single put
-//! is a run of one), frames each as above, and hands the run to the OS
+//! run of records (one region's share of a write batch — a single put is
+//! a run of one), frames each as above, and hands the run to the OS
 //! at once. Replay cannot tell a run from separate appends.
 //! * `None` — records are buffered in user space and pushed to the OS
 //!   opportunistically: a crash may lose the buffered tail.
@@ -68,8 +67,8 @@ pub enum SyncPolicy {
     /// Buffer in user space; flush to the OS opportunistically. Crashes
     /// can lose the buffered tail.
     None,
-    /// `write(2)` per append — a run of records, one memtable shard's
-    /// share of a write batch — before acknowledging (survives
+    /// `write(2)` per append — a run of records, one region's share of a
+    /// write batch — before acknowledging (survives
     /// `kill -9`), `fsync` batched by the maintenance scheduler (bounded
     /// power-loss window). The default.
     #[default]

@@ -142,9 +142,19 @@ fn other_epochs_and_missing_or_hostile_format_are_refused() {
 fn a_closed_store_stamped_epoch_1_is_refused_on_reopen() {
     // Epoch 1 differs from epoch 2 only in the storage layer's key
     // layout, which no kvstore byte records: the stamp is all that
-    // tells the two apart, so the stamp alone must refuse it.
+    // tells the two apart, so the stamp alone must refuse it. Only an
+    // epoch-1 region can hold a `wal_s01/` log stream directory; this
+    // build has no code that reads one, so the refusal must come first.
     let dir = store_with_table("epoch-1");
     std::fs::write(dir.join("FORMAT"), b"just-kvstore format 1\n").unwrap();
+    let region = dir.join("t").join("region_000");
+    let log = std::fs::read_dir(&region)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "log"))
+        .expect("a WAL segment");
+    std::fs::create_dir(region.join("wal_s01")).unwrap();
+    std::fs::copy(&log, region.join("wal_s01").join("wal_0000000000.log")).unwrap();
     let before = tree(&dir);
     let (found, expected) = refused(&dir);
     assert!(found.contains("epoch 1"), "{found}");

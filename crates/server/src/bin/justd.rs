@@ -4,7 +4,6 @@
 //! justd --data DIR [--addr HOST:PORT] [--max-sessions N]
 //!       [--users a,b,c] [--port-file PATH]
 //!       [--wal-sync none|batched|per-write] [--no-wal]
-//!       [--mem-shards N]
 //!       [--slow-query-ms N] [--region-split-bytes N]
 //! ```
 //!
@@ -20,10 +19,8 @@
 //! can be lost to power failure). `--wal-sync per-write` fsyncs every
 //! record; `--no-wal` disables logging entirely (fastest, volatile).
 //!
-//! Ingest concurrency: each region's memtable is salted across
-//! `--mem-shards` finely-locked shards (default 8; `--mem-shards 1`
-//! reproduces the serial pre-sharding write path), all appending to the
-//! region's one group-committed WAL.
+//! Ingest concurrency: each region has one memtable in front of one
+//! group-committed WAL, so concurrent writers share an fsync.
 //!
 //! Region lifecycle: the maintenance scheduler auto-splits any region
 //! whose footprint crosses `--region-split-bytes` (default 256 MiB;
@@ -74,13 +71,6 @@ fn main() -> ExitCode {
                 Some(p) => engine_cfg.store.durability.sync = p,
                 None => {
                     eprintln!("justd: bad --wal-sync '{value}' (none|batched|per-write)\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--mem-shards" => match value.parse::<usize>() {
-                Ok(n) if n >= 1 => engine_cfg.store.mem_shards = n,
-                _ => {
-                    eprintln!("justd: bad --mem-shards '{value}' (>= 1)\n{USAGE}");
                     return ExitCode::from(2);
                 }
             },
@@ -141,4 +131,4 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage: justd --data DIR [--addr HOST:PORT] [--max-sessions N] \
 [--users a,b,c] [--port-file PATH] [--wal-sync none|batched|per-write] [--no-wal] \
-[--mem-shards N] [--slow-query-ms N] [--region-split-bytes N]";
+[--slow-query-ms N] [--region-split-bytes N]";
