@@ -253,22 +253,31 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("Fig 12a"));
         assert!(text.contains("Fig 12d"));
-        // Shape check on 12a's single row: JUST <= JUSTc (the paper's
-        // headline: Z2T beats the century-period Z3).
-        let sec = text.split("Fig 12a").nth(1).unwrap();
-        let row = sec
-            .lines()
-            .find(|l| l.trim_start().starts_with("100"))
-            .unwrap();
-        let cells: Vec<f64> = row
-            .split_whitespace()
-            .skip(1)
-            .map(|c| c.parse().unwrap())
-            .collect();
-        let (just, justc) = (cells[0], cells[3]);
+        // Shape check on 12a's queries, on counted work rather than wall
+        // time: the blocks the planned ranges touch, from disk or the
+        // cache, which repeat exactly. The paper has Z2T beating the
+        // century-period Z3; here Z2T touches ~10 % more blocks, so this
+        // asserts only that it does not lose badly (ROADMAP item 8(c)).
+        // At this scale no query window holds a row, so the keys scanned
+        // are 0 for both.
+        let orders = OrderDataset::generate(cfg.orders, cfg.seed);
+        let windows = query_windows(cfg.queries_per_point, cfg.default_window_km(), cfg.seed);
+        let times =
+            query_time_windows(cfg.queries_per_point, cfg.default_time_window_h(), cfg.seed);
+        let v = order_variants(&orders.fraction(100));
+        let blocks_touched = |te: &TempEngine| {
+            te.engine.reset_io();
+            for (w, t) in windows.iter().zip(&times) {
+                st_query(te, "orders", w, *t, SpatialPredicate::Within);
+            }
+            let io = te.engine.io_snapshot();
+            io.blocks_read + io.cache_hits
+        };
+        let (just, justc) = (blocks_touched(&v.just), blocks_touched(&v.just_c));
+        assert!(just > 0 && justc > 0);
         assert!(
-            just <= justc * 1.5,
-            "Z2T ({just} ms) should not lose badly to Z3-century ({justc} ms)"
+            just <= justc * 3 / 2,
+            "Z2T touched {just} blocks, Z3-century {justc}: it should not lose badly"
         );
     }
 }

@@ -12,7 +12,10 @@
 //! compaction locks exactly one shard instead of sweeping all of them.
 //!
 //! The cache stores *decompressed* block bytes: a hot block of a
-//! compressed table pays codec work once, at fill time. Cache hits are
+//! compressed table pays codec work once, at fill time. Only queries
+//! fill it: a compaction, split or merge reads around it (hits are served, a
+//! miss is not inserted), so a rewrite neither evicts what queries use
+//! nor caches blocks whose file it is about to retire. Cache hits are
 //! counted separately from disk reads in [`crate::IoMetrics`], so
 //! experiments can still measure true disk IO.
 
@@ -206,6 +209,12 @@ impl BlockCache {
         }
     }
 
+    /// Bytes of block data resident across the shards.
+    #[cfg(test)]
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().bytes).sum()
+    }
+
     /// `(hits, misses)` counters.
     pub fn stats(&self) -> (u64, u64) {
         (
@@ -249,7 +258,7 @@ mod tests {
         for i in 0..1000usize {
             c.put(1, i, Arc::new(vec![0u8; 512]));
         }
-        let total: usize = c.shards.iter().map(|s| s.lock().bytes).sum();
+        let total = c.resident_bytes();
         assert!(total <= 16 * 4096 + 512 * SHARDS, "total {total}");
         // Recently used entries survive better than old ones; at least the
         // most recent insert must be present.

@@ -4,11 +4,13 @@
 //! one process.
 //!
 //! Writers signal the workers (a [`Kick`]) when a region crosses its
-//! flush threshold. A writer that finds the region at the hard
-//! `stall_bytes` cap flushes it itself before it returns (write
-//! backpressure, like HBase's `hbase.hregion.memstore.block.multiplier`,
-//! except that the parked writer runs the flush instead of waiting for
-//! a flusher). Shutdown is cooperative: workers drain the sweep they are
+//! flush threshold. A writer that finds the region's memtables at twice
+//! the threshold — one generation filling while one flushes — flushes
+//! it itself before it returns (write backpressure, like HBase's
+//! `hbase.hregion.memstore.block.multiplier`, except that the parked
+//! writer runs the flush instead of waiting for a flusher). A flush
+//! never waits for a compaction: a region merges outside its flush
+//! lock. Shutdown is cooperative: workers drain the sweep they are
 //! in, then exit; the store then force-syncs every WAL so a clean exit
 //! is durable under every sync policy.
 
@@ -24,7 +26,8 @@ use std::time::Duration;
 pub struct MaintenanceOptions {
     /// Worker threads (regions are partitioned across them). With 0
     /// there are no background threads: nothing flushes before the
-    /// threshold, which then serves as the cap a writer flushes at;
+    /// threshold, which then is the cap a writer flushes at (twice the
+    /// threshold otherwise);
     /// nothing compacts, splits or batch-syncs unless called, and
     /// [`crate::SyncPolicy::Batched`] syncs only on rotation and
     /// shutdown.
@@ -32,11 +35,6 @@ pub struct MaintenanceOptions {
     /// Compact a region once it holds at least this many SSTables
     /// (0 disables background compaction).
     pub compact_trigger: usize,
-    /// Hard per-region memtable cap in reserved bytes — the heap held by
-    /// the active memtable plus every frozen generation awaiting flush:
-    /// a writer that reaches it flushes the region before it returns.
-    /// Unused with `workers: 0`, where the cap is the flush threshold.
-    pub stall_bytes: usize,
     /// Auto-split a region once its footprint (disk + memtable)
     /// crosses this many bytes; 0 disables maintenance-driven splits.
     /// The analogue of HBase's region split policy, driven by the same
@@ -50,7 +48,6 @@ impl Default for MaintenanceOptions {
         MaintenanceOptions {
             workers: 2,
             compact_trigger: 8,
-            stall_bytes: 32 << 20,
             split_bytes: 256 << 20,
         }
     }

@@ -200,6 +200,9 @@ pub(crate) struct SstRangeIter {
     done: bool,
     /// Per-region attribution for every block this iterator reads.
     traffic: Arc<RegionTraffic>,
+    /// Whether a block read from disk enters the block cache (see
+    /// [`SsTable::read_block`]).
+    fill_cache: bool,
 }
 
 impl SstRangeIter {
@@ -208,6 +211,7 @@ impl SstRangeIter {
         start: &[u8],
         end: &[u8],
         traffic: Arc<RegionTraffic>,
+        fill_cache: bool,
     ) -> Self {
         let done = !table.overlaps(start, end);
         if done {
@@ -221,6 +225,7 @@ impl SstRangeIter {
             cursor: None,
             done,
             traffic,
+            fill_cache,
         }
     }
 
@@ -238,9 +243,10 @@ impl SstRangeIter {
                 self.done = true;
                 break;
             }
+            let seeked = self.cursor.is_none();
             let block = self
                 .table
-                .read_block(self.next_block, self.cursor.is_none())?;
+                .read_block(self.next_block, seeked, self.fill_cache)?;
             self.traffic.record_scan_block();
             self.next_block += 1;
             match &mut self.cursor {

@@ -94,8 +94,8 @@ fn write_format(base: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Tuning knobs, shared by every table of a store: 10 settable values
-/// (4 here, 2 in [`DurabilityOptions`], 4 in [`MaintenanceOptions`]).
+/// Tuning knobs, shared by every table of a store: 9 settable values
+/// (4 here, 2 in [`DurabilityOptions`], 3 in [`MaintenanceOptions`]).
 /// Everything else — the on-disk format (one epoch, 10 bloom bits per
 /// key), the WAL's user-space buffer, the maintenance tick, the
 /// auto-split region cap — is a constant next to the code that uses it.
@@ -105,7 +105,9 @@ pub struct StoreOptions {
     /// the active memtable's buffers hold (their capacity, index and
     /// version records included), not an estimate from key and value
     /// lengths. A region freezes its memtable for flushing once it
-    /// reserves this much.
+    /// reserves this much, and a writer flushes the region itself once
+    /// its active and frozen memtables reserve twice this (once, with
+    /// no maintenance workers).
     pub flush_threshold: usize,
     /// Target SSTable block size in bytes (HBase default: 64 KiB; we use a
     /// smaller default so laptop-scale datasets still span many blocks).
@@ -200,9 +202,9 @@ impl Store {
     }
 
     /// The per-region settings every table of this store uses. With no
-    /// workers nobody else flushes, so the cap is the threshold.
+    /// workers there is no scheduler to kick: the writers flush alone.
     fn region_opts(&self) -> RegionOptions {
-        let maintenance = &self.options.maintenance;
+        let workers = self.options.maintenance.workers;
         RegionOptions {
             flush_threshold: self.options.flush_threshold,
             sst: SstOptions {
@@ -210,12 +212,8 @@ impl Store {
                 codec: self.options.codec,
             },
             durability: self.options.durability.clone(),
-            stall_bytes: match maintenance.workers {
-                0 => self.options.flush_threshold,
-                _ => maintenance.stall_bytes,
-            },
             mem_cap: crate::memtable::MEM_CAP,
-            kick: self.scheduler.kick_handle(),
+            kick: (workers > 0).then(|| self.scheduler.kick_handle()),
         }
     }
 

@@ -92,7 +92,7 @@ pub struct RegionStats {
     pub disk_bytes: u64,
     /// Heap bytes reserved by the region's memtables: the active one
     /// plus the frozen generations awaiting flush (what `flush_threshold`
-    /// and `stall_bytes` meter).
+    /// and the write-buffer cap of twice it meter).
     pub memtable_bytes: usize,
     /// Number of SSTable files.
     pub sstables: usize,

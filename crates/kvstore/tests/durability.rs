@@ -51,8 +51,9 @@ fn crash_copy_recovers_every_acknowledged_write() {
 fn scheduler_flushes_and_compacts_in_background() {
     // Tiny thresholds: the scheduler must keep up with sustained ingest,
     // flushing past the memtable threshold and compacting past the
-    // file-count trigger. A writer that finds a region at the 64 KiB cap
-    // flushes it itself; the scheduler does the rest.
+    // file-count trigger. A writer that finds a region at the 16 KiB cap
+    // (twice the threshold) flushes it itself; the scheduler does the
+    // rest.
     let dir = tmpdir("sched");
     let store = Store::open(
         &dir,
@@ -61,7 +62,6 @@ fn scheduler_flushes_and_compacts_in_background() {
             maintenance: MaintenanceOptions {
                 workers: 2,
                 compact_trigger: 4,
-                stall_bytes: 64 << 10,
                 ..MaintenanceOptions::default()
             },
             ..StoreOptions::default()

@@ -4,20 +4,25 @@
 //!   allocates nothing in the steady state, the bytes a region reports
 //!   are the bytes its memtable holds, a flush gives them back, and ten
 //!   times the rows need no more heap than the flush threshold allows;
+//!   with background maintenance the region's memtables stay under twice
+//!   the threshold while compactions run, because a flush never waits
+//!   for a merge;
 //! * maintenance memory is O(input tables × one block), not O(region):
 //!   compaction, split and merge pull the read path's lazy merge straight
 //!   into an SSTable builder, so rewriting a region never holds the
 //!   region.
 //!
 //! The counting allocator is why this file has exactly one `#[test]` (a
-//! second test thread would allocate into the same counters) and opens
-//! its stores without background maintenance, so flushes run inline and
-//! every count repeats exactly.
+//! second test thread would allocate into the same counters). Its
+//! allocator phases open stores without background maintenance, so
+//! flushes run inline and every count repeats exactly; the one phase
+//! with workers reads the bytes the region reports, not the allocator,
+//! and runs last.
 
 use just_kvstore::{DurabilityOptions, MaintenanceOptions, Store, StoreOptions, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 
 /// Live heap bytes, their high-water mark since the last reset, and
 /// the number of allocations made.
@@ -82,6 +87,15 @@ fn load_generation(table: &Table, generation: u32) {
 
 /// A WAL-less, uncached store whose flushes run inline on the writer.
 fn open_store(dir: &Path, flush_threshold: usize) -> Store {
+    open_store_with(dir, flush_threshold, 0, 0)
+}
+
+fn open_store_with(
+    dir: &Path,
+    flush_threshold: usize,
+    workers: usize,
+    compact_trigger: usize,
+) -> Store {
     Store::open(
         dir,
         StoreOptions {
@@ -89,7 +103,8 @@ fn open_store(dir: &Path, flush_threshold: usize) -> Store {
             block_cache_bytes: 0,
             durability: DurabilityOptions::disabled(),
             maintenance: MaintenanceOptions {
-                workers: 0,
+                workers,
+                compact_trigger,
                 ..MaintenanceOptions::default()
             },
             ..StoreOptions::default()
@@ -101,15 +116,22 @@ fn open_store(dir: &Path, flush_threshold: usize) -> Store {
 const ROW_KEY_BYTES: usize = 24;
 const ROW_VALUE_BYTES: usize = 60;
 
-/// Puts `rows` rows of the benchmark's `ingest` shape — 24-byte keys in
-/// scattered order, 60-byte values, every tenth put an overwrite — with
-/// exactly two allocations of the caller's own per put.
+/// Row `i` of the benchmark's `ingest` shape — a 24-byte key in
+/// scattered order, a 60-byte value, every tenth row an overwrite — in
+/// exactly two allocations.
+fn row(i: u64) -> (Vec<u8>, Vec<u8>) {
+    let id = if i % 10 == 9 { i - 4 } else { i };
+    let mut key = vec![b'k'; ROW_KEY_BYTES];
+    key[16..].copy_from_slice(&id.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_be_bytes());
+    (key, vec![i as u8; ROW_VALUE_BYTES])
+}
+
+/// Puts `rows` rows, with exactly two allocations of the caller's own
+/// per put.
 fn put_rows(table: &Table, rows: u64) {
     for i in 0..rows {
-        let id = if i % 10 == 9 { i - 4 } else { i };
-        let mut key = vec![b'k'; ROW_KEY_BYTES];
-        key[16..].copy_from_slice(&id.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_be_bytes());
-        table.put(key, vec![i as u8; ROW_VALUE_BYTES]).unwrap();
+        let (key, value) = row(i);
+        table.put(key, value).unwrap();
     }
 }
 
@@ -168,6 +190,53 @@ fn write_buffer_is_an_arena_sized_by_configuration(dir: &Path) {
     );
 }
 
+/// Sustained batched ingest with background maintenance while the
+/// region compacts: the worker cannot flush while it merges, so the
+/// writer flushes at the cap, and the region's memtables never reserve
+/// more than twice the threshold plus what one admitted batch grows
+/// them by.
+fn write_buffer_stays_under_twice_the_threshold_while_compactions_run(dir: &Path) {
+    const THRESHOLD: usize = 128 << 10;
+    const BATCH_ROWS: u64 = 100;
+    let store = open_store_with(dir, THRESHOLD, 1, 4);
+    let table = store.create_table("t", 1).unwrap();
+    // Data for the merges to take a while over.
+    for generation in 0..3 {
+        load_generation(&table, generation);
+    }
+    let compactions = just_obs::global().counter("just_kvstore_compactions");
+    let (merged_before, stop) = (compactions.get(), AtomicBool::new(false));
+    let (peak, rows) = std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut peak = 0;
+            while !stop.load(Relaxed) {
+                peak = peak.max(table.region_stats()[0].memtable_bytes);
+            }
+            peak
+        });
+        let mut rows = 0;
+        while compactions.get() < merged_before + 2 {
+            let batch = (rows..rows + BATCH_ROWS).map(row);
+            table
+                .write_batch(batch.map(|(k, v)| (k, Some(v))).collect())
+                .unwrap();
+            rows += BATCH_ROWS;
+        }
+        stop.store(true, Relaxed);
+        (sampler.join().unwrap(), rows)
+    });
+    // One batch grows each of the arena's two buffers by one step at
+    // most: an eighth of a buffer no larger than the cap, or the batch.
+    let batch = BATCH_ROWS as usize * 2 * (ROW_KEY_BYTES + ROW_VALUE_BYTES);
+    let bound = 2 * THRESHOLD + 2 * (2 * THRESHOLD / 8).max(batch);
+    println!("{rows} rows across 2 compactions: memtables peaked at {peak} (bound {bound})");
+    assert!(
+        peak <= bound,
+        "memtables reserved {peak} bytes at a {THRESHOLD}-byte threshold"
+    );
+    store.shutdown();
+}
+
 #[test]
 fn heap_is_bounded_by_configuration_not_by_volume() {
     let dir = std::env::temp_dir().join(format!("just-kv-maint-mem-{}", std::process::id()));
@@ -208,5 +277,6 @@ fn heap_is_bounded_by_configuration_not_by_volume() {
         "split_region() grew the heap by {grew} bytes over a {disk}-byte region"
     );
     assert_eq!(table.snapshot().scan(b"", b"\xff").unwrap().len(), rows);
+    write_buffer_stays_under_twice_the_threshold_while_compactions_run(&dir.join("cap"));
     std::fs::remove_dir_all(&dir).ok();
 }
