@@ -121,29 +121,29 @@ JUSTD_PID=""
 echo "crash recovery OK: $GOT/$ROWS acknowledged rows survived kill -9"
 
 echo "==> format-epoch smoke (a store of another epoch is refused untouched)"
-# The recovered store, relabelled epoch 1 (three kv tables per JustQL
-# table, as an older build wrote them): justd must refuse to start, name
-# both epochs, and leave every byte under the data dir as it was.
-# Restoring the label brings back the same rows.
+# The recovered store, relabelled epoch 2 (the row and ids-entry
+# encoding an older build wrote): justd must refuse to start, name both
+# epochs, and leave every byte under the data dir as it was. Restoring
+# the label brings back the same rows.
 CRASH_FORMAT="$CRASH_DATA/data/FORMAT"
-cp "$CRASH_FORMAT" "$SMOKE_DIR/FORMAT.epoch2"
-printf 'just-kvstore format 1\n' >"$CRASH_FORMAT"
+cp "$CRASH_FORMAT" "$SMOKE_DIR/FORMAT.epoch3"
+printf 'just-kvstore format 2\n' >"$CRASH_FORMAT"
 crash_md5() { (cd "$CRASH_DATA" && find . -type f -print0 | LC_ALL=C sort -z | xargs -0 md5sum); }
 crash_md5 >"$SMOKE_DIR/format-before.md5"
 STATUS=0
 timeout 30 ./target/release/justd --data "$CRASH_DATA" --addr 127.0.0.1:0 \
     2>"$SMOKE_DIR/format.err" || STATUS=$?
 if [ "$STATUS" -eq 0 ] || [ "$STATUS" -eq 124 ]; then
-    echo "justd served a store of format epoch 1 (exit $STATUS)"
+    echo "justd served a store of format epoch 2 (exit $STATUS)"
     exit 1
 fi
-grep -q "epoch 1" "$SMOKE_DIR/format.err" && grep -q "epoch 2" "$SMOKE_DIR/format.err" || {
+grep -q "epoch 2" "$SMOKE_DIR/format.err" && grep -q "epoch 3" "$SMOKE_DIR/format.err" || {
     echo "refusal does not name both epochs:"; cat "$SMOKE_DIR/format.err"; exit 1
 }
 crash_md5 | diff "$SMOKE_DIR/format-before.md5" - || {
     echo "a refused open changed the store"; exit 1
 }
-cp "$SMOKE_DIR/FORMAT.epoch2" "$CRASH_FORMAT"
+cp "$SMOKE_DIR/FORMAT.epoch3" "$CRASH_FORMAT"
 start_justd "$CRASH_DATA" "$SMOKE_DIR/crash-port" --wal-sync per-write
 GOT=$(cli query "SELECT fid FROM crashpts" | grep -c '^[0-9][0-9]*$')
 if [ "$GOT" -ne "$ROWS" ]; then
@@ -153,7 +153,7 @@ fi
 ./target/release/just-cli --addr "$ADDR" shutdown
 wait "$JUSTD_PID"
 JUSTD_PID=""
-echo "format epoch OK: epoch 1 refused with the store untouched, $GOT/$ROWS rows after restore"
+echo "format epoch OK: epoch 2 refused with the store untouched, $GOT/$ROWS rows after restore"
 
 echo "==> concurrent-ingest crash smoke (8 writers, kill -9 mid-ingest)"
 # Eight writers insert concurrently against the write path (one

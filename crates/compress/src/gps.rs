@@ -52,7 +52,8 @@ pub fn encode(samples: &[GpsSample]) -> Vec<u8> {
 pub fn decode(buf: &[u8]) -> Option<Vec<GpsSample>> {
     let mut pos = 0usize;
     let n = varint::read_u64(buf, &mut pos)? as usize;
-    if n > buf.len() * 8 {
+    // Every sample takes at least three bytes (one per varint).
+    if n > (buf.len() - pos) / 3 {
         return None; // length claims more samples than bytes could encode
     }
     let mut samples = Vec::with_capacity(n);
@@ -133,6 +134,36 @@ mod tests {
         assert_eq!(decode(&buf2), None);
         // Absurd sample count rejected.
         assert_eq!(decode(&[0xff, 0xff, 0xff, 0x7f]), None);
+        // A count above a third of the bytes left is refused before
+        // anything is reserved: two samples cannot fit in five bytes.
+        assert_eq!(decode(&[2, 0, 0, 0, 0, 0]), None);
+        assert_eq!(decode(&[1, 2, 4, 6]).map(|s| s.len()), Some(1));
+    }
+
+    #[test]
+    fn seeded_mutations_are_none_or_samples_never_panics() {
+        let mut rng = just_obs::Rng::seed_from_u64(0x0067_7073);
+        let mut rejected = 0;
+        for round in 0..5000 {
+            let mut buf = encode(&walk(1 + round % 60));
+            let n = buf.len();
+            match rng.gen_range(0u32..3) {
+                0 => buf[rng.gen_range(0..n)] ^= 1 << rng.gen_range(0u32..8),
+                1 => buf.truncate(rng.gen_range(0..n)),
+                _ => {
+                    // An inflated count or delta varint over one position.
+                    let at = rng.gen_range(0..n);
+                    let mut big = Vec::new();
+                    varint::write_u64(&mut big, rng.next_u64() >> rng.gen_range(0u32..64));
+                    buf.splice(at..at + 1, big);
+                }
+            }
+            match decode(&buf) {
+                Some(samples) => assert!(samples.len() <= buf.len() / 3),
+                None => rejected += 1,
+            }
+        }
+        assert!(rejected > 2500, "{rejected} of 5000 rejected");
     }
 
     #[test]

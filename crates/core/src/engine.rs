@@ -813,7 +813,7 @@ mod tests {
         match Engine::open(&dir, EngineConfig::default()) {
             Err(CoreError::Kv(just_kvstore::KvError::Format { found, expected })) => {
                 assert!(found.contains("epoch 1"), "{found}");
-                assert_eq!(expected, "epoch 2");
+                assert_eq!(expected, "epoch 3");
             }
             other => panic!("want KvError::Format, got {other:?}"),
         }

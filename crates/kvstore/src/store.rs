@@ -28,9 +28,12 @@ use std::sync::Arc;
 /// the key layout the storage layer writes: one kv table per JustQL
 /// table, every key `[salt][family][rest]` with families data, spatial,
 /// ids and meta, where epoch 1 kept three kv tables per JustQL table.
-/// Changing any of them bumps this constant; a store of another epoch
-/// is refused, never migrated in place.
-const FORMAT_EPOCH: u32 = 2;
+/// Epoch 3 keeps all of that and changes the values the storage layer
+/// writes: rows in a schema-typed layout (a NULL/variant bit header,
+/// then bare payloads), and ids entries holding only their data key's
+/// middle. Changing any of them bumps this constant; a store of another
+/// epoch is refused, never migrated in place.
+const FORMAT_EPOCH: u32 = 3;
 /// The epoch file's name in the store root.
 const FORMAT_FILE: &str = "FORMAT";
 /// What the file's one line says before the epoch number.

@@ -8,7 +8,7 @@ use just_kvstore::{KvError, Store, StoreOptions};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-const EPOCH_2: &str = "just-kvstore format 2\n";
+const EPOCH_3: &str = "just-kvstore format 3\n";
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -68,7 +68,7 @@ fn fresh_store_writes_format_and_reopens() {
     let dir = store_with_table("fresh");
     assert_eq!(
         std::fs::read_to_string(dir.join("FORMAT")).unwrap(),
-        EPOCH_2
+        EPOCH_3
     );
     let store = Store::open(&dir, StoreOptions::default()).unwrap();
     let t = store.open_table("t", 1).unwrap();
@@ -77,7 +77,7 @@ fn fresh_store_writes_format_and_reopens() {
     drop(store);
     assert_eq!(
         std::fs::read_to_string(dir.join("FORMAT")).unwrap(),
-        EPOCH_2
+        EPOCH_3
     );
     std::fs::remove_dir_all(dir).ok();
 }
@@ -94,7 +94,7 @@ fn leftover_format_tmp_from_a_crash_opens() {
     drop(store);
     assert_eq!(
         std::fs::read_to_string(dir.join("FORMAT")).unwrap(),
-        EPOCH_2
+        EPOCH_3
     );
     assert!(!dir.join("FORMAT.tmp").exists());
     Store::open(&dir, StoreOptions::default()).unwrap();
@@ -113,9 +113,9 @@ fn other_epochs_and_missing_or_hostile_format_are_refused() {
             "epoch 0",
         ),
         (
-            "epoch 3",
-            Some(b"just-kvstore format 3\n".to_vec()),
-            "epoch 3",
+            "epoch 4",
+            Some(b"just-kvstore format 4\n".to_vec()),
+            "epoch 4",
         ),
         (
             "garbage",
@@ -131,9 +131,9 @@ fn other_epochs_and_missing_or_hostile_format_are_refused() {
         }
         let (found, expected) = refused(&dir);
         assert!(found.contains(named), "{what}: found {found:?}");
-        assert_eq!(expected, "epoch 2", "{what}");
+        assert_eq!(expected, "epoch 3", "{what}");
     }
-    std::fs::write(&format, EPOCH_2).unwrap();
+    std::fs::write(&format, EPOCH_3).unwrap();
     Store::open(&dir, StoreOptions::default()).unwrap();
     std::fs::remove_dir_all(dir).ok();
 }
@@ -158,7 +158,23 @@ fn a_closed_store_stamped_epoch_1_is_refused_on_reopen() {
     let before = tree(&dir);
     let (found, expected) = refused(&dir);
     assert!(found.contains("epoch 1"), "{found}");
-    assert_eq!(expected, "epoch 2");
+    assert_eq!(expected, "epoch 3");
+    assert!(tree(&dir) == before, "a refused reopen changed the store");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_closed_store_stamped_epoch_2_is_refused_untouched() {
+    // Epoch 2 differs from epoch 3 only in the values the storage layer
+    // writes (its row layout and ids entries), which no kvstore byte
+    // records: the stamp alone must refuse it, before the WAL tail is
+    // replayed or any file is opened for writing.
+    let dir = store_with_table("epoch-2");
+    std::fs::write(dir.join("FORMAT"), b"just-kvstore format 2\n").unwrap();
+    let before = tree(&dir);
+    let (found, expected) = refused(&dir);
+    assert!(found.contains("epoch 2"), "{found}");
+    assert_eq!(expected, "epoch 3");
     assert!(tree(&dir) == before, "a refused reopen changed the store");
     std::fs::remove_dir_all(dir).ok();
 }
@@ -195,12 +211,12 @@ fn refusal_touches_nothing() {
 
     let before = tree(&dir);
     let (found, expected) = refused(&dir);
-    assert!(found.contains("epoch 0") && expected == "epoch 2");
+    assert!(found.contains("epoch 0") && expected == "epoch 3");
     assert!(tree(&dir) == before, "a refused open changed the store");
 
     // With the epoch restored the store opens, and the region holding
     // the `JSSTBL02` file refuses it in turn, still touching nothing.
-    std::fs::write(dir.join("FORMAT"), EPOCH_2).unwrap();
+    std::fs::write(dir.join("FORMAT"), EPOCH_3).unwrap();
     let before = tree(&dir);
     let store = Store::open(&dir, StoreOptions::default()).unwrap();
     match store.open_table("t", 1) {

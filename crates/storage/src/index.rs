@@ -14,9 +14,14 @@
 //!                                                                      row
 //!            Id            [salt][0][fid]                              row
 //! 1 spatial  Z2 / XZ2      [salt][1][code u64][fid]                    row
-//! 2 ids                    [salt][2][fid]                              data key
+//! 2 ids                    [salt][2][fid]                              data key's middle
 //! 3 meta     time bounds   [0][3]"tb"                                  t_min, t_max
 //! ```
+//!
+//! An ids value is the part of the record's data key between the family
+//! byte and the fid — `[period][code]`, 12 bytes under Z2T and XZ2T,
+//! empty under Id — and the data key is rebuilt from the id key's salt
+//! and fid around it ([`data_key`]).
 //!
 //! The salt reproduces GeoMesa's salted-key load balancing: it is FNV-1a
 //! of the record id modulo `shards`, so records spread over `shards`
@@ -38,6 +43,18 @@ const META: u8 = 3;
 /// The key of the table's persisted `[min t_min, max t_max]` (two
 /// little-endian `i64`s).
 pub(crate) const TIME_BOUNDS_KEY: &[u8] = &[0, META, b't', b'b'];
+
+/// The ids value of the record whose id key is `id` and data key `key`:
+/// the data key without its salt, family and fid.
+pub(crate) fn id_value<'k>(id: &[u8], key: &'k [u8]) -> &'k [u8] {
+    &key[2..key.len() + 2 - id.len()]
+}
+
+/// The data key an ids entry points at: the id key's salt, the data
+/// family, the entry's value ([`id_value`]) and the id key's fid.
+pub(crate) fn data_key(id: &[u8], value: &[u8]) -> Vec<u8> {
+    [&[id[0], DATA], value, &id[2..]].concat()
+}
 
 /// Which index to build — the `geomesa.indices.enabled` hint of the
 /// paper's `USERDATA` example.
@@ -462,6 +479,31 @@ mod tests {
             curve_ranges: 1,
         };
         assert!(covered(&all, &data) && !covered(&all, &spatial) && !covered(&all, &id));
+    }
+
+    #[test]
+    fn an_ids_value_is_its_data_keys_middle_and_rebuilds_the_key() {
+        let m = meta("traj-42", 116.4, 39.9, 5 * HOUR_MS);
+        for (kind, middle) in [
+            (IndexKind::Z2t, 12),
+            (IndexKind::Xz2t, 12),
+            (IndexKind::Z2, 8),
+            (IndexKind::Id, 0),
+        ] {
+            let idx = IndexStrategy::new(kind, TimePeriod::Day, 4);
+            let (id, key) = (idx.id_key(&m.fid), idx.key(&m));
+            let value = id_value(&id, &key);
+            assert_eq!(value.len(), middle, "{kind}");
+            assert_eq!(data_key(&id, value), key, "{kind}");
+        }
+        // Z2T, day periods: period 0 sign-flipped, then the curve code.
+        let idx = IndexStrategy::new(IndexKind::Z2t, TimePeriod::Day, 4);
+        let key = idx.key(&m);
+        let value: String = id_value(&idx.id_key(&m.fid), &key)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(value, concat!("80000000", "0db84dabb5d6384d"));
     }
 
     #[test]

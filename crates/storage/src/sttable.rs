@@ -1,7 +1,7 @@
 //! Indexed spatio-temporal tables: the write and read paths that tie
 //! schemas, curves and the key-value store together.
 
-use crate::index::{IndexKind, IndexStrategy, MAX_FID_BYTES, TIME_BOUNDS_KEY};
+use crate::index::{data_key, id_value, IndexKind, IndexStrategy, MAX_FID_BYTES, TIME_BOUNDS_KEY};
 use crate::row::Row;
 use crate::schema::{FieldType, Schema};
 use crate::value::Value;
@@ -403,7 +403,7 @@ impl StTable {
             let earlier = latest.insert(&row.id, row);
             let old_key = match earlier {
                 Some(e) => Some(e.key.clone()),
-                None => snap.get(&row.id)?,
+                None => snap.get(&row.id)?.map(|v| data_key(&row.id, &v)),
             };
             let Some(old_key) = old_key.filter(|k| *k != row.key) else {
                 superseded.push(None);
@@ -424,7 +424,8 @@ impl StTable {
                 ops.extend(old_skey.map(|k| (k, None)));
                 ops.push((old_key, None));
             }
-            ops.push((row.id, Some(row.key.clone())));
+            let id_entry = id_value(&row.id, &row.key).to_vec();
+            ops.push((row.id, Some(id_entry)));
             if let Some(skey) = row.skey {
                 ops.push((skey, Some(row.value.clone())));
             }
@@ -452,7 +453,7 @@ impl StTable {
     pub fn delete(&self, fid: &Value) -> Result<bool> {
         let id = self.strategy.id_key(&fid_bytes(fid)?);
         let snap = self.kv.snapshot();
-        let Some(key) = snap.get(&id)? else {
+        let Some(key) = snap.get(&id)?.map(|v| data_key(&id, &v)) else {
             return Ok(false);
         };
         let mut ops = Vec::with_capacity(3);
@@ -469,7 +470,7 @@ impl StTable {
     pub fn get(&self, fid: &Value) -> Result<Option<Row>> {
         let id = self.strategy.id_key(&fid_bytes(fid)?);
         let snap = self.kv.snapshot();
-        let Some(key) = snap.get(&id)? else {
+        let Some(key) = snap.get(&id)?.map(|v| data_key(&id, &v)) else {
             return Ok(None);
         };
         let Some(bytes) = snap.get(&key)? else {
@@ -1101,7 +1102,9 @@ mod tests {
         // landed, the spatial and data entries did not.
         let ids = rows.iter().map(|row| {
             let meta = t.meta_of(row).unwrap();
-            (t.strategy.id_key(&meta.fid), Some(t.strategy.key(&meta)))
+            let id = t.strategy.id_key(&meta.fid);
+            let value = id_value(&id, &t.strategy.key(&meta)).to_vec();
+            (id, Some(value))
         });
         t.kv.write_batch(ids.collect()).unwrap();
         assert_eq!(

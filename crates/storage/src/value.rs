@@ -87,26 +87,8 @@ impl Value {
                 let bytes = varint::read_bytes(buf, pos)?;
                 Value::GpsList(gps::decode(bytes)?)
             }
-            8 => {
-                // Raw fixed-width GPS list (uncompressed storage).
-                let n = varint::read_u64(buf, pos)? as usize;
-                if n > buf.len() / 24 {
-                    return None;
-                }
-                let mut samples = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let lng: [u8; 8] = buf.get(*pos..*pos + 8)?.try_into().ok()?;
-                    let lat: [u8; 8] = buf.get(*pos + 8..*pos + 16)?.try_into().ok()?;
-                    let t: [u8; 8] = buf.get(*pos + 16..*pos + 24)?.try_into().ok()?;
-                    *pos += 24;
-                    samples.push(GpsSample {
-                        lng: f64::from_le_bytes(lng),
-                        lat: f64::from_le_bytes(lat),
-                        time_ms: i64::from_le_bytes(t),
-                    });
-                }
-                Value::GpsList(samples)
-            }
+            // A raw fixed-width GPS list: tag 8, then [`encode_gps_raw`].
+            8 => Value::GpsList(decode_gps_raw(buf, pos)?),
             _ => return None,
         })
     }
@@ -187,11 +169,11 @@ fn decode_point(buf: &[u8], pos: &mut usize) -> Option<Point> {
     Some(Point::new(f64::from_le_bytes(x), f64::from_le_bytes(y)))
 }
 
-/// Encodes a GPS list in the raw fixed-width layout (24 bytes/sample,
-/// tag 8) — what the storage layer writes for `st_series` fields *without*
-/// a `compress=` option, so the paper's JUSTnc variant pays raw size.
+/// Encodes a GPS list in the raw fixed-width layout: a varint count, then
+/// 24 bytes per sample (`lng`, `lat` f64, `time_ms` i64, little-endian) —
+/// what the row codec writes for `st_series` fields *without* a
+/// `compress=` option, so the paper's JUSTnc variant pays raw size.
 pub(crate) fn encode_gps_raw(samples: &[gps::GpsSample], out: &mut Vec<u8>) {
-    out.push(8);
     varint::write_u64(out, samples.len() as u64);
     for s in samples {
         out.extend_from_slice(&s.lng.to_le_bytes());
@@ -200,20 +182,42 @@ pub(crate) fn encode_gps_raw(samples: &[gps::GpsSample], out: &mut Vec<u8>) {
     }
 }
 
+/// Reads an [`encode_gps_raw`] list, advancing `pos`.
+pub(crate) fn decode_gps_raw(buf: &[u8], pos: &mut usize) -> Option<Vec<GpsSample>> {
+    let n = varint::read_u64(buf, pos)? as usize;
+    if n > buf.len().saturating_sub(*pos) / 24 {
+        return None;
+    }
+    let mut samples = Vec::with_capacity(n);
+    for _ in 0..n {
+        let lng: [u8; 8] = buf.get(*pos..*pos + 8)?.try_into().ok()?;
+        let lat: [u8; 8] = buf.get(*pos + 8..*pos + 16)?.try_into().ok()?;
+        let t: [u8; 8] = buf.get(*pos + 16..*pos + 24)?.try_into().ok()?;
+        *pos += 24;
+        samples.push(GpsSample {
+            lng: f64::from_le_bytes(lng),
+            lat: f64::from_le_bytes(lat),
+            time_ms: i64::from_le_bytes(t),
+        });
+    }
+    Some(samples)
+}
+
 /// Compact WKB-like geometry encoding: type code, then coordinates.
 pub(crate) fn encode_geometry(g: &Geometry, out: &mut Vec<u8>) {
     out.push(g.geometry_type().code());
+    encode_geometry_body(g, out);
+}
+
+/// A geometry's coordinates alone: a point's two f64s, a vertex count
+/// and the vertices of a line or polygon, a rectangle's two corners.
+pub(crate) fn encode_geometry_body(g: &Geometry, out: &mut Vec<u8>) {
     match g {
         Geometry::Point(p) => encode_point(p, out),
-        Geometry::LineString(l) => {
-            varint::write_u64(out, l.points.len() as u64);
-            for p in &l.points {
-                encode_point(p, out);
-            }
-        }
-        Geometry::Polygon(p) => {
-            varint::write_u64(out, p.exterior.len() as u64);
-            for p in &p.exterior {
+        Geometry::LineString(LineString { points })
+        | Geometry::Polygon(Polygon { exterior: points }) => {
+            varint::write_u64(out, points.len() as u64);
+            for p in points {
                 encode_point(p, out);
             }
         }
@@ -227,31 +231,30 @@ pub(crate) fn encode_geometry(g: &Geometry, out: &mut Vec<u8>) {
 pub(crate) fn decode_geometry(buf: &[u8], pos: &mut usize) -> Option<Geometry> {
     let code = *buf.get(*pos)?;
     *pos += 1;
-    let ty = GeometryType::from_code(code)?;
+    decode_geometry_body(GeometryType::from_code(code)?, buf, pos)
+}
+
+/// Reads the [`encode_geometry_body`] of a `ty` geometry, advancing `pos`.
+/// A vertex count is checked against the bytes left before anything is
+/// reserved for it.
+pub(crate) fn decode_geometry_body(
+    ty: GeometryType,
+    buf: &[u8],
+    pos: &mut usize,
+) -> Option<Geometry> {
+    let mut vertices = || {
+        let n = varint::read_u64(buf, pos)? as usize;
+        if n > buf.len().saturating_sub(*pos) / 16 {
+            return None;
+        }
+        (0..n)
+            .map(|_| decode_point(buf, pos))
+            .collect::<Option<Vec<_>>>()
+    };
     Some(match ty {
         GeometryType::Point => Geometry::Point(decode_point(buf, pos)?),
-        GeometryType::LineString => {
-            let n = varint::read_u64(buf, pos)? as usize;
-            if n > buf.len() {
-                return None;
-            }
-            let mut pts = Vec::with_capacity(n);
-            for _ in 0..n {
-                pts.push(decode_point(buf, pos)?);
-            }
-            Geometry::LineString(LineString::new(pts))
-        }
-        GeometryType::Polygon => {
-            let n = varint::read_u64(buf, pos)? as usize;
-            if n > buf.len() {
-                return None;
-            }
-            let mut pts = Vec::with_capacity(n);
-            for _ in 0..n {
-                pts.push(decode_point(buf, pos)?);
-            }
-            Geometry::Polygon(Polygon::new(pts))
-        }
+        GeometryType::LineString => Geometry::LineString(LineString::new(vertices()?)),
+        GeometryType::Polygon => Geometry::Polygon(Polygon::new(vertices()?)),
         GeometryType::Rect => {
             let a = decode_point(buf, pos)?;
             let b = decode_point(buf, pos)?;
@@ -348,5 +351,14 @@ mod tests {
         let mut buf = vec![4];
         varint::write_bytes(&mut buf, &[0xff, 0xfe]);
         assert_eq!(Value::decode(&buf, &mut 0), None);
+        // Vertex counts above the bytes left, at 16 a vertex, are refused
+        // before anything is reserved for them.
+        for ty in [GeometryType::LineString, GeometryType::Polygon] {
+            let mut buf = vec![6, ty.code(), 2];
+            buf.extend_from_slice(&[0; 31]);
+            assert_eq!(Value::decode(&buf, &mut 0), None, "{ty:?}");
+            buf.push(0);
+            assert!(Value::decode(&buf, &mut 0).is_some(), "{ty:?}");
+        }
     }
 }
