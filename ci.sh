@@ -383,7 +383,22 @@ cli query "CREATE TABLE expts (fid integer:primary key, geom point)"
 cli query "INSERT INTO expts VALUES (1, st_makePoint(116.4, 39.9))"
 EXPLAIN_OUT=$(cli query "EXPLAIN SELECT fid FROM expts WHERE fid % 2 = 1 AND fid > 0")
 echo "$EXPLAIN_OUT" | grep -q "program residual:"
-echo "$EXPLAIN_OUT" | grep -q "cmp.int"
+echo "$EXPLAIN_OUT" | grep -q "= cmp r"
+# Integer `/` and `%` wrap at the i64 edge: `v - 1` is i64::MIN, and
+# dividing it by -1 answers a row instead of panicking the connection.
+cli query "CREATE TABLE ovf (fid integer:primary key, v integer)"
+cli query "INSERT INTO ovf VALUES (1, -9223372036854775807)"
+cli query "SELECT fid, (v - 1) / -1 AS q FROM ovf" | grep -q "^1 | -9223372036854775808$"
+cli query "SELECT fid, (v - 1) % -1 AS q FROM ovf" | grep -q "^1 | 0$"
+[ "$(cli health)" = "ok" ]
+# Every closed connection gave back its admission slot: the only one
+# left is the connection asking.
+for _ in $(seq 1 50); do
+    ACTIVE=$(cli metrics | awk '$1 == "just_server_connections_active" { print $2 }')
+    [ "$ACTIVE" = "1" ] && break
+    sleep 0.1
+done
+[ "$ACTIVE" = "1" ] || { echo "connections_active stuck at $ACTIVE"; exit 1; }
 JOIN_EXPLAIN_OUT=$(cli query "EXPLAIN SELECT l.fid, r.fid FROM expts l JOIN expts r ON l.fid = r.fid ORDER BY l.fid LIMIT 3")
 echo "$JOIN_EXPLAIN_OUT" | grep -q "hash_join"
 echo "$JOIN_EXPLAIN_OUT" | grep -q "topk"

@@ -3,7 +3,7 @@
 use crate::catalog::{Catalog, TableDef, TableKind};
 use crate::dataset::Dataset;
 use crate::error::CoreError;
-use crate::knn::{knn, KnnConfig};
+use crate::knn::knn;
 use crate::resultset::ResultSet;
 use crate::Result;
 use just_curves::TimePeriod;
@@ -23,8 +23,6 @@ pub struct EngineConfig {
     pub store: StoreOptions,
     /// Default table-storage settings (shards, regions, period...).
     pub storage: StorageConfig,
-    /// k-NN expansion tuning.
-    pub knn: KnnConfig,
     /// Result-set spill threshold in bytes (Figure 2's "configurable
     /// parameter").
     pub spill_threshold: usize,
@@ -47,7 +45,6 @@ impl Default for EngineConfig {
         EngineConfig {
             store: StoreOptions::default(),
             storage: StorageConfig::default(),
-            knn: KnnConfig::default(),
             spill_threshold: 8 << 20,
             spill_chunk_rows: 10_000,
             slow_query_ms: 1_000,
@@ -387,7 +384,7 @@ impl Engine {
     /// columns plus a trailing `distance` column (degrees).
     pub fn knn(&self, table: &str, q: Point, k: usize) -> Result<Dataset> {
         let t = self.table(table)?;
-        let hits = knn(&t, q, k, &self.config.knn)?;
+        let hits = knn(&t, q, k)?;
         let mut columns: Vec<String> = t.schema().fields().iter().map(|f| f.name.clone()).collect();
         columns.push("distance".to_string());
         let rows = hits

@@ -12,25 +12,13 @@ use just_storage::{Row, StTable};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
-/// Tuning for the expansion.
-#[derive(Debug, Clone, Copy)]
-pub struct KnnConfig {
-    /// Minimum area side in km: areas at most this wide trigger a range
-    /// query instead of splitting ("g = 1km × 1km is a system parameter").
-    pub min_area_km: f64,
-    /// Safety cap on range queries, so absurd `k` on sparse data
-    /// terminates promptly.
-    pub max_range_queries: usize,
-}
+/// Minimum area side in km: areas at most this wide trigger a range
+/// query instead of splitting ("g = 1km × 1km is a system parameter").
+const MIN_AREA_KM: f64 = 1.0;
 
-impl Default for KnnConfig {
-    fn default() -> Self {
-        KnnConfig {
-            min_area_km: 1.0,
-            max_range_queries: 100_000,
-        }
-    }
-}
+/// Safety cap on range queries, so absurd `k` on sparse data terminates
+/// promptly.
+const MAX_RANGE_QUERIES: usize = 100_000;
 
 /// Candidate record ordered by distance (max-heap: the worst candidate on
 /// top so it can be evicted).
@@ -86,7 +74,7 @@ impl PartialOrd for Area {
 
 /// Runs the k-NN query of Algorithm 1 against an indexed table. Returns
 /// up to `k` rows with their Euclidean distances (degrees), nearest first.
-pub fn knn(table: &StTable, q: Point, k: usize, config: &KnnConfig) -> Result<Vec<(Row, f64)>> {
+pub fn knn(table: &StTable, q: Point, k: usize) -> Result<Vec<(Row, f64)>> {
     if k == 0 {
         return Ok(Vec::new());
     }
@@ -114,7 +102,7 @@ pub fn knn(table: &StTable, q: Point, k: usize, config: &KnnConfig) -> Result<Ve
         // sparse-data k-NN from grinding through thousands of tiny cells.
         // Pruning is unaffected — only the scan unit grows with distance.
         let dist_km = area.dist * just_geo::METERS_PER_DEGREE_LAT / 1000.0;
-        let leaf_km = config.min_area_km.max(dist_km);
+        let leaf_km = MIN_AREA_KM.max(dist_km);
         if side_km > leaf_km {
             for quadrant in area.rect.quadrants() {
                 aq.push(Area {
@@ -124,7 +112,7 @@ pub fn knn(table: &StTable, q: Point, k: usize, config: &KnnConfig) -> Result<Ve
             }
             continue;
         }
-        if range_queries >= config.max_range_queries {
+        if range_queries >= MAX_RANGE_QUERIES {
             break;
         }
         range_queries += 1;
@@ -224,7 +212,7 @@ mod tests {
         let (table, dir) = setup(&pts);
         let q = Point::new(116.053, 39.047);
         for k in [1, 3, 10, 25] {
-            let got = knn(&table, q, k, &KnnConfig::default()).unwrap();
+            let got = knn(&table, q, k).unwrap();
             assert_eq!(got.len(), k);
             // Brute-force reference.
             let mut brute: Vec<(i64, f64)> = pts
@@ -248,7 +236,7 @@ mod tests {
     fn k_larger_than_dataset_returns_everything() {
         let pts = grid_points(3);
         let (table, dir) = setup(&pts);
-        let got = knn(&table, Point::new(116.0, 39.0), 100, &KnnConfig::default()).unwrap();
+        let got = knn(&table, Point::new(116.0, 39.0), 100).unwrap();
         assert_eq!(got.len(), 9);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -256,16 +244,14 @@ mod tests {
     #[test]
     fn k_zero_is_empty() {
         let (table, dir) = setup(&grid_points(2));
-        assert!(knn(&table, Point::new(0.0, 0.0), 0, &KnnConfig::default())
-            .unwrap()
-            .is_empty());
+        assert!(knn(&table, Point::new(0.0, 0.0), 0).unwrap().is_empty());
         std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn results_are_sorted_and_deduplicated() {
         let (table, dir) = setup(&grid_points(6));
-        let got = knn(&table, Point::new(116.02, 39.02), 10, &KnnConfig::default()).unwrap();
+        let got = knn(&table, Point::new(116.02, 39.02), 10).unwrap();
         let mut fids: Vec<i64> = got
             .iter()
             .map(|(r, _)| r.values[0].as_int().unwrap())
@@ -294,16 +280,7 @@ mod tests {
         ];
         let (table, dir) = setup(&pts);
         let q = Point::new(116.0004, 39.0004);
-        let got = knn(
-            &table,
-            q,
-            3,
-            &KnnConfig {
-                min_area_km: 0.1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let got = knn(&table, q, 3).unwrap();
         let fids: HashSet<i64> = got
             .iter()
             .map(|(r, _)| r.values[0].as_int().unwrap())

@@ -35,7 +35,7 @@ pub use catalog::{Catalog, TableDef, TableKind};
 pub use dataset::Dataset;
 pub use engine::{Engine, EngineConfig};
 pub use error::CoreError;
-pub use knn::{knn, KnnConfig};
+pub use knn::knn;
 pub use registry::{QueryGuard, QueryInfo, QueryRegistry};
 pub use resultset::ResultSet;
 pub use session::{Session, SessionManager};

@@ -8,11 +8,10 @@
 //!    [`program::ProgramBuilder`]): an expression becomes a flat
 //!    register-based bytecode [`program::Program`] exactly once per
 //!    query — columns resolved to indices against the input schema,
-//!    literals interned in a constant pool, constant subtrees folded,
-//!    arithmetic/comparison opcodes specialized to `*.int` forms when
-//!    both operands are statically integer.
+//!    literals interned in a constant pool, constant subtrees folded.
 //! 2. **Execute** ([`vm::Vm`]): programs run over the batch-at-a-time
-//!    pipeline one *opcode* at a time under selection vectors — a filter
+//!    pipeline one *opcode* at a time under selection vectors, every
+//!    computed register a vector of boxed `Value` lanes — a filter
 //!    produces a selection, later predicates and projections evaluate
 //!    only the surviving rows, and `AND`/`OR` short-circuiting is
 //!    expressed as selection masks so skipped operands are never

@@ -5,9 +5,9 @@
 //! table of scalar-function entry points. Programs are built exactly
 //! once per query (per operator) by the front end's lowering pass —
 //! column names are resolved to input indices there, literals are
-//! interned (deduplicated) into the constant pool, and arithmetic /
-//! comparison opcodes are emitted in their integer-specialized form when
-//! the operand types are statically known.
+//! interned (deduplicated) into the constant pool. Opcodes are untyped:
+//! each applies JustQL's dynamic value semantics ([`crate::scalar`]) to
+//! whatever values its operands hold.
 //!
 //! `AND` / `OR` compile to *selection masks* rather than eager operand
 //! evaluation: the right-hand side's ops run under a narrowed selection
@@ -43,7 +43,7 @@ pub enum Op {
         /// Input column index.
         col: u16,
     },
-    /// Generic arithmetic: `dst = a <op> b` with full coercion rules.
+    /// Arithmetic: `dst = a <op> b` with full coercion rules.
     Arith {
         /// Operator.
         op: ArithOp,
@@ -54,33 +54,8 @@ pub enum Op {
         /// Right operand register.
         b: RegId,
     },
-    /// Integer-specialized arithmetic: emitted when both operands are
-    /// statically `Int`; falls back to the generic kernel on rows where
-    /// the static claim does not hold (views carry no schema types).
-    ArithInt {
-        /// Operator.
-        op: ArithOp,
-        /// Destination register.
-        dst: RegId,
-        /// Left operand register.
-        a: RegId,
-        /// Right operand register.
-        b: RegId,
-    },
-    /// Generic comparison: `dst = Bool(a <op> b)`; NULL compares false.
+    /// Comparison: `dst = Bool(a <op> b)`; NULL compares false.
     Cmp {
-        /// Operator.
-        op: CmpOp,
-        /// Destination register.
-        dst: RegId,
-        /// Left operand register.
-        a: RegId,
-        /// Right operand register.
-        b: RegId,
-    },
-    /// Integer-specialized comparison (same fallback rule as
-    /// [`Op::ArithInt`]).
-    CmpInt {
         /// Operator.
         op: CmpOp,
         /// Destination register.
@@ -232,13 +207,7 @@ impl Program {
                 Op::Arith { op, dst, a, b } => {
                     format!("r{dst} = arith r{a} {} r{b}", op.symbol())
                 }
-                Op::ArithInt { op, dst, a, b } => {
-                    format!("r{dst} = arith.int r{a} {} r{b}", op.symbol())
-                }
                 Op::Cmp { op, dst, a, b } => format!("r{dst} = cmp r{a} {} r{b}", op.symbol()),
-                Op::CmpInt { op, dst, a, b } => {
-                    format!("r{dst} = cmp.int r{a} {} r{b}", op.symbol())
-                }
                 Op::Within { dst, a, b } => format!("r{dst} = within r{a}, r{b}"),
                 Op::Neg { dst, a } => format!("r{dst} = neg r{a}"),
                 Op::Not { dst, a } => format!("r{dst} = not r{a}"),
@@ -337,37 +306,17 @@ impl ProgramBuilder {
         Ok(dst)
     }
 
-    /// Emits arithmetic; `int_specialized` picks the `arith.int` opcode.
-    pub fn arith(
-        &mut self,
-        op: ArithOp,
-        a: RegId,
-        b: RegId,
-        int_specialized: bool,
-    ) -> Result<RegId, ExecError> {
+    /// Emits arithmetic.
+    pub fn arith(&mut self, op: ArithOp, a: RegId, b: RegId) -> Result<RegId, ExecError> {
         let dst = self.fresh()?;
-        self.ops.push(if int_specialized {
-            Op::ArithInt { op, dst, a, b }
-        } else {
-            Op::Arith { op, dst, a, b }
-        });
+        self.ops.push(Op::Arith { op, dst, a, b });
         Ok(dst)
     }
 
-    /// Emits a comparison; `int_specialized` picks the `cmp.int` opcode.
-    pub fn cmp(
-        &mut self,
-        op: CmpOp,
-        a: RegId,
-        b: RegId,
-        int_specialized: bool,
-    ) -> Result<RegId, ExecError> {
+    /// Emits a comparison.
+    pub fn cmp(&mut self, op: CmpOp, a: RegId, b: RegId) -> Result<RegId, ExecError> {
         let dst = self.fresh()?;
-        self.ops.push(if int_specialized {
-            Op::CmpInt { op, dst, a, b }
-        } else {
-            Op::Cmp { op, dst, a, b }
-        });
+        self.ops.push(Op::Cmp { op, dst, a, b });
         Ok(dst)
     }
 
@@ -440,32 +389,6 @@ impl ProgramBuilder {
         let dst = self.fresh()?;
         self.ops.push(Op::MergeOr { dst, a, b });
         Ok(dst)
-    }
-
-    /// Lowers a short-circuiting `lhs AND rhs`: the right-hand side (built
-    /// by `rhs`) only executes on rows where `lhs` was truthy.
-    pub fn and(
-        &mut self,
-        lhs: RegId,
-        rhs: impl FnOnce(&mut Self) -> Result<RegId, ExecError>,
-    ) -> Result<RegId, ExecError> {
-        self.mask_and(lhs);
-        let r = rhs(self)?;
-        self.mask_pop();
-        self.merge_and(lhs, r)
-    }
-
-    /// Lowers a short-circuiting `lhs OR rhs` (right-hand side only runs
-    /// on rows where `lhs` was falsy).
-    pub fn or(
-        &mut self,
-        lhs: RegId,
-        rhs: impl FnOnce(&mut Self) -> Result<RegId, ExecError>,
-    ) -> Result<RegId, ExecError> {
-        self.mask_or(lhs);
-        let r = rhs(self)?;
-        self.mask_pop();
-        self.merge_or(lhs, r)
     }
 
     /// Seals the program with `out` as the result register, counting one

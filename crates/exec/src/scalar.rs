@@ -151,9 +151,9 @@ pub fn arith(op: ArithOp, l: &Value, r: &Value) -> Result<Value, ExecError> {
     }))
 }
 
-/// The integer-specialized arithmetic kernel (the `arith.int` opcode's
-/// fast path once both operands are verified `Int`).
-pub fn arith_int(op: ArithOp, a: i64, b: i64) -> Result<Value, ExecError> {
+/// Integer arithmetic: wrapping on overflow (so `i64::MIN / -1` is
+/// `i64::MIN` and `i64::MIN % -1` is 0), an error on a zero divisor.
+fn arith_int(op: ArithOp, a: i64, b: i64) -> Result<Value, ExecError> {
     Ok(match op {
         ArithOp::Add => Value::Int(a.wrapping_add(b)),
         ArithOp::Sub => Value::Int(a.wrapping_sub(b)),
@@ -162,23 +162,27 @@ pub fn arith_int(op: ArithOp, a: i64, b: i64) -> Result<Value, ExecError> {
             if b == 0 {
                 return Err(ExecError("division by zero".into()));
             }
-            Value::Int(a / b)
+            Value::Int(a.wrapping_div(b))
         }
         ArithOp::Mod => {
             if b == 0 {
                 return Err(ExecError("division by zero".into()));
             }
-            Value::Int(a % b)
+            Value::Int(a.wrapping_rem(b))
         }
     })
 }
 
-/// Applies a comparison operator. Any NULL operand compares false.
+/// Applies a comparison operator. Any NULL operand compares false; two
+/// integers compare exactly, not through their `f64` coercion (which
+/// cannot tell apart integers beyond 2^53).
 pub fn cmp(op: CmpOp, l: &Value, r: &Value) -> Result<Value, ExecError> {
-    if l.is_null() || r.is_null() {
-        return Ok(Value::Bool(false));
-    }
-    Ok(Value::Bool(op.matches(compare(l, r)?)))
+    let ord = match (l, r) {
+        _ if l.is_null() || r.is_null() => return Ok(Value::Bool(false)),
+        (Value::Int(a), Value::Int(b)) => a.cmp(b),
+        _ => compare(l, r)?,
+    };
+    Ok(Value::Bool(op.matches(ord)))
 }
 
 /// `geom WITHIN target`: containment of `l` in `r`'s bounding rectangle.
@@ -250,6 +254,14 @@ mod tests {
             arith(ArithOp::Div, &Value::Float(1.0), &Value::Int(4)).unwrap(),
             Value::Float(0.25)
         );
+    }
+
+    #[test]
+    fn integers_beyond_2_pow_53_compare_exactly() {
+        let (a, b) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
+        assert_eq!(cmp(CmpOp::Eq, &a, &b).unwrap(), Value::Bool(false));
+        assert_eq!(cmp(CmpOp::Lt, &a, &b).unwrap(), Value::Bool(true));
+        assert_eq!(between(&b, &a, &a).unwrap(), Value::Bool(false));
     }
 
     #[test]

@@ -2,16 +2,11 @@
 //! rows, one *opcode* at a time (not one row at a time), under a stack
 //! of selection vectors.
 //!
-//! Registers are vectors over the batch with two zero-copy forms — a
+//! Registers are vectors over the batch. Two forms are zero-copy — a
 //! `Col` register is a view into the input rows and a `Scalar` register
-//! broadcasts one constant — plus two *typed* forms: when every
-//! base-selection lane of an `arith.int`/`cmp.int` operand proves to be
-//! a non-NULL `Int`, the operand is gathered once into a flat `i64`
-//! vector and the whole opcode runs as a tight integer loop (`Ints`),
-//! with comparisons producing packed booleans (`Bools`). A typed
-//! register is materialized back into boxed [`Value`] lanes only when a
-//! generic opcode reads it, so int-heavy chains never touch the enum
-//! representation at all. Ops materialize results only for rows in the
+//! broadcasts one constant — and every computed register holds boxed
+//! [`Value`] lanes, evaluated through the [`scalar`] kernels the row
+//! interpreter also uses. Ops materialize results only for rows in the
 //! current selection; `MaskAnd`/`MaskOr` narrow the selection for the
 //! span of a short-circuited operand, so rows the left-hand side already
 //! decided are never evaluated — the vectorized equivalent of the row
@@ -19,7 +14,7 @@
 //! uses to evaluate later predicates only on surviving rows.
 
 use crate::program::{Op, Program, RegId};
-use crate::scalar::{self, ArithOp};
+use crate::scalar;
 use crate::ExecError;
 use just_storage::{Row, Value};
 
@@ -33,67 +28,9 @@ enum Reg {
     Scalar(Value),
     /// A zero-copy view of input column `col`.
     Col(u16),
-    /// A column already checked for the int fast path and rejected
-    /// (reads like `Col`, but ops skip re-scanning it).
-    ColMixed(u16),
     /// Materialized per-row values (lanes outside the selection that
     /// produced them hold NULL and are never read).
     Vals(Vec<Value>),
-    /// Typed integer lanes: every base-selection lane held a non-NULL
-    /// `Int` (unselected lanes hold 0 and are never read).
-    Ints(Vec<i64>),
-    /// Typed boolean lanes (comparison / logic results).
-    Bools(Vec<bool>),
-}
-
-/// How an `arith.int` / `cmp.int` operand resolves for the typed path.
-enum IntArg {
-    /// A broadcast integer constant.
-    Broadcast(i64),
-    /// The register now holds typed `Ints` lanes.
-    Lanes,
-    /// Not integer-typed; the op takes the generic boxed path.
-    No,
-}
-
-/// A borrowed view of one typed operand inside the tight loops.
-#[derive(Clone, Copy)]
-enum IntSrc<'a> {
-    B(i64),
-    S(&'a [i64]),
-}
-
-impl IntSrc<'_> {
-    #[inline(always)]
-    fn at(self, lane: usize) -> i64 {
-        match self {
-            IntSrc::B(x) => x,
-            IntSrc::S(s) => s[lane],
-        }
-    }
-}
-
-/// One lane of integer arithmetic; mirrors [`scalar::arith_int`] exactly
-/// (wrapping `+ - *`, zero-guarded `/ %`).
-#[inline(always)]
-fn arith_int_lane(op: ArithOp, a: i64, b: i64) -> Result<i64, ExecError> {
-    Ok(match op {
-        ArithOp::Add => a.wrapping_add(b),
-        ArithOp::Sub => a.wrapping_sub(b),
-        ArithOp::Mul => a.wrapping_mul(b),
-        ArithOp::Div => {
-            if b == 0 {
-                return Err(ExecError("division by zero".into()));
-            }
-            a / b
-        }
-        ArithOp::Mod => {
-            if b == 0 {
-                return Err(ExecError("division by zero".into()));
-            }
-            a % b
-        }
-    })
 }
 
 /// A reusable evaluation context. Create one per operator (or thread)
@@ -105,10 +42,6 @@ pub struct Vm {
     sel_stack: Vec<Vec<u32>>,
     /// Retired `Vals` buffers, reused by later ops and batches.
     pool: Vec<Vec<Value>>,
-    /// Retired typed-int buffers.
-    int_pool: Vec<Vec<i64>>,
-    /// Retired typed-bool buffers.
-    bool_pool: Vec<Vec<bool>>,
     /// Retired selection vectors.
     sel_pool: Vec<Vec<u32>>,
     batch_us: just_obs::Histogram,
@@ -127,8 +60,6 @@ impl Vm {
             regs: Vec::new(),
             sel_stack: Vec::new(),
             pool: Vec::new(),
-            int_pool: Vec::new(),
-            bool_pool: Vec::new(),
             sel_pool: Vec::new(),
             batch_us: just_obs::global().histogram("just_exec_batch_eval_us"),
         }
@@ -166,7 +97,7 @@ impl Vm {
         self.run(prog, rows, base)?;
         out.reserve(base.len());
         for &lane in base {
-            out.push(value_owned(&self.regs, prog.out, rows, lane as usize));
+            out.push(reg_at(&self.regs, prog.out, rows, lane as usize).clone());
         }
         Ok(())
     }
@@ -198,8 +129,6 @@ impl Vm {
                     self.regs[*dst as usize] = Reg::Col(*col);
                 }
                 Op::Arith { op, dst, a, b } => {
-                    self.materialize(*a, n);
-                    self.materialize(*b, n);
                     self.binary_op(*dst, n, rows, |regs, rows, lane| {
                         scalar::arith(
                             *op,
@@ -208,25 +137,7 @@ impl Vm {
                         )
                     })?;
                 }
-                Op::ArithInt { op, dst, a, b } => {
-                    let ia = self.int_operand(*a, rows);
-                    let ib = self.int_operand(*b, rows);
-                    if !matches!(ia, IntArg::No) && !matches!(ib, IntArg::No) {
-                        self.arith_int_typed(*op, *dst, (ia, *a), (ib, *b), n)?;
-                    } else {
-                        self.materialize(*a, n);
-                        self.materialize(*b, n);
-                        self.binary_op(*dst, n, rows, |regs, rows, lane| {
-                            match (reg_at(regs, *a, rows, lane), reg_at(regs, *b, rows, lane)) {
-                                (Value::Int(x), Value::Int(y)) => scalar::arith_int(*op, *x, *y),
-                                (l, r) => scalar::arith(*op, l, r),
-                            }
-                        })?;
-                    }
-                }
                 Op::Cmp { op, dst, a, b } => {
-                    self.materialize(*a, n);
-                    self.materialize(*b, n);
                     self.binary_op(*dst, n, rows, |regs, rows, lane| {
                         scalar::cmp(
                             *op,
@@ -235,47 +146,22 @@ impl Vm {
                         )
                     })?;
                 }
-                Op::CmpInt { op, dst, a, b } => {
-                    let ia = self.int_operand(*a, rows);
-                    let ib = self.int_operand(*b, rows);
-                    if !matches!(ia, IntArg::No) && !matches!(ib, IntArg::No) {
-                        self.cmp_int_typed(*op, *dst, (ia, *a), (ib, *b), n);
-                    } else {
-                        self.materialize(*a, n);
-                        self.materialize(*b, n);
-                        self.binary_op(*dst, n, rows, |regs, rows, lane| {
-                            match (reg_at(regs, *a, rows, lane), reg_at(regs, *b, rows, lane)) {
-                                (Value::Int(x), Value::Int(y)) => {
-                                    Ok(Value::Bool(op.matches(x.cmp(y))))
-                                }
-                                (l, r) => scalar::cmp(*op, l, r),
-                            }
-                        })?;
-                    }
-                }
                 Op::Within { dst, a, b } => {
-                    self.materialize(*a, n);
-                    self.materialize(*b, n);
                     self.binary_op(*dst, n, rows, |regs, rows, lane| {
                         scalar::within(reg_at(regs, *a, rows, lane), reg_at(regs, *b, rows, lane))
                     })?;
                 }
                 Op::Neg { dst, a } => {
-                    self.materialize(*a, n);
                     self.binary_op(*dst, n, rows, |regs, rows, lane| {
                         scalar::neg(reg_at(regs, *a, rows, lane))
                     })?;
                 }
                 Op::Not { dst, a } => {
-                    self.materialize(*a, n);
                     self.binary_op(*dst, n, rows, |regs, rows, lane| {
                         scalar::logical_not(reg_at(regs, *a, rows, lane))
                     })?;
                 }
                 Op::Between { dst, v, lo, hi } => {
-                    self.materialize(*v, n);
-                    self.materialize(*lo, n);
-                    self.materialize(*hi, n);
                     self.binary_op(*dst, n, rows, |regs, rows, lane| {
                         scalar::between(
                             reg_at(regs, *v, rows, lane),
@@ -285,9 +171,6 @@ impl Vm {
                     })?;
                 }
                 Op::Call { dst, func, args } => {
-                    for r in args.iter() {
-                        self.materialize(*r, n);
-                    }
                     let entry = &prog.funcs[*func as usize];
                     self.binary_op(*dst, n, rows, |regs, rows, lane| {
                         let vals: Vec<Value> = args
@@ -297,25 +180,16 @@ impl Vm {
                         (entry.f)(vals)
                     })?;
                 }
-                Op::MaskAnd { src } => {
+                Op::MaskAnd { src } | Op::MaskOr { src } => {
+                    // `AND`'s right-hand side decides the truthy lanes,
+                    // `OR`'s the falsy ones.
+                    let keep = matches!(op, Op::MaskAnd { .. });
                     let mut narrowed = self.sel_pool.pop().unwrap_or_default();
                     narrowed.clear();
                     let cur = self.sel_stack.last().expect("selection stack");
                     narrowed.reserve(cur.len());
                     for &lane in cur {
-                        if truthy_at(&self.regs, *src, rows, lane as usize) {
-                            narrowed.push(lane);
-                        }
-                    }
-                    self.sel_stack.push(narrowed);
-                }
-                Op::MaskOr { src } => {
-                    let mut narrowed = self.sel_pool.pop().unwrap_or_default();
-                    narrowed.clear();
-                    let cur = self.sel_stack.last().expect("selection stack");
-                    narrowed.reserve(cur.len());
-                    for &lane in cur {
-                        if !truthy_at(&self.regs, *src, rows, lane as usize) {
+                        if truthy_at(&self.regs, *src, rows, lane as usize) == keep {
                             narrowed.push(lane);
                         }
                     }
@@ -327,10 +201,18 @@ impl Vm {
                     }
                 }
                 Op::MergeAnd { dst, a, b } => {
-                    self.merge_logic(*dst, *a, *b, n, rows, true);
+                    self.binary_op(*dst, n, rows, |regs, rows, lane| {
+                        Ok(Value::Bool(
+                            truthy_at(regs, *a, rows, lane) && truthy_at(regs, *b, rows, lane),
+                        ))
+                    })?;
                 }
                 Op::MergeOr { dst, a, b } => {
-                    self.merge_logic(*dst, *a, *b, n, rows, false);
+                    self.binary_op(*dst, n, rows, |regs, rows, lane| {
+                        Ok(Value::Bool(
+                            truthy_at(regs, *a, rows, lane) || truthy_at(regs, *b, rows, lane),
+                        ))
+                    })?;
                 }
             }
         }
@@ -338,13 +220,10 @@ impl Vm {
         Ok(())
     }
 
-    /// Returns a retired register's buffer to the matching free-list.
+    /// Returns a retired register's buffer to the pool.
     fn retire(&mut self, r: Reg) {
-        match r {
-            Reg::Vals(v) => self.pool.push(v),
-            Reg::Ints(v) => self.int_pool.push(v),
-            Reg::Bools(v) => self.bool_pool.push(v),
-            _ => {}
+        if let Reg::Vals(v) = r {
+            self.pool.push(v);
         }
     }
 
@@ -352,199 +231,6 @@ impl Vm {
     fn set_reg(&mut self, dst: RegId, reg: Reg) {
         let old = std::mem::replace(&mut self.regs[dst as usize], reg);
         self.retire(old);
-    }
-
-    /// Converts a typed register back into boxed `Value` lanes so a
-    /// generic opcode can read it. Lanes in the base selection get real
-    /// values; the rest stay NULL (never read, by the masking
-    /// invariant).
-    fn materialize(&mut self, r: RegId, n_rows: usize) {
-        if !matches!(self.regs[r as usize], Reg::Ints(_) | Reg::Bools(_)) {
-            return;
-        }
-        let mut vals = self.pool.pop().unwrap_or_default();
-        vals.clear();
-        vals.resize(n_rows, Value::Null);
-        {
-            let base = &self.sel_stack[0];
-            match &self.regs[r as usize] {
-                Reg::Ints(v) => {
-                    for &lane in base {
-                        vals[lane as usize] = Value::Int(v[lane as usize]);
-                    }
-                }
-                Reg::Bools(v) => {
-                    for &lane in base {
-                        vals[lane as usize] = Value::Bool(v[lane as usize]);
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
-        self.set_reg(r, Reg::Vals(vals));
-    }
-
-    /// Resolves an `arith.int`/`cmp.int` operand for the typed path. A
-    /// `Col` operand is scanned over the base selection: all-Int columns
-    /// are gathered into flat `i64` lanes once (and cached in the
-    /// register for every later op); anything else is marked mixed and
-    /// handled by the generic path.
-    fn int_operand(&mut self, r: RegId, rows: &[Row]) -> IntArg {
-        let col = match &self.regs[r as usize] {
-            Reg::Scalar(Value::Int(x)) => return IntArg::Broadcast(*x),
-            Reg::Ints(_) => return IntArg::Lanes,
-            Reg::Col(c) => *c,
-            _ => return IntArg::No,
-        };
-        let mut out = self.int_pool.pop().unwrap_or_default();
-        out.clear();
-        out.resize(rows.len(), 0);
-        let mut all_int = true;
-        {
-            let base = &self.sel_stack[0];
-            for &lane in base {
-                match rows[lane as usize].values.get(col as usize) {
-                    Some(Value::Int(x)) => out[lane as usize] = *x,
-                    _ => {
-                        all_int = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if all_int {
-            self.set_reg(r, Reg::Ints(out));
-            IntArg::Lanes
-        } else {
-            self.int_pool.push(out);
-            self.set_reg(r, Reg::ColMixed(col));
-            IntArg::No
-        }
-    }
-
-    /// The typed integer arithmetic loop: both operands are flat `i64`
-    /// lanes or broadcasts, the result is flat `i64` lanes. Semantics
-    /// mirror [`scalar::arith_int`] per lane.
-    fn arith_int_typed(
-        &mut self,
-        op: ArithOp,
-        dst: RegId,
-        a: (IntArg, RegId),
-        b: (IntArg, RegId),
-        n_rows: usize,
-    ) -> Result<(), ExecError> {
-        let mut out = self.int_pool.pop().unwrap_or_default();
-        out.clear();
-        out.resize(n_rows, 0);
-        let result = {
-            let src = |(arg, r): &(IntArg, RegId)| match arg {
-                IntArg::Broadcast(x) => IntSrc::B(*x),
-                _ => match &self.regs[*r as usize] {
-                    Reg::Ints(v) => IntSrc::S(v),
-                    _ => unreachable!("int operand must be typed"),
-                },
-            };
-            let sa = src(&a);
-            let sb = src(&b);
-            let sel = self.sel_stack.last().expect("selection stack");
-            if sel.len() == n_rows {
-                (0..n_rows).try_for_each(|lane| {
-                    out[lane] = arith_int_lane(op, sa.at(lane), sb.at(lane))?;
-                    Ok(())
-                })
-            } else {
-                sel.iter().try_for_each(|&lane| {
-                    let lane = lane as usize;
-                    out[lane] = arith_int_lane(op, sa.at(lane), sb.at(lane))?;
-                    Ok(())
-                })
-            }
-        };
-        match result {
-            Ok(()) => {
-                self.set_reg(dst, Reg::Ints(out));
-                Ok(())
-            }
-            Err(e) => {
-                self.int_pool.push(out);
-                Err(e)
-            }
-        }
-    }
-
-    /// The typed integer comparison loop; results are packed booleans.
-    fn cmp_int_typed(
-        &mut self,
-        op: scalar::CmpOp,
-        dst: RegId,
-        a: (IntArg, RegId),
-        b: (IntArg, RegId),
-        n_rows: usize,
-    ) {
-        let mut out = self.bool_pool.pop().unwrap_or_default();
-        out.clear();
-        out.resize(n_rows, false);
-        {
-            let src = |(arg, r): &(IntArg, RegId)| match arg {
-                IntArg::Broadcast(x) => IntSrc::B(*x),
-                _ => match &self.regs[*r as usize] {
-                    Reg::Ints(v) => IntSrc::S(v),
-                    _ => unreachable!("int operand must be typed"),
-                },
-            };
-            let sa = src(&a);
-            let sb = src(&b);
-            let sel = self.sel_stack.last().expect("selection stack");
-            if sel.len() == n_rows {
-                for (lane, slot) in out.iter_mut().enumerate() {
-                    *slot = op.matches(sa.at(lane).cmp(&sb.at(lane)));
-                }
-            } else {
-                for &lane in sel {
-                    let lane = lane as usize;
-                    out[lane] = op.matches(sa.at(lane).cmp(&sb.at(lane)));
-                }
-            }
-        }
-        self.set_reg(dst, Reg::Bools(out));
-    }
-
-    /// Short-circuit merge (`AND`/`OR` result assembly) with typed
-    /// boolean output; reads operands through the truthiness fast path
-    /// so `Bools` inputs never materialize.
-    fn merge_logic(
-        &mut self,
-        dst: RegId,
-        a: RegId,
-        b: RegId,
-        n_rows: usize,
-        rows: &[Row],
-        and: bool,
-    ) {
-        let mut out = self.bool_pool.pop().unwrap_or_default();
-        out.clear();
-        out.resize(n_rows, false);
-        {
-            let sel = self.sel_stack.last().expect("selection stack");
-            let eval_lane = |lane: usize| {
-                let l = truthy_at(&self.regs, a, rows, lane);
-                if and {
-                    l && truthy_at(&self.regs, b, rows, lane)
-                } else {
-                    l || truthy_at(&self.regs, b, rows, lane)
-                }
-            };
-            if sel.len() == n_rows {
-                for (lane, slot) in out.iter_mut().enumerate() {
-                    *slot = eval_lane(lane);
-                }
-            } else {
-                for &lane in sel {
-                    out[lane as usize] = eval_lane(lane as usize);
-                }
-            }
-        }
-        self.set_reg(dst, Reg::Bools(out));
     }
 
     /// Materializes `dst` by applying `f` at every currently-selected
@@ -579,46 +265,19 @@ impl Vm {
     }
 }
 
-/// Reads one lane of a register as a borrowed [`Value`]. Typed
-/// registers never reach here: generic ops materialize their operands
-/// first.
+/// Reads one lane of a register as a borrowed [`Value`].
 fn reg_at<'a>(regs: &'a [Reg], r: RegId, rows: &'a [Row], lane: usize) -> &'a Value {
     match &regs[r as usize] {
         Reg::Scalar(v) => v,
-        Reg::Col(c) | Reg::ColMixed(c) => rows[lane].values.get(*c as usize).unwrap_or(&NULL),
+        Reg::Col(c) => rows[lane].values.get(*c as usize).unwrap_or(&NULL),
         Reg::Vals(v) => &v[lane],
         Reg::Unset => &NULL,
-        Reg::Ints(_) | Reg::Bools(_) => unreachable!("typed register read by generic op"),
     }
 }
 
-/// One lane's SQL truthiness, with fast paths for the typed registers.
+/// One lane's SQL truthiness.
 fn truthy_at(regs: &[Reg], r: RegId, rows: &[Row], lane: usize) -> bool {
-    match &regs[r as usize] {
-        Reg::Bools(v) => v[lane],
-        Reg::Ints(v) => v[lane] != 0,
-        Reg::Scalar(v) => scalar::truthy(v),
-        Reg::Col(c) | Reg::ColMixed(c) => {
-            scalar::truthy(rows[lane].values.get(*c as usize).unwrap_or(&NULL))
-        }
-        Reg::Vals(v) => scalar::truthy(&v[lane]),
-        Reg::Unset => false,
-    }
-}
-
-/// One lane of a register as an owned [`Value`] (the `eval` output
-/// path).
-fn value_owned(regs: &[Reg], r: RegId, rows: &[Row], lane: usize) -> Value {
-    match &regs[r as usize] {
-        Reg::Scalar(v) => v.clone(),
-        Reg::Col(c) | Reg::ColMixed(c) => {
-            rows[lane].values.get(*c as usize).cloned().unwrap_or(NULL)
-        }
-        Reg::Vals(v) => v[lane].clone(),
-        Reg::Ints(v) => Value::Int(v[lane]),
-        Reg::Bools(v) => Value::Bool(v[lane]),
-        Reg::Unset => NULL,
-    }
+    scalar::truthy(reg_at(regs, r, rows, lane))
 }
 
 /// The identity selection `0..n` (helper for callers feeding whole

@@ -3,11 +3,9 @@
 //! [`compile`] turns one [`Expr`] into a flat register [`Program`]
 //! exactly once per query (per operator): column names are resolved to
 //! input indices here — never again per row — literals are interned into
-//! the program's constant pool, constant non-volatile subtrees are
-//! folded to a single constant, and arithmetic / comparison opcodes are
-//! emitted in their `*.int` specialized form when both operands are
-//! statically known to be integers (integer literals, `integer`-typed
-//! schema columns, or results of integer arithmetic).
+//! the program's constant pool, and constant non-volatile subtrees are
+//! folded to a single constant. Opcodes carry no types: the same program
+//! runs over a stored table, a view or an intermediate dataset.
 //!
 //! [`compile`] is total and doubles as the executor's analyzer: every
 //! expression either lowers or is rejected with a typed
@@ -25,7 +23,6 @@ use crate::QlError;
 use crate::Result;
 use just_core::Session;
 use just_exec::{ExecError, FuncEntry, Program, ProgramBuilder, RegId};
-use just_storage::{FieldType, Value};
 use std::sync::Arc;
 
 const KNN_PLACEMENT: &str = "st_KNN can only appear as the sole WHERE predicate";
@@ -39,81 +36,72 @@ fn build_err(e: ExecError) -> QlError {
 struct Lowerer<'a> {
     b: ProgramBuilder,
     columns: &'a [String],
-    int_cols: Option<&'a [bool]>,
 }
 
 impl Lowerer<'_> {
-    /// Lowers `e`, returning its result register and whether the value is
-    /// statically known to be an integer.
-    fn lower(&mut self, e: &Expr) -> Result<(RegId, bool)> {
+    /// Lowers `e`, returning its result register.
+    fn lower(&mut self, e: &Expr) -> Result<RegId> {
         // Constant non-volatile subtrees fold into the constant pool at
         // compile time. Folding that *errors* (e.g. `1/0`) lowers
         // normally so the runtime error matches the interpreter's.
         if !matches!(e, Expr::Literal(_)) && e.is_constant() && !contains_volatile(e) {
             if let Ok(v) = functions::eval_const(e) {
-                let is_int = matches!(v, Value::Int(_));
-                return Ok((self.b.constant(v).map_err(build_err)?, is_int));
+                return self.b.constant(v).map_err(build_err);
             }
         }
-        match e {
-            Expr::Literal(v) => {
-                let is_int = matches!(v, Value::Int(_));
-                Ok((self.b.constant(v.clone()).map_err(build_err)?, is_int))
-            }
+        let reg = match e {
+            Expr::Literal(v) => self.b.constant(v.clone()),
             Expr::Column(name) => {
                 let idx = resolve_column(name, self.columns)?;
-                let is_int = self
-                    .int_cols
-                    .is_some_and(|t| t.get(idx).copied().unwrap_or(false));
-                Ok((self.b.col(idx).map_err(build_err)?, is_int))
+                self.b.col(idx)
             }
-            Expr::Star => Err(QlError::Analyze("'*' outside count(*)".into())),
-            Expr::InFunc { .. } => Err(QlError::Analyze(KNN_PLACEMENT.into())),
+            Expr::Star => return Err(QlError::Analyze("'*' outside count(*)".into())),
+            Expr::InFunc { .. } => return Err(QlError::Analyze(KNN_PLACEMENT.into())),
             Expr::Unary { not, expr } => {
-                let (a, a_int) = self.lower(expr)?;
+                let a = self.lower(expr)?;
                 if *not {
-                    Ok((self.b.not(a).map_err(build_err)?, false))
+                    self.b.not(a)
                 } else {
-                    Ok((self.b.neg(a).map_err(build_err)?, a_int))
+                    self.b.neg(a)
                 }
             }
             Expr::Binary { op, lhs, rhs } => match op {
                 BinOp::And => {
-                    let (l, _) = self.lower(lhs)?;
+                    let l = self.lower(lhs)?;
                     self.b.mask_and(l);
-                    let (r, _) = self.lower(rhs)?;
+                    let r = self.lower(rhs)?;
                     self.b.mask_pop();
-                    Ok((self.b.merge_and(l, r).map_err(build_err)?, false))
+                    self.b.merge_and(l, r)
                 }
                 BinOp::Or => {
-                    let (l, _) = self.lower(lhs)?;
+                    let l = self.lower(lhs)?;
                     self.b.mask_or(l);
-                    let (r, _) = self.lower(rhs)?;
+                    let r = self.lower(rhs)?;
                     self.b.mask_pop();
-                    Ok((self.b.merge_or(l, r).map_err(build_err)?, false))
+                    self.b.merge_or(l, r)
                 }
                 BinOp::Within => {
-                    let (l, _) = self.lower(lhs)?;
-                    let (r, _) = self.lower(rhs)?;
-                    Ok((self.b.within(l, r).map_err(build_err)?, false))
+                    let l = self.lower(lhs)?;
+                    let r = self.lower(rhs)?;
+                    self.b.within(l, r)
                 }
                 other => {
-                    let (l, li) = self.lower(lhs)?;
-                    let (r, ri) = self.lower(rhs)?;
-                    if let Some(a) = arith_op(*other) {
-                        let int = li && ri;
-                        Ok((self.b.arith(a, l, r, int).map_err(build_err)?, int))
-                    } else {
-                        let c = cmp_op(*other).expect("logical ops handled above");
-                        Ok((self.b.cmp(c, l, r, li && ri).map_err(build_err)?, false))
+                    let l = self.lower(lhs)?;
+                    let r = self.lower(rhs)?;
+                    match arith_op(*other) {
+                        Some(a) => self.b.arith(a, l, r),
+                        None => {
+                            let c = cmp_op(*other).expect("logical ops handled above");
+                            self.b.cmp(c, l, r)
+                        }
                     }
                 }
             },
             Expr::Between { expr, lo, hi } => {
-                let (v, _) = self.lower(expr)?;
-                let (lo, _) = self.lower(lo)?;
-                let (hi, _) = self.lower(hi)?;
-                Ok((self.b.between(v, lo, hi).map_err(build_err)?, false))
+                let v = self.lower(expr)?;
+                let lo = self.lower(lo)?;
+                let hi = self.lower(hi)?;
+                self.b.between(v, lo, hi)
             }
             Expr::Func { name, args } => {
                 // Plan-level constructs have no scalar value: the planner
@@ -136,7 +124,7 @@ impl Lowerer<'_> {
                 }
                 let mut regs = Vec::with_capacity(args.len());
                 for a in args {
-                    regs.push(self.lower(a)?.0);
+                    regs.push(self.lower(a)?);
                 }
                 let fname = name.clone();
                 let entry = FuncEntry {
@@ -145,9 +133,10 @@ impl Lowerer<'_> {
                         functions::call(&fname, vals).map_err(|e| ExecError(e.message()))
                     }),
                 };
-                Ok((self.b.call(entry, regs).map_err(build_err)?, false))
+                self.b.call(entry, regs)
             }
-        }
+        };
+        reg.map_err(build_err)
     }
 }
 
@@ -166,19 +155,16 @@ fn contains_volatile(e: &Expr) -> bool {
 }
 
 /// Compiles `expr` into a bytecode program against the input header
-/// `columns`. `int_cols` optionally marks columns statically typed
-/// `integer` (from the table schema) to unlock `*.int` opcode
-/// specialization; pass `None` when the input is an untyped dataset.
+/// `columns`.
 ///
 /// `Err` is always a [`QlError::Analyze`]: the expression is not a valid
 /// scalar expression over `columns` (see the module docs).
-pub fn compile(expr: &Expr, columns: &[String], int_cols: Option<&[bool]>) -> Result<Program> {
+pub fn compile(expr: &Expr, columns: &[String]) -> Result<Program> {
     let mut l = Lowerer {
         b: ProgramBuilder::new(columns.to_vec()),
         columns,
-        int_cols,
     };
-    let (out, _) = l.lower(expr)?;
+    let out = l.lower(expr)?;
     Ok(l.b.finish(out))
 }
 
@@ -206,20 +192,14 @@ fn render_node(plan: &LogicalPlan, session: &Session, out: &mut String, depth: u
             ..
         } => {
             // The residual runs against the full pre-projection schema,
-            // with int-typed fields unlocking `*.int` opcodes — exactly
-            // what the streaming scan compiles.
-            if let Some((cols, int_cols)) = scan_input_columns(table, session) {
-                push_program(
-                    out,
-                    depth,
-                    "residual",
-                    &compile(r, &cols, int_cols.as_deref()),
-                );
+            // exactly what the streaming scan compiles.
+            if let Some(cols) = scan_input_columns(table, session) {
+                push_program(out, depth, "residual", &compile(r, &cols));
             }
         }
         LogicalPlan::Filter { input, predicate } => {
             if let Some(cols) = output_columns(input, session) {
-                push_program(out, depth, "predicate", &compile(predicate, &cols, None));
+                push_program(out, depth, "predicate", &compile(predicate, &cols));
             }
         }
         LogicalPlan::FilterProject {
@@ -228,7 +208,7 @@ fn render_node(plan: &LogicalPlan, session: &Session, out: &mut String, depth: u
             items,
         } => {
             if let Some(cols) = output_columns(input, session) {
-                push_program(out, depth, "predicate", &compile(predicate, &cols, None));
+                push_program(out, depth, "predicate", &compile(predicate, &cols));
                 push_item_programs(out, depth, items, &cols);
             }
         }
@@ -236,7 +216,7 @@ fn render_node(plan: &LogicalPlan, session: &Session, out: &mut String, depth: u
             if let Some(cols) = output_columns(input, session) {
                 for (i, (e, asc)) in keys.iter().enumerate() {
                     let label = format!("key {i} {}", if *asc { "asc" } else { "desc" });
-                    push_program(out, depth, &label, &compile(e, &cols, None));
+                    push_program(out, depth, &label, &compile(e, &cols));
                 }
             }
         }
@@ -254,17 +234,17 @@ fn render_node(plan: &LogicalPlan, session: &Session, out: &mut String, depth: u
             for (i, (l, r)) in keys.iter().enumerate() {
                 if let Some(cols) = &lcols {
                     let label = format!("key {i} left");
-                    push_program(out, depth, &label, &compile(l, cols, None));
+                    push_program(out, depth, &label, &compile(l, cols));
                 }
                 if let Some(cols) = &rcols {
                     let label = format!("key {i} right");
-                    push_program(out, depth, &label, &compile(r, cols, None));
+                    push_program(out, depth, &label, &compile(r, cols));
                 }
             }
             if let (Some(res), Some(lc), Some(rc)) = (residual, &lcols, &rcols) {
                 let mut combined = lc.clone();
                 combined.extend(rc.iter().cloned());
-                push_program(out, depth, "residual", &compile(res, &combined, None));
+                push_program(out, depth, "residual", &compile(res, &combined));
             }
         }
         LogicalPlan::Project { input, items } => {
@@ -280,12 +260,12 @@ fn render_node(plan: &LogicalPlan, session: &Session, out: &mut String, depth: u
             if let Some(cols) = output_columns(input, session) {
                 for (e, name) in group_by {
                     let label = format!("key {name}");
-                    push_program(out, depth, &label, &compile(e, &cols, None));
+                    push_program(out, depth, &label, &compile(e, &cols));
                 }
                 for (func, e, name) in aggregates {
                     if !matches!(e, Expr::Star) {
                         let label = format!("{func} {name}");
-                        push_program(out, depth, &label, &compile(e, &cols, None));
+                        push_program(out, depth, &label, &compile(e, &cols));
                     }
                 }
             }
@@ -302,13 +282,13 @@ fn render_node(plan: &LogicalPlan, session: &Session, out: &mut String, depth: u
 fn push_item_programs(out: &mut String, depth: usize, items: &[(Expr, String)], cols: &[String]) {
     if let Some((_, args)) = crate::exec::row_function(items) {
         for (i, a) in args.iter().enumerate() {
-            push_program(out, depth, &format!("arg {i}"), &compile(a, cols, None));
+            push_program(out, depth, &format!("arg {i}"), &compile(a, cols));
         }
         return;
     }
     for (e, name) in items {
         if !matches!(e, Expr::Star) {
-            push_program(out, depth, name, &compile(e, cols, None));
+            push_program(out, depth, name, &compile(e, cols));
         }
     }
 }
@@ -326,21 +306,13 @@ fn push_program(out: &mut String, depth: usize, label: &str, prog: &Result<Progr
     }
 }
 
-/// A stored table's or view's full column list, plus — for stored tables
-/// — which fields are statically `integer` typed.
-fn scan_input_columns(table: &str, session: &Session) -> Option<(Vec<String>, Option<Vec<bool>>)> {
+/// A stored table's or view's full column list.
+fn scan_input_columns(table: &str, session: &Session) -> Option<Vec<String>> {
     if let Ok(view) = session.view(table) {
-        return Some((view.columns.clone(), None));
+        return Some(view.columns.clone());
     }
     let def = session.describe(table).ok()?;
-    let cols = def.schema.fields().iter().map(|f| f.name.clone()).collect();
-    let ints = def
-        .schema
-        .fields()
-        .iter()
-        .map(|f| f.ty == FieldType::Int)
-        .collect();
-    Some((cols, Some(ints)))
+    Some(def.schema.fields().iter().map(|f| f.name.clone()).collect())
 }
 
 /// The operator's statically-known output header (a scan's comes from
@@ -354,7 +326,7 @@ fn output_columns(plan: &LogicalPlan, session: &Session) -> Option<Vec<String>> 
             projection,
             ..
         } => {
-            let (cols, _) = scan_input_columns(table, session)?;
+            let cols = scan_input_columns(table, session)?;
             Some(crate::exec::scan_header(&cols, projection, alias).1)
         }
         LogicalPlan::Values { columns, .. } => Some(columns.clone()),
@@ -409,6 +381,8 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use crate::Statement;
+    use just_exec::{full_selection, Vm};
+    use just_storage::{Row, Value};
 
     fn predicate_of(sql: &str) -> Expr {
         match parse(sql).unwrap() {
@@ -421,7 +395,7 @@ mod tests {
     fn columns_resolve_and_constants_intern() {
         let e = predicate_of("SELECT a FROM t WHERE a + 1 > 1 AND b < 1");
         let cols = vec!["a".to_string(), "b".to_string()];
-        let p = compile(&e, &cols, None).unwrap();
+        let p = compile(&e, &cols).unwrap();
         // `1` appears three times in the source but is interned once; the
         // listing names resolved columns.
         let listing = p.listing().join("\n");
@@ -431,30 +405,89 @@ mod tests {
     }
 
     #[test]
-    fn int_specialization_needs_schema_types() {
+    fn arithmetic_and_comparison_compile_to_the_generic_opcodes() {
         let e = predicate_of("SELECT a FROM t WHERE a + 1 > 2");
-        let cols = vec!["a".to_string()];
-        let generic = compile(&e, &cols, None).unwrap();
-        assert!(!generic.listing().join("\n").contains("arith.int"));
-        let typed = compile(&e, &cols, Some(&[true])).unwrap();
-        let listing = typed.listing().join("\n");
-        assert!(listing.contains("arith.int"), "{listing}");
-        assert!(listing.contains("cmp.int"), "{listing}");
+        let p = compile(&e, &["a".to_string()]).unwrap();
+        let listing = p.listing().join("\n");
+        assert!(listing.contains("= arith r0 + r1"), "{listing}");
+        assert!(listing.contains("cmp r2 > r3"), "{listing}");
     }
 
     #[test]
     fn constant_subtrees_fold_at_compile_time() {
         let e = predicate_of("SELECT a FROM t WHERE a > 2 + 3 * 4");
-        let p = compile(&e, &["a".to_string()], None).unwrap();
+        let p = compile(&e, &["a".to_string()]).unwrap();
         let listing = p.listing().join("\n");
         assert!(listing.contains("const Int(14)"), "{listing}");
         assert!(!listing.contains("arith"), "{listing}");
     }
 
+    /// Folds `e` over literals and runs it compiled over a row of the
+    /// same values (columns `a`, `b`): `None` is an error.
+    fn folded_and_compiled(e: impl Fn(Expr, Expr) -> Expr, a: i64, b: i64) -> [Option<Value>; 2] {
+        let lit = |v| Expr::Literal(Value::Int(v));
+        let col = |n: &str| Expr::Column(n.to_string());
+        let folded = functions::eval_const(&e(lit(a), lit(b))).ok();
+        let cols = ["a".to_string(), "b".to_string()];
+        let prog = compile(&e(col("a"), col("b")), &cols).unwrap();
+        let rows = [Row::new(vec![Value::Int(a), Value::Int(b)])];
+        let mut out = Vec::new();
+        let compiled = Vm::new()
+            .eval(&prog, &rows, &full_selection(1), &mut out)
+            .ok()
+            .and_then(|()| out.pop());
+        [folded, compiled]
+    }
+
+    #[test]
+    fn integer_edges_wrap_when_folded_and_compiled() {
+        const MIN: i64 = i64::MIN;
+        const MAX: i64 = i64::MAX;
+        let ops = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod];
+        let cases: [(i64, i64, [Option<i64>; 5]); 3] = [
+            (
+                MIN,
+                -1,
+                [Some(MAX), Some(MIN + 1), Some(MIN), Some(MIN), Some(0)],
+            ),
+            (MIN, 0, [Some(MIN), Some(MIN), Some(0), None, None]),
+            (
+                MAX,
+                1,
+                [Some(MIN), Some(MAX - 1), Some(MAX), Some(MAX), Some(0)],
+            ),
+        ];
+        for (a, b, want) in cases {
+            for (op, want) in ops.into_iter().zip(want) {
+                let binary = |lhs, rhs| Expr::Binary {
+                    op,
+                    lhs: Box::new(lhs),
+                    rhs: Box::new(rhs),
+                };
+                let want = want.map(Value::Int);
+                let got = folded_and_compiled(binary, a, b);
+                assert_eq!(got, [want.clone(), want], "{a} {op:?} {b}");
+            }
+        }
+        let abs = |a, _| Expr::Func {
+            name: "abs".into(),
+            args: vec![a],
+        };
+        let neg = |a, _| Expr::Unary {
+            not: false,
+            expr: Box::new(a),
+        };
+        for (a, abs_a, neg_a) in [(MIN, MIN, MIN), (MAX, MAX, -MAX)] {
+            let want = |v| [Some(Value::Int(v)), Some(Value::Int(v))];
+            assert_eq!(folded_and_compiled(abs, a, 0), want(abs_a), "abs({a})");
+            assert_eq!(folded_and_compiled(neg, a, 0), want(neg_a), "-({a})");
+        }
+    }
+
     #[test]
     fn volatile_calls_never_fold() {
         let e = predicate_of("SELECT a FROM t WHERE sleep_ms(0) = 0");
-        let p = compile(&e, &["a".to_string()], None).unwrap();
+        let p = compile(&e, &["a".to_string()]).unwrap();
         assert!(
             p.listing().join("\n").contains("call sleep_ms"),
             "{:?}",
@@ -472,11 +505,11 @@ mod tests {
             "SELECT a FROM t WHERE a > 1 AND a IN st_KNN(st_makePoint(1, 2), 3)",
         ] {
             let e = predicate_of(sql);
-            let err = compile(&e, &["a".to_string()], None).unwrap_err();
+            let err = compile(&e, &["a".to_string()]).unwrap_err();
             assert!(matches!(err, QlError::Analyze(_)), "{sql}: {err:?}");
         }
         assert!(matches!(
-            compile(&Expr::Star, &["a".to_string()], None),
+            compile(&Expr::Star, &["a".to_string()]),
             Err(QlError::Analyze(_))
         ));
     }

@@ -7,13 +7,15 @@
 //! residuals, and the residual scan predicate) compiles its expressions
 //! into `just-exec` bytecode once, before it reads a row — which is also
 //! where analysis errors surface (see [`crate::compile`]) — and evaluates
-//! batches through the vectorized VM. Three places evaluate row-at-a-time
-//! with `eval()` because they are the only path for their input, each
-//! after the same up-front analysis: the nested-loop join (non-equi `ON`,
-//! unhashable key classes — its coercing comparator is the semantics),
-//! and the arguments of 1-N table functions and `st_DBSCAN`. The
-//! tree-walking operators the VM replaced live on as the test oracle in
-//! [`crate::reference`]; nothing here calls them.
+//! batches through the vectorized VM. A program is compiled from the
+//! input's column names alone, so a stored scan, a view and an
+//! intermediate dataset get the same opcodes. Three places evaluate
+//! row-at-a-time with `eval()` because they are the only path for their
+//! input, each after the same up-front analysis: the nested-loop join
+//! (non-equi `ON`, unhashable key classes — its coercing comparator is
+//! the semantics), and the arguments of 1-N table functions and
+//! `st_DBSCAN`. The tree-walking operators the VM replaced live on as
+//! the test oracle in [`crate::reference`]; nothing here calls them.
 
 use crate::ast::{BinOp, Expr};
 use crate::compile::compile;
@@ -28,7 +30,7 @@ use just_core::{Dataset, Session};
 use just_exec::{full_selection, keys_hashable, JoinHash, Program, Vm};
 use just_geo::{Geometry, Point};
 use just_obs::{Counter, SpanId, Trace};
-use just_storage::{CancelToken, FieldType, QueryStream, Row, RowGate, SpatialPredicate, Value};
+use just_storage::{CancelToken, QueryStream, Row, RowGate, SpatialPredicate, Value};
 use std::sync::OnceLock;
 
 /// Rows per evaluation batch for in-memory operators (stored-table scans
@@ -396,16 +398,17 @@ impl<'a> Executor<'a> {
             residual,
             limit,
         )?;
-        let fields = stream.schema().fields();
-        let input: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
+        let input: Vec<String> = stream
+            .schema()
+            .fields()
+            .iter()
+            .map(|f| f.name.clone())
+            .collect();
 
-        // Compile every in-memory predicate once for the whole scan; the
-        // schema's statically `integer` fields unlock the int-specialized
-        // opcodes.
-        let int_cols: Vec<bool> = fields.iter().map(|f| f.ty == FieldType::Int).collect();
+        // Compile every in-memory predicate once for the whole scan.
         let progs = mem_preds
             .iter()
-            .map(|p| compile(p, &input, Some(&int_cols)))
+            .map(|p| compile(p, &input))
             .collect::<Result<Vec<Program>>>()?;
         let (keep, columns) = scan_header(&input, projection, alias);
         Ok(StoredScan {
@@ -715,10 +718,9 @@ fn scan_view_rows(view: &Dataset, preds: &[Expr], limit: Option<usize>) -> Resul
         let take = view.rows.len().min(cap);
         return Ok(view.rows[..take].to_vec());
     }
-    let int_cols = infer_int_cols(view);
     let progs = preds
         .iter()
-        .map(|p| compile(p, &view.columns, Some(&int_cols)))
+        .map(|p| compile(p, &view.columns))
         .collect::<Result<Vec<Program>>>()?;
     let mut out: Vec<Row> = Vec::new();
     let mut vm = Vm::new();
@@ -731,27 +733,6 @@ fn scan_view_rows(view: &Dataset, preds: &[Expr], limit: Option<usize>) -> Resul
         }
     }
     Ok(out)
-}
-
-/// Guesses which view columns hold integers from the first non-NULL
-/// value per column (views carry no schema). Only a *hint*: the
-/// int-specialized opcodes guard at runtime, so a wrong guess costs the
-/// fast path, never correctness.
-fn infer_int_cols(view: &Dataset) -> Vec<bool> {
-    let mut int_cols = vec![false; view.columns.len()];
-    let mut known = vec![false; view.columns.len()];
-    for row in view.rows.iter().take(64) {
-        for (c, v) in row.values.iter().enumerate().take(known.len()) {
-            if !known[c] && !matches!(v, Value::Null) {
-                known[c] = true;
-                int_cols[c] = matches!(v, Value::Int(_));
-            }
-        }
-        if known.iter().all(|k| *k) {
-            break;
-        }
-    }
-    int_cols
 }
 
 fn spatial_expr(col: &str, rect: just_geo::Rect) -> Expr {
@@ -775,13 +756,13 @@ fn temporal_expr(col: &str, lo: i64, hi: i64) -> Expr {
 /// whether a bad name is reported never depends on a row existing. The
 /// discarded program still counts in `just_exec_programs_compiled`.
 fn analyze(expr: &Expr, columns: &[String]) -> Result<()> {
-    compile(expr, columns, None).map(|_| ())
+    compile(expr, columns).map(|_| ())
 }
 
 /// Filters `data`: the predicate lowers to bytecode once, then batches of
 /// [`BATCH`] rows run through the vectorized VM.
 fn filter(data: Dataset, predicate: &Expr) -> Result<Dataset> {
-    let prog = compile(predicate, &data.columns, None)?;
+    let prog = compile(predicate, &data.columns)?;
     Ok(Dataset::new(data.columns, filter_rows(data.rows, &prog)?))
 }
 
@@ -823,9 +804,7 @@ pub(crate) fn project_rows(
     args: &[Expr],
     out_name: &str,
 ) -> Result<Dataset> {
-    let pred_prog = predicate
-        .map(|p| compile(p, &data.columns, None))
-        .transpose()?;
+    let pred_prog = predicate.map(|p| compile(p, &data.columns)).transpose()?;
     for a in args {
         analyze(a, &data.columns)?;
     }
@@ -914,14 +893,12 @@ fn filter_project(
     if let Some((name, args)) = row_function(items) {
         return project_rows(data, predicate, name, args, &items[0].1);
     }
-    let pred_prog = predicate
-        .map(|p| compile(p, &data.columns, None))
-        .transpose()?;
+    let pred_prog = predicate.map(|p| compile(p, &data.columns)).transpose()?;
     let (columns, plans) = plan_items(items, &data.columns)?;
     let mut progs: Vec<(usize, Program)> = Vec::new();
     for (i, p) in plans.iter().enumerate() {
         if let ProjectItem::Compute(e) = p {
-            progs.push((i, compile(e, &data.columns, None)?));
+            progs.push((i, compile(e, &data.columns)?));
         }
     }
     // The identity reshuffle doesn't even touch the rows.
@@ -1172,12 +1149,12 @@ fn hash_join(
     let mut left_progs = Vec::with_capacity(pairs.len());
     let mut right_progs = Vec::with_capacity(pairs.len());
     for &(l, r) in &pairs {
-        left_progs.push(compile(l, &left.columns, None)?);
-        right_progs.push(compile(r, &right.columns, None)?);
+        left_progs.push(compile(l, &left.columns)?);
+        right_progs.push(compile(r, &right.columns)?);
     }
     let residual_prog = residual
         .as_ref()
-        .map(|p| compile(p, &columns, None))
+        .map(|p| compile(p, &columns))
         .transpose()?;
     let mut vm = Vm::new();
     let mut left_keys = Vec::with_capacity(pairs.len());

@@ -312,7 +312,7 @@ pub fn call(name: &str, vals: Vec<Value>) -> Result<Value> {
         }
         // --- scalar utilities ----------------------------------------------
         "abs" => match vals.first() {
-            Some(Value::Int(i)) => Ok(Value::Int(i.abs())),
+            Some(Value::Int(i)) => Ok(Value::Int(i.wrapping_abs())),
             Some(v) => Ok(Value::Float(
                 numeric(v)
                     .ok_or_else(|| QlError::Eval("abs: non-numeric".into()))?

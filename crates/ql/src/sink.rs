@@ -84,12 +84,12 @@ impl Aggregation {
             arg_progs.push(if star {
                 None
             } else {
-                Some(compile(arg, input, None)?)
+                Some(compile(arg, input)?)
             });
         }
         let key_progs = group_by
             .iter()
-            .map(|(e, _)| compile(e, input, None))
+            .map(|(e, _)| compile(e, input))
             .collect::<Result<Vec<Program>>>()?;
         let mut columns: Vec<String> = group_by.iter().map(|(_, n)| n.clone()).collect();
         columns.extend(aggregates.iter().map(|(_, _, n)| n.clone()));
@@ -288,7 +288,7 @@ fn key_plans(keys: &[(Expr, bool)], columns: &[String]) -> Result<Vec<(KeyPlan, 
         .map(|(e, asc)| {
             let plan = match e {
                 Expr::Column(name) => KeyPlan::Col(resolve_column(name, columns)?),
-                other => KeyPlan::Prog(compile(other, columns, None)?),
+                other => KeyPlan::Prog(compile(other, columns)?),
             };
             Ok((plan, !asc))
         })

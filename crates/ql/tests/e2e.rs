@@ -466,14 +466,16 @@ fn explain_lists_compiled_programs() {
     };
 
     // The residual predicate compiles against the stored schema: the
-    // listing shows resolved columns and the int-specialized compare.
+    // listing shows resolved columns and the generic arithmetic and
+    // comparison opcodes.
     let plan = text(
         c.execute("EXPLAIN SELECT name FROM orders WHERE fid % 2 = 1 AND fid > 10")
             .unwrap(),
     );
     assert!(plan.contains("program residual:"), "{plan}");
     assert!(plan.contains("(fid)"), "{plan}");
-    assert!(plan.contains("cmp.int"), "{plan}");
+    assert!(plan.contains("= arith r0 % r1"), "{plan}");
+    assert!(plan.contains("= cmp r2 = r3"), "{plan}");
     assert!(plan.contains("mask.and"), "{plan}");
     assert!(plan.contains("ret r"), "{plan}");
 

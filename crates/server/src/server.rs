@@ -26,6 +26,21 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Idle timeout: a connection with no request for this long is closed.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Socket write timeout (a stalled reader cannot wedge a worker
+/// forever).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The poll tick: socket read timeout between `keep_waiting`
+/// consultations. Smaller = faster shutdown, more wakeups.
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
+/// Frame size cap, enforced from the 4-byte header before any payload
+/// allocation.
+const MAX_FRAME_BYTES: usize = 32 * 1024 * 1024;
+
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -34,21 +49,9 @@ pub struct ServerConfig {
     /// Admission cap: connections admitted concurrently. Above this,
     /// new connections are shed with `BUSY`.
     pub max_sessions: usize,
-    /// Idle timeout: a connection with no request for this long is
-    /// closed.
-    pub read_timeout: Duration,
-    /// Socket write timeout (a stalled reader cannot wedge a worker
-    /// forever).
-    pub write_timeout: Duration,
     /// How long, after shutdown begins, workers keep accepting one more
     /// request from an already-connected client before closing.
     pub drain_grace: Duration,
-    /// The poll tick: socket read timeout between `keep_waiting`
-    /// consultations. Smaller = faster shutdown, more wakeups.
-    pub poll_interval: Duration,
-    /// Frame size cap, enforced from the 4-byte header before any
-    /// payload allocation.
-    pub max_frame_bytes: usize,
     /// User allowlist for `hello`; `None` admits any user name.
     pub users: Option<Vec<String>>,
 }
@@ -58,11 +61,7 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             max_sessions: 64,
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
             drain_grace: Duration::from_millis(200),
-            poll_interval: Duration::from_millis(20),
-            max_frame_bytes: 32 * 1024 * 1024,
             users: None,
         }
     }
@@ -248,23 +247,14 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         };
         if shared.shutdown.load(Ordering::Acquire) {
             // The wake-up self-connection (or a late client) — refuse.
-            refuse(stream, &shared, codes::BUSY, "server shutting down");
+            refuse(stream, codes::BUSY, "server shutting down");
             break;
         }
-        // Admission gate: claim a slot or shed the connection. The
-        // claim is a CAS loop against the cap, so the count can never
-        // overshoot no matter how many acceptors raced here.
-        let admitted = shared
-            .active
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                (n < shared.cfg.max_sessions).then_some(n + 1)
-            })
-            .is_ok();
-        if !admitted {
+        // Admission gate: claim a slot or shed the connection.
+        let Some(slot) = Slot::claim(&shared) else {
             shared.metrics.rejected_busy.inc();
             refuse(
                 stream,
-                &shared,
                 codes::BUSY,
                 format!(
                     "server at capacity ({} sessions); retry later",
@@ -272,26 +262,15 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 ),
             );
             continue;
-        }
-        shared.metrics.accepted.inc();
-        shared.metrics.connections_active.inc();
-        let worker_shared = shared.clone();
+        };
+        // The slot is released when the guard drops: after the worker
+        // returns, when it unwinds from a panic, or with the closure if
+        // the spawn fails.
         let handle = std::thread::Builder::new()
             .name("justd-conn".to_string())
-            .spawn(move || {
-                serve_connection(stream, &worker_shared);
-                worker_shared.active.fetch_sub(1, Ordering::AcqRel);
-                worker_shared.metrics.connections_active.dec();
-                worker_shared.metrics.closed.inc();
-            });
-        match handle {
-            Ok(h) => workers.push(h),
-            Err(_) => {
-                // Spawn failed: release the claimed slot.
-                shared.active.fetch_sub(1, Ordering::AcqRel);
-                shared.metrics.connections_active.dec();
-                shared.metrics.closed.inc();
-            }
+            .spawn(move || serve_connection(stream, &slot.0));
+        if let Ok(h) = handle {
+            workers.push(h);
         }
         // Reap finished workers so the vec does not grow without bound
         // on long-lived servers.
@@ -304,18 +283,46 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
+/// An admitted connection's claim on the admission gate; dropping it
+/// releases the claim.
+struct Slot(Arc<Shared>);
+
+impl Slot {
+    /// Claims a slot, or `None` at the cap. The claim is a CAS loop
+    /// against the cap, so the count can never overshoot no matter how
+    /// many acceptors raced here.
+    fn claim(shared: &Arc<Shared>) -> Option<Slot> {
+        shared
+            .active
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < shared.cfg.max_sessions).then_some(n + 1)
+            })
+            .ok()?;
+        shared.metrics.accepted.inc();
+        shared.metrics.connections_active.inc();
+        Some(Slot(shared.clone()))
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.active.fetch_sub(1, Ordering::AcqRel);
+        self.0.metrics.connections_active.dec();
+        self.0.metrics.closed.inc();
+    }
+}
+
 /// Sheds a connection with a typed error frame, best-effort. The write
 /// happens on a detached thread: a shed client that never reads must not
 /// stall the accept loop for the whole write timeout.
-fn refuse(stream: TcpStream, shared: &Shared, code: &str, message: impl Into<String>) {
-    let timeout = shared.cfg.write_timeout;
+fn refuse(stream: TcpStream, code: &str, message: impl Into<String>) {
     let bytes = Response::error(code, message).to_bytes();
     let _ = std::thread::Builder::new()
         .name("justd-refuse".to_string())
         .spawn(move || {
             let mut stream = stream;
-            let _ = stream.set_write_timeout(Some(timeout));
-            let _ = stream.set_read_timeout(Some(timeout));
+            let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+            let _ = stream.set_read_timeout(Some(WRITE_TIMEOUT));
             if write_frame(&mut stream, &bytes).is_err() {
                 return;
             }
@@ -327,7 +334,7 @@ fn refuse(stream: TcpStream, shared: &Shared, code: &str, message: impl Into<Str
             // Drain is bounded so a hostile client cannot pin the
             // thread by streaming bytes at us.
             let _ = stream.shutdown(std::net::Shutdown::Write);
-            let deadline = Instant::now() + timeout;
+            let deadline = Instant::now() + WRITE_TIMEOUT;
             let mut sink = [0u8; 1024];
             let mut drained = 0usize;
             while drained < 64 << 10 && Instant::now() < deadline {
@@ -342,12 +349,8 @@ fn refuse(stream: TcpStream, shared: &Shared, code: &str, message: impl Into<Str
 /// One connection's lifetime: frames in, frames out, until close,
 /// idle timeout, or shutdown drain.
 fn serve_connection(mut stream: TcpStream, shared: &Shared) {
-    if stream
-        .set_read_timeout(Some(shared.cfg.poll_interval))
-        .is_err()
-        || stream
-            .set_write_timeout(Some(shared.cfg.write_timeout))
-            .is_err()
+    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
     {
         return;
     }
@@ -362,13 +365,12 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
         let started = Instant::now();
         let mut keep_waiting = || {
             if shared.shutdown.load(Ordering::Acquire) {
-                Instant::now() < drain_deadline(shared)
-                    && started.elapsed() < shared.cfg.read_timeout
+                Instant::now() < drain_deadline(shared) && started.elapsed() < READ_TIMEOUT
             } else {
-                started.elapsed() < shared.cfg.read_timeout
+                started.elapsed() < READ_TIMEOUT
             }
         };
-        let payload = match read_frame(&mut stream, shared.cfg.max_frame_bytes, &mut keep_waiting) {
+        let payload = match read_frame(&mut stream, MAX_FRAME_BYTES, &mut keep_waiting) {
             Ok(p) => p,
             Err(FrameError::Closed) | Err(FrameError::IdleTimeout) => return,
             Err(FrameError::TooLarge { len, max }) => {
@@ -517,4 +519,36 @@ fn handle_payload(
 
 fn auth_required() -> Response {
     Response::error(codes::AUTH, "send 'hello' with a user name first")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use just_core::EngineConfig;
+
+    #[test]
+    fn a_worker_that_panics_releases_its_slot() {
+        let dir = std::env::temp_dir().join(format!("just-server-slot-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let engine = Arc::new(Engine::open(&dir, EngineConfig::default()).unwrap());
+        let handle = Server::start(engine, ServerConfig::default()).unwrap();
+        let shared = handle.shared.clone();
+        let m = &shared.metrics;
+        let (active, closed) = (m.connections_active.get(), m.closed.get());
+
+        let slot = Slot::claim(&shared).unwrap();
+        assert_eq!(handle.active_connections(), 1);
+        assert_eq!(m.connections_active.get(), active + 1);
+        let worker = std::thread::spawn(move || {
+            let _slot = slot;
+            panic!("a request panicked");
+        });
+        assert!(worker.join().is_err());
+        assert_eq!(handle.active_connections(), 0);
+        assert_eq!(m.connections_active.get(), active);
+        assert_eq!(m.closed.get(), closed + 1);
+
+        handle.join();
+        std::fs::remove_dir_all(dir).ok();
+    }
 }

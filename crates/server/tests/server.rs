@@ -5,6 +5,7 @@
 use just_core::{Dataset, Engine, EngineConfig, SessionManager};
 use just_ql::{Client, JsonValue, QueryResult};
 use just_server::{RemoteClient, Server, ServerConfig};
+use just_storage::Value;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
@@ -255,6 +256,45 @@ fn a_chatty_client_cannot_stall_the_drain() {
 }
 
 #[test]
+fn integer_overflow_answers_rows_and_frees_the_slot() {
+    let (engine, dir) = fresh("overflow");
+    let handle = Server::start(engine, ServerConfig::default()).unwrap();
+    let addr = handle.local_addr();
+    let mut live = RemoteClient::connect(addr, "it").unwrap();
+    live.execute("CREATE TABLE t (fid integer:primary key, v integer)")
+        .unwrap();
+    live.execute("INSERT INTO t VALUES (1, -9223372036854775807)")
+        .unwrap();
+
+    // `v - 1` is i64::MIN, so both statements divide it by -1: the
+    // quotient wraps to i64::MIN and the remainder is 0.
+    for (sql, q) in [
+        ("SELECT fid, (v - 1) / -1 AS q FROM t", i64::MIN),
+        ("SELECT fid, (v - 1) % -1 AS q FROM t", 0),
+    ] {
+        let mut c = RemoteClient::connect(addr, "it").unwrap();
+        let got = c.execute(sql).unwrap().into_dataset().unwrap();
+        assert_eq!(got.rows.len(), 1, "{sql}");
+        assert_eq!(got.rows[0].values[1], Value::Int(q), "{sql}");
+    }
+
+    // Both statement connections are gone: the admission count falls
+    // back to the one live client.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.active_connections() != 1 {
+        assert!(
+            Instant::now() < deadline,
+            "admission count stuck at {}",
+            handle.active_connections()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(live.health().unwrap(), "ok");
+    handle.join();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn malformed_frames_answer_typed_errors_without_crashing() {
     let (engine, dir) = fresh("malformed");
     let handle = Server::start(engine, ServerConfig::default()).unwrap();
@@ -292,11 +332,7 @@ fn malformed_frames_answer_typed_errors_without_crashing() {
 #[test]
 fn oversized_frame_is_rejected_from_the_header_then_closed() {
     let (engine, dir) = fresh("oversize");
-    let cfg = ServerConfig {
-        max_frame_bytes: 1024,
-        ..ServerConfig::default()
-    };
-    let handle = Server::start(engine, cfg).unwrap();
+    let handle = Server::start(engine, ServerConfig::default()).unwrap();
     let mut s = TcpStream::connect(handle.local_addr()).unwrap();
 
     // Announce a 1 GiB frame and send nothing: the server must answer
