@@ -151,16 +151,17 @@ impl BloomFilter {
         true
     }
 
-    /// Appends the serialized filter to `out`.
-    pub(crate) fn serialize_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.k.to_le_bytes());
-        out.extend_from_slice(&((self.words.len() / BLOCK_WORDS) as u32).to_le_bytes());
+    /// Writes the serialized filter to `out`; returns its length.
+    pub(crate) fn write_to(&self, out: &mut impl std::io::Write) -> std::io::Result<u64> {
+        out.write_all(&self.k.to_le_bytes())?;
+        out.write_all(&((self.words.len() / BLOCK_WORDS) as u32).to_le_bytes())?;
         for w in &self.words {
-            out.extend_from_slice(&w.to_le_bytes());
+            out.write_all(&w.to_le_bytes())?;
         }
+        Ok(8 + 8 * self.words.len() as u64)
     }
 
-    /// Inverse of [`BloomFilter::serialize_into`]; `None` on malformed
+    /// Inverse of [`BloomFilter::write_to`]; `None` on malformed
     /// input.
     pub(crate) fn deserialize(buf: &[u8]) -> Option<BloomFilter> {
         if buf.len() < 8 {
@@ -244,7 +245,7 @@ mod tests {
         let mut f = filled(&keys, 3000, 10);
         f.fold(3000, 10);
         let mut buf = Vec::new();
-        f.serialize_into(&mut buf);
+        f.write_to(&mut buf).unwrap();
         assert_eq!(buf.len(), 3784);
         assert_eq!(just_compress::crc32::crc32(&buf), 0xecb3_3d89);
     }
@@ -283,7 +284,7 @@ mod tests {
         let keys = seeded_keys(500, 3);
         let f = filled(&keys, keys.len(), 12);
         let mut buf = Vec::new();
-        f.serialize_into(&mut buf);
+        f.write_to(&mut buf).unwrap();
         assert_eq!(buf.len(), 8 + f.words.len() * 8);
         let g = BloomFilter::deserialize(&buf).unwrap();
         for k in &keys {
@@ -298,7 +299,7 @@ mod tests {
         assert!(BloomFilter::deserialize(&[]).is_none());
         assert!(BloomFilter::deserialize(&[1, 0, 0, 0, 1, 0, 0, 0]).is_none()); // truncated words
         let mut buf = Vec::new();
-        filled(&seeded_keys(3, 5), 3, 10).serialize_into(&mut buf);
+        filled(&seeded_keys(3, 5), 3, 10).write_to(&mut buf).unwrap();
         buf.pop();
         assert!(BloomFilter::deserialize(&buf).is_none());
     }

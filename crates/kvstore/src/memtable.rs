@@ -2,15 +2,24 @@
 //! per-key MVCC version chains.
 //!
 //! A region's keys, values, index nodes and version records live in two
-//! growable buffers addressed by 32-bit offsets, so a put allocates
-//! nothing in the steady state and freezing, flushing or holding a
-//! generation moves or drops two allocations:
+//! arenas addressed by 32-bit offsets, so a put allocates nothing in the
+//! steady state and freezing, flushing or holding a generation moves or
+//! drops whole chunks:
 //!
 //! ```text
 //! bytes: keys and values, each behind its LEB128 length, appended, never moved
 //! slots: node    [key offset, newest version, next@0 .. next@h-1]
 //!        version [seq low, seq high, value offset | TOMBSTONE, older version]
 //! ```
+//!
+//! Each arena grows in chunks of at most 64 KiB that are never
+//! reallocated — HBase's MemStore-Local Allocation Buffers, which carve
+//! the write buffer into fixed chunks so that a freed memstore leaves no
+//! holes in the heap. An offset names its chunk directly: chunk
+//! `off >> shift` holds offsets `[i << shift, (i + 1) << shift)`, so a
+//! lookup is two array indexings. A record that does not fit the open
+//! chunk starts the next one, and a value longer than a chunk's span
+//! gets a chunk of its own spanning as many offsets as it needs.
 //!
 //! Nodes form a skip list (p = 1/4, at most [`MAX_HEIGHT`] levels; the
 //! heights come from a fixed-seed xorshift, so a run repeats exactly).
@@ -51,32 +60,113 @@ const OLDER: usize = 3;
 const VERSION_SLOTS: usize = 4;
 /// Value offset marking a delete.
 const TOMBSTONE: u32 = u32::MAX;
-/// Most key and value bytes one table addresses. Half the offset range,
-/// so no offset can reach [`TOMBSTONE`].
+/// Most key and value bytes one table holds.
 pub(crate) const MEM_CAP: usize = i32::MAX as usize;
 /// Longest LEB128 length prefix of a key or value below [`MEM_CAP`].
 const MAX_LEN_PREFIX: usize = 5;
-/// Smallest growth of either buffer, in bytes. A full buffer grows by an
-/// eighth (`Vec`'s doubling would let the flush threshold fire at half
-/// load), which keeps reserved bytes within 12.5 % of used bytes.
-const MIN_GROWTH_BYTES: usize = 2048;
+/// Offsets a byte chunk spans (64 KiB), and slots a slot chunk spans
+/// (64 KiB of `u32`s).
+const BYTE_SHIFT: u32 = 16;
+const SLOT_SHIFT: u32 = 14;
+/// Smallest chunk of either arena, in bytes. Later chunks take an eighth
+/// of what the arena holds, up to the span (`Vec`'s doubling would let
+/// the flush threshold fire at half load), which keeps reserved bytes
+/// within 12.5 % of used bytes.
+const MIN_CHUNK_BYTES: usize = 2048;
 
-/// Makes room for `additional` more elements, growing the allocation by
-/// an eighth rather than doubling it.
-fn reserve<T>(buf: &mut Vec<T>, additional: usize) {
-    let spare = buf.capacity() - buf.len();
-    if spare < additional {
-        let step = (buf.capacity() / 8).max(MIN_GROWTH_BYTES / std::mem::size_of::<T>());
-        buf.reserve_exact((spare + step).max(additional));
+/// A growable array in chunks that never move: element `i` lives in
+/// chunk `i >> shift`. A run that does not fit the open chunk starts a
+/// new one and leaves the open chunk's tail unused; a run longer than
+/// the span gets a chunk covering as many spans as it needs, the spans
+/// after its first holding empty placeholders.
+struct Chunks<T> {
+    chunks: Vec<Vec<T>>,
+    /// The chunk runs are appended to.
+    open: usize,
+    shift: u32,
+    /// Elements the chunks hold, tails included.
+    reserved: usize,
+}
+
+impl<T: Copy> Chunks<T> {
+    const fn new(shift: u32) -> Self {
+        Chunks {
+            chunks: Vec::new(),
+            open: 0,
+            shift,
+            reserved: 0,
+        }
     }
+
+    /// Most chunks addressable below `u32::MAX`: the last offset of the
+    /// last one is still below [`TOMBSTONE`].
+    fn max_chunks(&self) -> usize {
+        u32::MAX as usize >> self.shift
+    }
+
+    /// Whether `runs` more runs of `len` elements in all still address
+    /// below [`Chunks::max_chunks`]. Each run opens at most
+    /// `ceil(len_i / span)` chunks, and the sum of those is at most
+    /// `len / span + runs`.
+    fn has_room(&self, runs: usize, len: usize) -> bool {
+        self.chunks.len() + (len >> self.shift) + runs <= self.max_chunks()
+    }
+
+    fn get(&self, i: u32) -> T {
+        let mask = (1 << self.shift) - 1;
+        self.chunks[(i >> self.shift) as usize][(i & mask) as usize]
+    }
+
+    fn set(&mut self, i: u32, value: T) {
+        let mask = (1 << self.shift) - 1;
+        self.chunks[(i >> self.shift) as usize][(i & mask) as usize] = value;
+    }
+
+    /// Elements from `i` to the end of its chunk.
+    fn tail(&self, i: u32) -> &[T] {
+        let mask = (1 << self.shift) - 1;
+        &self.chunks[(i >> self.shift) as usize][(i & mask) as usize..]
+    }
+
+    /// The chunk to append a run of `len` elements to, and the index its
+    /// next element gets.
+    fn room(&mut self, len: usize) -> (u32, &mut Vec<T>) {
+        let fits = (self.chunks.get(self.open)).is_some_and(|c| c.capacity() - c.len() >= len);
+        if !fits {
+            let span = 1 << self.shift;
+            let min = MIN_CHUNK_BYTES / std::mem::size_of::<T>();
+            let chunk = Vec::with_capacity(len.max(min.max(self.reserved / 8).min(span)));
+            self.reserved += chunk.capacity();
+            self.open = self.chunks.len();
+            let spans = chunk.capacity().div_ceil(span);
+            self.chunks.push(chunk);
+            self.chunks.extend((1..spans).map(|_| Vec::new()));
+        }
+        let chunk = &mut self.chunks[self.open];
+        (((self.open << self.shift) + chunk.len()) as u32, chunk)
+    }
+
+    /// Appends `run` in one chunk; returns the index of its first element.
+    fn push(&mut self, run: &[T]) -> u32 {
+        let (at, chunk) = self.room(run.len());
+        chunk.extend_from_slice(run);
+        at
+    }
+}
+
+/// Bytes of the LEB128 length prefix of `len`.
+fn prefix_len(len: usize) -> usize {
+    1 + len.max(1).ilog2() as usize / 7
 }
 
 /// A sorted in-memory map of one region's most recent writes. Each key
 /// holds its committed version chain; tombstones shadow older on-disk
 /// data.
 pub(crate) struct MemTable {
-    bytes: Vec<u8>,
-    slots: Vec<u32>,
+    bytes: Chunks<u8>,
+    slots: Chunks<u32>,
+    /// Key and value bytes appended, length prefixes included.
+    used: usize,
     /// Levels in use by the tallest node.
     height: usize,
     keys: usize,
@@ -93,8 +183,9 @@ impl MemTable {
     pub(crate) fn new(cap: usize) -> Self {
         assert!(cap <= MEM_CAP, "offsets are 32-bit");
         MemTable {
-            bytes: Vec::new(),
-            slots: Vec::new(),
+            bytes: Chunks::new(BYTE_SHIFT),
+            slots: Chunks::new(SLOT_SHIFT),
+            used: 0,
             height: 0,
             keys: 0,
             seq_ub: 0,
@@ -115,15 +206,16 @@ impl MemTable {
     }
 
     /// Whether `entries` more versions whose [`MemTable::entry_bytes`]
-    /// sum to `bytes` stay addressable. An empty table has room for any
-    /// one entry of at most its cap.
+    /// sum to `bytes` fit under the cap and stay addressable. An empty
+    /// table has room for any one entry of at most its cap.
     pub(crate) fn has_room(&self, entries: usize, bytes: usize) -> bool {
-        // The head, then a node of full height and a version per entry.
-        let slots =
-            self.slots.len() + TOWER + MAX_HEIGHT + entries * (TOWER + MAX_HEIGHT + VERSION_SLOTS);
-        self.bytes.len() + bytes <= self.cap && slots <= u32::MAX as usize
+        // A key and a value run per entry; the head, then a node of full
+        // height and a version per entry.
+        let slots = TOWER + MAX_HEIGHT + entries * (TOWER + MAX_HEIGHT + VERSION_SLOTS);
+        self.used + bytes <= self.cap
+            && self.bytes.has_room(2 * entries, bytes)
+            && self.slots.has_room(1 + 2 * entries, slots)
     }
-
     /// Inserts or overwrites a key at commit sequence `seq`. The caller
     /// has checked [`MemTable::has_room`].
     pub(crate) fn put(&mut self, key: &[u8], seq: u64, value: &[u8]) {
@@ -145,9 +237,8 @@ impl MemTable {
             ),
             "memtable insert without has_room"
         );
-        if self.slots.is_empty() {
-            reserve(&mut self.slots, TOWER + MAX_HEIGHT);
-            self.slots.resize(TOWER + MAX_HEIGHT, NIL);
+        if self.slots.reserved == 0 {
+            self.slots.push(&[NIL; TOWER + MAX_HEIGHT]);
         }
         self.seq_ub = self.seq_ub.max(seq.saturating_add(1));
         let mut prev = [NIL; MAX_HEIGHT];
@@ -158,12 +249,12 @@ impl MemTable {
             self.link_node(key, &prev)
         };
         let value = value.map_or(TOMBSTONE, |v| self.append(v));
-        reserve(&mut self.slots, VERSION_SLOTS);
-        let version = self.slots.len() as u32;
-        let newest = node as usize + NEWEST;
-        self.slots
-            .extend_from_slice(&[seq as u32, (seq >> 32) as u32, value, self.slots[newest]]);
-        self.slots[newest] = version;
+        let newest = node + NEWEST as u32;
+        let older = self.slots.get(newest);
+        let version = self
+            .slots
+            .push(&[seq as u32, (seq >> 32) as u32, value, older]);
+        self.slots.set(newest, version);
     }
 
     /// Appends a node for `key` after the nodes in `prev` (one per
@@ -174,14 +265,14 @@ impl MemTable {
         self.rng ^= self.rng << 17;
         let height = 1 + (self.rng.trailing_zeros() as usize / 2).min(MAX_HEIGHT - 1);
         self.height = self.height.max(height);
-        let key = self.append(key);
-        reserve(&mut self.slots, TOWER + height);
-        let node = self.slots.len() as u32;
-        self.slots.extend_from_slice(&[key, NIL]);
+        let mut record = [NIL; TOWER + MAX_HEIGHT];
+        record[KEY] = self.append(key);
         for (level, &before) in prev.iter().enumerate().take(height) {
-            let link = before as usize + TOWER + level;
-            self.slots.push(self.slots[link]);
-            self.slots[link] = node;
+            record[TOWER + level] = self.slots.get(before + (TOWER + level) as u32);
+        }
+        let node = self.slots.push(&record[..TOWER + height]);
+        for (level, &before) in prev.iter().enumerate().take(height) {
+            self.slots.set(before + (TOWER + level) as u32, node);
         }
         self.keys += 1;
         node
@@ -189,9 +280,10 @@ impl MemTable {
 
     /// Appends `data` behind its LEB128 length; returns where.
     fn append(&mut self, data: &[u8]) -> u32 {
-        reserve(&mut self.bytes, MAX_LEN_PREFIX + data.len());
-        let off = self.bytes.len() as u32;
-        varint::write_bytes(&mut self.bytes, data);
+        let len = prefix_len(data.len()) + data.len();
+        self.used += len;
+        let (off, chunk) = self.bytes.room(len);
+        varint::write_bytes(chunk, data);
         off
     }
 
@@ -200,26 +292,26 @@ impl MemTable {
         // Every key comparison of a seek lands here, and keys are short:
         // reading a one-byte length directly makes seeks a third faster
         // than the general decoder.
-        let at = off as usize;
-        let len = self.bytes[at] as usize;
+        let tail = self.bytes.tail(off);
+        let len = tail[0] as usize;
         if len < 0x80 {
-            return &self.bytes[at + 1..at + 1 + len];
+            return &tail[1..1 + len];
         }
-        varint::read_bytes(&self.bytes, &mut (off as usize)).expect("offset of an append")
+        varint::read_bytes(tail, &mut 0).expect("offset of an append")
     }
 
     fn key(&self, node: u32) -> &[u8] {
-        self.bytes_at(self.slots[node as usize + KEY])
+        self.bytes_at(self.slots.get(node + KEY as u32))
     }
 
     fn value(&self, version: u32) -> Option<&[u8]> {
-        let off = self.slots[version as usize + VALUE];
+        let off = self.slots.get(version + VALUE as u32);
         (off != TOMBSTONE).then(|| self.bytes_at(off))
     }
 
     /// The node after `node` in key order.
     fn next(&self, node: u32) -> u32 {
-        self.slots[node as usize + TOWER]
+        self.slots.get(node + TOWER as u32)
     }
 
     /// The first node with a key `>= key` ([`NIL`] when there is none).
@@ -234,7 +326,7 @@ impl MemTable {
         let (mut node, mut bound) = (NIL, NIL);
         for level in (0..self.height).rev() {
             loop {
-                let next = self.slots[node as usize + TOWER + level];
+                let next = self.slots.get(node + (TOWER + level) as u32);
                 if next == bound || self.key(next) >= key {
                     bound = next;
                     break;
@@ -250,14 +342,14 @@ impl MemTable {
     /// `seq < snap`), or `None` when the key did not exist yet at that
     /// snapshot and older layers must be consulted.
     fn visible(&self, node: u32, snap: u64) -> Option<Option<&[u8]>> {
-        let mut version = self.slots[node as usize + NEWEST];
+        let mut version = self.slots.get(node + NEWEST as u32);
         while version != NIL {
-            let v = version as usize;
-            let seq = self.slots[v + SEQ_LOW] as u64 | (self.slots[v + SEQ_HIGH] as u64) << 32;
+            let v = self.slots.tail(version);
+            let seq = v[SEQ_LOW] as u64 | (v[SEQ_HIGH] as u64) << 32;
             if seq < snap {
                 return Some(self.value(version));
             }
-            version = self.slots[v + OLDER];
+            version = v[OLDER];
         }
         None
     }
@@ -308,7 +400,7 @@ impl MemTable {
             (node != NIL).then(|| {
                 let at = node;
                 node = self.next(at);
-                (self.key(at), self.value(self.slots[at as usize + NEWEST]))
+                (self.key(at), self.value(self.slots.get(at + NEWEST as u32)))
             })
         })
     }
@@ -324,11 +416,11 @@ impl MemTable {
         self.keys == 0
     }
 
-    /// Heap bytes this table has reserved: the capacity of its two
-    /// buffers, which is what the region meters against the flush
-    /// threshold and the stall cap.
+    /// Heap bytes this table has reserved: the capacity of its chunks,
+    /// which is what the region meters against the flush threshold and
+    /// the write-buffer cap.
     pub(crate) fn reserved_bytes(&self) -> usize {
-        self.bytes.capacity() + self.slots.capacity() * std::mem::size_of::<u32>()
+        self.bytes.reserved + self.slots.reserved * std::mem::size_of::<u32>()
     }
 
     /// One past the highest commit sequence buffered here (0 when no
@@ -417,21 +509,36 @@ mod tests {
     fn reserved_bytes_are_the_buffers_and_take_moves_them() {
         let mut m = MemTable::new(MEM_CAP);
         m.put(&[0; 100], 1, &[0; 1000]);
+        // One smallest chunk per arena: 1 + 100 + 2 + 1000 bytes, and the
+        // head plus a node and a version.
         let reserved = m.reserved_bytes();
-        assert!((1100..=4096).contains(&reserved), "{reserved}");
+        assert_eq!(reserved, 2 * MIN_CHUNK_BYTES);
         let taken = m.take();
         assert_eq!(taken.reserved_bytes(), reserved);
         assert_eq!(taken.len(), 1);
         assert!(m.is_empty());
         assert_eq!(m.reserved_bytes(), 0);
-        // Reserved bytes stay within an eighth (plus the first
-        // allocations) of what is stored.
         for i in 0..20_000u64 {
             m.put(&i.to_be_bytes(), i, &[7; 60]);
         }
-        let used = m.bytes.len() + m.slots.len() * 4;
-        assert!(m.reserved_bytes() >= used);
-        assert!(m.reserved_bytes() <= used + used / 8 + 2 * MIN_GROWTH_BYTES);
+        fn in_use<T>(c: &Chunks<T>) -> usize {
+            c.chunks.iter().map(Vec::len).sum()
+        }
+        let used = in_use(&m.bytes) + 4 * in_use(&m.slots);
+        assert_eq!(in_use(&m.bytes), 20_000 * (1 + 8 + 1 + 60));
+        assert_eq!(m.used, 20_000 * (1 + 8 + 1 + 60));
+        // No chunk exceeds its 64 KiB span, and each closed chunk leaves a
+        // tail shorter than one record (61 bytes, 14 slots). The open
+        // chunks are at most an eighth of what the arenas reserve.
+        let chunks = m.bytes.chunks.len() + m.slots.chunks.len();
+        assert!(m.bytes.chunks.iter().all(|c| c.capacity() <= 1 << BYTE_SHIFT));
+        assert!(m.slots.chunks.iter().all(|c| c.capacity() <= 1 << SLOT_SHIFT));
+        let reserved = m.reserved_bytes();
+        assert!(reserved >= used);
+        assert!(
+            reserved <= used + chunks * 61 + 2 * (reserved / 8).max(MIN_CHUNK_BYTES),
+            "{reserved} reserved for {used} used in {chunks} chunks"
+        );
     }
 
     #[test]
@@ -475,6 +582,35 @@ mod tests {
         let taken = m.take();
         assert_eq!(taken.len() as u64, stored);
         assert!(m.has_room(1, small) && !m.has_room(1, big));
+        // Offsets: each of an entry's two runs may open a chunk, and the
+        // runs' bytes fill at most `bytes >> 16` more, so n entries need
+        // at most `2n + bytes / 64 KiB` of the 65 535 byte chunks whose
+        // offsets stay below the tombstone. At the largest cap that bound
+        // binds before the cap does.
+        let m = MemTable::new(MEM_CAP);
+        assert_eq!(m.bytes.max_chunks(), 65_535);
+        assert!(m.has_room(32_767, 0) && !m.has_room(32_768, 0));
+        assert!(m.has_room(16_384, MEM_CAP) && !m.has_room(16_385, MEM_CAP));
+        assert!(!m.has_room(1, MEM_CAP + 1));
+    }
+
+    #[test]
+    fn a_value_longer_than_a_chunk_gets_a_chunk_spanning_its_offsets() {
+        let mut m = MemTable::new(MEM_CAP);
+        m.put(b"a", 1, b"small");
+        let long = vec![9; 3 << BYTE_SHIFT];
+        m.put(b"b", 2, &long);
+        m.put(b"c", 3, b"after");
+        // The smallest chunk, the long value's own chunk (a 3-byte length
+        // prefix) and its three placeholder spans, then a chunk of an
+        // eighth of what the arena holds for what follows.
+        let own = 3 + (3 << BYTE_SHIFT);
+        let next = (MIN_CHUNK_BYTES + own) / 8;
+        let caps: Vec<usize> = m.bytes.chunks.iter().map(Vec::capacity).collect();
+        assert_eq!(caps, [MIN_CHUNK_BYTES, own, 0, 0, 0, next]);
+        assert_eq!(m.get(b"b", LATEST), Some(Some(&long[..])));
+        assert_eq!(m.get(b"c", LATEST), Some(Some(&b"after"[..])));
+        assert_eq!(m.reserved_bytes(), 2 * MIN_CHUNK_BYTES + own + next);
     }
 
     #[test]

@@ -845,12 +845,11 @@ impl Region {
         let mut versions = Versions::new(&tables, false)?;
         let tmp = self.dir.join(COMPACT_TMP);
         let (limit, bloom) = (seq_limit_of(&tables), bloom_for(&tables));
-        drop(self.write_table(&tmp, limit, bloom, |builder| {
+        let mut table = self.write_table(&tmp, limit, bloom, |builder| {
             versions.copy_until(None, builder)
-        })?);
-        std::fs::rename(&tmp, &path)?;
+        })?;
+        table.rename(&path)?;
         crate::wal::fsync_dir(&self.dir)?;
-        let table = SsTable::open_cached(&path, self.metrics.clone(), self.cache.clone())?;
         let (after_bytes, after_entries) = (table.file_size(), table.entry_count());
         {
             // Flushes only append, and every rewrite holds
@@ -1870,9 +1869,11 @@ mod tests {
         put(&r, b"k1".to_vec(), vec![1; 100]).unwrap();
         put(&r, b"k2".to_vec(), vec![2; 100]).unwrap();
         drop(r);
-        // The first record takes 104 arena bytes (key, value and two
-        // one-byte length prefixes), leaving 105 free: enough for the
-        // second record's 100 value bytes, not for its 112 entry bytes.
+        // The cap counts the bytes appended, not the chunk they land in
+        // (one 2 KiB chunk here). The first record appends 104 (key,
+        // value and two one-byte length prefixes), leaving 105 under the
+        // cap: enough for the second record's 100 value bytes, not for
+        // its 112 entry bytes.
         let r = fixture::region(
             dir.clone(),
             RegionOptions {

@@ -39,7 +39,7 @@ use crate::metrics::IoMetrics;
 use just_compress::crc32::crc32;
 use just_compress::Codec;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -94,6 +94,9 @@ const MIN_INDEX_ENTRY: usize = 20;
 /// size, bounding builder memory and worst-case decompression work even
 /// when the codec packs aggressively.
 const MAX_BLOCK_INFLATE: usize = 8;
+/// Buffer between a finishing builder and its file: the index, filter
+/// and footer reach the file in writes of this size.
+const WRITE_BUFFER: usize = 8 << 10;
 
 /// Write-side tuning for one SSTable (assembled by the store from
 /// [`crate::StoreOptions`]).
@@ -126,23 +129,31 @@ struct BlockMeta {
     crc: u32,
 }
 
-/// Serializes the `index` section.
-fn encode_index(blocks: &[BlockMeta], min_key: &[u8], max_key: &[u8], entry_count: u64) -> Vec<u8> {
-    let mut index = Vec::new();
-    index.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
+/// Writes the `index` section; returns its length.
+fn write_index(
+    out: &mut impl Write,
+    blocks: &[BlockMeta],
+    min_key: &[u8],
+    max_key: &[u8],
+    entry_count: u64,
+) -> std::io::Result<u64> {
+    let mut len = 16;
+    out.write_all(&(blocks.len() as u64).to_le_bytes())?;
     for b in blocks {
-        index.extend_from_slice(&(b.first_key.len() as u32).to_le_bytes());
-        index.extend_from_slice(&b.first_key);
-        index.extend_from_slice(&b.offset.to_le_bytes());
-        index.extend_from_slice(&b.len.to_le_bytes());
-        index.extend_from_slice(&b.crc.to_le_bytes());
+        out.write_all(&(b.first_key.len() as u32).to_le_bytes())?;
+        out.write_all(&b.first_key)?;
+        out.write_all(&b.offset.to_le_bytes())?;
+        out.write_all(&b.len.to_le_bytes())?;
+        out.write_all(&b.crc.to_le_bytes())?;
+        len += MIN_INDEX_ENTRY + b.first_key.len();
     }
     for key in [min_key, max_key] {
-        index.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        index.extend_from_slice(key);
+        out.write_all(&(key.len() as u32).to_le_bytes())?;
+        out.write_all(key)?;
+        len += 4 + key.len();
     }
-    index.extend_from_slice(&entry_count.to_le_bytes());
-    index
+    out.write_all(&entry_count.to_le_bytes())?;
+    Ok(len as u64)
 }
 
 /// Streams ascending key/value pairs into an SSTable file.
@@ -185,6 +196,7 @@ impl SsTableBuilder {
         cache: Arc<BlockCache>,
     ) -> Result<Self> {
         let file = OpenOptions::new()
+            .read(true)
             .write(true)
             .create(true)
             .truncate(true)
@@ -268,12 +280,12 @@ impl SsTableBuilder {
         let builder = std::mem::take(&mut self.current);
         let first_key = builder.first_key().expect("non-empty block").to_vec();
         let encoded = builder.finish();
+        self.encoded_bytes += encoded.len() as u64;
         let data = if self.compressed() {
             self.opts.codec.compress(&encoded)
         } else {
-            encoded.clone()
+            encoded
         };
-        self.encoded_bytes += encoded.len() as u64;
         self.disk_bytes += data.len() as u64;
         let crc = crc32(&data);
         self.file.write_all(&data)?;
@@ -288,40 +300,54 @@ impl SsTableBuilder {
         Ok(())
     }
 
-    /// Finishes the file and opens it for reading.
+    /// Finishes the file and opens it for reading. The index, filter and
+    /// footer go straight to the file, and the table takes over the
+    /// block index and filter built here instead of reading them back.
     pub(crate) fn finish(mut self) -> Result<SsTable> {
         self.flush_block()?;
         let index_offset = self.offset;
-        let index = encode_index(
-            &self.blocks,
-            &self.min_key.unwrap_or_default(),
-            &self.last_key.unwrap_or_default(),
-            self.entry_count,
+        let (min_key, max_key) = (
+            self.min_key.unwrap_or_default(),
+            self.last_key.unwrap_or_default(),
         );
-        self.file.write_all(&index)?;
-        let mut bloom = Vec::new();
-        if self.entry_count > 0 {
+        let bloom = (self.entry_count > 0).then(|| {
             self.bloom.fold(self.entry_count as usize, BITS_PER_KEY);
-            self.bloom.serialize_into(&mut bloom);
+            self.bloom
+        });
+        let mut out = BufWriter::with_capacity(WRITE_BUFFER, &self.file);
+        let index_len = write_index(&mut out, &self.blocks, &min_key, &max_key, self.entry_count)?;
+        let bloom_len = match &bloom {
+            Some(bloom) => bloom.write_to(&mut out)?,
+            None => 0,
+        };
+        for word in [index_offset, index_len, bloom_len, self.seq_limit] {
+            out.write_all(&word.to_le_bytes())?;
         }
-        self.file.write_all(&bloom)?;
-        let mut footer = Vec::with_capacity(FOOTER_LEN);
-        footer.extend_from_slice(&index_offset.to_le_bytes());
-        footer.extend_from_slice(&(index.len() as u64).to_le_bytes());
-        footer.extend_from_slice(&(bloom.len() as u64).to_le_bytes());
-        footer.extend_from_slice(&self.seq_limit.to_le_bytes());
-        footer.push(self.opts.codec.code());
-        footer.extend_from_slice(MAGIC);
-        self.file.write_all(&footer)?;
+        out.write_all(&[self.opts.codec.code()])?;
+        out.write_all(MAGIC)?;
+        out.into_inner().map_err(|e| e.into_error())?;
         self.file.sync_all()?;
-        drop(self.file);
         // `sync_all` covers the file contents; the directory entry that
         // names it needs its own fsync, or power loss can erase the
         // table after the covering WAL segments are already deleted.
         if let Some(parent) = self.path.parent() {
             crate::wal::fsync_dir(parent)?;
         }
-        SsTable::open_cached(&self.path, self.metrics, self.cache)
+        Ok(SsTable {
+            path: self.path,
+            file_id: next_file_id(),
+            file: self.file,
+            codec: self.opts.codec,
+            bloom,
+            blocks: self.blocks,
+            min_key,
+            max_key,
+            entry_count: self.entry_count,
+            file_size: index_offset + index_len + bloom_len + FOOTER_LEN as u64,
+            seq_limit: self.seq_limit,
+            metrics: self.metrics,
+            cache: self.cache,
+        })
     }
 }
 
@@ -495,6 +521,13 @@ impl SsTable {
     /// Path of the backing file.
     pub(crate) fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Moves the backing file to `path`; the open handle reads on.
+    pub(crate) fn rename(&mut self, path: &Path) -> Result<()> {
+        std::fs::rename(&self.path, path)?;
+        self.path = path.to_path_buf();
+        Ok(())
     }
 
     /// One past the highest MVCC commit sequence any entry in this file
@@ -699,6 +732,28 @@ mod tests {
             (label, dir, t)
         })
         .collect()
+    }
+
+    #[test]
+    fn a_finished_table_is_the_table_its_file_opens_to() {
+        for (label, dir, built) in all_variants("handover", 300) {
+            let opened = fixture::sstable(built.path());
+            assert_eq!(built.file_size(), std::fs::metadata(built.path()).unwrap().len());
+            assert_eq!(
+                (built.file_size(), built.entry_count(), built.seq_limit()),
+                (opened.file_size(), opened.entry_count(), opened.seq_limit()),
+                "{label}"
+            );
+            assert_eq!((built.codec, built.bloom_bytes()), (opened.codec, opened.bloom_bytes()));
+            assert_eq!((&built.min_key, &built.max_key), (&opened.min_key, &opened.max_key));
+            let index = |t: &SsTable| -> Vec<_> {
+                (t.blocks.iter())
+                    .map(|b| (b.first_key.clone(), b.offset, b.len, b.crc))
+                    .collect()
+            };
+            assert_eq!(index(&built), index(&opened), "{label}");
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Two heap budgets, measured with a counting global allocator:
 //!
 //! * the write buffer is what the configuration says it is — a put
-//!   allocates nothing in the steady state, the bytes a region reports
+//!   allocates nothing in the steady state, the memtable grows in chunks
+//!   of at most 64 KiB that never move, the bytes a region reports
 //!   are the bytes its memtable holds, a flush gives them back, and ten
 //!   times the rows need no more heap than the flush threshold allows;
 //!   with background maintenance the region's memtables stay under twice
@@ -24,27 +25,46 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 
-/// Live heap bytes, their high-water mark since the last reset, and
-/// the number of allocations made.
+/// Live heap bytes, their high-water mark since the last reset, the
+/// number of allocations made, and the largest block asked for and the
+/// largest block resized since the last reset.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+static LARGEST_RESIZE: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
+fn grew(by: usize, size: usize) {
+    ALLOCS.fetch_add(1, Relaxed);
+    LARGEST.fetch_max(size, Relaxed);
+    let live = LIVE.fetch_add(by, Relaxed) + by;
+    PEAK.fetch_max(live, Relaxed);
+}
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters only observe the layouts. `realloc`
-// keeps its default (alloc + copy + dealloc), so it is counted as both.
+// `GlobalAlloc` contract; the counters only observe the layouts. A
+// `realloc` counts as one allocation and one resize.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller's obligations for `alloc` are `System`'s.
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
-            ALLOCS.fetch_add(1, Relaxed);
-            let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
-            PEAK.fetch_max(live, Relaxed);
+            grew(layout.size(), layout.size());
         }
         ptr
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller's obligations for `realloc` are `System`'s.
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            LARGEST_RESIZE.fetch_max(layout.size().max(new_size), Relaxed);
+            LIVE.fetch_sub(layout.size(), Relaxed);
+            grew(new_size, new_size);
+        }
+        new
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -145,6 +165,28 @@ fn warmed_table(dir: &Path, flush_threshold: usize) -> (Store, std::sync::Arc<Ta
     (store, table)
 }
 
+/// 8 MiB of puts into one region: the memtable grows by whole chunks of
+/// at most 64 KiB that never move, so a put asks for no block larger than
+/// a chunk, and the only blocks resized are the two lists of chunks (24
+/// bytes a chunk, a few KiB here).
+fn memtable_grows_in_chunks_that_never_move(dir: &Path) {
+    const CHUNK_BYTES: usize = 64 << 10;
+    let (_store, table) = warmed_table(dir, 64 << 20);
+    let rows = (8 << 20) / (ROW_KEY_BYTES + ROW_VALUE_BYTES) as u64;
+    LARGEST.store(0, Relaxed);
+    LARGEST_RESIZE.store(0, Relaxed);
+    put_rows(&table, rows);
+    let (largest, resized) = (LARGEST.load(Relaxed), LARGEST_RESIZE.load(Relaxed));
+    let reported = table.region_stats()[0].memtable_bytes;
+    println!(
+        "{rows} puts into a {reported}-byte memtable: largest block {largest}, \
+         largest resize {resized}"
+    );
+    assert!(reported >= 8 << 20);
+    assert!(largest <= CHUNK_BYTES, "a put asked for a {largest}-byte block");
+    assert!(resized <= 8 << 10, "a put resized a {resized}-byte block");
+}
+
 fn write_buffer_is_an_arena_sized_by_configuration(dir: &Path) {
     const ROWS: u64 = 20_000;
     let payload = ROWS as usize * (ROW_KEY_BYTES + ROW_VALUE_BYTES);
@@ -225,10 +267,13 @@ fn write_buffer_stays_under_twice_the_threshold_while_compactions_run(dir: &Path
         stop.store(true, Relaxed);
         (sampler.join().unwrap(), rows)
     });
-    // One batch grows each of the arena's two buffers by one step at
-    // most: an eighth of a buffer no larger than the cap, or the batch.
-    let batch = BATCH_ROWS as usize * 2 * (ROW_KEY_BYTES + ROW_VALUE_BYTES);
-    let bound = 2 * THRESHOLD + 2 * (2 * THRESHOLD / 8).max(batch);
+    // One batch grows the memtable by what it writes (`row` covers a
+    // row's key, value, node and version), plus, in each of the two
+    // arenas, the unused room of the last chunk it opened — an eighth of
+    // an arena no larger than the cap — and the tail of the chunk it
+    // closed, shorter than one row.
+    let row = 2 * (ROW_KEY_BYTES + ROW_VALUE_BYTES);
+    let bound = 2 * THRESHOLD + BATCH_ROWS as usize * row + 2 * (2 * THRESHOLD / 8 + row);
     println!("{rows} rows across 2 compactions: memtables peaked at {peak} (bound {bound})");
     assert!(
         peak <= bound,
@@ -242,6 +287,7 @@ fn heap_is_bounded_by_configuration_not_by_volume() {
     let dir = std::env::temp_dir().join(format!("just-kv-maint-mem-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     write_buffer_is_an_arena_sized_by_configuration(&dir);
+    memtable_grows_in_chunks_that_never_move(&dir.join("chunks"));
 
     // Flushes are explicit, one per generation.
     let store = open_store(&dir.join("rewrite"), 64 << 20);

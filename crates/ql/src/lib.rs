@@ -53,7 +53,6 @@ pub use ast::{Expr, Select, ShowTarget, Statement};
 pub use client::{Client, QueryResult};
 pub use error::QlError;
 pub use json::{write_json_str, Json, JsonError, JsonReader, JsonValue};
-pub use lexer::{tokenize, Token};
 pub use optimizer::optimize;
 pub use parser::parse;
 pub use plan::LogicalPlan;

@@ -3,57 +3,95 @@
 use crate::ast::*;
 use crate::error::QlError;
 use crate::json::Json;
-use crate::lexer::{tokenize, Token};
+use crate::lexer::{Lexer, Token};
 use crate::Result;
 use just_storage::Value;
 
 /// Parses a standalone expression (used for `LOAD ... CONFIG` mappings
 /// and `FILTER` strings).
 pub fn parse_expr(text: &str) -> Result<Expr> {
-    let tokens = tokenize(text)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let e = p.expr()?;
-    if p.pos != p.tokens.len() {
-        return Err(p.err("trailing tokens after expression"));
-    }
-    Ok(e)
+    let mut p = Parser::new(text);
+    let e = p.expr().and_then(|e| match p.cur {
+        Some(_) => Err(p.err("trailing tokens after expression")),
+        None => Ok(e),
+    });
+    p.finish(e)
 }
 
 /// Parses one JustQL statement.
 pub fn parse(sql: &str) -> Result<Statement> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let stmt = p.statement()?;
-    p.eat_punct(";").ok();
-    if p.pos != p.tokens.len() {
-        return Err(p.err("trailing tokens after statement"));
+    let mut p = Parser::new(sql);
+    let stmt = p.statement().and_then(|stmt| {
+        p.eat_punct(";").ok();
+        match p.cur {
+            Some(_) => Err(p.err("trailing tokens after statement")),
+            None => Ok(stmt),
+        }
+    });
+    p.finish(stmt)
+}
+
+/// A recursive-descent parser over a [`Lexer`] with one token of
+/// lookahead.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The next token: `None` at the end of the input, and after a
+    /// lexing error.
+    cur: Option<Token>,
+    /// The first lexing error.
+    lex_err: Option<QlError>,
+}
+
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        let mut p = Parser {
+            lexer: Lexer::new(text),
+            cur: None,
+            lex_err: None,
+        };
+        p.pull();
+        p
     }
-    Ok(stmt)
-}
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-}
+    /// Fills the lookahead from the lexer.
+    fn pull(&mut self) {
+        self.cur = match self.lexer.next() {
+            Some(Ok(token)) => Some(token),
+            Some(Err(e)) => {
+                self.lex_err = Some(e);
+                None
+            }
+            None => None,
+        };
+    }
 
-impl Parser {
+    /// The parse's outcome as tokenize-then-parse would give it: a
+    /// lexing error anywhere in the text wins over any parse error, so a
+    /// failed parse lexes the rest of the text to look for one.
+    fn finish<T>(mut self, parsed: Result<T>) -> Result<T> {
+        if parsed.is_err() {
+            while self.cur.is_some() {
+                self.pull();
+            }
+        }
+        match self.lex_err {
+            Some(e) => Err(e),
+            None => parsed,
+        }
+    }
+
     fn err(&self, msg: &str) -> QlError {
-        let at = self
-            .tokens
-            .get(self.pos)
-            .map(|t| t.describe())
-            .unwrap_or_else(|| "end of input".to_string());
-        QlError::Parse(format!("{msg} (at {at})"))
+        err_at(msg, self.cur.as_ref())
     }
 
     fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+        self.cur.as_ref()
     }
 
     fn advance(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+        let t = self.cur.take();
         if t.is_some() {
-            self.pos += 1;
+            self.pull();
         }
         t
     }
@@ -64,7 +102,7 @@ impl Parser {
 
     fn eat_kw(&mut self, kw: &str) -> bool {
         if self.peek_kw(kw) {
-            self.pos += 1;
+            self.advance();
             true
         } else {
             false
@@ -85,7 +123,7 @@ impl Parser {
 
     fn eat_punct(&mut self, p: &str) -> Result<()> {
         if self.peek_punct(p) {
-            self.pos += 1;
+            self.advance();
             Ok(())
         } else {
             Err(self.err(&format!("expected '{p}'")))
@@ -93,32 +131,38 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String> {
-        match self.advance() {
-            Some(Token::Ident(s)) => Ok(s),
-            _ => {
-                self.pos = self.pos.saturating_sub(1);
+        match self.cur.take() {
+            Some(Token::Ident(s)) => {
+                self.pull();
+                Ok(s)
+            }
+            other => {
+                self.cur = other;
                 Err(self.err("expected identifier"))
             }
         }
     }
 
     fn string(&mut self) -> Result<String> {
-        match self.advance() {
-            Some(Token::Str(s)) => Ok(s),
-            _ => {
-                self.pos = self.pos.saturating_sub(1);
+        match self.cur.take() {
+            Some(Token::Str(s)) => {
+                self.pull();
+                Ok(s)
+            }
+            other => {
+                self.cur = other;
                 Err(self.err("expected string literal"))
             }
         }
     }
 
     fn region_index(&mut self) -> Result<usize> {
-        match self.advance() {
-            Some(Token::Int(v)) if v >= 0 => Ok(v as usize),
-            _ => {
-                self.pos = self.pos.saturating_sub(1);
-                Err(self.err("expected region index"))
+        match self.peek() {
+            Some(&Token::Int(v)) if v >= 0 => {
+                self.advance();
+                Ok(v as usize)
             }
+            _ => Err(self.err("expected region index")),
         }
     }
 
@@ -679,8 +723,7 @@ impl Parser {
                     "select" | "from" | "where" | "group" | "order" | "limit" | "join" | "on"
                     | "by" | "values" | "insert" | "create" | "drop" | "between" | "within"
                     | "and" | "or" | "not" => {
-                        self.pos -= 1;
-                        return Err(self.err("expected expression"));
+                        return Err(err_at("expected expression", Some(&Token::Ident(name))));
                     }
                     _ => {}
                 }
@@ -713,22 +756,28 @@ impl Parser {
                 }
                 Ok(Expr::Column(name))
             }
-            other => {
-                self.pos = self.pos.saturating_sub(1);
-                Err(QlError::Parse(format!(
-                    "expected expression, found {}",
-                    other
-                        .map(|t| t.describe())
-                        .unwrap_or_else(|| "end of input".into())
-                )))
-            }
+            other => Err(QlError::Parse(format!(
+                "expected expression, found {}",
+                other
+                    .map(|t| t.describe())
+                    .unwrap_or_else(|| "end of input".into())
+            ))),
         }
     }
+}
+
+/// A parse error located at `token` (the end of the input when `None`).
+fn err_at(msg: &str, token: Option<&Token>) -> QlError {
+    let at = token
+        .map(|t| t.describe())
+        .unwrap_or_else(|| "end of input".to_string());
+    QlError::Parse(format!("{msg} (at {at})"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::tokenize;
 
     #[test]
     fn parse_create_table_paper_example() {
@@ -991,5 +1040,143 @@ mod tests {
             },
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn a_lexing_error_anywhere_wins_over_an_earlier_parse_error() {
+        let lex = |r: Result<_>| matches!(r, Err(QlError::Lex(_)));
+        // The parse fails at FROM; the string is unterminated far after.
+        assert!(lex(parse("SELECT FROM t WHERE name = 'open")));
+        assert!(lex(parse("SELEKT 1 2 3 @")));
+        // A statement that parses whole, then trailing text that does not
+        // lex.
+        assert!(lex(parse("SELECT 1 #")));
+        assert!(lex(parse("INSERT INTO t VALUES (1, 2) garbage 1e")));
+        assert!(matches!(
+            parse_expr("1 + + 9999999999999999999999"),
+            Err(QlError::Lex(_))
+        ));
+        // Without a lexing error the parse error stands, located where
+        // the tokens stop fitting.
+        match parse("SELECT FROM t") {
+            Err(QlError::Parse(m)) => assert_eq!(m, "expected expression (at identifier 'FROM')"),
+            other => panic!("{other:?}"),
+        }
+        match parse("SHOW EVENTS LIMIT x") {
+            Err(QlError::Parse(m)) => assert_eq!(m, "expected LIMIT count (at end of input)"),
+            other => panic!("{other:?}"),
+        }
+        match parse("SPLIT REGION t x") {
+            Err(QlError::Parse(m)) => assert_eq!(m, "expected region index (at identifier 'x')"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Statements covering the grammar, and an INSERT shaped like the
+    /// benchmark's 1 000-row batches.
+    fn corpus() -> Vec<String> {
+        let mut golden: Vec<String> = [
+            "CREATE TABLE orders (fid integer:primary key, time date, geom point:srid=4326, \
+             amount float, district integer) USERDATA {'geomesa.indices.enabled': 'z2t'}",
+            "CREATE VIEW v AS SELECT fid, amount * 2 AS a FROM orders WHERE amount > 1.5e2",
+            "CREATE TABLE r AS trajectory USERDATA {'k': 3}",
+            "SELECT o.district, count(*) AS n, sum(o.amount) FROM orders o JOIN districts d \
+             ON o.district = d.fid WHERE o.geom WITHIN st_makeMBR(116.0, 39.0, 117.0, 40.0) \
+             AND o.time BETWEEN 1000 AND 2000 GROUP BY o.district ORDER BY n DESC LIMIT 10",
+            "SELECT * FROM (SELECT fid FROM t) s WHERE NOT fid <> -3 OR fid % 2 = 0;",
+            "SELECT fid FROM orders WHERE geom IN st_KNN(st_makePoint(116.4, 39.9), 5) -- knn",
+            "EXPLAIN ANALYZE SELECT name FROM districts WHERE name = 'it''s'",
+            "LOAD csv:'/data/x.csv' TO geomesa:t CONFIG {'fid': 'to_int($1)'} FILTER 'fid > 3'",
+            "INSERT INTO routes VALUES (1, 5, st_geomFromText('LINESTRING(1 2, 3 4)'), 2.5)",
+            "SHOW EVENTS LIMIT 25",
+            "SPLIT REGION orders 0",
+            "MERGE REGIONS orders 1 2",
+            "KILL QUERY 42",
+            "DESC TABLE orders",
+            "STORE VIEW v TO TABLE t2",
+            "DROP VIEW v",
+        ]
+        .map(String::from)
+        .to_vec();
+        let rows: Vec<String> = (0..1000)
+            .map(|fid| {
+                let (x, y) = (116.0 + fid as f64 * 1e-3, 39.5 + fid as f64 * 7e-4);
+                format!("({fid}, {}, st_makePoint({x}, {y}), {}.25, {})", 1000 + fid, fid % 97, fid % 16)
+            })
+            .collect();
+        golden.push(format!("INSERT INTO orders VALUES {}", rows.join(", ")));
+        golden
+    }
+
+    /// One seeded edit of ASCII text: a character replaced, a span
+    /// deleted or repeated, a fragment inserted, or a truncation.
+    fn mutate(rng: &mut just_obs::Rng, text: &str) -> String {
+        const FRAGMENTS: &[&str] = &[
+            "'", "''", "--", "(", ")", ",", ";", "1e", ".", "9e999", "99999999999999999999",
+            "SELECT", "FROM", "@", "::", "{", "}", "st_KNN(", "POINT (", "EMPTY", "-",
+        ];
+        let mut t = text.as_bytes().to_vec();
+        let n = t.len();
+        if n == 0 {
+            return FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())].to_string();
+        }
+        let at = rng.gen_range(0..n);
+        match rng.gen_range(0u32..5) {
+            0 => t[at] = rng.gen_range(0x20u32..0x7f) as u8,
+            1 => {
+                t.drain(at..(at + rng.gen_range(1usize..16)).min(n));
+            }
+            2 => {
+                let span = t[at..(at + rng.gen_range(1usize..32)).min(n)].to_vec();
+                t.splice(at..at, span);
+            }
+            3 => {
+                let fragment = FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())];
+                t.splice(at..at, fragment.bytes());
+            }
+            _ => t.truncate(at),
+        }
+        String::from_utf8(t).expect("ASCII edits of ASCII text")
+    }
+
+    #[test]
+    fn seeded_mutations_parse_or_fail_typed_never_panic() {
+        let corpus = corpus();
+        let wkts = [
+            "POINT (116.4 39.9)",
+            "LINESTRING (1 2, 3 4, 5.5 -6e1)",
+            "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 1))",
+        ];
+        let mut rng = just_obs::Rng::seed_from_u64(0x6a75_7374_716c);
+        let (mut parsed, mut lexing) = (0, 0);
+        for round in 0..5000 {
+            // The long INSERT one round in twenty.
+            let golden = if round % 20 == 0 {
+                &corpus[corpus.len() - 1]
+            } else {
+                &corpus[rng.gen_range(0..corpus.len() - 1)]
+            };
+            let mut text = mutate(&mut rng, golden);
+            if rng.gen_bool(0.3) {
+                text = mutate(&mut rng, &text);
+            }
+            let result = parse(&text);
+            // Tokenize-then-parse: a text that does not lex fails with
+            // exactly the lexing error, whatever the parse found first.
+            match (&result, tokenize(&text)) {
+                (Err(QlError::Lex(got)), Err(QlError::Lex(want))) => {
+                    assert_eq!(got, &want, "{text}");
+                    lexing += 1;
+                }
+                (Err(QlError::Parse(_)), Ok(_)) => {}
+                (Ok(_), Ok(_)) => parsed += 1,
+                (got, want) => panic!("{text}: parse gave {got:?}, tokenize {want:?}"),
+            }
+            let _ = parse_expr(&text[text.len() / 2..]);
+            let wkt = mutate(&mut rng, wkts[round % wkts.len()]);
+            let _ = just_geo::parse_wkt(&wkt);
+        }
+        // Both outcomes are exercised, not only the failures.
+        assert!(parsed > 250 && lexing > 250, "{parsed} parsed, {lexing} lexing errors");
     }
 }

@@ -7,8 +7,8 @@
 //! [`QlError::Remote`] with code `IO`; server-side failures keep their
 //! structured code ([`QlError::code`] round-trips the wire).
 
-use crate::frame::{read_frame, write_frame, FrameError};
-use crate::protocol::{codes, Request, Response};
+use crate::frame::{read_frame_into, shrink_kept, write_frame, FrameError};
+use crate::protocol::{codes, write_request, Response};
 use just_core::Dataset;
 use just_ql::{QlError, QueryResult};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -18,9 +18,12 @@ use std::time::Duration;
 /// and large result sets are bigger than typical requests).
 const CLIENT_MAX_FRAME: usize = 64 * 1024 * 1024;
 
-/// A connection to a `justd` server, authenticated as one user.
+/// A connection to a `justd` server, authenticated as one user. It
+/// encodes requests and reads responses in one buffer it keeps across
+/// calls.
 pub struct RemoteClient {
     stream: TcpStream,
+    buf: Vec<u8>,
 }
 
 impl RemoteClient {
@@ -28,10 +31,11 @@ impl RemoteClient {
     pub fn connect(addr: impl ToSocketAddrs, user: &str) -> just_ql::Result<Self> {
         let stream = TcpStream::connect(addr).map_err(io_err)?;
         stream.set_nodelay(true).ok();
-        let mut client = RemoteClient { stream };
-        match client.call(&Request::Hello {
-            user: user.to_string(),
-        })? {
+        let mut client = RemoteClient {
+            stream,
+            buf: Vec::new(),
+        };
+        match client.call("hello", Some(("user", user)))? {
             Response::Text(_) => Ok(client),
             other => Err(unexpected(other)),
         }
@@ -46,9 +50,7 @@ impl RemoteClient {
     /// Parses, optimizes and executes one statement on the server —
     /// the remote mirror of [`just_ql::Client::execute`].
     pub fn execute(&mut self, sql: &str) -> just_ql::Result<QueryResult> {
-        match self.call(&Request::Execute {
-            sql: sql.to_string(),
-        })? {
+        match self.call("execute", Some(("sql", sql)))? {
             Response::Result(r) => Ok(r),
             other => Err(unexpected(other)),
         }
@@ -59,9 +61,7 @@ impl RemoteClient {
     /// [`just_ql::Client::explain_analyze`] (the trace arrives
     /// pre-rendered; span arenas do not cross the wire).
     pub fn explain_analyze(&mut self, sql: &str) -> just_ql::Result<(Dataset, String)> {
-        match self.call(&Request::ExplainAnalyze {
-            sql: sql.to_string(),
-        })? {
+        match self.call("explain_analyze", Some(("sql", sql)))? {
             Response::Traced { data, trace } => Ok((data, trace)),
             other => Err(unexpected(other)),
         }
@@ -69,38 +69,43 @@ impl RemoteClient {
 
     /// The server's Prometheus-style metrics exposition.
     pub fn metrics_text(&mut self) -> just_ql::Result<String> {
-        self.expect_text(&Request::Metrics)
+        self.expect_text("metrics")
     }
 
     /// Health check: `"ok"` serving, `"draining"` during shutdown.
     pub fn health(&mut self) -> just_ql::Result<String> {
-        self.expect_text(&Request::Health)
+        self.expect_text("health")
     }
 
     /// Round-trip no-op.
     pub fn ping(&mut self) -> just_ql::Result<String> {
-        self.expect_text(&Request::Ping)
+        self.expect_text("ping")
     }
 
     /// Asks the server to drain and stop; returns its acknowledgement.
     pub fn shutdown_server(&mut self) -> just_ql::Result<String> {
-        self.expect_text(&Request::Shutdown)
+        self.expect_text("shutdown")
     }
 
-    fn expect_text(&mut self, req: &Request) -> just_ql::Result<String> {
-        match self.call(req)? {
+    fn expect_text(&mut self, op: &str) -> just_ql::Result<String> {
+        match self.call(op, None)? {
             Response::Text(t) => Ok(t),
             other => Err(unexpected(other)),
         }
     }
 
-    /// One request/response exchange. Server-side errors become typed
-    /// [`QlError`]s via [`QlError::from_wire`].
-    fn call(&mut self, req: &Request) -> just_ql::Result<Response> {
-        write_frame(&mut self.stream, req.to_json().render().as_bytes()).map_err(io_err)?;
-        let payload =
-            read_frame(&mut self.stream, CLIENT_MAX_FRAME, &mut || true).map_err(frame_err)?;
-        match Response::from_bytes(&payload)? {
+    /// One exchange of request `op`, with its one string `member`.
+    /// Server-side errors become typed [`QlError`]s via
+    /// [`QlError::from_wire`].
+    fn call(&mut self, op: &str, member: Option<(&str, &str)>) -> just_ql::Result<Response> {
+        self.buf.clear();
+        write_request(&mut self.buf, op, member);
+        write_frame(&mut self.stream, &self.buf).map_err(io_err)?;
+        read_frame_into(&mut self.stream, &mut self.buf, CLIENT_MAX_FRAME, &mut || true)
+            .map_err(frame_err)?;
+        let response = Response::from_bytes(&self.buf);
+        shrink_kept(&mut self.buf);
+        match response? {
             Response::Error {
                 code,
                 message,

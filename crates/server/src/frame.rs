@@ -6,7 +6,12 @@
 //!
 //! The length prefix is read before any payload allocation, so an
 //! oversized frame is rejected by *looking at four bytes* — the server
-//! never buffers unbounded input. Reads are resumable across socket
+//! never buffers unbounded input. Below the cap the payload buffer grows
+//! with the bytes that arrive, not with the length announced, so a peer
+//! that announces 32 MiB and sends 10 bytes costs 10 bytes. Each end of a
+//! connection reads and encodes into buffers it keeps across frames
+//! ([`read_frame_into`]) and gives back any that a frame grew past
+//! [`KEEP_BYTES`] ([`shrink_kept`]). Reads are resumable across socket
 //! timeouts: the server polls with a short socket read timeout and a
 //! `keep_waiting` callback decides (between ticks) whether to keep
 //! blocking, which is how idle timeouts and graceful-shutdown draining
@@ -61,40 +66,80 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame, enforcing the size cap *before* allocating.
+/// Most bytes a kept frame buffer holds between frames.
+pub const KEEP_BYTES: usize = 1 << 20;
+
+/// Reads one frame, enforcing the size cap *before* allocating. A
+/// shorthand for [`read_frame_into`] a new buffer.
+pub fn read_frame(
+    r: &mut impl Read,
+    max: usize,
+    keep_waiting: &mut dyn FnMut() -> bool,
+) -> Result<Vec<u8>, FrameError> {
+    let mut payload = Vec::new();
+    read_frame_into(r, &mut payload, max, keep_waiting)?;
+    Ok(payload)
+}
+
+/// Reads one frame's payload into `payload`, replacing what it held.
+/// The buffer grows with the bytes that arrive, never past the announced
+/// length.
 ///
 /// `keep_waiting` is consulted whenever a read times out (socket read
 /// timeout = the server's poll tick): return `false` to stop waiting.
 /// Giving up (or EOF) on a frame boundary yields the clean
 /// [`FrameError::IdleTimeout`] / [`FrameError::Closed`]; mid-frame it is
 /// an [`FrameError::Io`] error, because bytes were lost.
-pub fn read_frame(
+pub fn read_frame_into(
     r: &mut impl Read,
+    payload: &mut Vec<u8>,
     max: usize,
     keep_waiting: &mut dyn FnMut() -> bool,
-) -> Result<Vec<u8>, FrameError> {
+) -> Result<(), FrameError> {
+    payload.clear();
     let mut header = [0u8; 4];
-    fill(r, &mut header, keep_waiting, true)?;
+    fill_header(r, &mut header, keep_waiting)?;
     let len = u32::from_be_bytes(header) as usize;
     if len > max {
         return Err(FrameError::TooLarge { len, max });
     }
-    let mut payload = vec![0u8; len];
-    fill(r, &mut payload, keep_waiting, false)?;
-    Ok(payload)
+    while payload.len() < len {
+        let want = (len - payload.len()) as u64;
+        match r.by_ref().take(want).read_to_end(payload) {
+            Ok(0) => return Err(FrameError::Io(ErrorKind::UnexpectedEof.into())),
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if !keep_waiting() {
+                    return Err(FrameError::Io(e));
+                }
+            }
+            Err(e) => return Err(FrameError::Io(e)),
+        }
+    }
+    Ok(())
 }
 
-fn fill(
+/// Gives back a kept buffer that a frame grew past [`KEEP_BYTES`], so a
+/// connection does not pin its largest frame for its whole life.
+pub fn shrink_kept(buf: &mut Vec<u8>) {
+    if buf.capacity() > KEEP_BYTES {
+        buf.clear();
+        buf.shrink_to(KEEP_BYTES);
+    }
+}
+
+/// Reads a frame header; a clean close or give-up is one before its
+/// first byte.
+fn fill_header(
     r: &mut impl Read,
     buf: &mut [u8],
     keep_waiting: &mut dyn FnMut() -> bool,
-    frame_boundary: bool,
 ) -> Result<(), FrameError> {
     let mut pos = 0usize;
     while pos < buf.len() {
         match r.read(&mut buf[pos..]) {
             Ok(0) => {
-                return Err(if pos == 0 && frame_boundary {
+                return Err(if pos == 0 {
                     FrameError::Closed
                 } else {
                     FrameError::Io(ErrorKind::UnexpectedEof.into())
@@ -104,7 +149,7 @@ fn fill(
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if !keep_waiting() {
-                    return Err(if pos == 0 && frame_boundary {
+                    return Err(if pos == 0 {
                         FrameError::IdleTimeout
                     } else {
                         FrameError::Io(e)

@@ -73,19 +73,26 @@ pub enum Request {
 }
 
 impl Request {
+    /// The op name and the one string member the request carries.
+    fn parts(&self) -> (&'static str, Option<(&'static str, &str)>) {
+        match self {
+            Request::Hello { user } => ("hello", Some(("user", user))),
+            Request::Execute { sql } => ("execute", Some(("sql", sql))),
+            Request::ExplainAnalyze { sql } => ("explain_analyze", Some(("sql", sql))),
+            Request::Metrics => ("metrics", None),
+            Request::Health => ("health", None),
+            Request::Ping => ("ping", None),
+            Request::Shutdown => ("shutdown", None),
+        }
+    }
+
     /// Encodes as a JSON object.
     pub fn to_json(&self) -> JsonValue {
-        let op = |name: &str| JsonValue::object().with("op", JsonValue::Str(name.into()));
-        match self {
-            Request::Hello { user } => op("hello").with("user", JsonValue::Str(user.clone())),
-            Request::Execute { sql } => op("execute").with("sql", JsonValue::Str(sql.clone())),
-            Request::ExplainAnalyze { sql } => {
-                op("explain_analyze").with("sql", JsonValue::Str(sql.clone()))
-            }
-            Request::Metrics => op("metrics"),
-            Request::Health => op("health"),
-            Request::Ping => op("ping"),
-            Request::Shutdown => op("shutdown"),
+        let (op, member) = self.parts();
+        let j = JsonValue::object().with("op", JsonValue::Str(op.into()));
+        match member {
+            Some((key, value)) => j.with(key, JsonValue::Str(value.into())),
+            None => j,
         }
     }
 
@@ -118,6 +125,21 @@ impl Request {
             other => Err(format!("unknown op '{other}'")),
         }
     }
+}
+
+/// Appends the frame payload of request `op` with its one string
+/// `member`: the bytes `Request::to_json().render()` gives, built
+/// without either.
+pub(crate) fn write_request(out: &mut Vec<u8>, op: &str, member: Option<(&str, &str)>) {
+    out.extend_from_slice(br#"{"op":"#);
+    write_json_str(out, op);
+    if let Some((key, value)) = member {
+        out.push(b',');
+        write_json_str(out, key);
+        out.push(b':');
+        write_json_str(out, value);
+    }
+    out.push(b'}');
 }
 
 /// One server response.
@@ -188,25 +210,32 @@ impl Response {
         }
     }
 
-    /// Renders to frame-payload bytes, writing a result straight from
-    /// its rows. Keys come in sorted order, as a document tree renders
-    /// them.
+    /// Renders to frame-payload bytes: [`Response::write_to`] a new
+    /// buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Appends the frame payload to `out`, writing a result straight
+    /// from its rows. Keys come in sorted order, as a document tree
+    /// renders them.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
         match self {
             Response::Result(r) => {
                 out.extend_from_slice(br#"{"ok":true,"result":"#);
-                wire::write_result(&mut out, r);
+                wire::write_result(out, r);
             }
             Response::Traced { data, trace } => {
                 out.extend_from_slice(br#"{"ok":true,"result":"#);
-                wire::write_data(&mut out, data);
+                wire::write_data(out, data);
                 out.extend_from_slice(br#","trace":"#);
-                write_json_str(&mut out, trace);
+                write_json_str(out, trace);
             }
             Response::Text(t) => {
                 out.extend_from_slice(br#"{"ok":true,"text":"#);
-                write_json_str(&mut out, t);
+                write_json_str(out, t);
             }
             Response::Error {
                 code,
@@ -214,9 +243,9 @@ impl Response {
                 request_id,
             } => {
                 out.extend_from_slice(br#"{"code":"#);
-                write_json_str(&mut out, code);
+                write_json_str(out, code);
                 out.extend_from_slice(br#","message":"#);
-                write_json_str(&mut out, message);
+                write_json_str(out, message);
                 out.extend_from_slice(br#","ok":false"#);
                 if let Some(id) = request_id {
                     write!(out, r#","request_id":{}"#, *id as i64)
@@ -225,7 +254,6 @@ impl Response {
             }
         }
         out.push(b'}');
-        out
     }
 
     /// Decodes frame-payload bytes, reading a result straight into rows.
@@ -299,9 +327,19 @@ mod tests {
             Request::Shutdown,
         ];
         for req in cases {
-            let j = JsonValue::parse(&req.to_json().render()).unwrap();
+            let rendered = req.to_json().render();
+            let j = JsonValue::parse(&rendered).unwrap();
             assert_eq!(Request::from_json(&j).unwrap(), req);
+            let (op, member) = req.parts();
+            let mut written = Vec::new();
+            write_request(&mut written, op, member);
+            assert_eq!(written, rendered.as_bytes());
         }
+        let mut written = Vec::new();
+        let sql = "SELECT 'a\"b\\c\n'";
+        write_request(&mut written, "execute", Some(("sql", sql)));
+        let tree = Request::Execute { sql: sql.into() }.to_json().render();
+        assert_eq!(written, tree.as_bytes());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! window to finish (and answer) an in-flight request before its socket
 //! closes. In-flight responses are never dropped.
 
-use crate::frame::{read_frame, write_frame, FrameError};
+use crate::frame::{read_frame_into, shrink_kept, write_frame, FrameError};
 use crate::protocol::{codes, Request, Response};
 use just_core::{Engine, SessionManager};
 use just_obs::metrics::{Counter, Gauge, Histogram};
@@ -347,7 +347,8 @@ fn refuse(stream: TcpStream, code: &str, message: impl Into<String>) {
 }
 
 /// One connection's lifetime: frames in, frames out, until close,
-/// idle timeout, or shutdown drain.
+/// idle timeout, or shutdown drain. The request and response buffers
+/// are the connection's, reused frame after frame.
 fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
         || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
@@ -355,6 +356,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
         return;
     }
     let mut client: Option<Client> = None;
+    let (mut payload, mut out) = (Vec::new(), Vec::new());
     loop {
         // The wait policy: each poll tick re-checks how long this read
         // has been idle. During shutdown the wait is bounded by a drain
@@ -370,8 +372,8 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 started.elapsed() < READ_TIMEOUT
             }
         };
-        let payload = match read_frame(&mut stream, MAX_FRAME_BYTES, &mut keep_waiting) {
-            Ok(p) => p,
+        match read_frame_into(&mut stream, &mut payload, MAX_FRAME_BYTES, &mut keep_waiting) {
+            Ok(()) => {}
             Err(FrameError::Closed) | Err(FrameError::IdleTimeout) => return,
             Err(FrameError::TooLarge { len, max }) => {
                 // The announced payload is still on the wire; the
@@ -388,7 +390,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 return;
             }
             Err(FrameError::Io(_)) => return,
-        };
+        }
         let start = Instant::now();
         shared.metrics.requests.inc();
         let request_id = shared.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
@@ -407,9 +409,14 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             response
         };
         shared.metrics.latency.record_duration(start.elapsed());
-        if write_frame(&mut stream, &response.to_bytes()).is_err() {
+        out.clear();
+        response.write_to(&mut out);
+        drop(response);
+        if write_frame(&mut stream, &out).is_err() {
             return;
         }
+        shrink_kept(&mut payload);
+        shrink_kept(&mut out);
         // Once shutdown is underway, stop taking new requests from this
         // connection: the in-flight response just written is the last.
         if close_after || shared.shutdown.load(Ordering::Acquire) {
