@@ -88,6 +88,11 @@ start_justd "$SMOKE_DIR/data" "$SMOKE_DIR/port"
 cli query "CREATE TABLE pts (fid integer:primary key, geom point)"
 cli query "INSERT INTO pts VALUES (1, st_makePoint(116.4, 39.9))"
 cli query "SELECT fid FROM pts" | grep -q "^1$"
+# One 1 000-row INSERT: the streaming parser and both ends' kept frame
+# buffers over a real socket.
+ROWS_SQL=$(seq 2 1001 | awk '{ printf "%s(%d, st_makePoint(116.%04d, 39.9))", (NR > 1 ? ", " : ""), $1, $1 }')
+cli query "INSERT INTO pts VALUES $ROWS_SQL"
+cli query "SELECT count(*) AS n FROM pts" | grep -q "^1001$"
 ./target/release/just-cli --addr "$ADDR" shutdown
 wait "$JUSTD_PID"   # graceful shutdown must exit 0 (set -e enforces it)
 JUSTD_PID=""

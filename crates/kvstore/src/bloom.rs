@@ -59,13 +59,17 @@ impl BloomFilter {
     /// Filled with [`BloomFilter::insert`], it holds the same bits as one
     /// sized after the fact.
     pub(crate) fn new(keys: usize, bits_per_key: usize) -> BloomFilter {
+        Self::with_blocks(blocks_for(keys, bits_per_key), bits_per_key)
+    }
+
+    fn with_blocks(blocks: usize, bits_per_key: usize) -> BloomFilter {
         // Optimal probe count is ln(2) * bits/key; clamp to a sane range.
         let k = ((bits_per_key.max(1) as f64) * 0.69)
             .round()
             .clamp(1.0, 12.0) as u32;
         BloomFilter {
             k,
-            words: vec![0u64; blocks_for(keys, bits_per_key) * BLOCK_WORDS],
+            words: vec![0u64; blocks * BLOCK_WORDS],
         }
     }
 
@@ -75,12 +79,9 @@ impl BloomFilter {
     /// that it folds to under twice the blocks the count needs, or to
     /// under 128 blocks (8 KiB).
     pub(crate) fn for_at_most(keys: usize, bits_per_key: usize) -> BloomFilter {
-        let mut f = BloomFilter::new(keys, bits_per_key);
-        let blocks = f.words.len() / BLOCK_WORDS;
+        let blocks = blocks_for(keys, bits_per_key);
         let step = 1 << (blocks / 64).max(1).ilog2();
-        f.words
-            .resize(blocks.next_multiple_of(step) * BLOCK_WORDS, 0);
-        f
+        Self::with_blocks(blocks.next_multiple_of(step), bits_per_key)
     }
 
     /// Merges every `f` neighbouring blocks into one, for the largest `f`
@@ -299,7 +300,9 @@ mod tests {
         assert!(BloomFilter::deserialize(&[]).is_none());
         assert!(BloomFilter::deserialize(&[1, 0, 0, 0, 1, 0, 0, 0]).is_none()); // truncated words
         let mut buf = Vec::new();
-        filled(&seeded_keys(3, 5), 3, 10).write_to(&mut buf).unwrap();
+        filled(&seeded_keys(3, 5), 3, 10)
+            .write_to(&mut buf)
+            .unwrap();
         buf.pop();
         assert!(BloomFilter::deserialize(&buf).is_none());
     }

@@ -79,21 +79,21 @@ const MIN_CHUNK_BYTES: usize = 2048;
 /// new one and leaves the open chunk's tail unused; a run longer than
 /// the span gets a chunk covering as many spans as it needs, the spans
 /// after its first holding empty placeholders.
-struct Chunks<T> {
+struct Chunks<T, const SHIFT: u32> {
     chunks: Vec<Vec<T>>,
     /// The chunk runs are appended to.
     open: usize,
-    shift: u32,
     /// Elements the chunks hold, tails included.
     reserved: usize,
 }
 
-impl<T: Copy> Chunks<T> {
-    const fn new(shift: u32) -> Self {
+impl<T: Copy, const SHIFT: u32> Chunks<T, SHIFT> {
+    const MASK: u32 = (1 << SHIFT) - 1;
+
+    const fn new() -> Self {
         Chunks {
             chunks: Vec::new(),
             open: 0,
-            shift,
             reserved: 0,
         }
     }
@@ -101,7 +101,7 @@ impl<T: Copy> Chunks<T> {
     /// Most chunks addressable below `u32::MAX`: the last offset of the
     /// last one is still below [`TOMBSTONE`].
     fn max_chunks(&self) -> usize {
-        u32::MAX as usize >> self.shift
+        u32::MAX as usize >> SHIFT
     }
 
     /// Whether `runs` more runs of `len` elements in all still address
@@ -109,23 +109,20 @@ impl<T: Copy> Chunks<T> {
     /// `ceil(len_i / span)` chunks, and the sum of those is at most
     /// `len / span + runs`.
     fn has_room(&self, runs: usize, len: usize) -> bool {
-        self.chunks.len() + (len >> self.shift) + runs <= self.max_chunks()
+        self.chunks.len() + (len >> SHIFT) + runs <= self.max_chunks()
     }
 
     fn get(&self, i: u32) -> T {
-        let mask = (1 << self.shift) - 1;
-        self.chunks[(i >> self.shift) as usize][(i & mask) as usize]
+        self.chunks[(i >> SHIFT) as usize][(i & Self::MASK) as usize]
     }
 
     fn set(&mut self, i: u32, value: T) {
-        let mask = (1 << self.shift) - 1;
-        self.chunks[(i >> self.shift) as usize][(i & mask) as usize] = value;
+        self.chunks[(i >> SHIFT) as usize][(i & Self::MASK) as usize] = value;
     }
 
     /// Elements from `i` to the end of its chunk.
     fn tail(&self, i: u32) -> &[T] {
-        let mask = (1 << self.shift) - 1;
-        &self.chunks[(i >> self.shift) as usize][(i & mask) as usize..]
+        &self.chunks[(i >> SHIFT) as usize][(i & Self::MASK) as usize..]
     }
 
     /// The chunk to append a run of `len` elements to, and the index its
@@ -133,7 +130,7 @@ impl<T: Copy> Chunks<T> {
     fn room(&mut self, len: usize) -> (u32, &mut Vec<T>) {
         let fits = (self.chunks.get(self.open)).is_some_and(|c| c.capacity() - c.len() >= len);
         if !fits {
-            let span = 1 << self.shift;
+            let span = 1 << SHIFT;
             let min = MIN_CHUNK_BYTES / std::mem::size_of::<T>();
             let chunk = Vec::with_capacity(len.max(min.max(self.reserved / 8).min(span)));
             self.reserved += chunk.capacity();
@@ -143,7 +140,7 @@ impl<T: Copy> Chunks<T> {
             self.chunks.extend((1..spans).map(|_| Vec::new()));
         }
         let chunk = &mut self.chunks[self.open];
-        (((self.open << self.shift) + chunk.len()) as u32, chunk)
+        (((self.open << SHIFT) + chunk.len()) as u32, chunk)
     }
 
     /// Appends `run` in one chunk; returns the index of its first element.
@@ -163,8 +160,8 @@ fn prefix_len(len: usize) -> usize {
 /// holds its committed version chain; tombstones shadow older on-disk
 /// data.
 pub(crate) struct MemTable {
-    bytes: Chunks<u8>,
-    slots: Chunks<u32>,
+    bytes: Chunks<u8, BYTE_SHIFT>,
+    slots: Chunks<u32, SLOT_SHIFT>,
     /// Key and value bytes appended, length prefixes included.
     used: usize,
     /// Levels in use by the tallest node.
@@ -183,8 +180,8 @@ impl MemTable {
     pub(crate) fn new(cap: usize) -> Self {
         assert!(cap <= MEM_CAP, "offsets are 32-bit");
         MemTable {
-            bytes: Chunks::new(BYTE_SHIFT),
-            slots: Chunks::new(SLOT_SHIFT),
+            bytes: Chunks::new(),
+            slots: Chunks::new(),
             used: 0,
             height: 0,
             keys: 0,
@@ -304,14 +301,10 @@ impl MemTable {
         self.bytes_at(self.slots.get(node + KEY as u32))
     }
 
-    fn value(&self, version: u32) -> Option<&[u8]> {
-        let off = self.slots.get(version + VALUE as u32);
+    /// The value of the version whose slots start `version`.
+    fn value(&self, version: &[u32]) -> Option<&[u8]> {
+        let off = version[VALUE];
         (off != TOMBSTONE).then(|| self.bytes_at(off))
-    }
-
-    /// The node after `node` in key order.
-    fn next(&self, node: u32) -> u32 {
-        self.slots.get(node + TOWER as u32)
     }
 
     /// The first node with a key `>= key` ([`NIL`] when there is none).
@@ -322,32 +315,38 @@ impl MemTable {
             return NIL;
         }
         // `bound` is the nearest node known to be `>= key` (none yet): a
-        // level that runs into it again need not compare it again.
+        // level that runs into it again need not compare it again. `at`
+        // holds `node`'s slots, so each step looks one chunk up.
         let (mut node, mut bound) = (NIL, NIL);
+        let mut at = self.slots.tail(NIL);
         for level in (0..self.height).rev() {
             loop {
-                let next = self.slots.get(node + (TOWER + level) as u32);
-                if next == bound || self.key(next) >= key {
+                let next = at[TOWER + level];
+                if next == bound {
+                    break;
+                }
+                let next_at = self.slots.tail(next);
+                if self.bytes_at(next_at[KEY]) >= key {
                     bound = next;
                     break;
                 }
-                node = next;
+                (node, at) = (next, next_at);
             }
             prev[level] = node;
         }
-        self.next(node)
+        at[TOWER]
     }
 
     /// The newest version of `node` visible at `snap` (i.e. with
     /// `seq < snap`), or `None` when the key did not exist yet at that
     /// snapshot and older layers must be consulted.
-    fn visible(&self, node: u32, snap: u64) -> Option<Option<&[u8]>> {
-        let mut version = self.slots.get(node + NEWEST as u32);
+    fn visible(&self, node: &[u32], snap: u64) -> Option<Option<&[u8]>> {
+        let mut version = node[NEWEST];
         while version != NIL {
             let v = self.slots.tail(version);
             let seq = v[SEQ_LOW] as u64 | (v[SEQ_HIGH] as u64) << 32;
             if seq < snap {
-                return Some(self.value(version));
+                return Some(self.value(v));
             }
             version = v[OLDER];
         }
@@ -359,10 +358,14 @@ impl MemTable {
     /// this snapshot, consult older data".
     pub(crate) fn get(&self, key: &[u8], snap: u64) -> Option<Option<&[u8]>> {
         let node = self.seek(key, &mut [NIL; MAX_HEIGHT]);
-        if node == NIL || self.key(node) != key {
+        if node == NIL {
             return None;
         }
-        self.visible(node, snap)
+        let at = self.slots.tail(node);
+        if self.bytes_at(at[KEY]) != key {
+            return None;
+        }
+        self.visible(at, snap)
     }
 
     /// Entries with `start <= key <= end` visible at `snap`, in order,
@@ -377,12 +380,13 @@ impl MemTable {
         let mut node = self.seek(start, &mut [NIL; MAX_HEIGHT]);
         std::iter::from_fn(move || {
             while node != NIL {
-                let (key, at) = (self.key(node), node);
+                let at = self.slots.tail(node);
+                let key = self.bytes_at(at[KEY]);
                 if key > end {
                     node = NIL;
                     break;
                 }
-                node = self.next(at);
+                node = at[TOWER];
                 if let Some(value) = self.visible(at, snap) {
                     return Some((key, value));
                 }
@@ -395,12 +399,19 @@ impl MemTable {
     /// SSTable stores only the newest version; older versions keep
     /// serving snapshot readers from the held generation).
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&[u8], Option<&[u8]>)> + '_ {
-        let mut node = if self.keys == 0 { NIL } else { self.next(NIL) };
+        let mut node = if self.keys == 0 {
+            NIL
+        } else {
+            self.slots.get(TOWER as u32)
+        };
         std::iter::from_fn(move || {
             (node != NIL).then(|| {
-                let at = node;
-                node = self.next(at);
-                (self.key(at), self.value(self.slots.get(at + NEWEST as u32)))
+                let at = self.slots.tail(node);
+                node = at[TOWER];
+                (
+                    self.bytes_at(at[KEY]),
+                    self.value(self.slots.tail(at[NEWEST])),
+                )
             })
         })
     }
@@ -521,7 +532,7 @@ mod tests {
         for i in 0..20_000u64 {
             m.put(&i.to_be_bytes(), i, &[7; 60]);
         }
-        fn in_use<T>(c: &Chunks<T>) -> usize {
+        fn in_use<T, const S: u32>(c: &Chunks<T, S>) -> usize {
             c.chunks.iter().map(Vec::len).sum()
         }
         let used = in_use(&m.bytes) + 4 * in_use(&m.slots);
@@ -531,8 +542,16 @@ mod tests {
         // tail shorter than one record (61 bytes, 14 slots). The open
         // chunks are at most an eighth of what the arenas reserve.
         let chunks = m.bytes.chunks.len() + m.slots.chunks.len();
-        assert!(m.bytes.chunks.iter().all(|c| c.capacity() <= 1 << BYTE_SHIFT));
-        assert!(m.slots.chunks.iter().all(|c| c.capacity() <= 1 << SLOT_SHIFT));
+        assert!(m
+            .bytes
+            .chunks
+            .iter()
+            .all(|c| c.capacity() <= 1 << BYTE_SHIFT));
+        assert!(m
+            .slots
+            .chunks
+            .iter()
+            .all(|c| c.capacity() <= 1 << SLOT_SHIFT));
         let reserved = m.reserved_bytes();
         assert!(reserved >= used);
         assert!(

@@ -91,11 +91,17 @@ impl CancelToken {
     }
 }
 
+/// Entry bytes past which a batch stops filling, so that its buffer
+/// stays within 64 KiB of heap (entries of a few hundred bytes) however
+/// many rows [`ScanOptions::batch_rows`] allows.
+const BATCH_BYTES: usize = 48 << 10;
+
 /// Tuning for one streaming scan.
 #[derive(Debug, Clone)]
 pub struct ScanOptions {
-    /// Maximum entries per batch from [`ScanStream::next_batch`]; bounds
-    /// the consumer-visible in-flight memory.
+    /// Maximum entries per batch from [`ScanStream::next_batch`] (a
+    /// batch also stops at 48 KiB of entry bytes); bounds the
+    /// consumer-visible in-flight memory.
     pub batch_rows: usize,
     /// Cancellation flag shared with the consumer.
     pub cancel: CancelToken,
@@ -544,7 +550,7 @@ impl ScanStream {
 
     fn fill_batch(&mut self) -> Result<()> {
         self.batch.clear();
-        while self.batch.len() < self.batch_rows {
+        while self.batch.len() < self.batch_rows && self.batch.bytes.len() < BATCH_BYTES {
             if self.cancel.is_cancelled() {
                 break;
             }

@@ -738,14 +738,23 @@ mod tests {
     fn a_finished_table_is_the_table_its_file_opens_to() {
         for (label, dir, built) in all_variants("handover", 300) {
             let opened = fixture::sstable(built.path());
-            assert_eq!(built.file_size(), std::fs::metadata(built.path()).unwrap().len());
+            assert_eq!(
+                built.file_size(),
+                std::fs::metadata(built.path()).unwrap().len()
+            );
             assert_eq!(
                 (built.file_size(), built.entry_count(), built.seq_limit()),
                 (opened.file_size(), opened.entry_count(), opened.seq_limit()),
                 "{label}"
             );
-            assert_eq!((built.codec, built.bloom_bytes()), (opened.codec, opened.bloom_bytes()));
-            assert_eq!((&built.min_key, &built.max_key), (&opened.min_key, &opened.max_key));
+            assert_eq!(
+                (built.codec, built.bloom_bytes()),
+                (opened.codec, opened.bloom_bytes())
+            );
+            assert_eq!(
+                (&built.min_key, &built.max_key),
+                (&opened.min_key, &opened.max_key)
+            );
             let index = |t: &SsTable| -> Vec<_> {
                 (t.blocks.iter())
                     .map(|b| (b.first_key.clone(), b.offset, b.len, b.crc))

@@ -8,6 +8,7 @@
 //!   with background maintenance the region's memtables stay under twice
 //!   the threshold while compactions run, because a flush never waits
 //!   for a merge;
+//! * a flush allocates its bloom filter once;
 //! * maintenance memory is O(input tables × one block), not O(region):
 //!   compaction, split and merge pull the read path's lazy merge straight
 //!   into an SSTable builder, so rewriting a region never holds the
@@ -33,12 +34,18 @@ static PEAK: AtomicUsize = AtomicUsize::new(0);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
 static LARGEST_RESIZE: AtomicUsize = AtomicUsize::new(0);
+/// Blocks of at least [`AT_LEAST`] bytes asked for.
+static AT_LEAST: AtomicUsize = AtomicUsize::new(usize::MAX);
+static BLOCKS_AT_LEAST: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
 fn grew(by: usize, size: usize) {
     ALLOCS.fetch_add(1, Relaxed);
     LARGEST.fetch_max(size, Relaxed);
+    if size >= AT_LEAST.load(Relaxed) {
+        BLOCKS_AT_LEAST.fetch_add(1, Relaxed);
+    }
     let live = LIVE.fetch_add(by, Relaxed) + by;
     PEAK.fetch_max(live, Relaxed);
 }
@@ -183,8 +190,33 @@ fn memtable_grows_in_chunks_that_never_move(dir: &Path) {
          largest resize {resized}"
     );
     assert!(reported >= 8 << 20);
-    assert!(largest <= CHUNK_BYTES, "a put asked for a {largest}-byte block");
+    assert!(
+        largest <= CHUNK_BYTES,
+        "a put asked for a {largest}-byte block"
+    );
     assert!(resized <= 8 << 10, "a put resized a {resized}-byte block");
+}
+
+/// A flush fills its bloom filter once and hands it to the table it
+/// opens, writing it to the file on the way: no other block the size of
+/// the filter is asked for.
+fn a_flush_allocates_its_filter_once(dir: &Path) {
+    const KEYS: usize = 40_000;
+    // Ten bits a key, in 64-byte blocks.
+    let filter = (KEYS * 10).div_ceil(512) * 64;
+    let (_store, table) = warmed_table(dir, 64 << 20);
+    for i in 0..KEYS {
+        table
+            .put(format!("k{i:08}").into_bytes(), vec![1; 8])
+            .unwrap();
+    }
+    AT_LEAST.store(filter, Relaxed);
+    let before = BLOCKS_AT_LEAST.load(Relaxed);
+    table.flush().unwrap();
+    let blocks = BLOCKS_AT_LEAST.load(Relaxed) - before;
+    AT_LEAST.store(usize::MAX, Relaxed);
+    println!("flush of {KEYS} keys: {blocks} blocks of at least the {filter}-byte filter");
+    assert_eq!(blocks, 1, "a flush asked for {blocks} filter-sized blocks");
 }
 
 fn write_buffer_is_an_arena_sized_by_configuration(dir: &Path) {
@@ -288,6 +320,7 @@ fn heap_is_bounded_by_configuration_not_by_volume() {
     std::fs::remove_dir_all(&dir).ok();
     write_buffer_is_an_arena_sized_by_configuration(&dir);
     memtable_grows_in_chunks_that_never_move(&dir.join("chunks"));
+    a_flush_allocates_its_filter_once(&dir.join("filter"));
 
     // Flushes are explicit, one per generation.
     let store = open_store(&dir.join("rewrite"), 64 << 20);

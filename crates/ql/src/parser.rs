@@ -1,4 +1,10 @@
 //! The JustQL recursive-descent parser (the repository's ANTLR).
+//!
+//! It pulls tokens from a `Lexer` with one token of lookahead, so a
+//! statement's tokens are never held at once. The outcome is the one
+//! tokenize-then-parse gave: a lexing error anywhere in the text wins
+//! over an earlier parse error (`Parser::finish` lexes the rest of a
+//! text whose parse failed).
 
 use crate::ast::*;
 use crate::error::QlError;
@@ -1101,7 +1107,12 @@ mod tests {
         let rows: Vec<String> = (0..1000)
             .map(|fid| {
                 let (x, y) = (116.0 + fid as f64 * 1e-3, 39.5 + fid as f64 * 7e-4);
-                format!("({fid}, {}, st_makePoint({x}, {y}), {}.25, {})", 1000 + fid, fid % 97, fid % 16)
+                format!(
+                    "({fid}, {}, st_makePoint({x}, {y}), {}.25, {})",
+                    1000 + fid,
+                    fid % 97,
+                    fid % 16
+                )
             })
             .collect();
         golden.push(format!("INSERT INTO orders VALUES {}", rows.join(", ")));
@@ -1112,8 +1123,27 @@ mod tests {
     /// deleted or repeated, a fragment inserted, or a truncation.
     fn mutate(rng: &mut just_obs::Rng, text: &str) -> String {
         const FRAGMENTS: &[&str] = &[
-            "'", "''", "--", "(", ")", ",", ";", "1e", ".", "9e999", "99999999999999999999",
-            "SELECT", "FROM", "@", "::", "{", "}", "st_KNN(", "POINT (", "EMPTY", "-",
+            "'",
+            "''",
+            "--",
+            "(",
+            ")",
+            ",",
+            ";",
+            "1e",
+            ".",
+            "9e999",
+            "99999999999999999999",
+            "SELECT",
+            "FROM",
+            "@",
+            "::",
+            "{",
+            "}",
+            "st_KNN(",
+            "POINT (",
+            "EMPTY",
+            "-",
         ];
         let mut t = text.as_bytes().to_vec();
         let n = t.len();
@@ -1177,6 +1207,9 @@ mod tests {
             let _ = just_geo::parse_wkt(&wkt);
         }
         // Both outcomes are exercised, not only the failures.
-        assert!(parsed > 250 && lexing > 250, "{parsed} parsed, {lexing} lexing errors");
+        assert!(
+            parsed > 250 && lexing > 250,
+            "{parsed} parsed, {lexing} lexing errors"
+        );
     }
 }

@@ -101,8 +101,13 @@ impl RemoteClient {
         self.buf.clear();
         write_request(&mut self.buf, op, member);
         write_frame(&mut self.stream, &self.buf).map_err(io_err)?;
-        read_frame_into(&mut self.stream, &mut self.buf, CLIENT_MAX_FRAME, &mut || true)
-            .map_err(frame_err)?;
+        read_frame_into(
+            &mut self.stream,
+            &mut self.buf,
+            CLIENT_MAX_FRAME,
+            &mut || true,
+        )
+        .map_err(frame_err)?;
         let response = Response::from_bytes(&self.buf);
         shrink_kept(&mut self.buf);
         match response? {

@@ -69,6 +69,9 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 /// Most bytes a kept frame buffer holds between frames.
 pub const KEEP_BYTES: usize = 1 << 20;
 
+/// The first step a payload buffer grows by.
+const READ_STEP: usize = 64 << 10;
+
 /// Reads one frame, enforcing the size cap *before* allocating. A
 /// shorthand for [`read_frame_into`] a new buffer.
 pub fn read_frame(
@@ -83,7 +86,8 @@ pub fn read_frame(
 
 /// Reads one frame's payload into `payload`, replacing what it held.
 /// The buffer grows with the bytes that arrive, never past the announced
-/// length.
+/// length: a peer that announces a large frame and sends little costs at
+/// most 64 KiB.
 ///
 /// `keep_waiting` is consulted whenever a read times out (socket read
 /// timeout = the server's poll tick): return `false` to stop waiting.
@@ -103,11 +107,24 @@ pub fn read_frame_into(
     if len > max {
         return Err(FrameError::TooLarge { len, max });
     }
-    while payload.len() < len {
-        let want = (len - payload.len()) as u64;
-        match r.by_ref().take(want).read_to_end(payload) {
+    let mut got = 0;
+    while got < len {
+        if got == payload.len() {
+            // Room for what is still due: the kept capacity first, then
+            // steps that double what has arrived (at least 64 KiB), never
+            // past the frame. Only new room is zeroed.
+            let room = match payload.capacity() {
+                kept if kept > got => kept,
+                _ => got + got.max(READ_STEP),
+            };
+            let end = room.min(len);
+            payload.reserve_exact(end - got);
+            payload.resize(end, 0);
+        }
+        match r.read(&mut payload[got..]) {
             Ok(0) => return Err(FrameError::Io(ErrorKind::UnexpectedEof.into())),
-            Ok(_) => {}
+            Ok(n) => got += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if !keep_waiting() {
                     return Err(FrameError::Io(e));

@@ -372,7 +372,12 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 started.elapsed() < READ_TIMEOUT
             }
         };
-        match read_frame_into(&mut stream, &mut payload, MAX_FRAME_BYTES, &mut keep_waiting) {
+        match read_frame_into(
+            &mut stream,
+            &mut payload,
+            MAX_FRAME_BYTES,
+            &mut keep_waiting,
+        ) {
             Ok(()) => {}
             Err(FrameError::Closed) | Err(FrameError::IdleTimeout) => return,
             Err(FrameError::TooLarge { len, max }) => {

@@ -416,8 +416,13 @@ impl StTable {
             superseded.push(Some((old_key, old_skey)));
         }
         drop((latest, snap));
+        // Sized exactly: a batch of benchmark rows is ~150 KiB of ops,
+        // and doubling past it would copy and waste as much again.
         let per_row = if self.spatial.is_some() { 3 } else { 2 };
-        let mut ops = Vec::with_capacity(per_row * staged.len());
+        let deletes: usize = (superseded.iter().flatten())
+            .map(|(_, old_skey)| 1 + usize::from(old_skey.is_some()))
+            .sum();
+        let mut ops = Vec::with_capacity(per_row * staged.len() + deletes);
         for (row, old) in staged.into_iter().zip(superseded) {
             // Remove the superseded version from both indexes.
             if let Some((old_key, old_skey)) = old {
