@@ -109,11 +109,11 @@ impl RegionWal {
     /// writer parked on an fsync must not hold the memtable hostage, or
     /// every other writer of the region chains behind its wait (a convoy
     /// that compounds with writer count).
-    pub(crate) fn append_nowait<'a>(
-        &self,
-        seq: u64,
-        records: impl IntoIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
-    ) -> Result<u64> {
+    pub(crate) fn append_nowait<'a, I>(&self, seq: u64, records: I) -> Result<u64>
+    where
+        I: IntoIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
+        I::IntoIter: Clone,
+    {
         self.wal.lock().append_seq(seq, records)
     }
 

@@ -554,14 +554,22 @@ impl Wal {
     /// torn prefix of the rejected run, so further appends are refused
     /// (nothing acknowledged may land after a replay-stopping tear)
     /// until [`Wal::rotate_keep`] swaps in a fresh segment.
-    pub(crate) fn append_seq<'a>(
-        &mut self,
-        seq: u64,
-        records: impl IntoIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
-    ) -> Result<u64> {
+    pub(crate) fn append_seq<'a, I>(&mut self, seq: u64, records: I) -> Result<u64>
+    where
+        I: IntoIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
+        I::IntoIter: Clone,
+    {
         if self.poisoned {
             return Err(KvError::WalPoisoned);
         }
+        // Sized exactly: a 1 000-row batch is ~450 KiB of records, which
+        // doubling would reach in a dozen copies.
+        let records = records.into_iter();
+        let framed = |(key, value): (&[u8], Option<&[u8]>)| {
+            HEADER + PAYLOAD_HEAD + key.len() + value.map_or(0, <[u8]>::len)
+        };
+        self.pending
+            .reserve_exact(records.clone().map(framed).sum());
         let before = self.pending.len();
         let mut n = 0;
         for (key, value) in records {
@@ -611,6 +619,10 @@ impl Wal {
             }
             self.good_len += self.pending.len() as u64;
             self.pending.clear();
+            // A large batch's buffer is not kept for the log's life.
+            if self.pending.capacity() > BUFFER_BYTES {
+                self.pending = Vec::new();
+            }
             self.unsynced = true;
         }
         Ok(())
