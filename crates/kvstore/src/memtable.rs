@@ -1,30 +1,30 @@
 //! The in-memory write buffer of a region: an arena skip list with
 //! per-key MVCC version chains.
 //!
-//! A region's keys, values, index nodes and version records live in two
-//! arenas addressed by 32-bit offsets, so a put allocates nothing in the
-//! steady state and freezing, flushing or holding a generation moves or
-//! drops whole chunks:
+//! A region's index nodes with their keys, and its version records with
+//! their values, live in one arena addressed by 32-bit offsets, so a put
+//! allocates nothing in the steady state and freezing, flushing or
+//! holding a generation moves or drops whole chunks:
 //!
 //! ```text
-//! bytes: keys and values, each behind its LEB128 length, appended, never moved
-//! slots: node    [key offset, newest version, next@0 .. next@h-1]
-//!        version [seq low, seq high, value offset | TOMBSTONE, older version]
+//! node    [newest version u32][height u8][next@0 .. next@h-1 u32][key len][key]
+//! version [seq u64][older version u32][value len + 1, or 0 for a delete][value]
 //! ```
 //!
-//! Each arena grows in chunks of at most 64 KiB that are never
-//! reallocated — HBase's MemStore-Local Allocation Buffers, which carve
-//! the write buffer into fixed chunks so that a freed memstore leaves no
-//! holes in the heap. An offset names its chunk directly: chunk
-//! `off >> shift` holds offsets `[i << shift, (i + 1) << shift)`, so a
-//! lookup is two array indexings. A record that does not fit the open
-//! chunk starts the next one, and a value longer than a chunk's span
-//! gets a chunk of its own spanning as many offsets as it needs.
+//! Integers are little-endian and lengths LEB128. A node holds its key,
+//! so a seek step reads one record. The arena grows in chunks of at most
+//! 64 KiB that are never reallocated — HBase's MemStore-Local Allocation
+//! Buffers, which carve the write buffer into fixed chunks so that a
+//! freed memstore leaves no holes in the heap. An offset names its chunk
+//! directly: chunk `off >> 16` holds offsets `[i << 16, (i + 1) << 16)`,
+//! so a lookup is two array indexings. A record that does not fit the
+//! open chunk starts the next one, and a record longer than a chunk's
+//! span gets a chunk of its own spanning as many offsets as it needs.
 //!
 //! Nodes form a skip list (p = 1/4, at most [`MAX_HEIGHT`] levels; the
 //! heights come from a fixed-seed xorshift, so a run repeats exactly).
-//! The head node sits at slot 0, which is why 0 doubles as "no node" and
-//! "no version" in every link.
+//! The head node sits at offset 0, which is why 0 doubles as "no node"
+//! and "no version" in every link.
 //!
 //! Every mutation carries the region-wide commit sequence allocated by
 //! [`crate::Region`] under the memtable's lock, so a key's chain,
@@ -46,93 +46,76 @@ pub(crate) const LATEST: u64 = u64::MAX;
 
 /// Tallest skip-list tower: 4^12 keys before the top level crowds.
 const MAX_HEIGHT: usize = 12;
-/// The head node's slot; also the "none" of node and version links.
+/// The head node's offset; also the "none" of node and version links.
 const NIL: u32 = 0;
-/// Node layout: key offset, newest version, then the tower.
-const KEY: usize = 0;
-const NEWEST: usize = 1;
-const TOWER: usize = 2;
-/// Version layout.
-const SEQ_LOW: usize = 0;
-const SEQ_HIGH: usize = 1;
-const VALUE: usize = 2;
-const OLDER: usize = 3;
-const VERSION_SLOTS: usize = 4;
-/// Value offset marking a delete.
-const TOMBSTONE: u32 = u32::MAX;
+/// Node layout: newest version, tower height, the tower, then the key.
+const NEWEST: usize = 0;
+const HEIGHT: usize = 4;
+const TOWER: usize = 5;
+/// Version layout: commit sequence, older version, then the value.
+const OLDER: usize = 8;
+const VALUE: usize = 12;
+/// Most bytes of a node or a version besides its key or value.
+const NODE_BYTES: usize = TOWER + 4 * MAX_HEIGHT;
+/// The head node: a full tower and an empty key.
+const HEAD_BYTES: usize = NODE_BYTES + 1;
 /// Most key and value bytes one table holds.
 pub(crate) const MEM_CAP: usize = i32::MAX as usize;
 /// Longest LEB128 length prefix of a key or value below [`MEM_CAP`].
 const MAX_LEN_PREFIX: usize = 5;
-/// Offsets a byte chunk spans (64 KiB), and slots a slot chunk spans
-/// (64 KiB of `u32`s).
-const BYTE_SHIFT: u32 = 16;
-const SLOT_SHIFT: u32 = 14;
-/// Smallest chunk of either arena, in bytes. Later chunks take an eighth
-/// of what the arena holds, up to the span (`Vec`'s doubling would let
-/// the flush threshold fire at half load), which keeps reserved bytes
-/// within 12.5 % of used bytes.
-const MIN_CHUNK_BYTES: usize = 2048;
+/// Offsets a chunk spans: 64 KiB.
+const SHIFT: u32 = 16;
+const MASK: u32 = (1 << SHIFT) - 1;
+/// Smallest chunk, in bytes. Later chunks take an eighth of what the
+/// arena holds, up to the span (`Vec`'s doubling would let the flush
+/// threshold fire at half load), which keeps reserved bytes within
+/// 12.5 % of used bytes.
+const MIN_CHUNK_BYTES: usize = 4096;
 
-/// A growable array in chunks that never move: element `i` lives in
-/// chunk `i >> shift`. A run that does not fit the open chunk starts a
-/// new one and leaves the open chunk's tail unused; a run longer than
+/// A growable byte array in chunks that never move: byte `i` lives in
+/// chunk `i >> 16`. A record that does not fit the open chunk starts a
+/// new one and leaves the open chunk's tail unused; a record longer than
 /// the span gets a chunk covering as many spans as it needs, the spans
 /// after its first holding empty placeholders.
-struct Chunks<T, const SHIFT: u32> {
-    chunks: Vec<Vec<T>>,
-    /// The chunk runs are appended to.
+#[derive(Default)]
+struct Arena {
+    chunks: Vec<Vec<u8>>,
+    /// The chunk records are appended to.
     open: usize,
-    /// Elements the chunks hold, tails included.
+    /// Bytes the chunks hold, tails included.
     reserved: usize,
 }
 
-impl<T: Copy, const SHIFT: u32> Chunks<T, SHIFT> {
-    const MASK: u32 = (1 << SHIFT) - 1;
+impl Arena {
+    /// Most chunks addressable below `u32::MAX`, so no offset reaches it.
+    const MAX_CHUNKS: usize = u32::MAX as usize >> SHIFT;
 
-    const fn new() -> Self {
-        Chunks {
-            chunks: Vec::new(),
-            open: 0,
-            reserved: 0,
-        }
-    }
-
-    /// Most chunks addressable below `u32::MAX`: the last offset of the
-    /// last one is still below [`TOMBSTONE`].
-    fn max_chunks(&self) -> usize {
-        u32::MAX as usize >> SHIFT
-    }
-
-    /// Whether `runs` more runs of `len` elements in all still address
-    /// below [`Chunks::max_chunks`]. Each run opens at most
+    /// Whether `records` more records of `len` bytes in all still
+    /// address below [`Arena::MAX_CHUNKS`]. Each record opens at most
     /// `ceil(len_i / span)` chunks, and the sum of those is at most
-    /// `len / span + runs`.
-    fn has_room(&self, runs: usize, len: usize) -> bool {
-        self.chunks.len() + (len >> SHIFT) + runs <= self.max_chunks()
+    /// `len / span + records`.
+    fn has_room(&self, records: usize, len: usize) -> bool {
+        self.chunks.len() + (len >> SHIFT) + records <= Self::MAX_CHUNKS
     }
 
-    fn get(&self, i: u32) -> T {
-        self.chunks[(i >> SHIFT) as usize][(i & Self::MASK) as usize]
+    /// The bytes from `off` to the end of its chunk.
+    fn tail(&self, off: u32) -> &[u8] {
+        &self.chunks[(off >> SHIFT) as usize][(off & MASK) as usize..]
     }
 
-    fn set(&mut self, i: u32, value: T) {
-        self.chunks[(i >> SHIFT) as usize][(i & Self::MASK) as usize] = value;
+    fn set_u32(&mut self, off: u32, value: u32) {
+        let at = (off & MASK) as usize;
+        self.chunks[(off >> SHIFT) as usize][at..at + 4].copy_from_slice(&value.to_le_bytes());
     }
 
-    /// Elements from `i` to the end of its chunk.
-    fn tail(&self, i: u32) -> &[T] {
-        &self.chunks[(i >> SHIFT) as usize][(i & Self::MASK) as usize..]
-    }
-
-    /// The chunk to append a run of `len` elements to, and the index its
-    /// next element gets.
-    fn room(&mut self, len: usize) -> (u32, &mut Vec<T>) {
+    /// The chunk to append a record of `len` bytes to, and the offset
+    /// its first byte gets.
+    fn room(&mut self, len: usize) -> (u32, &mut Vec<u8>) {
         let fits = (self.chunks.get(self.open)).is_some_and(|c| c.capacity() - c.len() >= len);
         if !fits {
             let span = 1 << SHIFT;
-            let min = MIN_CHUNK_BYTES / std::mem::size_of::<T>();
-            let chunk = Vec::with_capacity(len.max(min.max(self.reserved / 8).min(span)));
+            let size = MIN_CHUNK_BYTES.max(self.reserved / 8).min(span);
+            let chunk = Vec::with_capacity(len.max(size));
             self.reserved += chunk.capacity();
             self.open = self.chunks.len();
             let spans = chunk.capacity().div_ceil(span);
@@ -142,13 +125,40 @@ impl<T: Copy, const SHIFT: u32> Chunks<T, SHIFT> {
         let chunk = &mut self.chunks[self.open];
         (((self.open << SHIFT) + chunk.len()) as u32, chunk)
     }
+}
 
-    /// Appends `run` in one chunk; returns the index of its first element.
-    fn push(&mut self, run: &[T]) -> u32 {
-        let (at, chunk) = self.room(run.len());
-        chunk.extend_from_slice(run);
-        at
+/// The little-endian `u32` at `at` of `record`.
+fn u32_at(record: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(record[at..at + 4].try_into().expect("4 bytes"))
+}
+
+/// Node `record`'s link on `level`.
+fn next_at(record: &[u8], level: usize) -> u32 {
+    u32_at(record, TOWER + 4 * level)
+}
+
+/// The bytes behind the LEB128 length at the start of `at`.
+fn len_prefixed(at: &[u8]) -> &[u8] {
+    // Every key comparison of a seek lands here, and keys are short:
+    // reading a one-byte length directly makes seeks a third faster than
+    // the general decoder.
+    let len = at[0] as usize;
+    if len < 0x80 {
+        return &at[1..1 + len];
     }
+    varint::read_bytes(at, &mut 0).expect("a length-prefixed append")
+}
+
+/// Node `record`'s key.
+fn key_of(record: &[u8]) -> &[u8] {
+    len_prefixed(&record[TOWER + 4 * record[HEIGHT] as usize..])
+}
+
+/// Version `record`'s value; `None` for a delete.
+fn value_of(record: &[u8]) -> Option<&[u8]> {
+    let mut at = VALUE;
+    let len = varint::read_u64(record, &mut at).expect("a version's length") as usize;
+    (len > 0).then(|| &record[at..at + len - 1])
 }
 
 /// Bytes of the LEB128 length prefix of `len`.
@@ -160,8 +170,7 @@ fn prefix_len(len: usize) -> usize {
 /// holds its committed version chain; tombstones shadow older on-disk
 /// data.
 pub(crate) struct MemTable {
-    bytes: Chunks<u8, BYTE_SHIFT>,
-    slots: Chunks<u32, SLOT_SHIFT>,
+    arena: Arena,
     /// Key and value bytes appended, length prefixes included.
     used: usize,
     /// Levels in use by the tallest node.
@@ -180,8 +189,7 @@ impl MemTable {
     pub(crate) fn new(cap: usize) -> Self {
         assert!(cap <= MEM_CAP, "offsets are 32-bit");
         MemTable {
-            bytes: Chunks::new(),
-            slots: Chunks::new(),
+            arena: Arena::default(),
             used: 0,
             height: 0,
             keys: 0,
@@ -196,8 +204,8 @@ impl MemTable {
         std::mem::replace(self, Self::new(self.cap))
     }
 
-    /// Most arena bytes an entry takes: key, value and their length
-    /// prefixes. An entry above a table's cap can never be stored.
+    /// Most key and value bytes an entry takes: key, value and their
+    /// length prefixes. An entry above a table's cap can never be stored.
     pub(crate) fn entry_bytes(key_len: usize, value_len: usize) -> usize {
         key_len + value_len + 2 * MAX_LEN_PREFIX
     }
@@ -206,13 +214,11 @@ impl MemTable {
     /// sum to `bytes` fit under the cap and stay addressable. An empty
     /// table has room for any one entry of at most its cap.
     pub(crate) fn has_room(&self, entries: usize, bytes: usize) -> bool {
-        // A key and a value run per entry; the head, then a node of full
-        // height and a version per entry.
-        let slots = TOWER + MAX_HEIGHT + entries * (TOWER + MAX_HEIGHT + VERSION_SLOTS);
-        self.used + bytes <= self.cap
-            && self.bytes.has_room(2 * entries, bytes)
-            && self.slots.has_room(1 + 2 * entries, slots)
+        // The head, then a node of full height and a version per entry.
+        let records = HEAD_BYTES + bytes + entries * (NODE_BYTES + VALUE);
+        self.used + bytes <= self.cap && self.arena.has_room(1 + 2 * entries, records)
     }
+
     /// Inserts or overwrites a key at commit sequence `seq`. The caller
     /// has checked [`MemTable::has_room`].
     pub(crate) fn put(&mut self, key: &[u8], seq: u64, value: &[u8]) {
@@ -234,24 +240,32 @@ impl MemTable {
             ),
             "memtable insert without has_room"
         );
-        if self.slots.reserved == 0 {
-            self.slots.push(&[NIL; TOWER + MAX_HEIGHT]);
+        if self.arena.reserved == 0 {
+            let (_, chunk) = self.arena.room(HEAD_BYTES);
+            chunk.extend_from_slice(&[0; NODE_BYTES]);
+            chunk[HEIGHT] = MAX_HEIGHT as u8;
+            chunk.push(0);
         }
         self.seq_ub = self.seq_ub.max(seq.saturating_add(1));
         let mut prev = [NIL; MAX_HEIGHT];
         let found = self.seek(key, &mut prev);
-        let node = if found != NIL && self.key(found) == key {
+        let node = if found != NIL && key_of(self.arena.tail(found)) == key {
             found
         } else {
             self.link_node(key, &prev)
         };
-        let value = value.map_or(TOMBSTONE, |v| self.append(v));
-        let newest = node + NEWEST as u32;
-        let older = self.slots.get(newest);
-        let version = self
-            .slots
-            .push(&[seq as u32, (seq >> 32) as u32, value, older]);
-        self.slots.set(newest, version);
+        let older = u32_at(self.arena.tail(node), NEWEST);
+        let value_bytes = value.unwrap_or_default();
+        let stored = value.map_or(0, |v| v.len() + 1);
+        self.used += prefix_len(stored) + value_bytes.len();
+        let (version, chunk) = self
+            .arena
+            .room(VALUE + prefix_len(stored) + value_bytes.len());
+        chunk.extend_from_slice(&seq.to_le_bytes());
+        chunk.extend_from_slice(&older.to_le_bytes());
+        varint::write_u64(chunk, stored as u64);
+        chunk.extend_from_slice(value_bytes);
+        self.arena.set_u32(node + NEWEST as u32, version);
     }
 
     /// Appends a node for `key` after the nodes in `prev` (one per
@@ -262,49 +276,26 @@ impl MemTable {
         self.rng ^= self.rng << 17;
         let height = 1 + (self.rng.trailing_zeros() as usize / 2).min(MAX_HEIGHT - 1);
         self.height = self.height.max(height);
-        let mut record = [NIL; TOWER + MAX_HEIGHT];
-        record[KEY] = self.append(key);
+        let mut fixed = [0; NODE_BYTES];
+        fixed[HEIGHT] = height as u8;
         for (level, &before) in prev.iter().enumerate().take(height) {
-            record[TOWER + level] = self.slots.get(before + (TOWER + level) as u32);
+            let at = TOWER + 4 * level;
+            let next = next_at(self.arena.tail(before), level);
+            fixed[at..at + 4].copy_from_slice(&next.to_le_bytes());
         }
-        let node = self.slots.push(&record[..TOWER + height]);
+        let fixed = &fixed[..TOWER + 4 * height];
+        self.used += prefix_len(key.len()) + key.len();
+        let (node, chunk) = self
+            .arena
+            .room(fixed.len() + prefix_len(key.len()) + key.len());
+        chunk.extend_from_slice(fixed);
+        varint::write_bytes(chunk, key);
         for (level, &before) in prev.iter().enumerate().take(height) {
-            self.slots.set(before + (TOWER + level) as u32, node);
+            self.arena
+                .set_u32(before + (TOWER + 4 * level) as u32, node);
         }
         self.keys += 1;
         node
-    }
-
-    /// Appends `data` behind its LEB128 length; returns where.
-    fn append(&mut self, data: &[u8]) -> u32 {
-        let len = prefix_len(data.len()) + data.len();
-        self.used += len;
-        let (off, chunk) = self.bytes.room(len);
-        varint::write_bytes(chunk, data);
-        off
-    }
-
-    /// The bytes [`MemTable::append`] stored at `off`.
-    fn bytes_at(&self, off: u32) -> &[u8] {
-        // Every key comparison of a seek lands here, and keys are short:
-        // reading a one-byte length directly makes seeks a third faster
-        // than the general decoder.
-        let tail = self.bytes.tail(off);
-        let len = tail[0] as usize;
-        if len < 0x80 {
-            return &tail[1..1 + len];
-        }
-        varint::read_bytes(tail, &mut 0).expect("offset of an append")
-    }
-
-    fn key(&self, node: u32) -> &[u8] {
-        self.bytes_at(self.slots.get(node + KEY as u32))
-    }
-
-    /// The value of the version whose slots start `version`.
-    fn value(&self, version: &[u32]) -> Option<&[u8]> {
-        let off = version[VALUE];
-        (off != TOMBSTONE).then(|| self.bytes_at(off))
     }
 
     /// The first node with a key `>= key` ([`NIL`] when there is none).
@@ -316,39 +307,39 @@ impl MemTable {
         }
         // `bound` is the nearest node known to be `>= key` (none yet): a
         // level that runs into it again need not compare it again. `at`
-        // holds `node`'s slots, so each step looks one chunk up.
+        // is `node`'s record, so each step looks one chunk up.
         let (mut node, mut bound) = (NIL, NIL);
-        let mut at = self.slots.tail(NIL);
+        let mut at = self.arena.tail(NIL);
         for level in (0..self.height).rev() {
             loop {
-                let next = at[TOWER + level];
+                let next = next_at(at, level);
                 if next == bound {
                     break;
                 }
-                let next_at = self.slots.tail(next);
-                if self.bytes_at(next_at[KEY]) >= key {
+                let next_record = self.arena.tail(next);
+                if key_of(next_record) >= key {
                     bound = next;
                     break;
                 }
-                (node, at) = (next, next_at);
+                (node, at) = (next, next_record);
             }
             prev[level] = node;
         }
-        at[TOWER]
+        next_at(at, 0)
     }
 
-    /// The newest version of `node` visible at `snap` (i.e. with
+    /// The newest version of node `record` visible at `snap` (i.e. with
     /// `seq < snap`), or `None` when the key did not exist yet at that
     /// snapshot and older layers must be consulted.
-    fn visible(&self, node: &[u32], snap: u64) -> Option<Option<&[u8]>> {
-        let mut version = node[NEWEST];
+    fn visible(&self, record: &[u8], snap: u64) -> Option<Option<&[u8]>> {
+        let mut version = u32_at(record, NEWEST);
         while version != NIL {
-            let v = self.slots.tail(version);
-            let seq = v[SEQ_LOW] as u64 | (v[SEQ_HIGH] as u64) << 32;
+            let v = self.arena.tail(version);
+            let seq = u64::from_le_bytes(v[..8].try_into().expect("8 bytes"));
             if seq < snap {
-                return Some(self.value(v));
+                return Some(value_of(v));
             }
-            version = v[OLDER];
+            version = u32_at(v, OLDER);
         }
         None
     }
@@ -361,11 +352,11 @@ impl MemTable {
         if node == NIL {
             return None;
         }
-        let at = self.slots.tail(node);
-        if self.bytes_at(at[KEY]) != key {
+        let record = self.arena.tail(node);
+        if key_of(record) != key {
             return None;
         }
-        self.visible(at, snap)
+        self.visible(record, snap)
     }
 
     /// Entries with `start <= key <= end` visible at `snap`, in order,
@@ -380,14 +371,14 @@ impl MemTable {
         let mut node = self.seek(start, &mut [NIL; MAX_HEIGHT]);
         std::iter::from_fn(move || {
             while node != NIL {
-                let at = self.slots.tail(node);
-                let key = self.bytes_at(at[KEY]);
+                let record = self.arena.tail(node);
+                let key = key_of(record);
                 if key > end {
                     node = NIL;
                     break;
                 }
-                node = at[TOWER];
-                if let Some(value) = self.visible(at, snap) {
+                node = next_at(record, 0);
+                if let Some(value) = self.visible(record, snap) {
                     return Some((key, value));
                 }
             }
@@ -402,16 +393,14 @@ impl MemTable {
         let mut node = if self.keys == 0 {
             NIL
         } else {
-            self.slots.get(TOWER as u32)
+            next_at(self.arena.tail(NIL), 0)
         };
         std::iter::from_fn(move || {
             (node != NIL).then(|| {
-                let at = self.slots.tail(node);
-                node = at[TOWER];
-                (
-                    self.bytes_at(at[KEY]),
-                    self.value(self.slots.tail(at[NEWEST])),
-                )
+                let record = self.arena.tail(node);
+                node = next_at(record, 0);
+                let newest = self.arena.tail(u32_at(record, NEWEST));
+                (key_of(record), value_of(newest))
             })
         })
     }
@@ -431,7 +420,7 @@ impl MemTable {
     /// which is what the region meters against the flush threshold and
     /// the write-buffer cap.
     pub(crate) fn reserved_bytes(&self) -> usize {
-        self.bytes.reserved + self.slots.reserved * std::mem::size_of::<u32>()
+        self.arena.reserved
     }
 
     /// One past the highest commit sequence buffered here (0 when no
@@ -520,10 +509,10 @@ mod tests {
     fn reserved_bytes_are_the_buffers_and_take_moves_them() {
         let mut m = MemTable::new(MEM_CAP);
         m.put(&[0; 100], 1, &[0; 1000]);
-        // One smallest chunk per arena: 1 + 100 + 2 + 1000 bytes, and the
-        // head plus a node and a version.
+        // One smallest chunk: the head, a node with its 100-byte key and
+        // a version with its 1 000-byte value.
         let reserved = m.reserved_bytes();
-        assert_eq!(reserved, 2 * MIN_CHUNK_BYTES);
+        assert_eq!(reserved, MIN_CHUNK_BYTES);
         let taken = m.take();
         assert_eq!(taken.reserved_bytes(), reserved);
         assert_eq!(taken.len(), 1);
@@ -532,31 +521,20 @@ mod tests {
         for i in 0..20_000u64 {
             m.put(&i.to_be_bytes(), i, &[7; 60]);
         }
-        fn in_use<T, const S: u32>(c: &Chunks<T, S>) -> usize {
-            c.chunks.iter().map(Vec::len).sum()
-        }
-        let used = in_use(&m.bytes) + 4 * in_use(&m.slots);
-        assert_eq!(in_use(&m.bytes), 20_000 * (1 + 8 + 1 + 60));
         assert_eq!(m.used, 20_000 * (1 + 8 + 1 + 60));
         // No chunk exceeds its 64 KiB span, and each closed chunk leaves a
-        // tail shorter than one record (61 bytes, 14 slots). The open
-        // chunks are at most an eighth of what the arenas reserve.
-        let chunks = m.bytes.chunks.len() + m.slots.chunks.len();
-        assert!(m
-            .bytes
-            .chunks
-            .iter()
-            .all(|c| c.capacity() <= 1 << BYTE_SHIFT));
-        assert!(m
-            .slots
-            .chunks
-            .iter()
-            .all(|c| c.capacity() <= 1 << SLOT_SHIFT));
+        // tail shorter than one record (a node of at most 62 bytes, a
+        // version of 73). The open chunk is at most an eighth of what the
+        // arena reserves.
+        let chunks = &m.arena.chunks;
+        let used: usize = chunks.iter().map(Vec::len).sum();
+        assert!(chunks.iter().all(|c| c.capacity() <= 1 << SHIFT));
         let reserved = m.reserved_bytes();
         assert!(reserved >= used);
         assert!(
-            reserved <= used + chunks * 61 + 2 * (reserved / 8).max(MIN_CHUNK_BYTES),
-            "{reserved} reserved for {used} used in {chunks} chunks"
+            reserved <= used + chunks.len() * 73 + (reserved / 8).max(MIN_CHUNK_BYTES),
+            "{reserved} reserved for {used} used in {} chunks",
+            chunks.len()
         );
     }
 
@@ -601,15 +579,17 @@ mod tests {
         let taken = m.take();
         assert_eq!(taken.len() as u64, stored);
         assert!(m.has_room(1, small) && !m.has_room(1, big));
-        // Offsets: each of an entry's two runs may open a chunk, and the
-        // runs' bytes fill at most `bytes >> 16` more, so n entries need
-        // at most `2n + bytes / 64 KiB` of the 65 535 byte chunks whose
-        // offsets stay below the tombstone. At the largest cap that bound
-        // binds before the cap does.
+        // Offsets: an entry's node and version may each open a chunk,
+        // and the records' bytes fill at most `bytes >> 16` more, so n
+        // entries need at most `1 + 2n + (54 + bytes + 65n) >> 16` of the
+        // 65 535 chunks whose offsets stay below `u32::MAX` (the head, a
+        // full-height node and a version are 54 + 65n bytes besides the
+        // keys and values). At the largest cap that bound binds before
+        // the cap does.
         let m = MemTable::new(MEM_CAP);
-        assert_eq!(m.bytes.max_chunks(), 65_535);
-        assert!(m.has_room(32_767, 0) && !m.has_room(32_768, 0));
-        assert!(m.has_room(16_384, MEM_CAP) && !m.has_room(16_385, MEM_CAP));
+        assert_eq!(Arena::MAX_CHUNKS, 65_535);
+        assert!(m.has_room(32_751, 0) && !m.has_room(32_752, 0));
+        assert!(m.has_room(16_375, MEM_CAP) && !m.has_room(16_376, MEM_CAP));
         assert!(!m.has_room(1, MEM_CAP + 1));
     }
 
@@ -617,19 +597,20 @@ mod tests {
     fn a_value_longer_than_a_chunk_gets_a_chunk_spanning_its_offsets() {
         let mut m = MemTable::new(MEM_CAP);
         m.put(b"a", 1, b"small");
-        let long = vec![9; 3 << BYTE_SHIFT];
+        let long = vec![9; 3 << SHIFT];
         m.put(b"b", 2, &long);
         m.put(b"c", 3, b"after");
-        // The smallest chunk, the long value's own chunk (a 3-byte length
-        // prefix) and its three placeholder spans, then a chunk of an
-        // eighth of what the arena holds for what follows.
-        let own = 3 + (3 << BYTE_SHIFT);
+        // The smallest chunk, the long value's version in a chunk of its
+        // own (12 bytes, a 3-byte length) with three placeholder spans,
+        // then a chunk of an eighth of what the arena holds.
+        let own = VALUE + 3 + (3 << SHIFT);
         let next = (MIN_CHUNK_BYTES + own) / 8;
-        let caps: Vec<usize> = m.bytes.chunks.iter().map(Vec::capacity).collect();
+        let caps: Vec<usize> = m.arena.chunks.iter().map(Vec::capacity).collect();
         assert_eq!(caps, [MIN_CHUNK_BYTES, own, 0, 0, 0, next]);
+        assert_eq!(m.get(b"a", LATEST), Some(Some(&b"small"[..])));
         assert_eq!(m.get(b"b", LATEST), Some(Some(&long[..])));
         assert_eq!(m.get(b"c", LATEST), Some(Some(&b"after"[..])));
-        assert_eq!(m.reserved_bytes(), 2 * MIN_CHUNK_BYTES + own + next);
+        assert_eq!(m.reserved_bytes(), MIN_CHUNK_BYTES + own + next);
     }
 
     #[test]

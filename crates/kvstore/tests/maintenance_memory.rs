@@ -174,8 +174,8 @@ fn warmed_table(dir: &Path, flush_threshold: usize) -> (Store, std::sync::Arc<Ta
 
 /// 8 MiB of puts into one region: the memtable grows by whole chunks of
 /// at most 64 KiB that never move, so a put asks for no block larger than
-/// a chunk, and the only blocks resized are the two lists of chunks (24
-/// bytes a chunk, a few KiB here).
+/// a chunk, and the only block resized is the list of chunks (24 bytes a
+/// chunk, a few KiB here).
 fn memtable_grows_in_chunks_that_never_move(dir: &Path) {
     const CHUNK_BYTES: usize = 64 << 10;
     let (_store, table) = warmed_table(dir, 64 << 20);
@@ -300,12 +300,11 @@ fn write_buffer_stays_under_twice_the_threshold_while_compactions_run(dir: &Path
         (sampler.join().unwrap(), rows)
     });
     // One batch grows the memtable by what it writes (`row` covers a
-    // row's key, value, node and version), plus, in each of the two
-    // arenas, the unused room of the last chunk it opened — an eighth of
-    // an arena no larger than the cap — and the tail of the chunk it
-    // closed, shorter than one row.
+    // row's key, value, node and version), plus the unused room of the
+    // last chunk it opened — an eighth of an arena no larger than the cap
+    // — and the tail of the chunk it closed, shorter than one row.
     let row = 2 * (ROW_KEY_BYTES + ROW_VALUE_BYTES);
-    let bound = 2 * THRESHOLD + BATCH_ROWS as usize * row + 2 * (2 * THRESHOLD / 8 + row);
+    let bound = 2 * THRESHOLD + BATCH_ROWS as usize * row + 2 * THRESHOLD / 8 + row;
     println!("{rows} rows across 2 compactions: memtables peaked at {peak} (bound {bound})");
     assert!(
         peak <= bound,

@@ -100,15 +100,13 @@ impl RemoteClient {
     fn call(&mut self, op: &str, member: Option<(&str, &str)>) -> just_ql::Result<Response> {
         self.buf.clear();
         write_request(&mut self.buf, op, member);
-        write_frame(&mut self.stream, &self.buf).map_err(io_err)?;
-        read_frame_into(
-            &mut self.stream,
-            &mut self.buf,
-            CLIENT_MAX_FRAME,
-            &mut || true,
-        )
-        .map_err(frame_err)?;
-        let response = Response::from_bytes(&self.buf);
+        let response = write_frame(&mut self.stream, &self.buf)
+            .map_err(io_err)
+            .and_then(|()| {
+                let (stream, buf) = (&mut self.stream, &mut self.buf);
+                read_frame_into(stream, buf, CLIENT_MAX_FRAME, &mut || true).map_err(frame_err)
+            })
+            .and_then(|()| Response::from_bytes(&self.buf));
         shrink_kept(&mut self.buf);
         match response? {
             Response::Error {

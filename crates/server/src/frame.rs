@@ -11,7 +11,7 @@
 //! that announces 32 MiB and sends 10 bytes costs 10 bytes. Each end of a
 //! connection reads and encodes into buffers it keeps across frames
 //! ([`read_frame_into`]) and gives back any that a frame grew past
-//! [`KEEP_BYTES`] ([`shrink_kept`]). Reads are resumable across socket
+//! 1 MiB ([`shrink_kept`]). Reads are resumable across socket
 //! timeouts: the server polls with a short socket read timeout and a
 //! `keep_waiting` callback decides (between ticks) whether to keep
 //! blocking, which is how idle timeouts and graceful-shutdown draining
@@ -67,7 +67,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 }
 
 /// Most bytes a kept frame buffer holds between frames.
-pub const KEEP_BYTES: usize = 1 << 20;
+const KEEP_BYTES: usize = 1 << 20;
 
 /// The first step a payload buffer grows by.
 const READ_STEP: usize = 64 << 10;
@@ -136,7 +136,7 @@ pub fn read_frame_into(
     Ok(())
 }
 
-/// Gives back a kept buffer that a frame grew past [`KEEP_BYTES`], so a
+/// Gives back a kept buffer that a frame grew past 1 MiB, so a
 /// connection does not pin its largest frame for its whole life.
 pub fn shrink_kept(buf: &mut Vec<u8>) {
     if buf.capacity() > KEEP_BYTES {

@@ -9,7 +9,7 @@
 //!   or in the client.
 
 use just_core::{Engine, EngineConfig};
-use just_server::frame::{read_frame, read_frame_into, shrink_kept, write_frame, KEEP_BYTES};
+use just_server::frame::{read_frame, read_frame_into, shrink_kept, write_frame};
 use just_server::{RemoteClient, Server, ServerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -87,11 +87,7 @@ fn frame_reads_grow_with_the_bytes_that_arrive() {
     read_frame_into(&mut r, &mut buf, 64 << 20, &mut || true).unwrap();
     assert_eq!(buf.len(), 2 << 20);
     shrink_kept(&mut buf);
-    assert!(
-        buf.capacity() <= KEEP_BYTES,
-        "kept {} bytes",
-        buf.capacity()
-    );
+    assert!(buf.capacity() <= 1 << 20, "kept {} bytes", buf.capacity());
     let (read, peak) = peak_of(|| read_frame_into(&mut r, &mut buf, 64 << 20, &mut || true));
     read.unwrap();
     assert_eq!((&buf[..], peak), (&b"small"[..], 0));
