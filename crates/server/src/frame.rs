@@ -8,7 +8,7 @@
 //! oversized frame is rejected by *looking at four bytes* — the server
 //! never buffers unbounded input. Below the cap the payload buffer grows
 //! with the bytes that arrive, not with the length announced, so a peer
-//! that announces 32 MiB and sends 10 bytes costs 10 bytes. Each end of a
+//! that announces 32 MiB and sends 10 bytes costs at most 64 KiB. Each end of a
 //! connection reads and encodes into buffers it keeps across frames
 //! ([`read_frame_into`]) and gives back any that a frame grew past
 //! 1 MiB ([`shrink_kept`]). Reads are resumable across socket
