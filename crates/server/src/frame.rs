@@ -136,10 +136,13 @@ pub fn read_frame_into(
     Ok(())
 }
 
-/// Gives back a kept buffer that a frame grew past 1 MiB, so a
-/// connection does not pin its largest frame for its whole life.
+/// Gives back a kept buffer after a frame of more than 1 MiB, so a
+/// connection does not pin its largest frame for its whole life. Judged
+/// by the frame it holds, not its capacity: a buffer that doubled its way
+/// to a frame of at most 1 MiB is kept, or each such frame would grow it
+/// again.
 pub fn shrink_kept(buf: &mut Vec<u8>) {
-    if buf.capacity() > KEEP_BYTES {
+    if buf.len() > KEEP_BYTES {
         buf.clear();
         buf.shrink_to(KEEP_BYTES);
     }
