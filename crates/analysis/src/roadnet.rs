@@ -37,7 +37,7 @@ pub struct RoadNetwork {
 impl RoadNetwork {
     /// An empty network with the given index cell size (degrees; default
     /// ~500 m).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RoadNetwork {
             cell_deg: 0.005,
             ..Default::default()
@@ -45,7 +45,7 @@ impl RoadNetwork {
     }
 
     /// Adds a node, returning its id.
-    pub fn add_node(&mut self, p: Point) -> usize {
+    pub(crate) fn add_node(&mut self, p: Point) -> usize {
         self.nodes.push(p);
         self.adjacency.push(Vec::new());
         self.nodes.len() - 1
@@ -53,7 +53,7 @@ impl RoadNetwork {
 
     /// Adds a directed segment between existing nodes with intermediate
     /// shape points (may be empty). Returns the segment id.
-    pub fn add_segment(&mut self, from: usize, to: usize, via: Vec<Point>) -> SegmentId {
+    fn add_segment(&mut self, from: usize, to: usize, via: Vec<Point>) -> SegmentId {
         let mut pts = Vec::with_capacity(via.len() + 2);
         pts.push(self.nodes[from]);
         pts.extend(via);
@@ -83,15 +83,15 @@ impl RoadNetwork {
     }
 
     /// Adds an undirected road (two directed segments).
-    pub fn add_road(&mut self, a: usize, b: usize, via: Vec<Point>) -> (SegmentId, SegmentId) {
+    pub(crate) fn add_road(
+        &mut self,
+        a: usize,
+        b: usize,
+        via: Vec<Point>,
+    ) -> (SegmentId, SegmentId) {
         let mut rev = via.clone();
         rev.reverse();
         (self.add_segment(a, b, via), self.add_segment(b, a, rev))
-    }
-
-    /// Node position.
-    pub fn node(&self, id: usize) -> Point {
-        self.nodes[id]
     }
 
     /// Segment accessor.
@@ -118,7 +118,7 @@ impl RoadNetwork {
 
     /// Segments within `radius_m` of `p`, with their distances, nearest
     /// first — the candidate set for map matching.
-    pub fn candidates(&self, p: &Point, radius_m: f64) -> Vec<(SegmentId, f64)> {
+    pub(crate) fn candidates(&self, p: &Point, radius_m: f64) -> Vec<(SegmentId, f64)> {
         let reach = (radius_m / just_geo::METERS_PER_DEGREE_LAT / self.cell_deg).ceil() as i64 + 1;
         let (cx, cy) = self.cell_of(p);
         let mut seen = std::collections::HashSet::new();
@@ -143,7 +143,7 @@ impl RoadNetwork {
     }
 
     /// Distance in metres from `p` to segment `sid`.
-    pub fn distance_to_segment(&self, p: &Point, sid: SegmentId) -> f64 {
+    fn distance_to_segment(&self, p: &Point, sid: SegmentId) -> f64 {
         let g = &self.segments[sid].geometry;
         g.points
             .windows(2)
@@ -154,7 +154,12 @@ impl RoadNetwork {
     /// Network (Dijkstra) distance in metres from the *end* of segment
     /// `from` to the *start* of segment `to`, capped at `max_m`.
     /// `None` when unreachable within the cap.
-    pub fn route_distance_m(&self, from: SegmentId, to: SegmentId, max_m: f64) -> Option<f64> {
+    pub(crate) fn route_distance_m(
+        &self,
+        from: SegmentId,
+        to: SegmentId,
+        max_m: f64,
+    ) -> Option<f64> {
         if from == to {
             return Some(0.0);
         }

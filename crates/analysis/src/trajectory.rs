@@ -1,6 +1,6 @@
 //! The trajectory type shared by all 1-N operations.
 
-use just_geo::{Point, Rect, StPoint};
+use just_geo::{Rect, StPoint};
 
 /// A moving object's sampled path: the in-memory form of the trajectory
 /// plugin table's `item` field.
@@ -45,27 +45,6 @@ impl Trajectory {
     pub fn time_span(&self) -> Option<(i64, i64)> {
         Some((self.points.first()?.time_ms, self.points.last()?.time_ms))
     }
-
-    /// Travelled distance in metres (sum of consecutive hops).
-    pub fn length_m(&self) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| w[0].point.distance_m(&w[1].point))
-            .sum()
-    }
-
-    /// Average speed in m/s over the whole span (0 for degenerate spans).
-    pub fn avg_speed_ms(&self) -> f64 {
-        match self.time_span() {
-            Some((a, b)) if b > a => self.length_m() / ((b - a) as f64 / 1000.0),
-            _ => 0.0,
-        }
-    }
-
-    /// The sample positions as plain points.
-    pub fn positions(&self) -> Vec<Point> {
-        self.points.iter().map(|p| p.point).collect()
-    }
 }
 
 #[cfg(test)]
@@ -97,8 +76,6 @@ mod tests {
             ],
         );
         assert_eq!(t.mbr(), Rect::new(116.0, 39.0, 116.0, 40.0));
-        assert!((t.length_m() - 111_195.0).abs() < 200.0);
-        assert!((t.avg_speed_ms() - 30.9).abs() < 0.5);
     }
 
     #[test]
@@ -106,6 +83,5 @@ mod tests {
         let t = Trajectory::new("x", vec![]);
         assert!(t.is_empty());
         assert_eq!(t.time_span(), None);
-        assert_eq!(t.avg_speed_ms(), 0.0);
     }
 }

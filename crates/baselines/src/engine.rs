@@ -49,7 +49,7 @@ impl StRecord {
     }
 
     /// Whether the record overlaps the time window.
-    pub fn overlaps_time(&self, t0: i64, t1: i64) -> bool {
+    pub(crate) fn overlaps_time(&self, t0: i64, t1: i64) -> bool {
         self.t_max >= t0 && self.t_min <= t1
     }
 }
@@ -100,14 +100,15 @@ impl MemoryBudget {
     }
 
     /// Budget of `mb` mebibytes.
-    pub fn mib(mb: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn mib(mb: usize) -> Self {
         MemoryBudget {
             bytes: Some(mb << 20),
         }
     }
 
     /// Checks a build-time requirement.
-    pub fn check(&self, required: usize) -> Result<(), EngineError> {
+    pub(crate) fn check(&self, required: usize) -> Result<(), EngineError> {
         match self.bytes {
             Some(budget) if required > budget => Err(EngineError::OutOfMemory { required, budget }),
             _ => Ok(()),
@@ -165,7 +166,7 @@ pub trait SpatialEngine: Send + Sync {
 
 /// Estimated in-memory footprint of holding `records` resident (payload
 /// plus per-record index overhead), shared by the in-memory engines.
-pub fn resident_estimate(records: &[StRecord], overhead_per_record: usize) -> usize {
+pub(crate) fn resident_estimate(records: &[StRecord], overhead_per_record: usize) -> usize {
     records
         .iter()
         .map(|r| r.payload_bytes as usize + overhead_per_record)

@@ -58,13 +58,13 @@ impl BenchConfig {
     }
 
     /// The default query window (Table IV bold): 3×3 km.
-    pub fn default_window_km(&self) -> f64 {
+    pub(crate) fn default_window_km(&self) -> f64 {
         3.0
     }
 
     /// The default k (Table IV bold: 150) — the middle of the configured
     /// sweep, so scaled-down runs use proportionate values.
-    pub fn default_k(&self) -> usize {
+    pub(crate) fn default_k(&self) -> usize {
         self.k_values
             .get(self.k_values.len() / 2)
             .copied()
@@ -72,7 +72,7 @@ impl BenchConfig {
     }
 
     /// The default time window (Table IV bold): 1 day.
-    pub fn default_time_window_h(&self) -> i64 {
+    pub(crate) fn default_time_window_h(&self) -> i64 {
         24
     }
 }

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 /// A JUST engine in a throwaway directory; removed on drop.
-pub struct TempEngine {
+pub(crate) struct TempEngine {
     /// The engine.
     pub engine: Engine,
     dir: PathBuf,
@@ -29,7 +29,7 @@ pub struct TempEngine {
 
 impl TempEngine {
     /// Opens an engine under a unique temp directory.
-    pub fn new(tag: &str) -> TempEngine {
+    pub(crate) fn new(tag: &str) -> TempEngine {
         let dir = std::env::temp_dir().join(format!(
             "just-fig-{tag}-{}-{}",
             std::process::id(),
@@ -51,7 +51,7 @@ static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new
 
 /// The Order table schema (with a compressible address field so the
 /// paper's "compressing small fields backfires" lesson is reproducible).
-pub fn order_schema(compress_fields: bool) -> Schema {
+pub(crate) fn order_schema(compress_fields: bool) -> Schema {
     let codec = if compress_fields {
         just_compress::Codec::Gzip
     } else {
@@ -67,7 +67,7 @@ pub fn order_schema(compress_fields: bool) -> Schema {
 }
 
 /// Order rows including the address field.
-pub fn order_rows_with_addr(orders: &[Order]) -> Vec<just_storage::Row> {
+pub(crate) fn order_rows_with_addr(orders: &[Order]) -> Vec<just_storage::Row> {
     order_rows(orders)
         .into_iter()
         .zip(orders)
@@ -83,7 +83,7 @@ pub fn order_rows_with_addr(orders: &[Order]) -> Vec<just_storage::Row> {
 
 /// The trajectory plugin schema, optionally without GPS-list compression
 /// (the JUSTnc variant).
-pub fn traj_schema(compress: bool) -> Schema {
+pub(crate) fn traj_schema(compress: bool) -> Schema {
     if compress {
         return Schema::trajectory();
     }
@@ -96,7 +96,7 @@ pub fn traj_schema(compress: bool) -> Schema {
 
 /// Builds an Order table with the given index configuration, returning
 /// the engine and the insert+flush ("indexing") time.
-pub fn build_order_table(
+pub(crate) fn build_order_table(
     tag: &str,
     orders: &[Order],
     index: Option<IndexKind>,
@@ -117,7 +117,7 @@ pub fn build_order_table(
 
 /// Builds a Traj plugin table, returning the engine and the indexing
 /// time.
-pub fn build_traj_table(
+pub(crate) fn build_traj_table(
     tag: &str,
     trajs: &[TrajRecord],
     index: Option<IndexKind>,

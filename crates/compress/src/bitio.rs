@@ -2,7 +2,7 @@
 
 /// Accumulates bits LSB-first into a byte vector.
 #[derive(Debug, Default)]
-pub struct BitWriter {
+pub(crate) struct BitWriter {
     out: Vec<u8>,
     acc: u64,
     nbits: u32,
@@ -10,12 +10,12 @@ pub struct BitWriter {
 
 impl BitWriter {
     /// Creates an empty writer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Writes the low `count` bits of `bits` (LSB-first). `count <= 57`.
-    pub fn write_bits(&mut self, bits: u64, count: u32) {
+    pub(crate) fn write_bits(&mut self, bits: u64, count: u32) {
         debug_assert!(count <= 57);
         debug_assert!(count == 64 || bits < (1u64 << count));
         self.acc |= bits << self.nbits;
@@ -28,7 +28,7 @@ impl BitWriter {
     }
 
     /// Flushes any partial byte (zero-padded) and returns the buffer.
-    pub fn finish(mut self) -> Vec<u8> {
+    pub(crate) fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
             self.out.push((self.acc & 0xff) as u8);
         }
@@ -38,7 +38,7 @@ impl BitWriter {
 
 /// Reads bits LSB-first from a byte slice.
 #[derive(Debug)]
-pub struct BitReader<'a> {
+pub(crate) struct BitReader<'a> {
     buf: &'a [u8],
     pos: usize,
     acc: u64,
@@ -47,7 +47,7 @@ pub struct BitReader<'a> {
 
 impl<'a> BitReader<'a> {
     /// Creates a reader over `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         BitReader {
             buf,
             pos: 0,
@@ -70,7 +70,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads `count` bits; returns `None` when the input is exhausted.
-    pub fn read_bits(&mut self, count: u32) -> Option<u64> {
+    pub(crate) fn read_bits(&mut self, count: u32) -> Option<u64> {
         debug_assert!(count <= 57);
         if self.nbits < count {
             self.refill();
@@ -90,7 +90,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads a single bit.
-    pub fn read_bit(&mut self) -> Option<u64> {
+    pub(crate) fn read_bit(&mut self) -> Option<u64> {
         self.read_bits(1)
     }
 }

@@ -51,19 +51,18 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Incremental CRC-32 hasher.
-#[derive(Debug, Clone)]
-pub struct Hasher {
+struct Hasher {
     state: u32,
 }
 
 impl Hasher {
     /// Starts a new checksum.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Hasher { state: 0xFFFF_FFFF }
     }
 
     /// Feeds bytes into the checksum.
-    pub fn update(&mut self, data: &[u8]) {
+    fn update(&mut self, data: &[u8]) {
         let t = &TABLES;
         let mut crc = self.state;
         let mut chunks = data.chunks_exact(8);
@@ -86,14 +85,8 @@ impl Hasher {
     }
 
     /// Finalises and returns the checksum.
-    pub fn finish(&self) -> u32 {
+    fn finish(&self) -> u32 {
         self.state ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Hasher {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

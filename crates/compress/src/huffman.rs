@@ -8,11 +8,11 @@
 use crate::bitio::{BitReader, BitWriter};
 
 /// Maximum code length supported by the (de)coder tables.
-pub const MAX_CODE_LEN: u8 = 15;
+pub(crate) const MAX_CODE_LEN: u8 = 15;
 
 /// Computes length-limited code lengths for `freqs`. Symbols with zero
 /// frequency get length 0 (no code). `max_len` must be `<= MAX_CODE_LEN`.
-pub fn build_lengths(freqs: &[u64], max_len: u8) -> Vec<u8> {
+pub(crate) fn build_lengths(freqs: &[u64], max_len: u8) -> Vec<u8> {
     assert!((1..=MAX_CODE_LEN).contains(&max_len));
     let n = freqs.len();
     let mut lengths = vec![0u8; n];
@@ -107,14 +107,14 @@ fn limit_lengths(lengths: &mut [u8], max_len: u8) {
 /// Canonical encoder: maps symbols to (code, length) pairs. The stored code
 /// is bit-reversed so it can be written LSB-first, as DEFLATE does.
 #[derive(Debug, Clone)]
-pub struct Encoder {
+pub(crate) struct Encoder {
     codes: Vec<u16>,
     lens: Vec<u8>,
 }
 
 impl Encoder {
     /// Builds the encoder from canonical code lengths.
-    pub fn from_lengths(lengths: &[u8]) -> Self {
+    pub(crate) fn from_lengths(lengths: &[u8]) -> Self {
         let codes = assign_canonical(lengths);
         let codes = codes
             .iter()
@@ -128,7 +128,7 @@ impl Encoder {
     }
 
     /// Writes the code for `sym`. Panics (debug) if the symbol has no code.
-    pub fn encode(&self, w: &mut BitWriter, sym: usize) {
+    pub(crate) fn encode(&self, w: &mut BitWriter, sym: usize) {
         let len = self.lens[sym];
         debug_assert!(len > 0, "encoding symbol {sym} with no code");
         w.write_bits(u64::from(self.codes[sym]), u32::from(len));
@@ -137,7 +137,7 @@ impl Encoder {
 
 /// Canonical decoder driven by per-length first-code tables.
 #[derive(Debug, Clone)]
-pub struct Decoder {
+pub(crate) struct Decoder {
     /// `first_code[l]` = canonical code value of the first code of length l.
     first_code: [u32; MAX_CODE_LEN as usize + 1],
     /// `offset[l]` = index into `symbols` of that first code.
@@ -150,7 +150,7 @@ pub struct Decoder {
 impl Decoder {
     /// Builds the decoder from canonical code lengths. Returns `None` if
     /// the lengths over-subscribe the code space (corrupt header).
-    pub fn from_lengths(lengths: &[u8]) -> Option<Self> {
+    pub(crate) fn from_lengths(lengths: &[u8]) -> Option<Self> {
         let mut count = [0u32; MAX_CODE_LEN as usize + 1];
         for &l in lengths {
             if l > MAX_CODE_LEN {
@@ -195,7 +195,7 @@ impl Decoder {
     }
 
     /// Decodes one symbol, or `None` on exhausted/invalid input.
-    pub fn decode(&self, r: &mut BitReader<'_>) -> Option<u16> {
+    pub(crate) fn decode(&self, r: &mut BitReader<'_>) -> Option<u16> {
         let mut code = 0u32;
         for l in 1..=MAX_CODE_LEN as usize {
             code = (code << 1) | self.read_msb_bit(r)?;

@@ -7,9 +7,9 @@
 //! crate implements the machinery from scratch:
 //!
 //! * [`varint`] — LEB128 varints and zigzag coding,
-//! * [`bitio`] — LSB-first bit-level readers/writers,
+//! * `bitio` — LSB-first bit-level readers/writers,
 //! * [`crc32`] — IEEE CRC-32 integrity checksums,
-//! * [`huffman`] — canonical, length-limited Huffman coding,
+//! * `huffman` — canonical, length-limited Huffman coding,
 //! * [`lzss`] — LZ77/LZSS match finding with hash chains,
 //! * [`deflate`] — the DEFLATE-like composite (LZSS + dual Huffman trees),
 //! * [`gps`] — a delta+varint codec specialised for GPS point lists,
@@ -17,11 +17,11 @@
 
 #![deny(missing_docs)]
 
-pub mod bitio;
+mod bitio;
 pub mod crc32;
 pub mod deflate;
 pub mod gps;
-pub mod huffman;
+mod huffman;
 pub mod lzss;
 pub mod varint;
 

@@ -3,11 +3,11 @@
 //! paper's `compress=gzip|zip` column option).
 
 /// Sliding-window size. Matches may reach at most this far back.
-pub const WINDOW_SIZE: usize = 32 * 1024;
+const WINDOW_SIZE: usize = 32 * 1024;
 /// Minimum match length worth emitting.
-pub const MIN_MATCH: usize = 3;
+pub(crate) const MIN_MATCH: usize = 3;
 /// Maximum match length (DEFLATE's limit).
-pub const MAX_MATCH: usize = 258;
+const MAX_MATCH: usize = 258;
 
 const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
@@ -16,7 +16,7 @@ const MAX_CHAIN: usize = 64;
 
 /// One LZSS token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Token {
+pub(crate) enum Token {
     /// A single literal byte.
     Literal(u8),
     /// A back-reference: copy `len` bytes starting `dist` bytes back.
@@ -35,7 +35,7 @@ fn hash3(data: &[u8], i: usize) -> usize {
 }
 
 /// Greedy hash-chain LZSS tokenisation.
-pub fn tokenize(data: &[u8]) -> Vec<Token> {
+pub(crate) fn tokenize(data: &[u8]) -> Vec<Token> {
     let n = data.len();
     let mut tokens = Vec::with_capacity(n / 3 + 8);
     if n < MIN_MATCH {
@@ -99,31 +99,6 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
         }
     }
     tokens
-}
-
-/// Expands tokens back into bytes. `size_hint` pre-sizes the output.
-/// Returns `None` if a token references data before the start of output.
-pub fn detokenize(tokens: &[Token], size_hint: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(size_hint);
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => out.push(b),
-            Token::Match { len, dist } => {
-                let dist = dist as usize;
-                let len = len as usize;
-                if dist == 0 || dist > out.len() {
-                    return None;
-                }
-                let start = out.len() - dist;
-                // Byte-by-byte to support overlapping copies (dist < len).
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
-                }
-            }
-        }
-    }
-    Some(out)
 }
 
 /// Byte-oriented LZSS container: groups of 8 tokens share a flag byte
@@ -193,6 +168,32 @@ pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Expands tokens back into bytes: the round-trip oracle for
+    /// [`tokenize`]. `size_hint` pre-sizes the output.
+    /// Returns `None` if a token references data before the start of output.
+    fn detokenize(tokens: &[Token], size_hint: usize) -> Option<Vec<u8>> {
+        let mut out = Vec::with_capacity(size_hint);
+        for t in tokens {
+            match *t {
+                Token::Literal(b) => out.push(b),
+                Token::Match { len, dist } => {
+                    let dist = dist as usize;
+                    let len = len as usize;
+                    if dist == 0 || dist > out.len() {
+                        return None;
+                    }
+                    let start = out.len() - dist;
+                    // Byte-by-byte to support overlapping copies (dist < len).
+                    for k in 0..len {
+                        let b = out[start + k];
+                        out.push(b);
+                    }
+                }
+            }
+        }
+        Some(out)
+    }
 
     #[test]
     fn token_roundtrip_repetitive() {

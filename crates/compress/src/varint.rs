@@ -4,9 +4,6 @@
 //! row codecs, SSTable block layouts, compressed GPS lists and the
 //! compression containers all use them.
 
-/// Maximum number of bytes a `u64` varint can occupy.
-pub const MAX_VARINT_LEN: usize = 10;
-
 /// Appends `value` to `out` as an LEB128 varint.
 pub fn write_u64(out: &mut Vec<u8>, mut value: u64) {
     loop {
@@ -44,12 +41,12 @@ pub fn read_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
 
 /// Zigzag-encodes a signed integer so small magnitudes (of either sign)
 /// become small unsigned values.
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 

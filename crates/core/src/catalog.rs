@@ -61,7 +61,7 @@ pub struct Catalog {
 
 impl Catalog {
     /// Loads (or initialises) the catalog at `path`.
-    pub fn open(path: PathBuf) -> Result<Catalog> {
+    pub(crate) fn open(path: PathBuf) -> Result<Catalog> {
         let mut catalog = Catalog {
             path,
             tables: BTreeMap::new(),
@@ -74,22 +74,22 @@ impl Catalog {
     }
 
     /// All table definitions, sorted by name.
-    pub fn tables(&self) -> impl Iterator<Item = &TableDef> {
+    pub(crate) fn tables(&self) -> impl Iterator<Item = &TableDef> {
         self.tables.values()
     }
 
     /// Looks a table up.
-    pub fn get(&self, name: &str) -> Option<&TableDef> {
+    pub(crate) fn get(&self, name: &str) -> Option<&TableDef> {
         self.tables.get(name)
     }
 
     /// Whether a table exists.
-    pub fn contains(&self, name: &str) -> bool {
+    pub(crate) fn contains(&self, name: &str) -> bool {
         self.tables.contains_key(name)
     }
 
     /// Registers a table and persists the catalog.
-    pub fn register(&mut self, def: TableDef) -> Result<()> {
+    pub(crate) fn register(&mut self, def: TableDef) -> Result<()> {
         if self.tables.contains_key(&def.name) {
             return Err(CoreError::Catalog(format!(
                 "table '{}' already exists",
@@ -101,7 +101,7 @@ impl Catalog {
     }
 
     /// Removes a table and persists the catalog.
-    pub fn unregister(&mut self, name: &str) -> Result<TableDef> {
+    pub(crate) fn unregister(&mut self, name: &str) -> Result<TableDef> {
         let def = self
             .tables
             .remove(name)

@@ -22,14 +22,6 @@ impl Dataset {
         Dataset { columns, rows }
     }
 
-    /// An empty relation with the given header.
-    pub fn empty(columns: Vec<String>) -> Self {
-        Dataset {
-            columns,
-            rows: Vec::new(),
-        }
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -47,14 +39,9 @@ impl Dataset {
             .position(|c| c.eq_ignore_ascii_case(name))
     }
 
-    /// One column's values.
-    pub fn column(&self, idx: usize) -> impl Iterator<Item = &Value> {
-        self.rows.iter().map(move |r| &r.values[idx])
-    }
-
     /// Rough in-memory footprint, used by the Figure 2 data-flow decision
     /// (return directly vs spill in chunks).
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         let mut total = 0usize;
         for row in &self.rows {
             for v in &row.values {
@@ -114,8 +101,6 @@ mod tests {
         assert!(!d.is_empty());
         assert_eq!(d.column_index("NAME"), Some(1));
         assert_eq!(d.column_index("missing"), None);
-        let names: Vec<_> = d.column(1).cloned().collect();
-        assert_eq!(names, vec![Value::Str("a".into()), Value::Str("b".into())]);
     }
 
     #[test]

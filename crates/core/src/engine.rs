@@ -119,13 +119,6 @@ impl Engine {
         &self.config
     }
 
-    /// Durability settings of the underlying store (WAL on/off, sync
-    /// policy). Writes acknowledged under an enabled WAL are replayed by
-    /// [`Engine::open`] after a crash.
-    pub fn durability(&self) -> &just_kvstore::DurabilityOptions {
-        &self.config.store.durability
-    }
-
     /// Clean shutdown: drains in-flight background maintenance and
     /// fsyncs every WAL. Also runs on drop; exposed so servers can
     /// shut down deterministically before exiting.
@@ -170,7 +163,7 @@ impl Engine {
     /// engine-level `SHOW REGIONS` feed and the input for the region
     /// split/balance heuristic (ROADMAP item 2). Physical (namespaced)
     /// table names; the SQL layer maps them back per session.
-    pub fn region_stats(&self) -> Vec<(String, just_kvstore::RegionStats)> {
+    pub(crate) fn region_stats(&self) -> Vec<(String, just_kvstore::RegionStats)> {
         self.store.region_stats()
     }
 
@@ -185,13 +178,13 @@ impl Engine {
     /// split key, or `None` when the region is too small to split. Writes
     /// and scans keep flowing throughout; see
     /// `just_kvstore::Table::split_region`.
-    pub fn split_region(&self, name: &str, region: usize) -> Result<Option<Vec<u8>>> {
+    pub(crate) fn split_region(&self, name: &str, region: usize) -> Result<Option<Vec<u8>>> {
         Ok(self.kv_table(name)?.split_region(region)?)
     }
 
     /// `MERGE REGIONS`: merges regions `first` and `first + 1` of
     /// `name`'s kv table back into one.
-    pub fn merge_regions(&self, name: &str, first: usize) -> Result<()> {
+    pub(crate) fn merge_regions(&self, name: &str, first: usize) -> Result<()> {
         Ok(self.kv_table(name)?.merge_regions(first)?)
     }
 
@@ -222,7 +215,7 @@ impl Engine {
 
     /// `CREATE TABLE <name> AS <plugin>`: instantiates a preset plugin
     /// schema (currently `trajectory`).
-    pub fn create_plugin_table(
+    pub(crate) fn create_plugin_table(
         &self,
         name: &str,
         plugin: &str,
@@ -280,7 +273,7 @@ impl Engine {
     }
 
     /// `DROP TABLE`.
-    pub fn drop_table(&self, name: &str) -> Result<()> {
+    pub(crate) fn drop_table(&self, name: &str) -> Result<()> {
         self.catalog.write().unregister(name)?;
         self.tables.write().remove(name);
         self.store.drop_table(name)?;
@@ -288,7 +281,7 @@ impl Engine {
     }
 
     /// `SHOW TABLES`: names only — served purely from the catalog.
-    pub fn show_tables(&self) -> Vec<String> {
+    pub(crate) fn show_tables(&self) -> Vec<String> {
         self.catalog
             .read()
             .tables()
@@ -297,14 +290,14 @@ impl Engine {
     }
 
     /// `SHOW VIEWS`.
-    pub fn show_views(&self) -> Vec<String> {
+    pub(crate) fn show_views(&self) -> Vec<String> {
         let mut names: Vec<String> = self.views.read().keys().cloned().collect();
         names.sort();
         names
     }
 
     /// `DESC TABLE`: the full definition — also catalog-only.
-    pub fn describe(&self, name: &str) -> Result<TableDef> {
+    pub(crate) fn describe(&self, name: &str) -> Result<TableDef> {
         self.catalog
             .read()
             .get(name)
@@ -343,11 +336,6 @@ impl Engine {
     pub fn insert(&self, table: &str, rows: &[Row]) -> Result<usize> {
         self.table(table)?.insert_batch(rows)?;
         Ok(rows.len())
-    }
-
-    /// Deletes a record by primary key; returns whether it existed.
-    pub fn delete(&self, table: &str, fid: &Value) -> Result<bool> {
-        Ok(self.table(table)?.delete(fid)?)
     }
 
     // ------------------------------------------------------------------
@@ -429,8 +417,9 @@ impl Engine {
         })
     }
 
-    /// Full scan (used by the SQL layer when no ST predicate applies).
-    pub fn scan_all(&self, table: &str) -> Result<Dataset> {
+    /// Full scan, materialized.
+    #[cfg(test)]
+    pub(crate) fn scan_all(&self, table: &str) -> Result<Dataset> {
         let t = self.table(table)?;
         let rows = t.scan_all()?;
         Ok(self.dataset_of(&t, rows))
@@ -446,7 +435,7 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// `CREATE VIEW <name> AS <query result>`: caches a dataset in memory.
-    pub fn create_view(&self, name: &str, data: Dataset) -> Result<()> {
+    pub(crate) fn create_view(&self, name: &str, data: Dataset) -> Result<()> {
         if self.catalog.read().contains(name) {
             return Err(CoreError::Catalog(format!(
                 "'{name}' already names a table"
@@ -457,7 +446,7 @@ impl Engine {
     }
 
     /// Fetches a view.
-    pub fn view(&self, name: &str) -> Result<Arc<Dataset>> {
+    pub(crate) fn view(&self, name: &str) -> Result<Arc<Dataset>> {
         self.views
             .read()
             .get(name)
@@ -466,7 +455,7 @@ impl Engine {
     }
 
     /// `DROP VIEW`.
-    pub fn drop_view(&self, name: &str) -> Result<()> {
+    pub(crate) fn drop_view(&self, name: &str) -> Result<()> {
         self.views
             .write()
             .remove(name)
@@ -478,7 +467,7 @@ impl Engine {
     /// (possibly new) table. The view's columns must match the target
     /// schema when the table exists; otherwise a common table is created
     /// with inferred field types.
-    pub fn store_view(&self, view: &str, table: &str) -> Result<usize> {
+    pub(crate) fn store_view(&self, view: &str, table: &str) -> Result<usize> {
         let data = self.view(view)?;
         if !self.catalog.read().contains(table) {
             let schema = infer_schema(&data)?;
@@ -655,7 +644,7 @@ mod tests {
         assert_eq!(e.view("v").unwrap().len(), 1);
         // Name clash protections both ways.
         assert!(e
-            .create_view("orders", Dataset::empty(vec!["a".into()]))
+            .create_view("orders", Dataset::new(vec!["a".into()], Vec::new()))
             .is_err());
         assert!(e.create_table("v", order_schema(), None, None).is_err());
         // Materialise into a new table.
@@ -828,7 +817,7 @@ mod tests {
         // — exactly the state a killed process leaves behind, since the
         // WAL write(2)s every record before acknowledging.
         let (e, dir) = engine("crash");
-        assert!(e.durability().wal, "WAL must be on by default");
+        assert!(e.config.store.durability.wal, "WAL must be on by default");
         e.create_table("orders", order_schema(), None, None)
             .unwrap();
         let rows: Vec<Row> = (0..300)
@@ -871,7 +860,6 @@ mod tests {
             .spatial_range("orders", &beijing, SpatialPredicate::Within)
             .unwrap()
             .is_empty());
-        assert!(e.delete("orders", &Value::Int(7)).unwrap());
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -15,9 +15,6 @@
 //!   cursor.
 //! * [`SessionManager`] — the service layer's multi-user support: a
 //!   shared engine ("Spark context") with per-user namespaces.
-//! * [`StreamIngestor`] — micro-batched streaming ingestion (the paper's
-//!   Kafka future-work item): streams land as ordinary puts, no index
-//!   rebuilds.
 
 #![deny(missing_docs)]
 
@@ -29,7 +26,6 @@ mod knn;
 mod registry;
 mod resultset;
 mod session;
-mod stream;
 
 pub use catalog::{Catalog, TableDef, TableKind};
 pub use dataset::Dataset;
@@ -39,7 +35,6 @@ pub use knn::knn;
 pub use registry::{QueryGuard, QueryInfo, QueryRegistry};
 pub use resultset::ResultSet;
 pub use session::{Session, SessionManager};
-pub use stream::StreamIngestor;
 
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -25,7 +25,6 @@ enum Backing {
 /// `ResultSet rs = client.executeQuery(sql); while (rs.hasNext()) ...`
 /// SDK idiom.
 pub struct ResultSet {
-    columns: Vec<String>,
     total_rows: usize,
     backing: Backing,
     n_cols: usize,
@@ -35,18 +34,16 @@ impl ResultSet {
     /// Wraps a dataset. If its footprint exceeds `spill_threshold_bytes`,
     /// rows are written to `chunk-NNNN.bin` files under `spill_dir` in
     /// `chunk_rows`-row chunks; otherwise they are served from memory.
-    pub fn new(
+    pub(crate) fn new(
         data: Dataset,
         spill_dir: PathBuf,
         spill_threshold_bytes: usize,
         chunk_rows: usize,
     ) -> Result<ResultSet> {
-        let columns = data.columns.clone();
         let total_rows = data.len();
-        let n_cols = columns.len();
+        let n_cols = data.columns.len();
         if data.approx_bytes() <= spill_threshold_bytes {
             return Ok(ResultSet {
-                columns,
                 total_rows,
                 backing: Backing::Direct(data.rows.into_iter()),
                 n_cols,
@@ -70,7 +67,6 @@ impl ResultSet {
             chunks.push(path);
         }
         Ok(ResultSet {
-            columns,
             total_rows,
             backing: Backing::Spilled {
                 chunks,
@@ -82,18 +78,14 @@ impl ResultSet {
         })
     }
 
-    /// Column names.
-    pub fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
     /// Total rows in the result.
     pub fn total_rows(&self) -> usize {
         self.total_rows
     }
 
     /// Whether the result was spilled to disk.
-    pub fn is_spilled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_spilled(&self) -> bool {
         matches!(self.backing, Backing::Spilled { .. })
     }
 
@@ -140,8 +132,9 @@ impl ResultSet {
         }
     }
 
-    /// Drains the remaining rows (convenience for tests/examples).
-    pub fn collect_remaining(&mut self) -> Result<Vec<Row>> {
+    /// Drains the remaining rows.
+    #[cfg(test)]
+    pub(crate) fn collect_remaining(&mut self) -> Result<Vec<Row>> {
         let mut out = Vec::new();
         while let Some(row) = self.next()? {
             out.push(row);
@@ -221,8 +214,13 @@ mod tests {
 
     #[test]
     fn empty_results() {
-        let mut rs =
-            ResultSet::new(Dataset::empty(vec!["a".into()]), spill_dir("empty"), 64, 10).unwrap();
+        let mut rs = ResultSet::new(
+            Dataset::new(vec!["a".into()], Vec::new()),
+            spill_dir("empty"),
+            64,
+            10,
+        )
+        .unwrap();
         assert_eq!(rs.next().unwrap(), None);
         assert_eq!(rs.total_rows(), 0);
     }

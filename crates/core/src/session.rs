@@ -10,41 +10,27 @@ use crate::engine::Engine;
 use crate::Result;
 use just_curves::TimePeriod;
 use just_geo::{Point, Rect};
-use just_obs::sync::Mutex;
-use just_storage::{IndexKind, Row, Schema, SpatialPredicate, Value};
-use std::collections::HashSet;
+use just_storage::{IndexKind, Row, Schema, SpatialPredicate};
 use std::sync::Arc;
 
 /// Hands out per-user sessions over a shared engine.
 pub struct SessionManager {
     engine: Arc<Engine>,
-    active: Mutex<HashSet<String>>,
 }
 
 impl SessionManager {
     /// Wraps an engine.
     pub fn new(engine: Arc<Engine>) -> Self {
-        SessionManager {
-            engine,
-            active: Mutex::new(HashSet::new()),
-        }
+        SessionManager { engine }
     }
 
     /// Opens a session for `user`. Multiple concurrent sessions per user
     /// share the namespace.
     pub fn session(&self, user: &str) -> Session {
-        self.active.lock().insert(user.to_string());
         Session {
             user: user.to_string(),
             engine: self.engine.clone(),
         }
-    }
-
-    /// Users that have opened sessions.
-    pub fn active_users(&self) -> Vec<String> {
-        let mut users: Vec<String> = self.active.lock().iter().cloned().collect();
-        users.sort();
-        users
     }
 
     /// The shared engine.
@@ -115,16 +101,6 @@ impl Session {
         &self.engine
     }
 
-    /// The process-wide metrics registry (see [`Engine::metrics`]).
-    pub fn metrics(&self) -> &'static just_obs::Registry {
-        self.engine.metrics()
-    }
-
-    /// Prometheus-style text exposition of [`Session::metrics`].
-    pub fn metrics_text(&self) -> String {
-        self.engine.metrics_text()
-    }
-
     /// `SHOW VIEWS`: only this user's views, logical names.
     pub fn show_views(&self) -> Vec<String> {
         self.engine
@@ -177,13 +153,9 @@ impl Session {
         self.engine.insert(&self.physical(table), rows)
     }
 
-    /// Delete by primary key.
-    pub fn delete(&self, table: &str, fid: &Value) -> Result<bool> {
-        self.engine.delete(&self.physical(table), fid)
-    }
-
     /// Spatial range query.
-    pub fn spatial_range(
+    #[cfg(test)]
+    pub(crate) fn spatial_range(
         &self,
         table: &str,
         window: &Rect,
@@ -209,11 +181,6 @@ impl Session {
     /// k-NN query.
     pub fn knn(&self, table: &str, q: Point, k: usize) -> Result<Dataset> {
         self.engine.knn(&self.physical(table), q, k)
-    }
-
-    /// Full scan.
-    pub fn scan_all(&self, table: &str) -> Result<Dataset> {
-        self.engine.scan_all(&self.physical(table))
     }
 
     /// Streaming query (see [`Engine::query_stream`]): batch-at-a-time
@@ -260,7 +227,7 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use just_geo::Geometry;
-    use just_storage::{Field, FieldType};
+    use just_storage::{Field, FieldType, Value};
 
     fn manager(name: &str) -> (SessionManager, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!(
@@ -313,7 +280,6 @@ mod tests {
         assert_eq!(a.rows[0].values[0], Value::Int(1));
         assert_eq!(b.rows[0].values[0], Value::Int(2));
 
-        assert_eq!(m.active_users(), vec!["alice", "bob"]);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -323,7 +289,7 @@ mod tests {
         let alice = m.session("alice");
         let bob = m.session("bob");
         alice
-            .create_view("v", Dataset::empty(vec!["x".into()]))
+            .create_view("v", Dataset::new(vec!["x".into()], Vec::new()))
             .unwrap();
         assert!(alice.view("v").is_ok());
         assert!(bob.view("v").is_err());

@@ -21,14 +21,14 @@
 
 #![deny(missing_docs)]
 
-pub mod morton;
+mod morton;
 pub mod range;
 pub mod time;
 pub mod xz2;
 pub mod xz3;
 pub mod z2;
 pub mod z3;
-pub mod zt;
+mod zt;
 
 pub use range::{KeyRange, PeriodRange, RangeOptions};
 pub use time::TimePeriod;

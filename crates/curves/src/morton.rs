@@ -9,7 +9,7 @@ use crate::range::{CellTree, KeyRange, Relation};
 
 /// Spreads the low 32 bits of `v` so bit `i` lands at position `2i`.
 #[inline]
-pub fn spread2(v: u64) -> u64 {
+pub(crate) fn spread2(v: u64) -> u64 {
     let mut x = v & 0xFFFF_FFFF;
     x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
     x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
@@ -21,7 +21,7 @@ pub fn spread2(v: u64) -> u64 {
 
 /// Inverse of [`spread2`]: gathers every second bit.
 #[inline]
-pub fn squash2(v: u64) -> u64 {
+pub(crate) fn squash2(v: u64) -> u64 {
     let mut x = v & 0x5555_5555_5555_5555;
     x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
     x = (x | (x >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
@@ -33,19 +33,19 @@ pub fn squash2(v: u64) -> u64 {
 
 /// Interleaves two coordinates: `x` occupies even bits, `y` odd bits.
 #[inline]
-pub fn interleave2(x: u64, y: u64) -> u64 {
+pub(crate) fn interleave2(x: u64, y: u64) -> u64 {
     spread2(x) | (spread2(y) << 1)
 }
 
 /// Inverse of [`interleave2`].
 #[inline]
-pub fn deinterleave2(z: u64) -> (u64, u64) {
+pub(crate) fn deinterleave2(z: u64) -> (u64, u64) {
     (squash2(z), squash2(z >> 1))
 }
 
 /// Spreads the low 21 bits of `v` so bit `i` lands at position `3i`.
 #[inline]
-pub fn spread3(v: u64) -> u64 {
+pub(crate) fn spread3(v: u64) -> u64 {
     let mut x = v & 0x1F_FFFF;
     x = (x | (x << 32)) & 0x001F_0000_0000_FFFF;
     x = (x | (x << 16)) & 0x001F_0000_FF00_00FF;
@@ -56,8 +56,8 @@ pub fn spread3(v: u64) -> u64 {
 }
 
 /// Inverse of [`spread3`].
-#[inline]
-pub fn squash3(v: u64) -> u64 {
+#[cfg(test)]
+fn squash3(v: u64) -> u64 {
     let mut x = v & 0x1249_2492_4924_9249;
     x = (x | (x >> 2)) & 0x10C3_0C30_C30C_30C3;
     x = (x | (x >> 4)) & 0x100F_00F0_0F00_F00F;
@@ -69,13 +69,13 @@ pub fn squash3(v: u64) -> u64 {
 
 /// Interleaves three 21-bit coordinates into a 63-bit code.
 #[inline]
-pub fn interleave3(x: u64, y: u64, z: u64) -> u64 {
+pub(crate) fn interleave3(x: u64, y: u64, z: u64) -> u64 {
     spread3(x) | (spread3(y) << 1) | (spread3(z) << 2)
 }
 
-/// Inverse of [`interleave3`].
-#[inline]
-pub fn deinterleave3(m: u64) -> (u64, u64, u64) {
+/// Inverse of [`interleave3`]: the oracle for it and for `Z3::index`.
+#[cfg(test)]
+pub(crate) fn deinterleave3(m: u64) -> (u64, u64, u64) {
     (squash3(m), squash3(m >> 1), squash3(m >> 2))
 }
 

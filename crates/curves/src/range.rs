@@ -16,13 +16,13 @@ pub struct KeyRange {
 
 impl KeyRange {
     /// Creates a range, asserting `lo <= hi` in debug builds.
-    pub fn new(lo: u64, hi: u64) -> Self {
+    pub(crate) fn new(lo: u64, hi: u64) -> Self {
         debug_assert!(lo <= hi);
         KeyRange { lo, hi }
     }
 
     /// A single-code range.
-    pub fn point(v: u64) -> Self {
+    pub(crate) fn point(v: u64) -> Self {
         KeyRange { lo: v, hi: v }
     }
 
@@ -183,7 +183,7 @@ pub(crate) fn decompose<T: CellTree>(tree: &T, budget: usize) -> Vec<KeyRange> {
 }
 
 /// Sorts and merges overlapping or adjacent ranges.
-pub fn merge_ranges(mut ranges: Vec<KeyRange>) -> Vec<KeyRange> {
+pub(crate) fn merge_ranges(mut ranges: Vec<KeyRange>) -> Vec<KeyRange> {
     if ranges.len() <= 1 {
         return ranges;
     }

@@ -30,7 +30,7 @@ pub enum TimePeriod {
 
 impl TimePeriod {
     /// Length of the period in milliseconds.
-    pub fn len_ms(self) -> i64 {
+    pub(crate) fn len_ms(self) -> i64 {
         const HOUR: i64 = 3_600_000;
         match self {
             TimePeriod::Hour => HOUR,
@@ -52,12 +52,12 @@ impl TimePeriod {
     }
 
     /// Start (inclusive) of period `num` in ms.
-    pub fn start_of(self, num: i32) -> i64 {
+    pub(crate) fn start_of(self, num: i32) -> i64 {
         i64::from(num) * self.len_ms()
     }
 
     /// End (exclusive) of period `num` in ms.
-    pub fn end_of(self, num: i32) -> i64 {
+    pub(crate) fn end_of(self, num: i32) -> i64 {
         self.start_of(num) + self.len_ms()
     }
 
@@ -69,7 +69,7 @@ impl TimePeriod {
 
     /// Fraction of the period elapsed at `t`, in `[0, 1)` — the normalised
     /// time coordinate fed to Z3/XZ3 inside a period.
-    pub fn fraction(self, t_ms: i64) -> f64 {
+    pub(crate) fn fraction(self, t_ms: i64) -> f64 {
         let len = self.len_ms();
         let within = t_ms.rem_euclid(len);
         within as f64 / len as f64

@@ -28,14 +28,9 @@ impl Default for Xz2 {
 
 impl Xz2 {
     /// Creates the curve with maximum resolution `g` (1..=30).
-    pub fn new(g: u32) -> Self {
+    pub(crate) fn new(g: u32) -> Self {
         assert!((1..=30).contains(&g), "g must be in 1..=30");
         Xz2 { g }
-    }
-
-    /// Maximum quadtree depth.
-    pub fn g(&self) -> u32 {
-        self.g
     }
 
     /// Total number of sequence codes (exclusive upper bound): the size of
@@ -260,7 +255,7 @@ mod tests {
         let big_sw = Rect::new(-180.0, -90.0, -90.0, -45.0);
         let tiny_sw = Rect::new(-180.0, -90.0, -180.0, -90.0);
         assert_eq!(xz.index(&big_sw), 2);
-        assert_eq!(xz.index(&tiny_sw), u64::from(xz.g()));
+        assert_eq!(xz.index(&tiny_sw), u64::from(xz.g));
     }
 
     #[test]

@@ -52,16 +52,6 @@ impl Xz3 {
         Xz3::new(12, period)
     }
 
-    /// The configured time period.
-    pub fn period(&self) -> TimePeriod {
-        self.period
-    }
-
-    /// Maximum octree depth.
-    pub fn g(&self) -> u32 {
-        self.g
-    }
-
     /// Encodes a spatio-temporal MBR as `(period, sequence code)`. The
     /// period is taken from `t_min`, exactly as Equation (3) does for
     /// XZ2T — an object belongs to the period its lifetime starts in.

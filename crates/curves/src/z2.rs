@@ -21,7 +21,7 @@ impl Default for Z2 {
 
 impl Z2 {
     /// Creates a curve with `bits` of resolution per dimension (1..=31).
-    pub fn new(bits: u32) -> Self {
+    pub(crate) fn new(bits: u32) -> Self {
         assert!((1..=31).contains(&bits), "bits must be in 1..=31");
         Z2 { bits }
     }

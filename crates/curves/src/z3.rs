@@ -7,7 +7,7 @@
 //! whose time window is a large fraction of the period degrades the
 //! spatial filtering (Section IV-B's motivation).
 
-use crate::morton::{deinterleave3, interleave3, ZCells};
+use crate::morton::{interleave3, ZCells};
 use crate::range::{decompose, z_period_floor, PeriodRange, RangeOptions};
 use crate::z2::cell_window;
 use crate::{discretize, norm_lat, norm_lng, TimePeriod};
@@ -33,16 +33,6 @@ impl Z3 {
         Z3::new(21, period)
     }
 
-    /// The configured time period.
-    pub fn period(&self) -> TimePeriod {
-        self.period
-    }
-
-    /// Resolution in bits per dimension.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
     /// Encodes a spatio-temporal point as `(period number, z3 code)`.
     pub fn index(&self, lng: f64, lat: f64, t_ms: i64) -> (i32, u64) {
         let x = discretize(norm_lng(lng), self.bits);
@@ -51,9 +41,11 @@ impl Z3 {
         (self.period.period_of(t_ms), interleave3(x, y, t))
     }
 
-    /// The (cell rectangle, time-fraction bounds) of a code.
-    pub fn invert(&self, z: u64) -> (Rect, (f64, f64)) {
-        let (x, y, t) = deinterleave3(z);
+    /// The (cell rectangle, time-fraction bounds) of a code: the oracle
+    /// for [`Z3::index`].
+    #[cfg(test)]
+    fn invert(&self, z: u64) -> (Rect, (f64, f64)) {
+        let (x, y, t) = crate::morton::deinterleave3(z);
         let cells = (1u64 << self.bits) as f64;
         let w = 360.0 / cells;
         let h = 180.0 / cells;
@@ -174,7 +166,7 @@ mod tests {
         let tiny = Rect::window_km(just_geo::Point::new(116.4, 39.9), 1.0);
         let ranges = z3.ranges(&tiny, 3_600_000, 13 * 3_600_000, &opts);
         let covered: u128 = ranges.iter().map(|r| r.range.len() as u128).sum();
-        let period_space = 1u128 << (3 * z3.bits());
+        let period_space = 1u128 << (3 * z3.bits);
         let z3_selectivity = covered as f64 / period_space as f64;
 
         let z2 = crate::Z2::new(16);

@@ -37,11 +37,6 @@ impl Z2t {
         }
     }
 
-    /// The configured time period.
-    pub fn period(&self) -> TimePeriod {
-        self.period
-    }
-
     /// The inner spatial curve.
     pub fn z2(&self) -> &Z2 {
         &self.z2
@@ -99,11 +94,6 @@ impl Xz2t {
             xz2: Xz2::default(),
             period,
         }
-    }
-
-    /// The configured time period.
-    pub fn period(&self) -> TimePeriod {
-        self.period
     }
 
     /// The inner spatial curve.

@@ -85,11 +85,6 @@ impl JoinHash {
     pub fn rows_built(&self) -> u64 {
         self.rows_built
     }
-
-    /// Distinct keys in the table.
-    pub fn distinct_keys(&self) -> usize {
-        self.buckets.len()
-    }
 }
 
 /// Type class of a hash-joinable key column. NULLs are transparent
@@ -158,7 +153,6 @@ mod tests {
         let table_keys = vec![build_keys];
         let mut t = JoinHash::build(5, &table_keys);
         assert_eq!(t.rows_built(), 4);
-        assert_eq!(t.distinct_keys(), 3);
 
         let probe_keys = vec![vec![
             Value::Int(10),

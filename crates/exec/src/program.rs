@@ -173,22 +173,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// Number of virtual registers the VM must provision.
-    pub fn num_regs(&self) -> u16 {
-        self.num_regs
-    }
-
-    /// Number of opcodes.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the program has no opcodes (never true for programs built
-    /// through [`ProgramBuilder`]).
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
     /// Renders the program one line per opcode (the `EXPLAIN` listing).
     pub fn listing(&self) -> Vec<String> {
         let mut out = Vec::with_capacity(self.ops.len() + 1);

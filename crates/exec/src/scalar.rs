@@ -48,7 +48,7 @@ pub enum CmpOp {
 
 impl ArithOp {
     /// The operator's SQL spelling (used in program listings).
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             ArithOp::Add => "+",
             ArithOp::Sub => "-",
@@ -61,7 +61,7 @@ impl ArithOp {
 
 impl CmpOp {
     /// The operator's SQL spelling (used in program listings).
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             CmpOp::Eq => "=",
             CmpOp::Ne => "!=",
@@ -73,7 +73,7 @@ impl CmpOp {
     }
 
     /// Whether `ord` satisfies the comparison.
-    pub fn matches(self, ord: Ordering) -> bool {
+    pub(crate) fn matches(self, ord: Ordering) -> bool {
         match self {
             CmpOp::Eq => ord == Ordering::Equal,
             CmpOp::Ne => ord != Ordering::Equal,

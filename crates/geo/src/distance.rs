@@ -3,7 +3,7 @@
 use crate::Point;
 
 /// Mean Earth radius in metres (IUGG value).
-pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
+const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
 /// Metres per degree of latitude (and of longitude at the equator).
 pub const METERS_PER_DEGREE_LAT: f64 = EARTH_RADIUS_M * std::f64::consts::PI / 180.0;

@@ -27,8 +27,7 @@ mod transform;
 mod wkt;
 
 pub use distance::{
-    euclidean, haversine_m, point_segment_distance, point_segment_distance_m, EARTH_RADIUS_M,
-    METERS_PER_DEGREE_LAT,
+    euclidean, haversine_m, point_segment_distance, point_segment_distance_m, METERS_PER_DEGREE_LAT,
 };
 pub use geometry::{Geometry, GeometryType};
 pub use line::LineString;

@@ -16,16 +16,6 @@ impl LineString {
         LineString { points }
     }
 
-    /// Number of vertices.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether there are no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Minimum bounding rectangle of all vertices.
     pub fn mbr(&self) -> Rect {
         let mut r = Rect::empty();
@@ -33,14 +23,6 @@ impl LineString {
             r.expand_point(p);
         }
         r
-    }
-
-    /// Total length in coordinate degrees.
-    pub fn length(&self) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| crate::euclidean(&w[0], &w[1]))
-            .sum()
     }
 
     /// Total length in metres (haversine).
@@ -52,7 +34,7 @@ impl LineString {
     }
 
     /// Minimum Euclidean distance (degrees) from `p` to the polyline.
-    pub fn distance_to_point(&self, p: &Point) -> f64 {
+    pub(crate) fn distance_to_point(&self, p: &Point) -> f64 {
         if self.points.len() == 1 {
             return crate::euclidean(p, &self.points[0]);
         }
@@ -64,7 +46,7 @@ impl LineString {
 
     /// Whether any segment of the polyline intersects `rect` (vertex inside,
     /// or an edge crossing the rectangle).
-    pub fn intersects_rect(&self, rect: &Rect) -> bool {
+    pub(crate) fn intersects_rect(&self, rect: &Rect) -> bool {
         if self.points.iter().any(|p| rect.contains_point(p)) {
             return true;
         }
@@ -130,7 +112,8 @@ mod tests {
     fn mbr_and_length() {
         let l = line();
         assert_eq!(l.mbr(), Rect::new(0.0, 0.0, 4.0, 3.0));
-        assert_eq!(l.length(), 7.0);
+        // Along the equator and a meridian a degree is the same arc.
+        assert!((l.length_m() - 7.0 * crate::METERS_PER_DEGREE_LAT).abs() < 1e-6);
     }
 
     #[test]

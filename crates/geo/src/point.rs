@@ -31,15 +31,6 @@ impl Point {
     pub fn distance_m(&self, other: &Point) -> f64 {
         crate::haversine_m(self, other)
     }
-
-    /// Whether both coordinates are finite and within the valid
-    /// longitude/latitude domain.
-    pub fn is_valid(&self) -> bool {
-        self.x.is_finite()
-            && self.y.is_finite()
-            && (-180.0..=180.0).contains(&self.x)
-            && (-90.0..=90.0).contains(&self.y)
-    }
 }
 
 impl From<(f64, f64)> for Point {
@@ -65,16 +56,6 @@ impl StPoint {
             point: Point::new(x, y),
             time_ms,
         }
-    }
-
-    /// Longitude accessor.
-    pub fn x(&self) -> f64 {
-        self.point.x
-    }
-
-    /// Latitude accessor.
-    pub fn y(&self) -> f64 {
-        self.point.y
     }
 
     /// Average speed in metres/second travelling from `self` to `next`.
@@ -108,15 +89,6 @@ mod tests {
         assert_eq!(r.min_x, r.max_x);
         assert_eq!(r.min_y, r.max_y);
         assert!(r.contains_point(&p));
-    }
-
-    #[test]
-    fn point_validity() {
-        assert!(Point::new(0.0, 0.0).is_valid());
-        assert!(Point::new(-180.0, 90.0).is_valid());
-        assert!(!Point::new(180.1, 0.0).is_valid());
-        assert!(!Point::new(0.0, -90.5).is_valid());
-        assert!(!Point::new(f64::NAN, 0.0).is_valid());
     }
 
     #[test]

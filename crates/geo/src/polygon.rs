@@ -26,7 +26,7 @@ impl Polygon {
     }
 
     /// Axis-aligned rectangle as a polygon (counter-clockwise ring).
-    pub fn from_rect(r: &Rect) -> Self {
+    pub(crate) fn from_rect(r: &Rect) -> Self {
         Polygon {
             exterior: vec![
                 Point::new(r.min_x, r.min_y),
@@ -38,17 +38,17 @@ impl Polygon {
     }
 
     /// Number of ring vertices.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.exterior.len()
     }
 
     /// Whether the ring has no vertices.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.exterior.is_empty()
     }
 
     /// Minimum bounding rectangle.
-    pub fn mbr(&self) -> Rect {
+    pub(crate) fn mbr(&self) -> Rect {
         let mut r = Rect::empty();
         for p in &self.exterior {
             r.expand_point(p);
@@ -56,25 +56,9 @@ impl Polygon {
         r
     }
 
-    /// Signed area via the shoelace formula (positive for counter-clockwise
-    /// rings), in square degrees.
-    pub fn signed_area(&self) -> f64 {
-        let n = self.exterior.len();
-        if n < 3 {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        for i in 0..n {
-            let a = &self.exterior[i];
-            let b = &self.exterior[(i + 1) % n];
-            acc += a.x * b.y - b.x * a.y;
-        }
-        acc / 2.0
-    }
-
     /// Even-odd point-in-polygon test (boundary points count as inside for
     /// the horizontal-edge cases handled by the half-open rule).
-    pub fn contains_point(&self, p: &Point) -> bool {
+    pub(crate) fn contains_point(&self, p: &Point) -> bool {
         let n = self.exterior.len();
         if n < 3 {
             return false;
@@ -97,7 +81,7 @@ impl Polygon {
 
     /// Whether the polygon and the rectangle share any area (vertex inside,
     /// rect corner inside, or edge crossing).
-    pub fn intersects_rect(&self, r: &Rect) -> bool {
+    pub(crate) fn intersects_rect(&self, r: &Rect) -> bool {
         if self.is_empty() {
             return false;
         }
@@ -146,7 +130,6 @@ mod tests {
     #[test]
     fn area_and_mbr() {
         let t = triangle();
-        assert_eq!(t.signed_area(), 8.0);
         assert_eq!(t.mbr(), Rect::new(0.0, 0.0, 4.0, 4.0));
     }
 

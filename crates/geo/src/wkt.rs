@@ -191,7 +191,7 @@ mod tests {
     fn parse_linestring() {
         let g = parse_wkt("LINESTRING (0 0, 1 1, 2 0)").unwrap();
         match g {
-            Geometry::LineString(l) => assert_eq!(l.len(), 3),
+            Geometry::LineString(l) => assert_eq!(l.points.len(), 3),
             _ => panic!("wrong variant"),
         }
     }

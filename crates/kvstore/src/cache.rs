@@ -81,7 +81,7 @@ impl std::fmt::Debug for BlockCache {
 impl BlockCache {
     /// Creates a cache holding up to `capacity_bytes` of block data
     /// (0 disables caching).
-    pub fn new(capacity_bytes: usize) -> Self {
+    pub(crate) fn new(capacity_bytes: usize) -> Self {
         BlockCache {
             shards: (0..SHARDS)
                 .map(|i| {
@@ -101,7 +101,7 @@ impl BlockCache {
     }
 
     /// Whether caching is active.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.capacity_per_shard > 0
     }
 
@@ -115,7 +115,7 @@ impl BlockCache {
     }
 
     /// Fetches a cached block.
-    pub fn get(&self, file_id: u64, block_idx: usize) -> Option<Arc<Vec<u8>>> {
+    pub(crate) fn get(&self, file_id: u64, block_idx: usize) -> Option<Arc<Vec<u8>>> {
         if !self.enabled() {
             return None;
         }
@@ -141,7 +141,7 @@ impl BlockCache {
 
     /// Inserts a block, evicting approximately-LRU entries when over
     /// capacity.
-    pub fn put(&self, file_id: u64, block_idx: usize, data: Arc<Vec<u8>>) {
+    pub(crate) fn put(&self, file_id: u64, block_idx: usize, data: Arc<Vec<u8>>) {
         if !self.enabled() || data.len() > self.capacity_per_shard {
             return;
         }
@@ -196,7 +196,7 @@ impl BlockCache {
 
     /// Drops every block belonging to a file (on compaction/removal).
     /// Locks only the file's owning shard.
-    pub fn invalidate_file(&self, file_id: u64) {
+    pub(crate) fn invalidate_file(&self, file_id: u64) {
         let mut shard = self.shards[self.shard_of_file(file_id)].lock();
         let doomed: Vec<Key> = shard
             .keys

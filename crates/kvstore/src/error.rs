@@ -84,4 +84,4 @@ impl From<io::Error> for KvError {
 }
 
 /// Convenience alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, KvError>;
+pub(crate) type Result<T> = std::result::Result<T, KvError>;

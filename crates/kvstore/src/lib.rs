@@ -80,7 +80,7 @@ pub use cache::BlockCache;
 pub use error::KvError;
 pub use maintenance::MaintenanceOptions;
 pub use metrics::{IoMetrics, IoSnapshot};
-pub use region::{RegionTrafficSnapshot, WriteOp};
+pub use region::RegionTrafficSnapshot;
 pub use scan::{CancelToken, KvBatch, ScanOptions, ScanStream};
 pub use store::{Store, StoreOptions};
 pub use table::{RegionStats, Table, TableSnapshot};

@@ -57,7 +57,7 @@ impl Default for IoMetrics {
 impl IoMetrics {
     /// Fresh zeroed counters (the global registry counters are shared
     /// across instances and are not reset).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let obs = just_obs::global();
         IoMetrics {
             blocks_read: AtomicU64::new(0),

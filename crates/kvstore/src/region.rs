@@ -114,7 +114,7 @@ use std::time::Instant;
 
 /// One mutation of a write batch: `(key, Some(value))` for a put,
 /// `(key, None)` for a delete.
-pub type WriteOp = (Vec<u8>, Option<Vec<u8>>);
+pub(crate) type WriteOp = (Vec<u8>, Option<Vec<u8>>);
 
 /// The most memtable arena bytes `op` can take.
 fn op_bytes((key, value): &WriteOp) -> usize {

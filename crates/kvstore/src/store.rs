@@ -195,11 +195,6 @@ impl Store {
         &self.cache
     }
 
-    /// Store configuration.
-    pub fn options(&self) -> &StoreOptions {
-        &self.options
-    }
-
     fn table_dir(&self, name: &str) -> PathBuf {
         self.base.join(name)
     }
@@ -280,13 +275,6 @@ impl Store {
         Ok(())
     }
 
-    /// Names of all open tables.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Per-region size and traffic stats for every *open* table, sorted
     /// by table name then region index — the store-wide `SHOW REGIONS`
     /// feed.
@@ -353,7 +341,6 @@ mod tests {
             s.create_table("t1", 4),
             Err(KvError::TableExists(_))
         ));
-        assert_eq!(s.table_names(), vec!["t1".to_string()]);
         s.drop_table("t1").unwrap();
         assert!(matches!(s.drop_table("t1"), Err(KvError::NoSuchTable(_))));
         // Can recreate after drop.

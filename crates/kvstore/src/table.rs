@@ -344,11 +344,6 @@ impl Table {
         self.map.read().iter().map(|e| e.region.clone()).collect()
     }
 
-    /// Table name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of regions in the current map.
     pub fn num_regions(&self) -> usize {
         self.map.read().len()

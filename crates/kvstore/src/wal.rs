@@ -89,15 +89,6 @@ impl SyncPolicy {
             _ => None,
         }
     }
-
-    /// The canonical name (inverse of [`SyncPolicy::parse`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SyncPolicy::None => "none",
-            SyncPolicy::Batched => "batched",
-            SyncPolicy::PerWrite => "per-write",
-        }
-    }
 }
 
 /// Write-path durability settings, shared by every region of a store.

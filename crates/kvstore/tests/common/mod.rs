@@ -21,7 +21,7 @@ const COPY_ATTEMPTS: usize = 100;
 /// a WAL segment the first pass lists, or in an SSTable (or a rewrite
 /// of it) that already exists when the second pass starts; either way
 /// an attempt in which no file vanished holds it.
-pub fn copy_live_dir(src: &Path, dst: &Path) {
+pub(crate) fn copy_live_dir(src: &Path, dst: &Path) {
     for _ in 0..COPY_ATTEMPTS {
         std::fs::remove_dir_all(dst).ok();
         match copy_new_files(src, dst).and_then(|()| copy_new_files(src, dst)) {

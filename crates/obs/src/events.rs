@@ -53,7 +53,7 @@ const GLOBAL_CAPACITY: usize = 1024;
 
 impl EventLog {
     /// An empty log holding at most `capacity` events (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         EventLog {
             next_seq: AtomicU64::new(0),
@@ -101,11 +101,6 @@ impl EventLog {
     /// the total number of events ever emitted).
     pub fn next_seq(&self) -> u64 {
         self.next_seq.load(Ordering::Relaxed)
-    }
-
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 }
 
@@ -166,8 +161,10 @@ mod tests {
     fn zero_capacity_is_clamped() {
         let log = EventLog::with_capacity(0);
         log.emit("test.tick", "x");
-        assert_eq!(log.capacity(), 1);
-        assert_eq!(log.recent(10).len(), 1);
+        log.emit("test.tick", "y");
+        let kept = log.recent(10);
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].detail, "y");
     }
 
     /// The satellite concurrency test: N writers hammer the ring; the

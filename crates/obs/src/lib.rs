@@ -56,7 +56,7 @@ pub mod rng;
 pub mod sync;
 pub mod trace;
 
-pub use events::{Event, EventLog};
-pub use metrics::{global, Counter, Gauge, Histogram, HistogramSummary, MetricValue, Registry};
+pub use events::EventLog;
+pub use metrics::{global, Counter, Gauge, Histogram, MetricValue, Registry};
 pub use rng::Rng;
 pub use trace::{SpanId, Trace};

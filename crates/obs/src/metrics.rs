@@ -21,7 +21,7 @@ pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// A counter not attached to any registry (useful in tests).
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         Counter(Arc::new(AtomicU64::new(0)))
     }
 
@@ -51,13 +51,8 @@ pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
     /// A gauge not attached to any registry (useful in tests).
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         Gauge(Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Sets the level.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Raises the level by one.
@@ -149,7 +144,7 @@ impl Histogram {
     /// Estimated value at quantile `q` in `[0, 1]`, or 0 with no samples.
     ///
     /// Interpolates linearly inside the winning log-scale bucket.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let counts: Vec<u64> = self
             .0
             .buckets
@@ -250,7 +245,7 @@ pub struct Registry {
 
 impl Registry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -297,14 +292,6 @@ impl Registry {
     pub fn get_counter(&self, name: &str) -> Option<Counter> {
         match self.metrics.lock().get(name) {
             Some(Metric::Counter(c)) => Some(c.clone()),
-            _ => None,
-        }
-    }
-
-    /// Looks up an existing gauge without creating one.
-    pub fn get_gauge(&self, name: &str) -> Option<Gauge> {
-        match self.metrics.lock().get(name) {
-            Some(Metric::Gauge(g)) => Some(g.clone()),
             _ => None,
         }
     }
@@ -485,10 +472,9 @@ mod tests {
         assert_eq!(r.gauge("live").get(), 2);
         g.sub(10); // below zero: clamps, never wraps
         assert_eq!(g.get(), 0);
-        g.set(7);
+        g.add(7);
         assert_eq!(g.get(), 7);
         assert!(r.render_text().contains("# TYPE live gauge\nlive 7\n"));
-        assert!(r.get_gauge("live").is_some());
         assert!(r.get_counter("live").is_none());
     }
 
@@ -514,7 +500,7 @@ mod tests {
     fn snapshot_reads_every_kind() {
         let r = Registry::new();
         r.counter("c").add(1);
-        r.gauge("g").set(2);
+        r.gauge("g").add(2);
         r.histogram("h").record(3);
         let snap = r.snapshot();
         assert_eq!(snap.len(), 3);

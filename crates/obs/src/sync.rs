@@ -18,22 +18,12 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Self(std::sync::Mutex::new(value))
     }
-
-    /// Consumes the mutex and returns the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Returns a mutable reference to the underlying data without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -45,11 +35,6 @@ impl<T> RwLock<T> {
     /// Creates a new reader-writer lock holding `value`.
     pub const fn new(value: T) -> Self {
         Self(std::sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock and returns the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -63,11 +48,6 @@ impl<T: ?Sized> RwLock<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
     }
-
-    /// Returns a mutable reference to the underlying data without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 /// A condition variable paired with [`Mutex`], with the same
@@ -79,11 +59,6 @@ impl Condvar {
     /// Creates a new condition variable.
     pub const fn new() -> Self {
         Self(std::sync::Condvar::new())
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
     }
 
     /// Wakes every waiter.
@@ -117,7 +92,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl Trace {
         &self.spans[span.0].name
     }
 
-    /// The span's parent, if any.
-    pub fn parent(&self, span: SpanId) -> Option<SpanId> {
-        self.spans[span.0].parent
-    }
-
     /// Elapsed wall time (final if ended, running if not).
     pub fn elapsed(&self, span: SpanId) -> Duration {
         let s = &self.spans[span.0];
@@ -130,16 +125,6 @@ impl Trace {
             .map(SpanId)
             .filter(|&id| self.spans[id.0].parent == Some(span))
             .collect()
-    }
-
-    /// Total number of spans (root included).
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether the trace has only its root span.
-    pub fn is_empty(&self) -> bool {
-        self.spans.len() <= 1
     }
 
     /// Renders the span tree, indented two spaces per level:
@@ -201,9 +186,6 @@ mod tests {
         t.end(b);
         t.end(a);
 
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.parent(a), Some(root));
-        assert_eq!(t.parent(b), Some(a));
         assert_eq!(t.children(root), vec![a]);
         assert_eq!(t.children(a), vec![b]);
         assert!(t.children(b).is_empty());

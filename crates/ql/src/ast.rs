@@ -90,7 +90,7 @@ pub enum Expr {
 
 impl Expr {
     /// Column names referenced anywhere in the expression.
-    pub fn columns(&self) -> Vec<String> {
+    pub(crate) fn columns(&self) -> Vec<String> {
         let mut out = Vec::new();
         self.walk(&mut |e| {
             if let Expr::Column(c) = e {
@@ -101,7 +101,7 @@ impl Expr {
     }
 
     /// Depth-first visitor.
-    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+    pub(crate) fn walk(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
         match self {
             Expr::Binary { lhs, rhs, .. } => {
@@ -128,7 +128,7 @@ impl Expr {
     }
 
     /// Whether the expression references no columns (foldable).
-    pub fn is_constant(&self) -> bool {
+    pub(crate) fn is_constant(&self) -> bool {
         let mut constant = true;
         self.walk(&mut |e| {
             if matches!(e, Expr::Column(_) | Expr::Star) {

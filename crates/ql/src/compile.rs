@@ -159,7 +159,7 @@ fn contains_volatile(e: &Expr) -> bool {
 ///
 /// `Err` is always a [`QlError::Analyze`]: the expression is not a valid
 /// scalar expression over `columns` (see the module docs).
-pub fn compile(expr: &Expr, columns: &[String]) -> Result<Program> {
+pub(crate) fn compile(expr: &Expr, columns: &[String]) -> Result<Program> {
     let mut l = Lowerer {
         b: ProgramBuilder::new(columns.to_vec()),
         columns,

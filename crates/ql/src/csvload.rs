@@ -17,7 +17,7 @@ use just_storage::{FieldType, Row, Value};
 /// example — `to_int`, `long_to_date_ms`, `lng_lat_to_point`, ... — are
 /// available). Unmapped fields default to the same-named CSV column with
 /// automatic coercion. Returns the number of rows inserted.
-pub fn load_csv(
+pub(crate) fn load_csv(
     session: &Session,
     path: &str,
     table: &str,

@@ -78,7 +78,7 @@ fn check_kill(kill: Option<&CancelToken>) -> Result<()> {
 }
 
 /// Executes logical plans against one session.
-pub struct Executor<'a> {
+pub(crate) struct Executor<'a> {
     session: &'a Session,
     kill: Option<CancelToken>,
 }
@@ -91,7 +91,7 @@ impl<'a> Executor<'a> {
     /// any in-flight scan stream is cancelled so its disk IO stops too.
     /// This token is distinct from the per-stream LIMIT cancel token: a
     /// satisfied LIMIT must not poison the query's other scans.
-    pub fn new(session: &'a Session, kill: Option<CancelToken>) -> Self {
+    pub(crate) fn new(session: &'a Session, kill: Option<CancelToken>) -> Self {
         Executor { session, kill }
     }
 
@@ -116,7 +116,12 @@ impl<'a> Executor<'a> {
     /// When an input fails (or the query is killed) the spans above it
     /// stay open and report their running time; the failed operator's
     /// own span is closed and carries its deltas, without a row count.
-    pub fn run(&self, plan: &LogicalPlan, trace: &mut Trace, parent: SpanId) -> Result<Dataset> {
+    pub(crate) fn run(
+        &self,
+        plan: &LogicalPlan,
+        trace: &mut Trace,
+        parent: SpanId,
+    ) -> Result<Dataset> {
         self.check_kill()?;
         let span = trace.start(plan.label(), parent);
         if let Some(inputs) = self.sink_inputs(plan) {

@@ -30,17 +30,17 @@ pub struct Json {
 
 impl Json {
     /// Empty object.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Fetches a value.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.entries.get(key).map(|s| s.as_str())
     }
 
     /// Inserts a pair (for tests/builders).
-    pub fn set(&mut self, key: impl Into<String>, value: impl Into<String>) {
+    pub(crate) fn set(&mut self, key: impl Into<String>, value: impl Into<String>) {
         self.entries.insert(key.into(), value.into());
     }
 }

@@ -9,7 +9,7 @@ use crate::Result;
 
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Identifier or keyword (keywords are matched case-insensitively by
     /// the parser).
     Ident(String),
@@ -25,7 +25,7 @@ pub enum Token {
 
 impl Token {
     /// The token rendered for error messages.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             Token::Ident(s) => format!("identifier '{s}'"),
             Token::Int(v) => format!("integer {v}"),
@@ -36,7 +36,7 @@ impl Token {
     }
 
     /// Whether this is the given keyword (case-insensitive).
-    pub fn is_kw(&self, kw: &str) -> bool {
+    pub(crate) fn is_kw(&self, kw: &str) -> bool {
         matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 }

@@ -15,7 +15,7 @@ use just_storage::Value;
 
 /// Parses a standalone expression (used for `LOAD ... CONFIG` mappings
 /// and `FILTER` strings).
-pub fn parse_expr(text: &str) -> Result<Expr> {
+pub(crate) fn parse_expr(text: &str) -> Result<Expr> {
     let mut p = Parser::new(text);
     let e = p.expr().and_then(|e| match p.cur {
         Some(_) => Err(p.err("trailing tokens after expression")),

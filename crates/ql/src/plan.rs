@@ -390,7 +390,7 @@ impl LogicalPlan {
     /// The operator's one-line description, without indentation or
     /// children — shared by [`LogicalPlan::render`] and the
     /// `EXPLAIN ANALYZE` span tree.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             LogicalPlan::Scan {
                 table,
@@ -578,7 +578,7 @@ impl fmt::Display for LogicalPlan {
 }
 
 /// Whether the expression contains an aggregate call.
-pub fn contains_aggregate(expr: &Expr) -> bool {
+pub(crate) fn contains_aggregate(expr: &Expr) -> bool {
     let mut found = false;
     expr.walk(&mut |e| {
         if let Expr::Func { name, .. } = e {
@@ -591,7 +591,7 @@ pub fn contains_aggregate(expr: &Expr) -> bool {
 }
 
 /// A printable name for an unaliased projection.
-pub fn name_of(expr: &Expr, idx: usize) -> String {
+pub(crate) fn name_of(expr: &Expr, idx: usize) -> String {
     match expr {
         Expr::Column(c) => c.clone(),
         Expr::Star => "*".to_string(),

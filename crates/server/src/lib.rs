@@ -10,8 +10,8 @@
 //!   before any allocation.
 //! * [`protocol`] — the request/response vocabulary (`hello`,
 //!   `execute`, `explain_analyze`, `metrics`, `health`, `ping`,
-//!   `shutdown`) and the server-layer error codes
-//!   ([`protocol::codes`]).
+//!   `shutdown`) and the server-layer error codes (`BUSY`, `AUTH`,
+//!   `MALFORMED`, `TOO_LARGE`, `IO`).
 //! * [`server`] — the listener: one thread per admitted connection,
 //!   an admission gate that *sheds* load above `max_sessions` with a
 //!   typed `BUSY` response (never an unbounded queue), per-connection
@@ -41,6 +41,5 @@ pub mod protocol;
 pub mod server;
 
 pub use client::RemoteClient;
-pub use frame::FrameError;
 pub use protocol::{Request, Response};
 pub use server::{Server, ServerConfig, ServerHandle};

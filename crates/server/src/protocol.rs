@@ -31,17 +31,17 @@ use std::io::Write as _;
 
 /// Server-layer error codes (SQL-layer codes come from
 /// [`QlError::code`]).
-pub mod codes {
+pub(crate) mod codes {
     /// Admission control shed this connection; retry later.
-    pub const BUSY: &str = "BUSY";
+    pub(crate) const BUSY: &str = "BUSY";
     /// Missing/failed `hello`, or a user not on the allowlist.
-    pub const AUTH: &str = "AUTH";
+    pub(crate) const AUTH: &str = "AUTH";
     /// Unparseable frame payload or unknown request shape.
-    pub const MALFORMED: &str = "MALFORMED";
+    pub(crate) const MALFORMED: &str = "MALFORMED";
     /// Frame exceeded the size cap.
-    pub const TOO_LARGE: &str = "TOO_LARGE";
+    pub(crate) const TOO_LARGE: &str = "TOO_LARGE";
     /// Transport failure talking to a remote server.
-    pub const IO: &str = "IO";
+    pub(crate) const IO: &str = "IO";
 }
 
 /// One client request.
@@ -210,7 +210,7 @@ impl Response {
         }
     }
 
-    /// Renders to frame-payload bytes: [`Response::write_to`] a new
+    /// Renders to frame-payload bytes: `Response::write_to` a new
     /// buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -221,7 +221,7 @@ impl Response {
     /// Appends the frame payload to `out`, writing a result straight
     /// from its rows. Keys come in sorted order, as a document tree
     /// renders them.
-    pub fn write_to(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
         match self {
             Response::Result(r) => {
                 out.extend_from_slice(br#"{"ok":true,"result":"#);

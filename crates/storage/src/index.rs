@@ -95,7 +95,7 @@ impl IndexKind {
     }
 
     /// Whether keys carry a time-period prefix.
-    pub fn is_temporal(self) -> bool {
+    pub(crate) fn is_temporal(self) -> bool {
         !matches!(self, IndexKind::Z2 | IndexKind::Xz2 | IndexKind::Id)
     }
 
@@ -103,7 +103,7 @@ impl IndexKind {
     /// Z2T/XZ2T when a time field exists (Section V-C: "JUST builds a Z2T
     /// index (for point-based data) or XZ2T index (for non-point-based
     /// data) ... by default").
-    pub fn default_for(point_data: bool, temporal: bool) -> IndexKind {
+    pub(crate) fn default_for(point_data: bool, temporal: bool) -> IndexKind {
         match (point_data, temporal) {
             (true, false) => IndexKind::Z2,
             (false, false) => IndexKind::Xz2,

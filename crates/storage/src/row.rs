@@ -179,7 +179,7 @@ impl Row {
     }
 
     /// Cell accessor.
-    pub fn get(&self, idx: usize) -> Option<&Value> {
+    pub(crate) fn get(&self, idx: usize) -> Option<&Value> {
         self.values.get(idx)
     }
 
@@ -208,7 +208,7 @@ impl Row {
     }
 
     /// Deserialises a row written by [`Row::encode`].
-    pub fn decode(schema: &Schema, buf: &[u8]) -> Result<Row> {
+    pub(crate) fn decode(schema: &Schema, buf: &[u8]) -> Result<Row> {
         let mut row = Row::new(vec![Value::Null; schema.len()]);
         row.fill(schema, buf, |_| true)?;
         Ok(row)
@@ -222,7 +222,7 @@ impl Row {
     /// This is the projection-pushdown primitive: a query that only needs
     /// the id and geometry of a trajectory row never pays for gunzipping
     /// its GPS list.
-    pub fn decode_masked(schema: &Schema, buf: &[u8], mask: &[bool]) -> Result<Row> {
+    pub(crate) fn decode_masked(schema: &Schema, buf: &[u8], mask: &[bool]) -> Result<Row> {
         let mut row = Row::new(vec![Value::Null; schema.len()]);
         row.fill_masked(schema, buf, mask)?;
         Ok(row)
@@ -232,7 +232,7 @@ impl Row {
     /// row, overwriting those slots. The second half of a two-phase
     /// decode: after [`Row::decode_masked`] + predicate check, fill in
     /// the remaining projected fields of surviving rows only.
-    pub fn fill_masked(&mut self, schema: &Schema, buf: &[u8], mask: &[bool]) -> Result<()> {
+    pub(crate) fn fill_masked(&mut self, schema: &Schema, buf: &[u8], mask: &[bool]) -> Result<()> {
         self.fill(schema, buf, |i| mask.get(i).copied().unwrap_or(false))
     }
 

@@ -50,7 +50,7 @@ impl FieldType {
     }
 
     /// Whether this is a geometry-bearing type.
-    pub fn is_spatial(self) -> bool {
+    pub(crate) fn is_spatial(self) -> bool {
         matches!(
             self,
             FieldType::Point
@@ -62,7 +62,7 @@ impl FieldType {
     }
 
     /// Whether `v` inhabits this type (NULL inhabits all).
-    pub fn accepts(self, v: &Value) -> bool {
+    pub(crate) fn accepts(self, v: &Value) -> bool {
         match (self, v) {
             (_, Value::Null) => true,
             (FieldType::Bool, Value::Bool(_)) => true,
@@ -205,7 +205,7 @@ impl Schema {
     }
 
     /// Index of the record-id field.
-    pub fn fid_index(&self) -> usize {
+    pub(crate) fn fid_index(&self) -> usize {
         self.fid
     }
 
@@ -221,7 +221,7 @@ impl Schema {
 
     /// Index of the end-time field, if any (plugin tables with explicit
     /// `time_start`/`time_end` columns, like trajectory).
-    pub fn time_end_index(&self) -> Option<usize> {
+    pub(crate) fn time_end_index(&self) -> Option<usize> {
         self.time_end
     }
 
@@ -233,7 +233,7 @@ impl Schema {
     }
 
     /// Validates a row against the schema.
-    pub fn check_row(&self, values: &[Value]) -> crate::Result<()> {
+    pub(crate) fn check_row(&self, values: &[Value]) -> crate::Result<()> {
         if values.len() != self.fields.len() {
             return Err(crate::StorageError::SchemaMismatch(format!(
                 "row has {} values, schema has {} fields",

@@ -325,11 +325,6 @@ impl StTable {
         Ok(())
     }
 
-    /// Table name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -564,7 +559,7 @@ impl StTable {
     /// bounds.
     ///
     /// Per entry the stream decodes only the geometry and time fields
-    /// ([`Row::decode_masked`]), applies the exact spatial/temporal
+    /// (`Row::decode_masked`), applies the exact spatial/temporal
     /// predicate to them in place, and pays full field decode (including
     /// GPS-list decompression) only for survivors; rejected rows count
     /// toward `just_storage_rows_pruned_pushdown`. A consumer that can
@@ -707,12 +702,6 @@ impl RawQueryStream {
             index_obs().keys_scanned.add(entries.len() as u64);
         }
         Ok(batch)
-    }
-
-    /// Token to stop the scan early (see
-    /// [`just_kvstore::ScanStream::cancel_token`]).
-    pub fn cancel_token(&self) -> just_kvstore::CancelToken {
-        self.inner.cancel_token()
     }
 }
 
