@@ -428,6 +428,16 @@ TOPK_OUT=$(cli query "EXPLAIN ANALYZE SELECT fid, amount FROM gtop WHERE geom WI
 echo "$TOPK_OUT" | sed -n '/topk/,$p' | grep "Scan \[gtop\]" | grep -q "rows_gated=" || {
     echo "the scan under topk was not gated:"; echo "$TOPK_OUT"; exit 1
 }
+# A LIMIT over a hash join stops the streamed probe side: the join drains
+# gtop, pulls one batch of expts' 3 000 rows, and the satisfied LIMIT
+# closes the probe scan before it runs dry (`scan_early_terminations=`).
+EXPTS_ROWS=$(seq 2 3000 | awk '{ printf "%s(%d, st_makePoint(116.4, 39.9))", \
+    (NR > 1 ? ", " : ""), $1 }')
+cli query "INSERT INTO expts VALUES $EXPTS_ROWS" >/dev/null
+LIMIT_OUT=$(cli query "EXPLAIN ANALYZE SELECT l.fid, r.amount FROM expts l JOIN gtop r ON l.fid = r.fid LIMIT 5")
+echo "$LIMIT_OUT" | grep "Scan \[expts\]" | head -1 | grep -q "scan_early_terminations=" || {
+    echo "the LIMIT did not stop the probe scan:"; echo "$LIMIT_OUT"; exit 1
+}
 ./target/release/just-cli --addr "$ADDR" shutdown
 wait "$JUSTD_PID"
 JUSTD_PID=""

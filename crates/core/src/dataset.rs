@@ -39,28 +39,6 @@ impl Dataset {
             .position(|c| c.eq_ignore_ascii_case(name))
     }
 
-    /// Rough in-memory footprint, used by the Figure 2 data-flow decision
-    /// (return directly vs spill in chunks).
-    pub(crate) fn approx_bytes(&self) -> usize {
-        let mut total = 0usize;
-        for row in &self.rows {
-            for v in &row.values {
-                total += 16
-                    + match v {
-                        Value::Str(s) => s.len(),
-                        Value::Geom(g) => match g {
-                            just_geo::Geometry::LineString(l) => l.points.len() * 16,
-                            just_geo::Geometry::Polygon(p) => p.exterior.len() * 16,
-                            _ => 32,
-                        },
-                        Value::GpsList(s) => s.len() * 24,
-                        _ => 8,
-                    };
-            }
-        }
-        total
-    }
-
     /// Pretty-prints the first `limit` rows (for examples and the REPL).
     pub fn render(&self, limit: usize) -> String {
         let mut out = String::new();
@@ -78,6 +56,27 @@ impl Dataset {
         }
         out
     }
+}
+
+/// A row's rough in-memory footprint, which the Figure 2 data flow
+/// sums to choose between returning a result directly and spilling it
+/// in chunks.
+pub(crate) fn row_bytes(row: &Row) -> usize {
+    let mut total = 0usize;
+    for v in &row.values {
+        total += 16
+            + match v {
+                Value::Str(s) => s.len(),
+                Value::Geom(g) => match g {
+                    just_geo::Geometry::LineString(l) => l.points.len() * 16,
+                    just_geo::Geometry::Polygon(p) => p.exterior.len() * 16,
+                    _ => 32,
+                },
+                Value::GpsList(s) => s.len() * 24,
+                _ => 8,
+            };
+    }
+    total
 }
 
 #[cfg(test)]
@@ -119,6 +118,7 @@ mod tests {
             big_rows.push(Row::new(vec![Value::Int(i), Value::Str("x".repeat(100))]));
         }
         let big = Dataset::new(small.columns.clone(), big_rows);
-        assert!(big.approx_bytes() > 10 * small.approx_bytes());
+        let bytes = |d: &Dataset| d.rows.iter().map(row_bytes).sum::<usize>();
+        assert!(bytes(&big) > 10 * bytes(&small));
     }
 }

@@ -476,18 +476,26 @@ impl Engine {
         self.insert(table, &data.rows)
     }
 
-    /// Wraps a dataset in the Figure 2 result-set cursor.
-    pub fn result_set(&self, data: Dataset) -> Result<ResultSet> {
+    /// The Figure 2 result-set cursor over a result of `columns` columns
+    /// that `next` hands over batch by batch until it returns `None`;
+    /// past the configured `spill_threshold` it spills in
+    /// `spill_chunk_rows`-row chunks as the batches arrive.
+    pub fn result_set<E: From<CoreError>>(
+        &self,
+        columns: usize,
+        next: impl FnMut() -> std::result::Result<Option<Vec<Row>>, E>,
+    ) -> std::result::Result<ResultSet, E> {
         let spill = self.base_dir.join("spill").join(format!(
             "rs-{}-{}",
             std::process::id(),
             self.next_spill.fetch_add(1, Ordering::Relaxed)
         ));
-        ResultSet::new(
-            data,
+        ResultSet::collect(
+            columns,
             spill,
             self.config.spill_threshold,
             self.config.spill_chunk_rows,
+            next,
         )
     }
 
@@ -665,12 +673,12 @@ mod tests {
             ..EngineConfig::default()
         };
         let e = Engine::open(&dir, config).unwrap();
-        let data = |n: i64, t: i64| {
-            let rows = (0..n).map(|i| order_row(i, 116.0, 39.0, t)).collect();
-            Dataset::new(vec!["fid".into(), "time".into(), "geom".into()], rows)
+        let result_set = |n: i64, t: i64| {
+            let mut rows = Some((0..n).map(|i| order_row(i, 116.0, 39.0, t)).collect());
+            e.result_set(3, || Ok::<_, CoreError>(rows.take())).unwrap()
         };
-        let mut a = e.result_set(data(10, 1)).unwrap();
-        let mut b = e.result_set(data(30, 2)).unwrap();
+        let mut a = result_set(10, 1);
+        let mut b = result_set(30, 2);
         assert!(a.is_spilled() && b.is_spilled());
         let times = |rows: Vec<Row>| -> Vec<Value> {
             rows.into_iter().map(|r| r.values[1].clone()).collect()

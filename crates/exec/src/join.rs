@@ -2,12 +2,13 @@
 //!
 //! The QL executor evaluates each side's equi-key expressions
 //! column-at-a-time (compiled to bytecode when possible), then builds a
-//! [`JoinHash`] over the smaller side: one [`keys::encode_key`] byte
+//! [`JoinHash`] over the right input: one [`keys::encode_key`] byte
 //! string per row, deduplicated into buckets of row indices — the same
 //! `HashMap<Box<[u8]>, u32>` + scratch-buffer shape as
 //! [`HashAggregator`](crate::HashAggregator). Probing re-encodes the
-//! other side's keys into the shared scratch and looks buckets up by
-//! slice, so steady state allocates nothing per row.
+//! left side's keys into the shared scratch and looks buckets up by
+//! slice, so steady state allocates nothing per row. The left input
+//! probes a batch at a time.
 //!
 //! Equality contract: for rows that pass [`keys_hashable`], encoded-byte
 //! equality is exactly the truth of the interpreted `l = r` conjunct

@@ -66,12 +66,15 @@ impl Trace {
         id
     }
 
-    /// Stops `span`'s clock. Ending a span twice keeps the first elapsed
-    /// time; a span never ended reports time-to-render.
-    pub fn end(&mut self, span: SpanId) {
+    /// Stops `span`'s clock: its time is `elapsed` when given — as for a
+    /// pipelined operator, whose time is the sum of the calls made into
+    /// it, interleaved with its neighbours' — else the wall time since it
+    /// started. Ending a span twice keeps the first elapsed time; a span
+    /// never ended reports time-to-render.
+    pub fn end(&mut self, span: SpanId, elapsed: Option<Duration>) {
         let s = &mut self.spans[span.0];
         if s.elapsed.is_none() {
-            s.elapsed = Some(s.started.elapsed());
+            s.elapsed = Some(elapsed.unwrap_or_else(|| s.started.elapsed()));
         }
     }
 
@@ -183,8 +186,8 @@ mod tests {
         let root = t.root();
         let a = t.start("Filter", root);
         let b = t.start("Scan", a);
-        t.end(b);
-        t.end(a);
+        t.end(b, None);
+        t.end(a, None);
 
         assert_eq!(t.children(root), vec![a]);
         assert_eq!(t.children(a), vec![b]);
@@ -197,8 +200,8 @@ mod tests {
         let mut t = Trace::new("root");
         let l = t.start("left", t.root());
         let r = t.start("right", t.root());
-        t.end(l);
-        t.end(r);
+        t.end(l, None);
+        t.end(r, None);
         assert_eq!(t.children(t.root()), vec![l, r]);
     }
 
@@ -210,7 +213,7 @@ mod tests {
         t.add_attr(s, "blocks_read", 3);
         t.add_attr(s, "blocks_read", 4);
         t.add_attr(s, "cache_hits", 1);
-        t.end(s);
+        t.end(s, None);
         assert_eq!(t.rows(s), Some(42));
         assert_eq!(t.attr(s, "blocks_read"), Some(7));
         assert_eq!(t.attr(s, "cache_hits"), Some(1));
@@ -222,9 +225,9 @@ mod tests {
         let mut t = Trace::new("q");
         let s = t.start("work", t.root());
         std::thread::sleep(Duration::from_millis(1));
-        t.end(s);
+        t.end(s, None);
         let first = t.elapsed(s);
-        t.end(s);
+        t.end(s, None);
         assert_eq!(t.elapsed(s), first);
         assert!(first >= Duration::from_millis(1));
     }
@@ -236,8 +239,8 @@ mod tests {
         let s = t.start("Scan orders", f);
         t.set_rows(s, 10);
         t.add_attr(s, "blocks_read", 5);
-        t.end(s);
-        t.end(f);
+        t.end(s, None);
+        t.end(f, None);
         let text = t.render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);

@@ -4,7 +4,7 @@
 use crate::ast::{ColumnDef, Select, ShowTarget, Statement};
 use crate::csvload::load_csv;
 use crate::error::QlError;
-use crate::exec::Executor;
+use crate::exec::{collect, Executor, Pull};
 use crate::functions::eval_const;
 use crate::json::Json;
 use crate::optimizer::optimize;
@@ -85,16 +85,24 @@ impl Client {
         self.run(stmt, sql)
     }
 
-    /// Executes a query and wraps it in the Figure 2 cursor (spilling
-    /// large results to chunked files).
+    /// Executes a statement into the Figure 2 cursor. A query's rows go
+    /// to the cursor batch by batch as the plan's root produces them, so
+    /// a result past the engine's `spill_threshold` is written out chunk
+    /// by chunk and never held whole.
     pub fn execute_query(&mut self, sql: &str) -> Result<ResultSet> {
-        match self.execute(sql)? {
-            QueryResult::Data(d) => Ok(self.session.engine().result_set(d)?),
-            QueryResult::Message(m) => Ok(self.session.engine().result_set(Dataset::new(
-                vec!["message".into()],
-                vec![Row::new(vec![Value::Str(m)])],
-            ))?),
+        let stmt = parse(sql)?;
+        let engine = self.session.engine().clone();
+        if let Statement::Query(q) = &stmt {
+            return self.select(q, sql, &mut Trace::new("query"), |columns, next| {
+                engine.result_set(columns.len(), next)
+            });
         }
+        let (columns, rows) = match self.run(stmt, sql)? {
+            QueryResult::Data(d) => (d.columns.len(), d.rows),
+            QueryResult::Message(m) => (1, vec![Row::new(vec![Value::Str(m)])]),
+        };
+        let mut rows = Some(rows);
+        engine.result_set(columns, || Ok(rows.take()))
     }
 
     /// Returns `(analyzed plan, optimized plan)` renderings — the
@@ -119,7 +127,7 @@ impl Client {
         let mut trace = Trace::new("query");
         let span = trace.start("parse", trace.root());
         let stmt = parse(sql)?;
-        trace.end(span);
+        trace.end(span, None);
         let query = match stmt {
             Statement::Query(q) | Statement::Explain { query: q, .. } => q,
             _ => {
@@ -128,25 +136,33 @@ impl Client {
                 ))
             }
         };
-        let data = self.select(&query, sql, &mut trace)?;
+        let data = self.select(&query, sql, &mut trace, collect)?;
         Ok((data, trace))
     }
 
-    /// The one SELECT pipeline, behind plain queries, `EXPLAIN ANALYZE`
-    /// and `CREATE VIEW ... AS`: analyze → optimize → execute, each a
-    /// span under `trace`'s root. Execution registers in the live query
+    /// The one SELECT pipeline, behind plain queries, `EXPLAIN ANALYZE`,
+    /// `CREATE VIEW ... AS` and [`Client::execute_query`]: analyze →
+    /// optimize → execute, each a span under `trace`'s root; `consume`
+    /// takes the result's header and a pull over its batches (see
+    /// [`Executor::stream`]). Execution registers in the live query
     /// registry (unless `query_tracking` is off), so `SHOW QUERIES` lists
     /// the statement and `KILL QUERY` stops it, and when the wall time
     /// reaches the engine's `slow_query_ms` a `query.slow` event carries
     /// the per-operator breakdown read from the same spans.
-    fn select(&self, query: &Select, sql: &str, trace: &mut Trace) -> Result<Dataset> {
+    fn select<T>(
+        &self,
+        query: &Select,
+        sql: &str,
+        trace: &mut Trace,
+        consume: impl FnOnce(&[String], Pull) -> Result<T>,
+    ) -> Result<T> {
         let root = trace.root();
         let span = trace.start("analyze", root);
         let analyzed = LogicalPlan::from_select(query)?;
-        trace.end(span);
+        trace.end(span, None);
         let span = trace.start("optimize", root);
         let plan = optimize(analyzed)?;
-        trace.end(span);
+        trace.end(span, None);
 
         let engine = self.session.engine();
         let before = engine.io_snapshot();
@@ -157,10 +173,12 @@ impl Client {
         });
         let kill = guard.as_ref().map(|g| g.info().kill_token().clone());
         let span = trace.start("execute", root);
-        let result = Executor::new(&self.session, kill).run(&plan, trace, span);
-        if let Ok(data) = &result {
+        let result = Executor::new(&self.session, kill).stream(&plan, trace, span, consume);
+        if result.is_ok() {
+            // The result's rows are what the plan's root emitted.
+            let rows = trace.rows(trace.children(span)[0]).unwrap_or(0);
             let d = engine.io_snapshot().since(&before);
-            trace.set_rows(span, data.len() as u64);
+            trace.set_rows(span, rows);
             trace.add_attr(span, "blocks_read", d.blocks_read);
             trace.add_attr(span, "cache_hits", d.cache_hits);
             trace.add_attr(span, "bytes_read", d.bytes_read);
@@ -171,10 +189,10 @@ impl Client {
             if d.bloom_skips > 0 {
                 trace.add_attr(span, "bloom_skips", d.bloom_skips);
             }
-            trace.set_rows(root, data.len() as u64);
+            trace.set_rows(root, rows);
         }
-        trace.end(span);
-        trace.end(root);
+        trace.end(span, None);
+        trace.end(root, None);
 
         let threshold = engine.config().slow_query_ms;
         let elapsed_ms = trace.elapsed(span).as_millis() as u64;
@@ -221,7 +239,7 @@ impl Client {
                 )))
             }
             Statement::CreateView { name, query } => {
-                let data = self.select(&query, sql, &mut Trace::new("query"))?;
+                let data = self.select(&query, sql, &mut Trace::new("query"), collect)?;
                 let n = data.len();
                 self.session.create_view(&name, data)?;
                 Ok(QueryResult::Message(format!(
@@ -336,12 +354,12 @@ impl Client {
                 )))
             }
             Statement::Query(q) => self
-                .select(&q, sql, &mut Trace::new("query"))
+                .select(&q, sql, &mut Trace::new("query"), collect)
                 .map(QueryResult::Data),
             Statement::Explain { analyze, query } => {
                 let rendered = if analyze {
                     let mut trace = Trace::new("query");
-                    self.select(&query, sql, &mut trace)?;
+                    self.select(&query, sql, &mut trace, collect)?;
                     trace.render()
                 } else {
                     // Plain EXPLAIN includes each operator's compiled

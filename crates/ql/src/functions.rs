@@ -383,21 +383,24 @@ pub(crate) fn call(name: &str, vals: Vec<Value>) -> Result<Value> {
     }
 }
 
-/// Output of a table function: the generated column names plus the rows
-/// expanded from one input row.
-pub(crate) type TableRows = (Vec<String>, Vec<Vec<Value>>);
+/// The output columns of the 1-N table function `name`: fixed by the
+/// name alone, so an operator's header never waits on its rows.
+pub(crate) fn table_columns(name: &str) -> Vec<String> {
+    match name {
+        "st_trajsegmentation" => vec!["segment".into()],
+        "st_trajstaypoint" => vec!["stay_point".into(), "t_arrive".into(), "t_leave".into()],
+        _ => Vec::new(),
+    }
+}
 
-/// 1-N table functions: one input row expands to many output rows.
-/// Returns `(output column names, rows per input)`.
-pub(crate) fn table_function(name: &str, vals: Vec<Value>) -> Result<Option<TableRows>> {
+/// 1-N table functions: the rows one input row expands to, each in
+/// [`table_columns`] order.
+pub(crate) fn table_function(name: &str, vals: Vec<Value>) -> Result<Vec<Vec<Value>>> {
     match name {
         "st_trajsegmentation" => {
             let t = gps_trajectory(&vals, 0, name)?;
             let segs = segment(&t, &SegmentParams::default());
-            Ok(Some((
-                vec!["segment".into()],
-                segs.iter().map(|s| vec![traj_to_gps(s)]).collect(),
-            )))
+            Ok(segs.iter().map(|s| vec![traj_to_gps(s)]).collect())
         }
         "st_trajstaypoint" => {
             let t = gps_trajectory(&vals, 0, name)?;
@@ -410,21 +413,18 @@ pub(crate) fn table_function(name: &str, vals: Vec<Value>) -> Result<Option<Tabl
                 StayPointParams::default()
             };
             let stays = stay_points(&t, &params);
-            Ok(Some((
-                vec!["stay_point".into(), "t_arrive".into(), "t_leave".into()],
-                stays
-                    .iter()
-                    .map(|s| {
-                        vec![
-                            Value::Geom(Geometry::Point(s.centroid)),
-                            Value::Date(s.t_arrive),
-                            Value::Date(s.t_leave),
-                        ]
-                    })
-                    .collect(),
-            )))
+            Ok(stays
+                .iter()
+                .map(|s| {
+                    vec![
+                        Value::Geom(Geometry::Point(s.centroid)),
+                        Value::Date(s.t_arrive),
+                        Value::Date(s.t_leave),
+                    ]
+                })
+                .collect())
         }
-        _ => Ok(None),
+        _ => Ok(Vec::new()),
     }
 }
 
@@ -610,10 +610,8 @@ mod tests {
                 time_ms: 3_600_000 + i * 1000,
             });
         }
-        let (cols, rows) = table_function("st_trajsegmentation", vec![Value::GpsList(samples)])
-            .unwrap()
-            .unwrap();
-        assert_eq!(cols, vec!["segment"]);
+        let rows = table_function("st_trajsegmentation", vec![Value::GpsList(samples)]).unwrap();
+        assert_eq!(table_columns("st_trajsegmentation"), vec!["segment"]);
         assert_eq!(rows.len(), 2);
     }
 

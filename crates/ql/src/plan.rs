@@ -25,11 +25,10 @@ pub enum LogicalPlan {
         time: Option<(String, i64, i64)>,
         /// Remaining pushed-down predicate evaluated during the scan.
         residual: Option<Expr>,
-        /// Pushed-down row limit: the scan may stop pulling batches once
-        /// this many *matching* rows (post spatial/time/residual refine)
-        /// have been produced. Populated by the optimizer's limit
-        /// pushdown; the enclosing `Limit` node is kept as the
-        /// authoritative truncation.
+        /// Pushed-down row limit: the storage batches are sized to it,
+        /// so the scan reads little past this many rows before the
+        /// enclosing `Limit` — kept by the optimizer's limit pushdown as
+        /// the authoritative truncation — closes it.
         limit: Option<usize>,
     },
     /// Literal rows (`SELECT 1+1` and `INSERT ... VALUES`).
@@ -91,9 +90,9 @@ pub enum LogicalPlan {
     /// Inner equi-join planned by the optimizer from a `Join` whose `on`
     /// conjunction contains `lhs = rhs` pairs. The executor compiles
     /// both sides' key expressions, builds a hash table over encoded key
-    /// bytes from the smaller input and probes with the other; `keys`
-    /// whose columns can't be split across the inputs (or whose runtime
-    /// value classes aren't hashable) demote to the residual /
+    /// bytes from the right input and streams the left through it;
+    /// `keys` whose columns can't be split across the inputs (or whose
+    /// runtime value classes aren't hashable) demote to the residual /
     /// nested-loop fallback at execution time.
     HashJoin {
         /// Left input.

@@ -8,20 +8,23 @@
 //! [`run`] executes an *optimized* plan with every expression evaluated
 //! by `functions::eval`, one row at a time, and the fused operators
 //! desugared: `TopK` is sort-then-truncate, `HashJoin` the nested loop
-//! over its reconstructed `ON`, `FilterProject` filter-then-project.
-//! Operators that evaluate no expression (`Values`, `Limit`, `Knn`) and
-//! the storage side of a scan are the executor's own. Analysis is the
+//! over its reconstructed `ON`, `FilterProject` filter-then-project. The
+//! storage side of a scan, `Values`, `Knn` and `st_DBSCAN`'s clustering
+//! are the executor's own. Analysis is the
 //! interpreter's: names are validated per operator before its row loop,
 //! but aggregates over zero rows never look at their argument.
 
 use crate::ast::Expr;
+use crate::compile::compile;
 use crate::error::QlError;
 use crate::exec::{self, Executor, ProjectItem};
 use crate::functions::{self, eval, resolve_column, truthy};
 use crate::plan::LogicalPlan;
+use crate::sink::{Dbscan, Sink};
 use crate::Result;
 use just_core::{Dataset, Session};
 use just_exec::total_compare;
+use just_obs::Trace;
 use just_storage::{Row, Value};
 use std::collections::HashMap;
 
@@ -31,7 +34,8 @@ pub fn run(session: &Session, plan: &LogicalPlan) -> Result<Dataset> {
     for child in plan.children() {
         children.push(run(session, child)?);
     }
-    let child = |children: Vec<Dataset>| children.into_iter().next().expect("one input");
+    let mut inputs = children.into_iter();
+    let mut child = || inputs.next().expect("one dataset per input");
     match plan {
         LogicalPlan::Scan {
             table,
@@ -40,108 +44,91 @@ pub fn run(session: &Session, plan: &LogicalPlan) -> Result<Dataset> {
             spatial,
             time,
             residual,
-            limit,
+            ..
         } => {
-            let data = if let Ok(view) = session.view(table) {
-                let preds = exec::view_preds(spatial, time, residual);
-                Dataset::new(view.columns.clone(), scan_view_rows(&view, &preds, *limit)?)
-            } else {
-                scan_stored(session, table, projection, spatial, time, residual, limit)?
+            let (mut data, preds) = match session.view(table) {
+                Ok(view) => (
+                    Dataset::clone(&view),
+                    exec::view_preds(spatial, time, residual),
+                ),
+                Err(_) => scan_stored(session, plan)?,
             };
-            Ok(exec::finish_scan(data, projection, alias))
+            // A later predicate only ever sees rows the earlier ones kept.
+            for pred in &preds {
+                data = filter_interpreted(data, pred)?;
+            }
+            let (keep, header) = exec::scan_header(&data.columns, projection, alias);
+            Ok(Dataset::new(header, exec::keep_columns(data.rows, &keep)))
         }
-        LogicalPlan::Filter { predicate, .. } => filter_interpreted(child(children), predicate),
-        LogicalPlan::Project { items, .. } => project(child(children), items),
+        // The leaves that evaluate no expression are the executor's own.
+        LogicalPlan::Values { .. } | LogicalPlan::Knn { .. } => {
+            let mut trace = Trace::new("reference");
+            let root = trace.root();
+            Executor::new(session, None).run(plan, &mut trace, root)
+        }
+        LogicalPlan::Filter { predicate, .. } => filter_interpreted(child(), predicate),
+        LogicalPlan::Project { items, .. } => project(child(), items),
         LogicalPlan::FilterProject {
             predicate, items, ..
-        } => project(filter_interpreted(child(children), predicate)?, items),
+        } => project(filter_interpreted(child(), predicate)?, items),
         LogicalPlan::Aggregate {
             group_by,
             aggregates,
             ..
-        } => aggregate_interpreted(child(children), group_by, aggregates),
-        LogicalPlan::Sort { keys, .. } => sort(child(children), keys),
+        } => aggregate_interpreted(child(), group_by, aggregates),
+        LogicalPlan::Sort { keys, .. } => sort(child(), keys),
         LogicalPlan::TopK { keys, k, .. } => {
-            let mut d = sort(child(children), keys)?;
+            let mut d = sort(child(), keys)?;
             d.rows.truncate(*k);
             Ok(d)
         }
-        LogicalPlan::HashJoin { keys, residual, .. } => {
-            let mut inputs = children.into_iter();
-            let (l, r) = (inputs.next().expect("left"), inputs.next().expect("right"));
-            exec::join(l, r, &exec::reconstruct_on(keys, residual))
+        LogicalPlan::Limit { n, .. } => {
+            let mut d = child();
+            d.rows.truncate(*n);
+            Ok(d)
         }
-        LogicalPlan::Values { .. }
-        | LogicalPlan::Limit { .. }
-        | LogicalPlan::Join { .. }
-        | LogicalPlan::Knn { .. } => Executor::new(session, None).execute_node(plan, children),
+        LogicalPlan::Join { on, .. } => {
+            let left = child();
+            join(left, child(), on)
+        }
+        LogicalPlan::HashJoin { keys, residual, .. } => {
+            let left = child();
+            join(left, child(), &exec::reconstruct_on(keys, residual))
+        }
     }
 }
 
-/// The stored-table scan with its in-memory predicates interpreted per
-/// batch; a pushed `LIMIT` still cancels the stream.
-#[allow(clippy::too_many_arguments)]
-fn scan_stored(
-    session: &Session,
-    table: &str,
-    projection: &Option<Vec<String>>,
-    spatial: &Option<(String, just_geo::Rect)>,
-    time: &Option<(String, i64, i64)>,
-    residual: &Option<Expr>,
-    limit: &Option<usize>,
-) -> Result<Dataset> {
-    let (mut stream, mem_preds) =
-        exec::open_stored_scan(session, table, projection, spatial, time, residual, limit)?;
-    let columns: Vec<String> = stream
-        .schema()
-        .fields()
-        .iter()
-        .map(|f| f.name.clone())
-        .collect();
-    let cancel = stream.cancel_token();
-    let mut rows: Vec<Row> = Vec::new();
-    'batches: while let Some(batch) = stream.next_batch().map_err(just_core::CoreError::Storage)? {
-        let mut chunk = Dataset::new(columns.clone(), batch);
-        for pred in &mem_preds {
-            chunk = filter_interpreted(chunk, pred)?;
-        }
-        for row in chunk.rows {
-            rows.push(row);
-            if let Some(k) = limit {
-                if rows.len() >= *k {
-                    cancel.cancel();
-                    break 'batches;
-                }
+/// The nested-loop inner join: the condition is evaluated pair at a time
+/// with `eval()`, whose coercing comparator (`'3' = 3`) is the semantics
+/// the executor's hash path must reproduce. The condition is analyzed
+/// first, as the executor's join does.
+fn join(left: Dataset, right: Dataset, on: &Expr) -> Result<Dataset> {
+    let mut columns = left.columns;
+    columns.extend(right.columns);
+    compile(on, &columns)?;
+    let mut rows = Vec::new();
+    for l in &left.rows {
+        for r in &right.rows {
+            let mut values = l.values.clone();
+            values.extend(r.values.iter().cloned());
+            if truthy(&eval(on, &values, &columns)?) {
+                rows.push(Row::new(values));
             }
         }
     }
     Ok(Dataset::new(columns, rows))
 }
 
-/// The view scan: a later predicate only ever sees rows the earlier
-/// ones kept, and evaluation stops at the pushed `LIMIT`.
-fn scan_view_rows(view: &Dataset, preds: &[Expr], limit: Option<usize>) -> Result<Vec<Row>> {
-    for pred in preds {
-        validate_columns(pred, &view.columns)?;
+/// A stored table's rows in the window its index serves, with the
+/// predicates left to run in memory. A pushed `LIMIT` is left to the
+/// `Limit` above it.
+fn scan_stored(session: &Session, scan: &LogicalPlan) -> Result<(Dataset, Vec<Expr>)> {
+    let (mut stream, columns, preds) = exec::open_stored_scan(session, scan)?;
+    let mut rows = Vec::new();
+    while let Some(batch) = stream.next_batch().map_err(just_core::CoreError::Storage)? {
+        rows.extend(batch);
     }
-    let cap = limit.unwrap_or(usize::MAX);
-    if preds.is_empty() {
-        let take = view.rows.len().min(cap);
-        return Ok(view.rows[..take].to_vec());
-    }
-    let mut out: Vec<Row> = Vec::new();
-    'rows: for row in &view.rows {
-        for pred in preds {
-            if !truthy(&eval(pred, &row.values, &view.columns)?) {
-                continue 'rows;
-            }
-        }
-        out.push(row.clone());
-        if out.len() >= cap {
-            break;
-        }
-    }
-    Ok(out)
+    Ok((Dataset::new(columns, rows), preds))
 }
 
 /// Errors on column references that cannot resolve against the header and
@@ -178,11 +165,34 @@ fn filter_interpreted(data: Dataset, predicate: &Expr) -> Result<Dataset> {
     Ok(Dataset::new(data.columns, rows))
 }
 
-/// `Project`: 1-N table functions and `st_DBSCAN` are the executor's
-/// row-at-a-time path already; everything else evaluates per row.
+/// `Project`: every item evaluates per row; a 1-N table function expands
+/// each row, and `st_DBSCAN` clusters them all through the executor's own
+/// operator. Row functions' arguments are analyzed first, as the
+/// executor does.
 fn project(data: Dataset, items: &[(Expr, String)]) -> Result<Dataset> {
     if let Some((name, args)) = exec::row_function(items) {
-        return exec::project_rows(data, None, name, args, &items[0].1);
+        for a in args {
+            compile(a, &data.columns)?;
+        }
+        if functions::is_cluster_function(name) {
+            let mut dbscan = Dbscan::new(data.columns, None, args)?;
+            dbscan.push(data.rows)?;
+            let columns = vec!["geom".into(), "cluster".into()];
+            return Ok(Dataset::new(columns, dbscan.finish()));
+        }
+        let mut rows = Vec::new();
+        for row in &data.rows {
+            let mut vals = Vec::with_capacity(args.len());
+            for a in args {
+                vals.push(eval(a, &row.values, &data.columns)?);
+            }
+            rows.extend(
+                functions::table_function(name, vals)?
+                    .into_iter()
+                    .map(Row::new),
+            );
+        }
+        return Ok(Dataset::new(functions::table_columns(name), rows));
     }
     for (e, _) in items {
         if !matches!(e, Expr::Star) {

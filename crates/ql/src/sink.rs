@@ -1,25 +1,23 @@
-//! The operators that take their input a batch at a time instead of as
-//! a dataset — `Aggregate` and `TopK`, behind one [`Sink`] trait — and
-//! the key-normalized sort, whose key encoding TOP-K shares. The executor
-//! feeds a sink straight from a stored scan (see `Executor::run_sink`)
-//! or from an in-memory input in `BATCH`-row chunks.
+//! The operators that drain their whole input before they emit —
+//! `Aggregate`, `TopK`, `Sort` and `st_DBSCAN` — behind one [`Sink`]
+//! trait, and the key normalization sort and TOP-K share. The executor's
+//! drain stage pulls its input a batch at a time into the sink, asking it
+//! before every pull for a [`RowGate`] to hand down to a stored scan,
+//! then emits what [`Sink::finish`] returns.
 
 use crate::ast::Expr;
 use crate::compile::compile;
 use crate::error::QlError;
-use crate::exec::{eval_column, exec_obs};
-use crate::functions::{exec_err, resolve_column};
-use crate::plan::LogicalPlan;
+use crate::exec::{eval_column, exec_obs, select_rows};
+use crate::functions::{self, eval, exec_err, resolve_column};
 use crate::Result;
-use just_core::Dataset;
-use just_exec::{encode_key, full_selection, AggSpec, HashAggregator, Program, Vm};
+use just_analysis::{dbscan, ClusterLabel, DbscanParams};
+use just_exec::{encode_key, AggSpec, HashAggregator, Program, Vm};
+use just_geo::{Geometry, Point};
 use just_storage::{Row, RowGate, Value};
 use std::collections::BinaryHeap;
 
-/// An operator that takes its input a batch at a time and never holds it
-/// as a dataset: `Aggregate` and `TopK`. `Executor::run_sink` feeds one
-/// straight from a stored scan, `Executor::execute_node` from an
-/// in-memory input in `BATCH`-row chunks.
+/// An operator that takes its whole input a batch at a time, then emits.
 pub(crate) trait Sink {
     /// Takes one batch of input rows.
     fn push(&mut self, rows: Vec<Row>) -> Result<()>;
@@ -28,45 +26,28 @@ pub(crate) trait Sink {
     fn gate(&mut self) -> Option<&mut dyn RowGate> {
         None
     }
-    /// The operator's output.
-    fn finish(self: Box<Self>) -> Dataset;
-}
-
-/// The sink running `plan` over the input header `columns`; `stored`
-/// maps an input column to the stored field a gateable scan emits in it.
-pub(crate) fn sink_for(
-    plan: &LogicalPlan,
-    columns: &[String],
-    stored: impl Fn(usize) -> Option<usize>,
-) -> Result<Box<dyn Sink>> {
-    Ok(match plan {
-        LogicalPlan::Aggregate {
-            group_by,
-            aggregates,
-            ..
-        } => Box::new(Aggregation::new(columns, group_by, aggregates)?),
-        LogicalPlan::TopK { keys, k, .. } => Box::new(TopK::new(columns, keys, *k, stored)?),
-        _ => unreachable!("Aggregate and TopK are the sinks"),
-    })
+    /// The operator's output, once its input ran dry.
+    fn finish(&mut self) -> Vec<Row>;
+    /// Appends the span attributes the operator reports when it closes.
+    fn report(&self, _attrs: &mut Vec<(&'static str, u64)>) {}
 }
 
 /// Vectorized GROUP BY: keys and aggregate arguments compile to bytecode
 /// and evaluate batch-at-a-time into columns fed to the
 /// [`HashAggregator`], which folds rows into fixed-size accumulators
 /// immediately (O(groups) memory, no per-row key `Vec<Value>` clone).
-struct Aggregation {
-    agg: HashAggregator,
+pub(crate) struct Aggregation {
+    /// `None` once finished.
+    agg: Option<HashAggregator>,
     key_progs: Vec<Program>,
     arg_progs: Vec<Option<Program>>,
     vm: Vm,
-    /// Output header: group keys, then aggregates.
-    columns: Vec<String>,
     global: bool,
 }
 
 impl Aggregation {
     /// Compiles the keys and aggregate arguments over the input header.
-    fn new(
+    pub(crate) fn new(
         input: &[String],
         group_by: &[(Expr, String)],
         aggregates: &[(String, Expr, String)],
@@ -91,14 +72,11 @@ impl Aggregation {
             .iter()
             .map(|(e, _)| compile(e, input))
             .collect::<Result<Vec<Program>>>()?;
-        let mut columns: Vec<String> = group_by.iter().map(|(_, n)| n.clone()).collect();
-        columns.extend(aggregates.iter().map(|(_, _, n)| n.clone()));
         Ok(Aggregation {
-            agg: HashAggregator::new(specs),
+            agg: Some(HashAggregator::new(specs)),
             key_progs,
             arg_progs,
             vm: Vm::new(),
-            columns,
             global: group_by.is_empty(),
         })
     }
@@ -107,51 +85,40 @@ impl Aggregation {
 impl Sink for Aggregation {
     /// Folds one batch of input rows into the accumulators.
     fn push(&mut self, chunk: Vec<Row>) -> Result<()> {
-        let sel = full_selection(chunk.len());
-        let mut keys: Vec<Vec<Value>> = Vec::with_capacity(self.key_progs.len());
-        for p in &self.key_progs {
-            let mut col = Vec::with_capacity(chunk.len());
-            self.vm.eval(p, &chunk, &sel, &mut col).map_err(exec_err)?;
-            keys.push(col);
-        }
-        let mut args: Vec<Option<Vec<Value>>> = Vec::with_capacity(self.arg_progs.len());
-        for p in &self.arg_progs {
-            args.push(match p {
-                Some(p) => {
-                    let mut col = Vec::with_capacity(chunk.len());
-                    self.vm.eval(p, &chunk, &sel, &mut col).map_err(exec_err)?;
-                    Some(col)
-                }
-                None => None,
-            });
-        }
-        self.agg.push(chunk.len(), &keys, &args).map_err(exec_err)
+        let mut eval = |p| eval_column(&mut self.vm, &chunk, p);
+        let keys = self.key_progs.iter().map(&mut eval);
+        let keys = keys.collect::<Result<Vec<_>>>()?;
+        let args = self
+            .arg_progs
+            .iter()
+            .map(|p| p.as_ref().map(&mut eval).transpose());
+        let args = args.collect::<Result<Vec<_>>>()?;
+        let agg = self.agg.as_mut().expect("pushed before finish");
+        agg.push(chunk.len(), &keys, &args).map_err(exec_err)
     }
 
     /// One output row per group (one row in all for a global aggregate).
-    fn finish(self: Box<Self>) -> Dataset {
-        let rows = self
-            .agg
-            .finish(self.global)
-            .into_iter()
-            .map(|(mut key_vals, agg_vals)| {
-                key_vals.extend(agg_vals);
-                Row::new(key_vals)
-            })
-            .collect();
-        Dataset::new(self.columns, rows)
+    fn finish(&mut self) -> Vec<Row> {
+        let agg = self.agg.take().expect("finished once");
+        let groups = agg.finish(self.global).into_iter();
+        groups
+            .map(|(keys, aggs)| Row::new([keys, aggs].concat()))
+            .collect()
     }
 }
 
-/// TOP-K as a [`Sink`]: the k first rows of the sorted order without
-/// sorting the input, via a bounded max-heap of `(normalized key bytes,
-/// sequence, slot of the row in `rows`)`. The monotone sequence number
-/// makes the heap *stable*: a new row whose key equals the current worst
-/// compares greater and is rejected, so the kept set and its order are
-/// exactly `sort().truncate(k)`. Keys are evaluated for every row even
-/// when k = 0 — the sort they replace would have, and errors must not
-/// depend on k.
-struct TopK {
+/// TOP-K: the k first rows of the sorted order without sorting the
+/// input, via a bounded max-heap of `(normalized key bytes, sequence,
+/// slot of the row in `rows`)`. Keys are normalized once, so the heap
+/// compares plain byte slices — no `Value` dispatch, no coercion logic in
+/// the hot comparator — and the monotone sequence number makes it
+/// *stable*: a new row whose key equals the current worst compares
+/// greater and is rejected, so the kept set and its order are exactly
+/// the stable sort's first k. A `Sort` is TOP-K with `k = usize::MAX`,
+/// a heap sort that keeps every row. Keys are evaluated for every row
+/// even when k = 0 — the sort would have, and errors must not depend on
+/// k.
+pub(crate) struct TopK {
     keys: Vec<(KeyPlan, bool)>,
     k: usize,
     vm: Vm,
@@ -159,7 +126,8 @@ struct TopK {
     rows: Vec<Row>,
     /// Rows pushed so far: the next sequence number.
     seen: usize,
-    columns: Vec<String>,
+    /// Rows pushed but not kept, once finished.
+    pruned: u64,
     /// The stored field each key reads, when every key is a bare column
     /// a gateable scan emits: the heap then gates the scan.
     stored: Option<Vec<usize>>,
@@ -168,13 +136,14 @@ struct TopK {
 }
 
 impl TopK {
-    fn new(
+    /// Plans the keys over the input header `columns`; `stored` maps an
+    /// input column to the stored field a gateable scan emits in it.
+    pub(crate) fn new(
         columns: &[String],
         keys: &[(Expr, bool)],
         k: usize,
         stored: impl Fn(usize) -> Option<usize>,
     ) -> Result<Self> {
-        exec_obs().topk_queries.inc();
         let keys = key_plans(keys, columns)?;
         let stored = keys
             .iter()
@@ -190,7 +159,7 @@ impl TopK {
             heap: BinaryHeap::new(),
             rows: Vec::new(),
             seen: 0,
-            columns: columns.to_vec(),
+            pruned: 0,
             stored,
             enc: Vec::new(),
         })
@@ -223,16 +192,22 @@ impl Sink for TopK {
         (self.stored.is_some() && self.heap.len() == self.k).then_some(self)
     }
 
-    fn finish(self: Box<Self>) -> Dataset {
-        let mut this = *self;
-        let kept: Vec<Row> = std::mem::take(&mut this.heap)
+    fn finish(&mut self) -> Vec<Row> {
+        let mut rows = std::mem::take(&mut self.rows);
+        let kept: Vec<Row> = std::mem::take(&mut self.heap)
             .into_sorted_vec()
             .into_iter()
-            .map(|(_, _, slot)| std::mem::take(&mut this.rows[slot]))
+            .map(|(_, _, slot)| std::mem::take(&mut rows[slot]))
             .collect();
-        let pruned = this.seen - kept.len();
-        exec_obs().topk_rows_pruned.add(pruned as u64);
-        Dataset::new(this.columns, kept)
+        self.pruned = (self.seen - kept.len()) as u64;
+        exec_obs().topk_rows_pruned.add(self.pruned);
+        kept
+    }
+
+    fn report(&self, attrs: &mut Vec<(&'static str, u64)>) {
+        if self.k != usize::MAX {
+            attrs.push(("rows_pruned", self.pruned));
+        }
     }
 }
 
@@ -257,21 +232,76 @@ impl RowGate for TopK {
     }
 }
 
-/// The key-normalized sort: every row's keys encode once into one byte
-/// arena, then a stable indirect sort compares plain byte slices — no
-/// `Value` dispatch, no coercion logic in the hot comparator.
-pub(crate) fn sort(mut data: Dataset, keys: &[(Expr, bool)]) -> Result<Dataset> {
-    let plans = key_plans(keys, &data.columns)?;
-    let (arena, bounds) = encode_keys(&mut Vm::new(), &plans, &data.rows)?;
-    let key = |r: u32| &arena[bounds[r as usize]..bounds[r as usize + 1]];
-    let mut order: Vec<u32> = (0..data.rows.len() as u32).collect();
-    order.sort_by(|&a, &b| key(a).cmp(key(b)));
-    let mut rows_in = std::mem::take(&mut data.rows);
-    data.rows = order
-        .into_iter()
-        .map(|r| std::mem::take(&mut rows_in[r as usize]))
-        .collect();
-    Ok(data)
+/// `st_DBSCAN(geom, minPts, radius)` — the N-M operation: clusters the
+/// geometry of every input row passing the fused predicate; output is
+/// `(geom, cluster)` with cluster `-1` for noise. The geometry argument
+/// evaluates row-at-a-time with `eval()`.
+pub(crate) struct Dbscan {
+    pred: Option<Program>,
+    geom: Expr,
+    input: Vec<String>,
+    params: DbscanParams,
+    vm: Vm,
+    pts: Vec<Point>,
+}
+
+impl Dbscan {
+    /// Checks the arity and evaluates `minPts` and `radius`; `pred` is the
+    /// compiled fused filter, if any, and the caller has analyzed `args`.
+    pub(crate) fn new(input: Vec<String>, pred: Option<Program>, args: &[Expr]) -> Result<Self> {
+        let [geom, min_pts, radius] = args else {
+            return Err(QlError::Eval(
+                "st_DBSCAN(geom, minPts, radius) takes 3 arguments".into(),
+            ));
+        };
+        let min_pts = functions::eval_const(min_pts)?
+            .as_int()
+            .ok_or_else(|| QlError::Eval("st_DBSCAN: minPts must be an integer".into()))?
+            .max(1) as usize;
+        let eps = functions::eval_const(radius)?
+            .as_float()
+            .ok_or_else(|| QlError::Eval("st_DBSCAN: radius must be numeric".into()))?;
+        Ok(Dbscan {
+            pred,
+            geom: geom.clone(),
+            input,
+            params: DbscanParams { eps, min_pts },
+            vm: Vm::new(),
+            pts: Vec::new(),
+        })
+    }
+}
+
+impl Sink for Dbscan {
+    fn push(&mut self, rows: Vec<Row>) -> Result<()> {
+        for lane in select_rows(&mut self.vm, self.pred.as_slice(), &rows)? {
+            match eval(&self.geom, &rows[lane as usize].values, &self.input)? {
+                Value::Geom(g) => self.pts.push(g.representative_point()),
+                other => {
+                    return Err(QlError::Eval(format!(
+                        "st_DBSCAN over non-geometry {other:?}"
+                    )))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Vec<Row> {
+        let pts = std::mem::take(&mut self.pts);
+        let labels = dbscan(&pts, &self.params);
+        let cluster = |l| match l {
+            ClusterLabel::Cluster(c) => c as i64,
+            ClusterLabel::Noise => -1,
+        };
+        let rows = pts.into_iter().zip(labels).map(|(p, l)| {
+            Row::new(vec![
+                Value::Geom(Geometry::Point(p)),
+                Value::Int(cluster(l)),
+            ])
+        });
+        rows.collect()
+    }
 }
 
 /// How a sort/TOP-K key reads its input: a bare column straight from the
@@ -312,9 +342,7 @@ fn encode_keys(
             KeyPlan::Prog(prog) => eval_column(vm, rows, prog)?,
         });
     }
-    let mut arena = Vec::new();
-    let mut bounds = Vec::with_capacity(rows.len() + 1);
-    bounds.push(0);
+    let (mut arena, mut bounds) = (Vec::new(), vec![0]);
     for (r, row) in rows.iter().enumerate() {
         for ((plan, desc), vals) in keys.iter().zip(&computed) {
             let v = match plan {

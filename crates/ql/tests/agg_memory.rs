@@ -2,8 +2,10 @@
 //! a `GROUP BY` and an `ORDER BY … LIMIT` take the scan's batches as they
 //! arrive, so the bytes live at the peak of the query stay a few batches'
 //! worth whatever the table holds; a join under the aggregate holds the
-//! rows inside its input's pushed-down window, not the table. Its own
-//! test binary because the counting allocator is process-wide.
+//! rows inside its input's pushed-down window, not the table, and streams
+//! its probe side; a result past the spill threshold goes to chunk files
+//! as it is produced. Its own test binary because the counting allocator
+//! is process-wide.
 
 use just_core::{Engine, EngineConfig, SessionManager};
 use just_ql::{Client, QueryResult};
@@ -12,11 +14,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// The system allocator, counting live bytes and their high-water mark.
+/// The system allocator, counting live bytes and their high-water mark,
+/// and the largest single block asked for.
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the counters are statistics and guard no
@@ -28,6 +32,7 @@ unsafe impl GlobalAlloc for Counting {
         if !p.is_null() {
             let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
             PEAK.fetch_max(live, Relaxed);
+            LARGEST.fetch_max(layout.size(), Relaxed);
         }
         p
     }
@@ -97,6 +102,9 @@ fn aggregates_over_a_stored_table_do_not_hold_it() {
     // Blocks the scan loads stay in the cache past the query; keep that
     // out of the measurement.
     config.store.block_cache_bytes = 0;
+    // A result past 256 KiB goes to 4 096-row chunk files.
+    config.spill_threshold = 256 << 10;
+    config.spill_chunk_rows = 4_096;
     let engine = Arc::new(Engine::open(&dir, config).unwrap());
     let mut client = Client::new(SessionManager::new(engine.clone()).session("mem"));
     client
@@ -157,6 +165,40 @@ fn aggregates_over_a_stored_table_do_not_hold_it() {
         assert_eq!(n, in_window);
         join_peaks.push(join_peak);
     }
+
+    // Figure 2: `execute_query` hands the root's batches to the cursor as
+    // they arrive, which writes them out chunk by chunk past the spill
+    // threshold; reading the 200 k rows back loads one chunk at a time.
+    // Built whole before spilling, the result alone is over 10 MiB.
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    let mut cursor = client
+        .execute_query("SELECT fid, amount FROM orders")
+        .unwrap();
+    let mut read = 0;
+    while let Some(row) = cursor.next().unwrap() {
+        assert_eq!(row.values.len(), 2);
+        read += 1;
+    }
+    let spill_peak = PEAK.load(Relaxed).saturating_sub(before);
+    assert_eq!((cursor.total_rows(), read), (200_000, 200_000));
+    drop(cursor);
+    println!("execute_query peak live bytes: {spill_peak}");
+    assert!(spill_peak < 4 * MIB, "spilled result peak: {spill_peak}");
+
+    // The join streams its probe side past its 16-row build side: over
+    // all 200 k orders no block asked for is larger than 64 KiB. The
+    // probe side held whole as `Vec<Row>` would be a 4.8 MB block.
+    let probed = "SELECT d.name, count(*) AS n FROM orders o \
+                  JOIN districts d ON o.district = d.fid GROUP BY d.name";
+    LARGEST.store(0, Relaxed);
+    let (groups, _) = peak_of(&mut client, probed);
+    let largest = LARGEST.load(Relaxed);
+    assert_eq!(groups.len(), 16);
+    let n: i64 = groups.iter().map(|g| g[1].as_int().unwrap()).sum();
+    assert_eq!(n, 200_000);
+    println!("join_agg over the table: largest block {largest} bytes");
+    assert!(largest <= 64 << 10, "largest block: {largest} bytes");
     std::fs::remove_dir_all(&dir).ok();
 
     // 200 k rows held as `Vec<Row>` are over 50 MiB; taken batch by

@@ -878,3 +878,121 @@ fn join_agg_filters_and_prunes_below_the_join() {
     assert_eq!(operands, 4);
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// The span of the first operator under `execute` whose name starts with
+/// `prefix`, following first inputs down.
+fn first_span(trace: &just_obs::Trace, prefix: &str) -> just_obs::SpanId {
+    let execute = trace
+        .children(trace.root())
+        .into_iter()
+        .find(|&s| trace.name(s) == "execute")
+        .unwrap();
+    let mut span = trace.children(execute)[0];
+    while !trace.name(span).starts_with(prefix) {
+        span = trace.children(span)[0];
+    }
+    span
+}
+
+#[test]
+fn limit_above_a_join_stops_the_streamed_scan() {
+    let dir = std::env::temp_dir().join(format!(
+        "just-ql-e2e-joinlimit-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    // Every block comes from disk, so each run counts its own reads.
+    let mut config = EngineConfig::default();
+    config.store.block_cache_bytes = 0;
+    let engine = Arc::new(Engine::open(&dir, config).unwrap());
+    let mut c = Client::new(SessionManager::new(engine.clone()).session("e2e"));
+    c.execute("CREATE TABLE a (fid integer:primary key, k integer, pad string)")
+        .unwrap();
+    c.execute("CREATE TABLE b (fid integer:primary key, name string)")
+        .unwrap();
+    // Five scan batches' worth of probe rows, each matching one of 16.
+    for chunk in 0..5i64 {
+        let rows: Vec<String> = (chunk * 1000..(chunk + 1) * 1000)
+            .map(|i| format!("({i}, {}, 'padding-of-row-{i}')", i % 16))
+            .collect();
+        c.execute(&format!("INSERT INTO a VALUES {}", rows.join(", ")))
+            .unwrap();
+    }
+    let districts: Vec<String> = (0..16).map(|d| format!("({d}, 'b-{d}')")).collect();
+    c.execute(&format!("INSERT INTO b VALUES {}", districts.join(", ")))
+        .unwrap();
+    engine.flush_all().unwrap();
+
+    // (rows, the probe side's blocks read, its early terminations).
+    let mut probe = |sql: &str| {
+        let (data, trace) = c.explain_analyze(sql).unwrap();
+        let join = first_span(&trace, "hash_join");
+        let scan = trace.children(join)[0];
+        assert!(
+            trace.name(scan).starts_with("Scan [a]"),
+            "{}",
+            trace.render()
+        );
+        let attr = |name| trace.attr(scan, name).unwrap_or(0);
+        (
+            data.len(),
+            attr("blocks_read"),
+            attr("scan_early_terminations"),
+        )
+    };
+    let join = "SELECT l.fid, r.name FROM a l JOIN b r ON l.k = r.fid";
+    let (rows, full_blocks, full_early) = probe(join);
+    assert_eq!((rows, full_early), (5_000, 0));
+    let (rows, blocks, early) = probe(&format!("{join} LIMIT 5"));
+    assert_eq!(rows, 5);
+    assert!(early >= 1, "the satisfied LIMIT must stop the probe scan");
+    assert!(
+        blocks < full_blocks,
+        "LIMIT 5 read {blocks} probe blocks, the whole join {full_blocks}"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn hash_join_decides_hashability_per_probe_batch() {
+    let (mut c, dir) = client("mixed-keys");
+    c.execute("CREATE TABLE lk (fid integer:primary key, ki integer, ks string)")
+        .unwrap();
+    c.execute("CREATE TABLE rk (fid integer:primary key, name string)")
+        .unwrap();
+    // Probe keys 0..8: integers in the first 1 024 rows, numeric strings
+    // after, so the view's first scan batch is hashable and its second
+    // is not; the nested loop's comparator coerces `'3' = 3`.
+    let rows: Vec<String> = (0..2048i64)
+        .map(|i| match i < 1024 {
+            true => format!("({i}, {}, null)", i % 8),
+            false => format!("({i}, null, '{}')", i % 8),
+        })
+        .collect();
+    c.execute(&format!("INSERT INTO lk VALUES {}", rows.join(", ")))
+        .unwrap();
+    let names: Vec<String> = (0..6).map(|i| format!("({i}, 'r-{i}')")).collect();
+    c.execute(&format!("INSERT INTO rk VALUES {}", names.join(", ")))
+        .unwrap();
+    c.execute("CREATE VIEW lv AS SELECT fid, coalesce(ki, ks) AS k FROM lk ORDER BY fid")
+        .unwrap();
+
+    let sql = "SELECT l.fid, l.k, r.name FROM lv l JOIN rk r ON l.k = r.fid";
+    let (data, trace) = c.explain_analyze(sql).unwrap();
+    let Statement::Query(q) = parse(sql).unwrap() else {
+        panic!("a query")
+    };
+    let plan = optimize(LogicalPlan::from_select(&q).unwrap()).unwrap();
+    let want = reference::run(c.session(), &plan).unwrap();
+    // Rows 0..6 of every 8, in both halves, in the nested loop's order.
+    assert_eq!(data.len(), 2048 / 8 * 6);
+    assert_eq!(data, want);
+    assert_eq!(data.rows[0].values[1], Value::Int(0));
+    assert_eq!(data.rows[1000].values[1], Value::Str("4".into()));
+    // The first batch probed the hash table; the second ran the loop.
+    let join = first_span(&trace, "hash_join");
+    assert_eq!(trace.attr(join, "probe_rows"), Some(1024));
+    assert_eq!(trace.attr(join, "nested_loop"), Some(1));
+    std::fs::remove_dir_all(dir).ok();
+}
