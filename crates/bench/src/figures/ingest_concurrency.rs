@@ -112,7 +112,7 @@ fn measure(tag: &str, writers: usize, rows_per_writer: usize) -> Point {
         flush_threshold: 256 << 20,
         ..StoreOptions::default()
     };
-    opts.durability.sync = SyncPolicy::PerWrite;
+    opts.wal_sync = SyncPolicy::PerWrite;
     opts.maintenance.workers = 0;
     let store = Store::open(&dir, opts).expect("store");
     let table = store.create_table("ingest", 1).expect("table");

@@ -21,6 +21,7 @@ use just_compress::Codec;
 use just_curves::TimePeriod;
 use just_storage::{Field, FieldType, IndexKind, Schema};
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::PathBuf;
 
 /// Common vs plugin tables (Section IV-D). Views are not catalogued: they
@@ -138,9 +139,16 @@ impl Catalog {
             }
             out.push_str("END\n");
         }
+        // As the store's manifests: the file is durable before the
+        // rename, and the rename before the caller acknowledges.
         let tmp = self.path.with_extension("tmp");
-        std::fs::write(&tmp, out)?;
+        let file = std::fs::File::create(&tmp)?;
+        (&file).write_all(out.as_bytes())?;
+        file.sync_all()?;
         std::fs::rename(&tmp, &self.path)?;
+        if let Some(dir) = self.path.parent() {
+            std::fs::File::open(dir)?.sync_all()?;
+        }
         Ok(())
     }
 }
@@ -174,7 +182,11 @@ fn parse(text: &str) -> Result<BTreeMap<String, TableDef>> {
                 let index = IndexKind::parse(tokens[5]).ok_or_else(|| bad(line, "bad INDEX"))?;
                 let period = TimePeriod::parse(tokens[7]).ok_or_else(|| bad(line, "bad PERIOD"))?;
                 let shards: u8 = tokens[9].parse().map_err(|_| bad(line, "bad SHARDS"))?;
-                let regions: usize = tokens[11].parse().map_err(|_| bad(line, "bad REGIONS"))?;
+                let regions = tokens[11]
+                    .parse()
+                    .ok()
+                    .filter(|n| (1..=256).contains(n))
+                    .ok_or_else(|| bad(line, "bad REGIONS"))?;
                 current = Some((
                     TableDef {
                         name,

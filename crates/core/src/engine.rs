@@ -825,7 +825,11 @@ mod tests {
         // — exactly the state a killed process leaves behind, since the
         // WAL write(2)s every record before acknowledging.
         let (e, dir) = engine("crash");
-        assert!(e.config.store.durability.wal, "WAL must be on by default");
+        assert_eq!(
+            e.config.store.wal_sync,
+            just_kvstore::SyncPolicy::Batched,
+            "WAL must be on by default"
+        );
         e.create_table("orders", order_schema(), None, None)
             .unwrap();
         let rows: Vec<Row> = (0..300)

@@ -37,6 +37,9 @@ pub enum KvError {
     /// A key and value of this many bytes together exceed what a
     /// memtable can address (2 GiB); nothing was written.
     EntryTooLarge(usize),
+    /// A table was asked for this many initial regions; a table has 1
+    /// to 256.
+    RegionCount(usize),
 }
 
 impl fmt::Display for KvError {
@@ -64,6 +67,7 @@ impl fmt::Display for KvError {
             KvError::EntryTooLarge(bytes) => {
                 write!(f, "entry of {bytes} bytes exceeds the memtable's 2 GiB")
             }
+            KvError::RegionCount(n) => write!(f, "{n} regions: a table has 1 to 256"),
         }
     }
 }

@@ -65,7 +65,6 @@ mod block;
 mod bloom;
 mod cache;
 mod error;
-mod ingest;
 mod maintenance;
 mod memtable;
 mod metrics;
@@ -84,7 +83,7 @@ pub use region::RegionTrafficSnapshot;
 pub use scan::{CancelToken, KvBatch, ScanOptions, ScanStream};
 pub use store::{Store, StoreOptions};
 pub use table::{RegionStats, Table, TableSnapshot};
-pub use wal::{DurabilityOptions, SyncPolicy};
+pub use wal::SyncPolicy;
 
 /// An owned key-value pair: what the materializing scans return, each
 /// copied out of a [`KvBatch`].
@@ -115,7 +114,7 @@ mod fixture {
                 block_size: 512,
                 ..SstOptions::default()
             },
-            durability: DurabilityOptions::disabled(),
+            wal_sync: SyncPolicy::Off,
             mem_cap: crate::memtable::MEM_CAP,
             kick: None,
         }

@@ -23,10 +23,11 @@
 //! * the **memtable** is an arena skip list ([`crate::memtable`]); the
 //!   bytes a region meters against `flush_threshold` and its write-buffer
 //!   cap are the heap its arenas reserve;
-//! * the **WAL** uses group commit: one fsync acknowledges many writers
-//!   (see [`crate::ingest`](self)), and a writer waits for it only after
-//!   releasing the memtable lock, so concurrent writers keep appending
-//!   and inserting while a sync is in flight;
+//! * the **WAL** ([`Wal`]) uses group commit: one fsync, issued by its
+//!   one routine `Wal::sync_through`, acknowledges many writers, and a
+//!   writer waits for it only after releasing the memtable lock, so
+//!   concurrent writers keep appending and inserting while a sync is in
+//!   flight;
 //! * **flushes are pipelined**: a freeze moves the memtable into an
 //!   immutable [`FrozenGen`] and writes continue into a fresh one, so a
 //!   background flush never stalls acknowledgements. Past
@@ -98,13 +99,12 @@
 use crate::bloom::{BloomFilter, BITS_PER_KEY};
 use crate::cache::BlockCache;
 use crate::error::{KvError, Result};
-use crate::ingest::RegionWal;
 use crate::maintenance::Kick;
 use crate::memtable::MemTable;
 use crate::metrics::IoMetrics;
 use crate::scan::{KvBatch, MergeStream, ScanSource, SstRangeIter};
 use crate::sstable::{SsTable, SsTableBuilder, SstOptions};
-use crate::wal::DurabilityOptions;
+use crate::wal::{SyncPolicy, Wal};
 use just_obs::sync::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
@@ -207,8 +207,8 @@ pub(crate) struct RegionOptions {
     pub flush_threshold: usize,
     /// SSTable write settings (block size, codec).
     pub sst: SstOptions,
-    /// Write-ahead-log settings.
-    pub durability: DurabilityOptions,
+    /// How the region's write-ahead log syncs (`Off`: no log).
+    pub wal_sync: SyncPolicy,
     /// Bytes the memtable addresses before it reports full and the
     /// generation is drained: [`crate::memtable::MEM_CAP`] in every
     /// store (a field so a test can fill the memtable).
@@ -282,7 +282,7 @@ pub(crate) struct Region {
     /// The region's log. Its lock nests *inside* the memtable lock
     /// (writer path) and inside `inner` (freeze path); never the other
     /// way around.
-    wal: Option<RegionWal>,
+    wal: Option<Wal>,
     /// Serializes freezes and flushes so generations retire in FIFO
     /// order (their WAL marks assume it). Never held across a rewrite;
     /// writers take it at the write-buffer cap.
@@ -397,8 +397,8 @@ impl Region {
         // sequence monotonic and new snapshots see all recovered data.
         let mut next_seq = tables.iter().map(|t| t.seq_limit()).max().unwrap_or(0);
         let mut frozen = VecDeque::new();
-        let wal = if opts.durability.wal {
-            let (wal, records) = RegionWal::open(&dir, opts.durability.sync)?;
+        let wal = if opts.wal_sync != SyncPolicy::Off {
+            let (wal, records) = Wal::open(&dir, opts.wal_sync)?;
             // Replay is idempotent against the SSTables: a record whose
             // covering flush completed but whose segment survived just
             // shadows the identical on-disk version. Records arrive in
@@ -532,7 +532,7 @@ impl Region {
             let seq = self.next_seq.fetch_add(run.len() as u64, Ordering::Relaxed);
             if let Some(wal) = &self.wal {
                 let records = run.iter().map(|(k, v)| (&k[..], v.as_deref()));
-                ticket = Some(wal.append_nowait(seq, records)?);
+                ticket = Some(wal.append(seq, records)?);
             }
             let before = mem.reserved_bytes();
             let mut written = 0;
@@ -711,7 +711,7 @@ impl Region {
         if self.mem.lock().is_empty() {
             return Ok(false);
         }
-        let mark = self.wal.as_ref().map(RegionWal::rotate_keep).transpose()?;
+        let mark = self.wal.as_ref().map(Wal::rotate_keep).transpose()?;
         let gen = FrozenGen::new(self.mem.lock().take(), mark);
         self.active_bytes.fetch_sub(gen.bytes, Ordering::Relaxed);
         self.frozen_bytes.fetch_add(gen.bytes, Ordering::Relaxed);
@@ -769,7 +769,7 @@ impl Region {
         }
         self.frozen_bytes.fetch_sub(gen.bytes, Ordering::Relaxed);
         if let (Some(w), Some(mark)) = (&self.wal, gen.mark) {
-            w.retire(mark)?;
+            w.retire_through(mark)?;
         }
         let obs = just_obs::global();
         obs.counter("just_kvstore_memtable_flushes").inc();
@@ -910,13 +910,15 @@ impl Region {
             self.compact()?;
             obs.counter("just_kvstore_bg_compactions").inc();
         }
-        self.wal.as_ref().map_or(Ok(()), RegionWal::tick)
+        self.wal.as_ref().map_or(Ok(()), Wal::tick)
     }
 
-    /// Unconditionally fsyncs the WAL (clean shutdown: make every
-    /// acknowledged write durable regardless of policy).
+    /// Syncs the WAL through its latest append (clean shutdown: make
+    /// every acknowledged write durable regardless of policy).
     pub(crate) fn wal_sync(&self) -> Result<()> {
-        self.wal.as_ref().map_or(Ok(()), RegionWal::sync)
+        self.wal
+            .as_ref()
+            .map_or(Ok(()), |w| w.sync_through(w.ticket()))
     }
 
     /// Bytes on disk across all SSTables.
@@ -1391,7 +1393,7 @@ mod tests {
     use crate::fixture;
     use crate::memtable::LATEST;
     use crate::scan::owned;
-    use crate::wal::{FaultyWalFile, SyncPolicy};
+    use crate::wal::FaultyWalFile;
     use crate::KvEntry;
     use std::cell::RefCell;
     use std::sync::mpsc;
@@ -1466,7 +1468,7 @@ mod tests {
 
     fn wal_opts(flush_threshold: usize, sync: SyncPolicy) -> RegionOptions {
         RegionOptions {
-            durability: DurabilityOptions { wal: true, sync },
+            wal_sync: sync,
             ..fixture::region_opts(flush_threshold)
         }
     }

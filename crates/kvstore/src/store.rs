@@ -9,7 +9,7 @@ use crate::metrics::IoMetrics;
 use crate::region::RegionOptions;
 use crate::sstable::SstOptions;
 use crate::table::Table;
-use crate::wal::{fsync_dir, DurabilityOptions};
+use crate::wal::{fsync_dir, SyncPolicy};
 use just_compress::Codec;
 use just_obs::sync::RwLock;
 use std::collections::HashMap;
@@ -97,10 +97,10 @@ fn write_format(base: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Tuning knobs, shared by every table of a store: 9 settable values
-/// (4 here, 2 in [`DurabilityOptions`], 3 in [`MaintenanceOptions`]).
+/// Tuning knobs, shared by every table of a store: 8 settable values
+/// (5 here, 3 in [`MaintenanceOptions`]).
 /// Everything else — the on-disk format (one epoch, 10 bloom bits per
-/// key), the WAL's user-space buffer, the maintenance tick, the
+/// key), the WAL's encode-buffer cap, the maintenance tick, the
 /// auto-split region cap — is a constant next to the code that uses it.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
@@ -123,9 +123,9 @@ pub struct StoreOptions {
     /// the paper's experimental setting; the default mirrors HBase's
     /// always-on block cache).
     pub block_cache_bytes: usize,
-    /// Write-ahead-log configuration (HBase's WAL: acknowledged writes
-    /// survive a crash).
-    pub durability: DurabilityOptions,
+    /// How eagerly the write-ahead log syncs (HBase's WAL: acknowledged
+    /// writes survive a crash); `Off` keeps no log.
+    pub wal_sync: SyncPolicy,
     /// Background flush / compaction scheduler configuration.
     pub maintenance: MaintenanceOptions,
 }
@@ -137,7 +137,7 @@ impl Default for StoreOptions {
             block_size: 4096,
             codec: Codec::None,
             block_cache_bytes: 32 << 20,
-            durability: DurabilityOptions::default(),
+            wal_sync: SyncPolicy::default(),
             maintenance: MaintenanceOptions::default(),
         }
     }
@@ -209,7 +209,7 @@ impl Store {
                 block_size: self.options.block_size,
                 codec: self.options.codec,
             },
-            durability: self.options.durability.clone(),
+            wal_sync: self.options.wal_sync,
             mem_cap: crate::memtable::MEM_CAP,
             kick: (workers > 0).then(|| self.scheduler.kick_handle()),
         }

@@ -136,18 +136,21 @@ fn hex_encode(bytes: &[u8]) -> String {
 }
 
 fn hex_decode(s: &str) -> Result<Vec<u8>> {
+    let bad = || KvError::Corrupt(format!("bad hex key in region manifest: {s:?}"));
+    let digit = |b: u8| (b as char).to_digit(16).ok_or_else(bad);
+    let s = s.as_bytes();
     if !s.len().is_multiple_of(2) {
-        return Err(KvError::Corrupt(
-            "odd-length hex key in region manifest".into(),
-        ));
+        return Err(bad());
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&s[i..i + 2], 16)
-                .map_err(|_| KvError::Corrupt("bad hex key in region manifest".into()))
-        })
+    s.chunks(2)
+        .map(|pair| Ok((digit(pair[0])? << 4 | digit(pair[1])?) as u8))
         .collect()
+}
+
+/// Whether `name` is a region directory name: `region_<digits>`.
+fn is_region_name(name: &str) -> bool {
+    name.strip_prefix("region_")
+        .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
 }
 
 /// Atomically replaces the table's `REGIONS` manifest: temp file, fsync,
@@ -176,7 +179,9 @@ fn persist_manifest(dir: &Path, map: &[RegionEntry]) -> Result<()> {
 }
 
 fn parse_manifest(path: &Path) -> Result<Vec<(String, Vec<u8>)>> {
-    let text = std::fs::read_to_string(path)?;
+    let text = String::from_utf8(std::fs::read(path)?).map_err(|_| {
+        KvError::Corrupt(format!("region manifest {} is not UTF-8", path.display()))
+    })?;
     let mut lines = text.lines();
     if lines.next() != Some(MANIFEST_HEADER) {
         return Err(KvError::Corrupt(format!(
@@ -192,6 +197,13 @@ fn parse_manifest(path: &Path) -> Result<Vec<(String, Vec<u8>)>> {
         let (name, hex) = line
             .split_once('\t')
             .ok_or_else(|| KvError::Corrupt(format!("malformed region manifest line: {line:?}")))?;
+        // Only a name of this table's own shape: the name becomes a
+        // directory under the table, which a merge may later delete.
+        if !is_region_name(name) || out.iter().any(|(n, _)| n == name) {
+            return Err(KvError::Corrupt(format!(
+                "bad region name in manifest: {name:?}"
+            )));
+        }
         out.push((name.to_string(), hex_decode(hex)?));
     }
     let sorted = out.windows(2).all(|w| w[0].1 < w[1].1);
@@ -252,7 +264,9 @@ impl Table {
         cache: Arc<BlockCache>,
         region_opts: RegionOptions,
     ) -> Result<Self> {
-        assert!((1..=256).contains(&num_regions));
+        if !(1..=256).contains(&num_regions) {
+            return Err(KvError::RegionCount(num_regions));
+        }
         std::fs::create_dir_all(&dir)?;
         let manifest = dir.join(REGIONS_MANIFEST);
         let had_manifest = manifest.exists();
@@ -300,7 +314,7 @@ impl Table {
                 .strip_prefix("region_")
                 .and_then(|s| s.parse::<u64>().ok())
             {
-                next_region_id = next_region_id.max(n + 1);
+                next_region_id = next_region_id.max(n.saturating_add(1));
             }
         }
         next_region_id = next_region_id.max(specs.len() as u64);

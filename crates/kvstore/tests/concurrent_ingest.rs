@@ -116,7 +116,7 @@ fn concurrent_writers_streaming_scans_and_crash_recovery() {
             flush_threshold,
             ..StoreOptions::default()
         };
-        opts.durability.sync = SyncPolicy::PerWrite;
+        opts.wal_sync = SyncPolicy::PerWrite;
         let store = Store::open(&dir, opts.clone()).unwrap();
         let table = store.create_table("t", 1).unwrap();
         let stalls = just_obs::global().counter("just_kvstore_backpressure_stalls");

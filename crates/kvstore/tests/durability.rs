@@ -97,45 +97,15 @@ fn scheduler_flushes_and_compacts_in_background() {
 }
 
 #[test]
-fn sync_none_survives_clean_shutdown_but_not_necessarily_crash() {
-    // SyncPolicy::None buffers in user space; shutdown() pushes + syncs
-    // so a clean exit still recovers everything.
-    let dir = tmpdir("none");
-    {
-        let store = Store::open(
-            &dir,
-            StoreOptions {
-                durability: just_kvstore::DurabilityOptions {
-                    sync: SyncPolicy::None,
-                    ..Default::default()
-                },
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
-        let t = store.create_table("t", 2).unwrap();
-        for i in 0..100u32 {
-            t.put(format!("k{i:03}").into_bytes(), b"v".to_vec())
-                .unwrap();
-        }
-        store.shutdown();
-    }
-    let s2 = Store::open(&dir, StoreOptions::default()).unwrap();
-    let t2 = s2.open_table("t", 2).unwrap();
-    assert_eq!(t2.snapshot().scan(b"", b"\xff").unwrap().len(), 100);
-    std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
 fn wal_disabled_reproduces_pre_durability_behaviour() {
-    // durability.wal = false: no wal_ files appear, unflushed rows die
+    // wal_sync = Off: no wal_ files appear, unflushed rows die
     // with the process — the seed repo's semantics, still available for
     // benchmarks that want raw ingest speed.
     let dir = tmpdir("nowal");
     let store = Store::open(
         &dir,
         StoreOptions {
-            durability: just_kvstore::DurabilityOptions::disabled(),
+            wal_sync: SyncPolicy::Off,
             ..StoreOptions::default()
         },
     )

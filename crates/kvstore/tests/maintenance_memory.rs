@@ -21,7 +21,7 @@
 //! with workers reads the bytes the region reports, not the allocator,
 //! and runs last.
 
-use just_kvstore::{DurabilityOptions, MaintenanceOptions, Store, StoreOptions, Table};
+use just_kvstore::{MaintenanceOptions, Store, StoreOptions, SyncPolicy, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
@@ -128,7 +128,7 @@ fn open_store_with(
         StoreOptions {
             flush_threshold,
             block_cache_bytes: 0,
-            durability: DurabilityOptions::disabled(),
+            wal_sync: SyncPolicy::Off,
             maintenance: MaintenanceOptions {
                 workers,
                 compact_trigger,

@@ -18,7 +18,7 @@
 //!
 //! Everything is seeded (a per-writer LCG), so a failure replays.
 
-use just_kvstore::{DurabilityOptions, MaintenanceOptions, ScanOptions, Store, StoreOptions};
+use just_kvstore::{MaintenanceOptions, ScanOptions, Store, StoreOptions, SyncPolicy};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -86,7 +86,7 @@ fn snapshot_scans_equal_serial_execution_under_splits() {
             flush_threshold: 8 << 10,
             block_size: 512,
             block_cache_bytes: 0,
-            durability: DurabilityOptions::disabled(),
+            wal_sync: SyncPolicy::Off,
             maintenance: MaintenanceOptions {
                 workers: 0,
                 ..MaintenanceOptions::default()

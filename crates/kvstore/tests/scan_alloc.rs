@@ -6,7 +6,7 @@
 //! second test thread would allocate into the same counter) and opens its
 //! store without background maintenance.
 
-use just_kvstore::{DurabilityOptions, MaintenanceOptions, ScanOptions, Store, StoreOptions};
+use just_kvstore::{MaintenanceOptions, ScanOptions, Store, StoreOptions, SyncPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -50,7 +50,7 @@ fn a_cached_scan_allocates_per_range_not_per_key() {
         &dir,
         StoreOptions {
             block_cache_bytes: 64 << 20,
-            durability: DurabilityOptions::disabled(),
+            wal_sync: SyncPolicy::Off,
             maintenance: MaintenanceOptions {
                 workers: 0,
                 ..MaintenanceOptions::default()

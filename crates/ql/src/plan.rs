@@ -165,10 +165,9 @@ impl LogicalPlan {
             Some(item) => Self::from_item(item)?,
         };
         if let Some((right, on)) = &q.join {
-            let right_plan = Self::from_item(right)?;
             plan = LogicalPlan::Join {
-                left: Box::new(plan),
-                right: Box::new(right_plan),
+                left: Box::new(Self::qualified(plan)),
+                right: Box::new(Self::qualified(Self::from_item(right)?)),
                 on: on.clone(),
             };
         }
@@ -202,6 +201,21 @@ impl LogicalPlan {
                 "st_KNN: first argument must be a point".into(),
             )),
         }
+    }
+
+    /// A joined table without an alias takes its own name as one, so a
+    /// qualified name binds to its own side (`b.fid` never to `a.fid`)
+    /// and a bare name both sides carry is ambiguous.
+    fn qualified(mut plan: LogicalPlan) -> LogicalPlan {
+        if let LogicalPlan::Scan {
+            table,
+            alias: alias @ None,
+            ..
+        } = &mut plan
+        {
+            *alias = Some(table.clone());
+        }
+        plan
     }
 
     fn from_item(item: &FromItem) -> Result<LogicalPlan> {

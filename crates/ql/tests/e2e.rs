@@ -996,3 +996,38 @@ fn hash_join_decides_hashability_per_probe_batch() {
     assert_eq!(trace.attr(join, "nested_loop"), Some(1));
     std::fs::remove_dir_all(dir).ok();
 }
+
+#[test]
+fn unaliased_join_binds_qualified_names_to_their_own_table() {
+    let (mut c, dir) = client("unaliased-join");
+    c.execute("CREATE TABLE a (fid integer:primary key, k integer)")
+        .unwrap();
+    c.execute("CREATE TABLE b (fid integer:primary key, name string)")
+        .unwrap();
+    let rows: Vec<String> = (0..5000i64).map(|i| format!("({i}, {})", i % 16)).collect();
+    c.execute(&format!("INSERT INTO a VALUES {}", rows.join(", ")))
+        .unwrap();
+    let names: Vec<String> = (0..16).map(|i| format!("({i}, 'b-{i}')")).collect();
+    c.execute(&format!("INSERT INTO b VALUES {}", names.join(", ")))
+        .unwrap();
+
+    // `b.fid` is b's key, not a's `fid`: every row of `a` matches one.
+    let sql = "SELECT a.fid, b.name FROM a JOIN b ON a.k = b.fid";
+    let data = c.execute(sql).unwrap().into_dataset().unwrap();
+    let Statement::Query(q) = parse(sql).unwrap() else {
+        panic!("a query")
+    };
+    let plan = optimize(LogicalPlan::from_select(&q).unwrap()).unwrap();
+    assert_eq!(data.len(), 5_000);
+    assert_eq!(data, reference::run(c.session(), &plan).unwrap());
+    assert!(data
+        .rows
+        .iter()
+        .all(|r| r.values[1] == Value::Str(format!("b-{}", r.values[0].as_int().unwrap() % 16))));
+    // A bare name both sides carry no longer silently picks the left.
+    let err = c
+        .execute("SELECT fid FROM a JOIN b ON a.k = b.fid")
+        .unwrap_err();
+    assert!(err.to_string().contains("ambiguous"), "{err}");
+    std::fs::remove_dir_all(dir).ok();
+}

@@ -3,7 +3,7 @@
 //! ```text
 //! justd --data DIR [--addr HOST:PORT] [--max-sessions N]
 //!       [--users a,b,c] [--port-file PATH]
-//!       [--wal-sync none|batched|per-write] [--no-wal]
+//!       [--wal-sync off|batched|per-write]
 //!       [--slow-query-ms N] [--region-split-bytes N]
 //! ```
 //!
@@ -16,8 +16,9 @@
 //!
 //! Durability: the write-ahead log is on by default with the `batched`
 //! sync policy (acknowledged writes survive `kill -9`; a bounded window
-//! can be lost to power failure). `--wal-sync per-write` fsyncs every
-//! record; `--no-wal` disables logging entirely (fastest, volatile).
+//! can be lost to power failure). `--wal-sync per-write` fsyncs (group
+//! commit) before acknowledging; `--wal-sync off` disables logging
+//! entirely (fastest, volatile).
 //!
 //! Ingest concurrency: each region has one memtable in front of one
 //! group-committed WAL, so concurrent writers share an fsync.
@@ -47,10 +48,6 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
         i += 1;
-        if flag == "--no-wal" {
-            engine_cfg.store.durability.wal = false;
-            continue;
-        }
         let Some(value) = args.get(i).cloned() else {
             eprintln!("justd: {flag} needs a value\n{USAGE}");
             return ExitCode::from(2);
@@ -68,9 +65,9 @@ fn main() -> ExitCode {
             "--users" => cfg.users = Some(value.split(',').map(|s| s.trim().to_string()).collect()),
             "--port-file" => port_file = Some(value),
             "--wal-sync" => match SyncPolicy::parse(&value) {
-                Some(p) => engine_cfg.store.durability.sync = p,
+                Some(p) => engine_cfg.store.wal_sync = p,
                 None => {
-                    eprintln!("justd: bad --wal-sync '{value}' (none|batched|per-write)\n{USAGE}");
+                    eprintln!("justd: bad --wal-sync '{value}' (off|batched|per-write)\n{USAGE}");
                     return ExitCode::from(2);
                 }
             },
@@ -130,5 +127,5 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage: justd --data DIR [--addr HOST:PORT] [--max-sessions N] \
-[--users a,b,c] [--port-file PATH] [--wal-sync none|batched|per-write] [--no-wal] \
+[--users a,b,c] [--port-file PATH] [--wal-sync off|batched|per-write] \
 [--slow-query-ms N] [--region-split-bytes N]";

@@ -7,7 +7,7 @@
 //! which is why this binary holds one `#[test]`.
 
 use just_geo::{Geometry, Point, Rect};
-use just_kvstore::{DurabilityOptions, MaintenanceOptions, ScanOptions, Store, StoreOptions};
+use just_kvstore::{MaintenanceOptions, ScanOptions, Store, StoreOptions, SyncPolicy};
 use just_obs::Rng;
 use just_storage::{
     Field, FieldType, Row, RowGate, Schema, SpatialPredicate, StTable, StorageConfig, Value,
@@ -72,7 +72,7 @@ fn refused_rows_allocate_nothing() {
         &dir,
         StoreOptions {
             block_cache_bytes: 64 << 20,
-            durability: DurabilityOptions::disabled(),
+            wal_sync: SyncPolicy::Off,
             maintenance: MaintenanceOptions {
                 workers: 0,
                 ..MaintenanceOptions::default()
