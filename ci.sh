@@ -438,6 +438,23 @@ LIMIT_OUT=$(cli query "EXPLAIN ANALYZE SELECT l.fid, r.amount FROM expts l JOIN 
 echo "$LIMIT_OUT" | grep "Scan \[expts\]" | head -1 | grep -q "scan_early_terminations=" || {
     echo "the LIMIT did not stop the probe scan:"; echo "$LIMIT_OUT"; exit 1
 }
+# One merge per region per scan: an ST range query plans many key
+# ranges, and over a table merged down to one region they all re-seek
+# one merge (`merges=1` beside `key_ranges=` above 1).
+cli query "CREATE TABLE onereg (fid integer:primary key, time date, geom point)"
+ONEREG_ROWS=$(seq 0 499 | awk '{ printf "%s(%d, %d, st_makePoint(%.3f, %.3f))", \
+    (NR > 1 ? ", " : ""), $1, $1 * 60000, 116 + ($1 % 50) / 100, 39.5 + ($1 % 37) / 50 }')
+cli query "INSERT INTO onereg VALUES $ONEREG_ROWS" >/dev/null
+for _ in 1 2 3; do cli query "MERGE REGIONS onereg 0 1" >/dev/null; done
+[ "$(cli query "SHOW REGIONS" | grep -c "^onereg | ")" = 1 ] || {
+    echo "onereg is not one region:"; cli query "SHOW REGIONS"; exit 1
+}
+MERGES_OUT=$(cli query "EXPLAIN ANALYZE SELECT fid FROM onereg WHERE geom WITHIN st_makeMBR(116.1, 39.6, 116.3, 39.9) AND time BETWEEN 0 AND 20000000" \
+    | grep "Scan \[onereg\]")
+echo "$MERGES_OUT" | grep -q "merges=1[,)]" \
+    && echo "$MERGES_OUT" | grep -Eq "key_ranges=([2-9]|[1-9][0-9]+)[,)]" || {
+    echo "the key ranges of one region did not share one merge:"; echo "$MERGES_OUT"; exit 1
+}
 ./target/release/just-cli --addr "$ADDR" shutdown
 wait "$JUSTD_PID"
 JUSTD_PID=""

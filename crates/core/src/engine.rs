@@ -397,9 +397,8 @@ impl Engine {
     /// The stream reads one MVCC snapshot of the table, taken here, and
     /// holds it while it lives: every row comes from that one cut. A
     /// flush that lands meanwhile keeps its memtable generation in
-    /// memory until the stream has entered that region's last range or
-    /// is dropped, so drop a stream you are done with rather than park
-    /// it.
+    /// memory until the stream has entered that region or is dropped,
+    /// so drop a stream you are done with rather than park it.
     pub fn query_stream(
         &self,
         table: &str,

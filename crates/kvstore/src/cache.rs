@@ -210,8 +210,7 @@ impl BlockCache {
     }
 
     /// Bytes of block data resident across the shards.
-    #[cfg(test)]
-    pub(crate) fn resident_bytes(&self) -> usize {
+    pub fn resident_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.lock().bytes).sum()
     }
 

@@ -37,6 +37,7 @@ pub struct IoMetrics {
     batches_emitted: AtomicU64,
     scan_early_terminations: AtomicU64,
     batch_bytes_peak: AtomicU64,
+    scan_merges: AtomicU64,
     obs_blocks_read: Counter,
     obs_cache_hits: Counter,
     obs_memtable_hits: Counter,
@@ -44,6 +45,7 @@ pub struct IoMetrics {
     obs_bloom_skips: Counter,
     obs_batches_emitted: Counter,
     obs_scan_early_terminations: Counter,
+    obs_scan_merges: Counter,
     obs_batch_bytes: just_obs::Histogram,
     obs_scan_latency: just_obs::Histogram,
 }
@@ -72,6 +74,7 @@ impl IoMetrics {
             batches_emitted: AtomicU64::new(0),
             scan_early_terminations: AtomicU64::new(0),
             batch_bytes_peak: AtomicU64::new(0),
+            scan_merges: AtomicU64::new(0),
             obs_blocks_read: obs.counter("just_kvstore_blocks_read"),
             obs_cache_hits: obs.counter("just_kvstore_cache_hits"),
             obs_memtable_hits: obs.counter("just_kvstore_memtable_hits"),
@@ -79,6 +82,7 @@ impl IoMetrics {
             obs_bloom_skips: obs.counter("just_kvstore_bloom_skips"),
             obs_batches_emitted: obs.counter("just_kvstore_batches_emitted"),
             obs_scan_early_terminations: obs.counter("just_kvstore_scan_early_terminations"),
+            obs_scan_merges: obs.counter("just_kvstore_scan_merges"),
             obs_batch_bytes: obs.histogram("just_kvstore_batch_bytes"),
             obs_scan_latency: obs.histogram("just_kvstore_scan_latency_us"),
         }
@@ -134,6 +138,13 @@ impl IoMetrics {
         self.obs_scan_early_terminations.inc();
     }
 
+    /// A read opened one region's merge (once per region a scan enters,
+    /// however many of its ranges cross the region).
+    pub(crate) fn record_scan_merge(&self) {
+        self.scan_merges.fetch_add(1, Ordering::Relaxed);
+        self.obs_scan_merges.inc();
+    }
+
     /// One scan finished (ran dry, was cancelled or was dropped).
     pub(crate) fn record_scan_latency(&self, elapsed: std::time::Duration) {
         self.obs_scan_latency.record_duration(elapsed);
@@ -154,6 +165,7 @@ impl IoMetrics {
             batches_emitted: self.batches_emitted.load(Ordering::Relaxed),
             scan_early_terminations: self.scan_early_terminations.load(Ordering::Relaxed),
             batch_bytes_peak: self.batch_bytes_peak.load(Ordering::Relaxed),
+            scan_merges: self.scan_merges.load(Ordering::Relaxed),
         }
     }
 
@@ -171,6 +183,7 @@ impl IoMetrics {
         self.batches_emitted.store(0, Ordering::Relaxed);
         self.scan_early_terminations.store(0, Ordering::Relaxed);
         self.batch_bytes_peak.store(0, Ordering::Relaxed);
+        self.scan_merges.store(0, Ordering::Relaxed);
     }
 }
 
@@ -207,6 +220,9 @@ pub struct IoSnapshot {
     /// bytes — the peak in-flight memory of the batch pipeline. This is
     /// a high-water mark, not a counter.
     pub batch_bytes_peak: u64,
+    /// Region merges opened by reads: one per region a scan enters, so
+    /// a scan of many key ranges in one region counts one.
+    pub scan_merges: u64,
 }
 
 impl IoSnapshot {
@@ -229,6 +245,7 @@ impl IoSnapshot {
             batches_emitted: self.batches_emitted - earlier.batches_emitted,
             scan_early_terminations: self.scan_early_terminations - earlier.scan_early_terminations,
             batch_bytes_peak: self.batch_bytes_peak,
+            scan_merges: self.scan_merges - earlier.scan_merges,
         }
     }
 }

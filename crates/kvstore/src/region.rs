@@ -95,6 +95,12 @@
 //! * compaction only merges the oldest-first prefix of tables every
 //!   open snapshot can already see, so merging (which keeps only the
 //!   newest version per key) never erases a version a snapshot needs.
+//!
+//! A scan captures the region once ([`Region::scan_stream_at`]): one
+//! lock round copies each memtable layer's slices of all the scan's
+//! ranges here and takes the visible SSTables, and the one merge it
+//! returns is re-seeked from range to range, so the captured layers
+//! serve every range at the snapshot's cut after its pin drops.
 
 use crate::bloom::{BloomFilter, BITS_PER_KEY};
 use crate::cache::BlockCache;
@@ -102,7 +108,7 @@ use crate::error::{KvError, Result};
 use crate::maintenance::Kick;
 use crate::memtable::MemTable;
 use crate::metrics::IoMetrics;
-use crate::scan::{KvBatch, MergeStream, ScanSource, SstRangeIter};
+use crate::scan::{MergeStream, ScanSource, SstRangeIter};
 use crate::sstable::{SsTable, SsTableBuilder, SstOptions};
 use crate::wal::{SyncPolicy, Wal};
 use just_obs::sync::{Mutex, RwLock};
@@ -647,43 +653,41 @@ impl Region {
         Ok(None)
     }
 
-    /// One memtable's entries in `start..=end`, copied into one arena.
-    fn mem_source(mem: &MemTable, start: &[u8], end: &[u8], snap: u64) -> ScanSource {
-        let mut batch = KvBatch::default();
-        for (key, value) in mem.scan(start, end, snap) {
-            batch.push(key, value);
-        }
-        ScanSource::mem(batch)
-    }
-
     /// The region's one scan path, as of snapshot sequence `snap`: the
     /// result equals a serial execution that stopped right before commit
-    /// sequence `snap` was allocated. It snapshots the memtable layers
-    /// and the SSTable handles under a brief read lock, then returns a
-    /// pull-based merge that reads one block at a time as the consumer
-    /// advances, with newest-wins and tombstone-shadowing semantics. The
-    /// stream stays pinned to the layers captured here, so it keeps
-    /// serving the same cut once the snapshot handle drops — which a
-    /// [`crate::ScanStream`] does as soon as this returns.
-    pub(crate) fn scan_stream_at(&self, start: Vec<u8>, end: Vec<u8>, snap: u64) -> MergeStream {
-        if start > end {
-            return MergeStream::new(Vec::new(), start, end, self.traffic.clone());
-        }
+    /// sequence `snap` was allocated. Under one brief read lock it copies
+    /// each memtable layer's slices of all of `ranges`, one arena each, and
+    /// takes the SSTable handles, then returns a pull-based merge, with
+    /// newest-wins and tombstone-shadowing semantics, that
+    /// [`MergeStream::reseek`] moves onto each range in turn — in the
+    /// order given, which the memtable slices follow — and that reads
+    /// one block at a time as the consumer advances. The merge stays
+    /// pinned to the layers captured here, so it keeps serving the same
+    /// cut once the snapshot handle drops — which a [`crate::ScanStream`]
+    /// does as soon as this returns.
+    pub(crate) fn scan_stream_at<'a>(
+        &self,
+        ranges: impl Iterator<Item = (&'a [u8], &'a [u8])> + Clone,
+        snap: u64,
+        fill_cache: bool,
+    ) -> MergeStream {
         self.traffic.record_scan();
+        self.metrics.record_scan_merge();
         let inner = self.inner.read();
         let mut sources =
             Vec::with_capacity(inner.tables.len() + inner.frozen.len() + inner.held.len() + 1);
         // Source 0 is the active memtable: the newest layer, so it wins
-        // merge ties; frozen generations follow newest-first. The ranges
-        // are copied out (bounded by the flush threshold) because the
-        // stream outlives the locks.
-        sources.push(Self::mem_source(&self.mem.lock(), &start, &end, snap));
+        // merge ties; frozen generations follow newest-first. The slices
+        // are copied out (bounded by the flush threshold per range)
+        // because the merge outlives the locks.
+        let slices = |mem: &MemTable| ScanSource::mem(mem, ranges.clone(), snap);
+        sources.push(slices(&self.mem.lock()));
         for gen in inner.frozen.iter().rev() {
-            sources.push(Self::mem_source(&gen.mem, &start, &end, snap));
+            sources.push(slices(&gen.mem));
         }
         for gen in inner.held.iter().rev() {
             if gen.seq_ub > snap {
-                sources.push(Self::mem_source(&gen.mem, &start, &end, snap));
+                sources.push(slices(&gen.mem));
             }
         }
         for table in inner.tables.iter().rev() {
@@ -691,12 +695,11 @@ impl Region {
                 self.snapshot_skips.inc();
                 continue;
             }
-            let traffic = self.traffic.clone();
-            let walk = SstRangeIter::new(table.clone(), &start, &end, traffic, true);
+            let walk = SstRangeIter::new(table.clone(), self.traffic.clone(), fill_cache);
             sources.push(ScanSource::Sst(walk));
         }
         drop(inner);
-        MergeStream::new(sources, start, end, self.traffic.clone())
+        MergeStream::new(sources, self.traffic.clone())
     }
 
     /// Freezes the active memtable into a new immutable generation:
@@ -1289,11 +1292,13 @@ impl Versions {
         let sources = tables
             .iter()
             .rev()
-            .map(|t| SstRangeIter::new(t.clone(), b"", t.max_key(), unattributed.clone(), false))
-            .map(ScanSource::Sst)
+            .map(|t| ScanSource::Sst(SstRangeIter::new(t.clone(), unattributed.clone(), false)))
             .collect();
-        let end = tables.iter().map(|t| t.max_key()).max().unwrap_or_default();
-        let merge = MergeStream::new(sources, Vec::new(), end.to_vec(), unattributed);
+        let mut merge = MergeStream::new(sources, unattributed);
+        merge.reseek(
+            b"",
+            tables.iter().map(|t| t.max_key()).max().unwrap_or_default(),
+        );
         let mut versions = Versions { merge, tombstones };
         versions.next()?;
         #[cfg(test)]
@@ -1489,14 +1494,89 @@ mod tests {
         write(r, (key, None))
     }
 
-    /// The region's merge as of `snap`, drained and copied out.
+    /// The region's merge over one range as of `snap`, drained and
+    /// copied out.
     fn scan_at(r: &Region, start: &[u8], end: &[u8], snap: u64) -> Result<Vec<KvEntry>> {
-        let mut stream = r.scan_stream_at(start.to_vec(), end.to_vec(), snap);
+        let mut stream = r.scan_stream_at(std::iter::once((start, end)), snap, true);
+        stream.reseek(start, end);
         let mut live = Vec::new();
         while let Some(entry) = stream.next_live()? {
             live.push(owned(entry));
         }
         Ok(live)
+    }
+
+    /// Seeded: one merge re-seeked over many ranges reads each exactly as
+    /// a fresh one-range merge does, across every layer a read merges —
+    /// SSTables, a held generation (read under the snapshot it is held
+    /// for), a frozen generation and the active memtable, each
+    /// overwriting and deleting keys of the older ones — for ranges
+    /// ascending, descending, overlapping, empty and inverted.
+    #[test]
+    fn a_reseeked_merge_reads_each_range_as_a_fresh_merge_does() {
+        let key = |i: u64| format!("k{i:04}").into_bytes();
+        for case in 0..8u64 {
+            let mut rng = just_obs::Rng::seed_from_u64(0x7265_7365 ^ case);
+            let (r, dir) = region(&format!("reseek-{case}"), 1 << 20);
+            let r = Arc::new(r);
+            let layer = |rng: &mut just_obs::Rng| {
+                for _ in 0..300 {
+                    let k = key(rng.gen_range(0u64..400));
+                    match rng.gen_range(0u8..4) {
+                        0 => delete(&r, k).unwrap(),
+                        v => put(&r, k, vec![v; rng.gen_range(1usize..40)]).unwrap(),
+                    }
+                }
+            };
+            layer(&mut rng);
+            r.flush().unwrap();
+            layer(&mut rng);
+            r.flush().unwrap();
+            layer(&mut rng);
+            let held = r.snapshot();
+            layer(&mut rng);
+            r.flush().unwrap();
+            layer(&mut rng);
+            let frozen = r.flush_lock.lock();
+            assert!(r.freeze().unwrap());
+            drop(frozen);
+            layer(&mut rng);
+            assert_eq!((r.held_generations(), r.frozen_generations()), (1, 1));
+
+            let mut ranges: Vec<(Vec<u8>, Vec<u8>)> = (0..60)
+                .map(|_| {
+                    let a = rng.gen_range(0u64..420);
+                    match rng.gen_range(0u8..6) {
+                        // Between two keys: empty.
+                        0 => (
+                            [key(a), b"+".to_vec()].concat(),
+                            [key(a), b"-".to_vec()].concat(),
+                        ),
+                        1 => (key(a + 3), key(a)),
+                        2 => (key(a), key(a)),
+                        _ => (key(a), key(a + rng.gen_range(0u64..40))),
+                    }
+                })
+                .collect();
+            // A run of one-key ranges up the keyspace and one down it.
+            ranges.extend((0..400).step_by(7).map(|i| (key(i), key(i))));
+            ranges.extend((0..400).rev().step_by(11).map(|i| (key(i), key(i + 1))));
+            for snap in [held.seq(), LATEST] {
+                let bounds = ranges.iter().map(|(s, e)| (&s[..], &e[..]));
+                let mut merge = r.scan_stream_at(bounds, snap, true);
+                for (start, end) in &ranges {
+                    merge.reseek(start, end);
+                    let mut got = Vec::new();
+                    while let Some(entry) = merge.next_live().unwrap() {
+                        got.push(owned(entry));
+                    }
+                    let fresh = scan_at(&r, start, end, snap).unwrap();
+                    assert_eq!(got, fresh, "case {case} at {snap}: {start:?}..={end:?}");
+                }
+            }
+            drop(held);
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 
     #[test]

@@ -13,10 +13,22 @@
 //!   reused for the life of the stream — which
 //!   [`ScanStream::next_batch`] lends to the consumer. In flight are
 //!   that one arena batch plus one shared cached block per source.
+//! - A region is captured once per stream, on the first range that
+//!   enters it: one lock round copies each memtable layer's slices of
+//!   every range still to cross the region, one arena per slice, and
+//!   takes the SSTable handles, and opens the region's one
+//!   [`MergeStream`]. Each range there re-seeks that merge
+//!   ([`MergeStream::reseek`]): the memtable sources step to their next
+//!   slice, and an SSTable walk whose held block covers the new start
+//!   seeks inside it — no cache lookup, no index search, and no search
+//!   at all when the last range stopped on an entry at or past the new
+//!   start — or else jumps by the index. A scan of many
+//!   small ranges so pays the merge's setup once per region, not once
+//!   per range (`just_kvstore_scan_merges` counts the merges).
 //! - [`MergeStream`] is the per-region k-way merge — the only one in the
 //!   store: a binary heap of source indices, ordered by the keys the
-//!   sources currently lend, over the memtable layers' snapshots (each
-//!   one arena) and one block cursor per SSTable, newest version wins.
+//!   sources currently lend, over the memtable layers' slices and one
+//!   block cursor per SSTable, newest version wins.
 //!   No entry is copied or allocated inside the merge; the batch copies
 //!   each live entry once. Reads pull live entries from it (tombstones
 //!   elided); compaction, split and merge step through every key's
@@ -57,11 +69,13 @@
 
 use crate::block::BlockCursor;
 use crate::error::Result;
+use crate::memtable::MemTable;
 use crate::metrics::IoMetrics;
 use crate::region::{RegionTraffic, Snapshot};
 use crate::sstable::SsTable;
 use crate::KvEntry;
 use std::collections::VecDeque;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -105,6 +119,11 @@ pub struct ScanOptions {
     pub batch_rows: usize,
     /// Cancellation flag shared with the consumer.
     pub cancel: CancelToken,
+    /// Whether blocks read from disk enter the block cache (the default).
+    /// A scan that reads a whole key family reads each block once and
+    /// passes `false`, as rewrites do, so it neither evicts the blocks
+    /// window queries reuse nor fills the cache with its own.
+    pub fill_cache: bool,
 }
 
 impl Default for ScanOptions {
@@ -112,6 +131,7 @@ impl Default for ScanOptions {
         ScanOptions {
             batch_rows: 1024,
             cancel: CancelToken::new(),
+            fill_cache: true,
         }
     }
 }
@@ -195,14 +215,26 @@ impl IntoIterator for &KvBatch {
 
 /// Lazy in-order walk of one SSTable's entries in a key range: a cursor
 /// over one cached block at a time, fetching the next block only when the
-/// range runs past the current one.
+/// range runs past the current one. [`SstRangeIter::reseek`] moves it
+/// onto another range; the block it holds stays, so a range that starts
+/// inside that block seeks there and reads no block at all.
 pub(crate) struct SstRangeIter {
     table: Arc<SsTable>,
     /// Next block index to fetch.
     next_block: usize,
-    /// The current block; `None` until the first fetch, which seeks to
-    /// the range's start (later blocks begin past it by construction).
+    /// The block last fetched (its index is `held`); `None` until the
+    /// first fetch.
     cursor: Option<BlockCursor>,
+    held: usize,
+    /// The next block fetched is the range's first and seeks to its
+    /// start (later blocks begin past it by construction).
+    seek: bool,
+    /// The cursor already sits on the range's first entry, not yet
+    /// yielded: a re-seek inside the held block.
+    positioned: bool,
+    /// The last range ended on the cursor's entry, the first past its
+    /// end: every entry before it is at or below that end.
+    past_end: bool,
     done: bool,
     /// Per-region attribution for every block this iterator reads.
     traffic: Arc<RegionTraffic>,
@@ -212,26 +244,53 @@ pub(crate) struct SstRangeIter {
 }
 
 impl SstRangeIter {
-    pub(crate) fn new(
-        table: Arc<SsTable>,
-        start: &[u8],
-        end: &[u8],
-        traffic: Arc<RegionTraffic>,
-        fill_cache: bool,
-    ) -> Self {
-        let done = !table.overlaps(start, end);
-        if done {
-            // Pruned by the min/max fence.
-            table.metrics().record_index_skip();
-        }
-        let next_block = if done { 0 } else { table.seek_block(start) };
+    /// A walk over no range yet: [`SstRangeIter::reseek`] gives it one.
+    pub(crate) fn new(table: Arc<SsTable>, traffic: Arc<RegionTraffic>, fill_cache: bool) -> Self {
         SstRangeIter {
             table,
-            next_block,
+            next_block: 0,
             cursor: None,
-            done,
+            held: 0,
+            seek: true,
+            positioned: false,
+            past_end: false,
+            done: true,
             traffic,
             fill_cache,
+        }
+    }
+
+    /// Moves the walk onto `[start, end]`, before its first entry. A
+    /// held block that covers `start` is searched in place — not at all
+    /// when the last range, ending at `last_end` below `start`, stopped
+    /// on an entry at or past `start` — otherwise the index picks the
+    /// block and the next pull reads it. Does no IO.
+    fn reseek(&mut self, start: &[u8], end: &[u8], last_end: &[u8]) {
+        let past_end = std::mem::take(&mut self.past_end);
+        self.positioned = false;
+        self.done = !self.table.overlaps(start, end);
+        if self.done {
+            // Pruned by the min/max fence.
+            self.table.metrics().record_index_skip();
+            return;
+        }
+        let table = &self.table;
+        let held = self.held;
+        let covers = (held == 0 || table.block_first_key(held) <= start)
+            && (held + 1 == table.block_count() || start < table.block_first_key(held + 1));
+        match &mut self.cursor {
+            Some(cursor) if covers => {
+                // When the held block holds nothing at or past `start`,
+                // the next block begins past it and needs no seek.
+                self.positioned =
+                    past_end && last_end < start && cursor.key() >= start || cursor.seek(start);
+                self.next_block = held + 1;
+                self.seek = false;
+            }
+            _ => {
+                self.next_block = table.seek_block(start);
+                self.seek = true;
+            }
         }
     }
 
@@ -240,7 +299,9 @@ impl SstRangeIter {
     /// of its block: a narrow range pays for the entries it yields.
     fn advance(&mut self, start: &[u8], end: &[u8]) -> Result<bool> {
         while !self.done {
-            if self.cursor.as_mut().is_some_and(BlockCursor::next) {
+            if std::mem::take(&mut self.positioned)
+                || (!self.seek && self.cursor.as_mut().is_some_and(BlockCursor::next))
+            {
                 return Ok(self.within(end));
             }
             if self.next_block >= self.table.block_count()
@@ -249,19 +310,19 @@ impl SstRangeIter {
                 self.done = true;
                 break;
             }
-            let seeked = self.cursor.is_none();
             let block = self
                 .table
-                .read_block(self.next_block, seeked, self.fill_cache)?;
+                .read_block(self.next_block, self.seek, self.fill_cache)?;
             self.traffic.record_scan_block();
+            self.held = self.next_block;
             self.next_block += 1;
             match &mut self.cursor {
                 Some(cursor) => cursor.reset(block),
-                None => {
-                    if self.cursor.insert(BlockCursor::new(block)).seek(start) {
-                        return Ok(self.within(end));
-                    }
-                }
+                None => self.cursor = Some(BlockCursor::new(block)),
+            }
+            if std::mem::take(&mut self.seek) && self.cursor.as_mut().is_some_and(|c| c.seek(start))
+            {
+                return Ok(self.within(end));
             }
         }
         Ok(false)
@@ -271,6 +332,7 @@ impl SstRangeIter {
     /// walk when not).
     fn within(&mut self, end: &[u8]) -> bool {
         self.done = self.cursor().key() > end;
+        self.past_end = self.done;
         !self.done
     }
 
@@ -279,27 +341,55 @@ impl SstRangeIter {
     }
 }
 
-/// One sorted input of a [`MergeStream`]: a memtable layer's snapshot of
-/// the range, or a lazy SSTable range walk.
+/// One sorted input of a [`MergeStream`]: a memtable layer's slices, or
+/// a lazy SSTable range walk.
 pub(crate) enum ScanSource {
-    /// The snapshot, and the index of the entry after the current one.
-    Mem(KvBatch, usize),
+    /// The layer's slices of the ranges a stream reads in one region,
+    /// copied in one pass, in visiting order; the current range's slice
+    /// (each drops once its range is left); and the index of the entry
+    /// after the current one.
+    Mem(std::vec::IntoIter<KvBatch>, KvBatch, usize),
     Sst(SstRangeIter),
 }
 
 impl ScanSource {
-    /// A memtable layer's entries, in key order (a memtable scan yields
-    /// them so, one version per key).
-    pub(crate) fn mem(entries: KvBatch) -> Self {
-        ScanSource::Mem(entries, 0)
+    /// Copies `mem`'s entries visible at `snap` in each of `ranges`.
+    pub(crate) fn mem<'a>(
+        mem: &MemTable,
+        ranges: impl Iterator<Item = (&'a [u8], &'a [u8])>,
+        snap: u64,
+    ) -> Self {
+        let copy = |(start, end)| {
+            let mut slice = KvBatch::default();
+            for (key, value) in mem.scan(start, end, snap) {
+                slice.push(key, value);
+            }
+            slice
+        };
+        let slices = ranges.map(copy).collect::<Vec<_>>();
+        ScanSource::Mem(slices.into_iter(), KvBatch::default(), 0)
+    }
+
+    /// Moves onto the next range, before its first entry: a memtable
+    /// layer onto its next slice (each in key order, one version per
+    /// key, as a memtable scan yields them), an SSTable walk onto
+    /// `[start, end]`.
+    fn reseek(&mut self, start: &[u8], end: &[u8], last_end: &[u8]) {
+        match self {
+            ScanSource::Mem(slices, current, next) => {
+                *current = slices.next().unwrap_or_default();
+                *next = 0;
+            }
+            ScanSource::Sst(it) => it.reseek(start, end, last_end),
+        }
     }
 
     /// Moves onto the next entry of `[start, end]`; `false` when drained.
     fn advance(&mut self, start: &[u8], end: &[u8]) -> Result<bool> {
         match self {
-            ScanSource::Mem(entries, next) => {
+            ScanSource::Mem(_, current, next) => {
                 *next += 1;
-                Ok(*next <= entries.len())
+                Ok(*next <= current.len())
             }
             ScanSource::Sst(it) => it.advance(start, end),
         }
@@ -308,7 +398,7 @@ impl ScanSource {
     /// The current entry; a `None` value marks a tombstone.
     fn entry(&self) -> (&[u8], Option<&[u8]>) {
         match self {
-            ScanSource::Mem(entries, next) => entries.entry(*next - 1),
+            ScanSource::Mem(_, current, next) => current.entry(*next - 1),
             ScanSource::Sst(it) => (it.cursor().key(), it.cursor().value()),
         }
     }
@@ -317,7 +407,10 @@ impl ScanSource {
 /// A pull-based k-way merge over one region's layers (memtable newest,
 /// then SSTables newest→oldest), yielding live entries in key order with
 /// newest-wins shadowing and tombstone elision. Entries are lent, not
-/// copied: each is borrowed from its source until the next pull.
+/// copied: each is borrowed from its source until the next pull. It
+/// merges one range at a time; [`MergeStream::reseek`] moves every
+/// source onto the next, so a scan of many ranges in one region sets up
+/// one merge.
 pub(crate) struct MergeStream {
     sources: Vec<ScanSource>,
     /// The sources positioned on an entry, as a binary min-heap on
@@ -325,16 +418,16 @@ pub(crate) struct MergeStream {
     /// source first among equal keys. The top is the version last
     /// stepped onto.
     heap: Vec<usize>,
-    /// The merged range: SSTable sources seek to `start` and stop past
-    /// `end`.
+    /// The current range: SSTable sources seek to `start` and stop past
+    /// `end`. Buffers reused from range to range.
     start: Vec<u8>,
     end: Vec<u8>,
     /// The key last stepped onto, whose older versions the next step
     /// skips; one buffer, reused, and written only while another source
     /// is left to hold such versions.
     last_key: Vec<u8>,
-    /// The heap is primed on first pull, not at construction, so
-    /// building a stream does no IO (and a cancelled-before-start
+    /// The heap is primed on a range's first pull, not at its reseek,
+    /// so entering a range does no IO (and a cancelled-before-start
     /// stream never touches disk).
     primed: bool,
     /// Key+value bytes of the live entries produced so far, added to the
@@ -344,22 +437,33 @@ pub(crate) struct MergeStream {
 }
 
 impl MergeStream {
-    pub(crate) fn new(
-        sources: Vec<ScanSource>,
-        start: Vec<u8>,
-        end: Vec<u8>,
-        traffic: Arc<RegionTraffic>,
-    ) -> Self {
+    /// A merge over `sources` (newest first), positioned on no range:
+    /// it yields nothing until [`MergeStream::reseek`].
+    pub(crate) fn new(sources: Vec<ScanSource>, traffic: Arc<RegionTraffic>) -> Self {
         MergeStream {
             heap: Vec::with_capacity(sources.len()),
             sources,
-            start,
-            end,
+            start: Vec::new(),
+            end: Vec::new(),
             last_key: Vec::new(),
-            primed: false,
+            primed: true,
             bytes: 0,
             traffic,
         }
+    }
+
+    /// Moves every source onto `[start, end]` (a memtable layer onto its
+    /// next slice): the next pull yields the range's first entry.
+    pub(crate) fn reseek(&mut self, start: &[u8], end: &[u8]) {
+        for source in &mut self.sources {
+            source.reseek(start, end, &self.end);
+        }
+        self.start.clear();
+        self.start.extend_from_slice(start);
+        self.end.clear();
+        self.end.extend_from_slice(end);
+        self.heap.clear();
+        self.primed = false;
     }
 
     fn less(&self, a: usize, b: usize) -> bool {
@@ -456,18 +560,57 @@ impl Drop for MergeStream {
     }
 }
 
-/// A queued scan range: the snapshot of the region it reads, start, end.
-pub(crate) type PendingRange = (Arc<Snapshot>, Vec<u8>, Vec<u8>);
+/// A scan range, moved in from the caller, and the span of regions it
+/// crosses (indices into the stream's regions, visited low to high).
+pub(crate) struct PendingRange {
+    pub(crate) start: Vec<u8>,
+    pub(crate) end: Vec<u8>,
+    pub(crate) span: RangeInclusive<usize>,
+}
+
+/// One region of a [`ScanStream`]'s table.
+#[derive(Default)]
+pub(crate) enum RegionScan {
+    /// No range crosses it.
+    #[default]
+    Idle,
+    /// Pinned at its snapshot until the stream first enters it, and
+    /// whether its blocks may fill the cache.
+    Pinned(Arc<Snapshot>, bool),
+    /// The one merge every range there reads.
+    Open(MergeStream),
+}
+
+impl RegionScan {
+    /// Enters region `index` for the front of `ranges`. The first visit
+    /// captures the region's layers for every range still to cross it,
+    /// in visiting order, and drops the pin: the merge holds the layers.
+    fn enter(&mut self, index: usize, ranges: &VecDeque<PendingRange>) {
+        if let RegionScan::Pinned(snap, fill) = self {
+            let crossing = ranges
+                .iter()
+                .filter(|r| r.span.contains(&index))
+                .map(|r| (&r.start[..], &r.end[..]));
+            let merge = snap.region().scan_stream_at(crossing, snap.seq(), *fill);
+            *self = RegionScan::Open(merge);
+        }
+        if let RegionScan::Open(merge) = self {
+            merge.reseek(&ranges[0].start, &ranges[0].end);
+        }
+    }
+}
 
 /// A streaming multi-range scan at a [`crate::TableSnapshot`].
 ///
 /// Ranges are visited in the order given (entries within a range in key
 /// order); regions within a range are visited low to high, which is key
-/// order because regions partition the keyspace in order. Each queued
-/// range holds its region's snapshot until the stream reaches it and
-/// captures that region's layers, so every range reads the one cut the
-/// stream was opened at. Construction does no IO — the first block is
-/// read when the first batch is pulled.
+/// order because regions partition the keyspace in order. Each region a
+/// range crosses stays pinned at its snapshot until the stream first
+/// enters it; there it captures the region's layers for all the ranges
+/// still to cross it, at once, and opens the one merge that every one of
+/// them re-seeks. So every range reads the one cut the stream was opened
+/// at. Construction does no IO — the first block is read when the first
+/// batch is pulled.
 ///
 /// Dropping the stream before it runs dry (or cancelling its token)
 /// counts one early termination; the un-read remainder of the ranges is
@@ -475,12 +618,13 @@ pub(crate) type PendingRange = (Arc<Snapshot>, Vec<u8>, Vec<u8>);
 /// one `just_kvstore_scan_latency_us` sample: the time spent inside
 /// [`ScanStream::next_batch`], summed over its pulls.
 pub struct ScanStream {
-    /// Work items, front first. Each pins its region's snapshot — the
-    /// region's held generations, and the region itself, so a range
-    /// entered after an online split still reads the pre-split cut —
-    /// until the range is entered.
-    pending: VecDeque<PendingRange>,
-    current: Option<MergeStream>,
+    /// Ranges not yet run dry, front first.
+    ranges: VecDeque<PendingRange>,
+    /// The table's regions, in key order.
+    regions: Vec<RegionScan>,
+    /// The region the front range is reading; `None` before it enters
+    /// its first.
+    at: Option<usize>,
     batch_rows: usize,
     cancel: CancelToken,
     metrics: Arc<IoMetrics>,
@@ -500,13 +644,15 @@ pub struct ScanStream {
 
 impl ScanStream {
     pub(crate) fn new(
-        pending: VecDeque<PendingRange>,
+        ranges: VecDeque<PendingRange>,
+        regions: Vec<RegionScan>,
         opts: ScanOptions,
         metrics: Arc<IoMetrics>,
     ) -> Self {
         ScanStream {
-            pending,
-            current: None,
+            ranges,
+            regions,
+            at: None,
             batch_rows: opts.batch_rows.max(1),
             cancel: opts.cancel,
             metrics,
@@ -554,23 +700,25 @@ impl ScanStream {
             if self.cancel.is_cancelled() {
                 break;
             }
-            let stream = match &mut self.current {
-                Some(s) => s,
-                // The range's pin drops here: the merge holds the layers.
-                None => match self.pending.pop_front() {
-                    Some((snap, start, end)) => {
-                        let merge = snap.region().scan_stream_at(start, end, snap.seq());
-                        self.current.insert(merge)
-                    }
-                    None => {
-                        self.exhausted = true;
-                        break;
-                    }
-                },
+            let Some(range) = self.ranges.front() else {
+                self.exhausted = true;
+                break;
             };
-            match stream.next_live()? {
-                Some((key, value)) => self.batch.push(key, Some(value)),
-                None => self.current = None,
+            let (region, last) = (self.at.unwrap_or(*range.span.start()), *range.span.end());
+            if self.at.replace(region).is_none() {
+                self.regions[region].enter(region, &self.ranges);
+            }
+            let RegionScan::Open(merge) = &mut self.regions[region] else {
+                unreachable!("a region a range crosses is pinned until entered");
+            };
+            if let Some((key, value)) = merge.next_live()? {
+                self.batch.push(key, Some(value));
+            } else if region < last {
+                self.at = Some(region + 1);
+                self.regions[region + 1].enter(region + 1, &self.ranges);
+            } else {
+                self.ranges.pop_front();
+                self.at = None;
             }
         }
         if !self.batch.is_empty() {
@@ -604,17 +752,24 @@ impl Drop for ScanStream {
 mod tests {
     use super::*;
 
+    /// A memtable-layer source of one slice.
+    fn slice(entries: KvBatch) -> ScanSource {
+        ScanSource::Mem(vec![entries].into_iter(), KvBatch::default(), 0)
+    }
+
     /// One memtable-layer source (`None` values are tombstones).
     fn mem(entries: &[(&str, Option<&str>)]) -> ScanSource {
         let mut batch = KvBatch::default();
         for (key, value) in entries {
             batch.push(key.as_bytes(), value.map(str::as_bytes));
         }
-        ScanSource::mem(batch)
+        slice(batch)
     }
 
     fn merge(sources: Vec<ScanSource>) -> MergeStream {
-        MergeStream::new(sources, Vec::new(), Vec::new(), Default::default())
+        let mut merge = MergeStream::new(sources, Default::default());
+        merge.reseek(b"", b"");
+        merge
     }
 
     /// Drains a [`MergeStream`] over in-memory sources (index 0 = newest).
@@ -688,7 +843,7 @@ mod tests {
                         Some(format!("{s}").as_bytes()),
                     );
                 }
-                ScanSource::mem(batch)
+                slice(batch)
             })
             .collect();
         let merged = drain(sources);

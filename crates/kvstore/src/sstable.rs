@@ -669,15 +669,9 @@ mod tests {
     /// All entries with `start <= key <= end` (tombstones included),
     /// stepped through the merge and block cursor the scan path uses.
     fn scan(t: &Arc<SsTable>, start: &[u8], end: &[u8]) -> Result<Vec<Entry>> {
-        let source = ScanSource::Sst(SstRangeIter::new(
-            t.clone(),
-            start,
-            end,
-            Default::default(),
-            true,
-        ));
-        let (start, end) = (start.to_vec(), end.to_vec());
-        let mut merge = MergeStream::new(vec![source], start, end, Default::default());
+        let source = ScanSource::Sst(SstRangeIter::new(t.clone(), Default::default(), true));
+        let mut merge = MergeStream::new(vec![source], Default::default());
+        merge.reseek(start, end);
         let mut out = Vec::new();
         while merge.step()? {
             let (key, value) = merge.current().expect("stepped");

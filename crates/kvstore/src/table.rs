@@ -54,11 +54,10 @@ use crate::metrics::IoMetrics;
 use crate::region::{
     check_entry_sizes, Region, RegionOptions, RegionTrafficSnapshot, Snapshot, WriteOp,
 };
-use crate::scan::{ScanOptions, ScanStream};
+use crate::scan::{PendingRange, RegionScan, ScanOptions, ScanStream};
 use crate::wal::fsync_dir;
 use crate::KvEntry;
 use just_obs::sync::{Mutex, RwLock};
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -800,16 +799,27 @@ impl TableSnapshot {
         ranges: Vec<(Vec<u8>, Vec<u8>)>,
         opts: ScanOptions,
     ) -> ScanStream {
-        let mut pending = VecDeque::new();
-        for (start, end) in ranges {
-            if start > end {
-                continue;
-            }
-            for (_, snap) in &self.snaps[self.index_for(&start)..=self.index_for(&end)] {
-                pending.push_back((snap.clone(), start.clone(), end.clone()));
-            }
-        }
-        ScanStream::new(pending, opts, self.metrics.clone())
+        let mut scans: Vec<RegionScan> = self.snaps.iter().map(|_| Default::default()).collect();
+        let ranges = ranges
+            .into_iter()
+            .filter(|(start, end)| start <= end)
+            .map(|(start, end)| {
+                let first = self.index_for(&start);
+                // Most ranges lie in one region: one compare says so.
+                let last = match self.snaps.get(first + 1) {
+                    Some((next, _)) if next <= &end => self.index_for(&end),
+                    _ => first,
+                };
+                let span = first..=last;
+                for (scan, (_, snap)) in scans[span.clone()].iter_mut().zip(&self.snaps[first..]) {
+                    if let RegionScan::Idle = scan {
+                        *scan = RegionScan::Pinned(snap.clone(), opts.fill_cache);
+                    }
+                }
+                PendingRange { start, end, span }
+            })
+            .collect();
+        ScanStream::new(ranges, scans, opts, self.metrics.clone())
     }
 }
 

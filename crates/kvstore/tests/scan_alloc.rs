@@ -1,10 +1,11 @@
-//! A scan allocates per range and per batch, never per entry: the block
-//! cursor lends keys and values out of the cached block, the merge orders
-//! its sources by those borrowed keys, and the stream copies each live
-//! entry once, into one arena batch it reuses. Counted with a counting
-//! global allocator, which is why this binary holds one `#[test]` (a
-//! second test thread would allocate into the same counter) and opens its
-//! store without background maintenance.
+//! A scan allocates per region and per batch, never per range or per
+//! entry: the block cursor lends keys and values out of the cached
+//! block, the merge orders its sources by those borrowed keys, one merge
+//! per region re-seeks from range to range, and the stream copies each
+//! live entry once, into one arena batch it reuses. Counted with a
+//! counting global allocator, which is why this binary holds one
+//! `#[test]` (a second test thread would allocate into the same counter)
+//! and opens its store without background maintenance.
 
 use just_kvstore::{MaintenanceOptions, ScanOptions, Store, StoreOptions, SyncPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -89,6 +90,35 @@ fn a_cached_scan_allocates_per_range_not_per_key() {
     assert!(
         allocs * 20 < keys,
         "{allocs} allocations for {keys} keys: not fewer than 0.05 per key"
+    );
+
+    // 1 000 one-key ranges in the one region: one merge re-seeks through
+    // them all, so the count (stream construction included) does not
+    // grow with the ranges. Again the first drain fills the cache.
+    let points = || {
+        (0..1000)
+            .map(|i| (key(i * 20), key(i * 20)))
+            .collect::<Vec<_>>()
+    };
+    let point_drain = |ranges| {
+        let before = ALLOCS.load(Relaxed);
+        let mut stream = table
+            .snapshot()
+            .scan_ranges_stream(ranges, ScanOptions::default());
+        let mut keys = 0;
+        while let Some(batch) = stream.next_batch().unwrap() {
+            keys += batch.len();
+        }
+        drop(stream);
+        (keys, ALLOCS.load(Relaxed) - before)
+    };
+    point_drain(points());
+    let (keys, allocs) = point_drain(points());
+    println!("{keys} keys over 1000 cached one-key ranges: {allocs} allocations");
+    assert_eq!(keys, 1000);
+    assert!(
+        allocs < 64,
+        "{allocs} allocations for 1000 ranges in one region"
     );
     store.drop_table("t").unwrap();
     std::fs::remove_dir_all(&dir).ok();

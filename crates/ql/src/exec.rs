@@ -401,7 +401,7 @@ trait Stage {
 }
 
 /// The counters a store-reading leaf reports, in [`reading`]'s order.
-const METERED: usize = 12;
+const METERED: usize = 13;
 
 /// What an operator's calls cost: their summed time and, for a leaf that
 /// reads the store, the counter deltas they caused. Summing over the
@@ -434,7 +434,7 @@ impl Cost {
         if self.store.is_none() {
             return;
         }
-        let [blocks, hits, bytes, batches, early, pruned, gated, bloom, index, memtable, ranges, keys] =
+        let [blocks, hits, bytes, batches, early, pruned, gated, bloom, index, memtable, ranges, keys, merges] =
             self.deltas;
         let mut attr = |name, value: u64, always: bool| {
             if always || value > 0 {
@@ -460,6 +460,9 @@ impl Cost {
             attr("key_ranges", ranges, true);
             attr("keys_scanned", keys, true);
         }
+        // Region merges the scan opened: one per region it entered,
+        // however many of its key ranges fall there.
+        attr("merges", merges, ranges > 0);
     }
 }
 
@@ -480,6 +483,7 @@ fn reading(engine: &Engine) -> [u64; METERED] {
         io.memtable_hits,
         obs.key_ranges.get(),
         obs.keys_scanned.get(),
+        io.scan_merges,
     ]
 }
 

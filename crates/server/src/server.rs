@@ -326,24 +326,29 @@ fn refuse(stream: TcpStream, code: &str, message: impl Into<String>) {
             if write_frame(&mut stream, &bytes).is_err() {
                 return;
             }
-            // Half-close, then drain the client's in-flight handshake
-            // before dropping the socket: closing with unread bytes
-            // queued makes the kernel send an RST, which discards the
-            // refusal response before the client can read it (the
-            // client would see EPIPE/ECONNRESET instead of BUSY).
-            // Drain is bounded so a hostile client cannot pin the
-            // thread by streaming bytes at us.
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            let deadline = Instant::now() + WRITE_TIMEOUT;
-            let mut sink = [0u8; 1024];
-            let mut drained = 0usize;
-            while drained < 64 << 10 && Instant::now() < deadline {
-                match io::Read::read(&mut stream, &mut sink) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => drained += n,
-                }
-            }
+            // The client's in-flight handshake is still unread.
+            close_draining(&mut stream);
         });
+}
+
+/// Half-closes a connection after its last response, then drains what
+/// the peer still sends before the socket drops: closing with unread
+/// bytes queued makes the kernel send an RST, which discards the
+/// response before the client can read it (the client would see
+/// EPIPE/ECONNRESET instead of the error). The drain stops at the first
+/// read timeout and is bounded, so a hostile client cannot pin the
+/// thread by streaming bytes at us.
+fn close_draining(stream: &mut TcpStream) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let deadline = Instant::now() + WRITE_TIMEOUT;
+    let mut sink = [0u8; 1024];
+    let mut drained = 0usize;
+    while drained < 64 << 10 && Instant::now() < deadline {
+        match io::Read::read(stream, &mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 /// One connection's lifetime: frames in, frames out, until close,
@@ -384,14 +389,13 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 // The announced payload is still on the wire; the
                 // stream cannot be resynchronized, so answer and close.
                 shared.metrics.request_errors.inc();
-                let _ = write_frame(
-                    &mut stream,
-                    &Response::error(
-                        codes::TOO_LARGE,
-                        format!("frame of {len} bytes exceeds cap of {max}"),
-                    )
-                    .to_bytes(),
+                let refusal = Response::error(
+                    codes::TOO_LARGE,
+                    format!("frame of {len} bytes exceeds cap of {max}"),
                 );
+                if write_frame(&mut stream, &refusal.to_bytes()).is_ok() {
+                    close_draining(&mut stream);
+                }
                 return;
             }
             Err(FrameError::Io(_)) => return,

@@ -484,11 +484,14 @@ impl StTable {
     /// (Table III's dual-index setting), open time windows on a temporal
     /// primary clamp to the observed data bounds. Records planning
     /// metrics. No ranges when the table provably holds no data for the
-    /// window (no time bounds persisted yet).
+    /// window (no time bounds persisted yet). A plan that is the whole
+    /// primary family (an `Id` primary's) reads around the block cache,
+    /// as [`StTable::scan_all_stream`] does.
     fn plan_scan(
         &self,
         spatial: Option<&Rect>,
         time: Option<(i64, i64)>,
+        opts: &mut just_kvstore::ScanOptions,
     ) -> Vec<(Vec<u8>, Vec<u8>)> {
         let plan = match (time, &self.spatial) {
             (None, Some(sst)) => sst.plan(spatial, None),
@@ -501,6 +504,7 @@ impl StTable {
                     },
                     None => None,
                 };
+                opts.fill_cache &= self.strategy.kind() != IndexKind::Id;
                 self.strategy.plan(spatial, plan_time)
             }
         };
@@ -521,9 +525,9 @@ impl StTable {
         &self,
         spatial: Option<&Rect>,
         time: Option<(i64, i64)>,
-        opts: just_kvstore::ScanOptions,
+        mut opts: just_kvstore::ScanOptions,
     ) -> RawQueryStream {
-        let ranges = self.plan_scan(spatial, time);
+        let ranges = self.plan_scan(spatial, time, &mut opts);
         RawQueryStream {
             inner: self.kv.snapshot().scan_ranges_stream(ranges, opts),
         }
@@ -577,29 +581,31 @@ impl StTable {
     /// all its ranges and regions however long it runs: a row moved from
     /// a range not yet reached into one already passed still comes back
     /// once, as it was. It owns the snapshot's pins and releases each
-    /// region's as it enters that region's last range.
+    /// region's when it first enters that region.
     pub fn query_stream(
         &self,
         spatial: Option<&Rect>,
         time: Option<(i64, i64)>,
         predicate: SpatialPredicate,
         projection: Option<&[usize]>,
-        opts: just_kvstore::ScanOptions,
+        mut opts: just_kvstore::ScanOptions,
     ) -> QueryStream {
-        let ranges = self.plan_scan(spatial, time);
+        let ranges = self.plan_scan(spatial, time, &mut opts);
         let inner = self.kv.snapshot().scan_ranges_stream(ranges, opts);
         self.build_stream(inner, spatial, time, predicate, projection)
     }
 
     /// Every record, decoded batch by batch (with optional projection
     /// pushdown): the data family, salt by salt, at one snapshot as
-    /// [`StTable::query_stream`] reads.
+    /// [`StTable::query_stream`] reads. It reads each block once, around
+    /// the block cache.
     pub fn scan_all_stream(
         &self,
         projection: Option<&[usize]>,
-        opts: just_kvstore::ScanOptions,
+        mut opts: just_kvstore::ScanOptions,
     ) -> QueryStream {
         let ranges = self.strategy.family_ranges();
+        opts.fill_cache = false;
         let inner = self.kv.snapshot().scan_ranges_stream(ranges, opts);
         self.build_stream(inner, None, None, SpatialPredicate::Intersects, projection)
     }
@@ -950,6 +956,47 @@ mod tests {
             })
             .count();
         assert_eq!(hits.len(), brute);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A full-family scan — what `SELECT count(*)` runs — reads each
+    /// block once, around the block cache; a window query over the same
+    /// blocks still fills it.
+    #[test]
+    fn a_full_scan_reads_around_the_block_cache() {
+        let (s, dir) = store("full-scan-cache");
+        let t = StTable::create(&s, "orders", order_schema(), StorageConfig::default()).unwrap();
+        for i in 0..2000 {
+            let (lng, lat) = (
+                116.0 + (i % 40) as f64 * 0.01,
+                39.0 + (i / 40) as f64 * 0.01,
+            );
+            t.insert(&order_row(i, lng, lat, (i % 48) * HOUR_MS / 2))
+                .unwrap();
+        }
+        t.compact().unwrap();
+        let cache = s.cache();
+        let before = cache.resident_bytes();
+        let mut all = t.scan_all_stream(None, just_kvstore::ScanOptions::default());
+        let mut rows = 0;
+        while let Some(batch) = all.next_batch().unwrap() {
+            rows += batch.len();
+        }
+        assert_eq!(rows, 2000);
+        assert_eq!(
+            cache.resident_bytes(),
+            before,
+            "the full scan filled the cache"
+        );
+        let window = Rect::new(115.995, 38.995, 116.5, 39.5);
+        let hits = t
+            .query(Some(&window), Some((0, DAY_MS)), SpatialPredicate::Within)
+            .unwrap();
+        assert!(!hits.is_empty());
+        assert!(
+            cache.resident_bytes() > before,
+            "the window query did not fill the cache"
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 
