@@ -5,7 +5,7 @@
 #
 # Stages (so `.github/workflows/ci.yml` can run them as parallel jobs):
 #
-#   ./ci.sh lint    # fmt --check, clippy -D warnings, doc gate, LOC.tsv fresh
+#   ./ci.sh lint    # fmt --check, clippy -D warnings, doc gate, LOC.tsv fresh, no ignored test
 #   ./ci.sh test    # locked build, tests, smoke tests, bench guards, benchmark/check.sh
 #   ./ci.sh         # everything, in order (the pre-push gate)
 #
@@ -36,6 +36,12 @@ if [ "$STAGE" != "test" ]; then
 
     echo "==> scripts/loc.sh --check (LOC.tsv is the tracked size report)"
     scripts/loc.sh --check
+
+    echo "==> no ignored tests (the test stage runs every test it lists)"
+    if git grep --untracked -nE '#\[ignore|```[a-z0-9_,]*ignore' -- '*.rs'; then
+        echo "a test or doctest above is marked ignored"
+        exit 1
+    fi
 fi
 if [ "$STAGE" = "lint" ]; then
     echo "lint gate passed."

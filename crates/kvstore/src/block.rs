@@ -78,7 +78,6 @@ fn shared_prefix_len(a: &[u8], b: &[u8]) -> usize {
 #[derive(Debug, Default)]
 pub(crate) struct BlockBuilder {
     buf: Vec<u8>,
-    first_key: Option<Vec<u8>>,
     last_key: Vec<u8>,
     restarts: Vec<u32>,
     since_restart: usize,
@@ -94,9 +93,6 @@ impl BlockBuilder {
     /// Appends an entry. Keys must arrive in ascending order (enforced by
     /// the SSTable builder).
     pub(crate) fn add(&mut self, key: &[u8], value: Option<&[u8]>) {
-        if self.first_key.is_none() {
-            self.first_key = Some(key.to_vec());
-        }
         let shared = if self.since_restart == 0 || self.since_restart >= RESTART_INTERVAL {
             self.restarts.push(self.buf.len() as u32);
             self.since_restart = 0;
@@ -131,19 +127,23 @@ impl BlockBuilder {
         self.count == 0
     }
 
-    /// First key in the block (insertion order = ascending).
-    pub(crate) fn first_key(&self) -> Option<&[u8]> {
-        self.first_key.as_deref()
-    }
-
-    /// Consumes the builder, returning the encoded bytes.
-    pub(crate) fn finish(mut self) -> Vec<u8> {
+    /// Appends the restart trailer and lends the encoded block.
+    /// [`BlockBuilder::clear`] starts the next block in the same buffers.
+    pub(crate) fn finish(&mut self) -> &[u8] {
         for r in &self.restarts {
             self.buf.extend_from_slice(&r.to_le_bytes());
         }
         self.buf
             .extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
-        self.buf
+        &self.buf
+    }
+
+    /// Empties the builder, keeping its buffers' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+        self.restarts.clear();
+        self.since_restart = 0;
+        self.count = 0;
     }
 }
 
@@ -366,7 +366,7 @@ mod tests {
         for (k, v) in entries {
             b.add(k, *v);
         }
-        block(b.finish())
+        block(b.finish().to_vec())
     }
 
     /// Every entry from the cursor's position on, owned.
@@ -404,7 +404,7 @@ mod tests {
         let mut b = BlockBuilder::new();
         b.add(b"key-aaaa", Some(b"value"));
         b.add(b"key-bbbb", Some(b"value"));
-        let mut bytes = b.finish();
+        let mut bytes = b.finish().to_vec();
         bytes.truncate(bytes.len() - 2);
         assert!(!block(bytes).validate());
     }
@@ -434,7 +434,7 @@ mod tests {
             "prefix compression should save >30%: raw={raw} encoded={encoded}"
         );
         // And the compressed form still decodes identically.
-        let block = block(v2.finish());
+        let block = block(v2.finish().to_vec());
         assert!(block.validate());
         let decoded: Vec<_> = all(block).into_iter().map(|e| e.0).collect();
         assert_eq!(decoded.len(), keys.len());
@@ -445,9 +445,9 @@ mod tests {
 
     #[test]
     fn v2_empty_block() {
-        let b = BlockBuilder::new();
+        let mut b = BlockBuilder::new();
         assert!(b.is_empty());
-        let block = block(b.finish());
+        let block = block(b.finish().to_vec());
         assert!(block.validate());
         assert_eq!(seek(&block, b"anything"), None);
         assert!(all(block).is_empty());
@@ -502,7 +502,7 @@ mod tests {
         for k in &keys {
             b.add(k, Some(b"v"));
         }
-        let block = block(b.finish());
+        let block = block(b.finish().to_vec());
         assert!(block.validate());
         for (i, k) in keys.iter().enumerate() {
             // Exact hit.
@@ -532,7 +532,7 @@ mod tests {
         for i in 0..40u32 {
             b.add(format!("k{i:04}").as_bytes(), Some(b"v"));
         }
-        let mut bytes = b.finish();
+        let mut bytes = b.finish().to_vec();
         // Claim more restarts than the block holds.
         let n = bytes.len();
         bytes[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -548,7 +548,7 @@ mod tests {
             let value = vec![i as u8; rng.gen_range(0usize..40)];
             b.add(key.as_bytes(), (i % 11 != 5).then_some(&value[..]));
         }
-        b.finish()
+        b.finish().to_vec()
     }
 
     /// One seeded mutation of an encoded block: a bit flip, a truncation,

@@ -8,16 +8,24 @@
 //! key vector, so a sample is an O(1) index draw rather than a walk of
 //! `HashMap` iteration order, which always visits the same leading
 //! buckets and would starve whole regions of the map of eviction
-//! pressure). Shards are keyed by SSTable file id, so dropping a file on
-//! compaction locks exactly one shard instead of sweeping all of them.
+//! pressure). A block's shard is a hash of its `(file id, block index)`,
+//! so the blocks of one file spread over every shard and a single hot
+//! file — a region compacted to one table — can use the whole budget,
+//! not one shard's sixteenth of it.
+//!
+//! A file's blocks leave in one place: dropping its `SsTable` handle
+//! calls [`BlockCache::invalidate_file`], which sweeps every shard. Files
+//! retire at the rate of flushes, compactions, splits and merges, so
+//! the sweep is rare, and it also covers blocks a scan still reading a
+//! retired file put back after the file left the region.
 //!
 //! The cache stores *decompressed* block bytes: a hot block of a
 //! compressed table pays codec work once, at fill time. Only queries
 //! fill it: a compaction, split or merge reads around it (hits are served, a
 //! miss is not inserted), so a rewrite neither evicts what queries use
-//! nor caches blocks whose file it is about to retire. Cache hits are
-//! counted separately from disk reads in [`crate::IoMetrics`], so
-//! experiments can still measure true disk IO.
+//! nor caches blocks whose file it is about to retire. The cache keeps no
+//! counters of its own: hits and disk reads are counted separately in
+//! [`crate::IoMetrics`], so experiments can still measure true disk IO.
 
 use just_obs::sync::Mutex;
 use just_obs::Rng;
@@ -64,16 +72,12 @@ impl Shard {
 pub struct BlockCache {
     shards: Vec<Mutex<Shard>>,
     capacity_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl std::fmt::Debug for BlockCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BlockCache")
             .field("capacity_per_shard", &self.capacity_per_shard)
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .field("misses", &self.misses.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -95,8 +99,6 @@ impl BlockCache {
                 })
                 .collect(),
             capacity_per_shard: capacity_bytes / SHARDS,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -105,13 +107,13 @@ impl BlockCache {
         self.capacity_per_shard > 0
     }
 
-    /// Shard choice depends on the file id only, so all blocks of one
-    /// SSTable live in one shard and [`BlockCache::invalidate_file`]
-    /// touches exactly that shard.
-    fn shard_of_file(&self, file_id: u64) -> usize {
-        let mut z = file_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    /// The shard of one block: a hash of file and block together, so a
+    /// file's blocks spread over every shard.
+    fn shard_of(&self, (file_id, block_idx): Key) -> &Mutex<Shard> {
+        let mut z =
+            (file_id ^ (block_idx as u64).rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        (z >> 32) as usize % SHARDS
+        &self.shards[(z >> 32) as usize % SHARDS]
     }
 
     /// Fetches a cached block.
@@ -120,23 +122,12 @@ impl BlockCache {
             return None;
         }
         let key = (file_id, block_idx);
-        let mut shard = self.shards[self.shard_of_file(file_id)].lock();
+        let mut shard = self.shard_of(key).lock();
         shard.clock += 1;
         let clock = shard.clock;
-        match shard.map.get_mut(&key) {
-            Some(entry) => {
-                entry.used = clock;
-                let out = entry.data.clone();
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(out)
-            }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let entry = shard.map.get_mut(&key)?;
+        entry.used = clock;
+        Some(entry.data.clone())
     }
 
     /// Inserts a block, evicting approximately-LRU entries when over
@@ -146,7 +137,7 @@ impl BlockCache {
             return;
         }
         let key = (file_id, block_idx);
-        let mut shard = self.shards[self.shard_of_file(file_id)].lock();
+        let mut shard = self.shard_of(key).lock();
         shard.clock += 1;
         let clock = shard.clock;
         let len = data.len();
@@ -194,32 +185,28 @@ impl BlockCache {
         }
     }
 
-    /// Drops every block belonging to a file (on compaction/removal).
-    /// Locks only the file's owning shard.
+    /// Drops every block of a file, sweeping each shard once. Called
+    /// when the file's `SsTable` handle drops.
     pub(crate) fn invalidate_file(&self, file_id: u64) {
-        let mut shard = self.shards[self.shard_of_file(file_id)].lock();
-        let doomed: Vec<Key> = shard
-            .keys
-            .iter()
-            .filter(|(f, _)| *f == file_id)
-            .copied()
-            .collect();
-        for k in doomed {
-            shard.remove(&k);
+        if !self.enabled() {
+            return;
+        }
+        for shard in &self.shards {
+            let mut shard = shard.lock();
+            // Backwards, so the key `remove` swaps into slot `i` has
+            // already been looked at.
+            for i in (0..shard.keys.len()).rev() {
+                let key = shard.keys[i];
+                if key.0 == file_id {
+                    shard.remove(&key);
+                }
+            }
         }
     }
 
     /// Bytes of block data resident across the shards.
     pub fn resident_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.lock().bytes).sum()
-    }
-
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -239,8 +226,7 @@ mod tests {
         assert!(c.get(1, 0).is_none());
         c.put(1, 0, Arc::new(vec![7u8; 100]));
         assert_eq!(c.get(1, 0).unwrap().len(), 100);
-        let (hits, misses) = c.stats();
-        assert_eq!((hits, misses), (1, 1));
+        assert!(c.get(1, 1).is_none() && c.get(2, 0).is_none());
     }
 
     #[test]
@@ -269,7 +255,7 @@ mod tests {
         let c = BlockCache::new(1 << 20);
         c.put(1, 0, Arc::new(vec![0u8; 100]));
         c.put(1, 0, Arc::new(vec![0u8; 50]));
-        let shard = c.shards[c.shard_of_file(1)].lock();
+        let shard = c.shard_of((1, 0)).lock();
         assert_eq!(shard.bytes, 50);
         assert_eq!(shard.keys.len(), 1);
         assert_eq!(shard.map[&(1, 0)].slot, 0);
@@ -277,17 +263,19 @@ mod tests {
 
     #[test]
     fn hot_blocks_survive_churn() {
-        // One file -> one shard: everything below fights over a single
-        // shard's capacity. A read-through workload (miss refills, as the
+        // Every block below lies in one shard and fights over its
+        // capacity. A read-through workload (miss refills, as the
         // SSTable read path does) with a hot set touched every round and
         // a stream of cold blocks must keep a high hot hit ratio; the old
         // HashMap-iteration sampling probed the same buckets every time,
         // so eviction pressure concentrated there and hot entries living
         // in those buckets were flushed over and over.
         let c = BlockCache::new(SHARDS * 64 * 1024); // 64 KiB per shard
-        let hot: Vec<usize> = (0..16).collect();
+        let first = c.shard_of((1, 0)) as *const _;
+        let mut one_shard = (0..).filter(|&i| std::ptr::eq(c.shard_of((1, i)), first));
+        let hot: Vec<usize> = one_shard.by_ref().take(16).collect();
         let (mut accesses, mut misses) = (0u32, 0u32);
-        for round in 0..200usize {
+        for _ in 0..200usize {
             for &i in &hot {
                 accesses += 1;
                 if c.get(1, i).is_none() {
@@ -296,8 +284,8 @@ mod tests {
                 }
             }
             // A burst of cold blocks that overflows the shard.
-            for j in 0..8usize {
-                c.put(1, 1000 + round * 8 + j, Arc::new(vec![0u8; 4096]));
+            for j in one_shard.by_ref().take(8) {
+                c.put(1, j, Arc::new(vec![0u8; 4096]));
             }
         }
         let hit_ratio = 1.0 - f64::from(misses) / f64::from(accesses);
@@ -317,21 +305,33 @@ mod tests {
         assert!(c.get(5, 0).is_none());
         assert!(c.get(5, 1).is_none());
         assert!(c.get(6, 0).is_some());
-        // Accounting stays exact after slot-fixup removals.
-        let shard = c.shards[c.shard_of_file(5)].lock();
-        assert!(shard.keys.iter().all(|(f, _)| *f != 5));
+        assert_eq!(c.resident_bytes(), 10);
+        // Accounting stays exact after slot-fixup removals, in a shard
+        // holding many of the file's blocks among others'.
+        for i in 0..1000usize {
+            c.put(5 + i as u64 % 2, i, Arc::new(vec![1u8; 10]));
+        }
+        c.invalidate_file(5);
+        assert_eq!(c.resident_bytes(), 10 + 500 * 10);
+        for shard in &c.shards {
+            let shard = shard.lock();
+            assert!(shard.keys.iter().all(|(f, _)| *f == 6));
+            assert!((shard.keys.iter().enumerate()).all(|(slot, k)| shard.map[k].slot == slot));
+        }
     }
 
     #[test]
-    fn file_blocks_share_a_shard() {
+    fn a_file_s_blocks_spread_over_every_shard() {
         let c = BlockCache::new(1 << 20);
-        for idx in 0..64usize {
-            assert_eq!(c.shard_of_file(7), c.shard_of_file(7), "idx {idx}");
+        let shard = |idx: usize| c.shard_of((7, idx)) as *const Mutex<Shard>;
+        let distinct: std::collections::HashSet<_> = (0..256).map(shard).collect();
+        assert_eq!(distinct.len(), SHARDS);
+        // A file's blocks can fill the whole budget, not one shard's.
+        for idx in 0..4096 {
+            c.put(7, idx, Arc::new(vec![0u8; 512]));
         }
-        // Different files spread across shards.
-        let distinct: std::collections::HashSet<usize> =
-            (0..64u64).map(|f| c.shard_of_file(f)).collect();
-        assert!(distinct.len() > SHARDS / 2, "got {distinct:?}");
+        let resident = c.resident_bytes();
+        assert!(resident > (1 << 20) * 3 / 4, "{resident}");
     }
 
     #[test]

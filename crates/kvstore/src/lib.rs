@@ -144,7 +144,7 @@ mod fixture {
     }
 
     pub(crate) fn sstable(path: &Path) -> SsTable {
-        SsTable::open_cached(
+        SsTable::open(
             path,
             Arc::new(IoMetrics::new()),
             Arc::new(BlockCache::new(0)),

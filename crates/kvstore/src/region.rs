@@ -364,7 +364,7 @@ impl Region {
         let next_file_id = files.last().map(|(id, _)| id + 1).unwrap_or(0);
         let last = files.len().saturating_sub(1);
         for (i, (_, path)) in files.iter().enumerate() {
-            match SsTable::open_cached(path, metrics.clone(), cache.clone()) {
+            match SsTable::open(path, metrics.clone(), cache.clone()) {
                 Ok(t) => tables.push(Arc::new(t)),
                 Err(e @ KvError::Corrupt(_)) if i == last => {
                     // A crash mid-flush can leave a torn, never-registered
@@ -867,7 +867,6 @@ impl Region {
             inner.tables.splice(..tables.len(), [Arc::new(table)]);
         }
         for old in &tables {
-            self.cache.invalidate_file(old.file_id());
             std::fs::remove_file(old.path()).ok();
         }
         let obs = just_obs::global();
@@ -1057,14 +1056,10 @@ impl Region {
     /// small to yield two non-empty daughters (callers flush first, so
     /// the fences cover the full keyspace of the region).
     pub(crate) fn approx_split_key(&self) -> Option<Vec<u8>> {
-        let inner = self.inner.read();
-        let mut fences: Vec<Vec<u8>> = Vec::new();
-        for t in inner.tables.iter() {
-            for b in 0..t.block_count() {
-                fences.push(t.block_first_key(b).to_vec());
-            }
-        }
-        drop(inner);
+        let tables = self.inner.read().tables.clone();
+        let mut fences: Vec<&[u8]> = (tables.iter())
+            .flat_map(|t| (0..t.block_count()).map(|b| t.block_first_key(b)))
+            .collect();
         fences.sort_unstable();
         fences.dedup();
         if fences.len() < 2 {
@@ -1072,7 +1067,7 @@ impl Region {
         }
         // Strictly greater than the smallest fence, so both daughters
         // get at least one block's worth of keys.
-        Some(fences[fences.len() / 2].clone())
+        Some(fences[fences.len() / 2].to_vec())
     }
 
     /// Online split, phase 1 + 2: rewrites this region's contents into

@@ -29,7 +29,16 @@
 //! second checksum of the decompressed payload inside the
 //! [`just_compress::Codec`] container. Block reads go through
 //! [`crate::IoMetrics`]; the [`crate::BlockCache`] stores *decompressed*
-//! block bytes, so a hot block pays decompression exactly once.
+//! block bytes, so a hot block pays decompression exactly once, and a
+//! table's blocks leave the cache when the table drops.
+//!
+//! An open table holds its `index` section as the bytes on disk, plus
+//! one `u32` position per block: first keys, block positions and the
+//! min/max keys are read out of those bytes, so the index costs two
+//! allocations whatever the block count. The builder encodes the same
+//! bytes as its blocks flush, writes them, and parses them as `open`
+//! parses the ones it reads: a finished table and the table its file
+//! opens to are one index by construction.
 
 use crate::block::{Block, BlockBuilder, BlockCursor};
 use crate::bloom::{BloomFilter, BITS_PER_KEY};
@@ -121,39 +130,96 @@ impl Default for SstOptions {
     }
 }
 
-#[derive(Debug, Clone)]
-struct BlockMeta {
-    first_key: Vec<u8>,
-    offset: u64,
-    len: u32,
-    crc: u32,
+/// The `n`-byte little-endian integer at `at` (`n` <= 8).
+fn le(bytes: &[u8], at: usize, n: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word[..n].copy_from_slice(&bytes[at..at + n]);
+    u64::from_le_bytes(word)
 }
 
-/// Writes the `index` section; returns its length.
-fn write_index(
-    out: &mut impl Write,
-    blocks: &[BlockMeta],
-    min_key: &[u8],
-    max_key: &[u8],
+/// A table's block index: the index section's own bytes, and where in
+/// them each block's entry starts. Keys and block positions are read out
+/// of the bytes, so the index is two allocations whatever the block
+/// count.
+struct Index {
+    bytes: Box<[u8]>,
+    /// Per block, the position of its entry (`klen`) in `bytes`.
+    blocks: Box<[u32]>,
+    /// Positions of `minlen` and `maxlen`.
+    min_at: u32,
+    max_at: u32,
     entry_count: u64,
-) -> std::io::Result<u64> {
-    let mut len = 16;
-    out.write_all(&(blocks.len() as u64).to_le_bytes())?;
-    for b in blocks {
-        out.write_all(&(b.first_key.len() as u32).to_le_bytes())?;
-        out.write_all(&b.first_key)?;
-        out.write_all(&b.offset.to_le_bytes())?;
-        out.write_all(&b.len.to_le_bytes())?;
-        out.write_all(&b.crc.to_le_bytes())?;
-        len += MIN_INDEX_ENTRY + b.first_key.len();
+}
+
+impl Index {
+    /// Checks that `bytes` is a whole index section and finds its
+    /// entries. A short or inconsistent section is [`KvError::Corrupt`].
+    fn parse(bytes: Vec<u8>, path: &Path) -> Result<Self> {
+        let corrupt = |what: &str| KvError::Corrupt(format!("{}: {what}", path.display()));
+        if u32::try_from(bytes.len()).is_err() {
+            return Err(corrupt("index over 4 GiB"));
+        }
+        // Steps `pos` over `n` bytes; returns where they start.
+        let field = |pos: &mut usize, n: usize| -> Result<usize> {
+            let at = *pos;
+            *pos = (at.checked_add(n))
+                .filter(|&end| end <= bytes.len())
+                .ok_or_else(|| corrupt("index truncated"))?;
+            Ok(at)
+        };
+        let key = |pos: &mut usize| -> Result<u32> {
+            let at = field(pos, 4)?;
+            field(pos, le(&bytes, at, 4) as usize)?;
+            Ok(at as u32)
+        };
+        let mut pos = 0;
+        let count = le(&bytes, field(&mut pos, 8)?, 8);
+        if count > (bytes.len() / MIN_INDEX_ENTRY) as u64 {
+            return Err(corrupt("index claims more blocks than it can hold"));
+        }
+        let mut blocks = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            blocks.push(key(&mut pos)?);
+            field(&mut pos, 16)?;
+        }
+        let (min_at, max_at) = (key(&mut pos)?, key(&mut pos)?);
+        let entry_count = le(&bytes, field(&mut pos, 8)?, 8);
+        Ok(Index {
+            bytes: bytes.into_boxed_slice(),
+            blocks: blocks.into_boxed_slice(),
+            min_at,
+            max_at,
+            entry_count,
+        })
     }
-    for key in [min_key, max_key] {
-        out.write_all(&(key.len() as u32).to_le_bytes())?;
-        out.write_all(key)?;
-        len += 4 + key.len();
+
+    /// The length-prefixed key at `at`.
+    fn key(&self, at: u32) -> &[u8] {
+        let at = at as usize;
+        let len = le(&self.bytes, at, 4) as usize;
+        &self.bytes[at + 4..at + 4 + len]
     }
-    out.write_all(&entry_count.to_le_bytes())?;
-    Ok(len as u64)
+
+    fn first_key(&self, block: usize) -> &[u8] {
+        self.key(self.blocks[block])
+    }
+
+    fn min_key(&self) -> &[u8] {
+        self.key(self.min_at)
+    }
+
+    fn max_key(&self) -> &[u8] {
+        self.key(self.max_at)
+    }
+
+    /// Where data block `block` lies in the file and its checksum:
+    /// `(offset, len, crc)`.
+    fn block(&self, block: usize) -> (u64, usize, u32) {
+        let at = self.blocks[block] as usize;
+        let at = at + 4 + le(&self.bytes, at, 4) as usize;
+        let (offset, len) = (le(&self.bytes, at, 8), le(&self.bytes, at + 8, 4));
+        (offset, len as usize, le(&self.bytes, at + 12, 4) as u32)
+    }
 }
 
 /// Streams ascending key/value pairs into an SSTable file.
@@ -162,12 +228,15 @@ pub(crate) struct SsTableBuilder {
     file: File,
     opts: SstOptions,
     current: BlockBuilder,
-    blocks: Vec<BlockMeta>,
+    /// The index section as it is written: a block count patched in at
+    /// `finish`, then each block's entry — its first key encoded when the
+    /// block opens, its position and checksum when it flushes.
+    index: Vec<u8>,
+    blocks: u64,
     offset: u64,
     entry_count: u64,
-    min_key: Option<Vec<u8>>,
     /// Keys ascend, so this is also the table's max key.
-    last_key: Option<Vec<u8>>,
+    last_key: Vec<u8>,
     /// Filled as keys arrive, sized by the caller; folded to the entry
     /// count at `finish`.
     bloom: BloomFilter,
@@ -206,11 +275,11 @@ impl SsTableBuilder {
             file,
             current: BlockBuilder::new(),
             opts,
-            blocks: Vec::new(),
+            index: vec![0; 8],
+            blocks: 0,
             offset: 0,
             entry_count: 0,
-            min_key: None,
-            last_key: None,
+            last_key: Vec::new(),
             bloom,
             encoded_bytes: 0,
             disk_bytes: 0,
@@ -252,17 +321,18 @@ impl SsTableBuilder {
 
     /// Appends an entry; keys must be strictly ascending.
     pub(crate) fn add(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
-        if let Some(last) = &self.last_key {
-            if key <= last.as_slice() {
-                return Err(KvError::Corrupt(format!(
-                    "keys out of order: {:?} after {:?}",
-                    key, last
-                )));
-            }
+        if self.entry_count > 0 && key <= self.last_key.as_slice() {
+            return Err(KvError::Corrupt(format!(
+                "keys out of order: {:?} after {:?}",
+                key, self.last_key
+            )));
         }
-        self.last_key = Some(key.to_vec());
-        if self.min_key.is_none() {
-            self.min_key = Some(key.to_vec());
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
+        if self.current.is_empty() {
+            self.index
+                .extend_from_slice(&(key.len() as u32).to_le_bytes());
+            self.index.extend_from_slice(key);
         }
         self.bloom.insert(key);
         self.current.add(key, value);
@@ -277,45 +347,58 @@ impl SsTableBuilder {
         if self.current.is_empty() {
             return Ok(());
         }
-        let builder = std::mem::take(&mut self.current);
-        let first_key = builder.first_key().expect("non-empty block").to_vec();
-        let encoded = builder.finish();
+        let codec = self.opts.codec;
+        let encoded = self.current.finish();
         self.encoded_bytes += encoded.len() as u64;
-        let data = if self.compressed() {
-            self.opts.codec.compress(&encoded)
+        let compressed;
+        let data = if codec != Codec::None {
+            compressed = codec.compress(encoded);
+            &compressed[..]
         } else {
             encoded
         };
         self.disk_bytes += data.len() as u64;
-        let crc = crc32(&data);
-        self.file.write_all(&data)?;
+        let crc = crc32(data);
+        self.file.write_all(data)?;
         self.metrics.record_block_write(data.len() as u64);
-        self.blocks.push(BlockMeta {
-            first_key,
-            offset: self.offset,
-            len: data.len() as u32,
-            crc,
-        });
+        self.index.extend_from_slice(&self.offset.to_le_bytes());
+        self.index
+            .extend_from_slice(&(data.len() as u32).to_le_bytes());
+        self.index.extend_from_slice(&crc.to_le_bytes());
         self.offset += data.len() as u64;
+        self.blocks += 1;
+        self.current.clear();
         Ok(())
     }
 
     /// Finishes the file and opens it for reading. The index, filter and
-    /// footer go straight to the file, and the table takes over the
-    /// block index and filter built here instead of reading them back.
+    /// footer go straight to the file; the table parses the index bytes
+    /// written here as [`SsTable::open`] parses the ones it reads, and
+    /// takes over the filter built here.
     pub(crate) fn finish(mut self) -> Result<SsTable> {
         self.flush_block()?;
         let index_offset = self.offset;
-        let (min_key, max_key) = (
-            self.min_key.unwrap_or_default(),
-            self.last_key.unwrap_or_default(),
-        );
+        // The table's min key is block 0's first key, its max the last.
+        self.index[..8].copy_from_slice(&self.blocks.to_le_bytes());
+        let first = match self.blocks {
+            0 => 12..12,
+            _ => 12..12 + le(&self.index, 8, 4) as usize,
+        };
+        self.index
+            .extend_from_slice(&(first.len() as u32).to_le_bytes());
+        self.index.extend_from_within(first);
+        self.index
+            .extend_from_slice(&(self.last_key.len() as u32).to_le_bytes());
+        self.index.extend_from_slice(&self.last_key);
+        self.index
+            .extend_from_slice(&self.entry_count.to_le_bytes());
+        let index_len = self.index.len() as u64;
         let bloom = (self.entry_count > 0).then(|| {
             self.bloom.fold(self.entry_count as usize, BITS_PER_KEY);
             self.bloom
         });
         let mut out = BufWriter::with_capacity(WRITE_BUFFER, &self.file);
-        let index_len = write_index(&mut out, &self.blocks, &min_key, &max_key, self.entry_count)?;
+        out.write_all(&self.index)?;
         let bloom_len = match &bloom {
             Some(bloom) => bloom.write_to(&mut out)?,
             None => 0,
@@ -334,15 +417,12 @@ impl SsTableBuilder {
             crate::wal::fsync_dir(parent)?;
         }
         Ok(SsTable {
+            index: Index::parse(self.index, &self.path)?,
             path: self.path,
             file_id: next_file_id(),
             file: self.file,
             codec: self.opts.codec,
             bloom,
-            blocks: self.blocks,
-            min_key,
-            max_key,
-            entry_count: self.entry_count,
             file_size: index_offset + index_len + bloom_len + FOOTER_LEN as u64,
             seq_limit: self.seq_limit,
             metrics: self.metrics,
@@ -351,7 +431,8 @@ impl SsTableBuilder {
     }
 }
 
-/// A readable, immutable SSTable.
+/// A readable, immutable SSTable. Its blocks leave the block cache when
+/// it drops.
 pub(crate) struct SsTable {
     path: PathBuf,
     /// Unique instance id for block-cache keying.
@@ -359,10 +440,7 @@ pub(crate) struct SsTable {
     file: File,
     codec: Codec,
     bloom: Option<BloomFilter>,
-    blocks: Vec<BlockMeta>,
-    min_key: Vec<u8>,
-    max_key: Vec<u8>,
-    entry_count: u64,
+    index: Index,
     file_size: u64,
     seq_limit: u64,
     metrics: Arc<IoMetrics>,
@@ -375,9 +453,18 @@ impl std::fmt::Debug for SsTable {
             .field("path", &self.path)
             .field("codec", &self.codec)
             .field("bloom", &self.bloom.is_some())
-            .field("blocks", &self.blocks.len())
-            .field("entries", &self.entry_count)
+            .field("blocks", &self.block_count())
+            .field("entries", &self.entry_count())
             .finish()
+    }
+}
+
+impl Drop for SsTable {
+    /// Whatever retired the file — a compaction, split or merge, a
+    /// dropped table, or the last scan still reading it — no handle is
+    /// left to ask for its blocks again.
+    fn drop(&mut self) {
+        self.cache.invalidate_file(self.file_id);
     }
 }
 
@@ -386,7 +473,7 @@ impl SsTable {
     /// index (and bloom filter, if present) into memory. A file whose
     /// magic names another SSTable generation is [`KvError::Format`];
     /// any other bad tail (a torn write) is [`KvError::Corrupt`].
-    pub(crate) fn open_cached(
+    pub(crate) fn open(
         path: &Path,
         metrics: Arc<IoMetrics>,
         cache: Arc<BlockCache>,
@@ -396,9 +483,10 @@ impl SsTable {
         let corrupt = |what: &str| KvError::Corrupt(format!("{}: {what}", path.display()));
 
         // The footer, or the whole file when it is shorter.
-        let mut tail = vec![0u8; file_size.min(FOOTER_LEN as u64) as usize];
+        let mut tail = [0u8; FOOTER_LEN];
+        let tail = &mut tail[..file_size.min(FOOTER_LEN as u64) as usize];
         file.seek(SeekFrom::End(-(tail.len() as i64)))?;
-        file.read_exact(&mut tail)?;
+        file.read_exact(tail)?;
         if !tail.ends_with(MAGIC) {
             let magic = &tail[tail.len().saturating_sub(MAGIC.len())..];
             if magic.len() == MAGIC.len() && magic.starts_with(MAGIC_FAMILY) {
@@ -416,8 +504,7 @@ impl SsTable {
         if tail.len() < FOOTER_LEN {
             return Err(corrupt("too small"));
         }
-        let word =
-            |i: usize| u64::from_le_bytes(tail[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        let word = |i: usize| le(tail, 8 * i, 8);
         let (index_offset, index_len, bloom_len, seq_limit) = (word(0), word(1), word(2), word(3));
         let code = tail[4 * 8];
         let codec =
@@ -434,45 +521,11 @@ impl SsTable {
             return Err(corrupt("bad footer"));
         }
 
+        // The index and the bloom filter lie end to end.
         file.seek(SeekFrom::Start(index_offset))?;
         let mut index = vec![0u8; index_len as usize];
         file.read_exact(&mut index)?;
-
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            let s = pos
-                .checked_add(n)
-                .and_then(|end| index.get(*pos..end))
-                .ok_or_else(|| corrupt("index truncated"))?;
-            *pos += n;
-            Ok(s)
-        };
-        let count = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        if count > (index.len() / MIN_INDEX_ENTRY) as u64 {
-            return Err(corrupt("index claims more blocks than it can hold"));
-        }
-        let mut blocks = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let klen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-            let first_key = take(&mut pos, klen)?.to_vec();
-            let offset = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-            let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-            let crc = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-            blocks.push(BlockMeta {
-                first_key,
-                offset,
-                len,
-                crc,
-            });
-        }
-        let minlen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let min_key = take(&mut pos, minlen)?.to_vec();
-        let maxlen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let max_key = take(&mut pos, maxlen)?.to_vec();
-        let entry_count = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-
         let bloom = if bloom_len > 0 {
-            file.seek(SeekFrom::Start(index_offset + index_len))?;
             let mut buf = vec![0u8; bloom_len as usize];
             file.read_exact(&mut buf)?;
             Some(BloomFilter::deserialize(&buf).ok_or_else(|| corrupt("bloom filter malformed"))?)
@@ -481,15 +534,12 @@ impl SsTable {
         };
 
         Ok(SsTable {
+            index: Index::parse(index, path)?,
             path: path.to_path_buf(),
             file_id: next_file_id(),
             file,
             codec,
             bloom,
-            blocks,
-            min_key,
-            max_key,
-            entry_count,
             file_size,
             seq_limit,
             metrics,
@@ -504,7 +554,7 @@ impl SsTable {
 
     /// Total entries (tombstones included).
     pub(crate) fn entry_count(&self) -> u64 {
-        self.entry_count
+        self.index.entry_count
     }
 
     /// Bytes of the bloom filter the table holds in memory.
@@ -547,9 +597,7 @@ impl SsTable {
 
     /// Whether the key range `[start, end]` could overlap this table.
     pub(crate) fn overlaps(&self, start: &[u8], end: &[u8]) -> bool {
-        !self.blocks.is_empty()
-            && start <= self.max_key.as_slice()
-            && end >= self.min_key.as_slice()
+        self.block_count() > 0 && start <= self.max_key() && end >= self.index.min_key()
     }
 
     /// Reads data block `idx`. A miss fills the cache only with `fill`:
@@ -564,11 +612,11 @@ impl SsTable {
             self.metrics.record_cache_hit();
             return Ok(Block::new(cached));
         }
-        let meta = &self.blocks[idx];
-        let mut buf = vec![0u8; meta.len as usize];
-        read_exact_at(&self.file, &self.path, &mut buf, meta.offset)?;
-        self.metrics.record_block_read(meta.len as u64, seeked);
-        if crc32(&buf) != meta.crc {
+        let (offset, len, crc) = self.index.block(idx);
+        let mut buf = vec![0u8; len];
+        read_exact_at(&self.file, &self.path, &mut buf, offset)?;
+        self.metrics.record_block_read(len as u64, seeked);
+        if crc32(&buf) != crc {
             return Err(KvError::Corrupt(format!(
                 "{}: block {idx} checksum mismatch",
                 self.path.display()
@@ -605,33 +653,31 @@ impl SsTable {
 
     /// Largest key in the table (empty for an empty table).
     pub(crate) fn max_key(&self) -> &[u8] {
-        &self.max_key
+        self.index.max_key()
     }
 
     /// Number of data blocks in the table.
     pub(crate) fn block_count(&self) -> usize {
-        self.blocks.len()
+        self.index.blocks.len()
     }
 
     /// First key of data block `idx` (for end-of-range fencing in
     /// streaming scans).
     pub(crate) fn block_first_key(&self, idx: usize) -> &[u8] {
-        &self.blocks[idx].first_key
+        self.index.first_key(idx)
     }
 
     /// Index of the first block that could contain `key`.
     pub(crate) fn seek_block(&self, key: &[u8]) -> usize {
         // partition_point: number of blocks whose first_key <= key.
-        let n = self
-            .blocks
-            .partition_point(|b| b.first_key.as_slice() <= key);
+        let index = &self.index;
+        let n = (index.blocks).partition_point(|&at| index.key(at) <= key);
         n.saturating_sub(1)
     }
 
     /// Point lookup (tombstones surface as `Some(None)`).
     pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Option<Vec<u8>>>> {
-        if self.blocks.is_empty() || key < self.min_key.as_slice() || key > self.max_key.as_slice()
-        {
+        if !self.overlaps(key, key) {
             self.metrics.record_index_skip();
             return Ok(None);
         }
@@ -745,16 +791,12 @@ mod tests {
                 (built.codec, built.bloom_bytes()),
                 (opened.codec, opened.bloom_bytes())
             );
-            assert_eq!(
-                (&built.min_key, &built.max_key),
-                (&opened.min_key, &opened.max_key)
-            );
-            let index = |t: &SsTable| -> Vec<_> {
-                (t.blocks.iter())
-                    .map(|b| (b.first_key.clone(), b.offset, b.len, b.crc))
-                    .collect()
+            let index = |t: &SsTable| {
+                let i = &t.index;
+                (i.bytes.clone(), i.blocks.clone(), i.min_at, i.max_at)
             };
             assert_eq!(index(&built), index(&opened), "{label}");
+            assert!(built.block_count() > 1, "{label}");
             std::fs::remove_dir_all(dir).ok();
         }
     }
@@ -966,11 +1008,7 @@ mod tests {
     /// Returns the mutated block bytes.
     fn restamp_first_block(path: &Path, mutate: impl FnOnce(&mut [u8])) -> Vec<u8> {
         let mut bytes = std::fs::read(path).unwrap();
-        let word = |at: usize, n: usize| {
-            let mut le = [0u8; 8];
-            le[..n].copy_from_slice(&bytes[at..at + n]);
-            u64::from_le_bytes(le) as usize
-        };
+        let word = |at: usize, n: usize| le(&bytes, at, n) as usize;
         // index := count(u64) klen(u32) first_key offset(u64) len(u32) crc(u32) ...
         let entry = word(bytes.len() - FOOTER_LEN, 8) + 8;
         let at = entry + 4 + word(entry, 4);
@@ -1076,7 +1114,7 @@ mod tests {
 
     fn open_err(path: &Path) -> KvError {
         let (metrics, cache) = (Arc::new(IoMetrics::new()), Arc::new(BlockCache::new(0)));
-        SsTable::open_cached(path, metrics, cache).expect_err("hostile file must not open")
+        SsTable::open(path, metrics, cache).expect_err("hostile file must not open")
     }
 
     #[test]

@@ -33,68 +33,6 @@ fn order_schema() -> Schema {
     .unwrap()
 }
 
-/// Figure 12's mechanism: for the paper's canonical query (small spatial
-/// window, hours-long time window), Z2T reads far fewer bytes from disk
-/// than Z3 with a century period, because the century-period Z3 key
-/// ranges lose all spatial selectivity.
-///
-/// **Not reproduced since PR 16, and kept as written.** The century
-/// index lost its selectivity to the depth-9 recursion cut-off, not to its
-/// period: 12 hours of a century and 1 km of the planet are both ~2^-15 of
-/// their axis, so the window is near-cubic in Z3/century's key space and a
-/// range budget hugs it as tightly as Z2T's (both plans: ~50 seeks, one
-/// block each, no rows on this table; on a table dense enough to scan
-/// rows, 100-330 keys against Z2T's 185). Figure 12's JUST-before-JUSTc
-/// order is open on ROADMAP item 2; the same-period comparison below is
-/// what Section IV-B argues and does hold.
-#[test]
-#[ignore = "Z3/century is as selective as Z2T under a range budget; ROADMAP item 2"]
-fn z2t_reads_less_than_century_z3_for_st_queries() {
-    let (engine, dir) = fresh("z2t-vs-z3c");
-    let data = OrderDataset::generate(4000, 7);
-    let rows = order_rows(&data.orders);
-    engine
-        .create_table("z2t", order_schema(), None, None) // default: Z2T/day
-        .unwrap();
-    engine
-        .create_table(
-            "z3c",
-            order_schema(),
-            Some(IndexKind::Z3),
-            Some(just::curves::TimePeriod::Century),
-        )
-        .unwrap();
-    engine.insert("z2t", &rows).unwrap();
-    engine.insert("z3c", &rows).unwrap();
-    engine.flush_all().unwrap();
-
-    // The Section IV-B query: 1x1 km, 01:00-13:00 of one day.
-    let window = Rect::window_km(Point::new(116.4, 40.0), 1.0);
-    let (t0, t1) = (HOUR_MS, 13 * HOUR_MS);
-
-    engine.reset_io();
-    let a = engine
-        .st_range("z2t", &window, t0, t1, SpatialPredicate::Within)
-        .unwrap();
-    let z2t_io = engine.io_snapshot();
-    engine.reset_io();
-    let b = engine
-        .st_range("z3c", &window, t0, t1, SpatialPredicate::Within)
-        .unwrap();
-    let z3c_io = engine.io_snapshot();
-
-    // Same answers...
-    assert_eq!(a.len(), b.len(), "both indexes must return the same rows");
-    // ...but Z2T touches much less disk.
-    assert!(
-        z2t_io.bytes_read * 2 < z3c_io.bytes_read.max(1),
-        "Z2T read {} bytes, Z3-century read {}",
-        z2t_io.bytes_read,
-        z3c_io.bytes_read
-    );
-    std::fs::remove_dir_all(dir).ok();
-}
-
 /// Section IV-B's own comparison, like for like: with the *same* day
 /// period, Z3 interleaves a time dimension the 12-hour window fills half
 /// of into its code, so at an equal range budget its key ranges keep no
