@@ -103,6 +103,37 @@ cli query "SELECT count(*) AS n FROM pts" | grep -q "^1001$"
 wait "$JUSTD_PID"   # graceful shutdown must exit 0 (set -e enforces it)
 JUSTD_PID=""
 
+echo "==> idle smoke (a loaded justd with two open connections burns no CPU)"
+# No thread of the store or the server wakes without work: the last
+# insert's group commit runs, then the maintenance workers and both
+# connection threads sleep. utime + stime of justd over 5 s must stay
+# within 2 clock ticks.
+start_justd "$SMOKE_DIR/idle-data" "$SMOKE_DIR/idle-port"
+cli query "CREATE TABLE idlepts (fid integer:primary key, time date, geom point)"
+IDLE_ROWS=$(seq 0 999 | awk '{ printf "%s(%d, %d, st_makePoint(%.3f, 39.9))", \
+    (NR > 1 ? ", " : ""), $1, $1 * 60000, 116 + ($1 % 100) / 1000 }')
+cli query "INSERT INTO idlepts VALUES $IDLE_ROWS" >/dev/null
+WATCH_PIDS=()
+for _ in 1 2; do
+    ./target/release/just-cli --addr "$ADDR" --user smoke --watch-metrics 3600 >/dev/null &
+    WATCH_PIDS+=("$!")
+done
+sleep 1
+justd_ticks() { awk '{ print $14 + $15 }' "/proc/$JUSTD_PID/stat"; }
+IDLE_BEFORE=$(justd_ticks)
+sleep 5
+IDLE_TICKS=$(($(justd_ticks) - IDLE_BEFORE))
+kill "${WATCH_PIDS[@]}"
+wait "${WATCH_PIDS[@]}" 2>/dev/null || true
+if [ "$IDLE_TICKS" -gt 2 ]; then
+    echo "idle justd used $IDLE_TICKS clock ticks of CPU in 5 s (bound: 2)"
+    exit 1
+fi
+./target/release/just-cli --addr "$ADDR" shutdown
+wait "$JUSTD_PID"
+JUSTD_PID=""
+echo "idle OK: $IDLE_TICKS clock ticks in 5 s"
+
 echo "==> crash-recovery smoke test (kill -9, reopen, verify)"
 CRASH_DATA="$SMOKE_DIR/crash-data"
 start_justd "$CRASH_DATA" "$SMOKE_DIR/crash-port" --wal-sync per-write

@@ -26,7 +26,7 @@ pub enum KvError {
     NoSuchTable(String),
     /// The active WAL segment diverged from acknowledged history after
     /// an IO failure (a torn append or failed fsync). The region's
-    /// writes are rejected until the next maintenance tick or memtable
+    /// writes are rejected until the next maintenance sweep or memtable
     /// freeze rotates the segment away.
     WalPoisoned,
     /// The write targeted a region that was sealed for an online split

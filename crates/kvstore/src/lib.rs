@@ -117,6 +117,7 @@ mod fixture {
             wal_sync: SyncPolicy::Off,
             mem_cap: crate::memtable::MEM_CAP,
             kick: None,
+            compact_trigger: 0,
         }
     }
 

@@ -1,12 +1,32 @@
 //! The background maintenance scheduler: store-owned worker threads that
-//! flush memtables, trigger compactions and batch WAL syncs off the
-//! write path — HBase's MemStore flusher + compaction threads, scaled to
-//! one process.
+//! flush memtables, compact and split regions and issue the batched WAL
+//! syncs off the write path — HBase's MemStore flusher + compaction
+//! threads, scaled to one process.
 //!
-//! Writers signal the workers (a [`Kick`]) when a region crosses its
-//! flush threshold. A writer that finds the region's memtables at twice
-//! the threshold — one generation filling while one flushes — flushes
-//! it itself before it returns (write backpressure, like HBase's
+//! A worker sleeps until there is work. As HBase's flusher blocks on its
+//! queue of flush requests, a worker blocks on the [`Kick`] with no
+//! timeout while none of its regions owes anything, and events kick it:
+//!
+//! * a write that takes a region past its flush threshold;
+//! * a `batched` append that dirties a clean log — the worker then
+//!   sleeps until the log's [`SYNC_WINDOW`] closes and issues one group
+//!   commit for every append in it;
+//! * a flush, whoever ran it, that leaves a region at the compaction
+//!   trigger;
+//! * a poisoned log, which the sweep repairs;
+//! * a snapshot dropped from a region whose compaction it held back;
+//! * a table registered, and a split or merge, which moves regions
+//!   between the workers' partitions.
+//!
+//! A worker waits with a deadline only while something is due: a dirty
+//! log's sync window, or the retry of a region whose maintenance failed.
+//! Worker 0 checks a table for a split in its first sweep after one of
+//! the table's regions flushed or compacted, as only those change a
+//! region's size on disk.
+//!
+//! A writer that finds the region's memtables at twice the threshold —
+//! one generation filling while one flushes — flushes it itself before
+//! it returns (write backpressure, like HBase's
 //! `hbase.hregion.memstore.block.multiplier`, except that the parked
 //! writer runs the flush instead of waiting for a flusher). A flush
 //! never waits for a compaction: a region merges outside its flush
@@ -15,11 +35,12 @@
 //! is durable under every sync policy.
 
 use crate::table::Table;
+use crate::wal::SYNC_WINDOW;
 use just_obs::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::Instant;
 
 /// Background-maintenance tuning, shared by every table of a store.
 #[derive(Debug, Clone)]
@@ -53,12 +74,8 @@ impl Default for MaintenanceOptions {
     }
 }
 
-/// Sweep interval: how often idle regions are checked for flush /
-/// compaction work and batched WAL syncs are issued.
-const TICK: Duration = Duration::from_millis(10);
-
-/// A wake-up latch: writers kick it when a region needs attention so the
-/// scheduler reacts immediately instead of waiting out its tick.
+/// A wake-up latch: whatever gives a region work kicks it, and the
+/// workers sweep.
 ///
 /// Kicks are a generation counter, not a consumable flag: every worker
 /// compares the counter against the generation it last observed, so one
@@ -77,15 +94,29 @@ impl Kick {
         self.cv.notify_all();
     }
 
-    /// Waits until the generation advances past `seen` or `timeout`
-    /// elapses, then records the observed generation in `seen`.
-    fn wait(&self, seen: &mut u64, timeout: Duration) {
+    /// Waits until the generation advances past `seen` or, if given,
+    /// `until` passes, then records the observed generation in `seen`.
+    fn wait(&self, seen: &mut u64, until: Option<Instant>) {
         let mut generation = self.generation.lock();
-        if *generation == *seen {
-            let (g, _) = self.cv.wait_timeout(generation, timeout);
-            generation = g;
+        while *generation == *seen {
+            generation = match until {
+                None => self.cv.wait(generation),
+                Some(until) => {
+                    let now = Instant::now();
+                    if now >= until {
+                        break;
+                    }
+                    self.cv.wait_timeout(generation, until - now).0
+                }
+            };
         }
         *seen = *generation;
+    }
+
+    /// Kicks so far.
+    #[cfg(test)]
+    pub(crate) fn generation(&self) -> u64 {
+        *self.generation.lock()
     }
 }
 
@@ -100,6 +131,7 @@ struct Shared {
     stop: AtomicBool,
     opts: MaintenanceOptions,
     errors: just_obs::Counter,
+    sweeps: just_obs::Counter,
 }
 
 /// The scheduler: worker threads sweeping registered regions.
@@ -119,11 +151,13 @@ impl std::fmt::Debug for Scheduler {
 impl Scheduler {
     /// Spawns the worker pool: `workers` threads, possibly none.
     pub(crate) fn start(opts: MaintenanceOptions) -> Scheduler {
+        let obs = just_obs::global();
         let shared = Arc::new(Shared {
             tables: Mutex::new(Vec::new()),
             kick: Arc::new(Kick::default()),
             stop: AtomicBool::new(false),
-            errors: just_obs::global().counter("just_kvstore_maintenance_errors"),
+            errors: obs.counter("just_kvstore_maintenance_errors"),
+            sweeps: obs.counter("just_kvstore_maintenance_sweeps"),
             opts,
         });
         let n = shared.opts.workers;
@@ -147,26 +181,26 @@ impl Scheduler {
         self.shared.kick.clone()
     }
 
-    /// Adds a table to the sweep set (dead entries are pruned lazily).
+    /// Adds a table to the sweep set (dead entries are pruned lazily)
+    /// and kicks: a reopened table may owe a compaction.
     pub(crate) fn register(&self, table: &Arc<Table>) {
-        let mut list = self.shared.tables.lock();
-        list.retain(|w| w.strong_count() > 0);
-        list.push(Arc::downgrade(table));
+        {
+            let mut list = self.shared.tables.lock();
+            list.retain(|w| w.strong_count() > 0);
+            list.push(Arc::downgrade(table));
+        }
+        self.shared.kick.kick();
     }
 
     /// Stops the pool and drains in-flight maintenance: each worker
-    /// finishes its current sweep before exiting. Idempotent.
+    /// finishes its current sweep before exiting. Idempotent. One kick
+    /// is enough: a worker between its stop check and its wait finds
+    /// the generation advanced and does not block.
     pub(crate) fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.kick.kick();
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock());
         for h in handles {
-            // Keep kicking while joining: a worker that was between the
-            // stop check and its wait would otherwise sleep out a tick.
-            while !h.is_finished() {
-                self.shared.kick.kick();
-                std::thread::sleep(Duration::from_micros(200));
-            }
             h.join().expect("maintenance worker panicked");
         }
     }
@@ -178,27 +212,38 @@ impl Drop for Scheduler {
     }
 }
 
+/// One worker: sweeps its share of every table's regions (index mod
+/// `workers`) whenever it is kicked or the earliest deadline its last
+/// sweep found passes.
 fn worker_loop(shared: &Shared, worker: usize, workers: usize) {
     let mut seen_kick = 0u64;
+    let mut due = None;
     loop {
         let stopping = shared.stop.load(Ordering::SeqCst);
         if !stopping {
-            shared.kick.wait(&mut seen_kick, TICK);
+            shared.kick.wait(&mut seen_kick, due);
         }
+        shared.sweeps.inc();
+        due = None;
         let tables: Vec<Arc<Table>> = {
             let mut list = shared.tables.lock();
             list.retain(|w| w.strong_count() > 0);
             list.iter().filter_map(Weak::upgrade).collect()
         };
         for table in &tables {
-            // A region whose table was dropped mid-sweep errors on its
-            // vanished directory; anything else is still not worth
-            // killing the worker over — surface via counter.
-            if table
-                .maintain_partition(shared.opts.compact_trigger, worker, workers)
-                .is_err()
-            {
-                shared.errors.inc();
+            for region in table.regions().iter().skip(worker).step_by(workers) {
+                // A region whose table was dropped mid-sweep errors on
+                // its vanished directory; anything else is still not
+                // worth killing the worker over — surface via counter,
+                // and retry one sync window later.
+                let next = region.maintain().unwrap_or_else(|_| {
+                    shared.errors.inc();
+                    Some(Instant::now() + SYNC_WINDOW)
+                });
+                due = match (due, next) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
             }
             // One worker doubles as the split balancer so lifecycle
             // operations never race each other from within the pool.
@@ -215,6 +260,7 @@ fn worker_loop(shared: &Shared, worker: usize, workers: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn one_kick_wakes_every_worker() {
@@ -228,7 +274,7 @@ mod tests {
                     let mut seen = 0u64;
                     let started = std::time::Instant::now();
                     while seen == 0 && started.elapsed() < Duration::from_secs(10) {
-                        kick.wait(&mut seen, Duration::from_millis(20));
+                        kick.wait(&mut seen, Some(Instant::now() + Duration::from_millis(20)));
                     }
                     seen
                 })

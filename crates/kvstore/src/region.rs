@@ -222,6 +222,10 @@ pub(crate) struct RegionOptions {
     /// Latch to wake the maintenance scheduler; `None` in a store without
     /// workers, whose writers are the only flushers.
     pub kick: Option<Arc<Kick>>,
+    /// The scheduler compacts the region once it holds this many
+    /// SSTables ([`crate::MaintenanceOptions::compact_trigger`]; 0:
+    /// never), and a flush that brings it there kicks the scheduler.
+    pub compact_trigger: usize,
 }
 
 /// An immutable memtable generation: the memtable frozen at one point in
@@ -309,6 +313,17 @@ pub(crate) struct Region {
     /// [`crate::Table`] can re-route them to a daughter. Checked under
     /// the memtable lock, so seal + final freeze leaves no straggler.
     sealed: AtomicBool,
+    /// Set by every flush and compaction, taken by the split check
+    /// ([`Region::take_grown`]): only those change the region's size on
+    /// disk.
+    grown: AtomicBool,
+    /// Set by a sweep that left the region at the compaction trigger
+    /// because open snapshots held its newer tables back: the snapshot
+    /// watermark from which a compaction can merge again (the second
+    /// table's `seq_limit`). Sweeps do not try before, and the snapshot
+    /// drop that raises the watermark to it kicks the scheduler. 0:
+    /// nothing waits.
+    compact_after: AtomicU64,
     /// Open snapshot registry: read sequence → number of handles.
     snapshots: Mutex<BTreeMap<u64, usize>>,
     /// Cached minimum of `snapshots` (`u64::MAX` when none are open):
@@ -404,7 +419,7 @@ impl Region {
         let mut next_seq = tables.iter().map(|t| t.seq_limit()).max().unwrap_or(0);
         let mut frozen = VecDeque::new();
         let wal = if opts.wal_sync != SyncPolicy::Off {
-            let (wal, records) = Wal::open(&dir, opts.wal_sync)?;
+            let (wal, records) = Wal::open(&dir, opts.wal_sync, opts.kick.clone())?;
             // Replay is idempotent against the SSTables: a record whose
             // covering flush completed but whose segment survived just
             // shadows the identical on-disk version. Records arrive in
@@ -459,6 +474,8 @@ impl Region {
             stall_wait: obs.histogram("just_kvstore_backpressure_wait_us"),
             traffic: Arc::new(RegionTraffic::default()),
             sealed: AtomicBool::new(false),
+            grown: AtomicBool::new(false),
+            compact_after: AtomicU64::new(0),
             snapshots: Mutex::new(BTreeMap::new()),
             watermark: AtomicU64::new(u64::MAX),
             snapshots_open: obs.gauge("just_kvstore_mvcc_snapshots_open"),
@@ -564,10 +581,8 @@ impl Region {
         if let (Some(wal), Some(ticket)) = (&self.wal, ticket) {
             wal.commit(ticket)?;
         }
-        if let Some(kick) = &self.opts.kick {
-            if self.active_bytes.load(Ordering::Relaxed) >= self.opts.flush_threshold {
-                kick.kick();
-            }
+        if self.active_bytes.load(Ordering::Relaxed) >= self.opts.flush_threshold {
+            self.kick();
         }
         if self.ingest_bytes() >= self.write_buffer_cap() {
             self.relieve()?;
@@ -774,6 +789,11 @@ impl Region {
         if let (Some(w), Some(mark)) = (&self.wal, gen.mark) {
             w.retire_through(mark)?;
         }
+        self.grown.store(true, Ordering::SeqCst);
+        let trigger = self.opts.compact_trigger;
+        if trigger > 0 && sstables >= trigger {
+            self.kick();
+        }
         let obs = just_obs::global();
         obs.counter("just_kvstore_memtable_flushes").inc();
         obs.histogram("just_kvstore_flush_latency_us")
@@ -869,6 +889,7 @@ impl Region {
         for old in &tables {
             std::fs::remove_file(old.path()).ok();
         }
+        self.grown.store(true, Ordering::SeqCst);
         let obs = just_obs::global();
         obs.counter("just_kvstore_compactions").inc();
         obs.histogram("just_kvstore_compaction_latency_us")
@@ -888,14 +909,16 @@ impl Region {
     }
 
     /// One background sweep: freeze past the threshold, drain pending
-    /// generations, compact past the trigger, then the WAL's tick
-    /// (repair a poisoned log, push or batch-sync its bytes). Called by
-    /// the maintenance scheduler.
-    pub(crate) fn maintain(&self, compact_trigger: usize) -> Result<()> {
+    /// generations, compact past the trigger, then the log's share
+    /// (repair a poisoned log, batch-sync it once its window closes).
+    /// Called by the maintenance scheduler. Returns when the region is
+    /// next due — its log's sync deadline — or `None` when it owes
+    /// nothing until something kicks the scheduler.
+    pub(crate) fn maintain(&self) -> Result<Option<Instant>> {
         if self.sealed.load(Ordering::SeqCst) {
             // A split/merge is draining the region; its own final flush
             // handles the leftovers and the region is about to retire.
-            return Ok(());
+            return Ok(None);
         }
         let obs = just_obs::global();
         {
@@ -907,12 +930,43 @@ impl Region {
                 obs.counter("just_kvstore_bg_flushes").inc();
             }
         }
-        let table_count = self.inner.read().tables.len();
-        if compact_trigger > 0 && table_count >= compact_trigger {
+        // Until the watermark passes `compact_after` a compaction could
+        // merge nothing new, and each try would flush the memtable.
+        let held_back =
+            self.watermark.load(Ordering::SeqCst) < self.compact_after.load(Ordering::SeqCst);
+        let compact_trigger = self.opts.compact_trigger;
+        if compact_trigger > 0 && !held_back && self.sstable_count() >= compact_trigger {
             self.compact()?;
             obs.counter("just_kvstore_bg_compactions").inc();
+            let after = {
+                let inner = self.inner.read();
+                match inner.tables.get(1) {
+                    Some(t) if inner.tables.len() >= compact_trigger => t.seq_limit(),
+                    _ => 0,
+                }
+            };
+            self.compact_after.store(after, Ordering::SeqCst);
+            // A snapshot dropped since the compaction read the watermark
+            // kicked no one.
+            if after > 0 && self.watermark.load(Ordering::SeqCst) >= after {
+                self.kick();
+            }
         }
-        self.wal.as_ref().map_or(Ok(()), Wal::tick)
+        self.wal
+            .as_ref()
+            .map_or(Ok(None), |w| w.maintain(Instant::now()))
+    }
+
+    /// Wakes the maintenance scheduler (none in a store without workers).
+    fn kick(&self) {
+        if let Some(kick) = &self.opts.kick {
+            kick.kick();
+        }
+    }
+
+    /// Whether a flush or compaction ran since the last call.
+    pub(crate) fn take_grown(&self) -> bool {
+        self.grown.swap(false, Ordering::SeqCst)
     }
 
     /// Syncs the WAL through its latest append (clean shutdown: make
@@ -1369,7 +1423,7 @@ impl std::fmt::Debug for Snapshot {
 
 impl Drop for Snapshot {
     fn drop(&mut self) {
-        {
+        let watermark = {
             let mut snaps = self.region.snapshots.lock();
             if let Some(n) = snaps.get_mut(&self.seq) {
                 *n -= 1;
@@ -1377,13 +1431,20 @@ impl Drop for Snapshot {
                     snaps.remove(&self.seq);
                 }
             }
-            self.region.watermark.store(
-                snaps.keys().next().copied().unwrap_or(u64::MAX),
-                Ordering::SeqCst,
-            );
-        }
+            let watermark = snaps.keys().next().copied().unwrap_or(u64::MAX);
+            self.region.watermark.store(watermark, Ordering::SeqCst);
+            watermark
+        };
         self.region.snapshots_open.sub(1);
         self.region.release_held();
+        let after = &self.region.compact_after;
+        let waiting = after.load(Ordering::SeqCst);
+        if waiting > 0
+            && waiting <= watermark
+            && (after.compare_exchange(waiting, 0, Ordering::SeqCst, Ordering::SeqCst)).is_ok()
+        {
+            self.region.kick();
+        }
     }
 }
 
@@ -1979,7 +2040,7 @@ mod tests {
         assert!(matches!(torn, Err(KvError::Io(_))), "{torn:?}");
         let refused = put(&r, b"refused".to_vec(), b"v".to_vec());
         assert!(matches!(refused, Err(KvError::WalPoisoned)), "{refused:?}");
-        r.maintain(0).unwrap();
+        r.maintain().unwrap();
         assert!(r.memtable_bytes() < r.opts.flush_threshold / 16);
         assert_eq!((r.sstable_count(), r.frozen_generations()), (0, 0));
         assert!(state.lock().os.is_empty(), "torn tail truncated");
@@ -1992,6 +2053,37 @@ mod tests {
             .map(|e| e.key)
             .collect();
         assert_eq!(keys, [&b"after"[..], b"before"]);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_compaction_held_back_by_a_snapshot_waits_for_its_drop() {
+        // Trigger 2: the snapshot keeps the second table out of the
+        // merge. Sweeps under it neither merge nor flush; dropping it
+        // kicks the scheduler, and the next sweep compacts.
+        let dir = tmpdir("held-back");
+        let opts = RegionOptions {
+            compact_trigger: 2,
+            ..capped_opts(1 << 20)
+        };
+        let r = Arc::new(fixture::region(dir.clone(), opts));
+        let kick = r.opts.kick.clone().unwrap();
+        put(&r, b"a".to_vec(), b"1".to_vec()).unwrap();
+        r.flush().unwrap();
+        let snap = r.snapshot();
+        put(&r, b"b".to_vec(), b"2".to_vec()).unwrap();
+        r.flush().unwrap();
+        r.maintain().unwrap();
+        assert_eq!(r.sstable_count(), 2, "the snapshot holds the merge back");
+        put(&r, b"c".to_vec(), b"3".to_vec()).unwrap();
+        r.maintain().unwrap();
+        assert_eq!(r.sstable_count(), 2, "a held-back sweep flushed");
+        let kicks = kick.generation();
+        drop(snap);
+        assert_eq!(kick.generation(), kicks + 1, "the drop did not kick");
+        r.maintain().unwrap();
+        assert_eq!(r.sstable_count(), 1);
+        assert_eq!(scan_at(&r, b"", b"\xff", LATEST).unwrap().len(), 3);
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -100,7 +100,7 @@ fn write_format(base: &Path) -> Result<()> {
 /// Tuning knobs, shared by every table of a store: 8 settable values
 /// (5 here, 3 in [`MaintenanceOptions`]).
 /// Everything else — the on-disk format (one epoch, 10 bloom bits per
-/// key), the WAL's encode-buffer cap, the maintenance tick, the
+/// key), the WAL's encode-buffer cap and `batched` sync window, the
 /// auto-split region cap — is a constant next to the code that uses it.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
@@ -212,6 +212,7 @@ impl Store {
             wal_sync: self.options.wal_sync,
             mem_cap: crate::memtable::MEM_CAP,
             kick: (workers > 0).then(|| self.scheduler.kick_handle()),
+            compact_trigger: self.options.maintenance.compact_trigger,
         }
     }
 

@@ -546,6 +546,14 @@ impl Table {
     ) -> Result<()> {
         let started = Instant::now();
         let retired = self.map.read()[index..index + parents].to_vec();
+        // Either way the map's regions change hands between the
+        // maintenance workers' partitions (or a sealed parent, which no
+        // sweep served, reopens): every worker sweeps its share again.
+        let kick = || {
+            if let Some(kick) = &self.region_opts.kick {
+                kick.kick();
+            }
+        };
         let rollback = || {
             for parent in &retired {
                 parent.region.unseal();
@@ -553,6 +561,7 @@ impl Table {
             for (_, name) in &daughters {
                 std::fs::remove_dir_all(self.dir.join(name)).ok();
             }
+            kick();
         };
         let opened = build().and_then(|()| {
             let open = |(start, name): &(Vec<u8>, String)| -> Result<RegionEntry> {
@@ -588,6 +597,7 @@ impl Table {
         // so the parents' directories stay for it to find.
         let synced = fsync_dir(&self.dir);
         *self.map.write() = Arc::new(entries);
+        kick();
         synced?;
         // The sealed parents are unreferenced now. Open scan streams /
         // snapshots keep serving from their Arc'd handles; the unlinked
@@ -623,11 +633,14 @@ impl Table {
 
     /// One background lifecycle sweep: splits the largest region whose
     /// footprint (disk + memtable) crosses `split_bytes`, at most one
-    /// split per call. `split_bytes == 0` disables auto-splitting;
+    /// split per call. Only a sweep that follows a flush or compaction of
+    /// one of the table's regions looks, as only those change a region's
+    /// size on disk. `split_bytes == 0` disables auto-splitting;
     /// [`MAX_AUTO_SPLIT_REGIONS`] caps the fan-out. Called by the
     /// maintenance scheduler.
     pub(crate) fn maybe_split(&self, split_bytes: usize) -> Result<()> {
-        if split_bytes == 0 {
+        let grew = || (self.regions().iter()).fold(false, |grew, r| r.take_grown() | grew);
+        if split_bytes == 0 || !grew() {
             return Ok(());
         }
         let candidate = {
@@ -647,32 +660,6 @@ impl Table {
             self.split_region(index)?;
         }
         Ok(())
-    }
-
-    /// Flush/compaction sweep over this worker's share of the regions
-    /// (index mod `workers`); part of the scheduler's table sweep.
-    pub(crate) fn maintain_partition(
-        &self,
-        compact_trigger: usize,
-        worker: usize,
-        workers: usize,
-    ) -> Result<()> {
-        let regions = self.regions();
-        let mut first_err = None;
-        for (i, region) in regions.iter().enumerate() {
-            if i % workers.max(1) != worker {
-                continue;
-            }
-            if let Err(e) = region.maintain(compact_trigger) {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     /// Flushes every region's memtable.

@@ -48,10 +48,14 @@
 //! * `PerWrite` — a writer's acknowledgement waits for
 //!   [`Wal::sync_through`] its ticket: acknowledged writes survive power
 //!   loss.
-//! * `Batched` — the `write(2)` precedes the acknowledgement and the
-//!   maintenance tick calls [`Wal::sync_through`]: acknowledged writes
-//!   survive process crashes (`kill -9`); power loss may lose the last
-//!   un-synced batch.
+//! * `Batched` — the `write(2)` precedes the acknowledgement, and the
+//!   maintenance scheduler calls [`Wal::sync_through`] within
+//!   [`SYNC_WINDOW`] (10 ms) of the first append no fsync covers yet:
+//!   acknowledged writes survive process crashes (`kill -9`) and are
+//!   fsynced within 10 ms; power loss may lose the last un-synced
+//!   batch. The append that dirties a clean log kicks the scheduler,
+//!   whose worker sleeps until the window closes, so every append in
+//!   the window shares one fsync and a clean log costs no wake-up.
 //! * `Off` — no log: a crash loses every row still in a memtable.
 //!
 //! Clean shutdown syncs every log through its last ticket either way.
@@ -59,14 +63,15 @@
 //! ## Repair
 //!
 //! A failed append or fsync poisons the log, and with it every write to
-//! the region. The next freeze or maintenance tick repairs it: the torn
-//! (unacknowledged) suffix is truncated and the log rotates to a fresh
-//! segment ([`Wal::rotate_keep`]).
+//! the region, and kicks the scheduler. The next freeze or maintenance
+//! sweep repairs it: the torn (unacknowledged) suffix is truncated and
+//! the log rotates to a fresh segment ([`Wal::rotate_keep`]).
 //!
 //! File IO goes through the [`WalFile`] trait so tests can inject faults
 //! (short writes, fsync failures, torn tails) deterministically.
 
 use crate::error::{KvError, Result};
+use crate::maintenance::Kick;
 use just_compress::crc32::crc32;
 use just_obs::sync::{Condvar, Mutex};
 use std::fs::{File, OpenOptions};
@@ -74,6 +79,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The `batched` group-commit window: a log is fsynced at most this long
+/// after its first append that no fsync covers.
+pub(crate) const SYNC_WINDOW: Duration = Duration::from_millis(10);
 
 /// How eagerly a store's writes reach stable storage. See the module
 /// docs for the durability contract of each level.
@@ -84,8 +93,9 @@ pub enum SyncPolicy {
     Off,
     /// `write(2)` per append — a run of records, one region's share of a
     /// write batch — before acknowledging (survives
-    /// `kill -9`), `fsync` batched by the maintenance scheduler (bounded
-    /// power-loss window). The default.
+    /// `kill -9`), `fsync` batched by the maintenance scheduler within
+    /// 10 ms of the first unsynced append (bounded power-loss window).
+    /// The default.
     #[default]
     Batched,
     /// `write(2)` per append + a group-commit `fsync` before
@@ -433,6 +443,10 @@ struct WalState {
     synced: u64,
     /// A leader's fsync is in flight (one per log at a time).
     syncing: bool,
+    /// `batched` only: when the oldest append no fsync covers landed
+    /// (`None` while the log is clean). The log is due for its group
+    /// commit [`SYNC_WINDOW`] later.
+    dirty_since: Option<Instant>,
 }
 
 /// The write-ahead log of one region: an active segment plus the not-yet
@@ -447,6 +461,10 @@ pub(crate) struct Wal {
     /// Signalled when a leader's fsync ends and when a rotation has
     /// fsynced the outgoing segment: what a waiting writer waits for.
     synced_cv: Condvar,
+    /// The maintenance scheduler's latch: kicked when the log turns
+    /// dirty under `batched` and when it is poisoned. `None` in a store
+    /// without workers.
+    kick: Option<Arc<Kick>>,
     metrics: WalMetrics,
 }
 
@@ -466,8 +484,13 @@ impl Wal {
     /// records in commit (sequence) order. Replay truncates the first
     /// torn/corrupt record and ignores everything after it; replayed
     /// segments are retained until the next flush-rotation proves them
-    /// obsolete.
-    pub(crate) fn open(dir: &Path, policy: SyncPolicy) -> Result<(Wal, Vec<WalRecord>)> {
+    /// obsolete. `kick` is the scheduler the log asks for its syncs and
+    /// repairs.
+    pub(crate) fn open(
+        dir: &Path,
+        policy: SyncPolicy,
+        kick: Option<Arc<Kick>>,
+    ) -> Result<(Wal, Vec<WalRecord>)> {
         let metrics = WalMetrics::new();
         let mut segments: Vec<u64> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
@@ -517,12 +540,14 @@ impl Wal {
             appended: 0,
             synced: 0,
             syncing: false,
+            dirty_since: None,
         };
         let wal = Wal {
             dir: dir.to_path_buf(),
             policy,
             state: Mutex::new(state),
             synced_cv: Condvar::new(),
+            kick,
             metrics,
         };
         Ok((wal, records))
@@ -552,13 +577,16 @@ impl Wal {
     /// behind the tear and resurrect an unacknowledged record on
     /// restart. Further appends are refused until [`Wal::rotate_keep`]
     /// swaps in a fresh segment.
+    ///
+    /// Under `batched`, the append that dirties a clean log starts its
+    /// [`SYNC_WINDOW`] and kicks the scheduler.
     pub(crate) fn append<'a, I>(&self, seq: u64, records: I) -> Result<u64>
     where
         I: IntoIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
         I::IntoIter: Clone,
     {
-        let mut st = self.state.lock();
-        if st.poisoned {
+        let mut guard = self.state.lock();
+        if guard.poisoned {
             return Err(KvError::WalPoisoned);
         }
         // Sized exactly: a 1 000-row batch is ~450 KiB of records, which
@@ -567,7 +595,7 @@ impl Wal {
         let framed = |(key, value): (&[u8], Option<&[u8]>)| {
             HEADER + PAYLOAD_HEAD + key.len() + value.map_or(0, <[u8]>::len)
         };
-        let st = &mut *st;
+        let st = &mut *guard;
         st.buf.reserve_exact(records.clone().map(framed).sum());
         let mut n = 0;
         for (key, value) in records {
@@ -586,16 +614,34 @@ impl Wal {
         }
         if let Err(e) = written {
             st.poisoned = true;
+            drop(guard);
+            self.wake();
             return Err(KvError::Io(e));
         }
         st.good_len += len;
         st.appended += n;
-        Ok(st.appended)
+        let ticket = st.appended;
+        let dirtied = self.policy == SyncPolicy::Batched && st.dirty_since.is_none();
+        if dirtied {
+            st.dirty_since = Some(Instant::now());
+        }
+        drop(guard);
+        if dirtied {
+            self.wake();
+        }
+        Ok(ticket)
+    }
+
+    /// Asks the maintenance scheduler for a sweep.
+    fn wake(&self) {
+        if let Some(kick) = &self.kick {
+            kick.kick();
+        }
     }
 
     /// The durability half of the write path: blocks until `ticket` is
     /// covered per the sync policy (the `per-write` group commit gates
-    /// the acknowledgement; `batched` leaves it to the maintenance tick).
+    /// the acknowledgement; `batched` leaves it to the scheduler).
     pub(crate) fn commit(&self, ticket: u64) -> Result<()> {
         match self.policy {
             SyncPolicy::PerWrite => self.sync_through(ticket),
@@ -639,8 +685,9 @@ impl Wal {
         }
         st.syncing = true;
         let (target, file) = (st.appended, st.file.clone());
-        drop(st);
+        // Taken under the lock: no append beyond `target` is older.
         let started = Instant::now();
+        drop(st);
         let res = file.sync();
         let mut st = self.state.lock();
         st.syncing = false;
@@ -653,28 +700,40 @@ impl Wal {
                     self.metrics.group_commit_records.record(target - st.synced);
                     st.synced = target;
                 }
+                // Appends that landed during the fsync stay due, from
+                // its start at the latest.
+                if st.dirty_since.is_some() {
+                    st.dirty_since = (st.synced < st.appended).then_some(started);
+                }
             }
             Err(_) => st.poisoned = true,
         }
         drop(st);
         self.synced_cv.notify_all();
+        if res.is_err() {
+            self.wake();
+        }
         res.map_err(KvError::Io)
     }
 
-    /// The maintenance tick: repairs a poisoned log, then, under the
-    /// `batched` policy, issues the group commit of everything appended
-    /// so far (`per-write` writers sync inline).
-    pub(crate) fn tick(&self) -> Result<()> {
+    /// The log's share of a maintenance sweep at `now`: repairs a
+    /// poisoned log, then, under `batched`, issues the group commit of
+    /// everything appended so far once the oldest unsynced append is
+    /// [`SYNC_WINDOW`] old (`per-write` writers sync inline). Returns
+    /// when the log is next due, or `None` while it is clean.
+    pub(crate) fn maintain(&self, now: Instant) -> Result<Option<Instant>> {
         if self.state.lock().poisoned {
             // The mark is not needed: the segments rotated out hold
             // records of the active memtable, so the next freeze's mark
             // covers them.
             self.rotate_keep()?;
         }
-        match self.policy {
-            SyncPolicy::Batched => self.sync_through(self.ticket()),
-            SyncPolicy::Off | SyncPolicy::PerWrite => Ok(()),
+        let due = || self.state.lock().dirty_since.map(|t| t + SYNC_WINDOW);
+        match due() {
+            Some(at) if at <= now => self.sync_through(self.ticket())?,
+            later => return Ok(later),
         }
+        Ok(due())
     }
 
     /// Rotates to a fresh segment *without* deleting the old ones, and
@@ -715,6 +774,7 @@ impl Wal {
         // writes are acknowledged into it.
         fsync_dir(&self.dir)?;
         st.synced = st.appended;
+        st.dirty_since = None;
         st.poisoned = false;
         st.good_len = 0;
         drop(st);
@@ -758,7 +818,12 @@ mod tests {
     }
 
     fn open(dir: &Path, policy: SyncPolicy) -> (Wal, Vec<WalRecord>) {
-        Wal::open(dir, policy).unwrap()
+        Wal::open(dir, policy, None).unwrap()
+    }
+
+    /// A maintenance sweep once the sync window has closed.
+    fn sweep(wal: &Wal) -> Result<Option<Instant>> {
+        wal.maintain(Instant::now() + SYNC_WINDOW)
     }
 
     fn rec(seq: u64, k: &[u8], v: Option<&[u8]>) -> WalRecord {
@@ -1121,7 +1186,7 @@ mod tests {
             log(&wal, i, format!("key-{i}").as_bytes(), Some(b"value")).unwrap();
         }
         assert_eq!(state.lock().syncs, 0, "batched appends must not fsync");
-        wal.tick().unwrap();
+        sweep(&wal).unwrap();
         {
             let s = state.lock();
             assert_eq!(s.syncs, 1, "one group commit for all {k} records");
@@ -1129,9 +1194,44 @@ mod tests {
             let (records, _) = decode_records(&s.os);
             assert_eq!(records.len(), k as usize);
         }
-        // Nothing left to sync: the next tick is a no-op.
-        wal.tick().unwrap();
+        // Nothing left to sync: the next sweep is a no-op.
+        sweep(&wal).unwrap();
         assert_eq!(state.lock().syncs, 1);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_batched_log_is_due_one_window_after_it_turns_dirty() {
+        // The append that dirties a clean log kicks the scheduler and
+        // opens the window; a sweep inside it only reports the deadline,
+        // one at the deadline syncs every append, and a clean log is
+        // never due. A poisoned log kicks for its repair.
+        let dir = tmpdir("window");
+        let kick = Arc::new(Kick::default());
+        let (wal, _) = Wal::open(&dir, SyncPolicy::Batched, Some(kick.clone())).unwrap();
+        let (file, state) = FaultyWalFile::new();
+        wal.set_file_for_test(Box::new(file));
+        assert_eq!(wal.maintain(Instant::now()).unwrap(), None);
+        let before = Instant::now();
+        log(&wal, 0, b"a", Some(b"v")).unwrap();
+        log(&wal, 1, b"b", Some(b"v")).unwrap();
+        assert_eq!(kick.generation(), 1, "only the dirtying append kicks");
+        let due = wal
+            .maintain(Instant::now())
+            .unwrap()
+            .expect("a dirty log is due");
+        assert!(due >= before + SYNC_WINDOW && due <= Instant::now() + SYNC_WINDOW);
+        assert_eq!(state.lock().syncs, 0, "no fsync inside the window");
+        assert_eq!(wal.maintain(due).unwrap(), None);
+        assert_eq!(state.lock().syncs, 1, "one fsync for both appends");
+        assert_eq!(wal.state.lock().synced, 2);
+        log(&wal, 2, b"c", Some(b"v")).unwrap();
+        assert_eq!(kick.generation(), 2, "a log synced clean kicks again");
+        state.lock().sync_budget = Some(1);
+        assert!(sweep(&wal).is_err());
+        assert_eq!(kick.generation(), 3, "a poisoned log kicks");
+        state.lock().sync_budget = None;
+        assert_eq!(sweep(&wal).unwrap(), None, "the sweep repairs the log");
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1148,7 +1248,7 @@ mod tests {
         state.lock().park_sync = Some((started_tx, release_rx));
         let wal = &wal;
         let appended = std::thread::scope(|scope| {
-            let ticker = scope.spawn(move || wal.tick());
+            let ticker = scope.spawn(move || sweep(wal));
             started_rx
                 .recv_timeout(Duration::from_secs(10))
                 .expect("the tick's fsync started");
@@ -1171,8 +1271,8 @@ mod tests {
             assert_eq!(decode_records(&s.os).0.len(), 2);
         }
         assert_eq!(wal.state.lock().synced, 1);
-        // The next tick syncs the new record.
-        wal.tick().unwrap();
+        // The next sweep syncs the new record.
+        sweep(wal).unwrap();
         let s = state.lock();
         assert_eq!((s.syncs, s.synced_len), (2, s.os.len()));
         assert_eq!(wal.state.lock().synced, 2);
@@ -1218,7 +1318,7 @@ mod tests {
 
     /// Replays `dir` through the log's opener.
     fn replay(dir: &Path) -> Result<Vec<WalRecord>> {
-        Wal::open(dir, SyncPolicy::Batched).map(|(_, records)| records)
+        Wal::open(dir, SyncPolicy::Batched, None).map(|(_, records)| records)
     }
 
     /// Records largest single allocation sizes on threads that arm it,

@@ -66,6 +66,11 @@ impl Condvar {
         self.0.notify_all();
     }
 
+    /// Blocks on `guard` until notified (or woken spuriously).
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.0.wait(guard).unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Blocks on `guard` until notified or `timeout` elapses. Returns the
     /// reacquired guard and whether the wait timed out.
     pub fn wait_timeout<'a, T>(

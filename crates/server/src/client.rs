@@ -41,8 +41,8 @@ impl RemoteClient {
         }
     }
 
-    /// Sets a receive deadline for each response (default: wait
-    /// indefinitely).
+    /// Sets the socket's read timeout: a response read that waits
+    /// longer fails with an `IO` error (default: wait indefinitely).
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> just_ql::Result<()> {
         self.stream.set_read_timeout(timeout).map_err(io_err)
     }
@@ -104,7 +104,7 @@ impl RemoteClient {
             .map_err(io_err)
             .and_then(|()| {
                 let (stream, buf) = (&mut self.stream, &mut self.buf);
-                read_frame_into(stream, buf, CLIENT_MAX_FRAME, &mut || true).map_err(frame_err)
+                read_frame_into(stream, buf, CLIENT_MAX_FRAME).map_err(frame_err)
             })
             .and_then(|()| Response::from_bytes(&self.buf));
         shrink_kept(&mut self.buf);

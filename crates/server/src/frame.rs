@@ -11,11 +11,10 @@
 //! that announces 32 MiB and sends 10 bytes costs at most 64 KiB. Each end of a
 //! connection reads and encodes into buffers it keeps across frames
 //! ([`read_frame_into`]) and gives back any that a frame grew past
-//! 1 MiB ([`shrink_kept`]). Reads are resumable across socket
-//! timeouts: the server polls with a short socket read timeout and a
-//! `keep_waiting` callback decides (between ticks) whether to keep
-//! blocking, which is how idle timeouts and graceful-shutdown draining
-//! are implemented without extra threads.
+//! 1 MiB ([`shrink_kept`]). A read blocks until bytes arrive; the
+//! socket's read timeout is the idle timeout. A timeout on a frame
+//! boundary ends the read cleanly ([`FrameError::IdleTimeout`]), and one
+//! mid-frame is an error, because bytes were lost.
 
 use std::io::{ErrorKind, Read, Write};
 
@@ -33,8 +32,7 @@ pub enum FrameError {
     },
     /// Clean close: EOF on a frame boundary.
     Closed,
-    /// The `keep_waiting` policy gave up while idle on a frame boundary
-    /// (idle timeout or shutdown drain).
+    /// The read timed out idle on a frame boundary.
     IdleTimeout,
 }
 
@@ -72,16 +70,41 @@ const KEEP_BYTES: usize = 1 << 20;
 /// The first step a payload buffer grows by.
 const READ_STEP: usize = 64 << 10;
 
-/// Reads one frame, enforcing the size cap *before* allocating. A
-/// shorthand for [`read_frame_into`] a new buffer.
+/// Reads one frame, enforcing the size cap *before* allocating: the
+/// shorthand for [`read_frame_into`] a new buffer. `keep_waiting` is
+/// asked whenever a read times out: `true` retries it, `false` ends the
+/// frame as [`read_frame_into`] would.
 pub fn read_frame(
     r: &mut impl Read,
     max: usize,
     keep_waiting: &mut dyn FnMut() -> bool,
 ) -> Result<Vec<u8>, FrameError> {
     let mut payload = Vec::new();
-    read_frame_into(r, &mut payload, max, keep_waiting)?;
+    read_frame_into(&mut Patient { r, keep_waiting }, &mut payload, max)?;
     Ok(payload)
+}
+
+/// A reader that retries its timed-out reads while `keep_waiting` says
+/// so.
+struct Patient<'a, R> {
+    r: &'a mut R,
+    keep_waiting: &'a mut dyn FnMut() -> bool,
+}
+
+impl<R: Read> Read for Patient<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.r.read(buf) {
+                Err(e) if timed_out(&e) && (self.keep_waiting)() => {}
+                done => return done,
+            }
+        }
+    }
+}
+
+/// Whether a read error is the socket's read timeout.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
 /// Reads one frame's payload into `payload`, replacing what it held.
@@ -89,20 +112,17 @@ pub fn read_frame(
 /// length: a peer that announces a large frame and sends little costs at
 /// most 64 KiB.
 ///
-/// `keep_waiting` is consulted whenever a read times out (socket read
-/// timeout = the server's poll tick): return `false` to stop waiting.
-/// Giving up (or EOF) on a frame boundary yields the clean
-/// [`FrameError::IdleTimeout`] / [`FrameError::Closed`]; mid-frame it is
-/// an [`FrameError::Io`] error, because bytes were lost.
+/// A read timeout (the socket's) or EOF on a frame boundary yields the
+/// clean [`FrameError::IdleTimeout`] / [`FrameError::Closed`]; mid-frame
+/// either is an [`FrameError::Io`] error, because bytes were lost.
 pub fn read_frame_into(
     r: &mut impl Read,
     payload: &mut Vec<u8>,
     max: usize,
-    keep_waiting: &mut dyn FnMut() -> bool,
 ) -> Result<(), FrameError> {
     payload.clear();
     let mut header = [0u8; 4];
-    fill_header(r, &mut header, keep_waiting)?;
+    fill_header(r, &mut header)?;
     let len = u32::from_be_bytes(header) as usize;
     if len > max {
         return Err(FrameError::TooLarge { len, max });
@@ -125,11 +145,6 @@ pub fn read_frame_into(
             Ok(0) => return Err(FrameError::Io(ErrorKind::UnexpectedEof.into())),
             Ok(n) => got += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if !keep_waiting() {
-                    return Err(FrameError::Io(e));
-                }
-            }
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
@@ -148,13 +163,9 @@ pub fn shrink_kept(buf: &mut Vec<u8>) {
     }
 }
 
-/// Reads a frame header; a clean close or give-up is one before its
+/// Reads a frame header; a clean close or idle timeout is one before its
 /// first byte.
-fn fill_header(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    keep_waiting: &mut dyn FnMut() -> bool,
-) -> Result<(), FrameError> {
+fn fill_header(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
     let mut pos = 0usize;
     while pos < buf.len() {
         match r.read(&mut buf[pos..]) {
@@ -167,15 +178,7 @@ fn fill_header(
             }
             Ok(n) => pos += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if !keep_waiting() {
-                    return Err(if pos == 0 {
-                        FrameError::IdleTimeout
-                    } else {
-                        FrameError::Io(e)
-                    });
-                }
-            }
+            Err(e) if pos == 0 && timed_out(&e) => return Err(FrameError::IdleTimeout),
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
@@ -228,6 +231,43 @@ mod tests {
             Err(FrameError::Closed) => {}
             other => panic!("expected Closed, got {other:?}"),
         }
+    }
+
+    /// Replays a socket: each step is one read's bytes, or `None` for a
+    /// read that times out; then EOF.
+    struct Script(std::collections::VecDeque<Option<&'static [u8]>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(ErrorKind::TimedOut.into()),
+                Some(Some(bytes)) => {
+                    buf[..bytes.len()].copy_from_slice(bytes);
+                    Ok(bytes.len())
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_timeout_is_idle_on_a_boundary_and_an_error_mid_frame() {
+        let read = |steps: &[Option<&'static [u8]>]| {
+            let mut r = Script(steps.iter().copied().collect());
+            read_frame_into(&mut r, &mut Vec::new(), 16)
+        };
+        assert!(matches!(read(&[None]), Err(FrameError::IdleTimeout)));
+        let half_header = read(&[Some(&[0, 0]), None]);
+        assert!(matches!(half_header, Err(FrameError::Io(e)) if e.kind() == ErrorKind::TimedOut));
+        let half_payload = read(&[Some(&[0, 0, 0, 4]), Some(b"ab"), None]);
+        assert!(matches!(half_payload, Err(FrameError::Io(e)) if e.kind() == ErrorKind::TimedOut));
+        // `read_frame` retries timed-out reads while `keep_waiting` says so.
+        let steps = [None, Some(&[0u8, 0, 0, 2][..]), None, Some(b"ab")];
+        let mut r = Script(steps.into_iter().collect());
+        assert_eq!(read_frame(&mut r, 16, &mut always()).unwrap(), b"ab");
+        let mut r = Script([None, Some(&[0u8, 0, 0, 2][..])].into_iter().collect());
+        let gave_up = read_frame(&mut r, 16, &mut || false);
+        assert!(matches!(gave_up, Err(FrameError::IdleTimeout)));
     }
 
     #[test]

@@ -9,33 +9,40 @@
 //! same choice by capping the shared execution context's session pool
 //! (Section VII-A).
 //!
-//! Shutdown is coordinated, not abrupt: the flag flips, the listener is
-//! woken by a self-connection, and every worker gets a drain grace
-//! window to finish (and answer) an in-flight request before its socket
-//! closes. In-flight responses are never dropped.
+//! A connection's thread blocks in `read` until a request arrives or the
+//! 30 s idle timeout passes; nothing polls, so an idle server costs no
+//! CPU. Shutdown is coordinated, not abrupt: the flag flips, the
+//! listener is woken by a self-connection, and every worker gets a drain
+//! grace window to finish (and answer) an in-flight request before its
+//! socket closes. A worker answers the request it has read and then
+//! closes, so a chatty client cannot extend the drain. At the drain
+//! deadline the listener shuts down the read side of every connection
+//! still open — it keeps a clone of each admitted socket for this — which
+//! wakes the workers idle in `read`: a request already received is still
+//! read and answered, and then the connection closes. In-flight
+//! responses are never dropped.
 
 use crate::frame::{read_frame_into, shrink_kept, write_frame, FrameError};
 use crate::protocol::{codes, Request, Response};
 use just_core::{Engine, SessionManager};
 use just_obs::metrics::{Counter, Gauge, Histogram};
+use just_obs::sync::{Condvar, Mutex};
 use just_ql::{Client, JsonValue};
+use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Idle timeout: a connection with no request for this long is closed.
+/// Idle timeout: a connection whose read waits this long is closed (on a
+/// frame boundary idle, mid-frame as an error).
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Socket write timeout (a stalled reader cannot wedge a worker
 /// forever).
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// The poll tick: socket read timeout between `keep_waiting`
-/// consultations. Smaller = faster shutdown, more wakeups.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Frame size cap, enforced from the 4-byte header before any payload
 /// allocation.
@@ -50,7 +57,8 @@ pub struct ServerConfig {
     /// new connections are shed with `BUSY`.
     pub max_sessions: usize,
     /// How long, after shutdown begins, workers keep accepting one more
-    /// request from an already-connected client before closing.
+    /// request from an already-connected client before closing: at its
+    /// end, idle connections are woken and closed.
     pub drain_grace: Duration,
     /// User allowlist for `hello`; `None` admits any user name.
     pub users: Option<Vec<String>>,
@@ -100,13 +108,13 @@ struct Shared {
     cfg: ServerConfig,
     addr: SocketAddr,
     shutdown: AtomicBool,
-    /// When shutdown was requested. Set (under the lock) *before* the
-    /// `shutdown` flag flips, so any worker that observes the flag finds
-    /// the instant here. The drain deadline is computed from this fixed
-    /// point, not from each read, so a chatty client cannot keep
-    /// resetting its grace window and wedge the drain forever.
-    shutdown_at: Mutex<Option<Instant>>,
     active: AtomicUsize,
+    /// A clone of every admitted connection's socket, by slot id, so
+    /// the drain can shut down their read sides; a [`Slot`] removes its
+    /// entry (and signals `conns_cv`) when the connection ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    conns_cv: Condvar,
+    next_conn: AtomicU64,
     /// Monotonic request-id source: every decoded request on any
     /// connection gets a unique id, quoted in error frames and threaded
     /// into the query registry so operators can correlate a client's
@@ -130,8 +138,10 @@ impl Server {
             cfg,
             addr,
             shutdown: AtomicBool::new(false),
-            shutdown_at: Mutex::new(None),
             active: AtomicUsize::new(0),
+            conns: Mutex::new(HashMap::new()),
+            conns_cv: Condvar::new(),
+            next_conn: AtomicU64::new(0),
             request_seq: AtomicU64::new(0),
             metrics: ServerMetrics::new(),
         });
@@ -208,26 +218,9 @@ impl Drop for ServerHandle {
 /// Flips the shutdown flag and wakes the blocking `accept` with a
 /// throwaway self-connection.
 fn request_shutdown(shared: &Shared) {
-    {
-        let mut at = shared.shutdown_at.lock().unwrap();
-        if at.is_none() {
-            *at = Some(Instant::now());
-        }
-    }
     if !shared.shutdown.swap(true, Ordering::AcqRel) {
         let _ = TcpStream::connect(shared.addr);
     }
-}
-
-/// The fixed instant past which no worker keeps waiting for new
-/// requests once shutdown has begun.
-fn drain_deadline(shared: &Shared) -> Instant {
-    shared
-        .shutdown_at
-        .lock()
-        .unwrap()
-        .unwrap_or_else(Instant::now)
-        + shared.cfg.drain_grace
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
@@ -263,6 +256,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             );
             continue;
         };
+        if slot.track(&stream).is_err() {
+            refuse(stream, codes::BUSY, "server cannot track the connection");
+            continue;
+        }
         // The slot is released when the guard drops: after the worker
         // returns, when it unwinds from a panic, or with the closure if
         // the spawn fails.
@@ -277,15 +274,30 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         workers.retain(|h| !h.is_finished());
     }
     // Drain: every admitted worker finishes (and answers) its in-flight
-    // request before we return.
+    // request before we return. Workers still waiting for a request at
+    // the deadline are woken by shutting their read sides down: a read
+    // then returns what is already buffered, then end-of-stream.
+    let deadline = Instant::now() + shared.cfg.drain_grace;
+    let mut conns = shared.conns.lock();
+    while !conns.is_empty() {
+        let now = Instant::now();
+        if now >= deadline {
+            break;
+        }
+        conns = shared.conns_cv.wait_timeout(conns, deadline - now).0;
+    }
+    for stream in conns.values() {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    drop(conns);
     for h in workers {
         let _ = h.join();
     }
 }
 
-/// An admitted connection's claim on the admission gate; dropping it
-/// releases the claim.
-struct Slot(Arc<Shared>);
+/// An admitted connection's claim on the admission gate and its entry
+/// in the drain's registry; dropping it releases both.
+struct Slot(Arc<Shared>, u64);
 
 impl Slot {
     /// Claims a slot, or `None` at the cap. The claim is a CAS loop
@@ -300,12 +312,24 @@ impl Slot {
             .ok()?;
         shared.metrics.accepted.inc();
         shared.metrics.connections_active.inc();
-        Some(Slot(shared.clone()))
+        let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
+        Some(Slot(shared.clone(), id))
+    }
+
+    /// Registers a clone of the connection's socket for the drain.
+    fn track(&self, stream: &TcpStream) -> io::Result<()> {
+        let clone = stream.try_clone()?;
+        self.0.conns.lock().insert(self.1, clone);
+        Ok(())
     }
 }
 
 impl Drop for Slot {
     fn drop(&mut self) {
+        // The clone goes too: the socket closes with the worker's handle.
+        let clone = self.0.conns.lock().remove(&self.1);
+        drop(clone);
+        self.0.conns_cv.notify_all();
         self.0.active.fetch_sub(1, Ordering::AcqRel);
         self.0.metrics.connections_active.dec();
         self.0.metrics.closed.inc();
@@ -355,7 +379,7 @@ fn close_draining(stream: &mut TcpStream) {
 /// idle timeout, or shutdown drain. The request and response buffers
 /// are the connection's, reused frame after frame.
 fn serve_connection(mut stream: TcpStream, shared: &Shared) {
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
         || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
     {
         return;
@@ -363,26 +387,9 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     let mut client: Option<Client> = None;
     let (mut payload, mut out) = (Vec::new(), Vec::new());
     loop {
-        // The wait policy: each poll tick re-checks how long this read
-        // has been idle. During shutdown the wait is bounded by a drain
-        // deadline measured from the moment shutdown was *requested*
-        // (enough for a request already in flight on the wire); it is
-        // never reset, so a client streaming requests cannot extend the
-        // drain. Otherwise the full idle timeout applies.
-        let started = Instant::now();
-        let mut keep_waiting = || {
-            if shared.shutdown.load(Ordering::Acquire) {
-                Instant::now() < drain_deadline(shared) && started.elapsed() < READ_TIMEOUT
-            } else {
-                started.elapsed() < READ_TIMEOUT
-            }
-        };
-        match read_frame_into(
-            &mut stream,
-            &mut payload,
-            MAX_FRAME_BYTES,
-            &mut keep_waiting,
-        ) {
+        // Blocks until a request arrives, the idle timeout passes or the
+        // drain deadline shuts the read side down (module docs).
+        match read_frame_into(&mut stream, &mut payload, MAX_FRAME_BYTES) {
             Ok(()) => {}
             Err(FrameError::Closed) | Err(FrameError::IdleTimeout) => return,
             Err(FrameError::TooLarge { len, max }) => {

@@ -256,6 +256,70 @@ fn a_chatty_client_cannot_stall_the_drain() {
 }
 
 #[test]
+fn idle_connections_are_closed_at_the_drain_deadline() {
+    let (engine, dir) = fresh("idle-drain");
+    let grace = Duration::from_millis(300);
+    let cfg = ServerConfig {
+        drain_grace: grace,
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(engine, cfg).unwrap();
+    let addr = handle.local_addr();
+    // Two connections block in `read` waiting for a request that never
+    // comes; a third sends one inside the grace window.
+    let mut idle: Vec<RemoteClient> = (0..2)
+        .map(|_| RemoteClient::connect(addr, "it").unwrap())
+        .collect();
+    let mut late = RemoteClient::connect(addr, "it").unwrap();
+    let start = Instant::now();
+    handle.shutdown();
+    std::thread::sleep(grace / 3);
+    assert_eq!(late.ping().unwrap(), "pong", "a request inside the grace");
+    handle.join();
+    let took = start.elapsed();
+    assert!(
+        took < grace + Duration::from_secs(1),
+        "join took {took:?} with idle connections"
+    );
+    assert!(took >= grace, "idle connections closed before the deadline");
+    for c in &mut idle {
+        assert!(c.ping().is_err(), "an idle connection outlived the drain");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_request_written_before_shutdown_is_answered() {
+    // No grace at all: the drain shuts every read side down at once,
+    // and a request already on the wire must still be read and
+    // answered.
+    let (engine, dir) = fresh("written");
+    let cfg = ServerConfig {
+        drain_grace: Duration::ZERO,
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(engine, cfg).unwrap();
+    let mut s = TcpStream::connect(handle.local_addr()).unwrap();
+    send_raw(&mut s, br#"{"op":"hello","user":"it"}"#);
+    assert!(recv_raw(&mut s).is_some());
+    // The worker is back in `read` (a worker that sees the shutdown
+    // flag after an answer takes no further request).
+    std::thread::sleep(Duration::from_millis(100));
+    // One write, so the whole frame is on the wire: Nagle would hold a
+    // second segment back until the header's ACK.
+    let ping = br#"{"op":"ping"}"#;
+    s.write_all(&[&(ping.len() as u32).to_be_bytes()[..], ping].concat())
+        .unwrap();
+    handle.shutdown();
+    let pong = recv_json(&mut s).expect("the written request was dropped");
+    assert_eq!(pong.get("text").and_then(|v| v.as_str()), Some("pong"));
+    // That was the connection's last answer.
+    assert!(recv_raw(&mut s).is_none());
+    handle.join();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn integer_overflow_answers_rows_and_frees_the_slot() {
     let (engine, dir) = fresh("overflow");
     let handle = Server::start(engine, ServerConfig::default()).unwrap();
