@@ -118,6 +118,7 @@ mod fixture {
             mem_cap: crate::memtable::MEM_CAP,
             kick: None,
             compact_trigger: 0,
+            split_bytes: 0,
         }
     }
 

@@ -8,11 +8,11 @@
 //! timeout while none of its regions owes anything, and events kick it:
 //!
 //! * a write that takes a region past its flush threshold;
-//! * a `batched` append that dirties a clean log — the worker then
-//!   sleeps until the log's [`SYNC_WINDOW`] closes and issues one group
-//!   commit for every append in it;
+//! * a `batched` append that dirties a clean log — not at once: it asks
+//!   for a sweep as the log's [`SYNC_WINDOW`] closes ([`Kick::kick_by`]),
+//!   which issues one group commit for every append in it;
 //! * a flush, whoever ran it, that leaves a region at the compaction
-//!   trigger;
+//!   trigger, and any flush or compaction while auto-splits are on;
 //! * a poisoned log, which the sweep repairs;
 //! * a snapshot dropped from a region whose compaction it held back;
 //! * a table registered, and a split or merge, which moves regions
@@ -81,42 +81,101 @@ impl Default for MaintenanceOptions {
 /// compares the counter against the generation it last observed, so one
 /// kick wakes (or skips the wait of) *all* workers — a worker can never
 /// swallow the wake-up meant for the region owned by another.
+///
+/// Work that is due later asks for a sweep by a time instead
+/// ([`Kick::kick_by`]): it only brings forward the deadline of a worker
+/// that would sweep later than that, so the dirtying appends of many
+/// regions inside one sync window cost each worker a few sweeps (see
+/// `Wal::maintain`), not one per region.
 #[derive(Debug, Default)]
 pub(crate) struct Kick {
-    generation: Mutex<u64>,
+    state: Mutex<KickState>,
     cv: Condvar,
 }
 
+#[derive(Debug, Default)]
+struct KickState {
+    /// Kicks so far.
+    generation: u64,
+    /// Per worker: when it must start its next sweep, or `None` while it
+    /// may park without a deadline. Cleared as a sweep starts.
+    sweep_by: Vec<Option<Instant>>,
+}
+
+/// The earlier of two optional deadlines (`None` is never).
+fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 impl Kick {
+    /// A latch for `workers` workers.
+    pub(crate) fn new(workers: usize) -> Kick {
+        Kick {
+            state: Mutex::new(KickState {
+                generation: 0,
+                sweep_by: vec![None; workers],
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
     /// Wakes every waiting worker.
     pub(crate) fn kick(&self) {
-        *self.generation.lock() += 1;
+        self.state.lock().generation += 1;
         self.cv.notify_all();
     }
 
-    /// Waits until the generation advances past `seen` or, if given,
-    /// `until` passes, then records the observed generation in `seen`.
-    fn wait(&self, seen: &mut u64, until: Option<Instant>) {
-        let mut generation = self.generation.lock();
-        while *generation == *seen {
-            generation = match until {
-                None => self.cv.wait(generation),
-                Some(until) => {
+    /// Makes every worker start a sweep by `by`: one mid-sweep may have
+    /// passed the region already. Wakes only workers whose deadline this
+    /// brings forward, so they wait for the new one.
+    pub(crate) fn kick_by(&self, by: Instant) {
+        let mut sooner = false;
+        for slot in &mut self.state.lock().sweep_by {
+            if slot.is_none_or(|at| by < at) {
+                *slot = Some(by);
+                sooner = true;
+            }
+        }
+        if sooner {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Waits until the generation advances past `seen` or the worker's
+    /// deadline — `due`, or an earlier one asked of it — passes, then
+    /// records the observed generation in `seen`.
+    fn wait(&self, worker: usize, seen: &mut u64, due: Option<Instant>) {
+        let mut state = self.state.lock();
+        state.sweep_by[worker] = earliest(state.sweep_by[worker], due);
+        while state.generation == *seen {
+            state = match state.sweep_by[worker] {
+                None => self.cv.wait(state),
+                Some(at) => {
                     let now = Instant::now();
-                    if now >= until {
+                    if now >= at {
                         break;
                     }
-                    self.cv.wait_timeout(generation, until - now).0
+                    self.cv.wait_timeout(state, at - now).0
                 }
             };
         }
-        *seen = *generation;
+        *seen = state.generation;
+        state.sweep_by[worker] = None;
     }
 
     /// Kicks so far.
     #[cfg(test)]
     pub(crate) fn generation(&self) -> u64 {
-        *self.generation.lock()
+        self.state.lock().generation
+    }
+
+    /// The time `worker` must sweep by, cleared as if it swept.
+    #[cfg(test)]
+    pub(crate) fn take_sweep_by(&self, worker: usize) -> Option<Instant> {
+        self.state.lock().sweep_by[worker].take()
     }
 }
 
@@ -154,7 +213,7 @@ impl Scheduler {
         let obs = just_obs::global();
         let shared = Arc::new(Shared {
             tables: Mutex::new(Vec::new()),
-            kick: Arc::new(Kick::default()),
+            kick: Arc::new(Kick::new(opts.workers)),
             stop: AtomicBool::new(false),
             errors: obs.counter("just_kvstore_maintenance_errors"),
             sweeps: obs.counter("just_kvstore_maintenance_sweeps"),
@@ -221,7 +280,7 @@ fn worker_loop(shared: &Shared, worker: usize, workers: usize) {
     loop {
         let stopping = shared.stop.load(Ordering::SeqCst);
         if !stopping {
-            shared.kick.wait(&mut seen_kick, due);
+            shared.kick.wait(worker, &mut seen_kick, due);
         }
         shared.sweeps.inc();
         due = None;
@@ -240,10 +299,7 @@ fn worker_loop(shared: &Shared, worker: usize, workers: usize) {
                     shared.errors.inc();
                     Some(Instant::now() + SYNC_WINDOW)
                 });
-                due = match (due, next) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
+                due = earliest(due, next);
             }
             // One worker doubles as the split balancer so lifecycle
             // operations never race each other from within the pool.
@@ -264,9 +320,9 @@ mod tests {
 
     #[test]
     fn one_kick_wakes_every_worker() {
-        let kick = Arc::new(Kick::default());
+        let kick = Arc::new(Kick::new(4));
         let handles: Vec<_> = (0..4)
-            .map(|_| {
+            .map(|w| {
                 let kick = kick.clone();
                 std::thread::spawn(move || {
                     // Each worker has its own observed generation, so no
@@ -274,7 +330,11 @@ mod tests {
                     let mut seen = 0u64;
                     let started = std::time::Instant::now();
                     while seen == 0 && started.elapsed() < Duration::from_secs(10) {
-                        kick.wait(&mut seen, Some(Instant::now() + Duration::from_millis(20)));
+                        kick.wait(
+                            w,
+                            &mut seen,
+                            Some(Instant::now() + Duration::from_millis(20)),
+                        );
                     }
                     seen
                 })
@@ -285,5 +345,39 @@ mod tests {
         for h in handles {
             assert!(h.join().unwrap() >= 1, "a worker missed the kick");
         }
+    }
+
+    #[test]
+    fn a_sweep_asked_by_a_time_starts_at_that_time() {
+        // Workers parked with a later deadline take the earliest time
+        // asked of them and sweep then, not at once; a later ask changes
+        // nothing, and no ask bumps the generation.
+        let kick = Arc::new(Kick::new(2));
+        let parked_until = Instant::now() + Duration::from_secs(5);
+        let handles: Vec<_> = (0..2)
+            .map(|w| {
+                let kick = kick.clone();
+                std::thread::spawn(move || {
+                    let mut seen = 0u64;
+                    kick.wait(w, &mut seen, Some(parked_until));
+                    (seen, Instant::now())
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        let by = Instant::now() + Duration::from_millis(50);
+        kick.kick_by(by + Duration::from_millis(500));
+        kick.kick_by(by);
+        kick.kick_by(by + Duration::from_millis(5));
+        for h in handles {
+            let (seen, woke) = h.join().unwrap();
+            assert_eq!(seen, 0);
+            assert!(woke >= by, "a worker swept before it was asked to");
+            assert!(
+                woke < by + Duration::from_millis(400),
+                "a worker slept past the ask"
+            );
+        }
+        assert_eq!(kick.take_sweep_by(0), None, "the sweep clears the ask");
     }
 }

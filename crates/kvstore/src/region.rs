@@ -226,6 +226,11 @@ pub(crate) struct RegionOptions {
     /// SSTables ([`crate::MaintenanceOptions::compact_trigger`]; 0:
     /// never), and a flush that brings it there kicks the scheduler.
     pub compact_trigger: usize,
+    /// The table's auto-split threshold
+    /// ([`crate::MaintenanceOptions::split_bytes`]; 0: never): while
+    /// set, every flush and compaction kicks the scheduler, whose next
+    /// sweep checks the table for a split.
+    pub split_bytes: usize,
 }
 
 /// An immutable memtable generation: the memtable frozen at one point in
@@ -789,11 +794,8 @@ impl Region {
         if let (Some(w), Some(mark)) = (&self.wal, gen.mark) {
             w.retire_through(mark)?;
         }
-        self.grown.store(true, Ordering::SeqCst);
         let trigger = self.opts.compact_trigger;
-        if trigger > 0 && sstables >= trigger {
-            self.kick();
-        }
+        self.grew(trigger > 0 && sstables >= trigger);
         let obs = just_obs::global();
         obs.counter("just_kvstore_memtable_flushes").inc();
         obs.histogram("just_kvstore_flush_latency_us")
@@ -889,7 +891,7 @@ impl Region {
         for old in &tables {
             std::fs::remove_file(old.path()).ok();
         }
-        self.grown.store(true, Ordering::SeqCst);
+        self.grew(false);
         let obs = just_obs::global();
         obs.counter("just_kvstore_compactions").inc();
         obs.histogram("just_kvstore_compaction_latency_us")
@@ -961,6 +963,16 @@ impl Region {
     fn kick(&self) {
         if let Some(kick) = &self.opts.kick {
             kick.kick();
+        }
+    }
+
+    /// Records that a flush or compaction changed the region's size on
+    /// disk, and kicks the scheduler if auto-splits are on — its next
+    /// sweep checks the table — or if `kick` asks for a sweep anyway.
+    fn grew(&self, kick: bool) {
+        self.grown.store(true, Ordering::SeqCst);
+        if kick || self.opts.split_bytes > 0 {
+            self.kick();
         }
     }
 

@@ -213,6 +213,7 @@ impl Store {
             mem_cap: crate::memtable::MEM_CAP,
             kick: (workers > 0).then(|| self.scheduler.kick_handle()),
             compact_trigger: self.options.maintenance.compact_trigger,
+            split_bytes: self.options.maintenance.split_bytes,
         }
     }
 

@@ -50,12 +50,13 @@
 //!   loss.
 //! * `Batched` — the `write(2)` precedes the acknowledgement, and the
 //!   maintenance scheduler calls [`Wal::sync_through`] within
-//!   [`SYNC_WINDOW`] (10 ms) of the first append no fsync covers yet:
-//!   acknowledged writes survive process crashes (`kill -9`) and are
-//!   fsynced within 10 ms; power loss may lose the last un-synced
-//!   batch. The append that dirties a clean log kicks the scheduler,
-//!   whose worker sleeps until the window closes, so every append in
-//!   the window shares one fsync and a clean log costs no wake-up.
+//!   [`SYNC_WINDOW`] (10 ms) of the first append no fsync covers yet,
+//!   or, for appends that land while an fsync is in flight, within
+//!   10 ms of its end: acknowledged writes survive process crashes
+//!   (`kill -9`); power loss may lose the last un-synced batch. The
+//!   append that dirties a clean log asks the scheduler for a sweep as
+//!   the window closes, so every append in the window shares one fsync
+//!   and a clean log costs no wake-up.
 //! * `Off` — no log: a crash loses every row still in a memtable.
 //!
 //! Clean shutdown syncs every log through its last ticket either way.
@@ -94,7 +95,8 @@ pub enum SyncPolicy {
     /// `write(2)` per append — a run of records, one region's share of a
     /// write batch — before acknowledging (survives
     /// `kill -9`), `fsync` batched by the maintenance scheduler within
-    /// 10 ms of the first unsynced append (bounded power-loss window).
+    /// 10 ms of the first unsynced append, or of the end of the fsync in
+    /// flight when it landed (bounded power-loss window).
     /// The default.
     #[default]
     Batched,
@@ -443,9 +445,10 @@ struct WalState {
     synced: u64,
     /// A leader's fsync is in flight (one per log at a time).
     syncing: bool,
-    /// `batched` only: when the oldest append no fsync covers landed
-    /// (`None` while the log is clean). The log is due for its group
-    /// commit [`SYNC_WINDOW`] later.
+    /// `batched` only: when the oldest append no fsync covers landed, or
+    /// when the fsync in flight as it landed ended (`None` while the log
+    /// is clean). The log is due for its group commit [`SYNC_WINDOW`]
+    /// later.
     dirty_since: Option<Instant>,
 }
 
@@ -579,7 +582,7 @@ impl Wal {
     /// swaps in a fresh segment.
     ///
     /// Under `batched`, the append that dirties a clean log starts its
-    /// [`SYNC_WINDOW`] and kicks the scheduler.
+    /// [`SYNC_WINDOW`] and asks the scheduler for a sweep as it closes.
     pub(crate) fn append<'a, I>(&self, seq: u64, records: I) -> Result<u64>
     where
         I: IntoIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
@@ -621,18 +624,19 @@ impl Wal {
         st.good_len += len;
         st.appended += n;
         let ticket = st.appended;
-        let dirtied = self.policy == SyncPolicy::Batched && st.dirty_since.is_none();
-        if dirtied {
-            st.dirty_since = Some(Instant::now());
+        let dirtied =
+            (self.policy == SyncPolicy::Batched && st.dirty_since.is_none()).then(Instant::now);
+        if dirtied.is_some() {
+            st.dirty_since = dirtied;
         }
         drop(guard);
-        if dirtied {
-            self.wake();
+        if let (Some(at), Some(kick)) = (dirtied, &self.kick) {
+            kick.kick_by(at + SYNC_WINDOW);
         }
         Ok(ticket)
     }
 
-    /// Asks the maintenance scheduler for a sweep.
+    /// Asks the maintenance scheduler for a sweep now.
     fn wake(&self) {
         if let Some(kick) = &self.kick {
             kick.kick();
@@ -700,10 +704,10 @@ impl Wal {
                     self.metrics.group_commit_records.record(target - st.synced);
                     st.synced = target;
                 }
-                // Appends that landed during the fsync stay due, from
-                // its start at the latest.
+                // Appends that landed during the fsync share the next
+                // one: their window opens as this one ends.
                 if st.dirty_since.is_some() {
-                    st.dirty_since = (st.synced < st.appended).then_some(started);
+                    st.dirty_since = (st.synced < st.appended).then(Instant::now);
                 }
             }
             Err(_) => st.poisoned = true,
@@ -719,7 +723,10 @@ impl Wal {
     /// The log's share of a maintenance sweep at `now`: repairs a
     /// poisoned log, then, under `batched`, issues the group commit of
     /// everything appended so far once the oldest unsynced append is
-    /// [`SYNC_WINDOW`] old (`per-write` writers sync inline). Returns
+    /// three quarters of a [`SYNC_WINDOW`] old (`per-write` writers sync
+    /// inline): logs dirtied close together share one sweep rather than
+    /// each waking the worker a few microseconds after the last, and a
+    /// worker sweeps for deadlines at most four times a window. Returns
     /// when the log is next due, or `None` while it is clean.
     pub(crate) fn maintain(&self, now: Instant) -> Result<Option<Instant>> {
         if self.state.lock().poisoned {
@@ -730,7 +737,7 @@ impl Wal {
         }
         let due = || self.state.lock().dirty_since.map(|t| t + SYNC_WINDOW);
         match due() {
-            Some(at) if at <= now => self.sync_through(self.ticket())?,
+            Some(at) if at <= now + SYNC_WINDOW / 4 => self.sync_through(self.ticket())?,
             later => return Ok(later),
         }
         Ok(due())
@@ -1202,12 +1209,12 @@ mod tests {
 
     #[test]
     fn a_batched_log_is_due_one_window_after_it_turns_dirty() {
-        // The append that dirties a clean log kicks the scheduler and
-        // opens the window; a sweep inside it only reports the deadline,
-        // one at the deadline syncs every append, and a clean log is
-        // never due. A poisoned log kicks for its repair.
+        // The append that dirties a clean log opens the window and asks
+        // for a sweep as it closes; a sweep early in it only reports the
+        // deadline, one in its last quarter syncs every append, and a
+        // clean log is never due. A poisoned log kicks for its repair.
         let dir = tmpdir("window");
-        let kick = Arc::new(Kick::default());
+        let kick = Arc::new(Kick::new(1));
         let (wal, _) = Wal::open(&dir, SyncPolicy::Batched, Some(kick.clone())).unwrap();
         let (file, state) = FaultyWalFile::new();
         wal.set_file_for_test(Box::new(file));
@@ -1215,21 +1222,31 @@ mod tests {
         let before = Instant::now();
         log(&wal, 0, b"a", Some(b"v")).unwrap();
         log(&wal, 1, b"b", Some(b"v")).unwrap();
-        assert_eq!(kick.generation(), 1, "only the dirtying append kicks");
+        let asked = kick
+            .take_sweep_by(0)
+            .expect("the dirtying append asks for a sweep");
+        assert_eq!(kick.take_sweep_by(0), None, "only the dirtying append asks");
+        assert_eq!(kick.generation(), 0, "no kick");
         let due = wal
             .maintain(Instant::now())
             .unwrap()
             .expect("a dirty log is due");
+        assert_eq!(due, asked);
         assert!(due >= before + SYNC_WINDOW && due <= Instant::now() + SYNC_WINDOW);
         assert_eq!(state.lock().syncs, 0, "no fsync inside the window");
-        assert_eq!(wal.maintain(due).unwrap(), None);
+        // A sweep a quarter window before the deadline takes the log.
+        assert_eq!(wal.maintain(due - SYNC_WINDOW / 2).unwrap(), Some(due));
+        assert_eq!(wal.maintain(due - SYNC_WINDOW / 4).unwrap(), None);
         assert_eq!(state.lock().syncs, 1, "one fsync for both appends");
         assert_eq!(wal.state.lock().synced, 2);
         log(&wal, 2, b"c", Some(b"v")).unwrap();
-        assert_eq!(kick.generation(), 2, "a log synced clean kicks again");
+        assert!(
+            kick.take_sweep_by(0).is_some(),
+            "a log synced clean asks again"
+        );
         state.lock().sync_budget = Some(1);
         assert!(sweep(&wal).is_err());
-        assert_eq!(kick.generation(), 3, "a poisoned log kicks");
+        assert_eq!(kick.generation(), 1, "a poisoned log kicks");
         state.lock().sync_budget = None;
         assert_eq!(sweep(&wal).unwrap(), None, "the sweep repairs the log");
         std::fs::remove_dir_all(dir).ok();
@@ -1256,8 +1273,19 @@ mod tests {
             let (done_tx, done_rx) = std::sync::mpsc::channel();
             scope.spawn(move || done_tx.send(log(wal, 1, b"second", Some(b"v"))));
             let appended = done_rx.recv_timeout(Duration::from_secs(2));
+            let released = Instant::now();
             release_tx.send(()).unwrap();
-            ticker.join().unwrap().unwrap();
+            // The record that landed during the fsync gets a window of
+            // its own, opened as the fsync ended.
+            let due = ticker
+                .join()
+                .unwrap()
+                .unwrap()
+                .expect("the new record is due");
+            assert!(
+                due >= released + SYNC_WINDOW,
+                "the window opened before the fsync ended"
+            );
             appended
         });
         appended

@@ -1,6 +1,7 @@
 //! An idle store costs nothing: the maintenance workers sleep until an
 //! event gives them work, and the events that must wake them — a
-//! `batched` append, a flush that reaches the compaction trigger — do.
+//! `batched` append, a flush that reaches the compaction trigger or
+//! may make a region big enough to split — do.
 //!
 //! The sweep and sync counters are process-global, so the tests of this
 //! binary take turns (`SERIAL`) and each drops its store before the next
@@ -124,6 +125,42 @@ fn explicit_flushes_to_the_trigger_are_compacted_in_the_background() {
     }
     assert_eq!(sstables(), 1, "four flushed tables were not compacted");
     assert_eq!(table.snapshot().scan(b"", b"\xff").unwrap().len(), 4);
+    drop(store);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_region_flushed_past_the_split_size_is_split_with_no_further_writes() {
+    let _serial = serial();
+    let dir = tmpdir("split");
+    // No log, so no sync deadline wakes the workers, and a flush
+    // threshold no write here reaches: only the explicit flush's kick
+    // can bring about the split check.
+    let options = StoreOptions {
+        wal_sync: SyncPolicy::Off,
+        maintenance: MaintenanceOptions {
+            split_bytes: 16 << 10,
+            ..MaintenanceOptions::default()
+        },
+        ..StoreOptions::default()
+    };
+    let store = Store::open(&dir, options).unwrap();
+    let table = store.create_table("t", 2).unwrap();
+    // Region 1 (keys from byte 0x80): worker 1's, not worker 0's, which
+    // runs the split check.
+    for i in 0..256u32 {
+        let key = [&[0x90u8][..], &i.to_be_bytes()].concat();
+        table.put(key, vec![b'v'; 256]).unwrap();
+    }
+    settle();
+    assert_eq!(table.num_regions(), 2, "split before the flush");
+    table.flush().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while table.num_regions() == 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(table.num_regions(), 3, "the flushed region was not split");
+    assert_eq!(table.snapshot().scan(b"", b"\xff").unwrap().len(), 256);
     drop(store);
     std::fs::remove_dir_all(dir).ok();
 }

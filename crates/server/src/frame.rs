@@ -71,40 +71,17 @@ const KEEP_BYTES: usize = 1 << 20;
 const READ_STEP: usize = 64 << 10;
 
 /// Reads one frame, enforcing the size cap *before* allocating: the
-/// shorthand for [`read_frame_into`] a new buffer. `keep_waiting` is
-/// asked whenever a read times out: `true` retries it, `false` ends the
-/// frame as [`read_frame_into`] would.
+/// shorthand for [`read_frame_into`] a new buffer. `_keep_waiting` is
+/// unused — a read timeout ends the frame as in [`read_frame_into`] — and
+/// stays only so existing callers compile.
 pub fn read_frame(
     r: &mut impl Read,
     max: usize,
-    keep_waiting: &mut dyn FnMut() -> bool,
+    _keep_waiting: &mut dyn FnMut() -> bool,
 ) -> Result<Vec<u8>, FrameError> {
     let mut payload = Vec::new();
-    read_frame_into(&mut Patient { r, keep_waiting }, &mut payload, max)?;
+    read_frame_into(r, &mut payload, max)?;
     Ok(payload)
-}
-
-/// A reader that retries its timed-out reads while `keep_waiting` says
-/// so.
-struct Patient<'a, R> {
-    r: &'a mut R,
-    keep_waiting: &'a mut dyn FnMut() -> bool,
-}
-
-impl<R: Read> Read for Patient<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        loop {
-            match self.r.read(buf) {
-                Err(e) if timed_out(&e) && (self.keep_waiting)() => {}
-                done => return done,
-            }
-        }
-    }
-}
-
-/// Whether a read error is the socket's read timeout.
-fn timed_out(e: &std::io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
 /// Reads one frame's payload into `payload`, replacing what it held.
@@ -178,7 +155,11 @@ fn fill_header(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
             }
             Ok(n) => pos += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if pos == 0 && timed_out(&e) => return Err(FrameError::IdleTimeout),
+            Err(e)
+                if pos == 0 && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+            {
+                return Err(FrameError::IdleTimeout)
+            }
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
@@ -261,13 +242,6 @@ mod tests {
         assert!(matches!(half_header, Err(FrameError::Io(e)) if e.kind() == ErrorKind::TimedOut));
         let half_payload = read(&[Some(&[0, 0, 0, 4]), Some(b"ab"), None]);
         assert!(matches!(half_payload, Err(FrameError::Io(e)) if e.kind() == ErrorKind::TimedOut));
-        // `read_frame` retries timed-out reads while `keep_waiting` says so.
-        let steps = [None, Some(&[0u8, 0, 0, 2][..]), None, Some(b"ab")];
-        let mut r = Script(steps.into_iter().collect());
-        assert_eq!(read_frame(&mut r, 16, &mut always()).unwrap(), b"ab");
-        let mut r = Script([None, Some(&[0u8, 0, 0, 2][..])].into_iter().collect());
-        let gave_up = read_frame(&mut r, 16, &mut || false);
-        assert!(matches!(gave_up, Err(FrameError::IdleTimeout)));
     }
 
     #[test]

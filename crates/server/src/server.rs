@@ -11,8 +11,10 @@
 //!
 //! A connection's thread blocks in `read` until a request arrives or the
 //! 30 s idle timeout passes; nothing polls, so an idle server costs no
-//! CPU. Shutdown is coordinated, not abrupt: the flag flips, the
-//! listener is woken by a self-connection, and every worker gets a drain
+//! CPU. Once a request's first byte is in, its last must follow within
+//! 30 s too, so a peer that dribbles a frame out cannot hold a session.
+//! Shutdown is coordinated, not abrupt: the flag flips, the listener is
+//! woken by a self-connection, and every worker gets a drain
 //! grace window to finish (and answer) an in-flight request before its
 //! socket closes. A worker answers the request it has read and then
 //! closes, so a chatty client cannot extend the drain. At the drain
@@ -36,7 +38,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Idle timeout: a connection whose read waits this long is closed (on a
+/// Idle timeout, and the most time a request frame may take from its
+/// first byte to its last: past either, the connection closes (on a
 /// frame boundary idle, mid-frame as an error).
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -389,7 +392,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     loop {
         // Blocks until a request arrives, the idle timeout passes or the
         // drain deadline shuts the read side down (module docs).
-        match read_frame_into(&mut stream, &mut payload, MAX_FRAME_BYTES) {
+        match read_request(&mut stream, &mut payload, READ_TIMEOUT) {
             Ok(()) => {}
             Err(FrameError::Closed) | Err(FrameError::IdleTimeout) => return,
             Err(FrameError::TooLarge { len, max }) => {
@@ -438,6 +441,53 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
         if close_after || shared.shutdown.load(Ordering::Acquire) {
             return;
         }
+    }
+}
+
+/// Reads one request frame from a socket whose read timeout is `limit`:
+/// the wait for its first byte is the idle wait, and every later read
+/// waits only for what is left of `limit` after that byte. The socket's
+/// timeout is restored for the next frame.
+fn read_request(
+    stream: &mut TcpStream,
+    payload: &mut Vec<u8>,
+    limit: Duration,
+) -> Result<(), FrameError> {
+    let mut frame = FrameDeadline {
+        stream,
+        limit,
+        first_byte: None,
+    };
+    let read = read_frame_into(&mut frame, payload, MAX_FRAME_BYTES);
+    if frame.first_byte.is_some() {
+        stream.set_read_timeout(Some(limit))?;
+    }
+    read
+}
+
+/// A socket's reads for one frame, bounded together (see
+/// [`read_request`]).
+struct FrameDeadline<'a> {
+    stream: &'a mut TcpStream,
+    limit: Duration,
+    /// When the frame's first bytes arrived.
+    first_byte: Option<Instant>,
+}
+
+impl io::Read for FrameDeadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Some(first) = self.first_byte {
+            let left = self.limit.saturating_sub(first.elapsed());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        let n = self.stream.read(buf)?;
+        if n > 0 && self.first_byte.is_none() {
+            self.first_byte = Some(Instant::now());
+        }
+        Ok(n)
     }
 }
 
@@ -573,5 +623,46 @@ mod tests {
 
         handle.join();
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_frame_must_end_within_the_limit_of_its_first_byte() {
+        // The second frame's header comes at once and one more byte most
+        // of the limit later; then the peer stalls. Each read waits less
+        // than the limit, but the frame is cut off at the limit.
+        let limit = Duration::from_millis(300);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let mut peer = TcpStream::connect(addr).unwrap();
+            io::Write::write_all(&mut peer, &[0, 0, 0, 2, b'o']).unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+            io::Write::write_all(&mut peer, b"k").unwrap();
+            io::Write::write_all(&mut peer, &[0, 0, 0, 16]).unwrap();
+            std::thread::sleep(Duration::from_millis(250));
+            io::Write::write_all(&mut peer, b"x").unwrap();
+            std::thread::sleep(Duration::from_secs(1));
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(limit)).unwrap();
+        let mut payload = Vec::new();
+        read_request(&mut stream, &mut payload, limit).unwrap();
+        assert_eq!(payload, b"ok");
+        assert_eq!(
+            stream.read_timeout().unwrap(),
+            Some(limit),
+            "the idle timeout is back"
+        );
+        let started = Instant::now();
+        match read_request(&mut stream, &mut payload, limit) {
+            Err(FrameError::Io(_)) => {}
+            other => panic!("a stalled frame was not cut off: {other:?}"),
+        }
+        let took = started.elapsed();
+        assert!(
+            took < limit + Duration::from_millis(150),
+            "cut off after {took:?}"
+        );
+        peer.join().unwrap();
     }
 }
