@@ -444,6 +444,18 @@ done
 JOIN_EXPLAIN_OUT=$(cli query "EXPLAIN SELECT l.fid, r.fid FROM expts l JOIN expts r ON l.fid = r.fid ORDER BY l.fid LIMIT 3")
 echo "$JOIN_EXPLAIN_OUT" | grep -q "hash_join"
 echo "$JOIN_EXPLAIN_OUT" | grep -q "topk"
+# The listing is the pipeline the executor opened: the hash join lists
+# the key program it compiled over each input.
+echo "$JOIN_EXPLAIN_OUT" | grep -q "program key 0 left:"
+echo "$JOIN_EXPLAIN_OUT" | grep -q "program key 0 right:"
+# EXPLAIN analyzes a query as running it does: an unknown column fails it
+# over the wire with the analysis error.
+if BAD_EXPLAIN_OUT=$(cli query "EXPLAIN SELECT nope FROM expts" 2>&1); then
+    echo "EXPLAIN of an unknown column succeeded:"; echo "$BAD_EXPLAIN_OUT"; exit 1
+fi
+echo "$BAD_EXPLAIN_OUT" | grep -q "unknown column 'nope'" || {
+    echo "EXPLAIN failed without the analysis error:"; echo "$BAD_EXPLAIN_OUT"; exit 1
+}
 # A WHERE conjunct over one join input becomes that input's index window:
 # the first scan line (`l`) carries it, the second does not, and nothing
 # is left to filter above the hash join.

@@ -23,7 +23,7 @@
 
 use crate::config::BenchConfig;
 use crate::harness::{Report, Table as TextTable};
-use just_kvstore::{ScanOptions, Store, StoreOptions};
+use just_kvstore::{ScanOptions, Store, StoreOptions, Table};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
@@ -139,8 +139,10 @@ fn snapshot_parity(rows_per_writer: usize, out: &mut impl std::io::Write) -> boo
 }
 
 /// One scan phase: `scans` range scans against `table` with 4 writers
-/// running; returns per-scan latencies (us) or `None` on any scan error.
-fn scan_phase(table: &Arc<just_kvstore::Table>, scans: usize, churn: bool) -> Option<Vec<u64>> {
+/// running; returns per-scan latencies (us), or the first of three
+/// failures: a scan error, a loaded writer range scanned empty, or a
+/// churn phase that split nothing.
+fn scan_phase(table: &Arc<Table>, scans: usize, churn: bool) -> Result<Vec<u64>, &'static str> {
     let stop = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = (0..4)
         .map(|w| {
@@ -179,20 +181,18 @@ fn scan_phase(table: &Arc<just_kvstore::Table>, scans: usize, churn: bool) -> Op
     });
 
     let mut lat = Vec::with_capacity(scans);
-    let mut failed = false;
+    let mut failed = None;
     for s in 0..scans {
         let w = s % WRITERS;
         let lo = key_of(w, 0);
         let hi = key_of(w, 9_999_999);
         let t0 = Instant::now();
-        match table.snapshot().scan(&lo, &hi) {
-            Ok(hits) => {
-                if hits.is_empty() {
-                    failed = true; // the load phase put rows in every writer range
-                }
-            }
-            Err(_) => failed = true,
-        }
+        let failure = match table.snapshot().scan(&lo, &hi) {
+            Err(_) => Some("a range scan failed"),
+            // The load phase put rows in every writer range.
+            Ok(hits) => hits.is_empty().then_some("a writer range scanned empty"),
+        };
+        failed = failed.or(failure);
         lat.push(t0.elapsed().as_micros() as u64);
     }
     stop.store(true, Ordering::Relaxed);
@@ -200,17 +200,12 @@ fn scan_phase(table: &Arc<just_kvstore::Table>, scans: usize, churn: bool) -> Op
         h.join().expect("churn writer");
     }
     if let Some(c) = churner {
-        let splits = c.join().expect("churner");
-        if splits == 0 {
-            failed = true; // the churn phase must actually split
+        if c.join().expect("churner") == 0 {
+            failed = failed.or(Some("a churn phase split no region"));
         }
     }
-    if failed {
-        None
-    } else {
-        lat.sort_unstable();
-        Some(lat)
-    }
+    lat.sort_unstable();
+    failed.map_or(Ok(lat), Err)
 }
 
 fn copy_dir(src: &Path, dst: &Path) {
@@ -281,31 +276,32 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
     const PAIRS: usize = 3;
     let mut ratios = Vec::with_capacity(PAIRS);
     let mut last = None;
-    let mut scan_err = false;
+    let mut failure = None;
     for _ in 0..PAIRS {
         let quiet = scan_phase(&table, scans, false);
         let churned = scan_phase(&table, scans, true);
         match (quiet, churned) {
-            (Some(q), Some(c)) => {
+            (Ok(q), Ok(c)) => {
                 let qp99 = percentile(&q, 0.99).max(1);
                 let cp99 = percentile(&c, 0.99);
                 ratios.push(cp99 as f64 / qp99 as f64);
                 last = Some((qp99, cp99));
             }
-            _ => scan_err = true,
+            (Err(cause), _) | (_, Err(cause)) => failure = failure.or(Some(cause)),
         }
     }
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let ratio = ratios.get(ratios.len() / 2).copied().unwrap_or(f64::MAX);
     let (qp99, cp99) = last.unwrap_or((0, 0));
-    let split_ok = !scan_err && stream_ok && ratio < 2.0;
+    let split_ok = failure.is_none() && stream_ok && ratio < 2.0;
+    let cause = failure.map(|c| format!("; {c}")).unwrap_or_default();
     report.meta_raw("scan_p99_quiet_us", qp99.to_string());
     report.meta_raw("scan_p99_churn_us", cp99.to_string());
     report.meta_raw("scan_p99_ratio", format!("{ratio:.2}"));
     writeln!(
         out,
         "split guard: {} (scan p99 under split churn {ratio:.2}x quiet, median of {PAIRS} \
-         paired phases, last pair {cp99}us vs {qp99}us, need < 2x and zero scan errors)",
+         paired phases, last pair {cp99}us vs {qp99}us, need < 2x and zero scan errors{cause})",
         if split_ok { "PASS" } else { "FAIL" }
     )
     .unwrap();

@@ -362,10 +362,10 @@ impl Client {
                     self.select(&query, sql, &mut trace, collect)?;
                     trace.render()
                 } else {
-                    // Plain EXPLAIN includes each operator's compiled
-                    // bytecode listing.
+                    // Plain EXPLAIN lists the pipeline the executor opens,
+                    // with each operator's compiled bytecode.
                     let plan = optimize(LogicalPlan::from_select(&query)?)?;
-                    crate::compile::explain_render(&plan, &self.session)
+                    Executor::new(&self.session, None).explain(&plan)?
                 };
                 Ok(QueryResult::Data(Dataset::new(
                     vec!["plan".into()],

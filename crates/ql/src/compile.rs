@@ -1,4 +1,7 @@
-//! Lowering JustQL expressions into `just-exec` bytecode.
+//! Lowering JustQL expressions into `just-exec` bytecode — the
+//! expression compiler and nothing else: the executor's stages call it
+//! when they open, and plain `EXPLAIN` lists the programs those stages
+//! hold.
 //!
 //! [`compile`] turns one [`Expr`] into a flat register [`Program`]
 //! exactly once per query (per operator): column names are resolved to
@@ -18,10 +21,8 @@
 
 use crate::ast::{BinOp, Expr};
 use crate::functions::{self, arith_op, cmp_op, resolve_column};
-use crate::plan::LogicalPlan;
 use crate::QlError;
 use crate::Result;
-use just_core::Session;
 use just_exec::{ExecError, FuncEntry, Program, ProgramBuilder, RegId};
 use std::sync::Arc;
 
@@ -166,214 +167,6 @@ pub(crate) fn compile(expr: &Expr, columns: &[String]) -> Result<Program> {
     };
     let out = l.lower(expr)?;
     Ok(l.b.finish(out))
-}
-
-/// Renders `plan` like [`LogicalPlan::render`], but each
-/// expression-bearing operator is followed by the bytecode listing of
-/// its compiled programs, one line per opcode — what plain `EXPLAIN`
-/// shows. Expressions the compiler rejects render their analysis error
-/// instead. Input headers are resolved
-/// best-effort against the catalog; operators whose input columns can't
-/// be determined statically (`st_KNN`, table functions) list nothing.
-pub(crate) fn explain_render(plan: &LogicalPlan, session: &Session) -> String {
-    let mut out = String::new();
-    render_node(plan, session, &mut out, 0);
-    out
-}
-
-fn render_node(plan: &LogicalPlan, session: &Session, out: &mut String, depth: usize) {
-    out.push_str(&"  ".repeat(depth));
-    out.push_str(&plan.label());
-    out.push('\n');
-    match plan {
-        LogicalPlan::Scan {
-            table,
-            residual: Some(r),
-            ..
-        } => {
-            // The residual runs against the full pre-projection schema,
-            // exactly what the streaming scan compiles.
-            if let Some(cols) = scan_input_columns(table, session) {
-                push_program(out, depth, "residual", &compile(r, &cols));
-            }
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            if let Some(cols) = output_columns(input, session) {
-                push_program(out, depth, "predicate", &compile(predicate, &cols));
-            }
-        }
-        LogicalPlan::FilterProject {
-            input,
-            predicate,
-            items,
-        } => {
-            if let Some(cols) = output_columns(input, session) {
-                push_program(out, depth, "predicate", &compile(predicate, &cols));
-                push_item_programs(out, depth, items, &cols);
-            }
-        }
-        LogicalPlan::Sort { input, keys } | LogicalPlan::TopK { input, keys, .. } => {
-            if let Some(cols) = output_columns(input, session) {
-                for (i, (e, asc)) in keys.iter().enumerate() {
-                    let label = format!("key {i} {}", if *asc { "asc" } else { "desc" });
-                    push_program(out, depth, &label, &compile(e, &cols));
-                }
-            }
-        }
-        LogicalPlan::HashJoin {
-            left,
-            right,
-            keys,
-            residual,
-        } => {
-            // Key programs compile against their own side's header;
-            // the residual sees the combined left++right header, like
-            // the executor's post-probe filter.
-            let lcols = output_columns(left, session);
-            let rcols = output_columns(right, session);
-            for (i, (l, r)) in keys.iter().enumerate() {
-                if let Some(cols) = &lcols {
-                    let label = format!("key {i} left");
-                    push_program(out, depth, &label, &compile(l, cols));
-                }
-                if let Some(cols) = &rcols {
-                    let label = format!("key {i} right");
-                    push_program(out, depth, &label, &compile(r, cols));
-                }
-            }
-            if let (Some(res), Some(lc), Some(rc)) = (residual, &lcols, &rcols) {
-                let mut combined = lc.clone();
-                combined.extend(rc.iter().cloned());
-                push_program(out, depth, "residual", &compile(res, &combined));
-            }
-        }
-        LogicalPlan::Project { input, items } => {
-            if let Some(cols) = output_columns(input, session) {
-                push_item_programs(out, depth, items, &cols);
-            }
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => {
-            if let Some(cols) = output_columns(input, session) {
-                for (e, name) in group_by {
-                    let label = format!("key {name}");
-                    push_program(out, depth, &label, &compile(e, &cols));
-                }
-                for (func, e, name) in aggregates {
-                    if !matches!(e, Expr::Star) {
-                        let label = format!("{func} {name}");
-                        push_program(out, depth, &label, &compile(e, &cols));
-                    }
-                }
-            }
-        }
-        _ => {}
-    }
-    for child in plan.children() {
-        render_node(child, session, out, depth + 1);
-    }
-}
-
-/// One listing per computed projection item; a sole table / cluster
-/// function item lists its argument programs instead.
-fn push_item_programs(out: &mut String, depth: usize, items: &[(Expr, String)], cols: &[String]) {
-    if let Some((_, args)) = crate::exec::row_function(items) {
-        for (i, a) in args.iter().enumerate() {
-            push_program(out, depth, &format!("arg {i}"), &compile(a, cols));
-        }
-        return;
-    }
-    for (e, name) in items {
-        if !matches!(e, Expr::Star) {
-            push_program(out, depth, name, &compile(e, cols));
-        }
-    }
-}
-
-fn push_program(out: &mut String, depth: usize, label: &str, prog: &Result<Program>) {
-    let pad = "  ".repeat(depth + 1);
-    match prog {
-        Ok(p) => {
-            out.push_str(&format!("{pad}program {label}:\n"));
-            for line in p.listing() {
-                out.push_str(&format!("{pad}  {line}\n"));
-            }
-        }
-        Err(e) => out.push_str(&format!("{pad}program {label}: {e}\n")),
-    }
-}
-
-/// A stored table's or view's full column list.
-fn scan_input_columns(table: &str, session: &Session) -> Option<Vec<String>> {
-    if let Ok(view) = session.view(table) {
-        return Some(view.columns.clone());
-    }
-    let def = session.describe(table).ok()?;
-    Some(def.schema.fields().iter().map(|f| f.name.clone()).collect())
-}
-
-/// The operator's statically-known output header (a scan's comes from
-/// the executor's own [`crate::exec::scan_header`]). `None` when the
-/// header is data-dependent (table functions, clustering, k-NN).
-fn output_columns(plan: &LogicalPlan, session: &Session) -> Option<Vec<String>> {
-    match plan {
-        LogicalPlan::Scan {
-            table,
-            alias,
-            projection,
-            ..
-        } => {
-            let cols = scan_input_columns(table, session)?;
-            Some(crate::exec::scan_header(&cols, projection, alias).1)
-        }
-        LogicalPlan::Values { columns, .. } => Some(columns.clone()),
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::TopK { input, .. }
-        | LogicalPlan::Limit { input, .. } => output_columns(input, session),
-        LogicalPlan::FilterProject { input, items, .. } => project_columns(input, items, session),
-        LogicalPlan::Project { input, items } => project_columns(input, items, session),
-        LogicalPlan::Aggregate {
-            group_by,
-            aggregates,
-            ..
-        } => {
-            let mut cols: Vec<String> = group_by.iter().map(|(_, n)| n.clone()).collect();
-            cols.extend(aggregates.iter().map(|(_, _, n)| n.clone()));
-            Some(cols)
-        }
-        LogicalPlan::Join { left, right, .. } | LogicalPlan::HashJoin { left, right, .. } => {
-            let mut cols = output_columns(left, session)?;
-            cols.extend(output_columns(right, session)?);
-            Some(cols)
-        }
-        LogicalPlan::Knn { .. } => None,
-    }
-}
-
-/// Projection-list header shared by `Project` and `FilterProject`:
-/// item names, with `*` expanding to the input's header. Table and
-/// cluster functions produce data-dependent headers.
-fn project_columns(
-    input: &LogicalPlan,
-    items: &[(Expr, String)],
-    session: &Session,
-) -> Option<Vec<String>> {
-    if crate::exec::row_function(items).is_some() {
-        return None;
-    }
-    let mut cols = Vec::new();
-    for (e, name) in items {
-        if matches!(e, Expr::Star) {
-            cols.extend(output_columns(input, session)?);
-        } else {
-            cols.push(name.clone());
-        }
-    }
-    Some(cols)
 }
 
 #[cfg(test)]

@@ -4,17 +4,25 @@
 //!
 //! Execution has one shape: a pull pipeline of batches. The executor
 //! opens every plan node, inputs first, into an [`Op`] — a span, an
-//! output header and a stage whose `next` pulls batches from its inputs:
+//! output header and a stage whose `next` pulls batches from its inputs;
+//! each [`LogicalPlan`] variant is one stage:
 //! - **sources**: the stored-table scan, the view scan, `Values` and
 //!   `Knn`;
 //! - **streaming stages**, one output batch per input batch: `Filter`,
-//!   `Project`, `FilterProject` (1-N table functions included) and
-//!   `Limit`, which closes its input once satisfied, so the scan under it
-//!   stops reading;
+//!   `Project` with or without a fused predicate (1-N table functions
+//!   included) and `Limit`, which closes its input once satisfied, so the
+//!   scan under it stops reading;
 //! - **joins**, which drain their right input into memory, then stream
 //!   the left one through it;
-//! - **drains** (`Aggregate`, `TopK`, `Sort`, `st_DBSCAN`; see
-//!   [`crate::sink`]), which pull their whole input, then emit.
+//! - **drains** (`Aggregate`, `Sort` — TOP-K when limited — and
+//!   `st_DBSCAN`; see [`crate::sink`]), which pull their whole input,
+//!   then emit.
+//!
+//! Opening a plan compiles its programs and opens its scan streams but
+//! does no other work: rows, blocks and k-NN searches wait for the first
+//! pull. Plain `EXPLAIN` ([`Executor::explain`]) therefore opens the same
+//! pipeline, prints each operator's label and the programs its stage
+//! compiled, and closes it unpulled.
 //!
 //! Only a join's right side and a drain's state are ever held whole; the
 //! root's batches go to the caller as they arrive. A TOP-K over a stored
@@ -168,6 +176,21 @@ impl<'a> Executor<'a> {
         out
     }
 
+    /// Plain `EXPLAIN`: opens `plan` as [`Executor::stream`] would, renders
+    /// the pipeline it opened — each operator's label and the programs its
+    /// stage compiled — and closes it unpulled, so no row is read and no
+    /// k-NN runs. A query that fails to open fails here with the same
+    /// error.
+    pub(crate) fn explain(&self, plan: &LogicalPlan) -> Result<String> {
+        let mut trace = Trace::new("explain");
+        let root = trace.root();
+        let mut op = self.open(plan, &mut trace, root)?;
+        let mut out = String::new();
+        op.explain(&trace, 0, &mut out);
+        op.close(&mut trace);
+        Ok(out)
+    }
+
     /// Opens `plan`, its inputs first: every program compiles and every
     /// scan opens before any row is read. When an operator fails to open,
     /// the inputs it opened close, and its own span closes without a row
@@ -226,23 +249,31 @@ impl<'a> Executor<'a> {
                 (columns.clone(), Box::new(Rows(out.into_iter())))
             }
             LogicalPlan::Knn { table, lng, lat, k } => {
-                let found = self.session.knn(table, Point::new(*lng, *lat), *k)?;
-                (found.columns, Box::new(Rows(found.rows.into_iter())))
+                // The header `Engine::knn` answers with: the table's fields
+                // and the distance.
+                let def = self.session.describe(table)?;
+                let mut columns: Vec<String> =
+                    def.schema.fields().iter().map(|f| f.name.clone()).collect();
+                columns.push("distance".into());
+                let knn = Knn {
+                    engine: Arc::clone(self.session.engine()),
+                    table: self.session.physical(table),
+                    q: Point::new(*lng, *lat),
+                    k: *k,
+                    rows: None,
+                };
+                (columns, Box::new(knn))
             }
             // A filter is the identity projection behind its predicate.
             LogicalPlan::Filter { predicate, .. } => {
                 project(input(), Some(predicate), &[(Expr::Star, String::new())])?
             }
-            LogicalPlan::Project { items, .. } => project(input(), None, items)?,
-            LogicalPlan::FilterProject {
+            LogicalPlan::Project {
                 predicate, items, ..
-            } => project(input(), Some(predicate), items)?,
+            } => project(input(), predicate.as_ref(), items)?,
             LogicalPlan::Limit { n, .. } => (input().clone(), Box::new(Limit(*n))),
-            LogicalPlan::Join { on, .. } => {
-                Join::open(input(), &inputs[1].columns, &[], &Some(on.clone()), false)?
-            }
-            LogicalPlan::HashJoin { keys, residual, .. } => {
-                Join::open(input(), &inputs[1].columns, keys, residual, true)?
+            LogicalPlan::Join { keys, residual, .. } => {
+                Join::open(input(), &inputs[1].columns, keys, residual)?
             }
             LogicalPlan::Aggregate {
                 group_by,
@@ -252,16 +283,15 @@ impl<'a> Executor<'a> {
                 let sink = Aggregation::new(input(), group_by, aggregates)?;
                 let mut columns: Vec<String> = group_by.iter().map(|(_, n)| n.clone()).collect();
                 columns.extend(aggregates.iter().map(|(_, _, n)| n.clone()));
-                (columns, drain(sink))
+                (columns, drain(sink, None))
             }
-            LogicalPlan::TopK { keys, k, .. } => {
-                exec_obs().topk_queries.inc();
-                let sink = TopK::new(input(), keys, *k, |c| inputs[0].stored_field(c))?;
-                (input().clone(), drain(sink))
-            }
-            LogicalPlan::Sort { keys, .. } => {
-                let sink = TopK::new(input(), keys, usize::MAX, |_| None)?;
-                (input().clone(), drain(sink))
+            // A sort is TOP-K with `k = usize::MAX`; only a limited one
+            // gates the scan under it.
+            LogicalPlan::Sort { keys, limit, .. } => {
+                let stored = |c| limit.and(inputs[0].stored_field(c));
+                let sink = TopK::new(input(), keys, limit.unwrap_or(usize::MAX), stored)?;
+                let counter = limit.map(|_| &exec_obs().topk_queries);
+                (input().clone(), drain(sink, counter))
             }
         })
     }
@@ -294,6 +324,7 @@ impl<'a> Executor<'a> {
             }
         };
         // Compile every in-memory predicate once for the whole scan.
+        let (labels, preds): (Vec<_>, Vec<_>) = preds.into_iter().unzip();
         let progs = preds.iter().map(|p| compile(p, &names));
         let progs = progs.collect::<Result<Vec<Program>>>()?;
         let (keep, columns) = scan_header(&names, projection, alias);
@@ -302,6 +333,7 @@ impl<'a> Executor<'a> {
             columns,
             Box::new(Scan {
                 input,
+                labels,
                 progs,
                 vm,
                 keep,
@@ -359,6 +391,23 @@ impl Op {
         self.stage.stored_field(&self.inputs, c)
     }
 
+    /// Appends the operator's `EXPLAIN` lines at `depth`, then its
+    /// inputs': its label, and each program its stage compiled with the
+    /// program's listing.
+    fn explain(&self, trace: &Trace, depth: usize, out: &mut String) {
+        let pad = "  ".repeat(depth);
+        out.push_str(&format!("{pad}{}\n", trace.name(self.span)));
+        for (label, prog) in self.stage.programs(&self.columns) {
+            out.push_str(&format!("{pad}  program {label}:\n"));
+            for line in prog.listing() {
+                out.push_str(&format!("{pad}    {line}\n"));
+            }
+        }
+        for input in &self.inputs {
+            input.explain(trace, depth + 1, out);
+        }
+    }
+
     /// Closes the operator, inputs first: releases what it holds — a scan
     /// drops its stream, so one stopped early counts an early termination
     /// — and closes its span. Closing twice does nothing.
@@ -393,6 +442,12 @@ trait Stage {
     /// See [`Op::stored_field`].
     fn stored_field(&self, _inputs: &[Op], _c: usize) -> Option<usize> {
         None
+    }
+
+    /// The programs the stage compiled, each with its label, given the
+    /// operator's output `header`: what plain `EXPLAIN` lists.
+    fn programs(&self, _header: &[String]) -> Vec<(String, &Program)> {
+        Vec::new()
     }
 
     /// Releases what the stage holds and appends the span attributes it
@@ -487,14 +542,35 @@ fn reading(engine: &Engine) -> [u64; METERED] {
     ]
 }
 
-/// Rows held in memory, emitted [`BATCH`] at a time: `Values`, `Knn` and
-/// a drain's output.
+/// Rows held in memory, emitted [`BATCH`] at a time: `Values`, `Knn`'s
+/// neighbours and a drain's output.
 struct Rows(std::vec::IntoIter<Row>);
 
 impl Stage for Rows {
     fn next(&mut self, _: &mut [Op], _: &mut Trace, _: Gate) -> Batch {
         let batch: Vec<Row> = self.0.by_ref().take(BATCH).collect();
         Ok((!batch.is_empty()).then_some(batch))
+    }
+}
+
+/// k-NN (Algorithm 1) over the stored table `table` (its physical name),
+/// run on the first pull.
+struct Knn {
+    engine: Arc<Engine>,
+    table: String,
+    q: Point,
+    k: usize,
+    rows: Option<Rows>,
+}
+
+impl Stage for Knn {
+    fn next(&mut self, inputs: &mut [Op], trace: &mut Trace, gate: Gate) -> Batch {
+        if self.rows.is_none() {
+            let found = self.engine.knn(&self.table, self.q, self.k)?;
+            self.rows = Some(Rows(found.rows.into_iter()));
+        }
+        let rows = self.rows.as_mut().expect("k-NN ran");
+        rows.next(inputs, trace, gate)
     }
 }
 
@@ -515,6 +591,8 @@ enum ScanInput {
 /// soon as enough rows have surfaced.
 struct Scan {
     input: ScanInput,
+    /// What each in-memory predicate is: `spatial`, `time` or `residual`.
+    labels: Vec<&'static str>,
     progs: Vec<Program>,
     vm: Vm,
     /// Input columns the advisory projection keeps (`None` = all).
@@ -550,6 +628,11 @@ impl Stage for Scan {
     fn stored_field(&self, _: &[Op], c: usize) -> Option<usize> {
         let gateable = matches!(self.input, ScanInput::Stored(_)) && self.progs.is_empty();
         gateable.then(|| self.keep.as_ref().map_or(c, |keep| keep[c]))
+    }
+
+    fn programs(&self, _: &[String]) -> Vec<(String, &Program)> {
+        let labels = self.labels.iter().map(|l| l.to_string());
+        labels.zip(&self.progs).collect()
     }
 
     fn close(&mut self, _: &mut Vec<(&'static str, u64)>) {
@@ -612,6 +695,16 @@ impl Stage for Map {
             _ => None,
         }
     }
+
+    fn programs(&self, header: &[String]) -> Vec<(String, &Program)> {
+        let items = self.progs.iter().map(|(i, p)| (header[*i].clone(), p));
+        predicate(&self.pred).chain(items).collect()
+    }
+}
+
+/// A fused predicate's program, labelled for `EXPLAIN`.
+pub(crate) fn predicate(pred: &Option<Program>) -> impl Iterator<Item = (String, &Program)> {
+    pred.iter().map(|p| ("predicate".to_string(), p))
 }
 
 /// A 1-N table function over the rows passing the fused predicate: one
@@ -639,6 +732,10 @@ impl Stage for Expand {
         }
         Ok(Some(rows))
     }
+
+    fn programs(&self, _: &[String]) -> Vec<(String, &Program)> {
+        predicate(&self.pred).collect()
+    }
 }
 
 /// `LIMIT n`: passes rows on until `n` have gone by, then closes its
@@ -662,19 +759,27 @@ impl Stage for Limit {
 
 /// A drain: pulls its whole input into a [`Sink`] — handing the sink's
 /// gate down with every pull — closes the input, then emits the sink's
-/// output.
+/// output. `counter` counts the drain once, when it first runs.
 struct Drain<S> {
     sink: S,
     out: Option<Rows>,
+    counter: Option<&'static Counter>,
 }
 
-fn drain(sink: impl Sink + 'static) -> Box<dyn Stage> {
-    Box::new(Drain { sink, out: None })
+fn drain(sink: impl Sink + 'static, counter: Option<&'static Counter>) -> Box<dyn Stage> {
+    Box::new(Drain {
+        sink,
+        out: None,
+        counter,
+    })
 }
 
 impl<S: Sink> Stage for Drain<S> {
     fn next(&mut self, inputs: &mut [Op], trace: &mut Trace, gate: Gate) -> Batch {
         if self.out.is_none() {
+            if let Some(counter) = self.counter.take() {
+                counter.inc();
+            }
             while let Some(batch) = inputs[0].next(trace, self.sink.gate())? {
                 self.sink.push(batch)?;
             }
@@ -685,11 +790,19 @@ impl<S: Sink> Stage for Drain<S> {
         out.next(inputs, trace, gate)
     }
 
+    fn programs(&self, _: &[String]) -> Vec<(String, &Program)> {
+        self.sink.programs()
+    }
+
     fn close(&mut self, attrs: &mut Vec<(&'static str, u64)>) {
         self.out = None;
         self.sink.report(attrs);
     }
 }
+
+/// A scan's predicates run in memory per batch, each with what it is:
+/// `spatial`, `time` or `residual`.
+pub(crate) type ScanPreds = Vec<(&'static str, Expr)>;
 
 /// The pushed-down predicates as expressions run in memory per batch,
 /// as all of a view scan's are.
@@ -697,24 +810,23 @@ pub(crate) fn view_preds(
     spatial: &Option<(String, just_geo::Rect)>,
     time: &Option<(String, i64, i64)>,
     residual: &Option<Expr>,
-) -> Vec<Expr> {
-    let mut preds: Vec<Expr> = Vec::new();
+) -> ScanPreds {
+    let mut preds = Vec::new();
     if let Some((col, rect)) = spatial {
-        preds.push(spatial_expr(col, *rect));
+        preds.push(("spatial", spatial_expr(col, *rect)));
     }
     if let Some((col, lo, hi)) = time {
-        preds.push(temporal_expr(col, *lo, *hi));
+        preds.push(("time", temporal_expr(col, *lo, *hi)));
     }
-    preds.extend(residual.clone());
+    preds.extend(residual.clone().map(|r| ("residual", r)));
     preds
 }
 
 /// The header a scan emits over the input header `input` — the one rule
-/// the executor and `EXPLAIN`'s static header derivation share. The
-/// column projection is advisory: names the relation doesn't have are
-/// skipped (they can be outer-query names when a subquery renamed
-/// things), and when none resolves every column is kept; the alias then
-/// prefixes each name. Returns the input indices to keep (`None` = all)
+/// the executor and the reference scan share. The column projection is
+/// advisory: names the relation doesn't have are skipped (they can be
+/// outer-query names when a subquery renamed things), and when none
+/// resolves every column is kept; the alias then prefixes each name. Returns the input indices to keep (`None` = all)
 /// and the header.
 pub(crate) fn scan_header(
     input: &[String],
@@ -760,7 +872,7 @@ pub(crate) fn keep_columns(rows: Vec<Row>, keep: &Option<Vec<usize>>) -> Vec<Row
 pub(crate) fn open_stored_scan(
     session: &Session,
     scan: &LogicalPlan,
-) -> Result<(QueryStream, Vec<String>, Vec<Expr>)> {
+) -> Result<(QueryStream, Vec<String>, ScanPreds)> {
     let LogicalPlan::Scan {
         table,
         projection,
@@ -926,7 +1038,7 @@ fn project(
         let input = input.to_vec();
         if functions::is_cluster_function(name) {
             let dbscan = Dbscan::new(input, pred, args)?;
-            return Ok((vec!["geom".into(), "cluster".into()], drain(dbscan)));
+            return Ok((vec!["geom".into(), "cluster".into()], drain(dbscan, None)));
         }
         let expand = Expand {
             pred,
@@ -1026,8 +1138,8 @@ fn side_of(e: &Expr, columns: &[String], left_width: usize) -> Option<bool> {
     side
 }
 
-/// Rebuilds the `on` conjunction a [`LogicalPlan::HashJoin`] was planned
-/// from, for the nested loop.
+/// Rebuilds the `ON` conjunction a [`LogicalPlan::Join`]'s keys and
+/// residual were split from, for the nested loop.
 pub(crate) fn reconstruct_on(keys: &[(Expr, Expr)], residual: &Option<Expr>) -> Expr {
     let mut conjuncts: Vec<Expr> = keys
         .iter()
@@ -1060,17 +1172,18 @@ fn combined_row(l: &Row, r: &Row) -> Row {
 /// so the output is left-major with right rows in input order, the
 /// nested loop's order, on either path.
 ///
-/// A [`LogicalPlan::HashJoin`] evaluates each left batch's key
-/// expressions and, when [`keys_hashable`] holds for them against the
-/// right side's, probes a [`JoinHash`] built over the right keys' encoded
-/// bytes (once, on first use) and runs the residual as one program over
-/// the matched combined rows. Otherwise — a non-equi `Join`, no key that
-/// splits across the inputs, or runtime value classes that aren't
-/// hashable (mixed classes, NaN, geometries, or a cross-side class
+/// A join with equi keys evaluates each left batch's key expressions
+/// and, when [`keys_hashable`] holds for them against the right side's,
+/// probes a [`JoinHash`] built over the right keys' encoded bytes (once,
+/// on first use) and runs the residual as one program over the matched
+/// combined rows. Otherwise — no equi key (a non-equi or cross join), no
+/// key that splits across the inputs, or runtime value classes that
+/// aren't hashable (mixed classes, NaN, geometries, or a cross-side class
 /// mismatch where the coercing comparator would coerce or error) — the
-/// batch runs the nested loop, counted once per join by
-/// `just_exec_join_fallbacks`. Each output pair depends on its two rows
-/// alone, so deciding per left batch gives the nested loop's rows.
+/// batch runs the nested loop, counted once per join, when it first
+/// runs, by `just_exec_join_fallbacks`. Each output pair depends on its
+/// two rows alone, so deciding per left batch gives the nested loop's
+/// rows.
 /// Error caveat: key expressions evaluate column-at-a-time here, so
 /// *which* row's error surfaces first can differ from the pair-at-a-time
 /// loop; whether an error surfaces does not.
@@ -1083,8 +1196,8 @@ struct Join {
     /// The nested loop's condition, over the combined header.
     on: Expr,
     columns: Vec<String>,
-    /// Whether the span reports build and probe counts, as a
-    /// [`LogicalPlan::HashJoin`]'s does.
+    /// Whether the span reports build and probe counts: the plan gave
+    /// the join equi keys.
     hash: bool,
     vm: Vm,
     /// The drained right input: its rows and key columns.
@@ -1098,14 +1211,12 @@ struct Join {
 impl Join {
     /// The join on the equi `keys`, then `residual`, over inputs with the
     /// headers `left` and `right` — with no keys, the nested loop on
-    /// `residual` — and its header; `hash` for a
-    /// [`LogicalPlan::HashJoin`].
+    /// `residual` — and its header.
     fn open(
         left: &[String],
         right: &[String],
         keys: &[(Expr, Expr)],
         residual: &Option<Expr>,
-        hash: bool,
     ) -> Result<(Vec<String>, Box<dyn Stage>)> {
         let columns = [left, right].concat();
         // Assign each candidate pair's sides from the headers; pairs that
@@ -1137,7 +1248,6 @@ impl Join {
             // No usable equi key: every conjunct is the nested loop's.
             Some(_) if nested => {
                 analyze(&on, &columns)?;
-                exec_obs().join_fallbacks.inc();
                 None
             }
             Some(r) => Some(compile(&r, &columns)?),
@@ -1148,7 +1258,7 @@ impl Join {
             residual,
             on,
             columns: columns.clone(),
-            hash,
+            hash: !keys.is_empty(),
             vm: Vm::new(),
             right: None,
             table: None,
@@ -1214,6 +1324,9 @@ impl Join {
 impl Stage for Join {
     fn next(&mut self, inputs: &mut [Op], trace: &mut Trace, _: Gate) -> Batch {
         if self.right.is_none() {
+            if self.nested {
+                exec_obs().join_fallbacks.inc();
+            }
             let (mut rows, mut keys) = (Vec::new(), vec![Vec::new(); self.keys.len()]);
             while let Some(batch) = inputs[1].next(trace, None)? {
                 for ((_, prog), col) in self.keys.iter().zip(&mut keys) {
@@ -1228,6 +1341,16 @@ impl Stage for Join {
             Some(left) => self.join_batch(left).map(Some),
             None => Ok(None),
         }
+    }
+
+    fn programs(&self, _: &[String]) -> Vec<(String, &Program)> {
+        let mut out = Vec::new();
+        for (i, (l, r)) in self.keys.iter().enumerate() {
+            out.push((format!("key {i} left"), l));
+            out.push((format!("key {i} right"), r));
+        }
+        out.extend(self.residual.iter().map(|r| ("residual".to_string(), r)));
+        out
     }
 
     fn close(&mut self, attrs: &mut Vec<(&'static str, u64)>) {

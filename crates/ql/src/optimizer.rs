@@ -28,6 +28,10 @@
 //!    so the executor stops pulling batches — and the kvstore stops
 //!    reading blocks — after the k-th *matching* row. The `Limit` node is
 //!    kept as the authoritative truncation.
+//!
+//! And three that plan the executor's stages, each filling in a node's
+//! fields rather than swapping its variant: 5. a limited `Sort` (TOP-K),
+//! 6. a `Join`'s equi keys, 7. a `Project`'s fused predicate.
 
 use crate::ast::{BinOp, Expr};
 use crate::functions::eval_const;
@@ -161,11 +165,17 @@ fn push_down_filters(plan: LogicalPlan) -> LogicalPlan {
         LogicalPlan::Join {
             mut left,
             mut right,
-            on,
-        } => {
+            keys,
+            residual: Some(on),
+        } if keys.is_empty() => {
             let on = sink_into_join(&mut left, &mut right, on)
                 .unwrap_or(Expr::Literal(Value::Bool(true)));
-            LogicalPlan::Join { left, right, on }
+            LogicalPlan::Join {
+                left,
+                right,
+                keys,
+                residual: Some(on),
+            }
         }
         other => other,
     })
@@ -265,9 +275,11 @@ pub(crate) fn is_pure_columns(items: &[(Expr, String)]) -> bool {
 /// scan is reachable the predicate becomes a `Filter` at that point.
 fn sink_filter(plan: &mut LogicalPlan, predicate: Expr) {
     match plan {
-        LogicalPlan::Project { input, items } if is_pure_columns(items) => {
-            sink_filter(input, predicate)
-        }
+        LogicalPlan::Project {
+            input,
+            predicate: None,
+            items,
+        } if is_pure_columns(items) => sink_filter(input, predicate),
         LogicalPlan::Join { left, right, .. } => {
             if let Some(predicate) = sink_into_join(left, right, predicate) {
                 *plan = LogicalPlan::Filter {
@@ -452,15 +464,19 @@ fn push_down_projections(plan: LogicalPlan) -> LogicalPlan {
 
 fn prune(plan: LogicalPlan, required: Option<Vec<String>>) -> LogicalPlan {
     match plan {
-        LogicalPlan::Project { input, items } => {
+        LogicalPlan::Project {
+            input,
+            predicate,
+            items,
+        } => {
             // An identity projection (`SELECT *`) adds nothing: elide it
             // and pass the parent's requirement straight through — this is
             // how the paper's Figure 8 subquery collapses.
-            if items.len() == 1 && matches!(items[0].0, Expr::Star) {
+            if predicate.is_none() && items.len() == 1 && matches!(items[0].0, Expr::Star) {
                 return prune(*input, required);
             }
             // Columns the projection itself needs (a Star needs all).
-            let mut needed = Vec::new();
+            let mut needed: Vec<String> = predicate.iter().flat_map(Expr::columns).collect();
             let mut star = false;
             for (e, _) in &items {
                 if matches!(e, Expr::Star) {
@@ -471,6 +487,7 @@ fn prune(plan: LogicalPlan, required: Option<Vec<String>>) -> LogicalPlan {
             let child_req = if star { None } else { Some(needed) };
             LogicalPlan::Project {
                 input: Box::new(prune(*input, child_req)),
+                predicate,
                 items,
             }
         }
@@ -484,7 +501,7 @@ fn prune(plan: LogicalPlan, required: Option<Vec<String>>) -> LogicalPlan {
                 predicate,
             }
         }
-        LogicalPlan::Sort { input, keys } => {
+        LogicalPlan::Sort { input, keys, limit } => {
             let child_req = required.map(|mut r| {
                 for (e, _) in &keys {
                     r.extend(e.columns());
@@ -494,6 +511,7 @@ fn prune(plan: LogicalPlan, required: Option<Vec<String>>) -> LogicalPlan {
             LogicalPlan::Sort {
                 input: Box::new(prune(*input, child_req)),
                 keys,
+                limit,
             }
         }
         LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
@@ -560,13 +578,19 @@ fn prune(plan: LogicalPlan, required: Option<Vec<String>>) -> LogicalPlan {
                 limit,
             }
         }
-        LogicalPlan::Join { left, right, on } => {
+        LogicalPlan::Join {
+            left,
+            right,
+            keys,
+            residual,
+        } => {
             // Each input keeps what the operators above and the `ON`
             // condition read of it; one name that `side_by_alias` cannot
             // route (bare, ambiguous) and both inputs stay whole.
             let (l, r) = required
                 .and_then(|mut names| {
-                    names.extend(on.columns());
+                    let on = keys.iter().flat_map(|(l, r)| [l, r]).chain(&residual);
+                    names.extend(on.flat_map(Expr::columns));
                     let (mut l, mut r) = (Vec::new(), Vec::new());
                     for name in names {
                         match side_by_alias([&name], &left, &right)? {
@@ -580,7 +604,8 @@ fn prune(plan: LogicalPlan, required: Option<Vec<String>>) -> LogicalPlan {
             LogicalPlan::Join {
                 left: Box::new(prune(*left, l)),
                 right: Box::new(prune(*right, r)),
-                on,
+                keys,
+                residual,
             }
         }
         leaf => leaf,
@@ -609,7 +634,11 @@ fn push_down_limits(plan: LogicalPlan) -> LogicalPlan {
 /// sink: the streaming executor counts rows *after* its refine step.
 fn sink_limit(plan: &mut LogicalPlan, n: usize) {
     match plan {
-        LogicalPlan::Project { input, items } if is_pure_columns(items) => sink_limit(input, n),
+        LogicalPlan::Project {
+            input,
+            predicate: None,
+            items,
+        } if is_pure_columns(items) => sink_limit(input, n),
         LogicalPlan::Limit { input, n: inner } => sink_limit(input, n.min(*inner)),
         LogicalPlan::Scan { limit, .. } => *limit = Some(limit.map_or(n, |l| l.min(n))),
         _ => {}
@@ -617,37 +646,39 @@ fn sink_limit(plan: &mut LogicalPlan, n: usize) {
 }
 
 // ----------------------------------------------------------------------
-// Rule 5: Sort+Limit → TopK
+// Rule 5: Sort+Limit → TOP-K
 // ----------------------------------------------------------------------
 
-/// Fuses a `Sort` reachable from a `LIMIT k` through row-count-preserving
-/// pure-column projections into a [`LogicalPlan::TopK`]: the executor
-/// keeps a bounded heap of k rows over normalized keys instead of fully
-/// sorting and then truncating. The `Limit` node is kept as the
-/// authoritative truncation, exactly like scan limit pushdown.
+/// Gives a `Sort` reachable from a `LIMIT k` through row-count-preserving
+/// pure-column projections the limit `k`: the executor keeps a bounded
+/// heap of k rows over normalized keys instead of fully sorting and then
+/// truncating. The `Limit` node is kept as the authoritative truncation,
+/// exactly like scan limit pushdown.
 fn fuse_topk(plan: LogicalPlan) -> LogicalPlan {
-    plan.map_plan(&mut |node| match node {
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(sink_topk(*input, n)),
-            n,
-        },
-        other => other,
+    plan.map_plan(&mut |mut node| {
+        if let LogicalPlan::Limit { input, n } = &mut node {
+            sink_topk(input, *n);
+        }
+        node
     })
 }
 
-/// Replaces a `Sort` reachable from the limit with `TopK`, or returns
-/// the plan unchanged when there is none. Only pure-column projections
-/// are sunk through — the same condition as limit pushdown (the
-/// hidden-ORDER-BY-column shape puts exactly such a projection between
-/// Limit and Sort).
-fn sink_topk(plan: LogicalPlan, k: usize) -> LogicalPlan {
+/// Sets the limit of the unlimited `Sort` reachable from the limit, if
+/// there is one. Only pure-column projections are sunk through — the
+/// same condition as limit pushdown (the hidden-ORDER-BY-column shape
+/// puts exactly such a projection between Limit and Sort).
+fn sink_topk(plan: &mut LogicalPlan, k: usize) {
     match plan {
-        LogicalPlan::Sort { input, keys } => LogicalPlan::TopK { input, keys, k },
-        LogicalPlan::Project { input, items } if is_pure_columns(&items) => LogicalPlan::Project {
-            input: Box::new(sink_topk(*input, k)),
+        LogicalPlan::Sort {
+            limit: limit @ None,
+            ..
+        } => *limit = Some(k),
+        LogicalPlan::Project {
+            input,
+            predicate: None,
             items,
-        },
-        other => other,
+        } if is_pure_columns(items) => sink_topk(input, k),
+        _ => {}
     }
 }
 
@@ -655,17 +686,22 @@ fn sink_topk(plan: LogicalPlan, k: usize) -> LogicalPlan {
 // Rule 6: equi-join planning
 // ----------------------------------------------------------------------
 
-/// Decomposes each `Join`'s `on` conjunction into candidate equi-key
-/// pairs (`lhs = rhs` where both sides reference columns) plus a
-/// residual, producing a [`LogicalPlan::HashJoin`]. Side assignment of
-/// the key expressions needs the input headers, so it happens in the
-/// executor; conjuncts that straddle both inputs (or whose runtime value
-/// classes aren't hashable) demote to the residual / nested-loop
-/// fallback there. A join with no equi candidate (cross join, pure
-/// inequality) keeps the nested loop.
+/// Splits each `Join`'s `ON` conjunction into candidate equi-key pairs
+/// (`lhs = rhs` where both sides reference columns), its `keys`, and the
+/// rest, its `residual`. Side assignment of the key expressions needs the
+/// input headers, so it happens in the executor; conjuncts that straddle
+/// both inputs (or whose runtime value classes aren't hashable) demote to
+/// the residual / nested-loop fallback there. A join with no equi
+/// candidate (cross join, pure inequality) keeps no key and runs the
+/// nested loop.
 fn plan_hash_joins(plan: LogicalPlan) -> LogicalPlan {
     plan.map_plan(&mut |node| match node {
-        LogicalPlan::Join { left, right, on } => {
+        LogicalPlan::Join {
+            left,
+            right,
+            keys,
+            residual: Some(on),
+        } if keys.is_empty() => {
             let mut keys = Vec::new();
             let mut rest = Vec::new();
             for c in split_conjuncts(on) {
@@ -680,16 +716,11 @@ fn plan_hash_joins(plan: LogicalPlan) -> LogicalPlan {
                     other => rest.push(other),
                 }
             }
-            if keys.is_empty() {
-                let on = merge_residual(None, rest).expect("join condition is non-empty");
-                LogicalPlan::Join { left, right, on }
-            } else {
-                LogicalPlan::HashJoin {
-                    left,
-                    right,
-                    keys,
-                    residual: merge_residual(None, rest),
-                }
+            LogicalPlan::Join {
+                left,
+                right,
+                keys,
+                residual: merge_residual(None, rest),
             }
         }
         other => other,
@@ -700,23 +731,27 @@ fn plan_hash_joins(plan: LogicalPlan) -> LogicalPlan {
 // Rule 7: Filter→Project fusion
 // ----------------------------------------------------------------------
 
-/// Fuses a `Project` directly above a `Filter` into one
-/// [`LogicalPlan::FilterProject`] operator, so each batch is filtered
-/// and projected in a single pass (one compiled-program spine segment)
+/// Moves a `Filter` directly below a `Project` into the projection's
+/// `predicate`, so each batch is filtered and projected in a single pass
 /// without materializing the intermediate relation. Filters that pushed
 /// into scans are already gone by this point; the survivors sit above
 /// aggregates and joins — exactly the spots where an extra
 /// materialization hurts.
 fn fuse_filter_project(plan: LogicalPlan) -> LogicalPlan {
     plan.map_plan(&mut |node| match node {
-        LogicalPlan::Project { input, items } => match *input {
-            LogicalPlan::Filter { input, predicate } => LogicalPlan::FilterProject {
+        LogicalPlan::Project {
+            input,
+            predicate: None,
+            items,
+        } => match *input {
+            LogicalPlan::Filter { input, predicate } => LogicalPlan::Project {
                 input,
-                predicate,
+                predicate: Some(predicate),
                 items,
             },
             other => LogicalPlan::Project {
                 input: Box::new(other),
+                predicate: None,
                 items,
             },
         },
@@ -837,7 +872,7 @@ mod tests {
     #[test]
     fn sort_limit_fuses_to_topk() {
         // The hidden-ORDER-BY-column shape: `time` isn't projected, so a
-        // pure-column projection sits between Limit and Sort — TopK must
+        // pure-column projection sits between Limit and Sort — TOP-K must
         // fuse through it. The Limit node stays as the authoritative
         // truncation.
         let plan = optimized("SELECT fid FROM t ORDER BY time LIMIT 5");

@@ -45,10 +45,15 @@ pub enum LogicalPlan {
         /// Predicate.
         predicate: Expr,
     },
-    /// Projection / scalar computation.
+    /// Projection / scalar computation, behind an optional row filter.
     Project {
         /// Input plan.
         input: Box<LogicalPlan>,
+        /// Rows failing it are dropped before the items are computed:
+        /// the optimizer's filter → project fusion moves a `Filter`
+        /// directly below here, so each batch is filtered and projected
+        /// in one pass.
+        predicate: Option<Expr>,
         /// `(expression, output name)` pairs; `Expr::Star` expands.
         items: Vec<(Expr, String)>,
     },
@@ -62,12 +67,17 @@ pub enum LogicalPlan {
         /// for `count(*)`.
         aggregates: Vec<(String, Expr, String)>,
     },
-    /// Sort.
+    /// Sort, or TOP-K when `limit` is set.
     Sort {
         /// Input plan.
         input: Box<LogicalPlan>,
         /// Keys with ascending flags.
         keys: Vec<(Expr, bool)>,
+        /// Rows to keep, set by the optimizer's TOP-K rule from a
+        /// `LIMIT k` above: the executor then keeps a bounded heap of k
+        /// rows. The enclosing `Limit` node stays the authoritative
+        /// truncation (mirroring the scan limit pushdown).
+        limit: Option<usize>,
     },
     /// Row-count limit.
     Limit {
@@ -76,25 +86,15 @@ pub enum LogicalPlan {
         /// Maximum rows.
         n: usize,
     },
-    /// Inner nested-loop join (non-equi `on`, or the runtime fallback
-    /// target when a [`LogicalPlan::HashJoin`]'s keys turn out not to be
-    /// hashable).
+    /// Inner join. The analyzer puts the whole `ON` condition in
+    /// `residual`; the optimizer's equi-join rule moves its `lhs = rhs`
+    /// conjuncts into `keys`. The executor compiles both sides' key
+    /// expressions, builds a hash table over encoded key bytes from the
+    /// right input and streams the left through it; with no key whose
+    /// columns split across the inputs (or runtime value classes that
+    /// aren't hashable) it runs the nested loop over the reconstructed
+    /// condition instead.
     Join {
-        /// Left input.
-        left: Box<LogicalPlan>,
-        /// Right input.
-        right: Box<LogicalPlan>,
-        /// Join condition.
-        on: Expr,
-    },
-    /// Inner equi-join planned by the optimizer from a `Join` whose `on`
-    /// conjunction contains `lhs = rhs` pairs. The executor compiles
-    /// both sides' key expressions, builds a hash table over encoded key
-    /// bytes from the right input and streams the left through it;
-    /// `keys` whose columns can't be split across the inputs (or whose
-    /// runtime value classes aren't hashable) demote to the residual /
-    /// nested-loop fallback at execution time.
-    HashJoin {
         /// Left input.
         left: Box<LogicalPlan>,
         /// Right input.
@@ -102,31 +102,8 @@ pub enum LogicalPlan {
         /// Candidate equi-key conjuncts as `(lhs, rhs)` of `lhs = rhs`;
         /// sides are assigned against the actual headers at runtime.
         keys: Vec<(Expr, Expr)>,
-        /// Remaining `on` conjuncts, evaluated over matched pairs.
+        /// Remaining `ON` conjuncts, evaluated over matched pairs.
         residual: Option<Expr>,
-    },
-    /// Fused `Sort` + `Limit`: keep only the k smallest rows under the
-    /// sort order, via a bounded heap over normalized keys. The
-    /// enclosing `Limit` node is kept as the authoritative truncation
-    /// (mirroring the scan limit pushdown).
-    TopK {
-        /// Input plan.
-        input: Box<LogicalPlan>,
-        /// Sort keys with ascending flags.
-        keys: Vec<(Expr, bool)>,
-        /// Rows to keep.
-        k: usize,
-    },
-    /// Fused `Filter` → `Project` segment: one pass over each batch
-    /// filters and projects without materializing the intermediate
-    /// relation between the two operators.
-    FilterProject {
-        /// Input plan.
-        input: Box<LogicalPlan>,
-        /// Predicate (applied first).
-        predicate: Expr,
-        /// Projection items over surviving rows.
-        items: Vec<(Expr, String)>,
     },
     /// k-NN query (Algorithm 1), recognised from
     /// `WHERE geom IN st_KNN(point, k)`.
@@ -168,7 +145,8 @@ impl LogicalPlan {
             plan = LogicalPlan::Join {
                 left: Box::new(Self::qualified(plan)),
                 right: Box::new(Self::qualified(Self::from_item(right)?)),
-                on: on.clone(),
+                keys: Vec::new(),
+                residual: Some(on.clone()),
             };
         }
         if let Some(w) = &q.where_clause {
@@ -296,6 +274,7 @@ impl LogicalPlan {
                 .collect();
             plan = LogicalPlan::Project {
                 input: Box::new(plan),
+                predicate: None,
                 items,
             };
         } else {
@@ -332,12 +311,14 @@ impl LogicalPlan {
             if hidden.is_empty() {
                 plan = LogicalPlan::Project {
                     input: Box::new(plan),
+                    predicate: None,
                     items,
                 };
                 if !q.order_by.is_empty() {
                     plan = LogicalPlan::Sort {
                         input: Box::new(plan),
                         keys: q.order_by.clone(),
+                        limit: None,
                     };
                 }
             } else {
@@ -350,14 +331,17 @@ impl LogicalPlan {
                 }
                 plan = LogicalPlan::Project {
                     input: Box::new(plan),
+                    predicate: None,
                     items,
                 };
                 plan = LogicalPlan::Sort {
                     input: Box::new(plan),
                     keys: q.order_by.clone(),
+                    limit: None,
                 };
                 plan = LogicalPlan::Project {
                     input: Box::new(plan),
+                    predicate: None,
                     items: final_items,
                 };
             }
@@ -373,6 +357,7 @@ impl LogicalPlan {
             plan = LogicalPlan::Sort {
                 input: Box::new(plan),
                 keys: q.order_by.clone(),
+                limit: None,
             };
         }
         if let Some(n) = q.limit {
@@ -401,8 +386,8 @@ impl LogicalPlan {
     }
 
     /// The operator's one-line description, without indentation or
-    /// children — shared by [`LogicalPlan::render`] and the
-    /// `EXPLAIN ANALYZE` span tree.
+    /// children — shared by [`LogicalPlan::render`] and the executor's
+    /// operator spans, which `EXPLAIN` and `EXPLAIN ANALYZE` print.
     pub(crate) fn label(&self) -> String {
         match self {
             LogicalPlan::Scan {
@@ -437,9 +422,14 @@ impl LogicalPlan {
             }
             LogicalPlan::Values { rows, .. } => format!("Values [{} rows]", rows.len()),
             LogicalPlan::Filter { predicate, .. } => format!("Filter [{predicate:?}]"),
-            LogicalPlan::Project { items, .. } => {
+            LogicalPlan::Project {
+                predicate, items, ..
+            } => {
                 let names: Vec<&str> = items.iter().map(|(_, n)| n.as_str()).collect();
-                format!("Project {names:?}")
+                match predicate {
+                    Some(p) => format!("FilterProject [{p:?}] {names:?}"),
+                    None => format!("Project {names:?}"),
+                }
             }
             LogicalPlan::Aggregate {
                 group_by,
@@ -450,25 +440,18 @@ impl LogicalPlan {
                 let aggs: Vec<&str> = aggregates.iter().map(|(_, _, n)| n.as_str()).collect();
                 format!("Aggregate keys={keys:?} aggs={aggs:?}")
             }
-            LogicalPlan::Sort { keys, .. } => format!("Sort [{} keys]", keys.len()),
+            LogicalPlan::Sort { keys, limit, .. } => match limit {
+                Some(k) => format!("topk [k={k}, {} keys]", keys.len()),
+                None => format!("Sort [{} keys]", keys.len()),
+            },
             LogicalPlan::Limit { n, .. } => format!("Limit [{n}]"),
-            LogicalPlan::Join { on, .. } => format!("Join [{on:?}]"),
-            LogicalPlan::HashJoin { keys, residual, .. } => {
-                let mut s = format!("hash_join [{} keys]", keys.len());
-                if residual.is_some() {
-                    s.push_str(" +residual");
+            LogicalPlan::Join { keys, residual, .. } => match (keys.len(), residual) {
+                (0, Some(on)) => format!("Join [{on:?}]"),
+                (n, residual) => {
+                    let plus = if residual.is_some() { " +residual" } else { "" };
+                    format!("hash_join [{n} keys]{plus}")
                 }
-                s
-            }
-            LogicalPlan::TopK { keys, k, .. } => {
-                format!("topk [k={k}, {} keys]", keys.len())
-            }
-            LogicalPlan::FilterProject {
-                predicate, items, ..
-            } => {
-                let names: Vec<&str> = items.iter().map(|(_, n)| n.as_str()).collect();
-                format!("FilterProject [{predicate:?}] {names:?}")
-            }
+            },
             LogicalPlan::Knn { table, lng, lat, k } => {
                 format!("Knn [{table}] q=({lng},{lat}) k={k}")
             }
@@ -515,7 +498,12 @@ impl LogicalPlan {
             | LogicalPlan::Knn { .. }
             | LogicalPlan::Limit { .. } => Vec::new(),
             LogicalPlan::Filter { predicate, .. } => vec![predicate],
-            LogicalPlan::Project { items, .. } => items.iter_mut().map(|(e, _)| e).collect(),
+            LogicalPlan::Project {
+                predicate, items, ..
+            } => {
+                let items = items.iter_mut().map(|(e, _)| e);
+                predicate.iter_mut().chain(items).collect()
+            }
             LogicalPlan::Aggregate {
                 group_by,
                 aggregates,
@@ -525,19 +513,10 @@ impl LogicalPlan {
                 keys.chain(aggregates.iter_mut().map(|(_, e, _)| e))
                     .collect()
             }
-            LogicalPlan::Sort { keys, .. } | LogicalPlan::TopK { keys, .. } => {
-                keys.iter_mut().map(|(e, _)| e).collect()
-            }
-            LogicalPlan::Join { on, .. } => vec![on],
-            LogicalPlan::HashJoin { keys, residual, .. } => {
+            LogicalPlan::Sort { keys, .. } => keys.iter_mut().map(|(e, _)| e).collect(),
+            LogicalPlan::Join { keys, residual, .. } => {
                 let keys = keys.iter_mut().flat_map(|(l, r)| [l, r]);
                 keys.chain(residual.iter_mut()).collect()
-            }
-            LogicalPlan::FilterProject {
-                predicate, items, ..
-            } => {
-                let items = items.iter_mut().map(|(e, _)| e);
-                std::iter::once(predicate).chain(items).collect()
             }
         };
         for e in exprs {
@@ -555,12 +534,8 @@ impl LogicalPlan {
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::Aggregate { input, .. }
             | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::TopK { input, .. }
-            | LogicalPlan::FilterProject { input, .. }
             | LogicalPlan::Limit { input, .. } => vec![input],
-            LogicalPlan::Join { left, right, .. } | LogicalPlan::HashJoin { left, right, .. } => {
-                vec![left, right]
-            }
+            LogicalPlan::Join { left, right, .. } => vec![left, right],
         }
     }
 
@@ -574,12 +549,8 @@ impl LogicalPlan {
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::Aggregate { input, .. }
             | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::TopK { input, .. }
-            | LogicalPlan::FilterProject { input, .. }
             | LogicalPlan::Limit { input, .. } => vec![input],
-            LogicalPlan::Join { left, right, .. } | LogicalPlan::HashJoin { left, right, .. } => {
-                vec![left, right]
-            }
+            LogicalPlan::Join { left, right, .. } => vec![left, right],
         }
     }
 }

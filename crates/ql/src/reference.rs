@@ -6,10 +6,11 @@
 //! tests call it.
 //!
 //! [`run`] executes an *optimized* plan with every expression evaluated
-//! by `functions::eval`, one row at a time, and the fused operators
-//! desugared: `TopK` is sort-then-truncate, `HashJoin` the nested loop
-//! over its reconstructed `ON`, `FilterProject` filter-then-project. The
-//! storage side of a scan, `Values`, `Knn` and `st_DBSCAN`'s clustering
+//! by `functions::eval`, one row at a time, and what the optimizer
+//! planned into an operator desugared: a limited `Sort` (TOP-K) is
+//! sort-then-truncate, a `Join` with keys the nested loop over its
+//! reconstructed `ON`, a `Project` with a predicate filter-then-project.
+//! The storage side of a scan, `Values`, `Knn` and `st_DBSCAN`'s clustering
 //! are the executor's own. Analysis is the
 //! interpreter's: names are validated per operator before its row loop,
 //! but aggregates over zero rows never look at their argument.
@@ -54,7 +55,7 @@ pub fn run(session: &Session, plan: &LogicalPlan) -> Result<Dataset> {
                 Err(_) => scan_stored(session, plan)?,
             };
             // A later predicate only ever sees rows the earlier ones kept.
-            for pred in &preds {
+            for (_, pred) in &preds {
                 data = filter_interpreted(data, pred)?;
             }
             let (keep, header) = exec::scan_header(&data.columns, projection, alias);
@@ -67,19 +68,20 @@ pub fn run(session: &Session, plan: &LogicalPlan) -> Result<Dataset> {
             Executor::new(session, None).run(plan, &mut trace, root)
         }
         LogicalPlan::Filter { predicate, .. } => filter_interpreted(child(), predicate),
-        LogicalPlan::Project { items, .. } => project(child(), items),
-        LogicalPlan::FilterProject {
+        LogicalPlan::Project {
             predicate, items, ..
-        } => project(filter_interpreted(child(), predicate)?, items),
+        } => match predicate {
+            Some(p) => project(filter_interpreted(child(), p)?, items),
+            None => project(child(), items),
+        },
         LogicalPlan::Aggregate {
             group_by,
             aggregates,
             ..
         } => aggregate_interpreted(child(), group_by, aggregates),
-        LogicalPlan::Sort { keys, .. } => sort(child(), keys),
-        LogicalPlan::TopK { keys, k, .. } => {
+        LogicalPlan::Sort { keys, limit, .. } => {
             let mut d = sort(child(), keys)?;
-            d.rows.truncate(*k);
+            d.rows.truncate(limit.unwrap_or(usize::MAX));
             Ok(d)
         }
         LogicalPlan::Limit { n, .. } => {
@@ -87,11 +89,7 @@ pub fn run(session: &Session, plan: &LogicalPlan) -> Result<Dataset> {
             d.rows.truncate(*n);
             Ok(d)
         }
-        LogicalPlan::Join { on, .. } => {
-            let left = child();
-            join(left, child(), on)
-        }
-        LogicalPlan::HashJoin { keys, residual, .. } => {
+        LogicalPlan::Join { keys, residual, .. } => {
             let left = child();
             join(left, child(), &exec::reconstruct_on(keys, residual))
         }
@@ -122,7 +120,7 @@ fn join(left: Dataset, right: Dataset, on: &Expr) -> Result<Dataset> {
 /// A stored table's rows in the window its index serves, with the
 /// predicates left to run in memory. A pushed `LIMIT` is left to the
 /// `Limit` above it.
-fn scan_stored(session: &Session, scan: &LogicalPlan) -> Result<(Dataset, Vec<Expr>)> {
+fn scan_stored(session: &Session, scan: &LogicalPlan) -> Result<(Dataset, exec::ScanPreds)> {
     let (mut stream, columns, preds) = exec::open_stored_scan(session, scan)?;
     let mut rows = Vec::new();
     while let Some(batch) = stream.next_batch().map_err(just_core::CoreError::Storage)? {

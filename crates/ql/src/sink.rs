@@ -1,14 +1,14 @@
 //! The operators that drain their whole input before they emit —
-//! `Aggregate`, `TopK`, `Sort` and `st_DBSCAN` — behind one [`Sink`]
-//! trait, and the key normalization sort and TOP-K share. The executor's
-//! drain stage pulls its input a batch at a time into the sink, asking it
-//! before every pull for a [`RowGate`] to hand down to a stored scan,
-//! then emits what [`Sink::finish`] returns.
+//! `Aggregate`, `Sort` (TOP-K when limited) and `st_DBSCAN` — behind one
+//! [`Sink`] trait, and the key normalization sort and TOP-K share. The
+//! executor's drain stage pulls its input a batch at a time into the
+//! sink, asking it before every pull for a [`RowGate`] to hand down to a
+//! stored scan, then emits what [`Sink::finish`] returns.
 
 use crate::ast::Expr;
 use crate::compile::compile;
 use crate::error::QlError;
-use crate::exec::{eval_column, exec_obs, select_rows};
+use crate::exec::{eval_column, exec_obs, predicate, select_rows};
 use crate::functions::{self, eval, exec_err, resolve_column};
 use crate::Result;
 use just_analysis::{dbscan, ClusterLabel, DbscanParams};
@@ -30,6 +30,11 @@ pub(crate) trait Sink {
     fn finish(&mut self) -> Vec<Row>;
     /// Appends the span attributes the operator reports when it closes.
     fn report(&self, _attrs: &mut Vec<(&'static str, u64)>) {}
+    /// The programs the operator compiled, each with its label: what
+    /// plain `EXPLAIN` lists.
+    fn programs(&self) -> Vec<(String, &Program)> {
+        Vec::new()
+    }
 }
 
 /// Vectorized GROUP BY: keys and aggregate arguments compile to bytecode
@@ -39,8 +44,11 @@ pub(crate) trait Sink {
 pub(crate) struct Aggregation {
     /// `None` once finished.
     agg: Option<HashAggregator>,
-    key_progs: Vec<Program>,
-    arg_progs: Vec<Option<Program>>,
+    /// Each key's program, labelled `key <name>`.
+    key_progs: Vec<(String, Program)>,
+    /// Each aggregate's argument program (none for `count(*)`), labelled
+    /// `<function> <name>`.
+    arg_progs: Vec<Option<(String, Program)>>,
     vm: Vm,
     global: bool,
 }
@@ -53,8 +61,8 @@ impl Aggregation {
         aggregates: &[(String, Expr, String)],
     ) -> Result<Self> {
         let mut specs = Vec::with_capacity(aggregates.len());
-        let mut arg_progs: Vec<Option<Program>> = Vec::with_capacity(aggregates.len());
-        for (func, arg, _) in aggregates {
+        let mut arg_progs = Vec::with_capacity(aggregates.len());
+        for (func, arg, name) in aggregates {
             let star = matches!(arg, Expr::Star);
             // The planner only builds aggregates from the five known names,
             // so the one form without a spec is `func(*)` other than `count`.
@@ -65,13 +73,13 @@ impl Aggregation {
             arg_progs.push(if star {
                 None
             } else {
-                Some(compile(arg, input)?)
+                Some((format!("{func} {name}"), compile(arg, input)?))
             });
         }
         let key_progs = group_by
             .iter()
-            .map(|(e, _)| compile(e, input))
-            .collect::<Result<Vec<Program>>>()?;
+            .map(|(e, name)| Ok((format!("key {name}"), compile(e, input)?)))
+            .collect::<Result<Vec<_>>>()?;
         Ok(Aggregation {
             agg: Some(HashAggregator::new(specs)),
             key_progs,
@@ -85,7 +93,7 @@ impl Aggregation {
 impl Sink for Aggregation {
     /// Folds one batch of input rows into the accumulators.
     fn push(&mut self, chunk: Vec<Row>) -> Result<()> {
-        let mut eval = |p| eval_column(&mut self.vm, &chunk, p);
+        let mut eval = |(_, p): &(String, Program)| eval_column(&mut self.vm, &chunk, p);
         let keys = self.key_progs.iter().map(&mut eval);
         let keys = keys.collect::<Result<Vec<_>>>()?;
         let args = self
@@ -104,6 +112,12 @@ impl Sink for Aggregation {
         groups
             .map(|(keys, aggs)| Row::new([keys, aggs].concat()))
             .collect()
+    }
+
+    fn programs(&self) -> Vec<(String, &Program)> {
+        let args = self.arg_progs.iter().flatten();
+        let progs = self.key_progs.iter().chain(args);
+        progs.map(|(label, p)| (label.clone(), p)).collect()
     }
 }
 
@@ -209,6 +223,19 @@ impl Sink for TopK {
             attrs.push(("rows_pruned", self.pruned));
         }
     }
+
+    /// The computed keys' programs; a bare-column key reads its column
+    /// without one.
+    fn programs(&self) -> Vec<(String, &Program)> {
+        let mut out = Vec::new();
+        for (i, (plan, desc)) in self.keys.iter().enumerate() {
+            if let KeyPlan::Prog(p) = plan {
+                let dir = if *desc { "desc" } else { "asc" };
+                out.push((format!("key {i} {dir}"), p));
+            }
+        }
+        out
+    }
 }
 
 /// The heap's current worst key, as a gate: only a key that beats it
@@ -285,6 +312,10 @@ impl Sink for Dbscan {
             }
         }
         Ok(())
+    }
+
+    fn programs(&self) -> Vec<(String, &Program)> {
+        predicate(&self.pred).collect()
     }
 
     fn finish(&mut self) -> Vec<Row> {

@@ -8,7 +8,7 @@
 //!
 //! The executor side runs through the public SQL surface; the oracle is
 //! `just_ql::reference::run` on the same optimized plan, covering the
-//! optimizer rewrites (`Join -> HashJoin`, `Sort+Limit -> TopK`), the
+//! optimizer rewrites (a `Join`'s equi keys, `Sort`+`Limit` -> TOP-K), the
 //! hashability gate, and the non-equi nested loop.
 
 use just_core::{Dataset, Engine, EngineConfig, SessionManager};

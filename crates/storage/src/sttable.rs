@@ -30,7 +30,8 @@ struct IndexObs {
     rows_pruned: just_obs::Counter,
     /// Rows a consumer's [`RowGate`] refused before refine and decode.
     rows_gated: just_obs::Counter,
-    /// Query latency, stream construction to exhaustion or drop.
+    /// Query latency, stream construction to exhaustion or drop, of the
+    /// streams that were pulled.
     query_latency: just_obs::Histogram,
 }
 
@@ -668,6 +669,7 @@ impl StTable {
             },
             started: std::time::Instant::now(),
             done: false,
+            pulled: false,
         }
     }
 
@@ -722,6 +724,10 @@ pub struct QueryStream {
     started: std::time::Instant,
     /// The latency sample is recorded: at exhaustion, or on drop.
     done: bool,
+    /// Whether the stream was ever pulled. One that never was (opened by
+    /// a plain `EXPLAIN`, or under a `LIMIT 0`) records no sample, as a
+    /// kvstore scan stream records none.
+    pulled: bool,
 }
 
 /// What a [`QueryStream`] checks and decodes each entry's value against.
@@ -783,6 +789,7 @@ impl QueryStream {
         if self.done {
             return Ok(None);
         }
+        self.pulled = true;
         let obs = index_obs();
         // The gate's fields decode into one row reused across entries.
         let len = self.refine.schema.len();
@@ -821,9 +828,10 @@ impl QueryStream {
         }
     }
 
-    /// Records the stream's one latency sample, if it has not yet.
+    /// Records the stream's one latency sample, if it was pulled and has
+    /// not yet.
     fn finish(&mut self) {
-        if !std::mem::replace(&mut self.done, true) {
+        if self.pulled && !std::mem::replace(&mut self.done, true) {
             index_obs()
                 .query_latency
                 .record_duration(self.started.elapsed());
@@ -874,8 +882,8 @@ impl Refine {
     }
 }
 
-/// A stream a satisfied `LIMIT`, a kill or an error stopped early still
-/// records its latency, once.
+/// A stream a satisfied `LIMIT`, a kill or an error stopped early after
+/// its first pull still records its latency, once.
 impl Drop for QueryStream {
     fn drop(&mut self) {
         self.finish();
