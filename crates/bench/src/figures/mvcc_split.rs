@@ -291,16 +291,24 @@ pub fn run(cfg: &BenchConfig, out: &mut impl std::io::Write, report: &mut Report
         }
     }
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let ratio = ratios.get(ratios.len() / 2).copied().unwrap_or(f64::MAX);
+    // No ratio when every phase pair failed: the guard fails and says why.
+    let ratio = ratios.get(ratios.len() / 2).copied();
     let (qp99, cp99) = last.unwrap_or((0, 0));
-    let split_ok = failure.is_none() && stream_ok && ratio < 2.0;
+    let split_ok = failure.is_none() && stream_ok && ratio.is_some_and(|r| r < 2.0);
     let cause = failure.map(|c| format!("; {c}")).unwrap_or_default();
     report.meta_raw("scan_p99_quiet_us", qp99.to_string());
     report.meta_raw("scan_p99_churn_us", cp99.to_string());
-    report.meta_raw("scan_p99_ratio", format!("{ratio:.2}"));
+    report.meta_raw(
+        "scan_p99_ratio",
+        ratio.map_or("null".to_string(), |r| format!("{r:.2}")),
+    );
+    let ratio = match ratio {
+        Some(r) => format!("{r:.2}x quiet"),
+        None => "no ratio, every phase pair failed".to_string(),
+    };
     writeln!(
         out,
-        "split guard: {} (scan p99 under split churn {ratio:.2}x quiet, median of {PAIRS} \
+        "split guard: {} (scan p99 under split churn {ratio}, median of {PAIRS} \
          paired phases, last pair {cp99}us vs {qp99}us, need < 2x and zero scan errors{cause})",
         if split_ok { "PASS" } else { "FAIL" }
     )

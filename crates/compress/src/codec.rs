@@ -1,7 +1,8 @@
-//! The self-describing compression container used by the storage layer's
-//! per-field `compress=` column option.
+//! The self-describing compression container shared by the storage
+//! layer's per-field `compress=` column option and the SSTable writer's
+//! data blocks.
 
-use crate::{crc32, deflate, lzss, varint};
+use crate::{crc32, deflate, lz, lzss, varint};
 use std::fmt;
 
 /// A compression method selectable per table field, mirroring the paper's
@@ -15,6 +16,8 @@ pub enum Codec {
     Gzip,
     /// Byte-oriented LZSS only (the paper's `zip`).
     Zip,
+    /// The fast LZ4-style codec the SSTable writer uses for its blocks.
+    Lz,
 }
 
 impl Codec {
@@ -24,6 +27,7 @@ impl Codec {
             Codec::None => 0,
             Codec::Gzip => 1,
             Codec::Zip => 2,
+            Codec::Lz => 3,
         }
     }
 
@@ -33,11 +37,13 @@ impl Codec {
             0 => Codec::None,
             1 => Codec::Gzip,
             2 => Codec::Zip,
+            3 => Codec::Lz,
             _ => return None,
         })
     }
 
     /// Parses the `compress=` option value from a `CREATE TABLE` statement.
+    /// `Lz` is the SSTable writer's block codec, not a field option.
     pub fn parse(name: &str) -> Option<Self> {
         Some(match name.to_ascii_lowercase().as_str() {
             "none" => Codec::None,
@@ -50,22 +56,45 @@ impl Codec {
     /// Wraps `data` in a checksummed container:
     /// `method(u8) | crc32(4 LE) | uncompressed_len(varint) | payload`.
     pub fn compress(self, data: &[u8]) -> Vec<u8> {
-        let payload = match self {
-            Codec::None => data.to_vec(),
-            Codec::Gzip => deflate::compress(data),
-            Codec::Zip => lzss::compress(data),
-        };
-        let mut out = Vec::with_capacity(payload.len() + 12);
+        let mut out = Vec::new();
+        self.compress_into(data, &mut out);
+        out
+    }
+
+    /// [`Codec::compress`] into `out`, replacing what it held: a writer
+    /// that packs block after block reuses one buffer.
+    pub fn compress_into(self, data: &[u8], out: &mut Vec<u8>) {
+        out.clear();
         out.push(self.code());
         out.extend_from_slice(&crc32::crc32(data).to_le_bytes());
-        varint::write_u64(&mut out, data.len() as u64);
-        out.extend_from_slice(&payload);
-        out
+        varint::write_u64(out, data.len() as u64);
+        match self {
+            Codec::None => out.extend_from_slice(data),
+            Codec::Gzip => out.extend_from_slice(&deflate::compress(data)),
+            Codec::Zip => out.extend_from_slice(&lzss::compress(data)),
+            Codec::Lz => lz::compress(data, out),
+        }
+    }
+
+    /// The most bytes this method can decode from `n` payload bytes.
+    fn max_output(self, n: usize) -> u64 {
+        let n = n as u64;
+        match self {
+            Codec::None => n,
+            // A 3-byte match token yields at most 258 bytes.
+            Codec::Zip => 86 * n,
+            // Two 1-bit codes yield at most 258 bytes.
+            Codec::Gzip => 1032 * n,
+            // An extension byte adds at most 255 to a match.
+            Codec::Lz => 255 * n + 32,
+        }
     }
 
     /// Unwraps and verifies a [`Codec::compress`] container. The method is
     /// read from the container itself, so any codec's output can be opened
-    /// without knowing which one produced it.
+    /// without knowing which one produced it. A declared length that the
+    /// method cannot reach from the payload is refused before anything is
+    /// allocated, and no decoder writes past the declared length.
     pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
         let method = Codec::from_code(*data.first().ok_or(CompressError::Truncated)?)
             .ok_or(CompressError::UnknownMethod)?;
@@ -74,13 +103,17 @@ impl Codec {
         }
         let checksum = u32::from_le_bytes([data[1], data[2], data[3], data[4]]);
         let mut pos = 5usize;
-        let expected_len =
-            varint::read_u64(data, &mut pos).ok_or(CompressError::Truncated)? as usize;
+        let expected_len = varint::read_u64(data, &mut pos).ok_or(CompressError::Truncated)?;
         let payload = &data[pos..];
+        if expected_len > method.max_output(payload.len()) {
+            return Err(CompressError::Corrupt);
+        }
+        let expected_len = expected_len as usize;
         let out = match method {
             Codec::None => payload.to_vec(),
             Codec::Gzip => deflate::decompress(payload).ok_or(CompressError::Corrupt)?,
             Codec::Zip => lzss::decompress(payload).ok_or(CompressError::Corrupt)?,
+            Codec::Lz => lz::decompress(payload, expected_len).ok_or(CompressError::Corrupt)?,
         };
         if out.len() != expected_len {
             return Err(CompressError::Corrupt);
@@ -98,6 +131,7 @@ impl fmt::Display for Codec {
             Codec::None => "none",
             Codec::Gzip => "gzip",
             Codec::Zip => "zip",
+            Codec::Lz => "lz",
         })
     }
 }
@@ -135,7 +169,7 @@ mod tests {
     #[test]
     fn every_codec_roundtrips() {
         let data = b"every codec must roundtrip this payload ".repeat(50);
-        for codec in [Codec::None, Codec::Gzip, Codec::Zip] {
+        for codec in [Codec::None, Codec::Gzip, Codec::Zip, Codec::Lz] {
             let packed = codec.compress(&data);
             assert_eq!(Codec::decompress(&packed).unwrap(), data, "{codec}");
         }
@@ -198,6 +232,7 @@ mod tests {
         assert_eq!(Codec::parse("GZIP"), Some(Codec::Gzip));
         assert_eq!(Codec::parse("zip"), Some(Codec::Zip));
         assert_eq!(Codec::parse("none"), Some(Codec::None));
+        assert_eq!(Codec::parse("lz"), None);
         assert_eq!(Codec::parse("lz4"), None);
     }
 }

@@ -141,7 +141,7 @@ fn write_lengths_rle(out: &mut Vec<u8>, lens: &[u8]) {
 
 fn read_lengths_rle(buf: &[u8], pos: &mut usize) -> Option<Vec<u8>> {
     let n = varint::read_u64(buf, pos)? as usize;
-    if n > 1 << 20 {
+    if n > NUM_LIT {
         return None;
     }
     let mut lens = Vec::with_capacity(n);
@@ -158,7 +158,7 @@ fn read_lengths_rle(buf: &[u8], pos: &mut usize) -> Option<Vec<u8>> {
 }
 
 /// Compresses `data` with LZSS + dual Huffman coding.
-pub fn compress(data: &[u8]) -> Vec<u8> {
+pub(crate) fn compress(data: &[u8]) -> Vec<u8> {
     let tokens = lzss::tokenize(data);
 
     // Frequency pass.
@@ -209,8 +209,8 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 }
 
 /// Decompresses a [`compress`]-produced stream. Returns `None` on any
-/// corruption.
-pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
+/// corruption; nothing is written past the declared length.
+pub(crate) fn decompress(data: &[u8]) -> Option<Vec<u8>> {
     let mut pos = 0usize;
     let expected = varint::read_u64(data, &mut pos)? as usize;
     let lit_lens = read_lengths_rle(data, &mut pos)?;
@@ -228,7 +228,7 @@ pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
     loop {
         let sym = lit_dec.decode(&mut r)? as usize;
         match sym {
-            0..=255 => out.push(sym as u8),
+            0..=255 if out.len() < expected => out.push(sym as u8),
             EOB => break,
             257..=285 => {
                 let (base, extra) = LENGTH_TABLE[sym - 257];
@@ -239,7 +239,7 @@ pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
                 }
                 let (dbase, dextra) = DIST_TABLE[dsym];
                 let dist = dbase as usize + r.read_bits(u32::from(dextra))? as usize;
-                if dist == 0 || dist > out.len() {
+                if dist == 0 || dist > out.len() || len > expected - out.len() {
                     return None;
                 }
                 let start = out.len() - dist;
@@ -249,9 +249,6 @@ pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
                 }
             }
             _ => return None,
-        }
-        if out.len() > expected {
-            return None;
         }
     }
     (out.len() == expected).then_some(out)

@@ -10,8 +10,9 @@
 //! * `bitio` — LSB-first bit-level readers/writers,
 //! * [`crc32`] — IEEE CRC-32 integrity checksums,
 //! * `huffman` — canonical, length-limited Huffman coding,
-//! * [`lzss`] — LZ77/LZSS match finding with hash chains,
-//! * [`deflate`] — the DEFLATE-like composite (LZSS + dual Huffman trees),
+//! * `lzss` — LZ77/LZSS match finding with hash chains,
+//! * `deflate` — the DEFLATE-like composite (LZSS + dual Huffman trees),
+//! * `lz` — a fast LZ4-style block codec, the SSTable writer's,
 //! * [`gps`] — a delta+varint codec specialised for GPS point lists,
 //! * [`Codec`] — the self-describing container used by the storage layer.
 
@@ -19,10 +20,11 @@
 
 mod bitio;
 pub mod crc32;
-pub mod deflate;
+mod deflate;
 pub mod gps;
 mod huffman;
-pub mod lzss;
+mod lz;
+mod lzss;
 pub mod varint;
 
 mod codec;

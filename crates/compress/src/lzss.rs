@@ -104,7 +104,7 @@ pub(crate) fn tokenize(data: &[u8]) -> Vec<Token> {
 /// Byte-oriented LZSS container: groups of 8 tokens share a flag byte
 /// (bit set = match). Matches are stored as `len - MIN_MATCH` (1 byte) and
 /// distance (2 bytes LE).
-pub fn compress(data: &[u8]) -> Vec<u8> {
+pub(crate) fn compress(data: &[u8]) -> Vec<u8> {
     let tokens = tokenize(data);
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
     crate::varint::write_u64(&mut out, data.len() as u64);
@@ -129,8 +129,9 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`compress`]. Returns `None` on malformed input.
-pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
+/// Inverse of [`compress`]. Returns `None` on malformed input; nothing is
+/// written past the declared length.
+pub(crate) fn decompress(data: &[u8]) -> Option<Vec<u8>> {
     let mut pos = 0usize;
     let expected = crate::varint::read_u64(data, &mut pos)? as usize;
     // Don't trust the claimed length for pre-allocation: a corrupt header
@@ -148,7 +149,7 @@ pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
             let len = *data.get(pos)? as usize + MIN_MATCH;
             let dist = u16::from_le_bytes([*data.get(pos + 1)?, *data.get(pos + 2)?]) as usize;
             pos += 3;
-            if dist == 0 || dist > out.len() {
+            if dist == 0 || dist > out.len() || len > expected - out.len() {
                 return None;
             }
             let start = out.len() - dist;
@@ -162,7 +163,7 @@ pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
         }
         flag_bit += 1;
     }
-    (out.len() == expected).then_some(out)
+    Some(out)
 }
 
 #[cfg(test)]

@@ -85,9 +85,12 @@ pub(crate) struct BlockBuilder {
 }
 
 impl BlockBuilder {
-    /// Empty builder.
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// Empty builder whose entry buffer holds `bytes` before it grows.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        BlockBuilder {
+            buf: Vec::with_capacity(bytes),
+            ..Self::default()
+        }
     }
 
     /// Appends an entry. Keys must arrive in ascending order (enforced by
@@ -362,7 +365,7 @@ mod tests {
     }
 
     fn roundtrip(entries: &[(&[u8], Option<&[u8]>)]) -> Block {
-        let mut b = BlockBuilder::new();
+        let mut b = BlockBuilder::default();
         for (k, v) in entries {
             b.add(k, *v);
         }
@@ -401,7 +404,7 @@ mod tests {
 
     #[test]
     fn corrupt_block_fails_validation() {
-        let mut b = BlockBuilder::new();
+        let mut b = BlockBuilder::default();
         b.add(b"key-aaaa", Some(b"value"));
         b.add(b"key-bbbb", Some(b"value"));
         let mut bytes = b.finish().to_vec();
@@ -411,7 +414,7 @@ mod tests {
 
     #[test]
     fn size_tracks_content() {
-        let mut b = BlockBuilder::new();
+        let mut b = BlockBuilder::default();
         assert!(b.is_empty());
         b.add(b"0123456789", Some(&[0u8; 100]));
         assert!(b.size() > 110);
@@ -422,7 +425,7 @@ mod tests {
         let keys: Vec<String> = (0..200)
             .map(|i| format!("traj/0001/point/{i:06}"))
             .collect();
-        let mut v2 = BlockBuilder::new();
+        let mut v2 = BlockBuilder::default();
         for k in &keys {
             v2.add(k.as_bytes(), Some(b"v"));
         }
@@ -445,7 +448,7 @@ mod tests {
 
     #[test]
     fn v2_empty_block() {
-        let mut b = BlockBuilder::new();
+        let mut b = BlockBuilder::default();
         assert!(b.is_empty());
         let block = block(b.finish().to_vec());
         assert!(block.validate());
@@ -498,7 +501,7 @@ mod tests {
         let keys: Vec<Vec<u8>> = (0..100u32)
             .map(|i| format!("key-{:06}", i * 3).into_bytes())
             .collect();
-        let mut b = BlockBuilder::new();
+        let mut b = BlockBuilder::default();
         for k in &keys {
             b.add(k, Some(b"v"));
         }
@@ -528,7 +531,7 @@ mod tests {
 
     #[test]
     fn v2_corrupt_restart_trailer_fails_validation() {
-        let mut b = BlockBuilder::new();
+        let mut b = BlockBuilder::default();
         for i in 0..40u32 {
             b.add(format!("k{i:04}").as_bytes(), Some(b"v"));
         }
@@ -542,7 +545,7 @@ mod tests {
     /// A real block of `n` entries: shared prefixes, a few tombstones,
     /// values of assorted lengths.
     fn sample_block(rng: &mut Rng, n: u32) -> Vec<u8> {
-        let mut b = BlockBuilder::new();
+        let mut b = BlockBuilder::default();
         for i in 0..n {
             let key = format!("traj/{:04}/{:06}", i / 7, i * 3);
             let value = vec![i as u8; rng.gen_range(0usize..40)];

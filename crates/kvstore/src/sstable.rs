@@ -3,8 +3,8 @@
 //! There is one format, and the reader does not auto-detect anything: a
 //! file either ends in the footer below or is refused. A file holds
 //! prefix-compressed blocks with restart-point binary search
-//! ([`crate::block`]), an optional per-table block compression codec, a
-//! blocked bloom filter serialized between the index and the footer,
+//! ([`crate::block`]), a blocked bloom filter serialized between the
+//! index and the footer,
 //! and a `seq_limit` in the footer — one past the highest MVCC commit
 //! sequence any entry in the file carries (see `Region::snapshot`).
 //! Snapshot readers skip tables whose `seq_limit` exceeds their read
@@ -24,10 +24,17 @@
 //! [`KvError::Format`], not corruption: it is well-formed data this
 //! build does not read (see the store's format epoch in `store.rs`).
 //!
+//! The footer's codec byte says how blocks are stored: `0` is bare block
+//! bytes, and any other code means every block is a self-describing
+//! [`just_compress::Codec`] container with its own method byte and a
+//! checksum of the decompressed bytes. The store writes code 3
+//! (`Codec::Lz`) and picks the method per block: a block keeps its LZ
+//! container only when that saves at least 1/[`GOOD_RATIO`] of it, and is
+//! otherwise written raw in a `Codec::None` container. Files written
+//! under `Zip` or `Gzip` read the same way.
+//!
 //! All integers little-endian. Every data block is CRC-32 protected over
-//! its *on-disk* bytes (post-compression); compressed blocks carry a
-//! second checksum of the decompressed payload inside the
-//! [`just_compress::Codec`] container. Block reads go through
+//! its *on-disk* bytes (post-compression). Block reads go through
 //! [`crate::IoMetrics`]; the [`crate::BlockCache`] stores *decompressed*
 //! block bytes, so a hot block pays decompression exactly once, and a
 //! table's blocks leave the cache when the table drops.
@@ -103,6 +110,10 @@ const MIN_INDEX_ENTRY: usize = 20;
 /// size, bounding builder memory and worst-case decompression work even
 /// when the codec packs aggressively.
 const MAX_BLOCK_INFLATE: usize = 8;
+/// A compressed block is kept only when it is smaller than the raw block
+/// less 1/this of it (RocksDB's `GoodCompressionRatio`); a block that
+/// saves less is stored raw, so reading it costs no decoding.
+const GOOD_RATIO: usize = 8;
 /// Buffer between a finishing builder and its file: the index, filter
 /// and footer reach the file in writes of this size.
 const WRITE_BUFFER: usize = 8 << 10;
@@ -113,11 +124,12 @@ const WRITE_BUFFER: usize = 8 << 10;
 pub(crate) struct SstOptions {
     /// Target on-disk block size in bytes.
     pub(crate) block_size: usize,
-    /// Per-block compression codec (`Codec::None` stores blocks raw).
-    /// With a real codec the builder packs entries until the *estimated
-    /// on-disk* size reaches `block_size`, so compression turns into
-    /// fewer blocks fetched per scan — the paper's compression→fewer-IOs
-    /// effect — rather than just smaller ones.
+    /// Per-block compression codec: `Lz` for every store, the others for
+    /// tests of files written under them (`Codec::None` stores bare
+    /// blocks). With a real codec the builder packs entries until the
+    /// *estimated on-disk* size reaches `block_size`, so compression
+    /// turns into fewer blocks fetched per scan — the paper's
+    /// compression→fewer-IOs effect — rather than just smaller ones.
     pub(crate) codec: Codec,
 }
 
@@ -125,7 +137,7 @@ impl Default for SstOptions {
     fn default() -> Self {
         SstOptions {
             block_size: crate::block::DEFAULT_BLOCK_SIZE,
-            codec: Codec::None,
+            codec: Codec::Lz,
         }
     }
 }
@@ -228,6 +240,8 @@ pub(crate) struct SsTableBuilder {
     file: File,
     opts: SstOptions,
     current: BlockBuilder,
+    /// The container of the block being written, reused block to block.
+    packed: Vec<u8>,
     /// The index section as it is written: a block count patched in at
     /// `finish`, then each block's entry — its first key encoded when the
     /// block opens, its position and checksum when it flushes.
@@ -270,10 +284,20 @@ impl SsTableBuilder {
             .create(true)
             .truncate(true)
             .open(path)?;
+        // The largest block cut (the cap, plus an entry up to a block's
+        // size past it) and its container fit the buffers as made.
+        let (largest, packed) = match opts.codec {
+            Codec::None => (2 * opts.block_size, 0),
+            _ => {
+                let largest = (MAX_BLOCK_INFLATE + 1) * opts.block_size;
+                (largest, largest + largest / 255 + 32)
+            }
+        };
         Ok(SsTableBuilder {
             path: path.to_path_buf(),
             file,
-            current: BlockBuilder::new(),
+            current: BlockBuilder::with_capacity(largest),
+            packed: Vec::with_capacity(packed),
             opts,
             index: vec![0; 8],
             blocks: 0,
@@ -350,10 +374,12 @@ impl SsTableBuilder {
         let codec = self.opts.codec;
         let encoded = self.current.finish();
         self.encoded_bytes += encoded.len() as u64;
-        let compressed;
         let data = if codec != Codec::None {
-            compressed = codec.compress(encoded);
-            &compressed[..]
+            codec.compress_into(encoded, &mut self.packed);
+            if self.packed.len() >= encoded.len() - encoded.len() / GOOD_RATIO {
+                Codec::None.compress_into(encoded, &mut self.packed);
+            }
+            &self.packed[..]
         } else {
             encoded
         };
@@ -760,6 +786,7 @@ mod tests {
             ("none", Codec::None),
             ("zip", Codec::Zip),
             ("gzip", Codec::Gzip),
+            ("lz", Codec::Lz),
         ]
         .into_iter()
         .map(|(label, codec)| {
@@ -925,6 +952,68 @@ mod tests {
     }
 
     #[test]
+    fn lz_and_kept_raw_blocks_share_a_file() {
+        // Rows that repeat their layout, then rows of noise, then layout
+        // again: the noise blocks save under 1/8 and are stored raw.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let rows: Vec<(Vec<u8>, Vec<u8>)> = (0..900u32)
+            .map(|i| {
+                let value = if (300..600).contains(&i) {
+                    (0..40)
+                        .map(|_| {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            x as u8
+                        })
+                        .collect()
+                } else {
+                    format!("lng=116.{:05},lat=39.{:05};", i * 3, i * 7).into_bytes()
+                };
+                (format!("key-{i:06}").into_bytes(), value)
+            })
+            .collect();
+        let dir = tmpdir("lz-mixed");
+        let mut b = fixture::builder(
+            &dir.join("t.sst"),
+            small_blocks(),
+            Arc::new(IoMetrics::new()),
+        );
+        for (key, value) in &rows {
+            b.add(key, Some(value)).unwrap();
+        }
+        let t = Arc::new(b.finish().unwrap());
+        assert_eq!(t.codec, Codec::Lz);
+        // Each block names its own method in its first byte.
+        let file = std::fs::read(t.path()).unwrap();
+        let methods: Vec<u8> = (0..t.block_count())
+            .map(|i| file[t.index.block(i).0 as usize])
+            .collect();
+        let lz = methods.iter().filter(|&&m| m == Codec::Lz.code()).count();
+        let raw = methods.iter().filter(|&&m| m == Codec::None.code()).count();
+        assert!(
+            lz > 2 && raw > 2 && lz + raw == methods.len(),
+            "{methods:?}"
+        );
+        // Read back whole, from a reopened file, and seeked.
+        let reopened = Arc::new(fixture::sstable(t.path()));
+        let want: Vec<Entry> = rows
+            .iter()
+            .map(|(k, v)| (k.clone(), Some(v.clone())))
+            .collect();
+        for table in [&t, &reopened] {
+            assert_eq!(scan(table, b"", b"\xff").unwrap(), want);
+            for i in [0, 299, 300, 450, 599, 600, 899] {
+                let (key, value) = &rows[i];
+                assert_eq!(table.get(key).unwrap(), Some(Some(value.clone())), "{i}");
+            }
+            let hits = scan(table, b"key-000290", b"key-000610").unwrap();
+            assert_eq!(hits, want[290..=610]);
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn tombstones_survive_roundtrip() {
         let dir = tmpdir("tomb");
         let metrics = Arc::new(IoMetrics::new());
@@ -1025,8 +1114,14 @@ mod tests {
         let dir = tmpdir("mutated-block");
         let mut rng = just_obs::Rng::seed_from_u64(0x5eed);
         let mut caught = 0;
+        // Bare blocks: in a container, the container's checksum would
+        // catch the mutation before the framing check saw it.
+        let bare = SstOptions {
+            codec: Codec::None,
+            ..small_blocks()
+        };
         for round in 0..300 {
-            let t = build(&dir, 100);
+            let t = build_opts(&dir, 100, bare.clone());
             let path = t.path().to_path_buf();
             drop(t);
             // A bit flip, an over-long varint run, or a rewritten restart

@@ -10,7 +10,6 @@ use crate::region::RegionOptions;
 use crate::sstable::SstOptions;
 use crate::table::Table;
 use crate::wal::{fsync_dir, SyncPolicy};
-use just_compress::Codec;
 use just_obs::sync::RwLock;
 use std::collections::HashMap;
 use std::fs::File;
@@ -32,7 +31,10 @@ use std::sync::Arc;
 /// writes: rows in a schema-typed layout (a NULL/variant bit header,
 /// then bare payloads), and ids entries holding only their data key's
 /// middle. Changing any of them bumps this constant; a store of another
-/// epoch is refused, never migrated in place.
+/// epoch is refused, never migrated in place. The footer's codec byte
+/// says only whether blocks are compression containers (nonzero) or
+/// bare bytes: every container names its own method, so the writer's
+/// per-block choice between LZ and raw needed no new epoch.
 const FORMAT_EPOCH: u32 = 3;
 /// The epoch file's name in the store root.
 const FORMAT_FILE: &str = "FORMAT";
@@ -97,11 +99,12 @@ fn write_format(base: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Tuning knobs, shared by every table of a store: 8 settable values
-/// (5 here, 3 in [`MaintenanceOptions`]).
+/// Tuning knobs, shared by every table of a store: 7 settable values
+/// (4 here, 3 in [`MaintenanceOptions`]).
 /// Everything else — the on-disk format (one epoch, 10 bloom bits per
-/// key), the WAL's encode-buffer cap and `batched` sync window, the
-/// auto-split region cap — is a constant next to the code that uses it.
+/// key, LZ block compression kept per block when it saves 1/8), the
+/// WAL's encode-buffer cap and `batched` sync window, the auto-split
+/// region cap — is a constant next to the code that uses it.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// Memtable flush threshold per region, in reserved bytes: the heap
@@ -115,10 +118,6 @@ pub struct StoreOptions {
     /// Target SSTable block size in bytes (HBase default: 64 KiB; we use a
     /// smaller default so laptop-scale datasets still span many blocks).
     pub block_size: usize,
-    /// Per-block compression codec for newly written SSTables. Mirrors
-    /// HBase's per-column-family `COMPRESSION` setting; the block cache
-    /// stores decompressed bytes, so hot blocks decompress once.
-    pub codec: Codec,
     /// Store-wide block cache capacity in bytes (0 disables caching —
     /// the paper's experimental setting; the default mirrors HBase's
     /// always-on block cache).
@@ -135,7 +134,6 @@ impl Default for StoreOptions {
         StoreOptions {
             flush_threshold: 4 << 20,
             block_size: 4096,
-            codec: Codec::None,
             block_cache_bytes: 32 << 20,
             wal_sync: SyncPolicy::default(),
             maintenance: MaintenanceOptions::default(),
@@ -207,7 +205,7 @@ impl Store {
             flush_threshold: self.options.flush_threshold,
             sst: SstOptions {
                 block_size: self.options.block_size,
-                codec: self.options.codec,
+                ..SstOptions::default()
             },
             wal_sync: self.options.wal_sync,
             mem_cap: crate::memtable::MEM_CAP,

@@ -1115,4 +1115,57 @@ mod tests {
         }
         std::fs::remove_dir_all(dir).ok();
     }
+
+    /// Blocks read by 200 scans of 100 trajectory points each, over
+    /// 20 000 points in one compacted table written under `codec`.
+    fn trajectory_scan_blocks(name: &str, codec: just_compress::Codec) -> u64 {
+        let key = |i: usize| format!("traj/{:04}/{:010}", i / 256, i * 2).into_bytes();
+        let value = |i: usize| {
+            format!(
+                "lng=116.{:06},lat=39.{:06},speed={:02}.5,heading={:03},status=driving;",
+                i * 131 % 1_000_000,
+                i * 977 % 1_000_000,
+                i % 80,
+                i % 360
+            )
+            .into_bytes()
+        };
+        let dir = std::env::temp_dir().join(format!("just-table-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut opts = crate::fixture::region_opts(4 << 20);
+        opts.sst = crate::sstable::SstOptions {
+            block_size: 4096,
+            codec,
+        };
+        let metrics = Arc::new(IoMetrics::new());
+        let cache = Arc::new(BlockCache::new(0));
+        let t =
+            Table::open_opts(name.into(), dir.clone(), 1, metrics.clone(), cache, opts).unwrap();
+        for i in 0..20_000 {
+            t.put(key(i), value(i)).unwrap();
+        }
+        t.flush().unwrap();
+        t.compact().unwrap();
+        let before = metrics.snapshot();
+        for s in 0..200 {
+            let hits = t
+                .snapshot()
+                .scan(&key(s * 100), &key(s * 100 + 99))
+                .unwrap();
+            assert_eq!(hits.len(), 100);
+        }
+        drop(t);
+        std::fs::remove_dir_all(dir).ok();
+        metrics.snapshot().since(&before).blocks_read
+    }
+
+    #[test]
+    fn zip_blocks_mean_fewer_block_reads_for_the_same_scans() {
+        let plain = trajectory_scan_blocks("scan-plain", just_compress::Codec::None);
+        let zip = trajectory_scan_blocks("scan-zip", just_compress::Codec::Zip);
+        assert!(
+            zip * 10 <= plain * 7,
+            "the same rows under Codec::Zip must scan >=30% fewer blocks: {zip} vs {plain}"
+        );
+    }
 }

@@ -103,7 +103,17 @@ const GENERATION_KEYS: u32 = 4000;
 fn load_generation(table: &Table, generation: u32) {
     let first = generation * (GENERATION_KEYS * 3 / 4);
     for i in first..first + GENERATION_KEYS {
-        let value = vec![(i ^ generation) as u8; VALUE_BYTES];
+        // Noise, so the generation's bytes on disk are its bytes in
+        // memory: blocks that do not compress are written raw.
+        let mut x = (u64::from(i) << 8 | u64::from(generation)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let value: Vec<u8> = (0..VALUE_BYTES)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
         table.put(format!("k{i:08}").into_bytes(), value).unwrap();
     }
     for i in first.saturating_sub(500)..first.saturating_sub(300) {

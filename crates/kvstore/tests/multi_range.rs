@@ -32,7 +32,6 @@ fn a_multi_range_stream_is_its_one_range_scans_concatenated() {
                 workers: 0,
                 ..MaintenanceOptions::default()
             },
-            ..StoreOptions::default()
         };
         let store = Store::open(&dir, opts).unwrap();
         let table = store.create_table("t", 4).unwrap();

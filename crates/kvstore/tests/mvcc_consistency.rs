@@ -91,7 +91,6 @@ fn snapshot_scans_equal_serial_execution_under_splits() {
                 workers: 0,
                 ..MaintenanceOptions::default()
             },
-            ..StoreOptions::default()
         },
     )
     .unwrap();

@@ -16,8 +16,10 @@
 //! Shutdown is coordinated, not abrupt: the flag flips, the listener is
 //! woken by a self-connection, and every worker gets a drain
 //! grace window to finish (and answer) an in-flight request before its
-//! socket closes. A worker answers the request it has read and then
-//! closes, so a chatty client cannot extend the drain. At the drain
+//! socket closes. A request read after shutdown began is its
+//! connection's last: the worker answers it and closes, so a chatty
+//! client cannot extend the drain, while a connection that was busy or
+//! idle when shutdown began may still send one. At the drain
 //! deadline the listener shuts down the read side of every connection
 //! still open — it keeps a clone of each admitted socket for this — which
 //! wakes the workers idle in `read`: a request already received is still
@@ -410,6 +412,10 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             }
             Err(FrameError::Io(_)) => return,
         }
+        // A request read once shutdown is underway is this connection's
+        // last; one read before keeps the connection through the grace,
+        // however late its response goes out.
+        let last = shared.shutdown.load(Ordering::Acquire);
         let start = Instant::now();
         shared.metrics.requests.inc();
         let request_id = shared.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
@@ -436,9 +442,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
         }
         shrink_kept(&mut payload);
         shrink_kept(&mut out);
-        // Once shutdown is underway, stop taking new requests from this
-        // connection: the in-flight response just written is the last.
-        if close_after || shared.shutdown.load(Ordering::Acquire) {
+        if close_after || last {
             return;
         }
     }

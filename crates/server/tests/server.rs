@@ -289,6 +289,39 @@ fn idle_connections_are_closed_at_the_drain_deadline() {
 }
 
 #[test]
+fn a_connection_busy_when_the_drain_began_keeps_its_grace() {
+    let (engine, dir) = fresh("busy-drain");
+    seed(&engine, "it");
+    let cfg = ServerConfig {
+        drain_grace: Duration::from_secs(2),
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(engine.clone(), cfg).unwrap();
+    let mut busy = RemoteClient::connect(handle.local_addr(), "it").unwrap();
+    let scan = std::thread::spawn(move || {
+        // 200 rows at 1 ms each: the answer goes out well after the
+        // shutdown below.
+        let rows = busy
+            .execute("SELECT fid FROM pts WHERE sleep_ms(1) >= 0")
+            .map(|r| r.dataset().unwrap().rows.len());
+        (busy, rows)
+    });
+    // The engine lists the query once the server has read its request.
+    while engine.queries().list().is_empty() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    handle.shutdown();
+    let (mut busy, rows) = scan.join().unwrap();
+    assert_eq!(rows.unwrap(), 200);
+    // The request was read before the drain began, so the connection
+    // is idle inside the grace and takes one more request, its last.
+    assert_eq!(busy.ping().unwrap(), "pong", "a request inside the grace");
+    handle.join();
+    assert!(busy.ping().is_err(), "the connection outlived the drain");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn a_request_written_before_shutdown_is_answered() {
     // No grace at all: the drain shuts every read side down at once,
     // and a request already on the wire must still be read and
@@ -302,8 +335,7 @@ fn a_request_written_before_shutdown_is_answered() {
     let mut s = TcpStream::connect(handle.local_addr()).unwrap();
     send_raw(&mut s, br#"{"op":"hello","user":"it"}"#);
     assert!(recv_raw(&mut s).is_some());
-    // The worker is back in `read` (a worker that sees the shutdown
-    // flag after an answer takes no further request).
+    // The worker is back in `read`.
     std::thread::sleep(Duration::from_millis(100));
     // One write, so the whole frame is on the wire: Nagle would hold a
     // second segment back until the header's ACK.

@@ -135,12 +135,13 @@ fn st_query_io_is_flat_in_dataset_size() {
 
     assert_eq!(before.len(), after.len(), "results unchanged");
     // IO stays in the same ballpark (generous 2x bound: compaction state
-    // differs), far below the 3x data growth.
+    // differs), far below the 3x data growth. It is counted in block
+    // reads: a block's bytes depend on how well it compresses.
     assert!(
-        io_after.bytes_read <= io_before.bytes_read.max(4096) * 2,
-        "ST query IO should be flat: {} -> {}",
-        io_before.bytes_read,
-        io_after.bytes_read
+        io_after.blocks_read <= io_before.blocks_read.max(1) * 2,
+        "ST query IO should be flat: {} -> {} blocks",
+        io_before.blocks_read,
+        io_after.blocks_read
     );
     std::fs::remove_dir_all(dir).ok();
 }
