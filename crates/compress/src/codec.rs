@@ -42,13 +42,14 @@ impl Codec {
         })
     }
 
-    /// Parses the `compress=` option value from a `CREATE TABLE` statement.
-    /// `Lz` is the SSTable writer's block codec, not a field option.
+    /// Parses the `compress=` option value from a `CREATE TABLE` statement,
+    /// the inverse of `Display`.
     pub fn parse(name: &str) -> Option<Self> {
         Some(match name.to_ascii_lowercase().as_str() {
             "none" => Codec::None,
             "gzip" => Codec::Gzip,
             "zip" => Codec::Zip,
+            "lz" => Codec::Lz,
             _ => return None,
         })
     }
@@ -232,7 +233,10 @@ mod tests {
         assert_eq!(Codec::parse("GZIP"), Some(Codec::Gzip));
         assert_eq!(Codec::parse("zip"), Some(Codec::Zip));
         assert_eq!(Codec::parse("none"), Some(Codec::None));
-        assert_eq!(Codec::parse("lz"), None);
+        assert_eq!(Codec::parse("LZ"), Some(Codec::Lz));
         assert_eq!(Codec::parse("lz4"), None);
+        for codec in [Codec::None, Codec::Gzip, Codec::Zip, Codec::Lz] {
+            assert_eq!(Codec::parse(&codec.to_string()), Some(codec));
+        }
     }
 }

@@ -292,6 +292,31 @@ mod tests {
     }
 
     #[test]
+    fn every_field_codec_survives_a_reload() {
+        let codecs = [Codec::None, Codec::Gzip, Codec::Zip, Codec::Lz];
+        let path = tmpfile("codecs");
+        std::fs::remove_file(&path).ok();
+        {
+            let mut c = Catalog::open(path.clone()).unwrap();
+            for codec in codecs {
+                let mut def = sample_def(&format!("t_{codec}"));
+                def.schema = Schema::new(vec![
+                    Field::new("fid", FieldType::Int).primary(),
+                    Field::new("note", FieldType::Str).compressed(codec),
+                ])
+                .unwrap();
+                c.register(def).unwrap();
+            }
+        }
+        let c = Catalog::open(path.clone()).unwrap();
+        for codec in codecs {
+            let def = c.get(&format!("t_{codec}")).unwrap();
+            assert_eq!(def.schema.fields()[1].compress, codec);
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
     fn duplicate_registration_rejected() {
         let path = tmpfile("dup");
         std::fs::remove_file(&path).ok();

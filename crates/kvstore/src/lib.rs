@@ -153,4 +153,19 @@ mod fixture {
         )
         .unwrap()
     }
+
+    /// `len` bytes of xorshift noise from `seed`. LZ finds nothing to save
+    /// in them, so the writer stores a block of them raw: as many bytes on
+    /// disk as in memory.
+    pub(crate) fn incompressible(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
 }

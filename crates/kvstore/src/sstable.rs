@@ -955,18 +955,10 @@ mod tests {
     fn lz_and_kept_raw_blocks_share_a_file() {
         // Rows that repeat their layout, then rows of noise, then layout
         // again: the noise blocks save under 1/8 and are stored raw.
-        let mut x = 0x2545_F491_4F6C_DD1Du64;
         let rows: Vec<(Vec<u8>, Vec<u8>)> = (0..900u32)
             .map(|i| {
                 let value = if (300..600).contains(&i) {
-                    (0..40)
-                        .map(|_| {
-                            x ^= x << 13;
-                            x ^= x >> 7;
-                            x ^= x << 17;
-                            x as u8
-                        })
-                        .collect()
+                    fixture::incompressible(u64::from(i), 40)
                 } else {
                     format!("lng=116.{:05},lat=39.{:05};", i * 3, i * 7).into_bytes()
                 };

@@ -1,4 +1,7 @@
-//! Helpers shared by the kvstore integration tests.
+//! Helpers shared by the kvstore integration tests; each test binary
+//! uses some of them.
+
+#![allow(dead_code)]
 
 use std::io::ErrorKind;
 use std::path::Path;
@@ -49,4 +52,19 @@ fn copy_new_files(src: &Path, dst: &Path) -> std::io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// `len` bytes of xorshift noise from `seed`. LZ finds nothing to save
+/// in them, so the writer stores a block of them raw: as many bytes on
+/// disk as in memory.
+pub(crate) fn incompressible(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        })
+        .collect()
 }

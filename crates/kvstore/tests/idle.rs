@@ -7,6 +7,9 @@
 //! binary take turns (`SERIAL`) and each drops its store before the next
 //! one reads them.
 
+mod common;
+
+use common::incompressible;
 use just_kvstore::{MaintenanceOptions, Store, StoreOptions, SyncPolicy};
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -149,18 +152,9 @@ fn a_region_flushed_past_the_split_size_is_split_with_no_further_writes() {
     // Region 1 (keys from byte 0x80): worker 1's, not worker 0's, which
     // runs the split check. The values do not compress, so the flushed
     // table is past the split size on disk too.
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
     for i in 0..256u32 {
         let key = [&[0x90u8][..], &i.to_be_bytes()].concat();
-        let value: Vec<u8> = (0..256)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x as u8
-            })
-            .collect();
-        table.put(key, value).unwrap();
+        table.put(key, incompressible(u64::from(i), 256)).unwrap();
     }
     settle();
     assert_eq!(table.num_regions(), 2, "split before the flush");

@@ -9,10 +9,10 @@
 //!   the threshold while compactions run, because a flush never waits
 //!   for a merge;
 //! * a flush allocates its bloom filter once;
-//! * maintenance memory is O(input tables × one block), not O(region):
-//!   compaction, split and merge pull the read path's lazy merge straight
-//!   into an SSTable builder, so rewriting a region never holds the
-//!   region.
+//! * maintenance memory is O(input tables × one block), not O(region),
+//!   for blocks kept raw and blocks kept LZ alike: compaction, split and
+//!   merge pull the read path's lazy merge straight into an SSTable
+//!   builder, so rewriting a region never holds the region.
 //!
 //! The counting allocator is why this file has exactly one `#[test]` (a
 //! second test thread would allocate into the same counters). Its
@@ -21,6 +21,9 @@
 //! with workers reads the bytes the region reports, not the allocator,
 //! and runs last.
 
+mod common;
+
+use common::incompressible;
 use just_kvstore::{MaintenanceOptions, Store, StoreOptions, SyncPolicy, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
@@ -96,30 +99,49 @@ fn peak_growth(f: impl FnOnce()) -> usize {
 const VALUE_BYTES: usize = 1024;
 const GENERATION_KEYS: u32 = 4000;
 
-/// Writes one ~4 MiB generation and flushes it to its own SSTable. Each
-/// generation overwrites the last quarter of the previous one and
-/// deletes a slice of it, so the rewrite has shadowed versions and
-/// tombstones to resolve.
-fn load_generation(table: &Table, generation: u32) {
+/// Key `i`'s value in `generation`, as noise: the writer keeps its
+/// blocks raw, so the generation's bytes on disk are its bytes in memory.
+fn noise_value(i: u32, generation: u32) -> Vec<u8> {
+    incompressible(u64::from(i) << 8 | u64::from(generation), VALUE_BYTES)
+}
+
+/// Key `i`'s value in `generation`, as a row of GPS fixes: a layout that
+/// repeats around digits that vary, so the writer keeps its blocks LZ.
+fn row_like_value(i: u32, generation: u32) -> Vec<u8> {
+    let mut value = Vec::with_capacity(VALUE_BYTES + 64);
+    for j in 0.. {
+        if value.len() >= VALUE_BYTES {
+            break;
+        }
+        let (lng, lat) = (
+            (i * 37 + j * 11) % 99_991,
+            (i * 53 + generation * 7 + j) % 99_991,
+        );
+        value.extend_from_slice(format!("lng=116.{lng:05},lat=39.{lat:05},t={j};").as_bytes());
+    }
+    value.truncate(VALUE_BYTES);
+    value
+}
+
+/// Writes one ~4 MiB generation of `value`s and flushes it to its own
+/// SSTable. Each generation overwrites the last quarter of the previous
+/// one and deletes a slice of it, so the rewrite has shadowed versions
+/// and tombstones to resolve. Returns the key and value bytes written.
+fn load_generation(table: &Table, generation: u32, value: fn(u32, u32) -> Vec<u8>) -> usize {
     let first = generation * (GENERATION_KEYS * 3 / 4);
+    let mut written = 0;
     for i in first..first + GENERATION_KEYS {
-        // Noise, so the generation's bytes on disk are its bytes in
-        // memory: blocks that do not compress are written raw.
-        let mut x = (u64::from(i) << 8 | u64::from(generation)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let value: Vec<u8> = (0..VALUE_BYTES)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x as u8
-            })
-            .collect();
-        table.put(format!("k{i:08}").into_bytes(), value).unwrap();
+        let (key, value) = (format!("k{i:08}").into_bytes(), value(i, generation));
+        written += key.len() + value.len();
+        table.put(key, value).unwrap();
     }
     for i in first.saturating_sub(500)..first.saturating_sub(300) {
-        table.delete(format!("k{i:08}").into_bytes()).unwrap();
+        let key = format!("k{i:08}").into_bytes();
+        written += key.len();
+        table.delete(key).unwrap();
     }
     table.flush().unwrap();
+    written
 }
 
 /// A WAL-less, uncached store whose flushes run inline on the writer.
@@ -286,7 +308,7 @@ fn write_buffer_stays_under_twice_the_threshold_while_compactions_run(dir: &Path
     let table = store.create_table("t", 1).unwrap();
     // Data for the merges to take a while over.
     for generation in 0..3 {
-        load_generation(&table, generation);
+        load_generation(&table, generation, noise_value);
     }
     let compactions = just_obs::global().counter("just_kvstore_compactions");
     let (merged_before, stop) = (compactions.get(), AtomicBool::new(false));
@@ -323,6 +345,60 @@ fn write_buffer_stays_under_twice_the_threshold_while_compactions_run(dir: &Path
     store.shutdown();
 }
 
+/// Compaction of five generations of `value`s, then a split of it and
+/// two more, each in one region. The writer keeps the blocks LZ when
+/// `lz`, raw otherwise. Either way a rewrite holds the input tables'
+/// open blocks and one output builder, not the region, so its heap
+/// growth is bounded in the region's decoded bytes, the key and value
+/// bytes written: an LZ block decodes to up to nine times the block
+/// size, a raw one to about one.
+fn rewrites_hold_input_tables_times_one_block(
+    dir: &Path,
+    value: fn(u32, u32) -> Vec<u8>,
+    lz: bool,
+) {
+    // Flushes are explicit, one per generation.
+    let store = open_store(dir, 64 << 20);
+    let table = store.create_table("t", 1).unwrap();
+    let decoded: usize = (0..5).map(|g| load_generation(&table, g, value)).sum();
+    let region = &table.region_stats()[0];
+    let disk = region.disk_bytes as usize;
+    assert!(region.sstables >= 4 && decoded >= 16 << 20, "{region:?}");
+    if lz {
+        assert!(disk <= decoded / 2, "{decoded} bytes took {disk} on disk");
+    } else {
+        assert!(disk >= decoded, "{decoded} bytes took {disk} on disk");
+    }
+    let rows = table.snapshot().scan(b"", b"\xff").unwrap().len();
+
+    let grew = peak_growth(|| table.compact().unwrap());
+    assert_eq!(table.region_stats()[0].sstables, 1);
+    println!("compact() of {decoded} decoded, {disk} disk bytes: heap +{grew}");
+    assert!(
+        grew <= decoded / 4,
+        "compact() grew the heap by {grew} bytes over a region of {decoded} decoded bytes"
+    );
+
+    // Give the split more than one input table as well.
+    let decoded = decoded
+        + (5..7)
+            .map(|g| load_generation(&table, g, value))
+            .sum::<usize>();
+    let rows = rows + 2 * (GENERATION_KEYS as usize * 3 / 4) - 2 * 200;
+    let disk = table.disk_size() as usize;
+    assert!(table.region_stats()[0].sstables >= 3);
+    let grew = peak_growth(|| {
+        table.split_region(0).unwrap().expect("region splits");
+    });
+    assert_eq!(table.num_regions(), 2);
+    println!("split_region() of {decoded} decoded, {disk} disk bytes: heap +{grew}");
+    assert!(
+        grew <= decoded / 4,
+        "split_region() grew the heap by {grew} bytes over a region of {decoded} decoded bytes"
+    );
+    assert_eq!(table.snapshot().scan(b"", b"\xff").unwrap().len(), rows);
+}
+
 #[test]
 fn heap_is_bounded_by_configuration_not_by_volume() {
     let dir = std::env::temp_dir().join(format!("just-kv-maint-mem-{}", std::process::id()));
@@ -331,40 +407,8 @@ fn heap_is_bounded_by_configuration_not_by_volume() {
     memtable_grows_in_chunks_that_never_move(&dir.join("chunks"));
     a_flush_allocates_its_filter_once(&dir.join("filter"));
 
-    // Flushes are explicit, one per generation.
-    let store = open_store(&dir.join("rewrite"), 64 << 20);
-    let table = store.create_table("t", 1).unwrap();
-    for generation in 0..5 {
-        load_generation(&table, generation);
-    }
-    let region = &table.region_stats()[0];
-    let disk = region.disk_bytes as usize;
-    assert!(region.sstables >= 4 && disk >= 16 << 20, "{region:?}");
-    let rows = table.snapshot().scan(b"", b"\xff").unwrap().len();
-
-    let grew = peak_growth(|| table.compact().unwrap());
-    assert_eq!(table.region_stats()[0].sstables, 1);
-    assert!(
-        grew <= disk / 4,
-        "compact() grew the heap by {grew} bytes over a {disk}-byte region"
-    );
-
-    // Give the split more than one input table as well.
-    for generation in 5..7 {
-        load_generation(&table, generation);
-    }
-    let rows = rows + 2 * (GENERATION_KEYS as usize * 3 / 4) - 2 * 200;
-    let disk = table.disk_size() as usize;
-    assert!(disk >= 16 << 20 && table.region_stats()[0].sstables >= 3);
-    let grew = peak_growth(|| {
-        table.split_region(0).unwrap().expect("region splits");
-    });
-    assert_eq!(table.num_regions(), 2);
-    assert!(
-        grew <= disk / 4,
-        "split_region() grew the heap by {grew} bytes over a {disk}-byte region"
-    );
-    assert_eq!(table.snapshot().scan(b"", b"\xff").unwrap().len(), rows);
+    rewrites_hold_input_tables_times_one_block(&dir.join("raw"), noise_value, false);
+    rewrites_hold_input_tables_times_one_block(&dir.join("lz"), row_like_value, true);
     write_buffer_stays_under_twice_the_threshold_while_compactions_run(&dir.join("cap"));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,6 +8,9 @@
 //!   scans fetch fewer blocks — the paper's §IV-D compression→fewer-IOs
 //!   effect.
 
+mod common;
+
+use common::incompressible;
 use just_kvstore::{Store, StoreOptions, Table};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -45,15 +48,7 @@ fn value(i: usize) -> Vec<u8> {
 /// nothing, so the writer keeps it raw and it is cut where a raw block
 /// of `value`s would be.
 fn noise(i: usize) -> Vec<u8> {
-    let mut x = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (0..value(i).len())
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x as u8
-        })
-        .collect()
+    incompressible(i as u64, value(i).len())
 }
 
 /// `ROWS` records with `value` in one compacted SSTable, cache off.
